@@ -28,6 +28,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -40,12 +41,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from harness import format_table, update_bench_json  # noqa: E402
 from repro.backend.cache import clear_caches  # noqa: E402
+from repro.backend.plan import CompileOptions, resolve_plan  # noqa: E402
 from repro.dsl import (  # noqa: E402
     PortalExpr, PortalFunc, PortalOp, Storage, Var, indicator, pow, sqrt,
 )
 from repro.parallel import default_workers, shutdown_pools  # noqa: E402
 from repro.policy import ensure_policy  # noqa: E402
-from repro.policy.search import Candidate, enumerate_axes  # noqa: E402
+from repro.policy.search import enumerate_axes  # noqa: E402
 
 OUT_JSON = "BENCH_policy.json"
 FIGURE = "table4-policy"
@@ -150,13 +152,16 @@ def _measure(build, options: dict, repeats: int) -> float:
     return best
 
 
-def _static_grid(nq: int, nr: int, bound_rule: bool, workers: int):
-    """The full cross product of the pruned per-axis candidates — the
-    oracle sweep the coordinate-descent search economises on."""
-    axes = enumerate_axes(nq, nr, bound_rule=bound_rule, workers=workers)
+def _static_grid(nq: int, nr: int, static):
+    """The full cross product of the pruned per-axis candidates around
+    the static rules' plan — the oracle sweep the coordinate-descent
+    search economises on."""
+    axes = enumerate_axes(nq, nr,
+                          bound_rule=static.engine == "bounded-batched",
+                          workers=static.workers)
     keys = list(axes)
     for values in itertools.product(*(axes[k] for k in keys)):
-        yield Candidate(**dict(zip(keys, values)))
+        yield dataclasses.replace(static, **dict(zip(keys, values)))
 
 
 def main(argv=None) -> int:
@@ -184,17 +189,16 @@ def main(argv=None) -> int:
         build, base = make_problem(name, Q, R)
         probe = build()
         probe.validate()
-        from repro.policy import _bound_rule  # noqa: E402  (same heuristic)
-
-        bound = _bound_rule(probe.layers)
+        static = resolve_plan(CompileOptions.from_dict(base), {}, None,
+                              probe.layers)
 
         clear_caches()
         auto_s = _measure(build, dict(base), repeats)
 
         best_static_s, best_static = float("inf"), None
-        for cand in _static_grid(nq, nr, bound, cores):
+        for cand in _static_grid(nq, nr, static):
             clear_caches()
-            t = _measure(build, {**base, **cand.options()}, repeats)
+            t = _measure(build, {**base, **cand.to_options()}, repeats)
             if t < best_static_s:
                 best_static_s, best_static = t, cand.label()
 

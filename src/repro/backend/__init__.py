@@ -12,7 +12,7 @@ from .state import Output, State, allocate_state
 _LAZY = {
     "Backend": "backends", "NumpyBackend": "backends",
     "get_backend": "backends", "register_backend": "backends",
-    "resolve_codegen_backend": "backends", "CODEGEN_BACKENDS": "backends",
+    "CODEGEN_BACKENDS": "backends",
     "NativeBackend": "native", "native_available": "native",
 }
 
@@ -31,6 +31,6 @@ __all__ = [
     "Output", "State", "allocate_state",
     "clear_caches", "cache_stats",
     "Backend", "NumpyBackend", "NativeBackend", "get_backend",
-    "register_backend", "resolve_codegen_backend", "CODEGEN_BACKENDS",
+    "register_backend", "CODEGEN_BACKENDS",
     "native_available",
 ]

@@ -15,10 +15,11 @@ among several rather than the only lowering:
   ``backend.native.fallback``, never fatal — when numba is not
   importable or a kernel uses an unsupported construct
   (:mod:`repro.backend.native`).
-* ``auto`` — resolves to ``native`` only when numba is importable *and*
-  the problem is large enough (``nq * nr`` at or above
-  :data:`AUTO_NATIVE_MIN_PAIRS`) for the one-off JIT warm-up to
-  amortise; everything smaller stays on ``numpy``.
+* ``auto`` — not a backend but a request: the execution plan
+  (:func:`repro.backend.plan.resolve_plan`) turns it into ``native``
+  only when numba is importable *and* the problem is large enough for
+  the one-off JIT warm-up to amortise; everything smaller stays on
+  ``numpy``.
 
 A backend owns three swappable steps:
 
@@ -41,25 +42,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..dsl.errors import SpecificationError
-from ..observe import contribute
 from .codegen import CodegenSpec, GeneratedKernels, bind_kernels, emit
 
 __all__ = [
     "Backend", "NumpyBackend", "get_backend", "register_backend",
-    "CODEGEN_BACKENDS", "resolve_codegen_backend", "AUTO_NATIVE_MIN_PAIRS",
+    "CODEGEN_BACKENDS",
 ]
 
 #: Requestable values of ``CompileOptions.codegen`` (``auto`` resolves
 #: to one of the concrete registry names before the artifact is keyed).
 CODEGEN_BACKENDS = ("numpy", "native", "auto")
-
-#: ``codegen='auto'`` routes to the native backend only at or above this
-#: many candidate pairs (``nq * nr``).  Below it the JIT warm-up
-#: (hundreds of milliseconds the first time a kernel shape is seen)
-#: dominates any per-pair win; above it the measured native speedup on
-#: the Table IV scalar-kernel configs (see BENCH_native.json) pays for
-#: the warm-up many times over.  Patchable in tests.
-AUTO_NATIVE_MIN_PAIRS = 1 << 21
 
 
 class Backend:
@@ -128,38 +120,6 @@ def get_backend(name: str) -> Backend:
             f"unknown codegen backend {name!r}; "
             f"registered: {sorted(_REGISTRY)}"
         ) from None
-
-
-def resolve_codegen_backend(requested: str, nq: int, nr: int) -> str:
-    """Resolve a requested ``codegen`` option to a concrete registry name.
-
-    * ``numpy`` stays ``numpy``.
-    * ``native`` degrades to ``numpy`` when no native JIT is available
-      (numba not importable), counted under ``backend.native.fallback``.
-    * ``auto`` picks ``native`` only when it is available *and* the
-      problem has at least :data:`AUTO_NATIVE_MIN_PAIRS` candidate
-      pairs.
-
-    Resolution happens **before** the artifact key is computed, so the
-    key always names the concrete backend that emitted the artifact.
-    """
-    from .native import native_available
-
-    if requested == "numpy":
-        return "numpy"
-    if requested == "native":
-        if not native_available():
-            contribute({"backend.native.fallback": 1})
-            return "numpy"
-        return "native"
-    if requested == "auto":
-        if native_available() and nq * nr >= AUTO_NATIVE_MIN_PAIRS:
-            return "native"
-        return "numpy"
-    raise SpecificationError(
-        f"unknown codegen backend {requested!r}; "
-        f"expected one of {CODEGEN_BACKENDS}"
-    )
 
 
 register_backend(NumpyBackend())

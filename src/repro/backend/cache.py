@@ -8,9 +8,11 @@ generation, IR optimisation, code generation and tree construction
 * the **program cache** (:mod:`repro.backend.jit`) memoises compiled
   artifacts keyed on a canonical description of the layer chain (operator
   names, unparsed kernel expressions, parameter values, dataset
-  fingerprints) plus the compile-relevant ``CompileOptions`` fields —
-  runtime-only knobs (``parallel``, ``workers``, ``min_tasks``,
-  ``traversal``) are deliberately excluded so toggling them still hits;
+  fingerprints) plus the compile-relevant ``CompileOptions`` fields and
+  the *resolved* fields of the execution plan (codegen target, leaf
+  size, shard count) — runtime-only knobs (``parallel``, ``workers``,
+  ``min_tasks``, ``traversal``) are deliberately excluded so toggling
+  them still hits;
 * the **tree cache** memoises :class:`~repro.trees.node.ArrayTree`
   builds keyed on (data fingerprint, tree kind, leaf size, split,
   weights fingerprint), so *different problems* over the same dataset

@@ -42,7 +42,7 @@ from .layout import Layout
 
 __all__ = [
     "CodegenSpec", "GeneratedKernels", "generate", "emit", "bind_kernels",
-    "emit_expr", "emit_expr_vn",
+    "emit_expr", "emit_expr_vn", "reference_bindings",
 ]
 
 
@@ -783,6 +783,20 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
         sp.note(source_loc=source.count("\n"))
         code = compile(source, f"<portal-generated-{id(spec)}>", "exec")
     return source, code
+
+
+def reference_bindings(rtree) -> dict:
+    """The reference-tree operands the generated tree-mode kernels read
+    (one set per shard tree under the sharded layout)."""
+    weighted = rtree.weights is not None
+    return dict(
+        RCOL=rtree.points_col, RROW=rtree.points, RN2=rtree.sqnorms(),
+        rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
+        rcentroid=rtree.wcentroid if weighted else rtree.centroid,
+        rweight=(rtree.wsum if weighted
+                 else (rtree.end - rtree.start).astype(np.float64)),
+        rdiam2=rtree.diameter ** 2, rw=rtree.weights,
+    )
 
 
 def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:

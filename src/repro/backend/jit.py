@@ -1,229 +1,61 @@
 """Compilation driver: PortalExpr → CompiledProgram (paper Fig. 1).
 
-Runs the full pipeline — classification, rule generation, tree builds,
-lowering + optimisation passes, backend code generation — and returns a
-:class:`CompiledProgram` whose :meth:`~CompiledProgram.run` executes the
-(optionally parallel) multi-tree traversal or the generated brute force.
+One pass from specification to a scheduled traversal:
+:func:`compile_expr` validates the options, resolves the execution plan
+(:mod:`repro.backend.plan`) once, keys the program on it, and — on a
+cache miss — runs the pipeline (classification and rule generation,
+lowering + optimisation passes, tree builds, backend code generation)
+into a cacheable :class:`_Artifact`, which :func:`_instantiate` binds to
+fresh state as a runnable :class:`~repro.backend.program.CompiledProgram`.
+External-kernel and m ≥ 3-layer programs take the uncached fallbacks in
+:mod:`repro.backend.fallbacks`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from ..dsl.errors import CompileError, SpecificationError
-from ..dsl.expr import Const, Expr, Indicator, Var
-from ..dsl.ops import MAX_LIKE, MIN_LIKE
-from ..ir.nodes import SymRef
+from ..dsl.errors import CompileError
+from ..dsl.expr import Const, Expr, Indicator
 from ..dsl.funcs import MetricKernel
 from ..dsl.layer import Layer
-from ..dsl.ops import PortalOp, op_info
+from ..dsl.ops import MAX_LIKE, MIN_LIKE
 from ..ir.lowering import kernel_to_ir, lower
-from ..ir.passes import TOGGLEABLE_PASSES, PassManager
-from ..ir.printer import render_program, render_stages
-from ..observe import collect, contribute, span
+from ..ir.nodes import SymRef
+from ..ir.passes import PassManager
 from ..ir.strength_reduction import reduce_expr
-from ..parallel import default_workers, parallel_dual_tree
-from ..rules import build_rules
-from ..traversal import (
-    TraversalStats, batched_dual_tree_traversal,
-    bounded_batched_dual_tree_traversal, dual_tree_traversal,
-)
-from .backends import CODEGEN_BACKENDS, get_backend, resolve_codegen_backend
+from ..observe import contribute, span
+from .backends import get_backend
 from .cache import (  # noqa: F401 (program_cache re-exported for tests)
     ARTIFACT_SCHEMA, MISSING, UncacheableParamError, array_fingerprint,
     cached_build_tree, freeze, program_cache,
 )
-from .codegen import CodegenSpec, GeneratedKernels, bind_kernels, emit
+from .codegen import CodegenSpec, reference_bindings
 from .layout import Layout
-from .state import Output, State, allocate_state
+from .plan import (
+    CompileOptions, ExecutionPlan, program_rules, requested, resolve_plan,
+)
+from .program import CompiledProgram
+from .state import allocate_state
 
 __all__ = ["CompileOptions", "CompiledProgram", "compile_expr"]
 
 
-@dataclass
-class CompileOptions:
-    """Execution/compilation knobs surfaced on ``PortalExpr.execute``."""
+class _LazyPolicy:
+    """:mod:`repro.policy`, imported on first use — only the ``auto`` and
+    ``search`` policy modes ever consult it."""
 
-    backend: str = "vectorized"      # 'vectorized' | 'brute' | 'interp'
-    #: codegen target for the emitted kernels: 'numpy' (vectorised
-    #: NumPy source, the differential reference), 'native' (Numba-jitted
-    #: per-pair scalar kernels, degrading gracefully to numpy when
-    #: numba is unavailable) or 'auto' (native only above a measured
-    #: problem-size threshold).  ``backend='numpy'|'native'|'auto'`` is
-    #: accepted as an alias for ``backend='vectorized'`` plus this
-    #: option; the ``REPRO_CODEGEN`` environment variable (CI matrix
-    #: knob) overrides the default when the option is not passed.
-    codegen: str = "numpy"
-    tree: str = "kd"                 # 'kd' | 'ball' | 'octree' | 'none'
-    leaf_size: int | None = None
-    tau: float | None = None         # approximation threshold (band criterion)
-    criterion: str = "band"          # 'band' | 'mac'
-    theta: float = 0.5               # multipole acceptance parameter
-    parallel: bool = False
-    workers: int | None = None
-    #: pin the parallel task decomposition independently of ``workers``
-    #: (same tasks → bit-identical outputs across worker counts)
-    min_tasks: int | None = None
-    fastmath: bool = True
-    exclude_self: bool | None = None  # default: True when query is reference
-    #: override the dimensionality-based layout choice ('row' | 'column');
-    #: exposed for the layout ablation study
-    layout: str | None = None
-    #: kd-tree splitting strategy ('median' — the paper's — or 'midpoint')
-    split: str = "median"
-    #: IR optimisation passes to skip (differential-testing knob); any
-    #: subset of :data:`repro.ir.passes.TOGGLEABLE_PASSES`
-    disable_passes: tuple = ()
-    #: traversal engine: 'batched' classifies whole frontier arrays of
-    #: node pairs per kernel call (:mod:`repro.traversal.batched`) and is
-    #: the default for every problem — bound-rule problems (k-NN,
-    #: Hausdorff) are routed to the epoch-based bound-aware variant
-    #: (:mod:`repro.traversal.bounded_batched`, reported as
-    #: ``'bounded-batched'``).  'bounded-batched' requests that variant
-    #: explicitly (stateless problems still run plain batched); 'stack'
-    #: forces the scalar nearest-first reference engine.
-    traversal: str = "batched"
-    #: reuse compiled artifacts and built trees across ``execute()``
-    #: calls (content-addressed; see :mod:`repro.backend.cache`)
-    cache: bool = True
-    #: parallel pool backend: 'thread' | 'process' | 'auto'.  'auto'
-    #: picks 'process' for the GIL-bound scalar stack engine and
-    #: 'thread' for the vectorised batched engine; when the option is
-    #: not passed explicitly, the ``REPRO_EXECUTOR`` environment
-    #: variable (CI matrix knob) overrides the default.  Only consulted
-    #: when ``parallel=True``.
-    executor: str = "auto"
-    #: run the structural IR verifier (:mod:`repro.ir.verify`) after
-    #: lowering and after every optimisation pass.  ``None`` defers to
-    #: the ``REPRO_VERIFY_IR`` environment variable (the test suites set
-    #: it; benchmarks leave it off).
-    verify_ir: bool | None = None
-    #: sharded reference layout (:mod:`repro.parallel.shard`): partition
-    #: the reference set into this many spatial shards, build one tree
-    #: per shard, replicate the query tree, and combine per-shard
-    #: partial results through the operator's reduction algebra.
-    #: ``'auto'`` shards large reference sets one-per-worker; tree mode
-    #: only (brute/interp ignore it).  When the option is not passed,
-    #: the ``REPRO_SHARDS`` environment variable overrides the default.
-    shards: int | str = 1
-    #: self-tuning execution policy (:mod:`repro.policy`): 'static'
-    #: keeps the hard-coded auto rules (the default — behaviour is
-    #: bit-identical to earlier releases), 'auto' consults the persistent
-    #: policy cache and falls back to the static rules on a miss,
-    #: 'search' runs the budgeted measured search on a miss and persists
-    #: the winner.  The policy only fills in knobs not set explicitly
-    #: (via options or the REPRO_* env knobs).  ``REPRO_POLICY``
-    #: overrides the default when the option is not passed.
-    policy: str = "static"
-    #: option names the caller pinned explicitly (options dict keys plus
-    #: applied env knobs) — the knobs a policy decision must never touch
-    explicit: frozenset = field(default=frozenset(), compare=False,
-                                repr=False)
+    def __getattr__(self, name):
+        from .. import policy
 
-    @classmethod
-    def from_dict(cls, options: dict) -> "CompileOptions":
-        options = dict(options)
-        # `backend='numpy'|'native'|'auto'` is shorthand for the default
-        # execution mode with an explicit codegen target.
-        if options.get("backend") in CODEGEN_BACKENDS:
-            options.setdefault("codegen", options["backend"])
-            options["backend"] = "vectorized"
-        unknown = set(options) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise SpecificationError(
-                f"unknown execute() options: {sorted(unknown)}"
-            )
-        opts = cls(**options)
-        if "codegen" not in options:
-            env = os.environ.get("REPRO_CODEGEN", "").strip()
-            if env:
-                opts.codegen = env
-        if opts.codegen not in CODEGEN_BACKENDS:
-            raise SpecificationError(
-                f"unknown codegen backend {opts.codegen!r}; "
-                f"expected one of {CODEGEN_BACKENDS}"
-            )
-        if isinstance(opts.disable_passes, str):
-            opts.disable_passes = (opts.disable_passes,)
-        bad = set(opts.disable_passes) - set(TOGGLEABLE_PASSES)
-        if bad:
-            raise SpecificationError(
-                f"unknown disable_passes: {sorted(bad)}; "
-                f"toggleable: {TOGGLEABLE_PASSES}"
-            )
-        if opts.traversal not in ("batched", "bounded-batched", "stack"):
-            raise SpecificationError(
-                f"unknown traversal engine {opts.traversal!r}; "
-                "expected 'batched', 'bounded-batched' or 'stack'"
-            )
-        if "executor" not in options:
-            env = os.environ.get("REPRO_EXECUTOR", "").strip()
-            if env:
-                opts.executor = env
-        if opts.verify_ir is None:
-            env = os.environ.get("REPRO_VERIFY_IR", "").strip().lower()
-            opts.verify_ir = env in ("1", "true", "on", "yes")
-        if opts.executor not in ("auto", "thread", "process"):
-            raise SpecificationError(
-                f"unknown executor {opts.executor!r}; "
-                "expected 'auto', 'thread' or 'process'"
-            )
-        if "shards" not in options:
-            env = os.environ.get("REPRO_SHARDS", "").strip()
-            if env:
-                opts.shards = env
-        if isinstance(opts.shards, str) and opts.shards != "auto":
-            try:
-                opts.shards = int(opts.shards)
-            except ValueError:
-                raise SpecificationError(
-                    f"shards must be an integer or 'auto', "
-                    f"got {opts.shards!r}"
-                ) from None
-        if opts.shards != "auto" and (
-                not isinstance(opts.shards, int) or opts.shards < 1):
-            raise SpecificationError(
-                f"shards must be a positive integer or 'auto', "
-                f"got {opts.shards!r}"
-            )
-        if "policy" not in options:
-            env = os.environ.get("REPRO_POLICY", "").strip()
-            if env:
-                opts.policy = env
-        if opts.policy not in ("static", "auto", "search"):
-            raise SpecificationError(
-                f"unknown policy mode {opts.policy!r}; "
-                "expected 'static', 'auto' or 'search'"
-            )
-        # Record which knobs the caller pinned: explicit options always
-        # win over a policy decision, and the REPRO_* env knobs (the CI
-        # matrix) count as explicit so the policy never overrides them.
-        explicit = set(options) - {"policy", "explicit"}
-        for name, var in (("codegen", "REPRO_CODEGEN"),
-                          ("executor", "REPRO_EXECUTOR"),
-                          ("shards", "REPRO_SHARDS")):
-            if name not in options and os.environ.get(var, "").strip():
-                explicit.add(name)
-        opts.explicit = frozenset(explicit)
-        return opts
-
-
-def _resolve_executor(executor: str, engine: str) -> str:
-    """Resolve ``executor='auto'``: the scalar stack engine is GIL-bound
-    (one Python bytecode stream per task), so processes win; both batched
-    engines spend their time in NumPy kernels that release the GIL, so
-    threads win (no pickling, no merge copies)."""
-    if executor != "auto":
-        return executor
-    return "process" if engine == "stack" else "thread"
+        return getattr(policy, name)
 
 
 def _resolve_modifier(func) -> Callable | None:
@@ -256,368 +88,6 @@ def _whiten_transform(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 @dataclass
-class CompiledProgram:
-    """A fully compiled Portal problem, ready to run."""
-
-    options: CompileOptions
-    layers: list[Layer]
-    kernel: MetricKernel | None
-    classification: object
-    rule: object
-    pass_manager: PassManager
-    mode: str                        # 'tree' | 'brute' | 'interp'
-    state: State
-    kernels: GeneratedKernels | None = None
-    qtree: object | None = None
-    rtree: object | None = None
-    qdata: np.ndarray | None = None  # brute mode: original-order data
-    rdata: np.ndarray | None = None
-    stats: TraversalStats | None = None
-    output: Output | None = None
-    extras: dict = field(default_factory=dict)
-    #: wall-clock seconds per compile stage ('rules', 'lowering',
-    #: 'passes', 'tree_build', 'codegen') plus 'run' after run()
-    timings: dict = field(default_factory=dict)
-    #: guards the mutable observability state (``timings`` / ``extras`` /
-    #: ``stats``) against :meth:`stats_summary` snapshotting it while a
-    #: concurrent :meth:`run` is mid-update (the serving layer reads
-    #: stats from one thread while executes run on others)
-    _stats_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False)
-
-    # -- introspection ---------------------------------------------------------
-    def ir_dump(self, stage: str = "final") -> str:
-        return render_program(self.pass_manager.stage(stage))
-
-    def ir_stages(self, function: str = "BaseCase") -> str:
-        return render_stages(self.pass_manager.snapshots, function)
-
-    def generated_source(self) -> str:
-        if self.kernels is None:
-            raise CompileError("no generated source in interp mode")
-        return self.kernels.source
-
-    # -- execution --------------------------------------------------------------
-    def run(self) -> Output:
-        t0 = time.perf_counter()
-        with span("run", mode=self.mode):
-            out = self._run()
-        with self._stats_lock:
-            self.timings["run"] = time.perf_counter() - t0
-            pol = self.extras.get("policy")
-            stats = self.stats
-        if (pol is not None and pol.get("source") == "policy-cache"
-                and self.mode == "tree"):
-            # Online refinement: feed the observed counters back so a
-            # decision whose live profile deviates from its tuning
-            # measurement is retired (marked stale → re-searched).
-            from ..policy import observe_run
-
-            nr = getattr(self.rtree, "n", None)
-            if nr is None:
-                nr = self.extras.get("nr", 0)
-            observe_run(pol["key"], stats, self.state.nq, int(nr or 0))
-        return out
-
-    def _run(self) -> Output:
-        if self.mode == "multilayer":
-            from .multilayer import execute_multilayer
-
-            self.stats = TraversalStats(base_cases=1)
-            self.stats.contribute()
-            self.output = execute_multilayer(
-                self.layers, self.extras.get("exclude_self", False)
-            )
-            return self.output
-        if self.mode == "interp":
-            self.output = self._run_interp()
-            return self.output
-        if self.mode == "tree":
-            self.stats = self._run_tree()
-            qperm = self.qtree.perm
-            # Sharded runs have no single reference tree; the combine
-            # step already mapped indices to original reference ids.
-            rperm = self.rtree.perm if self.rtree is not None else None
-        elif self.mode == "brute":
-            self.stats = self._run_brute()
-            qperm = np.arange(self.state.nq)
-            rperm = None
-        else:
-            raise CompileError(f"cannot run mode {self.mode!r}")
-        self.output = self.state.finalize(qperm, rperm)
-        return self.output
-
-    def stats_summary(self) -> dict:
-        """Observability summary: traversal counters with prune/approx
-        rates, per-IR-pass timings and per-compile-stage timings (the
-        numbers behind ``repro.cli stats`` and ``PortalExpr.stats()``).
-
-        Safe to call while another thread is executing this program: the
-        mutable state (``timings`` / ``extras`` / traversal counters) is
-        snapshotted under the program's stats lock, so the summary is a
-        consistent point-in-time view and never tears a dict mid-read.
-        """
-        with self._stats_lock:
-            st = self.stats or TraversalStats()
-            st_d = st.as_dict()
-            extras = dict(self.extras)
-            timings = dict(self.timings)
-            pass_timings = dict(self.pass_manager.timings)
-            bounded = (dict(extras["bounded"])
-                       if "bounded" in extras else None)
-            shard = dict(extras["shard"]) if "shard" in extras else None
-        visited = st_d["visited"]
-        summary = {
-            "mode": self.mode,
-            "backend": self.options.backend,
-            "codegen": extras.get("codegen"),
-            "tree": self.options.tree if self.mode == "tree" else None,
-            "traversal_engine": extras.get("engine"),
-            "executor": extras.get("executor"),
-            "cache": extras.get("cache"),
-            # The concrete shard count this program resolved ('auto' and
-            # the REPRO_WORKERS/REPRO_SHARDS env overrides are resolved
-            # per execute(), before the cache key is computed).
-            "shards": extras.get("shards"),
-            # How the execution configuration was resolved: the static
-            # auto rules, a persistent policy-cache hit, or a fresh
-            # measured search (see :mod:`repro.policy`).
-            "policy": extras.get("policy", {"source": "static-auto"}),
-            "tree_version": getattr(self.qtree, "version", None),
-            "traversal": dict(
-                st_d,
-                prune_rate=st_d["pruned"] / visited if visited else 0.0,
-                approx_rate=(st_d["approximated"] / visited
-                             if visited else 0.0),
-            ),
-            "pass_timings_ms": {
-                name: dt * 1e3 for name, dt in pass_timings.items()
-            },
-            "compile_timings_ms": {
-                name: dt * 1e3 for name, dt in timings.items()
-                if name != "run"
-            },
-            "run_ms": timings.get("run", 0.0) * 1e3,
-        }
-        if bounded is not None:
-            summary["bounded"] = bounded
-        if shard is not None:
-            summary["shard"] = shard
-        nq = self.state.nq
-        nr = getattr(self.rtree, "n", None)
-        if nr is None:
-            nr = len(self.rdata) if self.rdata is not None else None
-        if nr is None:
-            nr = extras.get("nr")  # sharded: no single rtree
-        if nr:
-            summary["traversal"]["exact_pair_fraction"] = (
-                st_d["base_case_pairs"] / (nq * nr)
-            )
-        return summary
-
-    def _run_interp(self) -> Output:
-        """Execute the final BaseCase IR through the interpreter over the
-        full datasets — the slow reference backend (small inputs only;
-        self-pairs are not excluded, as the scalar IR has no notion of
-        storage identity)."""
-        from .interp import base_case_env, interpret_function
-
-        outer, inner = self.layers
-        qname, rname = outer.storage.name, inner.storage.name
-        # The IR computes the kernel itself (including the Mahalanobis
-        # form), so it runs over the *original* points — unlike the fast
-        # backends, which pre-whiten.
-        qdata, rdata = outer.storage.data, inner.storage.data
-        extra = {}
-        if self.kernel is not None and self.kernel.whiten:
-            cov = self.kernel.covariance
-            if cov is None:
-                cov = np.cov(rdata.T)
-            extra["Sigma"] = np.asarray(cov, dtype=np.float64)
-        env = base_case_env(
-            qname, rname, qdata, rdata,
-            outer.storage.layout, inner.storage.layout, extra=extra,
-        )
-        fn = self.pass_manager.stage("final")["BaseCase"]
-        with span("interp.run", function="BaseCase"):
-            interpret_function(fn, env)
-        self.stats = TraversalStats(base_cases=1,
-                                    base_case_pairs=len(self.qdata)
-                                    * len(self.rdata))
-        self.stats.contribute()
-        return self._interp_output(env)
-
-    def _interp_output(self, env: dict) -> Output:
-        outer, inner = self.layers
-        info = op_info(inner.op)
-        nq = len(self.qdata)
-        rows = env.get("storage0_rows")
-        if rows is not None:
-            per_query = [rows.get(i, []) for i in range(nq)]
-            if inner.op in (PortalOp.UNION, PortalOp.UNIONARG):
-                arrays = [np.sort(np.asarray(v, dtype=np.int64
-                                             if info.returns_index
-                                             else np.float64))
-                          for v in per_query]
-                if info.returns_index:
-                    return Output(indices=arrays)
-                return Output(values=arrays)
-            mat = np.asarray(per_query, dtype=np.float64)
-            if info.returns_index:
-                return Output(indices=mat.astype(np.int64))
-            return Output(values=mat)
-        storage0 = env["storage0"]
-        if outer.op is PortalOp.FORALL:
-            if info.returns_index:
-                return Output(indices=np.asarray(storage0, dtype=np.int64))
-            return Output(values=np.asarray(storage0, dtype=np.float64))
-        # Outer reductions lower to a scalar accumulator.
-        return Output(scalar=float(storage0))
-
-    def _run_tree(self) -> TraversalStats:
-        engine = self.extras.get("engine", "stack")
-        if engine != "bounded-batched":
-            return self._dispatch_tree(engine)
-        # Capture the epoch engine's bounded.* counters (epochs, deferred
-        # prunes, bound refreshes) for stats_summary() regardless of
-        # whether the caller installed a registry; everything captured is
-        # re-contributed so an outer collect() still sees it.
-        with collect() as bounded_counters:
-            stats = self._dispatch_tree(engine)
-        snap = bounded_counters.as_dict()
-        self.extras["bounded"] = {
-            name.split(".", 1)[1]: value
-            for name, value in snap.items() if name.startswith("bounded.")
-        }
-        contribute(snap)
-        return stats
-
-    def _dispatch_tree(self, engine: str) -> TraversalStats:
-        kk = self.kernels
-        shard_exec = self.extras.get("shard_exec")
-        if shard_exec is not None:
-            from ..parallel.shard import run_sharded
-
-            executor = _resolve_executor(self.options.executor, engine)
-            if self.options.parallel:
-                self.extras["executor"] = executor
-            stats, shard_info = run_sharded(
-                self.qtree, shard_exec, self.state, engine,
-                parallel=self.options.parallel, executor=executor,
-                workers=self.options.workers,
-                min_tasks=self.options.min_tasks,
-                token=self.extras.get("program_token"),
-                q_bindings=self.extras.get("static_bindings"),
-                source=kk.source,
-                codegen_backend=self.extras.get("codegen", "numpy"),
-            )
-            self.extras["shard"] = shard_info
-            return stats
-        if self.options.parallel:
-            workers = self.options.workers or default_workers()
-            executor = _resolve_executor(self.options.executor, engine)
-            self.extras["executor"] = executor
-            if executor == "process" and workers > 1:
-                from ..parallel.process_backend import (
-                    parallel_dual_tree_process,
-                )
-
-                return parallel_dual_tree_process(
-                    self.qtree, self.rtree, kk.source,
-                    self.extras["static_bindings"], self.state,
-                    nr=self.rtree.n,
-                    token=self.extras.get("program_token"),
-                    engine=engine, workers=workers,
-                    min_tasks=self.options.min_tasks,
-                    codegen_backend=self.extras.get("codegen", "numpy"),
-                )
-            return parallel_dual_tree(
-                self.qtree, self.rtree, kk.prune_or_approx, kk.base_case,
-                pair_min_dist=kk.pair_min_dist, workers=self.options.workers,
-                min_tasks=self.options.min_tasks,
-                engine=engine, classify_batch=kk.classify_batch,
-                apply_action=kk.apply_action,
-                pair_min_dist_batch=kk.pair_min_dist_batch,
-                bound_key_batch=kk.bound_key_batch,
-                classify_bound_batch=kk.classify_bound_batch,
-                base_case_group=kk.base_case_group,
-                qbound=self.state.arrays.get("qbound"),
-            )
-        if engine == "bounded-batched":
-            return bounded_batched_dual_tree_traversal(
-                self.qtree, self.rtree, kk.bound_key_batch,
-                kk.classify_bound_batch, kk.base_case_group,
-                self.state.arrays["qbound"],
-            )
-        if engine == "batched":
-            return batched_dual_tree_traversal(
-                self.qtree, self.rtree, kk.classify_batch, kk.apply_action,
-                kk.base_case, pair_min_dist_batch=kk.pair_min_dist_batch,
-            )
-        return dual_tree_traversal(
-            self.qtree, self.rtree, kk.prune_or_approx, kk.base_case,
-            pair_min_dist=kk.pair_min_dist,
-        )
-
-    def _run_brute(self) -> TraversalStats:
-        stats = TraversalStats()
-        nq, nr = self.qdata.shape[0], self.rdata.shape[0]
-        dim = self.qdata.shape[1]
-        # Block sizes bound the broadcast temporaries (row-major forms a
-        # (qB, rB, d) difference tensor).  A narrow reference side (e.g.
-        # mixture components in EM) allows much taller query blocks.
-        if nr <= 64:
-            qB, rB = 8192, nr
-        elif dim <= 4:
-            qB, rB = 512, 2048
-        else:
-            qB, rB = 128, max(128, (4 << 20) // (8 * dim * 128))
-        same = self.extras.get("same_data", False)
-        if same:
-            rB = qB
-        bc = self.kernels.base_case
-        for qs in range(0, nq, qB):
-            qe = min(qs + qB, nq)
-            for rs in range(0, nr, rB):
-                re = min(rs + rB, nr)
-                bc(qs, qe, rs, re)
-                stats.base_cases += 1
-                stats.base_case_pairs += (qe - qs) * (re - rs)
-        stats.contribute()
-        return stats
-
-    def validate_against_brute(self) -> float:
-        """Re-run the problem brute-force and return the max |Δ| between
-        the two outputs (0.0 for exact pruning problems)."""
-        from .jit import compile_expr  # self-import for clarity
-
-        if self.output is None:
-            self.run()
-        brute = _clone_and_run(self.layers, self.options)
-        return _max_output_delta(self.output, brute)
-
-
-def _clone_and_run(layers: list[Layer], options: CompileOptions) -> Output:
-    from ..dsl.portal_expr import PortalExpr
-
-    pe = PortalExpr("validation")
-    pe.layers = layers
-    opts = {
-        "backend": "brute", "fastmath": options.fastmath,
-        "exclude_self": options.exclude_self,
-    }
-    program = compile_expr(pe, opts)
-    return program.run()
-
-
-def _max_output_delta(a: Output, b: Output) -> float:
-    if a.scalar is not None and b.scalar is not None:
-        return abs(a.scalar - b.scalar)
-    av, bv = np.asarray(a.values, dtype=float), np.asarray(b.values, dtype=float)
-    return float(np.max(np.abs(av - bv)))
-
-
-@dataclass
 class _Artifact:
     """Immutable products of one compile — everything reusable across
     executions of the same logical program.
@@ -633,11 +103,8 @@ class _Artifact:
     classification: object
     rule: object
     pass_manager: PassManager
-    spec: CodegenSpec
-    #: concrete (post-``resolve_codegen_backend``) codegen backend that
-    #: emitted ``source``/``code`` — the backend that must re-bind it
-    #: (here and in worker processes)
-    codegen_backend: str
+    #: emitted by — and re-bound with — the plan's codegen backend, which
+    #: is part of the key
     source: str
     code: object
     static_bindings: dict
@@ -648,7 +115,6 @@ class _Artifact:
     nq: int
     nr: int
     same_data: bool
-    exclude_self: bool
     #: apply the monotone kernel map at finalisation (section IV-F)
     defer_monotone: bool
     #: sharded reference layout: per-shard trees, orig-id maps and
@@ -668,21 +134,19 @@ def _func_key(func) -> object:
     return None if func is None else repr(func)
 
 
-def _program_key(layers: list[Layer], opts: CompileOptions) -> tuple:
+def _program_key(layers: list[Layer], opts: CompileOptions,
+                 plan: ExecutionPlan, verify: bool) -> tuple:
     """Content-addressed key of a 2-layer program's compiled artifact.
 
     Covers every compile-time input: per-layer operator/k/function/params
-    and dataset fingerprints, the normalised kernel, and the
-    CompileOptions fields that change the artifact.  Runtime-only knobs
-    (``parallel``/``workers``/``min_tasks``/``traversal``/``cache``) are
+    and dataset fingerprints, the normalised kernel, the options that
+    change the artifact and — for everything that is resolved rather
+    than asked (codegen target, leaf size, shard count, layout) — the
+    resolved value, so asking for a default by name shares its entry.
+    Runtime-only plan fields (engine, executor, workers, min_tasks) are
     excluded so toggling them still hits.
     """
-    outer, inner = layers
-    same_data = outer.storage is inner.storage
-    exclude_self = (
-        opts.exclude_self if opts.exclude_self is not None else same_data
-    )
-    kern = inner.metric_kernel
+    kern = layers[1].metric_kernel
     layer_parts = tuple(
         (
             layer.op.name,
@@ -699,11 +163,11 @@ def _program_key(layers: list[Layer], opts: CompileOptions) -> tuple:
         ARTIFACT_SCHEMA,
         layer_parts,
         (kern.base, repr(kern.g), kern.whiten, freeze(kern.covariance)),
-        opts.backend, opts.codegen, opts.tree, opts.leaf_size, opts.tau,
-        opts.criterion,
-        opts.theta, opts.fastmath, opts.layout, opts.split,
-        tuple(sorted(opts.disable_passes)), bool(opts.verify_ir),
-        same_data, exclude_self, opts.shards,
+        opts.backend, plan.codegen, opts.tree, plan.leaf_size, opts.tau,
+        opts.criterion, opts.theta, opts.fastmath,
+        resolved_layout(layers, opts), opts.split,
+        tuple(sorted(opts.disable_passes)), verify,
+        *self_pairs(layers, opts), plan.shards,
     )
 
 
@@ -717,56 +181,18 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     """
     opts = CompileOptions.from_dict(options)
     layers = pexpr.layers
-    if len(layers) > 2:
-        return _compile_multilayer(pexpr, opts)
-    if layers[1].metric_kernel is None:
-        return _compile_external_expr(pexpr, opts)
+    # Everything 'auto', environment-supplied or policy-tuned becomes
+    # concrete here, before the cache key: a native or sharded artifact
+    # must never collide with a NumPy or unsharded one, and a request
+    # that resolves to the default legitimately shares its entry.
+    plan = resolve_plan(opts, os.environ, _LazyPolicy(), layers)
+    verify = requested(opts, os.environ, "verify_ir")[0]
+    if len(layers) > 2 or layers[1].metric_kernel is None:
+        from . import fallbacks
 
-    # Self-tuning policy (mode 'auto'/'search'): a cached or freshly
-    # measured decision fills in every knob the caller did not pin,
-    # before the static auto rules below resolve what remains.
-    policy_decision = None
-    policy_info: dict = {"source": "static-auto"}
-    if opts.policy != "static" and opts.backend == "vectorized":
-        from .. import policy as policy_mod
-
-        policy_decision = policy_mod.resolve_execution_policy(
-            layers, opts, options)
-        if policy_decision is not None:
-            applied = policy_mod.apply_decision(
-                opts, policy_decision.config, opts.explicit)
-            policy_info = {
-                "source": policy_decision.source,
-                "key": policy_decision.key.as_str(),
-                "config": dict(policy_decision.config),
-                "applied": applied,
-            }
-
-    # Resolve 'auto' / unavailable-native to the concrete backend that
-    # will emit the artifact *before* the cache key is computed: a
-    # native artifact must never collide with a NumPy one, and a
-    # fallen-back native run legitimately shares the NumPy entry.
-    opts.codegen = resolve_codegen_backend(
-        opts.codegen, layers[0].storage.n, layers[1].storage.n)
-    if (policy_decision is not None
-            and policy_info.get("applied", {}).get("codegen") == "native"
-            and opts.codegen != "native"):
-        # The tuned choice assumed a JIT this host no longer has.
-        from .. import policy as policy_mod
-
-        policy_mod.note_native_fallback(policy_decision.key)
-        policy_info["native_fallback"] = True
-    # Likewise resolve shards='auto' to a concrete count before keying:
-    # a sharded artifact (per-shard trees + bindings) must never collide
-    # with an unsharded one.  Sharding is a tree-mode layout; the brute
-    # and interp backends run over the unpartitioned reference set.
-    if opts.backend in ("brute", "interp"):
-        opts.shards = 1
-    else:
-        from ..parallel.shard import resolve_shard_count
-
-        opts.shards = resolve_shard_count(
-            opts.shards, layers[1].storage.n, opts.workers)
+        fallback = (fallbacks.compile_multilayer if len(layers) > 2
+                    else fallbacks.compile_external)
+        return fallback(pexpr, opts, plan, verify)
 
     cacheable = (
         opts.cache
@@ -779,7 +205,7 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     key = None
     if cacheable:
         try:
-            key = _program_key(layers, opts)
+            key = _program_key(layers, opts, plan, verify)
         except UncacheableParamError:
             # A parameter with no content identity: running uncached is
             # correct; keying on its repr() (a memory address) is not.
@@ -789,67 +215,78 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
         art = program_cache.get(key, MISSING)
         if art is not MISSING:
             contribute({"cache.compile.hit": 1})
-            prog = _instantiate(art, layers, opts, {}, "hit", key=key)
-        else:
-            contribute({"cache.compile.miss": 1})
-            art, timings = _compile_pipeline(pexpr, opts)
-            program_cache.put(key, art)
-            prog = _instantiate(art, layers, opts, timings, "miss", key=key)
-    else:
-        art, timings = _compile_pipeline(pexpr, opts)
-        prog = _instantiate(art, layers, opts, timings,
-                            None if opts.cache else "off")
-    prog.extras["policy"] = policy_info
-    return prog
+            return _instantiate(art, layers, opts, plan, {}, "hit", key=key)
+        contribute({"cache.compile.miss": 1})
+        art, timings = _compile_pipeline(pexpr, opts, plan, verify)
+        program_cache.put(key, art)
+        return _instantiate(art, layers, opts, plan, timings, "miss", key=key)
+    art, timings = _compile_pipeline(pexpr, opts, plan, verify)
+    return _instantiate(art, layers, opts, plan, timings,
+                        None if opts.cache else "off")
 
 
-def _compile_pipeline(pexpr, opts: CompileOptions) -> tuple[_Artifact, dict]:
-    """The full compile pipeline (paper Fig. 1) for a 2-layer program
-    with a lowered kernel; returns the cacheable artifact + timings."""
+def front_end(pexpr, opts: CompileOptions, verify: bool):
+    """Rules → lowering → optimisation passes: the prelude of Fig. 1
+    every compile path shares.  Returns ``(classification, rule,
+    pass_manager, timings)``; the pass manager keeps the per-stage IR
+    for dumps and the interpreter."""
     layers = pexpr.layers
-    outer, inner = layers
-    kernel = inner.metric_kernel
     timings: dict[str, float] = {}
     contribute({"compile.count": 1})
 
-    tau = opts.tau if opts.tau is not None else float(inner.params.get("tau", 0.0))
     t0 = time.perf_counter()
     with span("compile.rules", program=pexpr.name):
-        classification, rule = build_rules(
-            layers, kernel, tau=tau, criterion=opts.criterion,
-            theta=opts.theta,
-        )
+        classification, rule = program_rules(layers, opts)
     timings["rules"] = time.perf_counter() - t0
+    contribute({f"rules.classified.{classification.category}": 1,
+                f"rules.generated.{rule.kind}": 1})
 
-    # Lower + run the optimisation pipeline (kept for dumps & interp).
     pm = PassManager(fastmath=opts.fastmath,
-                     disabled=frozenset(opts.disable_passes),
-                     verify=bool(opts.verify_ir))
+                     disabled=frozenset(opts.disable_passes), verify=verify)
     t0 = time.perf_counter()
     with span("compile.lowering", program=pexpr.name):
-        lowered = lower(layers, kernel, classification, rule, pexpr.name)
+        lowered = lower(layers, layers[-1].metric_kernel, classification,
+                        rule, pexpr.name)
     timings["lowering"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     with span("compile.passes", program=pexpr.name):
         pm.run(lowered)
     timings["passes"] = time.perf_counter() - t0
+    return classification, rule, pm, timings
 
-    mode = "tree"
-    if (
-        opts.backend == "brute"
-        or opts.tree == "none"
-        or classification.algorithm == "brute"
-        or inner.op is PortalOp.FORALL
-    ):
-        mode = "brute"
+
+def self_pairs(layers: list[Layer], opts: CompileOptions) -> tuple[bool, bool]:
+    """``(same_data, exclude_self)`` of a 2-layer program: self pairs
+    are excluded by default exactly when the query *is* the reference."""
+    same_data = layers[0].storage is layers[1].storage
+    return same_data, (
+        opts.exclude_self if opts.exclude_self is not None else same_data)
+
+
+def resolved_layout(layers: list[Layer], opts: CompileOptions) -> str:
+    layout = opts.layout or layers[0].storage.layout
+    if layout not in (Layout.ROW, Layout.COLUMN):
+        raise CompileError(f"unknown layout override {layout!r}")
+    return layout
+
+
+def _compile_pipeline(pexpr, opts: CompileOptions, plan: ExecutionPlan,
+                      verify: bool) -> tuple[_Artifact, dict]:
+    """The full compile pipeline (paper Fig. 1) for a 2-layer program
+    with a lowered kernel; returns the cacheable artifact + timings."""
+    layers = pexpr.layers
+    outer, inner = layers
+    kernel = inner.metric_kernel
+    classification, rule, pm, timings = front_end(pexpr, opts, verify)
+
+    # The plan names an engine exactly when the tree algorithm applies.
     if opts.backend == "interp":
         mode = "interp"
+    else:
+        mode = "tree" if plan.engine is not None else "brute"
 
     qstorage, rstorage = outer.storage, inner.storage
-    same_data = qstorage is rstorage
-    exclude_self = (
-        opts.exclude_self if opts.exclude_self is not None else same_data
-    )
+    same_data, exclude_self = self_pairs(layers, opts)
 
     qpoints = qstorage.data
     rpoints = rstorage.data
@@ -862,9 +299,7 @@ def _compile_pipeline(pexpr, opts: CompileOptions) -> tuple[_Artifact, dict]:
         rpoints = qpoints if same_data else transform(rpoints)
 
     dim = qstorage.dim
-    layout = opts.layout or qstorage.layout
-    if layout not in (Layout.ROW, Layout.COLUMN):
-        raise CompileError(f"unknown layout override {layout!r}")
+    layout = resolved_layout(layers, opts)
     nq, nr = qstorage.n, rstorage.n
 
     # Strength-reduced kernel body for the code generator.
@@ -895,7 +330,7 @@ def _compile_pipeline(pexpr, opts: CompileOptions) -> tuple[_Artifact, dict]:
     # Sharded reference layout: the reference side becomes per-shard
     # trees (never the query tree, so same_tree kernels can't apply) and
     # self-pair exclusion switches to the RSELF position remap.
-    nshards = int(opts.shards) if mode == "tree" else 1
+    nshards = plan.shards or 1
     sharded = nshards > 1
     spec = CodegenSpec(
         dim=dim, layout=layout, base=kernel.base, g_ir=g_ir,
@@ -926,7 +361,7 @@ def _compile_pipeline(pexpr, opts: CompileOptions) -> tuple[_Artifact, dict]:
             raise CompileError(
                 "ball trees support the Euclidean family only"
             )
-        leaf = opts.leaf_size or 64
+        leaf = plan.leaf_size
         t0 = time.perf_counter()
         with span("compile.tree_build", tree=kind, leaf_size=leaf):
             # Passing the Storage alongside its own data array arms the
@@ -970,22 +405,7 @@ def _compile_pipeline(pexpr, opts: CompileOptions) -> tuple[_Artifact, dict]:
             )
             timings["shard_build"] = time.perf_counter() - t0
         else:
-            rweight = (
-                rtree.wsum if rtree.weights is not None
-                else (rtree.end - rtree.start).astype(np.float64)
-            )
-            rcentroid = (
-                rtree.wcentroid if rtree.weights is not None
-                else rtree.centroid
-            )
-            static_bindings.update(
-                RCOL=rtree.points_col, RROW=rtree.points,
-                RN2=rtree.sqnorms(), rlo=rtree.lo, rhi=rtree.hi,
-                rstart=rtree.start, rend=rtree.end,
-                rcentroid=rcentroid, rweight=rweight,
-                rdiam2=rtree.diameter ** 2,
-                rw=rtree.weights,
-            )
+            static_bindings.update(reference_bindings(rtree))
     else:
         qdata, rdata = qpoints, rpoints
         static_bindings.update(
@@ -996,25 +416,22 @@ def _compile_pipeline(pexpr, opts: CompileOptions) -> tuple[_Artifact, dict]:
             rw=rstorage.weights,
         )
 
-    backend_obj = get_backend(opts.codegen)
     t0 = time.perf_counter()
-    source, code = backend_obj.emit(spec)
+    source, code = get_backend(plan.codegen).emit(spec)
     timings["codegen"] = time.perf_counter() - t0
 
     art = _Artifact(
         mode=mode, kernel=kernel, classification=classification, rule=rule,
-        pass_manager=pm, spec=spec, codegen_backend=backend_obj.name,
-        source=source, code=code,
+        pass_manager=pm, source=source, code=code,
         static_bindings=static_bindings, qtree=qtree, rtree=rtree,
         qdata=qdata, rdata=rdata, nq=nq, nr=nr, same_data=same_data,
-        exclude_self=exclude_self, defer_monotone=defer_monotone,
-        shard_pack=shard_pack,
+        defer_monotone=defer_monotone, shard_pack=shard_pack,
     )
     return art, timings
 
 
 def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
-                 timings: dict, cache_state: str | None,
+                 plan: ExecutionPlan, timings: dict, cache_state: str | None,
                  key: tuple | None = None) -> CompiledProgram:
     """Build a runnable :class:`CompiledProgram` from a compile artifact:
     fresh state arrays, fresh modifier closure, and the emitted code
@@ -1037,258 +454,40 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
         qtree = qtree.snapshot()
         rtree = qtree if art.rtree is art.qtree else (
             None if art.rtree is None else art.rtree.snapshot())
+    token = None
+    if art.mode == "tree" and key is not None:
+        token = hashlib.blake2b(repr(key).encode(),
+                                digest_size=16).hexdigest()
+        # Let the Storages evict exactly these shm publications (and
+        # their ::q/::r{i} shard derivatives) when they mutate — a
+        # warm process pool must never be served stale columns.
+        for layer in layers:
+            layer.storage.note_shm_token(token)
     program = CompiledProgram(
-        options=opts, layers=layers, kernel=art.kernel,
+        options=opts, plan=plan, layers=layers, kernel=art.kernel,
         classification=art.classification, rule=art.rule,
         pass_manager=art.pass_manager, mode=art.mode, state=state,
         qtree=qtree, rtree=rtree, qdata=art.qdata, rdata=art.rdata,
-        extras={"same_data": art.same_data}, timings=dict(timings),
+        nr=art.nr, same_data=art.same_data, cache_state=cache_state,
+        static_bindings=art.static_bindings, program_token=token,
+        timings=dict(timings),
     )
     if art.shard_pack is not None:
         # Sharded layout: per-shard states + kernel binds; the shard-0
-        # kernels stand in as program.kernels for engine routing and
-        # generated_source() introspection.
+        # kernels stand in as program.kernels for generated_source()
+        # introspection.
         from ..parallel.shard import build_shard_execution
 
-        shard_exec = build_shard_execution(
-            art.shard_pack, art.source, art.code, art.codegen_backend,
+        program.shard_exec = build_shard_execution(
+            art.shard_pack, art.source, art.code, plan.codegen,
             art.static_bindings, outer.op, inner.op, inner.k, art.nq,
         )
-        program.kernels = shard_exec.kernels[0]
-        program.extras["shard_exec"] = shard_exec
-        program.extras["nr"] = art.nr
+        program.kernels = program.shard_exec.kernels[0]
     else:
         bindings = dict(art.static_bindings)
         bindings.update(state.arrays)
         if state.lists is not None:
             bindings["out_lists"] = state.lists
-        backend_obj = get_backend(art.codegen_backend)
-        program.kernels = backend_obj.bind(art.source, art.code, bindings)
-    program.extras["codegen"] = art.codegen_backend
-
-    if art.mode == "tree":
-        kk = program.kernels
-        # Engine routing: bound rules (k-NN, Hausdorff) run the
-        # epoch-based bound-aware batched engine; stateless rules (or no
-        # rule) run the plain batched frontier engine; 'stack' forces
-        # the scalar reference engine.  Requesting 'bounded-batched' on
-        # a stateless problem degrades gracefully to 'batched'.
-        if opts.traversal == "stack":
-            engine = "stack"
-        elif kk.bound_key_batch is not None:
-            engine = "bounded-batched"
-        elif kk.prune_or_approx is None or kk.classify_batch is not None:
-            engine = "batched"
-        else:  # pragma: no cover - every rule kind has a batch form
-            engine = "stack"
-        program.extras["engine"] = engine
-        # The process executor ships these to workers: the static (non-
-        # state) bindings go to shared memory, the token keys the
-        # publication so repeated runs republish nothing.
-        program.extras["static_bindings"] = art.static_bindings
-        token = (
-            None if key is None
-            else hashlib.blake2b(repr(key).encode(),
-                                 digest_size=16).hexdigest()
-        )
-        program.extras["program_token"] = token
-        program.extras["shards"] = opts.shards
-        if token is not None:
-            # Let the Storages evict exactly these shm publications (and
-            # their ::q/::r{i} shard derivatives) when they mutate — a
-            # warm process pool must never be served stale columns.
-            for layer in layers:
-                st = getattr(layer, "storage", None)
-                if st is not None and hasattr(st, "note_shm_token"):
-                    st.note_shm_token(token)
-    if cache_state is not None:
-        program.extras["cache"] = cache_state
+        program.kernels = get_backend(plan.codegen).bind(
+            art.source, art.code, bindings)
     return program
-
-
-def _compile_external_expr(pexpr, opts: CompileOptions) -> CompiledProgram:
-    """Compile a 2-layer program whose inner function is an opaque
-    external kernel: always brute force, never cached (no content
-    identity), as in the original external-function path."""
-    layers = pexpr.layers
-    outer, inner = layers
-    modifier = _resolve_modifier(outer.func)
-    timings: dict[str, float] = {}
-    contribute({"compile.count": 1})
-
-    tau = opts.tau if opts.tau is not None else float(inner.params.get("tau", 0.0))
-    t0 = time.perf_counter()
-    with span("compile.rules", program=pexpr.name):
-        classification, rule = build_rules(
-            layers, None, tau=tau, criterion=opts.criterion,
-            theta=opts.theta,
-        )
-    timings["rules"] = time.perf_counter() - t0
-
-    pm = PassManager(fastmath=opts.fastmath,
-                     disabled=frozenset(opts.disable_passes),
-                     verify=bool(opts.verify_ir))
-    t0 = time.perf_counter()
-    with span("compile.lowering", program=pexpr.name):
-        lowered = lower(layers, None, classification, rule, pexpr.name)
-    timings["lowering"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    with span("compile.passes", program=pexpr.name):
-        pm.run(lowered)
-    timings["passes"] = time.perf_counter() - t0
-
-    if opts.backend == "interp":
-        raise CompileError(
-            "the interpreter backend requires a lowered kernel "
-            "(external kernels are not in the IR)"
-        )
-
-    qstorage, rstorage = outer.storage, inner.storage
-    same_data = qstorage is rstorage
-    exclude_self = (
-        opts.exclude_self if opts.exclude_self is not None else same_data
-    )
-    layout = opts.layout or qstorage.layout
-    if layout not in (Layout.ROW, Layout.COLUMN):
-        raise CompileError(f"unknown layout override {layout!r}")
-
-    state = allocate_state(outer.op, inner.op, inner.k,
-                           qstorage.n, rstorage.n, modifier)
-    program = CompiledProgram(
-        options=opts, layers=layers, kernel=None,
-        classification=classification, rule=rule, pass_manager=pm,
-        mode="brute", state=state,
-        extras={"same_data": same_data}, timings=timings,
-    )
-    _setup_external(program, qstorage.data, rstorage.data, exclude_self)
-    return program
-
-
-def _compile_multilayer(pexpr, opts: CompileOptions) -> CompiledProgram:
-    """Compile an m ≥ 3 layer program onto the dense multi-layer backend
-    (the general form of the paper's equation 2)."""
-    layers = pexpr.layers
-    kernel = layers[-1].metric_kernel
-    contribute({"compile.count": 1})
-    classification, rule = build_rules(layers, kernel)
-
-    pm = PassManager(fastmath=opts.fastmath,
-                     disabled=frozenset(opts.disable_passes),
-                     verify=bool(opts.verify_ir))
-    with span("compile.passes", program=pexpr.name):
-        pm.run(lower(layers, kernel, classification, rule, pexpr.name))
-
-    storages = {id(l.storage) for l in layers}
-    exclude_self = (
-        opts.exclude_self if opts.exclude_self is not None
-        else len(storages) < len(layers)
-    )
-
-    state = State(
-        inner_op=layers[-1].op, outer_op=layers[0].op, k=None,
-        nq=layers[0].storage.n,
-    )
-    return CompiledProgram(
-        options=opts, layers=layers, kernel=kernel,
-        classification=classification, rule=rule, pass_manager=pm,
-        mode="multilayer", state=state,
-        extras={"exclude_self": exclude_self},
-        kernels=GeneratedKernels(
-            source="# m-layer program: dense multi-layer backend "
-                   "(no generated kernels)",
-            namespace={}, base_case=None, prune_or_approx=None,
-            pair_min_dist=None,
-        ),
-    )
-
-
-def _setup_external(program: CompiledProgram, qpoints, rpoints, exclude_self):
-    """Brute-force execution with an opaque external kernel (the paper's
-    external C++ functions: linked, not optimised)."""
-    import inspect
-
-    inner = program.layers[1]
-    external = inner.external
-    if external is None:
-        raise CompileError("external kernel missing")
-    state = program.state
-    op = inner.op
-    same = program.extras.get("same_data", False)
-    # External kernels may optionally accept the block offsets
-    # (Q, R, qs, rs) — e.g. EM kernels that look up per-component
-    # parameters by reference index.
-    try:
-        takes_offsets = len(inspect.signature(external).parameters) >= 4
-    except (TypeError, ValueError):
-        takes_offsets = False
-
-    def base_case(qs, qe, rs, re):
-        if takes_offsets:
-            v = np.asarray(
-                external(qpoints[qs:qe], rpoints[rs:re], qs, rs), dtype=float
-            )
-        else:
-            v = np.asarray(external(qpoints[qs:qe], rpoints[rs:re]), dtype=float)
-        if same and exclude_self and qs == rs:
-            from .codegen import _exclusion_value
-
-            np.fill_diagonal(v, float(eval(_exclusion_value(op), {"np": np})))
-        _apply_update(state, op, inner.k, v, qs, qe, rs, re)
-
-    program.qdata, program.rdata = qpoints, rpoints
-    program.kernels = GeneratedKernels(
-        source="# external kernel: no generated source",
-        namespace={}, base_case=base_case, prune_or_approx=None,
-        pair_min_dist=None,
-    )
-
-
-def _apply_update(state: State, op: PortalOp, k: int | None,
-                  v: np.ndarray, qs, qe, rs, re) -> None:
-    """Interpreted operator update used by the external-kernel path."""
-    if op is PortalOp.SUM:
-        state.arrays["acc"][qs:qe] += v.sum(axis=1)
-    elif op is PortalOp.PROD:
-        state.arrays["acc"][qs:qe] *= v.prod(axis=1)
-    elif op is PortalOp.MIN:
-        np.minimum(state.arrays["best"][qs:qe], v.min(axis=1),
-                   out=state.arrays["best"][qs:qe])
-    elif op is PortalOp.MAX:
-        np.maximum(state.arrays["best"][qs:qe], v.max(axis=1),
-                   out=state.arrays["best"][qs:qe])
-    elif op in (PortalOp.ARGMIN, PortalOp.ARGMAX):
-        red = np.argmin if op is PortalOp.ARGMIN else np.argmax
-        j = red(v, axis=1)
-        vals = v[np.arange(v.shape[0]), j]
-        best = state.arrays["best"][qs:qe]
-        m = vals < best if op is PortalOp.ARGMIN else vals > best
-        best[m] = vals[m]
-        state.arrays["best_idx"][qs:qe][m] = rs + j[m]
-    elif op in (PortalOp.KARGMIN, PortalOp.KARGMAX, PortalOp.KMIN, PortalOp.KMAX):
-        best = state.arrays["best"]
-        cand_v = np.concatenate([best[qs:qe], v], axis=1)
-        if op in (PortalOp.KARGMIN, PortalOp.KARGMAX):
-            idx = state.arrays["best_idx"]
-            cand_i = np.concatenate(
-                [idx[qs:qe], np.broadcast_to(np.arange(rs, re), v.shape)], axis=1
-            )
-            key = cand_v if op is PortalOp.KARGMIN else -cand_v
-            sel = np.argsort(key, axis=1, kind="stable")[:, :k]
-            best[qs:qe] = np.take_along_axis(cand_v, sel, axis=1)
-            idx[qs:qe] = np.take_along_axis(cand_i, sel, axis=1)
-        else:
-            cand_v.sort(axis=1)
-            best[qs:qe] = (
-                cand_v[:, :k] if op is PortalOp.KMIN else cand_v[:, ::-1][:, :k]
-            )
-    elif op in (PortalOp.UNION, PortalOp.UNIONARG):
-        for i in range(v.shape[0]):
-            nz = np.flatnonzero(v[i])
-            if nz.size:
-                state.lists[qs + i].append(
-                    rs + nz if op is PortalOp.UNIONARG else v[i][nz]
-                )
-    elif op is PortalOp.FORALL:
-        state.arrays["dense"][qs:qe, rs:re] = v
-    else:  # pragma: no cover
-        raise CompileError(f"unsupported inner operator {op.name}")

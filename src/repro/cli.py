@@ -140,6 +140,9 @@ def _cmd_stats(args) -> int:
         codegen = f" codegen: {s['codegen']}" if s.get("codegen") else ""
         print(f"  mode: {s['mode']}  backend: {s['backend']}"
               f"{codegen}{tree}{engine}{executor}{cache}")
+        print("  plan:      " + " ".join(
+            f"{name}={field['value']}({field['source']})"
+            for name, field in s["plan"].items()))
         pol = s.get("policy") or {}
         line = f"  policy:    {pol.get('source', 'static-auto')}"
         if pol.get("applied"):

@@ -20,7 +20,8 @@ paper's treatment of external C++ functions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +55,30 @@ class PortalFunc(enum.Enum):
 _T = DistVar("t")
 
 
+@functools.lru_cache(maxsize=256)
+def _sampled_monotonicity(g: Expr) -> str | None:
+    """Monotonicity of the scalar expression ``g(t)`` on t ≥ 0,
+    determined by dense sampling — robust for the composed scalar
+    functions the DSL admits.  Memoised on the (immutable, structurally
+    hashed) expression: every ``validate()`` normalises a fresh kernel,
+    and the execution plan asks on each ``execute()``."""
+    t = np.concatenate([[0.0], np.logspace(-9, 9, 513)])
+    with np.errstate(all="ignore"):
+        v = np.asarray(g.evaluate({"t": t}), dtype=np.float64)
+    v = v[np.isfinite(v)]
+    if v.size < 2:
+        return None
+    d = np.diff(v)
+    # Tolerance relative to the local magnitude, so a genuine dip is not
+    # masked by huge values elsewhere on the grid.
+    tol = 1e-12 * (np.abs(v[:-1]) + np.abs(v[1:]) + 1.0)
+    if np.all(d <= tol):
+        return "decreasing"
+    if np.all(d >= -tol):
+        return "increasing"
+    return None
+
+
 @dataclass
 class MetricKernel:
     """A kernel in distance normal form ``K = g(base_distance)``.
@@ -81,7 +106,6 @@ class MetricKernel:
     whiten: bool = False
     covariance: np.ndarray | None = None
     source: Expr | None = None
-    _mono_cache: str | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.base not in BASE_METRICS:
@@ -137,30 +161,8 @@ class MetricKernel:
         return None
 
     def monotone(self) -> str | None:
-        """Monotonicity of ``g`` on t ≥ 0: 'decreasing', 'increasing' or None.
-
-        Determined by dense sampling — robust for the composed scalar
-        functions the DSL admits, and cheap since it runs once per compile.
-        """
-        if self._mono_cache is None:
-            t = np.concatenate([[0.0], np.logspace(-9, 9, 513)])
-            with np.errstate(all="ignore"):
-                v = np.asarray(self.value(t), dtype=np.float64)
-            v = v[np.isfinite(v)]
-            if v.size < 2:
-                self._mono_cache = "none"
-            else:
-                d = np.diff(v)
-                # Tolerance relative to the local magnitude, so a genuine
-                # dip is not masked by huge values elsewhere on the grid.
-                tol = 1e-12 * (np.abs(v[:-1]) + np.abs(v[1:]) + 1.0)
-                if np.all(d <= tol):
-                    self._mono_cache = "decreasing"
-                elif np.all(d >= -tol):
-                    self._mono_cache = "increasing"
-                else:
-                    self._mono_cache = "none"
-        return None if self._mono_cache == "none" else self._mono_cache
+        """Monotonicity of ``g`` on t ≥ 0: 'decreasing', 'increasing' or None."""
+        return _sampled_monotonicity(self.g)
 
     def describe(self) -> str:
         base = {"sqeuclidean": "‖q−r‖²", "manhattan": "‖q−r‖₁",
@@ -169,18 +171,6 @@ class MetricKernel:
         if self.whiten:
             text += " (points whitened by L⁻¹, Σ = LLᵀ)"
         return text
-
-
-def _euclid_form(q: Var, r: Var) -> Expr:
-    return DimReduce("+", BinOp("**", BinOp("-", q, r), Const(2.0)))
-
-
-def _manhattan_form(q: Var, r: Var) -> Expr:
-    return DimReduce("+", Call("abs", BinOp("-", q, r)))
-
-
-def _chebyshev_form(q: Var, r: Var) -> Expr:
-    return DimReduce("max", Call("abs", BinOp("-", q, r)))
 
 
 def _match_distance(node: Expr, qname: str, rname: str) -> str | None:

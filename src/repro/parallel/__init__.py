@@ -10,9 +10,9 @@ from .scheduler import expand_frontier, parallel_dual_tree
 #: re-enter this package mid-import, so an eager import here would be
 #: circular.
 _LAZY = {
-    "resolve_shard_count": "shard", "plan_shards": "shard",
-    "run_sharded": "shard", "build_shard_pack": "shard",
-    "build_shard_execution": "shard", "combine_shard_states": "shard",
+    "plan_shards": "shard", "run_sharded": "shard",
+    "build_shard_pack": "shard", "build_shard_execution": "shard",
+    "combine_shard_states": "shard",
 }
 
 
@@ -28,6 +28,6 @@ def __getattr__(name: str):
 __all__ = [
     "default_workers", "run_tasks", "run_process_tasks", "shutdown_pools",
     "expand_frontier", "parallel_dual_tree",
-    "resolve_shard_count", "plan_shards", "run_sharded",
+    "plan_shards", "run_sharded",
     "build_shard_pack", "build_shard_execution", "combine_shard_states",
 ]

@@ -29,8 +29,8 @@ import numpy as np
 
 from ..observe import contribute, span
 from ..traversal import TraversalStats
-from .executor import default_workers, run_process_tasks
-from .scheduler import TASKS_PER_WORKER, expand_frontier
+from .executor import run_process_tasks
+from .scheduler import expand_frontier
 from .worker import STATE_ARRAY_NAMES, run_task
 from . import shm
 
@@ -81,20 +81,18 @@ def parallel_dual_tree_process(
     state,
     nr: int,
     token: str | None,
-    engine: str = "stack",
-    workers: int | None = None,
-    min_tasks: int | None = None,
-    codegen_backend: str = "numpy",
+    plan,
 ) -> TraversalStats:
     """Run the parallel dual-tree traversal on the process pool,
     merging worker partials into ``state``; returns the merged stats.
 
     ``token`` keys the shared-memory publication (the program-cache
     token); ``None`` — an uncacheable program — publishes under an
-    ephemeral token that is released when the run finishes.
+    ephemeral token that is released when the run finishes.  ``plan`` is
+    the program's :class:`~repro.backend.plan.ExecutionPlan`; it heads
+    every task payload.
     """
-    workers = workers or default_workers()
-    frontier = expand_frontier(qtree, min_tasks or workers * TASKS_PER_WORKER)
+    frontier = expand_frontier(qtree, plan.min_tasks)
 
     arrays, scalars, none_names = _split_bindings(static_bindings)
     arrays.update(_tree_structure(qtree, "q"))
@@ -122,17 +120,18 @@ def parallel_dual_tree_process(
             "state_spec": (state.outer_op, state.inner_op, state.k,
                            state.nq, nr),
             "same_tree": same_tree,
-            "engine": engine,
-            # Workers rebuild kernels from the shipped source with this
-            # backend (a native program re-warms its JIT once per
-            # worker, under the worker's own counters registry).
-            "codegen_backend": codegen_backend,
+            # Workers run ``plan.engine`` and rebuild kernels from the
+            # shipped source with ``plan.codegen`` (a native program
+            # re-warms its JIT once per worker, under the worker's own
+            # counters registry).
+            "plan": plan,
         }
         payloads = [dict(common, q_root=int(q)) for q in frontier]
 
         with span("parallel.run_process_tasks", tasks=len(payloads),
-                  workers=workers):
-            results = run_process_tasks(run_task, payloads, workers=workers)
+                  workers=plan.workers):
+            results = run_process_tasks(run_task, payloads,
+                                        workers=plan.workers)
     finally:
         if ephemeral:
             shm.release_block(token)

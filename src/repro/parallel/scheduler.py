@@ -16,21 +16,12 @@ covered by the same invariant.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..observe import span
-from ..traversal import (
-    TraversalStats, batched_dual_tree_traversal,
-    bounded_batched_dual_tree_traversal, dual_tree_traversal,
-)
+from ..traversal import TraversalStats, run_engine
 from ..trees.node import ArrayTree
-from .executor import default_workers, run_tasks
+from .executor import run_tasks
 
 __all__ = ["parallel_dual_tree", "expand_frontier"]
-
-#: Target tasks per worker: enough slack for load balancing without
-#: swamping scheduling overhead.
-TASKS_PER_WORKER = 4
 
 
 def expand_frontier(tree: ArrayTree, min_nodes: int) -> list[int]:
@@ -56,55 +47,29 @@ def expand_frontier(tree: ArrayTree, min_nodes: int) -> list[int]:
 def parallel_dual_tree(
     qtree: ArrayTree,
     rtree: ArrayTree,
-    prune_or_approx: Callable[[int, int], int] | None,
-    base_case: Callable[[int, int, int, int], None],
-    pair_min_dist: Callable[[int, int], float] | None = None,
-    workers: int | None = None,
-    min_tasks: int | None = None,
+    kernels,
+    *,
+    workers: int,
+    min_tasks: int,
     engine: str = "stack",
-    classify_batch: Callable | None = None,
-    apply_action: Callable | None = None,
-    pair_min_dist_batch: Callable | None = None,
-    bound_key_batch: Callable | None = None,
-    classify_bound_batch: Callable | None = None,
-    base_case_group: Callable | None = None,
     qbound=None,
 ) -> TraversalStats:
-    """Parallel counterpart of
-    :func:`repro.traversal.dualtree.dual_tree_traversal`.
+    """Parallel counterpart of :func:`repro.traversal.run_engine` over
+    the :class:`~repro.backend.codegen.GeneratedKernels` ``kernels``.
 
-    ``min_tasks`` pins the query-frontier size independently of the
-    worker count, giving an identical task decomposition across worker
-    counts (the determinism tests rely on this).  With
-    ``engine='batched'`` each query-subtree task runs the batched
-    frontier traversal instead of the scalar stack engine; with
-    ``engine='bounded-batched'`` it runs the epoch-based bound-aware
-    engine (tasks own disjoint query subtrees, so their ``qbound``
-    slices and per-task node-bound snapshots never interfere).  Same
-    decomposition in all cases, so the determinism guarantee carries
-    over.
+    ``min_tasks`` is the query-frontier size, independent of the worker
+    count, so the task decomposition is identical across worker counts
+    (the determinism tests rely on this) and across engines.  Tasks own
+    disjoint query subtrees, so under ``engine='bounded-batched'`` their
+    ``qbound`` slices and per-task node-bound snapshots never interfere.
     """
-    workers = workers or default_workers()
-    frontier = expand_frontier(qtree, min_tasks or workers * TASKS_PER_WORKER)
+    frontier = expand_frontier(qtree, min_tasks)
 
     def make_task(q_root: int):
         def task() -> TraversalStats:
             with span("parallel.task", q_root=q_root, engine=engine):
-                if engine == "bounded-batched":
-                    return bounded_batched_dual_tree_traversal(
-                        qtree, rtree, bound_key_batch, classify_bound_batch,
-                        base_case_group, qbound, q_root=q_root,
-                    )
-                if engine == "batched":
-                    return batched_dual_tree_traversal(
-                        qtree, rtree, classify_batch, apply_action,
-                        base_case, pair_min_dist_batch=pair_min_dist_batch,
-                        q_root=q_root,
-                    )
-                return dual_tree_traversal(
-                    qtree, rtree, prune_or_approx, base_case,
-                    pair_min_dist=pair_min_dist, q_root=q_root,
-                )
+                return run_engine(engine, qtree, rtree, kernels, qbound,
+                                  q_root=q_root)
         return task
 
     with span("parallel.run_tasks", tasks=len(frontier), workers=workers):

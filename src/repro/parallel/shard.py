@@ -58,26 +58,18 @@ import numpy as np
 
 from ..dsl.ops import MIN_LIKE, PortalOp, op_info
 from ..observe import contribute, span
-from ..traversal import (
-    TraversalStats, batched_dual_tree_traversal,
-    bounded_batched_dual_tree_traversal, dual_tree_traversal,
-)
+from ..traversal import TraversalStats, run_engine
 from . import shm
-from .executor import default_workers, run_process_tasks, run_tasks
+from .executor import run_process_tasks, run_tasks
 from .process_backend import _split_bindings, _tree_structure
-from .scheduler import TASKS_PER_WORKER, expand_frontier
+from .scheduler import expand_frontier
 from .worker import run_task
 
 __all__ = [
-    "AUTO_SHARD_MIN_POINTS", "SEED_EPOCHS", "resolve_shard_count",
-    "plan_shards", "ShardPack", "ShardExecution", "build_shard_pack",
-    "build_shard_execution", "combine_shard_states", "run_sharded",
+    "SEED_EPOCHS", "plan_shards", "ShardPack", "ShardExecution",
+    "build_shard_pack", "build_shard_execution", "combine_shard_states",
+    "run_sharded",
 ]
-
-#: ``shards='auto'`` targets at least this many reference points per
-#: shard: below it, per-shard tree builds and the combine step cost more
-#: than the parallelism returns (measured on the Table IV scaling runs).
-AUTO_SHARD_MIN_POINTS = 200_000
 
 #: Epochs every shard runs before the first cross-shard bound broadcast.
 #: Enough for the engine's ramp (64 → 4096 doubling) to run real base
@@ -89,28 +81,8 @@ _ephemeral_seq = itertools.count()
 _ROOT = np.zeros(1, dtype=np.int64)
 
 
-def resolve_shard_count(shards, nr: int, workers: int | None = None) -> int:
-    """Resolve the ``shards`` execute() option to a concrete count.
-
-    ``'auto'`` picks ``min(workers, nr // AUTO_SHARD_MIN_POINTS)`` — one
-    shard per worker, but never shards small reference sets where the
-    per-shard overhead dominates.  Explicit counts are clamped to the
-    reference-set size.
-    """
-    if shards in (None, 1):
-        return 1
-    nr = int(nr)
-    if shards == "auto":
-        cap = max(1, nr // AUTO_SHARD_MIN_POINTS)
-        return max(1, min(workers or default_workers(), cap, nr))
-    count = int(shards)
-    if count < 1:
-        raise ValueError(f"shards must be >= 1, got {count}")
-    return max(1, min(count, nr))
-
-
 def viable_shard_counts(nr: int, workers: int,
-                        min_points: int = AUTO_SHARD_MIN_POINTS) -> list[int]:
+                        min_points: int) -> list[int]:
     """Shard counts worth measuring for an ``nr``-point reference set.
 
     Always ``[1]``; adds one-per-worker sharding only when every shard
@@ -143,7 +115,7 @@ def plan_shards(points: np.ndarray, nshards: int) -> list[np.ndarray]:
     while len(parts) < nshards:
         j = max(range(len(parts)), key=lambda i: len(parts[i]))
         idx = parts[j]
-        if len(idx) < 2:  # pragma: no cover - resolve_shard_count clamps
+        if len(idx) < 2:  # pragma: no cover - the plan clamps shards to n
             break
         spreads = [
             float(points[idx, d].max() - points[idx, d].min())
@@ -200,6 +172,7 @@ def build_shard_pack(
     yields each shard's ``RSELF`` binding.
     """
     from ..backend.cache import cached_build_subset_tree
+    from ..backend.codegen import reference_bindings
 
     parts = plan_shards(rpoints, nshards)
     nshards = len(parts)
@@ -214,17 +187,7 @@ def build_shard_pack(
     bindings: list[dict] = []
     for i, (tree, part) in enumerate(zip(trees, parts)):
         orig = np.ascontiguousarray(part[tree.perm])
-        rweight = (
-            tree.wsum if tree.weights is not None
-            else (tree.end - tree.start).astype(np.float64)
-        )
-        rcentroid = tree.wcentroid if tree.weights is not None else tree.centroid
-        b = dict(
-            RCOL=tree.points_col, RROW=tree.points, RN2=tree.sqnorms(),
-            rlo=tree.lo, rhi=tree.hi, rstart=tree.start, rend=tree.end,
-            rcentroid=rcentroid, rweight=rweight,
-            rdiam2=tree.diameter ** 2, rw=tree.weights,
-        )
+        b = reference_bindings(tree)
         if inv_qperm is not None:
             b["RSELF"] = np.ascontiguousarray(inv_qperm[orig])
         origs.append(orig)
@@ -369,18 +332,14 @@ def run_sharded(
     qtree,
     shard_exec: ShardExecution,
     final_state,
-    engine: str,
+    plan,
     *,
-    parallel: bool = False,
-    executor: str = "thread",
-    workers: int | None = None,
-    min_tasks: int | None = None,
     token: str | None = None,
     q_bindings: dict | None = None,
     source: str = "",
-    codegen_backend: str = "numpy",
 ) -> tuple[TraversalStats, dict]:
-    """Run one compiled program across its reference shards and combine.
+    """Run one compiled program across its reference shards and combine,
+    as its :class:`~repro.backend.plan.ExecutionPlan` ``plan`` says.
 
     Returns ``(merged TraversalStats, shard_info)`` where ``shard_info``
     carries the broadcast counters and per-shard stats surfaced through
@@ -391,18 +350,16 @@ def run_sharded(
     """
     P = shard_exec.pack.count
     info: dict = {"count": P, "rounds": 1, "pruned": 0, "tasks_pruned": 0}
-    workers_n = workers or default_workers()
-    use_process = parallel and executor == "process" and workers_n > 1
-    with span("shard.run", shards=P, engine=engine,
+    use_process = plan.executor == "process"
+    with span("shard.run", shards=P, engine=plan.engine,
               executor="process" if use_process else "thread"):
         if use_process:
-            per_shard = _run_process(
-                qtree, shard_exec, engine, workers_n, min_tasks, token,
-                q_bindings or {}, source, codegen_backend, info)
+            per_shard = _run_process(qtree, shard_exec, plan, token,
+                                     q_bindings or {}, source, info)
         else:
             per_shard = _run_inline(
-                qtree, shard_exec, engine,
-                workers_n if parallel else 1, info)
+                qtree, shard_exec, plan.engine,
+                1 if plan.executor == "serial" else plan.workers, info)
 
     combine_shard_states(shard_exec, final_state)
     total = TraversalStats()
@@ -433,20 +390,8 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
 
     if engine != "bounded-batched":
         def make(i):
-            kk = kernels[i]
-            def run():
-                if engine == "batched":
-                    batched_dual_tree_traversal(
-                        qtree, pack.trees[i], kk.classify_batch,
-                        kk.apply_action, kk.base_case,
-                        pair_min_dist_batch=kk.pair_min_dist_batch,
-                        stats=stats_list[i])
-                else:
-                    dual_tree_traversal(
-                        qtree, pack.trees[i], kk.prune_or_approx,
-                        kk.base_case, pair_min_dist=kk.pair_min_dist,
-                        stats=stats_list[i])
-            return run
+            return lambda: run_engine(engine, qtree, pack.trees[i],
+                                      kernels[i], stats=stats_list[i])
         run_tasks([make(i) for i in range(P)], workers=pool_workers)
         return stats_list
 
@@ -466,13 +411,11 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
     alive = list(range(P))
     while alive:
         def make(i):
-            kk = kernels[i]
             resume = pending[i]
             def run():
                 pauses[i].clear()
-                bounded_batched_dual_tree_traversal(
-                    qtree, pack.trees[i], kk.bound_key_batch,
-                    kk.classify_bound_batch, kk.base_case_group,
+                run_engine(
+                    engine, qtree, pack.trees[i], kernels[i],
                     states[i].arrays["qbound"], stats=stats_list[i],
                     max_epochs=budget, resume=resume,
                     extern_bound=extern, pause_out=pauses[i])
@@ -500,8 +443,7 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
     return stats_list
 
 
-def _run_process(qtree, shard_exec, engine, workers_n, min_tasks, token,
-                 q_bindings, source, codegen_backend, info):
+def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
     """Process path: publish one query-side block plus one block per
     shard, fan (shard × query-subtree) tasks out, broadcast bounds
     between phases, merge partial slices back into per-shard states."""
@@ -529,9 +471,8 @@ def _run_process(qtree, shard_exec, engine, workers_n, min_tasks, token,
                 published.append(r_token)
                 r_blocks.append((r_name, r_manifest, r_scalars))
 
-        tasks_target = min_tasks or workers_n * TASKS_PER_WORKER
         frontier = [int(q) for q in
-                    expand_frontier(qtree, max(1, -(-tasks_target // P)))]
+                    expand_frontier(qtree, max(1, -(-plan.min_tasks // P)))]
 
         commons = []
         for i in range(P):
@@ -553,11 +494,10 @@ def _run_process(qtree, shard_exec, engine, workers_n, min_tasks, token,
                                states[i].k, states[i].nq,
                                int(pack.trees[i].n)),
                 "same_tree": False,
-                "engine": engine,
-                "codegen_backend": codegen_backend,
+                "plan": plan,
             })
 
-        bounded = engine == "bounded-batched"
+        bounded = plan.engine == "bounded-batched"
         phase1 = []
         for i in range(P):
             for q in frontier:
@@ -568,7 +508,7 @@ def _run_process(qtree, shard_exec, engine, workers_n, min_tasks, token,
 
         with span("shard.phase", phase=1, tasks=len(phase1)):
             results = run_process_tasks(
-                run_task, [p for _, _, p in phase1], workers=workers_n)
+                run_task, [p for _, _, p in phase1], workers=plan.workers)
 
         per_shard_stats = [TraversalStats() for _ in range(P)]
         task_results: dict[tuple[int, int], dict] = {}
@@ -608,7 +548,7 @@ def _run_process(qtree, shard_exec, engine, workers_n, min_tasks, token,
                 with span("shard.phase", phase=2, tasks=len(phase2)):
                     results2 = run_process_tasks(
                         run_task, [p for _, _, p in phase2],
-                        workers=workers_n)
+                        workers=plan.workers)
                 for (i, q, _), res in zip(phase2, results2):
                     _merge_result(states[i], res)
                     per_shard_stats[i].merge(res["stats"])

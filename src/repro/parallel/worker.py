@@ -11,7 +11,8 @@ worker:
 2. recompiles the generated source and binds it against **worker-local
    accumulator arrays** (full-size, identity-filled) — the per-task
    partial state;
-3. runs the same stack/batched traversal the thread executor would run,
+3. runs the engine the payload's plan names — the same
+   :func:`~repro.traversal.run_engine` call the thread executor makes —
    rooted at ``q_root``, under a local counters registry;
 4. returns only its query slice ``[qstart[q_root], qend[q_root])`` of
    each accumulator plus the task's ``TraversalStats`` and counters.
@@ -39,10 +40,7 @@ from ..backend.codegen import GeneratedKernels
 from ..backend.state import State, allocate_state
 from ..dsl.ops import op_info
 from ..observe import collect
-from ..traversal import (
-    batched_dual_tree_traversal, bounded_batched_dual_tree_traversal,
-    dual_tree_traversal,
-)
+from ..traversal import run_engine
 from . import shm
 
 __all__ = ["run_task", "TreeView", "reset_state_range"]
@@ -163,7 +161,7 @@ def _program(payload: dict) -> _WorkerProgram:
     code = compile(source, "<portal-worker>", "exec")
     # Rebuild with the backend that emitted the source: a native program
     # JIT-compiles (warms) its kernels here, once per worker process.
-    backend = get_backend(payload.get("codegen_backend", "numpy"))
+    backend = get_backend(payload["plan"].codegen)
     kernels = backend.bind(source, code, bindings)
     qview = TreeView(views, "q")
     rview = qview if payload["same_tree"] else TreeView(views, "r")
@@ -186,7 +184,6 @@ def run_task(payload: dict) -> dict:
         # counters (backend.native.compile_s / .fallback on a cold
         # worker) ship back with the task result.
         prog = _program(payload)
-        kk = prog.kernels
         state = prog.state
         q_root = int(payload["q_root"])
         s = int(prog.qview.start[q_root])
@@ -205,8 +202,10 @@ def run_task(payload: dict) -> dict:
                 if restored is not None:
                     state.lists[s:e] = [list(x) for x in restored]
 
+        engine = payload["plan"].engine
         pause: dict = {}
-        if payload["engine"] == "bounded-batched":
+        hooks: dict = {}
+        if engine == "bounded-batched":
             extern = payload.get("extern")
             extern_full = None
             if extern is not None:
@@ -214,24 +213,10 @@ def run_task(payload: dict) -> dict:
                 # position; the payload only carries this task's slice.
                 extern_full = np.full(len(state.arrays["qbound"]), np.inf)
                 extern_full[s:e] = extern
-            stats = bounded_batched_dual_tree_traversal(
-                prog.qview, prog.rview, kk.bound_key_batch,
-                kk.classify_bound_batch, kk.base_case_group,
-                state.arrays["qbound"], q_root=q_root,
-                max_epochs=payload.get("max_epochs"), resume=resume,
-                extern_bound=extern_full, pause_out=pause,
-            )
-        elif payload["engine"] == "batched":
-            stats = batched_dual_tree_traversal(
-                prog.qview, prog.rview, kk.classify_batch, kk.apply_action,
-                kk.base_case, pair_min_dist_batch=kk.pair_min_dist_batch,
-                q_root=q_root,
-            )
-        else:
-            stats = dual_tree_traversal(
-                prog.qview, prog.rview, kk.prune_or_approx, kk.base_case,
-                pair_min_dist=kk.pair_min_dist, q_root=q_root,
-            )
+            hooks = dict(max_epochs=payload.get("max_epochs"), resume=resume,
+                         extern_bound=extern_full, pause_out=pause)
+        stats = run_engine(engine, prog.qview, prog.rview, prog.kernels,
+                           state.arrays.get("qbound"), q_root=q_root, **hooks)
 
     return {
         "s": s,

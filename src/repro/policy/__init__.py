@@ -23,22 +23,25 @@ This package replaces them with a *measured* policy:
   marks the entry stale (``policy.stale_marked``), after which ``auto``
   and ``search`` both re-search instead of trusting it.
 
-Resolution order inside the compiler: explicit user options always win;
-then a policy decision; then the static ``auto`` rules.  The policy only
-ever selects configurations the differential suites prove
-output-identical, so routing through it is bitwise-neutral.
+A decision is one input of the execution plan
+(:func:`repro.backend.plan.resolve_plan`, which holds the precedence:
+explicit option > environment > policy decision > static rule), and a
+search candidate is a plan.  The policy only ever selects configurations
+the differential suites prove output-identical, so routing through it is
+bitwise-neutral.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ..backend.plan import CompileOptions, requested, resolve_plan
 from ..observe import contribute
 from .features import PolicyKey, policy_key, program_class, size_bucket
 from .search import (
-    Candidate, SEARCH_BUDGET_S, SEARCH_REPEATS, enumerate_axes, run_search,
-    search_policy, static_candidate, subsampled_layers,
+    SEARCH_BUDGET_S, SEARCH_REPEATS, SEARCH_SUBSAMPLE_Q, enumerate_axes,
+    run_search, search_policy, subsampled_layers,
 )
 from .store import (
     POLICY_SCHEMA, PolicyEntry, PolicyStore, default_policy_path,
@@ -46,16 +49,12 @@ from .store import (
 )
 
 __all__ = [
-    "POLICY_MODES", "PolicyDecision", "PolicyEntry", "PolicyKey",
-    "PolicyStore", "Candidate", "apply_decision", "default_policy_path",
-    "ensure_policy", "host_fingerprint", "note_native_fallback",
-    "observe_run", "policy_key", "policy_store", "resolve_execution_policy",
-    "resolve_policy_mode", "reset_policy_store", "run_search",
+    "PolicyDecision", "PolicyEntry", "PolicyKey", "PolicyStore",
+    "default_policy_path", "ensure_policy", "host_fingerprint",
+    "note_native_fallback", "observe_run", "policy_key", "policy_store",
+    "resolve_execution_policy", "reset_policy_store", "run_search",
     "warm_policy",
 ]
-
-#: accepted values of ``CompileOptions.policy`` / ``REPRO_POLICY``
-POLICY_MODES = ("static", "auto", "search")
 
 #: Online-refinement thresholds: a live run deviating this much from
 #: the tuning measurement marks the entry stale.  Generous on purpose —
@@ -67,8 +66,6 @@ DEVIATION_PAIR_FACTOR = 8.0
 #: when the live problem size is within this factor of the measured one
 DEVIATION_SIZE_WINDOW = 4.0
 
-from ..dsl.ops import MAX_LIKE, MIN_LIKE  # noqa: E402
-
 
 @dataclass
 class PolicyDecision:
@@ -77,48 +74,40 @@ class PolicyDecision:
     source: str          # 'policy-cache' | 'fresh-search'
     key: PolicyKey
     config: dict
+    #: the decision chose native codegen on a host that has no JIT
+    native_fallback: bool = False
+
+    def describe(self, applied: dict) -> dict:
+        """The ``stats()["policy"]`` block; ``applied`` are the config
+        entries that routed the plan (the rest were asked explicitly)."""
+        block = {"source": self.source, "key": self.key.as_str(),
+                 "config": dict(self.config), "applied": applied}
+        if self.native_fallback:
+            block["native_fallback"] = True
+        return block
 
 
-def resolve_policy_mode(options: dict | None) -> str:
-    """The policy mode an option dict implies (``REPRO_POLICY`` fills
-    the gap when the option is absent) — used by callers that consult
-    the policy outside ``CompileOptions`` (the serving warmup)."""
-    mode = (options or {}).get("policy")
-    if mode is None:
-        mode = os.environ.get("REPRO_POLICY", "").strip() or "static"
-    return mode
-
-
-def _bound_rule(layers) -> bool:
-    """Whether the inner reduction routes to the bound-aware engine
-    (used to seed the search's engine axis; a wrong guess degrades
-    gracefully through the compiler's own routing)."""
-    inner = layers[-1]
-    kern = inner.metric_kernel
-    return inner.op in (MIN_LIKE | MAX_LIKE) and not (
-        kern is not None and kern.is_indicator)
-
-
-def _search_and_store(layers, base_options: dict, opts, key: PolicyKey, *,
+def _search_and_store(layers, opts: CompileOptions, key: PolicyKey, *,
                       nq: int | None = None,
                       repeats: int = SEARCH_REPEATS,
                       budget_s: float | None = SEARCH_BUDGET_S) -> PolicyEntry:
-    from ..parallel import default_workers
-    from .search import SEARCH_SUBSAMPLE_Q
-
-    workers = opts.workers or default_workers()
+    # The search starts from what the static rules alone resolve: no
+    # searched knob asked, no environment, no policy.
+    unasked = dict.fromkeys(
+        ("traversal", "parallel", "executor", "codegen", "shards", "policy"))
+    start = resolve_plan(replace(opts, **unasked), {}, None, layers)
     max_q = SEARCH_SUBSAMPLE_Q if nq is None else min(int(nq),
                                                       SEARCH_SUBSAMPLE_Q)
-    entry = run_search(
-        layers, base_options, bound_rule=_bound_rule(layers),
-        workers=workers, repeats=repeats, budget_s=budget_s, max_q=max_q,
-    )
+    entry = run_search(layers, opts, start, repeats=repeats,
+                       budget_s=budget_s, max_q=max_q)
     policy_store().put(key, entry)
     return entry
 
 
-def resolve_execution_policy(layers, opts, options: dict) -> PolicyDecision | None:
-    """Resolve the policy for one ``execute()`` (mode ``auto``/``search``).
+def resolve_execution_policy(layers, opts: CompileOptions,
+                             mode: str) -> PolicyDecision | None:
+    """Resolve the policy for one ``execute()`` (``mode`` is ``auto`` or
+    ``search``).
 
     Returns ``None`` when the static rules should route (``auto`` with
     no usable entry) — the caller falls through to the hard-coded
@@ -134,50 +123,25 @@ def resolve_execution_policy(layers, opts, options: dict) -> PolicyDecision | No
         # A previously-tuned entry was retired by the staleness rule:
         # both modes re-measure rather than fall back blind.
         contribute({"policy.stale_research": 1})
-        entry = _search_and_store(layers, options, opts, key)
+        entry = _search_and_store(layers, opts, key)
         return PolicyDecision("fresh-search", key, dict(entry.config))
-    if opts.policy == "search":
-        entry = _search_and_store(layers, options, opts, key)
+    if mode == "search":
+        entry = _search_and_store(layers, opts, key)
         return PolicyDecision("fresh-search", key, dict(entry.config))
     contribute({"policy.miss": 1})
     return None
 
 
-def apply_decision(opts, config: dict, explicit: frozenset) -> dict:
-    """Write a policy decision into ``CompileOptions``, skipping every
-    knob the caller set explicitly (user options always win; the env
-    CI knobs ``REPRO_CODEGEN``/``REPRO_EXECUTOR``/``REPRO_SHARDS`` count
-    as explicit).  Returns the knobs actually applied."""
-    applied: dict = {}
-    if "traversal" not in explicit and "traversal" in config:
-        opts.traversal = applied["traversal"] = str(config["traversal"])
-    if "leaf_size" not in explicit and config.get("leaf_size"):
-        opts.leaf_size = applied["leaf_size"] = int(config["leaf_size"])
-    if "codegen" not in explicit and "codegen" in config:
-        opts.codegen = applied["codegen"] = str(config["codegen"])
-    if "shards" not in explicit and config.get("shards"):
-        opts.shards = applied["shards"] = int(config["shards"])
-    if not ({"parallel", "executor", "workers"} & explicit) and \
-            "executor" in config:
-        executor = str(config["executor"])
-        applied["executor"] = executor
-        if executor == "serial":
-            opts.parallel = False
-        else:
-            opts.parallel = True
-            opts.executor = executor
-    return applied
-
-
-def note_native_fallback(key: PolicyKey) -> None:
+def note_native_fallback(decision: PolicyDecision) -> None:
     """A policy-chosen native codegen degraded to numpy at resolve time:
     the environment lost its JIT since tuning, so the measurement no
     longer describes this host — retire the entry."""
     contribute({"policy.native_unavailable": 1})
-    policy_store().mark_stale(key)
+    decision.native_fallback = True
+    policy_store().mark_stale(decision.key)
 
 
-def observe_run(key_str: str, stats, nq: int, nr: int) -> None:
+def observe_run(key: PolicyKey, stats, nq: int, nr: int) -> None:
     """Online refinement: compare a live run's counters against the
     entry's tuning measurement; mark the entry stale on bad deviation.
 
@@ -185,7 +149,6 @@ def observe_run(key_str: str, stats, nq: int, nr: int) -> None:
     routed by a cached policy decision.  Never raises.
     """
     try:
-        key = PolicyKey.from_str(key_str)
         store = policy_store()
         entry = store.get(key)
         if entry is None or entry.stale or stats is None:
@@ -245,44 +208,38 @@ def ensure_policy(layers, options: dict | None = None, *,
     or ``"fresh-search"``.  The front door for ``python -m repro tune``
     and the serving layer's register-time warmup.
     """
-    from ..backend.jit import CompileOptions
-
     layers = _ensure_kernels(layers)
-    base_options = dict(options or {})
-    base_options.pop("policy", None)
-    opts = CompileOptions.from_dict(dict(base_options))
+    opts = CompileOptions.from_dict(options or {})
     key = policy_key(layers, opts, nq=nq)
     if not force:
         entry = policy_store().get(key)
         if entry is not None and not entry.stale:
             contribute({"policy.hit": 1})
             return key, entry, "policy-cache"
-    entry = _search_and_store(layers, base_options, opts, key, nq=nq,
+    entry = _search_and_store(layers, opts, key, nq=nq,
                               repeats=repeats, budget_s=budget_s)
     return key, entry, "fresh-search"
 
 
-def warm_policy(layers, options: dict | None = None, *,
+def warm_policy(make_layers, options: dict | None = None, *,
                 nq: int | None = None):
-    """Register-time policy consult for the serving layer.
+    """Register-time policy consult for the serving layer;
+    ``make_layers()`` builds a representative batch's layers and is only
+    called when a policy is in play.
 
     Mode ``auto`` looks the entry up (so the first real batch starts
     from a warm store, counted ``policy.hit``/``policy.miss``); mode
     ``search`` runs the budgeted search for the serving batch shape so
     real traffic never pays it.  Mode ``static`` is a no-op.
     """
-    mode = resolve_policy_mode(options)
+    opts = CompileOptions.from_dict(options or {})
+    mode = requested(opts, os.environ, "policy")[0]
     if mode == "static":
         return None
     contribute({"policy.warm_consult": 1})
     if mode == "search":
-        return ensure_policy(layers, options, nq=nq)
-    from ..backend.jit import CompileOptions
-
-    layers = _ensure_kernels(layers)
-    base_options = dict(options or {})
-    base_options.pop("policy", None)
-    opts = CompileOptions.from_dict(base_options)
+        return ensure_policy(make_layers(), options, nq=nq)
+    layers = _ensure_kernels(make_layers())
     key = policy_key(layers, opts, nq=nq)
     entry = policy_store().get(key)
     if entry is not None and not entry.stale:

@@ -22,8 +22,9 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from ..backend.plan import program_rules, requested_tau
 from ..dsl.expr import Const, Expr
-from ..dsl.ops import MAX_LIKE, MIN_LIKE, op_info
+from ..dsl.ops import op_info
 
 __all__ = ["PolicyKey", "policy_key", "program_class", "size_bucket"]
 
@@ -54,16 +55,14 @@ def program_class(layers, opts) -> str:
     # Bound-rule problems (k-NN, Hausdorff, furthest-point) route to the
     # epoch engine; stateless reductions to the plain batched one.  The
     # class must separate them: their engine/executor profiles differ.
-    bound = inner.op in (MIN_LIKE | MAX_LIKE) and not (
-        kern is not None and kern.is_indicator)
-    tau = opts.tau if opts.tau is not None else float(
-        inner.params.get("tau", 0.0) or 0.0)
+    rule = program_rules(layers, opts)[1]
+    tau = requested_tau(layers, opts)
     parts = (
         "policy-class-v1",
         outer.op.name,
         inner.op.name,
         "k" if op_info(inner.op).requires_k else "-",
-        "bound" if bound else "stateless",
+        "bound" if rule.is_bound else "stateless",
         kern.base if kern is not None else "external",
         _kernel_shape(kern.g if kern is not None else None),
         "ind" if (kern is not None and kern.is_indicator) else "-",

@@ -12,7 +12,8 @@ policy key — so the search is structured:
   existing validity rules forbid (native codegen without numba, the
   process/thread executors on single-core hosts, shard counts the
   reference set cannot feed, the epoch engine on stateless problems);
-* **coordinate descent**: starting from the static ``auto`` choice,
+* **coordinate descent**: starting from the plan the static rules
+  resolve (:func:`repro.backend.plan.resolve_plan` with no policy),
   one axis is swept at a time (executor first — the biggest lever —
   then engine, leaf size, codegen, shards), keeping the incumbent for
   every other axis.  ~12 timed configurations instead of ~70;
@@ -21,8 +22,10 @@ policy key — so the search is structured:
   (stride subsample, spatially unbiased) under a total wall-clock
   budget — when the budget runs out the best-so-far wins.
 
-The search executes real programs through the real compiler (with
-``policy="static"`` pinned so it can never recurse into itself) and
+A candidate *is* an :class:`~repro.backend.plan.ExecutionPlan`: each
+one is timed by executing the program under ``plan.to_options()``
+through the real compiler (with ``policy="static"`` pinned so it can
+never recurse into itself).  The search
 finishes with one counter-collected run of the winner, recording the
 reference metrics (prune rate, exact-pair fraction) that the online
 staleness rule compares live runs against.
@@ -31,18 +34,18 @@ staleness rule compares live runs against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
+from ..backend.plan import ExecutionPlan
 from ..observe import collect, contribute, span
 from ..util.tune import measure_candidates
 from .store import PolicyEntry
 
 __all__ = [
-    "Candidate", "SEARCH_LEAF_CANDIDATES", "SEARCH_SUBSAMPLE_Q",
-    "SEARCH_SUBSAMPLE_R", "SEARCH_BUDGET_S", "enumerate_axes",
-    "search_policy", "static_candidate",
+    "SEARCH_LEAF_CANDIDATES", "SEARCH_SUBSAMPLE_Q", "SEARCH_SUBSAMPLE_R",
+    "SEARCH_BUDGET_S", "enumerate_axes", "search_policy",
 ]
 
 #: leaf sizes the search sweeps (a subset of the tune_leaf_size grid —
@@ -67,53 +70,6 @@ SEARCH_REPEATS = 2
 SEARCH_SHARD_MIN_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One point of the joint configuration space."""
-
-    traversal: str   # 'batched' | 'bounded-batched' | 'stack'
-    executor: str    # 'serial' | 'thread' | 'process'
-    codegen: str     # 'numpy' | 'native'
-    leaf_size: int
-    shards: int
-
-    def label(self) -> str:
-        return (f"{self.traversal}/{self.executor}/{self.codegen}"
-                f"/leaf{self.leaf_size}/shards{self.shards}")
-
-    def options(self) -> dict:
-        """The ``execute()`` option overrides this candidate pins."""
-        out = {
-            "traversal": self.traversal, "codegen": self.codegen,
-            "leaf_size": int(self.leaf_size), "shards": int(self.shards),
-        }
-        if self.executor == "serial":
-            out["parallel"] = False
-        else:
-            out["parallel"] = True
-            out["executor"] = self.executor
-        return out
-
-    def config(self) -> dict:
-        """The JSON-storable decision dict."""
-        return {
-            "traversal": self.traversal, "executor": self.executor,
-            "codegen": self.codegen, "leaf_size": int(self.leaf_size),
-            "shards": int(self.shards),
-        }
-
-
-def static_candidate(bound_rule: bool, leaf_size: int | None = None) -> Candidate:
-    """The configuration the hard-coded ``auto`` rules pick today — the
-    coordinate-descent start point (and the fallback when every
-    measurement fails)."""
-    return Candidate(
-        traversal="bounded-batched" if bound_rule else "batched",
-        executor="serial", codegen="numpy",
-        leaf_size=int(leaf_size or 64), shards=1,
-    )
-
-
 def enumerate_axes(nq: int, nr: int, *, bound_rule: bool,
                    workers: int) -> dict[str, list]:
     """Pruned per-axis candidate lists (validity rules applied here)."""
@@ -136,15 +92,15 @@ def enumerate_axes(nq: int, nr: int, *, bound_rule: bool,
                                  min_points=SEARCH_SHARD_MIN_POINTS)
     return {
         "executor": executors,
-        "traversal": engines,
+        "engine": engines,
         "leaf_size": leafs,
         "codegen": codegens,
         "shards": shards,
     }
 
 
-#: axis sweep order: biggest lever first
-AXIS_ORDER = ("executor", "traversal", "leaf_size", "codegen", "shards")
+#: axis (plan field) sweep order: biggest lever first
+AXIS_ORDER = ("executor", "engine", "leaf_size", "codegen", "shards")
 
 
 def _stride_subsample(data: np.ndarray, cap: int) -> np.ndarray:
@@ -200,11 +156,12 @@ def subsampled_layers(layers, max_q: int = SEARCH_SUBSAMPLE_Q,
     return build, first.n, last.n
 
 
-def search_policy(run, axes: dict[str, list], start: Candidate, *,
+def search_policy(run, axes: dict[str, list], start: ExecutionPlan, *,
                   repeats: int = SEARCH_REPEATS,
                   budget_s: float | None = SEARCH_BUDGET_S,
-                  clock=None) -> tuple[Candidate, dict[str, float]]:
-    """Coordinate-descent minimisation of ``run(candidate)`` wall-clock.
+                  clock=None) -> tuple[ExecutionPlan, dict]:
+    """Coordinate-descent minimisation of ``run(plan)`` wall-clock;
+    returns the best plan and every measured ``plan → seconds``.
 
     One axis at a time in :data:`AXIS_ORDER`; each sweep replaces only
     that axis on the incumbent, reusing timings for configurations
@@ -213,15 +170,13 @@ def search_policy(run, axes: dict[str, list], start: Candidate, *,
     """
     now = clock if clock is not None else time.perf_counter
     t_start = now()
-    timings: dict[str, float] = {}
+    timings: dict[ExecutionPlan, float] = {}
     best = start
     for axis in AXIS_ORDER:
-        sweep, seen = [], set()
+        sweep = []
         for cand in [best] + [replace(best, **{axis: v})
                               for v in axes.get(axis, [])]:
-            label = cand.label()
-            if label not in timings and label not in seen:
-                seen.add(label)
+            if cand not in timings and cand not in sweep:
                 sweep.append(cand)
         if not sweep:
             continue
@@ -232,48 +187,34 @@ def search_policy(run, axes: dict[str, list], start: Candidate, *,
             break
         measured = measure_candidates(
             run, sweep, repeats=repeats, clock=now, budget_s=remaining)
-        timings.update({c.label(): t for c, t in measured.items()})
-        best = _relabel(min(timings, key=timings.get))
+        timings.update(measured)
+        best = min(timings, key=timings.get)
     return best, timings
 
 
-def _relabel(label: str) -> Candidate:
-    """Recover the Candidate for a timing label (labels are injective:
-    no axis value contains a slash)."""
-    traversal, executor, codegen, leaf, shards = label.split("/")
-    return Candidate(
-        traversal=traversal, executor=executor, codegen=codegen,
-        leaf_size=int(leaf[len("leaf"):]),
-        shards=int(shards[len("shards"):]),
-    )
-
-
-def run_search(layers, base_options: dict, *, bound_rule: bool,
-               workers: int, repeats: int = SEARCH_REPEATS,
+def run_search(layers, opts, start: ExecutionPlan, *,
+               repeats: int = SEARCH_REPEATS,
                budget_s: float | None = SEARCH_BUDGET_S,
                max_q: int = SEARCH_SUBSAMPLE_Q,
                max_r: int = SEARCH_SUBSAMPLE_R) -> PolicyEntry:
     """End-to-end measured search for one program: subsample, sweep,
     reference-run the winner, return the storable entry.
 
-    ``base_options`` are the caller's execute() options with every
-    searched knob stripped; ``policy`` is pinned to ``"static"`` so the
-    timed executions resolve through the hard-coded rules and never
-    re-enter the policy layer.
+    ``opts`` are the caller's :class:`~repro.backend.plan.CompileOptions`;
+    each candidate's own options override them, and ``policy`` is
+    pinned to ``"static"`` so the timed executions never re-enter the
+    policy layer.  ``start`` is the static rules' plan — the descent's
+    start point, and the fallback when every measurement fails.
     """
     build, sub_nq, sub_nr = subsampled_layers(layers, max_q, max_r)
-    base = {k: v for k, v in base_options.items()
-            if k not in ("traversal", "executor", "parallel", "codegen",
-                         "leaf_size", "shards", "workers", "policy")}
-    base["policy"] = "static"
+    base = asdict(replace(opts, policy="static"))
 
-    def run(cand: Candidate) -> None:
-        build().execute(**base, **cand.options())
+    def run(cand: ExecutionPlan) -> None:
+        build().execute(**{**base, **cand.to_options()})
 
-    axes = enumerate_axes(sub_nq, sub_nr, bound_rule=bound_rule,
-                          workers=workers)
-    start = static_candidate(bound_rule,
-                             base_options.get("leaf_size"))
+    axes = enumerate_axes(sub_nq, sub_nr,
+                          bound_rule=start.engine == "bounded-batched",
+                          workers=start.workers)
     t0 = time.perf_counter()
     with span("policy.search", nq=sub_nq, nr=sub_nr):
         # Warm once outside the timings: the first execution pays
@@ -283,7 +224,7 @@ def run_search(layers, base_options: dict, *, bound_rule: bool,
             run(start)
         except Exception:
             contribute({"policy.search_failed": 1})
-            return PolicyEntry(config=start.config(),
+            return PolicyEntry(config=start.to_config(),
                                measured_nq=sub_nq, measured_nr=sub_nr)
         best, timings = search_policy(
             run, axes, start, repeats=repeats, budget_s=budget_s)
@@ -293,8 +234,7 @@ def run_search(layers, base_options: dict, *, bound_rule: bool,
     # Reference metrics of the winner for the online staleness rule.
     ref: dict[str, float] = {}
     with collect() as counters:
-        expr = build()
-        expr.execute(**base, **best.options())
+        run(best)
     snap = counters.as_dict()
     visited = snap.get("traversal.visited", 0)
     pairs = snap.get("traversal.base_case_pairs", 0)
@@ -303,7 +243,7 @@ def run_search(layers, base_options: dict, *, bound_rule: bool,
     ref["exact_pair_fraction"] = (pairs / (sub_nq * sub_nr)
                                   if sub_nq and sub_nr else 0.0)
     return PolicyEntry(
-        config=best.config(),
-        timings={k: round(v, 6) for k, v in timings.items()},
+        config=best.to_config(),
+        timings={plan.label(): round(t, 6) for plan, t in timings.items()},
         ref=ref, measured_nq=sub_nq, measured_nr=sub_nr,
     )

@@ -23,8 +23,10 @@ import numpy as np
 
 from ..dsl import Const, MetricKernel, PortalExpr, PortalOp, Storage, sqrt
 from ..dsl.expr import BinOp, DistVar
+from ..backend.codegen import GeneratedKernels
+from ..backend.plan import TASKS_PER_WORKER
 from ..traversal import TraversalStats, dual_tree_traversal
-from ..parallel import parallel_dual_tree
+from ..parallel import default_workers, parallel_dual_tree
 from ..trees import build_octree
 
 __all__ = ["barnes_hut_potential", "barnes_hut_acceleration", "leapfrog_step"]
@@ -160,8 +162,12 @@ def barnes_hut_acceleration(
         acc[qs:qe] += G * np.einsum("ijk,ij->ik", d, w)
 
     if parallel:
-        stats = parallel_dual_tree(tree, tree, prune_or_approx, base_case,
-                                   workers=workers)
+        workers = workers or default_workers()
+        kernels = GeneratedKernels(
+            source="", namespace={}, base_case=base_case,
+            prune_or_approx=prune_or_approx, pair_min_dist=None)
+        stats = parallel_dual_tree(tree, tree, kernels, workers=workers,
+                                   min_tasks=workers * TASKS_PER_WORKER)
     else:
         stats = dual_tree_traversal(tree, tree, prune_or_approx, base_case)
 

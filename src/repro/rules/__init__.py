@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from ..dsl.funcs import MetricKernel
 from ..dsl.layer import Layer
-from ..observe import active_counters
 from .approx_gen import generate_approx
 from .classify import Classification, classify
 from .prune_gen import generate_prune
@@ -38,10 +37,4 @@ def build_rules(
         rule = generate_approx(
             layers, kernel, tau=tau, criterion=criterion, theta=theta
         )
-    counters = active_counters()
-    if counters is not None:
-        counters.update({
-            f"rules.classified.{cls.category}": 1,
-            f"rules.generated.{rule.kind}": 1,
-        })
     return cls, rule

@@ -64,6 +64,13 @@ class RuleSpec:
     extra: dict = field(default_factory=dict)
 
     @property
+    def is_bound(self) -> bool:
+        """Whether the rule prunes against a per-query bound that the
+        traversal itself tightens (k-NN, Hausdorff) — the one predicate
+        behind bound-aware engine routing and the policy key."""
+        return self.kind in ("bound-min", "bound-max")
+
+    @property
     def prunes(self) -> bool:
         return self.kind in ("bound-min", "bound-max", "indicator")
 

@@ -206,28 +206,25 @@ class PortalService:
         return hid
 
     def _warm(self, handle: _Handle) -> None:
-        from ..policy import resolve_policy_mode, warm_policy
+        from ..policy import warm_policy
 
-        probe = handle.program.template.layers[-1].storage.data[:1]
-        expr = handle.program.make_expr(probe)
-        mode = resolve_policy_mode(handle.options)
-        opts = dict(handle.options)
-        if mode != "static":
+        reference = handle.program.template.layers[-1].storage.data
+        expr = handle.program.make_expr(reference[:1])
+
+        def batch_layers():
+            cap = max(1, min(handle.admission.batch_max, len(reference)))
+            step = -(-len(reference) // cap)
+            return handle.program.make_expr(reference[::step][:cap]).layers
+
+        with collect(self.counters):
             # The one-row probe is an unrepresentative shape: never let
             # it trigger (or key) a policy search.  The policy is warmed
-            # separately below at the admission batch size, so the first
-            # real batch starts from a warm store ('search' pays the
-            # budgeted search here, at register time, not on traffic).
-            opts["policy"] = "static"
-        with collect(self.counters):
-            expr.execute(**opts)
-            if mode != "static":
-                ref = handle.program.template.layers[-1].storage.data
-                cap = max(1, min(handle.admission.batch_max, len(ref)))
-                step = -(-len(ref) // cap)
-                batch = ref[::step][:cap]
-                warm_policy(handle.program.make_expr(batch).layers,
-                            handle.options, nq=handle.admission.batch_max)
+            # separately at the admission batch size, so the first real
+            # batch starts from a warm store ('search' pays the budgeted
+            # search here, at register time, not on traffic).
+            expr.execute(**dict(handle.options, policy="static"))
+            warm_policy(batch_layers, handle.options,
+                        nq=handle.admission.batch_max)
 
     async def unregister(self, hid: str) -> None:
         """Drop a handle; queries already admitted still complete."""

@@ -99,6 +99,22 @@ class TestCompileCache:
         assert c["cache.compile.hit"] == 2
         assert "cache.compile.miss" not in c
 
+    @pytest.mark.parametrize("by_name", [{"leaf_size": 64},
+                                         {"layout": "column"}])
+    def test_default_asked_by_name_shares_the_entry(self, data, by_name):
+        """The key holds what the options resolve to, so asking for the
+        value a default resolves to (3-D data lays out column-major) is
+        the same artifact, not a second compile."""
+        Q, R = data
+        with collect() as counters:
+            first = _kde_expr(Q, R).execute(tau=1e-3)
+            second = _kde_expr(Q, R).execute(tau=1e-3, **by_name)
+        c = _cache_counts(counters)
+        assert c["cache.compile.miss"] == 1
+        assert c["cache.compile.hit"] == 1
+        assert np.array_equal(np.asarray(first.values),
+                              np.asarray(second.values))
+
     def test_cache_false_bypasses(self, data):
         Q, R = data
         with collect() as counters:

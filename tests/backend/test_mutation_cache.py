@@ -326,14 +326,14 @@ class TestShardEnvResolution:
         """shards='auto' resolves against the worker count *at execute
         time*; an env change between calls recompiles for the new
         count."""
-        from repro.parallel.shard import AUTO_SHARD_MIN_POINTS, \
-            resolve_shard_count
+        from repro.backend.plan import AUTO_SHARD_MIN_POINTS
+        from tests.backend.test_plan import plan_for
 
         nr = AUTO_SHARD_MIN_POINTS * 4
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert resolve_shard_count("auto", nr, None) == 2
+        assert plan_for({"shards": "auto"}, nq=1, nr=nr).shards == 2
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert resolve_shard_count("auto", nr, None) == 4
+        assert plan_for({"shards": "auto"}, nq=1, nr=nr).shards == 4
 
     def test_resolved_count_is_cache_keyed(self, rng, monkeypatch):
         """Same program, different resolved shard count → program cache

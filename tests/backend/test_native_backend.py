@@ -10,11 +10,10 @@ monkeypatch the import probe directly.
 import numpy as np
 import pytest
 
-import repro.backend.backends as backends_mod
 import repro.backend.native as native_mod
-from repro.backend.backends import (
-    AUTO_NATIVE_MIN_PAIRS, get_backend, resolve_codegen_backend,
-)
+import repro.backend.plan as plan_mod
+from repro.backend.backends import get_backend
+from repro.backend.plan import AUTO_NATIVE_MIN_PAIRS
 from repro.backend.cache import clear_caches
 from repro.backend.codegen import CodegenSpec
 from repro.backend.layout import Layout
@@ -28,6 +27,11 @@ from repro.ir.nodes import IRCall, SymRef
 from repro.observe import collect
 
 from tests.backend.test_differential import _extract, make_problem
+from tests.backend.test_plan import plan_for
+
+
+def resolve_codegen(requested, nq, nr):
+    return plan_for({"codegen": requested}, nq=nq, nr=nr).codegen
 
 
 @pytest.fixture()
@@ -176,24 +180,23 @@ def test_supported_bind_counts_compile_time(sim_jit):
 # -- auto threshold routing --------------------------------------------------
 
 def test_resolve_auto_threshold(sim_jit, monkeypatch):
-    assert resolve_codegen_backend("numpy", 10**6, 10**6) == "numpy"
-    assert resolve_codegen_backend("native", 1, 1) == "native"
+    assert resolve_codegen("numpy", 10**3, 10**3) == "numpy"
+    assert resolve_codegen("native", 1, 1) == "native"
     # below / at the pair threshold
     small = int(np.sqrt(AUTO_NATIVE_MIN_PAIRS)) - 1
-    assert resolve_codegen_backend("auto", small, small) == "numpy"
-    assert resolve_codegen_backend(
-        "auto", AUTO_NATIVE_MIN_PAIRS, 1) == "native"
+    assert resolve_codegen("auto", small, small) == "numpy"
+    assert resolve_codegen("auto", AUTO_NATIVE_MIN_PAIRS, 1) == "native"
     with pytest.raises(SpecificationError):
-        resolve_codegen_backend("llvm", 1, 1)
+        resolve_codegen("llvm", 1, 1)
 
 
 def test_resolve_auto_unavailable_stays_numpy(no_numba):
     with collect() as counters:
-        assert resolve_codegen_backend("auto", 10**9, 10**9) == "numpy"
+        assert resolve_codegen("auto", AUTO_NATIVE_MIN_PAIRS, 1) == "numpy"
         # auto falling back is by design, not a counted failure…
         assert "backend.native.fallback" not in counters.as_dict()
         # …but an explicit native request is.
-        assert resolve_codegen_backend("native", 1, 1) == "numpy"
+        assert resolve_codegen("native", 1, 1) == "numpy"
         assert counters.as_dict()["backend.native.fallback"] == 1
 
 
@@ -202,7 +205,7 @@ def test_auto_routes_by_problem_size(sim_jit, monkeypatch):
     expr = build()
     expr.execute(codegen="auto", cache=False, **opts)
     assert expr.stats()["codegen"] == "numpy"   # 28×33 pairs: tiny
-    monkeypatch.setattr(backends_mod, "AUTO_NATIVE_MIN_PAIRS", 1)
+    monkeypatch.setattr(plan_mod, "AUTO_NATIVE_MIN_PAIRS", 1)
     expr = build()
     expr.execute(codegen="auto", cache=False, **opts)
     assert expr.stats()["codegen"] == "native"

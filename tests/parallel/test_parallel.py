@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend.codegen import GeneratedKernels
 from repro.parallel import (
     default_workers, expand_frontier, parallel_dual_tree, run_tasks,
 )
@@ -166,7 +167,10 @@ class TestParallelTraversal:
             return base
 
         dual_tree_traversal(t, t, None, make_base(acc_serial))
-        stats = parallel_dual_tree(t, t, None, make_base(acc_par), workers=4)
+        kernels = GeneratedKernels(
+            source="", namespace={}, base_case=make_base(acc_par),
+            prune_or_approx=None, pair_min_dist=None)
+        stats = parallel_dual_tree(t, t, kernels, workers=4, min_tasks=16)
         assert np.allclose(acc_serial, acc_par)
         assert stats.base_case_pairs == 300 * 300
 

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from repro.backend.cache import clear_caches
-from repro.backend.jit import CompileOptions, _resolve_executor
+from repro.backend.jit import CompileOptions
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
 from repro.observe import collect
 from repro.parallel import default_workers, run_process_tasks
 from repro.parallel import shm
+from tests.backend.test_plan import plan_for
 from repro.problems import (
     barnes_hut_potential, directed_hausdorff, kde, knn, knn_regress,
     pair_count, range_count, range_search, two_point_correlation,
@@ -156,32 +157,34 @@ class TestTreesAndEngines:
 
 class TestExecutorResolution:
     def test_auto_picks_process_for_stack(self):
-        assert _resolve_executor("auto", "stack") == "process"
+        assert plan_for(dict(PAR, executor="auto",
+                             traversal="stack")).executor == "process"
 
     def test_auto_picks_thread_for_batched(self):
-        assert _resolve_executor("auto", "batched") == "thread"
+        assert plan_for(dict(PAR, executor="auto",
+                             traversal="batched")).executor == "thread"
 
     def test_explicit_wins(self):
-        assert _resolve_executor("thread", "stack") == "thread"
-        assert _resolve_executor("process", "batched") == "process"
+        assert plan_for(dict(PAR, executor="thread",
+                             traversal="stack")).executor == "thread"
+        assert plan_for(dict(PAR, executor="process",
+                             traversal="batched")).executor == "process"
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(SpecificationError, match="executor"):
             CompileOptions.from_dict({"executor": "greenlet"})
 
-    def test_env_override_applies_when_not_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert CompileOptions.from_dict({}).executor == "process"
+    def test_env_override_applies_when_not_explicit(self):
+        assert plan_for(PAR, {"REPRO_EXECUTOR": "process"}
+                        ).executor == "process"
 
-    def test_explicit_option_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert CompileOptions.from_dict(
-            {"executor": "thread"}).executor == "thread"
+    def test_explicit_option_beats_env(self):
+        assert plan_for(dict(PAR, executor="thread"),
+                        {"REPRO_EXECUTOR": "process"}).executor == "thread"
 
-    def test_invalid_env_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "quantum")
+    def test_invalid_env_override_rejected(self):
         with pytest.raises(SpecificationError, match="executor"):
-            CompileOptions.from_dict({})
+            plan_for({}, {"REPRO_EXECUTOR": "quantum"})
 
     def test_stats_report_executor(self, data):
         Q, R = data
@@ -191,6 +194,27 @@ class TestExecutorResolution:
                       PortalFunc.GAUSSIAN, bandwidth=0.7)
         expr.execute(executor="thread", **PAR)
         assert expr.stats()["executor"] == "thread"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stats_report_the_executor_that_runs(self, data, shards):
+        """A process pool of one worker is the in-process path, and the
+        executor is known from compile time on — not written by run()."""
+        Q, R = data
+        expr = PortalExpr("kde-executor-stats")
+        expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
+        expr.addLayer(PortalOp.SUM, Storage(R, name="reference"),
+                      PortalFunc.GAUSSIAN, bandwidth=0.7)
+        with collect() as counters:
+            program = expr.compile(parallel=True, workers=1,
+                                   executor="process", shards=shards)
+            assert expr.stats()["executor"] == "thread"
+            program.run()
+        assert expr.stats()["executor"] == "thread"
+        assert expr.stats()["plan"]["executor"] == {
+            "value": "thread", "source": "explicit"}
+        assert "shm.publish.miss" not in counters.as_dict()
+        expr.compile(executor="process", **PAR)
+        assert expr.stats()["executor"] == "process"
 
 
 class TestDefaultWorkers:

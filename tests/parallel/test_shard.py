@@ -32,13 +32,14 @@ from repro.backend.jit import CompileOptions
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
 from repro.observe import collect
-from repro.parallel import plan_shards, resolve_shard_count, shm
+from repro.backend.plan import AUTO_SHARD_MIN_POINTS
+from repro.parallel import plan_shards, shm
 from repro.parallel.executor import default_workers
-from repro.parallel.shard import AUTO_SHARD_MIN_POINTS
 from repro.problems import (
     barnes_hut_potential, directed_hausdorff, kde, knn, knn_regress,
     pair_count, range_count, range_search, two_point_correlation,
 )
+from tests.backend.test_plan import plan_for
 
 #: Process-pool options mirroring test_process_executor's PAR.
 PAR = {"parallel": True, "workers": 2, "min_tasks": 8,
@@ -337,25 +338,30 @@ class TestPlanning:
             assert len(np.unique(labels[p])) == 1
 
 
+def shard_count(shards, nr, workers=None):
+    return plan_for({"shards": shards, "workers": workers}, nq=1,
+                    nr=nr).shards
+
+
 class TestResolution:
     def test_defaults_and_explicit(self):
-        assert resolve_shard_count(None, 10_000) == 1
-        assert resolve_shard_count(1, 10_000) == 1
-        assert resolve_shard_count(3, 10_000) == 3
-        assert resolve_shard_count(64, 10) == 10  # clamped to nr
+        assert shard_count(None, 10_000) == 1
+        assert shard_count(1, 10_000) == 1
+        assert shard_count(3, 10_000) == 3
+        assert shard_count(64, 10) == 10  # clamped to nr
 
     def test_auto_small_reference_stays_unsharded(self):
-        assert resolve_shard_count("auto", AUTO_SHARD_MIN_POINTS - 1,
+        assert shard_count("auto", AUTO_SHARD_MIN_POINTS - 1,
                                    workers=8) == 1
 
     def test_auto_scales_with_workers_and_size(self):
         nr = 4 * AUTO_SHARD_MIN_POINTS
-        assert resolve_shard_count("auto", nr, workers=8) == 4
-        assert resolve_shard_count("auto", nr, workers=2) == 2
+        assert shard_count("auto", nr, workers=8) == 4
+        assert shard_count("auto", nr, workers=2) == 2
 
     def test_invalid_count_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            resolve_shard_count(0, 100)
+        with pytest.raises(SpecificationError, match="shards"):
+            shard_count(0, 100)
 
     def test_option_validation(self):
         assert CompileOptions.from_dict({"shards": "auto"}).shards == "auto"
@@ -365,20 +371,17 @@ class TestResolution:
         with pytest.raises(SpecificationError, match="shards"):
             CompileOptions.from_dict({"shards": 0})
 
-    def test_env_override_applies_when_not_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        assert CompileOptions.from_dict({}).shards == 2
-        monkeypatch.setenv("REPRO_SHARDS", "auto")
-        assert CompileOptions.from_dict({}).shards == "auto"
+    def test_env_override_applies_when_not_explicit(self):
+        assert plan_for({}, {"REPRO_SHARDS": "2"}).shards == 2
+        assert plan_for({"workers": 2}, {"REPRO_SHARDS": "auto"}, nq=1,
+                        nr=2 * AUTO_SHARD_MIN_POINTS).shards == 2
 
-    def test_explicit_option_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "8")
-        assert CompileOptions.from_dict({"shards": 2}).shards == 2
+    def test_explicit_option_beats_env(self):
+        assert plan_for({"shards": 2}, {"REPRO_SHARDS": "8"}).shards == 2
 
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "lots")
+    def test_invalid_env_rejected(self):
         with pytest.raises(SpecificationError, match="shards"):
-            CompileOptions.from_dict({})
+            plan_for({}, {"REPRO_SHARDS": "lots"})
 
 
 class TestWorkersEnv:

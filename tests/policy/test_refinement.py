@@ -114,7 +114,12 @@ class TestStaleResearch:
 @pytest.mark.skipif(native_available(),
                     reason="needs a host without the numba JIT")
 class TestNativeFallback:
-    def test_unavailable_native_retires_entry(self, policy_path):
+    def test_unavailable_native_retires_entry(self, policy_path,
+                                              monkeypatch):
+        # The CI "no-numba-fallback" leg exports REPRO_CODEGEN=native;
+        # an environment knob outranks the policy, so the seeded entry's
+        # codegen would never be consulted.
+        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
         build, base = _expr()
         key = seed_entry(build, base,
                          config=dict(CONFIG, codegen="native"))

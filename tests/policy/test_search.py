@@ -4,11 +4,19 @@ coordinate descent over a scripted cost surface, and subsampling."""
 import numpy as np
 import pytest
 
+from repro.backend.plan import ExecutionPlan
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.policy.search import (
-    Candidate, _stride_subsample, enumerate_axes, search_policy,
-    static_candidate, subsampled_layers,
+    _stride_subsample, enumerate_axes, search_policy, subsampled_layers,
 )
+
+from tests.backend.test_plan import plan_for
+
+
+def start_plan():
+    """The static rules' plan of a bound-rule program — the search's
+    start point."""
+    return plan_for(problem="knn")
 
 
 class FakeClock:
@@ -24,12 +32,12 @@ class TestEnumerateAxes:
         axes = enumerate_axes(1000, 2000, bound_rule=True, workers=1)
         assert axes["executor"] == ["serial"]
         assert axes["shards"] == [1]
-        assert axes["traversal"] == ["bounded-batched", "stack"]
+        assert axes["engine"] == ["bounded-batched", "stack"]
 
     def test_multi_worker_enables_executors_and_shards(self):
         axes = enumerate_axes(4096, 16384, bound_rule=False, workers=4)
         assert axes["executor"] == ["serial", "thread", "process"]
-        assert axes["traversal"][0] == "batched"
+        assert axes["engine"][0] == "batched"
         assert axes["shards"] == [1, 4]
 
     def test_small_reference_never_sharded(self):
@@ -38,19 +46,26 @@ class TestEnumerateAxes:
 
     def test_stack_dropped_at_scale(self):
         axes = enumerate_axes(1 << 12, 1 << 12, bound_rule=True, workers=1)
-        assert axes["traversal"] == ["bounded-batched"]
+        assert axes["engine"] == ["bounded-batched"]
 
 
 class TestCandidate:
     def test_label_roundtrips_options(self):
-        cand = Candidate(traversal="stack", executor="process",
-                         codegen="numpy", leaf_size=32, shards=2)
-        opts = cand.options()
+        cand = ExecutionPlan(engine="stack", executor="process", workers=2,
+                             min_tasks=8, codegen="numpy", leaf_size=32,
+                             shards=2)
+        opts = cand.to_options()
         assert opts["parallel"] is True and opts["executor"] == "process"
         assert opts["traversal"] == "stack" and opts["shards"] == 2
+        assert cand.to_config() == {
+            "traversal": "stack", "executor": "process", "codegen": "numpy",
+            "leaf_size": 32, "shards": 2}
+        assert ExecutionPlan.from_config(cand.to_config()) == {
+            "engine": "stack", "executor": "process", "codegen": "numpy",
+            "leaf_size": 32, "shards": 2}
 
     def test_serial_disables_parallel(self):
-        opts = static_candidate(True).options()
+        opts = start_plan().to_options()
         assert opts["parallel"] is False
         assert "executor" not in opts
 
@@ -74,13 +89,13 @@ class TestSearchPolicy:
         clock = FakeClock()
         axes = {
             "executor": ["serial", "thread"],
-            "traversal": ["bounded-batched"],
+            "engine": ["bounded-batched"],
             "leaf_size": [32, 64],
             "codegen": ["numpy"],
             "shards": [1],
         }
         best, timings = search_policy(
-            self._cost(clock), axes, static_candidate(True),
+            self._cost(clock), axes, start_plan(),
             repeats=1, budget_s=None, clock=clock)
         assert best.executor == "thread"
         assert best.leaf_size == 32
@@ -91,11 +106,11 @@ class TestSearchPolicy:
         clock = FakeClock()
         axes = {"executor": ["serial", "thread"], "leaf_size": [32, 64]}
         best, timings = search_policy(
-            self._cost(clock), axes, static_candidate(True),
+            self._cost(clock), axes, start_plan(),
             repeats=1, budget_s=10.0, clock=clock)
         # Budget died during/after the executor sweep; later axes were
         # skipped but a valid best candidate still came back.
-        assert isinstance(best, Candidate)
+        assert isinstance(best, ExecutionPlan)
         assert timings
 
 

@@ -162,6 +162,14 @@ def test_error_payloads():
         assert not r["ok"] and r["error"]["type"] == "JSONDecodeError"
         assert (await c.rpc({"op": "health", "id": 4}))["ok"]
 
+        # option values pass through from the wire verbatim: a bad one
+        # is a typed Portal error, not a bare TypeError
+        r = await c.rpc({"op": "register", "id": 6, "program": PROGRAM,
+                         "data": data,
+                         "options": {"workers": "two", "parallel": True}})
+        assert not r["ok"] and r["error"]["type"] == "SpecificationError"
+        assert r["error"]["portal"] and "workers" in r["error"]["message"]
+
         # shed errors are marked retryable
         reg = await c.rpc({"op": "register", "program": PROGRAM,
                            "data": data, "admission": {"max_queue": 2}})
