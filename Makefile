@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-fast test-serve test-mutation test-ir test-policy bench bench-ir bench-micro bench-bound bench-native bench-parallel bench-shard bench-incremental bench-serve bench-serve-full bench-policy bench-policy-full examples results clean
+.PHONY: install test test-fast test-verbose test-serve test-mutation test-mutation-slow test-policy test-ir test-ir-slow bench bench-aa paper examples results clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -46,77 +46,17 @@ test-ir:
 test-ir-slow:
 	REPRO_VERIFY_IR=1 $(PYTHON) -m pytest tests/ir tests/dsl/test_roundtrip.py
 
+# Performance: the benchmark spine (BENCHMARK.json; docs/performance.md,
+# "Measured"); `bench-aa` runs it twice and compares the spread to the bounds.
 bench:
+	$(PYTHON) benchmarks/spine/run.py
+
+bench-aa:
+	$(PYTHON) benchmarks/spine/run.py --aa
+
+# Paper artefacts (EXPERIMENTS.md): rewrites benchmarks/results/{*.txt,BENCH_ir.json}.
+paper:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Fig 2/3 IR ablation: seed vs extended pass pipeline through the
-# interpreter backend; refreshes benchmarks/results/BENCH_ir.json.
-bench-ir:
-	$(PYTHON) -m pytest benchmarks/bench_fig2_nn_ir.py benchmarks/bench_fig3_kde_ir.py --benchmark-disable
-
-bench-micro:
-	$(PYTHON) benchmarks/bench_micro_traversal.py --smoke
-
-# Bound-aware batched traversal vs the scalar stack engine on the
-# Table IV k-NN / Hausdorff configurations (full run asserts the
-# >= 1.5x k-NN speedup gate; --smoke only checks correctness/routing).
-bench-bound:
-	$(PYTHON) benchmarks/bench_bound_traversal.py --smoke
-
-bench-bound-full:
-	$(PYTHON) benchmarks/bench_bound_traversal.py
-
-# Native (numba) codegen backend vs the NumPy reference on the Table IV
-# scalar-kernel configurations (full run asserts the >= 2x geomean gate
-# when numba is importable; without numba the run records the fallback).
-bench-native:
-	$(PYTHON) benchmarks/bench_native_backend.py --smoke
-
-bench-native-full:
-	$(PYTHON) benchmarks/bench_native_backend.py
-
-bench-parallel:
-	$(PYTHON) benchmarks/bench_parallel_scaling.py --smoke
-
-# Sharded reference layout vs the unsharded process executor on the
-# Table IV k-NN / KDE configurations (full run sweeps N up to 1e6 and
-# asserts the >= 1.8x geomean gate on >= 4-core hosts; --smoke only
-# exercises the sharded path at tiny sizes).
-bench-shard:
-	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke
-
-bench-shard-full:
-	$(PYTHON) benchmarks/bench_shard_scaling.py
-
-# Incremental tree refit vs full rebuild at update fractions
-# 0.1% / 1% / 10% of the Table IV k-NN / KDE configurations (full run
-# asserts the >= 3x refit-over-rebuild gate at the 1% fraction; --smoke
-# only checks correctness through the cache's refit path).
-bench-incremental:
-	$(PYTHON) benchmarks/bench_incremental_tree.py --smoke
-
-bench-incremental-full:
-	$(PYTHON) benchmarks/bench_incremental_tree.py
-
-# Serving-layer closed-loop load: coalesced vs uncoalesced admission
-# on the Table IV k-NN / KDE configurations (full run sweeps 64
-# clients and asserts the >= 5x coalescing-throughput gate; --smoke
-# only proves the load generator and counters still work).
-bench-serve:
-	$(PYTHON) benchmarks/bench_serve.py --smoke
-
-bench-serve-full:
-	$(PYTHON) benchmarks/bench_serve.py
-
-# Self-tuning policy vs hard-coded auto and the exhaustive static
-# oracle on the nine Table IV problems (full run asserts tuned-auto
-# within 10% of best-static and beating hard-coded auto on >= 3/9, on
-# >= 4-core hosts; --smoke only proves the search/persist/hit loop).
-bench-policy:
-	$(PYTHON) benchmarks/bench_policy.py --smoke
-
-bench-policy-full:
-	$(PYTHON) benchmarks/bench_policy.py
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f; done

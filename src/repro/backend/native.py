@@ -8,8 +8,8 @@ reference, dimension) per leaf pair, with the strength-reduced kernel
 ``g(t)`` inlined as scalar arithmetic — decorated for Numba's ``@njit``
 (nopython, ``nogil=True`` so the thread executor scales).  It restores
 the paper's LLVM-backend shape: the compiler's IR really is lowered to
-native machine code, 2–30× faster on the CPU-bound per-pair-kernel
-configurations (see ``benchmarks/results/BENCH_native.json``).
+native machine code.  Its speed against the NumPy backend is unmeasured:
+no benchmark host has had numba (ROADMAP item 3).
 
 Only the per-pair hot kernels are lowered natively:
 

@@ -22,6 +22,7 @@ Two values describe one ``execute()``:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -63,10 +64,13 @@ DEFAULT_LEAF_SIZE = 64
 
 
 def _static_executor(engine: str) -> str:
-    """``executor='auto'``: the scalar stack engine is GIL-bound (one
-    Python bytecode stream per task), so processes win; both batched
-    engines spend their time in NumPy kernels that release the GIL, so
-    threads win (no pickling, no merge copies)."""
+    """``executor='auto'``: processes for the scalar stack engine (one
+    GIL-bound Python bytecode stream per task), threads for both batched
+    engines (their NumPy kernels release the GIL; no pickling, no merge
+    copies).  A rule, not a measurement: the spine's
+    ``parallel.thread_w2_speedup`` / ``parallel.process_w2_speedup``
+    rows (docs/performance.md, "Measured") are the open evidence on it
+    for ROADMAP item 3."""
     return "process" if engine == "stack" else "thread"
 
 
@@ -103,10 +107,29 @@ def _pass_names(name: str, value) -> tuple:
     return value
 
 
+def _nonnegative_real(name: str, value):
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0):
+        return value
+    raise SpecificationError(
+        f"{name} must be a finite non-negative number, got {value!r}")
+
+
 def _flag(name: str, value) -> bool:
+    """A strict boolean — a bool, 0/1, or the words the CLI, the wire
+    and the environment spell one with; a truthy ``"false"`` must never
+    switch a feature on."""
     if isinstance(value, str):
-        return value.lower() in ("1", "true", "on", "yes")
-    return bool(value)
+        word = value.strip().lower()
+        if word in ("1", "true", "on", "yes"):
+            return True
+        if word in ("0", "false", "off", "no"):
+            return False
+    elif isinstance(value, numbers.Integral) and value in (0, 1):
+        return bool(value)
+    raise SpecificationError(
+        f"{name} must be a boolean (true/false, on/off, yes/no, 1/0), "
+        f"got {value!r}")
 
 
 def _row(default=None, *, allowed=None, env=None, policy=False, static=None):
@@ -124,7 +147,8 @@ def _row(default=None, *, allowed=None, env=None, policy=False, static=None):
 class CompileOptions:
     """The knobs surfaced on ``PortalExpr.execute`` — what was asked."""
 
-    backend: str = _row("vectorized")  # 'vectorized' | 'brute' | 'interp'
+    backend: str = _row("vectorized",
+                        allowed=("vectorized", "brute", "interp"))
     #: codegen target for the emitted kernels: 'numpy' (vectorised
     #: NumPy source, the differential reference), 'native' (Numba-jitted
     #: per-pair scalar kernels, degrading gracefully to numpy when
@@ -136,16 +160,19 @@ class CompileOptions:
     tree: str = _row("kd")           # 'kd' | 'ball' | 'octree' | 'none'
     leaf_size: int | None = _row(allowed=_positive_int, policy=True,
                                  static=DEFAULT_LEAF_SIZE)
-    tau: float | None = _row()       # approximation threshold (band criterion)
+    #: approximation threshold (band criterion)
+    tau: float | None = _row(allowed=_nonnegative_real)
     criterion: str = _row("band")    # 'band' | 'mac'
-    theta: float = _row(0.5)         # multipole acceptance parameter
-    parallel: bool | None = _row(static=False)
+    #: multipole acceptance parameter
+    theta: float = _row(0.5, allowed=_nonnegative_real)
+    parallel: bool | None = _row(allowed=_flag, static=False)
     workers: int | None = _row(allowed=_positive_int)
     #: pin the parallel task decomposition independently of ``workers``
     #: (same tasks → bit-identical outputs across worker counts)
     min_tasks: int | None = _row(allowed=_positive_int)
-    fastmath: bool = _row(True)
-    exclude_self: bool | None = _row()  # default: True when query is reference
+    fastmath: bool = _row(True, allowed=_flag)
+    #: default: True when query is reference
+    exclude_self: bool | None = _row(allowed=_flag)
     #: override the dimensionality-based layout choice ('row' | 'column');
     #: exposed for the layout ablation study
     layout: str | None = _row()
@@ -167,7 +194,7 @@ class CompileOptions:
         static="batched")
     #: reuse compiled artifacts and built trees across ``execute()``
     #: calls (content-addressed; see :mod:`repro.backend.cache`)
-    cache: bool = _row(True)
+    cache: bool = _row(True, allowed=_flag)
     #: parallel pool backend: 'thread' | 'process' | 'auto' (by engine,
     #: see :func:`_static_executor`).  Only consulted when
     #: ``parallel=True``.

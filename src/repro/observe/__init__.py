@@ -14,7 +14,7 @@ single branch when disabled:
 
 Front doors: ``PortalExpr.stats()`` for one program's numbers, the
 ``python -m repro stats`` CLI subcommand for ``.portal`` programs, and
-``benchmarks/harness.py`` for prune-rate / pass-time benchmark columns.
+``benchmarks/harness.py`` for the Table IV/V prune-rate / pass-time columns.
 See ``docs/observability.md``.
 """
 

@@ -40,10 +40,9 @@ def default_workers() -> int:
     """Worker count: ``$REPRO_WORKERS`` override, else the cores *this
     process may run on*.
 
-    The environment override (documented alongside ``REPRO_EXECUTOR``
-    and ``REPRO_MP_START``) pins the pool size for reproducible shard
-    and benchmark runs on shared CI hosts, where the affinity mask can
-    differ run to run.  Without it, ``os.sched_getaffinity`` respects
+    The environment override pins the pool size where the affinity mask
+    can differ run to run (the test suites set it to exercise multi-worker
+    routing on any host).  Without it, ``os.sched_getaffinity`` respects
     cgroup CPU sets and ``taskset`` restrictions (container CI, shared
     batch hosts), where ``os.cpu_count()`` reports the whole machine and
     oversubscribes the pool.  Falls back to ``cpu_count()`` on platforms
@@ -72,12 +71,8 @@ _pools_lock = threading.Lock()
 
 
 def _start_method() -> str:
-    """Multiprocessing start method: ``$REPRO_MP_START`` override, else
-    ``fork`` where available (instant worker start, inherited imports),
-    else the platform default."""
-    override = os.environ.get("REPRO_MP_START", "").strip()
-    if override:
-        return override
+    """Multiprocessing start method: ``fork`` where available (instant
+    worker start, inherited imports), else the platform default."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
 

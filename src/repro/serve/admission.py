@@ -12,7 +12,7 @@ registered handle:
   being parked behind an ever-growing backlog.
 * ``batch_max`` — the most queries one coalesced traversal may carry.
   A full batch flushes immediately.  ``batch_max=1`` disables
-  coalescing entirely (the benchmark's uncoalesced baseline).
+  coalescing entirely (one execute per query).
 * ``linger_us`` — how long an open batch waits for company before the
   linger timer flushes it.  Only reached when the handle already has an
   execute in flight: an idle handle flushes at the end of the current

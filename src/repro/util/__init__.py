@@ -1,11 +1,9 @@
-"""Shared utilities: LOC counting, timing."""
+"""Shared utilities: LOC counting, leaf-size tuning."""
 
 from .loc import count_loc, count_object_loc, count_source_loc
-from .timing import Timer, best_of, timed
 
 __all__ = [
     "count_loc", "count_source_loc", "count_object_loc",
-    "Timer", "timed", "best_of",
 ]
 
 from .tune import TuneResult, tune_leaf_size  # noqa: E402

@@ -8,8 +8,8 @@ must agree to the same tolerances the interp-vs-vectorized suite uses:
 indices exactly, values to float tolerance (the native scalar loops
 reduce sequentially where NumPy reduces pairwise, and for row-major
 high-dimensional data the NumPy side's GEMM norm expansion differs by
-ulps — the BENCH_bound row-GEMM caveat; the fixed d=3 harness data takes
-the bitwise column-major path on both sides).
+ulps — the row-GEMM caveat of docs/performance.md; the fixed d=3 harness
+data takes the bitwise column-major path on both sides).
 
 The native leg is guaranteed to exercise the native *emitter* on every
 host: with numba installed the kernels JIT for real; without it the

@@ -225,16 +225,39 @@ class TestStaticRules:
     {"workers": "two", "parallel": True}, {"workers": -1}, {"workers": 0},
     {"workers": True}, {"workers": 2.5}, {"min_tasks": -3},
     {"min_tasks": "8"}, {"leaf_size": 0}, {"leaf_size": "big"},
+    # a misspelt backend used to run the tree algorithm, uncached
+    {"backend": "brue"},
+    {"parallel": "maybe"}, {"cache": 2}, {"fastmath": 1.0},
+    {"exclude_self": "sometimes"}, {"verify_ir": "2"},
+    {"tau": float("nan")}, {"tau": "x"}, {"tau": -1e-3}, {"tau": True},
+    {"theta": "x"}, {"theta": float("inf")},
 ])
 def test_bad_counts_are_specification_errors(options):
-    with pytest.raises(SpecificationError, match="positive integer"):
+    with pytest.raises(SpecificationError, match="|".join(options)):
         CompileOptions.from_dict(options)
 
 
 def test_none_and_numpy_ints_are_accepted():
     opts = CompileOptions.from_dict(
-        {"workers": None, "min_tasks": np.int64(4), "leaf_size": 32})
+        {"workers": None, "min_tasks": np.int64(4), "leaf_size": 32,
+         "tau": 0, "theta": np.float64(0.4), "parallel": None})
     assert (opts.workers, opts.min_tasks, opts.leaf_size) == (None, 4, 32)
+    assert (opts.tau, opts.theta, opts.parallel) == (0, 0.4, None)
+
+
+@pytest.mark.parametrize("name", [
+    "parallel", "fastmath", "cache", "exclude_self", "verify_ir"])
+def test_a_flag_spelt_off_is_off(name):
+    """``"false"`` from a serve client or ``--option cache=off`` from the
+    CLI is a non-empty string: it must not switch the feature on."""
+    for off in ("false", "off", "no", "0", "FALSE", 0, False):
+        assert getattr(CompileOptions.from_dict({name: off}), name) is False
+    for on in ("true", "on", "yes", "1", " On ", 1, True):
+        assert getattr(CompileOptions.from_dict({name: on}), name) is True
+
+
+def test_parallel_false_from_the_wire_stays_serial():
+    assert plan_for({"parallel": "false", "workers": 2}).executor == "serial"
 
 
 @pytest.mark.parametrize("env", [

@@ -169,6 +169,10 @@ def test_error_payloads():
                          "options": {"workers": "two", "parallel": True}})
         assert not r["ok"] and r["error"]["type"] == "SpecificationError"
         assert r["error"]["portal"] and "workers" in r["error"]["message"]
+        r = await c.rpc({"op": "register", "id": 7, "program": PROGRAM,
+                         "data": data, "options": {"backend": "brue"}})
+        assert not r["ok"] and r["error"]["type"] == "SpecificationError"
+        assert r["error"]["portal"] and "backend" in r["error"]["message"]
 
         # shed errors are marked retryable
         reg = await c.rpc({"op": "register", "program": PROGRAM,

@@ -1,10 +1,6 @@
-"""Tests for LOC counting and timing helpers."""
+"""Tests for LOC counting."""
 
-import time
-
-import pytest
-
-from repro.util import Timer, best_of, count_loc, count_object_loc, timed
+from repro.util import count_loc, count_object_loc
 
 
 class TestLoc:
@@ -47,34 +43,3 @@ class TestLoc:
         Storage output = expr.getOutput();
         """
         assert count_loc(program) <= 13
-
-
-class TestTiming:
-    def test_timer_accumulates(self, monkeypatch):
-        # Fake clock: the timer reads time.perf_counter, so stepping a
-        # counter makes the laps exact instead of sleep-and-hope.
-        now = [0.0]
-        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-        t = Timer()
-        with t.measure():
-            now[0] += 0.01
-        with t.measure():
-            now[0] += 0.01
-        assert t.elapsed == pytest.approx(0.02)
-        assert t.laps == [pytest.approx(0.01), pytest.approx(0.01)]
-
-    def test_timed_sink(self):
-        sink = {}
-        with timed("x", sink=sink):
-            pass
-        assert "x" in sink and sink["x"] >= 0
-
-    def test_timed_box(self):
-        with timed() as box:
-            pass
-        assert "seconds" in box
-
-    def test_best_of(self):
-        calls = []
-        t = best_of(lambda: calls.append(1), repeats=3)
-        assert len(calls) == 3 and t >= 0
