@@ -3,7 +3,7 @@ PYTHON ?= python
 .PHONY: install test test-fast test-verbose test-serve test-mutation test-mutation-slow test-policy test-ir test-ir-slow bench bench-aa paper examples results clean
 
 install:
-	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
+	$(PYTHON) -m pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/

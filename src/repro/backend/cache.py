@@ -1,18 +1,21 @@
 """Execution caches: compiled-artifact and tree reuse across ``execute()``.
 
-The "serve heavy repeated traffic" half of the roadmap: a service
-answering many queries against the same dataset should pay for rule
-generation, IR optimisation, code generation and tree construction
-*once*.  Two bounded LRU caches, both content-addressed:
+The "serve heavy repeated traffic" half of the roadmap: re-executing a
+program over the *same* datasets pays for rule generation, IR
+optimisation, code generation and tree construction once.  A service
+answering queries against one reference set pays for that set's tree
+once — not yet for the code: every batch's fresh query Storage changes
+the program key (ROADMAP item 2).  Two bounded LRU caches, both
+content-addressed:
 
 * the **program cache** (:mod:`repro.backend.jit`) memoises compiled
-  artifacts keyed on a canonical description of the layer chain (operator
-  names, unparsed kernel expressions, parameter values, dataset
-  fingerprints) plus the compile-relevant ``CompileOptions`` fields and
-  the *resolved* fields of the execution plan (codegen target, leaf
-  size, shard count) — runtime-only knobs (``parallel``, ``workers``,
-  ``min_tasks``, ``traversal``) are deliberately excluded so toggling
-  them still hits;
+  artifacts — code half and data half under one key: a canonical
+  description of the layer chain (operator names, unparsed kernel
+  expressions, parameter values, Storage names, dataset fingerprints)
+  plus the compile-relevant ``CompileOptions`` fields and the *resolved*
+  fields of the execution plan (codegen target, leaf size, shard count)
+  — runtime-only knobs (``parallel``, ``workers``, ``min_tasks``,
+  ``traversal``) are deliberately excluded so toggling them still hits;
 * the **tree cache** memoises :class:`~repro.trees.node.ArrayTree`
   builds keyed on (data fingerprint, tree kind, leaf size, split,
   weights fingerprint), so *different problems* over the same dataset
@@ -174,7 +177,9 @@ class LRUCache:
 #: fingerprint scheme, but artifacts now reference trees that may have
 #: been produced by the refit path; the bump keeps any hot-reloading
 #: process from pairing a new-layout tree with an old artifact.
-ARTIFACT_SCHEMA = 6
+#: v7: the artifact is a (code half, data half) pair and the key is laid
+#: out the same way, Storage / Var / program names included.
+ARTIFACT_SCHEMA = 7
 
 #: Compiled-artifact cache (see :mod:`repro.backend.jit`).
 program_cache = LRUCache(maxsize=32)

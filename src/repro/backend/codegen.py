@@ -42,25 +42,47 @@ from .layout import Layout
 
 __all__ = [
     "CodegenSpec", "GeneratedKernels", "generate", "emit", "bind_kernels",
-    "emit_expr", "emit_expr_vn", "reference_bindings",
+    "emit_expr", "emit_expr_vn", "ExprDialect", "Bindings",
 ]
 
 
-_CALL_MAP = {
-    "sqrt": "np.sqrt",
-    "exp": "np.exp",
-    "log": "np.log",
-    "abs": "np.abs",
-    "pow": "np.power",
-    "max": "np.maximum",
-    "min": "np.minimum",
-    "fast_inverse_sqrt": "finvsqrt",
-}
+@dataclass(frozen=True)
+class ExprDialect:
+    """One flavour of emitted expression source: the call map plus the
+    three node forms (``pow``, ``Indicator``, array loads) in which the
+    vectorised NumPy emitter and the native backend's per-pair scalar
+    emitter differ."""
+
+    calls: dict[str, str]
+    #: ``Indicator`` source over ``lhs`` / ``op`` / ``rhs``
+    indicator: str
+    #: spell ``pow(a, b)`` as ``a ** b`` instead of a mapped call
+    pow_operator: bool = False
+    #: whether array loads (``LoadExpr``) can be emitted at all
+    loads: bool = True
+    #: what an error message calls a call it cannot emit
+    call_noun: str = "IR function"
+
+
+NUMPY_DIALECT = ExprDialect(
+    calls={
+        "sqrt": "np.sqrt",
+        "exp": "np.exp",
+        "log": "np.log",
+        "abs": "np.abs",
+        "pow": "np.power",
+        "max": "np.maximum",
+        "min": "np.minimum",
+        "fast_inverse_sqrt": "finvsqrt",
+    },
+    indicator="np.multiply(({lhs}) {op} ({rhs}), 1.0)",
+)
 
 
 def emit_expr(e: Expr, var_map: dict[str, str],
-              _names: dict[int, str] | None = None) -> str:
-    """Emit NumPy source for an IR expression.
+              _names: dict[int, str] | None = None,
+              dialect: ExprDialect = NUMPY_DIALECT) -> str:
+    """Emit source for an IR expression in ``dialect`` (NumPy by default).
 
     ``_names`` maps ``id(node)`` to an already-materialised temporary —
     the value-numbering hook of :func:`emit_expr_vn`.
@@ -69,6 +91,10 @@ def emit_expr(e: Expr, var_map: dict[str, str],
         hit = _names.get(id(e))
         if hit is not None:
             return hit
+
+    def sub(node: Expr) -> str:
+        return emit_expr(node, var_map, _names, dialect)
+
     if isinstance(e, SymRef):
         try:
             return var_map[e.name]
@@ -77,23 +103,24 @@ def emit_expr(e: Expr, var_map: dict[str, str],
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, BinOp):
-        return (f"({emit_expr(e.lhs, var_map, _names)} {e.op} "
-                f"{emit_expr(e.rhs, var_map, _names)})")
+        return f"({sub(e.lhs)} {e.op} {sub(e.rhs)})"
     if isinstance(e, Neg):
-        return f"(-({emit_expr(e.operand, var_map, _names)}))"
+        return f"(-({sub(e.operand)}))"
     if isinstance(e, (IRCall, Call)):
         args = e.args if isinstance(e, IRCall) else (e.operand,)
-        fn = _CALL_MAP.get(e.func)
+        if e.func == "pow" and dialect.pow_operator:
+            base, exp_ = (sub(a) for a in args)
+            return f"(({base}) ** ({exp_}))"
+        fn = dialect.calls.get(e.func)
         if fn is None:
-            raise CompileError(f"cannot emit IR function {e.func!r}")
-        return f"{fn}({', '.join(emit_expr(a, var_map, _names) for a in args)})"
+            raise CompileError(
+                f"cannot emit {dialect.call_noun} {e.func!r}")
+        return f"{fn}({', '.join(sub(a) for a in args)})"
     if isinstance(e, Indicator):
-        lhs = emit_expr(e.lhs, var_map, _names)
-        rhs = emit_expr(e.rhs, var_map, _names)
-        return f"np.multiply(({lhs}) {e.op} ({rhs}), 1.0)"
-    if isinstance(e, LoadExpr):
-        idx = ", ".join(emit_expr(i, var_map, _names) for i in e.indices)
-        return f"{e.array}[{idx}]"
+        return dialect.indicator.format(lhs=sub(e.lhs), op=e.op,
+                                        rhs=sub(e.rhs))
+    if isinstance(e, LoadExpr) and dialect.loads:
+        return f"{e.array}[{', '.join(sub(i) for i in e.indices)}]"
     raise CompileError(f"cannot emit expression node {type(e).__name__}")
 
 
@@ -118,8 +145,8 @@ def _shared_subtrees(e: Expr) -> list[Expr]:
     return [n for n in order if counts[id(n)] > 1]
 
 
-def emit_expr_vn(e: Expr, var_map: dict[str, str],
-                 prefix: str = "_vn") -> tuple[list[str], str]:
+def emit_expr_vn(e: Expr, var_map: dict[str, str], prefix: str = "_vn",
+                 dialect: ExprDialect = NUMPY_DIALECT) -> tuple[list[str], str]:
     """Value-numbering-aware emission: sub-trees referenced more than
     once by object identity (strength reduction's shared pow-chain
     squares) are materialised once into ``<prefix><N>`` temporaries.
@@ -132,9 +159,9 @@ def emit_expr_vn(e: Expr, var_map: dict[str, str],
     assigns: list[str] = []
     for i, node in enumerate(_shared_subtrees(e), 1):
         name = f"{prefix}{i}"
-        assigns.append(f"{name} = {emit_expr(node, var_map, names)}")
+        assigns.append(f"{name} = {emit_expr(node, var_map, names, dialect)}")
         names[id(node)] = name
-    return assigns, emit_expr(e, var_map, names)
+    return assigns, emit_expr(e, var_map, names, dialect)
 
 
 @dataclass
@@ -192,9 +219,6 @@ class GeneratedKernels:
     bound_key_batch: Callable | None = None
     classify_bound_batch: Callable | None = None
     base_case_group: Callable | None = None
-    #: compiled code object, re-executable against fresh bindings (the
-    #: artifact the execution cache stores)
-    code: object | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +784,7 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
 
     Pure function of the spec — no data bindings involved — so the
     result is cacheable and re-bindable against fresh state arrays via
-    :func:`bind_kernels`.
+    :meth:`Bindings.bind`.
     """
     with span("codegen", layout=str(spec.layout), dim=spec.dim,
               inner_op=spec.inner_op.name) as sp:
@@ -785,33 +809,86 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
     return source, code
 
 
-def reference_bindings(rtree) -> dict:
-    """The reference-tree operands the generated tree-mode kernels read
-    (one set per shard tree under the sharded layout)."""
-    weighted = rtree.weights is not None
-    return dict(
-        RCOL=rtree.points_col, RROW=rtree.points, RN2=rtree.sqnorms(),
-        rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
-        rcentroid=rtree.wcentroid if weighted else rtree.centroid,
-        rweight=(rtree.wsum if weighted
-                 else (rtree.end - rtree.start).astype(np.float64)),
-        rdiam2=rtree.diameter ** 2, rw=rtree.weights,
-    )
+@dataclass(frozen=True)
+class Bindings:
+    """The static operands generated kernels close over, by kind.
+
+    ``arrays`` are read-only ndarrays — the process executor publishes
+    them to shared memory as they are: the physical data
+    (``QCOL``/``QROW``/``QN2`` and the ``R*`` twins), tree metadata
+    (``qlo``/``qhi``/``qstart``/``qend``, ``rlo``/``rhi``/``rstart``/
+    ``rend``/``rcentroid``/``rweight``/``rdiam2``), the reference
+    weights ``rw`` when there are any and — for sharded programs emitted
+    with ``spec.self_map`` — the reference→query identity remap
+    ``RSELF``.  ``scalars`` pickle as they are: the program-shape
+    constants ``K``/``H``/``TAU``/``THETA2``.  Per-run state (``best``/
+    ``best_idx``/``acc``/``dense``/``qbound``/``out_lists``) is never in
+    here; :meth:`bind` adds it.
+    """
+
+    arrays: dict[str, np.ndarray]
+    scalars: dict
+
+    @classmethod
+    def query(cls, qtree, scalars: dict) -> "Bindings":
+        """The query-tree operands plus the program's shape scalars."""
+        return cls(dict(
+            QCOL=qtree.points_col, QROW=qtree.points, QN2=qtree.sqnorms(),
+            qlo=qtree.lo, qhi=qtree.hi, qstart=qtree.start, qend=qtree.end,
+        ), scalars)
+
+    @classmethod
+    def reference(cls, rtree, rself: np.ndarray | None = None) -> "Bindings":
+        """The reference-tree operands (one set per shard tree under the
+        sharded layout, with that shard's ``RSELF``)."""
+        weighted = rtree.weights is not None
+        return cls(dict(
+            RCOL=rtree.points_col, RROW=rtree.points, RN2=rtree.sqnorms(),
+            rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
+            rcentroid=rtree.wcentroid if weighted else rtree.centroid,
+            rweight=(rtree.wsum if weighted
+                     else (rtree.end - rtree.start).astype(np.float64)),
+            rdiam2=rtree.diameter ** 2,
+            **_present(rw=rtree.weights, RSELF=rself),
+        ), {})
+
+    @classmethod
+    def brute(cls, qpoints: np.ndarray, rpoints: np.ndarray, rweights,
+              scalars: dict) -> "Bindings":
+        """Brute mode: both datasets in original order, no trees."""
+        return cls(dict(
+            QCOL=np.ascontiguousarray(qpoints.T), QROW=qpoints,
+            RCOL=np.ascontiguousarray(rpoints.T), RROW=rpoints,
+            QN2=np.einsum("ij,ij->i", qpoints, qpoints),
+            RN2=np.einsum("ij,ij->i", rpoints, rpoints),
+            **_present(rw=rweights),
+        ), scalars)
+
+    def __or__(self, other: "Bindings") -> "Bindings":
+        return Bindings({**self.arrays, **other.arrays},
+                        {**self.scalars, **other.scalars})
+
+    def bind(self, backend, source: str, code, state) -> GeneratedKernels:
+        """Bind emitted code against these operands plus ``state``'s
+        fresh accumulators — the one static + state + ``out_lists``
+        merge (the compiler, the shard layout and process workers all
+        come through here).  ``backend`` is the codegen
+        :class:`~repro.backend.backends.Backend` that emitted ``code``."""
+        namespace = {**self.arrays, **self.scalars, **state.arrays}
+        if state.lists is not None:
+            namespace["out_lists"] = state.lists
+        return backend.bind(source, code, namespace)
+
+
+def _present(**named) -> dict:
+    """The operands that exist: emitted code only names ``rw`` for a
+    weighted reference side, ``RSELF`` under ``spec.self_map``."""
+    return {name: arr for name, arr in named.items() if arr is not None}
 
 
 def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
-    """Execute emitted kernel code against a closure environment.
-
-    ``bindings`` must provide the physical data arrays
-    (``QCOL``/``QROW``/``RCOL``/``RROW``), tree metadata arrays
-    (``qlo``/``qhi``/``rlo``/``rhi``/``qstart``/``qend``/``rstart``/
-    ``rend``/``rcentroid``/``rweight``/``rdiam2``), state arrays
-    (``best``/``best_idx``/``acc``/``out_lists``/``dense``/``qbound``),
-    weights
-    ``rw``, scalars ``K``/``H``/``TAU``/``THETA2``, and — for sharded
-    programs emitted with ``spec.self_map`` — the reference→query
-    identity remap ``RSELF``.
-    """
+    """Execute emitted kernel code against a closure environment — the
+    flat namespace :meth:`Bindings.bind` assembles."""
     namespace = {"np": np, "finvsqrt": fast_inverse_sqrt}
     namespace.update(bindings)
     exec(code, namespace)
@@ -827,7 +904,6 @@ def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
         bound_key_batch=namespace.get("bound_key_batch"),
         classify_bound_batch=namespace.get("classify_bound_batch"),
         base_case_group=namespace.get("base_case_group"),
-        code=code,
     )
 
 

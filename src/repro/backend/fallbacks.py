@@ -17,7 +17,7 @@ import numpy as np
 from ..dsl.errors import CompileError
 from ..dsl.ops import PortalOp
 from .codegen import GeneratedKernels, _exclusion_value
-from .jit import _resolve_modifier, front_end, resolved_layout, self_pairs
+from .jit import _resolve_modifier, front_end, self_pairs
 from .plan import CompileOptions, ExecutionPlan
 from .program import CompiledProgram
 from .state import State, allocate_state
@@ -44,7 +44,6 @@ def compile_external(pexpr, opts: CompileOptions, plan: ExecutionPlan,
 
     qstorage, rstorage = outer.storage, inner.storage
     same_data, exclude_self = self_pairs(layers, opts)
-    resolved_layout(layers, opts)  # rejects a bad override; nothing to lay out
     state = allocate_state(outer.op, inner.op, inner.k,
                            qstorage.n, rstorage.n, modifier)
     qpoints, rpoints = qstorage.data, rstorage.data

@@ -3,10 +3,13 @@
 One pass from specification to a scheduled traversal:
 :func:`compile_expr` validates the options, resolves the execution plan
 (:mod:`repro.backend.plan`) once, keys the program on it, and — on a
-cache miss — runs the pipeline (classification and rule generation,
-lowering + optimisation passes, tree builds, backend code generation)
-into a cacheable :class:`_Artifact`, which :func:`_instantiate` binds to
-fresh state as a runnable :class:`~repro.backend.program.CompiledProgram`.
+cache miss — compiles along one seam: code from the program's *shape*
+(:func:`_compile_code`: rules, lowering + optimisation passes, code
+generation — it never reads a data array), then bindings from its
+*data* (:func:`_bind_data`: whitening, tree builds, shard pack).  The
+pair is the cacheable :class:`_Artifact`, which :func:`_instantiate`
+binds to fresh state as a runnable
+:class:`~repro.backend.program.CompiledProgram`.
 External-kernel and m ≥ 3-layer programs take the uncached fallbacks in
 :mod:`repro.backend.fallbacks`.
 """
@@ -37,7 +40,7 @@ from .cache import (  # noqa: F401 (program_cache re-exported for tests)
     ARTIFACT_SCHEMA, MISSING, UncacheableParamError, array_fingerprint,
     cached_build_tree, freeze, program_cache,
 )
-from .codegen import CodegenSpec, reference_bindings
+from .codegen import Bindings, CodegenSpec
 from .layout import Layout
 from .plan import (
     CompileOptions, ExecutionPlan, program_rules, requested, resolve_plan,
@@ -88,6 +91,45 @@ def _whiten_transform(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 @dataclass
+class _Code:
+    """The code half of a compile: a function of the program's *shape*
+    (layers, kernel, options, plan) that reads nothing of a
+    :class:`~repro.dsl.storage.Storage` but ``name``, ``dim``,
+    ``layout``, ``weights is None`` and identity — :func:`_code_key`."""
+
+    mode: str                        # 'tree' | 'brute' | 'interp'
+    kernel: MetricKernel
+    classification: object
+    rule: object
+    pass_manager: PassManager
+    spec: CodegenSpec
+    #: emitted by — and re-bound with — the plan's codegen backend, which
+    #: is part of the key
+    source: str
+    code: object
+    #: apply the monotone kernel map at finalisation (section IV-F)
+    defer_monotone: bool
+    #: the bound scalars ``K`` / ``H`` / ``TAU`` / ``THETA2``
+    scalars: dict
+    same_data: bool
+
+
+@dataclass
+class _Data:
+    """The data half: what the code half's kernels run over."""
+
+    #: static kernel operands; query side only when ``shard_pack`` is set
+    bindings: Bindings
+    qtree: object | None = None      # tree mode …
+    rtree: object | None = None      # … None when sharded
+    qdata: np.ndarray | None = None  # brute / interp mode: the (whitened)
+    rdata: np.ndarray | None = None  # points in original order
+    #: sharded reference layout: per-shard trees, orig-id maps and
+    #: r-side bindings (:class:`repro.parallel.shard.ShardPack`)
+    shard_pack: object | None = None
+
+
+@dataclass
 class _Artifact:
     """Immutable products of one compile — everything reusable across
     executions of the same logical program.
@@ -98,30 +140,8 @@ class _Artifact:
     so cached programs never alias each other's results.
     """
 
-    mode: str
-    kernel: MetricKernel
-    classification: object
-    rule: object
-    pass_manager: PassManager
-    #: emitted by — and re-bound with — the plan's codegen backend, which
-    #: is part of the key
-    source: str
-    code: object
-    static_bindings: dict
-    qtree: object | None
-    rtree: object | None
-    qdata: np.ndarray | None
-    rdata: np.ndarray | None
-    nq: int
-    nr: int
-    same_data: bool
-    #: apply the monotone kernel map at finalisation (section IV-F)
-    defer_monotone: bool
-    #: sharded reference layout: per-shard trees, orig-id maps and
-    #: r-side bindings (:class:`repro.parallel.shard.ShardPack`); when
-    #: set, ``rtree`` is None and ``static_bindings`` holds only the
-    #: query-side arrays and scalars
-    shard_pack: object | None = None
+    code: _Code
+    data: _Data
 
 
 def _func_key(func) -> object:
@@ -134,40 +154,54 @@ def _func_key(func) -> object:
     return None if func is None else repr(func)
 
 
-def _program_key(layers: list[Layer], opts: CompileOptions,
-                 plan: ExecutionPlan, verify: bool) -> tuple:
-    """Content-addressed key of a 2-layer program's compiled artifact.
-
-    Covers every compile-time input: per-layer operator/k/function/params
-    and dataset fingerprints, the normalised kernel, the options that
-    change the artifact and — for everything that is resolved rather
-    than asked (codegen target, leaf size, shard count, layout) — the
-    resolved value, so asking for a default by name shares its entry.
-    Runtime-only plan fields (engine, executor, workers, min_tasks) are
-    excluded so toggling them still hits.
-    """
+def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
+              verify: bool) -> tuple:
+    """Every input of :func:`_compile_code` — the program's shape: per
+    layer the operator/k/function/params and what the code half reads of
+    the Storage (the IR embeds its name), the normalised kernel, the
+    options that change the code and — for what is resolved rather than
+    asked (codegen target, layout, whether a tree engine runs, whether
+    the reference side is sharded) — the resolved value, so asking for a
+    default by name shares its entry."""
+    layers = pexpr.layers
     kern = layers[1].metric_kernel
     layer_parts = tuple(
         (
             layer.op.name,
             layer.k,
+            getattr(layer.var, "name", None),
             _func_key(layer.func),
             freeze(layer.params) if layer.params else None,
-            layer.storage.fingerprint("data"),
-            layer.storage.fingerprint("weights"),
-            str(layer.storage.layout),
+            layer.storage.name,
+            layer.storage.dim,
+            layer.storage.weights is None,
         )
         for layer in layers
     )
     return (
-        ARTIFACT_SCHEMA,
-        layer_parts,
-        (kern.base, repr(kern.g), kern.whiten, freeze(kern.covariance)),
-        opts.backend, plan.codegen, opts.tree, plan.leaf_size, opts.tau,
-        opts.criterion, opts.theta, opts.fastmath,
-        resolved_layout(layers, opts), opts.split,
-        tuple(sorted(opts.disable_passes)), verify,
-        *self_pairs(layers, opts), plan.shards,
+        pexpr.name, layer_parts, (kern.base, repr(kern.g), kern.whiten),
+        opts.backend, plan.codegen, plan.engine is not None, opts.tree,
+        opts.tau, opts.criterion, opts.theta, opts.fastmath,
+        resolved_layout(layers, opts), tuple(sorted(opts.disable_passes)),
+        verify, *self_pairs(layers, opts), (plan.shards or 1) > 1,
+    )
+
+
+def _program_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
+                 verify: bool) -> tuple:
+    """Content-addressed key of a 2-layer program's compiled artifact:
+    the code half's inputs plus what only :func:`_bind_data` reads —
+    dataset fingerprints, the whitening covariance, the tree parameters
+    (resolved leaf size and shard count).  Runtime-only plan fields
+    (which engine, executor, workers, min_tasks) are excluded so
+    toggling them still hits."""
+    layers = pexpr.layers
+    return (
+        ARTIFACT_SCHEMA, _code_key(pexpr, opts, plan, verify),
+        tuple((layer.storage.fingerprint("data"),
+               layer.storage.fingerprint("weights")) for layer in layers),
+        freeze(layers[1].metric_kernel.covariance),
+        opts.tree, plan.leaf_size, opts.split, plan.shards,
     )
 
 
@@ -205,7 +239,7 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     key = None
     if cacheable:
         try:
-            key = _program_key(layers, opts, plan, verify)
+            key = _program_key(pexpr, opts, plan, verify)
         except UncacheableParamError:
             # A parameter with no content identity: running uncached is
             # correct; keying on its repr() (a memory address) is not.
@@ -217,12 +251,14 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
             contribute({"cache.compile.hit": 1})
             return _instantiate(art, layers, opts, plan, {}, "hit", key=key)
         contribute({"cache.compile.miss": 1})
-        art, timings = _compile_pipeline(pexpr, opts, plan, verify)
+    # Both halves, code first: nothing the emitter does waits on a tree.
+    code, timings = _compile_code(pexpr, opts, plan, verify)
+    art = _Artifact(code, _bind_data(code, layers, opts, plan, timings))
+    if cacheable:
         program_cache.put(key, art)
-        return _instantiate(art, layers, opts, plan, timings, "miss", key=key)
-    art, timings = _compile_pipeline(pexpr, opts, plan, verify)
-    return _instantiate(art, layers, opts, plan, timings,
-                        None if opts.cache else "off")
+    return _instantiate(
+        art, layers, opts, plan, timings,
+        "miss" if cacheable else (None if opts.cache else "off"), key=key)
 
 
 def front_end(pexpr, opts: CompileOptions, verify: bool):
@@ -270,10 +306,10 @@ def resolved_layout(layers: list[Layer], opts: CompileOptions) -> str:
     return layout
 
 
-def _compile_pipeline(pexpr, opts: CompileOptions, plan: ExecutionPlan,
-                      verify: bool) -> tuple[_Artifact, dict]:
-    """The full compile pipeline (paper Fig. 1) for a 2-layer program
-    with a lowered kernel; returns the cacheable artifact + timings."""
+def _compile_code(pexpr, opts: CompileOptions, plan: ExecutionPlan,
+                  verify: bool) -> tuple[_Code, dict]:
+    """Rules → lowering → passes → emit (paper Fig. 1) for a 2-layer
+    program with a lowered kernel: the code half + its timings."""
     layers = pexpr.layers
     outer, inner = layers
     kernel = inner.metric_kernel
@@ -284,23 +320,14 @@ def _compile_pipeline(pexpr, opts: CompileOptions, plan: ExecutionPlan,
         mode = "interp"
     else:
         mode = "tree" if plan.engine is not None else "brute"
-
-    qstorage, rstorage = outer.storage, inner.storage
-    same_data, exclude_self = self_pairs(layers, opts)
-
-    qpoints = qstorage.data
-    rpoints = rstorage.data
-    if kernel.whiten:
-        cov = kernel.covariance
-        if cov is None:
-            cov = np.cov(rpoints.T)
-        transform = _whiten_transform(cov)
-        qpoints = transform(qpoints)
-        rpoints = qpoints if same_data else transform(rpoints)
-
-    dim = qstorage.dim
-    layout = resolved_layout(layers, opts)
-    nq, nr = qstorage.n, rstorage.n
+    dim = outer.storage.dim
+    if mode == "tree":
+        if opts.tree == "octree" and dim > 3:
+            raise CompileError("octrees require d <= 3; use tree='kd'")
+        if opts.tree == "ball" and kernel.base != "sqeuclidean":
+            raise CompileError(
+                "ball trees support the Euclidean family only"
+            )
 
     # Strength-reduced kernel body for the code generator.
     g_ir = reduce_expr(kernel_to_ir(kernel.g), fastmath=opts.fastmath)
@@ -330,104 +357,97 @@ def _compile_pipeline(pexpr, opts: CompileOptions, plan: ExecutionPlan,
     # Sharded reference layout: the reference side becomes per-shard
     # trees (never the query tree, so same_tree kernels can't apply) and
     # self-pair exclusion switches to the RSELF position remap.
-    nshards = plan.shards or 1
-    sharded = nshards > 1
+    sharded = (plan.shards or 1) > 1
+    same_data, exclude_self = self_pairs(layers, opts)
     spec = CodegenSpec(
-        dim=dim, layout=layout, base=kernel.base, g_ir=g_ir,
-        monotone=kernel.monotone(), outer_op=outer.op, inner_op=inner.op,
-        k=inner.k, rule=rule if mode == "tree" else None,
-        weighted=rstorage.weights is not None,
+        dim=dim, layout=resolved_layout(layers, opts), base=kernel.base,
+        g_ir=g_ir, monotone=kernel.monotone(), outer_op=outer.op,
+        inner_op=inner.op, k=inner.k, rule=rule if mode == "tree" else None,
+        weighted=inner.storage.weights is not None,
         same_tree=same_data and not sharded, exclude_self=exclude_self,
         is_indicator=kernel.is_indicator,
         self_map=sharded and same_data and exclude_self,
     )
-
-    static_bindings: dict = {
-        "K": inner.k or 1,
-        "H": rule.indicator_h if rule.indicator_h is not None else 0.0,
-        "TAU": rule.tau,
-        "THETA2": rule.theta * rule.theta,
-        "rw": None,
-    }
-
-    qtree = rtree = None
-    qdata = rdata = None
-    shard_pack = None
-    if mode == "tree":
-        kind = opts.tree
-        if kind == "octree" and dim > 3:
-            raise CompileError("octrees require d <= 3; use tree='kd'")
-        if kind == "ball" and kernel.base != "sqeuclidean":
-            raise CompileError(
-                "ball trees support the Euclidean family only"
-            )
-        leaf = plan.leaf_size
-        t0 = time.perf_counter()
-        with span("compile.tree_build", tree=kind, leaf_size=leaf):
-            # Passing the Storage alongside its own data array arms the
-            # incremental path: on a fingerprint miss after a logged
-            # mutation, the cache refits the previous live tree instead
-            # of rebuilding (cached_build_tree checks the identity).
-            qtree = cached_build_tree(kind, qpoints, leaf,
-                                      qstorage.weights, opts.split,
-                                      enabled=opts.cache, storage=qstorage)
-            if not sharded:
-                rtree = qtree if same_data else cached_build_tree(
-                    kind, rpoints, leaf, rstorage.weights, opts.split,
-                    enabled=opts.cache, storage=rstorage,
-                )
-        timings["tree_build"] = time.perf_counter() - t0
-        static_bindings.update(
-            QCOL=qtree.points_col, QROW=qtree.points,
-            QN2=qtree.sqnorms(),
-            qlo=qtree.lo, qhi=qtree.hi,
-            qstart=qtree.start, qend=qtree.end,
-        )
-        if sharded:
-            # Reference side: one tree per spatial shard, built in
-            # parallel through the derived-key tree cache; the r-side
-            # bindings live in the pack, one set per shard.
-            from ..parallel.shard import build_shard_pack
-
-            inv_qperm = None
-            if spec.self_map:
-                inv_qperm = np.empty(nq, dtype=np.int64)
-                inv_qperm[qtree.perm] = np.arange(nq, dtype=np.int64)
-            base_fp = (
-                rstorage.fingerprint("data") if rpoints is rstorage.data
-                else array_fingerprint(rpoints)
-            )
-            t0 = time.perf_counter()
-            shard_pack = build_shard_pack(
-                kind, rpoints, rstorage.weights, leaf, opts.split,
-                nshards, (base_fp, rstorage.fingerprint("weights")),
-                inv_qperm=inv_qperm, cache_enabled=opts.cache,
-            )
-            timings["shard_build"] = time.perf_counter() - t0
-        else:
-            static_bindings.update(reference_bindings(rtree))
-    else:
-        qdata, rdata = qpoints, rpoints
-        static_bindings.update(
-            QCOL=np.ascontiguousarray(qpoints.T), QROW=qpoints,
-            RCOL=np.ascontiguousarray(rpoints.T), RROW=rpoints,
-            QN2=np.einsum("ij,ij->i", qpoints, qpoints),
-            RN2=np.einsum("ij,ij->i", rpoints, rpoints),
-            rw=rstorage.weights,
-        )
-
     t0 = time.perf_counter()
     source, code = get_backend(plan.codegen).emit(spec)
     timings["codegen"] = time.perf_counter() - t0
 
-    art = _Artifact(
+    scalars = {
+        "K": inner.k or 1,
+        "H": rule.indicator_h if rule.indicator_h is not None else 0.0,
+        "TAU": rule.tau,
+        "THETA2": rule.theta * rule.theta,
+    }
+    return _Code(
         mode=mode, kernel=kernel, classification=classification, rule=rule,
-        pass_manager=pm, source=source, code=code,
-        static_bindings=static_bindings, qtree=qtree, rtree=rtree,
-        qdata=qdata, rdata=rdata, nq=nq, nr=nr, same_data=same_data,
-        defer_monotone=defer_monotone, shard_pack=shard_pack,
-    )
-    return art, timings
+        pass_manager=pm, spec=spec, source=source, code=code,
+        defer_monotone=defer_monotone, scalars=scalars, same_data=same_data,
+    ), timings
+
+
+def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
+               plan: ExecutionPlan, timings: dict) -> _Data:
+    """Whitening → tree builds → shard pack → :class:`Bindings`: the
+    data half of ``code`` over the layers' datasets; its stages are
+    added to ``timings``."""
+    qstorage, rstorage = layers[0].storage, layers[1].storage
+    kernel, same_data = code.kernel, code.same_data
+
+    qpoints = qstorage.data
+    rpoints = rstorage.data
+    if kernel.whiten:
+        cov = kernel.covariance
+        if cov is None:
+            cov = np.cov(rpoints.T)
+        transform = _whiten_transform(cov)
+        qpoints = transform(qpoints)
+        rpoints = qpoints if same_data else transform(rpoints)
+
+    if code.mode != "tree":
+        return _Data(Bindings.brute(qpoints, rpoints, rstorage.weights,
+                                    code.scalars),
+                     qdata=qpoints, rdata=rpoints)
+
+    kind, leaf = opts.tree, plan.leaf_size
+    sharded = (plan.shards or 1) > 1
+    rtree = shard_pack = None
+    t0 = time.perf_counter()
+    with span("compile.tree_build", tree=kind, leaf_size=leaf):
+        # Passing the Storage alongside its own data array arms the
+        # incremental path: on a fingerprint miss after a logged
+        # mutation, the cache refits the previous live tree instead
+        # of rebuilding (cached_build_tree checks the identity).
+        qtree = cached_build_tree(kind, qpoints, leaf,
+                                  qstorage.weights, opts.split,
+                                  enabled=opts.cache, storage=qstorage)
+        if not sharded:
+            rtree = qtree if same_data else cached_build_tree(
+                kind, rpoints, leaf, rstorage.weights, opts.split,
+                enabled=opts.cache, storage=rstorage,
+            )
+    timings["tree_build"] = time.perf_counter() - t0
+    bindings = Bindings.query(qtree, code.scalars)
+    if sharded:
+        # Reference side: one tree per spatial shard, built in
+        # parallel through the derived-key tree cache; the r-side
+        # bindings live in the pack, one set per shard.
+        from ..parallel.shard import build_shard_pack
+
+        inv_qperm = qtree.inv_perm() if code.spec.self_map else None
+        base_fp = (
+            rstorage.fingerprint("data") if rpoints is rstorage.data
+            else array_fingerprint(rpoints)
+        )
+        t0 = time.perf_counter()
+        shard_pack = build_shard_pack(
+            kind, rpoints, rstorage.weights, leaf, opts.split,
+            plan.shards, (base_fp, rstorage.fingerprint("weights")),
+            inv_qperm=inv_qperm, cache_enabled=opts.cache,
+        )
+        timings["shard_build"] = time.perf_counter() - t0
+    else:
+        bindings |= Bindings.reference(rtree)
+    return _Data(bindings, qtree=qtree, rtree=rtree, shard_pack=shard_pack)
 
 
 def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
@@ -436,12 +456,13 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
     """Build a runnable :class:`CompiledProgram` from a compile artifact:
     fresh state arrays, fresh modifier closure, and the emitted code
     object re-executed against them."""
+    code, data = art.code, art.data
     outer, inner = layers
     modifier = _resolve_modifier(outer.func)
-    state = allocate_state(outer.op, inner.op, inner.k, art.nq, art.nr,
-                           modifier)
-    if art.defer_monotone:
-        captured_g = art.kernel.g
+    nq, nr = outer.storage.n, inner.storage.n
+    state = allocate_state(outer.op, inner.op, inner.k, nq, nr, modifier)
+    if code.defer_monotone:
+        captured_g = code.kernel.g
         state.value_transform = lambda v: captured_g.evaluate({"t": v})
 
     # Versioned snapshot semantics: the program pins a consistent view of
@@ -449,13 +470,13 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
     # shallow — mutation rebinds arrays rather than writing into them —
     # so an in-flight or retained program keeps reading the version it
     # compiled against even if the cached tree is refit later.
-    qtree, rtree = art.qtree, art.rtree
+    qtree, rtree = data.qtree, data.rtree
     if qtree is not None:
         qtree = qtree.snapshot()
-        rtree = qtree if art.rtree is art.qtree else (
-            None if art.rtree is None else art.rtree.snapshot())
+        rtree = qtree if data.rtree is data.qtree else (
+            None if data.rtree is None else data.rtree.snapshot())
     token = None
-    if art.mode == "tree" and key is not None:
+    if code.mode == "tree" and key is not None:
         token = hashlib.blake2b(repr(key).encode(),
                                 digest_size=16).hexdigest()
         # Let the Storages evict exactly these shm publications (and
@@ -464,30 +485,26 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
         for layer in layers:
             layer.storage.note_shm_token(token)
     program = CompiledProgram(
-        options=opts, plan=plan, layers=layers, kernel=art.kernel,
-        classification=art.classification, rule=art.rule,
-        pass_manager=art.pass_manager, mode=art.mode, state=state,
-        qtree=qtree, rtree=rtree, qdata=art.qdata, rdata=art.rdata,
-        nr=art.nr, same_data=art.same_data, cache_state=cache_state,
-        static_bindings=art.static_bindings, program_token=token,
-        timings=dict(timings),
+        options=opts, plan=plan, layers=layers, kernel=code.kernel,
+        classification=code.classification, rule=code.rule,
+        pass_manager=code.pass_manager, mode=code.mode, state=state,
+        qtree=qtree, rtree=rtree, qdata=data.qdata, rdata=data.rdata,
+        nr=nr, same_data=code.same_data, cache_state=cache_state,
+        bindings=data.bindings, program_token=token, timings=dict(timings),
     )
-    if art.shard_pack is not None:
+    backend = get_backend(plan.codegen)
+    if data.shard_pack is not None:
         # Sharded layout: per-shard states + kernel binds; the shard-0
         # kernels stand in as program.kernels for generated_source()
         # introspection.
         from ..parallel.shard import build_shard_execution
 
         program.shard_exec = build_shard_execution(
-            art.shard_pack, art.source, art.code, plan.codegen,
-            art.static_bindings, outer.op, inner.op, inner.k, art.nq,
+            data.shard_pack, backend, code.source, code.code, data.bindings,
+            outer.op, inner.op, inner.k, nq,
         )
         program.kernels = program.shard_exec.kernels[0]
     else:
-        bindings = dict(art.static_bindings)
-        bindings.update(state.arrays)
-        if state.lists is not None:
-            bindings["out_lists"] = state.lists
-        program.kernels = get_backend(plan.codegen).bind(
-            art.source, art.code, bindings)
+        program.kernels = data.bindings.bind(backend, code.source, code.code,
+                                             state)
     return program

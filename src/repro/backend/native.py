@@ -56,15 +56,17 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from functools import partial
 
 from ..dsl.errors import CompileError
-from ..dsl.expr import BinOp, Call, Const, Expr, Indicator, Neg
+from ..dsl.expr import Call, Expr
 from ..dsl.ops import PortalOp
-from ..ir.nodes import IRCall, LoadExpr, SymRef
+from ..ir.nodes import IRCall
 from ..observe import contribute, span
 from .backends import Backend, register_backend
 from .codegen import (
-    CodegenSpec, GeneratedKernels, _shared_subtrees, bind_kernels, emit,
+    CodegenSpec, ExprDialect, GeneratedKernels, bind_kernels, emit, emit_expr,
+    emit_expr_vn,
 )
 
 __all__ = ["NativeBackend", "native_available", "native_mode",
@@ -107,74 +109,28 @@ def native_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# scalar expression emission (the per-pair flavour of codegen.emit_expr)
+# scalar expression emission (the per-pair dialect of codegen.emit_expr)
 # ---------------------------------------------------------------------------
 
-_SCALAR_CALL_MAP = {
-    "sqrt": "np.sqrt",
-    "exp": "np.exp",
-    "log": "np.log",
-    "abs": "abs",
-    "max": "max",
-    "min": "min",
-    "fast_inverse_sqrt": "_finvsqrt",
-}
+#: Scalar (numba-nopython-compatible) source: builtin ``abs``/``max``/
+#: ``min``, ``pow`` as ``**``, a branch for ``Indicator``, no array loads.
+SCALAR_DIALECT = ExprDialect(
+    calls={
+        "sqrt": "np.sqrt",
+        "exp": "np.exp",
+        "log": "np.log",
+        "abs": "abs",
+        "max": "max",
+        "min": "min",
+        "fast_inverse_sqrt": "_finvsqrt",
+    },
+    indicator="(1.0 if ({lhs}) {op} ({rhs}) else 0.0)",
+    pow_operator=True, loads=False, call_noun="scalar call",
+)
 
-
-def emit_scalar_expr(e: Expr, var_map: dict[str, str],
-                     _names: dict[int, str] | None = None) -> str:
-    """Emit *scalar* (numba-nopython-compatible) source for an IR
-    expression — the per-pair counterpart of
-    :func:`repro.backend.codegen.emit_expr`."""
-    if _names is not None:
-        hit = _names.get(id(e))
-        if hit is not None:
-            return hit
-    if isinstance(e, SymRef):
-        try:
-            return var_map[e.name]
-        except KeyError:
-            raise CompileError(f"no binding for IR symbol {e.name!r}") from None
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, BinOp):
-        return (f"({emit_scalar_expr(e.lhs, var_map, _names)} {e.op} "
-                f"{emit_scalar_expr(e.rhs, var_map, _names)})")
-    if isinstance(e, Neg):
-        return f"(-({emit_scalar_expr(e.operand, var_map, _names)}))"
-    if isinstance(e, (IRCall, Call)):
-        args = e.args if isinstance(e, IRCall) else (e.operand,)
-        if e.func == "pow":
-            base, exp_ = (emit_scalar_expr(a, var_map, _names) for a in args)
-            return f"(({base}) ** ({exp_}))"
-        fn = _SCALAR_CALL_MAP.get(e.func)
-        if fn is None:
-            raise CompileError(
-                f"native backend cannot emit scalar call {e.func!r}")
-        return (f"{fn}("
-                f"{', '.join(emit_scalar_expr(a, var_map, _names) for a in args)})")
-    if isinstance(e, Indicator):
-        lhs = emit_scalar_expr(e.lhs, var_map, _names)
-        rhs = emit_scalar_expr(e.rhs, var_map, _names)
-        return f"(1.0 if ({lhs}) {e.op} ({rhs}) else 0.0)"
-    if isinstance(e, LoadExpr):
-        raise CompileError("native backend cannot emit array loads in "
-                           "a per-pair kernel")
-    raise CompileError(
-        f"native backend cannot emit expression node {type(e).__name__}")
-
-
-def emit_scalar_expr_vn(e: Expr, var_map: dict[str, str],
-                        prefix: str = "_nv") -> tuple[list[str], str]:
-    """Value-numbering-aware scalar emission (shared sub-trees become
-    local temporaries) — mirrors :func:`codegen.emit_expr_vn`."""
-    names: dict[int, str] = {}
-    assigns: list[str] = []
-    for i, node in enumerate(_shared_subtrees(e), 1):
-        name = f"{prefix}{i}"
-        assigns.append(f"{name} = {emit_scalar_expr(node, var_map, names)}")
-        names[id(node)] = name
-    return assigns, emit_scalar_expr(e, var_map, names)
+emit_scalar_expr = partial(emit_expr, dialect=SCALAR_DIALECT)
+emit_scalar_expr_vn = partial(emit_expr_vn, prefix="_nv",
+                              dialect=SCALAR_DIALECT)
 
 
 def _uses_finvsqrt(e: Expr) -> bool:

@@ -33,6 +33,7 @@ from ..observe import contribute
 from ..parallel.executor import default_workers
 from ..rules import build_rules
 from .backends import CODEGEN_BACKENDS
+from .layout import Layout
 from .native import native_available
 
 __all__ = [
@@ -157,12 +158,12 @@ class CompileOptions:
     #: accepted as an alias for ``backend='vectorized'`` plus this option.
     codegen: str | None = _row(allowed=CODEGEN_BACKENDS, env="REPRO_CODEGEN",
                                policy=True, static="numpy")
-    tree: str = _row("kd")           # 'kd' | 'ball' | 'octree' | 'none'
+    tree: str = _row("kd", allowed=("kd", "ball", "octree", "none"))
     leaf_size: int | None = _row(allowed=_positive_int, policy=True,
                                  static=DEFAULT_LEAF_SIZE)
     #: approximation threshold (band criterion)
     tau: float | None = _row(allowed=_nonnegative_real)
-    criterion: str = _row("band")    # 'band' | 'mac'
+    criterion: str = _row("band", allowed=("band", "mac"))
     #: multipole acceptance parameter
     theta: float = _row(0.5, allowed=_nonnegative_real)
     parallel: bool | None = _row(allowed=_flag, static=False)
@@ -175,9 +176,9 @@ class CompileOptions:
     exclude_self: bool | None = _row(allowed=_flag)
     #: override the dimensionality-based layout choice ('row' | 'column');
     #: exposed for the layout ablation study
-    layout: str | None = _row()
+    layout: str | None = _row(allowed=(Layout.ROW, Layout.COLUMN))
     #: kd-tree splitting strategy ('median' — the paper's — or 'midpoint')
-    split: str = _row("median")
+    split: str = _row("median", allowed=("median", "midpoint"))
     #: IR optimisation passes to skip (differential-testing knob); any
     #: subset of :data:`repro.ir.passes.TOGGLEABLE_PASSES`
     disable_passes: tuple = _row((), allowed=_pass_names)

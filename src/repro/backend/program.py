@@ -26,7 +26,7 @@ from ..ir.printer import render_program, render_stages
 from ..observe import collect, contribute, span
 from ..parallel import parallel_dual_tree
 from ..traversal import TraversalStats, run_engine
-from .codegen import GeneratedKernels
+from .codegen import Bindings, GeneratedKernels
 from .plan import CompileOptions, ExecutionPlan
 from .state import Output, State
 
@@ -63,9 +63,10 @@ class CompiledProgram:
     #: (:class:`repro.parallel.shard.ShardExecution`)
     shard_exec: object | None = None
     #: what the process executor ships to workers: the static (non-
-    #: state) bindings go to shared memory, the token keys the
-    #: publication so repeated runs republish nothing
-    static_bindings: dict | None = None
+    #: state) kernel operands — arrays to shared memory, scalars pickled
+    #: — under a token that keys the publication, so repeated runs
+    #: republish nothing
+    bindings: Bindings | None = None
     program_token: str | None = None
     stats: TraversalStats | None = None
     output: Output | None = None
@@ -74,7 +75,7 @@ class CompiledProgram:
     #: broadcast counters and per-shard stats of the last sharded run
     shard_info: dict | None = None
     #: wall-clock seconds per compile stage ('rules', 'lowering',
-    #: 'passes', 'tree_build', 'codegen') plus 'run' after run()
+    #: 'passes', 'codegen', 'tree_build') plus 'run' after run()
     timings: dict = field(default_factory=dict)
     #: guards the mutable observability state (``timings`` / ``stats`` /
     #: ``bounded`` / ``shard_info``) against :meth:`stats_summary`
@@ -286,7 +287,7 @@ class CompiledProgram:
 
             stats, self.shard_info = run_sharded(
                 self.qtree, self.shard_exec, self.state, plan,
-                token=self.program_token, q_bindings=self.static_bindings,
+                token=self.program_token, q_bindings=self.bindings,
                 source=self.kernels.source,
             )
             return stats
@@ -299,7 +300,7 @@ class CompiledProgram:
 
             return parallel_dual_tree_process(
                 self.qtree, self.rtree, self.kernels.source,
-                self.static_bindings, self.state, self.nr,
+                self.bindings, self.state, self.nr,
                 self.program_token, plan,
             )
         return parallel_dual_tree(
@@ -338,22 +339,14 @@ class CompiledProgram:
         the two outputs (0.0 for exact pruning problems)."""
         if self.output is None:
             self.run()
-        brute = _clone_and_run(self.layers, self.options)
-        return _max_output_delta(self.output, brute)
+        from ..dsl.portal_expr import PortalExpr
+        from .jit import compile_expr
 
-
-def _clone_and_run(layers: list[Layer], options: CompileOptions) -> Output:
-    from ..dsl.portal_expr import PortalExpr
-    from .jit import compile_expr
-
-    pe = PortalExpr("validation")
-    pe.layers = layers
-    opts = {
-        "backend": "brute", "fastmath": options.fastmath,
-        "exclude_self": options.exclude_self,
-    }
-    program = compile_expr(pe, opts)
-    return program.run()
+        brute = compile_expr(
+            PortalExpr.from_layers(self.layers, "validation"),
+            {"backend": "brute", "fastmath": self.options.fastmath,
+             "exclude_self": self.options.exclude_self})
+        return _max_output_delta(self.output, brute.run())
 
 
 def _max_output_delta(a: Output, b: Output) -> float:

@@ -97,7 +97,9 @@ class State:
             values = best
             if info.returns_index:
                 idx = self.arrays["best_idx"][inv]
-                indices = rperm[idx] if rperm is not None else idx
+                # -1 (an unfilled k-slot) stays -1, never ``rperm[-1]``
+                indices = (np.where(idx >= 0, rperm[idx], -1)
+                           if rperm is not None else idx)
         else:
             values = self.arrays["acc" if info.arithmetic else "best"][inv]
 

@@ -40,6 +40,15 @@ class Layer:
     #: Layer parameters (bandwidth, covariance, radius h, ...).
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # Here rather than in :meth:`build`, so a ``dataclasses.replace``
+        # of ``k`` or ``storage`` (``PortalExpr.rebind``) is held to it.
+        if self.k is not None and self.k > self.storage.n:
+            raise SpecificationError(
+                f"{self.op.name} with k={self.k} exceeds dataset size "
+                f"{self.storage.n}"
+            )
+
     @property
     def info(self):
         return op_info(self.op)
@@ -82,12 +91,8 @@ class Layer:
             raise SpecificationError(
                 f"too many positional arguments to addLayer: {rest!r}"
             )
-        layer = cls(op=op, storage=storage, k=k, var=var, func=func, params=dict(params))
-        if k is not None and k > storage.n:
-            raise SpecificationError(
-                f"{op.name} with k={k} exceeds dataset size {storage.n}"
-            )
-        return layer
+        return cls(op=op, storage=storage, k=k, var=var, func=func,
+                   params=dict(params))
 
     def resolve_kernel(self, qvar: Var | None) -> None:
         """Normalise this layer's kernel (needs the adjacent layer's Var)."""

@@ -11,14 +11,28 @@ compiler stage stays inspectable via :meth:`ir_dump` and
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from .errors import SpecificationError
 from .expr import Var
 from .layer import Layer
-from .ops import OpCategory, PortalOp
+from .ops import OpCategory, PortalOp, resolve_op
 
-__all__ = ["PortalExpr"]
+__all__ = ["PortalExpr", "resolve_kernels"]
+
+
+def resolve_kernels(layers: list[Layer]) -> list[Layer]:
+    """Name every layer's variable and normalise every kernel against
+    its adjacent layer's: the last step of :meth:`PortalExpr.validate`,
+    and the first of anything keying a never-executed layer chain (the
+    policy's tune/warm paths) — an unresolved kernel would hash as
+    "external".  Idempotent; returns ``layers``."""
+    for i, layer in enumerate(layers):
+        if layer.var is None:
+            layer.var = Var(f"_layer{i}")
+        layer.resolve_kernel(layers[i - 1].var if i > 0 else None)
+    return layers
 
 
 class PortalExpr:
@@ -29,6 +43,14 @@ class PortalExpr:
         self.layers: list[Layer] = []
         self._program = None  # CompiledProgram after execute()
         self._output = None
+
+    @classmethod
+    def from_layers(cls, layers: list[Layer],
+                    name: str = "portal_expr") -> "PortalExpr":
+        """An expression over existing (shared, not copied) layers."""
+        expr = cls(name)
+        expr.layers = list(layers)
+        return expr
 
     # -- construction -----------------------------------------------------------
     def addLayer(self, op, *args, **params) -> Layer:
@@ -70,14 +92,25 @@ class PortalExpr:
                     f"decomposability (paper section II-C)"
                 )
         # Resolve kernels now that adjacent layers are known.
-        for i, layer in enumerate(self.layers):
-            qvar = self.layers[i - 1].var if i > 0 else None
-            if qvar is None and i > 0:
-                qvar = Var(f"_layer{i - 1}")
-                self.layers[i - 1].var = qvar
-            if layer.var is None:
-                layer.var = Var(f"_layer{i}")
-            layer.resolve_kernel(qvar)
+        resolve_kernels(self.layers)
+
+    def rebind(self, storages: dict, k: int | None = None) -> "PortalExpr":
+        """The same program over other data: a layer whose Storage is
+        a key of ``storages`` reads the mapped one instead, and ``k``
+        overrides the innermost layer's (which must take one).
+
+        Layers are copied; ``Var`` / kernel / params objects (``Expr``
+        kernels close over the original ``Var`` objects) and resolved
+        kernels are shared, and layers that shared a Storage share its
+        replacement — self-pair exclusion depends on that identity.
+        """
+        layers = [replace(layer, storage=storages.get(layer.storage,
+                                                      layer.storage))
+                  for layer in self.layers]
+        if k is not None:
+            layers[-1] = replace(
+                layers[-1], k=resolve_op((layers[-1].op, int(k)))[1])
+        return PortalExpr.from_layers(layers, self.name)
 
     # -- compiler hooks ---------------------------------------------------------
     def compile(self, **options):

@@ -31,33 +31,31 @@ from ..observe import contribute, span
 from ..traversal import TraversalStats
 from .executor import run_process_tasks
 from .scheduler import expand_frontier
-from .worker import STATE_ARRAY_NAMES, run_task
+from .worker import run_task
 from . import shm
 
-__all__ = ["parallel_dual_tree_process"]
+__all__ = ["parallel_dual_tree_process", "tree_structure", "ephemeral_token",
+           "merge_result"]
 
 _ephemeral_seq = itertools.count()
 
 
-def _split_bindings(static_bindings: dict) -> tuple[dict, dict, list[str]]:
-    """Partition the artifact's static bindings into shared-memory
-    arrays, picklable scalars, and names bound to ``None``."""
-    arrays: dict[str, np.ndarray] = {}
-    scalars: dict = {}
-    none_names: list[str] = []
-    for name, value in static_bindings.items():
-        if name in STATE_ARRAY_NAMES or name == "out_lists":
-            continue  # workers allocate their own accumulators
-        if value is None:
-            none_names.append(name)
-        elif isinstance(value, np.ndarray):
-            arrays[name] = value
-        else:
-            scalars[name] = value
-    return arrays, scalars, none_names
+def ephemeral_token() -> str:
+    """A process-unique shm token for a program with no cache token;
+    the caller releases what it publishes under it."""
+    return f"ephemeral-{os.getpid()}-{next(_ephemeral_seq)}"
 
 
-def _tree_structure(tree, prefix: str) -> dict[str, np.ndarray]:
+def merge_result(state, res: dict) -> None:
+    """Write one task's partial accumulator slices into ``state``."""
+    s, e = res["s"], res["e"]
+    for name, chunk in res["arrays"].items():
+        state.arrays[name][s:e] = chunk
+    if res["lists"] is not None:
+        state.lists[s:e] = res["lists"]
+
+
+def tree_structure(tree, prefix: str) -> dict[str, np.ndarray]:
     """The traversal-facing tree arrays a worker's ``TreeView`` needs
     (``start``/``end`` ship with the kernel bindings already).  The
     per-node level array feeds the bounded engine's bottom-up node-bound
@@ -77,7 +75,7 @@ def parallel_dual_tree_process(
     qtree,
     rtree,
     source: str,
-    static_bindings: dict,
+    bindings,
     state,
     nr: int,
     token: str | None,
@@ -86,26 +84,26 @@ def parallel_dual_tree_process(
     """Run the parallel dual-tree traversal on the process pool,
     merging worker partials into ``state``; returns the merged stats.
 
-    ``token`` keys the shared-memory publication (the program-cache
-    token); ``None`` — an uncacheable program — publishes under an
-    ephemeral token that is released when the run finishes.  ``plan`` is
-    the program's :class:`~repro.backend.plan.ExecutionPlan`; it heads
-    every task payload.
+    ``bindings`` (:class:`~repro.backend.codegen.Bindings`): the arrays
+    are published to shared memory, the scalars ride in the payload.
+    ``token`` keys the publication (the program-cache token); ``None`` —
+    an uncacheable program — publishes under an ephemeral token that is
+    released when the run finishes.  ``plan`` is the program's
+    :class:`~repro.backend.plan.ExecutionPlan`; it heads every payload.
     """
     frontier = expand_frontier(qtree, plan.min_tasks)
 
-    arrays, scalars, none_names = _split_bindings(static_bindings)
-    arrays.update(_tree_structure(qtree, "q"))
+    arrays = {**bindings.arrays, **tree_structure(qtree, "q")}
     same_tree = rtree is qtree
     if not same_tree:
         # For same_tree programs the worker's r-side TreeView aliases the
         # q-side one (the r-named *kernel* bindings still ship — shm
         # dedupes the underlying buffers).
-        arrays.update(_tree_structure(rtree, "r"))
+        arrays.update(tree_structure(rtree, "r"))
 
     ephemeral = token is None
     if ephemeral:
-        token = f"ephemeral-{os.getpid()}-{next(_ephemeral_seq)}"
+        token = ephemeral_token()
     try:
         with span("parallel.shm_publish", token=token, arrays=len(arrays)):
             shm_name, manifest = shm.publish_arrays(token, arrays)
@@ -115,8 +113,7 @@ def parallel_dual_tree_process(
             "shm_name": shm_name,
             "manifest": manifest,
             "source": source,
-            "scalars": scalars,
-            "none_names": none_names,
+            "scalars": bindings.scalars,
             "state_spec": (state.outer_op, state.inner_op, state.k,
                            state.nq, nr),
             "same_tree": same_tree,
@@ -138,11 +135,7 @@ def parallel_dual_tree_process(
 
     total = TraversalStats()
     for res in results:
-        s, e = res["s"], res["e"]
-        for name, chunk in res["arrays"].items():
-            state.arrays[name][s:e] = chunk
-        if res["lists"] is not None:
-            state.lists[s:e] = res["lists"]
+        merge_result(state, res)
         total.merge(res["stats"])
         contribute(res["counters"])
     return total

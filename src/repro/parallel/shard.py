@@ -50,8 +50,6 @@ and ``PortalExpr.stats()["shard"]`` carries per-shard traversal stats.
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +59,7 @@ from ..observe import contribute, span
 from ..traversal import TraversalStats, run_engine
 from . import shm
 from .executor import run_process_tasks, run_tasks
-from .process_backend import _split_bindings, _tree_structure
+from .process_backend import ephemeral_token, merge_result, tree_structure
 from .scheduler import expand_frontier
 from .worker import run_task
 
@@ -77,7 +75,6 @@ __all__ = [
 #: is killed before touching the bulk of its pool.
 SEED_EPOCHS = 12
 
-_ephemeral_seq = itertools.count()
 _ROOT = np.zeros(1, dtype=np.int64)
 
 
@@ -132,12 +129,13 @@ def plan_shards(points: np.ndarray, nshards: int) -> list[np.ndarray]:
 class ShardPack:
     """Cacheable per-shard products of one compile: trees, the
     shard-position → original-reference-id maps, and the reference-side
-    static kernel bindings (including ``RSELF`` for self-map programs)."""
+    static kernel :class:`~repro.backend.codegen.Bindings` (including
+    ``RSELF`` for self-map programs)."""
 
     count: int
     trees: list
     orig: list[np.ndarray]
-    bindings: list[dict]
+    bindings: list
 
 
 @dataclass
@@ -172,7 +170,7 @@ def build_shard_pack(
     yields each shard's ``RSELF`` binding.
     """
     from ..backend.cache import cached_build_subset_tree
-    from ..backend.codegen import reference_bindings
+    from ..backend.codegen import Bindings
 
     parts = plan_shards(rpoints, nshards)
     nshards = len(parts)
@@ -184,45 +182,38 @@ def build_shard_pack(
             for i, p in enumerate(parts)
         ])
     origs: list[np.ndarray] = []
-    bindings: list[dict] = []
-    for i, (tree, part) in enumerate(zip(trees, parts)):
+    bindings: list[Bindings] = []
+    for tree, part in zip(trees, parts):
         orig = np.ascontiguousarray(part[tree.perm])
-        b = reference_bindings(tree)
-        if inv_qperm is not None:
-            b["RSELF"] = np.ascontiguousarray(inv_qperm[orig])
         origs.append(orig)
-        bindings.append(b)
+        bindings.append(Bindings.reference(
+            tree, None if inv_qperm is None
+            else np.ascontiguousarray(inv_qperm[orig])))
     contribute({"shard.builds": nshards})
     return ShardPack(count=nshards, trees=trees, orig=origs, bindings=bindings)
 
 
 def build_shard_execution(
     pack: ShardPack,
+    backend,
     source: str,
     code,
-    codegen_backend: str,
-    q_bindings: dict,
+    q_bindings,
     outer_op,
     inner_op,
     k: int | None,
     nq: int,
 ) -> ShardExecution:
     """Allocate fresh per-shard states and bind the generated kernels
-    against (query-side bindings + this shard's reference bindings +
-    this shard's accumulators)."""
-    from ..backend.backends import get_backend
+    (emitted by codegen ``backend``) against query-side bindings + this
+    shard's reference bindings + this shard's accumulators."""
     from ..backend.state import allocate_state
 
-    backend = get_backend(codegen_backend)
     states, kernels = [], []
     for i in range(pack.count):
         st = allocate_state(outer_op, inner_op, k, nq, int(pack.trees[i].n))
-        bindings = dict(q_bindings)
-        bindings.update(pack.bindings[i])
-        bindings.update(st.arrays)
-        if st.lists is not None:
-            bindings["out_lists"] = st.lists
-        kernels.append(backend.bind(source, code, bindings))
+        kernels.append((q_bindings | pack.bindings[i]).bind(
+            backend, source, code, st))
         states.append(st)
     return ShardExecution(pack=pack, states=states, kernels=kernels)
 
@@ -320,14 +311,6 @@ def _root_key(kernels, q_root: int = 0) -> float:
     return float(np.asarray(kernels.bound_key_batch(q, _ROOT)).reshape(-1)[0])
 
 
-def _merge_result(state, res: dict) -> None:
-    s, e = res["s"], res["e"]
-    for name, chunk in res["arrays"].items():
-        state.arrays[name][s:e] = chunk
-    if res["lists"] is not None:
-        state.lists[s:e] = res["lists"]
-
-
 def run_sharded(
     qtree,
     shard_exec: ShardExecution,
@@ -335,7 +318,7 @@ def run_sharded(
     plan,
     *,
     token: str | None = None,
-    q_bindings: dict | None = None,
+    q_bindings=None,
     source: str = "",
 ) -> tuple[TraversalStats, dict]:
     """Run one compiled program across its reference shards and combine,
@@ -355,7 +338,7 @@ def run_sharded(
               executor="process" if use_process else "thread"):
         if use_process:
             per_shard = _run_process(qtree, shard_exec, plan, token,
-                                     q_bindings or {}, source, info)
+                                     q_bindings, source, info)
         else:
             per_shard = _run_inline(
                 qtree, shard_exec, plan.engine,
@@ -451,45 +434,36 @@ def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
                              shard_exec.kernels)
     P = pack.count
     ephemeral = token is None
-    base = token or f"ephemeral-shard-{os.getpid()}-{next(_ephemeral_seq)}"
+    base = token or ephemeral_token()
     published: list[str] = []
-
-    q_arrays, q_scalars, _ = _split_bindings(q_bindings)
-    q_arrays.update(_tree_structure(qtree, "q"))
 
     try:
         with span("shard.shm_publish", shards=P):
             q_token = f"{base}::q"
-            q_name, q_manifest = shm.publish_arrays(q_token, q_arrays)
+            q_name, q_manifest = shm.publish_arrays(
+                q_token, {**q_bindings.arrays, **tree_structure(qtree, "q")})
             published.append(q_token)
             r_blocks = []
             for i in range(P):
-                r_arrays, r_scalars, _ = _split_bindings(pack.bindings[i])
-                r_arrays.update(_tree_structure(pack.trees[i], "r"))
                 r_token = f"{base}::r{i}"
-                r_name, r_manifest = shm.publish_arrays(r_token, r_arrays)
+                r_blocks.append(shm.publish_arrays(r_token, {
+                    **pack.bindings[i].arrays,
+                    **tree_structure(pack.trees[i], "r")}))
                 published.append(r_token)
-                r_blocks.append((r_name, r_manifest, r_scalars))
 
         frontier = [int(q) for q in
                     expand_frontier(qtree, max(1, -(-plan.min_tasks // P)))]
 
         commons = []
         for i in range(P):
-            merged = dict(q_bindings)
-            merged.update(pack.bindings[i])
-            none_names = [name for name, value in merged.items()
-                          if value is None]
-            scalars = dict(q_scalars)
-            scalars.update(r_blocks[i][2])
             commons.append({
                 "token": f"{base}::s{i}",
                 "shm_name": q_name,
                 "manifest": q_manifest,
-                "r_block": (r_blocks[i][0], r_blocks[i][1]),
+                "r_block": r_blocks[i],
                 "source": source,
-                "scalars": scalars,
-                "none_names": none_names,
+                "scalars": {**q_bindings.scalars,
+                            **pack.bindings[i].scalars},
                 "state_spec": (states[i].outer_op, states[i].inner_op,
                                states[i].k, states[i].nq,
                                int(pack.trees[i].n)),
@@ -514,7 +488,7 @@ def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
         task_results: dict[tuple[int, int], dict] = {}
         for (i, q, _), res in zip(phase1, results):
             task_results[(i, q)] = res
-            _merge_result(states[i], res)
+            merge_result(states[i], res)
             per_shard_stats[i].merge(res["stats"])
             contribute(res["counters"])
 
@@ -550,7 +524,7 @@ def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
                         run_task, [p for _, _, p in phase2],
                         workers=plan.workers)
                 for (i, q, _), res in zip(phase2, results2):
-                    _merge_result(states[i], res)
+                    merge_result(states[i], res)
                     per_shard_stats[i].merge(res["stats"])
                     contribute(res["counters"])
     finally:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backend.backends import get_backend
-from ..backend.codegen import GeneratedKernels
+from ..backend.codegen import Bindings, GeneratedKernels
 from ..backend.state import State, allocate_state
 from ..dsl.ops import op_info
 from ..observe import collect
@@ -44,9 +44,6 @@ from ..traversal import run_engine
 from . import shm
 
 __all__ = ["run_task", "TreeView", "reset_state_range"]
-
-#: Accumulator names bound by the parent that workers allocate fresh.
-STATE_ARRAY_NAMES = frozenset({"best", "best_idx", "acc", "dense", "qbound"})
 
 
 class TreeView:
@@ -150,19 +147,13 @@ def _program(payload: dict) -> _WorkerProgram:
         views = {**views, **rviews}
     outer_op, inner_op, k, nq, nr = payload["state_spec"]
     state = allocate_state(outer_op, inner_op, k, nq, nr)
-    bindings: dict = dict(views)
-    for name in payload["none_names"]:
-        bindings[name] = None
-    bindings.update(payload["scalars"])
-    bindings.update(state.arrays)
-    if state.lists is not None:
-        bindings["out_lists"] = state.lists
     source = payload["source"]
     code = compile(source, "<portal-worker>", "exec")
     # Rebuild with the backend that emitted the source: a native program
     # JIT-compiles (warms) its kernels here, once per worker process.
     backend = get_backend(payload["plan"].codegen)
-    kernels = backend.bind(source, code, bindings)
+    kernels = Bindings(views, payload["scalars"]).bind(
+        backend, source, code, state)
     qview = TreeView(views, "q")
     rview = qview if payload["same_tree"] else TreeView(views, "r")
 

@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass, replace
 
 from ..backend.plan import CompileOptions, requested, resolve_plan
+from ..dsl.portal_expr import resolve_kernels
 from ..observe import contribute
 from .features import PolicyKey, policy_key, program_class, size_bucket
 from .search import (
@@ -176,27 +177,6 @@ def observe_run(key: PolicyKey, stats, nq: int, nr: int) -> None:
         contribute({"policy.observe_failed": 1})
 
 
-def _ensure_kernels(layers):
-    """Resolve layer kernels exactly as ``PortalExpr.validate`` does.
-
-    ``execute()`` resolves kernels before the compiler keys the policy,
-    but the tune/warm paths key it on a never-executed expression — an
-    unresolved kernel would hash as "external" and the entry would never
-    be found again.  Idempotent, like ``validate()`` itself.
-    """
-    from ..dsl.expr import Var
-
-    for i, layer in enumerate(layers):
-        qvar = layers[i - 1].var if i > 0 else None
-        if qvar is None and i > 0:
-            qvar = Var(f"_layer{i - 1}")
-            layers[i - 1].var = qvar
-        if layer.var is None:
-            layer.var = Var(f"_layer{i}")
-        layer.resolve_kernel(qvar)
-    return layers
-
-
 def ensure_policy(layers, options: dict | None = None, *,
                   nq: int | None = None, force: bool = False,
                   repeats: int = SEARCH_REPEATS,
@@ -208,7 +188,7 @@ def ensure_policy(layers, options: dict | None = None, *,
     or ``"fresh-search"``.  The front door for ``python -m repro tune``
     and the serving layer's register-time warmup.
     """
-    layers = _ensure_kernels(layers)
+    layers = resolve_kernels(layers)
     opts = CompileOptions.from_dict(options or {})
     key = policy_key(layers, opts, nq=nq)
     if not force:
@@ -239,7 +219,7 @@ def warm_policy(make_layers, options: dict | None = None, *,
     contribute({"policy.warm_consult": 1})
     if mode == "search":
         return ensure_policy(make_layers(), options, nq=nq)
-    layers = _ensure_kernels(make_layers())
+    layers = resolve_kernels(make_layers())
     key = policy_key(layers, opts, nq=nq)
     entry = policy_store().get(key)
     if entry is not None and not entry.stale:

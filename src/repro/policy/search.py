@@ -120,40 +120,26 @@ def subsampled_layers(layers, max_q: int = SEARCH_SUBSAMPLE_Q,
     subsampled copies of the layer datasets.
 
     Layers sharing one Storage (monochromatic problems) keep sharing the
-    subsampled Storage — self-pair exclusion and ``same_tree`` kernels
-    depend on that identity.  Vars / kernels / params are reused, like
-    the serving layer's per-batch regeneration.
+    subsampled Storage, as :meth:`PortalExpr.rebind` guarantees.
     """
     from ..dsl.portal_expr import PortalExpr
     from ..dsl.storage import Storage
 
     caps = [max_q] + [max_r] * (len(layers) - 1)
-    subs: dict[int, Storage] = {}
+    subs: dict[Storage, Storage] = {}
     for layer, cap in zip(layers, caps):
         st = layer.storage
-        if id(st) in subs:
+        if st in subs:
             continue
         data = _stride_subsample(st.data, cap)
         weights = None
         if st.weights is not None:
             weights = _stride_subsample(st.weights, cap)
-        subs[id(st)] = Storage(data, weights=weights,
-                               name=f"{st.name}@tune")
+        subs[st] = Storage(data, weights=weights, name=f"{st.name}@tune")
 
-    def build() -> PortalExpr:
-        expr = PortalExpr("policy-tune")
-        for layer in layers:
-            op_spec = layer.op if layer.k is None else (layer.op, layer.k)
-            args = [] if layer.var is None else [layer.var]
-            args.append(subs[id(layer.storage)])
-            if layer.func is not None:
-                args.append(layer.func)
-            expr.addLayer(op_spec, *args, **layer.params)
-        return expr
-
-    first = subs[id(layers[0].storage)]
-    last = subs[id(layers[-1].storage)]
-    return build, first.n, last.n
+    template = PortalExpr.from_layers(layers, "policy-tune")
+    return (lambda: template.rebind(subs),
+            subs[layers[0].storage].n, subs[layers[-1].storage].n)
 
 
 def search_policy(run, axes: dict[str, list], start: ExecutionPlan, *,

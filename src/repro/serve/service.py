@@ -1,13 +1,15 @@
 """The asyncio query-serving layer (ROADMAP item 1).
 
 Clients :meth:`~PortalService.register` a Portal problem *once* — which
-warms the compile and reference-tree caches — and then submit point
-queries against the returned handle.  Each query carries only the query
-points (plus an optional ``k`` override for k-NN style problems); the
-service regenerates a :class:`~repro.dsl.portal_expr.PortalExpr` around
-the registered reference layers per batch, so the expensive artifacts
-(reference trees, shm publications, rule classification) are cache hits
-and only the cheap query-side work is per-batch.
+warms the reference-tree cache — and then submit point queries against
+the returned handle.  Each query carries only the query points (plus an
+optional ``k`` override for k-NN style problems); the service rebinds
+the registered :class:`~repro.dsl.portal_expr.PortalExpr` to them per
+batch.  What hits per batch: the reference trees.  What does not, yet:
+a batch is a fresh query Storage, so its program key misses — the code
+half re-runs to byte-identical source (one ``cache.compile.miss`` per
+batch) and a process executor republishes its shm block under the new
+key's token.  ROADMAP item 2 re-keys the code half on shape alone.
 
 Requests that share a batch key — ``(handle, k, frozen options)`` — are
 coalesced by :class:`~repro.serve.coalesce.Coalescer` into one stacked
@@ -41,17 +43,15 @@ __all__ = ["PortalService", "ServeProgram"]
 
 
 class ServeProgram:
-    """A registered problem template: the reference-side layers of a
-    validated :class:`PortalExpr`, re-instantiable around any query
-    point set.
+    """A registered problem template: a validated :class:`PortalExpr`,
+    re-instantiable (:meth:`PortalExpr.rebind`) around any query point
+    set.
 
     The outer layer must be ``FORALL`` over the query dataset (the
-    point-query shape: one output row per query point).  The template
-    keeps the *same* reference :class:`Storage` and ``Var`` objects for
-    every regenerated expression — reference Storages carry the
-    fingerprint memo and live-tree registry that make per-batch
-    compiles hit the tree cache, and ``Expr`` kernels close over the
-    original ``Var`` objects.
+    point-query shape: one output row per query point).  Every
+    regenerated expression keeps the *same* reference :class:`Storage`
+    objects — they carry the fingerprint memo and live-tree registry
+    that make per-batch compiles hit the tree cache.
     """
 
     def __init__(self, template: PortalExpr):
@@ -63,44 +63,28 @@ class ServeProgram:
                 f"got {outer.op.name}"
             )
         self.name = template.name
-        self.template = template
         self.dim = outer.storage.dim
         inner = template.layers[-1]
         #: whether the innermost reduction takes a per-request k override
         self.has_k = inner.info.requires_k or inner.k is not None
-
-    @classmethod
-    def from_expr(cls, expr: PortalExpr) -> "ServeProgram":
-        return cls(expr)
+        # Our own layers, with a query slot no reference layer shares: a
+        # monochromatic template still serves points *against* its
+        # dataset, never against themselves.
+        self._slot = Storage(outer.storage.data[:1],
+                             name=f"{outer.storage.name}@serve")
+        self.template = template.rebind({})
+        self.template.layers[0].storage = self._slot
 
     def make_expr(self, points: np.ndarray, k: int | None = None) -> PortalExpr:
-        """A fresh PortalExpr for this problem over ``points``.
-
-        Only the query Storage is new; every reference layer reuses the
-        registered Storage / Var / kernel objects.
-        """
+        """A fresh PortalExpr for this problem over ``points``: only the
+        query Storage is new."""
         if k is not None and not self.has_k:
             raise ServeError(
                 f"program {self.name!r} has no k parameter to override "
                 f"(innermost op is {self.template.layers[-1].op.name})"
             )
-        expr = PortalExpr(self.name)
-        outer = self.template.layers[0]
-        query = Storage(points, name=f"{outer.storage.name}@serve")
-        args = [outer.var, query] if outer.var is not None else [query]
-        expr.addLayer(outer.op, *args, **outer.params)
-        last = self.template.layers[-1]
-        for layer in self.template.layers[1:]:
-            kk = layer.k
-            if k is not None and layer is last:
-                kk = int(k)
-            op_spec = layer.op if kk is None else (layer.op, kk)
-            args = [layer.var] if layer.var is not None else []
-            args.append(layer.storage)
-            if layer.func is not None:
-                args.append(layer.func)
-            expr.addLayer(op_spec, *args, **layer.params)
-        return expr
+        query = Storage(points, name=self._slot.name)
+        return self.template.rebind({self._slot: query}, k=k)
 
 
 @dataclass
@@ -181,7 +165,7 @@ class PortalService:
         query on this handle (tree kind, executor, shards, ...).
         """
         self._check_open()
-        program = ServeProgram.from_expr(expr)
+        program = ServeProgram(expr)
         if isinstance(admission, dict):
             admission = AdmissionConfig.from_dict(admission)
         adm = admission or AdmissionConfig()
@@ -196,9 +180,8 @@ class PortalService:
             admission=adm, sem=asyncio.Semaphore(adm.max_concurrent),
         )
         loop = asyncio.get_running_loop()
-        # Warm off-loop: one probe compile builds the reference trees,
-        # classifies rules and publishes shm columns, so the first real
-        # query pays only query-side cost.
+        # Warm off-loop: one probe execute builds (and caches) the
+        # reference trees, so the first real query does not.
         await loop.run_in_executor(self._pool, self._warm, handle)
         self._check_open()
         self._handles[hid] = handle

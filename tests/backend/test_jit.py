@@ -1,4 +1,8 @@
-"""Tests for the compilation driver (modes, options, validation)."""
+"""Tests for the compilation driver (modes, options, validation, the
+code/data seam and ``PortalExpr.rebind``)."""
+
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +11,11 @@ from repro.dsl import (
     CompileError, PortalExpr, PortalFunc, PortalOp, SpecificationError,
     Storage, Var, indicator, pow, sqrt,
 )
+from repro.backend import jit
 from repro.backend.jit import CompileOptions
+from repro.backend.plan import requested, resolve_plan
+from repro.dsl.errors import OperatorError
+from repro.dsl.parser import parse_program
 
 
 @pytest.fixture
@@ -270,3 +278,175 @@ class TestStatsConcurrency:
             stop.set()
             t.join(10)
         assert not errors, errors
+
+
+# -- the seam: code from program shape, bindings from data --------------------
+
+SPINE_PROGRAMS = sorted(
+    (pathlib.Path(__file__).resolve().parents[2]
+     / "benchmarks" / "spine" / "programs").glob("*.portal"))
+SPINE_TAU = {"kde", "naive_bayes", "barnes_hut"}
+
+
+def _spine_expr(path, seed):
+    rng = np.random.default_rng(seed)
+    parsed = parse_program(path.read_text(), {
+        "query": rng.normal(size=(64, 3)),
+        "reference": rng.normal(size=(96, 3))})
+    expr = parsed.portal_exprs[parsed.executed[0]]
+    expr.validate()
+    return expr
+
+
+def _code_half_args(expr, options):
+    opts = CompileOptions.from_dict(options)
+    plan = resolve_plan(opts, os.environ, None, expr.layers)
+    return expr, opts, plan, requested(opts, os.environ, "verify_ir")[0]
+
+
+@pytest.mark.parametrize("path", SPINE_PROGRAMS, ids=lambda p: p.stem)
+class TestCodeNeverReadsData:
+    def options(self, path):
+        return {"tau": 1e-3} if path.stem in SPINE_TAU else {}
+
+    def test_same_shape_other_values_same_code(self, path, monkeypatch):
+        """Two datasets of equal shape and different values give
+        byte-identical source and an equal CodegenSpec — and the code
+        half gets there with every data accessor of Storage raising."""
+        options = self.options(path)
+        first = _spine_expr(path, seed=1)
+        code_a, _ = jit._compile_code(*_code_half_args(first, options))
+        assert code_a.source == first.compile(**options).generated_source()
+
+        args = _code_half_args(_spine_expr(path, seed=2), options)
+
+        def boom(*_a, **_k):
+            raise AssertionError("the code half read a dataset")
+
+        monkeypatch.setattr(Storage, "data", property(boom))
+        monkeypatch.setattr(Storage, "colmajor", property(boom))
+        monkeypatch.setattr(Storage, "fingerprint", boom)
+        code_b, _ = jit._compile_code(*args)
+        assert code_b.source == code_a.source
+        assert code_b.spec == code_a.spec
+        assert code_b.scalars == code_a.scalars
+
+    def test_key_covers_exactly_what_the_code_half_reads(self, path):
+        """The Storage attributes ``_compile_code`` reads are the ones
+        ``_code_key`` keys on: nothing read unkeyed (a stale hit), nothing
+        keyed unread (a needless miss)."""
+        reads = set()
+
+        class Spy(Storage):
+            def __getattribute__(self, name):
+                if not name.startswith("_"):
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        expr = _spine_expr(path, seed=3)
+        args = _code_half_args(
+            expr.rebind({l.storage: Spy(l.storage) for l in expr.layers}),
+            self.options(path))
+        reads.clear()
+        jit._code_key(*args)
+        keyed = set(reads)
+        reads.clear()
+        jit._compile_code(*args)
+        assert reads == keyed == {"name", "dim", "layout", "weights"}
+
+
+def test_storage_names_are_part_of_the_program_key(rng):
+    """The lowered IR embeds the Storage names, so the same arrays under
+    other names are another program — not a hit that dumps the old ones."""
+    Q, R = rng.normal(size=(40, 3)), rng.normal(size=(50, 3))
+
+    def knn(qname, rname):
+        e = PortalExpr("knn")
+        e.addLayer(PortalOp.FORALL, Storage(Q, name=qname))
+        e.addLayer((PortalOp.KARGMIN, 3), Storage(R, name=rname),
+                   PortalFunc.EUCLIDEAN)
+        e.execute()
+        return e
+
+    assert knn("alpha", "beta").stats()["cache"] == "miss"
+    second = knn("gamma", "delta")
+    assert second.stats()["cache"] == "miss"
+    assert "BaseCase(gamma, delta)" in second.ir_dump()
+    assert knn("gamma", "delta").stats()["cache"] == "hit"
+
+
+class TestRebind:
+    def test_shared_storage_stays_shared(self, rng):
+        data = Storage(rng.normal(size=(80, 3)), name="data")
+        other = Storage(rng.normal(size=(30, 3)), name="other")
+        mono = PortalExpr("pairs")
+        mono.addLayer(PortalOp.FORALL, data)
+        mono.addLayer((PortalOp.KARGMIN, 2), data, PortalFunc.EUCLIDEAN)
+        mono.validate()
+
+        sub = Storage(data.data[::2], name="sub")
+        again = mono.rebind({data: sub, other: data})
+        assert again.layers[0].storage is again.layers[1].storage is sub
+        assert mono.layers[0].storage is data          # source untouched
+        assert again.layers[1].func is mono.layers[1].func
+        assert again.layers[1].var is mono.layers[1].var
+        assert again.layers[1].metric_kernel is mono.layers[1].metric_kernel
+        assert again.compile().same_data
+
+        same = mono.rebind({})
+        assert same.layers[0] is not mono.layers[0]
+        assert same.layers[0].storage is same.layers[1].storage is data
+
+    def test_k_overrides_only_a_k_taking_innermost_layer(self, rng):
+        knn = PortalExpr("knn")
+        knn.addLayer(PortalOp.FORALL, Storage(rng.normal(size=(20, 3))))
+        knn.addLayer((PortalOp.KARGMIN, 2), Storage(rng.normal(size=(30, 3))),
+                     PortalFunc.EUCLIDEAN)
+        assert [l.k for l in knn.rebind({}, k=5).layers] == [None, 5]
+        assert [l.k for l in knn.layers] == [None, 2]
+        with pytest.raises(OperatorError, match="positive"):
+            knn.rebind({}, k=0)
+        with pytest.raises(SpecificationError, match="exceeds dataset size"):
+            knn.rebind({}, k=31)
+        with pytest.raises(OperatorError, match="does not take a k"):
+            nn_expr(rng).rebind({}, k=3)
+
+    def test_serve_shape_is_bitwise_the_hand_built_expression(self, rng):
+        """One query Storage swapped, k overridden (ServeProgram)."""
+        R = Storage(rng.normal(size=(300, 3)), name="reference")
+        slot = Storage(rng.normal(size=(1, 3)), name="query")
+        template = PortalExpr("nn")
+        template.addLayer(PortalOp.FORALL, slot)
+        template.addLayer((PortalOp.KARGMIN, 3), R, PortalFunc.EUCLIDEAN)
+        template.validate()
+
+        points = rng.normal(size=(17, 3))
+        by_hand = PortalExpr("nn")
+        by_hand.addLayer(PortalOp.FORALL, Storage(points, name="query"))
+        by_hand.addLayer((PortalOp.KARGMIN, 4), R, PortalFunc.EUCLIDEAN)
+        want = by_hand.execute()
+        got = template.rebind(
+            {slot: Storage(points, name="query")}, k=4).execute()
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.values, want.values)
+        assert template.layers[0].storage is slot
+
+    def test_subsample_shape_is_bitwise_the_hand_built_expression(self, rng):
+        """Every Storage swapped, Var-closing Expr kernel shared (the
+        policy search's subsampled copies)."""
+        X = rng.normal(size=(400, 3))
+        w = rng.uniform(0.5, 1.5, size=400)
+        q, r = Var("q"), Var("r")
+
+        def kde(storage):
+            e = PortalExpr("kde")
+            e.addLayer(PortalOp.FORALL, q, storage)
+            e.addLayer(PortalOp.SUM, r, storage,
+                       indicator(sqrt(pow(q - r, 2)) < 0.8))
+            return e
+
+        full = kde(Storage(X, weights=w, name="data"))
+        want = kde(Storage(X[::2], weights=w[::2], name="data")).execute()
+        got = full.rebind({full.layers[0].storage: Storage(
+            X[::2], weights=w[::2], name="data")}).execute()
+        assert np.array_equal(got.values, want.values)

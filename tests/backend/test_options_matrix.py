@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dsl import (
-    CompileError, PortalExpr, PortalFunc, PortalOp, Storage,
+    PortalExpr, PortalFunc, PortalOp, SpecificationError, Storage,
 )
 from repro.baselines import brute
 
@@ -43,7 +43,7 @@ class TestLayoutOverride:
         assert np.allclose(auto, row, atol=1e-6)
 
     def test_bad_layout_rejected(self, rng):
-        with pytest.raises(CompileError, match="layout"):
+        with pytest.raises(SpecificationError, match="layout"):
             nn(rng).compile(layout="diagonal")
 
 
@@ -63,7 +63,7 @@ class TestSplitOption:
         assert np.allclose(run("median"), run("midpoint"))
 
     def test_bad_split_rejected(self, rng):
-        with pytest.raises(ValueError, match="split"):
+        with pytest.raises(SpecificationError, match="split"):
             nn(rng).execute(split="golden-ratio")
 
 

@@ -231,6 +231,11 @@ class TestStaticRules:
     {"exclude_self": "sometimes"}, {"verify_ir": "2"},
     {"tau": float("nan")}, {"tau": "x"}, {"tau": -1e-3}, {"tau": True},
     {"theta": "x"}, {"theta": float("inf")},
+    # the last four rows to get an ``allowed``: tree/split used to escape
+    # as build_tree's bare ValueError, criterion/layout only failed
+    # after the plan was resolved
+    {"tree": "foo"}, {"split": "foo"}, {"criterion": "foo"},
+    {"layout": "diagonal"},
 ])
 def test_bad_counts_are_specification_errors(options):
     with pytest.raises(SpecificationError, match="|".join(options)):

@@ -100,3 +100,26 @@ class TestFinalize:
         st.arrays["acc"][:] = 1.0
         out = st.finalize(np.arange(2), None)
         assert "scalar" in repr(out)
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"traversal": "stack"}, {"backend": "brute"}, {"shards": 2},
+    {"parallel": True, "executor": "process", "workers": 2},
+], ids=["default", "stack", "brute", "shards", "process"])
+def test_unfilled_k_slots_stay_minus_one(options):
+    """A 6-point self-join with k = 6 has five valid neighbours per row
+    (self pairs are excluded by default): the sixth slot is the -1
+    sentinel at distance inf on every path — never ``rperm[-1]``, a real
+    point (for one row, the query itself)."""
+    from repro.dsl import PortalExpr, PortalFunc, Storage
+
+    data = Storage(np.random.default_rng(6).normal(size=(6, 3)), name="data")
+    e = PortalExpr("knn")
+    e.addLayer(PortalOp.FORALL, data)
+    e.addLayer((PortalOp.KARGMIN, 6), data, PortalFunc.EUCLIDEAN)
+    out = e.execute(**options)
+    assert np.array_equal(out.indices[:, 5], np.full(6, -1))
+    assert np.all(np.isinf(out.values[:, 5]))
+    others = np.sort(out.indices[:, :5], axis=1)
+    for row in range(6):
+        assert others[row].tolist() == [i for i in range(6) if i != row]

@@ -181,9 +181,9 @@ class TestDifferentialProblems:
         assert not np.any(sharded[1] == np.arange(n)[:, None])
 
     def test_weighted_problem_sharded_process(self, data):
-        """Barnes-Hut carries reference weights (``rw`` is an array on
-        the shard side, None on the query side) — the worker's
-        none_names must not clobber it."""
+        """Barnes-Hut carries reference weights: ``rw`` is an array among
+        each shard's bindings, and nothing on the query side — no
+        ``None`` placeholder — may clobber it in the worker."""
         Q, _ = data
         w = np.full(len(Q), 0.5)
         base = barnes_hut_potential(Q, w, theta=1e-9)

@@ -255,3 +255,22 @@ def test_per_request_options_split_batches():
     assert counters["serve.batches"] == 2
     # same exact math either way
     assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
+
+
+def test_monochromatic_template_serves_against_its_dataset():
+    """A template whose two layers share one Storage is still a point
+    query *against* that dataset: only the query slot is rebound, so a
+    served row that is one of the data points finds itself (a rebound
+    self-join would exclude it), and the caller's template is untouched."""
+    from repro.serve import ServeProgram
+
+    X = np.random.default_rng(SEED).normal(size=(64, 3))
+    data = Storage(X, name="data")
+    template = PortalExpr("self-nn")
+    template.addLayer(PortalOp.FORALL, data)
+    template.addLayer((PortalOp.KARGMIN, 2), data, PortalFunc.EUCLIDEAN)
+    expr = ServeProgram(template).make_expr(X[10:15])
+    assert expr.layers[1].storage is data
+    assert expr.layers[0].storage is not data
+    assert expr.execute().indices[:, 0].tolist() == [10, 11, 12, 13, 14]
+    assert template.layers[0].storage is data

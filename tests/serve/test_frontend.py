@@ -173,6 +173,10 @@ def test_error_payloads():
                          "data": data, "options": {"backend": "brue"}})
         assert not r["ok"] and r["error"]["type"] == "SpecificationError"
         assert r["error"]["portal"] and "backend" in r["error"]["message"]
+        r = await c.rpc({"op": "register", "id": 8, "program": PROGRAM,
+                         "data": data, "options": {"tree": "foo"}})
+        assert not r["ok"] and r["error"]["type"] == "SpecificationError"
+        assert r["error"]["portal"] and "tree" in r["error"]["message"]
 
         # shed errors are marked retryable
         reg = await c.rpc({"op": "register", "program": PROGRAM,
