@@ -1,21 +1,29 @@
-"""Execution caches: compiled-artifact and tree reuse across ``execute()``.
+"""Execution caches: compiled-code, artifact and tree reuse across ``execute()``.
 
 The "serve heavy repeated traffic" half of the roadmap: re-executing a
 program over the *same* datasets pays for rule generation, IR
-optimisation, code generation and tree construction once.  A service
-answering queries against one reference set pays for that set's tree
-once — not yet for the code: every batch's fresh query Storage changes
-the program key (ROADMAP item 2).  Two bounded LRU caches, both
-content-addressed:
+optimisation, code generation and tree construction once, and running
+the same program *shape* over other data pays for the first three once.
+A service answering queries against one reference set pays for that
+set's tree and for the program's code once; per batch it builds the
+query tree and binds.  Three bounded LRU caches, all content-addressed:
 
-* the **program cache** (:mod:`repro.backend.jit`) memoises compiled
-  artifacts — code half and data half under one key: a canonical
-  description of the layer chain (operator names, unparsed kernel
-  expressions, parameter values, Storage names, dataset fingerprints)
-  plus the compile-relevant ``CompileOptions`` fields and the *resolved*
-  fields of the execution plan (codegen target, leaf size, shard count)
-  — runtime-only knobs (``parallel``, ``workers``, ``min_tasks``,
-  ``traversal``) are deliberately excluded so toggling them still hits;
+* the **code cache** (:mod:`repro.backend.jit`) memoises the code half
+  of a compile — rules, optimised IR, emitted source, code object —
+  keyed on the program's *shape* alone: the layer chain (operator
+  names, unparsed kernel expressions, parameter values, Storage names
+  and dimensions), the options that change the code and the resolved
+  codegen target / layout, and no dataset fingerprint;
+* the **program cache** memoises whole artifacts — that code half plus
+  the data half bound to it (trees, whitened points, shard pack) — under
+  the code key extended by the dataset fingerprints and the *resolved*
+  tree parameters (leaf size, shard count); runtime-only knobs
+  (``parallel``, ``workers``, ``min_tasks``, ``traversal``) are
+  deliberately excluded so toggling them still hits.  It is a second
+  cache and not a re-keyed first one because it alone makes a whitened,
+  sharded or brute-mode *hit* O(1): those data products (an O(n)
+  transform + fingerprint, the shard plan and gathers, the transposes)
+  live nowhere else.  The code cache is probed only after it misses;
 * the **tree cache** memoises :class:`~repro.trees.node.ArrayTree`
   builds keyed on (data fingerprint, tree kind, leaf size, split,
   weights fingerprint), so *different problems* over the same dataset
@@ -28,13 +36,14 @@ in-place writers call ``Storage.mark_mutated()``) correctly misses.
 Fingerprints are memoized per Storage, so the *hit* path never re-hashes
 the dataset.  Hits and misses are
 observable through the ``repro.observe`` counters ``cache.compile.hit``
-/ ``cache.compile.miss`` / ``cache.tree.hit`` / ``cache.tree.miss``
-(see docs/performance.md), and ``CompileOptions(cache=False)`` bypasses
-both caches entirely.
+/ ``cache.compile.miss`` (the whole-artifact probe), ``cache.code.hit``
+/ ``cache.code.miss`` (after an artifact miss) and ``cache.tree.hit`` /
+``cache.tree.miss`` (see docs/performance.md), and
+``CompileOptions(cache=False)`` bypasses all three caches entirely.
 
 Cached objects are safe to share: traversals never mutate tree arrays,
-and every per-run accumulator is allocated fresh per
-:class:`CompiledProgram` instantiation.
+nothing writes to a cached code half, and every per-run accumulator is
+allocated fresh per :class:`CompiledProgram` instantiation.
 """
 
 from __future__ import annotations
@@ -52,7 +61,8 @@ from ..trees import build_tree
 __all__ = [
     "LRUCache", "MISSING", "UncacheableParamError", "array_fingerprint",
     "freeze", "cached_build_tree", "cached_build_subset_tree",
-    "program_cache", "tree_cache", "clear_caches", "cache_stats",
+    "program_cache", "code_cache", "tree_cache", "clear_caches",
+    "cache_stats",
 ]
 
 #: Sentinel distinguishing "key absent" from "cached value is None" in
@@ -179,10 +189,14 @@ class LRUCache:
 #: process from pairing a new-layout tree with an old artifact.
 #: v7: the artifact is a (code half, data half) pair and the key is laid
 #: out the same way, Storage / Var / program names included.
-ARTIFACT_SCHEMA = 7
+#: v8: the code half has its own entry, ``(ARTIFACT_SCHEMA, code key)``,
+#: shared by every artifact of its shape.
+ARTIFACT_SCHEMA = 8
 
 #: Compiled-artifact cache (see :mod:`repro.backend.jit`).
 program_cache = LRUCache(maxsize=32)
+#: Code halves, one per program shape, shared across datasets.
+code_cache = LRUCache(maxsize=32)
 #: Tree-build cache, shared across problems on the same dataset.
 tree_cache = LRUCache(maxsize=16)
 
@@ -200,7 +214,9 @@ def cached_build_tree(
 
     When ``storage`` is the :class:`~repro.dsl.storage.Storage` whose own
     ``data`` array is being indexed (the compiler passes it exactly
-    then), a content-key miss first tries the **incremental path**: if a
+    then), a content-key miss first asks the Storage for the live tree
+    it built at this same version (evicted here, still held there: a
+    hit), then tries the **incremental path**: if a
     live tree was built over an earlier version of the same Storage and
     the Storage's mutation log covers the gap, the old tree is
     snapshotted and the deltas are replayed through the ``ArrayTree``
@@ -219,38 +235,39 @@ def cached_build_tree(
             if own_data and weights is storage.weights
             else array_fingerprint(weights))
     key = ("tree", kind, int(leaf_size), split, pts_fp, w_fp)
+    live_key = (kind, int(leaf_size), split)
     tree = tree_cache.get(key, MISSING)
+    if tree is MISSING and own_data and live_key in storage._live_trees:
+        built_version, live, built_w_fp = storage._live_trees[live_key]
+        if (built_version, built_w_fp) == (storage.version, w_fp):
+            tree = live
+            tree_cache.put(key, tree)
     if tree is not MISSING:
         contribute({"cache.tree.hit": 1})
-        if own_data:
-            storage._live_trees[(kind, int(leaf_size), split)] = (
-                storage.version, tree)
-        return tree
-    tree = _refit_live_tree(storage, kind, leaf_size, split) if own_data \
-        else None
-    if tree is not None:
-        contribute({"cache.tree.refit": 1})
     else:
-        contribute({"cache.tree.miss": 1})
-        tree = build_tree(kind, points, leaf_size=leaf_size, weights=weights,
-                          split=split)
-    tree_cache.put(key, tree)
+        tree = _refit_live_tree(storage, live_key) if own_data else None
+        if tree is not None:
+            contribute({"cache.tree.refit": 1})
+        else:
+            contribute({"cache.tree.miss": 1})
+            tree = build_tree(kind, points, leaf_size=leaf_size,
+                              weights=weights, split=split)
+        tree_cache.put(key, tree)
     if own_data:
-        storage._live_trees[(kind, int(leaf_size), split)] = (
-            storage.version, tree)
+        storage._live_trees[live_key] = (storage.version, tree, w_fp)
     return tree
 
 
-def _refit_live_tree(storage, kind: str, leaf_size: int, split: str):
+def _refit_live_tree(storage, live_key: tuple):
     """Bring a previously-built live tree up to the Storage head by
     replaying the mutation log onto a snapshot; ``None`` when there is no
     usable live tree (never built, chain broken, or replay failed)."""
-    entry = storage._live_trees.get((kind, int(leaf_size), split))
+    entry = storage._live_trees.get(live_key)
     if entry is None:
         return None
-    built_version, tree = entry
+    built_version, tree, _ = entry
     deltas = storage.deltas_since(built_version)
-    if not deltas:  # None (broken chain) or [] (same version: not a miss)
+    if not deltas:  # None (broken chain) or [] (same version, other weights)
         return None
     clone = tree.snapshot()
     try:
@@ -314,6 +331,7 @@ def clear_caches() -> None:
     consult re-reads it), so tests switching ``REPRO_POLICY_PATH``
     between cases never see a stale table."""
     program_cache.clear()
+    code_cache.clear()
     tree_cache.clear()
     from ..parallel import shm
 
@@ -325,4 +343,5 @@ def clear_caches() -> None:
 
 def cache_stats() -> dict:
     """Current cache occupancy, for diagnostics."""
-    return {"programs": len(program_cache), "trees": len(tree_cache)}
+    return {"programs": len(program_cache), "code": len(code_cache),
+            "trees": len(tree_cache)}

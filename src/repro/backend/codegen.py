@@ -831,11 +831,12 @@ class Bindings:
 
     @classmethod
     def query(cls, qtree, scalars: dict) -> "Bindings":
-        """The query-tree operands plus the program's shape scalars."""
+        """The query-tree operands plus the program's shape scalars
+        (copied: the code half they come from is shared)."""
         return cls(dict(
             QCOL=qtree.points_col, QROW=qtree.points, QN2=qtree.sqnorms(),
             qlo=qtree.lo, qhi=qtree.hi, qstart=qtree.start, qend=qtree.end,
-        ), scalars)
+        ), dict(scalars))
 
     @classmethod
     def reference(cls, rtree, rself: np.ndarray | None = None) -> "Bindings":
@@ -862,7 +863,7 @@ class Bindings:
             QN2=np.einsum("ij,ij->i", qpoints, qpoints),
             RN2=np.einsum("ij,ij->i", rpoints, rpoints),
             **_present(rw=rweights),
-        ), scalars)
+        ), dict(scalars))
 
     def __or__(self, other: "Bindings") -> "Bindings":
         return Bindings({**self.arrays, **other.arrays},

@@ -6,9 +6,12 @@ One pass from specification to a scheduled traversal:
 cache miss — compiles along one seam: code from the program's *shape*
 (:func:`_compile_code`: rules, lowering + optimisation passes, code
 generation — it never reads a data array), then bindings from its
-*data* (:func:`_bind_data`: whitening, tree builds, shard pack).  The
-pair is the cacheable :class:`_Artifact`, which :func:`_instantiate`
-binds to fresh state as a runnable
+*data* (:func:`_bind_data`: whitening, tree builds, shard pack).  Each
+half is cached: the :class:`_Code` once per shape under
+:func:`_code_key`, shared by every dataset it meets, and the pair — the
+:class:`_Artifact` — under :func:`_program_key`, so a program of a known
+shape over new data runs only the data half.  :func:`_instantiate`
+binds an artifact to fresh state as a runnable
 :class:`~repro.backend.program.CompiledProgram`.
 External-kernel and m ≥ 3-layer programs take the uncached fallbacks in
 :mod:`repro.backend.fallbacks`.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +31,6 @@ from scipy.linalg import cholesky, solve_triangular
 
 from ..dsl.errors import CompileError
 from ..dsl.expr import Const, Expr, Indicator
-from ..dsl.funcs import MetricKernel
 from ..dsl.layer import Layer
 from ..dsl.ops import MAX_LIKE, MIN_LIKE
 from ..ir.lowering import kernel_to_ir, lower
@@ -38,7 +41,7 @@ from ..observe import contribute, span
 from .backends import get_backend
 from .cache import (  # noqa: F401 (program_cache re-exported for tests)
     ARTIFACT_SCHEMA, MISSING, UncacheableParamError, array_fingerprint,
-    cached_build_tree, freeze, program_cache,
+    cached_build_tree, code_cache, freeze, program_cache,
 )
 from .codegen import Bindings, CodegenSpec
 from .layout import Layout
@@ -95,10 +98,12 @@ class _Code:
     """The code half of a compile: a function of the program's *shape*
     (layers, kernel, options, plan) that reads nothing of a
     :class:`~repro.dsl.storage.Storage` but ``name``, ``dim``,
-    ``layout``, ``weights is None`` and identity — :func:`_code_key`."""
+    ``layout``, ``weights is None`` and identity — :func:`_code_key`.
+    Shared, read-only, by every program of that shape: it holds only
+    what :func:`_compile_code` derived from keyed inputs, never a layer
+    or kernel object (whose covariance is data)."""
 
     mode: str                        # 'tree' | 'brute' | 'interp'
-    kernel: MetricKernel
     classification: object
     rule: object
     pass_manager: PassManager
@@ -209,9 +214,12 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     """Compile a validated :class:`~repro.dsl.portal_expr.PortalExpr`.
 
     Two-layer programs with a lowered kernel are served from the
-    execution cache when possible: a hit skips rule generation, IR
-    passes, tree construction and code generation, and only re-binds
-    fresh state arrays (observable as ``cache.compile.hit``).
+    execution caches when possible.  A whole-artifact hit
+    (``cache.compile.hit``) skips rule generation, IR passes, code
+    generation and tree construction and only re-binds fresh state
+    arrays; on an artifact miss over a known program shape
+    (``cache.code.hit`` — a fresh query set, a mutated reference set)
+    the code half is reused as it is and only the data half runs.
     """
     opts = CompileOptions.from_dict(options)
     layers = pexpr.layers
@@ -245,20 +253,29 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
             # correct; keying on its repr() (a memory address) is not.
             contribute({"cache.compile.uncacheable": 1})
             cacheable = False
+    code, timings = MISSING, {}
+    cache_state = None if opts.cache else "off"
     if cacheable:
         art = program_cache.get(key, MISSING)
         if art is not MISSING:
             contribute({"cache.compile.hit": 1})
             return _instantiate(art, layers, opts, plan, {}, "hit", key=key)
-        contribute({"cache.compile.miss": 1})
-    # Both halves, code first: nothing the emitter does waits on a tree.
-    code, timings = _compile_code(pexpr, opts, plan, verify)
+        # Other data, maybe the same shape: key[:2] is the schema and
+        # the _code_key the program key was built on.
+        code = code_cache.get(key[:2], MISSING)
+        cache_state, probe = (("miss", "cache.code.miss") if code is MISSING
+                              else ("code", "cache.code.hit"))
+        contribute({"cache.compile.miss": 1, probe: 1})
+    if code is MISSING:
+        code, timings = _compile_code(pexpr, opts, plan, verify)
+        if cacheable:
+            code_cache.put(key[:2], code)
+    # Code first: nothing the emitter does waits on a tree.
     art = _Artifact(code, _bind_data(code, layers, opts, plan, timings))
     if cacheable:
         program_cache.put(key, art)
-    return _instantiate(
-        art, layers, opts, plan, timings,
-        "miss" if cacheable else (None if opts.cache else "off"), key=key)
+    return _instantiate(art, layers, opts, plan, timings, cache_state,
+                        key=key)
 
 
 def front_end(pexpr, opts: CompileOptions, verify: bool):
@@ -379,9 +396,9 @@ def _compile_code(pexpr, opts: CompileOptions, plan: ExecutionPlan,
         "THETA2": rule.theta * rule.theta,
     }
     return _Code(
-        mode=mode, kernel=kernel, classification=classification, rule=rule,
-        pass_manager=pm, spec=spec, source=source, code=code,
-        defer_monotone=defer_monotone, scalars=scalars, same_data=same_data,
+        mode=mode, classification=classification, rule=rule, pass_manager=pm,
+        spec=spec, source=source, code=code, defer_monotone=defer_monotone,
+        scalars=scalars, same_data=same_data,
     ), timings
 
 
@@ -391,7 +408,9 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
     data half of ``code`` over the layers' datasets; its stages are
     added to ``timings``."""
     qstorage, rstorage = layers[0].storage, layers[1].storage
-    kernel, same_data = code.kernel, code.same_data
+    # The program's own kernel, not one kept with the shared code: its
+    # covariance is data, keyed by _program_key alone.
+    kernel, same_data = layers[1].metric_kernel, code.same_data
 
     qpoints = qstorage.data
     rpoints = rstorage.data
@@ -462,7 +481,7 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
     nq, nr = outer.storage.n, inner.storage.n
     state = allocate_state(outer.op, inner.op, inner.k, nq, nr, modifier)
     if code.defer_monotone:
-        captured_g = code.kernel.g
+        captured_g = inner.metric_kernel.g
         state.value_transform = lambda v: captured_g.evaluate({"t": v})
 
     # Versioned snapshot semantics: the program pins a consistent view of
@@ -476,16 +495,18 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
         rtree = qtree if data.rtree is data.qtree else (
             None if data.rtree is None else data.rtree.snapshot())
     token = None
-    if code.mode == "tree" and key is not None:
+    if (code.mode == "tree" and key is not None
+            and plan.executor == "process"):
+        # Only the process executor publishes under the token.  Let the
+        # Storages evict exactly these shm publications (and their
+        # ::q/::r{i} shard derivatives) when they mutate — a warm
+        # process pool must never be served stale columns.
         token = hashlib.blake2b(repr(key).encode(),
                                 digest_size=16).hexdigest()
-        # Let the Storages evict exactly these shm publications (and
-        # their ::q/::r{i} shard derivatives) when they mutate — a
-        # warm process pool must never be served stale columns.
         for layer in layers:
             layer.storage.note_shm_token(token)
     program = CompiledProgram(
-        options=opts, plan=plan, layers=layers, kernel=code.kernel,
+        options=opts, plan=plan, layers=layers, kernel=inner.metric_kernel,
         classification=code.classification, rule=code.rule,
         pass_manager=code.pass_manager, mode=code.mode, state=state,
         qtree=qtree, rtree=rtree, qdata=data.qdata, rdata=data.rdata,
@@ -503,8 +524,14 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
             data.shard_pack, backend, code.source, code.code, data.bindings,
             outer.op, inner.op, inner.k, nq,
         )
-        program.kernels = program.shard_exec.kernels[0]
+        bound = program.shard_exec.kernels
     else:
-        program.kernels = data.bindings.bind(backend, code.source, code.code,
-                                             state)
+        bound = [data.bindings.bind(backend, code.source, code.code, state)]
+    program.kernels = bound[0]
+    # exec-bound kernels are a reference cycle (namespace → function →
+    # its __globals__) that pins the trees' arrays until the cycle
+    # collector runs; the program owns them, so it releases their
+    # operands by reference count when it dies.
+    for kernels in bound:
+        weakref.finalize(program, kernels.namespace.clear)
     return program

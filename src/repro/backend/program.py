@@ -57,7 +57,8 @@ class CompiledProgram:
     nr: int | None = None
     same_data: bool = False
     exclude_self: bool = False
-    #: 'hit' | 'miss' | 'off', or ``None`` for an uncacheable program
+    #: 'hit' | 'code' (code half reused, data bound fresh) | 'miss' |
+    #: 'off', or ``None`` for an uncacheable program
     cache_state: str | None = None
     #: sharded layout: per-shard states and kernels
     #: (:class:`repro.parallel.shard.ShardExecution`)
@@ -74,8 +75,9 @@ class CompiledProgram:
     bounded: dict | None = None
     #: broadcast counters and per-shard stats of the last sharded run
     shard_info: dict | None = None
-    #: wall-clock seconds per compile stage ('rules', 'lowering',
-    #: 'passes', 'codegen', 'tree_build') plus 'run' after run()
+    #: wall-clock seconds per compile stage that ran ('rules', 'lowering',
+    #: 'passes', 'codegen' — absent on a code hit — 'tree_build',
+    #: 'shard_build') plus 'run' after run()
     timings: dict = field(default_factory=dict)
     #: guards the mutable observability state (``timings`` / ``stats`` /
     #: ``bounded`` / ``shard_info``) against :meth:`stats_summary`

@@ -5,11 +5,12 @@ warms the reference-tree cache — and then submit point queries against
 the returned handle.  Each query carries only the query points (plus an
 optional ``k`` override for k-NN style problems); the service rebinds
 the registered :class:`~repro.dsl.portal_expr.PortalExpr` to them per
-batch.  What hits per batch: the reference trees.  What does not, yet:
-a batch is a fresh query Storage, so its program key misses — the code
-half re-runs to byte-identical source (one ``cache.compile.miss`` per
-batch) and a process executor republishes its shm block under the new
-key's token.  ROADMAP item 2 re-keys the code half on shape alone.
+batch.  What hits per batch: the code half (the program's shape does
+not change with its query points — one ``cache.code.hit``) and the
+reference trees.  What is built: a batch is a fresh query Storage, so
+its whole-artifact key misses (one ``cache.compile.miss``), its query
+tree is new, both are bound to fresh state — and a process executor
+republishes its shm block under the new key's token.
 
 Requests that share a batch key — ``(handle, k, frozen options)`` — are
 coalesced by :class:`~repro.serve.coalesce.Coalescer` into one stacked
@@ -51,7 +52,9 @@ class ServeProgram:
     point-query shape: one output row per query point).  Every
     regenerated expression keeps the *same* reference :class:`Storage`
     objects — they carry the fingerprint memo and live-tree registry
-    that make per-batch compiles hit the tree cache.
+    that make per-batch compiles hit the tree cache — and the same
+    query-slot name, dimension and kernel objects, so every batch has
+    one code key and hits the code cache.
     """
 
     def __init__(self, template: PortalExpr):

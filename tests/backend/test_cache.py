@@ -189,11 +189,13 @@ class TestBackendDimension:
         _kde_expr(Q, R).execute(tau=1e-3, codegen="numpy")
         _kde_expr(Q, R).execute(tau=1e-3, codegen="native")
         assert cache_stats()["programs"] == 2
+        assert cache_stats()["code"] == 2
         clear_caches()
-        assert cache_stats() == {"programs": 0, "trees": 0}
+        assert cache_stats() == {"programs": 0, "code": 0, "trees": 0}
         with collect() as counters:
             _kde_expr(Q, R).execute(tau=1e-3, codegen="native")
         assert _cache_counts(counters)["cache.compile.miss"] == 1
+        assert _cache_counts(counters)["cache.code.miss"] == 1
 
     def test_uncacheable_native_still_executes(self, data):
         """An uncacheable-param program under the native backend skips
@@ -260,9 +262,10 @@ class TestPrimitives:
         Q, R = data
         kde(Q, R, bandwidth=0.8)
         assert cache_stats()["programs"] >= 1
+        assert cache_stats()["code"] >= 1
         assert cache_stats()["trees"] >= 1
         clear_caches()
-        assert cache_stats() == {"programs": 0, "trees": 0}
+        assert cache_stats() == {"programs": 0, "code": 0, "trees": 0}
 
 
 class TestFreezeContentKeys:

@@ -1,8 +1,13 @@
 """Tests for the compilation driver (modes, options, validation, the
 code/data seam and ``PortalExpr.rebind``)."""
 
+import dataclasses
+import gc
 import os
 import pathlib
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +17,17 @@ from repro.dsl import (
     Storage, Var, indicator, pow, sqrt,
 )
 from repro.backend import jit
+from repro.backend.cache import cache_stats, clear_caches
+from repro.backend.codegen import generate
 from repro.backend.jit import CompileOptions
 from repro.backend.plan import requested, resolve_plan
 from repro.dsl.errors import OperatorError
+from repro.dsl.expr import DistVar
+from repro.dsl.funcs import MetricKernel
+from repro.dsl.layer import Layer
 from repro.dsl.parser import parse_program
+from repro.observe import collect
+from tests.parallel.test_process_executor import _assert_bit_identical
 
 
 @pytest.fixture
@@ -353,6 +365,272 @@ class TestCodeNeverReadsData:
         reads.clear()
         jit._compile_code(*args)
         assert reads == keyed == {"name", "dim", "layout", "weights"}
+
+
+# -- the code cache: one compile per program shape ----------------------------
+
+PAR = {"parallel": True, "workers": 2, "min_tasks": 4}
+CODE_HIT_CONFIGS = {
+    "default": {},
+    "tau": {"tau": 1e-3},
+    "stack": {"traversal": "stack"},
+    "shards2": {"shards": 2},
+    "brute": {"backend": "brute"},
+    "thread": dict(PAR, executor="thread"),
+    "process": dict(PAR, executor="process"),
+}
+
+
+def _assert_bitwise(a, b):
+    _assert_bit_identical((a.values, a.indices, a.scalar),
+                          (b.values, b.indices, b.scalar))
+
+
+def _compile_counts(counters):
+    return {k: v for k, v in counters.as_dict().items()
+            if k.startswith(("cache.co", "compile.", "rules."))}
+
+
+@pytest.mark.parametrize("config", CODE_HIT_CONFIGS)
+@pytest.mark.parametrize("path", SPINE_PROGRAMS, ids=lambda p: p.stem)
+def test_same_shape_other_data_reuses_the_code_half(path, config):
+    """A second dataset of equal shape and other values misses the
+    artifact probe, hits the code cache, compiles nothing — and computes
+    what an uncached compile computes, from byte-identical source."""
+    options = dict(CODE_HIT_CONFIGS[config])
+    if path.stem in SPINE_TAU:
+        options.setdefault("tau", 1e-3)
+    first = _spine_expr(path, seed=1)
+    first.execute(**options)
+    assert first.stats()["cache"] == "miss"
+
+    second = _spine_expr(path, seed=2)
+    with collect() as counters:
+        out = second.execute(**options)
+    assert _compile_counts(counters) == {
+        "cache.compile.miss": 1, "cache.code.hit": 1}
+    stats = second.stats()
+    assert stats["cache"] == "code"
+    assert set(stats["compile_timings_ms"]) <= {"tree_build", "shard_build"}
+    assert (second.program.generated_source()
+            == first.program.generated_source())
+    _assert_bitwise(out, _spine_expr(path, seed=2).execute(
+        cache=False, **options))
+
+
+def _kde_over(Q, R, *, qname="query", weights=False, bandwidth=0.8, k=None):
+    """Gaussian KDE over ``(Q, R)`` — or, given ``k``, k-NN."""
+    e = PortalExpr("kde" if k is None else "knn")
+    e.addLayer(PortalOp.FORALL, Storage(Q, name=qname))
+    rstorage = Storage(R, weights=np.ones(len(R)) if weights else None,
+                       name="reference")
+    if k is None:
+        e.addLayer(PortalOp.SUM, rstorage, PortalFunc.GAUSSIAN,
+                   bandwidth=bandwidth)
+    else:
+        e.addLayer((PortalOp.KARGMIN, k), rstorage, PortalFunc.EUCLIDEAN)
+    return e
+
+
+#: one ``_code_key`` field each: (the shape, the same shape but for it)
+CODE_KEY_FIELDS = {
+    "k": ({"k": 3}, {"k": 4}),
+    "bandwidth": ({}, {"bandwidth": 0.5}),
+    "storage-name": ({}, {"qname": "other"}),
+    "weights": ({}, {"weights": True}),
+    "codegen": ({"codegen": "numpy"}, {"codegen": "native"}),
+    "verify_ir": ({"verify_ir": True}, {"verify_ir": False}),
+}
+_OPTION_FIELDS = ("codegen", "verify_ir")
+
+
+class TestCodeCache:
+    @pytest.mark.parametrize("field", CODE_KEY_FIELDS)
+    def test_anything_in_the_code_key_still_separates(self, rng, monkeypatch,
+                                                      field):
+        monkeypatch.setenv("REPRO_NATIVE_JIT", "python")  # native stays native
+        Q, R = rng.normal(size=(40, 3)), rng.normal(size=(60, 3))
+
+        def run(Q, shape):
+            options = {k: v for k, v in shape.items() if k in _OPTION_FIELDS}
+            layers = {k: v for k, v in shape.items() if k not in options}
+            with collect() as counters:
+                _kde_over(Q, R, **layers).execute(**options)
+            return _compile_counts(counters)
+
+        shape, changed = CODE_KEY_FIELDS[field]
+        run(Q, shape)
+        # the control — same shape, other data — is a code hit …
+        assert run(Q + 1.0, shape) == {
+            "cache.compile.miss": 1, "cache.code.hit": 1}
+        # … and the one changed field is a compile
+        counts = run(Q + 2.0, changed)
+        assert counts["cache.code.miss"] == counts["compile.count"] == 1
+        assert "cache.code.hit" not in counts
+
+    def test_clear_caches_empties_the_code_cache(self, rng):
+        Q, R = rng.normal(size=(40, 3)), rng.normal(size=(60, 3))
+        _kde_over(Q, R).execute()
+        assert cache_stats()["code"] == 1
+        clear_caches()
+        assert cache_stats()["code"] == 0
+        with collect() as counters:
+            _kde_over(Q + 1.0, R).execute()
+        assert _compile_counts(counters)["compile.count"] == 1
+        assert _compile_counts(counters)["cache.code.miss"] == 1
+
+    def test_uncached_programs_touch_neither_cache(self, rng):
+        Q, R = rng.normal(size=(40, 3)), rng.normal(size=(60, 3))
+        _kde_over(Q, R).execute()
+        before = cache_stats()
+        opaque = _kde_over(Q + 1.0, R)
+        opaque.layers[0] = dataclasses.replace(
+            opaque.layers[0], op=PortalOp.SUM, func=np.log)
+        unkeyable = _kde_over(Q + 1.0, R)
+        unkeyable.layers[1].params["opaque"] = object()
+        with collect() as counters:
+            _kde_over(Q + 1.0, R).execute(cache=False)
+            opaque.execute()
+            unkeyable.execute()
+        counts = _compile_counts(counters)
+        assert counts["compile.count"] == 3
+        assert counts["cache.compile.uncacheable"] == 1
+        assert not any(k.startswith(("cache.code", "cache.compile.hit",
+                                     "cache.compile.miss")) for k in counts)
+        after = cache_stats()
+        assert (after["programs"], after["code"]) == (
+            before["programs"], before["code"]) == (1, 1)
+
+    def test_shared_code_holds_no_program_input(self, rng):
+        """Everything on a ``_Code`` is derived from inputs ``_code_key``
+        covers; a layer, kernel or Storage object — whose other
+        attributes (a covariance) are data — is never kept with it, so
+        the data half and ``_instantiate`` can only read the program's
+        own."""
+        e = PortalExpr("maha")
+        e.addLayer(PortalOp.FORALL, Storage(rng.normal(size=(40, 3))))
+        e.addLayer(PortalOp.MIN, Storage(rng.normal(size=(50, 3))),
+                   PortalFunc.MAHALANOBIS, covariance=np.eye(3))
+        e.validate()
+        code, _ = jit._compile_code(*_code_half_args(e, {}))
+        for field in dataclasses.fields(code):
+            assert not isinstance(getattr(code, field.name),
+                                  (MetricKernel, Layer, Storage)), field.name
+
+    @pytest.mark.parametrize("backend", ["vectorized", "brute"])
+    def test_bindings_never_alias_the_shared_scalars(self, rng, backend):
+        Q, R = rng.normal(size=(40, 3)), rng.normal(size=(60, 3))
+        first = _kde_over(Q, R, k=3).compile(backend=backend)
+        first.bindings.scalars["K"] = 99
+        second = _kde_over(Q + 1.0, R, k=3).compile(backend=backend)
+        assert second.cache_state == "code"
+        assert second.bindings.scalars["K"] == 3
+
+    @pytest.mark.parametrize("as_kernel", [False, True],
+                             ids=["param", "metric-kernel"])
+    def test_covariance_is_data_not_shape(self, rng, as_kernel):
+        """Two Mahalanobis programs of one shape under different
+        covariances never share a whitening transform — whether the
+        covariance travels in ``params`` (a code-key field: a code miss)
+        or on a ``MetricKernel`` whose repr hides an 11th-digit
+        difference (a code hit over the program's own covariance)."""
+        Q, R = rng.normal(size=(40, 3)), rng.normal(size=(50, 3))
+        cov = np.diag([1.0, 4.0, 9.0])
+        other = cov + (1e-11 if as_kernel else 1.0) * np.eye(3)
+
+        def run(cov, **options):
+            e = PortalExpr("maha")
+            e.addLayer(PortalOp.FORALL, Storage(Q, name="q"))
+            if as_kernel:
+                e.addLayer(PortalOp.MIN, Storage(R, name="r"), MetricKernel(
+                    "sqeuclidean", DistVar("t"), whiten=True, covariance=cov))
+            else:
+                e.addLayer(PortalOp.MIN, Storage(R, name="r"),
+                           PortalFunc.MAHALANOBIS, covariance=cov)
+            with collect() as counters:
+                out = e.execute(fastmath=False, **options)
+            return out, _compile_counts(counters)
+
+        first, _ = run(cov)
+        second, counts = run(other)
+        assert counts["cache.compile.miss"] == 1
+        assert counts.get("cache.code.hit", 0) == int(as_kernel)
+        assert not np.array_equal(first.values, second.values)
+        assert np.array_equal(second.values, run(other, cache=False)[0].values)
+
+    def test_eight_threads_one_shape_other_data(self):
+        """Concurrent first compiles of one shape: a double miss compiles
+        twice and the last put wins — every thread still computes its own
+        data's answer and is counted exactly once."""
+        path = next(p for p in SPINE_PROGRAMS if p.stem == "kde")
+        exprs = [_spine_expr(path, seed) for seed in range(8)]
+        want = [_spine_expr(path, seed).execute(cache=False, tau=1e-3)
+                for seed in range(8)]
+        clear_caches()
+        got, errors = [None] * 8, []
+        barrier = threading.Barrier(8)
+
+        def work(i):
+            try:
+                barrier.wait(10)
+                got[i] = exprs[i].execute(tau=1e-3)
+            except Exception as exc:  # pragma: no cover - regression
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with collect() as counters:
+                threads = [threading.Thread(target=work, args=(i,))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        counts = _compile_counts(counters)
+        assert counts["cache.compile.miss"] == 8
+        assert counts["cache.code.miss"] + counts.get("cache.code.hit", 0) == 8
+        assert counts["cache.code.miss"] == counts["compile.count"] >= 1
+        assert cache_stats()["code"] == 1
+        for i in range(8):
+            _assert_bitwise(got[i], want[i])
+
+
+class TestKernelRelease:
+    """exec-bound kernels are a cycle (namespace → function →
+    ``__globals__``) pinning the trees' arrays; a dead program releases
+    them by reference count, without waiting for the cycle collector."""
+
+    @pytest.fixture(autouse=True)
+    def _no_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("options", [{}, {"shards": 2}],
+                             ids=["unsharded", "shards2"])
+    def test_dead_program_frees_its_operands(self, rng, options):
+        e = nn_expr(rng, n=200)
+        program = e.compile(cache=False, **options)
+        program.run()
+        bound = (program.shard_exec.kernels if options else [program.kernels])
+        operands = [weakref.ref(k.namespace["RCOL"]) for k in bound]
+        assert all(ref() is not None for ref in operands)
+        del bound, program, e
+        assert all(ref() is None for ref in operands)
+
+    def test_kernels_nobody_owns_are_left_alone(self, rng):
+        e = nn_expr(rng, n=200)
+        program = e.compile(cache=False)
+        code, _ = jit._compile_code(*_code_half_args(e, {"cache": False}))
+        loose = generate(code.spec, dict(program.kernels.namespace))
+        del program, e
+        assert loose.namespace["base_case"] is loose.base_case
+        assert loose.namespace["RCOL"].shape == (3, 210)
 
 
 def test_storage_names_are_part_of_the_program_key(rng):

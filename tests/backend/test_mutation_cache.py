@@ -213,6 +213,49 @@ def test_shm_sharded_stale_eviction(rng):
     _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
 
 
+def test_only_the_process_executor_notes_shm_tokens(rng):
+    """A Storage remembers a token only for the executor that publishes
+    under it: a never-mutated reference set answering serial and thread
+    executes over fresh query sets accretes nothing."""
+    _, R = _data(rng, nr=400)
+    for _ in range(50):
+        for options in ({}, THREAD):
+            run_knn(Storage(rng.normal(size=(20, 3))), R, options)
+    assert R._shm_tokens == set()
+    run_knn(Storage(rng.normal(size=(20, 3))), R, PROCESS)
+    assert len(R._shm_tokens) == 1
+
+
+def test_live_tree_survives_lru_eviction(rng):
+    """One-shot query trees pushing an idle reference set's tree out of
+    the LRU is no reason to rebuild it: the Storage still holds the tree
+    it built at this version — unless it was built over other weights."""
+    def query():
+        return Storage(rng.normal(size=(20, 3)))
+
+    _, A = _data(rng, nr=400, weighted=True)
+    _, B = _data(rng, nr=400)
+    run_kde(query(), A, {})
+    for _ in range(20):
+        run_knn(query(), B, {})
+    q = query()
+    with collect() as c:
+        got = run_kde(q, A, {})
+    assert c.get("cache.tree.miss") == 1  # the query tree; A's is a hit
+    assert c.get("cache.tree.hit") == 1
+    assert c.get("cache.tree.refit") == 0
+    assert np.array_equal(got, run_kde(q, _fresh(A), {"cache": False}))
+
+    for _ in range(20):
+        run_knn(query(), B, {})
+    A.weights = A.weights * 2.0  # same version, other weights
+    with collect() as c:
+        got = run_kde(q, A, {})
+    # q's (evicted too) comes back from its Storage; A's is rebuilt
+    assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (1, 1)
+    assert np.array_equal(got, run_kde(q, _fresh(A), {"cache": False}))
+
+
 def test_mark_mutated_breaks_refit_chain(rng):
     """An untracked in-place write cannot be replayed: mark_mutated()
     must force a full rebuild, never an unsound refit."""

@@ -96,7 +96,10 @@ def _scrambled(n):
     return list(range(1, n, 2)) + list(range(0, n, 2))
 
 
-def _serve_vs_serial(name, tree, executor):
+def _serve_vs_serial(name, tree, executor, nq=NQ, rounds=1):
+    """``rounds`` × the ``nq`` rows, each round rotated one row on so no
+    two rounds stack the same batches.  Returns what the batches added
+    to the service's counters after ``register()``."""
     build, kind, opts = serve_problem(name)
     run = _run_opts(opts, tree, executor)
     Q, _ = _data(SEED)
@@ -111,18 +114,29 @@ def _serve_vs_serial(name, tree, executor):
                 admission=AdmissionConfig(batch_max=BATCH_MAX,
                                           linger_us=250_000,
                                           max_queue=10_000))
-            order = _scrambled(NQ)
-            results = await asyncio.gather(
-                *[svc.query(hid, Q[i:i + 1]) for i in order])
-            return order, results, svc.counters.as_dict()
+            registered = svc.counters.as_dict()
+            order, results = [], []
+            for shift in range(rounds):
+                rows = _scrambled(nq)
+                rows = rows[shift:] + rows[:shift]
+                order += rows
+                results += await asyncio.gather(
+                    *[svc.query(hid, Q[i:i + 1]) for i in rows])
+            return order, results, registered, svc.counters.as_dict()
         finally:
             await svc.close()
 
-    order, results, counters = asyncio.run(coalesced())
+    order, results, registered, counters = asyncio.run(coalesced())
+    added = {name: value - registered.get(name, 0)
+             for name, value in counters.items()}
 
     assert counters.get("serve.batches", 0) < len(order), \
         "requests were not coalesced at all"
     assert counters.get("serve.coalesced", 0) > 0
+    # register() compiled the program; every batch after it reuses that
+    # code half (or a whole earlier batch's artifact) and compiles nothing
+    assert added["compile.count"] == 0
+    assert added["cache.compile.miss"] == added["cache.code.hit"] > 0
 
     for i, res in zip(order, results):
         ctx = f"{name}/{tree}/{executor} row {i}"
@@ -140,6 +154,7 @@ def _serve_vs_serial(name, tree, executor):
                     _assert_rows_equal(
                         np.asarray(res.values),
                         np.asarray(ref_out.values)[i:i + 1], "values", ctx)
+    return added
 
 
 @pytest.mark.parametrize("tree", TREES)
@@ -155,6 +170,14 @@ def test_coalesced_matches_serial(name, tree):
 def test_coalesced_matches_serial_executors(name, executor):
     """Nine problems x all three executors on the kd tree."""
     _serve_vs_serial(name, "kd", executor)
+
+
+def test_twenty_batches_after_register_compile_nothing():
+    """The steady state of a served handle: full batches (no linger
+    wait), none stacked like an earlier one, each a code hit."""
+    added = _serve_vs_serial("knn", "kd", "serial", nq=4 * BATCH_MAX,
+                             rounds=BATCH_MAX)
+    assert added["serve.batches"] == added["cache.code.hit"] == 20
 
 
 def test_mixed_k_requests_do_not_share_a_batch():
