@@ -136,6 +136,9 @@ class LRUCache:
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
+        #: bumped by :meth:`clear`, so whoever still holds a value that
+        #: was cached here can tell an eviction from a clear
+        self.generation = 0
 
     def get(self, key, default=None):
         """Return the cached value, or ``default`` when absent.
@@ -167,6 +170,7 @@ class LRUCache:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self.generation += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -215,8 +219,9 @@ def cached_build_tree(
     When ``storage`` is the :class:`~repro.dsl.storage.Storage` whose own
     ``data`` array is being indexed (the compiler passes it exactly
     then), a content-key miss first asks the Storage for the live tree
-    it built at this same version (evicted here, still held there: a
-    hit), then tries the **incremental path**: if a
+    it built at this same version (evicted here since the last
+    ``clear()``, still held there: a hit), then tries the **incremental
+    path**: if a
     live tree was built over an earlier version of the same Storage and
     the Storage's mutation log covers the gap, the old tree is
     snapshotted and the deltas are replayed through the ``ArrayTree``
@@ -236,10 +241,14 @@ def cached_build_tree(
             else array_fingerprint(weights))
     key = ("tree", kind, int(leaf_size), split, pts_fp, w_fp)
     live_key = (kind, int(leaf_size), split)
+    built_for = (w_fp, tree_cache.generation)
     tree = tree_cache.get(key, MISSING)
-    if tree is MISSING and own_data and live_key in storage._live_trees:
-        built_version, live, built_w_fp = storage._live_trees[live_key]
-        if (built_version, built_w_fp) == (storage.version, w_fp):
+    if tree is MISSING and own_data:
+        built_version, live, live_for = storage._live_trees.get(
+            live_key, (None, None, None))
+        # Evicted, not cleared: the Storage still holds the tree built
+        # at this version over these weights.
+        if (built_version, live_for) == (storage.version, built_for):
             tree = live
             tree_cache.put(key, tree)
     if tree is not MISSING:
@@ -254,7 +263,7 @@ def cached_build_tree(
                               weights=weights, split=split)
         tree_cache.put(key, tree)
     if own_data:
-        storage._live_trees[live_key] = (storage.version, tree, w_fp)
+        storage._live_trees[live_key] = (storage.version, tree, built_for)
     return tree
 
 

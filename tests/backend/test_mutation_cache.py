@@ -255,6 +255,11 @@ def test_live_tree_survives_lru_eviction(rng):
     assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (1, 1)
     assert np.array_equal(got, run_kde(q, _fresh(A), {"cache": False}))
 
+    clear_caches()  # cleared is not evicted: the next compile is cold
+    with collect() as c:
+        run_kde(q, A, {})
+    assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (0, 2)
+
 
 def test_mark_mutated_breaks_refit_chain(rng):
     """An untracked in-place write cannot be replayed: mark_mutated()
