@@ -122,21 +122,14 @@ def emit(name: str, text: str) -> None:
 
 def host_meta() -> dict:
     """Host facts that contextualise any timing row: parallel speedups
-    are meaningless without knowing how many cores the run actually had,
-    and native-backend rows without knowing whether numba was present."""
+    are meaningless without knowing how many cores the run actually had."""
     try:
         affinity = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         affinity = None
-    try:
-        import numba  # noqa: F401
-        has_numba = True
-    except ImportError:
-        has_numba = False
     return {
         "cpu_count": os.cpu_count(),
         "affinity": affinity,
-        "numba": has_numba,
         "numpy": np.__version__,
     }
 

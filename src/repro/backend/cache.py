@@ -13,7 +13,7 @@ query tree and binds.  Three bounded LRU caches, all content-addressed:
   keyed on the program's *shape* alone: the layer chain (operator
   names, unparsed kernel expressions, parameter values, Storage names
   and dimensions), the options that change the code and the resolved
-  codegen target / layout, and no dataset fingerprint;
+  layout, and no dataset fingerprint;
 * the **program cache** memoises whole artifacts — that code half plus
   the data half bound to it (trees, whitened points, shard pack) — under
   the code key extended by the dataset fingerprints and the *resolved*
@@ -195,7 +195,8 @@ class LRUCache:
 #: out the same way, Storage / Var / program names included.
 #: v8: the code half has its own entry, ``(ARTIFACT_SCHEMA, code key)``,
 #: shared by every artifact of its shape.
-ARTIFACT_SCHEMA = 8
+#: v9: one codegen target — the key no longer carries a backend name.
+ARTIFACT_SCHEMA = 9
 
 #: Compiled-artifact cache (see :mod:`repro.backend.jit`).
 program_cache = LRUCache(maxsize=32)

@@ -42,47 +42,24 @@ from .layout import Layout
 
 __all__ = [
     "CodegenSpec", "GeneratedKernels", "generate", "emit", "bind_kernels",
-    "emit_expr", "emit_expr_vn", "ExprDialect", "Bindings",
+    "emit_expr", "emit_expr_vn", "Bindings",
 ]
 
-
-@dataclass(frozen=True)
-class ExprDialect:
-    """One flavour of emitted expression source: the call map plus the
-    three node forms (``pow``, ``Indicator``, array loads) in which the
-    vectorised NumPy emitter and the native backend's per-pair scalar
-    emitter differ."""
-
-    calls: dict[str, str]
-    #: ``Indicator`` source over ``lhs`` / ``op`` / ``rhs``
-    indicator: str
-    #: spell ``pow(a, b)`` as ``a ** b`` instead of a mapped call
-    pow_operator: bool = False
-    #: whether array loads (``LoadExpr``) can be emitted at all
-    loads: bool = True
-    #: what an error message calls a call it cannot emit
-    call_noun: str = "IR function"
-
-
-NUMPY_DIALECT = ExprDialect(
-    calls={
-        "sqrt": "np.sqrt",
-        "exp": "np.exp",
-        "log": "np.log",
-        "abs": "np.abs",
-        "pow": "np.power",
-        "max": "np.maximum",
-        "min": "np.minimum",
-        "fast_inverse_sqrt": "finvsqrt",
-    },
-    indicator="np.multiply(({lhs}) {op} ({rhs}), 1.0)",
-)
+_NUMPY_CALLS = {
+    "sqrt": "np.sqrt",
+    "exp": "np.exp",
+    "log": "np.log",
+    "abs": "np.abs",
+    "pow": "np.power",
+    "max": "np.maximum",
+    "min": "np.minimum",
+    "fast_inverse_sqrt": "finvsqrt",
+}
 
 
 def emit_expr(e: Expr, var_map: dict[str, str],
-              _names: dict[int, str] | None = None,
-              dialect: ExprDialect = NUMPY_DIALECT) -> str:
-    """Emit source for an IR expression in ``dialect`` (NumPy by default).
+              _names: dict[int, str] | None = None) -> str:
+    """Emit vectorised NumPy source for an IR expression.
 
     ``_names`` maps ``id(node)`` to an already-materialised temporary —
     the value-numbering hook of :func:`emit_expr_vn`.
@@ -93,7 +70,7 @@ def emit_expr(e: Expr, var_map: dict[str, str],
             return hit
 
     def sub(node: Expr) -> str:
-        return emit_expr(node, var_map, _names, dialect)
+        return emit_expr(node, var_map, _names)
 
     if isinstance(e, SymRef):
         try:
@@ -108,18 +85,13 @@ def emit_expr(e: Expr, var_map: dict[str, str],
         return f"(-({sub(e.operand)}))"
     if isinstance(e, (IRCall, Call)):
         args = e.args if isinstance(e, IRCall) else (e.operand,)
-        if e.func == "pow" and dialect.pow_operator:
-            base, exp_ = (sub(a) for a in args)
-            return f"(({base}) ** ({exp_}))"
-        fn = dialect.calls.get(e.func)
+        fn = _NUMPY_CALLS.get(e.func)
         if fn is None:
-            raise CompileError(
-                f"cannot emit {dialect.call_noun} {e.func!r}")
+            raise CompileError(f"cannot emit IR function {e.func!r}")
         return f"{fn}({', '.join(sub(a) for a in args)})"
     if isinstance(e, Indicator):
-        return dialect.indicator.format(lhs=sub(e.lhs), op=e.op,
-                                        rhs=sub(e.rhs))
-    if isinstance(e, LoadExpr) and dialect.loads:
+        return f"np.multiply(({sub(e.lhs)}) {e.op} ({sub(e.rhs)}), 1.0)"
+    if isinstance(e, LoadExpr):
         return f"{e.array}[{', '.join(sub(i) for i in e.indices)}]"
     raise CompileError(f"cannot emit expression node {type(e).__name__}")
 
@@ -145,8 +117,8 @@ def _shared_subtrees(e: Expr) -> list[Expr]:
     return [n for n in order if counts[id(n)] > 1]
 
 
-def emit_expr_vn(e: Expr, var_map: dict[str, str], prefix: str = "_vn",
-                 dialect: ExprDialect = NUMPY_DIALECT) -> tuple[list[str], str]:
+def emit_expr_vn(e: Expr, var_map: dict[str, str],
+                 prefix: str = "_vn") -> tuple[list[str], str]:
     """Value-numbering-aware emission: sub-trees referenced more than
     once by object identity (strength reduction's shared pow-chain
     squares) are materialised once into ``<prefix><N>`` temporaries.
@@ -159,9 +131,9 @@ def emit_expr_vn(e: Expr, var_map: dict[str, str], prefix: str = "_vn",
     assigns: list[str] = []
     for i, node in enumerate(_shared_subtrees(e), 1):
         name = f"{prefix}{i}"
-        assigns.append(f"{name} = {emit_expr(node, var_map, names, dialect)}")
+        assigns.append(f"{name} = {emit_expr(node, var_map, names)}")
         names[id(node)] = name
-    return assigns, emit_expr(e, var_map, names, dialect)
+    return assigns, emit_expr(e, var_map, names)
 
 
 @dataclass
@@ -175,7 +147,6 @@ class CodegenSpec:
     monotone: str | None            # 'increasing' | 'decreasing' | None
     outer_op: PortalOp = PortalOp.FORALL
     inner_op: PortalOp = PortalOp.SUM
-    k: int | None = None
     rule: RuleSpec | None = None
     weighted: bool = False
     same_tree: bool = False
@@ -302,6 +273,13 @@ def _exclusion_value(op: PortalOp) -> str:
     if op is PortalOp.PROD:
         return "1.0"
     return "0.0"  # SUM / UNION / UNIONARG / FORALL
+
+
+def _kth_best(spec: CodegenSpec) -> str:
+    """Index suffix selecting the k-th best column of ``best``: a
+    K-operator keeps an ``(n, K)`` array — even at ``K = 1`` — and a
+    single-value reduction an ``(n,)`` one."""
+    return ", K - 1" if op_info(spec.inner_op).requires_k else ""
 
 
 def _base_case_source(spec: CodegenSpec) -> str:
@@ -536,7 +514,7 @@ def _prune_source(spec: CodegenSpec) -> str | None:
             pre, gband = _g_scalar_vn(spec, "tmin", "_vn")
         for assign in pre:
             b(f"    {assign}")
-        col = ", K - 1" if (spec.k or 1) > 1 else ""
+        col = _kth_best(spec)
         if rule.kind == "bound-min":
             b(f"    B = best[qstart[qi]:qend[qi]{col}].max()")
             b(f"    return 1 if {gband} > B else 0")
@@ -769,9 +747,7 @@ def _base_case_group_source(spec: CodegenSpec) -> str | None:
     else:  # pragma: no cover
         raise CompileError(f"no grouped base case for {op.name}")
 
-    sign = _bound_sign(rule)
-    col = ", K - 1" if (spec.k or 1) > 1 else ""
-    b(f"    qbound[qs:qe] = {sign}best[qs:qe{col}]")
+    b(f"    qbound[qs:qe] = {_bound_sign(rule)}best[qs:qe{_kth_best(spec)}]")
     return "\n".join(lines)
 
 
@@ -869,16 +845,15 @@ class Bindings:
         return Bindings({**self.arrays, **other.arrays},
                         {**self.scalars, **other.scalars})
 
-    def bind(self, backend, source: str, code, state) -> GeneratedKernels:
+    def bind(self, source: str, code, state) -> GeneratedKernels:
         """Bind emitted code against these operands plus ``state``'s
         fresh accumulators — the one static + state + ``out_lists``
         merge (the compiler, the shard layout and process workers all
-        come through here).  ``backend`` is the codegen
-        :class:`~repro.backend.backends.Backend` that emitted ``code``."""
+        come through here)."""
         namespace = {**self.arrays, **self.scalars, **state.arrays}
         if state.lists is not None:
             namespace["out_lists"] = state.lists
-        return backend.bind(source, code, namespace)
+        return bind_kernels(source, code, namespace)
 
 
 def _present(**named) -> dict:

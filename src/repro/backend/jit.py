@@ -38,12 +38,11 @@ from ..ir.nodes import SymRef
 from ..ir.passes import PassManager
 from ..ir.strength_reduction import reduce_expr
 from ..observe import contribute, span
-from .backends import get_backend
 from .cache import (  # noqa: F401 (program_cache re-exported for tests)
     ARTIFACT_SCHEMA, MISSING, UncacheableParamError, array_fingerprint,
     cached_build_tree, code_cache, freeze, program_cache,
 )
-from .codegen import Bindings, CodegenSpec
+from .codegen import Bindings, CodegenSpec, emit
 from .layout import Layout
 from .plan import (
     CompileOptions, ExecutionPlan, program_rules, requested, resolve_plan,
@@ -108,8 +107,6 @@ class _Code:
     rule: object
     pass_manager: PassManager
     spec: CodegenSpec
-    #: emitted by — and re-bound with — the plan's codegen backend, which
-    #: is part of the key
     source: str
     code: object
     #: apply the monotone kernel map at finalisation (section IV-F)
@@ -165,9 +162,9 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
     layer the operator/k/function/params and what the code half reads of
     the Storage (the IR embeds its name), the normalised kernel, the
     options that change the code and — for what is resolved rather than
-    asked (codegen target, layout, whether a tree engine runs, whether
-    the reference side is sharded) — the resolved value, so asking for a
-    default by name shares its entry."""
+    asked (layout, whether a tree engine runs, whether the reference side
+    is sharded) — the resolved value, so asking for a default by name
+    shares its entry."""
     layers = pexpr.layers
     kern = layers[1].metric_kernel
     layer_parts = tuple(
@@ -185,7 +182,7 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
     )
     return (
         pexpr.name, layer_parts, (kern.base, repr(kern.g), kern.whiten),
-        opts.backend, plan.codegen, plan.engine is not None, opts.tree,
+        opts.backend, plan.engine is not None, opts.tree,
         opts.tau, opts.criterion, opts.theta, opts.fastmath,
         resolved_layout(layers, opts), tuple(sorted(opts.disable_passes)),
         verify, *self_pairs(layers, opts), (plan.shards or 1) > 1,
@@ -224,9 +221,9 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     opts = CompileOptions.from_dict(options)
     layers = pexpr.layers
     # Everything 'auto', environment-supplied or policy-tuned becomes
-    # concrete here, before the cache key: a native or sharded artifact
-    # must never collide with a NumPy or unsharded one, and a request
-    # that resolves to the default legitimately shares its entry.
+    # concrete here, before the cache key: a sharded artifact must never
+    # collide with an unsharded one, and a request that resolves to the
+    # default legitimately shares its entry.
     plan = resolve_plan(opts, os.environ, _LazyPolicy(), layers)
     verify = requested(opts, os.environ, "verify_ir")[0]
     if len(layers) > 2 or layers[1].metric_kernel is None:
@@ -379,14 +376,14 @@ def _compile_code(pexpr, opts: CompileOptions, plan: ExecutionPlan,
     spec = CodegenSpec(
         dim=dim, layout=resolved_layout(layers, opts), base=kernel.base,
         g_ir=g_ir, monotone=kernel.monotone(), outer_op=outer.op,
-        inner_op=inner.op, k=inner.k, rule=rule if mode == "tree" else None,
+        inner_op=inner.op, rule=rule if mode == "tree" else None,
         weighted=inner.storage.weights is not None,
         same_tree=same_data and not sharded, exclude_self=exclude_self,
         is_indicator=kernel.is_indicator,
         self_map=sharded and same_data and exclude_self,
     )
     t0 = time.perf_counter()
-    source, code = get_backend(plan.codegen).emit(spec)
+    source, code = emit(spec)
     timings["codegen"] = time.perf_counter() - t0
 
     scalars = {
@@ -513,7 +510,6 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
         nr=nr, same_data=code.same_data, cache_state=cache_state,
         bindings=data.bindings, program_token=token, timings=dict(timings),
     )
-    backend = get_backend(plan.codegen)
     if data.shard_pack is not None:
         # Sharded layout: per-shard states + kernel binds; the shard-0
         # kernels stand in as program.kernels for generated_source()
@@ -521,12 +517,12 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
         from ..parallel.shard import build_shard_execution
 
         program.shard_exec = build_shard_execution(
-            data.shard_pack, backend, code.source, code.code, data.bindings,
+            data.shard_pack, code.source, code.code, data.bindings,
             outer.op, inner.op, inner.k, nq,
         )
         bound = program.shard_exec.kernels
     else:
-        bound = [data.bindings.bind(backend, code.source, code.code, state)]
+        bound = [data.bindings.bind(code.source, code.code, state)]
     program.kernels = bound[0]
     # exec-bound kernels are a reference cycle (namespace → function →
     # its __globals__) that pins the trees' arrays until the cycle

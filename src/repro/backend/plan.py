@@ -7,10 +7,10 @@ Two values describe one ``execute()``:
   allowed values, its ``REPRO_*`` environment fallback, whether a policy
   entry may fill it), declared once as dataclass field metadata.
 * :class:`ExecutionPlan` — **what runs**: how the program is mapped to
-  the machine (traversal engine, executor, worker pool, codegen target,
-  leaf size, shard count), each field attributed to the source that
-  decided it.  :func:`resolve_plan` computes it once per compile, before
-  the cache key, with the precedence
+  the machine (traversal engine, executor, worker pool, leaf size,
+  shard count), each field attributed to the source that decided it.
+  :func:`resolve_plan` computes it once per compile, before the cache
+  key, with the precedence
 
       explicit option  >  environment  >  policy entry  >  static rule
 
@@ -29,28 +29,19 @@ from dataclasses import dataclass, field, fields
 from ..dsl.errors import SpecificationError
 from ..dsl.ops import PortalOp
 from ..ir.passes import TOGGLEABLE_PASSES
-from ..observe import contribute
 from ..parallel.executor import default_workers
 from ..rules import build_rules
-from .backends import CODEGEN_BACKENDS
 from .layout import Layout
-from .native import native_available
 
 __all__ = [
     "CompileOptions", "ExecutionPlan", "OPTION_TABLE", "requested",
-    "program_rules", "requested_tau", "resolve_plan", "AUTO_NATIVE_MIN_PAIRS",
+    "program_rules", "requested_tau", "resolve_plan",
     "AUTO_SHARD_MIN_POINTS", "TASKS_PER_WORKER", "DEFAULT_LEAF_SIZE",
 ]
 
 # -- the static row ----------------------------------------------------------
 # What every plan field resolves to when nothing asked for anything else.
 # The executor-by-engine rule lives in :func:`_static_executor`.
-
-#: ``codegen='auto'`` routes to the native backend only at or above this
-#: many candidate pairs (``nq * nr``).  Below it the JIT warm-up
-#: (hundreds of milliseconds the first time a kernel shape is seen)
-#: dominates any per-pair win.  Patchable in tests.
-AUTO_NATIVE_MIN_PAIRS = 1 << 21
 
 #: ``shards='auto'`` targets at least this many reference points per
 #: shard: below it, per-shard tree builds and the combine step cost more
@@ -150,14 +141,6 @@ class CompileOptions:
 
     backend: str = _row("vectorized",
                         allowed=("vectorized", "brute", "interp"))
-    #: codegen target for the emitted kernels: 'numpy' (vectorised
-    #: NumPy source, the differential reference), 'native' (Numba-jitted
-    #: per-pair scalar kernels, degrading gracefully to numpy when
-    #: numba is unavailable) or 'auto' (native only above a measured
-    #: problem-size threshold).  ``backend='numpy'|'native'|'auto'`` is
-    #: accepted as an alias for ``backend='vectorized'`` plus this option.
-    codegen: str | None = _row(allowed=CODEGEN_BACKENDS, env="REPRO_CODEGEN",
-                               policy=True, static="numpy")
     tree: str = _row("kd", allowed=("kd", "ball", "octree", "none"))
     leaf_size: int | None = _row(allowed=_positive_int, policy=True,
                                  static=DEFAULT_LEAF_SIZE)
@@ -227,12 +210,6 @@ class CompileOptions:
 
     @classmethod
     def from_dict(cls, options: dict) -> "CompileOptions":
-        options = dict(options)
-        # `backend='numpy'|'native'|'auto'` is shorthand for the default
-        # execution mode with an explicit codegen target.
-        if options.get("backend") in CODEGEN_BACKENDS:
-            options.setdefault("codegen", options["backend"])
-            options["backend"] = "vectorized"
         unknown = set(options) - set(OPTION_TABLE)
         if unknown:
             raise SpecificationError(
@@ -301,14 +278,12 @@ class ExecutionPlan:
     """How one program is mapped to the machine.  Frozen and hashable;
     equality covers the routing fields only.  A field is ``None`` when
     the layer it configures does not exist for the program (no tree
-    traversal in brute/interp mode, no generated kernels for external
-    and multi-layer programs)."""
+    traversal in brute/interp mode)."""
 
     engine: str | None        # 'bounded-batched' | 'batched' | 'stack'
     executor: str             # 'serial' | 'thread' | 'process'
     workers: int
     min_tasks: int
-    codegen: str | None       # 'numpy' | 'native'
     leaf_size: int | None
     shards: int | None
     #: ``(field, source)`` pairs, source ∈ explicit | env | policy | static
@@ -317,7 +292,7 @@ class ExecutionPlan:
     decision: object | None = field(default=None, compare=False, repr=False)
 
     def label(self) -> str:
-        return (f"{self.engine}/{self.executor}/{self.codegen}"
+        return (f"{self.engine}/{self.executor}"
                 f"/leaf{self.leaf_size}/shards{self.shards}")
 
     def describe(self) -> dict:
@@ -333,8 +308,7 @@ class ExecutionPlan:
             "traversal": self.engine, "parallel": parallel,
             "executor": self.executor if parallel else None,
             "workers": self.workers, "min_tasks": self.min_tasks,
-            "codegen": self.codegen, "leaf_size": self.leaf_size,
-            "shards": self.shards,
+            "leaf_size": self.leaf_size, "shards": self.shards,
         }
         return {k: v for k, v in pinned.items() if v is not None}
 
@@ -362,21 +336,6 @@ class ExecutionPlan:
 _NOT_APPLICABLE = (None, "static")
 
 
-def _concrete_codegen(asked: str, nq: int, nr: int) -> str:
-    """``native`` degrades to ``numpy`` when no native JIT is available
-    (counted under ``backend.native.fallback``); ``auto`` picks
-    ``native`` only when it is available *and* the problem has at least
-    :data:`AUTO_NATIVE_MIN_PAIRS` candidate pairs."""
-    if asked == "native":
-        if native_available():
-            return "native"
-        contribute({"backend.native.fallback": 1})
-    elif asked == "auto":
-        if native_available() and nq * nr >= AUTO_NATIVE_MIN_PAIRS:
-            return "native"
-    return "numpy"
-
-
 def _concrete_shards(asked, nr: int, workers: int) -> int:
     """``'auto'`` picks one shard per worker but never shards small
     reference sets where the per-shard overhead dominates; explicit
@@ -393,8 +352,8 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
     :mod:`repro.policy` module (or ``None`` to never consult one) —
     passed in so this module stays below it.
     """
-    outer, inner = layers[0], layers[-1]
-    nq, nr = outer.storage.n, inner.storage.n
+    inner = layers[-1]
+    nr = inner.storage.n
     classification, rule = program_rules(layers, opts)
     compiled = len(layers) == 2 and inner.metric_kernel is not None
     tree_mode = (
@@ -410,7 +369,6 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
                      else ("serial", requested(opts, env, "parallel")[1])),
         "workers": requested(opts, env, "workers"),
         "min_tasks": requested(opts, env, "min_tasks"),
-        "codegen": requested(opts, env, "codegen"),
         "leaf_size": requested(opts, env, "leaf_size"),
         "shards": requested(opts, env, "shards"),
     }
@@ -429,20 +387,12 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
             if ask[name][1] == "static" and (name != "executor" or pool_free):
                 ask[name] = (value, "policy")
 
-    if not compiled:
-        ask["codegen"] = _NOT_APPLICABLE
     if not tree_mode:
         ask.update(engine=_NOT_APPLICABLE, leaf_size=_NOT_APPLICABLE,
                    shards=_NOT_APPLICABLE, executor=("serial", "static"))
     plan = {name: value for name, (value, _) in ask.items()}
     plan["workers"] = workers = plan["workers"] or default_workers()
     plan["min_tasks"] = plan["min_tasks"] or workers * TASKS_PER_WORKER
-    if compiled:
-        plan["codegen"] = _concrete_codegen(plan["codegen"], nq, nr)
-        if ask["codegen"] == ("native", "policy") and \
-                plan["codegen"] != "native":
-            # The tuned choice assumed a JIT this host no longer has.
-            policy.note_native_fallback(decision)
     if tree_mode:
         # Bound rules (k-NN, Hausdorff) run the epoch-based bound-aware
         # engine, stateless rules (or no rule) the plain batched

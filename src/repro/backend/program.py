@@ -165,7 +165,6 @@ class CompiledProgram:
         summary = {
             "mode": self.mode,
             "backend": self.options.backend,
-            "codegen": plan.codegen,
             "tree": self.options.tree if self.mode == "tree" else None,
             "traversal_engine": plan.engine,
             "executor": None if plan.executor == "serial" else plan.executor,

@@ -137,9 +137,8 @@ def _cmd_stats(args) -> int:
         engine = f" engine: {s['traversal_engine']}" if s.get("traversal_engine") else ""
         executor = f" executor: {s['executor']}" if s.get("executor") else ""
         cache = f" cache: {s['cache']}" if s.get("cache") else ""
-        codegen = f" codegen: {s['codegen']}" if s.get("codegen") else ""
         print(f"  mode: {s['mode']}  backend: {s['backend']}"
-              f"{codegen}{tree}{engine}{executor}{cache}")
+              f"{tree}{engine}{executor}{cache}")
         print("  plan:      " + " ".join(
             f"{name}={field['value']}({field['source']})"
             for name, field in s["plan"].items()))

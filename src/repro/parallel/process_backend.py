@@ -117,10 +117,8 @@ def parallel_dual_tree_process(
             "state_spec": (state.outer_op, state.inner_op, state.k,
                            state.nq, nr),
             "same_tree": same_tree,
-            # Workers run ``plan.engine`` and rebuild kernels from the
-            # shipped source with ``plan.codegen`` (a native program
-            # re-warms its JIT once per worker, under the worker's own
-            # counters registry).
+            # Workers run ``plan.engine`` over kernels rebuilt from the
+            # shipped source.
             "plan": plan,
         }
         payloads = [dict(common, q_root=int(q)) for q in frontier]

@@ -195,7 +195,6 @@ def build_shard_pack(
 
 def build_shard_execution(
     pack: ShardPack,
-    backend,
     source: str,
     code,
     q_bindings,
@@ -205,15 +204,15 @@ def build_shard_execution(
     nq: int,
 ) -> ShardExecution:
     """Allocate fresh per-shard states and bind the generated kernels
-    (emitted by codegen ``backend``) against query-side bindings + this
-    shard's reference bindings + this shard's accumulators."""
+    against query-side bindings + this shard's reference bindings + this
+    shard's accumulators."""
     from ..backend.state import allocate_state
 
     states, kernels = [], []
     for i in range(pack.count):
         st = allocate_state(outer_op, inner_op, k, nq, int(pack.trees[i].n))
         kernels.append((q_bindings | pack.bindings[i]).bind(
-            backend, source, code, st))
+            source, code, st))
         states.append(st)
     return ShardExecution(pack=pack, states=states, kernels=kernels)
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend.backends import get_backend
 from ..backend.codegen import Bindings, GeneratedKernels
 from ..backend.state import State, allocate_state
 from ..dsl.ops import op_info
@@ -149,11 +148,7 @@ def _program(payload: dict) -> _WorkerProgram:
     state = allocate_state(outer_op, inner_op, k, nq, nr)
     source = payload["source"]
     code = compile(source, "<portal-worker>", "exec")
-    # Rebuild with the backend that emitted the source: a native program
-    # JIT-compiles (warms) its kernels here, once per worker process.
-    backend = get_backend(payload["plan"].codegen)
-    kernels = Bindings(views, payload["scalars"]).bind(
-        backend, source, code, state)
+    kernels = Bindings(views, payload["scalars"]).bind(source, code, state)
     qview = TreeView(views, "q")
     rview = qview if payload["same_tree"] else TreeView(views, "r")
 
@@ -171,9 +166,6 @@ def run_task(payload: dict) -> dict:
     """Run one (query-subtree × reference-root) traversal task; returns
     the partial accumulator slices, stats and counters for its range."""
     with collect() as counters:
-        # Program build happens *inside* the collect scope so bind-time
-        # counters (backend.native.compile_s / .fallback on a cold
-        # worker) ship back with the task result.
         prog = _program(payload)
         state = prog.state
         q_root = int(payload["q_root"])

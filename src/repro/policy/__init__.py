@@ -1,7 +1,7 @@
 """``repro.policy`` — the self-tuning execution policy (ROADMAP item 5).
 
-Routing knobs have multiplied — traversal engine, executor, codegen
-target, leaf size, shard count — and until this package the ``auto``
+Routing knobs have multiplied — traversal engine, executor, leaf size,
+shard count — and until this package the ``auto``
 choices were a handful of hard-coded rules spread across the compiler.
 This package replaces them with a *measured* policy:
 
@@ -52,7 +52,7 @@ from .store import (
 __all__ = [
     "PolicyDecision", "PolicyEntry", "PolicyKey", "PolicyStore",
     "default_policy_path", "ensure_policy", "host_fingerprint",
-    "note_native_fallback", "observe_run", "policy_key", "policy_store",
+    "observe_run", "policy_key", "policy_store",
     "resolve_execution_policy", "reset_policy_store", "run_search",
     "warm_policy",
 ]
@@ -60,7 +60,7 @@ __all__ = [
 #: Online-refinement thresholds: a live run deviating this much from
 #: the tuning measurement marks the entry stale.  Generous on purpose —
 #: prune rates drift with data distribution; only *badly* wrong entries
-#: (the tree changed character, the JIT disappeared) should be retired.
+#: (the tree changed character) should be retired.
 DEVIATION_PRUNE_DELTA = 0.4
 DEVIATION_PAIR_FACTOR = 8.0
 #: exact-pair fractions are scale-dependent, so they are only compared
@@ -75,17 +75,12 @@ class PolicyDecision:
     source: str          # 'policy-cache' | 'fresh-search'
     key: PolicyKey
     config: dict
-    #: the decision chose native codegen on a host that has no JIT
-    native_fallback: bool = False
 
     def describe(self, applied: dict) -> dict:
         """The ``stats()["policy"]`` block; ``applied`` are the config
         entries that routed the plan (the rest were asked explicitly)."""
-        block = {"source": self.source, "key": self.key.as_str(),
-                 "config": dict(self.config), "applied": applied}
-        if self.native_fallback:
-            block["native_fallback"] = True
-        return block
+        return {"source": self.source, "key": self.key.as_str(),
+                "config": dict(self.config), "applied": applied}
 
 
 def _search_and_store(layers, opts: CompileOptions, key: PolicyKey, *,
@@ -95,7 +90,7 @@ def _search_and_store(layers, opts: CompileOptions, key: PolicyKey, *,
     # The search starts from what the static rules alone resolve: no
     # searched knob asked, no environment, no policy.
     unasked = dict.fromkeys(
-        ("traversal", "parallel", "executor", "codegen", "shards", "policy"))
+        ("traversal", "parallel", "executor", "shards", "policy"))
     start = resolve_plan(replace(opts, **unasked), {}, None, layers)
     max_q = SEARCH_SUBSAMPLE_Q if nq is None else min(int(nq),
                                                       SEARCH_SUBSAMPLE_Q)
@@ -131,15 +126,6 @@ def resolve_execution_policy(layers, opts: CompileOptions,
         return PolicyDecision("fresh-search", key, dict(entry.config))
     contribute({"policy.miss": 1})
     return None
-
-
-def note_native_fallback(decision: PolicyDecision) -> None:
-    """A policy-chosen native codegen degraded to numpy at resolve time:
-    the environment lost its JIT since tuning, so the measurement no
-    longer describes this host — retire the entry."""
-    contribute({"policy.native_unavailable": 1})
-    decision.native_fallback = True
-    policy_store().mark_stale(decision.key)
 
 
 def observe_run(key: PolicyKey, stats, nq: int, nr: int) -> None:

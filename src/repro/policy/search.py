@@ -3,20 +3,20 @@
 The generalisation of ``tune_leaf_size``'s subsample-timing approach
 (paper V-B) from one knob to the joint space
 
-    {engine × executor × codegen × leaf size × shards}.
+    {engine × executor × leaf size × shards}.
 
-The full cross product is ~70 configurations — far too many to time per
+The full cross product is ~35 configurations — far too many to time per
 policy key — so the search is structured:
 
 * **pruned enumeration**: per-axis candidate lists drop everything the
-  existing validity rules forbid (native codegen without numba, the
-  process/thread executors on single-core hosts, shard counts the
-  reference set cannot feed, the epoch engine on stateless problems);
+  existing validity rules forbid (the process/thread executors on
+  single-core hosts, shard counts the reference set cannot feed, the
+  epoch engine on stateless problems);
 * **coordinate descent**: starting from the plan the static rules
   resolve (:func:`repro.backend.plan.resolve_plan` with no policy),
   one axis is swept at a time (executor first — the biggest lever —
-  then engine, leaf size, codegen, shards), keeping the incumbent for
-  every other axis.  ~12 timed configurations instead of ~70;
+  then engine, leaf size, shards), keeping the incumbent for every
+  other axis.  ~11 timed configurations instead of ~35;
 * **budgeted timing**: measurements run through
   :func:`repro.util.tune.measure_candidates` on *subsampled* inputs
   (stride subsample, spatially unbiased) under a total wall-clock
@@ -73,8 +73,6 @@ SEARCH_SHARD_MIN_POINTS = 4096
 def enumerate_axes(nq: int, nr: int, *, bound_rule: bool,
                    workers: int) -> dict[str, list]:
     """Pruned per-axis candidate lists (validity rules applied here)."""
-    from ..backend.native import native_available
-
     engines = (["bounded-batched", "stack"] if bound_rule
                else ["batched", "stack"])
     if nq * nr > 1 << 22:
@@ -84,7 +82,6 @@ def enumerate_axes(nq: int, nr: int, *, bound_rule: bool,
     executors = ["serial"]
     if workers > 1:
         executors += ["thread", "process"]
-    codegens = ["numpy"] + (["native"] if native_available() else [])
     leafs = sorted({int(l) for l in SEARCH_LEAF_CANDIDATES})
     from ..parallel.shard import viable_shard_counts
 
@@ -94,13 +91,12 @@ def enumerate_axes(nq: int, nr: int, *, bound_rule: bool,
         "executor": executors,
         "engine": engines,
         "leaf_size": leafs,
-        "codegen": codegens,
         "shards": shards,
     }
 
 
 #: axis (plan field) sweep order: biggest lever first
-AXIS_ORDER = ("executor", "engine", "leaf_size", "codegen", "shards")
+AXIS_ORDER = ("executor", "engine", "leaf_size", "shards")
 
 
 def _stride_subsample(data: np.ndarray, cap: int) -> np.ndarray:

@@ -4,7 +4,7 @@ One JSON file (default ``~/.cache/repro/policy.json``, overridable via
 ``REPRO_POLICY_PATH``) holding the measured policy table.  The file is
 versioned by the compile pipeline's :data:`ARTIFACT_SCHEMA`, this
 module's own :data:`POLICY_SCHEMA`, and a **host fingerprint** (CPU
-count, usable affinity, numba availability, numpy version, machine) —
+count, usable affinity, numpy version, machine) —
 measured timings from a different pipeline or a different machine must
 never steer this one, so any mismatch drops the stored entries wholesale
 (counted, never fatal).  A corrupt or truncated file likewise degrades
@@ -36,7 +36,9 @@ __all__ = [
 
 #: Version of the on-disk policy table layout.  Bumped when the entry
 #: schema or key format changes shape; old files are dropped wholesale.
-POLICY_SCHEMA = 1
+#: v2: ``config`` has no ``codegen`` knob and the host fingerprint one
+#: field fewer.
+POLICY_SCHEMA = 2
 
 
 def default_policy_path() -> str:
@@ -54,21 +56,15 @@ def host_fingerprint() -> str:
 
     Anything that changes the relative ranking of candidate
     configurations invalidates the table: core count and usable
-    affinity (executor/shard choices), numba availability (codegen
-    choices), the numpy version and machine architecture (kernel
-    throughput).
+    affinity (executor/shard choices), the numpy version and machine
+    architecture (kernel throughput).
     """
     try:
         affinity = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         affinity = None
-    try:
-        import numba  # noqa: F401
-        has_numba = True
-    except ImportError:
-        has_numba = False
     parts = (platform.machine(), str(os.cpu_count()), str(affinity),
-             str(has_numba), np.__version__)
+             np.__version__)
     return hashlib.blake2b("|".join(parts).encode(),
                            digest_size=8).hexdigest()
 
@@ -78,7 +74,7 @@ class PolicyEntry:
     """One tuned decision: the winning configuration plus the
     measurement context needed for online refinement."""
 
-    #: chosen knobs: traversal / executor / codegen / leaf_size / shards
+    #: chosen knobs: traversal / executor / leaf_size / shards
     config: dict
     #: candidate-label → best-of seconds from the tuning search
     timings: dict = field(default_factory=dict)

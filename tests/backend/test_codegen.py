@@ -155,7 +155,7 @@ class TestCompiledClosures:
         Q = rng.normal(size=(5, 3))
         R = rng.normal(size=(9, 3))
         best = np.full((5, 3), np.inf)
-        gk = generate(_spec(inner_op=PortalOp.KMIN, k=3),
+        gk = generate(_spec(inner_op=PortalOp.KMIN),
                       dict(_bindings(Q, R, {"best": best}), K=3))
         gk.base_case(0, 5, 0, 9)
         d2 = np.sort(((Q[:, None, :] - R[None, :, :]) ** 2).sum(-1), axis=1)

@@ -29,12 +29,12 @@ TREES = ("kd", "ball", "octree")
 #: forced configurations, rotated per tree so every engine / executor /
 #: leaf size in the search space is exercised against the default
 FORCED = [
-    {"traversal": "stack", "executor": "serial", "codegen": "numpy",
-     "leaf_size": 32, "shards": 1},
-    {"traversal": "batched", "executor": "thread", "codegen": "numpy",
-     "leaf_size": 128, "shards": 1},
-    {"traversal": "bounded-batched", "executor": "process",
-     "codegen": "numpy", "leaf_size": 16, "shards": 1},
+    {"traversal": "stack", "executor": "serial", "leaf_size": 32,
+     "shards": 1},
+    {"traversal": "batched", "executor": "thread", "leaf_size": 128,
+     "shards": 1},
+    {"traversal": "bounded-batched", "executor": "process", "leaf_size": 16,
+     "shards": 1},
 ]
 
 

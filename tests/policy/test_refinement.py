@@ -1,9 +1,6 @@
 """Counter-driven online refinement: live runs whose observed profile
 deviates from the tuning measurement retire the cached decision."""
 
-import pytest
-
-from repro.backend.native import native_available
 from repro.observe import collect
 from repro.policy import policy_store
 
@@ -110,26 +107,3 @@ class TestStaleResearch:
         assert expr.stats()["policy"]["source"] == "fresh-search"
         assert not policy_store().get(key).stale
 
-
-@pytest.mark.skipif(native_available(),
-                    reason="needs a host without the numba JIT")
-class TestNativeFallback:
-    def test_unavailable_native_retires_entry(self, policy_path,
-                                              monkeypatch):
-        # The CI "no-numba-fallback" leg exports REPRO_CODEGEN=native;
-        # an environment knob outranks the policy, so the seeded entry's
-        # codegen would never be consulted.
-        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
-        build, base = _expr()
-        key = seed_entry(build, base,
-                         config=dict(CONFIG, codegen="native"))
-        expr = build()
-        with collect() as counters:
-            expr.execute(**base, policy="auto")
-        snap = counters.as_dict()
-        assert snap["policy.native_unavailable"] == 1
-        assert snap["backend.native.fallback"] == 1
-        assert policy_store().get(key).stale
-        assert expr.stats()["policy"]["native_fallback"] is True
-        # the run itself completed on the numpy target
-        assert expr.stats()["codegen"] == "numpy"

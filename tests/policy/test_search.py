@@ -52,17 +52,16 @@ class TestEnumerateAxes:
 class TestCandidate:
     def test_label_roundtrips_options(self):
         cand = ExecutionPlan(engine="stack", executor="process", workers=2,
-                             min_tasks=8, codegen="numpy", leaf_size=32,
-                             shards=2)
+                             min_tasks=8, leaf_size=32, shards=2)
         opts = cand.to_options()
         assert opts["parallel"] is True and opts["executor"] == "process"
         assert opts["traversal"] == "stack" and opts["shards"] == 2
         assert cand.to_config() == {
-            "traversal": "stack", "executor": "process", "codegen": "numpy",
-            "leaf_size": 32, "shards": 2}
+            "traversal": "stack", "executor": "process", "leaf_size": 32,
+            "shards": 2}
         assert ExecutionPlan.from_config(cand.to_config()) == {
-            "engine": "stack", "executor": "process", "codegen": "numpy",
-            "leaf_size": 32, "shards": 2}
+            "engine": "stack", "executor": "process", "leaf_size": 32,
+            "shards": 2}
 
     def test_serial_disables_parallel(self):
         opts = start_plan().to_options()
@@ -91,7 +90,6 @@ class TestSearchPolicy:
             "executor": ["serial", "thread"],
             "engine": ["bounded-batched"],
             "leaf_size": [32, 64],
-            "codegen": ["numpy"],
             "shards": [1],
         }
         best, timings = search_policy(

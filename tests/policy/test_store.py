@@ -2,6 +2,7 @@
 that no failure mode ever raises into an execution."""
 
 import json
+from dataclasses import asdict
 
 from repro.backend import cache as cache_mod
 from repro.observe import collect
@@ -13,7 +14,7 @@ from repro.policy import store as store_mod
 KEY = PolicyKey(program_class="cafe0123", tree="kd", nq_bucket=8,
                 nr_bucket=9, dim=3, k=4)
 CONFIG = {"traversal": "bounded-batched", "executor": "serial",
-          "codegen": "numpy", "leaf_size": 64, "shards": 1}
+          "leaf_size": 64, "shards": 1}
 
 
 def _entry(**kw):
@@ -101,6 +102,19 @@ class TestVersioning:
 
     def test_policy_schema_bump_drops_entries(self, policy_path,
                                               monkeypatch):
+        # A schema-1 file, written while configs still carried a codegen
+        # target, is dropped as a mismatch — not read, not raised.
+        old = PolicyEntry(config=dict(CONFIG, codegen="native"))
+        policy_path.write_text(json.dumps({
+            "policy_schema": 1,
+            "artifact_schema": cache_mod.ARTIFACT_SCHEMA,
+            "host": host_fingerprint(),
+            "entries": {KEY.as_str(): asdict(old)},
+        }))
+        with collect() as counters:
+            assert PolicyStore().get(KEY) is None
+        assert counters.as_dict()["policy.schema_mismatch"] == 1
+
         PolicyStore().put(KEY, _entry())
         monkeypatch.setattr(store_mod, "POLICY_SCHEMA",
                             store_mod.POLICY_SCHEMA + 1)

@@ -177,6 +177,11 @@ def test_error_payloads():
                          "data": data, "options": {"tree": "foo"}})
         assert not r["ok"] and r["error"]["type"] == "SpecificationError"
         assert r["error"]["portal"] and "tree" in r["error"]["message"]
+        # there is one code generator: no codegen option to pass
+        r = await c.rpc({"op": "register", "id": 9, "program": PROGRAM,
+                         "data": data, "options": {"codegen": "numpy"}})
+        assert not r["ok"] and r["error"]["type"] == "SpecificationError"
+        assert r["error"]["portal"] and "codegen" in r["error"]["message"]
 
         # shed errors are marked retryable
         reg = await c.rpc({"op": "register", "program": PROGRAM,
