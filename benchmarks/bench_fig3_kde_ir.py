@@ -97,9 +97,8 @@ def test_fig3_ir_ablation_interp(benchmark):
         lowered = lower(e.layers, kernel, cls, rule, name)
 
         base_fn = PassManager(
-            fastmath=True, disabled=frozenset(SEED_PIPELINE_DISABLE)
-        ).run(lowered)["BaseCase"]
-        ext_fn = PassManager(fastmath=True).run(lowered)["BaseCase"]
+            disabled=frozenset(SEED_PIPELINE_DISABLE)).run(lowered)["BaseCase"]
+        ext_fn = PassManager().run(lowered)["BaseCase"]
         base_s = time_interp_base_case(base_fn, e.layers)
         ext_s = time_interp_base_case(ext_fn, e.layers)
         rows.append({
@@ -113,7 +112,7 @@ def test_fig3_ir_ablation_interp(benchmark):
             "nq": 40, "nr": 45, "d": 3,
         })
 
-    benchmark(lambda: PassManager(fastmath=True).run(lowered)["BaseCase"])
+    benchmark(lambda: PassManager().run(lowered)["BaseCase"])
     update_bench_json("BENCH_ir.json", "fig3", rows,
                       meta={"backend": "interp", "function": "BaseCase",
                             "repeats": 5})

@@ -12,9 +12,8 @@ vectorisation decisions drive the emitted code:
   (reference) loop vectorises; for high-dimensional data (row-major) the
   innermost dimension loop vectorises via a contracted ``einsum``;
 * **strength reduction** — the kernel expression arrives already
-  strength-reduced (chained multiplications, ``1/fast_inverse_sqrt``
-  forms) and is emitted verbatim, so the generated source visibly
-  contains the optimisation;
+  strength-reduced (``pow`` as chained multiplications) and is emitted
+  verbatim, so the generated source visibly contains the optimisation;
 * **multi-variable filters** — ``min^k``-style operators keep a sorted
   k-array per query, merged with each leaf batch, exactly the ordered
   array the paper describes.
@@ -37,7 +36,6 @@ from ..dsl.ops import MAX_LIKE, MIN_LIKE, PortalOp, op_info
 from ..ir.nodes import IRCall, LoadExpr, SymRef
 from ..observe import span
 from ..rules.spec import RuleSpec
-from .fastmath import fast_inverse_sqrt
 from .layout import Layout
 
 __all__ = [
@@ -53,7 +51,6 @@ _NUMPY_CALLS = {
     "pow": "np.power",
     "max": "np.maximum",
     "min": "np.minimum",
-    "fast_inverse_sqrt": "finvsqrt",
 }
 
 
@@ -865,7 +862,7 @@ def _present(**named) -> dict:
 def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
     """Execute emitted kernel code against a closure environment — the
     flat namespace :meth:`Bindings.bind` assembles."""
-    namespace = {"np": np, "finvsqrt": fast_inverse_sqrt}
+    namespace = {"np": np}
     namespace.update(bindings)
     exec(code, namespace)
     return GeneratedKernels(

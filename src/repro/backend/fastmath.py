@@ -1,17 +1,23 @@
-"""Fast approximate math primitives (paper section IV-E).
+"""Fast approximate math primitives (paper section IV-E), kept on their own.
 
-The strength-reduction pass replaces long-latency operations with faster,
-slightly less accurate versions.  The centrepiece is the bit-twiddling
-*fast inverse square root* (one Newton–Raphson refinement step), the same
-technique LLVM's intrinsic uses, with a relative error well under the
-paper's quoted 0.17 %.  Both float32 (the classic Quake III constant) and
-float64 variants are provided, vectorised over NumPy arrays.
+The paper's strength-reduction pass rewrites ``sqrt(x)`` to
+``1 / fast_inverse_sqrt(x)``: the bit-twiddling *fast inverse square
+root* with Newton–Raphson refinement, the same technique LLVM's intrinsic
+uses, with a relative error well under the paper's quoted 0.17 %.  Both
+float32 (the classic Quake III constant) and float64 variants are
+provided, vectorised over NumPy arrays.
+
+The compiler does not emit them.  Under NumPy the primitive is a handful
+of Python-level array operations set against one ``np.sqrt`` ufunc — slower
+and less accurate — so the rewrite is not carried over (DESIGN.md,
+substitution S7).  The module remains so that the primitive itself can be
+tested and measured (``benchmarks/bench_ablation_compiler.py``).
 
 The paper's observation about computing √x is preserved:
 
 * ``x * finvsqrt(x)`` is faster but returns NaN at x = 0;
-* ``1 / finvsqrt(x)`` returns 0 at x = 0 as desired — Portal emits this
-  form, and so do we (:func:`fast_sqrt`).
+* ``1 / finvsqrt(x)`` returns 0 at x = 0 as desired — the paper's Portal
+  emits this form (:func:`fast_sqrt`).
 """
 
 from __future__ import annotations

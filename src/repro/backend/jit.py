@@ -183,7 +183,7 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
     return (
         pexpr.name, layer_parts, (kern.base, repr(kern.g), kern.whiten),
         opts.backend, plan.engine is not None, opts.tree,
-        opts.tau, opts.criterion, opts.theta, opts.fastmath,
+        opts.tau, opts.criterion, opts.theta,
         resolved_layout(layers, opts), tuple(sorted(opts.disable_passes)),
         verify, *self_pairs(layers, opts), (plan.shards or 1) > 1,
     )
@@ -291,8 +291,7 @@ def front_end(pexpr, opts: CompileOptions, verify: bool):
     contribute({f"rules.classified.{classification.category}": 1,
                 f"rules.generated.{rule.kind}": 1})
 
-    pm = PassManager(fastmath=opts.fastmath,
-                     disabled=frozenset(opts.disable_passes), verify=verify)
+    pm = PassManager(disabled=frozenset(opts.disable_passes), verify=verify)
     t0 = time.perf_counter()
     with span("compile.lowering", program=pexpr.name):
         lowered = lower(layers, layers[-1].metric_kernel, classification,
@@ -344,7 +343,7 @@ def _compile_code(pexpr, opts: CompileOptions, plan: ExecutionPlan,
             )
 
     # Strength-reduced kernel body for the code generator.
-    g_ir = reduce_expr(kernel_to_ir(kernel.g), fastmath=opts.fastmath)
+    g_ir = reduce_expr(kernel_to_ir(kernel.g))
 
     # One-sided indicator kernels compare in *base-distance* units
     # (t < h² instead of sqrt(t) < h): exact — approximate square roots

@@ -154,7 +154,6 @@ class CompileOptions:
     #: pin the parallel task decomposition independently of ``workers``
     #: (same tasks → bit-identical outputs across worker counts)
     min_tasks: int | None = _row(allowed=_positive_int)
-    fastmath: bool = _row(True, allowed=_flag)
     #: default: True when query is reference
     exclude_self: bool | None = _row(allowed=_flag)
     #: override the dimensionality-based layout choice ('row' | 'column');

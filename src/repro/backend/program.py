@@ -345,8 +345,7 @@ class CompiledProgram:
 
         brute = compile_expr(
             PortalExpr.from_layers(self.layers, "validation"),
-            {"backend": "brute", "fastmath": self.options.fastmath,
-             "exclude_self": self.options.exclude_self})
+            {"backend": "brute", "exclude_self": self.options.exclude_self})
         return _max_output_delta(self.output, brute.run())
 
 

@@ -129,8 +129,8 @@ class PortalExpr:
         ``leaf_size``, ``tau`` (approximation threshold), ``parallel``,
         ``workers``, ``shards`` (``'auto'`` or a count — partition the
         reference set into spatial shards with one tree each and combine
-        per-shard results; see :mod:`repro.parallel.shard`) and
-        ``fastmath``.  See :class:`repro.backend.jit.CompileOptions`.
+        per-shard results; see :mod:`repro.parallel.shard`).  See
+        :class:`repro.backend.plan.CompileOptions`.
         """
         program = self.compile(**options)
         self._output = program.run()

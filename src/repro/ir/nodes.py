@@ -8,8 +8,8 @@ The IR is a small statement language over the symbolic expression nodes of
   flattening pass rewrites multi-index loads into one-dimensional strided
   loads (paper section IV-C),
 * :class:`IRCall` — call of an IR-level function (``pow``, ``sqrt``,
-  ``fast_inverse_sqrt``, ``cholesky``, ``forward_sub``, ...), the nodes
-  the numerical-optimisation and strength-reduction passes rewrite.
+  ``cholesky``, ``forward_sub``, ...), the nodes the
+  numerical-optimisation and strength-reduction passes rewrite.
 
 Statements form :class:`Block` trees inside :class:`IRFunction`; a
 compiled problem is an :class:`IRProgram` holding the three traversal
@@ -98,18 +98,17 @@ IR_FUNCS: dict[str, Callable] = {}
 def _register_ir_funcs():
     from scipy.linalg import cholesky as _chol, solve_triangular
 
-    from ..backend import fastmath
-
     IR_FUNCS.update(
         {
-            "pow": lambda x, n: x ** n,
+            # float64, as the emitted np.power: pow(-8, 0.5) is NaN,
+            # not a complex number.
+            "pow": lambda x, n: np.power(x, n, dtype=np.float64),
             "sqrt": np.sqrt,
             "exp": np.exp,
             "log": np.log,
             "abs": np.abs,
             "min": lambda a, b: np.minimum(a, b),
             "max": lambda a, b: np.maximum(a, b),
-            "fast_inverse_sqrt": fastmath.fast_inverse_sqrt,
             "cholesky": lambda S: _chol(S, lower=True),
             "forward_sub": lambda L, y: solve_triangular(L, y, lower=True),
             "dot": np.dot,

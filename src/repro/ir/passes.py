@@ -68,7 +68,6 @@ class PassManager:
     ``verify`` key and the ``passes.verify_s`` counter).
     """
 
-    fastmath: bool = True
     disabled: frozenset[str] = frozenset()
     verify: bool = False
     snapshots: dict[str, IRProgram] = field(default_factory=dict)
@@ -117,17 +116,9 @@ class PassManager:
         self.snapshots["flattened"] = prog
         prog = self._apply("numopt", numerical_optimize, prog)
         self.snapshots["numopt"] = prog
-        prog = self._apply(
-            "strength",
-            lambda p: strength_reduce(p, fastmath=self.fastmath),
-            prog,
-        )
+        prog = self._apply("strength", strength_reduce, prog)
         self.snapshots["strength"] = prog
-        prog = self._apply(
-            "simplify",
-            lambda p: simplify(p, fastmath=self.fastmath),
-            prog,
-        )
+        prog = self._apply("simplify", simplify, prog)
         self.snapshots["simplify"] = prog
         prog = self._apply("fold", constant_fold, prog)
         prog = self._apply("cse", common_subexpression_eliminate, prog)

@@ -1,11 +1,11 @@
 """Algebraic simplification pass over the Table I operator set.
 
-Extends plain constant folding with identity/zero rewrites and a small
-set of inverse-function cancellations.  Rewrites that are exact in IEEE
-double arithmetic are always applied; rewrites that can change a result
-in corner cases (``x * 0 → 0`` hides NaN/Inf propagation,
-``exp(log(x)) → x`` changes overflow behaviour) are gated behind the
-``fastmath`` compile flag, mirroring the strength-reduction pass.
+Extends plain constant folding with identity rewrites and a few exact
+cancellations.  Every rewrite is exact in IEEE double arithmetic: a
+rewrite that can change a result in corner cases (``x * 0 → 0`` hides
+NaN/Inf propagation, ``exp(log(x)) → x`` changes overflow behaviour) is
+not made.  Constants fold in float64 NumPy arithmetic, as the emitted
+code computes them, and only to a finite real.
 
 The single-node folding core (:func:`fold_node`) is shared with the
 pass manager's standalone ``fold`` pass.
@@ -15,19 +15,24 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..dsl.expr import BinOp, Const, Expr, Indicator, Neg
 from .nodes import IRCall, IRProgram
 
 __all__ = ["simplify", "fold_node"]
 
+#: binary operators and IR functions, as the emitted code evaluates them
 _FOLDABLE = {
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "log": math.log,
-    "abs": abs,
-    "pow": lambda x, n: x ** n,
-    "max": max,
-    "min": min,
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "**": np.power,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "log": np.log,
+    "abs": np.abs,
+    "pow": np.power,
+    "max": np.maximum,
+    "min": np.minimum,
 }
 
 _CMP = {
@@ -41,6 +46,15 @@ def _const(e: Expr, value: float) -> bool:
     return isinstance(e, Const) and e.value == value
 
 
+def _fold(e: Expr, fn, args) -> Expr:
+    """``Const(fn(*args))`` evaluated in float64 NumPy — what the emitted
+    code computes — when that is a finite real; otherwise *e*, left for
+    runtime (a NaN, an infinity or a complex power is never folded)."""
+    with np.errstate(all="ignore"):
+        value = float(fn(*(np.float64(a.value) for a in args)))
+    return Const(value) if math.isfinite(value) else e
+
+
 def fold_node(e: Expr) -> Expr:
     """Constant folding + exact identities for one (rebuilt) node."""
     if isinstance(e, Neg) and isinstance(e.operand, Const):
@@ -48,16 +62,7 @@ def fold_node(e: Expr) -> Expr:
     if isinstance(e, BinOp):
         a, b = e.lhs, e.rhs
         if isinstance(a, Const) and isinstance(b, Const):
-            try:
-                return Const({
-                    "+": a.value + b.value,
-                    "-": a.value - b.value,
-                    "*": a.value * b.value,
-                    "/": a.value / b.value if b.value != 0 else math.inf,
-                    "**": a.value ** b.value,
-                }[e.op])
-            except (OverflowError, ValueError):
-                return e
+            return _fold(e, _FOLDABLE[e.op], (a, b))
         # Identities: x*1, 1*x, x+0, 0+x, x-0, x/1.
         if e.op == "*" and _const(b, 1.0):
             return a
@@ -74,14 +79,11 @@ def fold_node(e: Expr) -> Expr:
     if isinstance(e, IRCall) and e.func in _FOLDABLE and all(
         isinstance(a, Const) for a in e.args
     ):
-        try:
-            return Const(float(_FOLDABLE[e.func](*(a.value for a in e.args))))
-        except (ValueError, OverflowError):
-            return e
+        return _fold(e, _FOLDABLE[e.func], e.args)
     return e
 
 
-def _simplify_node(e: Expr, fastmath: bool) -> Expr:
+def _simplify_node(e: Expr) -> Expr:
     e = fold_node(e)
     if isinstance(e, Neg) and isinstance(e.operand, Neg):
         return e.operand.operand
@@ -96,16 +98,6 @@ def _simplify_node(e: Expr, fastmath: bool) -> Expr:
         if e.op == "+" and a == b:
             # x + x == 2*x exactly in IEEE arithmetic; halves the reads.
             return BinOp("*", Const(2.0), a)
-        if fastmath:
-            # Unsafe identities: hide NaN/Inf propagation from x.
-            if e.op == "*" and (_const(a, 0.0) or _const(b, 0.0)):
-                return Const(0.0)
-            if e.op == "/" and _const(a, 0.0):
-                return Const(0.0)
-            if e.op == "-" and a == b:
-                return Const(0.0)
-            if e.op == "/" and a == b:
-                return Const(1.0)
     if isinstance(e, IRCall):
         args = e.args
         if e.func == "pow" and len(args) == 2 and _const(args[1], 1.0):
@@ -120,29 +112,11 @@ def _simplify_node(e: Expr, fastmath: bool) -> Expr:
         if e.func == "dot" and len(args) == 2 and args[0] == args[1]:
             # dot(x, x) → sqnorm(x): evaluates x once (paper Table I norm).
             return IRCall("sqnorm", (args[0],))
-        if fastmath and e.func == "exp" and len(args) == 1 and (
-            isinstance(args[0], IRCall) and args[0].func == "log"
-        ):
-            return args[0].args[0]
-        if fastmath and e.func == "log" and len(args) == 1 and (
-            isinstance(args[0], IRCall) and args[0].func == "exp"
-        ):
-            return args[0].args[0]
-        if fastmath and e.func == "sqrt" and len(args) == 1 and (
-            isinstance(args[0], IRCall) and args[0].func == "pow"
-            and len(args[0].args) == 2 and _const(args[0].args[1], 2.0)
-        ):
-            return IRCall("abs", (args[0].args[0],))
-        if fastmath and e.func == "pow" and len(args) == 2 and (
-            _const(args[1], 2.0)
-            and isinstance(args[0], IRCall) and args[0].func == "sqrt"
-        ):
-            return args[0].args[0]
     return e
 
 
-def simplify(program: IRProgram, fastmath: bool = False) -> IRProgram:
+def simplify(program: IRProgram) -> IRProgram:
     """Apply algebraic simplification to every function of *program*."""
-    out = program.map_exprs(lambda e: _simplify_node(e, fastmath))
+    out = program.map_exprs(_simplify_node)
     out.meta["simplified"] = True
     return out

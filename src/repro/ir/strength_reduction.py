@@ -1,30 +1,25 @@
 """Strength-reduction pass (paper section IV-E).
 
-Replaces long-latency operations with cheaper forms:
+``pow(x, n)`` with an integer exponent ``2 ≤ n ≤ 8`` becomes a chain of
+multiplications by binary exponentiation; ``pow(x, 0)`` and ``pow(x, 1)``
+become ``1`` and ``x``.  In statement context the operand ``x`` and
+intermediate squares are materialised once into shared ``sr<N>``
+temporaries, so the rewrite never duplicates the operand tree (the
+duplication CSE previously had to rediscover).
 
-* ``pow(x, n)`` with an integer exponent ``2 ≤ n ≤ 8`` becomes a chain
-  of multiplications by binary exponentiation (exact — always applied);
-  in statement context the operand ``x`` and intermediate squares are
-  materialised once into shared ``sr<N>`` temporaries, so the rewrite
-  never duplicates the operand tree (the duplication CSE previously had
-  to rediscover);
-* ``1 / sqrt(x)`` becomes ``fast_inverse_sqrt(x)`` (applied when
-  ``fastmath`` is enabled);
-* ``sqrt(x)`` becomes ``1 / fast_inverse_sqrt(x)`` — the paper's safe
-  form, which returns 0 rather than NaN at x = 0 (also ``fastmath``);
-* ``1 / (1 / z)`` collapses to ``z`` (cleans up compositions of the two
-  rules above).
-
-For approximation problems this pass is an additional accuracy/time knob,
-so ``fastmath`` is surfaced as a compile option.
+The paper also rewrites ``sqrt(x)`` to ``1 / fast_inverse_sqrt(x)``, a
+fast LLVM intrinsic.  Under NumPy that is a Python-level bit-twiddle set
+against one ``np.sqrt`` ufunc — slower and less accurate — so the rewrite
+is not carried over (DESIGN.md, substitution S7); every rewrite here is
+exact in IEEE double arithmetic.
 """
 
 from __future__ import annotations
 
 from ..dsl.expr import BinOp, Const, Expr
 from .nodes import (
-    Alloc, Assign, AugAssign, CallStmt, For, IfStmt, IRCall, IRFunction,
-    IRProgram, ReturnStmt, Stmt, StoreStmt, SymRef, _map_expr_tree,
+    Alloc, Assign, AugAssign, CallStmt, For, IfStmt, IRCall, IRProgram,
+    ReturnStmt, Stmt, StoreStmt, SymRef, _map_expr_tree,
 )
 
 __all__ = ["strength_reduce", "reduce_expr", "MAX_POW_CHAIN"]
@@ -55,7 +50,7 @@ def _pow_chain(base: Expr, n: int, materialize) -> Expr:
     return mul(sq2, sq2)
 
 
-def _make_rewriter(fastmath: bool, hoist=None):
+def _make_rewriter(hoist=None):
     """Node rewriter; *hoist* (when given) materialises an expression into
     a fresh shared temporary, returning its :class:`SymRef`."""
 
@@ -75,32 +70,12 @@ def _make_rewriter(fastmath: bool, hoist=None):
                     return x
                 if 2 <= ni <= MAX_POW_CHAIN:
                     return _pow_chain(materialize(x), ni, materialize)
-            return e
-        if fastmath and isinstance(e, IRCall) and e.func == "sqrt":
-            return BinOp(
-                "/", Const(1.0), IRCall("fast_inverse_sqrt", (e.args[0],))
-            )
-        if isinstance(e, BinOp) and e.op == "/":
-            # 1 / sqrt(x)  ->  fast_inverse_sqrt(x)
-            if (
-                fastmath
-                and isinstance(e.lhs, Const) and e.lhs.value == 1.0
-                and isinstance(e.rhs, IRCall) and e.rhs.func == "sqrt"
-            ):
-                return IRCall("fast_inverse_sqrt", (e.rhs.args[0],))
-            # 1 / (1 / z)  ->  z
-            if (
-                isinstance(e.lhs, Const) and e.lhs.value == 1.0
-                and isinstance(e.rhs, BinOp) and e.rhs.op == "/"
-                and isinstance(e.rhs.lhs, Const) and e.rhs.lhs.value == 1.0
-            ):
-                return e.rhs.rhs
         return e
 
     return rewrite
 
 
-def _reduce_stmt(s: Stmt, fastmath: bool, counter: list[int]):
+def _reduce_stmt(s: Stmt, counter: list[int]):
     """Rewrite the directly evaluated expressions of one statement,
     hoisting pow operands into ``sr<N>`` temporaries prefixed before it.
     (Direct expressions of loops and branches — bounds, conditions — are
@@ -114,7 +89,7 @@ def _reduce_stmt(s: Stmt, fastmath: bool, counter: list[int]):
         prefix.append(Assign(name, e))
         return SymRef(name)
 
-    node = _make_rewriter(fastmath, hoist)
+    node = _make_rewriter(hoist)
 
     def rw(e: Expr) -> Expr:
         return _map_expr_tree(e, node)
@@ -141,22 +116,21 @@ def _reduce_stmt(s: Stmt, fastmath: bool, counter: list[int]):
     return prefix + [s] if prefix else s
 
 
-def strength_reduce(program: IRProgram, fastmath: bool = True) -> IRProgram:
+def strength_reduce(program: IRProgram) -> IRProgram:
     """Apply strength reduction to every function of the program."""
     counter = [0]
     functions = {
-        name: fn.map_stmts(lambda s: _reduce_stmt(s, fastmath, counter))
+        name: fn.map_stmts(lambda s: _reduce_stmt(s, counter))
         for name, fn in program.functions.items()
     }
     out = IRProgram(functions, dict(program.meta))
     out.meta["strength_reduced"] = True
-    out.meta["fastmath"] = fastmath
     return out
 
 
-def reduce_expr(e: Expr, fastmath: bool = True) -> Expr:
+def reduce_expr(e: Expr) -> Expr:
     """Strength-reduce a bare expression (used by the code generator on
     the kernel body, so the emitted source contains the reduced forms).
     Intermediate squares are shared sub-tree objects; the emitter's
     value numbering materialises each shared square once."""
-    return _map_expr_tree(e, _make_rewriter(fastmath))
+    return _map_expr_tree(e, _make_rewriter())

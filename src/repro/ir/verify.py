@@ -75,7 +75,7 @@ _CMP_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 KNOWN_FUNCS: dict[str, int | None] = {
     # math (Table I operator set)
     "pow": 2, "sqrt": 1, "exp": 1, "log": 1, "abs": 1,
-    "min": 2, "max": 2, "fast_inverse_sqrt": 1,
+    "min": 2, "max": 2,
     "cholesky": 1, "forward_sub": 2, "dot": 2, "sqnorm": 1,
     "mahalanobis": 2,
     # traversal / tree-metadata intrinsics

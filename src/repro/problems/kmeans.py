@@ -45,7 +45,7 @@ def _assign(data: Storage, centroids: np.ndarray):
     expr.addLayer(PortalOp.FORALL, data)
     expr.addLayer(PortalOp.ARGMIN, Storage(centroids, name="centroids"),
                   PortalFunc.SQREUCDIST)
-    out = expr.execute(exclude_self=False, fastmath=False)
+    out = expr.execute(exclude_self=False)
     return np.asarray(out.indices), np.asarray(out.values)
 
 

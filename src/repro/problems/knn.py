@@ -34,7 +34,7 @@ def knn(
         Number of neighbors.
     options:
         Forwarded to ``PortalExpr.execute`` (``leaf_size``, ``parallel``,
-        ``fastmath``, ...).
+        ``tree``, ...).
 
     Returns
     -------

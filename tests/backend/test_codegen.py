@@ -10,6 +10,7 @@ from repro.dsl.errors import CompileError
 from repro.dsl.expr import BinOp, Const, Indicator
 from repro.dsl.ops import PortalOp
 from repro.ir.nodes import IRCall, SymRef
+from repro.ir.strength_reduction import reduce_expr
 from repro.rules.spec import RuleSpec
 
 
@@ -27,8 +28,11 @@ class TestEmitExpr:
 
     def test_calls_map_to_numpy(self):
         assert emit_expr(IRCall("sqrt", (SymRef("t"),)), {"t": "t"}) == "np.sqrt(t)"
-        assert emit_expr(IRCall("fast_inverse_sqrt", (SymRef("t"),)),
-                         {"t": "t"}) == "finvsqrt(t)"
+        assert emit_expr(IRCall("pow", (SymRef("t"), Const(2.5))),
+                         {"t": "t"}) == "np.power(t, 2.5)"
+        # The fast inverse square root is not an emitted function.
+        with pytest.raises(CompileError):
+            emit_expr(IRCall("fast_inverse_sqrt", (SymRef("t"),)), {"t": "t"})
 
     def test_indicator(self):
         e = Indicator("<", SymRef("t"), Const(1.0))
@@ -89,10 +93,12 @@ class TestSourceStructure:
 
     def test_strength_reduced_kernel_visible(self, rng):
         Q = rng.normal(size=(8, 3))
-        g = BinOp("/", Const(1.0), IRCall("fast_inverse_sqrt", (SymRef("t"),)))
+        g = reduce_expr(IRCall("pow", (SymRef("t"), Const(4.0))))
         gk = generate(_spec(g_ir=g, inner_op=PortalOp.MIN),
                       _bindings(Q, Q, {"best": np.full(8, np.inf)}))
-        assert "finvsqrt" in gk.source
+        # pow(t, 4) as one shared square, multiplied by itself.
+        assert "_vn1 = (t * t)" in gk.source and "(_vn1 * _vn1)" in gk.source
+        assert "np.power" not in gk.source
 
     def test_header_mentions_config(self, rng):
         Q = rng.normal(size=(8, 3))

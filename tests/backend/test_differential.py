@@ -141,9 +141,9 @@ def _assert_same(got, ref, kind):
 def test_interp_matches_codegen(name, seed):
     build, kind, opts = make_problem(name, seed)
     ref = _extract(
-        build().execute(backend="vectorized", fastmath=False, **opts), kind)
+        build().execute(backend="vectorized", **opts), kind)
     got = _extract(
-        build().execute(backend="interp", fastmath=False, **opts), kind)
+        build().execute(backend="interp", **opts), kind)
     _assert_same(got, ref, kind)
 
 
@@ -151,18 +151,18 @@ def test_interp_matches_codegen(name, seed):
 @pytest.mark.parametrize("name", ["kde", "range_count", "hausdorff"])
 def test_pass_toggle_preserves_semantics(name, disabled):
     build, kind, opts = make_problem(name, SEEDS[0])
-    ref = _extract(build().execute(fastmath=False, **opts), kind)
+    ref = _extract(build().execute(**opts), kind)
     for backend in ("vectorized", "interp"):
         got = _extract(
-            build().execute(backend=backend, fastmath=False,
+            build().execute(backend=backend,
                             disable_passes=(disabled,), **opts), kind)
         _assert_same(got, ref, kind)
 
 
 def test_all_passes_disabled_together():
     build, kind, opts = make_problem("kde", SEEDS[1])
-    ref = _extract(build().execute(fastmath=False, **opts), kind)
+    ref = _extract(build().execute(**opts), kind)
     got = _extract(
-        build().execute(fastmath=False, disable_passes=TOGGLEABLE_PASSES,
+        build().execute(disable_passes=TOGGLEABLE_PASSES,
                         **opts), kind)
     _assert_same(got, ref, kind)

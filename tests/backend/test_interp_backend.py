@@ -28,14 +28,14 @@ def build(rng, inner_op, func=PortalFunc.EUCLIDEAN, outer_op=PortalOp.FORALL,
 class TestInterpBackend:
     def test_argmin(self, rng):
         Q, R, e = build(rng, PortalOp.ARGMIN)
-        out = e.execute(backend="interp", fastmath=False)
+        out = e.execute(backend="interp")
         _, ib = brute.brute_knn(Q, R, k=1)
         assert np.array_equal(out.indices, ib)
         assert e.program.mode == "interp"
 
     def test_min_values(self, rng):
         Q, R, e = build(rng, PortalOp.MIN)
-        out = e.execute(backend="interp", fastmath=False)
+        out = e.execute(backend="interp")
         db, _ = brute.brute_knn(Q, R, k=1)
         assert np.allclose(out.values, db)
 
@@ -46,13 +46,13 @@ class TestInterpBackend:
 
     def test_kargmin_matrix(self, rng):
         Q, R, e = build(rng, (PortalOp.KARGMIN, 3))
-        out = e.execute(backend="interp", fastmath=False)
+        out = e.execute(backend="interp")
         _, ib = brute.brute_knn(Q, R, k=3)
         assert np.array_equal(np.asarray(out.indices), ib)
 
     def test_outer_max_scalar(self, rng):
         Q, R, e = build(rng, PortalOp.MIN, outer_op=PortalOp.MAX)
-        out = e.execute(backend="interp", fastmath=False)
+        out = e.execute(backend="interp")
         assert out.scalar == pytest.approx(brute.brute_hausdorff(Q, R))
 
     def test_unionarg_lists(self, rng):
@@ -63,7 +63,7 @@ class TestInterpBackend:
         e.addLayer(PortalOp.FORALL, q, Storage(Q, name="query"))
         e.addLayer(PortalOp.UNIONARG, r, Storage(R, name="reference"),
                    indicator(sqrt(pow(q - r, 2)) < 1.2))
-        out = e.execute(backend="interp", fastmath=False)
+        out = e.execute(backend="interp")
         expected = brute.brute_range_search(Q, R, 1.2)
         for got, exp in zip(out.indices, expected):
             assert np.array_equal(got, np.sort(exp))
@@ -83,7 +83,7 @@ class TestInterpBackend:
         cov = np.diag([1.0, 2.0, 4.0])
         Q, R, e = build(rng, PortalOp.MIN, PortalFunc.MAHALANOBIS,
                         covariance=cov)
-        out = e.execute(backend="interp", fastmath=False)
+        out = e.execute(backend="interp")
         diff = Q[:, None, :] - R[None, :, :]
         maha = np.einsum("ijk,kl,ijl->ij", diff, np.linalg.inv(cov), diff)
         assert np.allclose(out.values, maha.min(axis=1))

@@ -47,7 +47,7 @@ class TestOptions:
     def test_defaults(self):
         opts = CompileOptions.from_dict({})
         assert opts.backend == "vectorized" and opts.tree == "kd"
-        assert opts.fastmath
+        assert not hasattr(opts, "fastmath")
 
     def test_unknown_rejected(self):
         with pytest.raises(SpecificationError):
@@ -118,13 +118,13 @@ class TestModes:
 class TestBehaviour:
     def test_tree_equals_brute(self, rng):
         e1 = nn_expr(rng)
-        out_tree = e1.execute(fastmath=False)
+        out_tree = e1.execute()
         delta = e1.program.validate_against_brute()
         assert delta < 1e-12
 
     def _sum_of_distances(self, rng):
-        # SUM is not order-based, so g = sqrt stays in the hot path and
-        # the fastmath knob is visible in the generated source.
+        # SUM is not order-based, so g = sqrt stays in the hot path of
+        # the generated source.
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, Storage(rng.normal(size=(30, 3))))
         e.addLayer(PortalOp.SUM, Storage(rng.normal(size=(30, 3))),
@@ -132,18 +132,20 @@ class TestBehaviour:
         return e
 
     def test_fastmath_off_is_exact_sqrt(self, rng):
+        # One arithmetic: sqrt is emitted as the exact ufunc, and the
+        # retired ``fastmath`` knob is an unknown option.
         e = self._sum_of_distances(rng)
-        e.compile(fastmath=False)
-        assert "finvsqrt" not in e.generated_source()
-        e2 = self._sum_of_distances(rng)
-        e2.compile(fastmath=True)
-        assert "finvsqrt" in e2.generated_source()
+        e.compile()
+        base_case = e.generated_source().split("def base_case")[1]
+        assert "np.sqrt(" in base_case and "finvsqrt" not in base_case
+        with pytest.raises(SpecificationError, match="fastmath"):
+            self._sum_of_distances(rng).compile(fastmath=True)
 
     def test_monotone_map_deferred_for_ordered_reductions(self, rng):
         # ARGMIN over sqrt(t): the generated base case reduces raw t and
         # the sqrt happens once at finalisation.
         e = nn_expr(rng)
-        e.compile(fastmath=False)
+        e.compile()
         src = e.generated_source()
         assert "np.sqrt" not in src.split("def base_case")[1].split("def ")[0]
         assert e.program.state.value_transform is not None
@@ -187,7 +189,7 @@ class TestBehaviour:
         e.addLayer(PortalOp.FORALL, Storage(Q))
         e.addLayer(PortalOp.MIN, Storage(R), PortalFunc.MAHALANOBIS,
                    covariance=cov)
-        out = e.execute(fastmath=False)
+        out = e.execute()
         diff = Q[:, None, :] - R[None, :, :]
         maha = np.einsum("ijk,kl,ijl->ij", diff, np.linalg.inv(cov), diff)
         assert np.allclose(out.values, maha.min(axis=1), rtol=1e-8)
@@ -547,7 +549,7 @@ class TestCodeCache:
                 e.addLayer(PortalOp.MIN, Storage(R, name="r"),
                            PortalFunc.MAHALANOBIS, covariance=cov)
             with collect() as counters:
-                out = e.execute(fastmath=False, **options)
+                out = e.execute(**options)
             return out, _compile_counts(counters)
 
         first, _ = run(cov)

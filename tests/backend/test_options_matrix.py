@@ -34,7 +34,7 @@ class TestLayoutOverride:
             e = PortalExpr()
             e.addLayer(PortalOp.FORALL, Storage(Q))
             e.addLayer(PortalOp.ARGMIN, Storage(R), PortalFunc.EUCLIDEAN)
-            return e.execute(layout=layout, fastmath=False).values
+            return e.execute(layout=layout).values
 
         auto = run(None)
         col = run("column")
@@ -57,7 +57,7 @@ class TestSplitOption:
             e = PortalExpr()
             e.addLayer(PortalOp.FORALL, Storage(Q))
             e.addLayer(PortalOp.ARGMIN, Storage(R), PortalFunc.EUCLIDEAN)
-            out = e.execute(split=split, fastmath=False)
+            out = e.execute(split=split)
             return out.values
 
         assert np.allclose(run("median"), run("midpoint"))
@@ -70,7 +70,7 @@ class TestSplitOption:
 class TestValidateAgainstBrute:
     def test_pruning_problem_exact(self, rng):
         e = nn(rng)
-        e.execute(fastmath=False)
+        e.execute()
         assert e.program.validate_against_brute() < 1e-10
 
     def test_approx_problem_within_tau(self, rng):
@@ -80,12 +80,12 @@ class TestValidateAgainstBrute:
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, s)
         e.addLayer(PortalOp.SUM, s, PortalFunc.GAUSSIAN, bandwidth=0.4)
-        e.execute(tau=1e-3, exclude_self=False, fastmath=False)
+        e.execute(tau=1e-3, exclude_self=False)
         assert e.program.validate_against_brute() <= 1e-3 * 200 + 1e-9
 
     def test_runs_before_output(self, rng):
         e = nn(rng)
-        program = e.compile(fastmath=False)
+        program = e.compile()
         # validate before run(): it must run the program itself.
         assert program.validate_against_brute() < 1e-10
 
@@ -143,7 +143,7 @@ class TestExecutorTraversalCodegenMatrix:
 
     @classmethod
     def _run(cls, build, traversal, executor, codegen):
-        kwargs = dict(traversal=traversal, layout=codegen, fastmath=False,
+        kwargs = dict(traversal=traversal, layout=codegen,
                       leaf_size=16)
         if executor != "serial":
             kwargs.update(parallel=True, workers=2, min_tasks=4,

@@ -250,7 +250,7 @@ def test_none_and_numpy_ints_are_accepted():
 
 
 @pytest.mark.parametrize("name", [
-    "parallel", "fastmath", "cache", "exclude_self", "verify_ir"])
+    "parallel", "cache", "exclude_self", "verify_ir"])
 def test_a_flag_spelt_off_is_off(name):
     """``"false"`` from a serve client or ``--option cache=off`` from the
     CLI is a non-empty string: it must not switch the feature on."""

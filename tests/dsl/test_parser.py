@@ -36,7 +36,7 @@ class TestPrograms:
     def test_nearest_neighbor(self, data):
         Q, R = data
         prog = parse_program(NN_PROGRAM, bindings={"qf.csv": Q, "rf.csv": R})
-        res = prog.run(fastmath=False)
+        res = prog.run()
         db, ib = brute.brute_knn(Q, R, k=1)
         assert np.allclose(res["output"].values, db)
         assert np.array_equal(res["output"].indices, ib)
@@ -52,7 +52,7 @@ class TestPrograms:
         e.execute();
         """
         prog = parse_program(src, bindings={"q": Q, "r": R})
-        res = prog.run(fastmath=False)
+        res = prog.run()
         db, _ = brute.brute_knn(Q, R, k=1)
         assert np.allclose(res["e"].values, db)
 
@@ -67,7 +67,7 @@ class TestPrograms:
         e.execute();
         """
         prog = parse_program(src, bindings={"q": Q, "r": R})
-        res = prog.run(fastmath=False)
+        res = prog.run()
         db, _ = brute.brute_knn(Q, R, k=3)
         assert np.allclose(res["e"].values, db)
 
@@ -98,7 +98,7 @@ class TestPrograms:
         e.execute();
         """
         prog = parse_program(src, bindings={"q": Q, "r": R})
-        res = prog.run(fastmath=False)
+        res = prog.run()
         db, _ = brute.brute_knn(Q, R, k=2)
         assert np.allclose(res["e"].values, db)
 

@@ -94,8 +94,8 @@ def test_example_program_roundtrip(path):
 def test_example_program_roundtrip_preserves_results(path):
     text = path.read_text()
     first, second = _roundtrip(text, bindings=_DATA)
-    res1 = first.run(fastmath=False)
-    res2 = second.run(fastmath=False)
+    res1 = first.run()
+    res2 = second.run()
     for name in first.executed:
         out1, out2 = res1[name], res2[name]
         if out1.values is not None:

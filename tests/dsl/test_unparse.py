@@ -103,8 +103,8 @@ class TestProgramRoundTrip:
 
         prog = parse_program(text, bindings={"query.csv": Q,
                                              "reference.csv": R})
-        res = prog.run(fastmath=False)
-        direct = expr.execute(fastmath=False)
+        res = prog.run()
+        direct = expr.execute()
         assert np.allclose(res["output"].values, direct.values)
 
     def test_predefined_func_roundtrip(self):
@@ -118,8 +118,8 @@ class TestProgramRoundTrip:
         assert 'Storage pts("mydata.csv");' in text
         assert "EUCLIDEAN" in text
         prog = parse_program(text, bindings={"mydata.csv": Q})
-        res = prog.run(fastmath=False)
-        direct = e.execute(fastmath=False)
+        res = prog.run()
+        direct = e.execute()
         assert np.array_equal(res["output"].indices, direct.indices)
 
     def test_weird_name_sanitised(self):

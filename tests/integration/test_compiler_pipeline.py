@@ -44,9 +44,9 @@ class TestFig2NearestNeighbor:
         # Lowered: pow calls and 2-D loads (blue boxes of Fig. 2).
         assert "pow(" in lowered
         # Final: flattened strided loads + strength-reduced forms (yellow
-        # and green boxes of Fig. 2).
+        # and green boxes of Fig. 2); sqrt stays exact (DESIGN.md S7).
         assert "stride" in final
-        assert "fast_inverse_sqrt" in final
+        assert "sqrt(" in final and "fast_inverse_sqrt" not in final
         assert "pow(" not in final
 
     def test_prune_problem_has_no_approximation(self, rng):
@@ -92,7 +92,7 @@ class TestFig3KDE:
 class TestInterpreterAgreement:
     def test_nn_interpreter_matches_vectorized(self, rng):
         Q, R, e = nn_program(rng, n=20)
-        out = e.execute(fastmath=False)
+        out = e.execute()
         env = base_case_env("query", "reference", Q, R, "column", "column")
         interpret_function(
             e.program.pass_manager.stage("final")["BaseCase"], env
@@ -103,7 +103,7 @@ class TestInterpreterAgreement:
 
     def test_kde_interpreter_matches_vectorized(self, rng):
         Q, R, e = kde_program(rng, n=20)
-        out = e.execute(tau=0.0, fastmath=False, exclude_self=False)
+        out = e.execute(tau=0.0, exclude_self=False)
         env = base_case_env("query", "reference", Q, R, "column", "column")
         interpret_function(
             e.program.pass_manager.stage("final")["BaseCase"], env

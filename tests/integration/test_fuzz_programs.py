@@ -32,7 +32,7 @@ def run_program(Q, R, op, metric, k, self_join, backend, leaf_size):
     e.addLayer(PortalOp.FORALL, qs)
     spec = (op, k) if k is not None else op
     e.addLayer(spec, rs, metric)
-    out = e.execute(backend=backend, fastmath=False, leaf_size=leaf_size)
+    out = e.execute(backend=backend, leaf_size=leaf_size)
     return out
 
 
@@ -93,7 +93,7 @@ def test_kde_tau_bound_on_random_programs(seed, n, dim, tau):
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, s)
         e.addLayer(PortalOp.SUM, s, PortalFunc.GAUSSIAN, bandwidth=bw)
-        return e.execute(backend=backend, tau=tau, fastmath=False,
+        return e.execute(backend=backend, tau=tau,
                          leaf_size=4, exclude_self=False).values
 
     tree = run("vectorized")

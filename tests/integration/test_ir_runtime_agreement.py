@@ -39,7 +39,7 @@ class TestPruneIRAgreement:
         e.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
         e.addLayer(PortalOp.ARGMIN, Storage(R, name="reference"),
                    PortalFunc.EUCLIDEAN)
-        prog = e.compile(fastmath=False, leaf_size=8)
+        prog = e.compile(leaf_size=8)
         prog.run()
 
         ns = prog.kernels.namespace

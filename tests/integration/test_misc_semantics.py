@@ -39,7 +39,7 @@ class TestKMaxFamilies:
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, Storage(Q))
         e.addLayer((PortalOp.KMAX, 4), Storage(R), PortalFunc.EUCLIDEAN)
-        out = e.execute(fastmath=False)
+        out = e.execute()
         d = np.sqrt(((Q[:, None, :] - R[None, :, :]) ** 2).sum(-1))
         expected = np.sort(d, axis=1)[:, ::-1][:, :4]
         assert np.allclose(out.values, expected)
@@ -51,7 +51,7 @@ class TestKMaxFamilies:
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, Storage(Q))
         e.addLayer((PortalOp.KARGMAX, 3), Storage(R), PortalFunc.EUCLIDEAN)
-        out = e.execute(fastmath=False)
+        out = e.execute()
         d = np.sqrt(((Q[:, None, :] - R[None, :, :]) ** 2).sum(-1))
         expected_vals = np.sort(d, axis=1)[:, ::-1][:, :3]
         got_vals = np.take_along_axis(d, np.asarray(out.indices), axis=1)
@@ -65,7 +65,7 @@ class TestKMaxFamilies:
             e = PortalExpr()
             e.addLayer(PortalOp.FORALL, Storage(Q))
             e.addLayer((op, 3), Storage(R), PortalFunc.EUCLIDEAN)
-            return e.execute(fastmath=False).values
+            return e.execute().values
 
         assert np.allclose(run(PortalOp.KMIN), run(PortalOp.KARGMIN))
 
@@ -81,7 +81,7 @@ class TestOtherMetricsEndToEnd:
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, Storage(Q))
         e.addLayer(PortalOp.MIN, Storage(R), func)
-        out = e.execute(fastmath=False)
+        out = e.execute()
         D = Q[:, None, :] - R[None, :, :]
         assert np.allclose(out.values, reduce_fn(D).min(axis=1))
 
@@ -91,7 +91,7 @@ class TestOtherMetricsEndToEnd:
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, Storage(Q))
         e.addLayer(PortalOp.MIN, Storage(R), PortalFunc.MANHATTAN)
-        out = e.execute(fastmath=False)
+        out = e.execute()
         D = np.abs(Q[:, None, :] - R[None, :, :]).sum(-1)
         assert np.allclose(out.values, D.min(axis=1))
 
@@ -103,7 +103,7 @@ class TestOctreeThroughDSL:
         s = Storage(X)
         e.addLayer(PortalOp.FORALL, s)
         e.addLayer(PortalOp.ARGMIN, s, PortalFunc.EUCLIDEAN)
-        out = e.execute(tree="octree", fastmath=False)
+        out = e.execute(tree="octree")
         d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
         np.fill_diagonal(d, np.inf)
         assert np.allclose(out.values, d.min(axis=1))

@@ -26,7 +26,7 @@ class TestEquivalence:
     def test_knn(self, datasets, name):
         X = datasets[name]
         Q, R = X[:300], X[300:]
-        d_p, _ = knn(Q, R, k=5, fastmath=False)
+        d_p, _ = knn(Q, R, k=5)
         d_e, _ = expert_knn(Q, R, k=5)
         assert np.allclose(d_p, d_e, atol=1e-6)
 
@@ -35,7 +35,7 @@ class TestEquivalence:
         X = datasets[name]
         Q, R = X[:300], X[300:]
         bw = float(np.std(R)) * 2
-        p = kde(Q, R, bandwidth=bw, tau=0.0, fastmath=False)
+        p = kde(Q, R, bandwidth=bw, tau=0.0)
         e = expert_kde(Q, R, bandwidth=bw, tau=0.0)
         assert np.allclose(p, e, rtol=1e-9)
 
@@ -50,7 +50,7 @@ class TestEquivalence:
     def test_hausdorff(self, datasets):
         X = datasets["IHEPC"]
         A, B = X[:400], X[400:]
-        assert directed_hausdorff(A, B, fastmath=False) == pytest.approx(
+        assert directed_hausdorff(A, B) == pytest.approx(
             expert_hausdorff(A, B), abs=1e-6
         )
 
@@ -67,15 +67,15 @@ class TestBackendAgreement:
     def test_three_ways_knn(self, datasets):
         X = datasets["HIGGS"]
         Q, R = X[:200], X[200:600]
-        d_tree, _ = knn(Q, R, k=3, fastmath=False)
-        d_brute, _ = knn(Q, R, k=3, fastmath=False, backend="brute")
-        d_par, _ = knn(Q, R, k=3, fastmath=False, parallel=True, workers=3)
+        d_tree, _ = knn(Q, R, k=3)
+        d_brute, _ = knn(Q, R, k=3, backend="brute")
+        d_par, _ = knn(Q, R, k=3, parallel=True, workers=3)
         assert np.allclose(d_tree, d_brute)
         assert np.allclose(d_tree, d_par)
 
     def test_tree_types_agree(self, datasets):
         X = datasets["IHEPC"]
         Q, R = X[:200], X[200:600]
-        d_kd, _ = knn(Q, R, k=2, fastmath=False, tree="kd")
-        d_ball, _ = knn(Q, R, k=2, fastmath=False, tree="ball")
+        d_kd, _ = knn(Q, R, k=2, tree="kd")
+        d_ball, _ = knn(Q, R, k=2, tree="ball")
         assert np.allclose(d_kd, d_ball)

@@ -145,11 +145,11 @@ def _sweep(seed):
     pass subsets on both backends."""
     build, kind, opts = make_fuzz_problem(seed)
     vec_ref_out = build().execute(
-        backend="vectorized", fastmath=False, cache=False, **opts)
+        backend="vectorized", cache=False, **opts)
     vec_ref = _extract(vec_ref_out, kind)
     for subset in ALL_SUBSETS:
         vec = _extract(
-            build().execute(backend="vectorized", fastmath=False,
+            build().execute(backend="vectorized",
                             cache=False, disable_passes=subset, **opts),
             kind)
         # Bit-identical: the vectorized kernel may not depend on the
@@ -159,7 +159,7 @@ def _sweep(seed):
         else:
             assert np.array_equal(vec, vec_ref), (seed, subset)
         got = _extract(
-            build().execute(backend="interp", fastmath=False,
+            build().execute(backend="interp",
                             cache=False, disable_passes=subset, **opts),
             kind)
         _assert_same(got, vec_ref, kind)
@@ -178,11 +178,11 @@ def _sweep_paths(seed):
     second, native emitter."""
     build, kind, opts = make_fuzz_problem(seed)
     ref = _extract(
-        build().execute(fastmath=False, cache=False, **opts), kind)
+        build().execute(cache=False, **opts), kind)
     for path in ({"traversal": "stack"}, {"traversal": "bounded-batched"},
                  {"backend": "brute"}):
         got = _extract(
-            build().execute(fastmath=False, cache=False, **path, **opts),
+            build().execute(cache=False, **path, **opts),
             kind)
         _assert_same(got, ref, kind)
 
@@ -214,8 +214,8 @@ def test_generator_is_deterministic():
     b1, k1, o1 = make_fuzz_problem(1234)
     b2, k2, o2 = make_fuzz_problem(1234)
     assert (k1, o1) == (k2, o2)
-    r1 = _extract(b1().execute(fastmath=False, cache=False, **o1), k1)
-    r2 = _extract(b2().execute(fastmath=False, cache=False, **o2), k2)
+    r1 = _extract(b1().execute(cache=False, **o1), k1)
+    r2 = _extract(b2().execute(cache=False, **o2), k2)
     _assert_same(r1, r2, k1)
 
 

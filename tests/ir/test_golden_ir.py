@@ -37,7 +37,7 @@ def _pipeline_dump(name: str) -> str:
     kernel = e.layers[-1].metric_kernel
     cls, rule = build_rules(e.layers, kernel)
     lowered = lower(e.layers, kernel, cls, rule, name)
-    pm = PassManager(fastmath=True, verify=True)
+    pm = PassManager(verify=True)
     pm.run(lowered)
     chunks = []
     for stage in PIPELINE_STAGES:

@@ -17,13 +17,13 @@ def rng():
 
 
 def compiled(rng, inner_op, nq=15, nr=18, d=3, func=PortalFunc.EUCLIDEAN,
-             fastmath=False, **params):
+             **params):
     Q = rng.normal(size=(nq, d))
     R = rng.normal(size=(nr, d))
     e = PortalExpr("t")
     e.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
     e.addLayer(inner_op, Storage(R, name="reference"), func, **params)
-    prog = e.compile(fastmath=fastmath)
+    prog = e.compile()
     return Q, R, prog
 
 
@@ -83,10 +83,13 @@ class TestInterpreterVsBrute:
         assert np.array_equal(env["storage0"], ib.astype(float))
 
     def test_fastmath_ir_approximates(self, rng):
-        Q, R, prog = compiled(rng, PortalOp.MIN, fastmath=True)
+        # The final IR keeps the exact sqrt: no fast_inverse_sqrt call,
+        # and the interpreted minima match brute force to rounding.
+        Q, R, prog = compiled(rng, PortalOp.MIN)
+        assert "fast_inverse_sqrt" not in prog.ir_dump("final")
         env = run_base_case(prog, Q, R)
         db, _ = brute.brute_knn(Q, R, k=1)
-        assert np.allclose(env["storage0"], db, rtol=1e-4)
+        assert np.allclose(env["storage0"], db, rtol=1e-12, atol=0)
 
     def test_mahalanobis_final_ir(self, rng):
         cov = np.eye(3) * 2.0
@@ -122,7 +125,7 @@ class TestInterpreterStatements:
         e.addLayer(PortalOp.FORALL, q, Storage(Q, name="query"))
         e.addLayer(PortalOp.UNIONARG, r, Storage(R, name="reference"),
                    indicator(sqrt(pow(q - r, 2)) < 1.0))
-        prog = e.compile(fastmath=False)
+        prog = e.compile()
         env = run_base_case(prog, Q, R)
         rows = env["storage0_rows"]
         expected = brute.brute_range_search(Q, R, 1.0)

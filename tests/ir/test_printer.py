@@ -38,7 +38,8 @@ class TestRenderFunction:
         final = render_function(nn_program.pass_manager.stage("final")["BaseCase"])
         assert "pow(" in low
         assert "pow(" not in final          # chained multiply now
-        assert "fast_inverse_sqrt" in final
+        assert "sqrt(" in final             # exact: no fast_inverse_sqrt
+        assert "fast_inverse_sqrt" not in final
 
     def test_flattening_visible(self, nn_program):
         low = render_function(nn_program.pass_manager.stage("lowered")["BaseCase"])

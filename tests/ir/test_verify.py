@@ -216,7 +216,7 @@ class TestBrokenPassDrill:
 
         monkeypatch.setattr(passes_mod, "common_subexpression_eliminate",
                             broken_cse)
-        pm = PassManager(fastmath=True, verify=True)
+        pm = PassManager(verify=True)
         lowered = _lowered_kde()
         with pytest.raises(IRVerificationError) as exc:
             pm.run(lowered)
@@ -226,8 +226,8 @@ class TestBrokenPassDrill:
     def test_broken_strength_attributed(self, monkeypatch):
         real_strength = passes_mod.strength_reduce
 
-        def broken_strength(program, fastmath=True):
-            bad = real_strength(program, fastmath=fastmath)
+        def broken_strength(program):
+            bad = real_strength(program)
             # Rebuild every exp with a bogus extra argument.
 
             def fatten(e):
@@ -238,7 +238,7 @@ class TestBrokenPassDrill:
             return bad.map_exprs(fatten)
 
         monkeypatch.setattr(passes_mod, "strength_reduce", broken_strength)
-        pm = PassManager(fastmath=False, verify=True)
+        pm = PassManager(verify=True)
         with pytest.raises(IRVerificationError) as exc:
             pm.run(_lowered_kde())
         assert exc.value.pass_name == "strength"
@@ -259,13 +259,13 @@ class TestBrokenPassDrill:
             )
 
         monkeypatch.setattr(passes_mod, "dead_code_eliminate", broken_dce)
-        pm = PassManager(fastmath=True, verify=True)
+        pm = PassManager(verify=True)
         with pytest.raises(IRVerificationError) as exc:
             pm.run(_lowered_kde())
         assert exc.value.pass_name == "dce"
 
     def test_intact_pipeline_verifies_clean(self):
-        pm = PassManager(fastmath=True, verify=True)
+        pm = PassManager(verify=True)
         pm.run(_lowered_kde())
         assert pm.timings.get("verify", 0.0) > 0.0
 

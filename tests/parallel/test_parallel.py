@@ -178,6 +178,6 @@ class TestParallelTraversal:
         from repro.problems import knn
 
         X = rng.normal(size=(400, 3))
-        d1, i1 = knn(X, k=3, fastmath=False)
-        d2, i2 = knn(X, k=3, fastmath=False, parallel=True, workers=3)
+        d1, i1 = knn(X, k=3)
+        d2, i2 = knn(X, k=3, parallel=True, workers=3)
         assert np.allclose(d1, d2)

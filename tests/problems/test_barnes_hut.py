@@ -116,7 +116,7 @@ class TestAcceleration:
 class TestPotentialDSL:
     def test_matches_brute(self, system):
         pos, mass = system
-        phi = barnes_hut_potential(pos, mass, theta=0.3, fastmath=False)
+        phi = barnes_hut_potential(pos, mass, theta=0.3)
         exact = brute.brute_potential(pos, mass)
         assert np.abs(phi - exact).max() / exact.max() < 0.01
 

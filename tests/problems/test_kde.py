@@ -17,13 +17,13 @@ def rng():
 class TestCorrectness:
     def test_tau_zero_is_exact(self, small_qr):
         Q, R = small_qr
-        out = kde(Q, R, bandwidth=1.0, tau=0.0, fastmath=False)
+        out = kde(Q, R, bandwidth=1.0, tau=0.0)
         assert np.allclose(out, brute.brute_kde(Q, R, 1.0))
 
     def test_error_bounded_by_tau_times_n(self, small_qr):
         Q, R = small_qr
         tau = 1e-3
-        out = kde(Q, R, bandwidth=1.0, tau=tau, fastmath=False)
+        out = kde(Q, R, bandwidth=1.0, tau=tau)
         exact = brute.brute_kde(Q, R, 1.0)
         assert np.abs(out - exact).max() <= tau * len(R) + 1e-9
 
@@ -45,12 +45,12 @@ class TestCorrectness:
     def test_weighted(self, small_qr):
         Q, R = small_qr
         w = np.random.default_rng(0).uniform(0.5, 2.0, len(R))
-        out = kde(Q, R, bandwidth=1.0, tau=0.0, weights=w, fastmath=False)
+        out = kde(Q, R, bandwidth=1.0, tau=0.0, weights=w)
         assert np.allclose(out, brute.brute_kde(Q, R, 1.0, weights=w))
 
     def test_normalized_integrates_sensibly(self, rng):
         X = rng.normal(size=(500, 2))
-        dens = kde(X, bandwidth=0.5, tau=0.0, normalize=True, fastmath=False)
+        dens = kde(X, bandwidth=0.5, tau=0.0, normalize=True)
         # Density should be positive and of plausible magnitude for N(0, I).
         assert (dens > 0).all()
         peak = 1.0 / (2 * math.pi)  # true density at origin ~0.159
@@ -58,12 +58,12 @@ class TestCorrectness:
 
     def test_high_dim_row_major(self, small_highdim):
         Q, R = small_highdim
-        out = kde(Q, R, bandwidth=2.0, tau=0.0, fastmath=False)
+        out = kde(Q, R, bandwidth=2.0, tau=0.0)
         assert np.allclose(out, brute.brute_kde(Q, R, 2.0))
 
     def test_self_density_includes_self(self, rng):
         X = rng.normal(size=(100, 2))
-        out = kde(X, bandwidth=1.0, tau=0.0, fastmath=False)
+        out = kde(X, bandwidth=1.0, tau=0.0)
         # exclude_self defaults to False for KDE: each point contributes
         # K(0)=1 to itself.
         assert (out >= 1.0 - 1e-9).all()

@@ -32,7 +32,7 @@ def test_bound_min_prune_never_hides_a_winner(Q, R):
     e = PortalExpr()
     e.addLayer(PortalOp.FORALL, Storage(Q, name="q"))
     e.addLayer(PortalOp.ARGMIN, Storage(R, name="r"), PortalFunc.EUCLIDEAN)
-    prog = e.compile(fastmath=False, leaf_size=4)
+    prog = e.compile(leaf_size=4)
     prog.run()
 
     ns = prog.kernels.namespace

@@ -182,6 +182,11 @@ def test_error_payloads():
                          "data": data, "options": {"codegen": "numpy"}})
         assert not r["ok"] and r["error"]["type"] == "SpecificationError"
         assert r["error"]["portal"] and "codegen" in r["error"]["message"]
+        # one exact arithmetic: no fastmath option either
+        r = await c.rpc({"op": "register", "id": 10, "program": PROGRAM,
+                         "data": data, "options": {"fastmath": True}})
+        assert not r["ok"] and r["error"]["type"] == "SpecificationError"
+        assert r["error"]["portal"] and "fastmath" in r["error"]["message"]
 
         # shed errors are marked retryable
         reg = await c.rpc({"op": "register", "program": PROGRAM,

@@ -61,7 +61,7 @@ class TestSingleTreeKnn:
         R = rng.normal(size=(90, 5))
         tree = build_kdtree(R, leaf_size=8)
         d_single, _ = single_tree_knn(Q, tree, k=2)
-        d_dual, _ = knn(Q, R, k=2, fastmath=False)
+        d_dual, _ = knn(Q, R, k=2)
         assert np.allclose(d_single, d_dual)
 
     def test_self_exclusion(self, rng):

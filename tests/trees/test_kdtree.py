@@ -191,7 +191,7 @@ class TestSlidingMidpoint:
         from repro.problems import knn
 
         X = rng.normal(size=(300, 3))
-        d_med, _ = knn(X, k=3, fastmath=False)
+        d_med, _ = knn(X, k=3)
         # knn always uses median (the execute option selects tree kind,
         # not split); compare the underlying traversal engines directly.
         from repro.baselines.brute import brute_knn
