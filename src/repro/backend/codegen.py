@@ -15,8 +15,10 @@ vectorisation decisions drive the emitted code:
   strength-reduced (``pow`` as chained multiplications) and is emitted
   verbatim, so the generated source visibly contains the optimisation;
 * **multi-variable filters** — ``min^k``-style operators keep a sorted
-  k-array per query, merged with each leaf batch, exactly the ordered
-  array the paper describes.
+  k-array per query, the ordered array the paper describes.  Each leaf
+  batch first filters the query rows against their k-th best; only rows
+  with a candidate that can enter are merged, and a skipped row is left
+  untouched.
 
 The generated source is kept on the compiled program for inspection
 (``PortalExpr.generated_source()``), playing the role of an LLVM IR dump.
@@ -279,6 +281,60 @@ def _kth_best(spec: CodegenSpec) -> str:
     return ", K - 1" if op_info(spec.inner_op).requires_k else ""
 
 
+def _merge_lines(spec: CodegenSpec,
+                 ids: Callable[[str], str]) -> list[str] | None:
+    """Body lines merging the candidate block ``v`` into ``best`` (and
+    ``best_idx``) for a comparative reduction, None for any other
+    operator.  ``ids(j)`` spells the reference ids of candidate columns
+    ``j`` — ``rs + j`` over a leaf slice, ``ridx[j]`` over a gathered
+    batch — the one difference between the two base cases.  A K-operator
+    merges only the rows with a candidate at or inside their k-th best
+    (so ties at the k-th value still enter); the others are untouched."""
+    op = spec.inner_op
+    lines: list[str] = []
+    b = lines.append
+    if op is PortalOp.ARGMIN or op is PortalOp.ARGMAX:
+        red, cmp = ("argmin", "<") if op is PortalOp.ARGMIN else ("argmax", ">")
+        b(f"    j = v.{red}(axis=1)")
+        b("    vals = v[np.arange(v.shape[0]), j]")
+        b("    bb = best[qs:qe]")
+        b(f"    m = vals {cmp} bb")
+        b("    if m.any():")
+        b("        bb[m] = vals[m]")
+        b(f"        best_idx[qs:qe][m] = {ids('j[m]')}")
+    elif op is PortalOp.MIN:
+        b("    np.minimum(best[qs:qe], v.min(axis=1), out=best[qs:qe])")
+    elif op is PortalOp.MAX:
+        b("    np.maximum(best[qs:qe], v.max(axis=1), out=best[qs:qe])")
+    elif op_info(op).requires_k:
+        # max forms select on negated values: exact, and NaN sorts last
+        cmp, neg = ("<=", "") if op in MIN_LIKE else (">=", "-")
+        b("    # ordered k-array merge (sorted filter of section IV-F), only")
+        b("    # for rows with a candidate at or inside their k-th best")
+        b(f"    rows = np.flatnonzero((v {cmp} best[qs:qe, K - 1, None])"
+          ".any(axis=1))")
+        b("    if rows.size:")
+        b("        qr = qs + rows")
+        b("        cand_v = np.concatenate([best[qr], v[rows]], axis=1)")
+        if op_info(op).returns_index:
+            b("        rr = np.arange(rows.size)[:, None]")
+            b(f"        sel = np.argpartition({neg}cand_v, K - 1, axis=1)[:, :K]")
+            b("        vals = cand_v[rr, sel]")
+            b(f"        order = np.argsort({neg}vals, axis=1, kind='stable')")
+            b("        sel = sel[rr, order]")
+            b("        old = best_idx[qr][rr, np.minimum(sel, K - 1)]")
+            b("        best_idx[qr] = np.where(sel < K, old, "
+              f"{ids('np.maximum(sel - K, 0)')})")
+            b("        best[qr] = vals[rr, order]")
+        else:
+            b(f"        top = np.partition({neg}cand_v, K - 1, axis=1)[:, :K]")
+            b("        top.sort(axis=1)")
+            b(f"        best[qr] = {neg}top")
+    else:
+        return None
+    return lines
+
+
 def _base_case_source(spec: CodegenSpec) -> str:
     op = spec.inner_op
     lines = [
@@ -295,40 +351,9 @@ def _base_case_source(spec: CodegenSpec) -> str:
         b("    if qs == rs:")
         b(f"        np.fill_diagonal(v, {_exclusion_value(op)})")
 
-    if op is PortalOp.ARGMIN or op is PortalOp.ARGMAX:
-        red, cmp = ("argmin", "<") if op is PortalOp.ARGMIN else ("argmax", ">")
-        b(f"    j = v.{red}(axis=1)")
-        b("    vals = v[np.arange(v.shape[0]), j]")
-        b("    bb = best[qs:qe]")
-        b(f"    m = vals {cmp} bb")
-        b("    if m.any():")
-        b("        bb[m] = vals[m]")
-        b("        best_idx[qs:qe][m] = rs + j[m]")
-    elif op is PortalOp.MIN:
-        b("    np.minimum(best[qs:qe], v.min(axis=1), out=best[qs:qe])")
-    elif op is PortalOp.MAX:
-        b("    np.maximum(best[qs:qe], v.max(axis=1), out=best[qs:qe])")
-    elif op in (PortalOp.KARGMIN, PortalOp.KARGMAX):
-        b("    # ordered k-array merge (sorted filter of section IV-F):")
-        b("    # argpartition selects the k winners, then only those sort")
-        b("    cand_v = np.concatenate([best[qs:qe], v], axis=1)")
-        b("    cand_i = np.concatenate([best_idx[qs:qe], "
-          "np.broadcast_to(np.arange(rs, re), v.shape)], axis=1)")
-        key = "cand_v" if op is PortalOp.KARGMIN else "-cand_v"
-        b(f"    part = np.argpartition({key}, K - 1, axis=1)[:, :K]")
-        b("    vals = np.take_along_axis(cand_v, part, axis=1)")
-        b("    idxs = np.take_along_axis(cand_i, part, axis=1)")
-        keyv = "vals" if op is PortalOp.KARGMIN else "-vals"
-        b(f"    order = np.argsort({keyv}, axis=1, kind='stable')")
-        b("    best[qs:qe] = np.take_along_axis(vals, order, axis=1)")
-        b("    best_idx[qs:qe] = np.take_along_axis(idxs, order, axis=1)")
-    elif op in (PortalOp.KMIN, PortalOp.KMAX):
-        b("    cand_v = np.concatenate([best[qs:qe], v], axis=1)")
-        b("    cand_v.sort(axis=1)")
-        if op is PortalOp.KMIN:
-            b("    best[qs:qe] = cand_v[:, :K]")
-        else:
-            b("    best[qs:qe] = cand_v[:, ::-1][:, :K]")
+    merge = _merge_lines(spec, lambda j: f"rs + {j}")
+    if merge is not None:
+        lines += merge
     elif op is PortalOp.SUM:
         if spec.weighted:
             b("    acc[qs:qe] += v @ rw[rs:re]")
@@ -709,41 +734,10 @@ def _base_case_group_source(spec: CodegenSpec) -> str | None:
         b("    v = np.where(np.arange(qs, qe)[:, None] == ridx[None, :], "
           f"{_exclusion_value(op)}, v)")
 
-    if op is PortalOp.ARGMIN or op is PortalOp.ARGMAX:
-        red, cmp = ("argmin", "<") if op is PortalOp.ARGMIN else ("argmax", ">")
-        b(f"    j = v.{red}(axis=1)")
-        b("    vals = v[np.arange(v.shape[0]), j]")
-        b("    bb = best[qs:qe]")
-        b(f"    m = vals {cmp} bb")
-        b("    if m.any():")
-        b("        bb[m] = vals[m]")
-        b("        best_idx[qs:qe][m] = ridx[j[m]]")
-    elif op is PortalOp.MIN:
-        b("    np.minimum(best[qs:qe], v.min(axis=1), out=best[qs:qe])")
-    elif op is PortalOp.MAX:
-        b("    np.maximum(best[qs:qe], v.max(axis=1), out=best[qs:qe])")
-    elif op in (PortalOp.KARGMIN, PortalOp.KARGMAX):
-        b("    cand_v = np.concatenate([best[qs:qe], v], axis=1)")
-        b("    cand_i = np.concatenate([best_idx[qs:qe], "
-          "np.broadcast_to(ridx, v.shape)], axis=1)")
-        key = "cand_v" if op is PortalOp.KARGMIN else "-cand_v"
-        b(f"    part = np.argpartition({key}, K - 1, axis=1)[:, :K]")
-        b("    vals = np.take_along_axis(cand_v, part, axis=1)")
-        b("    idxs = np.take_along_axis(cand_i, part, axis=1)")
-        keyv = "vals" if op is PortalOp.KARGMIN else "-vals"
-        b(f"    order = np.argsort({keyv}, axis=1, kind='stable')")
-        b("    best[qs:qe] = np.take_along_axis(vals, order, axis=1)")
-        b("    best_idx[qs:qe] = np.take_along_axis(idxs, order, axis=1)")
-    elif op in (PortalOp.KMIN, PortalOp.KMAX):
-        b("    cand_v = np.concatenate([best[qs:qe], v], axis=1)")
-        b("    cand_v.sort(axis=1)")
-        if op is PortalOp.KMIN:
-            b("    best[qs:qe] = cand_v[:, :K]")
-        else:
-            b("    best[qs:qe] = cand_v[:, ::-1][:, :K]")
-    else:  # pragma: no cover
+    merge = _merge_lines(spec, lambda j: f"ridx[{j}]")
+    if merge is None:  # pragma: no cover
         raise CompileError(f"no grouped base case for {op.name}")
-
+    lines += merge
     b(f"    qbound[qs:qe] = {_bound_sign(rule)}best[qs:qe{_kth_best(spec)}]")
     return "\n".join(lines)
 

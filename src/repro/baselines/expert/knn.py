@@ -8,7 +8,11 @@ programmer applies manually:
 * the dot-product expansion ``‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b`` (one GEMM per
   leaf pair instead of a broadcast difference tensor),
 * precomputed per-point squared norms,
-* ``argpartition`` instead of a full sort for the k-way merge.
+* a k-way merge that skips every query row whose candidates are all
+  strictly worse than its k-th best, then, per merged row,
+  ``argpartition`` instead of a full sort, with the winners' ids read
+  from the old k-array or the leaf's index range rather than from a
+  concatenated id block.
 """
 
 from __future__ import annotations
@@ -51,17 +55,20 @@ def expert_knn(query, reference=None, k: int = 1, leaf_size: int = 64):
         np.maximum(d2, 0.0, out=d2)
         if self_join and qs == rs:
             np.fill_diagonal(d2, np.inf)
-        cand_v = np.concatenate([best[qs:qe], d2], axis=1)
-        cand_i = np.concatenate(
-            [best_idx[qs:qe],
-             np.broadcast_to(np.arange(rs, re), d2.shape)], axis=1
-        )
-        part = np.argpartition(cand_v, k - 1, axis=1)[:, :k]
-        vals = np.take_along_axis(cand_v, part, axis=1)
-        idxs = np.take_along_axis(cand_i, part, axis=1)
+        # only rows with a candidate at or inside their k-th best merge
+        rows = np.flatnonzero((d2 <= best[qs:qe, k - 1, None]).any(axis=1))
+        if not rows.size:
+            return
+        qr = qs + rows
+        rr = np.arange(rows.size)[:, None]
+        cand_v = np.concatenate([best[qr], d2[rows]], axis=1)
+        sel = np.argpartition(cand_v, k - 1, axis=1)[:, :k]
+        vals = cand_v[rr, sel]
         order = np.argsort(vals, axis=1, kind="stable")
-        best[qs:qe] = np.take_along_axis(vals, order, axis=1)
-        best_idx[qs:qe] = np.take_along_axis(idxs, order, axis=1)
+        sel = sel[rr, order]
+        old = best_idx[qr][rr, np.minimum(sel, k - 1)]
+        best_idx[qr] = np.where(sel < k, old, rs + np.maximum(sel - k, 0))
+        best[qr] = vals[rr, order]
 
     dual_tree_traversal(qtree, rtree, prune, base_case, pair_min_dist=pair_min)
 

@@ -250,7 +250,9 @@ class BinOp(Expr):
         if self.op == "/":
             return a / b
         if self.op == "**":
-            return a ** b
+            # float64, as the emitted np.power: (-8) ** 0.5 is NaN, not
+            # a complex number.
+            return np.power(a, b, dtype=np.float64)
         raise KernelError(f"unknown binary operator {self.op!r}")
 
     def __repr__(self):

@@ -32,8 +32,9 @@ engine batches them anyway by trading decision *freshness* for decision
    case can only decrease the signed ``qbound`` — so the snapshot a
    pair is classified against is never *tighter* than reality.  A stale
    bound can therefore under-prune (the pair runs a redundant base case
-   whose merge is a no-op: every candidate it contributes is dominated)
-   but never mis-prune, and outputs match the stack engine exactly.
+   whose candidates are all dominated, so every row fails the grouped
+   base case's k-th-best filter and the merge is skipped) but never
+   mis-prune, and outputs match the stack engine exactly.
    Processing pairs best-first means bounds tighten as fast as the
    nearest-first stack engine's, so pruning is equivalent or better in
    practice (asserted differentially by the test-suite).
