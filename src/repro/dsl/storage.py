@@ -13,11 +13,13 @@ Bayes classifier).
 
 Storages also memoize their content *fingerprints* (the BLAKE2 digests
 the execution cache keys on, see :mod:`repro.backend.cache`), so cache
-hits do not re-hash the dataset on every ``execute()``.  The memo is
-invalidated through the mutation path: code that writes into a live
-Storage's arrays in place must call :meth:`Storage.mark_mutated`
-(iterative problems in this codebase — k-means, EM — instead build a
-fresh Storage per step, which always re-fingerprints).
+hits do not re-hash the dataset on every ``execute()``.  A logged
+mutation (the batch API) carries the memo forward by chaining its edit
+onto it in O(changed); code that writes into a live Storage's arrays in
+place must call :meth:`Storage.mark_mutated`, which drops the memo so
+the next key hashes in full (iterative problems in this codebase —
+k-means, EM — instead build a fresh Storage per step, which always
+re-fingerprints).
 """
 
 from __future__ import annotations
@@ -233,13 +235,12 @@ class Storage:
         elif labels is not None:
             raise StorageError("Storage carries no labels; cannot insert them")
         ids = np.arange(self.n, self.n + m, dtype=np.int64)
-        self._data = np.ascontiguousarray(np.concatenate([self._data, pts]))
-        if w is not None:
-            self.weights = np.concatenate([self.weights, w])
-        if lab is not None:
-            self.labels = np.concatenate([self.labels, lab])
-        self._record(StorageDelta(self._version + 1, "insert", ids.copy(),
-                                  pts.copy(), w))
+        self._record(
+            StorageDelta(self._version + 1, "insert", ids.copy(), pts.copy(),
+                         w),
+            data=np.ascontiguousarray(np.concatenate([self._data, pts])),
+            weights=None if w is None else np.concatenate([self.weights, w]),
+            labels=None if lab is None else np.concatenate([self.labels, lab]))
         return ids
 
     def delete_batch(self, idx) -> None:
@@ -253,13 +254,12 @@ class Storage:
             raise StorageError(f"delete_batch index out of range 0..{self.n - 1}")
         if idx.size >= self.n:
             raise StorageError("cannot delete every row of a Storage")
-        self._data = np.ascontiguousarray(np.delete(self._data, idx, axis=0))
-        if self.weights is not None:
-            self.weights = np.delete(self.weights, idx)
-        if self.labels is not None:
-            self.labels = np.delete(self.labels, idx)
-        self._record(StorageDelta(self._version + 1, "delete", idx,
-                                  None, None))
+        self._record(
+            StorageDelta(self._version + 1, "delete", idx, None, None),
+            data=np.ascontiguousarray(np.delete(self._data, idx, axis=0)),
+            weights=(None if self.weights is None
+                     else np.delete(self.weights, idx)),
+            labels=None if self.labels is None else np.delete(self.labels, idx))
 
     def update_batch(self, idx, points=None, weights=None) -> None:
         """Overwrite coordinates and/or weights of existing rows.
@@ -272,7 +272,7 @@ class Storage:
             raise StorageError("update_batch needs points and/or weights")
         if idx.min() < 0 or idx.max() >= self.n:
             raise StorageError(f"update_batch index out of range 0..{self.n - 1}")
-        pts = None
+        pts = data = None
         if points is not None:
             pts = np.asarray(points, dtype=np.float64).reshape(
                 idx.size, self.dim)
@@ -280,8 +280,7 @@ class Storage:
                 raise StorageError("update_batch points contain NaN or infinity")
             data = self._data.copy()
             data[idx] = pts
-            self._data = data
-        w = None
+        w = neww = None
         if weights is not None:
             if self.weights is None:
                 raise StorageError(
@@ -292,13 +291,40 @@ class Storage:
                 raise StorageError("update_batch weights must be finite")
             neww = self.weights.copy()
             neww[idx] = w
-            self.weights = neww
         self._record(StorageDelta(self._version + 1, "update", idx.copy(),
-                                  None if pts is None else pts.copy(), w))
+                                  None if pts is None else pts.copy(), w),
+                     data=data, weights=neww)
 
-    def _record(self, delta: StorageDelta) -> None:
+    def _record(self, delta: StorageDelta, data=None, weights=None,
+                labels=None) -> None:
+        """Install a logged mutation's new arrays (``None``: unchanged),
+        bump the version and append ``delta`` to the log.
+
+        Content identity is carried forward, not re-derived: a
+        fingerprint memo that was valid before the mutation becomes the
+        memo of the new version — extended by this edit
+        (:func:`~repro.backend.cache.chained_fingerprint`, O(changed))
+        when its array changed, kept as it is when it did not.  Without
+        a valid memo the next :meth:`fingerprint` hashes in full."""
+        from ..backend.cache import chained_fingerprint
+
+        carried = {}
+        for which, new, rows in (("data", data, delta.points),
+                                 ("weights", weights, delta.weights)):
+            fp = self._memo(which)
+            if fp is not None:
+                carried[which] = fp if new is None else chained_fingerprint(
+                    fp, delta.kind, delta.idx, rows, new.shape)
+        if data is not None:
+            self._data = data
+        if weights is not None:
+            self.weights = weights
+        if labels is not None:
+            self.labels = labels
         self._bump_version()
         assert delta.version == self._version
+        for which, fp in carried.items():
+            self._fp_cache[which] = (self._memo_key(which), fp)
         self._mutation_log.append(delta)
         del self._mutation_log[:-MUTATION_LOG_MAX]
 
@@ -317,28 +343,45 @@ class Storage:
     def fingerprint(self, which: str = "data") -> tuple | None:
         """Memoized content fingerprint of ``data`` or ``weights``.
 
-        Same value as :func:`repro.backend.cache.array_fingerprint` on
-        the raw array, but the O(n) BLAKE2 hash is paid once per
-        (Storage, version) instead of on every cache-key computation —
-        repeated ``execute()`` calls over the same Storage build their
-        program-cache key without re-hashing the dataset.
+        Hashed at birth, extended per logged edit: the first call hashes
+        the array in full (:func:`repro.backend.cache.array_fingerprint`,
+        O(n), paid once per Storage instead of on every cache-key
+        computation), and each ``insert_batch`` / ``delete_batch`` /
+        ``update_batch`` then chains its edit onto the memo in
+        O(changed).  So the value equals ``array_fingerprint`` of the raw
+        array only at birth and after :meth:`mark_mutated`; a mutated
+        Storage carries (fingerprint at its last full hash, the edits
+        since).  Same base plus same edits gives the same key; another
+        route to the same content is a cache miss, never a false hit.
         """
         self._check_alive()
-        arr = self._data if which == "data" else getattr(self, which, None)
+        arr = self._array(which)
         if arr is None:
             return None
+        fp = self._memo(which)
+        if fp is None:
+            from ..backend.cache import array_fingerprint
+
+            fp = array_fingerprint(arr)
+            self._fp_cache[which] = (self._memo_key(which), fp)
+        return fp
+
+    def _array(self, which: str) -> np.ndarray | None:
+        return self._data if which == "data" else getattr(self, which, None)
+
+    def _memo_key(self, which: str) -> tuple:
         # The buffer address + shape guard catches attribute rebinds
         # (e.g. replacing .weights); in-place writes must go through
         # mark_mutated(), which bumps the version.
-        key = (self._version, arr.__array_interface__["data"][0], arr.shape)
-        cached = self._fp_cache.get(which)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        from ..backend.cache import array_fingerprint
+        arr = self._array(which)
+        return (self._version, arr.__array_interface__["data"][0], arr.shape)
 
-        fp = array_fingerprint(arr)
-        self._fp_cache[which] = (key, fp)
-        return fp
+    def _memo(self, which: str) -> tuple | None:
+        """The memoized fingerprint of ``which`` if it is still valid."""
+        cached = self._fp_cache.get(which)
+        if cached is None or self._array(which) is None:
+            return None
+        return cached[1] if cached[0] == self._memo_key(which) else None
 
     # -- lifecycle --------------------------------------------------------------
     def clear(self) -> None:

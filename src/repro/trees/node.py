@@ -341,6 +341,22 @@ class ArrayTree:
         self.points_col = np.ascontiguousarray(self.points.T)
         self._drop_caches(("_sqnorms",))
 
+    def _move_points(self, pos: np.ndarray, pts: np.ndarray) -> None:
+        """Overwrite the points at permuted positions ``pos``, patching
+        ``points_col`` and the cached :meth:`sqnorms` at those positions
+        only (copy-on-write, bitwise what a full recompute gives)."""
+        new_points = self.points.copy()
+        new_points[pos] = pts
+        moved = new_points[pos]  # a repeated position reads its last write
+        col = self.points_col.copy()
+        col[:, pos] = moved.T
+        self.points, self.points_col = new_points, col
+        cached = getattr(self, "_sqnorms", None)
+        if cached is not None:
+            sq = cached.copy()
+            sq[pos] = np.einsum("ij,ij->i", moved, moved)
+            self._sqnorms = sq
+
     def update_batch(self, idx, points=None, weights=None) -> int:
         """Move existing points (original ids ``idx``) to new coordinates
         and/or weights; returns the new tree :attr:`version`.
@@ -360,11 +376,8 @@ class ArrayTree:
             pos = self.inv_perm()[idx]
             dirty_leaves = np.unique(self.leaf_of_position()[pos])
             if points is not None:
-                pts = np.asarray(points, dtype=np.float64).reshape(
-                    idx.size, self.dim)
-                new_points = self.points.copy()
-                new_points[pos] = pts
-                self._set_points(new_points)
+                self._move_points(pos, np.asarray(
+                    points, dtype=np.float64).reshape(idx.size, self.dim))
             if weights is not None:
                 if self.weights is None:
                     raise ValueError(

@@ -16,7 +16,7 @@ from repro.backend.cache import (
 )
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.observe import collect
-from repro.problems import kde, range_count
+from repro.problems import kde, knn, range_count
 
 
 @pytest.fixture(scope="module")
@@ -28,16 +28,23 @@ def data():
 
 
 def _kde_expr(Q, R):
+    return _kde_program(Storage(Q, name="query"), Storage(R, name="reference"))
+
+
+def _kde_program(query, reference):
     expr = PortalExpr("kde-cache")
-    expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
-    expr.addLayer(PortalOp.SUM, Storage(R, name="reference"),
-                  PortalFunc.GAUSSIAN, bandwidth=0.8)
+    expr.addLayer(PortalOp.FORALL, query)
+    expr.addLayer(PortalOp.SUM, reference, PortalFunc.GAUSSIAN,
+                  bandwidth=0.8)
     return expr
 
 
 def _cache_counts(counters):
+    """Cache probe outcomes (the fingerprint digests behind the keys are
+    counted apart, under ``cache.fingerprint.*``)."""
     return {k: v for k, v in counters.as_dict().items()
-            if k.startswith("cache.")}
+            if k.startswith("cache.")
+            and not k.startswith("cache.fingerprint.")}
 
 
 class TestCompileCache:
@@ -356,3 +363,104 @@ class TestFingerprintMemo:
         before = s.fingerprint("weights")
         s.weights = np.full(10, 2.0)
         assert s.fingerprint("weights") != before
+
+
+def _fingerprints(s):
+    return s.fingerprint("data"), s.fingerprint("weights")
+
+
+def _edit(s, rng):
+    """One update, one insert and one delete through the batch API."""
+    s.update_batch([1, 4], rng.normal(size=(2, 3)), weights=[2.0, 3.0])
+    s.insert_batch(rng.normal(size=(3, 3)), weights=[0.5, 0.5, 0.5])
+    s.delete_batch([0, 7])
+
+
+class TestChainedIdentity:
+    """A logged mutation carries the Storage's content identity forward
+    (hash at birth, extend per edit) instead of re-hashing the dataset."""
+
+    def _pair(self):
+        X = np.random.default_rng(3).normal(size=(40, 3))
+        w = np.linspace(1.0, 2.0, 40)
+        return (Storage(X, weights=w), Storage(X.copy(), weights=w.copy()))
+
+    def test_same_base_same_edits_same_key(self):
+        a, b = self._pair()
+        assert _fingerprints(a) == _fingerprints(b)
+        with collect() as c:
+            _edit(a, np.random.default_rng(5))
+            _edit(b, np.random.default_rng(5))
+            fa, fb = _fingerprints(a), _fingerprints(b)
+        assert fa == fb
+        # chained, not re-hashed: 3 edits × (data, weights) × 2 Storages
+        assert c.get("cache.fingerprint.chained") == 12
+        assert c.get("cache.fingerprint.full") == 0
+        # other edits give other keys
+        _edit(b, np.random.default_rng(6))
+        assert _fingerprints(b)[0] != fa[0] and _fingerprints(b)[1] != fa[1]
+
+    def test_revert_is_another_key_with_the_same_answer(self):
+        """Update-then-revert reaches the original content by another
+        route: a different key (a miss, never a false hit) whose answer
+        is bitwise the answer over a fresh Storage of that content."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(300, 3))
+        Q = Storage(rng.normal(size=(50, 3)))
+        R = Storage(X.copy())
+        knn(Q, R, k=4)
+        original = R.fingerprint("data")
+        R.update_batch([3, 9], rng.normal(size=(2, 3)))
+        R.update_batch([3, 9], X[[3, 9]])
+        assert np.array_equal(R.data, X)
+        assert R.fingerprint("data") != original
+        with collect() as c:
+            got = knn(Q, R, k=4)
+        assert c.get("cache.compile.hit") == 0
+        assert c.get("cache.tree.refit") == 1
+        fresh = knn(Q, Storage(X.copy()), k=4, cache=False)
+        for a, b in zip(got, fresh):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    def test_one_array_edit_keeps_the_other_key(self):
+        s, _ = self._pair()
+        data, weights = _fingerprints(s)
+        s.update_batch([2, 5], weights=[4.0, 5.0])
+        assert s.fingerprint("data") == data
+        assert s.fingerprint("weights") != weights
+        weights = s.fingerprint("weights")
+        s.update_batch([2], np.ones((1, 3)))
+        assert s.fingerprint("weights") == weights
+        assert s.fingerprint("data") != data
+
+    def test_full_hash_without_a_memo(self):
+        """mark_mutated() drops the chain, and a Storage mutated before
+        its first fingerprint has none to extend: both hash in full."""
+        s, t = self._pair()
+        s.fingerprint("data")
+        _edit(s, np.random.default_rng(5))
+        s.mark_mutated()
+        assert s.fingerprint("data") == array_fingerprint(s.data)
+        _edit(t, np.random.default_rng(5))
+        with collect() as c:
+            got = _fingerprints(t)
+        assert c.get("cache.fingerprint.full") == 2
+        assert got == (array_fingerprint(t.data),
+                       array_fingerprint(t.weights))
+
+    def test_steady_mutation_hashes_nothing_in_full(self):
+        """Execute → update → execute: the second execute re-keys from
+        the chained memo, with no full hash."""
+        rng = np.random.default_rng(9)
+        Q = Storage(rng.normal(size=(60, 3)), name="query")
+        R = Storage(rng.normal(size=(400, 3)), name="reference")
+        _kde_program(Q, R).execute(tau=1e-3)
+        with collect() as c:
+            R.update_batch(np.arange(4), rng.normal(size=(4, 3)))
+        assert c.get("cache.fingerprint.chained") == 1
+        with collect() as c:
+            _kde_program(Q, R).execute(tau=1e-3)
+        assert c.get("cache.fingerprint.full") == 0
+        assert c.get("cache.fingerprint.chained") == 0
+        assert c.get("cache.tree.refit") == 1
+        assert c.get("cache.code.hit") == 1

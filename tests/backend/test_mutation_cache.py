@@ -37,10 +37,10 @@ PROCESS = {"parallel": True, "workers": 2, "min_tasks": 8,
 EXECUTORS = {"serial": {}, "thread": THREAD, "process": PROCESS}
 
 
-def _data(rng, nq=150, nr=1200, weighted=False):
-    Q = Storage(rng.normal(size=(nq, 3)))
+def _data(rng, nq=150, nr=1200, weighted=False, dim=3):
+    Q = Storage(rng.normal(size=(nq, dim)))
     w = rng.uniform(0.5, 2.0, nr) if weighted else None
-    R = Storage(rng.normal(size=(nr, 3)), weights=w)
+    R = Storage(rng.normal(size=(nr, dim)), weights=w)
     return Q, R
 
 
@@ -51,23 +51,23 @@ def _fresh(R):
 
 
 def _mutate(rng, R, kind):
-    n = R.n
+    n, d = R.n, R.dim
     if kind == "update":
         idx = rng.choice(n, max(1, n // 100), replace=False)
-        R.update_batch(idx, rng.normal(size=(idx.size, 3)))
+        R.update_batch(idx, rng.normal(size=(idx.size, d)))
     elif kind == "update-weights":
         idx = rng.choice(n, max(1, n // 100), replace=False)
         R.update_batch(idx, weights=rng.uniform(0.5, 3.0, idx.size))
     elif kind == "insert":
-        R.insert_batch(rng.normal(size=(n // 50, 3)),
+        R.insert_batch(rng.normal(size=(n // 50, d)),
                        weights=None if R.weights is None
                        else np.ones(n // 50))
     elif kind == "delete":
         R.delete_batch(rng.choice(n, n // 50, replace=False))
     else:  # mixed
         idx = rng.choice(n, n // 100, replace=False)
-        R.update_batch(idx, rng.normal(size=(idx.size, 3)))
-        ids = R.insert_batch(rng.normal(size=(20, 3)),
+        R.update_batch(idx, rng.normal(size=(idx.size, d)))
+        ids = R.insert_batch(rng.normal(size=(20, d)),
                              weights=None if R.weights is None
                              else np.ones(20))
         R.delete_batch(np.concatenate([idx[: idx.size // 2], ids[:5]]))
@@ -136,6 +136,23 @@ def test_refit_hits_and_matches_rebuild(rng, problem, mutation):
         run(Q, R, {})
     assert c.get("cache.compile.hit") == 1
     assert c.get("cache.tree.refit") == 0
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("problem", ["knn", "kde"])
+def test_refit_row_layout_matches_rebuild(rng, problem, mutation):
+    """The same loop at d = 9, where the row layout's GEMM kernels read
+    the refit tree's patched ``RN2`` (its cached squared norms).  Held
+    to ``close``: the refit tree groups the GEMMs differently from a
+    rebuild, which moves the last bits of k-NN distances too."""
+    run, _ = PROBLEMS[problem]
+    Q, R = _data(rng, weighted=problem == "kde", dim=9)
+    run(Q, R, {})
+    _mutate(rng, R, mutation)
+    with collect() as c:
+        got = run(Q, R, {})
+    assert c.get("cache.tree.refit") == 1, c.as_dict()
+    _assert_same("close", got, run(Q, _fresh(R), {"cache": False}))
 
 
 @pytest.mark.parametrize("mutation", ["update-weights"])

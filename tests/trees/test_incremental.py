@@ -211,6 +211,38 @@ def test_emptied_leaf_forces_rebuild(rng):
     check_metrics(tree)
 
 
+@pytest.mark.parametrize("dim", [3, 9])
+@pytest.mark.parametrize("mutation", ["update", "update-one", "insert",
+                                      "delete", "far-update"])
+def test_point_products_match_recompute(rng, mutation, dim):
+    """``points_col`` and the cached ``sqnorms()`` (the GEMM kernels'
+    ``RCOL``/``RN2``) after each mutation kind are bitwise what a full
+    recompute over the mutated points gives — the update path patches
+    only the moved positions, the others rebuild them."""
+    X = rng.normal(size=(600, dim))
+    tree = build_tree("kd" if dim > 3 else "octree", X, leaf_size=16)
+    tree.sqnorms()  # cached, as a compiled program leaves it
+    clone = tree.snapshot()
+    idx = rng.choice(600, 1 if mutation == "update-one" else 40,
+                     replace=False)
+    if mutation == "insert":
+        clone.insert_batch(rng.normal(size=(40, dim)))
+    elif mutation == "delete":
+        clone.delete_batch(idx)
+    else:
+        scale = 500.0 if mutation == "far-update" else 0.1
+        clone.update_batch(idx, X[idx] + scale * rng.normal(
+            size=(idx.size, dim)))
+    assert np.array_equal(
+        clone.points_col, np.ascontiguousarray(clone.points.T))
+    assert np.array_equal(
+        clone.sqnorms(), np.einsum("ij,ij->i", clone.points, clone.points))
+    # the snapshot's products are untouched (copy-on-write)
+    assert np.array_equal(tree.sqnorms(),
+                          np.einsum("ij,ij->i", X[tree.perm], X[tree.perm]))
+    assert np.array_equal(tree.points_col, X[tree.perm].T)
+
+
 def test_delete_all_raises(rng):
     X = rng.normal(size=(50, 3))
     tree = build_tree("kd", X, leaf_size=8)
