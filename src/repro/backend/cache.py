@@ -1,12 +1,9 @@
-"""Execution caches: compiled-code, artifact and tree reuse across ``execute()``.
+"""Execution caches: code by program shape, data by content identity.
 
-The "serve heavy repeated traffic" half of the roadmap: re-executing a
-program over the *same* datasets pays for rule generation, IR
-optimisation, code generation and tree construction once, and running
-the same program *shape* over other data pays for the first three once.
-A service answering queries against one reference set pays for that
-set's tree and for the program's code once; per batch it builds the
-query tree and binds.  Three bounded LRU caches, all content-addressed:
+The "serve heavy repeated traffic" half of the roadmap: a program shape
+pays for rule generation, IR optimisation and code generation once, and
+a dataset pays for its trees once, whichever program meets it next.
+Two bounded LRU caches, and nothing cached on top that pairs them:
 
 * the **code cache** (:mod:`repro.backend.jit`) memoises the code half
   of a compile — rules, optimised IR, emitted source, code object —
@@ -14,20 +11,11 @@ query tree and binds.  Three bounded LRU caches, all content-addressed:
   names, unparsed kernel expressions, parameter values, Storage names
   and dimensions), the options that change the code and the resolved
   layout, and no dataset fingerprint;
-* the **program cache** memoises whole artifacts — that code half plus
-  the data half bound to it (trees, whitened points, shard pack) — under
-  the code key extended by the dataset fingerprints and the *resolved*
-  tree parameters (leaf size, shard count); runtime-only knobs
-  (``parallel``, ``workers``, ``min_tasks``, ``traversal``) are
-  deliberately excluded so toggling them still hits.  It is a second
-  cache and not a re-keyed first one because it alone makes a whitened,
-  sharded or brute-mode *hit* O(1): those data products (an O(n)
-  transform + fingerprint, the shard plan and gathers, the transposes)
-  live nowhere else.  The code cache is probed only after it misses;
 * the **tree cache** memoises :class:`~repro.trees.node.ArrayTree`
   builds keyed on (data fingerprint, tree kind, leaf size, split,
   weights fingerprint), so *different problems* over the same dataset
-  share one tree build.
+  share one tree build — and, under derived keys
+  (:func:`derived_entry`), per-shard subset trees and whitened points.
 
 Dataset identity is a BLAKE2 content fingerprint, hashed at birth and
 extended per logged edit.  A fresh `Storage` hashes its values in full
@@ -41,17 +29,16 @@ new fingerprint from the old one and the edit
 gives the same key, and another route to the same content a miss,
 never a false hit.  Fingerprints are memoized per Storage, so the *hit*
 path never re-hashes the dataset and a logged 1 % update never hashes
-the other 99 %.  Hits and misses are
-observable through the ``repro.observe`` counters ``cache.compile.hit``
-/ ``cache.compile.miss`` (the whole-artifact probe), ``cache.code.hit``
-/ ``cache.code.miss`` (after an artifact miss) and ``cache.tree.hit`` /
-``cache.tree.miss`` (see docs/performance.md), the digests behind them
-through ``cache.fingerprint.full`` / ``cache.fingerprint.chained``, and
-``CompileOptions(cache=False)`` bypasses all three caches entirely.
+the other 99 %.  Probes are counted as ``cache.compile.*`` (the code
+probe: did anything compile), ``cache.tree.*`` and ``cache.whiten.*``
+(see docs/performance.md), the digests behind them as
+``cache.fingerprint.*``; ``CompileOptions(cache=False)`` bypasses both
+caches.
 
 Cached objects are safe to share: traversals never mutate tree arrays,
-nothing writes to a cached code half, and every per-run accumulator is
-allocated fresh per :class:`CompiledProgram` instantiation.
+nothing writes to a cached code half or whitened array, and every
+per-run accumulator is allocated fresh per :class:`CompiledProgram`
+instantiation.
 """
 
 from __future__ import annotations
@@ -69,13 +56,13 @@ from ..trees import build_tree
 __all__ = [
     "LRUCache", "MISSING", "UncacheableParamError", "array_fingerprint",
     "chained_fingerprint", "freeze", "cached_build_tree",
-    "cached_build_subset_tree", "program_cache", "code_cache", "tree_cache", "clear_caches",
-    "cache_stats",
+    "cached_build_subset_tree", "derived_entry", "code_cache", "tree_cache",
+    "clear_caches", "cache_stats",
 ]
 
 #: Sentinel distinguishing "key absent" from "cached value is None" in
-#: :meth:`LRUCache.get` — a legitimately-``None`` artifact must not look
-#: like a miss (which would force a recompile on every call).
+#: :meth:`LRUCache.get` — a legitimately-``None`` value must not look
+#: like a miss (which would force a rebuild on every call).
 MISSING = object()
 
 
@@ -177,7 +164,7 @@ class LRUCache:
 
         Pass :data:`MISSING` as the default to distinguish "key absent"
         from "cached value is None" — internal callers do, so a
-        legitimately-``None`` artifact still counts as a hit.
+        legitimately-``None`` value still counts as a hit.
         """
         with self._lock:
             try:
@@ -194,11 +181,6 @@ class LRUCache:
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
 
-    def pop(self, key, default=None):
-        """Remove and return the cached value (``default`` when absent)."""
-        with self._lock:
-            return self._data.pop(key, default)
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -209,10 +191,10 @@ class LRUCache:
             return len(self._data)
 
 
-#: Version prefix of the compiled-artifact key schema.  Bumped whenever
-#: the pass pipeline or artifact layout changes shape (new passes, new
+#: Version prefix of the code-cache key schema.  Bumped whenever the
+#: pass pipeline or the compiled layout changes shape (new passes, new
 #: key fields), so a process that hot-reloads compiler modules can never
-#: serve an artifact built by an older pipeline.
+#: serve code built by an older pipeline.
 #: v4: pluggable codegen backends — the key carries the resolved
 #: codegen backend name, so a native artifact never collides with a
 #: NumPy one.
@@ -230,11 +212,10 @@ class LRUCache:
 #: v9: one codegen target — the key no longer carries a backend name.
 ARTIFACT_SCHEMA = 9
 
-#: Compiled-artifact cache (see :mod:`repro.backend.jit`).
-program_cache = LRUCache(maxsize=32)
 #: Code halves, one per program shape, shared across datasets.
 code_cache = LRUCache(maxsize=32)
-#: Tree-build cache, shared across problems on the same dataset.
+#: Tree builds and derived data products, shared across problems on the
+#: same dataset.
 tree_cache = LRUCache(maxsize=16)
 
 
@@ -246,16 +227,17 @@ def cached_build_tree(
     split: str,
     enabled: bool = True,
     storage=None,
+    fingerprint: tuple | None = None,
 ):
     """:func:`repro.trees.build_tree` behind the content-addressed cache.
 
-    When ``storage`` is the :class:`~repro.dsl.storage.Storage` whose own
-    ``data`` array is being indexed (the compiler passes it exactly
-    then), a content-key miss first asks the Storage for the live tree
-    it built at this same version (evicted here since the last
-    ``clear()``, still held there: a hit), then tries the **incremental
-    path**: if a
-    live tree was built over an earlier version of the same Storage and
+    ``storage`` is the :class:`~repro.dsl.storage.Storage` the points
+    come from, ``fingerprint`` theirs if the caller holds it (whitened
+    points do).  When ``points`` is the Storage's own ``data``, a miss
+    first asks the Storage for the live tree it built at this same
+    version (evicted here since the last ``clear()``, still held there:
+    a hit), then tries the **incremental path**: if a live tree was
+    built over an earlier version of the same Storage and
     the Storage's mutation log covers the gap, the old tree is
     snapshotted and the deltas are replayed through the ``ArrayTree``
     mutation API (``cache.tree.refit``) — orders of magnitude cheaper
@@ -267,10 +249,10 @@ def cached_build_tree(
         return build_tree(kind, points, leaf_size=leaf_size,
                           weights=weights, split=split)
     own_data = storage is not None and points is storage.data
-    pts_fp = (storage.fingerprint("data") if own_data
-              else array_fingerprint(points))
+    pts_fp = fingerprint or (storage.fingerprint("data") if own_data
+                             else array_fingerprint(points))
     w_fp = (storage.fingerprint("weights")
-            if own_data and weights is storage.weights
+            if storage is not None and weights is storage.weights
             else array_fingerprint(weights))
     key = ("tree", kind, int(leaf_size), split, pts_fp, w_fp)
     live_key = (kind, int(leaf_size), split)
@@ -353,26 +335,34 @@ def cached_build_subset_tree(
     if not enabled:
         return build_subset_tree(kind, points, idx, leaf_size=leaf_size,
                                  weights=weights, split=split)
-    key = ("shard-tree", kind, int(leaf_size), split, base_key,
-           (int(shard[0]), int(shard[1])))
-    tree = tree_cache.get(key, MISSING)
-    if tree is not MISSING:
-        contribute({"cache.tree.hit": 1})
-        return tree
-    contribute({"cache.tree.miss": 1})
-    tree = build_subset_tree(kind, points, idx, leaf_size=leaf_size,
-                             weights=weights, split=split)
-    tree_cache.put(key, tree)
-    return tree
+    return derived_entry(
+        ("shard-tree", kind, int(leaf_size), split, base_key,
+         (int(shard[0]), int(shard[1]))),
+        lambda: build_subset_tree(kind, points, idx, leaf_size=leaf_size,
+                                  weights=weights, split=split))
+
+
+def derived_entry(key: tuple, build, counter: str = "cache.tree"):
+    """The tree-cache entry under a *derived* ``key`` — one made of
+    identities the caller already holds (memoized fingerprints, shard
+    positions), never a hash of the value — built by ``build()`` on a
+    miss; the probe is counted as ``{counter}.hit`` / ``.miss``."""
+    value = tree_cache.get(key, MISSING)
+    if value is not MISSING:
+        contribute({f"{counter}.hit": 1})
+        return value
+    contribute({f"{counter}.miss": 1})
+    value = build()
+    tree_cache.put(key, value)
+    return value
 
 
 def clear_caches() -> None:
-    """Drop every cached artifact, tree and published shared-memory
-    block (test isolation hook).  The persistent policy store's
-    in-memory view is forgotten too (the file is untouched; the next
-    consult re-reads it), so tests switching ``REPRO_POLICY_PATH``
-    between cases never see a stale table."""
-    program_cache.clear()
+    """Drop every cached code half, tree, derived data product and
+    published shared-memory block (test isolation hook).  The persistent
+    policy store's in-memory view is forgotten too (the file is
+    untouched; the next consult re-reads it), so tests switching
+    ``REPRO_POLICY_PATH`` between cases never see a stale table."""
     code_cache.clear()
     tree_cache.clear()
     from ..parallel import shm
@@ -385,5 +375,4 @@ def clear_caches() -> None:
 
 def cache_stats() -> dict:
     """Current cache occupancy, for diagnostics."""
-    return {"programs": len(program_cache), "code": len(code_cache),
-            "trees": len(tree_cache)}
+    return {"code": len(code_cache), "trees": len(tree_cache)}

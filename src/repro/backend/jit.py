@@ -6,19 +6,18 @@ One pass from specification to a scheduled traversal:
 cache miss — compiles along one seam: code from the program's *shape*
 (:func:`_compile_code`: rules, lowering + optimisation passes, code
 generation — it never reads a data array), then bindings from its
-*data* (:func:`_bind_data`: whitening, tree builds, shard pack).  Each
-half is cached: the :class:`_Code` once per shape under
-:func:`_code_key`, shared by every dataset it meets, and the pair — the
-:class:`_Artifact` — under :func:`_program_key`, so a program of a known
-shape over new data runs only the data half.  :func:`_instantiate`
-binds an artifact to fresh state as a runnable
-:class:`~repro.backend.program.CompiledProgram`.
+*data* (:func:`_bind_data`: whitening, tree builds, shard pack).  The
+:class:`_Code` is cached by shape (:func:`_code_key`), the trees and
+whitened points by the datasets' identity (the tree cache); nothing
+caches the pair.  :func:`_instantiate` binds the two halves to fresh
+state as a runnable :class:`~repro.backend.program.CompiledProgram`.
 External-kernel and m ≥ 3-layer programs take the uncached fallbacks in
 :mod:`repro.backend.fallbacks`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
@@ -38,9 +37,9 @@ from ..ir.nodes import SymRef
 from ..ir.passes import PassManager
 from ..ir.strength_reduction import reduce_expr
 from ..observe import contribute, span
-from .cache import (  # noqa: F401 (program_cache re-exported for tests)
+from .cache import (
     ARTIFACT_SCHEMA, MISSING, UncacheableParamError, array_fingerprint,
-    cached_build_tree, code_cache, freeze, program_cache,
+    cached_build_tree, code_cache, derived_entry, freeze,
 )
 from .codegen import Bindings, CodegenSpec, emit
 from .layout import Layout
@@ -131,21 +130,6 @@ class _Data:
     shard_pack: object | None = None
 
 
-@dataclass
-class _Artifact:
-    """Immutable products of one compile — everything reusable across
-    executions of the same logical program.
-
-    Mutable per-run state (accumulator arrays, output lists, the resolved
-    modifier closure) is deliberately *not* here; :func:`_instantiate`
-    allocates it fresh and re-binds the compiled code object against it,
-    so cached programs never alias each other's results.
-    """
-
-    code: _Code
-    data: _Data
-
-
 def _func_key(func) -> object:
     """Stable cache-key description of a layer function.
 
@@ -189,17 +173,15 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
     )
 
 
-def _program_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
-                 verify: bool) -> tuple:
-    """Content-addressed key of a 2-layer program's compiled artifact:
-    the code half's inputs plus what only :func:`_bind_data` reads —
-    dataset fingerprints, the whitening covariance, the tree parameters
-    (resolved leaf size and shard count).  Runtime-only plan fields
-    (which engine, executor, workers, min_tasks) are excluded so
-    toggling them still hits."""
-    layers = pexpr.layers
-    return (
-        ARTIFACT_SCHEMA, _code_key(pexpr, opts, plan, verify),
+def _program_key(code_key: tuple, layers: list[Layer],
+                 opts: CompileOptions, plan: ExecutionPlan) -> tuple:
+    """Content identity of a 2-layer program: its code key plus what
+    only :func:`_bind_data` reads — dataset fingerprints, the whitening
+    covariance, the tree parameters (resolved leaf size and shard
+    count).  Runtime-only plan fields (which engine, executor, workers,
+    min_tasks) are left out.  Only the process executor needs it: its
+    digest names the program's shared-memory publication."""
+    return code_key + (
         tuple((layer.storage.fingerprint("data"),
                layer.storage.fingerprint("weights")) for layer in layers),
         freeze(layers[1].metric_kernel.covariance),
@@ -210,19 +192,17 @@ def _program_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
 def compile_expr(pexpr, options: dict) -> CompiledProgram:
     """Compile a validated :class:`~repro.dsl.portal_expr.PortalExpr`.
 
-    Two-layer programs with a lowered kernel are served from the
-    execution caches when possible.  A whole-artifact hit
-    (``cache.compile.hit``) skips rule generation, IR passes, code
-    generation and tree construction and only re-binds fresh state
-    arrays; on an artifact miss over a known program shape
-    (``cache.code.hit`` — a fresh query set, a mutated reference set)
-    the code half is reused as it is and only the data half runs.
+    Two-layer programs with a lowered kernel take their code half from
+    the code cache when its shape was compiled before
+    (``cache.compile.hit``: no rule generation, IR passes or code
+    generation) and then bind the data half, whose trees and whitened
+    points the tree cache serves for datasets it has seen.
     """
     opts = CompileOptions.from_dict(options)
     layers = pexpr.layers
     # Everything 'auto', environment-supplied or policy-tuned becomes
-    # concrete here, before the cache key: a sharded artifact must never
-    # collide with an unsharded one, and a request that resolves to the
+    # concrete here, before the cache key: sharded code must never
+    # collide with unsharded code, and a request that resolves to the
     # default legitimately shares its entry.
     plan = resolve_plan(opts, os.environ, _LazyPolicy(), layers)
     verify = requested(opts, os.environ, "verify_ir")[0]
@@ -244,7 +224,7 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     key = None
     if cacheable:
         try:
-            key = _program_key(pexpr, opts, plan, verify)
+            key = (ARTIFACT_SCHEMA, _code_key(pexpr, opts, plan, verify))
         except UncacheableParamError:
             # A parameter with no content identity: running uncached is
             # correct; keying on its repr() (a memory address) is not.
@@ -253,26 +233,17 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     code, timings = MISSING, {}
     cache_state = None if opts.cache else "off"
     if cacheable:
-        art = program_cache.get(key, MISSING)
-        if art is not MISSING:
-            contribute({"cache.compile.hit": 1})
-            return _instantiate(art, layers, opts, plan, {}, "hit", key=key)
-        # Other data, maybe the same shape: key[:2] is the schema and
-        # the _code_key the program key was built on.
-        code = code_cache.get(key[:2], MISSING)
-        cache_state, probe = (("miss", "cache.code.miss") if code is MISSING
-                              else ("code", "cache.code.hit"))
-        contribute({"cache.compile.miss": 1, probe: 1})
+        code = code_cache.get(key, MISSING)
+        cache_state = "miss" if code is MISSING else "hit"
+        contribute({f"cache.compile.{cache_state}": 1})
     if code is MISSING:
         code, timings = _compile_code(pexpr, opts, plan, verify)
         if cacheable:
-            code_cache.put(key[:2], code)
+            code_cache.put(key, code)
     # Code first: nothing the emitter does waits on a tree.
-    art = _Artifact(code, _bind_data(code, layers, opts, plan, timings))
-    if cacheable:
-        program_cache.put(key, art)
-    return _instantiate(art, layers, opts, plan, timings, cache_state,
-                        key=key)
+    data = _bind_data(code, layers, opts, plan, timings)
+    return _instantiate(code, data, layers, opts, plan, timings,
+                        cache_state, code_key=key)
 
 
 def front_end(pexpr, opts: CompileOptions, verify: bool):
@@ -405,18 +376,14 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
     added to ``timings``."""
     qstorage, rstorage = layers[0].storage, layers[1].storage
     # The program's own kernel, not one kept with the shared code: its
-    # covariance is data, keyed by _program_key alone.
+    # covariance is data, keyed with the whitened points alone.
     kernel, same_data = layers[1].metric_kernel, code.same_data
 
-    qpoints = qstorage.data
-    rpoints = rstorage.data
+    qpoints, rpoints = qstorage.data, rstorage.data
+    q_fp = r_fp = None  # None: the Storages' own fingerprints
     if kernel.whiten:
-        cov = kernel.covariance
-        if cov is None:
-            cov = np.cov(rpoints.T)
-        transform = _whiten_transform(cov)
-        qpoints = transform(qpoints)
-        rpoints = qpoints if same_data else transform(rpoints)
+        (qpoints, q_fp), (rpoints, r_fp) = _whitened(
+            kernel.covariance, qstorage, rstorage, same_data, opts.cache)
 
     if code.mode != "tree":
         return _Data(Bindings.brute(qpoints, rpoints, rstorage.weights,
@@ -434,11 +401,12 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
         # of rebuilding (cached_build_tree checks the identity).
         qtree = cached_build_tree(kind, qpoints, leaf,
                                   qstorage.weights, opts.split,
-                                  enabled=opts.cache, storage=qstorage)
+                                  enabled=opts.cache, storage=qstorage,
+                                  fingerprint=q_fp)
         if not sharded:
             rtree = qtree if same_data else cached_build_tree(
                 kind, rpoints, leaf, rstorage.weights, opts.split,
-                enabled=opts.cache, storage=rstorage,
+                enabled=opts.cache, storage=rstorage, fingerprint=r_fp,
             )
     timings["tree_build"] = time.perf_counter() - t0
     bindings = Bindings.query(qtree, code.scalars)
@@ -449,14 +417,11 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
         from ..parallel.shard import build_shard_pack
 
         inv_qperm = qtree.inv_perm() if code.spec.self_map else None
-        base_fp = (
-            rstorage.fingerprint("data") if rpoints is rstorage.data
-            else array_fingerprint(rpoints)
-        )
         t0 = time.perf_counter()
         shard_pack = build_shard_pack(
-            kind, rpoints, rstorage.weights, leaf, opts.split,
-            plan.shards, (base_fp, rstorage.fingerprint("weights")),
+            kind, rpoints, rstorage.weights, leaf, opts.split, plan.shards,
+            (r_fp or rstorage.fingerprint("data"),
+             rstorage.fingerprint("weights")),
             inv_qperm=inv_qperm, cache_enabled=opts.cache,
         )
         timings["shard_build"] = time.perf_counter() - t0
@@ -465,13 +430,39 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
     return _Data(bindings, qtree=qtree, rtree=rtree, shard_pack=shard_pack)
 
 
-def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
-                 plan: ExecutionPlan, timings: dict, cache_state: str | None,
-                 key: tuple | None = None) -> CompiledProgram:
-    """Build a runnable :class:`CompiledProgram` from a compile artifact:
+def _whitened(cov, qstorage, rstorage, same_data: bool,
+              enabled: bool) -> tuple[tuple, tuple]:
+    """Both sides' points under the whitening transform of section IV-D,
+    each with its fingerprint (``None`` when ``enabled`` is off), in one
+    derived-key tree-cache entry per side: keyed by the side's data and
+    the covariance — its content, or the reference data it is estimated
+    from — so a repeat execute neither whitens nor hashes."""
+    transform = functools.cache(lambda: _whiten_transform(
+        np.cov(rstorage.data.T) if cov is None else cov))
+    if enabled:
+        cov_id = (("estimated", rstorage.fingerprint("data")) if cov is None
+                  else freeze(cov))
+
+    def side(storage):
+        def whiten():
+            points = transform()(storage.data)
+            return points, array_fingerprint(points) if enabled else None
+        if not enabled:
+            return whiten()
+        return derived_entry(("whiten", storage.fingerprint("data"), cov_id),
+                             whiten, "cache.whiten")
+
+    q = side(qstorage)
+    return q, q if same_data else side(rstorage)
+
+
+def _instantiate(code: _Code, data: _Data, layers: list[Layer],
+                 opts: CompileOptions, plan: ExecutionPlan, timings: dict,
+                 cache_state: str | None,
+                 code_key: tuple | None = None) -> CompiledProgram:
+    """Build a runnable :class:`CompiledProgram` from the two halves:
     fresh state arrays, fresh modifier closure, and the emitted code
     object re-executed against them."""
-    code, data = art.code, art.data
     outer, inner = layers
     modifier = _resolve_modifier(outer.func)
     nq, nr = outer.storage.n, inner.storage.n
@@ -491,14 +482,15 @@ def _instantiate(art: _Artifact, layers: list[Layer], opts: CompileOptions,
         rtree = qtree if data.rtree is data.qtree else (
             None if data.rtree is None else data.rtree.snapshot())
     token = None
-    if (code.mode == "tree" and key is not None
+    if (code.mode == "tree" and code_key is not None
             and plan.executor == "process"):
         # Only the process executor publishes under the token.  Let the
         # Storages evict exactly these shm publications (and their
         # ::q/::r{i} shard derivatives) when they mutate — a warm
         # process pool must never be served stale columns.
-        token = hashlib.blake2b(repr(key).encode(),
-                                digest_size=16).hexdigest()
+        token = hashlib.blake2b(
+            repr(_program_key(code_key, layers, opts, plan)).encode(),
+            digest_size=16).hexdigest()
         for layer in layers:
             layer.storage.note_shm_token(token)
     program = CompiledProgram(

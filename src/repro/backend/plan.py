@@ -175,7 +175,7 @@ class CompileOptions:
     traversal: str | None = _row(
         allowed=("batched", "bounded-batched", "stack"), policy=True,
         static="batched")
-    #: reuse compiled artifacts and built trees across ``execute()``
+    #: reuse compiled code and built trees across ``execute()``
     #: calls (content-addressed; see :mod:`repro.backend.cache`)
     cache: bool = _row(True, allowed=_flag)
     #: parallel pool backend: 'thread' | 'process' | 'auto' (by engine,
@@ -404,9 +404,8 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
             plan["executor"] = _static_executor(plan["engine"])
         if plan["executor"] == "process" and workers == 1:
             plan["executor"] = "thread"  # one worker runs tasks in-process
-        # A sharded artifact (per-shard trees + bindings) must never
-        # collide with an unsharded one, so 'auto' becomes a count here,
-        # before the cache key.
+        # Sharded code and shard trees must never collide with unsharded
+        # ones, so 'auto' becomes a count here, before the cache keys.
         plan["shards"] = _concrete_shards(plan["shards"], nr, workers)
     return ExecutionPlan(
         **plan, decision=decision,

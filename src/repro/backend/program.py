@@ -57,8 +57,8 @@ class CompiledProgram:
     nr: int | None = None
     same_data: bool = False
     exclude_self: bool = False
-    #: 'hit' | 'code' (code half reused, data bound fresh) | 'miss' |
-    #: 'off', or ``None`` for an uncacheable program
+    #: 'hit' (code half reused, data half bound) | 'miss' | 'off', or
+    #: ``None`` for an uncacheable program
     cache_state: str | None = None
     #: sharded layout: per-shard states and kernels
     #: (:class:`repro.parallel.shard.ShardExecution`)
@@ -76,7 +76,7 @@ class CompiledProgram:
     #: broadcast counters and per-shard stats of the last sharded run
     shard_info: dict | None = None
     #: wall-clock seconds per compile stage that ran ('rules', 'lowering',
-    #: 'passes', 'codegen' — absent on a code hit — 'tree_build',
+    #: 'passes', 'codegen' — absent on a cache hit — 'tree_build',
     #: 'shard_build') plus 'run' after run()
     timings: dict = field(default_factory=dict)
     #: guards the mutable observability state (``timings`` / ``stats`` /

@@ -86,7 +86,8 @@ def parallel_dual_tree_process(
 
     ``bindings`` (:class:`~repro.backend.codegen.Bindings`): the arrays
     are published to shared memory, the scalars ride in the payload.
-    ``token`` keys the publication (the program-cache token); ``None`` —
+    ``token`` keys the publication (a digest of the program's content
+    identity, :func:`repro.backend.jit._program_key`); ``None`` —
     an uncacheable program — publishes under an ephemeral token that is
     released when the run finishes.  ``plan`` is the program's
     :class:`~repro.backend.plan.ExecutionPlan`; it heads every payload.

@@ -10,8 +10,8 @@ ships only the block's **manifest** — ``{name: (offset, dtype, shape)}``
 views over the block.
 
 Blocks are content-addressed: the registry key is the program token
-(derived from the program-cache key, i.e. the blake2b dataset
-fingerprints plus the compile-relevant options), so repeated
+(a digest of the program's content identity, i.e. its code key plus
+the blake2b dataset fingerprints and tree parameters), so repeated
 ``execute()`` calls over the same data republish nothing
 (``shm.publish.hit``).  Lifecycle mirrors the execution caches: a small
 LRU bounded alongside ``tree_cache``, evicted blocks are closed and

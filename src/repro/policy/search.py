@@ -201,7 +201,7 @@ def run_search(layers, opts, start: ExecutionPlan, *,
     with span("policy.search", nq=sub_nq, nr=sub_nr):
         # Warm once outside the timings: the first execution pays
         # compile + tree build for the subsample; candidates after it
-        # share the tree/program caches exactly as serving traffic does.
+        # share the code/tree caches exactly as serving traffic does.
         try:
             run(start)
         except Exception:

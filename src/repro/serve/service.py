@@ -5,12 +5,11 @@ warms the reference-tree cache — and then submit point queries against
 the returned handle.  Each query carries only the query points (plus an
 optional ``k`` override for k-NN style problems); the service rebinds
 the registered :class:`~repro.dsl.portal_expr.PortalExpr` to them per
-batch.  What hits per batch: the code half (the program's shape does
-not change with its query points — one ``cache.code.hit``) and the
+batch.  What hits per batch: the code (the program's shape does not
+change with its query points — one ``cache.compile.hit``) and the
 reference trees.  What is built: a batch is a fresh query Storage, so
-its whole-artifact key misses (one ``cache.compile.miss``), its query
-tree is new, both are bound to fresh state — and a process executor
-republishes its shm block under the new key's token.
+its query tree is new, both trees are bound to fresh state — and a
+process executor publishes a shm block under the new program token.
 
 Requests that share a batch key — ``(handle, k, frozen options)`` — are
 coalesced by :class:`~repro.serve.coalesce.Coalescer` into one stacked

@@ -1,4 +1,4 @@
-"""Execution cache behaviour: compiled-artifact and tree reuse.
+"""Execution cache behaviour: code reuse by shape, tree reuse by data.
 
 A second ``execute()`` of the same logical program must skip compilation
 and tree construction (counter-observable), return bitwise-identical
@@ -57,8 +57,8 @@ class TestCompileCache:
         assert c["cache.compile.miss"] == 1
         assert c["cache.compile.hit"] == 1
         assert c["cache.tree.miss"] == 2  # query + reference trees
-        # the artifact hit carries its trees — no second tree probe
-        assert "cache.tree.hit" not in c
+        # the second execute binds the same trees from the tree cache
+        assert c["cache.tree.hit"] == 2
         # compile.count only fires on the full pipeline
         assert counters.as_dict()["compile.count"] == 1
         assert np.array_equal(np.asarray(first.values),
@@ -69,33 +69,48 @@ class TestCompileCache:
         _kde_expr(Q, R).execute(tau=1e-3)
         expr = _kde_expr(Q, R)
         expr.execute(tau=1e-3)
+        with collect() as counters:
+            expr.execute(tau=1e-3)
         stats = expr.stats()
         assert stats["cache"] == "hit"
-        # A served program never paid for tree building or codegen.
-        assert "tree_build" not in stats["compile_timings_ms"]
+        # A served program never paid for codegen or a tree build: the
+        # data half only looked its trees up.
+        assert set(stats["compile_timings_ms"]) == {"tree_build"}
         assert "codegen" not in stats["compile_timings_ms"]
+        assert counters.as_dict()["cache.tree.hit"] == 2
+        assert "cache.tree.miss" not in counters.as_dict()
 
     def test_option_change_misses(self, data):
+        """A code option is a compile; a tree parameter is new trees
+        under the same code."""
         Q, R = data
         _kde_expr(Q, R).execute(tau=1e-3)
         with collect() as counters:
             _kde_expr(Q, R).execute(tau=1e-2)           # different tau
+        c = _cache_counts(counters)
+        assert c["cache.compile.miss"] == 1
+        assert "cache.compile.hit" not in c
+        with collect() as counters:
             _kde_expr(Q, R).execute(tau=1e-3, leaf_size=16)
         c = _cache_counts(counters)
-        assert c["cache.compile.miss"] == 2
-        assert "cache.compile.hit" not in c
+        assert c["cache.compile.hit"] == 1
+        assert c["cache.tree.miss"] == 2 and "cache.tree.hit" not in c
 
     def test_data_change_misses(self, data):
+        """Other data is the same code over another tree: the code probe
+        hits, the changed side's tree misses."""
         Q, R = data
         _kde_expr(Q, R).execute(tau=1e-3)
         Q2 = Q.copy()
         Q2[0, 0] += 1.0
         with collect() as counters:
             _kde_expr(Q2, R).execute(tau=1e-3)
-        assert _cache_counts(counters)["cache.compile.miss"] == 1
+        c = _cache_counts(counters)
+        assert c["cache.compile.hit"] == 1
+        assert c["cache.tree.miss"] == 1 and c["cache.tree.hit"] == 1
 
     def test_runtime_knobs_still_hit(self, data):
-        """parallel / workers / traversal are runtime-only: same artifact."""
+        """parallel / workers / traversal are runtime-only: same code."""
         Q, R = data
         _kde_expr(Q, R).execute(tau=1e-3, traversal="batched")
         with collect() as counters:
@@ -111,7 +126,7 @@ class TestCompileCache:
     def test_default_asked_by_name_shares_the_entry(self, data, by_name):
         """The key holds what the options resolve to, so asking for the
         value a default resolves to (3-D data lays out column-major) is
-        the same artifact, not a second compile."""
+        the same code, not a second compile."""
         Q, R = data
         with collect() as counters:
             first = _kde_expr(Q, R).execute(tau=1e-3)
@@ -147,8 +162,8 @@ class TestCompileCache:
 
 class TestBackendDimension:
     """The code key carries the ``backend`` option: the tree-engine and
-    brute-force artifacts of one program are distinct entries, and a
-    request that resolves to the same backend shares one."""
+    brute-force code of one program are distinct entries, and a request
+    that resolves to the same backend shares one."""
 
     @pytest.fixture(autouse=True)
     def _fresh(self):
@@ -160,20 +175,22 @@ class TestBackendDimension:
             _kde_expr(Q, R).execute(tau=0.0, backend="vectorized")
             _kde_expr(Q, R).execute(tau=0.0, backend="brute")
         c = _cache_counts(counters)
-        assert c["cache.compile.miss"] == c["cache.code.miss"] == 2
+        assert c["cache.compile.miss"] == 2
         assert "cache.compile.hit" not in c
-        assert cache_stats()["programs"] == cache_stats()["code"] == 2
-        # …and each backend re-hits its *own* entry afterwards.
+        assert cache_stats()["code"] == 2
+        # …and each backend re-hits its *own* entry afterwards (the tree
+        # one over its cached trees; brute mode builds none).
         with collect() as counters:
             first = _kde_expr(Q, R).execute(tau=0.0, backend="vectorized")
             second = _kde_expr(Q, R).execute(tau=0.0, backend="brute")
-        assert _cache_counts(counters) == {"cache.compile.hit": 2}
+        assert _cache_counts(counters) == {"cache.compile.hit": 2,
+                                           "cache.tree.hit": 2}
         np.testing.assert_allclose(np.asarray(first.values),
                                    np.asarray(second.values), rtol=1e-7)
 
     def test_fallen_back_native_shares_numpy_entry(self, data):
         """The default backend asked for by name resolves before keying
-        and reuses the default's artifact instead of duplicating it."""
+        and reuses the default's code instead of duplicating it."""
         Q, R = data
         with collect() as counters:
             first = _kde_expr(Q, R).execute(tau=1e-3)
@@ -181,7 +198,7 @@ class TestBackendDimension:
         c = _cache_counts(counters)
         assert c["cache.compile.miss"] == 1
         assert c["cache.compile.hit"] == 1
-        assert cache_stats()["programs"] == 1
+        assert cache_stats()["code"] == 1
         assert np.array_equal(np.asarray(first.values),
                               np.asarray(second.values))
 
@@ -189,14 +206,13 @@ class TestBackendDimension:
         Q, R = data
         _kde_expr(Q, R).execute(tau=1e-3, backend="vectorized")
         _kde_expr(Q, R).execute(tau=1e-3, backend="brute")
-        assert cache_stats()["programs"] == 2
         assert cache_stats()["code"] == 2
         clear_caches()
-        assert cache_stats() == {"programs": 0, "code": 0, "trees": 0}
+        assert cache_stats() == {"code": 0, "trees": 0}
         with collect() as counters:
             _kde_expr(Q, R).execute(tau=1e-3, backend="brute")
-        assert _cache_counts(counters)["cache.compile.miss"] == 1
-        assert _cache_counts(counters)["cache.code.miss"] == 1
+        assert _cache_counts(counters) == {"cache.compile.miss": 1}
+        assert counters.as_dict()["compile.count"] == 1
 
     def test_uncacheable_native_still_executes(self, data):
         """An uncacheable-param program under the brute backend skips
@@ -209,7 +225,7 @@ class TestBackendDimension:
         c = counters.as_dict()
         assert c["cache.compile.uncacheable"] == 1
         assert "cache.compile.hit" not in c and "cache.compile.miss" not in c
-        assert cache_stats()["programs"] == 0
+        assert cache_stats()["code"] == 0
         assert expr.stats()["backend"] == "brute"
         assert np.asarray(out.values).shape == (len(Q),)
 
@@ -262,11 +278,10 @@ class TestPrimitives:
     def test_clear_caches(self, data):
         Q, R = data
         kde(Q, R, bandwidth=0.8)
-        assert cache_stats()["programs"] >= 1
         assert cache_stats()["code"] >= 1
         assert cache_stats()["trees"] >= 1
         clear_caches()
-        assert cache_stats() == {"programs": 0, "code": 0, "trees": 0}
+        assert cache_stats() == {"code": 0, "trees": 0}
 
 
 class TestFreezeContentKeys:
@@ -311,7 +326,7 @@ class TestFreezeContentKeys:
         assert "cache.compile.hit" not in c
         assert "cache.compile.miss" not in c
         assert c["compile.count"] == 2  # full pipeline both times
-        assert cache_stats()["programs"] == 0
+        assert cache_stats()["code"] == 0
 
     def test_lru_none_value_is_a_hit(self):
         """Regression: a legitimately-None cached value must be
@@ -402,8 +417,9 @@ class TestChainedIdentity:
 
     def test_revert_is_another_key_with_the_same_answer(self):
         """Update-then-revert reaches the original content by another
-        route: a different key (a miss, never a false hit) whose answer
-        is bitwise the answer over a fresh Storage of that content."""
+        route: a different data key (a refit, never a false tree hit)
+        whose answer is bitwise the answer over a fresh Storage of that
+        content."""
         rng = np.random.default_rng(8)
         X = rng.normal(size=(300, 3))
         Q = Storage(rng.normal(size=(50, 3)))
@@ -416,8 +432,9 @@ class TestChainedIdentity:
         assert R.fingerprint("data") != original
         with collect() as c:
             got = knn(Q, R, k=4)
-        assert c.get("cache.compile.hit") == 0
+        assert c.get("cache.compile.hit") == 1  # same shape: same code
         assert c.get("cache.tree.refit") == 1
+        assert c.get("cache.tree.hit") == 1     # the query side only
         fresh = knn(Q, Storage(X.copy()), k=4, cache=False)
         for a, b in zip(got, fresh):
             assert np.array_equal(np.asarray(a), np.asarray(b))
@@ -463,4 +480,4 @@ class TestChainedIdentity:
         assert c.get("cache.fingerprint.full") == 0
         assert c.get("cache.fingerprint.chained") == 0
         assert c.get("cache.tree.refit") == 1
-        assert c.get("cache.code.hit") == 1
+        assert c.get("cache.compile.hit") == 1

@@ -396,9 +396,9 @@ def _compile_counts(counters):
 @pytest.mark.parametrize("config", CODE_HIT_CONFIGS)
 @pytest.mark.parametrize("path", SPINE_PROGRAMS, ids=lambda p: p.stem)
 def test_same_shape_other_data_reuses_the_code_half(path, config):
-    """A second dataset of equal shape and other values misses the
-    artifact probe, hits the code cache, compiles nothing — and computes
-    what an uncached compile computes, from byte-identical source."""
+    """A second dataset of equal shape and other values hits the code
+    cache, compiles nothing — and computes what an uncached compile
+    computes, from byte-identical source."""
     options = dict(CODE_HIT_CONFIGS[config])
     if path.stem in SPINE_TAU:
         options.setdefault("tau", 1e-3)
@@ -409,14 +409,40 @@ def test_same_shape_other_data_reuses_the_code_half(path, config):
     second = _spine_expr(path, seed=2)
     with collect() as counters:
         out = second.execute(**options)
-    assert _compile_counts(counters) == {
-        "cache.compile.miss": 1, "cache.code.hit": 1}
+    assert _compile_counts(counters) == {"cache.compile.hit": 1}
     stats = second.stats()
-    assert stats["cache"] == "code"
+    assert stats["cache"] == "hit"
     assert set(stats["compile_timings_ms"]) <= {"tree_build", "shard_build"}
     assert (second.program.generated_source()
             == first.program.generated_source())
     _assert_bitwise(out, _spine_expr(path, seed=2).execute(
+        cache=False, **options))
+
+
+REPEAT_CONFIGS = {name: CODE_HIT_CONFIGS[name]
+                  for name in ("default", "shards2", "brute")}
+
+
+@pytest.mark.parametrize("config", REPEAT_CONFIGS)
+@pytest.mark.parametrize("path", SPINE_PROGRAMS, ids=lambda p: p.stem)
+def test_repeat_execute_compiles_nothing_and_hashes_nothing(path, config):
+    """Executing a program again over the same Storages finds its code
+    in the code cache and every data product — trees, shard trees,
+    whitened points and their fingerprints — in the tree cache: no
+    compile, no full hash, and the bits of the first execute and of an
+    uncached one."""
+    options = dict(REPEAT_CONFIGS[config])
+    if path.stem in SPINE_TAU:
+        options.setdefault("tau", 1e-3)
+    expr = _spine_expr(path, seed=4)
+    first = expr.execute(**options)
+    with collect() as counters:
+        second = expr.execute(**options)
+    assert counters.get("compile.count") == 0
+    assert counters.get("cache.fingerprint.full") == 0
+    assert counters.get("cache.compile.hit") == 1
+    _assert_bitwise(second, first)
+    _assert_bitwise(second, _spine_expr(path, seed=4).execute(
         cache=False, **options))
 
 
@@ -462,12 +488,11 @@ class TestCodeCache:
         shape, changed = CODE_KEY_FIELDS[field]
         run(Q, shape)
         # the control — same shape, other data — is a code hit …
-        assert run(Q + 1.0, shape) == {
-            "cache.compile.miss": 1, "cache.code.hit": 1}
+        assert run(Q + 1.0, shape) == {"cache.compile.hit": 1}
         # … and the one changed field is a compile
         counts = run(Q + 2.0, changed)
-        assert counts["cache.code.miss"] == counts["compile.count"] == 1
-        assert "cache.code.hit" not in counts
+        assert counts["cache.compile.miss"] == counts["compile.count"] == 1
+        assert "cache.compile.hit" not in counts
 
     def test_clear_caches_empties_the_code_cache(self, rng):
         Q, R = rng.normal(size=(40, 3)), rng.normal(size=(60, 3))
@@ -478,7 +503,7 @@ class TestCodeCache:
         with collect() as counters:
             _kde_over(Q + 1.0, R).execute()
         assert _compile_counts(counters)["compile.count"] == 1
-        assert _compile_counts(counters)["cache.code.miss"] == 1
+        assert _compile_counts(counters)["cache.compile.miss"] == 1
 
     def test_uncached_programs_touch_neither_cache(self, rng):
         Q, R = rng.normal(size=(40, 3)), rng.normal(size=(60, 3))
@@ -496,11 +521,9 @@ class TestCodeCache:
         counts = _compile_counts(counters)
         assert counts["compile.count"] == 3
         assert counts["cache.compile.uncacheable"] == 1
-        assert not any(k.startswith(("cache.code", "cache.compile.hit",
+        assert not any(k.startswith(("cache.compile.hit",
                                      "cache.compile.miss")) for k in counts)
-        after = cache_stats()
-        assert (after["programs"], after["code"]) == (
-            before["programs"], before["code"]) == (1, 1)
+        assert cache_stats()["code"] == before["code"] == 1
 
     def test_shared_code_holds_no_program_input(self, rng):
         """Everything on a ``_Code`` is derived from inputs ``_code_key``
@@ -524,7 +547,7 @@ class TestCodeCache:
         first = _kde_over(Q, R, k=3).compile(backend=backend)
         first.bindings.scalars["K"] = 99
         second = _kde_over(Q + 1.0, R, k=3).compile(backend=backend)
-        assert second.cache_state == "code"
+        assert second.cache_state == "hit"
         assert second.bindings.scalars["K"] == 3
 
     @pytest.mark.parametrize("as_kernel", [False, True],
@@ -554,8 +577,8 @@ class TestCodeCache:
 
         first, _ = run(cov)
         second, counts = run(other)
-        assert counts["cache.compile.miss"] == 1
-        assert counts.get("cache.code.hit", 0) == int(as_kernel)
+        assert counts.get("cache.compile.hit", 0) == int(as_kernel)
+        assert counts.get("cache.compile.miss", 0) == int(not as_kernel)
         assert not np.array_equal(first.values, second.values)
         assert np.array_equal(second.values, run(other, cache=False)[0].values)
 
@@ -592,9 +615,9 @@ class TestCodeCache:
             sys.setswitchinterval(interval)
         assert not errors and not any(t.is_alive() for t in threads)
         counts = _compile_counts(counters)
-        assert counts["cache.compile.miss"] == 8
-        assert counts["cache.code.miss"] + counts.get("cache.code.hit", 0) == 8
-        assert counts["cache.code.miss"] == counts["compile.count"] >= 1
+        assert (counts["cache.compile.miss"]
+                + counts.get("cache.compile.hit", 0)) == 8
+        assert counts["cache.compile.miss"] == counts["compile.count"] >= 1
         assert cache_stats()["code"] == 1
         for i in range(8):
             _assert_bitwise(got[i], want[i])

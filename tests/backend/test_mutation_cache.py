@@ -4,9 +4,9 @@ After each mutation kind (insert / delete / update, with and without
 weights) every cache layer must either *hit with a refit* or *miss
 correctly*:
 
-* the **compile artifact** re-keys (the mutated fingerprint is part of
-  the program key) — one ``cache.compile.miss`` per mutation, hits again
-  afterwards;
+* the **code cache** is untouched (a mutation changes data, not the
+  program's shape) — one ``cache.compile.hit`` per execute, before and
+  after every mutation;
 * the **tree cache** serves the refit clone under the new content key
   (``cache.tree.refit``) while the query-side tree still hits;
 * **shard packs** re-key through the fingerprint-derived ``base_key``;
@@ -21,6 +21,8 @@ tree legitimately groups leaf accumulations differently), across
 serial / thread / process executors and all three traversal engines.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from repro.dsl import Storage
 from repro.observe import collect
 from repro.parallel import shm
 from repro.problems import directed_hausdorff, kde, knn, range_count
+from repro.trees.node import ArrayTree
 
 THREAD = {"parallel": True, "workers": 2, "min_tasks": 8,
           "executor": "thread"}
@@ -118,16 +121,17 @@ def _assert_same(mode, a, b):
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("problem", ["knn", "kde"])
 def test_refit_hits_and_matches_rebuild(rng, problem, mutation):
-    """Core loop: warm → mutate → the compile artifact misses once, the
-    r-side tree refits, the q-side tree still hits — and the answer is
-    identical to a from-scratch rebuild."""
+    """Core loop: warm → mutate → the code still hits, the r-side tree
+    refits, the q-side tree still hits — and the answer is identical to
+    a from-scratch rebuild."""
     run, mode = PROBLEMS[problem]
     Q, R = _data(rng, weighted=problem == "kde")
     run(Q, R, {})
     _mutate(rng, R, mutation)
     with collect() as c:
         got = run(Q, R, {})
-    assert c.get("cache.compile.miss") == 1
+    assert c.get("cache.compile.hit") == 1
+    assert c.get("cache.compile.miss") == 0
     assert c.get("cache.tree.refit") == 1, c.as_dict()
     assert c.get("cache.tree.hit") >= 1  # query side unchanged
     _assert_same(mode, got, run(Q, _fresh(R), {"cache": False}))
@@ -136,6 +140,7 @@ def test_refit_hits_and_matches_rebuild(rng, problem, mutation):
         run(Q, R, {})
     assert c.get("cache.compile.hit") == 1
     assert c.get("cache.tree.refit") == 0
+    assert c.get("cache.tree.hit") == 2
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -194,17 +199,21 @@ def test_shard_pack_rekeys(rng):
         got = run_knn(Q, R, {"shards": 2})
     # per-shard subset trees are derived-key cached: the new base_key
     # misses (rebuild per shard); the unsharded q-side tree still hits.
-    assert c.get("cache.compile.miss") == 1
+    assert c.get("cache.compile.hit") == 1
     assert c.get("cache.tree.miss") >= 2
     _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
 
 
 def test_shm_stale_eviction(rng):
-    """A mutation evicts the old token's published blocks so the next
-    process-pool run republishes fresh columns."""
+    """A repeat execute reuses its published block; a mutation evicts
+    the old token's blocks so the next process-pool run republishes
+    fresh columns."""
     Q, R = _data(rng, nr=2000)
     run_knn(Q, R, PROCESS)
     assert shm.shared_block_stats()["blocks"] >= 1
+    with collect() as c:
+        run_knn(Q, R, PROCESS)
+    assert c.get("shm.publish.hit") == 1 and c.get("shm.publish.miss") == 0
     with collect() as c:
         R.update_batch(np.arange(10), rng.normal(size=(10, 3)))
     assert c.get("shm.stale_evicted") >= 1, c.as_dict()
@@ -241,6 +250,20 @@ def test_only_the_process_executor_notes_shm_tokens(rng):
     assert R._shm_tokens == set()
     run_knn(Storage(rng.normal(size=(20, 3))), R, PROCESS)
     assert len(R._shm_tokens) == 1
+
+
+def test_dead_programs_keep_no_tree_versions(rng):
+    """A steady update → execute loop whose programs are dropped keeps
+    no more tree versions reachable than the tree cache holds (plus the
+    Storage's live tree): nothing caches a whole program beside it."""
+    Q, R = _data(rng, nq=32, nr=20_000)
+    for _ in range(40):
+        idx = rng.choice(R.n, 200, replace=False)
+        R.update_batch(idx, rng.normal(size=(idx.size, 3)))
+        run_knn(Q, R, {})
+    gc.collect()
+    trees = [o for o in gc.get_objects() if isinstance(o, ArrayTree)]
+    assert len(trees) <= tree_cache.maxsize + 1
 
 
 def test_live_tree_survives_lru_eviction(rng):
@@ -319,8 +342,9 @@ def test_old_cache_entry_stays_valid(rng):
     run_knn(Q, R, {})  # refit happens here
     with collect() as c:
         v_again = run_knn(Q, old_content, {})
-    # the whole old artifact (trees included) is still keyed and intact
+    # the old trees are still keyed and intact
     assert c.get("cache.compile.hit") == 1
+    assert c.get("cache.tree.hit") == 2
     assert c.get("cache.tree.refit") == 0
     assert np.array_equal(v_old, v_again)
 
@@ -401,21 +425,26 @@ class TestShardEnvResolution:
         assert plan_for({"shards": "auto"}, nq=1, nr=nr).shards == 4
 
     def test_resolved_count_is_cache_keyed(self, rng, monkeypatch):
-        """Same program, different resolved shard count → program cache
-        misses (a plan for another worker count is never reused)."""
+        """Same program, different resolved shard count → the per-shard
+        trees miss (a layout for another worker count is never reused);
+        the sharded code is one entry whatever the count."""
         Q, R = _data(rng, nr=2000)
         monkeypatch.setenv("REPRO_SHARDS", "2")
         with collect() as c:
             run_knn(Q, R, {})
         assert c.get("cache.compile.miss") == 1
+        assert c.get("cache.tree.miss") == 3    # the query tree + 2 shards
         monkeypatch.setenv("REPRO_SHARDS", "3")
         with collect() as c:
             run_knn(Q, R, {})
-        assert c.get("cache.compile.miss") == 1
+        assert c.get("cache.compile.hit") == 1
+        assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (1, 3)
         monkeypatch.setenv("REPRO_SHARDS", "2")
         with collect() as c:
             run_knn(Q, R, {})
-        assert c.get("cache.compile.hit") == 1  # 2-shard plan still cached
+        assert c.get("cache.compile.hit") == 1
+        # the 2-shard layout is still cached
+        assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (3, 0)
 
 
 # ---------------------------------------------------------------------------
