@@ -175,7 +175,8 @@ class GeneratedKernels:
     ``bound_key_batch`` / ``classify_bound_batch`` / ``base_case_group``
     — which drive the bound-aware batched engine
     (:mod:`repro.traversal.bounded_batched`) against a signed per-query
-    bound array ``qbound``.
+    bound array ``qbound``, plus its row regime's pair
+    ``row_key_batch`` / ``base_case_rows``.
     """
 
     source: str
@@ -189,6 +190,8 @@ class GeneratedKernels:
     bound_key_batch: Callable | None = None
     classify_bound_batch: Callable | None = None
     base_case_group: Callable | None = None
+    row_key_batch: Callable | None = None
+    base_case_rows: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +285,13 @@ def _kth_best(spec: CodegenSpec) -> str:
 
 
 def _merge_lines(spec: CodegenSpec,
-                 ids: Callable[[str], str]) -> list[str] | None:
+                 ids: Callable[[str, str], str]) -> list[str] | None:
     """Body lines merging the candidate block ``v`` into ``best`` (and
     ``best_idx``) for a comparative reduction, None for any other
-    operator.  ``ids(j)`` spells the reference ids of candidate columns
-    ``j`` — ``rs + j`` over a leaf slice, ``ridx[j]`` over a gathered
-    batch — the one difference between the two base cases.  A K-operator
+    operator.  ``ids(i, j)`` spells the reference ids of candidate
+    columns ``j`` of block rows ``i`` — ``rs + j`` over a leaf slice,
+    ``ridx[j]`` over a gathered batch, ``ridx[i, j]`` over per-row
+    gathers — the one difference between the base cases.  A K-operator
     merges only the rows with a candidate at or inside their k-th best
     (so ties at the k-th value still enter); the others are untouched."""
     op = spec.inner_op
@@ -301,7 +305,7 @@ def _merge_lines(spec: CodegenSpec,
         b(f"    m = vals {cmp} bb")
         b("    if m.any():")
         b("        bb[m] = vals[m]")
-        b(f"        best_idx[qs:qe][m] = {ids('j[m]')}")
+        b(f"        best_idx[qs:qe][m] = {ids('m', 'j[m]')}")
     elif op is PortalOp.MIN:
         b("    np.minimum(best[qs:qe], v.min(axis=1), out=best[qs:qe])")
     elif op is PortalOp.MAX:
@@ -324,7 +328,7 @@ def _merge_lines(spec: CodegenSpec,
             b("        sel = sel[rr, order]")
             b("        old = best_idx[qr][rr, np.minimum(sel, K - 1)]")
             b("        best_idx[qr] = np.where(sel < K, old, "
-              f"{ids('np.maximum(sel - K, 0)')})")
+              f"{ids('rows[:, None]', 'np.maximum(sel - K, 0)')})")
             b("        best[qr] = vals[rr, order]")
         else:
             b(f"        top = np.partition({neg}cand_v, K - 1, axis=1)[:, :K]")
@@ -351,7 +355,7 @@ def _base_case_source(spec: CodegenSpec) -> str:
         b("    if qs == rs:")
         b(f"        np.fill_diagonal(v, {_exclusion_value(op)})")
 
-    merge = _merge_lines(spec, lambda j: f"rs + {j}")
+    merge = _merge_lines(spec, lambda i, j: f"rs + {j}")
     if merge is not None:
         lines += merge
     elif op is PortalOp.SUM:
@@ -655,13 +659,26 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
     tvar = "tmax" if need_max else "tmin"
     dist_fn = ("pair_max_base_dist_batch" if need_max
                else "pair_min_base_dist_batch")
+    # The row regime's key: the same band edge with the query box
+    # degenerated to the point QROW[qidx].
+    edge = ("np.maximum(rhi[ris] - x, x - rlo[ris])" if need_max
+            else "np.maximum(rlo[ris] - x, x - rhi[ris])")
     pre, gband = _g_scalar_vn(spec, tvar, "_vn")
-    sign = _bound_sign(rule)
+    key = (f"    return np.asarray({_bound_sign(rule)}({gband}), "
+           "dtype=np.float64)")
     lines = [
         "def bound_key_batch(qis, ris):",
         f"    {tvar} = {dist_fn}(qis, ris)",
         *(f"    {assign}" for assign in pre),
-        f"    return np.asarray({sign}({gband}), dtype=np.float64)",
+        key,
+        "",
+        "",
+        "def row_key_batch(qidx, ris):",
+        "    x = QROW[qidx]",
+        f"    gaps = np.maximum(0.0, {edge})",
+        f"    {tvar} = {_combine_batch(spec.base, 'gaps')}",
+        *(f"    {assign}" for assign in pre),
+        key,
         "",
         "",
         "def classify_bound_batch(keys, node_bounds):",
@@ -734,11 +751,107 @@ def _base_case_group_source(spec: CodegenSpec) -> str | None:
         b("    v = np.where(np.arange(qs, qe)[:, None] == ridx[None, :], "
           f"{_exclusion_value(op)}, v)")
 
-    merge = _merge_lines(spec, lambda j: f"ridx[{j}]")
+    merge = _merge_lines(spec, lambda i, j: f"ridx[{j}]")
     if merge is None:  # pragma: no cover
         raise CompileError(f"no grouped base case for {op.name}")
     lines += merge
     b(f"    qbound[qs:qe] = {_bound_sign(rule)}best[qs:qe{_kth_best(spec)}]")
+    return "\n".join(lines)
+
+
+def _pairwise_pairs_lines(spec: CodegenSpec) -> list[str]:
+    """Body lines computing ``v[p]`` for the candidate pairs
+    ``(qidx[p], ridx[p])`` (the row regime's flat gather), in the
+    layout's arithmetic: the column layout keeps
+    :func:`_pairwise_gather_lines`' difference form pair for pair, the
+    row layout's norm expansion takes one dot product per pair."""
+    out: list[str] = []
+    b = out.append
+    if spec.layout == Layout.COLUMN:
+        b("    dq = QCOL[:, qidx]")
+        b("    dr = RCOL[:, ridx]")
+        for d in range(spec.dim):
+            b(f"    _d{d} = dq[{d}] - dr[{d}]")
+            term = (f"_d{d} * _d{d}" if spec.base == "sqeuclidean"
+                    else f"np.abs(_d{d})")
+            if d == 0:
+                b(f"    t = {term}")
+            elif spec.base == "chebyshev":
+                b(f"    np.maximum(t, {term}, out=t)")
+            else:
+                b(f"    t = t + {term}")
+    elif spec.base == "sqeuclidean" and not spec.is_indicator:
+        b("    t = QN2[qidx] + RN2[ridx] "
+          "- 2.0 * np.einsum('ij,ij->i', QROW[qidx], RROW[ridx])")
+        b("    np.maximum(t, 0.0, out=t)")
+    else:
+        b("    diff = QROW[qidx] - RROW[ridx]")
+        if spec.base == "sqeuclidean":
+            b("    t = np.einsum('ij,ij->i', diff, diff)")
+        elif spec.base == "manhattan":
+            b("    t = np.abs(diff).sum(axis=-1)")
+        else:
+            b("    t = np.abs(diff).max(axis=-1)")
+    pre, g_src = emit_expr_vn(spec.g_ir, {"t": "t"})
+    for assign in pre:
+        b(f"    {assign}")
+    b(f"    v = {g_src}")
+    return out
+
+
+def _base_case_rows_source(spec: CodegenSpec) -> str | None:
+    """Emit ``base_case_rows(qidx, ridx)``: the row regime's one base
+    case per epoch over every candidate pair ``(qidx[p], ridx[p])`` of
+    the epoch, grouped by query row.  Distances are taken over the real
+    pairs only; the candidates at or inside their row's k-th best (the
+    merge template's own row filter, per candidate) are padded into one
+    (rows × L) block, with a pad holding the operator's exclusion value,
+    and merged through the unchanged :func:`_merge_lines` template
+    (emitted as ``_merge_rows``, whose parameters stand in for the state
+    arrays over the block ``[0, rows)``) with per-row ids."""
+    rule = spec.rule
+    if rule is None or rule.kind not in ("bound-min", "bound-max"):
+        return None
+    op = spec.inner_op
+    excl = _exclusion_value(op)
+    cmp = "<=" if op in MIN_LIKE else ">="
+    kth = _kth_best(spec)
+    indexed = op_info(op).returns_index
+    lines = ["def base_case_rows(qidx, ridx):"]
+    lines += _pairwise_pairs_lines(spec)
+    b = lines.append
+    if spec.self_map:
+        b(f"    v[qidx == RSELF[ridx]] = {excl}")
+    elif spec.same_tree and spec.exclude_self:
+        b(f"    v[qidx == ridx] = {excl}")
+    b(f"    keep = np.flatnonzero(v {cmp} best[qidx{kth}])")
+    b("    if keep.size == 0:")
+    b("        return")
+    b("    qidx, ridx, v = qidx[keep], ridx[keep], v[keep]")
+    b("    head = np.empty(qidx.size, dtype=bool)")
+    b("    head[0] = True")
+    b("    np.not_equal(qidx[1:], qidx[:-1], out=head[1:])")
+    b("    first = np.flatnonzero(head)")
+    b("    slot = np.cumsum(head) - 1")
+    b("    col = np.arange(qidx.size) - first[slot]")
+    b("    rows = qidx[first]")
+    b(f"    vb = np.full((rows.size, int(col.max()) + 1), {excl})")
+    b("    vb[slot, col] = v")
+    b("    rb = np.full(vb.shape, -1)")
+    b("    rb[slot, col] = ridx")
+    b("    bk = best[rows]")
+    if indexed:
+        b("    bik = best_idx[rows]")
+        b("    _merge_rows(vb, rb, bk, bik)")
+        b("    best_idx[rows] = bik")
+    else:
+        b("    _merge_rows(vb, rb, bk)")
+    b("    best[rows] = bk")
+    kth_col = f"bk[:{kth}]" if kth else "bk"
+    b(f"    qbound[rows] = {_bound_sign(rule)}{kth_col}")
+    params = "v, ridx, best, best_idx" if indexed else "v, ridx, best"
+    lines += ["", "", f"def _merge_rows({params}, qs=0, qe=None):"]
+    lines += _merge_lines(spec, lambda i, j: f"ridx[{i}, {j}]")
     return "\n".join(lines)
 
 
@@ -766,7 +879,8 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
             _pair_dist_batch_source(spec),
         ]
         for maker in (_action_source, _prune_source, _classify_batch_source,
-                      _bound_batch_source, _base_case_group_source):
+                      _bound_batch_source, _base_case_group_source,
+                      _base_case_rows_source):
             src = maker(spec)
             if src is not None:
                 chunks.append(src)
@@ -871,6 +985,8 @@ def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
         bound_key_batch=namespace.get("bound_key_batch"),
         classify_bound_batch=namespace.get("classify_bound_batch"),
         base_case_group=namespace.get("base_case_group"),
+        row_key_batch=namespace.get("row_key_batch"),
+        base_case_rows=namespace.get("base_case_rows"),
     )
 
 

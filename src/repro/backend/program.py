@@ -268,16 +268,18 @@ class CompiledProgram:
         if self.plan.engine != "bounded-batched":
             return self._dispatch_tree()
         # Capture the epoch engine's bounded.* counters (epochs, deferred
-        # prunes, bound refreshes) for stats_summary() regardless of
-        # whether the caller installed a registry; everything captured is
-        # re-contributed so an outer collect() still sees it.
+        # prunes, bound refreshes, row regime) for stats_summary()
+        # regardless of whether the caller installed a registry; everything
+        # captured is re-contributed so an outer collect() still sees it.
         with collect() as bounded_counters:
             stats = self._dispatch_tree()
         snap = bounded_counters.as_dict()
-        self.bounded = {
+        bounded = {
             name.split(".", 1)[1]: value
             for name, value in snap.items() if name.startswith("bounded.")
         }
+        bounded["regime"] = "row" if bounded.get("row_regime") else "leaf"
+        self.bounded = bounded
         contribute(snap)
         return stats
 

@@ -165,7 +165,8 @@ def _cmd_stats(args) -> int:
         if s.get("bounded"):
             bb = s["bounded"]
             print(
-                f"  bounded:   epochs={bb.get('epochs', 0)} "
+                f"  bounded:   regime={bb.get('regime', 'leaf')} "
+                f"epochs={bb.get('epochs', 0)} "
                 f"bound-refreshes={bb.get('bound_refreshes', 0)} "
                 f"deferred-prunes={bb.get('deferred_prunes', 0)} "
                 f"pending-peak={bb.get('pending_peak', 0)}"

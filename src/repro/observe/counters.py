@@ -22,10 +22,11 @@ Standard keys
 base_case_pairs`` — merged :class:`~repro.traversal.TraversalStats`;
 ``traversal.frontier_peak`` — the batched engine's widest recorded
 classification level (summed over tasks under parallel execution);
-``bounded.epochs / deferred_prunes / bound_refreshes / pending_peak`` —
-the bound-aware epoch engine's loop counters (``deferred_prunes`` counts
-pairs pruned on a later epoch than the one they were generated in — the
-cost of snapshot staleness); ``rules.classified.<category>``,
+``bounded.epochs / deferred_prunes / bound_refreshes / pending_peak /
+row_regime`` — the bound-aware epoch engine's loop counters
+(``deferred_prunes`` counts pairs pruned on a later epoch than the one
+they were generated in — the cost of snapshot staleness; ``row_regime``
+is 1 per traversal that ran (query row × reference node) pairs); ``rules.classified.<category>``,
 ``rules.generated.<kind>`` — PASCAL rule machinery; ``compile.count``,
 ``passes.<name>_s`` and ``compile.<stage>_s`` — pipeline invocations and
 wall-clock seconds.

@@ -39,6 +39,26 @@ engine batches them anyway by trading decision *freshness* for decision
    nearest-first stack engine's, so pruning is equivalent or better in
    practice (asserted differentially by the test-suite).
 
+4. **Row regime.**  When the whole query tree is small against the
+   reference tree (``N_q · ROW_REGIME_RATIO ≤ N_r``: a served batch, a
+   handful of probes) a query leaf's box spans most of the data, so no
+   node pair prunes.  Algorithm 1 with a point as the query node is the
+   single-tree walk, so the epochs then run over (query row × reference
+   node) pairs instead: the promise key is the point-to-box band edge
+   (``row_key_batch``), each pair is classified against its row's live
+   ``qbound`` (no node-bound snapshot, no refresh), only the reference
+   side expands, the ramp starts at ``max(RAMP_START, rows)`` and every
+   leaf pair of an epoch goes to one ``base_case_rows`` call.  That
+   kernel takes distances over the flat candidate list (padding every
+   row to the widest one made the regime lose from N_q ≈ N_r / 30) and
+   pads only the candidates that pass the row filter into one
+   (rows × L) block for the merge.  The decision reads the sizes of the
+   whole trees the engine is handed, never the ``q_root`` subtree, so
+   every task of one traversal takes the same regime.  Column-layout
+   distances are the leaf regime's difference form pair for pair; the
+   row layout's norm expansion takes one dot product per pair, so last
+   bits may move against the leaf regime's block GEMM.
+
 Node bounds are refreshed from ``qbound`` in two reduceat sweeps: sorted
 leaves tile ``[0, n)`` contiguously, so one ``np.maximum.reduceat`` over
 the leaf starts bounds every leaf, and the per-level bottom-up plan from
@@ -48,8 +68,9 @@ nodes (children are always strictly deeper, hence already reduced).
 Observability (``repro.observe``): a ``traversal.bounded`` span plus
 ``bounded.epochs``, ``bounded.deferred_prunes`` (pairs pruned only on a
 *later* epoch than the one they were generated in — the price of
-snapshot staleness), ``bounded.bound_refreshes`` and
-``bounded.pending_peak``.
+snapshot staleness), ``bounded.bound_refreshes``,
+``bounded.pending_peak`` and ``bounded.row_regime`` (1 per traversal
+that takes the row regime).
 """
 
 from __future__ import annotations
@@ -62,7 +83,8 @@ from ..observe import contribute, span
 from ..trees.node import level_propagation, tree_levels
 from .multitree import TraversalStats
 
-__all__ = ["bounded_batched_dual_tree_traversal", "DEFAULT_EPOCH_SIZE"]
+__all__ = ["bounded_batched_dual_tree_traversal", "DEFAULT_EPOCH_SIZE",
+           "ROW_REGIME_RATIO"]
 
 #: Pairs classified per epoch once the ramp is done.  Large enough that
 #: kernel calls amortise their dispatch cost, small enough that the bound
@@ -78,6 +100,14 @@ DEFAULT_EPOCH_SIZE = 4096
 #: brute force: all leaf pairs are classified against the untouched
 #: snapshot.
 RAMP_START = 64
+
+#: Row-regime threshold: a traversal whose whole query tree holds at most
+#: ``1 / ROW_REGIME_RATIO`` of its reference tree's points runs (query
+#: row × reference node) pairs.  From the measured crossover against the
+#: leaf regime (docs/performance.md, "Row regime"): at d = 9 the row
+#: regime still wins at N_q = N_r / 10 and loses from N_q ≈ N_r / 6.5;
+#: 16 keeps the regime clear of that crossover on every sweep point.
+ROW_REGIME_RATIO = 16
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -105,12 +135,25 @@ def _bound_plan(tree):
     return cached
 
 
+def _row_regime(qtree, rtree) -> bool:
+    """Whether a traversal runs (query row × reference node) pairs.
+
+    Decided from the sizes of the whole trees the engine is handed (the
+    root slices), never from a task's ``q_root`` subtree, so serial,
+    thread and process tasks of one program all take the same regime."""
+    nq = int(qtree.end[0] - qtree.start[0])
+    nr = int(rtree.end[0] - rtree.start[0])
+    return nq * ROW_REGIME_RATIO <= nr
+
+
 def bounded_batched_dual_tree_traversal(
     qtree,
     rtree,
     bound_key_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     classify_bound_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     base_case_group: Callable[[int, int, np.ndarray], None],
+    row_key_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    base_case_rows: Callable[[np.ndarray, np.ndarray], None],
     qbound: np.ndarray,
     epoch_size: int = DEFAULT_EPOCH_SIZE,
     q_root: int = 0,
@@ -124,50 +167,129 @@ def bounded_batched_dual_tree_traversal(
     """Traverse the (query, reference) tree pair in bound-aware epochs.
 
     ``qbound`` is the signed per-query bound array allocated with the
-    program state (``+inf`` identity); it is updated in place by
-    ``base_case_group`` and re-read here at every node-bound refresh, so
-    concurrent tasks over disjoint query subtrees share one array.
+    program state (``+inf`` identity); it is updated in place by the
+    base-case kernels and re-read here at every node-bound refresh (the
+    row regime reads it live at every epoch), so concurrent tasks over
+    disjoint query subtrees share one array.
 
     The epoch hooks serve the cross-shard bound broadcast of
     :mod:`repro.parallel.shard`:
 
     * ``max_epochs`` caps the number of epochs this call runs.  A
       traversal stopped with pairs still pending stores its pending pool
-      in ``pause_out["pending"]`` (an opaque tuple) and can be continued
+      in ``pause_out["pending"]`` (an opaque tuple; its query side holds
+      node ids, or row positions in the row regime) and can be continued
       later by passing that tuple back as ``resume``.
     * ``extern_bound`` is an externally supplied signed per-query bound
       array (e.g. the global bound min-reduced across shards).  It is
-      combined with ``qbound`` as ``min(qbound, extern_bound)`` at every
-      node-bound refresh — never written into ``qbound`` itself, because
-      ``base_case_group`` overwrites ``qbound`` from the local best
-      arrays after each merge.  An external bound only ever *removes*
-      dominated work: any candidate it prunes is beaten by a candidate
-      retained elsewhere, so the combined cross-shard result is exact.
+      combined with ``qbound`` as ``min(qbound, extern_bound)`` wherever
+      a bound is read — never written into ``qbound`` itself, because
+      the base cases overwrite ``qbound`` from the local best arrays
+      after each merge.  An external bound only ever *removes* dominated
+      work: any candidate it prunes is beaten by a candidate retained
+      elsewhere, so the combined cross-shard result is exact.
     """
     owns_stats = stats is None
     stats = stats or TraversalStats()
     qstart, qend = qtree.start, qtree.end
     rstart, rend = rtree.start, rtree.end
-    q_leaf_arr = np.asarray(qtree.is_leaf_arr)
     r_leaf_arr = np.asarray(rtree.is_leaf_arr)
-    qoff, qflat = qtree.expansion_children()
     roff, rflat = rtree.expansion_children()
-    lsort, lstarts, plan = _bound_plan(qtree)
-
-    # Signed node bounds over the *query* tree; +inf until the first
-    # refresh (nothing prunes against an untouched query subtree).
-    node_bound = np.full(len(qstart), np.inf)
+    row_regime = _row_regime(qtree, rtree)
 
     def _effective_bound():
         if extern_bound is None:
             return qbound
         return np.minimum(qbound, extern_bound)
 
-    def _refresh_node_bounds():
-        eff = _effective_bound()
-        node_bound[lsort] = np.maximum.reduceat(eff, lstarts)
-        for ids, kids, segs in plan:
-            node_bound[ids] = np.maximum.reduceat(node_bound[kids], segs)
+    if row_regime:
+        key_batch = row_key_batch
+        refresh = None
+
+        def bounds_of(q):
+            # Each row's live bound: no snapshot, nothing to refresh.
+            return _effective_bound()[q]
+
+        def leaf_mask(q, r):
+            return r_leaf_arr[r]
+
+        def run_base_cases(bq, br, bkey):
+            # Every candidate pair of the epoch in one flat list, grouped
+            # by row, most promising reference leaf first within a row:
+            # one kernel call per epoch.
+            order = np.lexsort((bkey, bq))
+            bq, br = bq[order], br[order]
+            rlen = rend[br] - rstart[br]
+            seg = np.cumsum(rlen) - rlen
+            total = int(seg[-1] + rlen[-1])
+            pair = np.repeat(np.arange(bq.size), rlen)
+            within = np.arange(total, dtype=np.int64) - seg[pair]
+            base_case_rows(bq[pair], rstart[br][pair] + within)
+            return total
+
+        def expand(eq, er):
+            # Only the reference side splits; a row is already a point.
+            rn = roff[er + 1] - roff[er]
+            total = int(rn.sum())
+            within = np.arange(total) - np.repeat(np.cumsum(rn) - rn, rn)
+            return np.repeat(eq, rn), rflat[np.repeat(roff[er], rn) + within]
+    else:
+        key_batch = bound_key_batch
+        q_leaf_arr = np.asarray(qtree.is_leaf_arr)
+        qoff, qflat = qtree.expansion_children()
+        lsort, lstarts, plan = _bound_plan(qtree)
+        # Signed node bounds over the *query* tree; +inf until the first
+        # refresh (nothing prunes against an untouched query subtree).
+        node_bound = np.full(len(qstart), np.inf)
+
+        def refresh():
+            # Leaf bounds in one reduceat over the contiguous leaf
+            # partition, internal bounds bottom-up per level.
+            eff = _effective_bound()
+            node_bound[lsort] = np.maximum.reduceat(eff, lstarts)
+            for ids, kids, segs in plan:
+                node_bound[ids] = np.maximum.reduceat(node_bound[kids], segs)
+
+        def bounds_of(q):
+            return node_bound[q]
+
+        def leaf_mask(q, r):
+            return q_leaf_arr[q] & r_leaf_arr[r]
+
+        def run_base_cases(bq, br, bkey):
+            # Group by query leaf, most promising reference leaf first,
+            # and gather every reference slice into one flat index
+            # array: one kernel call per (query leaf, epoch) instead of
+            # one per leaf pair.
+            order = np.lexsort((bkey, bq))
+            bq, br = bq[order], br[order]
+            rlen = rend[br] - rstart[br]
+            total = int(rlen.sum())
+            seg = np.cumsum(rlen) - rlen
+            ridx = (np.arange(total, dtype=np.int64)
+                    - np.repeat(seg, rlen)
+                    + np.repeat(rstart[br], rlen))
+            uq, first = np.unique(bq, return_index=True)
+            pair_edge = np.append(first, bq.size)
+            flat_edge = np.append(seg, total)
+            for g in range(uq.size):
+                qi = int(uq[g])
+                s0 = int(flat_edge[pair_edge[g]])
+                e0 = int(flat_edge[pair_edge[g + 1]])
+                base_case_group(int(qstart[qi]), int(qend[qi]), ridx[s0:e0])
+            return int(((qend[bq] - qstart[bq]) * rlen).sum())
+
+        def expand(eq, er):
+            qn = qoff[eq + 1] - qoff[eq]
+            rn = roff[er + 1] - roff[er]
+            combos = qn * rn
+            coff = np.cumsum(combos) - combos
+            total = int(combos.sum())
+            parent = np.repeat(np.arange(eq.size), combos)
+            within = np.arange(total) - coff[parent]
+            rrep = rn[parent]
+            return (qflat[qoff[eq][parent] + within // rrep],
+                    rflat[roff[er][parent] + within % rrep])
 
     if resume is not None:
         pq, pr, pkey, pborn, cur_size = resume
@@ -175,23 +297,34 @@ def bounded_batched_dual_tree_traversal(
         pr = np.asarray(pr, dtype=np.int64)
         pkey = np.asarray(pkey, dtype=np.float64)
         pborn = np.asarray(pborn, dtype=np.int64)
-        cur_size = min(int(cur_size), epoch_size)
+        cur_size = int(cur_size)
+    elif row_regime:
+        pq = np.arange(qstart[q_root], qend[q_root], dtype=np.int64)
+        pr = np.full(pq.size, r_root, dtype=np.int64)
+        pkey = np.asarray(key_batch(pq, pr), dtype=np.float64)
+        pborn = np.zeros(pq.size, dtype=np.int64)
+        cur_size = max(RAMP_START, pq.size)
     else:
         pq = np.array([q_root], dtype=np.int64)
         pr = np.array([r_root], dtype=np.int64)
-        pkey = np.asarray(bound_key_batch(pq, pr), dtype=np.float64).reshape(1)
+        pkey = np.asarray(key_batch(pq, pr), dtype=np.float64).reshape(1)
         pborn = np.zeros(1, dtype=np.int64)
         cur_size = min(epoch_size, RAMP_START)
-    if resume is not None or extern_bound is not None:
+    # The row regime's first epoch already holds one pair per row.
+    width_cap = max(epoch_size, cur_size) if row_regime else epoch_size
+    cur_size = min(cur_size, width_cap)
+    if refresh is not None and (resume is not None
+                                or extern_bound is not None):
         # Resumed/externally-bounded calls start from real bounds, not
         # the +inf snapshot: the pool may be classifiable immediately.
-        _refresh_node_bounds()
+        refresh()
 
     epochs = 0
     deferred = 0
     refreshes = 0
     pending_peak = 0
-    with span("traversal.bounded", epoch_size=epoch_size) as sp:
+    with span("traversal.bounded", epoch_size=epoch_size,
+              regime="row" if row_regime else "leaf") as sp:
         while pq.size and (max_epochs is None or epochs < max_epochs):
             pending_peak = max(pending_peak, int(pq.size))
             epochs += 1
@@ -206,74 +339,41 @@ def bounded_batched_dual_tree_traversal(
                 pq, pr, pkey, pborn = _EMPTY_I, _EMPTY_I, _EMPTY_F, _EMPTY_I
 
             stats.visited += int(q.size)
-            pruned = np.asarray(classify_bound_batch(keys, node_bound[q]),
+            pruned = np.asarray(classify_bound_batch(keys, bounds_of(q)),
                                 dtype=bool)
             n_pruned = int(np.count_nonzero(pruned))
             if n_pruned:
                 stats.pruned += n_pruned
                 # Pairs generated in an earlier epoch and pruned only now:
-                # the snapshot they were born under was too stale to kill
+                # the bound they were born under was too stale to kill
                 # them at generation time.
                 deferred += int(np.count_nonzero(born[pruned] < epochs - 1))
                 live = ~pruned
                 q, r, keys = q[live], r[live], keys[live]
 
-            both_leaf = q_leaf_arr[q] & r_leaf_arr[r]
-            bq, br, bkey = q[both_leaf], r[both_leaf], keys[both_leaf]
-            if bq.size:
-                stats.base_cases += int(bq.size)
-                stats.base_case_pairs += int(
-                    ((qend[bq] - qstart[bq]) * (rend[br] - rstart[br])).sum()
-                )
-                # Group by query leaf, most promising reference leaf first,
-                # and gather every reference slice into one flat index
-                # array: one kernel call per (query leaf, epoch) instead of
-                # one per leaf pair.
-                order = np.lexsort((bkey, bq))
-                bq, br = bq[order], br[order]
-                rlen = rend[br] - rstart[br]
-                total = int(rlen.sum())
-                seg = np.cumsum(rlen) - rlen
-                ridx = (np.arange(total, dtype=np.int64)
-                        - np.repeat(seg, rlen)
-                        + np.repeat(rstart[br], rlen))
-                uq, first = np.unique(bq, return_index=True)
-                pair_edge = np.append(first, bq.size)
-                flat_edge = np.append(seg, total)
-                for g in range(uq.size):
-                    qi = int(uq[g])
-                    s0 = int(flat_edge[pair_edge[g]])
-                    e0 = int(flat_edge[pair_edge[g + 1]])
-                    base_case_group(int(qstart[qi]), int(qend[qi]), ridx[s0:e0])
-                # Refresh the node-bound snapshot: leaf bounds in one
-                # reduceat over the contiguous leaf partition, internal
-                # bounds bottom-up per level.
-                refreshes += 1
-                _refresh_node_bounds()
-                # Widen only once base cases have fed the snapshot: the
+            leaf = leaf_mask(q, r)
+            if leaf.any():
+                stats.base_cases += int(np.count_nonzero(leaf))
+                stats.base_case_pairs += run_base_cases(q[leaf], r[leaf],
+                                                        keys[leaf])
+                if refresh is not None:
+                    refresh()
+                    refreshes += 1
+                # Widen only once base cases have fed the bounds: the
                 # ramp exists to get real bounds in place before the bulk
                 # of the leaf pairs is classified.
-                cur_size = min(cur_size * 2, epoch_size)
+                cur_size = min(cur_size * 2, width_cap)
 
-            eq, er = q[~both_leaf], r[~both_leaf]
+            eq, er = q[~leaf], r[~leaf]
             stats.recursions += int(eq.size)
             if eq.size:
-                qn = qoff[eq + 1] - qoff[eq]
-                rn = roff[er + 1] - roff[er]
-                combos = qn * rn
-                coff = np.cumsum(combos) - combos
-                total = int(combos.sum())
-                parent = np.repeat(np.arange(eq.size), combos)
-                within = np.arange(total) - coff[parent]
-                rrep = rn[parent]
-                cq = qflat[qoff[eq][parent] + within // rrep]
-                cr = rflat[roff[er][parent] + within % rrep]
-                ckey = np.asarray(bound_key_batch(cq, cr), dtype=np.float64)
+                cq, cr = expand(eq, er)
+                ckey = np.asarray(key_batch(cq, cr), dtype=np.float64)
                 pq = np.concatenate([pq, cq])
                 pr = np.concatenate([pr, cr])
                 pkey = np.concatenate([pkey, ckey])
                 pborn = np.concatenate(
-                    [pborn, np.full(total, epochs, dtype=np.int64)]
+                    [pborn, np.full(cq.size, epochs, dtype=np.int64)]
                 )
         sp.note(epochs=epochs, pending_peak=pending_peak)
 
@@ -292,6 +392,7 @@ def bounded_batched_dual_tree_traversal(
         "bounded.deferred_prunes": deferred,
         "bounded.bound_refreshes": refreshes,
         "bounded.pending_peak": pending_peak,
+        "bounded.row_regime": int(row_regime and resume is None),
     })
     if owns_stats:
         stats.contribute()

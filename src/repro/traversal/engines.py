@@ -21,7 +21,8 @@ __all__ = ["ENGINES", "run_engine"]
 def _bounded_batched(qtree, rtree, kk, qbound, **kw):
     return bounded_batched_dual_tree_traversal(
         qtree, rtree, kk.bound_key_batch, kk.classify_bound_batch,
-        kk.base_case_group, qbound, **kw)
+        kk.base_case_group, kk.row_key_batch, kk.base_case_rows, qbound,
+        **kw)
 
 
 def _batched(qtree, rtree, kk, qbound, **kw):

@@ -2,11 +2,14 @@
 
 The classical alternative to the dual-tree scheme (and what several of
 the paper's comparison libraries implement — MLPACK's default k-NN,
-scikit-learn's KDTree queries, FDPS's per-particle interaction lists).
-Exposed as a first-class traversal so problems and ablations can compare
-the two schemes on the same tree substrate: the dual-tree amortises node
-examinations over whole query *nodes*, the single-tree pays one walk per
-query *point* but enjoys simpler, tighter per-point bounds.
+scikit-learn's KDTree queries, FDPS's per-particle interaction lists):
+the dual-tree amortises node examinations over whole query *nodes*, the
+single-tree pays one walk per query *point* but enjoys simpler, tighter
+per-point bounds.  Compiled programs take this walk, vectorised across
+rows, as the bounded engine's row regime
+(:mod:`repro.traversal.bounded_batched`) when the query set is small
+against the reference set; this scalar form is that regime's test
+reference and the algorithm ablation's single-tree row.
 
 The walk is best-first (children pushed nearest-first) with a per-point
 prune rule, matching Algorithm 1's structure restricted to a leaf query.

@@ -42,8 +42,9 @@ REBUILD_DIAMETER_FACTOR = 2.0
 #: Lazily-built caches that depend only on the children topology.
 _TOPOLOGY_CACHES = ("_level_arr", "_level_plan_cache", "_expansion_csr",
                     "_parent_arr")
-#: Lazily-built caches that depend on the point permutation / leaf tiling.
-_PERM_CACHES = ("_inv_perm", "_pos_leaf")
+#: Lazily-built caches that depend on the point permutation / leaf tiling
+#: (``_bound_plan``: the bounded engine's leaf starts and level plan).
+_PERM_CACHES = ("_inv_perm", "_pos_leaf", "_bound_plan")
 
 
 def tree_levels(child_offset: np.ndarray, child_list: np.ndarray) -> np.ndarray:

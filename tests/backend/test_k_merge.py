@@ -1,12 +1,13 @@
 """The K-operator merge: the ordered k-array of paper section IV-F.
 
-Both emitted base cases (the stack engine's ``base_case`` and the bounded
-engine's ``base_case_group``) merge a candidate block into each query's K
-best, and both skip every row whose candidates are all strictly worse
-than its k-th best.  These tests pin that merge where it is easiest to
-get wrong: coincident points whose tie spans the k-th slot, both bound
-signs, the k edges under self-exclusion and a NaN query row — through the
-public surface under every engine, and on the bound kernels directly.
+The emitted base cases (the stack engine's ``base_case`` and the bounded
+engine's ``base_case_group`` and ``base_case_rows``) merge a candidate
+block into each query's K best, and all skip every row whose candidates
+are all strictly worse than its k-th best.  These tests pin that merge
+where it is easiest to get wrong: coincident points whose tie spans the
+k-th slot, both bound signs, the k edges under self-exclusion and a NaN
+query row — through the public surface under every engine, and on the
+bound kernels directly.
 """
 
 import numpy as np
@@ -107,7 +108,8 @@ def test_k_edges_with_exclude_self(grid, edge, engine):
 # -- the bound kernels, called directly --------------------------------------
 # A Storage refuses NaN, so a NaN query row reaches a merge only here.  The
 # stack engine runs ``base_case``; the default engine and every shard of
-# ``shards=2`` run ``base_case_group``.
+# ``shards=2`` run ``base_case_group``, or ``base_case_rows`` in the row
+# regime.
 
 #: bound sign -> (reference points, the K best every query row starts
 #: with, the query that has a winning candidate).  Query (0, 0) sees only
@@ -141,15 +143,19 @@ def _bound_kernels(op):
     return kernels, state, kind
 
 
-@pytest.mark.parametrize("kernel", ["base_case", "base_case_group"])
+@pytest.mark.parametrize("kernel",
+                         ["base_case", "base_case_group", "base_case_rows"])
 @pytest.mark.parametrize("op", K_OPS, ids=lambda op: op.name)
 def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
     kernels, state, kind = _bound_kernels(op)
     before = {name: arr.copy() for name, arr in state.items()}
     if kernel == "base_case":
         kernels.base_case(0, 3, 0, 2)
-    else:
+    elif kernel == "base_case_group":
         kernels.base_case_group(0, 3, np.arange(2))
+    else:  # the row regime's flat (query, reference) candidate list
+        kernels.base_case_rows(np.repeat(np.arange(3), 2),
+                               np.tile(np.arange(2), 3))
     best, best_idx = state["best"], state["best_idx"]
     returns_index = op in (PortalOp.KARGMIN, PortalOp.KARGMAX)
     for row in (0, 2):   # strictly worse candidates; a NaN query
@@ -167,8 +173,13 @@ def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
         assert len(set(tied)) == kept and set(tied) <= {7, 3, 5}
     else:
         assert np.array_equal(best_idx, before["best_idx"])
+    sign = 1.0 if kind == "min" else -1.0
     if kernel == "base_case_group":
-        sign = 1.0 if kind == "min" else -1.0
         assert np.array_equal(state["qbound"], sign * best[:, -1])
+    elif kernel == "base_case_rows":
+        # only the merged row's bound moves
+        assert state["qbound"][1] == sign * best[1, -1]
+        assert np.array_equal(state["qbound"][[0, 2]],
+                              before["qbound"][[0, 2]])
     else:
         assert np.array_equal(state["qbound"], before["qbound"])

@@ -290,3 +290,43 @@ def test_knn_equivalence_after_mutation(rng, kind):
     assert c.get("cache.tree.refit") == 1
     vb, ib = knn(Q, R, k=3, backend="brute")
     assert np.array_equal(np.asarray(vt), np.asarray(vb))
+
+
+@pytest.mark.parametrize("mutation", ["insert", "delete"])
+def test_bounded_knn_on_mutated_query_tree_matches_rebuild(rng, mutation):
+    """The bounded engine caches its node-bound refresh plan (leaf starts
+    and level plan) on the query tree; a mutation that moves leaf starts
+    must drop it, or a rerun reduces bounds over stale leaf slices and
+    prunes wrongly."""
+    from repro.backend.codegen import Bindings
+    from repro.backend.state import allocate_state
+    from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
+    from repro.traversal import run_engine
+
+    k = 4
+    Q, R = rng.normal(size=(300, 3)), rng.normal(size=(400, 3))
+    expr = PortalExpr("knn")
+    expr.addLayer(PortalOp.FORALL, Storage(Q))
+    expr.addLayer((PortalOp.KARGMIN, k), Storage(R), PortalFunc.EUCLIDEAN)
+    source = expr.compile().kernels.source
+    code = compile(source, "<knn>", "exec")
+    rtree = build_tree("kd", R, leaf_size=8)
+
+    def knn_on(qtree):
+        state = allocate_state(PortalOp.FORALL, PortalOp.KARGMIN, k,
+                               qtree.n, rtree.n)
+        kernels = (Bindings.query(qtree, {"K": k})
+                   | Bindings.reference(rtree)).bind(source, code, state)
+        run_engine("bounded-batched", qtree, rtree, kernels,
+                   state.arrays["qbound"])
+        return state.finalize(qtree.perm, rtree.perm)
+
+    qtree = build_tree("kd", Q, leaf_size=8)
+    knn_on(qtree)  # caches the bound plan on the tree
+    if mutation == "insert":
+        qtree.insert_batch(rng.normal(size=(60, 3)) * 0.3)
+    else:
+        qtree.delete_batch(rng.choice(300, 60, replace=False))
+    got = knn_on(qtree)
+    want = knn_on(build_tree("kd", reconstruct(qtree)[0], leaf_size=8))
+    assert np.array_equal(np.asarray(got.values), np.asarray(want.values))
