@@ -134,29 +134,6 @@ def test_ablation_bh_theta(benchmark):
     assert errs == sorted(errs)  # error grows with θ
 
 
-def test_ablation_single_vs_dual_tree(benchmark):
-    """Traversal-scheme ablation: the dual-tree amortises node work over
-    query nodes, the single-tree (MLPACK/sklearn style) walks once per
-    query point — the paper's related-work contrast, measured on the same
-    tree substrate."""
-    from repro.traversal import single_tree_knn
-    from repro.trees import build_kdtree
-
-    X = np.ascontiguousarray(dataset("IHEPC"))
-    Q, R = split_qr(X)
-    tree = build_kdtree(R, leaf_size=64)
-    benchmark.pedantic(lambda: knn(Q, R, k=3), rounds=2, iterations=1)
-    t_dual = wall(lambda: knn(Q, R, k=3), 2)
-    t_single = wall(lambda: single_tree_knn(Q, tree, k=3), 2)
-    _SECTIONS.append(format_table(
-        "Ablation — dual-tree vs single-tree k-NN (IHEPC)",
-        ["Scheme", "time (s)"],
-        [["dual-tree (Portal)", round(t_dual, 4)],
-         ["single-tree (per-point walks)", round(t_single, 4)]],
-    ))
-    assert t_dual < t_single  # amortisation wins at Python granularity
-
-
 def test_ablation_bh_multipole_order(benchmark):
     """Extension: monopole vs monopole+quadrupole expansion — higher
     expansion order buys accuracy at the same θ (the FMM direction of the

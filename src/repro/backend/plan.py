@@ -195,8 +195,7 @@ class CompileOptions:
     #: partial results through the operator's reduction algebra.
     #: ``'auto'`` shards large reference sets one-per-worker; tree mode
     #: only.
-    shards: int | str | None = _row(allowed=_shard_request,
-                                    env="REPRO_SHARDS", policy=True,
+    shards: int | str | None = _row(allowed=_shard_request, policy=True,
                                     static=1)
     #: self-tuning execution policy (:mod:`repro.policy`): 'static'
     #: keeps the hard-coded rules, 'auto' consults the persistent policy
@@ -205,7 +204,7 @@ class CompileOptions:
     #: The policy only fills knobs neither an option nor the environment
     #: asked for.
     policy: str | None = _row(allowed=("static", "auto", "search"),
-                              env="REPRO_POLICY", static="static")
+                              static="static")
 
     @classmethod
     def from_dict(cls, options: dict) -> "CompileOptions":

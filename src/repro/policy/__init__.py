@@ -33,10 +33,9 @@ bitwise-neutral.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
-from ..backend.plan import CompileOptions, requested, resolve_plan
+from ..backend.plan import CompileOptions, resolve_plan
 from ..dsl.portal_expr import resolve_kernels
 from ..observe import contribute
 from .features import PolicyKey, policy_key, program_class, size_bucket
@@ -199,7 +198,7 @@ def warm_policy(make_layers, options: dict | None = None, *,
     real traffic never pays it.  Mode ``static`` is a no-op.
     """
     opts = CompileOptions.from_dict(options or {})
-    mode = requested(opts, os.environ, "policy")[0]
+    mode = opts.policy or "static"
     if mode == "static":
         return None
     contribute({"policy.warm_consult": 1})

@@ -11,7 +11,3 @@ __all__ = [
     "batched_dual_tree_traversal", "bounded_batched_dual_tree_traversal",
     "run_engine",
 ]
-
-from .single_tree import single_tree_knn, single_tree_traversal  # noqa: E402
-
-__all__ += ["single_tree_traversal", "single_tree_knn"]

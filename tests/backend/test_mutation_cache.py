@@ -383,34 +383,10 @@ def test_deltas_since_chain(rng):
 
 
 # ---------------------------------------------------------------------------
-# shards='auto' env resolution (satellite: no compile-time drift)
+# shard counts resolve per execute (no compile-time drift)
 # ---------------------------------------------------------------------------
 
 class TestShardEnvResolution:
-    def test_repro_shards_re_resolved_per_execute(self, rng, monkeypatch):
-        """Changing REPRO_SHARDS between calls in one process must key a
-        new plan, not reuse the old one."""
-        Q, R = _data(rng, nr=2000)
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        from repro.dsl import PortalExpr, PortalFunc, PortalOp
-
-        def stats_for():
-            expr = PortalExpr("env-shards")
-            expr.addLayer(PortalOp.FORALL, Q)
-            expr.addLayer((PortalOp.KARGMIN, 4), R, PortalFunc.EUCLIDEAN)
-            out = expr.execute()
-            return expr.stats(), np.asarray(out.values)
-
-        s1, v1 = stats_for()
-        assert s1["shards"] == 2
-        monkeypatch.setenv("REPRO_SHARDS", "3")
-        s2, v2 = stats_for()
-        assert s2["shards"] == 3
-        assert np.array_equal(v1, v2)
-        monkeypatch.delenv("REPRO_SHARDS")
-        s3, _ = stats_for()
-        assert s3["shards"] == 1  # below the auto threshold
-
     def test_repro_workers_drives_auto_resolution(self, rng, monkeypatch):
         """shards='auto' resolves against the worker count *at execute
         time*; an env change between calls recompiles for the new
@@ -424,24 +400,21 @@ class TestShardEnvResolution:
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert plan_for({"shards": "auto"}, nq=1, nr=nr).shards == 4
 
-    def test_resolved_count_is_cache_keyed(self, rng, monkeypatch):
+    def test_resolved_count_is_cache_keyed(self, rng):
         """Same program, different resolved shard count → the per-shard
         trees miss (a layout for another worker count is never reused);
         the sharded code is one entry whatever the count."""
         Q, R = _data(rng, nr=2000)
-        monkeypatch.setenv("REPRO_SHARDS", "2")
         with collect() as c:
-            run_knn(Q, R, {})
+            run_knn(Q, R, {"shards": 2})
         assert c.get("cache.compile.miss") == 1
         assert c.get("cache.tree.miss") == 3    # the query tree + 2 shards
-        monkeypatch.setenv("REPRO_SHARDS", "3")
         with collect() as c:
-            run_knn(Q, R, {})
+            run_knn(Q, R, {"shards": 3})
         assert c.get("cache.compile.hit") == 1
         assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (1, 3)
-        monkeypatch.setenv("REPRO_SHARDS", "2")
         with collect() as c:
-            run_knn(Q, R, {})
+            run_knn(Q, R, {"shards": 2})
         assert c.get("cache.compile.hit") == 1
         # the 2-shard layout is still cached
         assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (3, 0)

@@ -102,9 +102,9 @@ MATRIX = [
     # below them, and the source says who asked
     ("executor", dict(POOL, executor="auto"), {"REPRO_EXECUTOR": "thread"},
      CONFIG, "process", "explicit"),
-    ("shards", {"shards": "auto"}, {"REPRO_SHARDS": "3"}, CONFIG, 1,
-     "explicit"),
-    ("shards", {}, {"REPRO_SHARDS": "auto"}, CONFIG, 1, "env"),
+    ("shards", {"shards": "auto"}, {}, CONFIG, 1, "explicit"),
+    # shards and policy read no environment: a stray variable asks nothing
+    ("shards", {}, {"REPRO_SHARDS": "4"}, CONFIG, 2, "policy"),
     ("engine", {"traversal": "bounded-batched"}, {}, CONFIG, "batched",
      "explicit"),
     # leaf_size: no environment knob
@@ -112,8 +112,8 @@ MATRIX = [
     ("leaf_size", {}, {}, CONFIG, 16, "policy"),
     ("leaf_size", {}, {}, None, 64, "static"),
     # shards
-    ("shards", {"shards": 3}, {"REPRO_SHARDS": "4"}, CONFIG, 3, "explicit"),
-    ("shards", {}, {"REPRO_SHARDS": "4"}, CONFIG, 4, "env"),
+    ("shards", {"shards": 3}, {}, CONFIG, 3, "explicit"),
+    ("shards", {}, {"REPRO_SHARDS": "4"}, None, 1, "static"),
     ("shards", {}, {}, CONFIG, 2, "policy"),
     ("shards", {}, {}, None, 1, "static"),
     # workers / min_tasks: not policy-fillable
@@ -138,11 +138,11 @@ class TestPolicyMode:
         assert plan.decision is None
         assert set(dict(plan.sources).values()) == {"static"}
 
-    def test_env_selects_mode_and_option_beats_it(self):
-        env = {"REPRO_POLICY": "auto"}
-        assert plan_for({}, env, policy=stub_policy(CONFIG)).engine == "stack"
-        assert plan_for({"policy": "static"}, env,
-                        policy=stub_policy(CONFIG)).engine == "batched"
+    def test_environment_never_selects_the_mode(self):
+        plan = plan_for({}, {"REPRO_POLICY": "auto"},
+                        policy=stub_policy(CONFIG))
+        assert plan.decision is None
+        assert plan.engine == "batched"
 
     def test_only_the_vectorized_backend_consults(self):
         plan = plan_for({"policy": "auto", "backend": "brute"},
@@ -265,8 +265,7 @@ def test_parallel_false_from_the_wire_stays_serial():
 
 
 @pytest.mark.parametrize("env", [
-    {"REPRO_EXECUTOR": "quantum"}, {"REPRO_SHARDS": "lots"},
-    {"REPRO_SHARDS": "0"}, {"REPRO_POLICY": "aggressive"},
+    {"REPRO_EXECUTOR": "quantum"}, {"REPRO_EXECUTOR": "serial"},
 ])
 def test_bad_environment_values_are_specification_errors(env):
     with pytest.raises(SpecificationError, match="|".join(
@@ -298,8 +297,6 @@ ROUTING = st.fixed_dictionaries({}, optional={
 })
 ENV = st.fixed_dictionaries({}, optional={
     "REPRO_EXECUTOR": st.sampled_from(["thread", "process", " auto "]),
-    "REPRO_SHARDS": st.sampled_from(["auto", "1", "3"]),
-    "REPRO_POLICY": st.sampled_from(["static", "auto"]),
 })
 ENTRY = st.none() | st.fixed_dictionaries({
     "traversal": st.sampled_from(["batched", "bounded-batched", "stack"]),

@@ -25,8 +25,7 @@ def load_example(name: str):
 
 
 @pytest.mark.parametrize("name", [
-    "quickstart", "portal_language", "custom_kernel", "vortex_dynamics",
-    "sliding_window_kde",
+    "quickstart", "portal_language", "custom_kernel", "sliding_window_kde",
 ])
 def test_fast_examples_run(name, capsys):
     mod = load_example(name)

@@ -371,18 +371,6 @@ class TestResolution:
         with pytest.raises(SpecificationError, match="shards"):
             CompileOptions.from_dict({"shards": 0})
 
-    def test_env_override_applies_when_not_explicit(self):
-        assert plan_for({}, {"REPRO_SHARDS": "2"}).shards == 2
-        assert plan_for({"workers": 2}, {"REPRO_SHARDS": "auto"}, nq=1,
-                        nr=2 * AUTO_SHARD_MIN_POINTS).shards == 2
-
-    def test_explicit_option_beats_env(self):
-        assert plan_for({"shards": 2}, {"REPRO_SHARDS": "8"}).shards == 2
-
-    def test_invalid_env_rejected(self):
-        with pytest.raises(SpecificationError, match="shards"):
-            plan_for({}, {"REPRO_SHARDS": "lots"})
-
 
 class TestWorkersEnv:
     def test_env_override(self, monkeypatch):

@@ -70,14 +70,6 @@ class TestAuto:
         assert st["traversal_engine"] == "stack"
         assert counters.as_dict()["policy.hit"] == 1
 
-    def test_env_knob_selects_auto(self, policy_path, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "auto")
-        build, base = _expr()
-        seed_entry(build, base)
-        expr = build()
-        expr.execute(**base)
-        assert expr.stats()["policy"]["source"] == "policy-cache"
-
     def test_corrupt_file_degrades_to_static(self, policy_path):
         policy_path.write_text("{ definitely not json")
         build, base = _expr()

@@ -6,9 +6,10 @@ query *row* against reference nodes with its own live bound, expands only
 the reference side and runs one ``base_case_rows`` kernel per epoch.  The
 contract is the engine's: exact outputs.  These tests hold every bound
 operator, tree and executor to the stack engine (tie-aware; bitwise where
-the column layout keeps the per-pair arithmetic) and k-NN to the
-single-tree walk, check that the regime is taken exactly where the size
-rule says, and that it never computes more pairs than the leaf regime.
+the column layout keeps the per-pair arithmetic) and a k-NN batch to its
+rows run one at a time, check that the regime is taken exactly where the
+size rule says, and that it never computes more pairs than the leaf
+regime.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.backend.cache import clear_caches
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.ops import MIN_LIKE, op_info
 from repro.observe import collect
-from repro.traversal import bounded_batched, single_tree_knn
+from repro.traversal import bounded_batched
 from repro.traversal.bounded_batched import ROW_REGIME_RATIO
 from repro.trees import build_tree
 
@@ -154,19 +155,20 @@ def test_row_layout_matches_stack_and_brute(problem, tree):
 
 @pytest.mark.parametrize("tree", TREES)
 def test_knn_matches_single_tree_walk(data, tree):
-    """The row regime is Algorithm 1 with point query nodes: the
-    per-point single-tree walk is its reference."""
+    """The row regime is Algorithm 1 with point query nodes: one query row
+    alone is the single-tree walk, and a batch answers every row exactly
+    as that row's own walk does."""
     Q, R = data[0][:32], data[1]
     out, stats, _ = _execute("KARGMIN", Q, R, tree=tree)
     assert stats["bounded"]["regime"] == "row"
-    rt = build_tree(tree, R, leaf_size=16)
-    d, pos = single_tree_knn(Q, rt, k=K)
-    assert np.allclose(np.asarray(out.values), d, rtol=1e-12, atol=0)
-    full = _distances(Q, R)
-    _assert_tie_aware(full, np.asarray(out.values),
+    walks = [_expr("KARGMIN", Q[i:i + 1], R).execute(leaf_size=16, tree=tree)
+             for i in range(len(Q))]
+    for name in ("values", "indices"):
+        assert (np.asarray(getattr(out, name)).tobytes()
+                == np.concatenate([np.asarray(getattr(w, name))
+                                   for w in walks]).tobytes())
+    _assert_tie_aware(_distances(Q, R), np.asarray(out.values),
                       np.asarray(out.indices), K, largest=False)
-    assert np.allclose(full[np.arange(len(Q))[:, None], rt.perm[pos]], d,
-                       rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("problem", ["KARGMIN", "KARGMAX", "hausdorff"])

@@ -188,19 +188,12 @@ class TestSlidingMidpoint:
         assert np.array_equal(i_med, i_mid)
 
     def test_same_knn_results(self, rng):
+        """The self-join (self-exclusion on) agrees across splits too."""
         from repro.problems import knn
 
         X = rng.normal(size=(300, 3))
         d_med, _ = knn(X, k=3)
-        # knn always uses median (the execute option selects tree kind,
-        # not split); compare the underlying traversal engines directly.
-        from repro.baselines.brute import brute_knn
-        from repro.traversal import single_tree_knn
-
-        t_mid = build_kdtree(X, leaf_size=16, split="midpoint")
-        inv = np.empty(300, dtype=np.int64)
-        inv[t_mid.perm] = np.arange(300)
-        d_mid, _ = single_tree_knn(X, t_mid, k=3, exclude_index=inv)
+        d_mid, _ = knn(X, k=3, split="midpoint", leaf_size=16)
         assert np.allclose(d_med, d_mid)
 
 
