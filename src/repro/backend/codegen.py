@@ -176,7 +176,9 @@ class GeneratedKernels:
     — which drive the bound-aware batched engine
     (:mod:`repro.traversal.bounded_batched`) against a signed per-query
     bound array ``qbound``, plus its row regime's pair
-    ``row_key_batch`` / ``base_case_rows``.
+    ``row_key_batch`` / ``base_case_rows``.  SUM programs get a
+    ``base_case_group`` of their own, the batched engine's one call per
+    query leaf.
     """
 
     source: str
@@ -509,8 +511,8 @@ def _inside_action_lines(spec: CodegenSpec, rule: RuleSpec) -> list[str]:
 def _action_source(spec: CodegenSpec) -> str | None:
     """Emit ``apply_action(qi, ri)``: the ComputeApprox / inside-region
     side effect for one node pair, shared by the scalar prune function
-    and the batched engine's replay phase (so both engines apply
-    bit-identical updates)."""
+    and the batched engine (so both engines apply bit-identical
+    updates, in their own orders)."""
     rule = spec.rule
     if rule is None:
         return None
@@ -731,32 +733,69 @@ def _pairwise_gather_lines(spec: CodegenSpec) -> list[str]:
     return out
 
 
+#: Cells (query rows × gathered reference columns) that one chunk of the
+#: grouped SUM base case evaluates at once, so its temporaries stay in
+#: cache.  Sweep, op ms on ``kde_approx`` / ``compile_suite`` inputs
+#: (2 vCPUs, x86_64, NumPy 2.4): 8K cells 238 / 63–84, 16K 220 / 51–60,
+#: 32K 228 / 64–71, 64K 253 / 66–73.
+SUM_CHUNK_CELLS = 16 * 1024
+
+
+def _self_exclusion_lines(spec: CodegenSpec) -> list[str]:
+    """Body lines masking the self pairs of block ``v`` (queries
+    ``[qs, qe)`` × gathered references ``ridx``) with the operator's
+    exclusion value: by identity (``RSELF``) on a sharded reference, by
+    position on one shared tree."""
+    excl = _exclusion_value(spec.inner_op)
+    if spec.self_map:
+        return ["    v = np.where(np.arange(qs, qe)[:, None] == "
+                f"RSELF[ridx][None, :], {excl}, v)"]
+    if spec.same_tree and spec.exclude_self:
+        return ["    v = np.where(np.arange(qs, qe)[:, None] == "
+                f"ridx[None, :], {excl}, v)"]
+    return []
+
+
 def _base_case_group_source(spec: CodegenSpec) -> str | None:
     """Emit ``base_case_group(qs, qe, ridx)``: one vectorised base case
     for a query leaf against the concatenated points of *several*
-    reference leaves, merging into the best arrays and refreshing the
-    signed per-query bound ``qbound`` (the value the next epoch's
-    node-bound snapshot max-reduces)."""
+    reference leaves.  Bound rules merge into the best arrays and
+    refresh the signed per-query bound ``qbound`` (the value the next
+    epoch's node-bound snapshot max-reduces); stateless SUM programs
+    add into ``acc`` in chunks of at most :data:`SUM_CHUNK_CELLS`."""
     rule = spec.rule
-    if rule is None or rule.kind not in ("bound-min", "bound-max"):
-        return None
+    if rule is not None and rule.kind in ("bound-min", "bound-max"):
+        return _bound_group_source(spec, rule)
+    if spec.inner_op is PortalOp.SUM:
+        return _sum_group_source(spec)
+    return None
+
+
+def _bound_group_source(spec: CodegenSpec, rule: RuleSpec) -> str:
     op = spec.inner_op
     lines = ["def base_case_group(qs, qe, ridx):"]
     lines += _pairwise_gather_lines(spec)
-    b = lines.append
-    if spec.self_map:
-        b("    v = np.where(np.arange(qs, qe)[:, None] == "
-          f"RSELF[ridx][None, :], {_exclusion_value(op)}, v)")
-    elif spec.same_tree and spec.exclude_self:
-        b("    v = np.where(np.arange(qs, qe)[:, None] == ridx[None, :], "
-          f"{_exclusion_value(op)}, v)")
-
+    lines += _self_exclusion_lines(spec)
     merge = _merge_lines(spec, lambda i, j: f"ridx[{j}]")
     if merge is None:  # pragma: no cover
         raise CompileError(f"no grouped base case for {op.name}")
     lines += merge
-    b(f"    qbound[qs:qe] = {_bound_sign(rule)}best[qs:qe{_kth_best(spec)}]")
+    lines.append(f"    qbound[qs:qe] = {_bound_sign(rule)}"
+                 f"best[qs:qe{_kth_best(spec)}]")
     return "\n".join(lines)
+
+
+def _sum_group_source(spec: CodegenSpec) -> str:
+    body = _pairwise_gather_lines(spec) + _self_exclusion_lines(spec)
+    body.append("    acc[qs:qe] += v @ rw[ridx]" if spec.weighted
+                 else "    acc[qs:qe] += v.sum(axis=1)")
+    return "\n".join([
+        "def base_case_group(qs, qe, gathered):",
+        f"    step = max(1, {SUM_CHUNK_CELLS} // (qe - qs))",
+        "    for c in range(0, gathered.shape[0], step):",
+        "        ridx = gathered[c:c + step]",
+        *("    " + line for line in body),
+    ])
 
 
 def _pairwise_pairs_lines(spec: CodegenSpec) -> list[str]:

@@ -27,8 +27,8 @@ A decision is one input of the execution plan
 (:func:`repro.backend.plan.resolve_plan`, which holds the precedence:
 explicit option > environment > policy decision > static rule), and a
 search candidate is a plan.  The policy only ever selects configurations
-the differential suites prove output-identical, so routing through it is
-bitwise-neutral.
+the differential suites hold to the output contract (DESIGN.md §8), so
+routing through it changes no answer beyond that contract.
 """
 
 from __future__ import annotations
