@@ -166,19 +166,20 @@ class CodegenSpec:
 class GeneratedKernels:
     """Compiled closures plus the emitted source for inspection.
 
-    The scalar closures (``prune_or_approx``, ``pair_min_dist``) drive
-    the nearest-first stack traversal; the ``*_batch`` closures operate
-    on whole frontier arrays of node-id pairs and drive the batched
-    frontier engine (:mod:`repro.traversal.batched`).  ``classify_batch``
-    is only emitted for *stateless* rules (indicator / approximation).
-    Bound rules (k-NN, Hausdorff) get the epoch-oriented trio instead —
-    ``bound_key_batch`` / ``classify_bound_batch`` / ``base_case_group``
-    — which drive the bound-aware batched engine
-    (:mod:`repro.traversal.bounded_batched`) against a signed per-query
-    bound array ``qbound``, plus its row regime's pair
-    ``row_key_batch`` / ``base_case_rows``.  SUM programs get a
-    ``base_case_group`` of their own, the batched engine's one call per
-    query leaf.
+    ``base_case(qs, qe, rs, re)`` evaluates one leaf pair over slice
+    views: the stack engine's and brute mode's base case.
+    ``base_case_group(qs, qe, ridx)`` evaluates a query leaf against the
+    gathered points of several reference leaves: one call per query leaf
+    in the batched engine, one per query leaf and epoch in the bounded
+    engine.  The scalar ``prune_or_approx`` / ``pair_min_dist`` drive the
+    nearest-first stack engine.  Stateless rules (indicator /
+    approximation) get ``classify_batch`` over whole frontier arrays of
+    node-id pairs, and ``apply_action`` for their approximated or inside
+    pairs (:mod:`repro.traversal.batched`).  Bound rules (k-NN,
+    Hausdorff) get ``bound_key_batch`` / ``classify_bound_batch``, which
+    drive the bound-aware engine (:mod:`repro.traversal.bounded_batched`)
+    against a signed per-query bound array ``qbound``, plus its row
+    regime's pair ``row_key_batch`` / ``base_case_rows``.
     """
 
     source: str
@@ -188,7 +189,6 @@ class GeneratedKernels:
     pair_min_dist: Callable | None
     classify_batch: Callable | None = None
     apply_action: Callable | None = None
-    pair_min_dist_batch: Callable | None = None
     bound_key_batch: Callable | None = None
     classify_bound_batch: Callable | None = None
     base_case_group: Callable | None = None
@@ -200,14 +200,17 @@ class GeneratedKernels:
 # pairwise kernel emission
 # ---------------------------------------------------------------------------
 
-def _pairwise_source(spec: CodegenSpec) -> str:
-    lines = ["def _pairwise(qs, qe, rs, re):"]
-    b = lines.append
+def _pairwise_lines(spec: CodegenSpec, refs: str) -> list[str]:
+    """Body lines computing the kernel block ``v`` for queries
+    ``[qs, qe)`` against the reference points ``refs`` spells: ``rs:re``
+    (a leaf slice, the ``base_case`` views) or ``ridx`` (a gathered index
+    array, ``base_case_group``).  Both spellings take the same
+    arithmetic."""
+    out: list[str] = []
+    b = out.append
     if spec.layout == Layout.COLUMN:
-        b("    # column-major layout: dimension loop unrolled, the middle")
-        b("    # (reference) loop vectorises across points")
         b("    dq = QCOL[:, qs:qe]")
-        b("    dr = RCOL[:, rs:re]")
+        b(f"    dr = RCOL[:, {refs}]")
         for d in range(spec.dim):
             b(f"    _d{d} = dq[{d}][:, None] - dr[{d}][None, :]")
             if spec.base == "sqeuclidean":
@@ -220,33 +223,38 @@ def _pairwise_source(spec: CodegenSpec) -> str:
                 b(f"    np.maximum(t, {term}, out=t)")
             else:
                 b(f"    t = t + {term}")
+    elif spec.base == "sqeuclidean" and not spec.is_indicator:
+        # Norm expansion ‖q−r‖² = ‖q‖² + ‖r‖² − 2 q·r: one GEMM per
+        # block instead of a broadcast difference tensor — the backend's
+        # high-dimensional vectorisation strategy.  (Comparative kernels
+        # keep the exact difference form below: a count must not flip on
+        # ~1e-12 cancellation at the threshold.)
+        b(f"    t = QN2[qs:qe, None] + RN2[{refs}][None, :] "
+          f"- 2.0 * (QROW[qs:qe] @ RROW[{refs}].T)")
+        b("    np.maximum(t, 0.0, out=t)")
     else:
-        b("    # row-major layout: the innermost dimension loop vectorises")
-        if spec.base == "sqeuclidean" and not spec.is_indicator:
-            # Norm expansion ‖q−r‖² = ‖q‖² + ‖r‖² − 2 q·r: one GEMM per
-            # leaf pair instead of a broadcast difference tensor — the
-            # backend's high-dimensional vectorisation strategy.
-            # (Comparative kernels keep the exact difference form below:
-            # a count must not flip on ~1e-12 cancellation at the
-            # threshold.)
-            b("    t = QN2[qs:qe, None] + RN2[None, rs:re] "
-              "- 2.0 * (QROW[qs:qe] @ RROW[rs:re].T)")
-            b("    np.maximum(t, 0.0, out=t)")
-        elif spec.base == "sqeuclidean":
-            b("    diff = QROW[qs:qe, None, :] - RROW[None, rs:re, :]")
+        b(f"    diff = QROW[qs:qe, None, :] - RROW[{refs}][None, :, :]")
+        if spec.base == "sqeuclidean":
             b("    t = np.einsum('ijk,ijk->ij', diff, diff)")
         elif spec.base == "manhattan":
-            b("    diff = QROW[qs:qe, None, :] - RROW[None, rs:re, :]")
             b("    t = np.abs(diff).sum(axis=-1)")
         else:
-            b("    diff = QROW[qs:qe, None, :] - RROW[None, rs:re, :]")
             b("    t = np.abs(diff).max(axis=-1)")
     pre, g_src = emit_expr_vn(spec.g_ir, {"t": "t"})
     for assign in pre:
         b(f"    {assign}")
     b(f"    v = {g_src}")
-    b("    return v")
-    return "\n".join(lines)
+    return out
+
+
+def _pairwise_source(spec: CodegenSpec) -> str:
+    if spec.layout == Layout.COLUMN:
+        comment = ["    # column-major layout: dimension loop unrolled, the middle",
+                   "    # (reference) loop vectorises across points"]
+    else:
+        comment = ["    # row-major layout: the innermost dimension loop vectorises"]
+    return "\n".join(["def _pairwise(qs, qe, rs, re):", *comment,
+                      *_pairwise_lines(spec, "rs:re"), "    return v"])
 
 
 def _point_to_centroid(spec: CodegenSpec, centroid_arr: str) -> list[str]:
@@ -341,49 +349,70 @@ def _merge_lines(spec: CodegenSpec,
     return lines
 
 
-def _base_case_source(spec: CodegenSpec) -> str:
-    op = spec.inner_op
-    lines = [
-        "def base_case(qs, qe, rs, re):",
-        "    v = _pairwise(qs, qe, rs, re)",
-    ]
-    b = lines.append
+def _self_exclusion_lines(spec: CodegenSpec, refs: str) -> list[str]:
+    """Body lines masking the self pairs of block ``v`` (queries
+    ``[qs, qe)`` × the references ``refs`` spells, as in
+    :func:`_pairwise_lines`) with the operator's exclusion value: by
+    identity (``RSELF``) on a sharded reference, by position on one
+    shared tree — where two leaf slices are equal or disjoint, so a
+    slice's self pairs are the diagonal of a leaf against itself."""
+    excl = _exclusion_value(spec.inner_op)
     if spec.self_map:
-        # Sharded reference: a self pair sits at any (query position,
-        # reference position) with RSELF[r] == q — mask by identity.
-        b("    v = np.where(np.arange(qs, qe)[:, None] == "
-          f"RSELF[rs:re][None, :], {_exclusion_value(op)}, v)")
-    elif spec.same_tree and spec.exclude_self:
-        b("    if qs == rs:")
-        b(f"        np.fill_diagonal(v, {_exclusion_value(op)})")
+        return ["    v = np.where(np.arange(qs, qe)[:, None] == "
+                f"RSELF[{refs}][None, :], {excl}, v)"]
+    if not (spec.same_tree and spec.exclude_self):
+        return []
+    if refs == "rs:re":
+        return ["    if qs == rs:", f"        np.fill_diagonal(v, {excl})"]
+    return ["    v = np.where(np.arange(qs, qe)[:, None] == "
+            f"{refs}[None, :], {excl}, v)"]
 
-    merge = _merge_lines(spec, lambda i, j: f"rs + {j}")
+
+def _update_lines(spec: CodegenSpec, refs: str,
+                  ids: Callable[[str, str], str]) -> list[str]:
+    """Body lines folding block ``v`` into the operator's state: a SUM
+    adds, a PROD multiplies, a list appends each row's hits, a dense
+    ``FORALL`` stores and a comparative reduction merges
+    (:func:`_merge_lines`).  ``refs`` spells the block's reference
+    columns and ``ids(i, j)`` the reference ids of block cells, as in
+    :func:`_merge_lines` — the one difference between ``base_case`` and
+    ``base_case_group``."""
+    op = spec.inner_op
+    merge = _merge_lines(spec, ids)
     if merge is not None:
-        lines += merge
-    elif op is PortalOp.SUM:
-        if spec.weighted:
-            b("    acc[qs:qe] += v @ rw[rs:re]")
-        else:
-            b("    acc[qs:qe] += v.sum(axis=1)")
-    elif op is PortalOp.PROD:
+        return merge
+    if op is PortalOp.SUM:
+        return [f"    acc[qs:qe] += v @ rw[{refs}]" if spec.weighted
+                else "    acc[qs:qe] += v.sum(axis=1)"]
+    if op is PortalOp.PROD:
         if spec.weighted:
             raise CompileError("PROD does not support weighted references")
-        b("    acc[qs:qe] *= v.prod(axis=1)")
-    elif op is PortalOp.UNIONARG:
-        b("    for i in range(v.shape[0]):")
-        b("        nz = np.flatnonzero(v[i])")
-        b("        if nz.size:")
-        b("            out_lists[qs + i].append(rs + nz)")
-    elif op is PortalOp.UNION:
-        b("    for i in range(v.shape[0]):")
-        b("        nz = np.flatnonzero(v[i])")
-        b("        if nz.size:")
-        b("            out_lists[qs + i].append(v[i][nz])")
-    elif op is PortalOp.FORALL:
-        b("    dense[qs:qe, rs:re] = v")
-    else:  # pragma: no cover
-        raise CompileError(f"no base-case template for {op.name}")
-    return "\n".join(lines)
+        return ["    acc[qs:qe] *= v.prod(axis=1)"]
+    if op is PortalOp.UNIONARG or op is PortalOp.UNION:
+        # one nonzero scan per block; the hits come row-major, so each
+        # row with any is one run of them
+        hits = (ids("hit_r", "hit_c") if op is PortalOp.UNIONARG
+                else "v[hit_r, hit_c]")
+        return [
+            "    hit_r, hit_c = np.nonzero(v)",
+            "    if hit_r.size:",
+            "        head = np.flatnonzero(np.diff(hit_r, prepend=-1))",
+            "        rows = (qs + hit_r[head]).tolist()",
+            f"        for i, got in zip(rows, np.split({hits}, head[1:])):",
+            "            out_lists[i].append(got)",
+        ]
+    if op is PortalOp.FORALL:
+        return [f"    dense[qs:qe, {refs}] = v"]
+    raise CompileError(f"no base-case template for {op.name}")  # pragma: no cover
+
+
+def _base_case_source(spec: CodegenSpec) -> str:
+    return "\n".join([
+        "def base_case(qs, qe, rs, re):",
+        "    v = _pairwise(qs, qe, rs, re)",
+        *_self_exclusion_lines(spec, "rs:re"),
+        *_update_lines(spec, "rs:re", lambda i, j: f"rs + {j}"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +422,7 @@ def _base_case_source(spec: CodegenSpec) -> str:
 def _combine(base: str, vec: str) -> str:
     # sqeuclidean spelled as (v*v).sum() rather than v @ v: same reduce
     # ordering as the batched axis-1 form, so the scalar and batched
-    # node-pair distances are bitwise identical (traversal order parity).
+    # node-pair distances are bitwise identical (so are their decisions).
     if base == "sqeuclidean":
         return f"float(({vec} * {vec}).sum())"
     if base == "manhattan":
@@ -454,13 +483,17 @@ def _band_exprs(spec: CodegenSpec) -> tuple[list[str], str, str]:
 
 def _approx_action_lines(spec: CodegenSpec, centroid_arr: str) -> list[str]:
     pre, g_src = _g_scalar_vn(spec, "tc", "_vn")
-    lines = [
+    # each of the node's W points contributes about g(centre): W·g to a
+    # sum, g**W to a product
+    update = (f"acc[s:e] *= np.power({g_src}, rweight[ri])"
+              if spec.inner_op is PortalOp.PROD
+              else f"acc[s:e] += rweight[ri] * {g_src}")
+    return [
         "    s = qstart[qi]; e = qend[qi]",
         *_point_to_centroid(spec, centroid_arr),
         *(f"    {assign}" for assign in pre),
-        f"    acc[s:e] += rweight[ri] * {g_src}",
+        f"    {update}",
     ]
-    return lines
 
 
 def _inside_action_lines(spec: CodegenSpec, rule: RuleSpec) -> list[str]:
@@ -689,106 +722,32 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
     return "\n".join(lines)
 
 
-def _pairwise_gather_lines(spec: CodegenSpec) -> list[str]:
-    """Body lines computing ``v`` for queries ``[qs, qe)`` against a
-    *gathered* reference index array ``ridx`` (the multi-leaf batch of
-    the epoch engine's grouped base case).  Mirrors
-    :func:`_pairwise_source` with ``ridx`` fancy-indexing in place of
-    the ``rs:re`` slice."""
-    out: list[str] = []
-    b = out.append
-    if spec.layout == Layout.COLUMN:
-        b("    dq = QCOL[:, qs:qe]")
-        b("    dr = RCOL[:, ridx]")
-        for d in range(spec.dim):
-            b(f"    _d{d} = dq[{d}][:, None] - dr[{d}][None, :]")
-            if spec.base == "sqeuclidean":
-                term = f"_d{d} * _d{d}"
-            else:
-                term = f"np.abs(_d{d})"
-            if d == 0:
-                b(f"    t = {term}")
-            elif spec.base == "chebyshev":
-                b(f"    np.maximum(t, {term}, out=t)")
-            else:
-                b(f"    t = t + {term}")
-    else:
-        if spec.base == "sqeuclidean" and not spec.is_indicator:
-            b("    t = QN2[qs:qe, None] + RN2[ridx][None, :] "
-              "- 2.0 * (QROW[qs:qe] @ RROW[ridx].T)")
-            b("    np.maximum(t, 0.0, out=t)")
-        elif spec.base == "sqeuclidean":
-            b("    diff = QROW[qs:qe, None, :] - RROW[ridx][None, :, :]")
-            b("    t = np.einsum('ijk,ijk->ij', diff, diff)")
-        elif spec.base == "manhattan":
-            b("    diff = QROW[qs:qe, None, :] - RROW[ridx][None, :, :]")
-            b("    t = np.abs(diff).sum(axis=-1)")
-        else:
-            b("    diff = QROW[qs:qe, None, :] - RROW[ridx][None, :, :]")
-            b("    t = np.abs(diff).max(axis=-1)")
-    pre, g_src = emit_expr_vn(spec.g_ir, {"t": "t"})
-    for assign in pre:
-        b(f"    {assign}")
-    b(f"    v = {g_src}")
-    return out
-
-
 #: Cells (query rows × gathered reference columns) that one chunk of the
-#: grouped SUM base case evaluates at once, so its temporaries stay in
-#: cache.  Sweep, op ms on ``kde_approx`` / ``compile_suite`` inputs
-#: (2 vCPUs, x86_64, NumPy 2.4): 8K cells 238 / 63–84, 16K 220 / 51–60,
-#: 32K 228 / 64–71, 64K 253 / 66–73.
+#: grouped base case of a stateless program evaluates at once, so its
+#: temporaries stay in cache.  Sweep, op ms on ``kde_approx`` /
+#: ``compile_suite`` inputs (2 vCPUs, x86_64, NumPy 2.4): 8K cells
+#: 238 / 63–84, 16K 220 / 51–60, 32K 228 / 64–71, 64K 253 / 66–73.
 SUM_CHUNK_CELLS = 16 * 1024
 
 
-def _self_exclusion_lines(spec: CodegenSpec) -> list[str]:
-    """Body lines masking the self pairs of block ``v`` (queries
-    ``[qs, qe)`` × gathered references ``ridx``) with the operator's
-    exclusion value: by identity (``RSELF``) on a sharded reference, by
-    position on one shared tree."""
-    excl = _exclusion_value(spec.inner_op)
-    if spec.self_map:
-        return ["    v = np.where(np.arange(qs, qe)[:, None] == "
-                f"RSELF[ridx][None, :], {excl}, v)"]
-    if spec.same_tree and spec.exclude_self:
-        return ["    v = np.where(np.arange(qs, qe)[:, None] == "
-                f"ridx[None, :], {excl}, v)"]
-    return []
-
-
-def _base_case_group_source(spec: CodegenSpec) -> str | None:
+def _base_case_group_source(spec: CodegenSpec) -> str:
     """Emit ``base_case_group(qs, qe, ridx)``: one vectorised base case
     for a query leaf against the concatenated points of *several*
-    reference leaves.  Bound rules merge into the best arrays and
-    refresh the signed per-query bound ``qbound`` (the value the next
-    epoch's node-bound snapshot max-reduces); stateless SUM programs
-    add into ``acc`` in chunks of at most :data:`SUM_CHUNK_CELLS`."""
+    reference leaves.  Bound rules evaluate the gathered block at once,
+    merge it into the best arrays and refresh the signed per-query bound
+    ``qbound`` (the value the next epoch's node-bound snapshot
+    max-reduces); every other program walks the gathered list in chunks
+    of at most :data:`SUM_CHUNK_CELLS` cells."""
+    body = [*_pairwise_lines(spec, "ridx"),
+            *_self_exclusion_lines(spec, "ridx"),
+            *_update_lines(spec, "ridx", lambda i, j: f"ridx[{j}]")]
     rule = spec.rule
-    if rule is not None and rule.kind in ("bound-min", "bound-max"):
-        return _bound_group_source(spec, rule)
-    if spec.inner_op is PortalOp.SUM:
-        return _sum_group_source(spec)
-    return None
-
-
-def _bound_group_source(spec: CodegenSpec, rule: RuleSpec) -> str:
-    op = spec.inner_op
-    lines = ["def base_case_group(qs, qe, ridx):"]
-    lines += _pairwise_gather_lines(spec)
-    lines += _self_exclusion_lines(spec)
-    merge = _merge_lines(spec, lambda i, j: f"ridx[{j}]")
-    if merge is None:  # pragma: no cover
-        raise CompileError(f"no grouped base case for {op.name}")
-    lines += merge
-    lines.append(f"    qbound[qs:qe] = {_bound_sign(rule)}"
-                 f"best[qs:qe{_kth_best(spec)}]")
-    return "\n".join(lines)
-
-
-def _sum_group_source(spec: CodegenSpec) -> str:
-    body = _pairwise_gather_lines(spec) + _self_exclusion_lines(spec)
-    body.append("    acc[qs:qe] += v @ rw[ridx]" if spec.weighted
-                 else "    acc[qs:qe] += v.sum(axis=1)")
+    if rule is not None and rule.is_bound:
+        return "\n".join([
+            "def base_case_group(qs, qe, ridx):", *body,
+            f"    qbound[qs:qe] = {_bound_sign(rule)}"
+            f"best[qs:qe{_kth_best(spec)}]",
+        ])
     return "\n".join([
         "def base_case_group(qs, qe, gathered):",
         f"    step = max(1, {SUM_CHUNK_CELLS} // (qe - qs))",
@@ -802,7 +761,7 @@ def _pairwise_pairs_lines(spec: CodegenSpec) -> list[str]:
     """Body lines computing ``v[p]`` for the candidate pairs
     ``(qidx[p], ridx[p])`` (the row regime's flat gather), in the
     layout's arithmetic: the column layout keeps
-    :func:`_pairwise_gather_lines`' difference form pair for pair, the
+    :func:`_pairwise_lines`' difference form pair for pair, the
     row layout's norm expansion takes one dot product per pair."""
     out: list[str] = []
     b = out.append
@@ -1020,7 +979,6 @@ def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
         pair_min_dist=namespace.get("pair_min_base_dist"),
         classify_batch=namespace.get("classify_batch"),
         apply_action=namespace.get("apply_action"),
-        pair_min_dist_batch=namespace.get("pair_min_base_dist_batch"),
         bound_key_batch=namespace.get("bound_key_batch"),
         classify_bound_batch=namespace.get("classify_bound_batch"),
         base_case_group=namespace.get("base_case_group"),

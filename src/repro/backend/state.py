@@ -77,21 +77,22 @@ class State:
         if self.inner_op is PortalOp.FORALL:
             values = self.arrays["dense"][inv]
         elif self.inner_op in (PortalOp.UNION, PortalOp.UNIONARG):
+            # Each row sorted (ascending original ids, ascending values),
+            # so no list depends on the order its chunks were appended in:
+            # engine, executor, shards and batch composition alike.
             assert self.lists is not None
-            per_query: list[np.ndarray] = []
-            for pos in inv:
-                chunks = self.lists[pos]
-                merged = (
-                    np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-                )
-                per_query.append(merged)
-            if self.inner_op is PortalOp.UNIONARG and rperm is not None:
-                per_query = [rperm[c.astype(np.int64)] for c in per_query]
-                indices = per_query
-            elif self.inner_op is PortalOp.UNIONARG:
-                indices = [c.astype(np.int64) for c in per_query]
+            rows = [np.concatenate(chunks) if chunks
+                    else np.empty(0, dtype=np.int64)
+                    for chunks in (self.lists[pos] for pos in inv)]
+            if self.inner_op is PortalOp.UNIONARG:
+                rows = [np.asarray(row if rperm is None else rperm[row],
+                                   dtype=np.int64) for row in rows]
+            for row in rows:  # each a fresh array: sort in place
+                row.sort()
+            if self.inner_op is PortalOp.UNION:
+                values = rows
             else:
-                values = per_query
+                indices = rows
         elif info.returns_index or info.requires_k:
             best = self.arrays["best"][inv]
             values = best

@@ -51,12 +51,10 @@ def range_search(
 
     outer = _search_lt(query, reference, h, options)
     if h_min == 0.0:
-        return [np.sort(ix) for ix in outer]
+        return outer
     inner = _search_lt(query, reference, h_min, options)
-    return [
-        np.sort(np.setdiff1d(o, i, assume_unique=True))
-        for o, i in zip(outer, inner)
-    ]
+    return [np.setdiff1d(o, i, assume_unique=True)
+            for o, i in zip(outer, inner)]
 
 
 def range_count(query, reference=None, h: float = 1.0, **options) -> np.ndarray:

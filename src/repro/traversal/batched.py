@@ -18,24 +18,15 @@ mutable best-value bounds):
    Counters are tallied per level with ``count_nonzero``, so
    ``TraversalStats`` match the stack engine's exactly.
 
-2. **Apply** — how side effects land depends on the output:
-
-   * **SUM programs** (``base_case_group`` given) add into ``acc``, where
-     order moves only rounding.  Phase 1 applies each level's
-     approximation actions in frontier order as it classifies and
-     collects the base-case leaf pairs; once the frontier is empty, one
-     grouped call per query leaf evaluates that leaf against the
-     gathered points of all its reference leaves, sorted by ``rstart``.
-     No decision record is kept.  Outputs fall under the output contract
-     (DESIGN.md §8): within ``n·ε·Σ|term|`` of the stack engine.
-   * **Order-dependent outputs** (``UNION*`` lists, ``PROD``, dense
-     ``FORALL``) replay the recorded decision tree in the *exact order
-     the stack engine would have used*: depth-first, children
-     nearest-first (sorted per parent with one batched
-     ``pair_min_dist_batch`` call + a stable ``lexsort`` instead of
-     per-pair scalar distance calls).  Because decisions are stateless
-     and the applied action sequence is identical, these outputs are
-     bit-identical to the stack engine.
+2. **Apply** — each level's approximation and inside actions are
+   applied in frontier order as it is classified, and the base-case leaf
+   pairs are collected.  Once the frontier is empty, one grouped call per
+   query leaf evaluates that leaf against the gathered points of all its
+   reference leaves, sorted by ``rstart``.  No decision record is kept,
+   and nothing reproduces the stack engine's order: outputs fall under
+   the output contract (DESIGN.md §8) — sums and products within
+   rounding of the stack engine's, comparative reductions exact up to
+   ties, lists equal.
 
 Comparative reductions whose bounds tighten mid-traversal (k-NN,
 Hausdorff — the ``bound-min``/``bound-max`` rules) cannot be classified
@@ -45,10 +36,8 @@ engine (:mod:`repro.traversal.bounded_batched`) instead, with
 
 Memory: phase 1 reports its peak frontier width as the
 ``traversal.frontier_peak`` counter (summed over tasks under parallel
-execution).  The replay's recorded levels grow geometrically with depth,
-so phase 2 frees each level's lists as soon as it has popped every entry
-recorded for it; the grouped path holds only the base-case pairs and one
-query leaf's gathered index array at a time.
+execution).  Beside the frontier, the engine holds only the base-case
+pairs and one query leaf's gathered index array at a time.
 """
 
 from __future__ import annotations
@@ -63,25 +52,19 @@ from .multitree import TraversalStats
 
 __all__ = ["batched_dual_tree_traversal"]
 
-# Replay opcodes: 0 expands (matches classify code 0 on non-leaf pairs).
-_EXPAND, _PRUNED, _ACTION, _BASE = 0, 1, 2, 3
-
 
 def _children(eq, er, qoff, qflat, roff, rflat):
     """Children combos of the expanded pairs ``(eq, er)``, q-major per
     pair like the stack engine's ``for a in qs for b in rs``, via array
-    indexing; plus each pair's offset into them and each child's
-    parent."""
+    indexing."""
     qn = qoff[eq + 1] - qoff[eq]
     rn = roff[er + 1] - roff[er]
     combos = qn * rn
-    coff = np.concatenate([[0], np.cumsum(combos)])
-    total = int(coff[-1])
     parent = np.repeat(np.arange(eq.size), combos)
-    within = np.arange(total) - coff[:-1][parent]
+    within = np.arange(parent.size) - (np.cumsum(combos) - combos)[parent]
     rrep = rn[parent]
     return (qflat[qoff[eq][parent] + within // rrep],
-            rflat[roff[er][parent] + within % rrep], coff, parent)
+            rflat[roff[er][parent] + within % rrep])
 
 
 def _grouped_base_cases(bq, br, qstart, qend, rstart, rend,
@@ -104,42 +87,12 @@ def _grouped_base_cases(bq, br, qstart, qend, rstart, rend,
         base_case_group(int(qstart[qi]), int(qend[qi]), ridx)
 
 
-def _replay(levels: list, base_case, apply_action) -> None:
-    """Phase 2: apply the recorded side effects in stack-engine order."""
-    # Every entry of level L+1 is pushed exactly once (it is a child of
-    # some expand pair at level L), so a per-level countdown of pops
-    # tells when a level's lists can never be touched again — free them
-    # then rather than holding the whole decision record to the end.
-    remaining = [len(lv[0]) for lv in levels]
-    stack: list[tuple[int, int]] = [(0, 0)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        lvl, i = pop()
-        kinds, ql, rl, qs, qe, rs, re, cs, ce = levels[lvl]
-        k = kinds[i]
-        if k == _EXPAND:
-            nxt = lvl + 1
-            for j in range(cs[i], ce[i]):
-                push((nxt, j))
-        elif k == _BASE:
-            base_case(qs[i], qe[i], rs[i], re[i])
-        elif k == _ACTION:
-            apply_action(ql[i], rl[i])
-        # _PRUNED: no side effect.
-        remaining[lvl] -= 1
-        if not remaining[lvl]:
-            levels[lvl] = None
-
-
 def batched_dual_tree_traversal(
     qtree: ArrayTree,
     rtree: ArrayTree,
     classify_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
     apply_action: Callable[[int, int], None] | None,
-    base_case: Callable[[int, int, int, int], None],
-    pair_min_dist_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    base_case_group: Callable[[int, int, np.ndarray], None] | None = None,
+    base_case_group: Callable[[int, int, np.ndarray], None],
     q_root: int = 0,
     r_root: int = 0,
     stats: TraversalStats | None = None,
@@ -148,13 +101,12 @@ def batched_dual_tree_traversal(
 
     ``classify_batch(qis, ris)`` labels arrays of node-id pairs (may be
     ``None`` when the problem has no rule); ``apply_action(qi, ri)``
-    applies the code-2 side effect for one pair; ``base_case`` receives
-    leaf slices exactly as in the stack engine.  A SUM program passes
-    ``base_case_group(qs, qe, ridx)`` and skips the replay.
+    applies the code-2 side effect for one pair;
+    ``base_case_group(qs, qe, ridx)`` evaluates query slice ``[qs, qe)``
+    against the gathered reference positions ``ridx``.
     """
     owns_stats = stats is None
     stats = stats or TraversalStats()
-    grouped = base_case_group is not None
     qstart, qend = qtree.start, qtree.end
     rstart, rend = rtree.start, rtree.end
     q_leaf_arr = qtree.is_leaf_arr
@@ -163,7 +115,6 @@ def batched_dual_tree_traversal(
     roff, rflat = rtree.expansion_children()
 
     # ---- phase 1: level-synchronous batched classification --------------
-    levels: list[tuple | None] = []
     base_q: list[np.ndarray] = []
     base_r: list[np.ndarray] = []
     frontier_peak = 0
@@ -180,59 +131,27 @@ def batched_dual_tree_traversal(
         recurse = codes == 0
         base = recurse & both_leaf
         expand = recurse & ~both_leaf
+        act = codes == 2
 
         stats.visited += n
         stats.pruned += int(np.count_nonzero(codes == 1))
-        stats.approximated += int(np.count_nonzero(codes == 2))
+        stats.approximated += int(np.count_nonzero(act))
         nbase = int(np.count_nonzero(base))
         stats.base_cases += nbase
         if nbase:
             stats.base_case_pairs += int(
                 ((qend[q] - qstart[q]) * (rend[r] - rstart[r]))[base].sum()
             )
+            base_q.append(q[base])
+            base_r.append(r[base])
         stats.recursions += int(np.count_nonzero(expand))
 
-        eq, er = q[expand], r[expand]
-        if grouped:
-            act = codes == 2
-            for qi, ri in zip(q[act].tolist(), r[act].tolist()):
-                apply_action(qi, ri)
-            if nbase:
-                base_q.append(q[base])
-                base_r.append(r[base])
-            q, r, _, _ = _children(eq, er, qoff, qflat, roff, rflat)
-            continue
+        for qi, ri in zip(q[act].tolist(), r[act].tolist()):
+            apply_action(qi, ri)
+        q, r = _children(q[expand], r[expand], qoff, qflat, roff, rflat)
 
-        kinds = np.where(base, _BASE, codes).astype(np.int64)
-        cstart = np.zeros(n, dtype=np.int64)
-        cend = np.zeros(n, dtype=np.int64)
-        cq, cr, coff, parent = _children(eq, er, qoff, qflat, roff, rflat)
-        if pair_min_dist_batch is not None and cq.size > eq.size:
-            # The stack engine pushes each pair's children sorted
-            # stably by descending node-pair distance, so the pop
-            # order is nearest-first.  Reproduce the push order with
-            # one batched distance kernel + a stable lexsort.
-            dists = np.asarray(pair_min_dist_batch(cq, cr),
-                               dtype=np.float64)
-            order = np.lexsort((-dists, parent))
-            cq, cr = cq[order], cr[order]
-        cstart[expand] = coff[:-1]
-        cend[expand] = coff[1:]
-
-        # Plain-int lists: the replay loop runs far faster on them than
-        # on per-element numpy scalar indexing.
-        levels.append((
-            kinds.tolist(),
-            q.tolist(), r.tolist(),
-            qstart[q].tolist(), qend[q].tolist(),
-            rstart[r].tolist(), rend[r].tolist(),
-            cstart.tolist(), cend.tolist(),
-        ))
-        q, r = cq, cr
-
-    if not grouped:
-        _replay(levels, base_case, apply_action)
-    elif base_q:
+    # ---- phase 2: one grouped base case per query leaf -------------------
+    if base_q:
         _grouped_base_cases(np.concatenate(base_q), np.concatenate(base_r),
                             qstart, qend, rstart, rend, base_case_group)
 

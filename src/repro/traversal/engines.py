@@ -27,9 +27,8 @@ def _bounded_batched(qtree, rtree, kk, qbound, **kw):
 
 def _batched(qtree, rtree, kk, qbound, **kw):
     return batched_dual_tree_traversal(
-        qtree, rtree, kk.classify_batch, kk.apply_action, kk.base_case,
-        pair_min_dist_batch=kk.pair_min_dist_batch,
-        base_case_group=kk.base_case_group, **kw)
+        qtree, rtree, kk.classify_batch, kk.apply_action, kk.base_case_group,
+        **kw)
 
 
 def _stack(qtree, rtree, kk, qbound, **kw):

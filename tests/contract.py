@@ -4,12 +4,14 @@ Differential tests hold two runs of one program — two engines, two
 executors, two plans — to the rule for the kind of output it returns:
 
 * :func:`assert_ranked_equal` — comparative reductions (K-operators,
-  ``ARG*``, ``MIN``/``MAX``, Hausdorff): values exact; ids exact up to
-  ties at the k-th value;
+  ``ARG*``, ``MIN``/``MAX``, Hausdorff — merges over an indicator
+  kernel too): values exact; ids exact up to ties at the k-th value;
 * :func:`assert_sum_close` — sums: within ``τ`` per unit of reference
-  weight when approximated, plus ``n·ε·Σ|term|`` of rounding;
-* :func:`assert_lists_equal` — list outputs (range search): equal as
-  sorted sets;
+  weight when approximated, plus ``n·ε·Σ|term|`` of rounding; products
+  (``PROD``): within ``n·ε·|Π|`` of the reference, which is this helper
+  with its default ``abs_sum``;
+* :func:`assert_lists_equal` — list outputs (range search): equal, row
+  for row (``State.finalize`` returns each row sorted);
 * :func:`assert_bitwise` — what must not move a bit: repeat runs of one
   plan, worker counts, thread against process, a coalesced serve batch
   against its rows served one at a time, and integer-valued sums.
@@ -81,8 +83,7 @@ def assert_ranked_equal(got_values, want_values, got_ids=None,
 
 
 def assert_lists_equal(got, want) -> None:
-    """One list per query, equal as sorted sets."""
+    """One list per query, each row equal element for element."""
     assert len(got) == len(want)
     for row, (a, b) in enumerate(zip(got, want)):
-        assert np.array_equal(np.sort(np.asarray(a)),
-                              np.sort(np.asarray(b))), f"row {row}"
+        assert np.array_equal(a, b), f"row {row}"

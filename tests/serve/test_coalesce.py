@@ -75,7 +75,7 @@ def _row(res, kind):
     if kind == "indices":
         return np.asarray(res.indices)
     if kind == "lists":
-        return [np.sort(np.asarray(v)) for v in res.indices]
+        return [np.asarray(v) for v in res.indices]
     raise AssertionError(kind)
 
 
@@ -141,20 +141,14 @@ def _serve_vs_serial(name, tree, executor, nq=NQ, rounds=1):
 
     for i, res in zip(order, results):
         ctx = f"{name}/{tree}/{executor} row {i}"
-        if kind == "lists":
-            _assert_rows_equal(_row(res, kind),
-                               [np.sort(np.asarray(ref_out.indices[i]))],
-                               kind, ctx)
-        else:
-            got = _row(res, kind)
-            ref = _row(ref_out, kind)[i:i + 1]
-            _assert_rows_equal(got, ref, kind, ctx)
-            if kind == "indices":
-                # k-NN carries values too; they must match bitwise as well
-                if res.values is not None and ref_out.values is not None:
-                    _assert_rows_equal(
-                        np.asarray(res.values),
-                        np.asarray(ref_out.values)[i:i + 1], "values", ctx)
+        _assert_rows_equal(_row(res, kind), _row(ref_out, kind)[i:i + 1],
+                           kind, ctx)
+        if kind == "indices":
+            # k-NN carries values too; they must match bitwise as well
+            if res.values is not None and ref_out.values is not None:
+                _assert_rows_equal(
+                    np.asarray(res.values),
+                    np.asarray(ref_out.values)[i:i + 1], "values", ctx)
     return added
 
 

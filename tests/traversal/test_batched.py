@@ -6,13 +6,14 @@ stack engine's on every program.  Its outputs fall under the output
 contract (DESIGN.md; ``tests/contract.py``): a float SUM is added in
 other groupings — one gathered base case per query leaf — and is held
 to ``n·ε·Σ|term|`` of the stack engine's; integer-valued sums (range
-count) and range-search lists, which the engine still replays in stack
-order, stay bit-identical.  These tests pin that across tree kinds for
-both prune-heavy (range search / count) and approximation-heavy (KDE
-band, KDE multipole-acceptance) configurations, plus the automatic
-routing of stateful bound rules to the epoch-based bounded engine
-(``test_bounded_batched.py`` covers that engine differentially;
-``test_grouped_sum.py`` the grouped SUM kernel).
+count) stay bit-identical, and range-search lists, which
+``State.finalize`` returns sorted, equal.  These tests pin that across
+tree kinds for both prune-heavy (range search / count) and
+approximation-heavy (KDE band, KDE multipole-acceptance)
+configurations, plus the automatic routing of stateful bound rules to
+the epoch-based bounded engine (``test_bounded_batched.py`` covers that
+engine differentially; ``test_grouped_sum.py`` the grouped kernel for
+every stateless output kind).
 """
 
 import numpy as np

@@ -1,29 +1,38 @@
-"""The grouped SUM base case: one gathered call per query leaf.
+"""The grouped base case: one gathered call per query leaf, for every
+stateless program.
 
-For SUM programs the batched engine applies approximation actions as it
-classifies and then evaluates each query leaf once, against the gathered
+The batched engine applies approximation and inside actions as it
+classifies, then evaluates each query leaf once, against the gathered
 points of all its base-case reference leaves
-(``codegen._sum_group_source``, chunked to ``SUM_CHUNK_CELLS`` cells).
-Against the stack engine, outputs are held to the output contract
-(``tests/contract.py``), traversal counters are identical, and
-integer-valued sums stay bit-identical.  The replay is left to the
-outputs whose side effects depend on order.
+(``codegen._base_case_group_source``, chunked to ``SUM_CHUNK_CELLS``
+cells): sums, products, lists and merges over an indicator kernel
+alike.  Against the stack engine, outputs are held to the output
+contract (``tests/contract.py``), traversal counters are identical, and
+integer-valued sums and lists stay exact.  The engine never calls the
+per-leaf-pair ``base_case``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.backend.codegen import SUM_CHUNK_CELLS, CodegenSpec, bind_kernels, emit
 from repro.backend.layout import Layout
-from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
+from repro.dsl import (
+    PortalExpr, PortalFunc, PortalOp, Storage, Var, exp, indicator, pow, sqrt,
+)
+from repro.dsl.expr import BinOp, Call, Const, Indicator, Neg
 from repro.ir.nodes import SymRef
 from repro.observe import collect
-from repro.problems import range_count, range_search, two_point_correlation
-from repro.traversal import batched
+from repro.problems import range_count, two_point_correlation
+from repro.traversal import engines
 
 from tests.contract import (
     assert_bitwise, assert_lists_equal, assert_ranked_equal, assert_sum_close,
 )
+
+TREES = ["kd", "ball", "octree"]
 
 #: case → (dimension, weighted, one shared tree, shards)
 CASES = {
@@ -46,15 +55,26 @@ def _traversal_counts(counters):
 
 
 @pytest.fixture
-def no_replay(monkeypatch):
-    """Fail any call of the batched engine's stack-order replay."""
-    def replay(*args):
-        raise AssertionError("a SUM program replayed")
-    monkeypatch.setattr(batched, "_replay", replay)
+def no_leaf_base_case(monkeypatch):
+    """Run the batched engine with a kernel set whose per-leaf-pair
+    ``base_case`` fails; yields the list its runs are counted in."""
+    runs = []
+    batched = engines.ENGINES["batched"]
+
+    def refuse(*args):
+        raise AssertionError("the batched engine called base_case")
+
+    def guarded(qtree, rtree, kk, qbound, **kw):
+        runs.append(1)
+        return batched(qtree, rtree, dataclasses.replace(kk, base_case=refuse),
+                       qbound, **kw)
+
+    monkeypatch.setitem(engines.ENGINES, "batched", guarded)
+    return runs
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_kde_against_stack(case, no_replay):
+def test_kde_against_stack(case, no_leaf_base_case):
     dim, weighted, shared, shards = CASES[case]
     R = _points(360, dim, 1)
     Q = R if shared else _points(300, dim, 2)
@@ -72,6 +92,7 @@ def test_kde_against_stack(case, no_replay):
 
     stack, c_stack, _ = run("stack")
     grouped, c_grouped, source = run("batched")
+    assert no_leaf_base_case
     assert_sum_close(grouped, stack, n=len(R))
     assert c_grouped == c_stack
     assert c_stack["traversal.approximated"] > 0
@@ -81,49 +102,190 @@ def test_kde_against_stack(case, no_replay):
     assert ("RSELF[ridx]" in group) == (shards > 1)
 
 
-def _sum_kernels(dim, nq, nr, weighted, shared):
-    """The SUM kernels of ``g(t) = t`` (the squared distance) over one
-    shared or two random point sets, bound by hand."""
+# -- the formerly replayed kinds ----------------------------------------------
+#: kind → (inner operator, one shared tree, shards).  Lists and merges run
+#: over an indicator kernel; the product over a Gaussian whose values
+#: stay in (0, 1] at τ = 0.
+KINDS = {
+    "unionarg": (PortalOp.UNIONARG, False, 1),
+    "unionarg-self": (PortalOp.UNIONARG, True, 1),
+    "unionarg-shards2": (PortalOp.UNIONARG, True, 2),
+    "union": (PortalOp.UNION, False, 1),
+    "prod": (PortalOp.PROD, False, 1),
+    "min": (PortalOp.MIN, False, 1),
+    "argmin": (PortalOp.ARGMIN, False, 1),
+    "kargmin": ((PortalOp.KARGMIN, 3), False, 1),
+}
+
+
+def _kind_expr(kind, Q, R):
+    op, shared, _ = KINDS[kind]
+    q, r = Var("q"), Var("r")
+    rs = Storage(R, name="reference")
+    expr = PortalExpr(f"grouped-{kind}")
+    expr.addLayer(PortalOp.FORALL, q, rs if shared else Storage(Q, name="query"))
+    if op is PortalOp.PROD:
+        expr.addLayer(op, r, rs, exp(-pow(q - r, 2) / 400.0))
+    else:
+        expr.addLayer(op, r, rs, indicator(sqrt(pow(q - r, 2)) < 0.9))
+    return expr
+
+
+def _run_kind(kind, Q, R, **options):
+    _, shared, shards = KINDS[kind]
+    expr = _kind_expr(kind, Q, R)
+    with collect() as counters:
+        out = expr.execute(tau=0.0, leaf_size=8, exclude_self=shared,
+                           shards=shards, **options)
+    return out, _traversal_counts(counters)
+
+
+def _assert_kind_contract(kind, got, want, n):
+    op = KINDS[kind][0]
+    if op in (PortalOp.UNIONARG, PortalOp.UNION):
+        lists = "indices" if op is PortalOp.UNIONARG else "values"
+        got, want = getattr(got, lists), getattr(want, lists)
+        assert_lists_equal(got, want)
+    elif op is PortalOp.PROD:
+        assert_sum_close(got, want, n=n)
+    else:
+        assert_ranked_equal(got.values, want.values, got.indices, want.indices)
+
+
+@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_stateless_kinds_against_stack(kind, tree, no_leaf_base_case):
+    """Every formerly replayed output kind, through the grouped base
+    case, meets the contract against the stack engine, with identical
+    traversal counters — and no per-leaf-pair ``base_case`` call."""
+    Q, R = _points(300, 3, 11), _points(360, 3, 12)
+    stack, c_stack = _run_kind(kind, Q, R, tree=tree, traversal="stack")
+    assert not no_leaf_base_case
+    grouped, c_grouped = _run_kind(kind, Q, R, tree=tree)
+    assert no_leaf_base_case
+    _assert_kind_contract(kind, grouped, stack, n=len(R))
+    assert c_grouped == c_stack
+    assert c_stack["traversal.base_cases"] > 0
+    if KINDS[kind][0] is PortalOp.PROD:
+        # a product of factors in (0, 1], approximated pairs included
+        # (at τ = 0 the octree still approximates its one-point leaves)
+        assert (0.0 < stack.values).all() and (stack.values <= 1.0).all()
+    else:
+        assert c_stack["traversal.pruned"] > 0
+
+
+@pytest.mark.parametrize("kind", ["unionarg-self", "prod", "kargmin"])
+def test_thread_process_bitwise(kind):
+    """One parallel plan gives the same bits on threads and processes."""
+    Q, R = _points(300, 3, 13), _points(360, 3, 14)
+    par = dict(parallel=True, workers=2, min_tasks=8)
+    thread, _ = _run_kind(kind, Q, R, executor="thread", **par)
+    process, _ = _run_kind(kind, Q, R, executor="process", **par)
+    if KINDS[kind][0] is PortalOp.UNIONARG:
+        for a, b in zip(thread.indices, process.indices):
+            assert_bitwise(a, b)
+    else:
+        assert_bitwise(thread, process)
+        if thread.indices is not None:
+            assert_bitwise(thread.indices, process.indices)
+
+
+# -- the kernel, called directly ----------------------------------------------
+#: g(t) for each operator: the squared distance summed, a slowly decaying
+#: exponential multiplied (the product stays well inside float range), a
+#: threshold indicator listed.
+_G = {
+    PortalOp.SUM: SymRef("t"),
+    PortalOp.PROD: Call("exp", Neg(BinOp("*", SymRef("t"), Const(1e-4)))),
+    PortalOp.UNIONARG: Indicator("<", SymRef("t"), Const(4.0)),
+}
+
+
+def _kernels(op, dim, nq, nr, weighted, shared):
+    """The ``op`` kernels over one shared or two random point sets,
+    bound by hand; returns them with the state they write."""
     spec = CodegenSpec(
         dim=dim, layout=Layout.COLUMN if dim <= 4 else Layout.ROW,
-        base="sqeuclidean", g_ir=SymRef("t"), monotone="increasing",
-        weighted=weighted, same_tree=shared, exclude_self=shared)
+        base="sqeuclidean", g_ir=_G[op], monotone="increasing",
+        inner_op=op, weighted=weighted, same_tree=shared,
+        exclude_self=shared, is_indicator=op is PortalOp.UNIONARG)
     R = _points(nr, dim, 4)
     Q = R if shared else _points(nq, dim, 5)
     arrays = dict(QROW=Q, QCOL=np.ascontiguousarray(Q.T), QN2=(Q * Q).sum(1),
                   RROW=R, RCOL=np.ascontiguousarray(R.T), RN2=(R * R).sum(1),
-                  acc=np.zeros(len(Q)))
+                  acc=np.full(len(Q), 1.0 if op is PortalOp.PROD else 0.0),
+                  out_lists=[[] for _ in Q])
     if weighted:
         arrays["rw"] = np.random.default_rng(6).uniform(0.5, 2.0, nr)
     source, code = emit(spec)
-    return bind_kernels(source, code, arrays), arrays["acc"]
+    return bind_kernels(source, code, arrays), arrays
+
+
+def _collect(arrays, op):
+    """What the kernels wrote: each row's list sorted, or the accumulator
+    (a copy); the state is then reset."""
+    if op is PortalOp.UNIONARG:
+        out = [np.sort(np.concatenate(row)) if row else np.empty(0, np.int64)
+               for row in arrays["out_lists"]]
+        for row in arrays["out_lists"]:
+            row.clear()
+        return out
+    out = arrays["acc"].copy()
+    arrays["acc"][:] = 1.0 if op is PortalOp.PROD else 0.0
+    return out
+
+
+def _check_chunked(op, dim, weighted, shared, tail):
+    """A gathered list of several chunks — ending in a one-column chunk
+    or a short one — does what per-leaf ``base_case`` calls do."""
+    qs, qe = 4, 9
+    step = SUM_CHUNK_CELLS // (qe - qs)
+    nr = 2 * step + tail
+    kernels, arrays = _kernels(op, dim, 12, nr + 40, weighted, shared)
+    # two leaves and a gap between them; on a shared tree the first leaf
+    # is the query leaf itself, whose diagonal holds the self pairs
+    first = (qs, qe) if shared else (0, 20)
+    leaves = [first, (40, 40 + nr - (first[1] - first[0]))]
+    ridx = np.concatenate([np.arange(s, e) for s, e in leaves])
+    assert ridx.size == 2 * step + tail
+    kernels.base_case_group(qs, qe, ridx)
+    grouped = _collect(arrays, op)
+    for s, e in leaves:
+        kernels.base_case(qs, qe, s, e)
+    leafwise = _collect(arrays, op)
+    if op is PortalOp.UNIONARG:
+        assert_lists_equal(grouped, leafwise)
+        assert all(row.size for row in grouped[qs:qe])
+        assert not any(row.size for row in grouped[:qs] + grouped[qe:])
+        if shared:
+            assert not any(i in grouped[i] for i in range(qs, qe))
+        return
+    assert_sum_close(grouped, leafwise, n=ridx.size)
+    untouched = 1.0 if op is PortalOp.PROD else 0.0
+    assert (grouped[qs:qe] != untouched).all()
+    assert (grouped[:qs] == untouched).all()
 
 
 @pytest.mark.parametrize("tail", [1, 7])
 @pytest.mark.parametrize("dim,weighted,shared", [
     (3, False, False), (6, True, False), (3, False, True)])
 def test_chunked_kernel_matches_leaf_base_cases(dim, weighted, shared, tail):
-    """A gathered list of several chunks — ending in a one-column chunk
-    or a short one — sums what per-leaf ``base_case`` calls sum."""
-    qs, qe = 4, 9
-    step = SUM_CHUNK_CELLS // (qe - qs)
-    nr = 2 * step + tail
-    kernels, acc = _sum_kernels(dim, 12, nr + 40, weighted, shared)
-    # leaves [0, 20) [40, nr + 40) in two slices: a gap, and the query
-    # rows inside the gathered list when the tree is shared
-    leaves = [(0, 20), (40, 40 + nr - 20)]
-    ridx = np.concatenate([np.arange(s, e) for s, e in leaves])
-    assert ridx.size == 2 * step + tail
-    kernels.base_case_group(qs, qe, ridx)
-    grouped = acc.copy()
-    acc[:] = 0.0
-    for s, e in leaves:
-        kernels.base_case(qs, qe, s, e)
-    assert_sum_close(grouped, acc, n=ridx.size)
-    assert grouped[qs:qe].min() > 0 and not grouped[:qs].any()
+    """The SUM form, chunked, sums what per-leaf ``base_case`` calls sum."""
+    _check_chunked(PortalOp.SUM, dim, weighted, shared, tail)
 
 
-def test_integer_sums_bitwise(no_replay):
+@pytest.mark.parametrize("tail", [1, 7])
+@pytest.mark.parametrize("op,dim,shared", [
+    (PortalOp.PROD, 3, False), (PortalOp.PROD, 6, True),
+    (PortalOp.UNIONARG, 3, False), (PortalOp.UNIONARG, 6, True)],
+    ids=lambda x: getattr(x, "name", str(x)))
+def test_chunked_list_and_product_kernels(op, dim, shared, tail):
+    """The product and list forms, chunked, do what per-leaf
+    ``base_case`` calls do."""
+    _check_chunked(op, dim, False, shared, tail)
+
+
+def test_integer_sums_bitwise(no_leaf_base_case):
     """Range count and the two-point count are sums of exact small
     integers, whatever their grouping."""
     Q, R = _points(300, 3, 7), _points(360, 3, 8)
@@ -134,18 +296,7 @@ def test_integer_sums_bitwise(no_replay):
                        range_count(R, h=h, leaf_size=8, traversal="stack"))
         assert (two_point_correlation(R, h, leaf_size=8)
                 == two_point_correlation(R, h, leaf_size=8, traversal="stack"))
-
-
-def test_list_outputs_still_replay(monkeypatch):
-    calls = []
-    replay = batched._replay
-    monkeypatch.setattr(batched, "_replay",
-                        lambda *a: calls.append(1) or replay(*a))
-    Q, R = _points(200, 3, 9), _points(240, 3, 10)
-    got = range_search(Q, R, h=0.9, leaf_size=8)
-    assert calls
-    assert_lists_equal(got, range_search(Q, R, h=0.9, leaf_size=8,
-                                         traversal="stack"))
+    assert no_leaf_base_case
 
 
 def test_contract_helper_catches_planted_errors():
@@ -164,7 +315,8 @@ def test_contract_helper_catches_planted_errors():
     assert_sum_close(s + 0.9, s, n=1000, tau=1e-3)
     with pytest.raises(AssertionError):
         assert_sum_close(s + 1.1, s, n=1000, tau=1e-3)
-    with pytest.raises(AssertionError):
-        assert_lists_equal([np.array([1, 2])], [np.array([1, 3])])
+    for bad in ([1, 3], [2, 1]):
+        with pytest.raises(AssertionError):
+            assert_lists_equal([np.array(bad)], [np.array([1, 2])])
     with pytest.raises(AssertionError):
         assert_bitwise(np.array([0.0]), np.array([-0.0]))
