@@ -170,16 +170,17 @@ class GeneratedKernels:
     views: the stack engine's and brute mode's base case.
     ``base_case_group(qs, qe, ridx)`` evaluates a query leaf against the
     gathered points of several reference leaves: one call per query leaf
-    in the batched engine, one per query leaf and epoch in the bounded
-    engine.  The scalar ``prune_or_approx`` / ``pair_min_dist`` drive the
-    nearest-first stack engine.  Stateless rules (indicator /
-    approximation) get ``classify_batch`` over whole frontier arrays of
-    node-id pairs, and ``apply_action`` for their approximated or inside
-    pairs (:mod:`repro.traversal.batched`).  Bound rules (k-NN,
-    Hausdorff) get ``bound_key_batch`` / ``classify_bound_batch``, which
-    drive the bound-aware engine (:mod:`repro.traversal.bounded_batched`)
-    against a signed per-query bound array ``qbound``, plus its row
-    regime's pair ``row_key_batch`` / ``base_case_rows``.
+    and epoch of a bound rule in the batched engine
+    (:mod:`repro.traversal.bounded_batched`), one per query leaf of a
+    stateless program's flush.  The scalar ``prune_or_approx`` /
+    ``pair_min_dist`` drive the nearest-first stack engine.  Stateless
+    rules (indicator / approximation) get ``classify_batch`` over whole
+    arrays of node-id pairs, and ``apply_action`` for their approximated
+    or inside pairs.  Bound rules (k-NN, Hausdorff) get
+    ``bound_key_batch`` / ``classify_bound_batch``, which classify
+    against a signed per-query bound array ``qbound``, plus the row
+    regime's pair ``row_key_batch`` / ``base_case_rows``.  The batched
+    engine takes the bound form exactly when ``bound_key_batch`` is set.
     """
 
     source: str

@@ -57,12 +57,12 @@ DEFAULT_LEAF_SIZE = 64
 
 def _static_executor(engine: str) -> str:
     """``executor='auto'``: processes for the scalar stack engine (one
-    GIL-bound Python bytecode stream per task), threads for both batched
-    engines (their NumPy kernels release the GIL; no pickling, no merge
+    GIL-bound Python bytecode stream per task), threads for the batched
+    engine (its NumPy kernels release the GIL; no pickling, no merge
     copies).  A rule, not a measurement: the spine's
     ``parallel.thread_w2_speedup`` / ``parallel.process_w2_speedup``
     rows (docs/performance.md, "Measured") are the open evidence on it
-    for ROADMAP item 3."""
+    for ROADMAP item 5."""
     return "process" if engine == "stack" else "thread"
 
 
@@ -164,17 +164,14 @@ class CompileOptions:
     #: IR optimisation passes to skip (differential-testing knob); any
     #: subset of :data:`repro.ir.passes.TOGGLEABLE_PASSES`
     disable_passes: tuple = _row((), allowed=_pass_names)
-    #: traversal engine: 'batched' classifies whole frontier arrays of
-    #: node pairs per kernel call (:mod:`repro.traversal.batched`) and is
-    #: the default for every problem — bound-rule problems (k-NN,
-    #: Hausdorff) are routed to the epoch-based bound-aware variant
-    #: (:mod:`repro.traversal.bounded_batched`, reported as
-    #: ``'bounded-batched'``).  'bounded-batched' requests that variant
-    #: explicitly (stateless problems still run plain batched); 'stack'
-    #: forces the scalar nearest-first reference engine.
+    #: traversal engine: 'batched' classifies whole arrays of node pairs
+    #: per kernel call in epochs (:mod:`repro.traversal.bounded_batched`:
+    #: bound rules — k-NN, Hausdorff — best-first against a bound
+    #: snapshot, stateless rules one level per epoch) and is the default
+    #: for every problem; 'stack' forces the scalar nearest-first
+    #: reference engine.
     traversal: str | None = _row(
-        allowed=("batched", "bounded-batched", "stack"), policy=True,
-        static="batched")
+        allowed=("batched", "stack"), policy=True, static="batched")
     #: reuse compiled code and built trees across ``execute()``
     #: calls (content-addressed; see :mod:`repro.backend.cache`)
     cache: bool = _row(True, allowed=_flag)
@@ -278,7 +275,7 @@ class ExecutionPlan:
     the layer it configures does not exist for the program (no tree
     traversal in brute/interp mode)."""
 
-    engine: str | None        # 'bounded-batched' | 'batched' | 'stack'
+    engine: str | None        # 'batched' | 'stack'
     executor: str             # 'serial' | 'thread' | 'process'
     workers: int
     min_tasks: int
@@ -352,7 +349,7 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
     """
     inner = layers[-1]
     nr = inner.storage.n
-    classification, rule = program_rules(layers, opts)
+    classification, _ = program_rules(layers, opts)
     compiled = len(layers) == 2 and inner.metric_kernel is not None
     tree_mode = (
         compiled and opts.backend not in ("brute", "interp")
@@ -392,13 +389,11 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
     plan["workers"] = workers = plan["workers"] or default_workers()
     plan["min_tasks"] = plan["min_tasks"] or workers * TASKS_PER_WORKER
     if tree_mode:
-        # Bound rules (k-NN, Hausdorff) run the epoch-based bound-aware
-        # engine, stateless rules (or no rule) the plain batched
-        # frontier engine; 'stack' forces the scalar reference engine.
-        # Asking for 'bounded-batched' on a stateless problem degrades
-        # gracefully to 'batched'.
+        # Every rule kind runs the batched epoch engine, which reads the
+        # kind off the kernels; 'stack' forces the scalar reference
+        # engine.  A stored policy naming an older engine folds here too.
         if plan["engine"] != "stack":
-            plan["engine"] = "bounded-batched" if rule.is_bound else "batched"
+            plan["engine"] = "batched"
         if plan["executor"] == "auto":
             plan["executor"] = _static_executor(plan["engine"])
         if plan["executor"] == "process" and workers == 1:

@@ -71,7 +71,7 @@ class CompiledProgram:
     program_token: str | None = None
     stats: TraversalStats | None = None
     output: Output | None = None
-    #: the bounded engine's loop counters of the last run
+    #: the batched engine's epoch-loop counters of the last run
     bounded: dict | None = None
     #: broadcast counters and per-shard stats of the last sharded run
     shard_info: dict | None = None
@@ -265,12 +265,13 @@ class CompiledProgram:
         return Output(scalar=float(storage0))
 
     def _run_tree(self) -> TraversalStats:
-        if self.plan.engine != "bounded-batched":
+        if self.plan.engine == "stack":
             return self._dispatch_tree()
-        # Capture the epoch engine's bounded.* counters (epochs, deferred
-        # prunes, bound refreshes, row regime) for stats_summary()
-        # regardless of whether the caller installed a registry; everything
-        # captured is re-contributed so an outer collect() still sees it.
+        # Capture the epoch loop's bounded.* counters (epochs, deferred
+        # prunes, bound refreshes, pending peak, row regime) for
+        # stats_summary() regardless of whether the caller installed a
+        # registry; everything captured is re-contributed so an outer
+        # collect() still sees it.
         with collect() as bounded_counters:
             stats = self._dispatch_tree()
         snap = bounded_counters.as_dict()

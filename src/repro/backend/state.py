@@ -41,7 +41,10 @@ class Output:
         parts = []
         if self.scalar is not None:
             parts.append(f"scalar={self.scalar:g}")
-        if self.values is not None:
+        if isinstance(self.values, list):
+            # UNION rows are ragged: report them by count, not shape.
+            parts.append(f"values.rows={len(self.values)}")
+        elif self.values is not None:
             parts.append(f"values.shape={np.shape(self.values)}")
         if self.indices is not None:
             parts.append("indices=...")
@@ -173,8 +176,8 @@ def allocate_state(
     else:  # SUM / PROD
         st.arrays["acc"] = np.full(nq, info.identity)
     if "best" in st.arrays:
-        # Signed per-query pruning bound for the bound-aware batched
-        # engine: ± the k-th retained value, +inf before any base case
+        # Signed per-query pruning bound for the batched engine's bound
+        # form: ± the k-th retained value, +inf before any base case
         # (see traversal/bounded_batched.py).  Finalize ignores it.
         st.arrays["qbound"] = np.full(nq, math.inf)
     return st

@@ -20,11 +20,11 @@ Standard keys
 -------------
 ``traversal.visited / pruned / approximated / recursions / base_cases /
 base_case_pairs`` — merged :class:`~repro.traversal.TraversalStats`;
-``traversal.frontier_peak`` — the batched engine's widest recorded
-classification level (summed over tasks under parallel execution);
 ``bounded.epochs / deferred_prunes / bound_refreshes / pending_peak /
-row_regime`` — the bound-aware epoch engine's loop counters
-(``deferred_prunes`` counts pairs pruned on a later epoch than the one
+row_regime`` — the batched epoch engine's loop counters, for every rule
+kind (``pending_peak`` is the widest pool, a stateless traversal's
+widest level, summed over tasks under parallel execution;
+``deferred_prunes`` counts pairs pruned on a later epoch than the one
 they were generated in — the cost of snapshot staleness; ``row_regime``
 is 1 per traversal that ran (query row × reference node) pairs); ``rules.classified.<category>``,
 ``rules.generated.<kind>`` — PASCAL rule machinery; ``compile.count``,

@@ -6,8 +6,8 @@ Two pool backends behind one abstraction:
   different tasks overlap on multicore hosts.  Tasks are closures
   prepared by the scheduler; each task owns a *disjoint query range*, so
   state updates never race (see :mod:`repro.parallel.scheduler`).
-* **process** — the scalar stack engine and the batched engines'
-  Python loops hold the GIL between kernel calls, so CPU-bound tasks
+* **process** — the scalar stack engine and the batched engine's
+  Python loop hold the GIL between kernel calls, so CPU-bound tasks
   serialize on threads.  :func:`run_process_tasks` runs *picklable task
   payloads* on worker processes that reattach the program's arrays from
   shared memory (:mod:`repro.parallel.shm`) and execute

@@ -6,12 +6,12 @@ frontier decomposition, but each (query-subtree × reference-root) task
 is shipped to a worker process as a picklable payload (program token +
 shared-memory manifest + generated source + ``q_root``) instead of a
 closure.  Workers return partial accumulator slices — including the
-bounded engine's signed per-query ``qbound`` bound array — which the
+batched engine's signed per-query ``qbound`` bound array — which the
 parent merges **in frontier order** into the program's state arrays —
 byte-for-byte the values the thread executor's shared-array updates
 would have produced, because every task writes a disjoint query range.
 Tree structure (children CSR, expansion CSR, per-node levels for the
-bounded engine's bound propagation) is republished through
+batched engine's bound propagation) is republished through
 :mod:`repro.parallel.shm` alongside the kernel operands.
 
 Per-task ``TraversalStats`` are merged exactly as the thread path merges
@@ -58,7 +58,7 @@ def merge_result(state, res: dict) -> None:
 def tree_structure(tree, prefix: str) -> dict[str, np.ndarray]:
     """The traversal-facing tree arrays a worker's ``TreeView`` needs
     (``start``/``end`` ship with the kernel bindings already).  The
-    per-node level array feeds the bounded engine's bottom-up node-bound
+    per-node level array feeds the batched engine's bottom-up node-bound
     propagation worker-side."""
     exp_off, exp_flat = tree.expansion_children()
     return {

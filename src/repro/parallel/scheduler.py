@@ -60,7 +60,7 @@ def parallel_dual_tree(
     ``min_tasks`` is the query-frontier size, independent of the worker
     count, so the task decomposition is identical across worker counts
     (the determinism tests rely on this) and across engines.  Tasks own
-    disjoint query subtrees, so under ``engine='bounded-batched'`` their
+    disjoint query subtrees, so under a bound rule their
     ``qbound`` slices and per-task node-bound snapshots never interfere.
     """
     frontier = expand_frontier(qtree, min_tasks)

@@ -32,7 +32,7 @@ partition.  Self-pair exclusion survives the layout change through the
 Cross-shard pruning — the perf centerpiece for bound rules (k-NN,
 Hausdorff): each shard only tightens its ``qbound`` from its *own*
 points, so a shard holding distant points keeps traversing long after
-the combined answer is settled.  Between bounded-batched epochs the
+the combined answer is settled.  Between the batched engine's epochs the
 coordinator pauses every shard (``max_epochs``), min-reduces the signed
 per-query bounds into a **global bound**, and broadcasts it back as the
 engine's ``extern_bound``.  Shards whose root-level promise key cannot
@@ -56,7 +56,7 @@ import numpy as np
 
 from ..dsl.ops import MIN_LIKE, PortalOp, op_info
 from ..observe import contribute, span
-from ..traversal import TraversalStats, run_engine
+from ..traversal import TraversalStats, bound_epochs, run_engine
 from . import shm
 from .executor import run_process_tasks, run_tasks
 from .process_backend import ephemeral_token, merge_result, tree_structure
@@ -370,7 +370,7 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
     P = pack.count
     stats_list = [TraversalStats() for _ in range(P)]
 
-    if engine != "bounded-batched":
+    if not bound_epochs(engine, kernels[0]):
         def make(i):
             return lambda: run_engine(engine, qtree, pack.trees[i],
                                       kernels[i], stats=stats_list[i])
@@ -470,7 +470,7 @@ def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
                 "plan": plan,
             })
 
-        bounded = plan.engine == "bounded-batched"
+        bounded = bound_epochs(plan.engine, kernels[0])
         phase1 = []
         for i in range(P):
             for q in frontier:

@@ -39,7 +39,7 @@ from ..backend.codegen import Bindings, GeneratedKernels
 from ..backend.state import State, allocate_state
 from ..dsl.ops import op_info
 from ..observe import collect
-from ..traversal import run_engine
+from ..traversal import bound_epochs, run_engine
 from . import shm
 
 __all__ = ["run_task", "TreeView", "reset_state_range"]
@@ -63,7 +63,7 @@ class TreeView:
         self._exp = (views[f"{prefix}_exp_offsets"],
                      views[f"{prefix}_exp_flat"])
         self._level = views[f"{prefix}_level"]
-        # Populated lazily by the bounded engine's _bound_plan().
+        # Populated lazily by the batched engine's _bound_plan().
         self._bound_plan = None
 
     def children(self, i: int) -> np.ndarray:
@@ -188,7 +188,7 @@ def run_task(payload: dict) -> dict:
         engine = payload["plan"].engine
         pause: dict = {}
         hooks: dict = {}
-        if engine == "bounded-batched":
+        if bound_epochs(engine, prog.kernels):
             extern = payload.get("extern")
             extern_full = None
             if extern is not None:

@@ -52,9 +52,10 @@ def program_class(layers, opts) -> str:
     """Fingerprint class digest of a two-layer program (see module doc)."""
     outer, inner = layers[0], layers[-1]
     kern = inner.metric_kernel
-    # Bound-rule problems (k-NN, Hausdorff, furthest-point) route to the
-    # epoch engine; stateless reductions to the plain batched one.  The
-    # class must separate them: their engine/executor profiles differ.
+    # Bound-rule problems (k-NN, Hausdorff, furthest-point) run the
+    # batched engine's best-first epochs, stateless reductions its
+    # level-per-epoch form.  The class must separate them: their
+    # engine/executor profiles differ.
     rule = program_rules(layers, opts)[1]
     tau = requested_tau(layers, opts)
     parts = (

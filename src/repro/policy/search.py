@@ -11,7 +11,7 @@ policy key — so the search is structured:
 * **pruned enumeration**: per-axis candidate lists drop everything the
   existing validity rules forbid (the process/thread executors on
   single-core hosts, shard counts the reference set cannot feed, the
-  epoch engine on stateless problems);
+  stack engine on large inputs);
 * **coordinate descent**: starting from the plan the static rules
   resolve (:func:`repro.backend.plan.resolve_plan` with no policy),
   one axis is swept at a time (executor first — the biggest lever —
@@ -70,11 +70,9 @@ SEARCH_REPEATS = 2
 SEARCH_SHARD_MIN_POINTS = 4096
 
 
-def enumerate_axes(nq: int, nr: int, *, bound_rule: bool,
-                   workers: int) -> dict[str, list]:
+def enumerate_axes(nq: int, nr: int, *, workers: int) -> dict[str, list]:
     """Pruned per-axis candidate lists (validity rules applied here)."""
-    engines = (["bounded-batched", "stack"] if bound_rule
-               else ["batched", "stack"])
+    engines = ["batched", "stack"]
     if nq * nr > 1 << 22:
         # The scalar stack engine is hopeless at this scale; don't spend
         # budget proving it again.
@@ -194,9 +192,7 @@ def run_search(layers, opts, start: ExecutionPlan, *,
     def run(cand: ExecutionPlan) -> None:
         build().execute(**{**base, **cand.to_options()})
 
-    axes = enumerate_axes(sub_nq, sub_nr,
-                          bound_rule=start.engine == "bounded-batched",
-                          workers=start.workers)
+    axes = enumerate_axes(sub_nq, sub_nr, workers=start.workers)
     t0 = time.perf_counter()
     with span("policy.search", nq=sub_nq, nr=sub_nr):
         # Warm once outside the timings: the first execution pays

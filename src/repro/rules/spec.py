@@ -67,7 +67,7 @@ class RuleSpec:
     def is_bound(self) -> bool:
         """Whether the rule prunes against a per-query bound that the
         traversal itself tightens (k-NN, Hausdorff) — the one predicate
-        behind bound-aware engine routing and the policy key."""
+        behind the batched engine's bound form and the policy key."""
         return self.kind in ("bound-min", "bound-max")
 
     @property

@@ -6,7 +6,7 @@ probes, binding, dispatch) once where *1000 requests x 1 query* pay it
 a thousand times.  A stacked traversal is not free: against a
 10 000-point reference set (d = 9, k = 5; one core of a 2-vCPU host,
 raw ``run()`` time) one row takes about 0.95 ms and 32 rows 2.3 ms.
-The 32 rows stay that cheap because the bounded engine's row regime
+The 32 rows stay that cheap because the batched engine's row regime
 keeps pruning per row (about 7 000 distances; a query-leaf traversal
 computed all 320 000 and took 5.4 ms).  The :class:`Coalescer` makes
 the second shape cheap by accumulating in-flight point queries per

@@ -1,13 +1,11 @@
 """Multi-tree traversal schemes (paper Algorithm 1)."""
 
-from .batched import batched_dual_tree_traversal
 from .bounded_batched import bounded_batched_dual_tree_traversal
 from .dualtree import dual_tree_traversal
-from .engines import run_engine
+from .engines import bound_epochs, run_engine
 from .multitree import TraversalStats, multi_tree_traversal
 
 __all__ = [
     "TraversalStats", "multi_tree_traversal", "dual_tree_traversal",
-    "batched_dual_tree_traversal", "bounded_batched_dual_tree_traversal",
-    "run_engine",
+    "bounded_batched_dual_tree_traversal", "bound_epochs", "run_engine",
 ]

@@ -1,14 +1,19 @@
-"""Epoch-based bound-aware batched dual-tree traversal.
+"""Epoch-based batched dual-tree traversal: the one frontier loop.
 
-The batched frontier engine (:mod:`repro.traversal.batched`) vectorises
-stateless rules, but comparative reductions whose pruning bounds tighten
-mid-traversal (``bound-min``/``bound-max`` rules — k-NN, Hausdorff, the
-paper's §II-C "prune by best-so-far" family) read the mutable best-value
-arrays, so their per-pair decisions depend on traversal order.  This
-engine batches them anyway by trading decision *freshness* for decision
-*width*:
+The stack engine (:mod:`repro.traversal.dualtree`) makes one scalar
+``prune_or_approx`` call per visited node pair, so for problems whose
+rules prune or approximate millions of pairs the Python call overhead —
+not the algorithm — dominates wall-clock.  This engine classifies whole
+arrays of pending (query node, reference node) pairs per kernel call,
+for both kinds of rule the compiler emits.  It picks the form from the
+:class:`~repro.backend.codegen.GeneratedKernels` it is handed: a bound
+rule when ``bound_key_batch`` exists, a stateless one otherwise.
 
-1. **Signed bounds.**  Codegen folds both rule kinds onto one
+1. **Signed bounds.**  Comparative reductions whose pruning bounds
+   tighten mid-traversal (``bound-min``/``bound-max`` rules — k-NN,
+   Hausdorff, the paper's §II-C "prune by best-so-far" family) read the
+   mutable best-value arrays, so their per-pair decisions depend on
+   traversal order.  Codegen folds both bound kinds onto one
    convention: each pending pair carries a signed *promise key*
    (``+g(t_edge)`` for bound-min, ``-g(t_edge)`` for bound-max) and each
    query point carries a signed bound ``qbound`` (``±`` its current
@@ -34,10 +39,11 @@ engine batches them anyway by trading decision *freshness* for decision
    bound can therefore under-prune (the pair runs a redundant base case
    whose candidates are all dominated, so every row fails the grouped
    base case's k-th-best filter and the merge is skipped) but never
-   mis-prune, and outputs match the stack engine exactly.
-   Processing pairs best-first means bounds tighten as fast as the
-   nearest-first stack engine's, so pruning is equivalent or better in
-   practice (asserted differentially by the test-suite).
+   mis-prune: outputs meet the output contract (DESIGN.md §8) against
+   the stack engine.  Processing pairs best-first means bounds tighten
+   as fast as the nearest-first stack engine's, so pruning is
+   equivalent or better in practice (asserted differentially by the
+   test-suite).
 
 4. **Row regime.**  When the whole query tree is small against the
    reference tree (``N_q · ROW_REGIME_RATIO ≤ N_r``: a served batch, a
@@ -59,6 +65,19 @@ engine batches them anyway by trading decision *freshness* for decision
    row layout's norm expansion takes one dot product per pair, so last
    bits may move against the leaf regime's block GEMM.
 
+5. **Stateless rules.**  Indicator and approximation rules decide from
+   node geometry and fixed thresholds alone, so narrowing an epoch buys
+   nothing: each epoch takes the whole pool, which is one level of the
+   recursion.  ``classify_batch`` labels it (0: recurse, 1: prune,
+   2: approximate) and ``apply_action`` applies each code-2 pair in
+   pool order.  The promise key is the reference leaf's ``rstart``, and
+   every base case is deferred to one flush after the loop: sorted by
+   query leaf, then ``rstart``, and cut at query-leaf boundaries into
+   slices of at most ``epoch_size`` leaf pairs, each one grouped call
+   per query leaf (a cut bounds the gathered index array; it never
+   splits a query leaf, so it cannot move a bit).  The row regime and
+   the epoch hooks below are bound-only.
+
 Node bounds are refreshed from ``qbound`` in two reduceat sweeps: sorted
 leaves tile ``[0, n)`` contiguously, so one ``np.maximum.reduceat`` over
 the leaf starts bounds every leaf, and the per-level bottom-up plan from
@@ -69,13 +88,11 @@ Observability (``repro.observe``): a ``traversal.bounded`` span plus
 ``bounded.epochs``, ``bounded.deferred_prunes`` (pairs pruned only on a
 *later* epoch than the one they were generated in — the price of
 snapshot staleness), ``bounded.bound_refreshes``,
-``bounded.pending_peak`` and ``bounded.row_regime`` (1 per traversal
-that takes the row regime).
+``bounded.pending_peak`` (a stateless traversal's widest level) and
+``bounded.row_regime`` (1 per traversal that takes the row regime).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -86,10 +103,10 @@ from .multitree import TraversalStats
 __all__ = ["bounded_batched_dual_tree_traversal", "DEFAULT_EPOCH_SIZE",
            "ROW_REGIME_RATIO"]
 
-#: Pairs classified per epoch once the ramp is done.  Large enough that
-#: kernel calls amortise their dispatch cost, small enough that the bound
-#: snapshot a pair sees is rarely stale (measured on the Table IV k-NN
-#: configurations).
+#: Pairs classified per epoch once the ramp is done (and leaf pairs per
+#: slice of a stateless flush).  Large enough that kernel calls amortise
+#: their dispatch cost, small enough that the bound snapshot a pair sees
+#: is rarely stale (measured on the Table IV k-NN configurations).
 DEFAULT_EPOCH_SIZE = 4096
 
 #: Warm-up epoch size.  Until the first base cases run, every query bound
@@ -146,15 +163,25 @@ def _row_regime(qtree, rtree) -> bool:
     return nq * ROW_REGIME_RATIO <= nr
 
 
+def _flush_cuts(bq, width: int) -> list[int]:
+    """Slice edges over the query-leaf-sorted pairs ``bq`` of a
+    stateless flush: a cut falls only where the query leaf changes, and
+    a slice holds at most ``width`` pairs unless one leaf alone holds
+    more."""
+    edges = [0, *(np.flatnonzero(np.diff(bq)) + 1).tolist(), int(bq.size)]
+    cuts = [0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - cuts[-1] > width and a > cuts[-1]:
+            cuts.append(a)
+    cuts.append(int(bq.size))
+    return cuts
+
+
 def bounded_batched_dual_tree_traversal(
     qtree,
     rtree,
-    bound_key_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    classify_bound_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    base_case_group: Callable[[int, int, np.ndarray], None],
-    row_key_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    base_case_rows: Callable[[np.ndarray, np.ndarray], None],
-    qbound: np.ndarray,
+    kernels,
+    qbound: np.ndarray | None = None,
     epoch_size: int = DEFAULT_EPOCH_SIZE,
     q_root: int = 0,
     r_root: int = 0,
@@ -164,16 +191,18 @@ def bounded_batched_dual_tree_traversal(
     extern_bound: np.ndarray | None = None,
     pause_out: dict | None = None,
 ) -> TraversalStats:
-    """Traverse the (query, reference) tree pair in bound-aware epochs.
+    """Traverse the (query, reference) tree pair in epochs over the
+    :class:`~repro.backend.codegen.GeneratedKernels` ``kernels``.
 
-    ``qbound`` is the signed per-query bound array allocated with the
-    program state (``+inf`` identity); it is updated in place by the
-    base-case kernels and re-read here at every node-bound refresh (the
-    row regime reads it live at every epoch), so concurrent tasks over
-    disjoint query subtrees share one array.
+    ``qbound`` is a bound program's signed per-query bound array
+    allocated with the program state (``+inf`` identity; ``None`` for a
+    stateless program); it is updated in place by the base-case kernels
+    and re-read here at every node-bound refresh (the row regime reads
+    it live at every epoch), so concurrent tasks over disjoint query
+    subtrees share one array.
 
     The epoch hooks serve the cross-shard bound broadcast of
-    :mod:`repro.parallel.shard`:
+    :mod:`repro.parallel.shard`, for bound programs only:
 
     * ``max_epochs`` caps the number of epochs this call runs.  A
       traversal stopped with pairs still pending stores its pending pool
@@ -195,7 +224,9 @@ def bounded_batched_dual_tree_traversal(
     rstart, rend = rtree.start, rtree.end
     r_leaf_arr = np.asarray(rtree.is_leaf_arr)
     roff, rflat = rtree.expansion_children()
-    row_regime = _row_regime(qtree, rtree)
+    bound = kernels.bound_key_batch is not None
+    row_regime = bound and _row_regime(qtree, rtree)
+    refresh = None
 
     def _effective_bound():
         if extern_bound is None:
@@ -203,8 +234,7 @@ def bounded_batched_dual_tree_traversal(
         return np.minimum(qbound, extern_bound)
 
     if row_regime:
-        key_batch = row_key_batch
-        refresh = None
+        key_batch = kernels.row_key_batch
 
         def bounds_of(q):
             # Each row's live bound: no snapshot, nothing to refresh.
@@ -224,7 +254,7 @@ def bounded_batched_dual_tree_traversal(
             total = int(seg[-1] + rlen[-1])
             pair = np.repeat(np.arange(bq.size), rlen)
             within = np.arange(total, dtype=np.int64) - seg[pair]
-            base_case_rows(bq[pair], rstart[br][pair] + within)
+            kernels.base_case_rows(bq[pair], rstart[br][pair] + within)
             return total
 
         def expand(eq, er):
@@ -234,24 +264,32 @@ def bounded_batched_dual_tree_traversal(
             within = np.arange(total) - np.repeat(np.cumsum(rn) - rn, rn)
             return np.repeat(eq, rn), rflat[np.repeat(roff[er], rn) + within]
     else:
-        key_batch = bound_key_batch
         q_leaf_arr = np.asarray(qtree.is_leaf_arr)
         qoff, qflat = qtree.expansion_children()
-        lsort, lstarts, plan = _bound_plan(qtree)
-        # Signed node bounds over the *query* tree; +inf until the first
-        # refresh (nothing prunes against an untouched query subtree).
-        node_bound = np.full(len(qstart), np.inf)
+        if bound:
+            key_batch = kernels.bound_key_batch
+            lsort, lstarts, plan = _bound_plan(qtree)
+            # Signed node bounds over the *query* tree; +inf until the
+            # first refresh (nothing prunes against an untouched query
+            # subtree).
+            node_bound = np.full(len(qstart), np.inf)
 
-        def refresh():
-            # Leaf bounds in one reduceat over the contiguous leaf
-            # partition, internal bounds bottom-up per level.
-            eff = _effective_bound()
-            node_bound[lsort] = np.maximum.reduceat(eff, lstarts)
-            for ids, kids, segs in plan:
-                node_bound[ids] = np.maximum.reduceat(node_bound[kids], segs)
+            def refresh():
+                # Leaf bounds in one reduceat over the contiguous leaf
+                # partition, internal bounds bottom-up per level.
+                eff = _effective_bound()
+                node_bound[lsort] = np.maximum.reduceat(eff, lstarts)
+                for ids, kids, segs in plan:
+                    node_bound[ids] = np.maximum.reduceat(node_bound[kids],
+                                                          segs)
 
-        def bounds_of(q):
-            return node_bound[q]
+            def bounds_of(q):
+                return node_bound[q]
+        else:
+            def key_batch(q, r):
+                # No promise to order by: a query leaf gathers its
+                # reference leaves in point order.
+                return rstart[r]
 
         def leaf_mask(q, r):
             return q_leaf_arr[q] & r_leaf_arr[r]
@@ -259,8 +297,8 @@ def bounded_batched_dual_tree_traversal(
         def run_base_cases(bq, br, bkey):
             # Group by query leaf, most promising reference leaf first,
             # and gather every reference slice into one flat index
-            # array: one kernel call per (query leaf, epoch) instead of
-            # one per leaf pair.
+            # array: one kernel call per query leaf of the batch instead
+            # of one per leaf pair.
             order = np.lexsort((bkey, bq))
             bq, br = bq[order], br[order]
             rlen = rend[br] - rstart[br]
@@ -276,7 +314,8 @@ def bounded_batched_dual_tree_traversal(
                 qi = int(uq[g])
                 s0 = int(flat_edge[pair_edge[g]])
                 e0 = int(flat_edge[pair_edge[g + 1]])
-                base_case_group(int(qstart[qi]), int(qend[qi]), ridx[s0:e0])
+                kernels.base_case_group(int(qstart[qi]), int(qend[qi]),
+                                        ridx[s0:e0])
             return int(((qend[bq] - qstart[bq]) * rlen).sum())
 
         def expand(eq, er):
@@ -323,12 +362,13 @@ def bounded_batched_dual_tree_traversal(
     deferred = 0
     refreshes = 0
     pending_peak = 0
+    held: list[tuple] = []  # a stateless traversal's leaf pairs
     with span("traversal.bounded", epoch_size=epoch_size,
               regime="row" if row_regime else "leaf") as sp:
         while pq.size and (max_epochs is None or epochs < max_epochs):
             pending_peak = max(pending_peak, int(pq.size))
             epochs += 1
-            if pq.size > cur_size:
+            if bound and pq.size > cur_size:
                 sel = np.argpartition(pkey, cur_size - 1)[:cur_size]
                 keep = np.ones(pq.size, dtype=bool)
                 keep[sel] = False
@@ -339,30 +379,45 @@ def bounded_batched_dual_tree_traversal(
                 pq, pr, pkey, pborn = _EMPTY_I, _EMPTY_I, _EMPTY_F, _EMPTY_I
 
             stats.visited += int(q.size)
-            pruned = np.asarray(classify_bound_batch(keys, bounds_of(q)),
-                                dtype=bool)
-            n_pruned = int(np.count_nonzero(pruned))
-            if n_pruned:
-                stats.pruned += n_pruned
+            if bound:
+                pruned = np.asarray(
+                    kernels.classify_bound_batch(keys, bounds_of(q)),
+                    dtype=bool)
+                live = ~pruned
                 # Pairs generated in an earlier epoch and pruned only now:
                 # the bound they were born under was too stale to kill
                 # them at generation time.
                 deferred += int(np.count_nonzero(born[pruned] < epochs - 1))
-                live = ~pruned
+            else:
+                codes = (np.zeros(q.size, dtype=np.int8)
+                         if kernels.classify_batch is None else
+                         np.asarray(kernels.classify_batch(q, r),
+                                    dtype=np.int8))
+                pruned = codes == 1
+                live = codes == 0
+                act = codes == 2
+                stats.approximated += int(np.count_nonzero(act))
+                for qi, ri in zip(q[act].tolist(), r[act].tolist()):
+                    kernels.apply_action(qi, ri)
+            stats.pruned += int(np.count_nonzero(pruned))
+            if not live.all():
                 q, r, keys = q[live], r[live], keys[live]
 
             leaf = leaf_mask(q, r)
             if leaf.any():
                 stats.base_cases += int(np.count_nonzero(leaf))
-                stats.base_case_pairs += run_base_cases(q[leaf], r[leaf],
-                                                        keys[leaf])
-                if refresh is not None:
-                    refresh()
-                    refreshes += 1
-                # Widen only once base cases have fed the bounds: the
-                # ramp exists to get real bounds in place before the bulk
-                # of the leaf pairs is classified.
-                cur_size = min(cur_size * 2, width_cap)
+                if bound:
+                    stats.base_case_pairs += run_base_cases(
+                        q[leaf], r[leaf], keys[leaf])
+                    if refresh is not None:
+                        refresh()
+                        refreshes += 1
+                    # Widen only once base cases have fed the bounds: the
+                    # ramp exists to get real bounds in place before the
+                    # bulk of the leaf pairs is classified.
+                    cur_size = min(cur_size * 2, width_cap)
+                else:
+                    held.append((q[leaf], r[leaf], keys[leaf]))
 
             eq, er = q[~leaf], r[~leaf]
             stats.recursions += int(eq.size)
@@ -375,6 +430,17 @@ def bounded_batched_dual_tree_traversal(
                 pborn = np.concatenate(
                     [pborn, np.full(cq.size, epochs, dtype=np.int64)]
                 )
+
+        if held:
+            # The stateless flush: every leaf pair sorted by query leaf,
+            # then rstart, and run in cache-sized slices.
+            bq, br, bkey = (np.concatenate(part) for part in zip(*held))
+            order = np.lexsort((bkey, bq))
+            bq, br, bkey = bq[order], br[order], bkey[order]
+            cuts = _flush_cuts(bq, epoch_size)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                stats.base_case_pairs += run_base_cases(bq[a:b], br[a:b],
+                                                        bkey[a:b])
         sp.note(epochs=epochs, pending_peak=pending_peak)
 
     if pq.size:

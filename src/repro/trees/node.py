@@ -43,7 +43,8 @@ REBUILD_DIAMETER_FACTOR = 2.0
 _TOPOLOGY_CACHES = ("_level_arr", "_level_plan_cache", "_expansion_csr",
                     "_parent_arr")
 #: Lazily-built caches that depend on the point permutation / leaf tiling
-#: (``_bound_plan``: the bounded engine's leaf starts and level plan).
+#: (``_bound_plan``: the batched engine's bound-refresh leaf starts and
+#: level plan).
 _PERM_CACHES = ("_inv_perm", "_pos_leaf", "_bound_plan")
 
 
@@ -117,7 +118,7 @@ class ArrayTree:
     past a threshold.  Every mutation bumps the monotone :attr:`version`
     and rebinds — never writes into — the node/point arrays, so a
     :meth:`snapshot` taken before the mutation keeps a consistent view
-    for in-flight traversals (including paused bounded-batched epochs and
+    for in-flight traversals (including paused bound-rule epochs and
     process workers attached to published shm columns).
     """
 
@@ -326,7 +327,7 @@ class ArrayTree:
 
         Mutations rebind arrays instead of writing into them, so the
         snapshot's arrays never change under it: in-flight traversals
-        (paused bounded-batched epochs, process workers attached to shm
+        (paused bound-rule epochs, process workers attached to shm
         views of these arrays) read the version they started with.  The
         snapshot itself is independently mutable — mutating it leaves
         the source tree untouched, which is how the cache refit path

@@ -76,8 +76,8 @@ def _mutate(rng, R, kind):
         R.delete_batch(np.concatenate([idx[: idx.size // 2], ids[:5]]))
 
 
-# The three traversal engines: knn routes to bounded-batched, kde to
-# batched, and traversal='stack' forces the scalar reference engine.
+# The traversal paths: knn runs the batched engine's bound form, kde its
+# stateless form, and traversal='stack' forces the scalar reference engine.
 def run_knn(Q, R, o):
     v, i = knn(Q, R, k=4, **o)
     return np.asarray(v)

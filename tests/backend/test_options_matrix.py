@@ -10,6 +10,8 @@ from repro.dsl import (
 )
 from repro.baselines import brute
 
+from tests.conftest import RETIRED_ENGINE
+
 
 @pytest.fixture
 def rng():
@@ -113,16 +115,18 @@ class TestExecutorTraversalCodegenMatrix:
     axis is the emitter's two spellings of the pairwise kernel, column-
     and row-major (``layout``).  The full product is the slow tier; the
     fast tier keeps one representative cell per executor, engine and
-    spelling."""
+    spelling.  The traversal axis carries the retired ``bounded-batched``
+    value as a stored policy entry still names it (``stored_traversal``
+    in ``tests/conftest.py``)."""
 
-    TRAVERSALS = ("stack", "batched", "bounded-batched")
+    TRAVERSALS = ("stack", "batched", RETIRED_ENGINE)
     EXECUTORS = ("serial", "thread", "process")
     CODEGENS = ("column", "row")
     #: fast representatives: each executor, engine and spelling appears
     FAST_CELLS = (
         ("stack", "serial", "row"),
         ("batched", "thread", "column"),
-        ("bounded-batched", "thread", "row"),
+        (RETIRED_ENGINE, "thread", "row"),
         ("batched", "process", "row"),
     )
 
@@ -142,32 +146,36 @@ class TestExecutorTraversalCodegenMatrix:
         return build
 
     @classmethod
-    def _run(cls, build, traversal, executor, codegen):
+    def _run(cls, build, traversal, executor, codegen, stored=None):
         kwargs = dict(traversal=traversal, layout=codegen,
                       leaf_size=16)
         if executor != "serial":
             kwargs.update(parallel=True, workers=2, min_tasks=4,
                           executor=executor)
+        if stored is not None:
+            kwargs = stored(build, kwargs)
         return build().execute(**kwargs)
 
-    def _check_cell(self, traversal, executor, codegen):
+    def _check_cell(self, traversal, executor, codegen, stored):
         build = self._knn()
         ref = self._run(build, "stack", "serial", "column")
-        got = self._run(build, traversal, executor, codegen)
+        got = self._run(build, traversal, executor, codegen, stored)
         assert np.array_equal(np.asarray(got.indices),
                               np.asarray(ref.indices))
 
     @pytest.mark.parametrize("traversal,executor,codegen", FAST_CELLS)
-    def test_matrix_fast(self, traversal, executor, codegen):
-        self._check_cell(traversal, executor, codegen)
+    def test_matrix_fast(self, traversal, executor, codegen,
+                         stored_traversal):
+        self._check_cell(traversal, executor, codegen, stored_traversal)
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "traversal,executor,codegen",
         list(itertools.product(TRAVERSALS, EXECUTORS, CODEGENS)),
     )
-    def test_matrix_full(self, traversal, executor, codegen):
-        self._check_cell(traversal, executor, codegen)
+    def test_matrix_full(self, traversal, executor, codegen,
+                         stored_traversal):
+        self._check_cell(traversal, executor, codegen, stored_traversal)
 
 
 class TestMultilayerCLIIntrospection:

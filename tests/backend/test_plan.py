@@ -36,10 +36,10 @@ CONFIG = {"traversal": "stack", "executor": "thread", "leaf_size": 16,
           "shards": 2}
 
 
-def layers_for(problem="kde", nq=48, nr=64):
-    """Validated layers of a small program: ``kde`` is stateless
-    (batched engine), ``knn`` a bound rule (bounded-batched engine).
-    One-dimensional zeros — the plan reads sizes, never coordinates."""
+def expr_for(problem="kde", nq=48, nr=64):
+    """A small validated program: ``kde`` is stateless and ``knn`` a
+    bound rule (both run the batched engine).  One-dimensional zeros —
+    the plan reads sizes, never coordinates."""
     expr = PortalExpr(problem)
     expr.addLayer(PortalOp.FORALL, Storage(np.zeros((nq, 1)), name="q"))
     if problem == "knn":
@@ -50,7 +50,11 @@ def layers_for(problem="kde", nq=48, nr=64):
         expr.addLayer(PortalOp.SUM, Storage(np.zeros((nr, 1)), name="r"),
                       PortalFunc.GAUSSIAN, bandwidth=1.0)
     expr.validate()
-    return expr.layers
+    return expr
+
+
+def layers_for(problem="kde", nq=48, nr=64):
+    return expr_for(problem, nq, nr).layers
 
 
 def plan_for(options=None, env=None, *, policy=None, **shape):
@@ -105,7 +109,8 @@ MATRIX = [
     ("shards", {"shards": "auto"}, {}, CONFIG, 1, "explicit"),
     # shards and policy read no environment: a stray variable asks nothing
     ("shards", {}, {"REPRO_SHARDS": "4"}, CONFIG, 2, "policy"),
-    ("engine", {"traversal": "bounded-batched"}, {}, CONFIG, "batched",
+    # an explicit ask outranks the policy's 'stack'
+    ("engine", {"traversal": "batched"}, {}, CONFIG, "batched",
      "explicit"),
     # leaf_size: no environment knob
     ("leaf_size", {"leaf_size": 32}, {}, CONFIG, 32, "explicit"),
@@ -169,11 +174,15 @@ class TestPolicyMode:
 
 class TestStaticRules:
     def test_engine_follows_the_rule_kind(self):
-        assert plan_for(problem="knn").engine == "bounded-batched"
-        assert plan_for({"traversal": "batched"},
-                        problem="knn").engine == "bounded-batched"
-        assert plan_for({"traversal": "bounded-batched"}).engine == "batched"
-        assert plan_for({"traversal": "stack"}, problem="knn").engine == "stack"
+        """One engine name for both rule kinds: the batched engine reads
+        the kind off the kernels, which carry ``bound_key_batch``
+        exactly for a bound rule."""
+        for problem, bound in (("kde", False), ("knn", True)):
+            assert plan_for(problem=problem).engine == "batched"
+            assert plan_for({"traversal": "stack"},
+                            problem=problem).engine == "stack"
+            kernels = expr_for(problem).compile(cache=False).kernels
+            assert (kernels.bound_key_batch is not None) is bound
 
     def test_executor_by_engine(self):
         assert plan_for(POOL).executor == "thread"
@@ -284,7 +293,7 @@ def test_options_are_immutable():
 # -- property: deterministic, and a plan's own options are a fixed point ------
 
 ROUTING = st.fixed_dictionaries({}, optional={
-    "traversal": st.sampled_from(["batched", "bounded-batched", "stack"]),
+    "traversal": st.sampled_from(["batched", "stack"]),
     "parallel": st.booleans(),
     "executor": st.sampled_from(["auto", "thread", "process"]),
     "workers": st.integers(1, 4),
@@ -298,6 +307,7 @@ ROUTING = st.fixed_dictionaries({}, optional={
 ENV = st.fixed_dictionaries({}, optional={
     "REPRO_EXECUTOR": st.sampled_from(["thread", "process", " auto "]),
 })
+# A stored entry may still name the retired 'bounded-batched' value.
 ENTRY = st.none() | st.fixed_dictionaries({
     "traversal": st.sampled_from(["batched", "bounded-batched", "stack"]),
     "executor": st.sampled_from(["serial", "thread", "process"]),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend.state import allocate_state
+from repro.backend.state import Output, allocate_state
 from repro.dsl.errors import CompileError
 from repro.dsl.ops import PortalOp
 
@@ -100,6 +100,16 @@ class TestFinalize:
         st.arrays["acc"][:] = 1.0
         out = st.finalize(np.arange(2), None)
         assert "scalar" in repr(out)
+
+    def test_repr_of_list_values_counts_rows(self):
+        """``UNION`` rows are lists: ragged ones have no array shape, and
+        equal-length ones must not be shown as a 2-D array."""
+        ragged = Output(values=[np.arange(3), np.arange(1)])
+        assert repr(ragged) == "Output(values.rows=2)"
+        even = Output(values=[np.arange(3), np.arange(3)])
+        assert repr(even) == "Output(values.rows=2)"
+        assert repr(Output(values=np.zeros((2, 3)))) == \
+            "Output(values.shape=(2, 3))"
 
 
 @pytest.mark.parametrize("options", [

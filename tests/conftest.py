@@ -54,3 +54,41 @@ def clustered_2d(rng):
     X = np.concatenate([a, b])
     y = np.array([0] * 80 + [1] * 80)
     return X, y
+
+
+#: the engine value retired when the batched engine absorbed the bound
+#: form; only a policy entry stored before then can still name it
+RETIRED_ENGINE = "bounded-batched"
+
+
+@pytest.fixture
+def stored_traversal(tmp_path, monkeypatch):
+    """Rewrite run options that ask for :data:`RETIRED_ENGINE`.
+
+    ``execute(traversal="bounded-batched")`` is a ``SpecificationError``;
+    the value reaches a run only from a stored policy entry, which
+    ``resolve_plan`` folds into ``"batched"``.  So such a request is
+    seeded into a per-test policy store under the program's key and the
+    returned options ask ``policy="auto"`` instead; other options pass
+    through unchanged."""
+    from repro.backend.plan import CompileOptions
+    from repro.policy import (
+        PolicyEntry, policy_key, policy_store, reset_policy_store,
+    )
+
+    monkeypatch.setenv("REPRO_POLICY_PATH", str(tmp_path / "policy.json"))
+    reset_policy_store()
+
+    def options(build, run_opts: dict) -> dict:
+        if run_opts.get("traversal") != RETIRED_ENGINE:
+            return run_opts
+        opts = {k: v for k, v in run_opts.items() if k != "traversal"}
+        expr = build()
+        expr.validate()
+        key = policy_key(expr.layers, CompileOptions.from_dict(opts))
+        policy_store().put(key, PolicyEntry(
+            config={"traversal": RETIRED_ENGINE}))
+        return dict(opts, policy="auto")
+
+    yield options
+    reset_policy_store()

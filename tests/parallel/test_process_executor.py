@@ -60,9 +60,9 @@ def _traversal_counts(counters):
 
 
 # The nine evaluated problems (paper Table III), each through both
-# executors.  k-NN, Hausdorff and k-NN regression exercise the bound-rule
-# (bounded-batched engine) path; the rest run the stateless batched
-# frontier engine under `traversal="batched"`.
+# executors.  k-NN, Hausdorff and k-NN regression exercise the batched
+# engine's bound-rule form; the rest run its stateless form under
+# `traversal="batched"`.
 PROBLEMS = {
     "kde": lambda Q, R, o: kde(Q, R, bandwidth=0.7, **o),
     "knn": lambda Q, R, o: knn(Q, R, k=5, **o),
@@ -137,8 +137,8 @@ class TestTreesAndEngines:
         assert np.array_equal(thread, process)
 
     def test_knn_bound_rule_routes_bounded_under_process(self, data):
-        """k-NN requested batched routes to the bound-aware epoch engine;
-        that routing must carry through the process executor, which ships
+        """k-NN requested batched runs the engine's bound-aware form;
+        that form must carry through the process executor, which ships
         each worker's ``qbound`` slice back for the parent-side merge."""
         Q, R = data
         expr = PortalExpr("knn-routing")
@@ -147,7 +147,8 @@ class TestTreesAndEngines:
                       PortalFunc.EUCLIDEAN)
         out = expr.execute(traversal="batched", executor="process", **PAR)
         stats = expr.stats()
-        assert stats["traversal_engine"] == "bounded-batched"
+        assert stats["traversal_engine"] == "batched"
+        assert expr.program.kernels.bound_key_batch is not None
         assert stats["executor"] == "process"
         assert stats["bounded"]["epochs"] > 0
         thread = knn(Q, R, k=5, traversal="batched",

@@ -33,7 +33,7 @@ FORCED = [
      "shards": 1},
     {"traversal": "batched", "executor": "thread", "leaf_size": 128,
      "shards": 1},
-    {"traversal": "bounded-batched", "executor": "process", "leaf_size": 16,
+    {"traversal": "batched", "executor": "process", "leaf_size": 16,
      "shards": 1},
 ]
 

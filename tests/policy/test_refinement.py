@@ -54,7 +54,7 @@ class TestDeviation:
         build, base = _expr()
         nq, nr = _sizes(build)
         # The forged config must match the profile source: both static.
-        static_cfg = dict(CONFIG, traversal="bounded-batched",
+        static_cfg = dict(CONFIG, traversal="batched",
                           leaf_size=64)
         live = _live_ref(build, base)
         key = seed_entry(build, base, config=static_cfg, ref=live,
@@ -74,7 +74,7 @@ class TestDeviation:
         # is not comparable and must not trigger staleness by itself.
         key = seed_entry(
             build, base,
-            config=dict(CONFIG, traversal="bounded-batched", leaf_size=64),
+            config=dict(CONFIG, traversal="batched", leaf_size=64),
             ref={"prune_rate": live["prune_rate"],
                  "exact_pair_fraction": live["exact_pair_fraction"] / 100},
             measured_nq=4096, measured_nr=16384)

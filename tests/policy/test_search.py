@@ -29,24 +29,24 @@ class FakeClock:
 
 class TestEnumerateAxes:
     def test_single_worker_prunes_parallel_axes(self):
-        axes = enumerate_axes(1000, 2000, bound_rule=True, workers=1)
+        axes = enumerate_axes(1000, 2000, workers=1)
         assert axes["executor"] == ["serial"]
         assert axes["shards"] == [1]
-        assert axes["engine"] == ["bounded-batched", "stack"]
+        assert axes["engine"] == ["batched", "stack"]
 
     def test_multi_worker_enables_executors_and_shards(self):
-        axes = enumerate_axes(4096, 16384, bound_rule=False, workers=4)
+        axes = enumerate_axes(4096, 16384, workers=4)
         assert axes["executor"] == ["serial", "thread", "process"]
         assert axes["engine"][0] == "batched"
         assert axes["shards"] == [1, 4]
 
     def test_small_reference_never_sharded(self):
-        axes = enumerate_axes(1000, 2000, bound_rule=False, workers=8)
+        axes = enumerate_axes(1000, 2000, workers=8)
         assert axes["shards"] == [1]
 
     def test_stack_dropped_at_scale(self):
-        axes = enumerate_axes(1 << 12, 1 << 12, bound_rule=True, workers=1)
-        assert axes["engine"] == ["bounded-batched"]
+        axes = enumerate_axes(1 << 12, 1 << 12, workers=1)
+        assert axes["engine"] == ["batched"]
 
 
 class TestCandidate:
@@ -88,7 +88,7 @@ class TestSearchPolicy:
         clock = FakeClock()
         axes = {
             "executor": ["serial", "thread"],
-            "engine": ["bounded-batched"],
+            "engine": ["batched"],
             "leaf_size": [32, 64],
             "shards": [1],
         }

@@ -4,6 +4,8 @@ that no failure mode ever raises into an execution."""
 import json
 from dataclasses import asdict
 
+import pytest
+
 from repro.backend import cache as cache_mod
 from repro.observe import collect
 from repro.policy import (
@@ -13,7 +15,7 @@ from repro.policy import store as store_mod
 
 KEY = PolicyKey(program_class="cafe0123", tree="kd", nq_bucket=8,
                 nr_bucket=9, dim=3, k=4)
-CONFIG = {"traversal": "bounded-batched", "executor": "serial",
+CONFIG = {"traversal": "batched", "executor": "serial",
           "leaf_size": 64, "shards": 1}
 
 
@@ -147,3 +149,24 @@ class TestLifecycle:
         store.put(KEY, _entry())
         store.clear()
         assert len(PolicyStore()) == 0
+
+
+class TestStoredEngineNames:
+    @pytest.mark.parametrize("name", ["knn", "kde"])
+    def test_stored_bounded_batched_resolves_to_batched(self, policy_path,
+                                                         name):
+        """A config stored while ``"bounded-batched"`` was an engine
+        value still routes, for either rule kind: ``resolve_plan`` folds
+        every non-``stack`` engine a policy names into ``"batched"``."""
+        from tests.policy.test_modes import _expr, seed_entry
+
+        build, base = _expr(name)
+        seed_entry(build, base, config=dict(CONFIG,
+                                            traversal="bounded-batched"))
+        expr = build()
+        expr.execute(**base, policy="auto")
+        stats = expr.stats()
+        assert stats["policy"]["source"] == "policy-cache"
+        assert stats["traversal_engine"] == "batched"
+        assert stats["plan"]["engine"] == {"value": "batched",
+                                           "source": "policy"}

@@ -1,12 +1,15 @@
-"""Differential tests: epoch-based bounded engine vs the scalar stack engine.
+"""Differential tests: the batched engine's bound form vs the scalar
+stack engine.
 
-The bounded engine's contract (``src/repro/traversal/bounded_batched.py``)
-is *exact* outputs — a stale bound snapshot can only under-prune, never
-mis-prune — with pruning work equivalent-or-better than the stack
-engine's nearest-first order.  These tests pin that contract for the
-bound-rule problems (k-NN, directed Hausdorff, k-NN regression, a
-bound-max furthest-point query) across tree kinds and all three
-execution modes, plus the engine routing and counter surfaces.
+For a bound rule the batched engine
+(``src/repro/traversal/bounded_batched.py``) classifies best-first
+epochs against a bound snapshot.  Its contract is the output contract
+for comparative reductions (DESIGN.md §8) — a stale snapshot can only
+under-prune, never mis-prune — with pruning work equivalent-or-better
+than the stack engine's nearest-first order.  These tests pin that
+contract for the bound-rule problems (k-NN, directed Hausdorff, k-NN
+regression, a bound-max furthest-point query) across tree kinds and all
+three execution modes, plus the form selection and counter surfaces.
 """
 
 import math
@@ -16,9 +19,12 @@ import pytest
 
 from repro.backend.cache import clear_caches
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
+from repro.dsl.errors import SpecificationError
 from repro.observe import collect
 from repro.problems import directed_hausdorff, knn, knn_regress
 from repro.traversal.bounded_batched import RAMP_START, DEFAULT_EPOCH_SIZE
+
+from tests.conftest import RETIRED_ENGINE
 
 TREES = ["kd", "ball", "octree"]
 PAR = {"parallel": True, "workers": 2, "min_tasks": 8}
@@ -167,7 +173,8 @@ class TestBoundMax:
         clear_caches()
         expr = _furthest_expr(Q, R)
         expr.execute(traversal="batched")
-        assert expr.stats()["traversal_engine"] == "bounded-batched"
+        assert expr.stats()["traversal_engine"] == "batched"
+        assert expr.program.kernels.bound_key_batch is not None
 
 
 class TestRoutingAndCounters:
@@ -180,7 +187,8 @@ class TestRoutingAndCounters:
                       PortalFunc.EUCLIDEAN)
         expr.execute(traversal="batched")
         stats = expr.stats()
-        assert stats["traversal_engine"] == "bounded-batched"
+        assert stats["traversal_engine"] == "batched"
+        assert expr.program.kernels.bound_key_batch is not None
         bounded = stats["bounded"]
         assert set(bounded) >= {"epochs", "deferred_prunes",
                                 "bound_refreshes", "pending_peak"}
@@ -189,23 +197,37 @@ class TestRoutingAndCounters:
         assert bounded["pending_peak"] >= 1
 
     def test_explicit_bounded_request(self, data):
+        """The retired ``"bounded-batched"`` value is no engine, even for
+        the bound rule it used to name: no shim; ``"batched"`` is the
+        request that runs the bound form."""
         Q, R = data
         clear_caches()
+        with pytest.raises(SpecificationError, match="traversal"):
+            knn(Q, R, k=5, traversal="bounded-batched")
         (bd, bi), _ = _run(knn, query=Q, reference=R, k=5,
-                           traversal="bounded-batched")
+                           traversal="batched")
         (sd, si), _ = _run(knn, query=Q, reference=R, k=5, traversal="stack")
         assert np.array_equal(sd, bd)
 
-    def test_bounded_request_on_stateless_degrades_to_batched(self, data):
-        from repro.problems import kde
+    def test_bounded_request_on_stateless_degrades_to_batched(
+            self, data, stored_traversal):
+        """The retired value can still arrive from a stored policy entry;
+        on a stateless program it runs the batched engine's stateless
+        form."""
         Q, R = data
-        clear_caches()
-        expr = PortalExpr("kde-degrade")
-        expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
-        expr.addLayer(PortalOp.SUM, Storage(R, name="reference"),
-                      PortalFunc.GAUSSIAN, bandwidth=0.8)
-        expr.execute(traversal="bounded-batched")
-        assert expr.stats()["traversal_engine"] == "batched"
+
+        def build():
+            expr = PortalExpr("kde-degrade")
+            expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
+            expr.addLayer(PortalOp.SUM, Storage(R, name="reference"),
+                          PortalFunc.GAUSSIAN, bandwidth=0.8)
+            return expr
+
+        expr = build()
+        expr.execute(**stored_traversal(build, {"traversal": RETIRED_ENGINE}))
+        assert expr.stats()["plan"]["engine"] == {"value": "batched",
+                                                  "source": "policy"}
+        assert expr.program.kernels.bound_key_batch is None
 
     def test_bounded_counters_observable(self, data):
         Q, R = data

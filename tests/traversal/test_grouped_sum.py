@@ -51,7 +51,7 @@ def _points(n, dim, seed):
 
 def _traversal_counts(counters):
     return {k: v for k, v in counters.as_dict().items()
-            if k.startswith("traversal.") and k != "traversal.frontier_peak"}
+            if k.startswith("traversal.")}
 
 
 @pytest.fixture

@@ -131,7 +131,7 @@ def test_matches_stack(data, problem, tree, nq, executor):
     Q, R = data[0][:nq], data[1]
     options = dict(EXECUTORS[executor], tree=tree)
     out, stats, _ = _execute(problem, Q, R, **options)
-    assert stats["traversal_engine"] == "bounded-batched"
+    assert stats["traversal_engine"] == "batched"
     assert stats["bounded"]["regime"] == _expected_regime(nq, NR, options)
     ref = _stack_ref(problem, tree, nq, Q, R)
     _assert_matches(problem, out, ref, Q, R, exact=True)
@@ -262,7 +262,7 @@ def test_epoch_hooks_pause_and_resume_row_pairs(data):
 
     straight, kernels = fresh()
     with collect() as counters:
-        whole = run_engine("bounded-batched", qtree, rtree, kernels,
+        whole = run_engine("batched", qtree, rtree, kernels,
                            straight.arrays["qbound"])
     assert counters.as_dict()["bounded.row_regime"] == 1
 
@@ -270,7 +270,7 @@ def test_epoch_hooks_pause_and_resume_row_pairs(data):
     pending, rounds = None, 0
     while True:
         pause: dict = {}
-        run_engine("bounded-batched", qtree, rtree, kernels,
+        run_engine("batched", qtree, rtree, kernels,
                    stepped.arrays["qbound"], stats=TraversalStats(),
                    max_epochs=1, resume=pending, pause_out=pause)
         pending = pause.get("pending")
@@ -284,7 +284,7 @@ def test_epoch_hooks_pause_and_resume_row_pairs(data):
                 == straight.arrays[name].tobytes())
 
     bounded, kernels = fresh()
-    with_extern = run_engine("bounded-batched", qtree, rtree, kernels,
+    with_extern = run_engine("batched", qtree, rtree, kernels,
                              bounded.arrays["qbound"],
                              extern_bound=straight.arrays["qbound"].copy())
     assert np.array_equal(bounded.arrays["best"], straight.arrays["best"])

@@ -317,7 +317,7 @@ def test_bounded_knn_on_mutated_query_tree_matches_rebuild(rng, mutation):
                                qtree.n, rtree.n)
         kernels = (Bindings.query(qtree, {"K": k})
                    | Bindings.reference(rtree)).bind(source, code, state)
-        run_engine("bounded-batched", qtree, rtree, kernels,
+        run_engine("batched", qtree, rtree, kernels,
                    state.arrays["qbound"])
         return state.finalize(qtree.perm, rtree.perm)
 

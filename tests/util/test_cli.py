@@ -110,7 +110,7 @@ class TestCliStats:
         assert "approximation-rate:" in out
         assert "IR passes:" in out
         plan = next(l for l in out.splitlines() if "plan:" in l)
-        assert "engine=bounded-batched(static)" in plan
+        assert "engine=batched(static)" in plan
         assert "executor=serial(static)" in plan and "shards=1(" in plan
 
     def test_stats_json(self, setup, capsys):
