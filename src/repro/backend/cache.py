@@ -16,10 +16,14 @@ Two bounded LRU caches, and nothing cached on top that pairs them:
   weights fingerprint), so *different problems* over the same dataset
   share one tree build — and, under derived keys
   (:func:`derived_entry`), per-shard subset trees and whitened points.
+  A logged mutation or ``Storage.clear()`` retires every entry whose key
+  names a fingerprint it made dead (:func:`retire_superseded`): the
+  cache holds live data, not history.
 
-Dataset identity is a BLAKE2 content fingerprint, hashed at birth and
-extended per logged edit.  A fresh `Storage` hashes its values in full
-(:func:`array_fingerprint`), so rebuilding one around the same values
+Dataset identity is a BLAKE2 content fingerprint, hashed on a Storage's
+first ``fingerprint()`` call and extended per logged edit.  A fresh
+`Storage` hashes its values in full (:func:`array_fingerprint`), so
+rebuilding one around the same values
 still hits; mutating values (iterative problems like k-means and EM
 build a fresh Storage per step; in-place writers call
 ``Storage.mark_mutated()``, which forces the next full hash) correctly
@@ -57,7 +61,7 @@ __all__ = [
     "LRUCache", "MISSING", "UncacheableParamError", "array_fingerprint",
     "chained_fingerprint", "freeze", "cached_build_tree",
     "cached_build_subset_tree", "derived_entry", "code_cache", "tree_cache",
-    "clear_caches", "cache_stats",
+    "retire_superseded", "clear_caches", "cache_stats",
 ]
 
 #: Sentinel distinguishing "key absent" from "cached value is None" in
@@ -186,6 +190,19 @@ class LRUCache:
             self._data.clear()
             self.generation += 1
 
+    def discard_naming(self, parts) -> int:
+        """Drop every entry whose key holds one of ``parts`` at any
+        depth; returns how many went (does not bump :attr:`generation`:
+        this is an eviction, not a clear)."""
+        def names(key):
+            return key in parts or (isinstance(key, tuple)
+                                    and any(map(names, key)))
+        with self._lock:
+            dead = [key for key in self._data if names(key)]
+            for key in dead:
+                del self._data[key]
+        return len(dead)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
@@ -242,8 +259,8 @@ def cached_build_tree(
     snapshotted and the deltas are replayed through the ``ArrayTree``
     mutation API (``cache.tree.refit``) — orders of magnitude cheaper
     than a from-scratch build for small update fractions.  The refit
-    clone is cached under the *new* content key; the old entry stays
-    valid for the old key (snapshots never mutate their source).
+    clone is cached under the *new* content key; the mutation already
+    retired the old one (the snapshot leaves the live tree intact).
     """
     if not enabled:
         return build_tree(kind, points, leaf_size=leaf_size,
@@ -355,6 +372,17 @@ def derived_entry(key: tuple, build, counter: str = "cache.tree"):
     value = build()
     tree_cache.put(key, value)
     return value
+
+
+def retire_superseded(fingerprints) -> None:
+    """Drop the tree-cache entries keyed by ``fingerprints`` — contents
+    a logged mutation or ``Storage.clear()`` just made dead — with every
+    derived entry naming them (shard trees, whitened points, the other
+    side's whitened points under an estimated covariance), counted as
+    ``cache.tree.superseded``."""
+    dropped = tree_cache.discard_naming(set(fingerprints))
+    if dropped:
+        contribute({"cache.tree.superseded": dropped})
 
 
 def clear_caches() -> None:

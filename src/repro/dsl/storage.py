@@ -305,16 +305,20 @@ class Storage:
         memo of the new version — extended by this edit
         (:func:`~repro.backend.cache.chained_fingerprint`, O(changed))
         when its array changed, kept as it is when it did not.  Without
-        a valid memo the next :meth:`fingerprint` hashes in full."""
-        from ..backend.cache import chained_fingerprint
+        a valid memo the next :meth:`fingerprint` hashes in full.  The
+        memos the edit replaced name dead content: the tree-cache entries
+        keyed by them are retired."""
+        from ..backend.cache import chained_fingerprint, retire_superseded
 
-        carried = {}
+        carried, stale = {}, []
         for which, new, rows in (("data", data, delta.points),
                                  ("weights", weights, delta.weights)):
             fp = self._memo(which)
             if fp is not None:
                 carried[which] = fp if new is None else chained_fingerprint(
                     fp, delta.kind, delta.idx, rows, new.shape)
+                if new is not None:
+                    stale.append(fp)
         if data is not None:
             self._data = data
         if weights is not None:
@@ -327,6 +331,7 @@ class Storage:
             self._fp_cache[which] = (self._memo_key(which), fp)
         self._mutation_log.append(delta)
         del self._mutation_log[:-MUTATION_LOG_MAX]
+        retire_superseded(stale)
 
     def deltas_since(self, version: int) -> list[StorageDelta] | None:
         """The consecutive mutation chain from ``version`` to the current
@@ -343,13 +348,15 @@ class Storage:
     def fingerprint(self, which: str = "data") -> tuple | None:
         """Memoized content fingerprint of ``data`` or ``weights``.
 
-        Hashed at birth, extended per logged edit: the first call hashes
-        the array in full (:func:`repro.backend.cache.array_fingerprint`,
-        O(n), paid once per Storage instead of on every cache-key
-        computation), and each ``insert_batch`` / ``delete_batch`` /
-        ``update_batch`` then chains its edit onto the memo in
-        O(changed).  So the value equals ``array_fingerprint`` of the raw
-        array only at birth and after :meth:`mark_mutated`; a mutated
+        Hashed on first call, extended per logged edit: the first call
+        hashes the array in full (:func:`repro.backend.cache.array_fingerprint`,
+        O(n), paid once per Storage, not per cache key), and each later
+        ``insert_batch`` / ``delete_batch`` / ``update_batch`` chains its
+        edit onto the memo in O(changed) and retires the tree-cache
+        entries keyed by the one it replaced.  A Storage mutated before
+        its first call has nothing cached to retire.  So the value equals
+        ``array_fingerprint`` of the raw array after a full hash (the
+        first, or the next after :meth:`mark_mutated`); a mutated
         Storage carries (fingerprint at its last full hash, the edits
         since).  Same base plus same edits gives the same key; another
         route to the same content is a cache miss, never a false hit.
@@ -387,8 +394,12 @@ class Storage:
     def clear(self) -> None:
         """Release the underlying arrays (paper section III-B).
 
-        Any later access raises :class:`StorageError`.
+        Any later access raises :class:`StorageError`.  The tree-cache
+        entries keyed by its memoized fingerprints go with it.
         """
+        from ..backend.cache import retire_superseded
+
+        retire_superseded(filter(None, map(self._memo, ("data", "weights"))))
         self._data = None  # type: ignore[assignment]
         self._colmajor = None
         self.weights = None

@@ -8,7 +8,9 @@ correctly*:
   program's shape) — one ``cache.compile.hit`` per execute, before and
   after every mutation;
 * the **tree cache** serves the refit clone under the new content key
-  (``cache.tree.refit``) while the query-side tree still hits;
+  (``cache.tree.refit``) while the query-side tree still hits, and the
+  mutation itself retires every entry keyed by the content it replaced
+  (``cache.tree.superseded``), as ``Storage.clear()`` does;
 * **shard packs** re-key through the fingerprint-derived ``base_key``;
 * **shared memory** blocks published under the old token are evicted on
   mutation (``shm.stale_evicted``) so a warm process pool can never read
@@ -27,7 +29,9 @@ import numpy as np
 import pytest
 
 from repro.backend.cache import clear_caches, tree_cache
-from repro.dsl import Storage
+from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
+from repro.dsl.expr import DistVar, exp
+from repro.dsl.funcs import MetricKernel
 from repro.observe import collect
 from repro.parallel import shm
 from repro.problems import directed_hausdorff, kde, knn, range_count
@@ -254,8 +258,9 @@ def test_only_the_process_executor_notes_shm_tokens(rng):
 
 def test_dead_programs_keep_no_tree_versions(rng):
     """A steady update → execute loop whose programs are dropped keeps
-    no more tree versions reachable than the tree cache holds (plus the
-    Storage's live tree): nothing caches a whole program beside it."""
+    two trees reachable — the query tree and the reference set's live
+    one: each mutation retires its predecessor's entry, and nothing
+    caches a whole program beside it."""
     Q, R = _data(rng, nq=32, nr=20_000)
     for _ in range(40):
         idx = rng.choice(R.n, 200, replace=False)
@@ -263,7 +268,7 @@ def test_dead_programs_keep_no_tree_versions(rng):
         run_knn(Q, R, {})
     gc.collect()
     trees = [o for o in gc.get_objects() if isinstance(o, ArrayTree)]
-    assert len(trees) <= tree_cache.maxsize + 1
+    assert len(trees) <= 2
 
 
 def test_live_tree_survives_lru_eviction(rng):
@@ -330,23 +335,137 @@ def test_log_overflow_falls_back(rng):
     _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
 
 
-def test_old_cache_entry_stays_valid(rng):
-    """The refit clone is cached under the *new* key; the pre-mutation
-    entry keeps answering for the old content (snapshots never mutate
-    their source)."""
+def test_superseded_content_is_rebuilt_with_the_same_answer(rng):
+    """A logged mutation retires the entries its predecessor named: a
+    never-executed Storage over the old content rebuilds its tree (no
+    false hit on a retired key, no stale tree) and answers bitwise as
+    before."""
     rng2 = np.random.default_rng(99)
     Q, R = _data(rng2)
     old_content = Storage(R.data.copy())
     v_old = run_knn(Q, R, {})
-    R.update_batch(np.arange(12), rng2.normal(size=(12, 3)))
+    with collect() as c:
+        R.update_batch(np.arange(12), rng2.normal(size=(12, 3)))
+    assert c.get("cache.tree.superseded") >= 1, c.as_dict()
     run_knn(Q, R, {})  # refit happens here
     with collect() as c:
         v_again = run_knn(Q, old_content, {})
-    # the old trees are still keyed and intact
     assert c.get("cache.compile.hit") == 1
-    assert c.get("cache.tree.hit") == 2
+    assert c.get("cache.tree.miss") == 1  # the old content, rebuilt
+    assert c.get("cache.tree.hit") == 1  # the query side
     assert c.get("cache.tree.refit") == 0
     assert np.array_equal(v_old, v_again)
+
+
+def _keys(tag):
+    """The tree-cache keys of one entry kind (``"tree"``, ``"shard-tree"``,
+    ``"whiten"``)."""
+    return [key for key in list(tree_cache._data) if key[0] == tag]
+
+
+def _maha(Q, R, weighted=False, **options):
+    """A Mahalanobis program whose covariance is estimated from ``R``: a
+    weighted Gaussian sum when ``weighted``, else a nearest distance."""
+    e = PortalExpr("maha")
+    e.addLayer(PortalOp.FORALL, Q)
+    if weighted:
+        e.addLayer(PortalOp.SUM, R, MetricKernel(
+            "sqeuclidean", exp(-DistVar("t") / 2.0), whiten=True))
+    else:
+        e.addLayer(PortalOp.MIN, R, PortalFunc.MAHALANOBIS)
+    return np.asarray(e.execute(**options).values)
+
+
+def test_sharded_update_loop_keeps_no_predecessor_shard_trees(rng):
+    Q, R = _data(rng, nr=2000)
+    for _ in range(3):
+        got = run_knn(Q, R, {"shards": 2})
+        _assert_same("exact", got, run_knn(Q, R, {"shards": 2, "cache": False}))
+        _mutate(rng, R, "update")
+    got = run_knn(Q, R, {"shards": 2})
+    _assert_same("exact", got, run_knn(Q, R, {"shards": 2, "cache": False}))
+    shard_trees = _keys("shard-tree")
+    assert len(shard_trees) == 2
+    assert all(key[4] == (R.fingerprint("data"), R.fingerprint("weights"))
+               for key in shard_trees)
+
+
+def test_mutated_reference_retires_both_sides_whiten_entries(rng):
+    """Under an estimated covariance the query side's whitened points
+    are keyed by the reference content too: one reference edit retires
+    both sides' entries."""
+    Q, R = _data(rng, nr=600)
+    _maha(Q, R)
+    assert len(_keys("whiten")) == 2
+    with collect() as c:
+        _mutate(rng, R, "update")
+    assert c.get("cache.tree.superseded") >= 2, c.as_dict()
+    assert _keys("whiten") == []
+    with collect() as c:
+        got = _maha(Q, R)
+    assert c.get("cache.whiten.miss") == 2
+    assert np.array_equal(got, _maha(Q, R, cache=False))
+
+
+def test_weights_only_update_keeps_the_whiten_entry(rng):
+    Q, R = _data(rng, nr=600, weighted=True)
+    _maha(Q, R, weighted=True)
+    whitened = _keys("whiten")
+    with collect() as c:
+        _mutate(rng, R, "update-weights")
+    assert c.get("cache.tree.superseded") >= 1, c.as_dict()
+    assert _keys("whiten") == whitened
+    with collect() as c:
+        got = _maha(Q, R, weighted=True)
+    assert (c.get("cache.whiten.hit"), c.get("cache.whiten.miss")) == (2, 0)
+    assert np.array_equal(got, _maha(Q, R, weighted=True, cache=False))
+
+
+def test_executed_sibling_of_the_old_content_still_hits(rng):
+    """Retiring A's old entries costs a sibling over the same content
+    that has already executed nothing: it hits through its own live
+    tree."""
+    Q, A = _data(rng)
+    sibling = Storage(A.data.copy())
+    run_knn(Q, A, {})
+    run_knn(Q, sibling, {})
+    A.update_batch(np.arange(12), rng.normal(size=(12, 3)))
+    run_knn(Q, A, {})
+    with collect() as c:
+        got = run_knn(Q, sibling, {})
+    assert (c.get("cache.tree.hit"), c.get("cache.tree.miss"),
+            c.get("cache.tree.refit")) == (2, 0, 0)
+    _assert_same("exact", got, run_knn(Q, sibling, {"cache": False}))
+
+
+def test_mark_mutated_supersedes_nothing(rng):
+    """An un-logged write names no predecessor: plain LRU."""
+    Q, R = _data(rng)
+    run_knn(Q, R, {})
+    entries = len(tree_cache)
+    with collect() as c:
+        R.data[0] += 0.25
+        R.mark_mutated()
+    assert c.get("cache.tree.superseded") == 0
+    assert len(tree_cache) == entries
+    _assert_same("exact", run_knn(Q, R, {}), run_knn(Q, R, {"cache": False}))
+
+
+def test_clear_releases_its_trees(rng):
+    """``Storage.clear()`` releases the arrays — and the trees the cache
+    built over them."""
+    Q, R = _data(rng, nq=32, nr=20_000)
+    want = run_knn(Q, R, {"cache": False})
+    assert np.array_equal(run_knn(Q, R, {}), want)
+    assert len(tree_cache) == 2
+    with collect() as c:
+        R.clear()
+    assert c.get("cache.tree.superseded") == 1
+    del R
+    gc.collect()
+    assert len(tree_cache) == 1  # the query tree
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, ArrayTree) and o.n >= 20_000]
 
 
 def test_storage_mutation_validation(rng):

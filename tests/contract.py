@@ -6,6 +6,8 @@ executors, two plans — to the rule for the kind of output it returns:
 * :func:`assert_ranked_equal` — comparative reductions (K-operators,
   ``ARG*``, ``MIN``/``MAX``, Hausdorff — merges over an indicator
   kernel too): values exact; ids exact up to ties at the k-th value;
+  under the norm expansion (squared Euclidean in the row layout) values
+  within ``rtol`` of rounding, ids up to near-ties within it;
 * :func:`assert_sum_close` — sums: within ``τ`` per unit of reference
   weight when approximated, plus ``n·ε·Σ|term|`` of rounding; products
   (``PROD``): within ``n·ε·|Π|`` of the reference, which is this helper
@@ -63,11 +65,13 @@ def assert_sum_close(got, want, *, n: int, tau: float = 0.0,
 
 
 def assert_ranked_equal(got_values, want_values, got_ids=None,
-                        want_ids=None) -> None:
-    """Values exact; per row, the ids strictly better than the k-th
-    value are the same set, and so many ids sit at the k-th value."""
+                        want_ids=None, *, rtol: float = 0.0) -> None:
+    """Values within ``rtol`` of ``want`` (exact by default; a non-zero
+    ``rtol`` is the norm expansion's rounding, DESIGN.md §8); per row,
+    the ids of the values clear of the k-th value by more than that
+    rounding are the same set, and so many ids sit near the k-th."""
     got_values, want_values = np.asarray(got_values), np.asarray(want_values)
-    np.testing.assert_array_equal(got_values, want_values)
+    np.testing.assert_allclose(got_values, want_values, rtol=rtol, atol=0)
     if got_ids is None:
         return
     got_ids, want_ids = np.asarray(got_ids), np.asarray(want_ids)
@@ -75,7 +79,7 @@ def assert_ranked_equal(got_values, want_values, got_ids=None,
     if want_values.ndim < 2:
         return  # one slot per row: it is the k-th, any tied id will do
     kth = want_values[:, -1:]
-    inside = want_values != kth
+    inside = ~np.isclose(want_values, kth, rtol=2 * rtol, atol=0)
     for row in range(len(want_values)):
         mask = inside[row]
         assert (sorted(got_ids[row][mask].tolist())

@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from repro.backend.codegen import SUM_CHUNK_CELLS, CodegenSpec, bind_kernels, emit
-from repro.backend.layout import Layout
+from repro.backend.layout import COLUMN_MAJOR_MAX_DIM, Layout
+from repro.data.synthetic import ihepc
 from repro.dsl import (
     PortalExpr, PortalFunc, PortalOp, Storage, Var, exp, indicator, pow, sqrt,
 )
 from repro.dsl.expr import BinOp, Call, Const, Indicator, Neg
 from repro.ir.nodes import SymRef
 from repro.observe import collect
-from repro.problems import range_count, two_point_correlation
+from repro.problems import knn, range_count, two_point_correlation
 from repro.traversal import engines
 
 from tests.contract import (
@@ -308,6 +309,14 @@ def test_contract_helper_catches_planted_errors():
                               (vals, np.array([[4, 7, 9], [1, 3, 5]]))]:
         with pytest.raises(AssertionError):
             assert_ranked_equal(bad_vals, vals, bad_ids, ids)
+    # a rounding bound: values move within it, ids swap only near the k-th
+    near = np.array([[1.0, 2.0, 2.0 + 1e-13], [0.5, 0.5, 3.0]])
+    assert_ranked_equal(near * (1 + 1e-13), near,
+                        np.array([[4, 9, 7], [2, 1, 5]]), ids, rtol=1e-12)
+    for bad_vals, bad_ids in [(near * (1 + 1e-11), ids),
+                              (near, np.array([[9, 7, 4], [1, 2, 5]]))]:
+        with pytest.raises(AssertionError):
+            assert_ranked_equal(bad_vals, near, bad_ids, ids, rtol=1e-12)
     s = np.array([10.0, 20.0])
     assert_sum_close(s * (1 + 100 * np.finfo(float).eps), s, n=1000)
     with pytest.raises(AssertionError):
@@ -320,3 +329,22 @@ def test_contract_helper_catches_planted_errors():
             assert_lists_equal([np.array(bad)], [np.array([1, 2])])
     with pytest.raises(AssertionError):
         assert_bitwise(np.array([0.0]), np.array([-0.0]))
+
+
+def test_norm_expansion_values_agree_to_rounding():
+    """DESIGN.md §8: past ``COLUMN_MAJOR_MAX_DIM`` a squared-Euclidean
+    distance takes the GEMM form ‖q‖² + ‖r‖² − 2q·r, whose last bits
+    depend on the block shape — leaf size, brute force's blocks.  Each
+    run's t = δ² is within (d+2)·ε·(‖q‖² + ‖r‖²) of exact, so two runs'
+    distances δ agree to (d+2)·ε·(‖q‖² + ‖r‖²)/δ² relative.  On these
+    rows leaf 16 and 32 move 17 of 20 000 values against leaf 64 and
+    brute force 126, all by < 1e-13 relative, ids unchanged."""
+    Q, R = ihepc(4000, seed=2), ihepc(4000, seed=1)
+    d = Q.shape[1]
+    assert d > COLUMN_MAJOR_MAX_DIM
+    want_v, want_i = knn(Q, R, k=5, leaf_size=64)
+    norms = (Q ** 2).sum(1)[:, None] + (R ** 2).sum(1)[want_i]
+    rtol = (d + 2) * np.finfo(float).eps * float((norms / want_v ** 2).max())
+    for options in ({"leaf_size": 16}, {"leaf_size": 32}, {"backend": "brute"}):
+        got_v, got_i = knn(Q, R, k=5, **options)
+        assert_ranked_equal(got_v, want_v, got_i, want_i, rtol=rtol)
