@@ -37,14 +37,14 @@ test-mutation-slow:
 test-policy:
 	$(PYTHON) -m pytest -p no:cacheprovider -q tests/policy tests/util/test_tune.py
 
-# IR optimiser suites (passes, verifier, goldens, round-trip, fuzzer)
-# with the structural verifier forced on after every pass.
+# IR optimiser suites (passes, verifier, goldens, round-trip, fuzzer);
+# every program's IR is verified after every pass.
 test-ir:
-	REPRO_VERIFY_IR=1 $(PYTHON) -m pytest tests/ir tests/dsl/test_roundtrip.py -m "not slow"
+	$(PYTHON) -m pytest tests/ir tests/dsl/test_roundtrip.py -m "not slow"
 
 # Same plus the slow 2048-case fuzz sweep.
 test-ir-slow:
-	REPRO_VERIFY_IR=1 $(PYTHON) -m pytest tests/ir tests/dsl/test_roundtrip.py
+	$(PYTHON) -m pytest tests/ir tests/dsl/test_roundtrip.py
 
 # Performance: the benchmark spine (BENCHMARK.json; docs/performance.md,
 # "Measured"); `bench-aa` runs it twice and compares the spread to the bounds.

@@ -43,7 +43,7 @@ def compile_nn():
 
 def test_fig2_ir_dump(benchmark):
     e = benchmark(compile_nn)
-    pm = e.program.pass_manager
+    pm = e.program.ir()
 
     text = []
     text.append("Fig. 2 — nearest neighbor IR, per stage")

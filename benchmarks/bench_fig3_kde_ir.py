@@ -43,7 +43,7 @@ def compile_kde(mahalanobis: bool = False):
 
 def test_fig3_ir_dump(benchmark):
     e = benchmark(compile_kde)
-    pm = e.program.pass_manager
+    pm = e.program.ir()
 
     text = ["Fig. 3 — kernel density estimation IR, per stage", "=" * 50,
             render_stages(pm.snapshots, "BaseCase"),
@@ -124,7 +124,7 @@ def test_fig3_ir_ablation_interp(benchmark):
 
 def test_fig3_mahalanobis_numerical_optimisation(benchmark):
     e = benchmark(lambda: compile_kde(mahalanobis=True))
-    pm = e.program.pass_manager
+    pm = e.program.ir()
     numopt = render_function(pm.stage("numopt")["BaseCase"])
     lowered = render_function(pm.stage("lowered")["BaseCase"])
     emit("fig3_mahalanobis",

@@ -80,7 +80,8 @@ _ROWS: dict[str, list] = {}
 
 def _record(problem, name, t_portal, t_expert, counters=None):
     diff = 100.0 * (t_portal - t_expert) / t_expert
-    obs = stats_columns(counters) if counters is not None else ["-"] * 3
+    obs = (stats_columns(counters) if counters is not None
+           else ["-"] * len(STATS_HEADERS))
     _ROWS.setdefault(problem, []).append(
         [name, round(t_portal, 4), round(t_expert, 4), round(diff, 1), *obs]
     )

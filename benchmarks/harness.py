@@ -69,24 +69,16 @@ def observed_wall(fn, repeats: int = 1) -> tuple[float, Counters]:
 
 
 #: Headers matching :func:`stats_columns`, for table scripts.
-STATS_HEADERS = ["prune%", "approx%", "passes (ms)"]
+STATS_HEADERS = ["prune%", "approx%"]
 
 
 def stats_columns(counters: Counters) -> list[str]:
-    """Observability columns for the paper-table rows: prune rate,
-    approximation rate, and per-compile IR pass time (the Table IV/V
-    audit trail — see docs/observability.md)."""
+    """Observability columns for the paper-table rows: prune rate and
+    approximation rate (the Table IV/V audit trail — see
+    docs/observability.md)."""
     prune = counters.rate("traversal.pruned", "traversal.visited")
     approx = counters.rate("traversal.approximated", "traversal.visited")
-    d = counters.as_dict()
-    pass_s = sum(v for k, v in d.items()
-                 if k.startswith("passes.") and k.endswith("_s"))
-    compiles = max(1, int(d.get("compile.count", 1)))
-    return [
-        f"{100.0 * prune:.1f}",
-        f"{100.0 * approx:.1f}",
-        f"{1e3 * pass_s / compiles:.2f}",
-    ]
+    return [f"{100.0 * prune:.1f}", f"{100.0 * approx:.1f}"]
 
 
 def format_table(title: str, headers: list[str], rows: list[list]) -> str:

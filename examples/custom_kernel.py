@@ -44,7 +44,7 @@ def main() -> None:
     e2.addLayer(PortalOp.FORALL, Q)
     e2.addLayer(PortalOp.ARGMIN, R, PortalFunc.MAHALANOBIS, covariance=cov)
     out2 = e2.execute()
-    numopt = e2.program.pass_manager.stage("numopt")
+    numopt = e2.program.ir().stage("numopt")
     print("\nMahalanobis nearest neighbor:")
     print(f"  numerical optimisation fired: "
           f"{numopt.meta['numerical_optimized']}")

@@ -4,8 +4,8 @@ kernel (the paper's external C++ functions: linked, not optimised — a
 blocked brute force applies the operator in interpreted form), and
 m ≥ 3-layer programs (the dense multi-layer backend,
 :mod:`repro.backend.multilayer`).  Neither is cached: an opaque callable
-has no content identity.  Both still run the shared rules → lowering →
-passes prelude so their IR stays inspectable.
+has no content identity.  Both run the shared rules step; their IR, like
+every program's, is built when something reads it.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from .state import State, allocate_state
 __all__ = ["compile_external", "compile_multilayer"]
 
 
-def compile_external(pexpr, opts: CompileOptions, plan: ExecutionPlan,
-                     verify: bool) -> CompiledProgram:
+def compile_external(pexpr, opts: CompileOptions,
+                     plan: ExecutionPlan) -> CompiledProgram:
     """Compile a 2-layer program whose inner function is an opaque
     external kernel: always brute force."""
     layers = pexpr.layers
     outer, inner = layers
     modifier = _resolve_modifier(outer.func)
-    classification, rule, pm, timings = front_end(pexpr, opts, verify)
+    classification, rule, timings = front_end(pexpr, opts)
     if opts.backend == "interp":
         raise CompileError(
             "the interpreter backend requires a lowered kernel "
@@ -68,10 +68,10 @@ def compile_external(pexpr, opts: CompileOptions, plan: ExecutionPlan,
         _apply_update(state, op, inner.k, v, qs, qe, rs, re)
 
     return CompiledProgram(
-        options=opts, plan=plan, layers=layers, kernel=None,
-        classification=classification, rule=rule, pass_manager=pm,
-        mode="brute", state=state, qdata=qpoints, rdata=rpoints,
-        nr=rstorage.n, same_data=same_data, timings=timings,
+        name=pexpr.name, options=opts, plan=plan, layers=layers, kernel=None,
+        classification=classification, rule=rule, mode="brute", state=state,
+        qdata=qpoints, rdata=rpoints, nr=rstorage.n, same_data=same_data,
+        timings=timings,
         kernels=GeneratedKernels(
             source="# external kernel: no generated source",
             namespace={}, base_case=base_case, prune_or_approx=None,
@@ -80,12 +80,12 @@ def compile_external(pexpr, opts: CompileOptions, plan: ExecutionPlan,
     )
 
 
-def compile_multilayer(pexpr, opts: CompileOptions, plan: ExecutionPlan,
-                       verify: bool) -> CompiledProgram:
+def compile_multilayer(pexpr, opts: CompileOptions,
+                       plan: ExecutionPlan) -> CompiledProgram:
     """Compile an m ≥ 3 layer program onto the dense multi-layer backend
     (the general form of the paper's equation 2)."""
     layers = pexpr.layers
-    classification, rule, pm, timings = front_end(pexpr, opts, verify)
+    classification, rule, timings = front_end(pexpr, opts)
     storages = {id(l.storage) for l in layers}
     exclude_self = (
         opts.exclude_self if opts.exclude_self is not None
@@ -96,11 +96,10 @@ def compile_multilayer(pexpr, opts: CompileOptions, plan: ExecutionPlan,
         nq=layers[0].storage.n,
     )
     return CompiledProgram(
-        options=opts, plan=plan, layers=layers,
+        name=pexpr.name, options=opts, plan=plan, layers=layers,
         kernel=layers[-1].metric_kernel,
-        classification=classification, rule=rule, pass_manager=pm,
-        mode="multilayer", state=state, exclude_self=exclude_self,
-        timings=timings,
+        classification=classification, rule=rule, mode="multilayer",
+        state=state, exclude_self=exclude_self, timings=timings,
         kernels=GeneratedKernels(
             source="# m-layer program: dense multi-layer backend "
                    "(no generated kernels)",

@@ -4,9 +4,10 @@ One pass from specification to a scheduled traversal:
 :func:`compile_expr` validates the options, resolves the execution plan
 (:mod:`repro.backend.plan`) once, keys the program on it, and — on a
 cache miss — compiles along one seam: code from the program's *shape*
-(:func:`_compile_code`: rules, lowering + optimisation passes, code
-generation — it never reads a data array), then bindings from its
-*data* (:func:`_bind_data`: whitening, tree builds, shard pack).  The
+(:func:`_compile_code`: rules and code generation — it never reads a
+data array, and leaves the IR to whoever reads it,
+:meth:`~repro.backend.program.CompiledProgram.ir`), then bindings from
+its *data* (:func:`_bind_data`: whitening, tree builds, shard pack).  The
 :class:`_Code` is cached by shape (:func:`_code_key`), the trees and
 whitened points by the datasets' identity (the tree cache); nothing
 caches the pair.  :func:`_instantiate` binds the two halves to fresh
@@ -32,9 +33,8 @@ from ..dsl.errors import CompileError
 from ..dsl.expr import Const, Expr, Indicator
 from ..dsl.layer import Layer
 from ..dsl.ops import MAX_LIKE, MIN_LIKE
-from ..ir.lowering import kernel_to_ir, lower
+from ..ir.lowering import kernel_to_ir
 from ..ir.nodes import SymRef
-from ..ir.passes import PassManager
 from ..ir.strength_reduction import reduce_expr
 from ..observe import contribute, span
 from .cache import (
@@ -44,7 +44,7 @@ from .cache import (
 from .codegen import Bindings, CodegenSpec, emit
 from .layout import Layout
 from .plan import (
-    CompileOptions, ExecutionPlan, program_rules, requested, resolve_plan,
+    CompileOptions, ExecutionPlan, program_rules, resolve_plan,
 )
 from .program import CompiledProgram
 from .state import allocate_state
@@ -95,8 +95,8 @@ def _whiten_transform(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 class _Code:
     """The code half of a compile: a function of the program's *shape*
     (layers, kernel, options, plan) that reads nothing of a
-    :class:`~repro.dsl.storage.Storage` but ``name``, ``dim``,
-    ``layout``, ``weights is None`` and identity — :func:`_code_key`.
+    :class:`~repro.dsl.storage.Storage` but ``dim``, ``layout``,
+    ``weights is None`` and identity — :func:`_code_key`.
     Shared, read-only, by every program of that shape: it holds only
     what :func:`_compile_code` derived from keyed inputs, never a layer
     or kernel object (whose covariance is data)."""
@@ -104,7 +104,6 @@ class _Code:
     mode: str                        # 'tree' | 'brute' | 'interp'
     classification: object
     rule: object
-    pass_manager: PassManager
     spec: CodegenSpec
     source: str
     code: object
@@ -140,15 +139,14 @@ def _func_key(func) -> object:
     return None if func is None else repr(func)
 
 
-def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
-              verify: bool) -> tuple:
+def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan) -> tuple:
     """Every input of :func:`_compile_code` — the program's shape: per
     layer the operator/k/function/params and what the code half reads of
-    the Storage (the IR embeds its name), the normalised kernel, the
-    options that change the code and — for what is resolved rather than
-    asked (layout, whether a tree engine runs, whether the reference side
-    is sharded) — the resolved value, so asking for a default by name
-    shares its entry."""
+    the Storage (not its name: only the IR, built on read, embeds it),
+    the normalised kernel, the options that change the code and — for
+    what is resolved rather than asked (layout, whether a tree engine
+    runs, whether the reference side is sharded) — the resolved value,
+    so asking for a default by name shares its entry."""
     layers = pexpr.layers
     kern = layers[1].metric_kernel
     layer_parts = tuple(
@@ -158,18 +156,16 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
             getattr(layer.var, "name", None),
             _func_key(layer.func),
             freeze(layer.params) if layer.params else None,
-            layer.storage.name,
             layer.storage.dim,
             layer.storage.weights is None,
         )
         for layer in layers
     )
     return (
-        pexpr.name, layer_parts, (kern.base, repr(kern.g), kern.whiten),
+        layer_parts, (kern.base, repr(kern.g), kern.whiten),
         opts.backend, plan.engine is not None, opts.tree,
-        opts.tau, opts.criterion, opts.theta,
-        resolved_layout(layers, opts), tuple(sorted(opts.disable_passes)),
-        verify, *self_pairs(layers, opts), (plan.shards or 1) > 1,
+        opts.tau, opts.criterion, opts.theta, resolved_layout(layers, opts),
+        *self_pairs(layers, opts), (plan.shards or 1) > 1,
     )
 
 
@@ -194,9 +190,9 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
 
     Two-layer programs with a lowered kernel take their code half from
     the code cache when its shape was compiled before
-    (``cache.compile.hit``: no rule generation, IR passes or code
-    generation) and then bind the data half, whose trees and whitened
-    points the tree cache serves for datasets it has seen.
+    (``cache.compile.hit``: no rule or code generation) and then bind
+    the data half, whose trees and whitened points the tree cache serves
+    for datasets it has seen.
     """
     opts = CompileOptions.from_dict(options)
     layers = pexpr.layers
@@ -205,13 +201,12 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     # collide with unsharded code, and a request that resolves to the
     # default legitimately shares its entry.
     plan = resolve_plan(opts, os.environ, _LazyPolicy(), layers)
-    verify = requested(opts, os.environ, "verify_ir")[0]
     if len(layers) > 2 or layers[1].metric_kernel is None:
         from . import fallbacks
 
         fallback = (fallbacks.compile_multilayer if len(layers) > 2
                     else fallbacks.compile_external)
-        return fallback(pexpr, opts, plan, verify)
+        return fallback(pexpr, opts, plan)
 
     cacheable = (
         opts.cache
@@ -224,7 +219,7 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     key = None
     if cacheable:
         try:
-            key = (ARTIFACT_SCHEMA, _code_key(pexpr, opts, plan, verify))
+            key = (ARTIFACT_SCHEMA, _code_key(pexpr, opts, plan))
         except UncacheableParamError:
             # A parameter with no content identity: running uncached is
             # correct; keying on its repr() (a memory address) is not.
@@ -237,42 +232,27 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
         cache_state = "miss" if code is MISSING else "hit"
         contribute({f"cache.compile.{cache_state}": 1})
     if code is MISSING:
-        code, timings = _compile_code(pexpr, opts, plan, verify)
+        code, timings = _compile_code(pexpr, opts, plan)
         if cacheable:
             code_cache.put(key, code)
     # Code first: nothing the emitter does waits on a tree.
     data = _bind_data(code, layers, opts, plan, timings)
-    return _instantiate(code, data, layers, opts, plan, timings,
+    return _instantiate(code, data, pexpr, opts, plan, timings,
                         cache_state, code_key=key)
 
 
-def front_end(pexpr, opts: CompileOptions, verify: bool):
-    """Rules → lowering → optimisation passes: the prelude of Fig. 1
-    every compile path shares.  Returns ``(classification, rule,
-    pass_manager, timings)``; the pass manager keeps the per-stage IR
-    for dumps and the interpreter."""
-    layers = pexpr.layers
-    timings: dict[str, float] = {}
+def front_end(pexpr, opts: CompileOptions):
+    """The rules step of Fig. 1 every compile path shares.  Returns
+    ``(classification, rule, timings)``; lowering and the passes wait
+    for a reader (:meth:`~repro.backend.program.CompiledProgram.ir`)."""
     contribute({"compile.count": 1})
-
     t0 = time.perf_counter()
     with span("compile.rules", program=pexpr.name):
-        classification, rule = program_rules(layers, opts)
-    timings["rules"] = time.perf_counter() - t0
+        classification, rule = program_rules(pexpr.layers, opts)
+    timings = {"rules": time.perf_counter() - t0}
     contribute({f"rules.classified.{classification.category}": 1,
                 f"rules.generated.{rule.kind}": 1})
-
-    pm = PassManager(disabled=frozenset(opts.disable_passes), verify=verify)
-    t0 = time.perf_counter()
-    with span("compile.lowering", program=pexpr.name):
-        lowered = lower(layers, layers[-1].metric_kernel, classification,
-                        rule, pexpr.name)
-    timings["lowering"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    with span("compile.passes", program=pexpr.name):
-        pm.run(lowered)
-    timings["passes"] = time.perf_counter() - t0
-    return classification, rule, pm, timings
+    return classification, rule, timings
 
 
 def self_pairs(layers: list[Layer], opts: CompileOptions) -> tuple[bool, bool]:
@@ -290,14 +270,14 @@ def resolved_layout(layers: list[Layer], opts: CompileOptions) -> str:
     return layout
 
 
-def _compile_code(pexpr, opts: CompileOptions, plan: ExecutionPlan,
-                  verify: bool) -> tuple[_Code, dict]:
-    """Rules → lowering → passes → emit (paper Fig. 1) for a 2-layer
-    program with a lowered kernel: the code half + its timings."""
+def _compile_code(pexpr, opts: CompileOptions,
+                  plan: ExecutionPlan) -> tuple[_Code, dict]:
+    """Rules → emit (paper Fig. 1) for a 2-layer program with a lowered
+    kernel: the code half + its timings."""
     layers = pexpr.layers
     outer, inner = layers
     kernel = inner.metric_kernel
-    classification, rule, pm, timings = front_end(pexpr, opts, verify)
+    classification, rule, timings = front_end(pexpr, opts)
 
     # The plan names an engine exactly when the tree algorithm applies.
     if opts.backend == "interp":
@@ -363,8 +343,8 @@ def _compile_code(pexpr, opts: CompileOptions, plan: ExecutionPlan,
         "THETA2": rule.theta * rule.theta,
     }
     return _Code(
-        mode=mode, classification=classification, rule=rule, pass_manager=pm,
-        spec=spec, source=source, code=code, defer_monotone=defer_monotone,
+        mode=mode, classification=classification, rule=rule, spec=spec,
+        source=source, code=code, defer_monotone=defer_monotone,
         scalars=scalars, same_data=same_data,
     ), timings
 
@@ -456,13 +436,13 @@ def _whitened(cov, qstorage, rstorage, same_data: bool,
     return q, q if same_data else side(rstorage)
 
 
-def _instantiate(code: _Code, data: _Data, layers: list[Layer],
-                 opts: CompileOptions, plan: ExecutionPlan, timings: dict,
-                 cache_state: str | None,
+def _instantiate(code: _Code, data: _Data, pexpr, opts: CompileOptions,
+                 plan: ExecutionPlan, timings: dict, cache_state: str | None,
                  code_key: tuple | None = None) -> CompiledProgram:
     """Build a runnable :class:`CompiledProgram` from the two halves:
     fresh state arrays, fresh modifier closure, and the emitted code
     object re-executed against them."""
+    layers = pexpr.layers
     outer, inner = layers
     modifier = _resolve_modifier(outer.func)
     nq, nr = outer.storage.n, inner.storage.n
@@ -494,9 +474,9 @@ def _instantiate(code: _Code, data: _Data, layers: list[Layer],
         for layer in layers:
             layer.storage.note_shm_token(token)
     program = CompiledProgram(
-        options=opts, plan=plan, layers=layers, kernel=inner.metric_kernel,
-        classification=code.classification, rule=code.rule,
-        pass_manager=code.pass_manager, mode=code.mode, state=state,
+        name=pexpr.name, options=opts, plan=plan, layers=layers,
+        kernel=inner.metric_kernel, classification=code.classification,
+        rule=code.rule, mode=code.mode, state=state,
         qtree=qtree, rtree=rtree, qdata=data.qdata, rdata=data.rdata,
         nr=nr, same_data=code.same_data, cache_state=cache_state,
         bindings=data.bindings, program_token=token, timings=dict(timings),

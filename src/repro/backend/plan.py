@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields
 
 from ..dsl.errors import SpecificationError
 from ..dsl.ops import PortalOp
-from ..ir.passes import TOGGLEABLE_PASSES
 from ..parallel.executor import default_workers
 from ..rules import build_rules
 from .layout import Layout
@@ -87,16 +86,6 @@ def _shard_request(name: str, value):
                 f"shards must be an integer or 'auto', got {value!r}"
             ) from None
     return _positive_int(name, value)
-
-
-def _pass_names(name: str, value) -> tuple:
-    value = (value,) if isinstance(value, str) else tuple(value)
-    bad = set(value) - set(TOGGLEABLE_PASSES)
-    if bad:
-        raise SpecificationError(
-            f"unknown disable_passes: {sorted(bad)}; "
-            f"toggleable: {TOGGLEABLE_PASSES}")
-    return value
 
 
 def _nonnegative_real(name: str, value):
@@ -161,9 +150,6 @@ class CompileOptions:
     layout: str | None = _row(allowed=(Layout.ROW, Layout.COLUMN))
     #: kd-tree splitting strategy ('median' — the paper's — or 'midpoint')
     split: str = _row("median", allowed=("median", "midpoint"))
-    #: IR optimisation passes to skip (differential-testing knob); any
-    #: subset of :data:`repro.ir.passes.TOGGLEABLE_PASSES`
-    disable_passes: tuple = _row((), allowed=_pass_names)
     #: traversal engine: 'batched' classifies whole arrays of node pairs
     #: per kernel call in epochs (:mod:`repro.traversal.bounded_batched`:
     #: bound rules — k-NN, Hausdorff — best-first against a bound
@@ -181,11 +167,6 @@ class CompileOptions:
     executor: str | None = _row(allowed=("auto", "thread", "process"),
                                 env="REPRO_EXECUTOR", policy=True,
                                 static="auto")
-    #: run the structural IR verifier (:mod:`repro.ir.verify`) after
-    #: lowering and after every optimisation pass (the test suites set
-    #: the environment variable; benchmarks leave it off).
-    verify_ir: bool | None = _row(allowed=_flag, env="REPRO_VERIFY_IR",
-                                  static=False)
     #: sharded reference layout (:mod:`repro.parallel.shard`): partition
     #: the reference set into this many spatial shards, build one tree
     #: per shard, replicate the query tree, and combine per-shard

@@ -21,6 +21,7 @@ from ..dsl.errors import CompileError
 from ..dsl.funcs import MetricKernel
 from ..dsl.layer import Layer
 from ..dsl.ops import PortalOp, op_info
+from ..ir.lowering import lower
 from ..ir.passes import PassManager
 from ..ir.printer import render_program, render_stages
 from ..observe import collect, contribute, span
@@ -37,6 +38,8 @@ __all__ = ["CompiledProgram"]
 class CompiledProgram:
     """A fully compiled Portal problem, ready to run."""
 
+    #: the PortalExpr's name (the IR's ``problem``)
+    name: str
     #: what was asked …
     options: CompileOptions
     #: … and what runs
@@ -45,7 +48,6 @@ class CompiledProgram:
     kernel: MetricKernel | None
     classification: object
     rule: object
-    pass_manager: PassManager
     mode: str                        # 'tree' | 'brute' | 'interp' | 'multilayer'
     state: State
     kernels: GeneratedKernels | None = None
@@ -75,9 +77,9 @@ class CompiledProgram:
     bounded: dict | None = None
     #: broadcast counters and per-shard stats of the last sharded run
     shard_info: dict | None = None
-    #: wall-clock seconds per compile stage that ran ('rules', 'lowering',
-    #: 'passes', 'codegen' — absent on a cache hit — 'tree_build',
-    #: 'shard_build') plus 'run' after run()
+    #: wall-clock seconds per compile stage that ran ('rules', 'codegen'
+    #: — absent on a cache hit — 'tree_build', 'shard_build') plus 'run'
+    #: after run()
     timings: dict = field(default_factory=dict)
     #: guards the mutable observability state (``timings`` / ``stats`` /
     #: ``bounded`` / ``shard_info``) against :meth:`stats_summary`
@@ -86,13 +88,35 @@ class CompiledProgram:
     #: others)
     _stats_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False)
+    #: the default pipeline's IR once something read it (:meth:`ir`)
+    _ir: PassManager | None = field(default=None, repr=False,
+                                   compare=False)
 
     # -- introspection ---------------------------------------------------------
-    def ir_dump(self, stage: str = "final") -> str:
-        return render_program(self.pass_manager.stage(stage))
+    def ir(self, disable=()) -> PassManager:
+        """This program's Portal IR: its own layers lowered and the
+        optimisation passes run, skipping those named in ``disable`` (see
+        :data:`repro.ir.passes.TOGGLEABLE_PASSES`), with the structural
+        verifier after every pass.  Built on first read — no compile
+        builds it, since the emitter works from the kernel, not from
+        the IR — and the default pipeline's result is kept."""
+        if self._ir is not None and not disable:
+            return self._ir
+        pm = PassManager(disabled=disable, verify=True)
+        with span("compile.lowering", program=self.name):
+            lowered = lower(self.layers, self.kernel, self.classification,
+                            self.rule, self.name)
+        with span("compile.passes", program=self.name):
+            pm.run(lowered)
+        if not disable:
+            self._ir = pm
+        return pm
+
+    def ir_dump(self, stage: str = "final", disable=()) -> str:
+        return render_program(self.ir(disable).stage(stage))
 
     def ir_stages(self, function: str = "BaseCase") -> str:
-        return render_stages(self.pass_manager.snapshots, function)
+        return render_stages(self.ir().snapshots, function)
 
     def generated_source(self) -> str:
         if self.kernels is None:
@@ -127,7 +151,7 @@ class CompiledProgram:
             self.output = execute_multilayer(self.layers, self.exclude_self)
             return self.output
         if self.mode == "interp":
-            self.output = self._run_interp()
+            self.output = self._run_interp(self.ir())
             return self.output
         if self.mode == "tree":
             self.stats = self._run_tree()
@@ -146,8 +170,9 @@ class CompiledProgram:
 
     def stats_summary(self) -> dict:
         """Observability summary: traversal counters with prune/approx
-        rates, per-IR-pass timings and per-compile-stage timings (the
-        numbers behind ``repro.cli stats`` and ``PortalExpr.stats()``).
+        rates, per-IR-pass timings (empty until something read the IR)
+        and per-compile-stage timings (the numbers behind ``repro.cli
+        stats`` and ``PortalExpr.stats()``).
 
         Safe to call while another thread is executing this program: the
         mutable state (``timings`` / traversal and engine counters) is
@@ -157,7 +182,7 @@ class CompiledProgram:
         with self._stats_lock:
             st_d = (self.stats or TraversalStats()).as_dict()
             timings = dict(self.timings)
-            pass_timings = dict(self.pass_manager.timings)
+            pass_timings = {} if self._ir is None else dict(self._ir.timings)
             bounded = None if self.bounded is None else dict(self.bounded)
             shard = None if self.shard_info is None else dict(self.shard_info)
         plan = self.plan
@@ -205,11 +230,11 @@ class CompiledProgram:
             )
         return summary
 
-    def _run_interp(self) -> Output:
-        """Execute the final BaseCase IR through the interpreter over the
-        full datasets — the slow reference backend (small inputs only;
-        self-pairs are not excluded, as the scalar IR has no notion of
-        storage identity)."""
+    def _run_interp(self, ir: PassManager) -> Output:
+        """Execute the final BaseCase IR of ``ir`` (a :meth:`ir` result)
+        through the interpreter over the full datasets — the slow
+        reference backend (small inputs only; self-pairs are not
+        excluded, as the scalar IR has no notion of storage identity)."""
         from .interp import base_case_env, interpret_function
 
         outer, inner = self.layers
@@ -228,7 +253,7 @@ class CompiledProgram:
             qname, rname, qdata, rdata,
             outer.storage.layout, inner.storage.layout, extra=extra,
         )
-        fn = self.pass_manager.stage("final")["BaseCase"]
+        fn = ir.stage("final")["BaseCase"]
         with span("interp.run", function="BaseCase"):
             interpret_function(fn, env)
         self.stats = TraversalStats(base_cases=1,

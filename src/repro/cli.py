@@ -47,17 +47,6 @@ def _parse_options(pairs: list[str]) -> dict:
     return out
 
 
-def _options(args) -> dict:
-    """execute()/compile() options: --option pairs plus the dedicated
-    pass-pipeline flags."""
-    out = _parse_options(args.option)
-    if args.disable_pass:
-        out["disable_passes"] = tuple(args.disable_pass)
-    if args.verify_ir:
-        out["verify_ir"] = True
-    return out
-
-
 def _parse_bindings(pairs: list[str]) -> dict:
     out: dict = {}
     for pair in pairs:
@@ -76,7 +65,7 @@ def _load(args) -> "PortalProgram":
 
 def _cmd_run(args) -> int:
     prog = _load(args)
-    results = prog.run(**_options(args))
+    results = prog.run(**_parse_options(args.option))
     for name, out in results.items():
         print(f"== {name} ==")
         if out.scalar is not None:
@@ -97,9 +86,9 @@ def _cmd_run(args) -> int:
 def _cmd_ir(args) -> int:
     prog = _load(args)
     for name, pexpr in prog.portal_exprs.items():
-        pexpr.compile(**_options(args))
+        pexpr.compile(**_parse_options(args.option))
         print(f"== {name} [{args.stage}] ==")
-        print(pexpr.ir_dump(args.stage))
+        print(pexpr.ir_dump(args.stage, disable=args.disable_pass))
         if args.generated:
             print(f"\n== {name} [generated backend source] ==")
             print(pexpr.generated_source())
@@ -116,7 +105,7 @@ def _fmt_timings(timings_ms: dict) -> str:
 
 def _cmd_stats(args) -> int:
     """Execute the program and report observability statistics."""
-    options = _options(args)
+    options = _parse_options(args.option)
     trace_cm = tracing(args.trace) if args.trace else nullcontext()
     summaries: dict[str, dict] = {}
     with trace_cm, collect() as counters:
@@ -179,7 +168,8 @@ def _cmd_stats(args) -> int:
                 f"pruned={sh.get('pruned', 0)} "
                 f"tasks-pruned={sh.get('tasks_pruned', 0)}"
             )
-        print(f"  IR passes: {_fmt_timings(s['pass_timings_ms'])}")
+        passes = _fmt_timings(s["pass_timings_ms"]) or "IR not built"
+        print(f"  IR passes: {passes}")
         print(f"  compile:   {_fmt_timings(s['compile_timings_ms'])}")
         print(f"  run:       {s['run_ms']:.3f} ms")
     if args.trace:
@@ -193,7 +183,7 @@ def _cmd_tune(args) -> int:
     from .policy import SEARCH_BUDGET_S, ensure_policy, policy_store
 
     prog = _load(args)
-    options = _options(args)
+    options = _parse_options(args.option)
     budget = args.budget if args.budget is not None else SEARCH_BUDGET_S
     results: dict[str, dict] = {}
     for name, pexpr in prog.portal_exprs.items():
@@ -238,7 +228,7 @@ def _cmd_serve(args) -> int:
     prog = _load(args)
     if not prog.portal_exprs:
         raise SystemExit("program defines no PortalExpr to serve")
-    options = _options(args)
+    options = _parse_options(args.option)
     admission = AdmissionConfig(
         max_queue=args.max_queue, batch_max=args.batch_max,
         linger_us=args.linger_us, max_concurrent=args.max_concurrent,
@@ -278,7 +268,7 @@ def _cmd_serve(args) -> int:
 def _cmd_explain(args) -> int:
     prog = _load(args)
     for name, pexpr in prog.portal_exprs.items():
-        program = pexpr.compile(**_options(args))
+        program = pexpr.compile(**_parse_options(args.option))
         cls = program.classification
         print(f"== {name} ==")
         print(pexpr.describe())
@@ -304,14 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--option", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="execute()/compile() option, e.g. tau=1e-3")
-        p.add_argument("--disable-pass", action="append", default=[],
-                       metavar="PASS", dest="disable_pass",
-                       choices=list(TOGGLEABLE_PASSES),
-                       help="skip an IR optimisation pass (repeatable)")
-        p.add_argument("--verify-ir", action="store_true",
-                       dest="verify_ir",
-                       help="run the structural IR verifier after "
-                            "every pass")
 
     p_run = sub.add_parser("run", help="execute the program")
     common(p_run)
@@ -323,6 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     common(p_ir)
     p_ir.add_argument("--stage", default="final",
                       choices=list(PIPELINE_STAGES))
+    p_ir.add_argument("--disable-pass", action="append", default=[],
+                      metavar="PASS", dest="disable_pass",
+                      choices=list(TOGGLEABLE_PASSES),
+                      help="skip an IR optimisation pass in the dump "
+                           "(repeatable)")
     p_ir.add_argument("--generated", action="store_true",
                       help="also dump the generated backend source")
     p_ir.set_defaults(fn=_cmd_ir)

@@ -1,12 +1,11 @@
 """``PortalExpr``: the main problem-definition object (paper section III).
 
 A PortalExpr holds the chain of layers specifying an N-body problem.
-``execute()`` runs the full compiler pipeline — classification, tree
-construction, lowering to Portal IR, optimisation passes, code generation
-— and then the (optionally parallel) multi-tree traversal.  ``getOutput()``
-returns the outer layer's storage, and the intermediate IR of every
-compiler stage stays inspectable via :meth:`ir_dump` and
-:meth:`generated_source`.
+``execute()`` runs the compiler pipeline — classification, tree
+construction, code generation — and then the (optionally parallel)
+multi-tree traversal.  ``getOutput()`` returns the outer layer's storage;
+:meth:`generated_source` shows the emitted code, and :meth:`ir_dump`
+lowers the program to Portal IR and shows it after any compiler stage.
 """
 
 from __future__ import annotations
@@ -151,18 +150,20 @@ class PortalExpr:
             raise SpecificationError("compile() or execute() has not been called")
         return self._program
 
-    def ir_dump(self, stage: str = "final") -> str:
+    def ir_dump(self, stage: str = "final", disable=()) -> str:
         """Pretty-printed Portal IR after the named compiler stage
-        ('lowered', 'flattened', 'numopt', 'strength', 'final')."""
-        return self.program.ir_dump(stage)
+        ('lowered', 'flattened', 'numopt', 'strength', 'final'), with the
+        optimisation passes named in ``disable`` skipped."""
+        return self.program.ir_dump(stage, disable)
 
     def stats(self) -> dict:
         """Observability summary of the last compile/run (see
         ``docs/observability.md``): traversal counters with prune and
-        approximation rates, per-IR-pass timings, per-compile-stage
-        timings, and the run wall-clock.  Sharded runs add a ``"shard"``
-        block — shard count, broadcast rounds, ``pruned`` /
-        ``tasks_pruned`` kill counts and per-shard traversal stats.
+        approximation rates, per-IR-pass timings (once something read
+        the IR), per-compile-stage timings, and the run wall-clock.
+        Sharded runs add a ``"shard"`` block — shard count, broadcast
+        rounds, ``pruned`` / ``tasks_pruned`` kill counts and per-shard
+        traversal stats.
         Requires :meth:`compile` (the traversal counters are zero until
         :meth:`execute`)."""
         return self.program.stats_summary()

@@ -21,10 +21,11 @@ checks all of these invariants over a whole :class:`IRProgram`:
 * accumulator updates use a supported reduction operator and indexed
   updates only target injected storage.
 
-The pass manager runs the verifier after every pass when
-``CompileOptions.verify_ir`` is enabled (the default in the test suite);
-a violation raises :class:`IRVerificationError` naming the offending
-pass, function and statement.
+The pass manager runs the verifier after every pass when built with
+``verify=True``, as every program's IR is
+(:meth:`repro.backend.program.CompiledProgram.ir`); a violation raises
+:class:`IRVerificationError` naming the offending pass, function and
+statement.
 """
 
 from __future__ import annotations

@@ -17,15 +17,18 @@ from repro.dsl import (
     Storage, Var, indicator, pow, sqrt,
 )
 from repro.backend import jit
+from repro.backend import program as program_mod
 from repro.backend.cache import cache_stats, clear_caches
 from repro.backend.codegen import generate
 from repro.backend.jit import CompileOptions
-from repro.backend.plan import requested, resolve_plan
+from repro.backend.plan import resolve_plan
 from repro.dsl.errors import OperatorError
 from repro.dsl.expr import DistVar
 from repro.dsl.funcs import MetricKernel
 from repro.dsl.layer import Layer
 from repro.dsl.parser import parse_program
+from repro.ir import lowering
+from repro.ir.passes import PassManager
 from repro.observe import collect
 from tests.parallel.test_process_executor import _assert_bit_identical
 
@@ -315,7 +318,7 @@ def _spine_expr(path, seed):
 def _code_half_args(expr, options):
     opts = CompileOptions.from_dict(options)
     plan = resolve_plan(opts, os.environ, None, expr.layers)
-    return expr, opts, plan, requested(opts, os.environ, "verify_ir")[0]
+    return expr, opts, plan
 
 
 @pytest.mark.parametrize("path", SPINE_PROGRAMS, ids=lambda p: p.stem)
@@ -366,7 +369,7 @@ class TestCodeNeverReadsData:
         keyed = set(reads)
         reads.clear()
         jit._compile_code(*args)
-        assert reads == keyed == {"name", "dim", "layout", "weights"}
+        assert reads == keyed == {"dim", "layout", "weights"}
 
 
 # -- the code cache: one compile per program shape ----------------------------
@@ -446,10 +449,10 @@ def test_repeat_execute_compiles_nothing_and_hashes_nothing(path, config):
         cache=False, **options))
 
 
-def _kde_over(Q, R, *, qname="query", weights=False, bandwidth=0.8, k=None):
+def _kde_over(Q, R, *, weights=False, bandwidth=0.8, k=None):
     """Gaussian KDE over ``(Q, R)`` — or, given ``k``, k-NN."""
     e = PortalExpr("kde" if k is None else "knn")
-    e.addLayer(PortalOp.FORALL, Storage(Q, name=qname))
+    e.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
     rstorage = Storage(R, weights=np.ones(len(R)) if weights else None,
                        name="reference")
     if k is None:
@@ -464,13 +467,11 @@ def _kde_over(Q, R, *, qname="query", weights=False, bandwidth=0.8, k=None):
 CODE_KEY_FIELDS = {
     "k": ({"k": 3}, {"k": 4}),
     "bandwidth": ({}, {"bandwidth": 0.5}),
-    "storage-name": ({}, {"qname": "other"}),
     "weights": ({}, {"weights": True}),
     # the emitter's spelling of the pairwise kernel (column- or row-major)
     "codegen": ({"layout": "column"}, {"layout": "row"}),
-    "verify_ir": ({"verify_ir": True}, {"verify_ir": False}),
 }
-_OPTION_FIELDS = ("layout", "verify_ir")
+_OPTION_FIELDS = ("layout",)
 
 
 class TestCodeCache:
@@ -657,9 +658,10 @@ class TestKernelRelease:
         assert loose.namespace["RCOL"].shape == (3, 210)
 
 
-def test_storage_names_are_part_of_the_program_key(rng):
-    """The lowered IR embeds the Storage names, so the same arrays under
-    other names are another program — not a hit that dumps the old ones."""
+def test_storage_names_are_not_part_of_the_code_key(rng):
+    """The emitted code never names a Storage, so the same shape under
+    other names is a code hit; the IR, which does, is lowered from the
+    program's own layers and dumps the new names."""
     Q, R = rng.normal(size=(40, 3)), rng.normal(size=(50, 3))
 
     def knn(qname, rname):
@@ -670,11 +672,38 @@ def test_storage_names_are_part_of_the_program_key(rng):
         e.execute()
         return e
 
-    assert knn("alpha", "beta").stats()["cache"] == "miss"
+    first = knn("alpha", "beta")
+    assert first.stats()["cache"] == "miss"
     second = knn("gamma", "delta")
-    assert second.stats()["cache"] == "miss"
+    assert second.stats()["cache"] == "hit"
+    assert second.generated_source() == first.generated_source()
     assert "BaseCase(gamma, delta)" in second.ir_dump()
-    assert knn("gamma", "delta").stats()["cache"] == "hit"
+    assert "BaseCase(alpha, beta)" in first.ir_dump()
+
+
+@pytest.mark.parametrize("k", [None, 3], ids=["kde", "knn"])
+@pytest.mark.parametrize("backend", ["vectorized", "brute"])
+def test_a_cold_compile_builds_no_ir(rng, monkeypatch, backend, k):
+    """The emitter works from the kernel, not from the IR: a cold compile
+    and its run never lower nor run a pass, and compute what they did
+    with both in place; the IR waits for a reader."""
+    Q, R = rng.normal(size=(60, 3)), rng.normal(size=(80, 3))
+    ref = _kde_over(Q, R, k=k).execute(backend=backend)
+    clear_caches()
+
+    def boom(*_a, **_k):
+        raise AssertionError("the IR was built")
+
+    monkeypatch.setattr(lowering, "lower", boom)
+    monkeypatch.setattr(program_mod, "lower", boom)
+    monkeypatch.setattr(PassManager, "run", boom)
+    expr = _kde_over(Q, R, k=k)
+    with collect() as counters:
+        out = expr.execute(backend=backend)
+    assert counters.get("cache.compile.miss") == 1
+    _assert_bitwise(out, ref)
+    with pytest.raises(AssertionError, match="the IR was built"):
+        expr.ir_dump()
 
 
 class TestRebind:

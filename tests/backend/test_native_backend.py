@@ -233,7 +233,7 @@ def test_env_override_repro_codegen(monkeypatch):
     is the exception by design: the pool reads ``REPRO_WORKERS``.)"""
     env_rows = {row.metadata["env"] for row in OPTION_TABLE.values()
                 if row.metadata["env"]}
-    assert env_rows == {"REPRO_EXECUTOR", "REPRO_VERIFY_IR"}
+    assert env_rows == {"REPRO_EXECUTOR"}
     build, kind, opts = make_problem("kde", 101)
     ref = build()
     ref_out = _extract(ref.execute(cache=False, **opts), kind)

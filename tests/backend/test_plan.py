@@ -234,7 +234,9 @@ class TestStaticRules:
     # a misspelt backend used to run the tree algorithm, uncached
     {"backend": "brue"},
     {"parallel": "maybe"}, {"cache": 2}, {"fastmath": 1.0},
-    {"exclude_self": "sometimes"}, {"verify_ir": "2"},
+    {"exclude_self": "sometimes"},
+    # a deleted IR knob: no such option (the IR is built on read)
+    {"verify_ir": True},
     {"tau": float("nan")}, {"tau": "x"}, {"tau": -1e-3}, {"tau": True},
     {"theta": "x"}, {"theta": float("inf")},
     # the last four rows to get an ``allowed``: tree/split used to escape
@@ -244,6 +246,8 @@ class TestStaticRules:
     {"layout": "diagonal"},
     # the deleted codegen surface: no such option, no such backend
     {"codegen": "numpy"}, {"backend": "native"},
+    # the other deleted IR knob
+    {"disable_passes": ("cse",)},
 ])
 def test_bad_counts_are_specification_errors(options):
     with pytest.raises(SpecificationError, match="|".join(options)):
@@ -259,7 +263,7 @@ def test_none_and_numpy_ints_are_accepted():
 
 
 @pytest.mark.parametrize("name", [
-    "parallel", "cache", "exclude_self", "verify_ir"])
+    "parallel", "cache", "exclude_self"])
 def test_a_flag_spelt_off_is_off(name):
     """``"false"`` from a serve client or ``--option cache=off`` from the
     CLI is a non-empty string: it must not switch the feature on."""

@@ -22,13 +22,6 @@ def _isolated_caches():
     clear_caches()
 
 
-@pytest.fixture(autouse=True)
-def _verify_ir(monkeypatch):
-    """Run the structural IR verifier after every pass in every compile
-    the suite performs (benchmarks leave it off)."""
-    monkeypatch.setenv("REPRO_VERIFY_IR", "1")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -60,7 +60,7 @@ class TestFig2NearestNeighbor:
         optimisation pass must not fire."""
         _, _, e = nn_program(rng)
         e.compile()
-        pm = e.program.pass_manager
+        pm = e.program.ir()
         assert pm.stage("numopt").meta["numerical_optimized"] is False
 
 
@@ -84,7 +84,7 @@ class TestFig3KDE:
         e.addLayer(PortalOp.MIN, Storage(Q.copy(), name="reference"),
                    PortalFunc.MAHALANOBIS, covariance=np.eye(3))
         e.compile()
-        pm = e.program.pass_manager
+        pm = e.program.ir()
         assert pm.stage("numopt").meta["numerical_optimized"] is True
         assert "cholesky" in e.ir_dump("numopt")
 
@@ -95,7 +95,7 @@ class TestInterpreterAgreement:
         out = e.execute()
         env = base_case_env("query", "reference", Q, R, "column", "column")
         interpret_function(
-            e.program.pass_manager.stage("final")["BaseCase"], env
+            e.program.ir().stage("final")["BaseCase"], env
         )
         # Interpreter stores argmin indices in reference order.
         d = np.sqrt(((Q[:, None, :] - R[None, :, :]) ** 2).sum(-1))
@@ -106,6 +106,6 @@ class TestInterpreterAgreement:
         out = e.execute(tau=0.0, exclude_self=False)
         env = base_case_env("query", "reference", Q, R, "column", "column")
         interpret_function(
-            e.program.pass_manager.stage("final")["BaseCase"], env
+            e.program.ir().stage("final")["BaseCase"], env
         )
         assert np.allclose(env["storage0"], out.values)

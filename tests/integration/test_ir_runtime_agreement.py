@@ -45,7 +45,7 @@ class TestPruneIRAgreement:
         ns = prog.kernels.namespace
         best = ns["best"]
         qstart, qend = prog.qtree.start, prog.qtree.end
-        prune_ir = prog.pass_manager.stage("final")["PruneApprox"]
+        prune_ir = prog.ir().stage("final")["PruneApprox"]
 
         def node_bound(n1):
             return best[qstart[n1]:qend[n1]].max()
@@ -77,7 +77,7 @@ class TestPruneIRAgreement:
         prog.run()
 
         ns = prog.kernels.namespace
-        prune_ir = prog.pass_manager.stage("final")["PruneApprox"]
+        prune_ir = prog.ir().stage("final")["PruneApprox"]
         leaves = prog.qtree.leaves()
         checked = both = 0
         for qi in leaves[:10]:

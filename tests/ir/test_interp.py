@@ -32,7 +32,7 @@ def run_base_case(prog, Q, R, extra=None):
                         "column" if Q.shape[1] <= 4 else "row",
                         "column" if R.shape[1] <= 4 else "row",
                         extra=extra)
-    fn = prog.pass_manager.stage("final")["BaseCase"]
+    fn = prog.ir().stage("final")["BaseCase"]
     return interpret_function(fn, env)
 
 
@@ -108,7 +108,7 @@ class TestInterpreterVsBrute:
         env_low["query_data"] = Q
         env_low["reference_data"] = R
         low = interpret_function(
-            prog.pass_manager.stage("lowered")["BaseCase"], env_low
+            prog.ir().stage("lowered")["BaseCase"], env_low
         )["storage0"]
         final = run_base_case(prog, Q, R)["storage0"]
         assert np.allclose(low, final)

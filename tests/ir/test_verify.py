@@ -270,18 +270,24 @@ class TestBrokenPassDrill:
         assert pm.timings.get("verify", 0.0) > 0.0
 
     def test_verify_ir_option_end_to_end(self, monkeypatch):
-        # Through the public execute() surface: REPRO_VERIFY_IR + a broken
-        # pass must abort compilation with the attributed error.
+        # Through the public surface: a compile never builds the IR, so
+        # a broken pass cannot fail execute(); every reader of the IR —
+        # ir_dump() and the interpreter backend — gets the error,
+        # attributed to the pass.
         def broken_fold(program):
             return program.map_exprs(
                 lambda e: BinOp("%", e, e) if isinstance(e, Const) else e
             )
 
         monkeypatch.setattr(passes_mod, "constant_fold", broken_fold)
-        with pytest.raises(IRVerificationError) as exc:
-            _kde_expr().execute(verify_ir=True, cache=False)
-        assert exc.value.pass_name == "fold"
-        assert "illegal binary operator" in exc.value.message
+        expr = _kde_expr()
+        expr.execute(cache=False)
+        for read in (expr.ir_dump,
+                     lambda: _kde_expr().execute(backend="interp")):
+            with pytest.raises(IRVerificationError) as exc:
+                read()
+            assert exc.value.pass_name == "fold"
+            assert "illegal binary operator" in exc.value.message
 
 
 def _lowered_kde():

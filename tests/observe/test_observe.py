@@ -195,12 +195,35 @@ class TestPipelineIntegration:
             knn(Q, k=2)
         names = {json.loads(l)["name"]
                  for l in path.read_text().splitlines()}
-        assert {"compile.rules", "compile.lowering", "compile.passes",
-                "compile.tree_build", "codegen", "run"} <= names
-        assert any(n.startswith("ir.pass.") for n in names)
+        assert {"compile.rules", "compile.tree_build", "codegen",
+                "run"} <= names
+        # The IR is built on read, never by a compile.
+        assert not names & {"compile.lowering", "compile.passes"}
+        assert not any(n.startswith("ir.pass.") for n in names)
         assert counters.get("compile.count") == 1
         assert counters.get("traversal.visited") > 0
-        assert any(k.startswith("passes.") for k in counters.as_dict())
+        assert not any(k.startswith("passes.") for k in counters.as_dict())
+
+    def test_reading_the_ir_emits_the_ir_spans(self, tmp_path):
+        from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
+
+        rng = np.random.default_rng(5)
+        e = PortalExpr()
+        e.addLayer(PortalOp.FORALL, Storage(rng.normal(size=(40, 3))))
+        e.addLayer(PortalOp.MIN, Storage(rng.normal(size=(50, 3))),
+                   PortalFunc.EUCLIDEAN)
+        e.execute()
+        path = tmp_path / "trace.jsonl"
+        with tracing(str(path)), collect() as counters:
+            e.ir_dump()
+            e.ir_dump("lowered")  # the built IR is kept
+        names = [json.loads(l)["name"]
+                 for l in path.read_text().splitlines()]
+        assert names.count("compile.lowering") == 1
+        assert names.count("compile.passes") == 1
+        assert any(n.startswith("ir.pass.") for n in names)
+        assert counters.get("passes.verify_s") > 0
+        assert "compile.count" not in counters.as_dict()
 
     def test_parse_emits_span(self, tmp_path):
         from repro.dsl import parse_program
@@ -227,6 +250,11 @@ class TestPipelineIntegration:
         assert s["mode"] == "tree"
         assert {"visited", "pruned", "prune_rate", "approx_rate"} <= set(
             s["traversal"])
-        assert set(s["pass_timings_ms"]) >= {"flatten", "fold", "cse", "dce"}
+        assert set(s["compile_timings_ms"]) == {
+            "rules", "codegen", "tree_build"}
+        assert s["pass_timings_ms"] == {}  # nothing read the IR yet
         assert s["run_ms"] >= 0.0
         json.dumps(s)  # the summary must be JSON-serialisable
+        e.ir_dump()
+        assert set(e.stats()["pass_timings_ms"]) >= {
+            "flatten", "fold", "cse", "dce", "verify"}

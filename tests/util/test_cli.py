@@ -48,13 +48,21 @@ class TestCli:
         assert "BaseCase" in out and "alloc storage0" in out
 
     def test_ir_disable_pass_and_verify(self, setup, capsys):
+        # The dumped IR is always verified; --disable-pass changes the
+        # dump, and run / stats no longer take the flag.
         prog, binds = setup
-        assert main(["ir", prog, *binds, "--stage", "final",
-                     "--disable-pass", "strength", "--disable-pass", "cse",
-                     "--verify-ir"]) == 0
+        assert main(["ir", prog, *binds, "--stage", "final", "--disable-pass",
+                     "strength", "--disable-pass", "cse"]) == 0
         out = capsys.readouterr().out
         # Strength reduction skipped: pow survives to the final stage.
         assert "pow(" in out
+        assert main(["ir", prog, *binds, "--stage", "final"]) == 0
+        assert "pow(" not in capsys.readouterr().out
+        for command in ("run", "stats"):
+            with pytest.raises(SystemExit):
+                main([command, prog, *binds, "--disable-pass", "cse"])
+        with pytest.raises(SystemExit):
+            main(["ir", prog, *binds, "--verify-ir"])
 
     def test_disable_pass_rejects_unknown(self, setup, capsys):
         prog, binds = setup
@@ -62,11 +70,14 @@ class TestCli:
             main(["ir", prog, *binds, "--disable-pass", "nonsense"])
 
     def test_stats_reports_new_pass_timings(self, setup, capsys):
+        # The interpreter reads the IR, so its run reports the passes.
         prog, binds = setup
-        assert main(["stats", prog, *binds, "--verify-ir"]) == 0
+        assert main(["stats", prog, *binds,
+                     "--option", "backend=interp"]) == 0
         out = capsys.readouterr().out
-        for key in ("simplify", "cse", "dce"):
-            assert key in out
+        passes = next(l for l in out.splitlines() if "IR passes:" in l)
+        for key in ("simplify", "cse", "dce", "verify"):
+            assert key in passes
 
     def test_ir_generated(self, setup, capsys):
         prog, binds = setup
@@ -123,7 +134,10 @@ class TestCliStats:
         tr = stats["traversal"]
         assert tr["visited"] == (tr["pruned"] + tr["approximated"]
                                  + tr["recursions"] + tr["base_cases"])
-        assert "flatten" in stats["pass_timings_ms"]
+        # A tree run never builds the IR: no pass ran, none is timed.
+        assert stats["pass_timings_ms"] == {}
+        assert set(stats["compile_timings_ms"]) == {
+            "rules", "codegen", "tree_build"}
         assert payload["counters"]["compile.count"] == 1
         assert payload["counters"]["traversal.visited"] == tr["visited"]
 
@@ -136,7 +150,8 @@ class TestCliStats:
         names = {json.loads(l)["name"]
                  for l in trace.read_text().splitlines()}
         assert "codegen" in names
-        assert any(n.startswith("ir.pass.") for n in names)
+        # A tree run never builds the IR.
+        assert not any(n.startswith("ir.pass.") for n in names)
 
     def test_stats_respects_options(self, setup, capsys):
         prog, binds = setup
