@@ -168,11 +168,13 @@ class GeneratedKernels:
 
     ``base_case(qs, qe, rs, re)`` evaluates one leaf pair over slice
     views: the stack engine's and brute mode's base case.
-    ``base_case_group(qs, qe, ridx)`` evaluates a query leaf against the
-    gathered points of several reference leaves: one call per query leaf
-    and epoch of a bound rule in the batched engine
-    (:mod:`repro.traversal.bounded_batched`), one per query leaf of a
-    stateless program's flush.  The scalar ``prune_or_approx`` /
+    ``base_case_group(qs, qe, gathered)`` evaluates a query leaf against
+    the gathered points of several reference leaves: one call per query
+    leaf of a stateless program's flush in the batched engine
+    (:mod:`repro.traversal.bounded_batched`).  A bound rule's
+    ``base_case_blocks(qs, qe, ridx, redge)`` takes every query leaf of
+    one epoch at once, packed into padded blocks of at most
+    :data:`CHUNK_CELLS` cells.  The scalar ``prune_or_approx`` /
     ``pair_min_dist`` drive the nearest-first stack engine.  Stateless
     rules (indicator / approximation) get ``classify_batch`` over whole
     arrays of node-id pairs, and ``apply_action`` for their approximated
@@ -193,6 +195,7 @@ class GeneratedKernels:
     bound_key_batch: Callable | None = None
     classify_bound_batch: Callable | None = None
     base_case_group: Callable | None = None
+    base_case_blocks: Callable | None = None
     row_key_batch: Callable | None = None
     base_case_rows: Callable | None = None
 
@@ -302,7 +305,8 @@ def _merge_lines(spec: CodegenSpec,
     operator.  ``ids(i, j)`` spells the reference ids of candidate
     columns ``j`` of block rows ``i`` — ``rs + j`` over a leaf slice,
     ``ridx[j]`` over a gathered batch, ``ridx[i, j]`` over per-row
-    gathers — the one difference between the base cases.  A K-operator
+    gathers, ``rid[leaf[i], j]`` over a block of query leaves — the one
+    difference between the base cases.  A K-operator
     merges only the rows with a candidate at or inside their k-th best
     (so ties at the k-th value still enter); the others are untouched."""
     op = spec.inner_op
@@ -629,7 +633,7 @@ def _classify_batch_source(spec: CodegenSpec) -> str | None:
     Only *stateless* rules classify this way: the bound rules (k-NN,
     Hausdorff) read the mutable best-value arrays, so their batch form
     classifies against a node-bound *snapshot* instead — see
-    :func:`_bound_batch_source` / :func:`_base_case_group_source`.
+    :func:`_bound_batch_source` / :func:`_base_case_blocks_source`.
     """
     rule = spec.rule
     if rule is None or rule.kind in ("none", "bound-min", "bound-max"):
@@ -723,39 +727,190 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
     return "\n".join(lines)
 
 
-#: Cells (query rows × gathered reference columns) that one chunk of the
-#: grouped base case of a stateless program evaluates at once, so its
-#: temporaries stay in cache.  Sweep, op ms on ``kde_approx`` /
-#: ``compile_suite`` inputs (2 vCPUs, x86_64, NumPy 2.4): 8K cells
-#: 238 / 63–84, 16K 220 / 51–60, 32K 228 / 64–71, 64K 253 / 66–73.
-SUM_CHUNK_CELLS = 16 * 1024
+#: Cells (query rows × gathered reference columns) that one chunk of a
+#: stateless program's grouped base case, or one block of a bound
+#: program's blocked base case, evaluates at once, so its temporaries
+#: stay in cache (2 vCPUs, x86_64, NumPy 2.4): ``kde_approx`` op_p50 at
+#: 16K → 64K cells 155 → 139 ms (median of 4 interleaved spine pairs,
+#: 4/4 won); the ``knn_prune`` blocked kernel ≈ 10 % slower at 32K cells
+#: than at 64K, ≈ 3× slower uncapped (one block per epoch).
+CHUNK_CELLS = 64 * 1024
 
 
-def _base_case_group_source(spec: CodegenSpec) -> str:
-    """Emit ``base_case_group(qs, qe, ridx)``: one vectorised base case
-    for a query leaf against the concatenated points of *several*
-    reference leaves.  Bound rules evaluate the gathered block at once,
-    merge it into the best arrays and refresh the signed per-query bound
-    ``qbound`` (the value the next epoch's node-bound snapshot
-    max-reduces); every other program walks the gathered list in chunks
-    of at most :data:`SUM_CHUNK_CELLS` cells."""
+def _base_case_group_source(spec: CodegenSpec) -> str | None:
+    """Emit ``base_case_group(qs, qe, gathered)`` for a stateless
+    program: one vectorised base case for a query leaf against the
+    concatenated points of *several* reference leaves, walked in chunks
+    of at most :data:`CHUNK_CELLS` cells.  A bound program gets
+    :func:`_base_case_blocks_source` instead."""
+    rule = spec.rule
+    if rule is not None and rule.is_bound:
+        return None
     body = [*_pairwise_lines(spec, "ridx"),
             *_self_exclusion_lines(spec, "ridx"),
             *_update_lines(spec, "ridx", lambda i, j: f"ridx[{j}]")]
-    rule = spec.rule
-    if rule is not None and rule.is_bound:
-        return "\n".join([
-            "def base_case_group(qs, qe, ridx):", *body,
-            f"    qbound[qs:qe] = {_bound_sign(rule)}"
-            f"best[qs:qe{_kth_best(spec)}]",
-        ])
     return "\n".join([
         "def base_case_group(qs, qe, gathered):",
-        f"    step = max(1, {SUM_CHUNK_CELLS} // (qe - qs))",
+        f"    step = max(1, {CHUNK_CELLS} // (qe - qs))",
         "    for c in range(0, gathered.shape[0], step):",
         "        ridx = gathered[c:c + step]",
         *("    " + line for line in body),
     ])
+
+
+def _augmented_gemm(spec: CodegenSpec) -> bool:
+    """Whether a block takes the norm expansion as one augmented GEMM:
+    a squared-Euclidean kernel that is not an indicator, row layout."""
+    return (spec.layout != Layout.COLUMN and spec.base == "sqeuclidean"
+            and not spec.is_indicator)
+
+
+def _block_distance_lines(spec: CodegenSpec) -> list[str]:
+    """Body lines computing ``t`` (blocks × rows × columns) for the query
+    rows ``qrow`` (blocks × rows) against the reference points ``rid``
+    (blocks × columns).  The column layout and every difference form
+    take :func:`_pairwise_lines`' arithmetic cell for cell; the row
+    layout's norm expansion is one augmented GEMM,
+    ``[Q | ‖q‖² | 1] @ [−2R | 1 | ‖r‖²]ᵀ``, then the clamp."""
+    out: list[str] = []
+    b = out.append
+    if spec.layout == Layout.COLUMN:
+        b("        dq = QCOL[:, qrow]")
+        b("        dr = RCOL[:, rid]")
+        for d in range(spec.dim):
+            b(f"        _d{d} = dq[{d}][:, :, None] - dr[{d}][:, None, :]")
+            term = (f"_d{d} * _d{d}" if spec.base == "sqeuclidean"
+                    else f"np.abs(_d{d})")
+            if d == 0:
+                b(f"        t = {term}")
+            elif spec.base == "chebyshev":
+                b(f"        np.maximum(t, {term}, out=t)")
+            else:
+                b(f"        t = t + {term}")
+    elif _augmented_gemm(spec):
+        b("        QA, RA = _gemm_operands()")
+        # a contiguous (k × columns) right operand takes the fast GEMM
+        b("        RB = np.ascontiguousarray(RA[rid].transpose(0, 2, 1))")
+        b("        t = QA[qrow] @ RB")
+        b("        np.maximum(t, 0.0, out=t)")
+    else:
+        b("        diff = (QROW[qrow][:, :, None, :]")
+        b("                - RROW[rid][:, None, :, :])")
+        if spec.base == "sqeuclidean":
+            b("        t = np.einsum('ijkl,ijkl->ijk', diff, diff)")
+        elif spec.base == "manhattan":
+            b("        t = np.abs(diff).sum(axis=-1)")
+        else:
+            b("        t = np.abs(diff).max(axis=-1)")
+    pre, g_src = emit_expr_vn(spec.g_ir, {"t": "t"})
+    for assign in pre:
+        b(f"        {assign}")
+    b(f"        v = {g_src}")
+    return out
+
+
+_GEMM_OPERANDS = """\
+_GEMM = {}
+
+
+def _gemm_operands():
+    # The augmented operands of the norm expansion, built once per bind.
+    ops = _GEMM.get("ops")
+    if ops is None:
+        nq, nr = QROW.shape[0], RROW.shape[0]
+        ops = _GEMM["ops"] = (
+            np.hstack([QROW, QN2[:, None], np.ones((nq, 1))]),
+            np.hstack([-2.0 * RROW, np.ones((nr, 1)), RN2[:, None]]))
+    return ops"""
+
+
+def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
+    """Emit ``base_case_blocks(qs, qe, ridx, redge)`` for a bound rule:
+    one call per leaf-bearing epoch of the batched engine's leaf regime.
+    Query leaf ``i`` spans rows ``[qs[i], qe[i])`` and meets the gathered
+    reference points ``ridx[redge[i]:redge[i + 1]]``.  The leaves are
+    sorted by gathered width and packed into padded blocks of at most
+    :data:`CHUNK_CELLS` cells; each block takes one batched distance
+    (:func:`_block_distance_lines`) and one dense merge through the
+    :func:`_merge_lines` template (emitted as ``_merge_block``), over
+    copies of its rows' state.  A pad cell holds the operator's
+    exclusion value and id −1; a pad row repeats its leaf's last row
+    and is never written back.  Every real row's signed bound ``qbound``
+    is refreshed from its k-th best."""
+    rule = spec.rule
+    if rule is None or not rule.is_bound:
+        return None
+    excl = _exclusion_value(spec.inner_op)
+    kth = _kth_best(spec)
+    indexed = op_info(spec.inner_op).returns_index
+    lines = [
+        "def base_case_blocks(qs, qe, ridx, redge):",
+        "    width = redge[1:] - redge[:-1]",
+        "    nrow = qe - qs",
+        "    order = np.argsort(width, kind='stable')",
+        "    qrows = qs[:, None] + np.arange(int(nrow.max()))",
+        "    reals = qrows < qe[:, None]",
+        "    np.minimum(qrows, qe[:, None] - 1, out=qrows)",
+        "    for sel in _blocks(order, nrow[order], width[order]):",
+        "        W = int(width[sel[-1]])",
+        "        P = int(nrow[sel].max())",
+        "        col = np.arange(W)",
+        "        rid = ridx[np.minimum(redge[sel, None] + col, ridx.size - 1)]",
+        "        qrow = qrows[sel, :P]",
+        *_block_distance_lines(spec),
+    ]
+    b = lines.append
+    if spec.self_map:
+        b(f"        np.copyto(v, {excl}, "
+          "where=qrow[:, :, None] == RSELF[rid][:, None, :])")
+    elif spec.same_tree and spec.exclude_self:
+        b(f"        np.copyto(v, {excl}, "
+          "where=qrow[:, :, None] == rid[:, None, :])")
+    b("        if width[sel[0]] < W:   # the narrower leaves' pad cells")
+    b("            pad = col >= width[sel, None]")
+    b(f"            v.transpose(0, 2, 1)[pad] = {excl}")
+    if indexed:
+        b("            rid = np.where(pad, -1, rid)")
+    b("        qflat = qrow.ravel()")
+    b("        bk = best[qflat]")
+    if indexed:
+        b("        bik = best_idx[qflat]")
+        b("        leaf = np.repeat(np.arange(sel.size), P)")
+        b("        _merge_block(v.reshape(-1, W), rid, leaf, bk, bik)")
+    else:
+        b("        _merge_block(v.reshape(-1, W), bk)")
+    b("        if nrow[sel].min() < P:   # pad rows: write back the real ones")
+    b("            real = reals[sel, :P].ravel()")
+    b("            qflat, bk = qflat[real], bk[real]")
+    if indexed:
+        b("            bik = bik[real]")
+        b("        best_idx[qflat] = bik")
+    b("        best[qflat] = bk")
+    b(f"        qbound[qflat] = {_bound_sign(rule)}bk[:{kth}]"
+      if kth else f"        qbound[qflat] = {_bound_sign(rule)}bk")
+    params = "v, rid, leaf, best, best_idx" if indexed else "v, best"
+    lines += [
+        "",
+        "",
+        "def _blocks(order, rows, width):",
+        "    # Greedy cuts over the width-sorted leaves: a block's padded",
+        "    # cells (leaves × widest rows × widest width) stay within",
+        f"    # {CHUNK_CELLS}, unless one leaf alone holds more.",
+        "    start, p = 0, 0",
+        "    for j, (n, w) in enumerate(zip(rows.tolist(), width.tolist())):",
+        "        p = max(p, n)",
+        f"        if j > start and (j + 1 - start) * p * w > {CHUNK_CELLS}:",
+        "            yield order[start:j]",
+        "            start, p = j, n",
+        "    yield order[start:]",
+        "",
+        "",
+        f"def _merge_block({params}, qs=0, qe=None):",
+        *_merge_lines(spec, lambda i, j: f"rid[leaf[{i}], {j}]"),
+    ]
+    if _augmented_gemm(spec):
+        lines += ["", "", _GEMM_OPERANDS]
+    return "\n".join(lines)
 
 
 def _pairwise_pairs_lines(spec: CodegenSpec) -> list[str]:
@@ -879,7 +1034,7 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
         ]
         for maker in (_action_source, _prune_source, _classify_batch_source,
                       _bound_batch_source, _base_case_group_source,
-                      _base_case_rows_source):
+                      _base_case_blocks_source, _base_case_rows_source):
             src = maker(spec)
             if src is not None:
                 chunks.append(src)
@@ -983,6 +1138,7 @@ def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
         bound_key_batch=namespace.get("bound_key_batch"),
         classify_bound_batch=namespace.get("classify_bound_batch"),
         base_case_group=namespace.get("base_case_group"),
+        base_case_blocks=namespace.get("base_case_blocks"),
         row_key_batch=namespace.get("row_key_batch"),
         base_case_rows=namespace.get("base_case_rows"),
     )

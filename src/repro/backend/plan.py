@@ -51,6 +51,12 @@ AUTO_SHARD_MIN_POINTS = 200_000
 #: without swamping scheduling overhead.
 TASKS_PER_WORKER = 4
 
+#: Points per tree leaf.  Swept under the blocked k-NN base case,
+#: execute ms (median of 6, three interleaved rounds, one core of a
+#: 2-vCPU x86_64 host, NumPy 2.4): ``knn_prune`` inputs leaf 16 148–168,
+#: 32 96–128, 64 99–136 (32 and 64 within noise, 16 ≈ 1.5× slower);
+#: ``kde_approx`` leaf 32 267–306 against 64's 173–183.  64 is the one
+#: size that loses on neither.
 DEFAULT_LEAF_SIZE = 64
 
 

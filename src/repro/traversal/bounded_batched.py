@@ -24,20 +24,25 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
 2. **Epochs.**  A pending pool holds unclassified pairs.  Each epoch
    selects the most promising pairs (one ``argpartition``), classifies
    the whole selection against a *snapshot* of per-query-node bounds
-   (one ``classify_bound_batch`` call), runs the surviving leaf pairs
-   as grouped base cases (all reference leaves meeting one query leaf
-   gathered into a single kernel call), expands the surviving non-leaf
-   pairs through the expansion CSR, then refreshes the node-bound
-   snapshot.  Epoch width ramps from :data:`RAMP_START` up to
-   ``epoch_size``, doubling after every refresh: the narrow early
-   epochs run only the best pairs so bounds are tight before the wide
-   epochs classify the bulk of the pool.
+   (one ``classify_bound_batch`` call), runs all the surviving leaf
+   pairs in one blocked base case, expands the surviving non-leaf pairs
+   through the expansion CSR, then refreshes the node-bound snapshot.
+   The engine gathers the reference leaves meeting each query leaf into
+   one flat index list, most promising first; the one
+   ``base_case_blocks`` call sorts the epoch's query leaves by gathered
+   width and packs them into padded blocks of at most
+   ``codegen.CHUNK_CELLS`` cells, each one batched distance and one
+   merge (a pad holds the operator's exclusion value and id −1).
+   Epoch width ramps from :data:`RAMP_START` up to ``epoch_size``,
+   doubling after every refresh: the narrow early epochs run only the
+   best pairs so bounds are tight before the wide epochs classify the
+   bulk of the pool.
 
 3. **Conservative correctness.**  Bounds tighten monotonically — a base
    case can only decrease the signed ``qbound`` — so the snapshot a
    pair is classified against is never *tighter* than reality.  A stale
    bound can therefore under-prune (the pair runs a redundant base case
-   whose candidates are all dominated, so every row fails the grouped
+   whose candidates are all dominated, so every row fails the blocked
    base case's k-th-best filter and the merge is skipped) but never
    mis-prune: outputs meet the output contract (DESIGN.md §8) against
    the stack engine.  Processing pairs best-first means bounds tighten
@@ -63,7 +68,7 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    every task of one traversal takes the same regime.  Column-layout
    distances are the leaf regime's difference form pair for pair; the
    row layout's norm expansion takes one dot product per pair, so last
-   bits may move against the leaf regime's block GEMM.
+   bits may move against the leaf regime's augmented block GEMM.
 
 5. **Stateless rules.**  Indicator and approximation rules decide from
    node geometry and fixed thresholds alone, so narrowing an epoch buys
@@ -297,8 +302,8 @@ def bounded_batched_dual_tree_traversal(
         def run_base_cases(bq, br, bkey):
             # Group by query leaf, most promising reference leaf first,
             # and gather every reference slice into one flat index
-            # array: one kernel call per query leaf of the batch instead
-            # of one per leaf pair.
+            # array: a bound program makes one blocked call for the
+            # batch, a stateless one one call per query leaf.
             order = np.lexsort((bkey, bq))
             bq, br = bq[order], br[order]
             rlen = rend[br] - rstart[br]
@@ -308,14 +313,14 @@ def bounded_batched_dual_tree_traversal(
                     - np.repeat(seg, rlen)
                     + np.repeat(rstart[br], rlen))
             uq, first = np.unique(bq, return_index=True)
-            pair_edge = np.append(first, bq.size)
-            flat_edge = np.append(seg, total)
-            for g in range(uq.size):
-                qi = int(uq[g])
-                s0 = int(flat_edge[pair_edge[g]])
-                e0 = int(flat_edge[pair_edge[g + 1]])
-                kernels.base_case_group(int(qstart[qi]), int(qend[qi]),
-                                        ridx[s0:e0])
+            redge = np.append(seg[first], total)
+            if bound:
+                kernels.base_case_blocks(qstart[uq], qend[uq], ridx, redge)
+            else:
+                for g in range(uq.size):
+                    qi = int(uq[g])
+                    kernels.base_case_group(int(qstart[qi]), int(qend[qi]),
+                                            ridx[redge[g]:redge[g + 1]])
             return int(((qend[bq] - qstart[bq]) * rlen).sum())
 
         def expand(eq, er):

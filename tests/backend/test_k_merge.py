@@ -1,14 +1,19 @@
 """The K-operator merge: the ordered k-array of paper section IV-F.
 
-The emitted base cases (the stack engine's ``base_case`` and the bounded
-engine's ``base_case_group`` and ``base_case_rows``) merge a candidate
-block into each query's K best, and all skip every row whose candidates
-are all strictly worse than its k-th best.  These tests pin that merge
-where it is easiest to get wrong: coincident points whose tie spans the
-k-th slot, both bound signs, the k edges under self-exclusion and a NaN
-query row — through the public surface under every engine, and on the
-bound kernels directly.
+The emitted base cases (the stack engine's ``base_case``, the batched
+engine's ``base_case_blocks`` and its row regime's ``base_case_rows``)
+merge a candidate block into each query's K best, and all skip every row
+whose candidates are all strictly worse than its k-th best.
+``base_case_blocks`` runs once per leaf-bearing epoch: it packs the
+epoch's query leaves into padded blocks, and a pad cell holds the
+operator's exclusion value and id −1.  These tests pin that merge where
+it is easiest to get wrong: coincident points whose tie spans the k-th
+slot, both bound signs, the k edges under self-exclusion, pads that
+must never reach an output, and a NaN query row — through the public
+surface under every engine, and on the bound kernels directly.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,12 +21,14 @@ import pytest
 from repro.backend.cache import clear_caches
 from repro.backend.codegen import CodegenSpec, bind_kernels, emit
 from repro.backend.layout import Layout
-from repro.dsl import PortalOp
+from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
 from repro.dsl.ops import MIN_LIKE
 from repro.ir.nodes import SymRef
+from repro.observe import collect
 from repro.problems import knn
 from repro.rules.spec import RuleSpec
+from repro.traversal import engines
 
 from tests.traversal.test_bounded_batched import K_OPS, _furthest_expr
 
@@ -105,10 +112,94 @@ def test_k_edges_with_exclude_self(grid, edge, engine):
     _assert_tie_aware(full, d, i, k, largest=False)
 
 
+# -- blocks and their pads ----------------------------------------------------
+
+@pytest.fixture
+def blocks_spy(monkeypatch):
+    """Run the batched engine with a ``base_case_blocks`` that records
+    each call's gathered widths; yields the list of them."""
+    widths = []
+    batched = engines.ENGINES["batched"]
+
+    def guarded(qtree, rtree, kk, qbound, **kw):
+        blocks = kk.base_case_blocks
+
+        def spy(qs, qe, ridx, redge):
+            widths.append(np.diff(redge))
+            return blocks(qs, qe, ridx, redge)
+
+        return batched(qtree, rtree,
+                       dataclasses.replace(kk, base_case_blocks=spy),
+                       qbound, **kw)
+
+    monkeypatch.setitem(engines.ENGINES, "batched", guarded)
+    return widths
+
+
+def _k_expr(Q, R, k, op):
+    """A K-operator over ``R`` (one shared Storage when ``R`` is None)."""
+    qs = Storage(Q, name="query")
+    rs = qs if R is None else Storage(R, name="reference")
+    expr = PortalExpr("k-merge")
+    expr.addLayer(PortalOp.FORALL, qs)
+    expr.addLayer((op, k), rs, PortalFunc.EUCLIDEAN)
+    return expr
+
+
+PAD_CASES = ["k=n", "self-k=n-1", "grid"]
+
+
+@pytest.mark.parametrize("case", PAD_CASES)
+@pytest.mark.parametrize("op", [PortalOp.KARGMIN, PortalOp.KARGMAX],
+                         ids=lambda op: op.name)
+def test_pads_never_reach_an_output(grid, op, case, blocks_spy):
+    """Bound-min pads hold +inf, bound-max pads −inf, both id −1: at
+    k = n_r every row keeps every reference, at k = n_r − 1 under
+    self-exclusion every reference but itself, and on the duplicate
+    grid the K best tie-aware — never a pad."""
+    Q, R = grid
+    largest = op is PortalOp.KARGMAX
+    if case == "self-k=n-1":
+        Q, R = R, None
+        n = len(Q)
+        k, exclude = n - 1, True
+        full = _distances(Q, Q)
+        np.fill_diagonal(full, -np.inf if largest else np.inf)
+    else:
+        n = len(R)
+        k, exclude = (n, False) if case == "k=n" else (4, False)
+        full = _distances(Q, R)
+    clear_caches()
+    out = _k_expr(Q, R, k, op).execute(leaf_size=4, exclude_self=exclude)
+    d, i = np.asarray(out.values), np.asarray(out.indices)
+    # the engine ran blocks whose leaves gathered unequal widths: pads
+    assert blocks_spy and any(np.ptp(w) > 0 for w in blocks_spy)
+    assert np.isfinite(d).all() and (i >= 0).all()
+    _assert_tie_aware(full, d, i, k, largest)
+    if k >= n - 1:
+        expect = np.arange(n)
+        for row, ids in enumerate(i.tolist()):
+            want = expect if R is not None else np.delete(expect, row)
+            assert sorted(ids) == want.tolist()
+
+
+def test_one_blocked_call_per_leaf_bearing_epoch(blocks_spy):
+    """The leaf regime's bound form calls ``base_case_blocks`` once per
+    epoch that ran base cases — the epochs that refresh the bounds."""
+    rng = np.random.default_rng(37)
+    Q, R = rng.uniform(0, 5, (600, 3)), rng.uniform(0, 5, (700, 3))
+    clear_caches()
+    with collect() as counters:
+        knn(Q, R, k=5, leaf_size=8)
+    refreshes = counters.as_dict()["bounded.bound_refreshes"]
+    assert refreshes > 1
+    assert len(blocks_spy) == refreshes
+
+
 # -- the bound kernels, called directly --------------------------------------
 # A Storage refuses NaN, so a NaN query row reaches a merge only here.  The
 # stack engine runs ``base_case``; the default engine and every shard of
-# ``shards=2`` run ``base_case_group``, or ``base_case_rows`` in the row
+# ``shards=2`` run ``base_case_blocks``, or ``base_case_rows`` in the row
 # regime.
 
 #: bound sign -> (reference points, the K best every query row starts
@@ -144,15 +235,16 @@ def _bound_kernels(op):
 
 
 @pytest.mark.parametrize("kernel",
-                         ["base_case", "base_case_group", "base_case_rows"])
+                         ["base_case", "base_case_blocks", "base_case_rows"])
 @pytest.mark.parametrize("op", K_OPS, ids=lambda op: op.name)
 def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
     kernels, state, kind = _bound_kernels(op)
     before = {name: arr.copy() for name, arr in state.items()}
     if kernel == "base_case":
         kernels.base_case(0, 3, 0, 2)
-    elif kernel == "base_case_group":
-        kernels.base_case_group(0, 3, np.arange(2))
+    elif kernel == "base_case_blocks":   # one query leaf of three rows
+        kernels.base_case_blocks(np.array([0]), np.array([3]), np.arange(2),
+                                 np.array([0, 2]))
     else:  # the row regime's flat (query, reference) candidate list
         kernels.base_case_rows(np.repeat(np.arange(3), 2),
                                np.tile(np.arange(2), 3))
@@ -174,7 +266,7 @@ def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
     else:
         assert np.array_equal(best_idx, before["best_idx"])
     sign = 1.0 if kind == "min" else -1.0
-    if kernel == "base_case_group":
+    if kernel == "base_case_blocks":
         assert np.array_equal(state["qbound"], sign * best[:, -1])
     elif kernel == "base_case_rows":
         # only the merged row's bound moves

@@ -105,8 +105,8 @@ class TestDifferential:
         assert np.array_equal(np.asarray(s), np.asarray(b))
 
     def test_self_exclusion_knn(self, data):
-        """Single-set k-NN excludes self-pairs inside the grouped base
-        case (the np.where exclusion path in base_case_group)."""
+        """Single-set k-NN excludes self-pairs inside the blocked base
+        case (the np.copyto exclusion path in base_case_blocks)."""
         Q, _ = data
         (sd, si), _ = _run(knn, query=Q, k=4, traversal="stack")
         (bd, bi), _ = _run(knn, query=Q, k=4, traversal="batched")

@@ -4,7 +4,7 @@ stateless program.
 The batched engine applies approximation and inside actions as it
 classifies, then evaluates each query leaf once, against the gathered
 points of all its base-case reference leaves
-(``codegen._base_case_group_source``, chunked to ``SUM_CHUNK_CELLS``
+(``codegen._base_case_group_source``, chunked to ``CHUNK_CELLS``
 cells): sums, products, lists and merges over an indicator kernel
 alike.  Against the stack engine, outputs are held to the output
 contract (``tests/contract.py``), traversal counters are identical, and
@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.backend.codegen import SUM_CHUNK_CELLS, CodegenSpec, bind_kernels, emit
+from repro.backend.codegen import CHUNK_CELLS, CodegenSpec, bind_kernels, emit
 from repro.backend.layout import COLUMN_MAJOR_MAX_DIM, Layout
 from repro.data.synthetic import ihepc
 from repro.dsl import (
@@ -240,7 +240,7 @@ def _check_chunked(op, dim, weighted, shared, tail):
     """A gathered list of several chunks — ending in a one-column chunk
     or a short one — does what per-leaf ``base_case`` calls do."""
     qs, qe = 4, 9
-    step = SUM_CHUNK_CELLS // (qe - qs)
+    step = CHUNK_CELLS // (qe - qs)
     nr = 2 * step + tail
     kernels, arrays = _kernels(op, dim, 12, nr + 40, weighted, shared)
     # two leaves and a gap between them; on a shared tree the first leaf
@@ -334,11 +334,13 @@ def test_contract_helper_catches_planted_errors():
 def test_norm_expansion_values_agree_to_rounding():
     """DESIGN.md §8: past ``COLUMN_MAJOR_MAX_DIM`` a squared-Euclidean
     distance takes the GEMM form ‖q‖² + ‖r‖² − 2q·r, whose last bits
-    depend on the block shape — leaf size, brute force's blocks.  Each
-    run's t = δ² is within (d+2)·ε·(‖q‖² + ‖r‖²) of exact, so two runs'
-    distances δ agree to (d+2)·ε·(‖q‖² + ‖r‖²)/δ² relative.  On these
-    rows leaf 16 and 32 move 17 of 20 000 values against leaf 64 and
-    brute force 126, all by < 1e-13 relative, ids unchanged."""
+    depend on the block shape — leaf size, brute force's blocks — and
+    on the spelling (the blocked base case's augmented GEMM, brute
+    force's norms added after it).  Each run's t = δ² is within
+    (d+2)·ε·(‖q‖² + ‖r‖²) of exact, so two runs' distances δ agree to
+    (d+2)·ε·(‖q‖² + ‖r‖²)/δ² relative.  On these rows leaf 16 and 32
+    move 16 of 20 000 values against leaf 64 and brute force 8 655, all
+    by < 4e-13 relative, ids unchanged."""
     Q, R = ihepc(4000, seed=2), ihepc(4000, seed=1)
     d = Q.shape[1]
     assert d > COLUMN_MAJOR_MAX_DIM
@@ -348,3 +350,36 @@ def test_norm_expansion_values_agree_to_rounding():
     for options in ({"leaf_size": 16}, {"leaf_size": 32}, {"backend": "brute"}):
         got_v, got_i = knn(Q, R, k=5, **options)
         assert_ranked_equal(got_v, want_v, got_i, want_i, rtol=rtol)
+
+
+def test_norm_expansion_far_from_origin():
+    """DESIGN.md §8's per-run bound where it is loosest: d = 9 rows
+    offset by 1e4, so ‖q‖² + ‖r‖² ≈ 2e9 dwarfs δ².  The blocked base
+    case's augmented GEMM puts each t = δ² within (d+2)·ε·(‖q‖² + ‖r‖²)
+    of the difference form's, clamped at 0 where a query row is also a
+    reference row, and its k-NN meets the difference form's under the
+    rounding rule."""
+    rng = np.random.default_rng(41)
+    d, k = 9, 5
+    R = rng.uniform(0.0, 5.0, (700, d)) + 1e4
+    Q = rng.uniform(0.0, 5.0, (500, d)) + 1e4
+    Q[:40] = R[::7][:40]   # coincident points: exact t = 0
+    expr = PortalExpr("far-knn")
+    expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
+    expr.addLayer((PortalOp.KARGMIN, k), Storage(R, name="reference"),
+                  PortalFunc.EUCLIDEAN)
+    out = expr.execute()
+    assert "_gemm_operands()" in expr.generated_source()
+    got_v, got_i = np.asarray(out.values), np.asarray(out.indices)
+    full = np.stack([((q - R) ** 2).sum(1) for q in Q])   # difference form
+    want_i = np.argsort(full, axis=1, kind="stable")[:, :k]
+    want_v = np.sqrt(np.take_along_axis(full, want_i, axis=1))
+    norms = (Q ** 2).sum(1)[:, None] + (R ** 2).sum(1)[got_i]
+    eps = np.finfo(float).eps
+    t_diff = np.take_along_axis(full, got_i, axis=1)
+    assert (np.abs(got_v ** 2 - t_diff) <= (d + 2) * eps * norms).all()
+    assert np.array_equal(got_i[:40, 0], np.arange(0, 280, 7))
+    rest = slice(40, None)
+    rtol = (d + 2) * eps * float((norms[rest] / want_v[rest] ** 2).max())
+    assert_ranked_equal(got_v[rest], want_v[rest], got_i[rest],
+                        want_i[rest], rtol=rtol)
