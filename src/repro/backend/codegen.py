@@ -10,7 +10,8 @@ vectorisation decisions drive the emitted code:
 * **layout** — for low-dimensional data (column-major layout) the
   dimension loop is *unrolled* in the emitted source and the middle
   (reference) loop vectorises; for high-dimensional data (row-major) the
-  innermost dimension loop vectorises via a contracted ``einsum``;
+  innermost dimension loop vectorises: a squared-Euclidean kernel takes
+  its distances as one augmented GEMM, any other a contracted ``einsum``;
 * **strength reduction** — the kernel expression arrives already
   strength-reduced (``pow`` as chained multiplications) and is emitted
   verbatim, so the generated source visibly contains the optimisation;
@@ -174,8 +175,13 @@ class GeneratedKernels:
     (:mod:`repro.traversal.bounded_batched`).  A bound rule's
     ``base_case_blocks(qs, qe, ridx, redge)`` takes every query leaf of
     one epoch at once, packed into padded blocks of at most
-    :data:`CHUNK_CELLS` cells.  The scalar ``prune_or_approx`` /
-    ``pair_min_dist`` drive the nearest-first stack engine.  Stateless
+    :data:`CHUNK_CELLS` cells.  In the row layout these three take a
+    squared-Euclidean kernel's distances in one spelling, one augmented
+    GEMM with the kernel's constant scale folded into the query operand
+    (:func:`_scale_fold`); the row regime's ``base_case_rows`` keeps its
+    pair form, one dot product per candidate pair.  The scalar
+    ``prune_or_approx`` / ``pair_min_dist`` drive the nearest-first
+    stack engine.  Stateless
     rules (indicator / approximation) get ``classify_batch`` over whole
     arrays of node-id pairs, and ``apply_action`` for their approximated
     or inside pairs.  Bound rules (k-NN, Hausdorff) get
@@ -204,12 +210,101 @@ class GeneratedKernels:
 # pairwise kernel emission
 # ---------------------------------------------------------------------------
 
+def _augmented_gemm(spec: CodegenSpec) -> bool:
+    """Whether the block kernels take the norm expansion as one augmented
+    GEMM: a squared-Euclidean kernel that is not an indicator, row layout.
+    (An indicator keeps the exact difference form: a count must not flip
+    on cancellation at its threshold.)"""
+    return (spec.layout != Layout.COLUMN and spec.base == "sqeuclidean"
+            and not spec.is_indicator)
+
+
+def _scale_fold(g: Expr) -> tuple[float, Expr]:
+    """``(a, h)`` with ``g(t) = h(a·t)``, the scale the GEMM spelling
+    folds into its query operand.  ``t`` must occur once in ``g``, inside
+    one chain of negations and of products or quotients by a constant
+    (the Gaussian's ``exp(-(t / c))`` is ``h = exp``, ``a = −1/c``);
+    ``h`` is ``g`` with that chain replaced by ``t``.  Any other ``g``
+    is ``(1.0, g)``."""
+    def is_t(n: Expr) -> bool:
+        return isinstance(n, SymRef) and n.name == "t"
+
+    if sum(map(is_t, g.walk())) != 1:
+        return 1.0, g
+
+    def fold(n: Expr) -> tuple[float, Expr, bool]:
+        # n holds the one t: (factor, n rebuilt, whether n is in the chain)
+        if is_t(n):
+            return 1.0, n, True
+        kids = n.children()
+        at = next(i for i, c in enumerate(kids) if any(map(is_t, c.walk())))
+        a, kid, chain = fold(kids[at])
+        other = kids[1 - at] if len(kids) == 2 else None
+        if chain and isinstance(n, Neg):
+            return -a, kid, True
+        if chain and isinstance(n, BinOp) and isinstance(other, Const):
+            if n.op == "*":
+                return a * other.value, kid, True
+            if n.op == "/" and at == 0 and other.value != 0.0:
+                return a / other.value, kid, True
+        return a, n._rebuild([kid if i == at else c
+                              for i, c in enumerate(kids)]), False
+
+    a, h, _ = fold(g)
+    a = float(a)
+    if a == 0.0 or not np.isfinite(a):
+        return 1.0, g
+    return a, h
+
+
+def _clamp(a: float) -> str:
+    """The clamp of a GEMM-spelt ``a·t``: its sign is ``a``'s, as the
+    exact ``t ≥ 0``'s would be."""
+    return f"np.{'minimum' if a < 0 else 'maximum'}(t, 0.0, out=t)"
+
+
+def _block_kernel(spec: CodegenSpec) -> Expr:
+    """The kernel a block kernel applies to its ``t``: ``h`` of
+    :func:`_scale_fold` under the GEMM spelling, ``g`` otherwise."""
+    return _scale_fold(spec.g_ir)[1] if _augmented_gemm(spec) else spec.g_ir
+
+
+def _value_lines(g: Expr, indent: str) -> list[str]:
+    """Lines computing ``v = g(t)``, shared sub-trees first."""
+    pre, g_src = emit_expr_vn(g, {"t": "t"})
+    return [f"{indent}{line}" for line in (*pre, f"v = {g_src}")]
+
+
+_GEMM_OPERANDS = """\
+_GEMM = {}
+
+
+def _gemm_operands(scale):
+    # The norm expansion's augmented operands about one origin o, the
+    # centre of the reference points' box, so the GEMM's rounding scales
+    # with |q - o|^2 + |r - o|^2: scale * t = QA @ RA.T with
+    # QA = scale * [Q - o | |q - o|^2 | 1], RA = [-2 (R - o) | 1 | |r - o|^2].
+    # Built once per bind and scale.
+    ops = _GEMM.get(scale)
+    if ops is None:
+        o = 0.5 * (RROW.min(axis=0) + RROW.max(axis=0))
+        q, r = QROW - o, RROW - o
+        ops = _GEMM[scale] = (
+            scale * np.hstack([q, np.einsum('ij,ij->i', q, q)[:, None],
+                               np.ones((q.shape[0], 1))]),
+            np.hstack([-2.0 * r, np.ones((r.shape[0], 1)),
+                       np.einsum('ij,ij->i', r, r)[:, None]]))
+    return ops"""
+
+
 def _pairwise_lines(spec: CodegenSpec, refs: str) -> list[str]:
     """Body lines computing the kernel block ``v`` for queries
     ``[qs, qe)`` against the reference points ``refs`` spells: ``rs:re``
     (a leaf slice, the ``base_case`` views) or ``ridx`` (a gathered index
     array, ``base_case_group``).  Both spellings take the same
-    arithmetic."""
+    arithmetic: the column layout's unrolled difference form, the row
+    layout's augmented GEMM (:func:`_augmented_gemm`) or its difference
+    tensor."""
     out: list[str] = []
     b = out.append
     if spec.layout == Layout.COLUMN:
@@ -227,15 +322,11 @@ def _pairwise_lines(spec: CodegenSpec, refs: str) -> list[str]:
                 b(f"    np.maximum(t, {term}, out=t)")
             else:
                 b(f"    t = t + {term}")
-    elif spec.base == "sqeuclidean" and not spec.is_indicator:
-        # Norm expansion ‖q−r‖² = ‖q‖² + ‖r‖² − 2 q·r: one GEMM per
-        # block instead of a broadcast difference tensor — the backend's
-        # high-dimensional vectorisation strategy.  (Comparative kernels
-        # keep the exact difference form below: a count must not flip on
-        # ~1e-12 cancellation at the threshold.)
-        b(f"    t = QN2[qs:qe, None] + RN2[{refs}][None, :] "
-          f"- 2.0 * (QROW[qs:qe] @ RROW[{refs}].T)")
-        b("    np.maximum(t, 0.0, out=t)")
+    elif _augmented_gemm(spec):
+        a = _scale_fold(spec.g_ir)[0]
+        b(f"    QA, RA = _gemm_operands({a!r})")
+        b(f"    t = QA[qs:qe] @ RA[{refs}].T")
+        b(f"    {_clamp(a)}")
     else:
         b(f"    diff = QROW[qs:qe, None, :] - RROW[{refs}][None, :, :]")
         if spec.base == "sqeuclidean":
@@ -244,11 +335,7 @@ def _pairwise_lines(spec: CodegenSpec, refs: str) -> list[str]:
             b("    t = np.abs(diff).sum(axis=-1)")
         else:
             b("    t = np.abs(diff).max(axis=-1)")
-    pre, g_src = emit_expr_vn(spec.g_ir, {"t": "t"})
-    for assign in pre:
-        b(f"    {assign}")
-    b(f"    v = {g_src}")
-    return out
+    return out + _value_lines(_block_kernel(spec), "    ")
 
 
 def _pairwise_source(spec: CodegenSpec) -> str:
@@ -732,8 +819,11 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
 #: program's blocked base case, evaluates at once, so its temporaries
 #: stay in cache (2 vCPUs, x86_64, NumPy 2.4): ``kde_approx`` op_p50 at
 #: 16K → 64K cells 155 → 139 ms (median of 4 interleaved spine pairs,
-#: 4/4 won); the ``knn_prune`` blocked kernel ≈ 10 % slower at 32K cells
-#: than at 64K, ≈ 3× slower uncapped (one block per epoch).
+#: 4/4 won); under the folded Gaussian GEMM, 32K / 64K / 128K cells ran
+#: 84.5 / 82.8 / 84.4 ms (median of 3 interleaved rounds; 64K won 2 of
+#: 3 against 32K and 3 of 3 against 128K, all within 2 %); the
+#: ``knn_prune`` blocked kernel ≈ 10 % slower at 32K cells than at 64K,
+#: ≈ 3× slower uncapped (one block per epoch).
 CHUNK_CELLS = 64 * 1024
 
 
@@ -741,7 +831,9 @@ def _base_case_group_source(spec: CodegenSpec) -> str | None:
     """Emit ``base_case_group(qs, qe, gathered)`` for a stateless
     program: one vectorised base case for a query leaf against the
     concatenated points of *several* reference leaves, walked in chunks
-    of at most :data:`CHUNK_CELLS` cells.  A bound program gets
+    of at most :data:`CHUNK_CELLS` cells, each chunk in
+    :func:`_pairwise_lines`' arithmetic — for a folded Gaussian one
+    GEMM, one clamp and one ``exp``.  A bound program gets
     :func:`_base_case_blocks_source` instead."""
     rule = spec.rule
     if rule is not None and rule.is_bound:
@@ -758,20 +850,12 @@ def _base_case_group_source(spec: CodegenSpec) -> str | None:
     ])
 
 
-def _augmented_gemm(spec: CodegenSpec) -> bool:
-    """Whether a block takes the norm expansion as one augmented GEMM:
-    a squared-Euclidean kernel that is not an indicator, row layout."""
-    return (spec.layout != Layout.COLUMN and spec.base == "sqeuclidean"
-            and not spec.is_indicator)
-
-
 def _block_distance_lines(spec: CodegenSpec) -> list[str]:
     """Body lines computing ``t`` (blocks × rows × columns) for the query
     rows ``qrow`` (blocks × rows) against the reference points ``rid``
     (blocks × columns).  The column layout and every difference form
     take :func:`_pairwise_lines`' arithmetic cell for cell; the row
-    layout's norm expansion is one augmented GEMM,
-    ``[Q | ‖q‖² | 1] @ [−2R | 1 | ‖r‖²]ᵀ``, then the clamp."""
+    layout takes its augmented GEMM, batched over the blocks."""
     out: list[str] = []
     b = out.append
     if spec.layout == Layout.COLUMN:
@@ -788,11 +872,12 @@ def _block_distance_lines(spec: CodegenSpec) -> list[str]:
             else:
                 b(f"        t = t + {term}")
     elif _augmented_gemm(spec):
-        b("        QA, RA = _gemm_operands()")
+        a = _scale_fold(spec.g_ir)[0]
+        b(f"        QA, RA = _gemm_operands({a!r})")
         # a contiguous (k × columns) right operand takes the fast GEMM
         b("        RB = np.ascontiguousarray(RA[rid].transpose(0, 2, 1))")
         b("        t = QA[qrow] @ RB")
-        b("        np.maximum(t, 0.0, out=t)")
+        b(f"        {_clamp(a)}")
     else:
         b("        diff = (QROW[qrow][:, :, None, :]")
         b("                - RROW[rid][:, None, :, :])")
@@ -802,26 +887,7 @@ def _block_distance_lines(spec: CodegenSpec) -> list[str]:
             b("        t = np.abs(diff).sum(axis=-1)")
         else:
             b("        t = np.abs(diff).max(axis=-1)")
-    pre, g_src = emit_expr_vn(spec.g_ir, {"t": "t"})
-    for assign in pre:
-        b(f"        {assign}")
-    b(f"        v = {g_src}")
-    return out
-
-
-_GEMM_OPERANDS = """\
-_GEMM = {}
-
-
-def _gemm_operands():
-    # The augmented operands of the norm expansion, built once per bind.
-    ops = _GEMM.get("ops")
-    if ops is None:
-        nq, nr = QROW.shape[0], RROW.shape[0]
-        ops = _GEMM["ops"] = (
-            np.hstack([QROW, QN2[:, None], np.ones((nq, 1))]),
-            np.hstack([-2.0 * RROW, np.ones((nr, 1)), RN2[:, None]]))
-    return ops"""
+    return out + _value_lines(_block_kernel(spec), "        ")
 
 
 def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
@@ -908,8 +974,6 @@ def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
         f"def _merge_block({params}, qs=0, qe=None):",
         *_merge_lines(spec, lambda i, j: f"rid[leaf[{i}], {j}]"),
     ]
-    if _augmented_gemm(spec):
-        lines += ["", "", _GEMM_OPERANDS]
     return "\n".join(lines)
 
 
@@ -946,11 +1010,7 @@ def _pairwise_pairs_lines(spec: CodegenSpec) -> list[str]:
             b("    t = np.abs(diff).sum(axis=-1)")
         else:
             b("    t = np.abs(diff).max(axis=-1)")
-    pre, g_src = emit_expr_vn(spec.g_ir, {"t": "t"})
-    for assign in pre:
-        b(f"    {assign}")
-    b(f"    v = {g_src}")
-    return out
+    return out + _value_lines(spec.g_ir, "    ")
 
 
 def _base_case_rows_source(spec: CodegenSpec) -> str | None:
@@ -1022,11 +1082,14 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
     """
     with span("codegen", layout=str(spec.layout), dim=spec.dim,
               inner_op=spec.inner_op.name) as sp:
+        gemm = _augmented_gemm(spec)
         chunks = [
             "# Generated by the Portal backend — vectorised NumPy translation",
             f"# layout={spec.layout} base={spec.base} inner={spec.inner_op.name} "
             f"outer={spec.outer_op.name} rule="
-            f"{spec.rule.kind if spec.rule else 'none'}",
+            f"{spec.rule.kind if spec.rule else 'none'}"
+            + (f" scale={_scale_fold(spec.g_ir)[0]!r}" if gemm else ""),
+            *([_GEMM_OPERANDS] if gemm else []),
             _pairwise_source(spec),
             _base_case_source(spec),
             _pair_dist_source(spec),

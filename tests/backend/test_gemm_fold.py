@@ -1,0 +1,130 @@
+"""The GEMM spelling's scale fold (``codegen._scale_fold``).
+
+In the row layout a squared-Euclidean kernel that is not an indicator
+takes t as one augmented GEMM (``_gemm_operands``).  When the kernel is
+``h(a·t)`` — t once, inside one chain of negations and of products or
+quotients by a constant — the GEMM's query operand carries ``a``, the
+clamp takes ``a``'s sign and the block kernels apply ``h`` alone; the
+generated header's ``scale=`` records ``a``.  Each kernel here runs the
+batched engine, the stack engine and brute force against the
+interpreter, which never takes the GEMM, under the output contract
+(``tests/contract.py``).
+"""
+
+import numpy as np
+import pytest
+
+from repro.backend.codegen import _scale_fold, emit_expr
+from repro.dsl import (
+    PortalExpr, PortalFunc, PortalOp, Storage, Var, exp, indicator, pow, sqrt,
+)
+from repro.dsl.expr import BinOp, Call, Const, Neg
+from repro.ir.nodes import SymRef
+from repro.problems import kde
+
+from tests.contract import assert_bitwise, assert_sum_close
+
+T = SymRef("t")
+
+
+@pytest.mark.parametrize("g,a,h", [
+    (Call("exp", Neg(BinOp("/", T, Const(2.0)))), -0.5, "np.exp(t)"),
+    (BinOp("/", Neg(T), Const(4.0)), -0.25, "t"),
+    (BinOp("*", Const(3.0), T), 3.0, "t"),
+    (BinOp("+", BinOp("*", T, Const(0.5)), Const(1.0)), 0.5, "(t + 1.0)"),
+    (BinOp("*", Call("exp", Neg(BinOp("*", T, Const(2.0)))), Const(3.0)),
+     -2.0, "(np.exp(t) * 3.0)"),
+    (Call("sqrt", T), 1.0, "np.sqrt(t)"),
+    (T, 1.0, "t"),
+    # no fold: t twice, t as a divisor, a zero or infinite factor
+    (BinOp("*", T, BinOp("*", T, Const(2.0))), 1.0, "(t * (t * 2.0))"),
+    (BinOp("/", Const(2.0), T), 1.0, "(2.0 / t)"),
+    (BinOp("*", T, Const(0.0)), 1.0, "(t * 0.0)"),
+    (BinOp("/", T, Const(0.0)), 1.0, "(t / 0.0)"),
+])
+def test_scale_fold(g, a, h):
+    got_a, got_h = _scale_fold(g)
+    assert got_a == a
+    assert emit_expr(got_h, {"t": "t"}) == h
+
+
+q, r = Var("q"), Var("r")
+#: name → (kernel, header scale or None, the clamp, the kernel's v line)
+KERNELS = {
+    "gaussian": (PortalFunc.GAUSSIAN, "-0.5", "np.minimum(t, 0.0, out=t)",
+                 "v = np.exp(t)"),
+    "cauchy": (1.0 / (1.0 + pow(q - r, 2) * 0.5), "0.5",
+               "np.maximum(t, 0.0, out=t)", "v = (1.0 / (1.0 + t))"),
+    "t-twice": (exp(-pow(q - r, 2) / 2.0) * (1.0 + pow(q - r, 2)), "1.0",
+                "np.maximum(t, 0.0, out=t)",
+                "v = (np.exp(((-(t)) / 2.0)) * (1.0 + t))"),
+    "indicator": (indicator(sqrt(pow(q - r, 2)) < 2.0), None, None, None),
+}
+
+
+def _points(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    return np.ascontiguousarray(rng.uniform(0.0, 5.0, size=(n, dim)))
+
+
+def _run(kernel, Q, R, **options):
+    expr = PortalExpr("fold")
+    expr.addLayer(PortalOp.FORALL, q, Storage(Q, name="query"))
+    if kernel is PortalFunc.GAUSSIAN:
+        expr.addLayer(PortalOp.SUM, r, Storage(R, name="reference"), kernel,
+                      bandwidth=1.0)
+    else:
+        expr.addLayer(PortalOp.SUM, r, Storage(R, name="reference"), kernel)
+    out = expr.execute(tau=0.0, leaf_size=8, **options)
+    return out, expr.generated_source()
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_fold_fires_only_where_legal(name):
+    kernel, scale, clamp, value = KERNELS[name]
+    Q, R = _points(48, 6, 1), _points(64, 6, 2)
+    want, _ = _run(kernel, Q, R, backend="interp")
+    for options in ({}, {"traversal": "stack"}, {"backend": "brute"}):
+        got, source = _run(kernel, Q, R, **options)
+        header = source.splitlines()[2]
+        if scale is None:   # an indicator keeps the difference form
+            assert "scale=" not in header and "_gemm_operands" not in source
+            assert_bitwise(got, want)
+            continue
+        assert header.endswith(f" scale={scale}")
+        for kernel_fn in ("def _pairwise", "def base_case_group"):
+            body = source[source.index(kernel_fn):].split("\n\n")[0]
+            assert f"_gemm_operands({scale})" in body
+            assert clamp in body and value in body
+        assert_sum_close(got, want, n=len(R))
+
+
+def test_column_layout_takes_no_fold():
+    """d ≤ 4 keeps the difference form and its bits: brute force's
+    Gaussian sum is, bit for bit, its blocks' unrolled column arithmetic
+    (the ``(512, 2048)`` blocks of ``CompiledProgram._run_brute``)."""
+    Q, R = _points(600, 3, 3), _points(2500, 3, 4)
+    got, source = _run(PortalFunc.GAUSSIAN, Q, R, backend="brute")
+    assert "scale=" not in source and "_gemm_operands" not in source
+    assert "v = np.exp((-((t / 2.0))))" in source
+    want = np.zeros(len(Q))
+    for qs in range(0, len(Q), 512):
+        for rs in range(0, len(R), 2048):
+            dq, dr = Q.T[:, qs:qs + 512], R.T[:, rs:rs + 2048]
+            t = None
+            for d in range(3):
+                diff = dq[d][:, None] - dr[d][None, :]
+                t = diff * diff if t is None else t + diff * diff
+            want[qs:qs + 512] += np.exp(-(t / 2.0)).sum(axis=1)
+    assert_bitwise(got, want)
+
+
+def test_folded_kernel_thread_process_bitwise():
+    """A process worker re-binds the emitted code and rebuilds the GEMM
+    operands about the same origin: one parallel plan gives the same
+    bits on threads and processes."""
+    Q, R = _points(300, 6, 5) + 50.0, _points(360, 6, 6) + 50.0
+    par = dict(bandwidth=1.0, tau=1e-3, leaf_size=8, parallel=True,
+               workers=2, min_tasks=8)
+    assert_bitwise(kde(Q, R, executor="thread", **par),
+                   kde(Q, R, executor="process", **par))

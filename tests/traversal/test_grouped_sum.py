@@ -334,13 +334,14 @@ def test_contract_helper_catches_planted_errors():
 def test_norm_expansion_values_agree_to_rounding():
     """DESIGN.md §8: past ``COLUMN_MAJOR_MAX_DIM`` a squared-Euclidean
     distance takes the GEMM form ‖q‖² + ‖r‖² − 2q·r, whose last bits
-    depend on the block shape — leaf size, brute force's blocks — and
-    on the spelling (the blocked base case's augmented GEMM, brute
-    force's norms added after it).  Each run's t = δ² is within
-    (d+2)·ε·(‖q‖² + ‖r‖²) of exact, so two runs' distances δ agree to
-    (d+2)·ε·(‖q‖² + ‖r‖²)/δ² relative.  On these rows leaf 16 and 32
-    move 16 of 20 000 values against leaf 64 and brute force 8 655, all
-    by < 4e-13 relative, ids unchanged."""
+    depend on the block shape — leaf size, brute force's blocks, the
+    blocked base case's batched GEMM against brute force's one GEMM per
+    block.  Each run's t = δ² is within (d+2)·ε·(‖q−o‖² + ‖r−o‖²) of
+    exact, o the reference box's centre, so two runs' distances δ agree
+    to that over δ² relative; the rtol here takes it about the origin,
+    (d+2)·ε·(‖q‖² + ‖r‖²)/δ², the tighter of the two on these rows.
+    Leaf 16 and 32 move none of 20 000 values against leaf 64 and brute
+    force 111, all by < 6e-13 relative, ids unchanged."""
     Q, R = ihepc(4000, seed=2), ihepc(4000, seed=1)
     d = Q.shape[1]
     assert d > COLUMN_MAJOR_MAX_DIM
@@ -353,12 +354,12 @@ def test_norm_expansion_values_agree_to_rounding():
 
 
 def test_norm_expansion_far_from_origin():
-    """DESIGN.md §8's per-run bound where it is loosest: d = 9 rows
+    """DESIGN.md §8's per-run bound far from the origin: d = 9 rows
     offset by 1e4, so ‖q‖² + ‖r‖² ≈ 2e9 dwarfs δ².  The blocked base
-    case's augmented GEMM puts each t = δ² within (d+2)·ε·(‖q‖² + ‖r‖²)
-    of the difference form's, clamped at 0 where a query row is also a
-    reference row, and its k-NN meets the difference form's under the
-    rounding rule."""
+    case's augmented GEMM, taken about the reference box's centre ``o``,
+    puts each t = δ² within (d+2)·ε·(‖q−o‖² + ‖r−o‖²) of the difference
+    form's, clamped at 0 where a query row is also a reference row, and
+    its k-NN meets the difference form's under the rounding rule."""
     rng = np.random.default_rng(41)
     d, k = 9, 5
     R = rng.uniform(0.0, 5.0, (700, d)) + 1e4
@@ -369,7 +370,7 @@ def test_norm_expansion_far_from_origin():
     expr.addLayer((PortalOp.KARGMIN, k), Storage(R, name="reference"),
                   PortalFunc.EUCLIDEAN)
     out = expr.execute()
-    assert "_gemm_operands()" in expr.generated_source()
+    assert "_gemm_operands(1.0)" in expr.generated_source()
     got_v, got_i = np.asarray(out.values), np.asarray(out.indices)
     full = np.stack([((q - R) ** 2).sum(1) for q in Q])   # difference form
     want_i = np.argsort(full, axis=1, kind="stable")[:, :k]
@@ -377,9 +378,34 @@ def test_norm_expansion_far_from_origin():
     norms = (Q ** 2).sum(1)[:, None] + (R ** 2).sum(1)[got_i]
     eps = np.finfo(float).eps
     t_diff = np.take_along_axis(full, got_i, axis=1)
-    assert (np.abs(got_v ** 2 - t_diff) <= (d + 2) * eps * norms).all()
+    o = 0.5 * (R.min(0) + R.max(0))
+    centred = ((Q - o) ** 2).sum(1)[:, None] + ((R - o) ** 2).sum(1)[got_i]
+    assert (np.abs(got_v ** 2 - t_diff) <= (d + 2) * eps * centred).all()
     assert np.array_equal(got_i[:40, 0], np.arange(0, 280, 7))
     rest = slice(40, None)
     rtol = (d + 2) * eps * float((norms[rest] / want_v[rest] ** 2).max())
     assert_ranked_equal(got_v[rest], want_v[rest], got_i[rest],
                         want_i[rest], rtol=rtol)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])
+def test_kde_norm_expansion_far_from_origin(offset):
+    """DESIGN.md §8's sum rule holds wherever the data sits: the GEMM
+    spelling takes the norm expansion about the reference box's centre
+    ``o``, so its rounding scales with ‖q−o‖² + ‖r−o‖², not with
+    ‖q‖² + ‖r‖² (about the origin, d = 9 rows offset by 1e2 were
+    ≈ 1e-11 relative off, by 1e4 ≈ 1e-7).  The batched engine, the stack
+    engine and brute force each meet the rule against the difference
+    form, unapproximated."""
+    rng = np.random.default_rng(7)
+    R = rng.standard_normal((1500, 9)) + offset
+    Q = rng.standard_normal((700, 9)) + offset
+    want = np.array([np.exp(-((q - R) ** 2).sum(1) / 2.0).sum() for q in Q])
+    for options in ({}, {"traversal": "stack"}, {"backend": "brute"}):
+        expr = PortalExpr("far-kde")
+        expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
+        expr.addLayer(PortalOp.SUM, Storage(R, name="reference"),
+                      PortalFunc.GAUSSIAN, bandwidth=1.0)
+        got = expr.execute(tau=0.0, **options)
+        assert "_gemm_operands(-0.5)" in expr.generated_source()
+        assert_sum_close(got, want, n=len(R))
