@@ -20,15 +20,18 @@ test-verbose:
 test-serve:
 	$(PYTHON) -m pytest -p no:cacheprovider -q tests/serve
 
-# Incremental-tree mutation suites: tree-level refit invariants plus the
-# mutation -> cache-coherence differential matrix (fast portion only;
-# the executor x engine matrix is marked slow and runs in CI under
-# REPRO_EXECUTOR=process).
+# Incremental-tree mutation suites: tree-level refit invariants, the
+# builder every partial rebuild runs (bitwise against the recursive
+# build), plus the mutation -> cache-coherence differential matrix (fast
+# portion only; the executor x engine matrix is marked slow and runs in
+# CI under REPRO_EXECUTOR=process).
+MUTATION_TESTS = tests/trees/test_incremental.py tests/trees/test_build_equivalence.py tests/backend/test_mutation_cache.py
+
 test-mutation:
-	$(PYTHON) -m pytest tests/trees/test_incremental.py tests/backend/test_mutation_cache.py -m "not slow"
+	$(PYTHON) -m pytest $(MUTATION_TESTS) -m "not slow"
 
 test-mutation-slow:
-	$(PYTHON) -m pytest tests/trees/test_incremental.py tests/backend/test_mutation_cache.py
+	$(PYTHON) -m pytest $(MUTATION_TESTS)
 
 # Self-tuning execution policy: key extraction, persistent store
 # versioning/corruption handling, mode semantics, online refinement,

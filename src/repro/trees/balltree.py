@@ -103,7 +103,8 @@ def build_balltree(
         hi=kd.hi,
         start=kd.start,
         end=kd.end,
-        child_ids=[list(map(int, kd.children(i))) for i in range(kd.n_nodes)],
+        child_offset=kd.child_offset,
+        child_list=kd.child_list,
         weights=None if weights is None else weights,
         leaf_size=leaf_size,
     )

@@ -29,6 +29,7 @@ from ..observe import contribute
 from . import geometry
 
 __all__ = ["ArrayTree", "TreeNode", "tree_levels", "level_propagation",
+           "children_csr", "require_finite",
            "REBUILD_LEAF_FACTOR", "REBUILD_DIAMETER_FACTOR"]
 
 #: A leaf whose occupancy exceeds ``factor * leaf_size`` after inserts is
@@ -46,6 +47,28 @@ _TOPOLOGY_CACHES = ("_level_arr", "_level_plan_cache", "_expansion_csr",
 #: (``_bound_plan``: the batched engine's bound-refresh leaf starts and
 #: level plan).
 _PERM_CACHES = ("_inv_perm", "_pos_leaf", "_bound_plan")
+
+
+def require_finite(what: str, points=None, weights=None) -> None:
+    """Raise ``ValueError`` unless ``points`` and ``weights`` (each when
+    given) hold only finite values: a NaN or an infinity would poison
+    every box it falls in."""
+    if points is not None and not np.isfinite(
+            np.asarray(points, dtype=np.float64)).all():
+        raise ValueError(f"{what} points must be finite")
+    if weights is not None and not np.isfinite(
+            np.asarray(weights, dtype=np.float64)).all():
+        raise ValueError(f"{what} weights must be finite")
+
+
+def children_csr(child_ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(child_offset, child_list)`` CSR adjacency from per-node child
+    id lists."""
+    counts = np.fromiter((len(c) for c in child_ids), dtype=np.int64,
+                         count=len(child_ids))
+    child_list = np.fromiter((c for cs in child_ids for c in cs),
+                             dtype=np.int64, count=int(counts.sum()))
+    return np.concatenate([[0], np.cumsum(counts)]), child_list
 
 
 def tree_levels(child_offset: np.ndarray, child_list: np.ndarray) -> np.ndarray:
@@ -137,7 +160,8 @@ class ArrayTree:
         hi: np.ndarray,
         start: np.ndarray,
         end: np.ndarray,
-        child_ids: list[list[int]],
+        child_offset: np.ndarray,
+        child_list: np.ndarray,
         weights: np.ndarray | None = None,
         leaf_size: int = 32,
     ):
@@ -152,15 +176,11 @@ class ArrayTree:
         self.n_nodes = len(start)
         self.weights = None if weights is None else np.asarray(weights, float)[perm]
 
-        # Flattened children adjacency (CSR-style).
-        counts = np.fromiter((len(c) for c in child_ids), dtype=np.int64,
-                             count=self.n_nodes)
-        self.child_offset = np.concatenate([[0], np.cumsum(counts)])
-        self.child_list = np.fromiter(
-            (c for cs in child_ids for c in cs), dtype=np.int64,
-            count=int(counts.sum()),
-        )
-        self.is_leaf_arr = counts == 0
+        # Flattened children adjacency (CSR-style): the children of node
+        # i are child_list[child_offset[i]:child_offset[i + 1]].
+        self.child_offset = child_offset
+        self.child_list = child_list
+        self.is_leaf_arr = child_offset[1:] == child_offset[:-1]
 
         self.center = 0.5 * (self.lo + self.hi)
         self.diameter = (self.hi - self.lo).max(axis=1)  # widest-dim span
@@ -375,6 +395,7 @@ class ArrayTree:
                 return self.version
             if points is None and weights is None:
                 raise ValueError("update_batch needs points and/or weights")
+            require_finite("update_batch", points, weights)
             pos = self.inv_perm()[idx]
             dirty_leaves = np.unique(self.leaf_of_position()[pos])
             if points is not None:
@@ -412,8 +433,7 @@ class ArrayTree:
             m = pts.shape[0]
             if m == 0:
                 return np.empty(0, dtype=np.int64)
-            if not np.all(np.isfinite(pts)):
-                raise ValueError("insert_batch points must be finite")
+            require_finite("insert_batch", pts, weights)
             if self.weights is not None:
                 w = (np.ones(m) if weights is None else np.broadcast_to(
                     np.asarray(weights, dtype=np.float64), (m,)))
@@ -834,11 +854,20 @@ class ArrayTree:
             assert not seen[s:e].any(), "leaves overlap"
             seen[s:e] = True
         assert seen.all(), "leaves do not cover all points"
+        counts = self.child_offset[1:] - self.child_offset[:-1]
+        parent = np.repeat(np.arange(self.n_nodes), counts)
+        assert np.all(self.child_list > parent), "child id not above its parent's"
+        n_parents = np.bincount(self.child_list, minlength=self.n_nodes)
+        assert n_parents.size == self.n_nodes and n_parents[0] == 0 and (
+            np.all(n_parents[1:] == 1)), (
+            "every non-root node needs exactly one parent")
         for i in range(self.n_nodes):
             s, e = self.slice(i)
             pts = self.points[s:e]
-            assert np.all(pts >= self.lo[i] - 1e-12), f"box lo violated at {i}"
-            assert np.all(pts <= self.hi[i] + 1e-12), f"box hi violated at {i}"
+            assert np.array_equal(self.lo[i], pts.min(axis=0)), (
+                f"box lo is not the slice minimum at {i}")
+            assert np.array_equal(self.hi[i], pts.max(axis=0)), (
+                f"box hi is not the slice maximum at {i}")
             kids = self.children(i)
             if len(kids):
                 ks = sorted(self.slice(int(c)) for c in kids)

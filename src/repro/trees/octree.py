@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .node import ArrayTree
+from .node import ArrayTree, children_csr, require_finite
 
 __all__ = ["Octree", "build_octree"]
 
@@ -39,6 +39,7 @@ def build_octree(
         )
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
+    require_finite("build_octree", points, weights)
     perm = np.arange(n)
 
     lo_l: list[np.ndarray] = []
@@ -102,6 +103,7 @@ def build_octree(
             stack.append((child, c_lo, c_hi, depth + 1))
         ch_l[i] = kids
 
+    child_offset, child_list = children_csr(ch_l)
     return Octree(
         points=points[perm],
         perm=perm,
@@ -109,7 +111,8 @@ def build_octree(
         hi=np.asarray(hi_l),
         start=np.asarray(st_l, dtype=np.int64),
         end=np.asarray(en_l, dtype=np.int64),
-        child_ids=ch_l,
+        child_offset=child_offset,
+        child_list=child_list,
         weights=weights,
         leaf_size=leaf_size,
     )
