@@ -393,9 +393,21 @@ def _merge_lines(spec: CodegenSpec,
     columns ``j`` of block rows ``i`` — ``rs + j`` over a leaf slice,
     ``ridx[j]`` over a gathered batch, ``ridx[i, j]`` over per-row
     gathers, ``rid[leaf[i], j]`` over a block of query leaves — the one
-    difference between the base cases.  A K-operator
-    merges only the rows with a candidate at or inside their k-th best
-    (so ties at the k-th value still enter); the others are untouched."""
+    difference between the base cases.
+
+    A K-operator takes one ``argmin`` per row (``argmax`` for the max
+    forms): the row's best candidate, whose test against the k-th best
+    is the row filter.  A row with only strictly worse candidates is
+    left untouched.  The rows that pass are gathered once, and
+    ``min(K, W) − 1`` more arg-select passes over that copy, each
+    writing the exclusion value over the previous pick, give each row
+    its K best candidates in order.  A stable sort over ``[old k-array |
+    picks]`` merges the two, so a tie at the k-th value keeps the old
+    entry, then the lowest block column.  A pick holding the exclusion
+    value (a pad, or a row narrower than K) never displaces an old
+    entry.  NaN sorts last: ``argmin`` returns a row's NaN cell first,
+    so a block whose best cell is NaN takes NaN as the exclusion value
+    and selects again."""
     op = spec.inner_op
     lines: list[str] = []
     b = lines.append
@@ -413,29 +425,43 @@ def _merge_lines(spec: CodegenSpec,
     elif op is PortalOp.MAX:
         b("    np.maximum(best[qs:qe], v.max(axis=1), out=best[qs:qe])")
     elif op_info(op).requires_k:
-        # max forms select on negated values: exact, and NaN sorts last
-        cmp, neg = ("<=", "") if op in MIN_LIKE else (">=", "-")
-        b("    # ordered k-array merge (sorted filter of section IV-F), only")
-        b("    # for rows with a candidate at or inside their k-th best")
-        b(f"    rows = np.flatnonzero((v {cmp} best[qs:qe, K - 1, None])"
-          ".any(axis=1))")
+        # the max forms sort on negated values: exact
+        red, cmp, neg = (("argmin", "<=", "") if op in MIN_LIKE
+                         else ("argmax", ">=", "-"))
+        excl = _exclusion_value(op)
+        b("    # ordered k-array merge (sorted filter of section IV-F): each")
+        b("    # row with a candidate at or inside its k-th best picks its")
+        b("    # K best candidates, one arg-select pass each")
+        b(f"    j = v.{red}(axis=1)")
+        b("    top = v[np.arange(v.shape[0]), j]")
+        b("    if np.isnan(top).any():   # NaN sorts last")
+        b(f"        v = np.where(np.isnan(v), {excl}, v)")
+        b(f"        j = v.{red}(axis=1)")
+        b("        top = v[np.arange(v.shape[0]), j]")
+        b(f"    rows = np.flatnonzero(top {cmp} best[qs:qe, K - 1])")
         b("    if rows.size:")
         b("        qr = qs + rows")
-        b("        cand_v = np.concatenate([best[qr], v[rows]], axis=1)")
+        b("        w = v[rows]")
+        b("        rr = np.arange(rows.size)")
+        b("        npick = min(K, w.shape[1])")
+        b("        pick = np.empty((rows.size, npick), dtype=np.intp)")
+        b("        cand_v = np.empty((rows.size, K + npick))")
+        b("        cand_v[:, :K] = best[qr]")
+        b("        pick[:, 0] = j[rows]")
+        b("        cand_v[:, K] = top[rows]")
+        b("        for p in range(1, npick):")
+        b(f"            w[rr, pick[:, p - 1]] = {excl}")
+        b(f"            pick[:, p] = w.{red}(axis=1)")
+        b("            cand_v[:, K + p] = w[rr, pick[:, p]]")
         if op_info(op).returns_index:
-            b("        rr = np.arange(rows.size)[:, None]")
-            b(f"        sel = np.argpartition({neg}cand_v, K - 1, axis=1)[:, :K]")
-            b("        vals = cand_v[rr, sel]")
-            b(f"        order = np.argsort({neg}vals, axis=1, kind='stable')")
-            b("        sel = sel[rr, order]")
-            b("        old = best_idx[qr][rr, np.minimum(sel, K - 1)]")
-            b("        best_idx[qr] = np.where(sel < K, old, "
-              f"{ids('rows[:, None]', 'np.maximum(sel - K, 0)')})")
-            b("        best[qr] = vals[rr, order]")
+            b(f"        order = np.argsort({neg}cand_v, axis=1, "
+              "kind='stable')[:, :K]")
+            b("        rr = rr[:, None]")
+            b("        best_idx[qr] = np.concatenate([best_idx[qr], "
+              f"{ids('rows[:, None]', 'pick')}], axis=1)[rr, order]")
+            b("        best[qr] = cand_v[rr, order]")
         else:
-            b(f"        top = np.partition({neg}cand_v, K - 1, axis=1)[:, :K]")
-            b("        top.sort(axis=1)")
-            b(f"        best[qr] = {neg}top")
+            b(f"        best[qr] = {neg}np.sort({neg}cand_v, axis=1)[:, :K]")
     else:
         return None
     return lines

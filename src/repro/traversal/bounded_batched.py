@@ -126,9 +126,9 @@ RAMP_START = 64
 #: Row-regime threshold: a traversal whose whole query tree holds at most
 #: ``1 / ROW_REGIME_RATIO`` of its reference tree's points runs (query
 #: row × reference node) pairs.  From the measured crossover against the
-#: leaf regime (docs/performance.md, "Row regime"): at d = 9 the row
-#: regime still wins at N_q = N_r / 10 and loses from N_q ≈ N_r / 6.5;
-#: 16 keeps the regime clear of that crossover on every sweep point.
+#: leaf regime (docs/performance.md, "Row regime"): at d = 9 the two
+#: break even near N_q = N_r / 10 and the row regime loses from there
+#: on; 16 keeps the regime clear of that crossover on every sweep point.
 ROW_REGIME_RATIO = 16
 
 _EMPTY_I = np.empty(0, dtype=np.int64)

@@ -3,14 +3,18 @@
 The emitted base cases (the stack engine's ``base_case``, the batched
 engine's ``base_case_blocks`` and its row regime's ``base_case_rows``)
 merge a candidate block into each query's K best, and all skip every row
-whose candidates are all strictly worse than its k-th best.
-``base_case_blocks`` runs once per leaf-bearing epoch: it packs the
-epoch's query leaves into padded blocks, and a pad cell holds the
-operator's exclusion value and id −1.  These tests pin that merge where
-it is easiest to get wrong: coincident points whose tie spans the k-th
-slot, both bound signs, the k edges under self-exclusion, pads that
-must never reach an output, and a NaN query row — through the public
-surface under every engine, and on the bound kernels directly.
+whose candidates are all strictly worse than its k-th best.  A merged
+row's K best candidates come from K arg-select passes and meet the old
+k-array in one stable sort, so a tie at the k-th value keeps the old
+entry, then the lowest block column.  ``base_case_blocks`` runs once per
+leaf-bearing epoch: it packs the epoch's query leaves into padded
+blocks, and a pad cell holds the operator's exclusion value and id −1.
+These tests pin that merge where it is easiest to get wrong: coincident
+points whose tie spans the k-th slot, both bound signs, the k edges
+under self-exclusion, pads and blocks narrower than K that must never
+reach an output, repeat runs, a NaN query row and a NaN candidate —
+through the public surface under every engine, and on the bound kernels
+directly.
 """
 
 import dataclasses
@@ -86,6 +90,32 @@ def test_ties_across_kth_slot(grid, op, engine):
     _assert_tie_aware(full, np.asarray(out.values), idx, k, largest)
 
 
+@pytest.mark.parametrize("op", K_OPS, ids=lambda op: op.name)
+def test_tied_outputs_repeat_bitwise(grid, op, monkeypatch):
+    """Ties at the k-th value resolve one way every time: a plan's
+    outputs repeat bitwise, and its parallel form gives the same bytes
+    on threads and on processes (``REPRO_EXECUTOR``).  Serial and
+    parallel are two plans, so their tied ids need not agree."""
+    Q, R = grid
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    def run(executor="serial", **kw):
+        clear_caches()
+        expr = _furthest_expr(Q, R, 4, op)
+        out = expr.execute(leaf_size=4, **kw)
+        assert expr.stats()["plan"]["executor"]["value"] == executor
+        return (np.asarray(out.values).tobytes(),
+                None if out.indices is None
+                else np.asarray(out.indices).tobytes())
+
+    assert run() == run()
+    parallel = dict(parallel=True, workers=2, min_tasks=4)
+    threads = run("thread", **parallel)
+    assert run("thread", **parallel) == threads
+    monkeypatch.setenv("REPRO_EXECUTOR", "process")
+    assert run("process", **parallel) == threads
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("edge", ["1", "n", "n+1"])
 def test_k_edges_with_exclude_self(grid, edge, engine):
@@ -146,7 +176,7 @@ def _k_expr(Q, R, k, op):
     return expr
 
 
-PAD_CASES = ["k=n", "self-k=n-1", "grid"]
+PAD_CASES = ["k=n", "self-k=n-1", "grid", "narrow"]
 
 
 @pytest.mark.parametrize("case", PAD_CASES)
@@ -156,9 +186,12 @@ def test_pads_never_reach_an_output(grid, op, case, blocks_spy):
     """Bound-min pads hold +inf, bound-max pads −inf, both id −1: at
     k = n_r every row keeps every reference, at k = n_r − 1 under
     self-exclusion every reference but itself, and on the duplicate
-    grid the K best tie-aware — never a pad."""
+    grid the K best tie-aware — never a pad.  ``narrow`` (leaf 2,
+    k = 12) runs whole calls whose every block is narrower than K, so
+    the merge takes ``min(K, W)`` picks, some of them pads."""
     Q, R = grid
     largest = op is PortalOp.KARGMAX
+    leaf = 2 if case == "narrow" else 4
     if case == "self-k=n-1":
         Q, R = R, None
         n = len(Q)
@@ -167,13 +200,15 @@ def test_pads_never_reach_an_output(grid, op, case, blocks_spy):
         np.fill_diagonal(full, -np.inf if largest else np.inf)
     else:
         n = len(R)
-        k, exclude = (n, False) if case == "k=n" else (4, False)
+        k, exclude = {"k=n": n, "grid": 4, "narrow": 12}[case], False
         full = _distances(Q, R)
     clear_caches()
-    out = _k_expr(Q, R, k, op).execute(leaf_size=4, exclude_self=exclude)
+    out = _k_expr(Q, R, k, op).execute(leaf_size=leaf, exclude_self=exclude)
     d, i = np.asarray(out.values), np.asarray(out.indices)
     # the engine ran blocks whose leaves gathered unequal widths: pads
     assert blocks_spy and any(np.ptp(w) > 0 for w in blocks_spy)
+    if case == "narrow":
+        assert any(w.max() < k for w in blocks_spy)
     assert np.isfinite(d).all() and (i >= 0).all()
     _assert_tie_aware(full, d, i, k, largest)
     if k >= n - 1:
@@ -211,60 +246,87 @@ CASES = {
     "max": ([[3.0, 0.0], [2.0, 2.0]], [25.0, 25.0, 25.0, 16.0], [-3.0, 0.0]),
 }
 START_IDX = [7, 3, 5, 9]   # the three tied entries in no canonical order
+BOUND_KERNELS = ["base_case", "base_case_blocks", "base_case_rows"]
 
 
-def _bound_kernels(op):
+def _kernels(op, Q, R, best, best_idx, layout=Layout.ROW):
+    """The bound kernels of a K-operator over the squared distance, bound
+    to query rows ``Q``, references ``R`` and the k-arrays given."""
     kind = "min" if op in MIN_LIKE else "max"
-    R, start, winner = (np.array(x) for x in CASES[kind])
-    Q = np.array([[0.0, 0.0], winner, [np.nan, np.nan]])
     spec = CodegenSpec(
-        dim=2, layout=Layout.ROW, base="sqeuclidean", g_ir=SymRef("t"),
+        dim=Q.shape[1], layout=layout, base="sqeuclidean", g_ir=SymRef("t"),
         monotone="increasing", inner_op=op,
         rule=RuleSpec(kind=f"bound-{kind}"),
     )
-    state = dict(
-        best=np.tile(start, (3, 1)),
-        best_idx=np.tile(np.array(START_IDX, dtype=np.int64), (3, 1)),
-        qbound=np.full(3, np.inf),
-    )
+    state = dict(best=best, best_idx=best_idx, qbound=np.full(len(Q), np.inf))
     source, code = emit(spec)
     kernels = bind_kernels(source, code, dict(
-        QROW=Q, QN2=(Q * Q).sum(1), RROW=R, RN2=(R * R).sum(1), K=4,
-        **state))
-    return kernels, state, kind
+        QROW=Q, QN2=(Q * Q).sum(1), RROW=R, RN2=(R * R).sum(1),
+        QCOL=np.ascontiguousarray(Q.T), RCOL=np.ascontiguousarray(R.T),
+        K=best.shape[1], **state))
+    return kernels, state
 
 
-@pytest.mark.parametrize("kernel",
-                         ["base_case", "base_case_blocks", "base_case_rows"])
-@pytest.mark.parametrize("op", K_OPS, ids=lambda op: op.name)
-def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
-    kernels, state, kind = _bound_kernels(op)
-    before = {name: arr.copy() for name, arr in state.items()}
+def _bound_kernels(op, nan_ref=False):
+    """The bound kernels over ``CASES``; ``nan_ref`` appends a NaN
+    reference point (in the column layout, whose difference form keeps
+    the NaN to its own cells — the GEMM's origin would spread it)."""
+    kind = "min" if op in MIN_LIKE else "max"
+    R, start, winner = (np.array(x) for x in CASES[kind])
+    if nan_ref:
+        R = np.vstack([R, [np.nan, np.nan]])
+    Q = np.array([[0.0, 0.0], winner, [np.nan, np.nan]])
+    kernels, state = _kernels(
+        op, Q, R, np.tile(start, (3, 1)),
+        np.tile(np.array(START_IDX, dtype=np.int64), (3, 1)),
+        Layout.COLUMN if nan_ref else Layout.ROW)
+    return kernels, state, kind, len(R)
+
+
+def _run_kernel(kernels, kernel, nr, nq=3):
+    """Every query row against all ``nr`` references."""
     if kernel == "base_case":
-        kernels.base_case(0, 3, 0, 2)
-    elif kernel == "base_case_blocks":   # one query leaf of three rows
-        kernels.base_case_blocks(np.array([0]), np.array([3]), np.arange(2),
-                                 np.array([0, 2]))
+        kernels.base_case(0, nq, 0, nr)
+    elif kernel == "base_case_blocks":   # one query leaf of every row
+        kernels.base_case_blocks(np.array([0]), np.array([nq]),
+                                 np.arange(nr), np.array([0, nr]))
     else:  # the row regime's flat (query, reference) candidate list
-        kernels.base_case_rows(np.repeat(np.arange(3), 2),
-                               np.tile(np.arange(2), 3))
+        kernels.base_case_rows(np.repeat(np.arange(nq), nr),
+                               np.tile(np.arange(nr), nq))
+
+
+def _assert_row_one_merged(state, before, kind, returns_index):
+    """Rows 0 (strictly worse candidates) and 2 (a NaN query) are
+    untouched; row 1 holds its winners first.  Returns their count."""
     best, best_idx = state["best"], state["best_idx"]
-    returns_index = op in (PortalOp.KARGMIN, PortalOp.KARGMAX)
-    for row in (0, 2):   # strictly worse candidates; a NaN query
+    for row in (0, 2):
         assert best[row].tobytes() == before["best"][row].tobytes()
         assert best_idx[row].tobytes() == before["best_idx"][row].tobytes()
     if kind == "min":
         assert best[1].tolist() == [0.0, 1.0, 1.0, 1.0]
-        new_ids, kept = [0], 3
+        new_ids = [0]
     else:
         assert best[1].tolist() == [36.0, 29.0, 25.0, 25.0]
-        new_ids, kept = [0, 1], 2
+        new_ids = [0, 1]
     if returns_index:
         assert best_idx[1, :len(new_ids)].tolist() == new_ids
-        tied = best_idx[1, len(new_ids):].tolist()
-        assert len(set(tied)) == kept and set(tied) <= {7, 3, 5}
     else:
         assert np.array_equal(best_idx, before["best_idx"])
+    return len(new_ids)
+
+
+@pytest.mark.parametrize("kernel", BOUND_KERNELS)
+@pytest.mark.parametrize("op", K_OPS, ids=lambda op: op.name)
+def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
+    kernels, state, kind, nr = _bound_kernels(op)
+    before = {name: arr.copy() for name, arr in state.items()}
+    _run_kernel(kernels, kernel, nr)
+    best, best_idx = state["best"], state["best_idx"]
+    returns_index = op in (PortalOp.KARGMIN, PortalOp.KARGMAX)
+    new = _assert_row_one_merged(state, before, kind, returns_index)
+    if returns_index:
+        # a tie at the k-th value keeps the old entries, in their order
+        assert best_idx[1, new:].tolist() == START_IDX[:4 - new]
     sign = 1.0 if kind == "min" else -1.0
     if kernel == "base_case_blocks":
         assert np.array_equal(state["qbound"], sign * best[:, -1])
@@ -275,3 +337,53 @@ def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
                               before["qbound"][[0, 2]])
     else:
         assert np.array_equal(state["qbound"], before["qbound"])
+
+
+@pytest.mark.parametrize("kernel", BOUND_KERNELS)
+@pytest.mark.parametrize("op", K_OPS, ids=lambda op: op.name)
+def test_bound_kernel_merges_a_winner_beside_a_nan_candidate(op, kernel):
+    """A NaN candidate sorts last: the row holding it and a winner merges
+    the winner.  The block kernels take the NaN cell into the merge
+    (``argmin``/``argmax`` return it first); the row regime drops it
+    with the strictly worse candidates before padding."""
+    kernels, state, kind, nr = _bound_kernels(op, nan_ref=True)
+    before = {name: arr.copy() for name, arr in state.items()}
+    _run_kernel(kernels, kernel, nr)
+    _assert_row_one_merged(state, before, kind,
+                           op in (PortalOp.KARGMIN, PortalOp.KARGMAX))
+    assert not np.isnan(state["best"]).any()
+    assert (state["best_idx"] != nr - 1).all()
+
+
+@pytest.mark.parametrize("kernel", BOUND_KERNELS)
+@pytest.mark.parametrize("op", K_OPS, ids=lambda op: op.name)
+def test_bound_kernel_breaks_ties_old_first_then_by_column(op, kernel):
+    """The merged k-array is a stable sort of the old k-array followed by
+    the block's candidates in column order: at equal values the old
+    entry comes first, then the lowest column.  Squared distances from
+    small integers on a line tie often, inside and across the k-th
+    slot."""
+    rng = np.random.default_rng(11)
+    largest = op not in MIN_LIKE
+    k, nq, nr = 4, 24, 9
+    Q = np.zeros((nq, 1))
+    R = rng.integers(-3, 4, size=(nr, 1)).astype(np.float64)
+    old = np.sort(rng.choice([0.0, 1.0, 4.0, 9.0, 16.0], size=(nq, k)),
+                  axis=1)
+    if largest:
+        old = old[:, ::-1].copy()
+    old_idx = 100 + np.arange(nq * k, dtype=np.int64).reshape(nq, k)
+    kernels, state = _kernels(op, Q, R, old.copy(), old_idx.copy(),
+                              Layout.COLUMN)
+    _run_kernel(kernels, kernel, nr, nq)
+    cand_v = np.concatenate([old, np.tile(R[:, 0] ** 2, (nq, 1))], axis=1)
+    cand_i = np.concatenate([old_idx, np.tile(np.arange(nr), (nq, 1))], axis=1)
+    order = np.argsort(-cand_v if largest else cand_v, axis=1,
+                       kind="stable")[:, :k]
+    rows = np.arange(nq)[:, None]
+    # the draw puts real ties across the k-th slot
+    kth = cand_v[rows, order][:, -1:]
+    assert ((cand_v == kth).sum(axis=1) > 1).sum() >= 5
+    assert np.array_equal(state["best"], cand_v[rows, order])
+    if op in (PortalOp.KARGMIN, PortalOp.KARGMAX):
+        assert np.array_equal(state["best_idx"], cand_i[rows, order])
