@@ -1,7 +1,8 @@
 """Ablations over the compiler's design choices (DESIGN.md experiment
-index): data layout and the paper's strength-reduced sqrt.  Each
-ablation flips one choice and reports time and (where relevant)
-accuracy.
+index): the paper's strength-reduced sqrt.  Each ablation flips one
+choice and reports time and (where relevant) accuracy.  (The paper's
+d ≤ 4 column-major layout lost to the row layout here and is gone:
+DESIGN.md, S8.)
 """
 
 import numpy as np
@@ -9,37 +10,8 @@ import pytest
 
 from harness import dataset, emit, format_table, split_qr, wall
 from repro.backend.fastmath import fast_inverse_sqrt
-from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 
 _SECTIONS: list[str] = []
-
-
-def test_ablation_layout(benchmark):
-    """Column- vs row-major layout on low-dimensional data (the paper's
-    d ≤ 4 rule).  On 3-D data the column-major unrolled form should not
-    lose to the generic row-major form."""
-    X = np.ascontiguousarray(dataset("Elliptical")[:4000])
-    Q, R = split_qr(X)
-    q, r = Storage(Q), Storage(R)
-
-    def run(layout):
-        e = PortalExpr()
-        e.addLayer(PortalOp.FORALL, q)
-        e.addLayer(PortalOp.SUM, r, PortalFunc.GAUSSIAN, bandwidth=0.5)
-        e.execute(tau=0.0, layout=layout, exclude_self=False)
-        return e
-
-    benchmark.pedantic(lambda: run(None), rounds=2, iterations=1)
-    t_auto = wall(lambda: run(None), 2)
-    t_col = wall(lambda: run("column"), 2)
-    t_row = wall(lambda: run("row"), 2)
-    rows = [["auto (column for d=3)", round(t_auto, 4)],
-            ["forced column", round(t_col, 4)],
-            ["forced row", round(t_row, 4)]]
-    _SECTIONS.append(format_table(
-        "Ablation — layout choice (KDE, Elliptical d=3)",
-        ["Layout", "time (s)"], rows,
-    ))
 
 
 def test_ablation_fastmath(benchmark):

@@ -162,7 +162,6 @@ def time_interp_base_case(fn, layers, repeats: int = 5) -> float:
         env = base_case_env(
             outer.storage.name, inner.storage.name,
             outer.storage.data, inner.storage.data,
-            outer.storage.layout, inner.storage.layout,
         )
         interpret_function(fn, env)
 

@@ -9,8 +9,8 @@ Two bounded LRU caches, and nothing cached on top that pairs them:
   of a compile — rules, optimised IR, emitted source, code object —
   keyed on the program's *shape* alone: the layer chain (operator
   names, unparsed kernel expressions, parameter values, Storage names
-  and dimensions), the options that change the code and the resolved
-  layout, and no dataset fingerprint;
+  and dimensions) and the options that change the code, and no dataset
+  fingerprint;
 * the **tree cache** memoises :class:`~repro.trees.node.ArrayTree`
   builds keyed on (data fingerprint, tree kind, leaf size, split,
   weights fingerprint), so *different problems* over the same dataset
@@ -227,7 +227,9 @@ class LRUCache:
 #: v8: the code half has its own entry, ``(ARTIFACT_SCHEMA, code key)``,
 #: shared by every artifact of its shape.
 #: v9: one codegen target — the key no longer carries a backend name.
-ARTIFACT_SCHEMA = 9
+#: v10: one distance form per metric — the key no longer carries a
+#: layout, and every comparative reduction's code keeps winner ids.
+ARTIFACT_SCHEMA = 10
 
 #: Code halves, one per program shape, shared across datasets.
 code_cache = LRUCache(maxsize=32)

@@ -7,11 +7,14 @@ reproduction's stand-in for the paper's LLVM x86 backend: the compiler
 still produces an executable artifact from the IR, and the same
 vectorisation decisions drive the emitted code:
 
-* **layout** — for low-dimensional data (column-major layout) the
-  dimension loop is *unrolled* in the emitted source and the middle
-  (reference) loop vectorises; for high-dimensional data (row-major) the
-  innermost dimension loop vectorises: a squared-Euclidean kernel takes
-  its distances as one augmented GEMM, any other a contracted ``einsum``;
+* **one distance form per metric** — a squared-Euclidean kernel that is
+  not an indicator takes its block distances as one augmented GEMM at
+  every d; indicators and the Manhattan / Chebyshev bases take the
+  difference form, one coordinate at a time in dimension order.  The
+  paper's d ≤ 4 column-major layout is not reproduced: under NumPy the
+  GEMM wins at every d (DESIGN.md, S8).  The winners of a comparative
+  reduction are re-evaluated once in the difference form
+  (``exact_values``), so their values do not depend on block shapes;
 * **strength reduction** — the kernel expression arrives already
   strength-reduced (``pow`` as chained multiplications) and is emitted
   verbatim, so the generated source visibly contains the optimisation;
@@ -39,7 +42,6 @@ from ..dsl.ops import MAX_LIKE, MIN_LIKE, PortalOp, op_info
 from ..ir.nodes import IRCall, LoadExpr, SymRef
 from ..observe import span
 from ..rules.spec import RuleSpec
-from .layout import Layout
 
 __all__ = [
     "CodegenSpec", "GeneratedKernels", "generate", "emit", "bind_kernels",
@@ -141,7 +143,6 @@ class CodegenSpec:
     """Everything the generator needs to emit a problem's kernels."""
 
     dim: int
-    layout: str
     base: str
     g_ir: Expr                      # strength-reduced kernel body over SymRef('t')
     monotone: str | None            # 'increasing' | 'decreasing' | None
@@ -175,11 +176,15 @@ class GeneratedKernels:
     (:mod:`repro.traversal.bounded_batched`).  A bound rule's
     ``base_case_blocks(qs, qe, ridx, redge)`` takes every query leaf of
     one epoch at once, packed into padded blocks of at most
-    :data:`CHUNK_CELLS` cells.  In the row layout these three take a
-    squared-Euclidean kernel's distances in one spelling, one augmented
-    GEMM with the kernel's constant scale folded into the query operand
+    :data:`CHUNK_CELLS` cells.  These three take a squared-Euclidean
+    kernel's distances in one spelling, one augmented GEMM with the
+    kernel's constant scale folded into the query operand
     (:func:`_scale_fold`); the row regime's ``base_case_rows`` keeps its
-    pair form, one dot product per candidate pair.  The scalar
+    pair form, one dot product per candidate pair.  A comparative
+    reduction also gets ``exact_values(Q, qidx, R, ridx)``, the kernel
+    over gathered pairs in the difference form, which re-evaluates its
+    winners once after the traversal
+    (:func:`repro.backend.state.exact_winners`).  The scalar
     ``prune_or_approx`` / ``pair_min_dist`` drive the nearest-first
     stack engine.  Stateless
     rules (indicator / approximation) get ``classify_batch`` over whole
@@ -204,6 +209,7 @@ class GeneratedKernels:
     base_case_blocks: Callable | None = None
     row_key_batch: Callable | None = None
     base_case_rows: Callable | None = None
+    exact_values: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +218,10 @@ class GeneratedKernels:
 
 def _augmented_gemm(spec: CodegenSpec) -> bool:
     """Whether the block kernels take the norm expansion as one augmented
-    GEMM: a squared-Euclidean kernel that is not an indicator, row layout.
-    (An indicator keeps the exact difference form: a count must not flip
-    on cancellation at its threshold.)"""
-    return (spec.layout != Layout.COLUMN and spec.base == "sqeuclidean"
-            and not spec.is_indicator)
+    GEMM: a squared-Euclidean kernel that is not an indicator, at every
+    d.  (An indicator keeps the exact difference form: a count must not
+    flip on cancellation at its threshold.)"""
+    return spec.base == "sqeuclidean" and not spec.is_indicator
 
 
 def _scale_fold(g: Expr) -> tuple[float, Expr]:
@@ -297,55 +302,67 @@ def _gemm_operands(scale):
     return ops"""
 
 
+def _difference_lines(spec: CodegenSpec, diff: str, dims: str,
+                      indent: str) -> list[str]:
+    """Lines computing ``t`` in the difference form: ``diff`` (a template
+    over ``{c}``) spells coordinate ``c``'s difference ``q − r``, which is
+    squared (or its magnitude taken) and folded in dimension order —
+    summed, or max'd for Chebyshev — over the ``dims`` coordinates.
+    Every difference form of every kernel is this one spelling, so a
+    pair's value does not depend on the block it was evaluated in."""
+    term = "_d * _d" if spec.base == "sqeuclidean" else "np.abs(_d)"
+    fold = (f"np.maximum(t, {term}, out=t)" if spec.base == "chebyshev"
+            else f"t += {term}")
+    return [f"{indent}{line}" for line in (
+        f"_d = {diff.format(c=0)}",
+        f"t = {term}",
+        f"for _c in range(1, {dims}):",
+        f"    _d = {diff.format(c='_c')}",
+        f"    {fold}",
+    )]
+
+
 def _pairwise_lines(spec: CodegenSpec, refs: str) -> list[str]:
     """Body lines computing the kernel block ``v`` for queries
     ``[qs, qe)`` against the reference points ``refs`` spells: ``rs:re``
     (a leaf slice, the ``base_case`` views) or ``ridx`` (a gathered index
     array, ``base_case_group``).  Both spellings take the same
-    arithmetic: the column layout's unrolled difference form, the row
-    layout's augmented GEMM (:func:`_augmented_gemm`) or its difference
-    tensor."""
-    out: list[str] = []
-    b = out.append
-    if spec.layout == Layout.COLUMN:
-        b("    dq = QCOL[:, qs:qe]")
-        b(f"    dr = RCOL[:, {refs}]")
-        for d in range(spec.dim):
-            b(f"    _d{d} = dq[{d}][:, None] - dr[{d}][None, :]")
-            if spec.base == "sqeuclidean":
-                term = f"_d{d} * _d{d}"
-            else:
-                term = f"np.abs(_d{d})"
-            if d == 0:
-                b(f"    t = {term}")
-            elif spec.base == "chebyshev":
-                b(f"    np.maximum(t, {term}, out=t)")
-            else:
-                b(f"    t = t + {term}")
-    elif _augmented_gemm(spec):
+    arithmetic: the augmented GEMM (:func:`_augmented_gemm`) or the
+    difference form (:func:`_difference_lines`)."""
+    if _augmented_gemm(spec):
         a = _scale_fold(spec.g_ir)[0]
-        b(f"    QA, RA = _gemm_operands({a!r})")
-        b(f"    t = QA[qs:qe] @ RA[{refs}].T")
-        b(f"    {_clamp(a)}")
+        out = [f"    QA, RA = _gemm_operands({a!r})",
+               f"    t = QA[qs:qe] @ RA[{refs}].T",
+               f"    {_clamp(a)}"]
     else:
-        b(f"    diff = QROW[qs:qe, None, :] - RROW[{refs}][None, :, :]")
-        if spec.base == "sqeuclidean":
-            b("    t = np.einsum('ijk,ijk->ij', diff, diff)")
-        elif spec.base == "manhattan":
-            b("    t = np.abs(diff).sum(axis=-1)")
-        else:
-            b("    t = np.abs(diff).max(axis=-1)")
+        out = ["    dq = QROW[qs:qe].T",
+               f"    dr = RROW[{refs}].T",
+               *_difference_lines(spec, "dq[{c}][:, None] - dr[{c}][None, :]",
+                                  "dq.shape[0]", "    ")]
     return out + _value_lines(_block_kernel(spec), "    ")
 
 
 def _pairwise_source(spec: CodegenSpec) -> str:
-    if spec.layout == Layout.COLUMN:
-        comment = ["    # column-major layout: dimension loop unrolled, the middle",
-                   "    # (reference) loop vectorises across points"]
-    else:
-        comment = ["    # row-major layout: the innermost dimension loop vectorises"]
-    return "\n".join(["def _pairwise(qs, qe, rs, re):", *comment,
+    return "\n".join(["def _pairwise(qs, qe, rs, re):",
                       *_pairwise_lines(spec, "rs:re"), "    return v"])
+
+
+def _exact_values_source(spec: CodegenSpec) -> str | None:
+    """Emit ``exact_values(Q, qidx, R, ridx)`` for a comparative
+    reduction: the kernel of the pairs ``(Q[qidx], R[ridx])`` (index
+    arrays broadcast against each other) in the difference form, one
+    gathered coordinate at a time.  It re-evaluates the winners after
+    the traversal (:func:`repro.backend.state.exact_winners`) and is the
+    row regime's pair form for every kernel the GEMM does not take."""
+    if spec.inner_op not in MIN_LIKE | MAX_LIKE:
+        return None
+    return "\n".join([
+        "def exact_values(Q, qidx, R, ridx):",
+        *_difference_lines(spec, "Q[:, {c}][qidx] - R[:, {c}][ridx]",
+                           "Q.shape[1]", "    "),
+        *_value_lines(spec.g_ir, "    "),
+        "    return v",
+    ])
 
 
 def _point_to_centroid(spec: CodegenSpec, centroid_arr: str) -> list[str]:
@@ -387,83 +404,78 @@ def _kth_best(spec: CodegenSpec) -> str:
 
 def _merge_lines(spec: CodegenSpec,
                  ids: Callable[[str, str], str]) -> list[str] | None:
-    """Body lines merging the candidate block ``v`` into ``best`` (and
-    ``best_idx``) for a comparative reduction, None for any other
-    operator.  ``ids(i, j)`` spells the reference ids of candidate
-    columns ``j`` of block rows ``i`` — ``rs + j`` over a leaf slice,
-    ``ridx[j]`` over a gathered batch, ``ridx[i, j]`` over per-row
-    gathers, ``rid[leaf[i], j]`` over a block of query leaves — the one
-    difference between the base cases.
+    """Body lines merging the candidate block ``v`` into ``best`` and
+    ``best_idx`` for a comparative reduction, None for any other
+    operator.  Every comparative reduction keeps its winners' ids, which
+    :func:`repro.backend.state.exact_winners` re-evaluates.  ``ids(i,
+    j)`` spells the reference ids of candidate columns ``j`` of block
+    rows ``i`` — ``rs + j`` over a leaf slice, ``ridx[j]`` over a
+    gathered batch, ``ridx[i, j]`` over per-row gathers, ``rid[leaf[i],
+    j]`` over a block of query leaves — the one difference between the
+    base cases.
 
-    A K-operator takes one ``argmin`` per row (``argmax`` for the max
-    forms): the row's best candidate, whose test against the k-th best
-    is the row filter.  A row with only strictly worse candidates is
-    left untouched.  The rows that pass are gathered once, and
-    ``min(K, W) − 1`` more arg-select passes over that copy, each
-    writing the exclusion value over the previous pick, give each row
-    its K best candidates in order.  A stable sort over ``[old k-array |
-    picks]`` merges the two, so a tie at the k-th value keeps the old
-    entry, then the lowest block column.  A pick holding the exclusion
-    value (a pad, or a row narrower than K) never displaces an old
-    entry.  NaN sorts last: ``argmin`` returns a row's NaN cell first,
-    so a block whose best cell is NaN takes NaN as the exclusion value
-    and selects again."""
+    A single-value reduction takes one ``argmin`` per row (``argmax``
+    for the max forms) and keeps a candidate strictly better than the
+    row's best.  A K-operator takes the same arg-select per row: the
+    row's best candidate, whose test against the k-th best is the row
+    filter.  A row with only strictly worse candidates is left
+    untouched.  The rows that pass are gathered once, and ``min(K, W) −
+    1`` more arg-select passes over that copy, each writing the
+    exclusion value over the previous pick, give each row its K best
+    candidates in order.  A stable sort over ``[old k-array | picks]``
+    merges the two, so a tie at the k-th value keeps the old entry,
+    then the lowest block column.  A pick holding the exclusion value (a
+    pad, or a row narrower than K) never displaces an old entry.  NaN
+    sorts last: ``argmin`` returns a row's NaN cell first, so a block
+    whose best cell is NaN takes NaN as the exclusion value and selects
+    again."""
     op = spec.inner_op
+    if op not in MIN_LIKE | MAX_LIKE:
+        return None
     lines: list[str] = []
     b = lines.append
-    if op is PortalOp.ARGMIN or op is PortalOp.ARGMAX:
-        red, cmp = ("argmin", "<") if op is PortalOp.ARGMIN else ("argmax", ">")
+    red = "argmin" if op in MIN_LIKE else "argmax"
+    if not op_info(op).requires_k:
         b(f"    j = v.{red}(axis=1)")
         b("    vals = v[np.arange(v.shape[0]), j]")
         b("    bb = best[qs:qe]")
-        b(f"    m = vals {cmp} bb")
+        b(f"    m = vals {'<' if op in MIN_LIKE else '>'} bb")
         b("    if m.any():")
         b("        bb[m] = vals[m]")
         b(f"        best_idx[qs:qe][m] = {ids('m', 'j[m]')}")
-    elif op is PortalOp.MIN:
-        b("    np.minimum(best[qs:qe], v.min(axis=1), out=best[qs:qe])")
-    elif op is PortalOp.MAX:
-        b("    np.maximum(best[qs:qe], v.max(axis=1), out=best[qs:qe])")
-    elif op_info(op).requires_k:
-        # the max forms sort on negated values: exact
-        red, cmp, neg = (("argmin", "<=", "") if op in MIN_LIKE
-                         else ("argmax", ">=", "-"))
-        excl = _exclusion_value(op)
-        b("    # ordered k-array merge (sorted filter of section IV-F): each")
-        b("    # row with a candidate at or inside its k-th best picks its")
-        b("    # K best candidates, one arg-select pass each")
-        b(f"    j = v.{red}(axis=1)")
-        b("    top = v[np.arange(v.shape[0]), j]")
-        b("    if np.isnan(top).any():   # NaN sorts last")
-        b(f"        v = np.where(np.isnan(v), {excl}, v)")
-        b(f"        j = v.{red}(axis=1)")
-        b("        top = v[np.arange(v.shape[0]), j]")
-        b(f"    rows = np.flatnonzero(top {cmp} best[qs:qe, K - 1])")
-        b("    if rows.size:")
-        b("        qr = qs + rows")
-        b("        w = v[rows]")
-        b("        rr = np.arange(rows.size)")
-        b("        npick = min(K, w.shape[1])")
-        b("        pick = np.empty((rows.size, npick), dtype=np.intp)")
-        b("        cand_v = np.empty((rows.size, K + npick))")
-        b("        cand_v[:, :K] = best[qr]")
-        b("        pick[:, 0] = j[rows]")
-        b("        cand_v[:, K] = top[rows]")
-        b("        for p in range(1, npick):")
-        b(f"            w[rr, pick[:, p - 1]] = {excl}")
-        b(f"            pick[:, p] = w.{red}(axis=1)")
-        b("            cand_v[:, K + p] = w[rr, pick[:, p]]")
-        if op_info(op).returns_index:
-            b(f"        order = np.argsort({neg}cand_v, axis=1, "
-              "kind='stable')[:, :K]")
-            b("        rr = rr[:, None]")
-            b("        best_idx[qr] = np.concatenate([best_idx[qr], "
-              f"{ids('rows[:, None]', 'pick')}], axis=1)[rr, order]")
-            b("        best[qr] = cand_v[rr, order]")
-        else:
-            b(f"        best[qr] = {neg}np.sort({neg}cand_v, axis=1)[:, :K]")
-    else:
-        return None
+        return lines
+    # the max forms sort on negated values: exact
+    cmp, neg = ("<=", "") if op in MIN_LIKE else (">=", "-")
+    excl = _exclusion_value(op)
+    b("    # ordered k-array merge (sorted filter of section IV-F): each")
+    b("    # row with a candidate at or inside its k-th best picks its")
+    b("    # K best candidates, one arg-select pass each")
+    b(f"    j = v.{red}(axis=1)")
+    b("    top = v[np.arange(v.shape[0]), j]")
+    b("    if np.isnan(top).any():   # NaN sorts last")
+    b(f"        v = np.where(np.isnan(v), {excl}, v)")
+    b(f"        j = v.{red}(axis=1)")
+    b("        top = v[np.arange(v.shape[0]), j]")
+    b(f"    rows = np.flatnonzero(top {cmp} best[qs:qe, K - 1])")
+    b("    if rows.size:")
+    b("        qr = qs + rows")
+    b("        w = v[rows]")
+    b("        rr = np.arange(rows.size)")
+    b("        npick = min(K, w.shape[1])")
+    b("        pick = np.empty((rows.size, npick), dtype=np.intp)")
+    b("        cand_v = np.empty((rows.size, K + npick))")
+    b("        cand_v[:, :K] = best[qr]")
+    b("        pick[:, 0] = j[rows]")
+    b("        cand_v[:, K] = top[rows]")
+    b("        for p in range(1, npick):")
+    b(f"            w[rr, pick[:, p - 1]] = {excl}")
+    b(f"            pick[:, p] = w.{red}(axis=1)")
+    b("            cand_v[:, K + p] = w[rr, pick[:, p]]")
+    b(f"        order = np.argsort({neg}cand_v, axis=1, kind='stable')[:, :K]")
+    b("        rr = rr[:, None]")
+    b("        best_idx[qr] = np.concatenate([best_idx[qr], "
+      f"{ids('rows[:, None]', 'pick')}], axis=1)[rr, order]")
+    b("        best[qr] = cand_v[rr, order]")
     return lines
 
 
@@ -879,40 +891,21 @@ def _base_case_group_source(spec: CodegenSpec) -> str | None:
 def _block_distance_lines(spec: CodegenSpec) -> list[str]:
     """Body lines computing ``t`` (blocks × rows × columns) for the query
     rows ``qrow`` (blocks × rows) against the reference points ``rid``
-    (blocks × columns).  The column layout and every difference form
-    take :func:`_pairwise_lines`' arithmetic cell for cell; the row
-    layout takes its augmented GEMM, batched over the blocks."""
-    out: list[str] = []
-    b = out.append
-    if spec.layout == Layout.COLUMN:
-        b("        dq = QCOL[:, qrow]")
-        b("        dr = RCOL[:, rid]")
-        for d in range(spec.dim):
-            b(f"        _d{d} = dq[{d}][:, :, None] - dr[{d}][:, None, :]")
-            term = (f"_d{d} * _d{d}" if spec.base == "sqeuclidean"
-                    else f"np.abs(_d{d})")
-            if d == 0:
-                b(f"        t = {term}")
-            elif spec.base == "chebyshev":
-                b(f"        np.maximum(t, {term}, out=t)")
-            else:
-                b(f"        t = t + {term}")
-    elif _augmented_gemm(spec):
+    (blocks × columns): :func:`_pairwise_lines`' arithmetic, its
+    augmented GEMM batched over the blocks."""
+    if _augmented_gemm(spec):
         a = _scale_fold(spec.g_ir)[0]
-        b(f"        QA, RA = _gemm_operands({a!r})")
-        # a contiguous (k × columns) right operand takes the fast GEMM
-        b("        RB = np.ascontiguousarray(RA[rid].transpose(0, 2, 1))")
-        b("        t = QA[qrow] @ RB")
-        b(f"        {_clamp(a)}")
+        out = [f"        QA, RA = _gemm_operands({a!r})",
+               # a contiguous (k × columns) right operand takes the fast GEMM
+               "        RB = np.ascontiguousarray(RA[rid].transpose(0, 2, 1))",
+               "        t = QA[qrow] @ RB",
+               f"        {_clamp(a)}"]
     else:
-        b("        diff = (QROW[qrow][:, :, None, :]")
-        b("                - RROW[rid][:, None, :, :])")
-        if spec.base == "sqeuclidean":
-            b("        t = np.einsum('ijkl,ijkl->ijk', diff, diff)")
-        elif spec.base == "manhattan":
-            b("        t = np.abs(diff).sum(axis=-1)")
-        else:
-            b("        t = np.abs(diff).max(axis=-1)")
+        out = ["        dq = QROW[qrow]",
+               "        dr = RROW[rid]",
+               *_difference_lines(
+                   spec, "dq[:, :, None, {c}] - dr[:, None, :, {c}]",
+                   "dq.shape[2]", "        ")]
     return out + _value_lines(_block_kernel(spec), "        ")
 
 
@@ -934,7 +927,6 @@ def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
         return None
     excl = _exclusion_value(spec.inner_op)
     kth = _kth_best(spec)
-    indexed = op_info(spec.inner_op).returns_index
     lines = [
         "def base_case_blocks(qs, qe, ridx, redge):",
         "    width = redge[1:] - redge[:-1]",
@@ -961,26 +953,19 @@ def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
     b("        if width[sel[0]] < W:   # the narrower leaves' pad cells")
     b("            pad = col >= width[sel, None]")
     b(f"            v.transpose(0, 2, 1)[pad] = {excl}")
-    if indexed:
-        b("            rid = np.where(pad, -1, rid)")
+    b("            rid = np.where(pad, -1, rid)")
     b("        qflat = qrow.ravel()")
     b("        bk = best[qflat]")
-    if indexed:
-        b("        bik = best_idx[qflat]")
-        b("        leaf = np.repeat(np.arange(sel.size), P)")
-        b("        _merge_block(v.reshape(-1, W), rid, leaf, bk, bik)")
-    else:
-        b("        _merge_block(v.reshape(-1, W), bk)")
+    b("        bik = best_idx[qflat]")
+    b("        leaf = np.repeat(np.arange(sel.size), P)")
+    b("        _merge_block(v.reshape(-1, W), rid, leaf, bk, bik)")
     b("        if nrow[sel].min() < P:   # pad rows: write back the real ones")
     b("            real = reals[sel, :P].ravel()")
-    b("            qflat, bk = qflat[real], bk[real]")
-    if indexed:
-        b("            bik = bik[real]")
-        b("        best_idx[qflat] = bik")
+    b("            qflat, bk, bik = qflat[real], bk[real], bik[real]")
+    b("        best_idx[qflat] = bik")
     b("        best[qflat] = bk")
     b(f"        qbound[qflat] = {_bound_sign(rule)}bk[:{kth}]"
       if kth else f"        qbound[qflat] = {_bound_sign(rule)}bk")
-    params = "v, rid, leaf, best, best_idx" if indexed else "v, best"
     lines += [
         "",
         "",
@@ -997,7 +982,7 @@ def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
         "    yield order[start:]",
         "",
         "",
-        f"def _merge_block({params}, qs=0, qe=None):",
+        "def _merge_block(v, rid, leaf, best, best_idx, qs=0, qe=None):",
         *_merge_lines(spec, lambda i, j: f"rid[leaf[{i}], {j}]"),
     ]
     return "\n".join(lines)
@@ -1005,38 +990,16 @@ def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
 
 def _pairwise_pairs_lines(spec: CodegenSpec) -> list[str]:
     """Body lines computing ``v[p]`` for the candidate pairs
-    ``(qidx[p], ridx[p])`` (the row regime's flat gather), in the
-    layout's arithmetic: the column layout keeps
-    :func:`_pairwise_lines`' difference form pair for pair, the
-    row layout's norm expansion takes one dot product per pair."""
-    out: list[str] = []
-    b = out.append
-    if spec.layout == Layout.COLUMN:
-        b("    dq = QCOL[:, qidx]")
-        b("    dr = RCOL[:, ridx]")
-        for d in range(spec.dim):
-            b(f"    _d{d} = dq[{d}] - dr[{d}]")
-            term = (f"_d{d} * _d{d}" if spec.base == "sqeuclidean"
-                    else f"np.abs(_d{d})")
-            if d == 0:
-                b(f"    t = {term}")
-            elif spec.base == "chebyshev":
-                b(f"    np.maximum(t, {term}, out=t)")
-            else:
-                b(f"    t = t + {term}")
-    elif spec.base == "sqeuclidean" and not spec.is_indicator:
-        b("    t = QN2[qidx] + RN2[ridx] "
-          "- 2.0 * np.einsum('ij,ij->i', QROW[qidx], RROW[ridx])")
-        b("    np.maximum(t, 0.0, out=t)")
-    else:
-        b("    diff = QROW[qidx] - RROW[ridx]")
-        if spec.base == "sqeuclidean":
-            b("    t = np.einsum('ij,ij->i', diff, diff)")
-        elif spec.base == "manhattan":
-            b("    t = np.abs(diff).sum(axis=-1)")
-        else:
-            b("    t = np.abs(diff).max(axis=-1)")
-    return out + _value_lines(spec.g_ir, "    ")
+    ``(qidx[p], ridx[p])`` (the row regime's flat gather): the norm
+    expansion, one dot product per pair over the trees' cached squared
+    norms, where the block kernels take the GEMM, and ``exact_values``
+    otherwise."""
+    if not _augmented_gemm(spec):
+        return ["    v = exact_values(QROW, qidx, RROW, ridx)"]
+    return ["    t = QN2[qidx] + RN2[ridx] "
+            "- 2.0 * np.einsum('ij,ij->i', QROW[qidx], RROW[ridx])",
+            "    np.maximum(t, 0.0, out=t)",
+            *_value_lines(spec.g_ir, "    ")]
 
 
 def _base_case_rows_source(spec: CodegenSpec) -> str | None:
@@ -1056,7 +1019,6 @@ def _base_case_rows_source(spec: CodegenSpec) -> str | None:
     excl = _exclusion_value(op)
     cmp = "<=" if op in MIN_LIKE else ">="
     kth = _kth_best(spec)
-    indexed = op_info(op).returns_index
     lines = ["def base_case_rows(qidx, ridx):"]
     lines += _pairwise_pairs_lines(spec)
     b = lines.append
@@ -1080,17 +1042,14 @@ def _base_case_rows_source(spec: CodegenSpec) -> str | None:
     b("    rb = np.full(vb.shape, -1)")
     b("    rb[slot, col] = ridx")
     b("    bk = best[rows]")
-    if indexed:
-        b("    bik = best_idx[rows]")
-        b("    _merge_rows(vb, rb, bk, bik)")
-        b("    best_idx[rows] = bik")
-    else:
-        b("    _merge_rows(vb, rb, bk)")
+    b("    bik = best_idx[rows]")
+    b("    _merge_rows(vb, rb, bk, bik)")
+    b("    best_idx[rows] = bik")
     b("    best[rows] = bk")
     kth_col = f"bk[:{kth}]" if kth else "bk"
     b(f"    qbound[rows] = {_bound_sign(rule)}{kth_col}")
-    params = "v, ridx, best, best_idx" if indexed else "v, ridx, best"
-    lines += ["", "", f"def _merge_rows({params}, qs=0, qe=None):"]
+    lines += ["", "",
+              "def _merge_rows(v, ridx, best, best_idx, qs=0, qe=None):"]
     lines += _merge_lines(spec, lambda i, j: f"ridx[{i}, {j}]")
     return "\n".join(lines)
 
@@ -1106,12 +1065,11 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
     result is cacheable and re-bindable against fresh state arrays via
     :meth:`Bindings.bind`.
     """
-    with span("codegen", layout=str(spec.layout), dim=spec.dim,
-              inner_op=spec.inner_op.name) as sp:
+    with span("codegen", dim=spec.dim, inner_op=spec.inner_op.name) as sp:
         gemm = _augmented_gemm(spec)
         chunks = [
             "# Generated by the Portal backend — vectorised NumPy translation",
-            f"# layout={spec.layout} base={spec.base} inner={spec.inner_op.name} "
+            f"# base={spec.base} inner={spec.inner_op.name} "
             f"outer={spec.outer_op.name} rule="
             f"{spec.rule.kind if spec.rule else 'none'}"
             + (f" scale={_scale_fold(spec.g_ir)[0]!r}" if gemm else ""),
@@ -1121,9 +1079,10 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
             _pair_dist_source(spec),
             _pair_dist_batch_source(spec),
         ]
-        for maker in (_action_source, _prune_source, _classify_batch_source,
-                      _bound_batch_source, _base_case_group_source,
-                      _base_case_blocks_source, _base_case_rows_source):
+        for maker in (_exact_values_source, _action_source, _prune_source,
+                      _classify_batch_source, _bound_batch_source,
+                      _base_case_group_source, _base_case_blocks_source,
+                      _base_case_rows_source):
             src = maker(spec)
             if src is not None:
                 chunks.append(src)
@@ -1138,8 +1097,8 @@ class Bindings:
     """The static operands generated kernels close over, by kind.
 
     ``arrays`` are read-only ndarrays — the process executor publishes
-    them to shared memory as they are: the physical data
-    (``QCOL``/``QROW``/``QN2`` and the ``R*`` twins), tree metadata
+    them to shared memory as they are: the points (``QROW``, with their
+    squared norms ``QN2``, and the ``R*`` twins), tree metadata
     (``qlo``/``qhi``/``qstart``/``qend``, ``rlo``/``rhi``/``rstart``/
     ``rend``/``rcentroid``/``rweight``/``rdiam2``), the reference
     weights ``rw`` when there are any and — for sharded programs emitted
@@ -1158,7 +1117,7 @@ class Bindings:
         """The query-tree operands plus the program's shape scalars
         (copied: the code half they come from is shared)."""
         return cls(dict(
-            QCOL=qtree.points_col, QROW=qtree.points, QN2=qtree.sqnorms(),
+            QROW=qtree.points, QN2=qtree.sqnorms(),
             qlo=qtree.lo, qhi=qtree.hi, qstart=qtree.start, qend=qtree.end,
         ), dict(scalars))
 
@@ -1168,7 +1127,7 @@ class Bindings:
         sharded layout, with that shard's ``RSELF``)."""
         weighted = rtree.weights is not None
         return cls(dict(
-            RCOL=rtree.points_col, RROW=rtree.points, RN2=rtree.sqnorms(),
+            RROW=rtree.points, RN2=rtree.sqnorms(),
             rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
             rcentroid=rtree.wcentroid if weighted else rtree.centroid,
             rweight=(rtree.wsum if weighted
@@ -1181,13 +1140,8 @@ class Bindings:
     def brute(cls, qpoints: np.ndarray, rpoints: np.ndarray, rweights,
               scalars: dict) -> "Bindings":
         """Brute mode: both datasets in original order, no trees."""
-        return cls(dict(
-            QCOL=np.ascontiguousarray(qpoints.T), QROW=qpoints,
-            RCOL=np.ascontiguousarray(rpoints.T), RROW=rpoints,
-            QN2=np.einsum("ij,ij->i", qpoints, qpoints),
-            RN2=np.einsum("ij,ij->i", rpoints, rpoints),
-            **_present(rw=rweights),
-        ), dict(scalars))
+        return cls(dict(QROW=qpoints, RROW=rpoints, **_present(rw=rweights)),
+                   dict(scalars))
 
     def __or__(self, other: "Bindings") -> "Bindings":
         return Bindings({**self.arrays, **other.arrays},
@@ -1230,6 +1184,7 @@ def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
         base_case_blocks=namespace.get("base_case_blocks"),
         row_key_batch=namespace.get("row_key_batch"),
         base_case_rows=namespace.get("base_case_rows"),
+        exact_values=namespace.get("exact_values"),
     )
 
 

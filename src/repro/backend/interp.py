@@ -195,11 +195,11 @@ def interpret_function(fn: IRFunction, env: dict):
 
 def base_case_env(
     qname: str, rname: str, qdata: np.ndarray, rdata: np.ndarray,
-    layout_q: str, layout_r: str, extra: dict | None = None,
+    extra: dict | None = None,
 ) -> dict:
     """Build the interpreter environment for a BaseCase/BruteForce run on
-    *flattened* IR: 1-D raveled arrays in the selected layout plus their
-    symbolic strides (paper section IV-C)."""
+    *flattened* IR: 1-D raveled row-major arrays plus their symbolic
+    strides (paper section IV-C)."""
     nq, dim = qdata.shape
     nr = rdata.shape[0]
     env: dict = {
@@ -207,21 +207,12 @@ def base_case_env(
         f"{rname}.start": 0, f"{rname}.end": nr, f"{rname}.size": nr,
         "dim": dim,
     }
-
-    def bind(prefix: str, data: np.ndarray, layout: str):
-        if layout == "column":
-            env[f"{prefix}_data"] = np.ascontiguousarray(data.T).ravel()
-            env[f"{prefix}_data.stride0"] = 1
-            env[f"{prefix}_data.stride1"] = data.shape[0]
-        else:
-            env[f"{prefix}_data"] = data.ravel()
-            env[f"{prefix}_data.stride0"] = data.shape[1]
-            env[f"{prefix}_data.stride1"] = 1
+    for prefix, data in ((qname, qdata), (rname, rdata)):
+        env[f"{prefix}_data"] = data.ravel()
+        env[f"{prefix}_data.stride0"] = data.shape[1]
+        env[f"{prefix}_data.stride1"] = 1
         # Row-major 2-D view for vector IR functions (point_diff).
         env[f"{prefix}_rows"] = data
-
-    bind(qname, qdata, layout_q)
-    bind(rname, rdata, layout_r)
     # point_diff works on the 2-D views regardless of flattening.
     from ..ir.nodes import IR_FUNCS, _register_ir_funcs
 

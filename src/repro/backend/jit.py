@@ -42,7 +42,6 @@ from .cache import (
     cached_build_tree, code_cache, derived_entry, freeze,
 )
 from .codegen import Bindings, CodegenSpec, emit
-from .layout import Layout
 from .plan import (
     CompileOptions, ExecutionPlan, program_rules, resolve_plan,
 )
@@ -95,8 +94,8 @@ def _whiten_transform(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 class _Code:
     """The code half of a compile: a function of the program's *shape*
     (layers, kernel, options, plan) that reads nothing of a
-    :class:`~repro.dsl.storage.Storage` but ``dim``, ``layout``,
-    ``weights is None`` and identity — :func:`_code_key`.
+    :class:`~repro.dsl.storage.Storage` but ``dim``, ``weights is
+    None`` and identity — :func:`_code_key`.
     Shared, read-only, by every program of that shape: it holds only
     what :func:`_compile_code` derived from keyed inputs, never a layer
     or kernel object (whose covariance is data)."""
@@ -123,7 +122,7 @@ class _Data:
     qtree: object | None = None      # tree mode …
     rtree: object | None = None      # … None when sharded
     qdata: np.ndarray | None = None  # brute / interp mode: the (whitened)
-    rdata: np.ndarray | None = None  # points in original order
+    rdata: np.ndarray | None = None  # points in original order (sharded too)
     #: sharded reference layout: per-shard trees, orig-id maps and
     #: r-side bindings (:class:`repro.parallel.shard.ShardPack`)
     shard_pack: object | None = None
@@ -144,8 +143,8 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan) -> tuple:
     layer the operator/k/function/params and what the code half reads of
     the Storage (not its name: only the IR, built on read, embeds it),
     the normalised kernel, the options that change the code and — for
-    what is resolved rather than asked (layout, whether a tree engine
-    runs, whether the reference side is sharded) — the resolved value,
+    what is resolved rather than asked (whether a tree engine runs,
+    whether the reference side is sharded) — the resolved value,
     so asking for a default by name shares its entry."""
     layers = pexpr.layers
     kern = layers[1].metric_kernel
@@ -164,7 +163,7 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan) -> tuple:
     return (
         layer_parts, (kern.base, repr(kern.g), kern.whiten),
         opts.backend, plan.engine is not None, opts.tree,
-        opts.tau, opts.criterion, opts.theta, resolved_layout(layers, opts),
+        opts.tau, opts.criterion, opts.theta,
         *self_pairs(layers, opts), (plan.shards or 1) > 1,
     )
 
@@ -263,13 +262,6 @@ def self_pairs(layers: list[Layer], opts: CompileOptions) -> tuple[bool, bool]:
         opts.exclude_self if opts.exclude_self is not None else same_data)
 
 
-def resolved_layout(layers: list[Layer], opts: CompileOptions) -> str:
-    layout = opts.layout or layers[0].storage.layout
-    if layout not in (Layout.ROW, Layout.COLUMN):
-        raise CompileError(f"unknown layout override {layout!r}")
-    return layout
-
-
 def _compile_code(pexpr, opts: CompileOptions,
                   plan: ExecutionPlan) -> tuple[_Code, dict]:
     """Rules → emit (paper Fig. 1) for a 2-layer program with a lowered
@@ -324,7 +316,7 @@ def _compile_code(pexpr, opts: CompileOptions,
     sharded = (plan.shards or 1) > 1
     same_data, exclude_self = self_pairs(layers, opts)
     spec = CodegenSpec(
-        dim=dim, layout=resolved_layout(layers, opts), base=kernel.base,
+        dim=dim, base=kernel.base,
         g_ir=g_ir, monotone=kernel.monotone(), outer_op=outer.op,
         inner_op=inner.op, rule=rule if mode == "tree" else None,
         weighted=inner.storage.weights is not None,
@@ -407,7 +399,8 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
         timings["shard_build"] = time.perf_counter() - t0
     else:
         bindings |= Bindings.reference(rtree)
-    return _Data(bindings, qtree=qtree, rtree=rtree, shard_pack=shard_pack)
+    return _Data(bindings, qtree=qtree, rtree=rtree, shard_pack=shard_pack,
+                 rdata=rpoints if sharded else None)
 
 
 def _whitened(cov, qstorage, rstorage, same_data: bool,
@@ -495,6 +488,16 @@ def _instantiate(code: _Code, data: _Data, pexpr, opts: CompileOptions,
     else:
         bound = [data.bindings.bind(code.source, code.code, state)]
     program.kernels = bound[0]
+    exact = bound[0].exact_values
+    if exact is not None:
+        # The winners' exact values, over the points the kernels saw:
+        # state rows are query-tree positions, and ids are reference-tree
+        # positions or — combined across shards — original ids.
+        qp = data.qdata if qtree is None else qtree.points
+        rp = data.rdata if rtree is None else rtree.points
+        rows = np.arange(len(qp))
+        state.exact = lambda ids: exact(
+            qp, rows if ids.ndim == 1 else rows[:, None], rp, ids)
     # exec-bound kernels are a reference cycle (namespace → function →
     # its __globals__) that pins the trees' arrays until the cycle
     # collector runs; the program owns them, so it releases their

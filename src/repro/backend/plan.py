@@ -30,7 +30,6 @@ from ..dsl.errors import SpecificationError
 from ..dsl.ops import PortalOp
 from ..parallel.executor import default_workers
 from ..rules import build_rules
-from .layout import Layout
 
 __all__ = [
     "CompileOptions", "ExecutionPlan", "OPTION_TABLE", "requested",
@@ -151,9 +150,6 @@ class CompileOptions:
     min_tasks: int | None = _row(allowed=_positive_int)
     #: default: True when query is reference
     exclude_self: bool | None = _row(allowed=_flag)
-    #: override the dimensionality-based layout choice ('row' | 'column');
-    #: exposed for the layout ablation study
-    layout: str | None = _row(allowed=(Layout.ROW, Layout.COLUMN))
     #: kd-tree splitting strategy ('median' — the paper's — or 'midpoint')
     split: str = _row("median", allowed=("median", "midpoint"))
     #: traversal engine: 'batched' classifies whole arrays of node pairs

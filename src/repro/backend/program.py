@@ -249,10 +249,7 @@ class CompiledProgram:
             if cov is None:
                 cov = np.cov(rdata.T)
             extra["Sigma"] = np.asarray(cov, dtype=np.float64)
-        env = base_case_env(
-            qname, rname, qdata, rdata,
-            outer.storage.layout, inner.storage.layout, extra=extra,
-        )
+        env = base_case_env(qname, rname, qdata, rdata, extra=extra)
         fn = ir.stage("final")["BaseCase"]
         with span("interp.run", function="BaseCase"):
             interpret_function(fn, env)
@@ -340,16 +337,10 @@ class CompiledProgram:
     def _run_brute(self) -> TraversalStats:
         stats = TraversalStats()
         nq, nr = self.qdata.shape[0], self.rdata.shape[0]
-        dim = self.qdata.shape[1]
-        # Block sizes bound the broadcast temporaries (row-major forms a
-        # (qB, rB, d) difference tensor).  A narrow reference side (e.g.
-        # mixture components in EM) allows much taller query blocks.
-        if nr <= 64:
-            qB, rB = 8192, nr
-        elif dim <= 4:
-            qB, rB = 512, 2048
-        else:
-            qB, rB = 128, max(128, (4 << 20) // (8 * dim * 128))
+        # Block sizes bound the (qB, rB) temporaries.  A narrow reference
+        # side (e.g. mixture components in EM) allows much taller query
+        # blocks.
+        qB, rB = (8192, nr) if nr <= 64 else (512, 2048)
         if self.same_data:
             rB = qB
         bc = self.kernels.base_case

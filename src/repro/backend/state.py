@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from ..dsl.errors import CompileError
-from ..dsl.ops import PortalOp, op_info
+from ..dsl.ops import MAX_LIKE, PortalOp, op_info
 
-__all__ = ["State", "Output", "allocate_state"]
+__all__ = ["State", "Output", "allocate_state", "exact_winners"]
 
 
 @dataclass
@@ -69,6 +69,11 @@ class State:
     #: reduction is order-based, the traversal reduces raw base distances
     #: and g is applied once here instead of per leaf pair
     value_transform: Callable | None = None
+    #: ``ids -> values``: the kernel of each state row against the
+    #: reference ids of its row of ``ids``, in the difference form (the
+    #: generated ``exact_values`` over the points the kernels saw), for
+    #: :func:`exact_winners`
+    exact: Callable | None = None
 
     def finalize(self, qperm: np.ndarray, rperm: np.ndarray | None) -> Output:
         """Produce the :class:`Output` in original point order."""
@@ -96,16 +101,19 @@ class State:
                 values = rows
             else:
                 indices = rows
-        elif info.returns_index or info.requires_k:
-            best = self.arrays["best"][inv]
-            values = best
+        elif info.comparative:
+            best, idx = self.arrays["best"], self.arrays["best_idx"]
+            if self.exact is not None:
+                best, idx = exact_winners(best, idx, self.exact,
+                                          self.inner_op in MAX_LIKE)
+            values = best[inv]
             if info.returns_index:
-                idx = self.arrays["best_idx"][inv]
+                idx = idx[inv]
                 # -1 (an unfilled k-slot) stays -1, never ``rperm[-1]``
                 indices = (np.where(idx >= 0, rperm[idx], -1)
                            if rperm is not None else idx)
         else:
-            values = self.arrays["acc" if info.arithmetic else "best"][inv]
+            values = self.arrays["acc"][inv]
 
         if self.value_transform is not None and values is not None:
             values = self.value_transform(np.asarray(values))
@@ -139,6 +147,25 @@ class State:
         return out
 
 
+def exact_winners(best: np.ndarray, best_idx: np.ndarray,
+                  exact: Callable, descending: bool
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """A comparative reduction's final ``(best, best_idx)`` with every
+    kept value re-evaluated by ``exact(ids)`` — the difference form,
+    summed in dimension order — and each k-array re-sorted stably
+    (descending for the max forms).  An id −1 slot (unfilled) keeps its
+    identity value.  The traversal selects the winners with whatever
+    arithmetic its kernels take (the GEMM rounds by operand shape);
+    their values then no longer depend on it."""
+    best = np.where(best_idx >= 0, exact(np.maximum(best_idx, 0)), best)
+    key = -best if descending else best
+    if best.ndim == 2 and not (key[:, :-1] <= key[:, 1:]).all():
+        order = np.argsort(key, axis=1, kind="stable")
+        best = np.take_along_axis(best, order, axis=1)
+        best_idx = np.take_along_axis(best_idx, order, axis=1)
+    return best, best_idx
+
+
 _SUPPORTED_INNER = {
     PortalOp.SUM, PortalOp.PROD, PortalOp.MIN, PortalOp.MAX,
     PortalOp.ARGMIN, PortalOp.ARGMAX, PortalOp.KMIN, PortalOp.KMAX,
@@ -165,14 +192,12 @@ def allocate_state(
         st.lists = [[] for _ in range(nq)]
     elif inner_op is PortalOp.FORALL:
         st.arrays["dense"] = np.zeros((nq, nr))
-    elif info.requires_k:
-        st.arrays["best"] = np.full((nq, k), info.identity)
-        if info.returns_index:
-            st.arrays["best_idx"] = np.full((nq, k), -1, dtype=np.int64)
     elif info.comparative:
-        st.arrays["best"] = np.full(nq, info.identity)
-        if info.returns_index:
-            st.arrays["best_idx"] = np.full(nq, -1, dtype=np.int64)
+        # every comparative reduction keeps its winners' ids, for
+        # exact_winners (a K-operator's arrays are (nq, K), even at K = 1)
+        shape = (nq, k) if info.requires_k else nq
+        st.arrays["best"] = np.full(shape, info.identity)
+        st.arrays["best_idx"] = np.full(shape, -1, dtype=np.int64)
     else:  # SUM / PROD
         st.arrays["acc"] = np.full(nq, info.identity)
     if "best" in st.arrays:

@@ -2,9 +2,9 @@
 
 A Storage wraps a dataset of ``n`` points in ``d`` dimensions.  It can be
 constructed from a CSV file path, any array-like, or another Storage.
-Portal selects a column- or row-major physical layout from the
-dimensionality (see :mod:`repro.backend.layout`); both views are exposed
-and materialised lazily.
+Its points are stored row-major, ``(n, d)``, at every dimensionality:
+the paper's column-major layout for d ≤ 4 does not reproduce under
+NumPy (DESIGN.md, S8).
 
 Storages may carry per-point *weights* (the density ``s(x_r)`` of the
 classical N-body form — particle masses in Barnes-Hut, mixture
@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.layout import Layout, choose_layout
 from .errors import StorageError
 
 __all__ = ["Storage", "StorageDelta", "MUTATION_LOG_MAX"]
@@ -100,7 +99,6 @@ class Storage:
             raise StorageError("Storage data contains NaN or infinite values")
 
         self._data = np.ascontiguousarray(data, dtype=np.float64)
-        self._colmajor: np.ndarray | None = None
         self._cleared = False
         self._version = 0
         self._fp_cache: dict[str, tuple] = {}
@@ -130,14 +128,6 @@ class Storage:
         return self._data
 
     @property
-    def colmajor(self) -> np.ndarray:
-        """Column-major view, shape ``(d, n)``, materialised on first use."""
-        self._check_alive()
-        if self._colmajor is None:
-            self._colmajor = np.ascontiguousarray(self._data.T)
-        return self._colmajor
-
-    @property
     def n(self) -> int:
         self._check_alive()
         return self._data.shape[0]
@@ -146,15 +136,6 @@ class Storage:
     def dim(self) -> int:
         self._check_alive()
         return self._data.shape[1]
-
-    @property
-    def layout(self) -> str:
-        """The physical layout Portal selects for this dataset."""
-        return choose_layout(self.dim)
-
-    def physical(self) -> np.ndarray:
-        """The array in Portal's selected layout (what codegen reads)."""
-        return self.colmajor if self.layout == Layout.COLUMN else self.data
 
     # -- content identity -------------------------------------------------------
     @property
@@ -165,9 +146,8 @@ class Storage:
     def mark_mutated(self) -> None:
         """Declare that this Storage's arrays were written in place.
 
-        Invalidates the memoized content fingerprints (and the lazily
-        materialised column-major view) so the next ``execute()``
-        re-fingerprints and correctly misses the execution caches, evicts
+        Invalidates the memoized content fingerprints so the next
+        ``execute()`` re-fingerprints and correctly misses the execution caches, evicts
         any shared-memory blocks still published under this Storage's
         old tokens (a warm process pool must never read stale columns),
         and — because an arbitrary in-place write cannot be replayed —
@@ -180,7 +160,6 @@ class Storage:
 
     def _bump_version(self) -> None:
         self._version += 1
-        self._colmajor = None
         self._fp_cache.clear()
         self._evict_stale_shm()
 
@@ -401,7 +380,6 @@ class Storage:
 
         retire_superseded(filter(None, map(self._memo, ("data", "weights"))))
         self._data = None  # type: ignore[assignment]
-        self._colmajor = None
         self.weights = None
         self.labels = None
         self._mutation_log.clear()
@@ -430,7 +408,7 @@ class Storage:
     def __repr__(self) -> str:
         if self._cleared:
             return f"Storage({self.name!r}, cleared)"
-        return f"Storage({self.name!r}, n={self.n}, d={self.dim}, layout={self.layout})"
+        return f"Storage({self.name!r}, n={self.n}, d={self.dim})"
 
 
 def _check_vec(v, n: int, what: str, kind) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Rewrites multi-dimensional loads and stores into one-dimensional strided
 accesses: ``load(A, i, d)`` becomes ``load(A, i·A.stride0 + d·A.stride1)``.
-The strides are symbolic; their values are fixed by the layout the
-compiler selected for each dataset (column-major for d ≤ 4, else
-row-major — section IV-F), so the same flattened IR serves both layouts.
+The strides are symbolic and bound at run time.  The paper fixes them
+by a per-dataset layout choice (column-major for d ≤ 4, section IV-F);
+here every dataset is row-major (DESIGN.md, S8), so the interpreter
+binds ``stride0 = d`` and ``stride1 = 1``.
 """
 
 from __future__ import annotations

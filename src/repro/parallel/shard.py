@@ -18,9 +18,9 @@ is bounded by what one tree build can hold.  This module inverts that:
   query tree against its own small reference tree, and a per-problem
   **combine step** derived from the inner operator's algebra
   (:func:`combine_shard_states`) merges the per-shard partial states —
-  elementwise Σ/Π for arithmetic reductions, elementwise min/max for
-  comparative ones, a k-way merge on (value, index) for the ``K*``
-  family, chunk concatenation for unions.
+  elementwise Σ/Π for arithmetic reductions, a first-hit arg-select
+  on (value, id) for the single-value comparative ones, a k-way merge
+  on (value, id) for the ``K*`` family, chunk concatenation for unions.
 
 Correctness rests on operator decomposability (paper section II-C): a
 decomposable reduction over the reference set equals the reduction of
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dsl.ops import MIN_LIKE, PortalOp, op_info
+from ..dsl.ops import MAX_LIKE, MIN_LIKE, PortalOp, op_info
 from ..observe import contribute, span
 from ..traversal import TraversalStats, bound_epochs, run_engine
 from . import shm
@@ -244,40 +244,28 @@ def combine_shard_states(shard_exec: ShardExecution, final_state) -> None:
     elif op is PortalOp.PROD:
         final_state.arrays["acc"][:] = np.prod(
             [st.arrays["acc"] for st in states], axis=0)
-    elif op in (PortalOp.MIN, PortalOp.MAX):
-        red = np.minimum if op is PortalOp.MIN else np.maximum
-        final_state.arrays["best"][:] = red.reduce(
-            np.stack([st.arrays["best"] for st in states]))
-    elif op in (PortalOp.ARGMIN, PortalOp.ARGMAX):
-        vals = np.stack([st.arrays["best"] for st in states])  # (P, nq)
-        sel = (np.argmin(vals, axis=0) if op is PortalOp.ARGMIN
-               else np.argmax(vals, axis=0))
-        cols = np.arange(vals.shape[1])
-        final_state.arrays["best"][:] = vals[sel, cols]
-        idxs = np.stack([st.arrays["best_idx"] for st in states])
-        chosen = idxs[sel, cols]
-        mapped = np.full_like(chosen, -1)
-        for s in range(pack.count):
-            m = (sel == s) & (chosen >= 0)
-            mapped[m] = pack.orig[s][chosen[m]]
-        final_state.arrays["best_idx"][:] = mapped
-    elif info.requires_k:  # KMIN / KMAX / KARGMIN / KARGMAX
-        vals = np.concatenate([st.arrays["best"] for st in states], axis=1)
-        sign = 1.0 if op in MIN_LIKE else -1.0
-        order = np.argsort(sign * vals, axis=1, kind="stable")[:, :k]
-        final_state.arrays["best"][:] = np.take_along_axis(vals, order,
-                                                           axis=1)
-        if info.returns_index:
-            mapped_cols = []
-            for s, st in enumerate(states):
-                idx = st.arrays["best_idx"]
-                out = np.full_like(idx, -1)
-                m = idx >= 0
-                out[m] = pack.orig[s][idx[m]]
-                mapped_cols.append(out)
-            idxs = np.concatenate(mapped_cols, axis=1)
+    elif op in MIN_LIKE | MAX_LIKE:
+        # one (P, nq[, K]) stack of values and of ids mapped to original
+        # reference ids (−1, an unfilled slot, stays −1)
+        vals = np.stack([st.arrays["best"] for st in states])
+        idxs = np.stack([
+            np.where(st.arrays["best_idx"] >= 0,
+                     pack.orig[s][np.maximum(st.arrays["best_idx"], 0)], -1)
+            for s, st in enumerate(states)])
+        if info.requires_k:  # shards side by side: (nq, P·K)
+            vals = np.concatenate(vals, axis=1)
+            idxs = np.concatenate(idxs, axis=1)
+            sign = 1.0 if op in MIN_LIKE else -1.0
+            order = np.argsort(sign * vals, axis=1, kind="stable")[:, :k]
+            final_state.arrays["best"][:] = np.take_along_axis(
+                vals, order, axis=1)
             final_state.arrays["best_idx"][:] = np.take_along_axis(
                 idxs, order, axis=1)
+        else:  # first hit: the lowest shard wins a tie
+            sel = (np.argmin if op in MIN_LIKE else np.argmax)(vals, axis=0)
+            cols = np.arange(vals.shape[1])
+            final_state.arrays["best"][:] = vals[sel, cols]
+            final_state.arrays["best_idx"][:] = idxs[sel, cols]
     elif op in (PortalOp.UNION, PortalOp.UNIONARG):
         for qi in range(final_state.nq):
             merged = final_state.lists[qi]

@@ -41,15 +41,16 @@ Determinism
 For exact programs (no ``tau``/``theta`` approximation) the scattered
 slices are bitwise-identical to executing each request alone: stacking
 changes the query tree, but exact pruning never changes *which*
-reference points reach a query row, per-pair arithmetic is
-batch-invariant, and each row's contributions arrive in reference-tree
-DFS order either way.  ``tests/serve/test_coalesce.py`` pins this at
-d = 3 (the column layout's difference form, in either engine regime)
-across the nine point-query problems, three tree kinds and both
-parallel executors; the row layout's block GEMM rounds by operand
-shape, so there a batch and a lone row agree to the last bit only
-while both take the row regime.  Approximate programs remain batch-*dependent* (the
-approximation decisions see coarser query boxes); see docs/serving.md.
+reference points reach a query row, and each row's contributions arrive
+in reference-tree DFS order either way.  ``tests/serve/test_coalesce.py``
+pins this at d = 3 across the nine point-query problems, three tree
+kinds and both parallel executors.  A comparative reduction's values are
+re-evaluated in one difference form after the traversal, so they hold in
+either engine regime; a sum's block GEMM may round by operand shape,
+which IEEE arithmetic alone does not rule out — the test pins that it
+does not on the BLAS it runs against.  Approximate programs remain
+batch-*dependent* (the approximation decisions see coarser query boxes);
+see docs/serving.md.
 """
 
 from __future__ import annotations

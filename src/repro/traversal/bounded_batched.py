@@ -65,10 +65,11 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    pads only the candidates that pass the row filter into one
    (rows × L) block for the merge.  The decision reads the sizes of the
    whole trees the engine is handed, never the ``q_root`` subtree, so
-   every task of one traversal takes the same regime.  Column-layout
-   distances are the leaf regime's difference form pair for pair; the
-   row layout's norm expansion takes one dot product per pair, so last
-   bits may move against the leaf regime's augmented block GEMM.
+   every task of one traversal takes the same regime.  Its norm
+   expansion takes one dot product per pair, so the distances it
+   selects by may move last bits against the leaf regime's augmented
+   block GEMM; the winners' values are re-evaluated in one difference
+   form after the traversal, so outputs do not.
 
 5. **Stateless rules.**  Indicator and approximation rules decide from
    node geometry and fixed thresholds alone, so narrowing an epoch buys

@@ -5,10 +5,10 @@ Binary space-partitioning tree built with the paper's strategy: recursive
 node holds no more than ``leaf_size`` points.  ``np.argpartition`` gives
 the O(n) median step, so the build is O(n log n).
 
-Construction is level-synchronous over a column-layout ``(d, n)`` working
-copy kept in the current permuted order: each level takes every node's
-box from one ``np.minimum.reduceat`` / ``np.maximum.reduceat`` pass,
-decides split dimensions and leaves in one vectorised step, and
+Construction is level-synchronous over a coordinate-major ``(d, n)``
+working copy kept in the current permuted order: each level takes every
+node's box from one ``np.minimum.reduceat`` / ``np.maximum.reduceat``
+pass, decides split dimensions and leaves in one vectorised step, and
 partitions each split node's contiguous slice.  Node ids are then
 renumbered to the depth-first order of the recursive formulation (a
 split node's two children get consecutive ids, left subtree first), so
@@ -45,7 +45,7 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _level_boxes(col: np.ndarray, s: np.ndarray, e: np.ndarray):
     """``(lo, hi)`` of shape ``(m, d)`` for the nodes ``[s, e)`` of one
-    level, each one reduction over the column layout ``col`` (d, n).
+    level, each one reduction over the working copy ``col`` (d, n).
 
     Once a node has stopped as a leaf the level's nodes no longer tile
     ``[0, n)``, so the reduction runs over interleaved ``[start, end)``

@@ -166,7 +166,6 @@ class ArrayTree:
         leaf_size: int = 32,
     ):
         self.points = np.ascontiguousarray(points)  # permuted, shape (n, d)
-        self.points_col = np.ascontiguousarray(self.points.T)  # shape (d, n)
         self.perm = perm
         self.lo = lo
         self.hi = hi
@@ -360,19 +359,16 @@ class ArrayTree:
 
     def _set_points(self, new_points: np.ndarray) -> None:
         self.points = np.ascontiguousarray(new_points)
-        self.points_col = np.ascontiguousarray(self.points.T)
         self._drop_caches(("_sqnorms",))
 
     def _move_points(self, pos: np.ndarray, pts: np.ndarray) -> None:
         """Overwrite the points at permuted positions ``pos``, patching
-        ``points_col`` and the cached :meth:`sqnorms` at those positions
-        only (copy-on-write, bitwise what a full recompute gives)."""
+        the cached :meth:`sqnorms` at those positions only (copy-on-write,
+        bitwise what a full recompute gives)."""
         new_points = self.points.copy()
         new_points[pos] = pts
         moved = new_points[pos]  # a repeated position reads its last write
-        col = self.points_col.copy()
-        col[:, pos] = moved.T
-        self.points, self.points_col = new_points, col
+        self.points = new_points
         cached = getattr(self, "_sqnorms", None)
         if cached is not None:
             sq = cached.copy()
@@ -808,7 +804,7 @@ class ArrayTree:
             w[self.perm] = self.weights
         fresh = build_tree(self.kind, orig, leaf_size=self.leaf_size,
                            weights=w, split=self.split)
-        attrs = ["points", "points_col", "perm", "lo", "hi", "start", "end",
+        attrs = ["points", "perm", "lo", "hi", "start", "end",
                  "child_offset", "child_list", "is_leaf_arr", "center",
                  "diameter", "centroid", "n_nodes", "weights"]
         if fresh.weights is not None:

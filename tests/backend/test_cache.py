@@ -121,12 +121,11 @@ class TestCompileCache:
         assert c["cache.compile.hit"] == 2
         assert "cache.compile.miss" not in c
 
-    @pytest.mark.parametrize("by_name", [{"leaf_size": 64},
-                                         {"layout": "column"}])
+    @pytest.mark.parametrize("by_name", [{"leaf_size": 64}, {"shards": 1}])
     def test_default_asked_by_name_shares_the_entry(self, data, by_name):
         """The key holds what the options resolve to, so asking for the
-        value a default resolves to (3-D data lays out column-major) is
-        the same code, not a second compile."""
+        value a default resolves to (leaf size 64, one shard) is the same
+        code, not a second compile."""
         Q, R = data
         with collect() as counters:
             first = _kde_expr(Q, R).execute(tau=1e-3)

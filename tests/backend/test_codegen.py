@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.backend.codegen import CodegenSpec, emit_expr, generate
-from repro.backend.layout import Layout
 from repro.dsl.errors import CompileError
 from repro.dsl.expr import BinOp, Const, Indicator
 from repro.dsl.ops import PortalOp
@@ -46,7 +45,7 @@ class TestEmitExpr:
 
 def _spec(**kw):
     defaults = dict(
-        dim=3, layout=Layout.COLUMN, base="sqeuclidean",
+        dim=3, base="sqeuclidean",
         g_ir=SymRef("t"), monotone="increasing",
         outer_op=PortalOp.FORALL, inner_op=PortalOp.SUM,
     )
@@ -56,8 +55,7 @@ def _spec(**kw):
 
 def _bindings(Q, R, state_arrays, **extra):
     b = dict(
-        QCOL=np.ascontiguousarray(Q.T), QROW=Q,
-        RCOL=np.ascontiguousarray(R.T), RROW=R,
+        QROW=Q, RROW=R,
         K=1, H=0.0, TAU=0.0, THETA2=0.25, rw=None,
     )
     b.update(state_arrays)
@@ -71,24 +69,39 @@ def rng():
 
 
 class TestSourceStructure:
-    def test_column_layout_unrolls_dims(self, rng):
-        Q = rng.normal(size=(8, 3))
-        gk = generate(_spec(), _bindings(Q, Q, {"acc": np.zeros(8)}))
-        assert "_d0" in gk.source and "_d2" in gk.source
-        assert "einsum" not in gk.source
+    @pytest.mark.parametrize("base", ["sqeuclidean", "manhattan",
+                                      "chebyshev"])
+    def test_distance_form_is_a_function_of_the_metric(self, base):
+        """The emitted source does not depend on the dimensionality: the
+        GEMM for a squared-Euclidean kernel, the difference form folded
+        in dimension order otherwise."""
+        sources = {generate(_spec(dim=dim, base=base), {}).source
+                   for dim in (1, 3, 4, 5, 9)}
+        assert len(sources) == 1
+        (source,) = sources
+        assert ("_gemm_operands" in source) == (base == "sqeuclidean")
+        assert ("for _c in range(1, " in source) == (base != "sqeuclidean")
 
     def test_row_layout_uses_gemm_norm_expansion(self, rng):
         Q = rng.normal(size=(8, 6))
-        gk = generate(_spec(dim=6, layout=Layout.ROW),
-                      _bindings(Q, Q, {"acc": np.zeros(8)}))
+        gk = generate(_spec(dim=6), _bindings(Q, Q, {"acc": np.zeros(8)}))
         assert "_gemm_operands(1.0)" in gk.source and "@" in gk.source
-        assert "_d0" not in gk.source
+        assert "_d = " not in gk.source
 
     def test_row_layout_manhattan_uses_diff_tensor(self, rng):
         Q = rng.normal(size=(8, 6))
-        gk = generate(_spec(dim=6, layout=Layout.ROW, base="manhattan"),
-                      _bindings(Q, Q, {"acc": np.zeros(8)}))
-        assert "np.abs(diff).sum" in gk.source
+        R = rng.normal(size=(9, 6))
+        acc = np.zeros(8)
+        gk = generate(_spec(dim=6, base="manhattan"),
+                      _bindings(Q, R, {"acc": acc}))
+        assert "t += np.abs(_d)" in gk.source
+        gk.base_case(0, 8, 0, 9)
+        # folded in dimension order, bit for bit
+        diff = np.abs(Q[:, None, :] - R[None, :, :])
+        want = diff[:, :, 0].copy()
+        for c in range(1, 6):
+            want += diff[:, :, c]
+        assert np.array_equal(acc, want.sum(axis=1))
 
     def test_strength_reduced_kernel_visible(self, rng):
         Q = rng.normal(size=(8, 3))
@@ -102,8 +115,9 @@ class TestSourceStructure:
     def test_header_mentions_config(self, rng):
         Q = rng.normal(size=(8, 3))
         gk = generate(_spec(), _bindings(Q, Q, {"acc": np.zeros(8)}))
-        assert "layout=column" in gk.source
+        assert "base=sqeuclidean" in gk.source
         assert "inner=SUM" in gk.source
+        assert "layout" not in gk.source
 
     def test_prod_weighted_rejected(self, rng):
         Q = rng.normal(size=(8, 3))
@@ -160,11 +174,15 @@ class TestCompiledClosures:
         Q = rng.normal(size=(5, 3))
         R = rng.normal(size=(9, 3))
         best = np.full((5, 3), np.inf)
+        bidx = np.full((5, 3), -1, dtype=np.int64)
         gk = generate(_spec(inner_op=PortalOp.KMIN),
-                      dict(_bindings(Q, R, {"best": best}), K=3))
+                      dict(_bindings(Q, R, {"best": best, "best_idx": bidx}),
+                           K=3))
         gk.base_case(0, 5, 0, 9)
-        d2 = np.sort(((Q[:, None, :] - R[None, :, :]) ** 2).sum(-1), axis=1)
-        assert np.allclose(best, d2[:, :3])
+        d2 = ((Q[:, None, :] - R[None, :, :]) ** 2).sum(-1)
+        assert np.allclose(best, np.sort(d2, axis=1)[:, :3])
+        # a K-operator keeps its winners' ids too
+        assert np.array_equal(bidx, np.argsort(d2, axis=1)[:, :3])
 
     def test_pair_dist_closures(self, rng):
         Q = rng.normal(size=(8, 3))

@@ -1,7 +1,7 @@
 """The GEMM spelling's scale fold (``codegen._scale_fold``).
 
-In the row layout a squared-Euclidean kernel that is not an indicator
-takes t as one augmented GEMM (``_gemm_operands``).  When the kernel is
+At every d a squared-Euclidean kernel that is not an indicator takes t
+as one augmented GEMM (``_gemm_operands``).  When the kernel is
 ``h(a·t)`` — t once, inside one chain of negations and of products or
 quotients by a constant — the GEMM's query operand carries ``a``, the
 clamp takes ``a``'s sign and the block kernels apply ``h`` alone; the
@@ -99,24 +99,17 @@ def test_fold_fires_only_where_legal(name):
         assert_sum_close(got, want, n=len(R))
 
 
-def test_column_layout_takes_no_fold():
-    """d ≤ 4 keeps the difference form and its bits: brute force's
-    Gaussian sum is, bit for bit, its blocks' unrolled column arithmetic
-    (the ``(512, 2048)`` blocks of ``CompiledProgram._run_brute``)."""
-    Q, R = _points(600, 3, 3), _points(2500, 3, 4)
-    got, source = _run(PortalFunc.GAUSSIAN, Q, R, backend="brute")
-    assert "scale=" not in source and "_gemm_operands" not in source
-    assert "v = np.exp((-((t / 2.0))))" in source
-    want = np.zeros(len(Q))
-    for qs in range(0, len(Q), 512):
-        for rs in range(0, len(R), 2048):
-            dq, dr = Q.T[:, qs:qs + 512], R.T[:, rs:rs + 2048]
-            t = None
-            for d in range(3):
-                diff = dq[d][:, None] - dr[d][None, :]
-                t = diff * diff if t is None else t + diff * diff
-            want[qs:qs + 512] += np.exp(-(t / 2.0)).sum(axis=1)
-    assert_bitwise(got, want)
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_low_dimensions_take_the_fold(dim):
+    """The form is a function of the metric alone: at d ≤ 4 too a
+    Gaussian sum takes the folded GEMM, within the sum rule of the
+    interpreter's difference form."""
+    Q, R = _points(60, dim, 3), _points(70, dim, 4)
+    want, _ = _run(PortalFunc.GAUSSIAN, Q, R, backend="interp")
+    for options in ({}, {"traversal": "stack"}, {"backend": "brute"}):
+        got, source = _run(PortalFunc.GAUSSIAN, Q, R, **options)
+        assert source.splitlines()[2].endswith(" scale=-0.5")
+        assert_sum_close(got, want, n=len(R))
 
 
 def test_folded_kernel_thread_process_bitwise():

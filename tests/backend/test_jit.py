@@ -341,7 +341,6 @@ class TestCodeNeverReadsData:
             raise AssertionError("the code half read a dataset")
 
         monkeypatch.setattr(Storage, "data", property(boom))
-        monkeypatch.setattr(Storage, "colmajor", property(boom))
         monkeypatch.setattr(Storage, "fingerprint", boom)
         code_b, _ = jit._compile_code(*args)
         assert code_b.source == code_a.source
@@ -369,7 +368,7 @@ class TestCodeNeverReadsData:
         keyed = set(reads)
         reads.clear()
         jit._compile_code(*args)
-        assert reads == keyed == {"dim", "layout", "weights"}
+        assert reads == keyed == {"dim", "weights"}
 
 
 # -- the code cache: one compile per program shape ----------------------------
@@ -468,10 +467,10 @@ CODE_KEY_FIELDS = {
     "k": ({"k": 3}, {"k": 4}),
     "bandwidth": ({}, {"bandwidth": 0.5}),
     "weights": ({}, {"weights": True}),
-    # the emitter's spelling of the pairwise kernel (column- or row-major)
-    "codegen": ({"layout": "column"}, {"layout": "row"}),
+    # the kernels the emitter writes: tree mode's or brute force's
+    "codegen": ({}, {"backend": "brute"}),
 }
-_OPTION_FIELDS = ("layout",)
+_OPTION_FIELDS = ("backend",)
 
 
 class TestCodeCache:
@@ -643,7 +642,7 @@ class TestKernelRelease:
         program = e.compile(cache=False, **options)
         program.run()
         bound = (program.shard_exec.kernels if options else [program.kernels])
-        operands = [weakref.ref(k.namespace["RCOL"]) for k in bound]
+        operands = [weakref.ref(k.namespace["RROW"]) for k in bound]
         assert all(ref() is not None for ref in operands)
         del bound, program, e
         assert all(ref() is None for ref in operands)
@@ -655,7 +654,7 @@ class TestKernelRelease:
         loose = generate(code.spec, dict(program.kernels.namespace))
         del program, e
         assert loose.namespace["base_case"] is loose.base_case
-        assert loose.namespace["RCOL"].shape == (3, 210)
+        assert loose.namespace["RROW"].shape == (210, 3)
 
 
 def test_storage_names_are_not_part_of_the_code_key(rng):

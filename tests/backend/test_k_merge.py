@@ -24,7 +24,6 @@ import pytest
 
 from repro.backend.cache import clear_caches
 from repro.backend.codegen import CodegenSpec, bind_kernels, emit
-from repro.backend.layout import Layout
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
 from repro.dsl.ops import MIN_LIKE
@@ -249,28 +248,29 @@ START_IDX = [7, 3, 5, 9]   # the three tied entries in no canonical order
 BOUND_KERNELS = ["base_case", "base_case_blocks", "base_case_rows"]
 
 
-def _kernels(op, Q, R, best, best_idx, layout=Layout.ROW):
+def _kernels(op, Q, R, best, best_idx, difference=False):
     """The bound kernels of a K-operator over the squared distance, bound
-    to query rows ``Q``, references ``R`` and the k-arrays given."""
+    to query rows ``Q``, references ``R`` and the k-arrays given: in the
+    GEMM, or — ``difference`` — in the difference form an indicator's
+    spec takes."""
     kind = "min" if op in MIN_LIKE else "max"
     spec = CodegenSpec(
-        dim=Q.shape[1], layout=layout, base="sqeuclidean", g_ir=SymRef("t"),
+        dim=Q.shape[1], base="sqeuclidean", g_ir=SymRef("t"),
         monotone="increasing", inner_op=op,
-        rule=RuleSpec(kind=f"bound-{kind}"),
+        rule=RuleSpec(kind=f"bound-{kind}"), is_indicator=difference,
     )
     state = dict(best=best, best_idx=best_idx, qbound=np.full(len(Q), np.inf))
     source, code = emit(spec)
     kernels = bind_kernels(source, code, dict(
         QROW=Q, QN2=(Q * Q).sum(1), RROW=R, RN2=(R * R).sum(1),
-        QCOL=np.ascontiguousarray(Q.T), RCOL=np.ascontiguousarray(R.T),
         K=best.shape[1], **state))
     return kernels, state
 
 
 def _bound_kernels(op, nan_ref=False):
     """The bound kernels over ``CASES``; ``nan_ref`` appends a NaN
-    reference point (in the column layout, whose difference form keeps
-    the NaN to its own cells — the GEMM's origin would spread it)."""
+    reference point (in the difference form, which keeps the NaN to its
+    own cells — the GEMM's origin would spread it)."""
     kind = "min" if op in MIN_LIKE else "max"
     R, start, winner = (np.array(x) for x in CASES[kind])
     if nan_ref:
@@ -279,7 +279,7 @@ def _bound_kernels(op, nan_ref=False):
     kernels, state = _kernels(
         op, Q, R, np.tile(start, (3, 1)),
         np.tile(np.array(START_IDX, dtype=np.int64), (3, 1)),
-        Layout.COLUMN if nan_ref else Layout.ROW)
+        difference=nan_ref)
     return kernels, state, kind, len(R)
 
 
@@ -295,7 +295,7 @@ def _run_kernel(kernels, kernel, nr, nq=3):
                                np.tile(np.arange(nr), nq))
 
 
-def _assert_row_one_merged(state, before, kind, returns_index):
+def _assert_row_one_merged(state, before, kind):
     """Rows 0 (strictly worse candidates) and 2 (a NaN query) are
     untouched; row 1 holds its winners first.  Returns their count."""
     best, best_idx = state["best"], state["best_idx"]
@@ -308,10 +308,8 @@ def _assert_row_one_merged(state, before, kind, returns_index):
     else:
         assert best[1].tolist() == [36.0, 29.0, 25.0, 25.0]
         new_ids = [0, 1]
-    if returns_index:
-        assert best_idx[1, :len(new_ids)].tolist() == new_ids
-    else:
-        assert np.array_equal(best_idx, before["best_idx"])
+    # every K-operator keeps its winners' ids
+    assert best_idx[1, :len(new_ids)].tolist() == new_ids
     return len(new_ids)
 
 
@@ -322,11 +320,9 @@ def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
     before = {name: arr.copy() for name, arr in state.items()}
     _run_kernel(kernels, kernel, nr)
     best, best_idx = state["best"], state["best_idx"]
-    returns_index = op in (PortalOp.KARGMIN, PortalOp.KARGMAX)
-    new = _assert_row_one_merged(state, before, kind, returns_index)
-    if returns_index:
-        # a tie at the k-th value keeps the old entries, in their order
-        assert best_idx[1, new:].tolist() == START_IDX[:4 - new]
+    new = _assert_row_one_merged(state, before, kind)
+    # a tie at the k-th value keeps the old entries, in their order
+    assert best_idx[1, new:].tolist() == START_IDX[:4 - new]
     sign = 1.0 if kind == "min" else -1.0
     if kernel == "base_case_blocks":
         assert np.array_equal(state["qbound"], sign * best[:, -1])
@@ -349,8 +345,7 @@ def test_bound_kernel_merges_a_winner_beside_a_nan_candidate(op, kernel):
     kernels, state, kind, nr = _bound_kernels(op, nan_ref=True)
     before = {name: arr.copy() for name, arr in state.items()}
     _run_kernel(kernels, kernel, nr)
-    _assert_row_one_merged(state, before, kind,
-                           op in (PortalOp.KARGMIN, PortalOp.KARGMAX))
+    _assert_row_one_merged(state, before, kind)
     assert not np.isnan(state["best"]).any()
     assert (state["best_idx"] != nr - 1).all()
 
@@ -373,8 +368,7 @@ def test_bound_kernel_breaks_ties_old_first_then_by_column(op, kernel):
     if largest:
         old = old[:, ::-1].copy()
     old_idx = 100 + np.arange(nq * k, dtype=np.int64).reshape(nq, k)
-    kernels, state = _kernels(op, Q, R, old.copy(), old_idx.copy(),
-                              Layout.COLUMN)
+    kernels, state = _kernels(op, Q, R, old.copy(), old_idx.copy())
     _run_kernel(kernels, kernel, nr, nq)
     cand_v = np.concatenate([old, np.tile(R[:, 0] ** 2, (nq, 1))], axis=1)
     cand_i = np.concatenate([old_idx, np.tile(np.arange(nr), (nq, 1))], axis=1)
@@ -385,5 +379,4 @@ def test_bound_kernel_breaks_ties_old_first_then_by_column(op, kernel):
     kth = cand_v[rows, order][:, -1:]
     assert ((cand_v == kth).sum(axis=1) > 1).sum() >= 5
     assert np.array_equal(state["best"], cand_v[rows, order])
-    if op in (PortalOp.KARGMIN, PortalOp.KARGMAX):
-        assert np.array_equal(state["best_idx"], cand_i[rows, order])
+    assert np.array_equal(state["best_idx"], cand_i[rows, order])

@@ -11,6 +11,7 @@ from repro.dsl import (
 from repro.baselines import brute
 
 from tests.conftest import RETIRED_ENGINE
+from tests.contract import assert_bitwise
 
 
 @pytest.fixture
@@ -27,26 +28,13 @@ def nn(rng, n=80, d=3):
 
 
 class TestLayoutOverride:
-    def test_forced_layouts_agree(self, rng):
-        rng2 = np.random.default_rng(0)
-        Q = rng2.normal(size=(60, 3))
-        R = rng2.normal(size=(70, 3))
-
-        def run(layout):
-            e = PortalExpr()
-            e.addLayer(PortalOp.FORALL, Storage(Q))
-            e.addLayer(PortalOp.ARGMIN, Storage(R), PortalFunc.EUCLIDEAN)
-            return e.execute(layout=layout).values
-
-        auto = run(None)
-        col = run("column")
-        row = run("row")
-        assert np.allclose(auto, col)
-        assert np.allclose(auto, row, atol=1e-6)
-
     def test_bad_layout_rejected(self, rng):
-        with pytest.raises(SpecificationError, match="layout"):
-            nn(rng).compile(layout="diagonal")
+        """There is one data layout: ``layout`` is an unknown option like
+        any other, whatever its value."""
+        for value in ("row", "column", "diagonal"):
+            with pytest.raises(SpecificationError,
+                               match=r"unknown execute\(\) options: \['layout'\]"):
+                nn(rng).compile(layout=value)
 
 
 class TestSplitOption:
@@ -109,32 +97,32 @@ class TestStatsAccounting:
 
 
 class TestExecutorTraversalCodegenMatrix:
-    """Joint ``executor × traversal × codegen`` sweep of the generated
+    """Joint ``executor × traversal × dimension`` sweep of the generated
     kernels (previously the dimensions were only tested pairwise): every
-    cell must agree with the serial/stack/column reference.  The codegen
-    axis is the emitter's two spellings of the pairwise kernel, column-
-    and row-major (``layout``).  The full product is the slow tier; the
+    cell must give the serial stack engine's ids and, bit for bit, its
+    values.  The dimension axis spans d ≤ 4 and d > 4, where the paper
+    would switch data layouts.  The full product is the slow tier; the
     fast tier keeps one representative cell per executor, engine and
-    spelling.  The traversal axis carries the retired ``bounded-batched``
-    value as a stored policy entry still names it (``stored_traversal``
-    in ``tests/conftest.py``)."""
+    dimension.  The traversal axis carries the retired
+    ``bounded-batched`` value as a stored policy entry still names it
+    (``stored_traversal`` in ``tests/conftest.py``)."""
 
     TRAVERSALS = ("stack", "batched", RETIRED_ENGINE)
     EXECUTORS = ("serial", "thread", "process")
-    CODEGENS = ("column", "row")
-    #: fast representatives: each executor, engine and spelling appears
+    DIMS = (3, 9)
+    #: fast representatives: each executor, engine and dimension appears
     FAST_CELLS = (
-        ("stack", "serial", "row"),
-        ("batched", "thread", "column"),
-        (RETIRED_ENGINE, "thread", "row"),
-        ("batched", "process", "row"),
+        ("stack", "serial", 9),
+        ("batched", "thread", 3),
+        (RETIRED_ENGINE, "thread", 9),
+        ("batched", "process", 9),
     )
 
     @staticmethod
-    def _knn():
+    def _knn(dim):
         rng = np.random.default_rng(77)
-        Q = rng.normal(size=(90, 3))
-        R = rng.normal(size=(110, 3))
+        Q = rng.normal(size=(90, dim))
+        R = rng.normal(size=(110, dim))
 
         def build():
             e = PortalExpr()
@@ -146,9 +134,8 @@ class TestExecutorTraversalCodegenMatrix:
         return build
 
     @classmethod
-    def _run(cls, build, traversal, executor, codegen, stored=None):
-        kwargs = dict(traversal=traversal, layout=codegen,
-                      leaf_size=16)
+    def _run(cls, build, traversal, executor, stored=None):
+        kwargs = dict(traversal=traversal, leaf_size=16)
         if executor != "serial":
             kwargs.update(parallel=True, workers=2, min_tasks=4,
                           executor=executor)
@@ -156,26 +143,25 @@ class TestExecutorTraversalCodegenMatrix:
             kwargs = stored(build, kwargs)
         return build().execute(**kwargs)
 
-    def _check_cell(self, traversal, executor, codegen, stored):
-        build = self._knn()
-        ref = self._run(build, "stack", "serial", "column")
-        got = self._run(build, traversal, executor, codegen, stored)
+    def _check_cell(self, traversal, executor, dim, stored):
+        build = self._knn(dim)
+        ref = self._run(build, "stack", "serial")
+        got = self._run(build, traversal, executor, stored)
         assert np.array_equal(np.asarray(got.indices),
                               np.asarray(ref.indices))
+        assert_bitwise(got, ref)
 
-    @pytest.mark.parametrize("traversal,executor,codegen", FAST_CELLS)
-    def test_matrix_fast(self, traversal, executor, codegen,
-                         stored_traversal):
-        self._check_cell(traversal, executor, codegen, stored_traversal)
+    @pytest.mark.parametrize("traversal,executor,dim", FAST_CELLS)
+    def test_matrix_fast(self, traversal, executor, dim, stored_traversal):
+        self._check_cell(traversal, executor, dim, stored_traversal)
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "traversal,executor,codegen",
-        list(itertools.product(TRAVERSALS, EXECUTORS, CODEGENS)),
+        "traversal,executor,dim",
+        list(itertools.product(TRAVERSALS, EXECUTORS, DIMS)),
     )
-    def test_matrix_full(self, traversal, executor, codegen,
-                         stored_traversal):
-        self._check_cell(traversal, executor, codegen, stored_traversal)
+    def test_matrix_full(self, traversal, executor, dim, stored_traversal):
+        self._check_cell(traversal, executor, dim, stored_traversal)
 
 
 class TestMultilayerCLIIntrospection:

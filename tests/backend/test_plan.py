@@ -239,11 +239,12 @@ class TestStaticRules:
     {"verify_ir": True},
     {"tau": float("nan")}, {"tau": "x"}, {"tau": -1e-3}, {"tau": True},
     {"theta": "x"}, {"theta": float("inf")},
-    # the last four rows to get an ``allowed``: tree/split used to escape
-    # as build_tree's bare ValueError, criterion/layout only failed
-    # after the plan was resolved
+    # the last rows to get an ``allowed``: tree/split used to escape as
+    # build_tree's bare ValueError, criterion only failed after the plan
+    # was resolved
     {"tree": "foo"}, {"split": "foo"}, {"criterion": "foo"},
-    {"layout": "diagonal"},
+    # the deleted layout knob: no such option, whatever its value
+    {"layout": "row"},
     # the deleted codegen surface: no such option, no such backend
     {"codegen": "numpy"}, {"backend": "native"},
     # the other deleted IR knob

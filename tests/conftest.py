@@ -35,7 +35,7 @@ def small_qr(rng):
 
 @pytest.fixture
 def small_highdim(rng):
-    """A small (query, reference) pair in 12-D (row-major layout path)."""
+    """A small (query, reference) pair in 12-D."""
     return rng.normal(size=(90, 12)), rng.normal(size=(110, 12))
 
 

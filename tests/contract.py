@@ -5,9 +5,10 @@ executors, two plans — to the rule for the kind of output it returns:
 
 * :func:`assert_ranked_equal` — comparative reductions (K-operators,
   ``ARG*``, ``MIN``/``MAX``, Hausdorff — merges over an indicator
-  kernel too): values exact; ids exact up to ties at the k-th value;
-  under the norm expansion (squared Euclidean in the row layout) values
-  within ``rtol`` of rounding, ids up to near-ties within it;
+  kernel too): values exact at every d (the winners are re-evaluated in
+  one difference form); ids exact up to ties at the k-th value — and,
+  where the norm expansion selects them, up to near-ties within its
+  rounding (``rtol``);
 * :func:`assert_sum_close` — sums: within ``τ`` per unit of reference
   weight when approximated, plus ``n·ε·Σ|term|`` of rounding; products
   (``PROD``): within ``n·ε·|Π|`` of the reference, which is this helper

@@ -83,27 +83,6 @@ class TestCSV:
             Storage(str(path))
 
 
-class TestLayout:
-    def test_low_dim_column_major(self, rng):
-        assert Storage(rng.normal(size=(5, 3))).layout == "column"
-        assert Storage(rng.normal(size=(5, 4))).layout == "column"
-
-    def test_high_dim_row_major(self, rng):
-        assert Storage(rng.normal(size=(5, 5))).layout == "row"
-        assert Storage(rng.normal(size=(5, 64))).layout == "row"
-
-    def test_colmajor_view_matches(self, rng):
-        s = Storage(rng.normal(size=(6, 3)))
-        assert np.array_equal(s.colmajor, s.data.T)
-        assert s.colmajor.flags["C_CONTIGUOUS"]
-
-    def test_physical_follows_layout(self, rng):
-        low = Storage(rng.normal(size=(6, 2)))
-        high = Storage(rng.normal(size=(6, 9)))
-        assert low.physical().shape == (2, 6)
-        assert high.physical().shape == (6, 9)
-
-
 class TestLifecycle:
     def test_clear_releases(self, rng):
         s = Storage(rng.normal(size=(4, 2)))

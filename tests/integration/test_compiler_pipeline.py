@@ -93,7 +93,7 @@ class TestInterpreterAgreement:
     def test_nn_interpreter_matches_vectorized(self, rng):
         Q, R, e = nn_program(rng, n=20)
         out = e.execute()
-        env = base_case_env("query", "reference", Q, R, "column", "column")
+        env = base_case_env("query", "reference", Q, R)
         interpret_function(
             e.program.ir().stage("final")["BaseCase"], env
         )
@@ -104,7 +104,7 @@ class TestInterpreterAgreement:
     def test_kde_interpreter_matches_vectorized(self, rng):
         Q, R, e = kde_program(rng, n=20)
         out = e.execute(tau=0.0, exclude_self=False)
-        env = base_case_env("query", "reference", Q, R, "column", "column")
+        env = base_case_env("query", "reference", Q, R)
         interpret_function(
             e.program.ir().stage("final")["BaseCase"], env
         )

@@ -2,7 +2,7 @@
 identical results through the tree path and the dense path.
 
 This is the strongest whole-compiler property we can state: for *any*
-supported (operator, metric, dimensionality, layout, self-join) combination,
+supported (operator, metric, dimensionality, self-join) combination,
 pruning and approximation decisions never change the answer (pruning
 problems) or violate the τ bound (approximation problems).
 """

@@ -28,10 +28,7 @@ def compiled(rng, inner_op, nq=15, nr=18, d=3, func=PortalFunc.EUCLIDEAN,
 
 
 def run_base_case(prog, Q, R, extra=None):
-    env = base_case_env("query", "reference", Q, R,
-                        "column" if Q.shape[1] <= 4 else "row",
-                        "column" if R.shape[1] <= 4 else "row",
-                        extra=extra)
+    env = base_case_env("query", "reference", Q, R, extra=extra)
     fn = prog.ir().stage("final")["BaseCase"]
     return interpret_function(fn, env)
 
@@ -103,7 +100,7 @@ class TestInterpreterVsBrute:
     def test_lowered_equals_final(self, rng):
         """Semantic preservation across the whole pipeline."""
         Q, R, prog = compiled(rng, PortalOp.MIN)
-        env_low = base_case_env("query", "reference", Q, R, "column", "column")
+        env_low = base_case_env("query", "reference", Q, R)
         # The lowered stage has un-flattened 2-D loads: bind 2-D arrays.
         env_low["query_data"] = Q
         env_low["reference_data"] = R

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.backend.codegen import CHUNK_CELLS, CodegenSpec, bind_kernels, emit
-from repro.backend.layout import COLUMN_MAJOR_MAX_DIM, Layout
 from repro.data.synthetic import ihepc
 from repro.dsl import (
     PortalExpr, PortalFunc, PortalOp, Storage, Var, exp, indicator, pow, sqrt,
@@ -98,7 +97,7 @@ def test_kde_against_stack(case, no_leaf_base_case):
     assert c_grouped == c_stack
     assert c_stack["traversal.approximated"] > 0
     group = source[source.index("def base_case_group"):]
-    assert ("RCOL[:, ridx]" in group) == (dim <= 4)
+    assert "_gemm_operands(" in group   # at every d
     assert ("rw[ridx]" in group) == weighted
     assert ("RSELF[ridx]" in group) == (shards > 1)
 
@@ -206,14 +205,12 @@ def _kernels(op, dim, nq, nr, weighted, shared):
     """The ``op`` kernels over one shared or two random point sets,
     bound by hand; returns them with the state they write."""
     spec = CodegenSpec(
-        dim=dim, layout=Layout.COLUMN if dim <= 4 else Layout.ROW,
-        base="sqeuclidean", g_ir=_G[op], monotone="increasing",
+        dim=dim, base="sqeuclidean", g_ir=_G[op], monotone="increasing",
         inner_op=op, weighted=weighted, same_tree=shared,
         exclude_self=shared, is_indicator=op is PortalOp.UNIONARG)
     R = _points(nr, dim, 4)
     Q = R if shared else _points(nq, dim, 5)
-    arrays = dict(QROW=Q, QCOL=np.ascontiguousarray(Q.T), QN2=(Q * Q).sum(1),
-                  RROW=R, RCOL=np.ascontiguousarray(R.T), RN2=(R * R).sum(1),
+    arrays = dict(QROW=Q, QN2=(Q * Q).sum(1), RROW=R, RN2=(R * R).sum(1),
                   acc=np.full(len(Q), 1.0 if op is PortalOp.PROD else 0.0),
                   out_lists=[[] for _ in Q])
     if weighted:
@@ -331,35 +328,39 @@ def test_contract_helper_catches_planted_errors():
         assert_bitwise(np.array([0.0]), np.array([-0.0]))
 
 
+def _dimension_order(Q, R):
+    """Every squared distance ``|q − r|²`` summed in dimension order:
+    the difference form the winners are re-evaluated in."""
+    diff = Q[:, None, :] - R[None, :, :]
+    t = diff[..., 0] * diff[..., 0]
+    for c in range(1, Q.shape[1]):
+        t += diff[..., c] * diff[..., c]
+    return t
+
+
 def test_norm_expansion_values_agree_to_rounding():
-    """DESIGN.md §8: past ``COLUMN_MAJOR_MAX_DIM`` a squared-Euclidean
-    distance takes the GEMM form ‖q‖² + ‖r‖² − 2q·r, whose last bits
-    depend on the block shape — leaf size, brute force's blocks, the
-    blocked base case's batched GEMM against brute force's one GEMM per
-    block.  Each run's t = δ² is within (d+2)·ε·(‖q−o‖² + ‖r−o‖²) of
-    exact, o the reference box's centre, so two runs' distances δ agree
-    to that over δ² relative; the rtol here takes it about the origin,
-    (d+2)·ε·(‖q‖² + ‖r‖²)/δ², the tighter of the two on these rows.
-    Leaf 16 and 32 move none of 20 000 values against leaf 64 and brute
-    force 111, all by < 6e-13 relative, ids unchanged."""
+    """DESIGN.md §8: a squared-Euclidean distance takes the GEMM form
+    ‖q‖² + ‖r‖² − 2q·r, whose last bits depend on the block shape — leaf
+    size, brute force's blocks, the blocked base case's batched GEMM
+    against brute force's one GEMM per block.  The GEMM only selects:
+    the winners are re-evaluated in the difference form, so leaf 16 and
+    32 and brute force give leaf 64's values bit for bit, and its ids
+    up to exact ties."""
     Q, R = ihepc(4000, seed=2), ihepc(4000, seed=1)
-    d = Q.shape[1]
-    assert d > COLUMN_MAJOR_MAX_DIM
+    assert Q.shape[1] == 9
     want_v, want_i = knn(Q, R, k=5, leaf_size=64)
-    norms = (Q ** 2).sum(1)[:, None] + (R ** 2).sum(1)[want_i]
-    rtol = (d + 2) * np.finfo(float).eps * float((norms / want_v ** 2).max())
     for options in ({"leaf_size": 16}, {"leaf_size": 32}, {"backend": "brute"}):
         got_v, got_i = knn(Q, R, k=5, **options)
-        assert_ranked_equal(got_v, want_v, got_i, want_i, rtol=rtol)
+        assert_ranked_equal(got_v, want_v, got_i, want_i)
 
 
 def test_norm_expansion_far_from_origin():
-    """DESIGN.md §8's per-run bound far from the origin: d = 9 rows
-    offset by 1e4, so ‖q‖² + ‖r‖² ≈ 2e9 dwarfs δ².  The blocked base
-    case's augmented GEMM, taken about the reference box's centre ``o``,
-    puts each t = δ² within (d+2)·ε·(‖q−o‖² + ‖r−o‖²) of the difference
-    form's, clamped at 0 where a query row is also a reference row, and
-    its k-NN meets the difference form's under the rounding rule."""
+    """d = 9 rows offset by 1e4, so ‖q‖² + ‖r‖² ≈ 2e9 dwarfs δ².  The
+    blocked base case's augmented GEMM, taken about the reference box's
+    centre, selects the k nearest; their values are the difference
+    form's, summed in dimension order, bit for bit — exactly 0 where a
+    query row is also a reference row — and the ids are its ids up to
+    exact ties."""
     rng = np.random.default_rng(41)
     d, k = 9, 5
     R = rng.uniform(0.0, 5.0, (700, d)) + 1e4
@@ -372,20 +373,12 @@ def test_norm_expansion_far_from_origin():
     out = expr.execute()
     assert "_gemm_operands(1.0)" in expr.generated_source()
     got_v, got_i = np.asarray(out.values), np.asarray(out.indices)
-    full = np.stack([((q - R) ** 2).sum(1) for q in Q])   # difference form
+    full = _dimension_order(Q, R)
     want_i = np.argsort(full, axis=1, kind="stable")[:, :k]
     want_v = np.sqrt(np.take_along_axis(full, want_i, axis=1))
-    norms = (Q ** 2).sum(1)[:, None] + (R ** 2).sum(1)[got_i]
-    eps = np.finfo(float).eps
-    t_diff = np.take_along_axis(full, got_i, axis=1)
-    o = 0.5 * (R.min(0) + R.max(0))
-    centred = ((Q - o) ** 2).sum(1)[:, None] + ((R - o) ** 2).sum(1)[got_i]
-    assert (np.abs(got_v ** 2 - t_diff) <= (d + 2) * eps * centred).all()
     assert np.array_equal(got_i[:40, 0], np.arange(0, 280, 7))
-    rest = slice(40, None)
-    rtol = (d + 2) * eps * float((norms[rest] / want_v[rest] ** 2).max())
-    assert_ranked_equal(got_v[rest], want_v[rest], got_i[rest],
-                        want_i[rest], rtol=rtol)
+    assert (got_v[:40, 0] == 0.0).all()
+    assert_ranked_equal(got_v, want_v, got_i, want_i)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])

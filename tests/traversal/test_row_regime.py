@@ -5,8 +5,8 @@ When the whole query set is small against the reference set
 query *row* against reference nodes with its own live bound, expands only
 the reference side and runs one ``base_case_rows`` kernel per epoch.  The
 contract is the engine's: exact outputs.  These tests hold every bound
-operator, tree and executor to the stack engine (tie-aware; bitwise where
-the column layout keeps the per-pair arithmetic) and a k-NN batch to its
+operator, tree and executor to the stack engine (values bitwise at
+every d, ids tie-aware) and a k-NN batch to its
 rows run one at a time, check that the regime is taken exactly where the
 size rule says, and that it never computes more pairs than the leaf
 regime.
@@ -70,21 +70,16 @@ def _largest(problem):
     return problem != "hausdorff" and PortalOp[problem] not in MIN_LIKE
 
 
-def _assert_matches(problem, out, ref, Q, R, exact):
-    """``out`` answers the same query as ``ref``: bitwise when ``exact``,
-    else values to 1e-12 relative; ids tie-aware (distinct, each at its
-    reported distance, any choice among equal distances)."""
+def _assert_matches(problem, out, ref, Q, R):
+    """``out`` answers the same query as ``ref``: values bitwise (the
+    winners are re-evaluated in one difference form, whatever arithmetic
+    selected them); ids tie-aware (distinct, each at its reported
+    distance, any choice among equal distances)."""
     if out.scalar is not None:
-        if exact:
-            assert out.scalar == ref.scalar
-        else:
-            assert np.isclose(out.scalar, ref.scalar, rtol=1e-12, atol=0)
+        assert out.scalar == ref.scalar
         return
     got, want = np.asarray(out.values), np.asarray(ref.values)
-    if exact:
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert got.tobytes() == want.tobytes()
     if out.indices is None:
         return
     idx = np.asarray(out.indices)
@@ -126,31 +121,31 @@ def _stack_ref(problem, tree, nq, Q, R):
 @pytest.mark.parametrize("tree", TREES)
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_matches_stack(data, problem, tree, nq, executor):
-    """d = 3 is the column layout, whose per-pair arithmetic is the same
-    difference form in both regimes and in the stack engine: bitwise."""
+    """d = 3: the row regime's pair form and the stack engine's block
+    GEMM select the same winners, whose values are bitwise equal."""
     Q, R = data[0][:nq], data[1]
     options = dict(EXECUTORS[executor], tree=tree)
     out, stats, _ = _execute(problem, Q, R, **options)
     assert stats["traversal_engine"] == "batched"
     assert stats["bounded"]["regime"] == _expected_regime(nq, NR, options)
     ref = _stack_ref(problem, tree, nq, Q, R)
-    _assert_matches(problem, out, ref, Q, R, exact=True)
+    _assert_matches(problem, out, ref, Q, R)
 
 
 @pytest.mark.parametrize("tree", ["kd", "ball"])
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_row_layout_matches_stack_and_brute(problem, tree):
-    """d = 6 is the row layout (octrees need d ≤ 3): the row regime takes
-    the norm expansion's dot products per row, so last bits may differ
-    from the stack engine's block GEMM.  Held tie-aware to the stack
-    engine and to brute force."""
+    """d = 6 (octrees need d ≤ 3): the row regime takes the norm
+    expansion's dot products per row, the stack engine and brute force
+    their block GEMMs; the re-evaluated winners are bitwise equal, ids
+    tie-aware."""
     rng = np.random.default_rng(6)
     Q, R = rng.normal(size=(32, 6)), rng.normal(size=(NR, 6))
     out, stats, _ = _execute(problem, Q, R, tree=tree)
     assert stats["bounded"]["regime"] == "row"
     for ref_opts in ({"traversal": "stack"}, {"backend": "brute"}):
         ref = _execute(problem, Q, R, tree=tree, **ref_opts)[0]
-        _assert_matches(problem, out, ref, Q, R, exact=False)
+        _assert_matches(problem, out, ref, Q, R)
 
 
 @pytest.mark.parametrize("tree", TREES)
@@ -183,7 +178,7 @@ def test_prunes_no_worse_than_leaf_regime(data, problem, nq, monkeypatch):
     leaf_out, leaf_stats, leaf_counters = _execute(problem, Q, R)
     assert leaf_stats["bounded"]["regime"] == "leaf"
     assert leaf_counters["bounded.row_regime"] == 0
-    _assert_matches(problem, out, leaf_out, Q, R, exact=True)
+    _assert_matches(problem, out, leaf_out, Q, R)
     assert (stats["traversal"]["base_case_pairs"]
             <= leaf_stats["traversal"]["base_case_pairs"])
     t = stats["traversal"]
@@ -236,7 +231,7 @@ def test_one_dimension(problem):
     out, stats, _ = _execute(problem, Q, R)
     assert stats["bounded"]["regime"] == "row"
     ref = _execute(problem, Q, R, traversal="stack")[0]
-    _assert_matches(problem, out, ref, Q, R, exact=True)
+    _assert_matches(problem, out, ref, Q, R)
 
 
 def test_epoch_hooks_pause_and_resume_row_pairs(data):

@@ -74,7 +74,7 @@ def _recursive_build(points, leaf_size, weights, split):
 
 
 #: Every array a tree carries after construction.
-_ARRAYS = ("points", "points_col", "perm", "lo", "hi", "start", "end",
+_ARRAYS = ("points", "perm", "lo", "hi", "start", "end",
            "child_offset", "child_list", "is_leaf_arr", "center",
            "diameter", "centroid", "weights", "wsum", "wcentroid")
 

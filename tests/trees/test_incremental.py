@@ -215,10 +215,10 @@ def test_emptied_leaf_forces_rebuild(rng):
 @pytest.mark.parametrize("mutation", ["update", "update-one", "insert",
                                       "delete", "far-update"])
 def test_point_products_match_recompute(rng, mutation, dim):
-    """``points_col`` and the cached ``sqnorms()`` (the GEMM kernels'
-    ``RCOL``/``RN2``) after each mutation kind are bitwise what a full
-    recompute over the mutated points gives — the update path patches
-    only the moved positions, the others rebuild them."""
+    """The cached ``sqnorms()`` (the row regime's ``RN2``) after each
+    mutation kind are bitwise what a full recompute over the mutated
+    points gives — the update path patches only the moved positions,
+    the others rebuild them."""
     X = rng.normal(size=(600, dim))
     tree = build_tree("kd" if dim > 3 else "octree", X, leaf_size=16)
     tree.sqnorms()  # cached, as a compiled program leaves it
@@ -234,13 +234,11 @@ def test_point_products_match_recompute(rng, mutation, dim):
         clone.update_batch(idx, X[idx] + scale * rng.normal(
             size=(idx.size, dim)))
     assert np.array_equal(
-        clone.points_col, np.ascontiguousarray(clone.points.T))
-    assert np.array_equal(
         clone.sqnorms(), np.einsum("ij,ij->i", clone.points, clone.points))
     # the snapshot's products are untouched (copy-on-write)
     assert np.array_equal(tree.sqnorms(),
                           np.einsum("ij,ij->i", X[tree.perm], X[tree.perm]))
-    assert np.array_equal(tree.points_col, X[tree.perm].T)
+    assert np.array_equal(tree.points, X[tree.perm])
 
 
 def test_delete_all_raises(rng):
