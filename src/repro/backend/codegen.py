@@ -30,8 +30,7 @@ The generated source is kept on the compiled program for inspection
 
 from __future__ import annotations
 
-import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -168,43 +167,42 @@ class CodegenSpec:
 class GeneratedKernels:
     """Compiled closures plus the emitted source for inspection.
 
-    ``base_case(qs, qe, rs, re)`` evaluates one leaf pair over slice
-    views: the stack engine's and brute mode's base case.
-    ``base_case_group(qs, qe, gathered)`` evaluates a query leaf against
-    the gathered points of several reference leaves: one call per query
-    leaf of a stateless program's flush in the batched engine
-    (:mod:`repro.traversal.bounded_batched`).  A bound rule's
-    ``base_case_blocks(qs, qe, ridx, redge)`` takes every query leaf of
-    one epoch at once, packed into padded blocks of at most
-    :data:`CHUNK_CELLS` cells.  These three take a squared-Euclidean
-    kernel's distances in one spelling, one augmented GEMM with the
-    kernel's constant scale folded into the query operand
-    (:func:`_scale_fold`); the row regime's ``base_case_rows`` keeps its
-    pair form, one dot product per candidate pair.  A comparative
-    reduction also gets ``exact_values(Q, qidx, R, ridx)``, the kernel
-    over gathered pairs in the difference form, which re-evaluates its
-    winners once after the traversal
-    (:func:`repro.backend.state.exact_winners`).  The scalar
+    Every base case is one instance of one skeleton — gather → distance
+    → value → self-exclusion/pads → fold — over its own gather:
+    ``base_case(qs, qe, rs, re)`` over two leaf slices (the stack
+    engine's and brute mode's base case); ``base_case_group(qs, qe,
+    gathered)`` over a query leaf and the gathered points of several
+    reference leaves (one call per query leaf of a stateless program's
+    flush in the batched engine,
+    :mod:`repro.traversal.bounded_batched`); a bound rule's
+    ``base_case_blocks(qs, qe, ridx, redge)`` over every query leaf of
+    one epoch, packed into padded blocks of at most :data:`CHUNK_CELLS`
+    cells; and the row regime's ``base_case_rows(qidx, ridx)`` over
+    (query row, reference point) pairs.  The distance has one form per
+    metric (:func:`_augmented_gemm`); the row regime's pairs take the
+    difference form of ``exact_values(Q, qidx, R, ridx)``, which also
+    re-evaluates a comparative reduction's winners once after the
+    traversal (:func:`repro.backend.state.exact_winners`).  A
+    comparative fold is one emitted ``_merge``.  The scalar
     ``prune_or_approx`` / ``pair_min_dist`` drive the nearest-first
-    stack engine.  Stateless
-    rules (indicator / approximation) get ``classify_batch`` over whole
-    arrays of node-id pairs, and ``apply_action`` for their approximated
-    or inside pairs.  Bound rules (k-NN, Hausdorff) get
-    ``bound_key_batch`` / ``classify_bound_batch``, which classify
-    against a signed per-query bound array ``qbound``, plus the row
-    regime's pair ``row_key_batch`` / ``base_case_rows``.  The batched
-    engine takes the bound form exactly when ``bound_key_batch`` is set.
+    stack engine.  Stateless rules (indicator / approximation) get
+    ``classify_batch`` over whole arrays of node-id pairs, and
+    ``apply_action`` for their approximated or inside pairs.  Bound
+    rules (k-NN, Hausdorff) get ``bound_key_batch`` (node pairs) and
+    ``row_key_batch`` (row regime) promise keys, which the engine
+    classifies against a signed per-query bound array ``qbound``.  The
+    batched engine takes the bound form exactly when ``bound_key_batch``
+    is set.
     """
 
     source: str
     namespace: dict
     base_case: Callable
-    prune_or_approx: Callable | None
-    pair_min_dist: Callable | None
+    prune_or_approx: Callable | None = None
+    pair_min_dist: Callable | None = None
     classify_batch: Callable | None = None
     apply_action: Callable | None = None
     bound_key_batch: Callable | None = None
-    classify_bound_batch: Callable | None = None
     base_case_group: Callable | None = None
     base_case_blocks: Callable | None = None
     row_key_batch: Callable | None = None
@@ -213,14 +211,26 @@ class GeneratedKernels:
 
 
 # ---------------------------------------------------------------------------
-# pairwise kernel emission
+# the distance table: metric → block form
 # ---------------------------------------------------------------------------
 
+#: metric → (the difference form's term of one coordinate's difference
+#: ``_d``, its fold into ``t``, the reduction of a box-gap vector over its
+#: last axis).  The reduction serves a scalar node pair and arrays of
+#: them alike, so a pair's bound is one bitwise value in both engines.
+_METRICS = {
+    "sqeuclidean": ("_d * _d", "t += {}", "({0} * {0}).sum(axis=-1)"),
+    "manhattan": ("np.abs(_d)", "t += {}", "{0}.sum(axis=-1)"),
+    "chebyshev": ("np.abs(_d)", "np.maximum(t, {}, out=t)", "{0}.max(axis=-1)"),
+}
+
+
 def _augmented_gemm(spec: CodegenSpec) -> bool:
-    """Whether the block kernels take the norm expansion as one augmented
-    GEMM: a squared-Euclidean kernel that is not an indicator, at every
-    d.  (An indicator keeps the exact difference form: a count must not
-    flip on cancellation at its threshold.)"""
+    """The block form, a function of (metric, indicator) alone: the norm
+    expansion as one augmented GEMM for a squared-Euclidean kernel that
+    is not an indicator, at every d; the difference form otherwise.  (An
+    indicator keeps the exact difference form: a count must not flip on
+    cancellation at its threshold.)"""
     return spec.base == "sqeuclidean" and not spec.is_indicator
 
 
@@ -262,22 +272,10 @@ def _scale_fold(g: Expr) -> tuple[float, Expr]:
     return a, h
 
 
-def _clamp(a: float) -> str:
-    """The clamp of a GEMM-spelt ``a·t``: its sign is ``a``'s, as the
-    exact ``t ≥ 0``'s would be."""
-    return f"np.{'minimum' if a < 0 else 'maximum'}(t, 0.0, out=t)"
-
-
-def _block_kernel(spec: CodegenSpec) -> Expr:
-    """The kernel a block kernel applies to its ``t``: ``h`` of
-    :func:`_scale_fold` under the GEMM spelling, ``g`` otherwise."""
-    return _scale_fold(spec.g_ir)[1] if _augmented_gemm(spec) else spec.g_ir
-
-
-def _value_lines(g: Expr, indent: str) -> list[str]:
+def _value_lines(g: Expr) -> list[str]:
     """Lines computing ``v = g(t)``, shared sub-trees first."""
     pre, g_src = emit_expr_vn(g, {"t": "t"})
-    return [f"{indent}{line}" for line in (*pre, f"v = {g_src}")]
+    return [*pre, f"v = {g_src}"]
 
 
 _GEMM_OPERANDS = """\
@@ -302,163 +300,181 @@ def _gemm_operands(scale):
     return ops"""
 
 
-def _difference_lines(spec: CodegenSpec, diff: str, dims: str,
-                      indent: str) -> list[str]:
-    """Lines computing ``t`` in the difference form: ``diff`` (a template
-    over ``{c}``) spells coordinate ``c``'s difference ``q − r``, which is
-    squared (or its magnitude taken) and folded in dimension order —
-    summed, or max'd for Chebyshev — over the ``dims`` coordinates.
-    Every difference form of every kernel is this one spelling, so a
-    pair's value does not depend on the block it was evaluated in."""
-    term = "_d * _d" if spec.base == "sqeuclidean" else "np.abs(_d)"
-    fold = (f"np.maximum(t, {term}, out=t)" if spec.base == "chebyshev"
-            else f"t += {term}")
-    return [f"{indent}{line}" for line in (
-        f"_d = {diff.format(c=0)}",
-        f"t = {term}",
-        f"for _c in range(1, {dims}):",
-        f"    _d = {diff.format(c='_c')}",
-        f"    {fold}",
-    )]
-
-
-def _pairwise_lines(spec: CodegenSpec, refs: str) -> list[str]:
-    """Body lines computing the kernel block ``v`` for queries
-    ``[qs, qe)`` against the reference points ``refs`` spells: ``rs:re``
-    (a leaf slice, the ``base_case`` views) or ``ridx`` (a gathered index
-    array, ``base_case_group``).  Both spellings take the same
-    arithmetic: the augmented GEMM (:func:`_augmented_gemm`) or the
-    difference form (:func:`_difference_lines`)."""
-    if _augmented_gemm(spec):
-        a = _scale_fold(spec.g_ir)[0]
-        out = [f"    QA, RA = _gemm_operands({a!r})",
-               f"    t = QA[qs:qe] @ RA[{refs}].T",
-               f"    {_clamp(a)}"]
-    else:
-        out = ["    dq = QROW[qs:qe].T",
-               f"    dr = RROW[{refs}].T",
-               *_difference_lines(spec, "dq[{c}][:, None] - dr[{c}][None, :]",
-                                  "dq.shape[0]", "    ")]
-    return out + _value_lines(_block_kernel(spec), "    ")
-
-
-def _pairwise_source(spec: CodegenSpec) -> str:
-    return "\n".join(["def _pairwise(qs, qe, rs, re):",
-                      *_pairwise_lines(spec, "rs:re"), "    return v"])
-
-
-def _exact_values_source(spec: CodegenSpec) -> str | None:
-    """Emit ``exact_values(Q, qidx, R, ridx)`` for a comparative
-    reduction: the kernel of the pairs ``(Q[qidx], R[ridx])`` (index
-    arrays broadcast against each other) in the difference form, one
-    gathered coordinate at a time.  It re-evaluates the winners after
-    the traversal (:func:`repro.backend.state.exact_winners`) and is the
-    row regime's pair form for every kernel the GEMM does not take."""
-    if spec.inner_op not in MIN_LIKE | MAX_LIKE:
-        return None
-    return "\n".join([
-        "def exact_values(Q, qidx, R, ridx):",
-        *_difference_lines(spec, "Q[:, {c}][qidx] - R[:, {c}][ridx]",
-                           "Q.shape[1]", "    "),
-        *_value_lines(spec.g_ir, "    "),
-        "    return v",
-    ])
-
-
-def _point_to_centroid(spec: CodegenSpec, centroid_arr: str) -> list[str]:
-    """Source lines computing ``tc``: base distance from queries [s:e) to a
-    reference-node centroid (used by ComputeApprox)."""
-    out = [
-        f"    c = {centroid_arr}[ri]",
-        "    dqc = QROW[s:e] - c",
-    ]
-    if spec.base == "sqeuclidean":
-        out.append("    tc = np.einsum('ij,ij->i', dqc, dqc)")
-    elif spec.base == "manhattan":
-        out.append("    tc = np.abs(dqc).sum(axis=1)")
-    else:
-        out.append("    tc = np.abs(dqc).max(axis=1)")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# base-case emission (operator update templates)
+# the base-case skeleton: gather → distance → value → self-exclusion/pads
+# → fold
 # ---------------------------------------------------------------------------
 
-def _exclusion_value(op: PortalOp) -> str:
+@dataclass(frozen=True)
+class _Gather:
+    """How one base case reaches its block, the skeleton's parameter.
+
+    ``q`` / ``r`` index the query / reference points (``QROW``,
+    ``RROW`` and the GEMM operands); ``qpos`` / ``rpos`` spell the same
+    rows' tree positions, for self-exclusion, ids and the merge.  A
+    ``pairs`` block is ``q[p]`` against ``r[p]``; any other is every
+    ``q`` row against every ``r`` row, ``stacked`` when ``q`` and ``r``
+    carry a leading axis of blocks.  ``overlap``, when set, is the
+    condition under which the block can hold a self pair by position."""
+
+    q: str
+    r: str
+    qpos: str
+    rpos: str
+    pairs: bool = False
+    stacked: bool = False
+    overlap: str = ""
+
+
+#: ``base_case``: two leaf slices (on one shared tree, and in brute
+#: force's aligned blocks, equal or disjoint)
+_SLICES = _Gather("qs:qe", "rs:re", "np.arange(qs, qe)", "np.arange(rs, re)",
+                  overlap="qs < re and rs < qe")
+#: ``base_case_group``: a query slice against one chunk of gathered points
+_GROUP = _Gather("qs:qe", "ridx", "np.arange(qs, qe)", "ridx")
+#: ``base_case_blocks``: a stack of padded (query leaf × gathered) blocks
+_BLOCKS = _Gather("qrow", "rid", "qrow", "rid", stacked=True)
+#: ``exact_values`` / ``base_case_rows``: index arrays that broadcast
+_PAIRS = _Gather("qidx", "ridx", "qidx", "ridx", pairs=True)
+
+
+def _broadcast(g: _Gather) -> tuple[str, str]:
+    """The index suffixes that broadcast a query-row array against a
+    reference-row array into gather ``g``'s block."""
+    return ("", "") if g.pairs else ("[..., None]", "[..., None, :]")
+
+
+def _distance_lines(spec: CodegenSpec, g: _Gather,
+                    Q: str = "QROW", R: str = "RROW") -> list[str]:
+    """Lines computing the block ``t`` of gather ``g`` and then ``v``, in
+    the block form of :func:`_augmented_gemm` (a ``pairs`` gather always
+    takes the difference form): the GEMM with the kernel's scale folded
+    into the query operand and ``v = h(t)`` (:func:`_scale_fold`), or
+    each coordinate's difference ``q − r`` squared (or its magnitude
+    taken) and folded in dimension order, and ``v = g(t)``.  Every
+    difference form of every kernel is this one spelling, so a pair's
+    value does not depend on the block it was evaluated in."""
+    if _augmented_gemm(spec) and not g.pairs:
+        a, h = _scale_fold(spec.g_ir)
+        # a stack of blocks takes a contiguous (k × columns) right operand,
+        # the fast batched GEMM
+        rt = (f"np.ascontiguousarray(RA[{g.r}].transpose(0, 2, 1))"
+              if g.stacked else f"RA[{g.r}].T")
+        return [f"QA, RA = _gemm_operands({a!r})", f"t = QA[{g.q}] @ {rt}",
+                f"np.{'minimum' if a < 0 else 'maximum'}(t, 0.0, out=t)",
+                *_value_lines(h)]
+    qb, rb = _broadcast(g)
+    diff = f"{Q}[:, {{c}}][{g.q}]{qb} - {R}[:, {{c}}][{g.r}]{rb}"
+    term, fold, _ = _METRICS[spec.base]
+    return [f"_d = {diff.format(c=0)}",
+            f"t = {term}",
+            f"for _c in range(1, {Q}.shape[1]):",
+            f"    _d = {diff.format(c='_c')}",
+            f"    {fold.format(term)}",
+            *_value_lines(spec.g_ir)]
+
+
+def _exclusion_value(op: PortalOp) -> float:
+    """The value a masked cell holds: one that never enters the
+    operator's state."""
     if op in MIN_LIKE:
-        return "np.inf"
+        return np.inf
     if op in MAX_LIKE:
-        return "-np.inf"
-    if op is PortalOp.PROD:
-        return "1.0"
-    return "0.0"  # SUM / UNION / UNIONARG / FORALL
+        return -np.inf
+    return 1.0 if op is PortalOp.PROD else 0.0
 
 
-def _kth_best(spec: CodegenSpec) -> str:
-    """Index suffix selecting the k-th best column of ``best``: a
-    K-operator keeps an ``(n, K)`` array — even at ``K = 1`` — and a
-    single-value reduction an ``(n,)`` one."""
-    return ", K - 1" if op_info(spec.inner_op).requires_k else ""
+def _literal(x: float) -> str:
+    return {np.inf: "np.inf", -np.inf: "-np.inf"}.get(x, repr(x))
 
 
-def _merge_lines(spec: CodegenSpec,
-                 ids: Callable[[str, str], str]) -> list[str] | None:
-    """Body lines merging the candidate block ``v`` into ``best`` and
-    ``best_idx`` for a comparative reduction, None for any other
-    operator.  Every comparative reduction keeps its winners' ids, which
-    :func:`repro.backend.state.exact_winners` re-evaluates.  ``ids(i,
-    j)`` spells the reference ids of candidate columns ``j`` of block
-    rows ``i`` — ``rs + j`` over a leaf slice, ``ridx[j]`` over a
-    gathered batch, ``ridx[i, j]`` over per-row gathers, ``rid[leaf[i],
-    j]`` over a block of query leaves — the one difference between the
-    base cases.
+def _self_exclusion_lines(spec: CodegenSpec, g: _Gather) -> list[str]:
+    """Lines writing the exclusion value over the self pairs of ``v``: by
+    identity (``RSELF``) on a sharded reference, by position on one
+    shared tree (only where the gather can overlap itself)."""
+    guard = []
+    if spec.self_map:
+        rself = f"RSELF[{g.r}]"
+    elif spec.same_tree and spec.exclude_self:
+        rself, guard = g.rpos, [f"if {g.overlap}:"] if g.overlap else []
+    else:
+        return []
+    qb, rb = _broadcast(g)
+    return [*guard, f"{'    ' if guard else ''}np.copyto(v, "
+            f"{_literal(_exclusion_value(spec.inner_op))}, "
+            f"where={g.qpos}{qb} == {rself}{rb})"]
+
+
+def _comparative(spec: CodegenSpec) -> bool:
+    return spec.inner_op in MIN_LIKE | MAX_LIKE
+
+
+def _block_lines(spec: CodegenSpec, g: _Gather) -> list[str]:
+    """The skeleton's gather → distance → value → self-exclusion for
+    gather ``g``, leaving the block in ``v``."""
+    return [*_distance_lines(spec, g), *_self_exclusion_lines(spec, g)]
+
+
+def _merge_source(spec: CodegenSpec) -> str | None:
+    """Emit ``_merge(v, q, rid)`` for a comparative reduction, None for
+    any other operator: the one merge every comparative base case calls.
+    It folds the candidate block ``v`` into the state rows ``q`` of
+    ``best`` / ``best_idx`` and, under a bound rule, refreshes their
+    signed bound ``qbound`` (± the k-th best).  Candidate ``(i, j)`` is
+    reference id ``rid[i // s, j]``, each row of ``rid`` serving ``s =
+    len(v) // len(rid)`` consecutive block rows (a leaf slice, one query
+    leaf of a block, one row).  Every comparative reduction keeps its winners' ids, which
+    :func:`repro.backend.state.exact_winners` re-evaluates.
 
     A single-value reduction takes one ``argmin`` per row (``argmax``
     for the max forms) and keeps a candidate strictly better than the
     row's best.  A K-operator takes the same arg-select per row: the
     row's best candidate, whose test against the k-th best is the row
-    filter.  A row with only strictly worse candidates is left
-    untouched.  The rows that pass are gathered once, and ``min(K, W) −
-    1`` more arg-select passes over that copy, each writing the
-    exclusion value over the previous pick, give each row its K best
-    candidates in order.  A stable sort over ``[old k-array | picks]``
-    merges the two, so a tie at the k-th value keeps the old entry,
-    then the lowest block column.  A pick holding the exclusion value (a
-    pad, or a row narrower than K) never displaces an old entry.  NaN
-    sorts last: ``argmin`` returns a row's NaN cell first, so a block
-    whose best cell is NaN takes NaN as the exclusion value and selects
-    again."""
+    filter; a row whose candidates are all at or beyond its k-th best is
+    left untouched, and so is a row of pads, which hold the exclusion
+    value.  The rows that pass are gathered once, and ``min(K, W) − 1``
+    more arg-select passes over that copy, each writing the exclusion
+    value over the previous pick, give each row its K best candidates in
+    order.  A stable sort over ``[old k-array | picks]`` merges the two,
+    so a tie at the k-th value keeps the old entry, then the lowest
+    block column, and a pick holding the exclusion value never displaces
+    an old entry.  NaN sorts last: ``argmin`` returns a row's NaN cell
+    first, so a block whose best cell is NaN takes NaN as the exclusion
+    value and selects again."""
     op = spec.inner_op
-    if op not in MIN_LIKE | MAX_LIKE:
+    if not _comparative(spec):
         return None
-    lines: list[str] = []
-    b = lines.append
     red = "argmin" if op in MIN_LIKE else "argmax"
+    # the max forms compare and sort on negated values: exact
+    cmp, neg = ("<", "") if op in MIN_LIKE else (">", "-")
+    bound = spec.rule is not None and spec.rule.is_bound
+    lines = ["def _merge(v, q, rid):"]
+    b = lines.append
     if not op_info(op).requires_k:
         b(f"    j = v.{red}(axis=1)")
         b("    vals = v[np.arange(v.shape[0]), j]")
-        b("    bb = best[qs:qe]")
-        b(f"    m = vals {'<' if op in MIN_LIKE else '>'} bb")
-        b("    if m.any():")
-        b("        bb[m] = vals[m]")
-        b(f"        best_idx[qs:qe][m] = {ids('m', 'j[m]')}")
-        return lines
-    # the max forms sort on negated values: exact
-    cmp, neg = ("<=", "") if op in MIN_LIKE else (">=", "-")
-    excl = _exclusion_value(op)
+        b(f"    rows = np.flatnonzero(vals {cmp} best[q])")
+        b("    if rows.size:")
+        b("        qr = q[rows]")
+        b("        best[qr] = vals[rows]")
+        b("        best_idx[qr] = rid[rows // (v.shape[0] // rid.shape[0]), "
+          "j[rows]]")
+        if bound:
+            b(f"        qbound[qr] = {neg}vals[rows]")
+        return "\n".join(lines)
+    excl = _literal(_exclusion_value(op))
     b("    # ordered k-array merge (sorted filter of section IV-F): each")
-    b("    # row with a candidate at or inside its k-th best picks its")
-    b("    # K best candidates, one arg-select pass each")
+    b("    # row with a candidate inside its k-th best picks its K best")
+    b("    # candidates, one arg-select pass each")
     b(f"    j = v.{red}(axis=1)")
     b("    top = v[np.arange(v.shape[0]), j]")
     b("    if np.isnan(top).any():   # NaN sorts last")
     b(f"        v = np.where(np.isnan(v), {excl}, v)")
     b(f"        j = v.{red}(axis=1)")
     b("        top = v[np.arange(v.shape[0]), j]")
-    b(f"    rows = np.flatnonzero(top {cmp} best[qs:qe, K - 1])")
+    b(f"    rows = np.flatnonzero(top {cmp} best[q, K - 1])")
     b("    if rows.size:")
-    b("        qr = qs + rows")
+    b("        qr = q[rows]")
     b("        w = v[rows]")
     b("        rr = np.arange(rows.size)")
     b("        npick = min(K, w.shape[1])")
@@ -473,75 +489,195 @@ def _merge_lines(spec: CodegenSpec,
     b("            cand_v[:, K + p] = w[rr, pick[:, p]]")
     b(f"        order = np.argsort({neg}cand_v, axis=1, kind='stable')[:, :K]")
     b("        rr = rr[:, None]")
-    b("        best_idx[qr] = np.concatenate([best_idx[qr], "
-      f"{ids('rows[:, None]', 'pick')}], axis=1)[rr, order]")
-    b("        best[qr] = cand_v[rr, order]")
-    return lines
+    b("        ids = rid[(rows // (v.shape[0] // rid.shape[0]))[:, None], pick]")
+    b("        best_idx[qr] = np.concatenate([best_idx[qr], ids], "
+      "axis=1)[rr, order]")
+    b("        kept = cand_v[rr, order]")
+    b("        best[qr] = kept")
+    if bound:
+        b(f"        qbound[qr] = {neg}kept[:, K - 1]")
+    return "\n".join(lines)
 
 
-def _self_exclusion_lines(spec: CodegenSpec, refs: str) -> list[str]:
-    """Body lines masking the self pairs of block ``v`` (queries
-    ``[qs, qe)`` × the references ``refs`` spells, as in
-    :func:`_pairwise_lines`) with the operator's exclusion value: by
-    identity (``RSELF``) on a sharded reference, by position on one
-    shared tree — where two leaf slices are equal or disjoint, so a
-    slice's self pairs are the diagonal of a leaf against itself."""
-    excl = _exclusion_value(spec.inner_op)
-    if spec.self_map:
-        return ["    v = np.where(np.arange(qs, qe)[:, None] == "
-                f"RSELF[{refs}][None, :], {excl}, v)"]
-    if not (spec.same_tree and spec.exclude_self):
-        return []
-    if refs == "rs:re":
-        return ["    if qs == rs:", f"        np.fill_diagonal(v, {excl})"]
-    return ["    v = np.where(np.arange(qs, qe)[:, None] == "
-            f"{refs}[None, :], {excl}, v)"]
-
-
-def _update_lines(spec: CodegenSpec, refs: str,
-                  ids: Callable[[str, str], str]) -> list[str]:
-    """Body lines folding block ``v`` into the operator's state: a SUM
-    adds, a PROD multiplies, a list appends each row's hits, a dense
-    ``FORALL`` stores and a comparative reduction merges
-    (:func:`_merge_lines`).  ``refs`` spells the block's reference
-    columns and ``ids(i, j)`` the reference ids of block cells, as in
-    :func:`_merge_lines` — the one difference between ``base_case`` and
-    ``base_case_group``."""
+def _fold_lines(spec: CodegenSpec, g: _Gather) -> list[str]:
+    """Lines folding the block ``v`` of a query slice ``[qs, qe)`` into
+    the operator's state: a comparative reduction calls :func:`_merge`, a
+    SUM adds, a PROD multiplies, a list appends each row's hits and a
+    dense ``FORALL`` stores."""
     op = spec.inner_op
-    merge = _merge_lines(spec, ids)
-    if merge is not None:
-        return merge
+    if _comparative(spec):
+        return [f"_merge(v, {g.qpos}, {g.rpos}[None])"]
     if op is PortalOp.SUM:
-        return [f"    acc[qs:qe] += v @ rw[{refs}]" if spec.weighted
-                else "    acc[qs:qe] += v.sum(axis=1)"]
+        return [f"acc[qs:qe] += v @ rw[{g.r}]" if spec.weighted
+                else "acc[qs:qe] += v.sum(axis=1)"]
     if op is PortalOp.PROD:
         if spec.weighted:
             raise CompileError("PROD does not support weighted references")
-        return ["    acc[qs:qe] *= v.prod(axis=1)"]
+        return ["acc[qs:qe] *= v.prod(axis=1)"]
     if op is PortalOp.UNIONARG or op is PortalOp.UNION:
         # one nonzero scan per block; the hits come row-major, so each
         # row with any is one run of them
-        hits = (ids("hit_r", "hit_c") if op is PortalOp.UNIONARG
+        hits = (f"{g.rpos}[hit_c]" if op is PortalOp.UNIONARG
                 else "v[hit_r, hit_c]")
         return [
-            "    hit_r, hit_c = np.nonzero(v)",
-            "    if hit_r.size:",
-            "        head = np.flatnonzero(np.diff(hit_r, prepend=-1))",
-            "        rows = (qs + hit_r[head]).tolist()",
-            f"        for i, got in zip(rows, np.split({hits}, head[1:])):",
-            "            out_lists[i].append(got)",
+            "hit_r, hit_c = np.nonzero(v)",
+            "if hit_r.size:",
+            "    head = np.flatnonzero(np.diff(hit_r, prepend=-1))",
+            "    rows = (qs + hit_r[head]).tolist()",
+            f"    for i, got in zip(rows, np.split({hits}, head[1:])):",
+            "        out_lists[i].append(got)",
         ]
     if op is PortalOp.FORALL:
-        return [f"    dense[qs:qe, {refs}] = v"]
+        return [f"dense[qs:qe, {g.r}] = v"]
     raise CompileError(f"no base-case template for {op.name}")  # pragma: no cover
 
 
+def _function(head: str, body: list[str]) -> str:
+    return "\n".join([head, *("    " + line for line in body)])
+
+
 def _base_case_source(spec: CodegenSpec) -> str:
-    return "\n".join([
-        "def base_case(qs, qe, rs, re):",
-        "    v = _pairwise(qs, qe, rs, re)",
-        *_self_exclusion_lines(spec, "rs:re"),
-        *_update_lines(spec, "rs:re", lambda i, j: f"rs + {j}"),
+    """Emit ``base_case(qs, qe, rs, re)``: one leaf pair over slice
+    views, the stack engine's and brute mode's base case."""
+    return _function("def base_case(qs, qe, rs, re):",
+                     [*_block_lines(spec, _SLICES), *_fold_lines(spec, _SLICES)])
+
+
+#: Cells (query rows × gathered reference columns) that one chunk of a
+#: stateless program's grouped base case, or one block of a bound
+#: program's blocked base case, evaluates at once, so its temporaries
+#: stay in cache (2 vCPUs, x86_64, NumPy 2.4): ``kde_approx`` op_p50 at
+#: 16K → 64K cells 155 → 139 ms (median of 4 interleaved spine pairs,
+#: 4/4 won); under the folded Gaussian GEMM, 32K / 64K / 128K cells ran
+#: 84.5 / 82.8 / 84.4 ms (median of 3 interleaved rounds; 64K won 2 of
+#: 3 against 32K and 3 of 3 against 128K, all within 2 %); the
+#: ``knn_prune`` blocked kernel ≈ 10 % slower at 32K cells than at 64K,
+#: ≈ 3× slower uncapped (one block per epoch).
+CHUNK_CELLS = 64 * 1024
+
+
+def _blocks(order, rows, width):
+    """Greedy cuts over the width-sorted leaves ``order`` (``rows`` /
+    ``width`` in that order): a block's padded cells (leaves × widest
+    rows × widest width) stay within :data:`CHUNK_CELLS`, unless one
+    leaf alone holds more.  ``bind_kernels`` puts it in every emitted
+    program's namespace."""
+    start, p = 0, 0
+    for j, (n, w) in enumerate(zip(rows.tolist(), width.tolist())):
+        p = max(p, n)
+        if j > start and (j + 1 - start) * p * w > CHUNK_CELLS:
+            yield order[start:j]
+            start, p = j, n
+    yield order[start:]
+
+
+def _base_case_group_source(spec: CodegenSpec) -> str | None:
+    """Emit ``base_case_group(qs, qe, gathered)`` for a stateless
+    program: one base case for a query leaf against the concatenated
+    points of *several* reference leaves, walked in chunks of at most
+    :data:`CHUNK_CELLS` cells.  A bound program gets
+    :func:`_base_case_blocks_source` instead."""
+    rule = spec.rule
+    if rule is not None and rule.is_bound:
+        return None
+    return _function("def base_case_group(qs, qe, gathered):", [
+        f"step = max(1, {CHUNK_CELLS} // (qe - qs))",
+        "for c in range(0, gathered.shape[0], step):",
+        "    ridx = gathered[c:c + step]",
+        *("    " + line for line in (*_block_lines(spec, _GROUP),
+                                      *_fold_lines(spec, _GROUP))),
+    ])
+
+
+def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
+    """Emit ``base_case_blocks(qs, qe, ridx, redge)`` for a bound rule:
+    one call per leaf-bearing epoch of the batched engine's leaf regime.
+    Query leaf ``i`` spans rows ``[qs[i], qe[i])`` and meets the gathered
+    reference points ``ridx[redge[i]:redge[i + 1]]``.  The leaves are
+    sorted by gathered width and packed into padded blocks of at most
+    :data:`CHUNK_CELLS` cells (:func:`_blocks`); each block is one
+    instance of the skeleton, batched over its leaves.  A pad cell
+    (a narrower leaf's column, or a shorter leaf's row, which repeats
+    its last real row) holds the operator's exclusion value, so
+    :func:`_merge_source`'s filter never writes it."""
+    rule = spec.rule
+    if rule is None or not rule.is_bound:
+        return None
+    excl = _literal(_exclusion_value(spec.inner_op))
+    return _function("def base_case_blocks(qs, qe, ridx, redge):", [
+        "width = redge[1:] - redge[:-1]",
+        "nrow = qe - qs",
+        "order = np.argsort(width, kind='stable')",
+        "qrows = qs[:, None] + np.arange(int(nrow.max()))",
+        "padrows = qrows >= qe[:, None]",
+        "np.minimum(qrows, qe[:, None] - 1, out=qrows)",
+        "for sel in _blocks(order, nrow[order], width[order]):",
+        "    W = int(width[sel[-1]])",
+        "    P = int(nrow[sel].max())",
+        "    col = np.arange(W)",
+        "    rid = ridx[np.minimum(redge[sel, None] + col, ridx.size - 1)]",
+        "    qrow = qrows[sel, :P]",
+        *("    " + line for line in _block_lines(spec, _BLOCKS)),
+        "    if width[sel[0]] < W:   # the narrower leaves' pad columns",
+        f"        v.transpose(0, 2, 1)[col >= width[sel, None]] = {excl}",
+        "    if nrow[sel].min() < P:   # the shorter leaves' pad rows",
+        f"        v[padrows[sel, :P]] = {excl}",
+        "    _merge(v.reshape(-1, W), qrow.ravel(), rid)",
+    ])
+
+
+def _exact_values_source(spec: CodegenSpec) -> str | None:
+    """Emit ``exact_values(Q, qidx, R, ridx)`` for a comparative
+    reduction: the kernel of the pairs ``(Q[qidx], R[ridx])`` (index
+    arrays broadcast against each other) in the difference form.  It
+    re-evaluates the winners after the traversal
+    (:func:`repro.backend.state.exact_winners`) and is the row regime's
+    distance."""
+    if not _comparative(spec):
+        return None
+    return _function("def exact_values(Q, qidx, R, ridx):",
+                     [*_distance_lines(spec, _PAIRS, "Q", "R"), "return v"])
+
+
+def _kth_best(spec: CodegenSpec) -> str:
+    """Index suffix selecting the k-th best column of ``best``: a
+    K-operator keeps an ``(n, K)`` array — even at ``K = 1`` — and a
+    single-value reduction an ``(n,)`` one."""
+    return ", K - 1" if op_info(spec.inner_op).requires_k else ""
+
+
+def _base_case_rows_source(spec: CodegenSpec) -> str | None:
+    """Emit ``base_case_rows(qidx, ridx)``: the row regime's one base
+    case per epoch over every candidate pair ``(qidx[p], ridx[p])`` of
+    the epoch, grouped by query row, in :func:`_exact_values_source`'s
+    difference form.  The candidates inside their row's k-th best (the
+    merge's own row filter, per candidate) are packed into one (rows ×
+    L) block, a pad holding the operator's exclusion value, for
+    :func:`_merge_source`."""
+    rule = spec.rule
+    if rule is None or not rule.is_bound:
+        return None
+    op = spec.inner_op
+    cmp = "<" if op in MIN_LIKE else ">"
+    return _function("def base_case_rows(qidx, ridx):", [
+        "v = exact_values(QROW, qidx, RROW, ridx)",
+        *_self_exclusion_lines(spec, _PAIRS),
+        f"keep = np.flatnonzero(v {cmp} best[qidx{_kth_best(spec)}])",
+        "if keep.size == 0:",
+        "    return",
+        "qidx, ridx, v = qidx[keep], ridx[keep], v[keep]",
+        "head = np.empty(qidx.size, dtype=bool)",
+        "head[0] = True",
+        "np.not_equal(qidx[1:], qidx[:-1], out=head[1:])",
+        "first = np.flatnonzero(head)",
+        "slot = np.cumsum(head) - 1",
+        "col = np.arange(qidx.size) - first[slot]",
+        f"vb = np.full((first.size, int(col.max()) + 1), "
+        f"{_literal(_exclusion_value(op))})",
+        "vb[slot, col] = v",
+        "rb = np.full(vb.shape, -1)",
+        "rb[slot, col] = ridx",
+        "_merge(vb, qidx[first], rb)",
     ])
 
 
@@ -549,51 +685,29 @@ def _base_case_source(spec: CodegenSpec) -> str:
 # node-distance helpers and prune/approx emission
 # ---------------------------------------------------------------------------
 
-def _combine(base: str, vec: str) -> str:
-    # sqeuclidean spelled as (v*v).sum() rather than v @ v: same reduce
-    # ordering as the batched axis-1 form, so the scalar and batched
-    # node-pair distances are bitwise identical (so are their decisions).
-    if base == "sqeuclidean":
-        return f"float(({vec} * {vec}).sum())"
-    if base == "manhattan":
-        return f"float({vec}.sum())"
-    return f"float({vec}.max())"
+def _point_to_centroid(spec: CodegenSpec) -> list[str]:
+    """Source lines computing ``tc``: base distance from queries [s:e) to a
+    reference-node centroid (used by ComputeApprox)."""
+    tc = ("np.einsum('ij,ij->i', dqc, dqc)" if spec.base == "sqeuclidean"
+          else _METRICS[spec.base][2].format("np.abs(dqc)"))
+    return ["    c = rcentroid[ri]", "    dqc = QROW[s:e] - c", f"    tc = {tc}"]
 
 
-def _pair_dist_source(spec: CodegenSpec) -> str:
-    return textwrap.dedent(
-        f"""\
-        def pair_min_base_dist(qi, ri):
-            gaps = np.maximum(0.0, np.maximum(rlo[ri] - qhi[qi], qlo[qi] - rhi[ri]))
-            return {_combine(spec.base, 'gaps')}
-
-        def pair_max_base_dist(qi, ri):
-            spans = np.maximum(0.0, np.maximum(rhi[ri] - qlo[qi], qhi[qi] - rlo[ri]))
-            return {_combine(spec.base, 'spans')}"""
-    )
+#: node-distance bound → the per-coordinate box gap it reduces
+_EDGES = {
+    "min": "np.maximum(rlo[ri] - qhi[qi], qlo[qi] - rhi[ri])",
+    "max": "np.maximum(rhi[ri] - qlo[qi], qhi[qi] - rlo[ri])",
+}
 
 
-def _combine_batch(base: str, mat: str) -> str:
-    if base == "sqeuclidean":
-        return f"({mat} * {mat}).sum(axis=1)"
-    if base == "manhattan":
-        return f"{mat}.sum(axis=1)"
-    return f"{mat}.max(axis=1)"
-
-
-def _pair_dist_batch_source(spec: CodegenSpec) -> str:
-    """Vectorised node-pair distance bounds over arrays of node ids —
-    the decision plane of the batched frontier engine."""
-    return textwrap.dedent(
-        f"""\
-        def pair_min_base_dist_batch(qis, ris):
-            gaps = np.maximum(0.0, np.maximum(rlo[ris] - qhi[qis], qlo[qis] - rhi[ris]))
-            return {_combine_batch(spec.base, 'gaps')}
-
-        def pair_max_base_dist_batch(qis, ris):
-            spans = np.maximum(0.0, np.maximum(rhi[ris] - qlo[qis], qhi[qis] - rlo[ris]))
-            return {_combine_batch(spec.base, 'spans')}"""
-    )
+def _node_distance_source(spec: CodegenSpec, edge: str) -> str:
+    """Emit ``pair_<edge>_base_dist(qi, ri)``: the base distance bound
+    between the boxes of query node(s) ``qi`` and reference node(s)
+    ``ri``, scalar ids or arrays of them alike."""
+    return _function(f"def pair_{edge}_base_dist(qi, ri):", [
+        f"gaps = np.maximum(0.0, {_EDGES[edge]})",
+        f"return {_METRICS[spec.base][2].format('gaps')}",
+    ])
 
 
 def _g_scalar_vn(spec: CodegenSpec, tvar: str,
@@ -611,7 +725,7 @@ def _band_exprs(spec: CodegenSpec) -> tuple[list[str], str, str]:
     return pre, g_min, g_max
 
 
-def _approx_action_lines(spec: CodegenSpec, centroid_arr: str) -> list[str]:
+def _approx_action_lines(spec: CodegenSpec) -> list[str]:
     pre, g_src = _g_scalar_vn(spec, "tc", "_vn")
     # each of the node's W points contributes about g(centre): W·g to a
     # sum, g**W to a product
@@ -620,7 +734,7 @@ def _approx_action_lines(spec: CodegenSpec, centroid_arr: str) -> list[str]:
               else f"acc[s:e] += rweight[ri] * {g_src}")
     return [
         "    s = qstart[qi]; e = qend[qi]",
-        *_point_to_centroid(spec, centroid_arr),
+        *_point_to_centroid(spec),
         *(f"    {assign}" for assign in pre),
         f"    {update}",
     ]
@@ -682,10 +796,23 @@ def _action_source(spec: CodegenSpec) -> str | None:
     if rule.kind == "indicator" and rule.inside_action is not None:
         body = _inside_action_lines(spec, rule)
     elif rule.kind == "approx":
-        body = _approx_action_lines(spec, "rcentroid")
+        body = _approx_action_lines(spec)
     else:
         return None
     return "\n".join(["def apply_action(qi, ri):", *body])
+
+
+def _indicator_edges(rule: RuleSpec) -> tuple[str, str, str, str]:
+    """``(op, negated op, first, second)`` of an indicator rule: for a
+    '<'/'<=' threshold the satisfying region is near, so the first
+    (min-distance) test decides all-outside and the second
+    (max-distance) one all-inside; '>' mirrors."""
+    opn = rule.indicator_op
+    neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}[opn]
+    edges = ["pair_min_base_dist", "pair_max_base_dist"]
+    if opn not in ("<", "<="):
+        edges.reverse()
+    return opn, neg, *edges
 
 
 def _prune_source(spec: CodegenSpec) -> str | None:
@@ -695,9 +822,8 @@ def _prune_source(spec: CodegenSpec) -> str | None:
     lines = ["def prune_or_approx(qi, ri):"]
     b = lines.append
 
-    if rule.kind in ("bound-min", "bound-max"):
-        need_max = (rule.kind == "bound-min") == (spec.monotone == "decreasing")
-        if need_max:
+    if rule.is_bound:
+        if _bound_edge(spec) == "max":
             b("    tmax = pair_max_base_dist(qi, ri)")
             pre, gband = _g_scalar_vn(spec, "tmax", "_vn")
         else:
@@ -714,13 +840,7 @@ def _prune_source(spec: CodegenSpec) -> str | None:
             b(f"    return 1 if {gband} < B else 0")
 
     elif rule.kind == "indicator":
-        opn = rule.indicator_op
-        neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}[opn]
-        # For '<'/'<=' thresholds the satisfying region is near: min-distance
-        # decides all-outside, max-distance decides all-inside ('>' mirrors).
-        near = opn in ("<", "<=")
-        first = "pair_min_base_dist" if near else "pair_max_base_dist"
-        second = "pair_max_base_dist" if near else "pair_min_base_dist"
+        opn, neg, first, second = _indicator_edges(rule)
         b(f"    t1 = {first}(qi, ri)")
         b(f"    if t1 {neg} H:")
         b("        return 1")
@@ -770,25 +890,21 @@ def _classify_batch_source(spec: CodegenSpec) -> str | None:
     b = lines.append
 
     if rule.kind == "indicator":
-        opn = rule.indicator_op
-        neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}[opn]
-        near = opn in ("<", "<=")
-        first = "pair_min_base_dist_batch" if near else "pair_max_base_dist_batch"
-        second = "pair_max_base_dist_batch" if near else "pair_min_base_dist_batch"
+        opn, neg, first, second = _indicator_edges(rule)
         b(f"    t1 = {first}(qis, ris)")
         b(f"    codes[t1 {neg} H] = 1")
         if rule.inside_action is not None:
             b(f"    t2 = {second}(qis, ris)")
             b(f"    codes[(codes == 0) & (t2 {opn} H)] = 2")
     elif rule.criterion == "band":
-        b("    tmin = pair_min_base_dist_batch(qis, ris)")
-        b("    tmax = pair_max_base_dist_batch(qis, ris)")
+        b("    tmin = pair_min_base_dist(qis, ris)")
+        b("    tmax = pair_max_base_dist(qis, ris)")
         pre, glo, ghi = _band_exprs(spec)
         for assign in pre:
             b(f"    {assign}")
         b(f"    codes[(({ghi}) - ({glo})) <= TAU] = 2")
     else:  # mac
-        b("    tmin = pair_min_base_dist_batch(qis, ris)")
+        b("    tmin = pair_min_base_dist(qis, ris)")
         b("    codes[(tmin > 0.0) & (rdiam2[ris] <= THETA2 * tmin)] = 2")
     b("    return codes")
     return "\n".join(lines)
@@ -798,16 +914,17 @@ def _classify_batch_source(spec: CodegenSpec) -> str | None:
 # bound-rule batch emission (epoch engine)
 # ---------------------------------------------------------------------------
 
-def _bound_sign(rule: RuleSpec) -> str:
-    """Sign that maps a bound rule onto the unified "prune iff
-    key > node_bound, smaller key = more promising" convention: identity
-    for ``bound-min``, negation for ``bound-max``."""
-    return "" if rule.kind == "bound-min" else "-"
+def _bound_edge(spec: CodegenSpec) -> str:
+    """The node-distance edge a bound rule reads: the far one when the
+    kernel's best values lie there (a bound-min rule over a decreasing
+    kernel, a bound-max one over an increasing kernel)."""
+    near = (spec.rule.kind == "bound-min") != (spec.monotone == "decreasing")
+    return "min" if near else "max"
 
 
 def _bound_batch_source(spec: CodegenSpec) -> str | None:
-    """Emit ``bound_key_batch(qis, ris)`` and
-    ``classify_bound_batch(keys, node_bounds)`` for bound rules.
+    """Emit ``bound_key_batch(qis, ris)`` and the row regime's
+    ``row_key_batch(qidx, ris)`` for bound rules.
 
     The key is the *signed* band edge of ``g`` over a node pair
     (``+g(t_edge)`` for bound-min, ``-g(t_edge)`` for bound-max), so
@@ -818,19 +935,21 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
     decreases), so a stale snapshot can under-prune but never mis-prune.
     """
     rule = spec.rule
-    if rule is None or rule.kind not in ("bound-min", "bound-max"):
+    if rule is None or not rule.is_bound:
         return None
-    need_max = (rule.kind == "bound-min") == (spec.monotone == "decreasing")
+    need_max = _bound_edge(spec) == "max"
     tvar = "tmax" if need_max else "tmin"
-    dist_fn = ("pair_max_base_dist_batch" if need_max
-               else "pair_min_base_dist_batch")
+    dist_fn = "pair_max_base_dist" if need_max else "pair_min_base_dist"
     # The row regime's key: the same band edge with the query box
     # degenerated to the point QROW[qidx].
     edge = ("np.maximum(rhi[ris] - x, x - rlo[ris])" if need_max
             else "np.maximum(rlo[ris] - x, x - rhi[ris])")
     pre, gband = _g_scalar_vn(spec, tvar, "_vn")
-    key = (f"    return np.asarray({_bound_sign(rule)}({gband}), "
-           "dtype=np.float64)")
+    # the sign maps both kinds onto "prune iff key > bound, smaller key =
+    # more promising": identity for bound-min (a MIN-like operator),
+    # negation for bound-max
+    sign = "" if spec.inner_op in MIN_LIKE else "-"
+    key = f"    return np.asarray({sign}({gband}), dtype=np.float64)"
     lines = [
         "def bound_key_batch(qis, ris):",
         f"    {tvar} = {dist_fn}(qis, ris)",
@@ -841,216 +960,10 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
         "def row_key_batch(qidx, ris):",
         "    x = QROW[qidx]",
         f"    gaps = np.maximum(0.0, {edge})",
-        f"    {tvar} = {_combine_batch(spec.base, 'gaps')}",
+        f"    {tvar} = {_METRICS[spec.base][2].format('gaps')}",
         *(f"    {assign}" for assign in pre),
         key,
-        "",
-        "",
-        "def classify_bound_batch(keys, node_bounds):",
-        "    return keys > node_bounds",
     ]
-    return "\n".join(lines)
-
-
-#: Cells (query rows × gathered reference columns) that one chunk of a
-#: stateless program's grouped base case, or one block of a bound
-#: program's blocked base case, evaluates at once, so its temporaries
-#: stay in cache (2 vCPUs, x86_64, NumPy 2.4): ``kde_approx`` op_p50 at
-#: 16K → 64K cells 155 → 139 ms (median of 4 interleaved spine pairs,
-#: 4/4 won); under the folded Gaussian GEMM, 32K / 64K / 128K cells ran
-#: 84.5 / 82.8 / 84.4 ms (median of 3 interleaved rounds; 64K won 2 of
-#: 3 against 32K and 3 of 3 against 128K, all within 2 %); the
-#: ``knn_prune`` blocked kernel ≈ 10 % slower at 32K cells than at 64K,
-#: ≈ 3× slower uncapped (one block per epoch).
-CHUNK_CELLS = 64 * 1024
-
-
-def _base_case_group_source(spec: CodegenSpec) -> str | None:
-    """Emit ``base_case_group(qs, qe, gathered)`` for a stateless
-    program: one vectorised base case for a query leaf against the
-    concatenated points of *several* reference leaves, walked in chunks
-    of at most :data:`CHUNK_CELLS` cells, each chunk in
-    :func:`_pairwise_lines`' arithmetic — for a folded Gaussian one
-    GEMM, one clamp and one ``exp``.  A bound program gets
-    :func:`_base_case_blocks_source` instead."""
-    rule = spec.rule
-    if rule is not None and rule.is_bound:
-        return None
-    body = [*_pairwise_lines(spec, "ridx"),
-            *_self_exclusion_lines(spec, "ridx"),
-            *_update_lines(spec, "ridx", lambda i, j: f"ridx[{j}]")]
-    return "\n".join([
-        "def base_case_group(qs, qe, gathered):",
-        f"    step = max(1, {CHUNK_CELLS} // (qe - qs))",
-        "    for c in range(0, gathered.shape[0], step):",
-        "        ridx = gathered[c:c + step]",
-        *("    " + line for line in body),
-    ])
-
-
-def _block_distance_lines(spec: CodegenSpec) -> list[str]:
-    """Body lines computing ``t`` (blocks × rows × columns) for the query
-    rows ``qrow`` (blocks × rows) against the reference points ``rid``
-    (blocks × columns): :func:`_pairwise_lines`' arithmetic, its
-    augmented GEMM batched over the blocks."""
-    if _augmented_gemm(spec):
-        a = _scale_fold(spec.g_ir)[0]
-        out = [f"        QA, RA = _gemm_operands({a!r})",
-               # a contiguous (k × columns) right operand takes the fast GEMM
-               "        RB = np.ascontiguousarray(RA[rid].transpose(0, 2, 1))",
-               "        t = QA[qrow] @ RB",
-               f"        {_clamp(a)}"]
-    else:
-        out = ["        dq = QROW[qrow]",
-               "        dr = RROW[rid]",
-               *_difference_lines(
-                   spec, "dq[:, :, None, {c}] - dr[:, None, :, {c}]",
-                   "dq.shape[2]", "        ")]
-    return out + _value_lines(_block_kernel(spec), "        ")
-
-
-def _base_case_blocks_source(spec: CodegenSpec) -> str | None:
-    """Emit ``base_case_blocks(qs, qe, ridx, redge)`` for a bound rule:
-    one call per leaf-bearing epoch of the batched engine's leaf regime.
-    Query leaf ``i`` spans rows ``[qs[i], qe[i])`` and meets the gathered
-    reference points ``ridx[redge[i]:redge[i + 1]]``.  The leaves are
-    sorted by gathered width and packed into padded blocks of at most
-    :data:`CHUNK_CELLS` cells; each block takes one batched distance
-    (:func:`_block_distance_lines`) and one dense merge through the
-    :func:`_merge_lines` template (emitted as ``_merge_block``), over
-    copies of its rows' state.  A pad cell holds the operator's
-    exclusion value and id −1; a pad row repeats its leaf's last row
-    and is never written back.  Every real row's signed bound ``qbound``
-    is refreshed from its k-th best."""
-    rule = spec.rule
-    if rule is None or not rule.is_bound:
-        return None
-    excl = _exclusion_value(spec.inner_op)
-    kth = _kth_best(spec)
-    lines = [
-        "def base_case_blocks(qs, qe, ridx, redge):",
-        "    width = redge[1:] - redge[:-1]",
-        "    nrow = qe - qs",
-        "    order = np.argsort(width, kind='stable')",
-        "    qrows = qs[:, None] + np.arange(int(nrow.max()))",
-        "    reals = qrows < qe[:, None]",
-        "    np.minimum(qrows, qe[:, None] - 1, out=qrows)",
-        "    for sel in _blocks(order, nrow[order], width[order]):",
-        "        W = int(width[sel[-1]])",
-        "        P = int(nrow[sel].max())",
-        "        col = np.arange(W)",
-        "        rid = ridx[np.minimum(redge[sel, None] + col, ridx.size - 1)]",
-        "        qrow = qrows[sel, :P]",
-        *_block_distance_lines(spec),
-    ]
-    b = lines.append
-    if spec.self_map:
-        b(f"        np.copyto(v, {excl}, "
-          "where=qrow[:, :, None] == RSELF[rid][:, None, :])")
-    elif spec.same_tree and spec.exclude_self:
-        b(f"        np.copyto(v, {excl}, "
-          "where=qrow[:, :, None] == rid[:, None, :])")
-    b("        if width[sel[0]] < W:   # the narrower leaves' pad cells")
-    b("            pad = col >= width[sel, None]")
-    b(f"            v.transpose(0, 2, 1)[pad] = {excl}")
-    b("            rid = np.where(pad, -1, rid)")
-    b("        qflat = qrow.ravel()")
-    b("        bk = best[qflat]")
-    b("        bik = best_idx[qflat]")
-    b("        leaf = np.repeat(np.arange(sel.size), P)")
-    b("        _merge_block(v.reshape(-1, W), rid, leaf, bk, bik)")
-    b("        if nrow[sel].min() < P:   # pad rows: write back the real ones")
-    b("            real = reals[sel, :P].ravel()")
-    b("            qflat, bk, bik = qflat[real], bk[real], bik[real]")
-    b("        best_idx[qflat] = bik")
-    b("        best[qflat] = bk")
-    b(f"        qbound[qflat] = {_bound_sign(rule)}bk[:{kth}]"
-      if kth else f"        qbound[qflat] = {_bound_sign(rule)}bk")
-    lines += [
-        "",
-        "",
-        "def _blocks(order, rows, width):",
-        "    # Greedy cuts over the width-sorted leaves: a block's padded",
-        "    # cells (leaves × widest rows × widest width) stay within",
-        f"    # {CHUNK_CELLS}, unless one leaf alone holds more.",
-        "    start, p = 0, 0",
-        "    for j, (n, w) in enumerate(zip(rows.tolist(), width.tolist())):",
-        "        p = max(p, n)",
-        f"        if j > start and (j + 1 - start) * p * w > {CHUNK_CELLS}:",
-        "            yield order[start:j]",
-        "            start, p = j, n",
-        "    yield order[start:]",
-        "",
-        "",
-        "def _merge_block(v, rid, leaf, best, best_idx, qs=0, qe=None):",
-        *_merge_lines(spec, lambda i, j: f"rid[leaf[{i}], {j}]"),
-    ]
-    return "\n".join(lines)
-
-
-def _pairwise_pairs_lines(spec: CodegenSpec) -> list[str]:
-    """Body lines computing ``v[p]`` for the candidate pairs
-    ``(qidx[p], ridx[p])`` (the row regime's flat gather): the norm
-    expansion, one dot product per pair over the trees' cached squared
-    norms, where the block kernels take the GEMM, and ``exact_values``
-    otherwise."""
-    if not _augmented_gemm(spec):
-        return ["    v = exact_values(QROW, qidx, RROW, ridx)"]
-    return ["    t = QN2[qidx] + RN2[ridx] "
-            "- 2.0 * np.einsum('ij,ij->i', QROW[qidx], RROW[ridx])",
-            "    np.maximum(t, 0.0, out=t)",
-            *_value_lines(spec.g_ir, "    ")]
-
-
-def _base_case_rows_source(spec: CodegenSpec) -> str | None:
-    """Emit ``base_case_rows(qidx, ridx)``: the row regime's one base
-    case per epoch over every candidate pair ``(qidx[p], ridx[p])`` of
-    the epoch, grouped by query row.  Distances are taken over the real
-    pairs only; the candidates at or inside their row's k-th best (the
-    merge template's own row filter, per candidate) are padded into one
-    (rows × L) block, with a pad holding the operator's exclusion value,
-    and merged through the unchanged :func:`_merge_lines` template
-    (emitted as ``_merge_rows``, whose parameters stand in for the state
-    arrays over the block ``[0, rows)``) with per-row ids."""
-    rule = spec.rule
-    if rule is None or rule.kind not in ("bound-min", "bound-max"):
-        return None
-    op = spec.inner_op
-    excl = _exclusion_value(op)
-    cmp = "<=" if op in MIN_LIKE else ">="
-    kth = _kth_best(spec)
-    lines = ["def base_case_rows(qidx, ridx):"]
-    lines += _pairwise_pairs_lines(spec)
-    b = lines.append
-    if spec.self_map:
-        b(f"    v[qidx == RSELF[ridx]] = {excl}")
-    elif spec.same_tree and spec.exclude_self:
-        b(f"    v[qidx == ridx] = {excl}")
-    b(f"    keep = np.flatnonzero(v {cmp} best[qidx{kth}])")
-    b("    if keep.size == 0:")
-    b("        return")
-    b("    qidx, ridx, v = qidx[keep], ridx[keep], v[keep]")
-    b("    head = np.empty(qidx.size, dtype=bool)")
-    b("    head[0] = True")
-    b("    np.not_equal(qidx[1:], qidx[:-1], out=head[1:])")
-    b("    first = np.flatnonzero(head)")
-    b("    slot = np.cumsum(head) - 1")
-    b("    col = np.arange(qidx.size) - first[slot]")
-    b("    rows = qidx[first]")
-    b(f"    vb = np.full((rows.size, int(col.max()) + 1), {excl})")
-    b("    vb[slot, col] = v")
-    b("    rb = np.full(vb.shape, -1)")
-    b("    rb[slot, col] = ridx")
-    b("    bk = best[rows]")
-    b("    bik = best_idx[rows]")
-    b("    _merge_rows(vb, rb, bk, bik)")
-    b("    best_idx[rows] = bik")
-    b("    best[rows] = bk")
-    kth_col = f"bk[:{kth}]" if kth else "bk"
-    b(f"    qbound[rows] = {_bound_sign(rule)}{kth_col}")
-    lines += ["", "",
-              "def _merge_rows(v, ridx, best, best_idx, qs=0, qe=None):"]
-    lines += _merge_lines(spec, lambda i, j: f"ridx[{i}, {j}]")
     return "\n".join(lines)
 
 
@@ -1074,18 +987,21 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
             f"{spec.rule.kind if spec.rule else 'none'}"
             + (f" scale={_scale_fold(spec.g_ir)[0]!r}" if gemm else ""),
             *([_GEMM_OPERANDS] if gemm else []),
-            _pairwise_source(spec),
             _base_case_source(spec),
-            _pair_dist_source(spec),
-            _pair_dist_batch_source(spec),
+            *filter(None, [_merge_source(spec)]),
         ]
-        for maker in (_exact_values_source, _action_source, _prune_source,
-                      _classify_batch_source, _bound_batch_source,
-                      _base_case_group_source, _base_case_blocks_source,
-                      _base_case_rows_source):
-            src = maker(spec)
-            if src is not None:
-                chunks.append(src)
+        rules = [src for src in (
+            _exact_values_source(spec),
+            _action_source(spec), _prune_source(spec),
+            _classify_batch_source(spec), _bound_batch_source(spec),
+            _base_case_group_source(spec), _base_case_blocks_source(spec),
+            _base_case_rows_source(spec)) if src is not None]
+        # the stack engine orders its pairs by the near edge; the far one
+        # is emitted where a rule reads it
+        chunks += [_node_distance_source(spec, edge) for edge in _EDGES
+                   if edge == "min" or any(f"pair_{edge}_base_dist(" in src
+                                           for src in rules)]
+        chunks += rules
         source = "\n\n".join(chunks) + "\n"
         sp.note(source_loc=source.count("\n"))
         code = compile(source, f"<portal-generated-{id(spec)}>", "exec")
@@ -1097,8 +1013,8 @@ class Bindings:
     """The static operands generated kernels close over, by kind.
 
     ``arrays`` are read-only ndarrays — the process executor publishes
-    them to shared memory as they are: the points (``QROW``, with their
-    squared norms ``QN2``, and the ``R*`` twins), tree metadata
+    them to shared memory as they are: the points (``QROW``, ``RROW``),
+    tree metadata
     (``qlo``/``qhi``/``qstart``/``qend``, ``rlo``/``rhi``/``rstart``/
     ``rend``/``rcentroid``/``rweight``/``rdiam2``), the reference
     weights ``rw`` when there are any and — for sharded programs emitted
@@ -1117,7 +1033,7 @@ class Bindings:
         """The query-tree operands plus the program's shape scalars
         (copied: the code half they come from is shared)."""
         return cls(dict(
-            QROW=qtree.points, QN2=qtree.sqnorms(),
+            QROW=qtree.points,
             qlo=qtree.lo, qhi=qtree.hi, qstart=qtree.start, qend=qtree.end,
         ), dict(scalars))
 
@@ -1127,7 +1043,7 @@ class Bindings:
         sharded layout, with that shard's ``RSELF``)."""
         weighted = rtree.weights is not None
         return cls(dict(
-            RROW=rtree.points, RN2=rtree.sqnorms(),
+            RROW=rtree.points,
             rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
             rcentroid=rtree.wcentroid if weighted else rtree.centroid,
             rweight=(rtree.wsum if weighted
@@ -1167,25 +1083,13 @@ def _present(**named) -> dict:
 def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
     """Execute emitted kernel code against a closure environment — the
     flat namespace :meth:`Bindings.bind` assembles."""
-    namespace = {"np": np}
+    namespace = {"np": np, "_blocks": _blocks}
     namespace.update(bindings)
     exec(code, namespace)
-    return GeneratedKernels(
-        source=source,
-        namespace=namespace,
-        base_case=namespace["base_case"],
-        prune_or_approx=namespace.get("prune_or_approx"),
-        pair_min_dist=namespace.get("pair_min_base_dist"),
-        classify_batch=namespace.get("classify_batch"),
-        apply_action=namespace.get("apply_action"),
-        bound_key_batch=namespace.get("bound_key_batch"),
-        classify_bound_batch=namespace.get("classify_bound_batch"),
-        base_case_group=namespace.get("base_case_group"),
-        base_case_blocks=namespace.get("base_case_blocks"),
-        row_key_batch=namespace.get("row_key_batch"),
-        base_case_rows=namespace.get("base_case_rows"),
-        exact_values=namespace.get("exact_values"),
-    )
+    emitted = {f.name: namespace.get(f.name) for f in fields(GeneratedKernels)
+               if f.name not in ("source", "namespace")}
+    emitted["pair_min_dist"] = namespace["pair_min_base_dist"]
+    return GeneratedKernels(source=source, namespace=namespace, **emitted)
 
 
 def generate(spec: CodegenSpec, bindings: dict) -> GeneratedKernels:

@@ -64,7 +64,7 @@ def compile_external(pexpr, opts: CompileOptions,
         else:
             v = np.asarray(external(qpoints[qs:qe], rpoints[rs:re]), dtype=float)
         if same_data and exclude_self and qs == rs:
-            np.fill_diagonal(v, float(eval(_exclusion_value(op), {"np": np})))
+            np.fill_diagonal(v, _exclusion_value(op))
         _apply_update(state, op, inner.k, v, qs, qe, rs, re)
 
     return CompiledProgram(
@@ -74,8 +74,7 @@ def compile_external(pexpr, opts: CompileOptions,
         timings=timings,
         kernels=GeneratedKernels(
             source="# external kernel: no generated source",
-            namespace={}, base_case=base_case, prune_or_approx=None,
-            pair_min_dist=None,
+            namespace={}, base_case=base_case,
         ),
     )
 
@@ -103,8 +102,7 @@ def compile_multilayer(pexpr, opts: CompileOptions,
         kernels=GeneratedKernels(
             source="# m-layer program: dense multi-layer backend "
                    "(no generated kernels)",
-            namespace={}, base_case=None, prune_or_approx=None,
-            pair_min_dist=None,
+            namespace={}, base_case=None,
         ),
     )
 

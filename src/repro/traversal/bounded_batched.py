@@ -24,7 +24,7 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
 2. **Epochs.**  A pending pool holds unclassified pairs.  Each epoch
    selects the most promising pairs (one ``argpartition``), classifies
    the whole selection against a *snapshot* of per-query-node bounds
-   (one ``classify_bound_batch`` call), runs all the surviving leaf
+   (one comparison, ``key > bound``), runs all the surviving leaf
    pairs in one blocked base case, expands the surviving non-leaf pairs
    through the expansion CSR, then refreshes the node-bound snapshot.
    The engine gathers the reference leaves meeting each query leaf into
@@ -60,16 +60,16 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    ``qbound`` (no node-bound snapshot, no refresh), only the reference
    side expands, the ramp starts at ``max(RAMP_START, rows)`` and every
    leaf pair of an epoch goes to one ``base_case_rows`` call.  That
-   kernel takes distances over the flat candidate list (padding every
-   row to the widest one made the regime lose from N_q ≈ N_r / 30) and
-   pads only the candidates that pass the row filter into one
-   (rows × L) block for the merge.  The decision reads the sizes of the
-   whole trees the engine is handed, never the ``q_root`` subtree, so
-   every task of one traversal takes the same regime.  Its norm
-   expansion takes one dot product per pair, so the distances it
-   selects by may move last bits against the leaf regime's augmented
-   block GEMM; the winners' values are re-evaluated in one difference
-   form after the traversal, so outputs do not.
+   kernel takes its distances over the flat candidate list in the
+   difference form (``exact_values``, the arithmetic the winners are
+   re-evaluated in, so no norm expansion loses them to cancellation far
+   from the origin) and pads only the candidates that pass the row
+   filter into one (rows × L) block for the merge.  The leaf regime's
+   ``base_case_blocks`` over one-row leaves ran the same calls 1.6–2.7×
+   slower (medians) from N_q = 32 up (docs/performance.md, "The row
+   regime").  The decision reads the sizes of the whole trees the
+   engine is handed, never the ``q_root`` subtree, so every task of one
+   traversal takes the same regime.
 
 5. **Stateless rules.**  Indicator and approximation rules decide from
    node geometry and fixed thresholds alone, so narrowing an epoch buys
@@ -386,9 +386,7 @@ def bounded_batched_dual_tree_traversal(
 
             stats.visited += int(q.size)
             if bound:
-                pruned = np.asarray(
-                    kernels.classify_bound_batch(keys, bounds_of(q)),
-                    dtype=bool)
+                pruned = keys > bounds_of(q)
                 live = ~pruned
                 # Pairs generated in an earlier epoch and pruned only now:
                 # the bound they were born under was too stale to kill

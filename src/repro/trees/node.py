@@ -296,15 +296,6 @@ class ArrayTree:
         self._expansion_csr = (offsets, flat)
         return self._expansion_csr
 
-    def sqnorms(self) -> np.ndarray:
-        """Per-point squared norms ``‖x‖²`` of the permuted points
-        (the GEMM norm-expansion operands); computed once, cached."""
-        cached = getattr(self, "_sqnorms", None)
-        if cached is None:
-            cached = np.einsum("ij,ij->i", self.points, self.points)
-            self._sqnorms = cached
-        return cached
-
     # -- mutation: lazy refit + amortized partial rebuild -----------------------
     def inv_perm(self) -> np.ndarray:
         """Original id → permuted position; computed once, cached."""
@@ -357,24 +348,6 @@ class ArrayTree:
             clone._mutation_lock = threading.RLock()
             return clone
 
-    def _set_points(self, new_points: np.ndarray) -> None:
-        self.points = np.ascontiguousarray(new_points)
-        self._drop_caches(("_sqnorms",))
-
-    def _move_points(self, pos: np.ndarray, pts: np.ndarray) -> None:
-        """Overwrite the points at permuted positions ``pos``, patching
-        the cached :meth:`sqnorms` at those positions only (copy-on-write,
-        bitwise what a full recompute gives)."""
-        new_points = self.points.copy()
-        new_points[pos] = pts
-        moved = new_points[pos]  # a repeated position reads its last write
-        self.points = new_points
-        cached = getattr(self, "_sqnorms", None)
-        if cached is not None:
-            sq = cached.copy()
-            sq[pos] = np.einsum("ij,ij->i", moved, moved)
-            self._sqnorms = sq
-
     def update_batch(self, idx, points=None, weights=None) -> int:
         """Move existing points (original ids ``idx``) to new coordinates
         and/or weights; returns the new tree :attr:`version`.
@@ -395,8 +368,10 @@ class ArrayTree:
             pos = self.inv_perm()[idx]
             dirty_leaves = np.unique(self.leaf_of_position()[pos])
             if points is not None:
-                self._move_points(pos, np.asarray(
-                    points, dtype=np.float64).reshape(idx.size, self.dim))
+                newp = self.points.copy()
+                newp[pos] = np.asarray(
+                    points, dtype=np.float64).reshape(idx.size, self.dim)
+                self.points = newp
             if weights is not None:
                 if self.weights is None:
                     raise ValueError(
@@ -440,8 +415,8 @@ class ArrayTree:
             leaf = self._route_to_leaves(pts)
             posin = self.end[leaf]
             order = np.argsort(posin, kind="stable")
-            self._set_points(
-                np.insert(self.points, posin[order], pts[order], axis=0))
+            self.points = np.insert(self.points, posin[order], pts[order],
+                                    axis=0)
             self.perm = np.insert(self.perm, posin[order], new_ids[order])
             if self.weights is not None:
                 self.weights = np.insert(self.weights, posin[order], w[order])
@@ -480,7 +455,7 @@ class ArrayTree:
             # D[p] = number of deleted positions < p.
             D = np.concatenate(
                 [[0], np.cumsum(np.bincount(pos, minlength=self.n))])
-            self._set_points(np.delete(self.points, pos, axis=0))
+            self.points = np.delete(self.points, pos, axis=0)
             new_perm = np.delete(self.perm, pos)
             self.perm = new_perm - np.searchsorted(idx, new_perm, side="left")
             if self.weights is not None:
@@ -783,7 +758,7 @@ class ArrayTree:
         self._pristine_diam = np.concatenate(
             [self._pristine_diam[keep]] + [sub.diameter for _, _, sub in subs])
         self.n_nodes = int(self.child_offset.size - 1)
-        self._set_points(new_points)
+        self.points = np.ascontiguousarray(new_points)
         self.perm = new_perm
         self.weights = new_weights
         self._drop_caches(_TOPOLOGY_CACHES + _PERM_CACHES)
@@ -813,7 +788,7 @@ class ArrayTree:
         for attr in attrs:
             setattr(self, attr, getattr(fresh, attr))
         self._pristine_diam = self.diameter
-        self._drop_caches(_TOPOLOGY_CACHES + _PERM_CACHES + ("_sqnorms",))
+        self._drop_caches(_TOPOLOGY_CACHES + _PERM_CACHES)
         contribute({"tree.rebuild.full": 1})
 
     # -- distance bounds ----------------------------------------------------------

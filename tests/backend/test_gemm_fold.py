@@ -92,7 +92,7 @@ def test_fold_fires_only_where_legal(name):
             assert_bitwise(got, want)
             continue
         assert header.endswith(f" scale={scale}")
-        for kernel_fn in ("def _pairwise", "def base_case_group"):
+        for kernel_fn in ("def base_case(", "def base_case_group"):
             body = source[source.index(kernel_fn):].split("\n\n")[0]
             assert f"_gemm_operands({scale})" in body
             assert clamp in body and value in body

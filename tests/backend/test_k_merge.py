@@ -8,7 +8,8 @@ row's K best candidates come from K arg-select passes and meet the old
 k-array in one stable sort, so a tie at the k-th value keeps the old
 entry, then the lowest block column.  ``base_case_blocks`` runs once per
 leaf-bearing epoch: it packs the epoch's query leaves into padded
-blocks, and a pad cell holds the operator's exclusion value and id −1.
+blocks, and a pad cell holds the operator's exclusion value.  All three
+merge through one emitted ``_merge``.
 These tests pin that merge where it is easiest to get wrong: coincident
 points whose tie spans the k-th slot, both bound signs, the k edges
 under self-exclusion, pads and blocks narrower than K that must never
@@ -262,8 +263,7 @@ def _kernels(op, Q, R, best, best_idx, difference=False):
     state = dict(best=best, best_idx=best_idx, qbound=np.full(len(Q), np.inf))
     source, code = emit(spec)
     kernels = bind_kernels(source, code, dict(
-        QROW=Q, QN2=(Q * Q).sum(1), RROW=R, RN2=(R * R).sum(1),
-        K=best.shape[1], **state))
+        QROW=Q, RROW=R, K=best.shape[1], **state))
     return kernels, state
 
 
@@ -323,16 +323,11 @@ def test_bound_kernel_skips_rows_that_cannot_win(op, kernel):
     new = _assert_row_one_merged(state, before, kind)
     # a tie at the k-th value keeps the old entries, in their order
     assert best_idx[1, new:].tolist() == START_IDX[:4 - new]
+    # every kernel merges through the one ``_merge``, which refreshes
+    # the merged row's bound and only that row's
     sign = 1.0 if kind == "min" else -1.0
-    if kernel == "base_case_blocks":
-        assert np.array_equal(state["qbound"], sign * best[:, -1])
-    elif kernel == "base_case_rows":
-        # only the merged row's bound moves
-        assert state["qbound"][1] == sign * best[1, -1]
-        assert np.array_equal(state["qbound"][[0, 2]],
-                              before["qbound"][[0, 2]])
-    else:
-        assert np.array_equal(state["qbound"], before["qbound"])
+    assert state["qbound"][1] == sign * best[1, -1]
+    assert np.array_equal(state["qbound"][[0, 2]], before["qbound"][[0, 2]])
 
 
 @pytest.mark.parametrize("kernel", BOUND_KERNELS)

@@ -150,11 +150,10 @@ def test_refit_hits_and_matches_rebuild(rng, problem, mutation):
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("problem", ["knn", "kde"])
 def test_refit_row_layout_matches_rebuild(rng, problem, mutation):
-    """The same loop at d = 9, where the row regime's pair form reads
-    the refit tree's patched ``RN2`` (its cached squared norms).  The
-    refit tree groups the GEMMs differently from a rebuild, which moves
-    the last bits of a KDE sum (``close``); k-NN's re-evaluated winners
-    stay exact."""
+    """The same loop at d = 9, where k-NN's row regime selects in the
+    difference form over the refit tree's points.  The refit tree groups
+    the GEMMs differently from a rebuild, which moves the last bits of a
+    KDE sum (``close``); k-NN's re-evaluated winners stay exact."""
     run, mode = PROBLEMS[problem]
     Q, R = _data(rng, weighted=problem == "kde", dim=9)
     run(Q, R, {})

@@ -1,0 +1,88 @@
+"""The emitted program's shape: one base-case skeleton, one merge.
+
+Every base case is one instance of gather → distance → value →
+self-exclusion/pads → fold, and every comparative one folds through the
+one emitted ``_merge``.  These tests pin that shape on the compiled
+programs: a k-NN program is at most ten functions, each comparative
+program defines exactly one merge that every base case calls, the
+node-distance far edge appears only where a rule reads it, and no
+program names a second norm-expansion spelling's operands.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage, Var
+from repro.dsl import indicator, pow, sqrt
+
+
+def _data(d=3):
+    rng = np.random.default_rng(5)
+    return rng.normal(size=(40, d)), rng.normal(size=(90, d))
+
+
+def _program(name, **options):
+    Q, R = _data()
+    expr = PortalExpr(name)
+    if name == "range_count":
+        q, r = Var("q"), Var("r")
+        expr.addLayer(PortalOp.FORALL, q, Storage(Q, name="query"))
+        expr.addLayer(PortalOp.SUM, r, Storage(R, name="reference"),
+                      indicator(sqrt(pow(q - r, 2)) < 1.0))
+    elif name == "kde":
+        expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
+        expr.addLayer(PortalOp.SUM, Storage(R, name="reference"),
+                      PortalFunc.GAUSSIAN, bandwidth=0.5)
+    else:
+        outer, inner = {
+            "knn": (PortalOp.FORALL, (PortalOp.KARGMIN, 5)),
+            "nearest": (PortalOp.FORALL, PortalOp.MIN),
+            "hausdorff": (PortalOp.MAX, PortalOp.MIN),
+            "kmax": (PortalOp.FORALL, (PortalOp.KMAX, 3)),
+        }[name]
+        expr.addLayer(outer, Storage(Q, name="query"))
+        expr.addLayer(inner, Storage(R, name="reference"),
+                      PortalFunc.EUCLIDEAN)
+    expr.compile(cache=False, **options)
+    return expr.generated_source()
+
+
+def _defs(source):
+    return re.findall(r"^def (\w+)\(", source, flags=re.M)
+
+
+def _body(source, name):
+    return source[source.index(f"def {name}("):].split("\n\n")[0]
+
+
+def test_knn_program_is_ten_functions():
+    assert _defs(_program("knn")) == [
+        "_gemm_operands", "base_case", "_merge", "pair_min_base_dist",
+        "exact_values", "prune_or_approx", "bound_key_batch",
+        "row_key_batch", "base_case_blocks", "base_case_rows"]
+
+
+@pytest.mark.parametrize("options", [{}, {"shards": 2}])
+@pytest.mark.parametrize("name", ["knn", "nearest", "hausdorff", "kmax"])
+def test_comparative_programs_have_one_merge(name, options):
+    source = _program(name, **options)
+    merges = [fn for fn in _defs(source) if "merge" in fn]
+    assert merges == ["_merge"]
+    for kernel in ("base_case", "base_case_blocks", "base_case_rows"):
+        assert "    _merge(" in _body(source, kernel)
+
+
+@pytest.mark.parametrize("name", ["knn", "kde", "range_count", "hausdorff"])
+def test_one_norm_expansion_spelling(name):
+    for options in ({}, {"shards": 2}, {"backend": "brute"}):
+        source = _program(name, **options)
+        assert "QN2" not in source and "RN2" not in source
+
+
+def test_far_edge_only_where_read():
+    """k-NN reads the near edge only; a range count's indicator decides
+    all-inside from the far one."""
+    assert "pair_max_base_dist" not in _program("knn")
+    assert "def pair_max_base_dist(" in _program("range_count")

@@ -98,7 +98,7 @@ class TestLifecycle:
         e.addLayer(PortalOp.ARGMIN, stores[1], PortalFunc.EUCLIDEAN)
         e.compile()
         assert "BaseCase" in e.ir_dump("lowered")
-        assert "_pairwise" in e.generated_source()
+        assert "def base_case(" in e.generated_source()
 
     def test_snake_case_aliases(self, stores):
         e = PortalExpr()

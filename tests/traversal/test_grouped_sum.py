@@ -210,7 +210,7 @@ def _kernels(op, dim, nq, nr, weighted, shared):
         exclude_self=shared, is_indicator=op is PortalOp.UNIONARG)
     R = _points(nr, dim, 4)
     Q = R if shared else _points(nq, dim, 5)
-    arrays = dict(QROW=Q, QN2=(Q * Q).sum(1), RROW=R, RN2=(R * R).sum(1),
+    arrays = dict(QROW=Q, RROW=R,
                   acc=np.full(len(Q), 1.0 if op is PortalOp.PROD else 0.0),
                   out_lists=[[] for _ in Q])
     if weighted:

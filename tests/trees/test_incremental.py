@@ -215,13 +215,10 @@ def test_emptied_leaf_forces_rebuild(rng):
 @pytest.mark.parametrize("mutation", ["update", "update-one", "insert",
                                       "delete", "far-update"])
 def test_point_products_match_recompute(rng, mutation, dim):
-    """The cached ``sqnorms()`` (the row regime's ``RN2``) after each
-    mutation kind are bitwise what a full recompute over the mutated
-    points gives — the update path patches only the moved positions,
-    the others rebuild them."""
+    """The points after each mutation kind are the mutated points, and
+    the snapshot's are untouched (copy-on-write)."""
     X = rng.normal(size=(600, dim))
     tree = build_tree("kd" if dim > 3 else "octree", X, leaf_size=16)
-    tree.sqnorms()  # cached, as a compiled program leaves it
     clone = tree.snapshot()
     idx = rng.choice(600, 1 if mutation == "update-one" else 40,
                      replace=False)
@@ -231,13 +228,10 @@ def test_point_products_match_recompute(rng, mutation, dim):
         clone.delete_batch(idx)
     else:
         scale = 500.0 if mutation == "far-update" else 0.1
-        clone.update_batch(idx, X[idx] + scale * rng.normal(
-            size=(idx.size, dim)))
-    assert np.array_equal(
-        clone.sqnorms(), np.einsum("ij,ij->i", clone.points, clone.points))
-    # the snapshot's products are untouched (copy-on-write)
-    assert np.array_equal(tree.sqnorms(),
-                          np.einsum("ij,ij->i", X[tree.perm], X[tree.perm]))
+        moved = X[idx] + scale * rng.normal(size=(idx.size, dim))
+        clone.update_batch(idx, moved)
+        assert np.array_equal(clone.points[clone.inv_perm()[idx]], moved)
+    assert clone.points.flags.c_contiguous
     assert np.array_equal(tree.points, X[tree.perm])
 
 

@@ -82,7 +82,7 @@ class TestCli:
     def test_ir_generated(self, setup, capsys):
         prog, binds = setup
         assert main(["ir", prog, *binds, "--generated"]) == 0
-        assert "_pairwise" in capsys.readouterr().out
+        assert "def base_case(" in capsys.readouterr().out
 
     def test_explain(self, setup, capsys):
         prog, binds = setup
