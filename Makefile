@@ -25,7 +25,7 @@ test-serve:
 # build), plus the mutation -> cache-coherence differential matrix (fast
 # portion only; the executor x engine matrix is marked slow and runs in
 # CI under REPRO_EXECUTOR=process).
-MUTATION_TESTS = tests/trees/test_incremental.py tests/trees/test_build_equivalence.py tests/backend/test_mutation_cache.py
+MUTATION_TESTS = tests/trees/test_incremental.py tests/trees/test_build_equivalence.py tests/trees/test_refit_by_change.py tests/backend/test_mutation_cache.py
 
 test-mutation:
 	$(PYTHON) -m pytest $(MUTATION_TESTS) -m "not slow"

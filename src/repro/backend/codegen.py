@@ -740,11 +740,29 @@ def _approx_action_lines(spec: CodegenSpec) -> list[str]:
     ]
 
 
+#: inside-region actions that add the reference node's count (``rweight``)
+_COUNT_ACTIONS = ("count_per_query", "count_product")
+
+
+def mass_operands(rule: RuleSpec | None) -> frozenset[str]:
+    """The reference-node mass operands the actions emitted for ``rule``
+    read: ComputeApprox reads ``rcentroid`` and ``rweight``, an
+    inside-region count ``rweight``; no other emitted code reads
+    either."""
+    if rule is None:
+        return frozenset()
+    if rule.kind == "approx":
+        return frozenset(("rcentroid", "rweight"))
+    if rule.kind == "indicator" and rule.inside_action in _COUNT_ACTIONS:
+        return frozenset(("rweight",))
+    return frozenset()
+
+
 def _inside_action_lines(spec: CodegenSpec, rule: RuleSpec) -> list[str]:
     """Body lines of the indicator inside-region action (one node pair)."""
     lines: list[str] = []
     b = lines.append
-    if rule.inside_action in ("count_per_query", "count_product"):
+    if rule.inside_action in _COUNT_ACTIONS:
         b("    s = qstart[qi]; e = qend[qi]")
         b("    acc[s:e] += rweight[ri]")
         if spec.self_map:
@@ -1016,11 +1034,12 @@ class Bindings:
     them to shared memory as they are: the points (``QROW``, ``RROW``),
     tree metadata
     (``qlo``/``qhi``/``qstart``/``qend``, ``rlo``/``rhi``/``rstart``/
-    ``rend``/``rcentroid``/``rweight``/``rdiam2``), the reference
-    weights ``rw`` when there are any and — for sharded programs emitted
-    with ``spec.self_map`` — the reference→query identity remap
-    ``RSELF``.  ``scalars`` pickle as they are: the program-shape
-    constants ``K``/``H``/``TAU``/``THETA2``.  Per-run state (``best``/
+    ``rend``/``rdiam2``, and the node mass ``rcentroid``/``rweight``
+    where the emitted actions read it, :func:`mass_operands`), the
+    reference weights ``rw`` when there are any and — for sharded
+    programs emitted with ``spec.self_map`` — the reference→query
+    identity remap ``RSELF``.  ``scalars`` pickle as they are: the
+    program-shape constants ``K``/``H``/``TAU``/``THETA2``.  Per-run state (``best``/
     ``best_idx``/``acc``/``dense``/``qbound``/``out_lists``) is never in
     here; :meth:`bind` adds it.
     """
@@ -1038,19 +1057,29 @@ class Bindings:
         ), dict(scalars))
 
     @classmethod
-    def reference(cls, rtree, rself: np.ndarray | None = None) -> "Bindings":
-        """The reference-tree operands (one set per shard tree under the
-        sharded layout, with that shard's ``RSELF``)."""
+    def reference(cls, rtree, rule: RuleSpec | None,
+                  rself: np.ndarray | None = None) -> "Bindings":
+        """The reference-tree operands the kernels emitted for ``rule``
+        (``CodegenSpec.rule``) read — one set per shard tree under the
+        sharded layout, with that shard's ``RSELF``.  The node mass is
+        read, and so computed or repaired on the tree, only where the
+        rule's action uses it."""
         weighted = rtree.weights is not None
-        return cls(dict(
+        arrays = dict(
             RROW=rtree.points,
             rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
-            rcentroid=rtree.wcentroid if weighted else rtree.centroid,
-            rweight=(rtree.wsum if weighted
-                     else (rtree.end - rtree.start).astype(np.float64)),
             rdiam2=rtree.diameter ** 2,
             **_present(rw=rtree.weights, RSELF=rself),
-        ), {})
+        )
+        mass = mass_operands(rule)
+        if "rcentroid" in mass:
+            arrays["rcentroid"] = (rtree.wcentroid if weighted
+                                   else rtree.centroid)
+        if "rweight" in mass:
+            arrays["rweight"] = (
+                rtree.wsum if weighted
+                else (rtree.end - rtree.start).astype(np.float64))
+        return cls(arrays, {})
 
     @classmethod
     def brute(cls, qpoints: np.ndarray, rpoints: np.ndarray, rweights,

@@ -394,11 +394,11 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
             kind, rpoints, rstorage.weights, leaf, opts.split, plan.shards,
             (r_fp or rstorage.fingerprint("data"),
              rstorage.fingerprint("weights")),
-            inv_qperm=inv_qperm, cache_enabled=opts.cache,
+            code.spec.rule, inv_qperm=inv_qperm, cache_enabled=opts.cache,
         )
         timings["shard_build"] = time.perf_counter() - t0
     else:
-        bindings |= Bindings.reference(rtree)
+        bindings |= Bindings.reference(rtree, code.spec.rule)
     return _Data(bindings, qtree=qtree, rtree=rtree, shard_pack=shard_pack,
                  rdata=rpoints if sharded else None)
 

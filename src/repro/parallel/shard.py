@@ -157,6 +157,7 @@ def build_shard_pack(
     split: str,
     nshards: int,
     base_key: tuple,
+    rule,
     inv_qperm: np.ndarray | None = None,
     cache_enabled: bool = True,
 ) -> ShardPack:
@@ -165,9 +166,11 @@ def build_shard_pack(
     ``base_key`` is the parent dataset's memoized fingerprint tuple —
     the derived tree-cache key (see
     :func:`repro.backend.cache.cached_build_subset_tree`) means repeated
-    compiles over the same data rebuild nothing.  ``inv_qperm`` (original
-    id → query-tree position) is supplied for self-map programs and
-    yields each shard's ``RSELF`` binding.
+    compiles over the same data rebuild nothing.  ``rule`` (the
+    program's ``CodegenSpec.rule``) picks the r-side operands each shard
+    binds (:meth:`~repro.backend.codegen.Bindings.reference`).
+    ``inv_qperm`` (original id → query-tree position) is supplied for
+    self-map programs and yields each shard's ``RSELF`` binding.
     """
     from ..backend.cache import cached_build_subset_tree
     from ..backend.codegen import Bindings
@@ -187,7 +190,7 @@ def build_shard_pack(
         orig = np.ascontiguousarray(part[tree.perm])
         origs.append(orig)
         bindings.append(Bindings.reference(
-            tree, None if inv_qperm is None
+            tree, rule, None if inv_qperm is None
             else np.ascontiguousarray(inv_qperm[orig])))
     contribute({"shard.builds": nshards})
     return ShardPack(count=nshards, trees=trees, orig=origs, bindings=bindings)

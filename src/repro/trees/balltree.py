@@ -28,12 +28,16 @@ class BallTree(ArrayTree):
     #: Refit and the partial-rebuild graft carry the radius along.
     _extra_node_arrays = ("radius",)
 
-    def _refit_extra(self, dirty_ids):
-        """Repair bounding-sphere radii for the dirty nodes, deepest
-        first: leaves exactly from their point slices, internal nodes
-        conservatively as ``max(dist(centroid, child centroid) + child
-        radius)`` — an over-estimate keeps every bound valid without
-        touching the (clean) descendant slices."""
+    def _refit_extra(self, moved_leaves):
+        """Repair bounding-sphere radii for every node with a moved point
+        below it, deepest first: leaves exactly from their point slices,
+        internal nodes conservatively as ``max(dist(centroid, child
+        centroid) + child radius)`` — an over-estimate keeps every bound
+        valid without touching the (clean) descendant slices.  Radii are
+        measured about centroids, so this reads (and so repairs) the
+        mass data."""
+        dirty_ids = np.flatnonzero(self._with_ancestors(moved_leaves))
+        centroid = self.centroid
         radius = self.radius.copy()
         order = dirty_ids[np.argsort(self.levels()[dirty_ids],
                                      kind="stable")][::-1]
@@ -43,7 +47,7 @@ class BallTree(ArrayTree):
             if len(kids) == 0:
                 s, e = self.slice(i)
                 if e > s:
-                    diff = self.points[s:e] - self.centroid[i]
+                    diff = self.points[s:e] - centroid[i]
                     radius[i] = float(
                         np.sqrt((diff * diff).sum(axis=1).max()))
                 else:
@@ -53,7 +57,7 @@ class BallTree(ArrayTree):
                 for c in kids:
                     c = int(c)
                     dc = float(np.sqrt(
-                        ((self.centroid[i] - self.centroid[c]) ** 2).sum()))
+                        ((centroid[i] - centroid[c]) ** 2).sum()))
                     r = max(r, dc + float(radius[c]))
                 radius[i] = r
         self.radius = radius
@@ -110,9 +114,10 @@ def build_balltree(
     )
     # Bounding-sphere radii around the node centroids.
     radius = np.empty(tree.n_nodes)
+    centroid = tree.centroid
     for i in range(tree.n_nodes):
         s, e = tree.slice(i)
-        diff = tree.points[s:e] - tree.centroid[i]
+        diff = tree.points[s:e] - centroid[i]
         radius[i] = float(np.sqrt((diff * diff).sum(axis=1).max()))
     tree.radius = radius
     return tree

@@ -12,10 +12,13 @@ slices.  ``perm`` maps permuted positions back to the caller's original
 point indices.
 
 Per-node metadata maintained (paper sections II-A, II-C and Table III):
-bounding box ``lo``/``hi``, point count, box ``center``, centroid (mean
-point), widest-dimension ``diameter``, and — when the dataset carries
-weights — total weight and weighted centroid (the center of mass used by
-Barnes-Hut's ComputeApprox).
+bounding box ``lo``/``hi``, point count, box ``center``, widest-dimension
+``diameter`` and the *mass data*: centroid (mean point) and — when the
+dataset carries weights — total weight and weighted centroid (the center
+of mass used by Barnes-Hut's ComputeApprox).  Boxes are kept exact under
+every mutation; mass data is computed on its first read and repaired
+there (:meth:`ArrayTree._mass_data`), so a program that never reads it
+(k-NN, range search) never pays for it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ REBUILD_DIAMETER_FACTOR = 2.0
 
 #: Lazily-built caches that depend only on the children topology.
 _TOPOLOGY_CACHES = ("_level_arr", "_level_plan_cache", "_expansion_csr",
-                    "_parent_arr")
+                    "_parent_arr", "_kid_matrix")
 #: Lazily-built caches that depend on the point permutation / leaf tiling
 #: (``_bound_plan``: the batched engine's bound-refresh leaf starts and
 #: level plan).
@@ -59,6 +62,12 @@ def require_finite(what: str, points=None, weights=None) -> None:
     if weights is not None and not np.isfinite(
             np.asarray(weights, dtype=np.float64)).all():
         raise ValueError(f"{what} weights must be finite")
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(s, s + c)`` of every ``(s, c)`` pair."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
 def children_csr(child_ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -86,12 +95,9 @@ def tree_levels(child_offset: np.ndarray, child_list: np.ndarray) -> np.ndarray:
     depth = 0
     while cur.size:
         cnt = child_offset[cur + 1] - child_offset[cur]
-        total = int(cnt.sum())
-        if total == 0:
+        if not cnt.any():
             break
-        starts = np.repeat(child_offset[cur], cnt)
-        within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        kids = child_list[starts + within]
+        kids = child_list[_ranges(child_offset[cur], cnt)]
         depth += 1
         level[kids] = depth
         cur = kids
@@ -121,10 +127,7 @@ def level_propagation(
         if ids.size == 0:
             continue
         cnt = counts[ids]
-        total = int(cnt.sum())
-        starts = np.repeat(child_offset[ids], cnt)
-        within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        kids = child_list[starts + within]
+        kids = child_list[_ranges(child_offset[ids], cnt)]
         seg = np.cumsum(cnt) - cnt
         plan.append((ids, kids, seg))
     return plan
@@ -134,15 +137,15 @@ class ArrayTree:
     """Common storage and query API for kd-trees, octrees and ball trees.
 
     Trees are *live*: :meth:`insert_batch`, :meth:`delete_batch` and
-    :meth:`update_batch` mutate the tree in place with a lazy subtree
-    refit (dirty leaves are repaired exactly, ancestors bottom-up through
-    the cached :func:`level_propagation` plan) plus an amortized partial
-    rebuild of any subtree whose leaf occupancy or bound volume degrades
-    past a threshold.  Every mutation bumps the monotone :attr:`version`
-    and rebinds — never writes into — the node/point arrays, so a
-    :meth:`snapshot` taken before the mutation keeps a consistent view
-    for in-flight traversals (including paused bound-rule epochs and
-    process workers attached to published shm columns).
+    :meth:`update_batch` mutate the tree in place with a refit driven by
+    what changed (:meth:`_refit`: boxes exactly, mass data on its next
+    read) plus an amortized partial rebuild of any subtree whose leaf
+    occupancy or bound volume degrades past a threshold.  Every mutation
+    bumps the monotone :attr:`version` and rebinds — never writes into —
+    the node/point arrays, so a :meth:`snapshot` taken before the
+    mutation keeps a consistent view for in-flight traversals (including
+    paused bound-rule epochs and process workers attached to published
+    shm columns).
     """
 
     kind = "array"
@@ -184,27 +187,130 @@ class ArrayTree:
         self.center = 0.5 * (self.lo + self.hi)
         self.diameter = (self.hi - self.lo).max(axis=1)  # widest-dim span
 
-        # Centroids (and mass data when weighted) per node.  Vectorised:
-        # leaf sums come from one np.add.reduceat over the contiguous
-        # [start, end) partition, internal sums from a per-level bottom-up
-        # children reduction — O(levels) NumPy calls, no Python node loop.
-        counts_pts = (self.end - self.start).astype(np.float64)
-        self.centroid = self._node_sums(self.points) / counts_pts[:, None]
-        if self.weights is not None:
-            self.wsum = self._node_sums(self.weights)
-            wsums = self._node_sums(self.weights[:, None] * self.points)
-            self.wcentroid = np.where(
-                self.wsum[:, None] > 0,
-                np.divide(wsums, self.wsum[:, None],
-                          out=np.zeros_like(wsums),
-                          where=self.wsum[:, None] != 0),
-                self.centroid,
-            )
+        # Mass data (centroid, wsum, wcentroid): computed on first read.
+        # ``_mass_stale`` marks the leaves mutations left to repair; their
+        # ancestors are repaired with them.
+        self._mass = None
+        self._mass_stale = None
 
         self.split = "median"  # kd split strategy; set by build_tree()
         self.version = 0
         self._pristine_diam = self.diameter
         self._mutation_lock = threading.RLock()
+
+    # -- mass data: computed and repaired when read ------------------------------
+    @property
+    def centroid(self) -> np.ndarray:
+        return self._mass_data()[0]
+
+    @property
+    def wsum(self) -> np.ndarray | None:
+        """Per-node total weight (``None`` for an unweighted tree)."""
+        return self._mass_data()[1]
+
+    @property
+    def wcentroid(self) -> np.ndarray | None:
+        """Per-node weighted centroid (``None`` for an unweighted tree)."""
+        return self._mass_data()[2]
+
+    def _mass_data(self) -> tuple:
+        """``(centroid, wsum, wcentroid)``, up to date.
+
+        The first read computes every node's values bottom-up
+        (:meth:`_built_mass`); a read after mutations repairs the stale
+        leaves and their ancestors first (:meth:`_repaired_mass`).  Both
+        run under the tree's lock and rebind the arrays, so a snapshot
+        never sees another view's repair."""
+        with self._mutation_lock:
+            if self._mass is None:
+                self._mass = self._built_mass()
+            if self._mass_stale is not None:
+                self._mass = self._repaired_mass(self._mass_stale)
+                self._mass_stale = None
+            return self._mass
+
+    def _built_mass(self) -> tuple:
+        """Every node's mass data from the point slices.  Vectorised:
+        leaf sums come from one ``np.add.reduceat`` over the contiguous
+        ``[start, end)`` partition, internal sums from a per-level
+        bottom-up children reduction — O(levels) NumPy calls."""
+        counts_pts = (self.end - self.start).astype(np.float64)
+        centroid = self._node_sums(self.points) / counts_pts[:, None]
+        if self.weights is None:
+            return centroid, None, None
+        wsum = self._node_sums(self.weights)
+        wsums = self._node_sums(self.weights[:, None] * self.points)
+        wcentroid = np.where(
+            wsum[:, None] > 0,
+            np.divide(wsums, wsum[:, None], out=np.zeros_like(wsums),
+                      where=wsum[:, None] != 0),
+            centroid,
+        )
+        return centroid, wsum, wcentroid
+
+    def _repaired_mass(self, stale: np.ndarray) -> tuple:
+        """The mass data with the ``stale`` leaves and all their
+        ancestors recomputed: the leaves exactly from their point slices
+        (an emptied leaf gets zero sentinels), the ancestors bottom-up
+        through the level plan from their children's values."""
+        centroid, wsum, wcentroid = (
+            None if a is None else a.copy() for a in self._mass)
+        weighted = wsum is not None
+        counts_all = self.end - self.start
+        leaves = np.flatnonzero(stale)
+        nonempty = leaves[counts_all[leaves] > 0]
+        empty = leaves[counts_all[leaves] == 0]
+        if nonempty.size:
+            cnt = counts_all[nonempty]
+            seg = np.cumsum(cnt) - cnt
+            flat = _ranges(self.start[nonempty], cnt)
+            P = self.points[flat]
+            centroid[nonempty] = (
+                np.add.reduceat(P, seg, axis=0) / cnt[:, None])
+            if weighted:
+                wf = self.weights[flat]
+                ws = np.add.reduceat(wf, seg)
+                wps = np.add.reduceat(wf[:, None] * P, seg, axis=0)
+                wsum[nonempty] = ws
+                wcentroid[nonempty] = np.where(
+                    ws[:, None] > 0,
+                    np.divide(wps, ws[:, None], out=np.zeros_like(wps),
+                              where=ws[:, None] != 0),
+                    centroid[nonempty])
+        # Zero centroids weighted by zero counts vanish under sums.  An
+        # empty leaf only survives until its forced rebuild.
+        centroid[empty] = 0.0
+        if weighted:
+            wsum[empty] = 0.0
+            wcentroid[empty] = 0.0
+
+        repair = self._with_ancestors(leaves)
+        counts_f = counts_all.astype(np.float64)
+        for ids, kids, seg in self._level_plan():
+            sel = np.flatnonzero(repair[ids])
+            if sel.size == 0:
+                continue
+            cnt = np.diff(np.append(seg, kids.size))[sel]
+            kk = kids[_ranges(seg[sel], cnt)]
+            sseg = np.cumsum(cnt) - cnt
+            ids2 = ids[sel]
+            csum = np.add.reduceat(
+                centroid[kk] * counts_f[kk, None], sseg, axis=0)
+            pcnt = counts_f[ids2]
+            centroid[ids2] = np.divide(
+                csum, pcnt[:, None], out=np.zeros_like(csum),
+                where=pcnt[:, None] > 0)
+            if weighted:
+                ws = np.add.reduceat(wsum[kk], sseg)
+                wps = np.add.reduceat(
+                    wcentroid[kk] * wsum[kk, None], sseg, axis=0)
+                wsum[ids2] = ws
+                wcentroid[ids2] = np.where(
+                    ws[:, None] > 0,
+                    np.divide(wps, ws[:, None], out=np.zeros_like(wps),
+                              where=ws[:, None] != 0),
+                    centroid[ids2])
+        return centroid, wsum, wcentroid
 
     def _node_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-node sums of a per-point array over each ``[start, end)``
@@ -352,11 +458,11 @@ class ArrayTree:
         """Move existing points (original ids ``idx``) to new coordinates
         and/or weights; returns the new tree :attr:`version`.
 
-        The owning leaves are repaired exactly (tight boxes, centroids,
-        mass data) and the change propagates bottom-up through the dirty
-        ancestors only.  Any node whose refit span degraded past
-        :data:`REBUILD_DIAMETER_FACTOR` is re-partitioned via a subtree
-        rebuild (``tree.rebuild.*`` counters).
+        Boxes are refit by what changed (:meth:`_refit`) and the moved
+        leaves' mass data is repaired on its next read.  Any node whose
+        refit span degraded past :data:`REBUILD_DIAMETER_FACTOR` is
+        re-partitioned via a subtree rebuild (``tree.rebuild.*``
+        counters).  With an id repeated in ``idx`` the last value wins.
         """
         with self._mutation_lock:
             idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
@@ -364,29 +470,31 @@ class ArrayTree:
                 return self.version
             if points is None and weights is None:
                 raise ValueError("update_batch needs points and/or weights")
+            if weights is not None and self.weights is None:
+                raise ValueError("tree carries no weights; cannot update them")
             require_finite("update_batch", points, weights)
             pos = self.inv_perm()[idx]
-            dirty_leaves = np.unique(self.leaf_of_position()[pos])
+            leaf = self.leaf_of_position()[pos]
+            arrivals = departures = None
             if points is not None:
                 newp = self.points.copy()
                 newp[pos] = np.asarray(
                     points, dtype=np.float64).reshape(idx.size, self.dim)
+                departures = (leaf, self.points[pos])
+                arrivals = (leaf, newp[pos])  # the rows' final values
                 self.points = newp
             if weights is not None:
-                if self.weights is None:
-                    raise ValueError(
-                        "tree carries no weights; cannot update them")
                 w = np.broadcast_to(
                     np.asarray(weights, dtype=np.float64), (idx.size,))
                 neww = self.weights.copy()
                 neww[pos] = w
                 self.weights = neww
-            dirty = self._refit(dirty_leaves)
+            changed, boxes = self._refit(leaf, arrivals, departures)
             contribute({"tree.refit.count": 1,
                         "tree.refit.points": int(idx.size),
-                        "tree.refit.nodes": int(dirty.size)})
+                        "tree.refit.nodes": boxes})
             if points is not None:
-                self._maybe_rebuild(dirty)
+                self._maybe_rebuild(changed)
             self.version += 1
             return self.version
 
@@ -395,9 +503,9 @@ class ArrayTree:
         original index space: ``old_n .. old_n + m``).
 
         Each point is routed root→leaf to the child minimising the
-        point-box distance and appended to that leaf's slice; dirty
-        leaves and ancestors are refit, and any leaf whose occupancy
-        exceeds :data:`REBUILD_LEAF_FACTOR` × ``leaf_size`` is re-split.
+        point-box distance and appended to that leaf's slice, growing its
+        box; any leaf whose occupancy exceeds
+        :data:`REBUILD_LEAF_FACTOR` × ``leaf_size`` is re-split.
         """
         with self._mutation_lock:
             pts = np.asarray(points, dtype=np.float64).reshape(-1, self.dim)
@@ -428,10 +536,10 @@ class ArrayTree:
             self.start = self.start + C[self.start]
             self.end = self.end + C[self.end]
             self._drop_caches(_PERM_CACHES)
-            dirty = self._refit(np.unique(leaf))
+            changed, boxes = self._refit(leaf, arrivals=(leaf, pts))
             contribute({"tree.refit.count": 1, "tree.refit.points": int(m),
-                        "tree.refit.nodes": int(dirty.size)})
-            self._maybe_rebuild(dirty, occupancy=True)
+                        "tree.refit.nodes": boxes})
+            self._maybe_rebuild(changed, filled=np.unique(leaf))
             self.version += 1
             return new_ids
 
@@ -451,7 +559,8 @@ class ArrayTree:
             if idx.size >= self.n:
                 raise ValueError("cannot delete every point in the tree")
             pos = np.sort(self.inv_perm()[idx])
-            dirty_leaves = np.unique(self.leaf_of_position()[pos])
+            leaf = self.leaf_of_position()[pos]
+            departures = (leaf, self.points[pos])
             # D[p] = number of deleted positions < p.
             D = np.concatenate(
                 [[0], np.cumsum(np.bincount(pos, minlength=self.n))])
@@ -463,19 +572,19 @@ class ArrayTree:
             self.start = self.start - D[self.start]
             self.end = self.end - D[self.end]
             self._drop_caches(_PERM_CACHES)
-            dirty = self._refit(dirty_leaves)
+            changed, boxes = self._refit(leaf, departures=departures)
             contribute({"tree.refit.count": 1,
                         "tree.refit.points": int(idx.size),
-                        "tree.refit.nodes": int(dirty.size)})
+                        "tree.refit.nodes": boxes})
             counts = self.end - self.start
             forced = []
             par = self.parents()
-            for s in dirty_leaves[counts[dirty_leaves] == 0]:
+            for s in np.unique(leaf[counts[leaf] == 0]):
                 t = int(s)
                 while t >= 0 and counts[t] == 0:
                     t = int(par[t])
                 forced.append(max(t, 0))
-            self._maybe_rebuild(dirty, forced=forced)
+            self._maybe_rebuild(changed, forced=forced)
             self.version += 1
             return self.version
 
@@ -506,134 +615,153 @@ class ArrayTree:
                 best[hidx[better]] = cand[better]
             cur[active] = best
 
-    def _refit(self, dirty_leaves: np.ndarray) -> np.ndarray:
-        """Repair ``lo/hi/centroid/wsum/wcentroid/center/diameter`` for the
-        dirty leaves (exactly, from their point slices) and their
-        ancestors (bottom-up through the cached level plan, touching only
-        levels/segments that contain a dirty child).  Arrays are copied
-        and rebound — snapshots keep the old view.  Returns every dirty
-        node id."""
-        dl = np.unique(np.asarray(dirty_leaves, dtype=np.int64))
-        if dl.size == 0:
-            return dl
-        counts_all = self.end - self.start
-        nonempty = dl[counts_all[dl] > 0]
-        empty = dl[counts_all[dl] == 0]
+    def _refit(self, moved_leaves: np.ndarray, arrivals=None,
+               departures=None) -> tuple[np.ndarray, int]:
+        """Repair the tree after rows entered or left ``moved_leaves``
+        (every leaf that gained, lost or re-weighted a row).
 
-        lo = self.lo.copy()
-        hi = self.hi.copy()
-        centroid = self.centroid.copy()
-        weighted = self.weights is not None
-        if weighted:
-            wsum = self.wsum.copy()
-            wcentroid = self.wcentroid.copy()
-        flat = None
-        if nonempty.size:
-            cnt = counts_all[nonempty]
-            seg = np.cumsum(cnt) - cnt
-            flat = np.repeat(self.start[nonempty], cnt) + (
-                np.arange(int(cnt.sum())) - np.repeat(seg, cnt))
-            P = self.points[flat]
-            lo[nonempty] = np.minimum.reduceat(P, seg, axis=0)
-            hi[nonempty] = np.maximum.reduceat(P, seg, axis=0)
-            centroid[nonempty] = (
-                np.add.reduceat(P, seg, axis=0) / cnt[:, None])
-            if weighted:
-                wf = self.weights[flat]
-                ws = np.add.reduceat(wf, seg)
-                wps = np.add.reduceat(wf[:, None] * P, seg, axis=0)
-                wsum[nonempty] = ws
-                wcentroid[nonempty] = np.where(
-                    ws[:, None] > 0,
-                    np.divide(wps, ws[:, None], out=np.zeros_like(wps),
-                              where=ws[:, None] != 0),
-                    centroid[nonempty])
-        if empty.size:
-            # Sentinels: +inf/-inf boxes vanish under min/max, zero
-            # centroids weighted by zero counts vanish under sums.  An
-            # empty leaf only survives until the forced rebuild below.
-            lo[empty] = np.inf
-            hi[empty] = -np.inf
-            centroid[empty] = 0.0
-            if weighted:
-                wsum[empty] = 0.0
-                wcentroid[empty] = 0.0
+        Boxes, exactly and by change: each ``arrivals`` row (``(leaf ids,
+        points)``, the rows' final values) grows its leaf's box; a
+        ``departures`` row (the rows' previous values) forces a rescan
+        of its leaf's slice only if one of its coordinates equals that
+        leaf's ``lo`` or ``hi`` — otherwise the box cannot shrink.  A
+        parent is recomputed from its children only when a child's box
+        changed, so the walk stops where nothing changes, and ``center``
+        / ``diameter`` move only with their box.  Mass data is not
+        touched here: the moved leaves are marked stale and repaired on
+        the next read (:meth:`_mass_data`).  Arrays are copied and
+        rebound — snapshots keep the old view.
 
-        dirty_mask = np.zeros(self.n_nodes, dtype=bool)
-        dirty_mask[dl] = True
-        counts_f = counts_all.astype(np.float64)
+        Returns ``(changed, boxes)``: the ids of the nodes whose box
+        changed and the number of boxes recomputed."""
+        moved = np.asarray(moved_leaves, dtype=np.int64)
+        stale = (np.zeros(self.n_nodes, dtype=bool)
+                 if self._mass_stale is None else self._mass_stale.copy())
+        stale[moved] = True
+        self._mass_stale = stale
+        changed = np.empty(0, dtype=np.int64)
+        boxes = 0
+        if arrivals is not None or departures is not None:
+            changed, boxes = self._refit_boxes(arrivals, departures)
+        self._refit_extra(moved)
+        return changed, boxes
+
+    def _refit_boxes(self, arrivals, departures) -> tuple[np.ndarray, int]:
+        lo, hi = self.lo.copy(), self.hi.copy()
+        touched = np.zeros(self.n_nodes, dtype=bool)
+        if arrivals is not None:
+            leaf, pts = arrivals
+            # one flat ufunc.at per bound: the 1-D form is the fast one
+            cell = (leaf[:, None] * self.dim + np.arange(self.dim)).ravel()
+            np.minimum.at(lo.reshape(-1), cell, pts.ravel())
+            np.maximum.at(hi.reshape(-1), cell, pts.ravel())
+            touched[leaf] = True
+        boxes = 0
+        if departures is not None:
+            leaf, pts = departures
+            edge = ((pts == self.lo[leaf]) | (pts == self.hi[leaf])).any(axis=1)
+            rescan = np.zeros(self.n_nodes, dtype=bool)
+            rescan[leaf[edge]] = True
+            rescan = np.flatnonzero(rescan)
+            self._scan_boxes(rescan, lo, hi)
+            touched[rescan] = True
+            boxes = rescan.size
+        leaves = np.flatnonzero(touched)
+        changed = np.zeros(self.n_nodes, dtype=bool)
+        changed[leaves] = ((lo[leaves] != self.lo[leaves])
+                           | (hi[leaves] != self.hi[leaves])).any(axis=1)
+        kidmat = self._child_matrix()
         for ids, kids, seg in self._level_plan():
-            kid_dirty = dirty_mask[kids]
-            if not kid_dirty.any():
+            kid_changed = changed[kids]
+            if not kid_changed.any():
                 continue
-            par_dirty = np.logical_or.reduceat(kid_dirty, seg)
-            sel = np.flatnonzero(par_dirty)
-            if sel.size == 0:
-                continue
-            cnt_p = np.diff(np.append(seg, kids.size))[sel]
-            kidx = np.repeat(seg[sel], cnt_p) + (
-                np.arange(int(cnt_p.sum()))
-                - np.repeat(np.cumsum(cnt_p) - cnt_p, cnt_p))
-            kk = kids[kidx]
-            sseg = np.cumsum(cnt_p) - cnt_p
-            ids2 = ids[sel]
-            lo[ids2] = np.minimum.reduceat(lo[kk], sseg, axis=0)
-            hi[ids2] = np.maximum.reduceat(hi[kk], sseg, axis=0)
-            csum = np.add.reduceat(
-                centroid[kk] * counts_f[kk, None], sseg, axis=0)
-            pcnt = counts_f[ids2]
-            centroid[ids2] = np.divide(
-                csum, pcnt[:, None], out=np.zeros_like(csum),
-                where=pcnt[:, None] > 0)
-            if weighted:
-                ws = np.add.reduceat(wsum[kk], sseg)
-                wps = np.add.reduceat(
-                    wcentroid[kk] * wsum[kk, None], sseg, axis=0)
-                wsum[ids2] = ws
-                wcentroid[ids2] = np.where(
-                    ws[:, None] > 0,
-                    np.divide(wps, ws[:, None], out=np.zeros_like(wps),
-                              where=ws[:, None] != 0),
-                    centroid[ids2])
-            dirty_mask[ids2] = True
+            p = ids[np.logical_or.reduceat(kid_changed, seg)]
+            plo = lo[kidmat[p]].min(axis=1)
+            phi = hi[kidmat[p]].max(axis=1)
+            changed[p] = ((plo != lo[p]) | (phi != hi[p])).any(axis=1)
+            lo[p], hi[p] = plo, phi
+            boxes += p.size
 
-        dirty_ids = np.flatnonzero(dirty_mask)
+        ids = np.flatnonzero(changed)
         center = self.center.copy()
         diam = self.diameter.copy()
         with np.errstate(invalid="ignore"):
-            span = hi[dirty_ids] - lo[dirty_ids]
+            span = hi[ids] - lo[ids]
             finite = np.isfinite(span).all(axis=1)
-            center[dirty_ids] = np.where(
-                finite[:, None], 0.5 * (lo[dirty_ids] + hi[dirty_ids]), 0.0)
-            diam[dirty_ids] = np.where(finite, span.max(axis=1), 0.0)
-
+            center[ids] = np.where(
+                finite[:, None], 0.5 * (lo[ids] + hi[ids]), 0.0)
+            diam[ids] = np.where(finite, span.max(axis=1), 0.0)
         self.lo, self.hi = lo, hi
         self.center, self.diameter = center, diam
-        self.centroid = centroid
-        if weighted:
-            self.wsum, self.wcentroid = wsum, wcentroid
-        self._refit_extra(dirty_ids)
-        return dirty_ids
+        return ids, boxes
 
-    def _refit_extra(self, dirty_ids: np.ndarray) -> None:
-        """Subclass hook: repair :attr:`_extra_node_arrays` for the dirty
-        nodes (called after the shared metrics are rebound)."""
+    def _scan_boxes(self, leaves: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> None:
+        """Write the exact boxes of ``leaves`` from their point slices
+        into ``lo``/``hi``.  An emptied leaf gets the ``+inf``/``-inf``
+        sentinels, which vanish under its ancestors' min/max; it only
+        survives until its forced rebuild."""
+        counts = (self.end - self.start)[leaves]
+        full, cnt = leaves[counts > 0], counts[counts > 0]
+        if full.size:
+            P = self.points[_ranges(self.start[full], cnt)]
+            seg = np.cumsum(cnt) - cnt
+            lo[full] = np.minimum.reduceat(P, seg, axis=0)
+            hi[full] = np.maximum.reduceat(P, seg, axis=0)
+        empty = leaves[counts == 0]
+        lo[empty] = np.inf
+        hi[empty] = -np.inf
 
-    def _maybe_rebuild(self, dirty_ids: np.ndarray, occupancy: bool = False,
+    def _child_matrix(self) -> np.ndarray:
+        """``(n_nodes, F)`` child ids, ``F`` the widest fan-out: row ``i``
+        holds node ``i``'s children, padded by repeating its last child,
+        so a min/max over a row is a min/max over the children (a leaf's
+        row is ``-1``).  Cached with the topology."""
+        cached = getattr(self, "_kid_matrix", None)
+        if cached is None:
+            counts = self.child_offset[1:] - self.child_offset[:-1]
+            last = np.maximum(counts, 1)[:, None] - 1
+            col = np.minimum(np.arange(max(int(counts.max()), 1)), last)
+            padded = np.append(self.child_list, -1)
+            cached = padded[np.where(counts[:, None] > 0,
+                                     self.child_offset[:-1, None] + col, -1)]
+            self._kid_matrix = cached
+        return cached
+
+    def _with_ancestors(self, nodes: np.ndarray) -> np.ndarray:
+        """Node mask of ``nodes`` and every ancestor of them."""
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        par = self.parents()
+        cur = np.asarray(nodes, dtype=np.int64)
+        while cur.size:
+            mask[cur] = True
+            up = par[cur]
+            up = up[up >= 0]
+            cur = up[~mask[up]]
+        return mask
+
+    def _refit_extra(self, moved_leaves: np.ndarray) -> None:
+        """Subclass hook: repair :attr:`_extra_node_arrays` after rows
+        entered or left ``moved_leaves`` (called once the boxes are
+        rebound)."""
+
+    def _maybe_rebuild(self, changed: np.ndarray, filled=(),
                        forced=()) -> int:
         """Amortized partial rebuild of degraded subtrees.
 
         Candidates: nodes whose tight span outgrew their build-time span
-        (update path), leaves past the occupancy bound (insert path) and
-        the ``forced`` roots (empty leaves on the delete path).  Only the
-        topmost candidates rebuild; a degraded root falls back to a full
-        rebuild (counted separately)."""
+        (a span only moves with its box, so ``changed`` — the nodes
+        whose box changed — holds all of them), ``filled`` leaves past
+        the occupancy bound (insert path) and the ``forced`` roots
+        (empty leaves on the delete path).  Only the topmost candidates
+        rebuild; a degraded root falls back to a full rebuild (counted
+        separately)."""
         cand = [int(s) for s in forced]
-        if dirty_ids.size:
+        if changed.size:
             slack = 1e-9 * (float(self.diameter[0]) + 1.0)
-            deg = dirty_ids[self.diameter[dirty_ids] >
-                            REBUILD_DIAMETER_FACTOR
-                            * self._pristine_diam[dirty_ids] + slack]
+            deg = changed[self.diameter[changed] >
+                          REBUILD_DIAMETER_FACTOR
+                          * self._pristine_diam[changed] + slack]
             par = self.parents()
             for s in deg:
                 s = int(s)
@@ -642,12 +770,10 @@ class ArrayTree:
                     # re-partition happens one level up.
                     s = int(par[s]) if par[s] >= 0 else s
                 cand.append(s)
-            if occupancy:
-                counts = self.end - self.start
-                bound = int(REBUILD_LEAF_FACTOR * self.leaf_size)
-                over = dirty_ids[self.is_leaf_arr[dirty_ids]
-                                 & (counts[dirty_ids] > bound)]
-                cand.extend(int(x) for x in over)
+        filled = np.asarray(filled, dtype=np.int64)
+        counts = self.end - self.start
+        bound = int(REBUILD_LEAF_FACTOR * self.leaf_size)
+        cand.extend(int(x) for x in filled[counts[filled] > bound])
         if not cand:
             return 0
         roots = self._maximal_roots(sorted(set(cand)))
@@ -683,6 +809,11 @@ class ArrayTree:
         from . import build_tree
 
         roots = [int(s) for s in roots]
+        if self._mass is not None:
+            # Mass data already computed is repaired before the graft, so
+            # the roots' ancestors keep values from the children they
+            # were measured over; mass data never read stays unread.
+            self._mass_data()
         dead = np.zeros(self.n_nodes, dtype=bool)
         for s in roots:
             frontier = np.array([s], dtype=np.int64)
@@ -690,13 +821,8 @@ class ArrayTree:
                 dead[frontier] = True
                 cnt = (self.child_offset[frontier + 1]
                        - self.child_offset[frontier])
-                total = int(cnt.sum())
-                if total == 0:
-                    break
-                starts = np.repeat(self.child_offset[frontier], cnt)
-                within = np.arange(total) - np.repeat(
-                    np.cumsum(cnt) - cnt, cnt)
-                frontier = self.child_list[starts + within]
+                frontier = self.child_list[
+                    _ranges(self.child_offset[frontier], cnt)]
         keep = np.flatnonzero(~dead)
         remap = np.full(self.n_nodes, -1, dtype=np.int64)
         remap[keep] = np.arange(keep.size)
@@ -722,10 +848,8 @@ class ArrayTree:
 
         counts_old = self.child_offset[1:] - self.child_offset[:-1]
         kcnt = counts_old[keep]
-        starts = np.repeat(self.child_offset[keep], kcnt)
-        within = np.arange(int(kcnt.sum())) - np.repeat(
-            np.cumsum(kcnt) - kcnt, kcnt)
-        kept_children = remap[self.child_list[starts + within]]
+        kept_children = remap[self.child_list[
+            _ranges(self.child_offset[keep], kcnt)]]
 
         def merge(attr, offsets=None):
             old = getattr(self, attr)[keep]
@@ -749,10 +873,15 @@ class ArrayTree:
         self.hi = merge("hi")
         self.center = merge("center")
         self.diameter = merge("diameter")
-        self.centroid = merge("centroid")
-        if new_weights is not None:
-            self.wsum = merge("wsum")
-            self.wcentroid = merge("wcentroid")
+        if self._mass is not None:
+            self._mass = tuple(
+                None if own is None else np.concatenate(
+                    [own[keep]] + [sub._mass_data()[j] for _, _, sub in subs])
+                for j, own in enumerate(self._mass))
+        if self._mass_stale is not None:
+            self._mass_stale = np.concatenate(
+                [self._mass_stale[keep],
+                 np.zeros(base - keep.size, dtype=bool)])
         for attr in self._extra_node_arrays:
             setattr(self, attr, merge(attr))
         self._pristine_diam = np.concatenate(
@@ -781,10 +910,8 @@ class ArrayTree:
                            weights=w, split=self.split)
         attrs = ["points", "perm", "lo", "hi", "start", "end",
                  "child_offset", "child_list", "is_leaf_arr", "center",
-                 "diameter", "centroid", "n_nodes", "weights"]
-        if fresh.weights is not None:
-            attrs += ["wsum", "wcentroid"]
-        attrs += list(self._extra_node_arrays)
+                 "diameter", "n_nodes", "weights", "_mass", "_mass_stale",
+                 *self._extra_node_arrays]
         for attr in attrs:
             setattr(self, attr, getattr(fresh, attr))
         self._pristine_diam = self.diameter

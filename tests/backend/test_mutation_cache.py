@@ -37,6 +37,8 @@ from repro.parallel import shm
 from repro.problems import directed_hausdorff, kde, knn, range_count
 from repro.trees.node import ArrayTree
 
+pytestmark = pytest.mark.usefixtures("refit_never_fails")
+
 THREAD = {"parallel": True, "workers": 2, "min_tasks": 8,
           "executor": "thread"}
 PROCESS = {"parallel": True, "workers": 2, "min_tasks": 8,

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import traceback
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,23 @@ def stored_traversal(tmp_path, monkeypatch):
 
     yield options
     reset_policy_store()
+
+
+@pytest.fixture
+def refit_never_fails(monkeypatch):
+    """Fail the test if a live-tree refit raised: the cache swallows the
+    exception into ``cache.tree.refit_failed`` and rebuilds from scratch,
+    so outputs stay right while the refit path goes untested."""
+    from repro.backend import cache
+
+    failures = []
+    contribute = cache.contribute
+
+    def watch(mapping):
+        if mapping.get("cache.tree.refit_failed"):
+            failures.append(traceback.format_exc())
+        contribute(mapping)
+
+    monkeypatch.setattr(cache, "contribute", watch)
+    yield
+    assert not failures, "live-tree refit raised:\n" + failures[0]

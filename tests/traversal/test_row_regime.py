@@ -244,7 +244,8 @@ def test_epoch_hooks_pause_and_resume_row_pairs(data):
     from repro.traversal import TraversalStats, run_engine
 
     Q, R = data[0][:8], data[1]
-    source = _expr("KARGMIN", Q, R).compile().kernels.source
+    program = _expr("KARGMIN", Q, R).compile()
+    source = program.kernels.source
     code = compile(source, "<knn>", "exec")
     qtree, rtree = build_tree("kd", Q, leaf_size=4), build_tree("kd", R, 16)
 
@@ -252,7 +253,8 @@ def test_epoch_hooks_pause_and_resume_row_pairs(data):
         state = allocate_state(PortalOp.FORALL, PortalOp.KARGMIN, K,
                                len(Q), len(R))
         kernels = (Bindings.query(qtree, {"K": K})
-                   | Bindings.reference(rtree)).bind(source, code, state)
+                   | Bindings.reference(rtree, program.rule)
+                   ).bind(source, code, state)
         return state, kernels
 
     straight, kernels = fresh()

@@ -16,6 +16,8 @@ from repro.observe import collect
 from repro.trees import build_tree
 from repro.trees.node import REBUILD_LEAF_FACTOR
 
+pytestmark = pytest.mark.usefixtures("refit_never_fails")
+
 KINDS = ["kd", "octree", "ball"]
 
 
@@ -300,7 +302,8 @@ def test_bounded_knn_on_mutated_query_tree_matches_rebuild(rng, mutation):
     expr = PortalExpr("knn")
     expr.addLayer(PortalOp.FORALL, Storage(Q))
     expr.addLayer((PortalOp.KARGMIN, k), Storage(R), PortalFunc.EUCLIDEAN)
-    source = expr.compile().kernels.source
+    program = expr.compile()
+    source = program.kernels.source
     code = compile(source, "<knn>", "exec")
     rtree = build_tree("kd", R, leaf_size=8)
 
@@ -308,7 +311,8 @@ def test_bounded_knn_on_mutated_query_tree_matches_rebuild(rng, mutation):
         state = allocate_state(PortalOp.FORALL, PortalOp.KARGMIN, k,
                                qtree.n, rtree.n)
         kernels = (Bindings.query(qtree, {"K": k})
-                   | Bindings.reference(rtree)).bind(source, code, state)
+                   | Bindings.reference(rtree, program.rule)
+                   ).bind(source, code, state)
         run_engine("batched", qtree, rtree, kernels,
                    state.arrays["qbound"])
         return state.finalize(qtree.perm, rtree.perm)
