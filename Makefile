@@ -15,17 +15,20 @@ test-verbose:
 	$(PYTHON) -m pytest tests/ -v
 
 # Query-serving layer: coalescing differential suite, admission /
-# cancellation races, and the JSON/TCP frontend protocol.  The cache
-# provider is disabled so parallel CI legs never share stale state.
+# cancellation races, the JSON/TCP frontend protocol, the row regime's
+# multi-level descent a served batch takes, and repeated runs of one
+# compiled program.  The cache provider is disabled so parallel CI legs
+# never share stale state.
 test-serve:
-	$(PYTHON) -m pytest -p no:cacheprovider -q tests/serve
+	$(PYTHON) -m pytest -p no:cacheprovider -q tests/serve tests/traversal/test_row_descent.py tests/backend/test_run_twice.py
 
 # Incremental-tree mutation suites: tree-level refit invariants, the
 # builder every partial rebuild runs (bitwise against the recursive
-# build), plus the mutation -> cache-coherence differential matrix (fast
-# portion only; the executor x engine matrix is marked slow and runs in
-# CI under REPRO_EXECUTOR=process).
-MUTATION_TESTS = tests/trees/test_incremental.py tests/trees/test_build_equivalence.py tests/trees/test_refit_by_change.py tests/backend/test_mutation_cache.py
+# build), the topology caches snapshots share across subtree rebuilds,
+# plus the mutation -> cache-coherence differential matrix (fast portion
+# only; the executor x engine matrix is marked slow and runs in CI under
+# REPRO_EXECUTOR=process).
+MUTATION_TESTS = tests/trees/test_incremental.py tests/trees/test_build_equivalence.py tests/trees/test_refit_by_change.py tests/traversal/test_row_descent.py tests/backend/test_mutation_cache.py
 
 test-mutation:
 	$(PYTHON) -m pytest $(MUTATION_TESTS) -m "not slow"

@@ -91,6 +91,8 @@ class CompiledProgram:
     #: the default pipeline's IR once something read it (:meth:`ir`)
     _ir: PassManager | None = field(default=None, repr=False,
                                    compare=False)
+    #: whether a run has written into the state
+    _ran: bool = field(default=False, repr=False, compare=False)
 
     # -- introspection ---------------------------------------------------------
     def ir(self, disable=()) -> PassManager:
@@ -125,6 +127,15 @@ class CompiledProgram:
 
     # -- execution --------------------------------------------------------------
     def run(self) -> Output:
+        """Execute the program and return its :class:`Output`.  Every run
+        starts from fresh accumulators, so a repeated run answers as the
+        first one did."""
+        if self._ran:
+            self.state.reset()
+            if self.shard_exec is not None:
+                for state in self.shard_exec.states:
+                    state.reset()
+        self._ran = True
         t0 = time.perf_counter()
         with span("run", mode=self.mode):
             out = self._run()

@@ -75,6 +75,25 @@ class State:
     #: :func:`exact_winners`
     exact: Callable | None = None
 
+    def reset(self, s: int = 0, e: int | None = None) -> None:
+        """Reset the accumulators over query positions ``[s, e)`` (all of
+        them by default) to their allocation-time identities, in place:
+        bound kernels keep their references, and the state answers as if
+        freshly allocated."""
+        e = self.nq if e is None else e
+        info = op_info(self.inner_op)
+        if self.lists is not None:
+            self.lists[s:e] = [[] for _ in range(s, e)]
+        for name, arr in self.arrays.items():
+            if name == "best_idx":
+                arr[s:e] = -1
+            elif name == "dense":
+                arr[s:e] = 0.0
+            elif name == "qbound":
+                arr[s:e] = math.inf  # signed-bound identity, both rule kinds
+            else:
+                arr[s:e] = info.identity
+
     def finalize(self, qperm: np.ndarray, rperm: np.ndarray | None) -> Output:
         """Produce the :class:`Output` in original point order."""
         inv = np.empty_like(qperm)

@@ -57,6 +57,7 @@ import numpy as np
 from ..dsl.ops import MAX_LIKE, MIN_LIKE, PortalOp, op_info
 from ..observe import contribute, span
 from ..traversal import TraversalStats, bound_epochs, run_engine
+from ..traversal.bounded_batched import takes_row_regime
 from . import shm
 from .executor import run_process_tasks, run_tasks
 from .process_backend import ephemeral_token, merge_result, tree_structure
@@ -64,9 +65,9 @@ from .scheduler import expand_frontier
 from .worker import run_task
 
 __all__ = [
-    "SEED_EPOCHS", "plan_shards", "ShardPack", "ShardExecution",
-    "build_shard_pack", "build_shard_execution", "combine_shard_states",
-    "run_sharded",
+    "SEED_EPOCHS", "ROW_SEED_EPOCHS", "plan_shards", "ShardPack",
+    "ShardExecution", "build_shard_pack", "build_shard_execution",
+    "combine_shard_states", "run_sharded",
 ]
 
 #: Epochs every shard runs before the first cross-shard bound broadcast.
@@ -74,6 +75,14 @@ __all__ = [
 #: cases and produce finite bounds, small enough that a dominated shard
 #: is killed before touching the bulk of its pool.
 SEED_EPOCHS = 12
+#: The seed round of a shard traversal that takes the row regime, whose
+#: epochs each descend several reference levels
+#: (:data:`~repro.traversal.bounded_batched.ROW_DESCENT_WIDTH`): in
+#: twelve of those a dominated shard finishes its walk before the first
+#: broadcast can stop it.  From a sweep over clustered, IHEPC-like and
+#: probe-shaped batches at shards=2 (docs/performance.md, "The row
+#: regime").
+ROW_SEED_EPOCHS = 5
 
 _ROOT = np.zeros(1, dtype=np.int64)
 
@@ -353,6 +362,12 @@ def run_sharded(
     return total, info
 
 
+def _seed_epochs(qtree, rtree) -> int:
+    """Epochs of a shard traversal's seed round, by the regime the
+    engine takes over this tree pair."""
+    return ROW_SEED_EPOCHS if takes_row_regime(qtree, rtree) else SEED_EPOCHS
+
+
 def _run_inline(qtree, shard_exec, engine, pool_workers, info):
     """Serial/thread path: one traversal per shard against its own state
     (shards are the unit of thread parallelism — the layout inversion)."""
@@ -380,7 +395,7 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
     pauses = [dict() for _ in range(P)]
     pending: list = [None] * P
     extern = None
-    budget = SEED_EPOCHS
+    budget = [_seed_epochs(qtree, tree) for tree in pack.trees]
     alive = list(range(P))
     while alive:
         def make(i):
@@ -390,7 +405,7 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
                 run_engine(
                     engine, qtree, pack.trees[i], kernels[i],
                     states[i].arrays["qbound"], stats=stats_list[i],
-                    max_epochs=budget, resume=resume,
+                    max_epochs=budget[i], resume=resume,
                     extern_bound=extern, pause_out=pauses[i])
             return run
 
@@ -412,7 +427,7 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
                 info["pruned"] += 1
             else:
                 alive.append(i)
-        budget *= 4
+        budget = [b * 4 for b in budget]
     return stats_list
 
 
@@ -467,7 +482,8 @@ def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
             for q in frontier:
                 payload = dict(commons[i], q_root=q)
                 if bounded:
-                    payload["max_epochs"] = SEED_EPOCHS
+                    payload["max_epochs"] = _seed_epochs(qtree,
+                                                         pack.trees[i])
                 phase1.append((i, q, payload))
 
         with span("shard.phase", phase=1, tasks=len(phase1)):

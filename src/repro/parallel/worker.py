@@ -37,22 +37,23 @@ import numpy as np
 
 from ..backend.codegen import Bindings, GeneratedKernels
 from ..backend.state import State, allocate_state
-from ..dsl.ops import op_info
 from ..observe import collect
 from ..traversal import bound_epochs, run_engine
+from ..trees.node import descent_csr, level_propagation, sorted_leaves
 from . import shm
 
-__all__ = ["run_task", "TreeView", "reset_state_range"]
+__all__ = ["run_task", "TreeView"]
 
 
 class TreeView:
     """The minimal tree facade the traversal engines touch, backed by
     shared-memory views (``start``/``end``/``is_leaf_arr``/``children``/
-    ``expansion_children``/``levels`` — everything else about
-    :class:`~repro.trees.node.ArrayTree` stays parent-side)."""
+    ``expansion_children``/``levels``, and ``descent_children`` /
+    ``bound_plan`` derived from them once per view — everything else
+    about :class:`~repro.trees.node.ArrayTree` stays parent-side)."""
 
     __slots__ = ("start", "end", "is_leaf_arr", "child_offset",
-                 "child_list", "_exp", "_level", "_bound_plan")
+                 "child_list", "_exp", "_level", "_derived")
 
     def __init__(self, views: dict[str, np.ndarray], prefix: str):
         self.start = views[f"{prefix}start"]
@@ -63,8 +64,7 @@ class TreeView:
         self._exp = (views[f"{prefix}_exp_offsets"],
                      views[f"{prefix}_exp_flat"])
         self._level = views[f"{prefix}_level"]
-        # Populated lazily by the batched engine's _bound_plan().
-        self._bound_plan = None
+        self._derived: dict = {}
 
     def children(self, i: int) -> np.ndarray:
         return self.child_list[self.child_offset[i]:self.child_offset[i + 1]]
@@ -75,24 +75,20 @@ class TreeView:
     def levels(self) -> np.ndarray:
         return self._level
 
+    def descent_children(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        if depth == 1:
+            return self._exp
+        if depth not in self._derived:
+            self._derived[depth] = descent_csr(*self._exp, depth)
+        return self._derived[depth]
 
-def reset_state_range(state: State, s: int, e: int) -> None:
-    """Reset accumulators over query positions ``[s, e)`` to their
-    allocation-time identities, so a cached worker program can run a new
-    task over that range as if the state were fresh."""
-    info = op_info(state.inner_op)
-    if state.lists is not None:
-        for i in range(s, e):
-            state.lists[i] = []
-    for name, arr in state.arrays.items():
-        if name == "best_idx":
-            arr[s:e] = -1
-        elif name == "dense":
-            arr[s:e] = 0.0
-        elif name == "qbound":
-            arr[s:e] = np.inf  # signed-bound identity, both rule kinds
-        else:
-            arr[s:e] = info.identity
+    def bound_plan(self) -> tuple:
+        if "bound_plan" not in self._derived:
+            lsort = sorted_leaves(self.start, self.is_leaf_arr)
+            self._derived["bound_plan"] = (
+                lsort, self.start[lsort], level_propagation(
+                    self.child_offset, self.child_list, self._level))
+        return self._derived["bound_plan"]
 
 
 @dataclass
@@ -173,7 +169,9 @@ def run_task(payload: dict) -> dict:
         e = int(prog.qview.end[q_root])
         resume = payload.get("resume")
         if resume is None:
-            reset_state_range(state, s, e)
+            # A cached worker program runs each new task over its range
+            # as if the state were fresh.
+            state.reset(s, e)
         else:
             # Phase-2 resume of a paused bounded traversal: pool workers
             # have no task affinity, so the parent ships the paused

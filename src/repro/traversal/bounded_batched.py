@@ -59,7 +59,19 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    (``row_key_batch``), each pair is classified against its row's live
    ``qbound`` (no node-bound snapshot, no refresh), only the reference
    side expands, the ramp starts at ``max(RAMP_START, rows)`` and every
-   leaf pair of an epoch goes to one ``base_case_rows`` call.  That
+   leaf pair of an epoch goes to one ``base_case_rows`` call.  A
+   surviving non-leaf pair descends :func:`descent_levels` reference
+   levels at once — three of a kd or ball tree, one of an octree
+   (:data:`ROW_DESCENT_WIDTH`) — into the node's descendants that far
+   down, a leaf met on the way standing for itself.  Skipping the
+   levels between never changes an answer: every descendant is still
+   classified on its own bound before any base case; all that is given
+   up is pruning a whole subtree at a level in between.  The
+   descendants come from the reference tree's descent CSR
+   (``descent_children``), built once per tree topology and kept in the
+   topology cache the tree shares with its snapshots
+   (:class:`~repro.trees.node.ArrayTree`), so the per-execute snapshot
+   of a cached tree reads it instead of rebuilding it.  That
    kernel takes its distances over the flat candidate list in the
    difference form (``exact_values``, the arithmetic the winners are
    re-evaluated in, so no norm expansion loses them to cancellation far
@@ -103,11 +115,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..observe import contribute, span
-from ..trees.node import level_propagation, tree_levels
 from .multitree import TraversalStats
 
 __all__ = ["bounded_batched_dual_tree_traversal", "DEFAULT_EPOCH_SIZE",
-           "ROW_REGIME_RATIO"]
+           "ROW_REGIME_RATIO", "ROW_DESCENT_WIDTH", "descent_levels",
+           "takes_row_regime"]
 
 #: Pairs classified per epoch once the ramp is done (and leaf pairs per
 #: slice of a stateless flush).  Large enough that kernel calls amortise
@@ -127,38 +139,27 @@ RAMP_START = 64
 #: Row-regime threshold: a traversal whose whole query tree holds at most
 #: ``1 / ROW_REGIME_RATIO`` of its reference tree's points runs (query
 #: row × reference node) pairs.  From the measured crossover against the
-#: leaf regime (docs/performance.md, "Row regime"): at d = 9 the two
-#: break even near N_q = N_r / 10 and the row regime loses from there
-#: on; 16 keeps the regime clear of that crossover on every sweep point.
+#: leaf regime (docs/performance.md, "The row regime"): at d = 9 and
+#: d = 3 the two break even between N_q = N_r / 16 and N_r / 10 and the
+#: row regime loses from there on; 16 sits at the bottom of that band.
 ROW_REGIME_RATIO = 16
+
+#: Row-regime descent budget: a surviving (row, reference node) pair
+#: expands into the node's descendants ``L`` levels down (a leaf met on
+#: the way stands for itself), ``L`` the most levels whose full fan-out
+#: stays within this many nodes — 3 levels of a kd or ball tree, 1 of an
+#: octree.  Every epoch pays a fixed run of NumPy calls, and descending
+#: one level per epoch spent most of a served batch's epochs walking
+#: down; past the budget the pool outgrows the epoch width and the
+#: epochs come back.  From a sweep over served and probe batches
+#: (docs/performance.md, "The row regime").
+ROW_DESCENT_WIDTH = 8
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
-def _bound_plan(tree):
-    """(sorted leaf ids, their starts, bottom-up level plan) for the
-    query tree's node-bound refresh; cached on the tree object."""
-    cached = getattr(tree, "_bound_plan", None)
-    if cached is not None:
-        return cached
-    start = np.asarray(tree.start)
-    leaves = np.flatnonzero(np.asarray(tree.is_leaf_arr))
-    lsort = leaves[np.argsort(start[leaves], kind="stable")]
-    if hasattr(tree, "levels"):
-        level = tree.levels()
-    else:  # pragma: no cover - every tree facade exposes levels()
-        level = tree_levels(tree.child_offset, tree.child_list)
-    plan = level_propagation(tree.child_offset, tree.child_list, level)
-    cached = (lsort, start[lsort], plan)
-    try:
-        tree._bound_plan = cached
-    except AttributeError:  # pragma: no cover - read-only facade
-        pass
-    return cached
-
-
-def _row_regime(qtree, rtree) -> bool:
+def takes_row_regime(qtree, rtree) -> bool:
     """Whether a traversal runs (query row × reference node) pairs.
 
     Decided from the sizes of the whole trees the engine is handed (the
@@ -167,6 +168,18 @@ def _row_regime(qtree, rtree) -> bool:
     nq = int(qtree.end[0] - qtree.start[0])
     nr = int(rtree.end[0] - rtree.start[0])
     return nq * ROW_REGIME_RATIO <= nr
+
+
+def descent_levels(tree) -> int:
+    """Reference levels one row-regime expansion descends in ``tree``:
+    the most whose widest fan-out, compounded, stays within
+    :data:`ROW_DESCENT_WIDTH` (at least one)."""
+    fanout = int((tree.child_offset[1:] - tree.child_offset[:-1]).max())
+    levels, width = 1, fanout
+    while fanout > 1 and width * fanout <= ROW_DESCENT_WIDTH:
+        levels += 1
+        width *= fanout
+    return levels
 
 
 def _flush_cuts(bq, width: int) -> list[int]:
@@ -229,9 +242,8 @@ def bounded_batched_dual_tree_traversal(
     qstart, qend = qtree.start, qtree.end
     rstart, rend = rtree.start, rtree.end
     r_leaf_arr = np.asarray(rtree.is_leaf_arr)
-    roff, rflat = rtree.expansion_children()
     bound = kernels.bound_key_batch is not None
-    row_regime = bound and _row_regime(qtree, rtree)
+    row_regime = bound and takes_row_regime(qtree, rtree)
     refresh = None
 
     def _effective_bound():
@@ -263,8 +275,11 @@ def bounded_batched_dual_tree_traversal(
             kernels.base_case_rows(bq[pair], rstart[br][pair] + within)
             return total
 
+        roff, rflat = rtree.descent_children(descent_levels(rtree))
+
         def expand(eq, er):
-            # Only the reference side splits; a row is already a point.
+            # Only the reference side splits, descent_levels() levels at
+            # once; a row is already a point.
             rn = roff[er + 1] - roff[er]
             total = int(rn.sum())
             within = np.arange(total) - np.repeat(np.cumsum(rn) - rn, rn)
@@ -272,9 +287,10 @@ def bounded_batched_dual_tree_traversal(
     else:
         q_leaf_arr = np.asarray(qtree.is_leaf_arr)
         qoff, qflat = qtree.expansion_children()
+        roff, rflat = rtree.expansion_children()
         if bound:
             key_batch = kernels.bound_key_batch
-            lsort, lstarts, plan = _bound_plan(qtree)
+            lsort, lstarts, plan = qtree.bound_plan()
             # Signed node bounds over the *query* tree; +inf until the
             # first refresh (nothing prunes against an untouched query
             # subtree).

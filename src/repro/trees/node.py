@@ -32,7 +32,8 @@ from ..observe import contribute
 from . import geometry
 
 __all__ = ["ArrayTree", "TreeNode", "tree_levels", "level_propagation",
-           "children_csr", "require_finite",
+           "children_csr", "expansion_csr", "descent_csr", "sorted_leaves",
+           "require_finite",
            "REBUILD_LEAF_FACTOR", "REBUILD_DIAMETER_FACTOR"]
 
 #: A leaf whose occupancy exceeds ``factor * leaf_size`` after inserts is
@@ -43,13 +44,14 @@ REBUILD_LEAF_FACTOR = 2.0
 #: the box enough that pruning quality degrades.
 REBUILD_DIAMETER_FACTOR = 2.0
 
-#: Lazily-built caches that depend only on the children topology.
-_TOPOLOGY_CACHES = ("_level_arr", "_level_plan_cache", "_expansion_csr",
-                    "_parent_arr", "_kid_matrix")
-#: Lazily-built caches that depend on the point permutation / leaf tiling
-#: (``_bound_plan``: the batched engine's bound-refresh leaf starts and
-#: level plan).
-_PERM_CACHES = ("_inv_perm", "_pos_leaf", "_bound_plan")
+
+def _memo(cache: dict, name, build):
+    """``cache[name]``, built by ``build()`` on first read.  Concurrent
+    first readers may both build; ``setdefault`` makes them agree."""
+    value = cache.get(name)
+    if value is None:
+        value = cache.setdefault(name, build())
+    return value
 
 
 def require_finite(what: str, points=None, weights=None) -> None:
@@ -133,6 +135,43 @@ def level_propagation(
     return plan
 
 
+def expansion_csr(child_offset: np.ndarray,
+                  child_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(offsets, flat ids)`` of each node's *expansion set*: its
+    children, or the node itself when it is a leaf."""
+    counts = child_offset[1:] - child_offset[:-1]
+    leaf = counts == 0
+    offsets = np.concatenate([[0], np.cumsum(np.where(leaf, 1, counts))])
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
+    flat[offsets[:-1][leaf]] = np.flatnonzero(leaf)
+    flat[_ranges(offsets[:-1][~leaf], counts[~leaf])] = child_list
+    return offsets, flat
+
+
+def descent_csr(offsets: np.ndarray, flat: np.ndarray,
+                depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion CSR ``(offsets, flat)`` applied ``depth`` times:
+    each node's descendants ``depth`` levels down, with a leaf met on
+    the way standing for itself.  Entries keep the order the one-level
+    expansions produce them in, and every node has at least one."""
+    step_off, step_flat = offsets, flat
+    step_cnt = step_off[1:] - step_off[:-1]
+    for _ in range(depth - 1):
+        cnt = step_cnt[flat]
+        per_node = np.add.reduceat(cnt, offsets[:-1])
+        flat = step_flat[_ranges(step_off[flat], cnt)]
+        offsets = np.concatenate([[0], np.cumsum(per_node)])
+    return offsets, flat
+
+
+def sorted_leaves(start: np.ndarray, is_leaf: np.ndarray) -> np.ndarray:
+    """Leaf ids in point order: their ``[start, end)`` slices tile
+    ``[0, n)`` contiguously in this order (a :meth:`ArrayTree.validate`
+    invariant)."""
+    leaves = np.flatnonzero(is_leaf)
+    return leaves[np.argsort(start[leaves], kind="stable")]
+
+
 class ArrayTree:
     """Common storage and query API for kd-trees, octrees and ball trees.
 
@@ -146,6 +185,16 @@ class ArrayTree:
     mutation keeps a consistent view for in-flight traversals (including
     paused bound-rule epochs and process workers attached to published
     shm columns).
+
+    What is derived from the tree's shape is built on first read and
+    kept in two dicts: ``_topology`` (levels, level plan, expansion and
+    descent CSRs, parents, child matrix) and ``_tiling`` (inverse
+    permutation, position → leaf, point-ordered leaves, bound-refresh
+    plan).  A snapshot shares both with its source, so what any view
+    of one topology builds every other view reads.  A mutation that
+    changes what a dict derives from rebinds a fresh dict — a subtree
+    rebuild both, an insert or delete ``_tiling`` — and never writes
+    into the shared one, so no older view sees a later shape.
     """
 
     kind = "array"
@@ -197,6 +246,8 @@ class ArrayTree:
         self.version = 0
         self._pristine_diam = self.diameter
         self._mutation_lock = threading.RLock()
+        self._topology: dict = {}
+        self._tiling: dict = {}
 
     # -- mass data: computed and repaired when read ------------------------------
     @property
@@ -321,30 +372,37 @@ class ArrayTree:
         if squeeze:
             x = x[:, None]
         out = np.empty((self.n_nodes, x.shape[1]))
-        leaves = np.flatnonzero(self.is_leaf_arr)
-        lsort = leaves[np.argsort(self.start[leaves], kind="stable")]
-        # Sorted leaves tile [0, n) contiguously (validate() invariant), so
-        # reduceat over just the starts segments exactly on leaf boundaries.
+        lsort = self.sorted_leaves()
+        # Sorted leaves tile [0, n) contiguously, so reduceat over just
+        # the starts segments exactly on leaf boundaries.
         out[lsort] = np.add.reduceat(x, self.start[lsort], axis=0)
         for ids, kids, seg in self._level_plan():
             out[ids] = np.add.reduceat(out[kids], seg, axis=0)
         return out[:, 0] if squeeze else out
 
     def levels(self) -> np.ndarray:
-        """Per-node depth array (root = 0); computed once, cached."""
-        cached = getattr(self, "_level_arr", None)
-        if cached is None:
-            cached = tree_levels(self.child_offset, self.child_list)
-            self._level_arr = cached
-        return cached
+        """Per-node depth array (root = 0); cached with the topology."""
+        return _memo(self._topology, "levels", lambda: tree_levels(
+            self.child_offset, self.child_list))
 
     def _level_plan(self):
-        cached = getattr(self, "_level_plan_cache", None)
-        if cached is None:
-            cached = level_propagation(self.child_offset, self.child_list,
-                                       self.levels())
-            self._level_plan_cache = cached
-        return cached
+        return _memo(self._topology, "level_plan", lambda: level_propagation(
+            self.child_offset, self.child_list, self.levels()))
+
+    def sorted_leaves(self) -> np.ndarray:
+        """Leaf ids in point order (:func:`sorted_leaves`); cached with
+        the tiling."""
+        return _memo(self._tiling, "sorted_leaves", lambda: sorted_leaves(
+            self.start, self.is_leaf_arr))
+
+    def bound_plan(self) -> tuple:
+        """``(point-ordered leaf ids, their starts, bottom-up level
+        plan)``: the batched engine's node-bound refresh over this tree
+        as a query tree; cached with the tiling."""
+        def build():
+            lsort = self.sorted_leaves()
+            return lsort, self.start[lsort], self._level_plan()
+        return _memo(self._tiling, "bound_plan", build)
 
     # -- structure -----------------------------------------------------------
     @property
@@ -376,67 +434,54 @@ class ArrayTree:
 
     def expansion_children(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR (offsets, flat ids) of each node's *expansion set*: its
-        children, or the node itself when it is a leaf.
+        children, or the node itself when it is a leaf
+        (:func:`expansion_csr`).
 
         This is the splitting rule of Algorithm 1 (leaves are kept whole
         while the partner node splits) in a form the batched frontier
-        traversal can index with whole arrays.  Built lazily, cached on
-        the tree.
+        traversal can index with whole arrays.  Cached with the
+        topology.
         """
-        cached = getattr(self, "_expansion_csr", None)
-        if cached is not None:
-            return cached
-        counts = self.child_offset[1:] - self.child_offset[:-1]
-        eff = np.where(counts == 0, 1, counts)
-        offsets = np.concatenate([[0], np.cumsum(eff)])
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        leaf = counts == 0
-        flat[offsets[:-1][leaf]] = np.flatnonzero(leaf)
-        nz = counts[~leaf]
-        if nz.size:
-            starts = np.repeat(offsets[:-1][~leaf], nz)
-            within = np.arange(int(nz.sum())) - np.repeat(
-                np.cumsum(nz) - nz, nz
-            )
-            flat[starts + within] = self.child_list
-        self._expansion_csr = (offsets, flat)
-        return self._expansion_csr
+        return _memo(self._topology, ("descent", 1), lambda: expansion_csr(
+            self.child_offset, self.child_list))
+
+    def descent_children(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (offsets, flat ids) of each node's descendants ``depth``
+        levels down, a leaf met on the way standing for itself
+        (:func:`descent_csr`); ``depth`` 1 is :meth:`expansion_children`.
+        Cached with the topology, one entry per depth."""
+        if depth == 1:
+            return self.expansion_children()
+        return _memo(self._topology, ("descent", depth), lambda: descent_csr(
+            *self.expansion_children(), depth))
 
     # -- mutation: lazy refit + amortized partial rebuild -----------------------
     def inv_perm(self) -> np.ndarray:
-        """Original id → permuted position; computed once, cached."""
-        cached = getattr(self, "_inv_perm", None)
-        if cached is None:
-            cached = np.empty(self.n, dtype=np.int64)
-            cached[self.perm] = np.arange(self.n, dtype=np.int64)
-            self._inv_perm = cached
-        return cached
+        """Original id → permuted position; cached with the tiling."""
+        def build():
+            inv = np.empty(self.n, dtype=np.int64)
+            inv[self.perm] = np.arange(self.n, dtype=np.int64)
+            return inv
+        return _memo(self._tiling, "inv_perm", build)
 
     def leaf_of_position(self) -> np.ndarray:
-        """Permuted position → owning leaf node id; cached."""
-        cached = getattr(self, "_pos_leaf", None)
-        if cached is None:
-            leaves = np.flatnonzero(self.is_leaf_arr)
-            lsort = leaves[np.argsort(self.start[leaves], kind="stable")]
-            cached = np.repeat(lsort, (self.end - self.start)[lsort])
-            self._pos_leaf = cached
-        return cached
+        """Permuted position → owning leaf node id; cached with the
+        tiling."""
+        def build():
+            lsort = self.sorted_leaves()
+            return np.repeat(lsort, (self.end - self.start)[lsort])
+        return _memo(self._tiling, "leaf_of_position", build)
 
     def parents(self) -> np.ndarray:
-        """Per-node parent id (-1 for the root); cached."""
-        cached = getattr(self, "_parent_arr", None)
-        if cached is None:
+        """Per-node parent id (-1 for the root); cached with the
+        topology."""
+        def build():
             counts = self.child_offset[1:] - self.child_offset[:-1]
-            cached = np.full(self.n_nodes, -1, dtype=np.int64)
-            cached[self.child_list] = np.repeat(
+            par = np.full(self.n_nodes, -1, dtype=np.int64)
+            par[self.child_list] = np.repeat(
                 np.arange(self.n_nodes, dtype=np.int64), counts)
-            self._parent_arr = cached
-        return cached
-
-    def _drop_caches(self, names) -> None:
-        for name in names:
-            if hasattr(self, name):
-                delattr(self, name)
+            return par
+        return _memo(self._topology, "parents", build)
 
     def snapshot(self) -> "ArrayTree":
         """A consistent shallow view of the tree at its current version.
@@ -535,7 +580,7 @@ class ArrayTree:
             C = np.cumsum(np.bincount(posin, minlength=old_n + 1))
             self.start = self.start + C[self.start]
             self.end = self.end + C[self.end]
-            self._drop_caches(_PERM_CACHES)
+            self._tiling = {}
             changed, boxes = self._refit(leaf, arrivals=(leaf, pts))
             contribute({"tree.refit.count": 1, "tree.refit.points": int(m),
                         "tree.refit.nodes": boxes})
@@ -571,7 +616,7 @@ class ArrayTree:
                 self.weights = np.delete(self.weights, pos)
             self.start = self.start - D[self.start]
             self.end = self.end - D[self.end]
-            self._drop_caches(_PERM_CACHES)
+            self._tiling = {}
             changed, boxes = self._refit(leaf, departures=departures)
             contribute({"tree.refit.count": 1,
                         "tree.refit.points": int(idx.size),
@@ -717,16 +762,14 @@ class ArrayTree:
         holds node ``i``'s children, padded by repeating its last child,
         so a min/max over a row is a min/max over the children (a leaf's
         row is ``-1``).  Cached with the topology."""
-        cached = getattr(self, "_kid_matrix", None)
-        if cached is None:
+        def build():
             counts = self.child_offset[1:] - self.child_offset[:-1]
             last = np.maximum(counts, 1)[:, None] - 1
             col = np.minimum(np.arange(max(int(counts.max()), 1)), last)
             padded = np.append(self.child_list, -1)
-            cached = padded[np.where(counts[:, None] > 0,
-                                     self.child_offset[:-1, None] + col, -1)]
-            self._kid_matrix = cached
-        return cached
+            return padded[np.where(counts[:, None] > 0,
+                                   self.child_offset[:-1, None] + col, -1)]
+        return _memo(self._topology, "child_matrix", build)
 
     def _with_ancestors(self, nodes: np.ndarray) -> np.ndarray:
         """Node mask of ``nodes`` and every ancestor of them."""
@@ -867,6 +910,7 @@ class ArrayTree:
             [kept_children] + [sub.child_list + b0 for _, b0, sub in subs])
         self.child_offset = np.concatenate([[0], np.cumsum(new_counts)])
         self.is_leaf_arr = new_counts == 0
+        self._topology, self._tiling = {}, {}
         self.start = merge("start", start_offsets)
         self.end = merge("end", start_offsets)
         self.lo = merge("lo")
@@ -890,7 +934,6 @@ class ArrayTree:
         self.points = np.ascontiguousarray(new_points)
         self.perm = new_perm
         self.weights = new_weights
-        self._drop_caches(_TOPOLOGY_CACHES + _PERM_CACHES)
         contribute({"tree.rebuild.subtree": len(roots),
                     "tree.rebuild.nodes": int(dead.sum())})
 
@@ -915,7 +958,7 @@ class ArrayTree:
         for attr in attrs:
             setattr(self, attr, getattr(fresh, attr))
         self._pristine_diam = self.diameter
-        self._drop_caches(_TOPOLOGY_CACHES + _PERM_CACHES)
+        self._topology, self._tiling = {}, {}
         contribute({"tree.rebuild.full": 1})
 
     # -- distance bounds ----------------------------------------------------------

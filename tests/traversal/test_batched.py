@@ -27,7 +27,6 @@ from repro.dsl import (
 )
 from repro.dsl.errors import SpecificationError
 from repro.observe import collect
-from repro.parallel.worker import reset_state_range
 from repro.problems import knn, range_search
 from repro.traversal import bounded_batched, run_engine
 
@@ -253,7 +252,7 @@ class TestFlushCut:
 
     @staticmethod
     def _run(prog, **hooks):
-        reset_state_range(prog.state, 0, prog.state.nq)
+        prog.state.reset()
         with collect() as counters:
             run_engine("batched", prog.qtree, prog.rtree, prog.kernels,
                        **hooks)
