@@ -27,8 +27,9 @@ test-serve:
 # build), the topology caches snapshots share across subtree rebuilds,
 # plus the mutation -> cache-coherence differential matrix (fast portion
 # only; the executor x engine matrix is marked slow and runs in CI under
-# REPRO_EXECUTOR=process).
-MUTATION_TESTS = tests/trees/test_incremental.py tests/trees/test_build_equivalence.py tests/trees/test_refit_by_change.py tests/traversal/test_row_descent.py tests/backend/test_mutation_cache.py
+# REPRO_EXECUTOR=process), and the stateless actions over arrays of pairs
+# (bitwise against a per-pair replay).
+MUTATION_TESTS = tests/trees/test_incremental.py tests/trees/test_build_equivalence.py tests/trees/test_refit_by_change.py tests/traversal/test_row_descent.py tests/backend/test_mutation_cache.py tests/traversal/test_batched_actions.py
 
 test-mutation:
 	$(PYTHON) -m pytest $(MUTATION_TESTS) -m "not slow"

@@ -41,6 +41,7 @@ from ..dsl.ops import MAX_LIKE, MIN_LIKE, PortalOp, op_info
 from ..ir.nodes import IRCall, LoadExpr, SymRef
 from ..observe import span
 from ..rules.spec import RuleSpec
+from ..trees.node import _ranges
 
 __all__ = [
     "CodegenSpec", "GeneratedKernels", "generate", "emit", "bind_kernels",
@@ -187,7 +188,8 @@ class GeneratedKernels:
     ``prune_or_approx`` / ``pair_min_dist`` drive the nearest-first
     stack engine.  Stateless rules (indicator / approximation) get
     ``classify_batch`` over whole arrays of node-id pairs, and
-    ``apply_action`` for their approximated or inside pairs.  Bound
+    ``apply_action(qis, ris)`` for arrays of their approximated or
+    inside pairs.  Bound
     rules (k-NN, Hausdorff) get ``bound_key_batch`` (node pairs) and
     ``row_key_batch`` (row regime) promise keys, which the engine
     classifies against a signed per-query bound array ``qbound``.  The
@@ -241,18 +243,15 @@ def _scale_fold(g: Expr) -> tuple[float, Expr]:
     (the Gaussian's ``exp(-(t / c))`` is ``h = exp``, ``a = −1/c``);
     ``h`` is ``g`` with that chain replaced by ``t``.  Any other ``g``
     is ``(1.0, g)``."""
-    def is_t(n: Expr) -> bool:
-        return isinstance(n, SymRef) and n.name == "t"
-
-    if sum(map(is_t, g.walk())) != 1:
+    if sum(map(_is_t, g.walk())) != 1:
         return 1.0, g
 
     def fold(n: Expr) -> tuple[float, Expr, bool]:
         # n holds the one t: (factor, n rebuilt, whether n is in the chain)
-        if is_t(n):
+        if _is_t(n):
             return 1.0, n, True
         kids = n.children()
-        at = next(i for i, c in enumerate(kids) if any(map(is_t, c.walk())))
+        at = next(i for i, c in enumerate(kids) if any(map(_is_t, c.walk())))
         a, kid, chain = fold(kids[at])
         other = kids[1 - at] if len(kids) == 2 else None
         if chain and isinstance(n, Neg):
@@ -272,10 +271,66 @@ def _scale_fold(g: Expr) -> tuple[float, Expr]:
     return a, h
 
 
-def _value_lines(g: Expr) -> list[str]:
-    """Lines computing ``v = g(t)``, shared sub-trees first."""
-    pre, g_src = emit_expr_vn(g, {"t": "t"})
-    return [*pre, f"v = {g_src}"]
+#: binary operator → the ufunc its array spelling calls (``**`` is left
+#: out: ``ndarray.__pow__`` takes shortcuts ``np.power`` does not)
+_BINARY_UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply",
+                  "/": "np.divide"}
+
+
+def _is_t(n: Expr) -> bool:
+    return isinstance(n, SymRef) and n.name == "t"
+
+
+def _in_place_steps(g: Expr, t: str) -> list[str] | None:
+    """The ufunc calls that turn the array ``t`` into ``g(t)`` in place,
+    innermost first, each ``np.f(..., out=t)``; None unless every node
+    holding ``t`` has one child holding it (or both children the same
+    shared sub-tree object, ``np.f(t, t, out=t)``), so ``t`` is never
+    read after it is overwritten.  A ``g`` that reads ``t`` twice
+    (``t · exp(−t)``), an indicator or a ``**`` gets None."""
+    steps: list[str] = []
+
+    def holds_t(n: Expr) -> bool:
+        return any(map(_is_t, n.walk()))
+
+    def chain(n: Expr) -> bool:
+        if _is_t(n):
+            return True
+        if isinstance(n, BinOp):
+            fn, args = _BINARY_UFUNCS.get(n.op), (n.lhs, n.rhs)
+        elif isinstance(n, Neg):
+            fn, args = "np.negative", (n.operand,)
+        elif isinstance(n, (IRCall, Call)):
+            fn = _NUMPY_CALLS.get(n.func)
+            args = n.args if isinstance(n, IRCall) else (n.operand,)
+        else:
+            return False
+        inner = [a for a in args if holds_t(a)]
+        if (fn is None or not inner or any(a is not inner[0] for a in inner)
+                or not chain(inner[0])):
+            return False
+        spelt = [t if a is inner[0] else emit_expr(a, {}) for a in args]
+        steps.append(f"{fn}({', '.join(spelt)}, out={t})")
+        return True
+
+    return steps if chain(g) else None
+
+
+def _value_lines(g: Expr, t: str = "t", v: str = "v") -> list[str]:
+    """Lines computing ``v = g(t)``.  Where ``t`` is not read again
+    (:func:`_in_place_steps`) ``g`` is evaluated into ``t`` itself, one
+    ufunc with ``out=`` per node, so ``v`` is ``t``'s buffer and a block
+    kernel allocates no array per node of ``g``: the Gaussian's ``v =
+    np.exp(t, out=t)``.  The same ufuncs on the same operands, so the
+    bits are those of the out-of-place expression, which any other ``g``
+    keeps (shared sub-trees first, :func:`emit_expr_vn`)."""
+    steps = _in_place_steps(g, t)
+    if steps is None:
+        pre, g_src = emit_expr_vn(g, {"t": t})
+        return [*pre, f"{v} = {g_src}"]
+    if v != t:
+        steps.append(f"{v} = {steps.pop() if steps else t}")
+    return steps
 
 
 _GEMM_OPERANDS = """\
@@ -685,14 +740,6 @@ def _base_case_rows_source(spec: CodegenSpec) -> str | None:
 # node-distance helpers and prune/approx emission
 # ---------------------------------------------------------------------------
 
-def _point_to_centroid(spec: CodegenSpec) -> list[str]:
-    """Source lines computing ``tc``: base distance from queries [s:e) to a
-    reference-node centroid (used by ComputeApprox)."""
-    tc = ("np.einsum('ij,ij->i', dqc, dqc)" if spec.base == "sqeuclidean"
-          else _METRICS[spec.base][2].format("np.abs(dqc)"))
-    return ["    c = rcentroid[ri]", "    dqc = QROW[s:e] - c", f"    tc = {tc}"]
-
-
 #: node-distance bound → the per-coordinate box gap it reduces
 _EDGES = {
     "min": "np.maximum(rlo[ri] - qhi[qi], qlo[qi] - rhi[ri])",
@@ -726,17 +773,29 @@ def _band_exprs(spec: CodegenSpec) -> tuple[list[str], str, str]:
 
 
 def _approx_action_lines(spec: CodegenSpec) -> list[str]:
-    pre, g_src = _g_scalar_vn(spec, "tc", "_vn")
-    # each of the node's W points contributes about g(centre): W·g to a
-    # sum, g**W to a product
-    update = (f"acc[s:e] *= np.power({g_src}, rweight[ri])"
-              if spec.inner_op is PortalOp.PROD
-              else f"acc[s:e] += rweight[ri] * {g_src}")
+    """ComputeApprox over one chunk of pairs: each query row of a pair
+    meets the reference node's centroid, and each of the node's W points
+    contributes about g(centroid): W·g to a sum, g**W to a product."""
+    tc = ("np.einsum('ij,ij->i', dqc, dqc)" if spec.base == "sqeuclidean"
+          else _METRICS[spec.base][2].format("np.abs(dqc)"))
+    if spec.inner_op is PortalOp.PROD:
+        # one exponent at a time: np.power takes other paths for a
+        # scalar exponent (w = 2 squares) than for an array of them
+        update = ["wr = rweight[rr]",
+                  "for w in np.unique(wr):",
+                  "    at = wr == w",
+                  "    tc[at] = np.power(tc[at], w)",
+                  "np.multiply.at(acc, rows, tc)"]
+    else:
+        update = ["tc *= rweight[rr]", "np.add.at(acc, rows, tc)"]
     return [
-        "    s = qstart[qi]; e = qend[qi]",
-        *_point_to_centroid(spec),
-        *(f"    {assign}" for assign in pre),
-        f"    {update}",
+        "rows = _ranges(qs[a:b], nq[a:b])",
+        "rr = np.repeat(ris[a:b], nq[a:b])",
+        "dqc = QROW[rows]",
+        "dqc -= rcentroid[rr]",
+        f"tc = {tc}",
+        *_value_lines(spec.g_ir, "tc", "tc"),
+        *update,
     ]
 
 
@@ -758,66 +817,124 @@ def mass_operands(rule: RuleSpec | None) -> frozenset[str]:
     return frozenset()
 
 
-def _inside_action_lines(spec: CodegenSpec, rule: RuleSpec) -> list[str]:
-    """Body lines of the indicator inside-region action (one node pair)."""
-    lines: list[str] = []
+def _count_action_lines(spec: CodegenSpec) -> list[str]:
+    """The inside-region count over one chunk of pairs: each pair adds
+    its node's count to its rows, then takes its self pairs out again —
+    by identity (``RSELF``) on a sharded reference, by position on one
+    shared tree.  The self pairs' entries follow their pair's own, so
+    every row sees each pair's add and subtract in the order one pair
+    at a time would apply them."""
+    lines = ["s, n, ri = qs[a:b], nq[a:b], ris[a:b]",
+             "rows = _ranges(s, n)",
+             "vals = np.repeat(rweight[ri], n)"]
     b = lines.append
-    if rule.inside_action in _COUNT_ACTIONS:
-        b("    s = qstart[qi]; e = qend[qi]")
-        b("    acc[s:e] += rweight[ri]")
-        if spec.self_map:
-            # A self pair is (query position RSELF[r]) × (reference
-            # position r); RSELF values are unique, so a plain
-            # fancy-indexed subtract is duplicate-free.
-            b("    sp = RSELF[rstart[ri]:rend[ri]]")
-            b("    m = (sp >= s) & (sp < e)")
-            if spec.weighted:
-                b("    acc[sp[m]] -= rw[rstart[ri]:rend[ri]][m]")
-            else:
-                b("    acc[sp[m]] -= 1.0")
-        elif spec.same_tree and spec.exclude_self:
-            b("    lo = max(s, rstart[ri]); hi = min(e, rend[ri])")
-            b("    if lo < hi:")
-            if spec.weighted:
-                b("        acc[lo:hi] -= rw[lo:hi]")
-            else:
-                b("        acc[lo:hi] -= 1.0")
-    elif rule.inside_action == "append_all":
-        b("    s = qstart[qi]; e = qend[qi]")
-        b("    idxs = np.arange(rstart[ri], rend[ri])")
-        if spec.self_map:
-            b("    sp = RSELF[rstart[ri]:rend[ri]]")
-            b("    for i in range(s, e):")
-            b("        out_lists[i].append(idxs[sp != i])")
-        elif spec.same_tree and spec.exclude_self:
-            b("    for i in range(s, e):")
-            b("        if rstart[ri] <= i < rend[ri]:")
-            b("            out_lists[i].append(idxs[idxs != i])")
-            b("        else:")
-            b("            out_lists[i].append(idxs)")
-        else:
-            b("    for i in range(s, e):")
-            b("        out_lists[i].append(idxs)")
-    else:  # pragma: no cover
-        raise CompileError(f"unknown inside action {rule.inside_action!r}")
+    if spec.self_map:
+        b("rn = rend[ri] - rstart[ri]")
+        b("rpos = _ranges(rstart[ri], rn)")
+        b("sp = RSELF[rpos]")
+        b("xpair = np.repeat(np.arange(ri.size), rn)")
+        b("hit = (sp >= s[xpair]) & (sp < (s + n)[xpair])")
+        b("xrows, xpair = sp[hit], xpair[hit]")
+        self_w = "rw[rpos[hit]]"
+    elif spec.same_tree and spec.exclude_self:
+        b("lo = np.maximum(s, rstart[ri])")
+        b("m = np.maximum(np.minimum(s + n, rend[ri]) - lo, 0)")
+        b("xrows = _ranges(lo, m)")
+        b("xpair = np.repeat(np.arange(ri.size), m)")
+        self_w = "rw[xrows]"
+    else:
+        return [*lines, "np.add.at(acc, rows, vals)"]
+    b(f"xvals = -{self_w}" if spec.weighted
+      else "xvals = np.full(xrows.size, -1.0)")
+    b("key = np.concatenate([2 * np.repeat(np.arange(ri.size), n), "
+      "2 * xpair + 1])")
+    b("order = np.argsort(key, kind='stable')")
+    b("np.add.at(acc, np.concatenate([rows, xrows])[order], "
+      "np.concatenate([vals, xvals])[order])")
     return lines
 
 
+def _append_action_lines(spec: CodegenSpec) -> list[str]:
+    """The inside-region ``append_all`` (range search), one pair at a
+    time: each row's list holds its pairs' slices in pool order, and
+    that order is the output."""
+    lines = ["for qi, ri in zip(qis.tolist(), ris.tolist()):",
+             "    s = qstart[qi]; e = qend[qi]",
+             "    idxs = np.arange(rstart[ri], rend[ri])"]
+    b = lines.append
+    if spec.self_map:
+        b("    sp = RSELF[rstart[ri]:rend[ri]]")
+        b("    for i in range(s, e):")
+        b("        out_lists[i].append(idxs[sp != i])")
+    elif spec.same_tree and spec.exclude_self:
+        b("    for i in range(s, e):")
+        b("        if rstart[ri] <= i < rend[ri]:")
+        b("            out_lists[i].append(idxs[idxs != i])")
+        b("        else:")
+        b("            out_lists[i].append(idxs)")
+    else:
+        b("    for i in range(s, e):")
+        b("        out_lists[i].append(idxs)")
+    return lines
+
+
+def _pair_chunks(cells):
+    """Edges ``(a, b)`` of consecutive slices of an action's pairs, in
+    order, each holding at most :data:`CHUNK_CELLS` cells (``cells[p]``
+    of pair ``p``) unless one pair alone holds more.  ``bind_kernels``
+    puts it in every emitted program's namespace."""
+    ends = np.cumsum(cells)
+    if ends.size and ends[-1] <= CHUNK_CELLS:
+        yield 0, ends.size
+        return
+    a = 0
+    while a < ends.size:
+        b = int(np.searchsorted(ends, ends[a] - cells[a] + CHUNK_CELLS,
+                                side="right"))
+        b = max(b, a + 1)
+        yield a, b
+        a = b
+
+
 def _action_source(spec: CodegenSpec) -> str | None:
-    """Emit ``apply_action(qi, ri)``: the ComputeApprox / inside-region
-    side effect for one node pair, shared by the scalar prune function
-    and the batched engine (so both engines apply bit-identical
-    updates, in their own orders)."""
+    """Emit ``apply_action(qis, ris)``: the ComputeApprox / inside-region
+    side effect of the node pairs ``(qis[p], ris[p])``, applied in pair
+    order.  The batched engine calls it once per epoch with every
+    code-2 pair of the epoch in pool order; the stack engine's scalar
+    ``prune_or_approx`` with its one pair, so each action has one
+    spelling.
+
+    The arithmetic is done in bulk over slices of pairs whose gathered
+    rows stay within :data:`CHUNK_CELLS` cells (:func:`_pair_chunks`),
+    taken in order: the pairs' query rows, reference centroids and
+    weights are gathered, g is evaluated once, and the terms are
+    accumulated with ``np.add.at`` (``np.multiply.at`` for a PROD), which
+    applies them one index at a time in array order.  So every row gets
+    the same operands, in the same order, as one pair at a time would
+    give it, and the outputs are bitwise those of a per-pair loop.  An
+    ``append_all`` (range search) keeps its loop over the pairs inside
+    the function: a row's list order is the output."""
     rule = spec.rule
+    head = "def apply_action(qis, ris):"
     if rule is None:
         return None
-    if rule.kind == "indicator" and rule.inside_action is not None:
-        body = _inside_action_lines(spec, rule)
-    elif rule.kind == "approx":
-        body = _approx_action_lines(spec)
-    else:
+    if rule.kind == "approx":
+        body, cells = _approx_action_lines(spec), "nq * QROW.shape[1]"
+    elif rule.kind != "indicator" or rule.inside_action is None:
         return None
-    return "\n".join(["def apply_action(qi, ri):", *body])
+    elif rule.inside_action == "append_all":
+        return _function(head, _append_action_lines(spec))
+    elif rule.inside_action in _COUNT_ACTIONS:
+        body = _count_action_lines(spec)
+        cells = "nq + rend[ris] - rstart[ris]" if spec.self_map else "nq"
+    else:  # pragma: no cover
+        raise CompileError(f"unknown inside action {rule.inside_action!r}")
+    return _function(head, [
+        "qs = qstart[qis]",
+        "nq = qend[qis] - qs",
+        f"for a, b in _pair_chunks({cells}):",
+        *("    " + line for line in body),
+    ])
 
 
 def _indicator_edges(rule: RuleSpec) -> tuple[str, str, str, str]:
@@ -865,7 +982,7 @@ def _prune_source(spec: CodegenSpec) -> str | None:
         if rule.inside_action is not None:
             b(f"    t2 = {second}(qi, ri)")
             b(f"    if t2 {opn} H:")
-            b("        apply_action(qi, ri)")
+            b("        apply_action(np.array([qi]), np.array([ri]))")
             b("        return 2")
         b("    return 0")
 
@@ -880,12 +997,43 @@ def _prune_source(spec: CodegenSpec) -> str | None:
         else:  # mac
             b("    tmin = pair_min_base_dist(qi, ri)")
             b("    if tmin > 0.0 and rdiam2[ri] <= THETA2 * tmin:")
-        b("        apply_action(qi, ri)")
+        b("        apply_action(np.array([qi]), np.array([ri]))")
         b("        return 2")
         b("    return 0")
     else:  # pragma: no cover
         raise CompileError(f"unknown rule kind {rule.kind!r}")
     return "\n".join(lines)
+
+
+def _pair_edges_lines(spec: CodegenSpec) -> list[str]:
+    """Lines computing both base-distance bounds of the node pairs
+    ``(qis, ris)``, ``tmin`` and ``tmax``, with the subtractions and
+    argument orders of ``pair_min_base_dist`` / ``pair_max_base_dist``
+    (:data:`_EDGES`), so the bits are theirs, but gathering each of
+    ``rlo`` / ``qhi`` / ``qlo`` / ``rhi`` once: each gathered pair of
+    box arrays serves both its subtractions.  The pairs are taken in
+    slices of at most :data:`CHUNK_CELLS` coordinates, so the box arrays
+    and gaps alive at once stay cache-sized however wide the level."""
+    step = max(1, CHUNK_CELLS // spec.dim)
+    red = _METRICS[spec.base][2]
+    return [
+        "tmin = np.empty(qis.shape[0])",
+        "tmax = np.empty(qis.shape[0])",
+        f"for c in range(0, qis.shape[0], {step}):",
+        f"    qi, ri = qis[c:c + {step}], ris[c:c + {step}]",
+        "    lo = rlo[ri]",
+        "    hi = qhi[qi]",
+        "    gmin = lo - hi",
+        "    gmax = np.subtract(hi, lo, out=hi)",
+        "    lo = qlo[qi]",
+        "    hi = rhi[ri]",
+        "    np.maximum(gmin, lo - hi, out=gmin)",
+        "    np.maximum(np.subtract(hi, lo, out=hi), gmax, out=gmax)",
+        "    np.maximum(0.0, gmin, out=gmin)",
+        "    np.maximum(0.0, gmax, out=gmax)",
+        f"    tmin[c:c + {step}] = {red.format('gmin')}",
+        f"    tmax[c:c + {step}] = {red.format('gmax')}",
+    ]
 
 
 def _classify_batch_source(spec: CodegenSpec) -> str | None:
@@ -909,14 +1057,15 @@ def _classify_batch_source(spec: CodegenSpec) -> str | None:
 
     if rule.kind == "indicator":
         opn, neg, first, second = _indicator_edges(rule)
-        b(f"    t1 = {first}(qis, ris)")
-        b(f"    codes[t1 {neg} H] = 1")
-        if rule.inside_action is not None:
-            b(f"    t2 = {second}(qis, ris)")
-            b(f"    codes[(codes == 0) & (t2 {opn} H)] = 2")
+        if rule.inside_action is None:
+            b(f"    codes[{first}(qis, ris) {neg} H] = 1")
+        else:
+            lines += ("    " + line for line in _pair_edges_lines(spec))
+            t1, t2 = (f"t{fn.split('_')[1]}" for fn in (first, second))
+            b(f"    codes[{t1} {neg} H] = 1")
+            b(f"    codes[(codes == 0) & ({t2} {opn} H)] = 2")
     elif rule.criterion == "band":
-        b("    tmin = pair_min_base_dist(qis, ris)")
-        b("    tmax = pair_max_base_dist(qis, ris)")
+        lines += ("    " + line for line in _pair_edges_lines(spec))
         pre, glo, ghi = _band_exprs(spec)
         for assign in pre:
             b(f"    {assign}")
@@ -1112,7 +1261,8 @@ def _present(**named) -> dict:
 def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
     """Execute emitted kernel code against a closure environment — the
     flat namespace :meth:`Bindings.bind` assembles."""
-    namespace = {"np": np, "_blocks": _blocks}
+    namespace = {"np": np, "_blocks": _blocks, "_pair_chunks": _pair_chunks,
+                 "_ranges": _ranges}
     namespace.update(bindings)
     exec(code, namespace)
     emitted = {f.name: namespace.get(f.name) for f in fields(GeneratedKernels)

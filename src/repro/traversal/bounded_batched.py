@@ -87,14 +87,18 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    node geometry and fixed thresholds alone, so narrowing an epoch buys
    nothing: each epoch takes the whole pool, which is one level of the
    recursion.  ``classify_batch`` labels it (0: recurse, 1: prune,
-   2: approximate) and ``apply_action`` applies each code-2 pair in
-   pool order.  The promise key is the reference leaf's ``rstart``, and
-   every base case is deferred to one flush after the loop: sorted by
-   query leaf, then ``rstart``, and cut at query-leaf boundaries into
-   slices of at most ``epoch_size`` leaf pairs, each one grouped call
-   per query leaf (a cut bounds the gathered index array; it never
-   splits a query leaf, so it cannot move a bit).  The row regime and
-   the epoch hooks below are bound-only.
+   2: approximate) and one ``apply_action`` call applies every code-2
+   pair of the epoch, in pool order: the emitted action gathers the
+   pairs' rows and reference mass data in slices, evaluates g once per
+   slice and accumulates with ``np.add.at`` (``np.multiply.at``), so
+   each row's terms arrive in the order of a per-pair loop and the
+   outputs are its bits.  The promise key is the reference leaf's
+   ``rstart``, and every base case is deferred to one flush after the
+   loop: sorted by query leaf, then ``rstart``, and cut at query-leaf
+   boundaries into slices of at most ``epoch_size`` leaf pairs, each
+   one grouped call per query leaf (a cut bounds the gathered index
+   array; it never splits a query leaf, so it cannot move a bit).  The
+   row regime and the epoch hooks below are bound-only.
 
 Node bounds are refreshed from ``qbound`` in two reduceat sweeps: sorted
 leaves tile ``[0, n)`` contiguously, so one ``np.maximum.reduceat`` over
@@ -415,10 +419,10 @@ def bounded_batched_dual_tree_traversal(
                                     dtype=np.int8))
                 pruned = codes == 1
                 live = codes == 0
-                act = codes == 2
-                stats.approximated += int(np.count_nonzero(act))
-                for qi, ri in zip(q[act].tolist(), r[act].tolist()):
-                    kernels.apply_action(qi, ri)
+                act = np.flatnonzero(codes == 2)
+                stats.approximated += int(act.size)
+                if act.size:
+                    kernels.apply_action(q[act], r[act])
             stats.pruned += int(np.count_nonzero(pruned))
             if not live.all():
                 q, r, keys = q[live], r[live], keys[live]

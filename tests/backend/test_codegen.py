@@ -108,8 +108,10 @@ class TestSourceStructure:
         g = reduce_expr(IRCall("pow", (SymRef("t"), Const(4.0))))
         gk = generate(_spec(g_ir=g, inner_op=PortalOp.MIN),
                       _bindings(Q, Q, {"best": np.full(8, np.inf)}))
-        # pow(t, 4) as one shared square, multiplied by itself.
-        assert "_vn1 = (t * t)" in gk.source and "(_vn1 * _vn1)" in gk.source
+        # pow(t, 4) as one shared square, multiplied by itself, both
+        # evaluated into the distance buffer.
+        assert "    np.multiply(t, t, out=t)\n" in gk.source
+        assert "v = np.multiply(t, t, out=t)" in gk.source
         assert "np.power" not in gk.source
 
     def test_header_mentions_config(self, rng):

@@ -49,12 +49,13 @@ def test_scale_fold(g, a, h):
 
 
 q, r = Var("q"), Var("r")
-#: name → (kernel, header scale or None, the clamp, the kernel's v line)
+#: name → (kernel, header scale or None, the clamp, the kernel's v line:
+#: h evaluated into t where t is not read again)
 KERNELS = {
     "gaussian": (PortalFunc.GAUSSIAN, "-0.5", "np.minimum(t, 0.0, out=t)",
-                 "v = np.exp(t)"),
+                 "v = np.exp(t, out=t)"),
     "cauchy": (1.0 / (1.0 + pow(q - r, 2) * 0.5), "0.5",
-               "np.maximum(t, 0.0, out=t)", "v = (1.0 / (1.0 + t))"),
+               "np.maximum(t, 0.0, out=t)", "v = np.divide(1.0, t, out=t)"),
     "t-twice": (exp(-pow(q - r, 2) / 2.0) * (1.0 + pow(q - r, 2)), "1.0",
                 "np.maximum(t, 0.0, out=t)",
                 "v = (np.exp(((-(t)) / 2.0)) * (1.0 + t))"),

@@ -1,0 +1,330 @@
+"""Stateless actions over arrays of pairs, and block values in place.
+
+The emitted ``apply_action(qis, ris)`` applies the approximation or
+inside-region action of many node pairs at once: the batched engine
+calls it once per epoch with every code-2 pair in pool order, the stack
+engine's ``prune_or_approx`` with its one pair.  It accumulates with
+``np.add.at`` / ``np.multiply.at`` in pair order, so every output here
+is held *bitwise* to a replay that applies the same pairs one at a
+time through a test-local copy of the per-pair action the emitter
+produced before (``_per_pair_source``): KDE at τ, the naive-Bayes
+density, a weighted Barnes–Hut potential (``mac``), a PROD
+approximation and range count (an inside-region count, weighted, with
+positional and ``RSELF`` self-exclusion), serial, on threads, on
+processes and over two shards, self-join and bichromatic, d ∈ {3, 9}.
+
+The block kernels evaluate ``g`` into the distance buffer ``t`` where
+``t`` is not read again (``codegen._value_lines``); those lines are
+held bitwise to the out-of-place expression for every suite kernel.
+``classify_batch`` takes both box-distance bounds from one gather of
+the four box arrays; they are held bitwise to the node-distance
+functions.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.backend import codegen, jit
+from repro.backend.codegen import (
+    CHUNK_CELLS, _pair_chunks, _pair_edges_lines, _scale_fold, _value_lines,
+    emit_expr_vn,
+)
+from repro.data.synthetic import ihepc
+from repro.dsl import (
+    PortalExpr, PortalFunc, PortalOp, Storage, Var, exp, indicator, pow, sqrt,
+)
+from repro.dsl.expr import BinOp, Call, Const, Neg
+from repro.ir.nodes import IRCall, SymRef
+from repro.ir.strength_reduction import reduce_expr
+from repro.observe import collect
+from repro.problems import (
+    hausdorff, kde, knn, naive_bayes_fit, range_count, range_search,
+    two_point_correlation,
+)
+from repro.problems.barnes_hut import gravity_kernel
+from repro.traversal import engines
+
+from tests.contract import assert_bitwise
+
+q, r = Var("q"), Var("r")
+
+
+def _per_pair_source(spec) -> str:
+    """``_pair_action(qi, ri)``: the per-pair action as the emitter
+    spelt it before actions took arrays of pairs (a test-local copy),
+    for the replay."""
+    rule = spec.rule
+    if rule.kind == "approx":
+        assert spec.base == "sqeuclidean"
+        pre, g = emit_expr_vn(spec.g_ir, {"t": "tc"})
+        body = ["s = qstart[qi]; e = qend[qi]", "c = rcentroid[ri]",
+                "dqc = QROW[s:e] - c",
+                "tc = np.einsum('ij,ij->i', dqc, dqc)", *pre,
+                f"acc[s:e] *= np.power({g}, rweight[ri])"
+                if spec.inner_op is PortalOp.PROD
+                else f"acc[s:e] += rweight[ri] * {g}"]
+    else:
+        assert rule.inside_action == "count_per_query"
+        body = ["s = qstart[qi]; e = qend[qi]", "acc[s:e] += rweight[ri]"]
+        if spec.self_map:
+            body += ["sp = RSELF[rstart[ri]:rend[ri]]",
+                     "m = (sp >= s) & (sp < e)",
+                     "acc[sp[m]] -= rw[rstart[ri]:rend[ri]][m]"
+                     if spec.weighted else "acc[sp[m]] -= 1.0"]
+        elif spec.same_tree and spec.exclude_self:
+            body += ["lo = max(s, rstart[ri]); hi = min(e, rend[ri])",
+                     "if lo < hi:",
+                     "    acc[lo:hi] -= rw[lo:hi]" if spec.weighted
+                     else "    acc[lo:hi] -= 1.0"]
+    return "\n".join(["def _pair_action(qi, ri):",
+                      *("    " + line for line in body)])
+
+
+@pytest.fixture
+def specs(monkeypatch):
+    """Emitted source → its ``CodegenSpec``, for every program compiled
+    while the test runs."""
+    seen = {}
+    emit = jit.emit
+
+    def recording(spec):
+        source, code = emit(spec)
+        seen[source] = spec
+        return source, code
+
+    monkeypatch.setattr(jit, "emit", recording)
+    return seen
+
+
+@pytest.fixture
+def replay(monkeypatch, specs):
+    """Route every traversal's actions (both engines) through the
+    per-pair replay.  After ``calls["on"] = False`` the emitted actions
+    run instead, and ``calls["sizes"]`` records the pairs of each call."""
+    calls = {"on": True, "sizes": []}
+    originals = dict(engines.ENGINES)
+
+    def wrap(name):
+        def run(qtree, rtree, kk, qbound, **kw):
+            if kk.apply_action is not None:
+                if calls["on"]:
+                    ns = dict(kk.namespace)
+                    exec(_per_pair_source(specs[kk.source]), ns)
+                    one = ns["_pair_action"]
+
+                    def action(qis, ris):
+                        for qi, ri in zip(qis.tolist(), ris.tolist()):
+                            one(qi, ri)
+                else:
+                    batched = kk.apply_action
+
+                    def action(qis, ris):
+                        calls["sizes"].append(len(qis))
+                        batched(qis, ris)
+                # the stack engine's prune_or_approx reads it by name
+                kk.namespace["apply_action"] = action
+                kk = dataclasses.replace(kk, apply_action=action)
+            return originals[name](qtree, rtree, kk, qbound, **kw)
+        return run
+
+    for name in originals:
+        monkeypatch.setitem(engines.ENGINES, name, wrap(name))
+    return calls
+
+
+def _data(d, seed):
+    if d == 3:
+        return np.random.default_rng(seed).uniform(0.0, 10.0, (900, 3))
+    return ihepc(900, seed=seed)
+
+
+def _expr(program, Q, R, w):
+    """The program's expression and its execute options."""
+    if R is None:
+        qs = rs = Storage(Q, weights=w, name="data")
+    else:
+        qs, rs = Storage(Q, name="query"), Storage(R, weights=w, name="reference")
+    expr = PortalExpr(f"actions-{program}")
+    expr.addLayer(PortalOp.FORALL, q, qs)
+    if program == "kde":
+        expr.addLayer(PortalOp.SUM, r, rs, PortalFunc.GAUSSIAN, bandwidth=0.3)
+        options = dict(tau=1e-3, leaf_size=16)
+    elif program == "naive_bayes":
+        expr.addLayer(PortalOp.SUM, r, rs, exp(-(pow(q - r, 2) / 2.42)))
+        options = dict(tau=1e-3, leaf_size=16)
+    elif program == "barnes_hut":
+        expr.addLayer(PortalOp.SUM, r, rs, gravity_kernel())
+        options = dict(criterion="mac", theta=0.5, leaf_size=16)
+    elif program == "prod":
+        expr.addLayer(PortalOp.PROD, r, rs,
+                      exp(-(pow(q - r, 2) / 2.0)) * 1e-3 + 1.0)
+        options = dict(tau=1e-6, leaf_size=16)
+    else:
+        h = 3.0 if Q.shape[1] == 3 else 1.5
+        expr.addLayer(PortalOp.SUM, r, rs, indicator(sqrt(pow(q - r, 2)) < h))
+        options = dict(leaf_size=8)
+    options["exclude_self"] = R is None
+    return expr, options
+
+
+#: program → weighted reference
+PROGRAMS = {"kde": False, "naive_bayes": False, "barnes_hut": True,
+            "prod": False, "range_count": True}
+EXECUTORS = {
+    "serial": {},
+    "stack": dict(traversal="stack"),
+    "thread": dict(parallel=True, workers=2, min_tasks=8, executor="thread"),
+    "process": dict(parallel=True, workers=2, min_tasks=8, executor="process"),
+    "shards2": dict(shards=2),
+}
+
+
+def _run(program, d, join, executor, **extra):
+    R = _data(d, 1)
+    w = (np.random.default_rng(3).uniform(0.5, 2.0, len(R))
+         if PROGRAMS[program] else None)
+    Q, R = (R, None) if join == "self" else (_data(d, 2), R)
+    expr, options = _expr(program, Q, R, w)
+    with collect() as counters:
+        out = expr.execute(**{**options, **extra}, **EXECUTORS[executor])
+    return out, {k: v for k, v in counters.as_dict().items()
+                 if k.startswith("traversal.")}
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("join", ["self", "bichromatic"])
+@pytest.mark.parametrize("d", [3, 9])
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_actions_bitwise_against_per_pair_replay(program, d, join, executor,
+                                                 replay):
+    # a process worker binds its own kernels, out of the replay's reach:
+    # it is held to the thread executor's replay, the same plan
+    want, c_want = _run(program, d, join,
+                        "thread" if executor == "process" else executor)
+    replay["on"] = False
+    got, c_got = _run(program, d, join, executor)
+    assert_bitwise(got, want)
+    assert c_got == c_want
+    assert c_want["traversal.approximated"] > 0
+    if executor != "process":
+        batched = executor != "stack"
+        assert replay["sizes"]
+        assert (max(replay["sizes"]) > 1) == batched
+
+
+def test_prod_of_two_point_nodes(replay):
+    """A node of two points raises its value to the power 2.0, where
+    ``np.power`` squares a scalar exponent but not an array of them: the
+    product takes one distinct weight at a time and keeps the per-pair
+    bits."""
+    want, c_want = _run("prod", 9, "bichromatic", "serial", leaf_size=2)
+    replay["on"] = False
+    got, _ = _run("prod", 9, "bichromatic", "serial", leaf_size=2)
+    assert_bitwise(got, want)
+    assert c_want["traversal.approximated"] > 0
+
+
+def test_chunked_actions_move_no_bit(monkeypatch):
+    """Cutting an epoch's pairs into slices of a few cells changes no
+    output: the slices run in order."""
+    want, _ = _run("barnes_hut", 3, "self", "serial")
+    monkeypatch.setattr(codegen, "CHUNK_CELLS", 40)
+    got, _ = _run("barnes_hut", 3, "self", "serial")
+    assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("cells", [
+    [], [5], [3, 3, 3], [CHUNK_CELLS, 1, 1], [1, 2 * CHUNK_CELLS, 1],
+    list(np.random.default_rng(0).integers(1, CHUNK_CELLS // 3, 40)),
+])
+def test_pair_chunks_cover_in_order(cells):
+    cells = np.asarray(cells, dtype=np.int64)
+    edges = list(_pair_chunks(cells))
+    bounds = [0, *(b for _, b in edges)]
+    assert [a for a, _ in edges] == bounds[:-1]
+    assert bounds[-1] == cells.size
+    for a, b in edges:
+        assert b - a == 1 or cells[a:b].sum() <= CHUNK_CELLS
+
+
+# -- block values in place ----------------------------------------------------
+T = SymRef("t")
+
+#: kernels beyond the suite's: g reading t twice, a value-numbered
+#: shared square, t on the right of a constant sub-tree, nested max/min
+EXTRA = {
+    "t-twice": BinOp("*", Call("exp", BinOp("/", Neg(T), Const(2.0))),
+                     BinOp("+", Const(1.0), T)),
+    "pow4-shared": reduce_expr(IRCall("pow", (T, Const(4.0)))),
+    "constant-subtree": BinOp("/", Call("sqrt", BinOp("+", Const(1.0),
+                                                       Const(2.0))),
+                              BinOp("+", T, Const(0.25))),
+    "max-min": IRCall("min", (IRCall("max", (T, Const(0.5))), Const(9.0))),
+}
+
+
+def _suite_kernels(specs):
+    """g of every Table III program the suite compiles, as emitted."""
+    rng = np.random.default_rng(5)
+    P, Q = rng.normal(size=(120, 3)), rng.normal(size=(90, 3))
+    kde(Q, P, bandwidth=0.7)
+    knn(Q, P, k=3)
+    range_search(Q, P, h=0.5)
+    range_count(Q, P, h=0.5)
+    hausdorff(Q, P)
+    two_point_correlation(P, 0.4)
+    naive_bayes_fit(P, rng.integers(0, 2, len(P))).predict(Q)
+    for program in ("naive_bayes", "barnes_hut", "prod"):
+        expr, options = _expr(program, Q, P, None)
+        expr.execute(**options)
+    return {f"{i}:{s.g_ir!r}": s.g_ir for i, s in enumerate(specs.values())}
+
+
+def test_in_place_values_match_out_of_place(specs):
+    kernels = {**_suite_kernels(specs), **EXTRA}
+    assert len(kernels) > 8
+    t0 = np.random.default_rng(7).uniform(0.0, 30.0, (37, 41))
+    in_place = 0
+    for name, g in kernels.items():
+        for h in (g, _scale_fold(g)[1]):
+            pre, src = emit_expr_vn(h, {"t": "t"})
+            want = {"np": np, "t": t0.copy()}
+            exec("\n".join([*pre, f"v = {src}"]), want)
+            lines = _value_lines(h)
+            got = {"np": np, "t": t0.copy()}
+            exec("\n".join(lines), got)
+            assert_bitwise(got["v"], np.asarray(want["v"], dtype=float))
+            in_place += "out=t" in lines[-1]
+    assert in_place > 8
+    # t read twice keeps the out-of-place expression
+    assert "out=t" not in "".join(_value_lines(EXTRA["t-twice"]))
+    assert _value_lines(EXTRA["pow4-shared"]) == [
+        "np.multiply(t, t, out=t)", "v = np.multiply(t, t, out=t)"]
+
+
+def test_classify_edges_match_node_distances(monkeypatch):
+    """Both bounds from one gather equal ``pair_min_base_dist`` /
+    ``pair_max_base_dist`` bitwise, for every pair of nodes."""
+    checked = []
+    run = engines.ENGINES["batched"]
+    edges = "\n".join(_pair_edges_lines(codegen.CodegenSpec(
+        dim=3, base="sqeuclidean", g_ir=T, monotone=None)))
+
+    def check(qtree, rtree, kk, qbound, **kw):
+        qis, ris = np.meshgrid(np.arange(qtree.n_nodes),
+                               np.arange(rtree.n_nodes), indexing="ij")
+        ns = {**kk.namespace, "qis": qis.ravel(), "ris": ris.ravel()}
+        exec(edges, ns)
+        assert_bitwise(ns["tmin"], kk.pair_min_dist(ns["qis"], ns["ris"]))
+        assert_bitwise(ns["tmax"],
+                       ns["pair_max_base_dist"](ns["qis"], ns["ris"]))
+        assert "pair_min_base_dist(qis" not in kk.source
+        checked.append(kk.source)
+        return run(qtree, rtree, kk, qbound, **kw)
+
+    monkeypatch.setitem(engines.ENGINES, "batched", check)
+    _run("kde", 9, "bichromatic", "serial")
+    _run("range_count", 3, "self", "serial")
+    assert len(checked) == 2
