@@ -17,7 +17,10 @@ vectorisation decisions drive the emitted code:
   (``exact_values``), so their values do not depend on block shapes;
 * **strength reduction** — the kernel expression arrives already
   strength-reduced (``pow`` as chained multiplications) and is emitted
-  verbatim, so the generated source visibly contains the optimisation;
+  node by node (:func:`_value_lines`): one line per distinct value, so a
+  shared square is computed once, written with ``out=`` into an array
+  of ``t`` that is not read again, and the generated source visibly
+  contains the optimisation;
 * **multi-variable filters** — ``min^k``-style operators keep a sorted
   k-array per query, the ordered array the paper describes.  Each leaf
   batch first filters the query rows against their k-th best; only rows
@@ -38,14 +41,14 @@ import numpy as np
 from ..dsl.errors import CompileError
 from ..dsl.expr import BinOp, Call, Const, Expr, Indicator, Neg
 from ..dsl.ops import MAX_LIKE, MIN_LIKE, PortalOp, op_info
-from ..ir.nodes import IRCall, LoadExpr, SymRef
+from ..ir.nodes import IRCall, SymRef
 from ..observe import span
 from ..rules.spec import RuleSpec
 from ..trees.node import _ranges
 
 __all__ = [
     "CodegenSpec", "GeneratedKernels", "generate", "emit", "bind_kernels",
-    "emit_expr", "emit_expr_vn", "Bindings",
+    "Bindings",
 ]
 
 _NUMPY_CALLS = {
@@ -57,85 +60,6 @@ _NUMPY_CALLS = {
     "max": "np.maximum",
     "min": "np.minimum",
 }
-
-
-def emit_expr(e: Expr, var_map: dict[str, str],
-              _names: dict[int, str] | None = None) -> str:
-    """Emit vectorised NumPy source for an IR expression.
-
-    ``_names`` maps ``id(node)`` to an already-materialised temporary —
-    the value-numbering hook of :func:`emit_expr_vn`.
-    """
-    if _names is not None:
-        hit = _names.get(id(e))
-        if hit is not None:
-            return hit
-
-    def sub(node: Expr) -> str:
-        return emit_expr(node, var_map, _names)
-
-    if isinstance(e, SymRef):
-        try:
-            return var_map[e.name]
-        except KeyError:
-            raise CompileError(f"no binding for IR symbol {e.name!r}") from None
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, BinOp):
-        return f"({sub(e.lhs)} {e.op} {sub(e.rhs)})"
-    if isinstance(e, Neg):
-        return f"(-({sub(e.operand)}))"
-    if isinstance(e, (IRCall, Call)):
-        args = e.args if isinstance(e, IRCall) else (e.operand,)
-        fn = _NUMPY_CALLS.get(e.func)
-        if fn is None:
-            raise CompileError(f"cannot emit IR function {e.func!r}")
-        return f"{fn}({', '.join(sub(a) for a in args)})"
-    if isinstance(e, Indicator):
-        return f"np.multiply(({sub(e.lhs)}) {e.op} ({sub(e.rhs)}), 1.0)"
-    if isinstance(e, LoadExpr):
-        return f"{e.array}[{', '.join(sub(i) for i in e.indices)}]"
-    raise CompileError(f"cannot emit expression node {type(e).__name__}")
-
-
-def _shared_subtrees(e: Expr) -> list[Expr]:
-    """Non-leaf sub-tree objects referenced more than once in *e*, in
-    post-order (inner shared trees before the trees that contain them)."""
-    counts: dict[int, int] = {}
-    order: list[Expr] = []
-
-    def visit(n: Expr):
-        if not n.children():
-            return
-        seen = counts.get(id(n), 0)
-        counts[id(n)] = seen + 1
-        if seen:
-            return
-        for c in n.children():
-            visit(c)
-        order.append(n)
-
-    visit(e)
-    return [n for n in order if counts[id(n)] > 1]
-
-
-def emit_expr_vn(e: Expr, var_map: dict[str, str],
-                 prefix: str = "_vn") -> tuple[list[str], str]:
-    """Value-numbering-aware emission: sub-trees referenced more than
-    once by object identity (strength reduction's shared pow-chain
-    squares) are materialised once into ``<prefix><N>`` temporaries.
-
-    Returns ``(assignments, source)`` where ``assignments`` are
-    unindented ``name = expr`` lines to emit before using ``source``.
-    For trees without sharing this is exactly :func:`emit_expr`.
-    """
-    names: dict[int, str] = {}
-    assigns: list[str] = []
-    for i, node in enumerate(_shared_subtrees(e), 1):
-        name = f"{prefix}{i}"
-        assigns.append(f"{name} = {emit_expr(node, var_map, names)}")
-        names[id(node)] = name
-    return assigns, emit_expr(e, var_map, names)
 
 
 @dataclass
@@ -281,56 +205,78 @@ def _is_t(n: Expr) -> bool:
     return isinstance(n, SymRef) and n.name == "t"
 
 
-def _in_place_steps(g: Expr, t: str) -> list[str] | None:
-    """The ufunc calls that turn the array ``t`` into ``g(t)`` in place,
-    innermost first, each ``np.f(..., out=t)``; None unless every node
-    holding ``t`` has one child holding it (or both children the same
-    shared sub-tree object, ``np.f(t, t, out=t)``), so ``t`` is never
-    read after it is overwritten.  A ``g`` that reads ``t`` twice
-    (``t · exp(−t)``), an indicator or a ``**`` gets None."""
-    steps: list[str] = []
+def _value_lines(g: Expr, t: str = "t", v: str = "v",
+                 owned: bool = False) -> tuple[list[str], str]:
+    """Lines computing ``g(t)``, and the name that holds it: ``v``, or
+    ``t`` itself for an identity ``g``, which gets no line.
 
-    def holds_t(n: Expr) -> bool:
-        return any(map(_is_t, n.walk()))
+    The distinct non-leaf nodes of ``g`` are numbered by structure,
+    innermost first, so a node spelt like one already numbered
+    (strength reduction's shared squares) is that value, computed once.
+    Each value is one line through one name map, the last into ``v``,
+    in the expression's operator spelling (``(a / b)``, which on a
+    scalar costs a quarter of the ufunc call).  With ``owned``, ``t`` is
+    an array the caller gives up, and every value computed from it is a
+    fresh array: a node with a ufunc spelling that reads such an operand
+    for the last time writes into it with ``out=``, so a block kernel
+    allocates no array per node of ``g`` (the Gaussian's ``v =
+    np.exp(t, out=t)``).  Both spellings call the same ufuncs on the
+    same operands, so the bits are those of ``g.evaluate``."""
+    numbered: dict[tuple, int] = {}
+    values: list[tuple] = [None]   # value 0 is t: (ufunc, template, operands)
 
-    def chain(n: Expr) -> bool:
+    def number(n: Expr) -> int | str:
+        # a value's number, or a constant's literal
         if _is_t(n):
-            return True
+            return 0
+        if isinstance(n, Const):
+            return repr(n.value)
+        if isinstance(n, SymRef):
+            raise CompileError(f"no binding for IR symbol {n.name!r}")
         if isinstance(n, BinOp):
-            fn, args = _BINARY_UFUNCS.get(n.op), (n.lhs, n.rhs)
+            fn, template = _BINARY_UFUNCS.get(n.op), f"({{}} {n.op} {{}})"
         elif isinstance(n, Neg):
-            fn, args = "np.negative", (n.operand,)
+            fn, template = "np.negative", "(-({}))"
         elif isinstance(n, (IRCall, Call)):
             fn = _NUMPY_CALLS.get(n.func)
-            args = n.args if isinstance(n, IRCall) else (n.operand,)
+            if fn is None:
+                raise CompileError(f"cannot emit IR function {n.func!r}")
+            template = f"{fn}({', '.join('{}' for _ in n.children())})"
+        elif isinstance(n, Indicator):
+            fn, template = None, f"np.multiply(({{}}) {n.op} ({{}}), 1.0)"
         else:
-            return False
-        inner = [a for a in args if holds_t(a)]
-        if (fn is None or not inner or any(a is not inner[0] for a in inner)
-                or not chain(inner[0])):
-            return False
-        spelt = [t if a is inner[0] else emit_expr(a, {}) for a in args]
-        steps.append(f"{fn}({', '.join(spelt)}, out={t})")
-        return True
+            raise CompileError(
+                f"cannot emit expression node {type(n).__name__}")
+        key = (template, tuple(number(c) for c in n.children()))
+        if key not in numbered:
+            numbered[key] = len(values)
+            values.append((fn, *key))
+        return numbered[key]
 
-    return steps if chain(g) else None
-
-
-def _value_lines(g: Expr, t: str = "t", v: str = "v") -> list[str]:
-    """Lines computing ``v = g(t)``.  Where ``t`` is not read again
-    (:func:`_in_place_steps`) ``g`` is evaluated into ``t`` itself, one
-    ufunc with ``out=`` per node, so ``v`` is ``t``'s buffer and a block
-    kernel allocates no array per node of ``g``: the Gaussian's ``v =
-    np.exp(t, out=t)``.  The same ufuncs on the same operands, so the
-    bits are those of the out-of-place expression, which any other ``g``
-    keeps (shared sub-trees first, :func:`emit_expr_vn`)."""
-    steps = _in_place_steps(g, t)
-    if steps is None:
-        pre, g_src = emit_expr_vn(g, {"t": t})
-        return [*pre, f"{v} = {g_src}"]
-    if v != t:
-        steps.append(f"{v} = {steps.pop() if steps else t}")
-    return steps
+    root = number(g)
+    if root == 0:
+        return [], t
+    if isinstance(root, str):
+        return [f"{v} = {root}"], v
+    last = {a: i for i, (_, _, args) in enumerate(values[1:], 1)
+            for a in args}
+    names = {0: t}
+    fresh = {0} if owned else set()   # values in arrays the lines may reuse
+    lines = []
+    for i, (fn, template, args) in enumerate(values[1:], 1):
+        spelt = [names.get(a, a) for a in args]
+        dead = [a for a in args if a in fresh and last[a] == i]
+        if fn is not None and dead:
+            buf = names[dead[0]]
+            call = f"{fn}({', '.join(spelt)}, out={buf})"
+            names[i] = v if i == root else buf
+            lines.append(call if names[i] == buf else f"{v} = {call}")
+        else:
+            names[i] = v if i == root else f"_{t}{i}"
+            lines.append(f"{names[i]} = {template.format(*spelt)}")
+        if fresh.intersection(args):
+            fresh.add(i)
+    return lines, v
 
 
 _GEMM_OPERANDS = """\
@@ -415,18 +361,19 @@ def _distance_lines(spec: CodegenSpec, g: _Gather,
         # the fast batched GEMM
         rt = (f"np.ascontiguousarray(RA[{g.r}].transpose(0, 2, 1))"
               if g.stacked else f"RA[{g.r}].T")
-        return [f"QA, RA = _gemm_operands({a!r})", f"t = QA[{g.q}] @ {rt}",
-                f"np.{'minimum' if a < 0 else 'maximum'}(t, 0.0, out=t)",
-                *_value_lines(h)]
-    qb, rb = _broadcast(g)
-    diff = f"{Q}[:, {{c}}][{g.q}]{qb} - {R}[:, {{c}}][{g.r}]{rb}"
-    term, fold, _ = _METRICS[spec.base]
-    return [f"_d = {diff.format(c=0)}",
-            f"t = {term}",
-            f"for _c in range(1, {Q}.shape[1]):",
-            f"    _d = {diff.format(c='_c')}",
-            f"    {fold.format(term)}",
-            *_value_lines(spec.g_ir)]
+        lines = [f"QA, RA = _gemm_operands({a!r})", f"t = QA[{g.q}] @ {rt}",
+                 f"np.{'minimum' if a < 0 else 'maximum'}(t, 0.0, out=t)"]
+    else:
+        qb, rb = _broadcast(g)
+        diff = f"{Q}[:, {{c}}][{g.q}]{qb} - {R}[:, {{c}}][{g.r}]{rb}"
+        term, fold, _ = _METRICS[spec.base]
+        h, lines = spec.g_ir, [f"_d = {diff.format(c=0)}",
+                               f"t = {term}",
+                               f"for _c in range(1, {Q}.shape[1]):",
+                               f"    _d = {diff.format(c='_c')}",
+                               f"    {fold.format(term)}"]
+    value, name = _value_lines(h, owned=True)
+    return [*lines, *value, *([] if name == "v" else [f"v = {name}"])]
 
 
 def _exclusion_value(op: PortalOp) -> float:
@@ -740,11 +687,38 @@ def _base_case_rows_source(spec: CodegenSpec) -> str | None:
 # node-distance helpers and prune/approx emission
 # ---------------------------------------------------------------------------
 
-#: node-distance bound → the per-coordinate box gap it reduces
-_EDGES = {
-    "min": "np.maximum(rlo[ri] - qhi[qi], qlo[qi] - rhi[ri])",
-    "max": "np.maximum(rhi[ri] - qlo[qi], qhi[qi] - rlo[ri])",
-}
+#: the box operands the node-distance bounds subtract, in ``(lo, hi)``
+#: pairs: the near (``min``) bound's gap is the larger ``lo − hi`` of
+#: the two pairs, the far (``max``) bound's the larger ``hi − lo``,
+#: second pair first
+_BOX_PAIRS = (("rlo", "qhi"), ("qlo", "rhi"))
+
+
+def _gap_lines(qlo: str, qhi: str, ri: str,
+               edges: tuple[str, ...]) -> list[str]:
+    """Lines computing the per-coordinate gap, clamped at 0, between a
+    query box spelt ``qlo`` / ``qhi`` (the row regime's is its point,
+    ``qlo = qhi = x``) and the reference boxes ``ri``, for each bound in
+    ``edges``, with the same subtractions in the same argument order,
+    so a pair's bound has one set of bits in every spelling.  One edge
+    is one expression into ``gaps`` that writes into no operand (with a
+    scalar node id, ``qhi[qi]`` is a view into the tree).  Both edges
+    gather each box operand once, by arrays of node ids, and write only
+    into those copies, leaving the gaps in ``gmin`` and ``gmax``."""
+    box = {"qlo": qlo, "qhi": qhi, "rlo": f"rlo[{ri}]", "rhi": f"rhi[{ri}]"}
+    (a, b), (c, d) = [(box[lo], box[hi]) for lo, hi in _BOX_PAIRS]
+    if edges == ("min",):
+        return [f"gaps = np.maximum(0.0, np.maximum({a} - {b}, {c} - {d}))"]
+    if edges == ("max",):
+        return [f"gaps = np.maximum(0.0, np.maximum({d} - {c}, {b} - {a}))"]
+    return [f"lo = {a}", f"hi = {b}",
+            "gmin = lo - hi",
+            "gmax = np.subtract(hi, lo, out=hi)",
+            f"lo = {c}", f"hi = {d}",
+            "np.maximum(gmin, lo - hi, out=gmin)",
+            "np.maximum(np.subtract(hi, lo, out=hi), gmax, out=gmax)",
+            "np.maximum(0.0, gmin, out=gmin)",
+            "np.maximum(0.0, gmax, out=gmax)"]
 
 
 def _node_distance_source(spec: CodegenSpec, edge: str) -> str:
@@ -752,24 +726,9 @@ def _node_distance_source(spec: CodegenSpec, edge: str) -> str:
     between the boxes of query node(s) ``qi`` and reference node(s)
     ``ri``, scalar ids or arrays of them alike."""
     return _function(f"def pair_{edge}_base_dist(qi, ri):", [
-        f"gaps = np.maximum(0.0, {_EDGES[edge]})",
+        *_gap_lines("qlo[qi]", "qhi[qi]", "ri", (edge,)),
         f"return {_METRICS[spec.base][2].format('gaps')}",
     ])
-
-
-def _g_scalar_vn(spec: CodegenSpec, tvar: str,
-                 prefix: str) -> tuple[list[str], str]:
-    return emit_expr_vn(spec.g_ir, {"t": tvar}, prefix=prefix)
-
-
-def _band_exprs(spec: CodegenSpec) -> tuple[list[str], str, str]:
-    """(pre-assignments, g_lo, g_hi) over the [tmin, tmax] interval."""
-    pre_min, g_min = _g_scalar_vn(spec, "tmin", "_vn_lo")
-    pre_max, g_max = _g_scalar_vn(spec, "tmax", "_vn_hi")
-    pre = pre_min + pre_max
-    if spec.monotone == "decreasing":
-        return pre, g_max, g_min
-    return pre, g_min, g_max
 
 
 def _approx_action_lines(spec: CodegenSpec) -> list[str]:
@@ -794,7 +753,7 @@ def _approx_action_lines(spec: CodegenSpec) -> list[str]:
         "dqc = QROW[rows]",
         "dqc -= rcentroid[rr]",
         f"tc = {tc}",
-        *_value_lines(spec.g_ir, "tc", "tc"),
+        *_value_lines(spec.g_ir, "tc", "tc", owned=True)[0],
         *update,
     ]
 
@@ -958,14 +917,10 @@ def _prune_source(spec: CodegenSpec) -> str | None:
     b = lines.append
 
     if rule.is_bound:
-        if _bound_edge(spec) == "max":
-            b("    tmax = pair_max_base_dist(qi, ri)")
-            pre, gband = _g_scalar_vn(spec, "tmax", "_vn")
-        else:
-            b("    tmin = pair_min_base_dist(qi, ri)")
-            pre, gband = _g_scalar_vn(spec, "tmin", "_vn")
-        for assign in pre:
-            b(f"    {assign}")
+        edge = _bound_edge(spec)
+        b(f"    t{edge} = pair_{edge}_base_dist(qi, ri)")
+        value, gband = _value_lines(spec.g_ir, f"t{edge}", f"gt{edge}")
+        lines += ("    " + line for line in value)
         col = _kth_best(spec)
         if rule.kind == "bound-min":
             b(f"    B = best[qstart[qi]:qend[qi]{col}].max()")
@@ -990,10 +945,12 @@ def _prune_source(spec: CodegenSpec) -> str | None:
         if rule.criterion == "band":
             b("    tmin = pair_min_base_dist(qi, ri)")
             b("    tmax = pair_max_base_dist(qi, ri)")
-            pre, glo, ghi = _band_exprs(spec)
-            for assign in pre:
-                b(f"    {assign}")
-            b(f"    if ({ghi}) - ({glo}) <= TAU:")
+            lo, glo = _value_lines(spec.g_ir, "tmin", "gtmin")
+            hi, ghi = _value_lines(spec.g_ir, "tmax", "gtmax")
+            if spec.monotone == "decreasing":
+                glo, ghi = ghi, glo
+            lines += ("    " + line for line in (*lo, *hi))
+            b(f"    if {ghi} - {glo} <= TAU:")
         else:  # mac
             b("    tmin = pair_min_base_dist(qi, ri)")
             b("    if tmin > 0.0 and rdiam2[ri] <= THETA2 * tmin:")
@@ -1007,13 +964,12 @@ def _prune_source(spec: CodegenSpec) -> str | None:
 
 def _pair_edges_lines(spec: CodegenSpec) -> list[str]:
     """Lines computing both base-distance bounds of the node pairs
-    ``(qis, ris)``, ``tmin`` and ``tmax``, with the subtractions and
-    argument orders of ``pair_min_base_dist`` / ``pair_max_base_dist``
-    (:data:`_EDGES`), so the bits are theirs, but gathering each of
-    ``rlo`` / ``qhi`` / ``qlo`` / ``rhi`` once: each gathered pair of
-    box arrays serves both its subtractions.  The pairs are taken in
-    slices of at most :data:`CHUNK_CELLS` coordinates, so the box arrays
-    and gaps alive at once stay cache-sized however wide the level."""
+    ``(qis, ris)``, ``tmin`` and ``tmax``, from the gaps of
+    :func:`_gap_lines` (so the bits are ``pair_min_base_dist`` /
+    ``pair_max_base_dist``'s) with each box array gathered once.  The
+    pairs are taken in slices of at most :data:`CHUNK_CELLS`
+    coordinates, so the box arrays and gaps alive at once stay
+    cache-sized however wide the level."""
     step = max(1, CHUNK_CELLS // spec.dim)
     red = _METRICS[spec.base][2]
     return [
@@ -1021,16 +977,8 @@ def _pair_edges_lines(spec: CodegenSpec) -> list[str]:
         "tmax = np.empty(qis.shape[0])",
         f"for c in range(0, qis.shape[0], {step}):",
         f"    qi, ri = qis[c:c + {step}], ris[c:c + {step}]",
-        "    lo = rlo[ri]",
-        "    hi = qhi[qi]",
-        "    gmin = lo - hi",
-        "    gmax = np.subtract(hi, lo, out=hi)",
-        "    lo = qlo[qi]",
-        "    hi = rhi[ri]",
-        "    np.maximum(gmin, lo - hi, out=gmin)",
-        "    np.maximum(np.subtract(hi, lo, out=hi), gmax, out=gmax)",
-        "    np.maximum(0.0, gmin, out=gmin)",
-        "    np.maximum(0.0, gmax, out=gmax)",
+        *("    " + line for line in _gap_lines("qlo[qi]", "qhi[qi]", "ri",
+                                              ("min", "max"))),
         f"    tmin[c:c + {step}] = {red.format('gmin')}",
         f"    tmax[c:c + {step}] = {red.format('gmax')}",
     ]
@@ -1065,11 +1013,13 @@ def _classify_batch_source(spec: CodegenSpec) -> str | None:
             b(f"    codes[{t1} {neg} H] = 1")
             b(f"    codes[(codes == 0) & ({t2} {opn} H)] = 2")
     elif rule.criterion == "band":
-        lines += ("    " + line for line in _pair_edges_lines(spec))
-        pre, glo, ghi = _band_exprs(spec)
-        for assign in pre:
-            b(f"    {assign}")
-        b(f"    codes[(({ghi}) - ({glo})) <= TAU] = 2")
+        lo, glo = _value_lines(spec.g_ir, "tmin", "gtmin", owned=True)
+        hi, ghi = _value_lines(spec.g_ir, "tmax", "gtmax", owned=True)
+        if spec.monotone == "decreasing":
+            glo, ghi = ghi, glo
+        lines += ("    " + line for line in (*_pair_edges_lines(spec),
+                                             *lo, *hi))
+        b(f"    codes[({ghi} - {glo}) <= TAU] = 2")
     else:  # mac
         b("    tmin = pair_min_base_dist(qis, ris)")
         b("    codes[(tmin > 0.0) & (rdiam2[ris] <= THETA2 * tmin)] = 2")
@@ -1104,34 +1054,24 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
     rule = spec.rule
     if rule is None or not rule.is_bound:
         return None
-    need_max = _bound_edge(spec) == "max"
-    tvar = "tmax" if need_max else "tmin"
-    dist_fn = "pair_max_base_dist" if need_max else "pair_min_base_dist"
-    # The row regime's key: the same band edge with the query box
-    # degenerated to the point QROW[qidx].
-    edge = ("np.maximum(rhi[ris] - x, x - rlo[ris])" if need_max
-            else "np.maximum(rlo[ris] - x, x - rhi[ris])")
-    pre, gband = _g_scalar_vn(spec, tvar, "_vn")
+    edge = _bound_edge(spec)
+    tvar = f"t{edge}"
+    value, gband = _value_lines(spec.g_ir, tvar, f"g{tvar}", owned=True)
     # the sign maps both kinds onto "prune iff key > bound, smaller key =
     # more promising": identity for bound-min (a MIN-like operator),
     # negation for bound-max
     sign = "" if spec.inner_op in MIN_LIKE else "-"
-    key = f"    return np.asarray({sign}({gband}), dtype=np.float64)"
-    lines = [
-        "def bound_key_batch(qis, ris):",
-        f"    {tvar} = {dist_fn}(qis, ris)",
-        *(f"    {assign}" for assign in pre),
-        key,
-        "",
-        "",
-        "def row_key_batch(qidx, ris):",
-        "    x = QROW[qidx]",
-        f"    gaps = np.maximum(0.0, {edge})",
-        f"    {tvar} = {_METRICS[spec.base][2].format('gaps')}",
-        *(f"    {assign}" for assign in pre),
-        key,
-    ]
-    return "\n".join(lines)
+    return "\n\n\n".join([
+        _function("def bound_key_batch(qis, ris):", [
+            f"{tvar} = pair_{edge}_base_dist(qis, ris)", *value,
+            f"return np.asarray({sign}({gband}), dtype=np.float64)"]),
+        # the row regime's key: the same band edge with the query box
+        # degenerated to the point QROW[qidx]
+        _function("def row_key_batch(qidx, ris):", [
+            "x = QROW[qidx]", *_gap_lines("x", "x", "ris", (edge,)),
+            f"{tvar} = {_METRICS[spec.base][2].format('gaps')}", *value,
+            f"return np.asarray({sign}({gband}), dtype=np.float64)"]),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1105,7 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
             _base_case_rows_source(spec)) if src is not None]
         # the stack engine orders its pairs by the near edge; the far one
         # is emitted where a rule reads it
-        chunks += [_node_distance_source(spec, edge) for edge in _EDGES
+        chunks += [_node_distance_source(spec, edge) for edge in ("min", "max")
                    if edge == "min" or any(f"pair_{edge}_base_dist(" in src
                                            for src in rules)]
         chunks += rules

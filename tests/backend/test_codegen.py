@@ -4,7 +4,7 @@ compiled closure behaviour."""
 import numpy as np
 import pytest
 
-from repro.backend.codegen import CodegenSpec, emit_expr, generate
+from repro.backend.codegen import CodegenSpec, _value_lines, generate
 from repro.dsl.errors import CompileError
 from repro.dsl.expr import BinOp, Const, Indicator
 from repro.dsl.ops import PortalOp
@@ -14,33 +14,42 @@ from repro.rules.spec import RuleSpec
 
 
 class TestEmitExpr:
+    """The one expression emitter, :func:`codegen._value_lines`: one line
+    per value of g, in the operator spelling, the last into ``v``."""
+
     def test_symref(self):
-        assert emit_expr(SymRef("t"), {"t": "tv"}) == "tv"
+        assert _value_lines(SymRef("t"), "tv") == ([], "tv")
 
     def test_unbound_symref_rejected(self):
-        with pytest.raises(CompileError):
-            emit_expr(SymRef("zz"), {})
+        with pytest.raises(CompileError, match="no binding for IR symbol"):
+            _value_lines(SymRef("zz"))
 
     def test_binop(self):
         e = BinOp("*", SymRef("t"), Const(2.0))
-        assert emit_expr(e, {"t": "t"}) == "(t * 2.0)"
+        assert _value_lines(e) == (["v = (t * 2.0)"], "v")
+        assert _value_lines(e, owned=True) == (
+            ["v = np.multiply(t, 2.0, out=t)"], "v")
 
     def test_calls_map_to_numpy(self):
-        assert emit_expr(IRCall("sqrt", (SymRef("t"),)), {"t": "t"}) == "np.sqrt(t)"
-        assert emit_expr(IRCall("pow", (SymRef("t"), Const(2.5))),
-                         {"t": "t"}) == "np.power(t, 2.5)"
+        t = SymRef("t")
+        assert _value_lines(IRCall("sqrt", (t,)))[0] == ["v = np.sqrt(t)"]
+        assert _value_lines(IRCall("pow", (t, Const(2.5))))[0] == [
+            "v = np.power(t, 2.5)"]
+        assert _value_lines(IRCall("pow", (t, t)))[0] == [
+            "v = np.power(t, t)"]
         # The fast inverse square root is not an emitted function.
-        with pytest.raises(CompileError):
-            emit_expr(IRCall("fast_inverse_sqrt", (SymRef("t"),)), {"t": "t"})
+        with pytest.raises(CompileError, match="cannot emit IR function"):
+            _value_lines(IRCall("fast_inverse_sqrt", (t,)))
 
     def test_indicator(self):
-        e = Indicator("<", SymRef("t"), Const(1.0))
-        src = emit_expr(e, {"t": "t"})
-        assert "<" in src and "np.multiply" in src
+        e = Indicator("<", IRCall("sqrt", (SymRef("t"),)), Const(1.0))
+        # the comparison is never written in place; its operand is
+        assert _value_lines(e, owned=True)[0] == [
+            "np.sqrt(t, out=t)", "v = np.multiply((t) < (1.0), 1.0)"]
 
     def test_unknown_call_rejected(self):
-        with pytest.raises(CompileError):
-            emit_expr(IRCall("mystery", ()), {})
+        with pytest.raises(CompileError, match="cannot emit IR function"):
+            _value_lines(IRCall("mystery", ()))
 
 
 def _spec(**kw):

@@ -13,9 +13,10 @@ approximation and range count (an inside-region count, weighted, with
 positional and ``RSELF`` self-exclusion), serial, on threads, on
 processes and over two shards, self-join and bichromatic, d ∈ {3, 9}.
 
-The block kernels evaluate ``g`` into the distance buffer ``t`` where
-``t`` is not read again (``codegen._value_lines``); those lines are
-held bitwise to the out-of-place expression for every suite kernel.
+The one expression emitter (``codegen._value_lines``) writes ``g`` one
+value per line, into a buffer of ``t`` where it is read for the last
+time; its lines, owned and scalar, are held bitwise to the DSL's own
+evaluation (``Expr.evaluate``) for every suite kernel and a few more.
 ``classify_batch`` takes both box-distance bounds from one gather of
 the four box arrays; they are held bitwise to the node-distance
 functions.
@@ -29,13 +30,12 @@ import pytest
 from repro.backend import codegen, jit
 from repro.backend.codegen import (
     CHUNK_CELLS, _pair_chunks, _pair_edges_lines, _scale_fold, _value_lines,
-    emit_expr_vn,
 )
 from repro.data.synthetic import ihepc
 from repro.dsl import (
     PortalExpr, PortalFunc, PortalOp, Storage, Var, exp, indicator, pow, sqrt,
 )
-from repro.dsl.expr import BinOp, Call, Const, Neg
+from repro.dsl.expr import BinOp, Call, Const, Indicator, Neg
 from repro.ir.nodes import IRCall, SymRef
 from repro.ir.strength_reduction import reduce_expr
 from repro.observe import collect
@@ -53,15 +53,15 @@ q, r = Var("q"), Var("r")
 
 def _per_pair_source(spec) -> str:
     """``_pair_action(qi, ri)``: the per-pair action as the emitter
-    spelt it before actions took arrays of pairs (a test-local copy),
-    for the replay."""
+    spelt it before actions took arrays of pairs (a test-local copy,
+    with g evaluated by the DSL, ``G``), for the replay."""
     rule = spec.rule
     if rule.kind == "approx":
         assert spec.base == "sqeuclidean"
-        pre, g = emit_expr_vn(spec.g_ir, {"t": "tc"})
+        g = "G.evaluate({'t': tc})"
         body = ["s = qstart[qi]; e = qend[qi]", "c = rcentroid[ri]",
                 "dqc = QROW[s:e] - c",
-                "tc = np.einsum('ij,ij->i', dqc, dqc)", *pre,
+                "tc = np.einsum('ij,ij->i', dqc, dqc)",
                 f"acc[s:e] *= np.power({g}, rweight[ri])"
                 if spec.inner_op is PortalOp.PROD
                 else f"acc[s:e] += rweight[ri] * {g}"]
@@ -110,8 +110,9 @@ def replay(monkeypatch, specs):
         def run(qtree, rtree, kk, qbound, **kw):
             if kk.apply_action is not None:
                 if calls["on"]:
-                    ns = dict(kk.namespace)
-                    exec(_per_pair_source(specs[kk.source]), ns)
+                    spec = specs[kk.source]
+                    ns = {**kk.namespace, "G": spec.g_ir}
+                    exec(_per_pair_source(spec), ns)
                     one = ns["_pair_action"]
 
                     def action(qis, ris):
@@ -252,16 +253,21 @@ def test_pair_chunks_cover_in_order(cells):
 # -- block values in place ----------------------------------------------------
 T = SymRef("t")
 
-#: kernels beyond the suite's: g reading t twice, a value-numbered
-#: shared square, t on the right of a constant sub-tree, nested max/min
+#: kernels beyond the suite's: g reading t twice, value-numbered shared
+#: squares, t on the right of a constant sub-tree, nested max/min, an
+#: indicator and Barnes–Hut's softened potential
 EXTRA = {
     "t-twice": BinOp("*", Call("exp", BinOp("/", Neg(T), Const(2.0))),
                      BinOp("+", Const(1.0), T)),
+    "t-exp": BinOp("*", T, Call("exp", Neg(T))),
     "pow4-shared": reduce_expr(IRCall("pow", (T, Const(4.0)))),
+    "pow8-shared": reduce_expr(IRCall("pow", (T, Const(8.0)))),
     "constant-subtree": BinOp("/", Call("sqrt", BinOp("+", Const(1.0),
                                                        Const(2.0))),
                               BinOp("+", T, Const(0.25))),
     "max-min": IRCall("min", (IRCall("max", (T, Const(0.5))), Const(9.0))),
+    "indicator": Indicator("<", Call("sqrt", T), Const(4.0)),
+    "barnes-hut": IRCall("pow", (BinOp("+", T, Const(0.25)), Const(-0.5))),
 }
 
 
@@ -283,25 +289,38 @@ def _suite_kernels(specs):
 
 
 def test_in_place_values_match_out_of_place(specs):
+    """The emitted lines of every g (and its scale-folded h) give
+    ``Expr.evaluate``'s bits: owned, on an array they may overwrite;
+    not, on an array and on ``np.float64`` scalars (the stack engine's
+    node pairs)."""
     kernels = {**_suite_kernels(specs), **EXTRA}
-    assert len(kernels) > 8
+    assert len(kernels) > 12
     t0 = np.random.default_rng(7).uniform(0.0, 30.0, (37, 41))
     in_place = 0
-    for name, g in kernels.items():
+    for g in kernels.values():
         for h in (g, _scale_fold(g)[1]):
-            pre, src = emit_expr_vn(h, {"t": "t"})
-            want = {"np": np, "t": t0.copy()}
-            exec("\n".join([*pre, f"v = {src}"]), want)
-            lines = _value_lines(h)
-            got = {"np": np, "t": t0.copy()}
-            exec("\n".join(lines), got)
-            assert_bitwise(got["v"], np.asarray(want["v"], dtype=float))
-            in_place += "out=t" in lines[-1]
-    assert in_place > 8
-    # t read twice keeps the out-of-place expression
-    assert "out=t" not in "".join(_value_lines(EXTRA["t-twice"]))
-    assert _value_lines(EXTRA["pow4-shared"]) == [
-        "np.multiply(t, t, out=t)", "v = np.multiply(t, t, out=t)"]
+            want = np.broadcast_to(h.evaluate({"t": t0.copy()}), t0.shape)
+            for t, owned in ((t0.copy(), True), (t0.copy(), False),
+                             *((np.float64(x), False) for x in t0[0, :9])):
+                ns = {"np": np, "t": t}
+                lines, v = _value_lines(h, owned=owned)
+                exec("\n".join(lines), ns)
+                got = ns[v]
+                if np.ndim(t):
+                    assert_bitwise(np.broadcast_to(got, t0.shape), want)
+                else:
+                    assert_bitwise(np.float64(got),
+                                   np.float64(h.evaluate({"t": t})))
+                in_place += owned and "out=" in "".join(lines)
+    assert in_place > 12
+    # shared squares are computed once; t read again is not overwritten
+    assert _value_lines(EXTRA["pow4-shared"], owned=True) == (
+        ["np.multiply(t, t, out=t)", "v = np.multiply(t, t, out=t)"], "v")
+    assert _value_lines(EXTRA["pow8-shared"])[0] == [
+        "_t1 = (t * t)", "_t2 = (_t1 * _t1)", "v = (_t2 * _t2)"]
+    assert _value_lines(EXTRA["t-exp"], owned=True)[0] == [
+        "_t1 = (-(t))", "np.exp(_t1, out=_t1)",
+        "v = np.multiply(t, _t1, out=t)"]
 
 
 def test_classify_edges_match_node_distances(monkeypatch):
