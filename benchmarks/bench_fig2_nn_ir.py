@@ -94,6 +94,10 @@ def test_fig2_ir_ablation_interp(benchmark):
 
     base_s = time_interp_base_case(base_fn, e.layers)
     ext_s = time_interp_base_case(ext_fn, e.layers)
+    if benchmark.disabled:
+        # wall times only when benchmarking: the committed file does not
+        # change on a check run (--benchmark-disable)
+        return
     update_bench_json("BENCH_ir.json", "fig2", [{
         "kernel": "nn_euclidean",
         "baseline_pass_set_disables": list(SEED_PIPELINE_DISABLE),

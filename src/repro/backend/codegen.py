@@ -205,6 +205,25 @@ def _is_t(n: Expr) -> bool:
     return isinstance(n, SymRef) and n.name == "t"
 
 
+def _literal(x: float) -> str:
+    """A float constant's spelling in emitted code: ``repr``, except the
+    values whose ``repr`` is no Python expression (``inf``, ``nan``)."""
+    if np.isnan(x):
+        return "np.nan"
+    return {np.inf: "np.inf", -np.inf: "-np.inf"}.get(x, repr(x))
+
+
+def _rows(name: str, index: str) -> str:
+    """The rows of the array ``name`` at ``index``: a slice stays a
+    subscript (a view); an index array (or a node id) gathers with
+    ``take``, which copies the same bytes as fancy indexing at a quarter
+    to a half of its cost for rows of a few columns (docs/performance.md,
+    "Row gathers")."""
+    if ":" in index:
+        return f"{name}[{index}]"
+    return f"{name}.take({index}, axis=0)"
+
+
 def _value_lines(g: Expr, t: str = "t", v: str = "v",
                  owned: bool = False) -> tuple[list[str], str]:
     """Lines computing ``g(t)``, and the name that holds it: ``v``, or
@@ -230,7 +249,7 @@ def _value_lines(g: Expr, t: str = "t", v: str = "v",
         if _is_t(n):
             return 0
         if isinstance(n, Const):
-            return repr(n.value)
+            return _literal(n.value)
         if isinstance(n, SymRef):
             raise CompileError(f"no binding for IR symbol {n.name!r}")
         if isinstance(n, BinOp):
@@ -359,9 +378,11 @@ def _distance_lines(spec: CodegenSpec, g: _Gather,
         a, h = _scale_fold(spec.g_ir)
         # a stack of blocks takes a contiguous (k × columns) right operand,
         # the fast batched GEMM
-        rt = (f"np.ascontiguousarray(RA[{g.r}].transpose(0, 2, 1))"
-              if g.stacked else f"RA[{g.r}].T")
-        lines = [f"QA, RA = _gemm_operands({a!r})", f"t = QA[{g.q}] @ {rt}",
+        ra = _rows("RA", g.r)
+        rt = (f"np.ascontiguousarray({ra}.transpose(0, 2, 1))"
+              if g.stacked else f"{ra}.T")
+        lines = [f"QA, RA = _gemm_operands({a!r})",
+                 f"t = {_rows('QA', g.q)} @ {rt}",
                  f"np.{'minimum' if a < 0 else 'maximum'}(t, 0.0, out=t)"]
     else:
         qb, rb = _broadcast(g)
@@ -384,10 +405,6 @@ def _exclusion_value(op: PortalOp) -> float:
     if op in MAX_LIKE:
         return -np.inf
     return 1.0 if op is PortalOp.PROD else 0.0
-
-
-def _literal(x: float) -> str:
-    return {np.inf: "np.inf", -np.inf: "-np.inf"}.get(x, repr(x))
 
 
 def _self_exclusion_lines(spec: CodegenSpec, g: _Gather) -> list[str]:
@@ -482,7 +499,7 @@ def _merge_source(spec: CodegenSpec) -> str | None:
     b("        npick = min(K, w.shape[1])")
     b("        pick = np.empty((rows.size, npick), dtype=np.intp)")
     b("        cand_v = np.empty((rows.size, K + npick))")
-    b("        cand_v[:, :K] = best[qr]")
+    b(f"        cand_v[:, :K] = {_rows('best', 'qr')}")
     b("        pick[:, 0] = j[rows]")
     b("        cand_v[:, K] = top[rows]")
     b("        for p in range(1, npick):")
@@ -492,8 +509,8 @@ def _merge_source(spec: CodegenSpec) -> str | None:
     b(f"        order = np.argsort({neg}cand_v, axis=1, kind='stable')[:, :K]")
     b("        rr = rr[:, None]")
     b("        ids = rid[(rows // (v.shape[0] // rid.shape[0]))[:, None], pick]")
-    b("        best_idx[qr] = np.concatenate([best_idx[qr], ids], "
-      "axis=1)[rr, order]")
+    b(f"        best_idx[qr] = np.concatenate([{_rows('best_idx', 'qr')}, "
+      "ids], axis=1)[rr, order]")
     b("        kept = cand_v[rr, order]")
     b("        best[qr] = kept")
     if bound:
@@ -554,7 +571,11 @@ def _base_case_source(spec: CodegenSpec) -> str:
 #: 84.5 / 82.8 / 84.4 ms (median of 3 interleaved rounds; 64K won 2 of
 #: 3 against 32K and 3 of 3 against 128K, all within 2 %); the
 #: ``knn_prune`` blocked kernel ≈ 10 % slower at 32K cells than at 64K,
-#: ≈ 3× slower uncapped (one block per epoch).
+#: ≈ 3× slower uncapped (one block per epoch).  With rows gathered by
+#: ``take`` (3 interleaved spine rounds, op_p50 medians, 32K / 64K /
+#: 128K): ``knn_prune`` 70.1 / 63.7 / 61.5 ms (128K won 3 of 3 against
+#: 64K, by 0.2–6.6 %), ``kde_approx`` 66.9 / 66.3 / 66.7 ms (128K won 1
+#: of 3, peak RSS +1 MB); no size wins both, so 64K stays.
 CHUNK_CELLS = 64 * 1024
 
 
@@ -701,11 +722,14 @@ def _gap_lines(qlo: str, qhi: str, ri: str,
     ``qlo = qhi = x``) and the reference boxes ``ri``, for each bound in
     ``edges``, with the same subtractions in the same argument order,
     so a pair's bound has one set of bits in every spelling.  One edge
-    is one expression into ``gaps`` that writes into no operand (with a
-    scalar node id, ``qhi[qi]`` is a view into the tree).  Both edges
-    gather each box operand once, by arrays of node ids, and write only
-    into those copies, leaving the gaps in ``gmin`` and ``gmax``."""
-    box = {"qlo": qlo, "qhi": qhi, "rlo": f"rlo[{ri}]", "rhi": f"rhi[{ri}]"}
+    is one expression into ``gaps`` that writes into no operand (the row
+    regime's ``x`` is both ``qlo`` and ``qhi``).  Every box operand is
+    gathered by ``take`` (:func:`_rows`), a copy for a scalar node id
+    and an array of them alike.  Both edges gather each box operand
+    once and write only into those copies, leaving the gaps in ``gmin``
+    and ``gmax``."""
+    box = {"qlo": qlo, "qhi": qhi, "rlo": _rows("rlo", ri),
+           "rhi": _rows("rhi", ri)}
     (a, b), (c, d) = [(box[lo], box[hi]) for lo, hi in _BOX_PAIRS]
     if edges == ("min",):
         return [f"gaps = np.maximum(0.0, np.maximum({a} - {b}, {c} - {d}))"]
@@ -726,7 +750,7 @@ def _node_distance_source(spec: CodegenSpec, edge: str) -> str:
     between the boxes of query node(s) ``qi`` and reference node(s)
     ``ri``, scalar ids or arrays of them alike."""
     return _function(f"def pair_{edge}_base_dist(qi, ri):", [
-        *_gap_lines("qlo[qi]", "qhi[qi]", "ri", (edge,)),
+        *_gap_lines(_rows("qlo", "qi"), _rows("qhi", "qi"), "ri", (edge,)),
         f"return {_METRICS[spec.base][2].format('gaps')}",
     ])
 
@@ -750,8 +774,8 @@ def _approx_action_lines(spec: CodegenSpec) -> list[str]:
     return [
         "rows = _ranges(qs[a:b], nq[a:b])",
         "rr = np.repeat(ris[a:b], nq[a:b])",
-        "dqc = QROW[rows]",
-        "dqc -= rcentroid[rr]",
+        f"dqc = {_rows('QROW', 'rows')}",
+        f"dqc -= {_rows('rcentroid', 'rr')}",
         f"tc = {tc}",
         *_value_lines(spec.g_ir, "tc", "tc", owned=True)[0],
         *update,
@@ -977,8 +1001,8 @@ def _pair_edges_lines(spec: CodegenSpec) -> list[str]:
         "tmax = np.empty(qis.shape[0])",
         f"for c in range(0, qis.shape[0], {step}):",
         f"    qi, ri = qis[c:c + {step}], ris[c:c + {step}]",
-        *("    " + line for line in _gap_lines("qlo[qi]", "qhi[qi]", "ri",
-                                              ("min", "max"))),
+        *("    " + line for line in _gap_lines(
+            _rows("qlo", "qi"), _rows("qhi", "qi"), "ri", ("min", "max"))),
         f"    tmin[c:c + {step}] = {red.format('gmin')}",
         f"    tmax[c:c + {step}] = {red.format('gmax')}",
     ]
@@ -1068,7 +1092,8 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
         # the row regime's key: the same band edge with the query box
         # degenerated to the point QROW[qidx]
         _function("def row_key_batch(qidx, ris):", [
-            "x = QROW[qidx]", *_gap_lines("x", "x", "ris", (edge,)),
+            f"x = {_rows('QROW', 'qidx')}",
+            *_gap_lines("x", "x", "ris", (edge,)),
             f"{tvar} = {_METRICS[spec.base][2].format('gaps')}", *value,
             f"return np.asarray({sign}({gband}), dtype=np.float64)"]),
     ])

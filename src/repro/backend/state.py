@@ -125,9 +125,9 @@ class State:
             if self.exact is not None:
                 best, idx = exact_winners(best, idx, self.exact,
                                           self.inner_op in MAX_LIKE)
-            values = best[inv]
+            values = best.take(inv, axis=0)
             if info.returns_index:
-                idx = idx[inv]
+                idx = idx.take(inv, axis=0)
                 # -1 (an unfilled k-slot) stays -1, never ``rperm[-1]``
                 indices = (np.where(idx >= 0, rperm[idx], -1)
                            if rperm is not None else idx)

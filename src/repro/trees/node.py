@@ -315,7 +315,7 @@ class ArrayTree:
             cnt = counts_all[nonempty]
             seg = np.cumsum(cnt) - cnt
             flat = _ranges(self.start[nonempty], cnt)
-            P = self.points[flat]
+            P = self.points.take(flat, axis=0)
             centroid[nonempty] = (
                 np.add.reduceat(P, seg, axis=0) / cnt[:, None])
             if weighted:
@@ -327,7 +327,7 @@ class ArrayTree:
                     ws[:, None] > 0,
                     np.divide(wps, ws[:, None], out=np.zeros_like(wps),
                               where=ws[:, None] != 0),
-                    centroid[nonempty])
+                    centroid.take(nonempty, axis=0))
         # Zero centroids weighted by zero counts vanish under sums.  An
         # empty leaf only survives until its forced rebuild.
         centroid[empty] = 0.0
@@ -346,7 +346,7 @@ class ArrayTree:
             sseg = np.cumsum(cnt) - cnt
             ids2 = ids[sel]
             csum = np.add.reduceat(
-                centroid[kk] * counts_f[kk, None], sseg, axis=0)
+                centroid.take(kk, axis=0) * counts_f[kk, None], sseg, axis=0)
             pcnt = counts_f[ids2]
             centroid[ids2] = np.divide(
                 csum, pcnt[:, None], out=np.zeros_like(csum),
@@ -354,13 +354,13 @@ class ArrayTree:
             if weighted:
                 ws = np.add.reduceat(wsum[kk], sseg)
                 wps = np.add.reduceat(
-                    wcentroid[kk] * wsum[kk, None], sseg, axis=0)
+                    wcentroid.take(kk, axis=0) * wsum[kk, None], sseg, axis=0)
                 wsum[ids2] = ws
                 wcentroid[ids2] = np.where(
                     ws[:, None] > 0,
                     np.divide(wps, ws[:, None], out=np.zeros_like(wps),
                               where=ws[:, None] != 0),
-                    centroid[ids2])
+                    centroid.take(ids2, axis=0))
         return centroid, wsum, wcentroid
 
     def _node_sums(self, values: np.ndarray) -> np.ndarray:
@@ -377,7 +377,7 @@ class ArrayTree:
         # the starts segments exactly on leaf boundaries.
         out[lsort] = np.add.reduceat(x, self.start[lsort], axis=0)
         for ids, kids, seg in self._level_plan():
-            out[ids] = np.add.reduceat(out[kids], seg, axis=0)
+            out[ids] = np.add.reduceat(out.take(kids, axis=0), seg, axis=0)
         return out[:, 0] if squeeze else out
 
     def levels(self) -> np.ndarray:
@@ -525,8 +525,8 @@ class ArrayTree:
                 newp = self.points.copy()
                 newp[pos] = np.asarray(
                     points, dtype=np.float64).reshape(idx.size, self.dim)
-                departures = (leaf, self.points[pos])
-                arrivals = (leaf, newp[pos])  # the rows' final values
+                departures = (leaf, self.points.take(pos, axis=0))
+                arrivals = (leaf, newp.take(pos, axis=0))  # final values
                 self.points = newp
             if weights is not None:
                 w = np.broadcast_to(
@@ -605,7 +605,7 @@ class ArrayTree:
                 raise ValueError("cannot delete every point in the tree")
             pos = np.sort(self.inv_perm()[idx])
             leaf = self.leaf_of_position()[pos]
-            departures = (leaf, self.points[pos])
+            departures = (leaf, self.points.take(pos, axis=0))
             # D[p] = number of deleted positions < p.
             D = np.concatenate(
                 [[0], np.cumsum(np.bincount(pos, minlength=self.n))])
@@ -646,13 +646,14 @@ class ArrayTree:
             cnt = self.child_offset[nodes + 1] - self.child_offset[nodes]
             best = np.full(active.size, -1, dtype=np.int64)
             bestd = np.full(active.size, np.inf)
-            X = pts[active]
+            X = pts.take(active, axis=0)
             for j in range(int(cnt.max())):
                 has = cnt > j
                 cand = self.child_list[self.child_offset[nodes[has]] + j]
+                Xh = X[has]
                 gap = np.maximum(
-                    np.maximum(self.lo[cand] - X[has], X[has] - self.hi[cand]),
-                    0.0)
+                    np.maximum(self.lo.take(cand, axis=0) - Xh,
+                               Xh - self.hi.take(cand, axis=0)), 0.0)
                 d = np.einsum("ij,ij->i", gap, gap)
                 hidx = np.flatnonzero(has)
                 better = d < bestd[hidx]
@@ -704,7 +705,8 @@ class ArrayTree:
         boxes = 0
         if departures is not None:
             leaf, pts = departures
-            edge = ((pts == self.lo[leaf]) | (pts == self.hi[leaf])).any(axis=1)
+            edge = ((pts == self.lo.take(leaf, axis=0))
+                    | (pts == self.hi.take(leaf, axis=0))).any(axis=1)
             rescan = np.zeros(self.n_nodes, dtype=bool)
             rescan[leaf[edge]] = True
             rescan = np.flatnonzero(rescan)
@@ -713,17 +715,21 @@ class ArrayTree:
             boxes = rescan.size
         leaves = np.flatnonzero(touched)
         changed = np.zeros(self.n_nodes, dtype=bool)
-        changed[leaves] = ((lo[leaves] != self.lo[leaves])
-                           | (hi[leaves] != self.hi[leaves])).any(axis=1)
+        changed[leaves] = (
+            (lo.take(leaves, axis=0) != self.lo.take(leaves, axis=0))
+            | (hi.take(leaves, axis=0) != self.hi.take(leaves, axis=0))
+        ).any(axis=1)
         kidmat = self._child_matrix()
         for ids, kids, seg in self._level_plan():
             kid_changed = changed[kids]
             if not kid_changed.any():
                 continue
             p = ids[np.logical_or.reduceat(kid_changed, seg)]
-            plo = lo[kidmat[p]].min(axis=1)
-            phi = hi[kidmat[p]].max(axis=1)
-            changed[p] = ((plo != lo[p]) | (phi != hi[p])).any(axis=1)
+            kp = kidmat.take(p, axis=0)
+            plo = lo.take(kp, axis=0).min(axis=1)
+            phi = hi.take(kp, axis=0).max(axis=1)
+            changed[p] = ((plo != lo.take(p, axis=0))
+                          | (phi != hi.take(p, axis=0))).any(axis=1)
             lo[p], hi[p] = plo, phi
             boxes += p.size
 
@@ -731,10 +737,10 @@ class ArrayTree:
         center = self.center.copy()
         diam = self.diameter.copy()
         with np.errstate(invalid="ignore"):
-            span = hi[ids] - lo[ids]
+            lo_c, hi_c = lo.take(ids, axis=0), hi.take(ids, axis=0)
+            span = hi_c - lo_c
             finite = np.isfinite(span).all(axis=1)
-            center[ids] = np.where(
-                finite[:, None], 0.5 * (lo[ids] + hi[ids]), 0.0)
+            center[ids] = np.where(finite[:, None], 0.5 * (lo_c + hi_c), 0.0)
             diam[ids] = np.where(finite, span.max(axis=1), 0.0)
         self.lo, self.hi = lo, hi
         self.center, self.diameter = center, diam
@@ -749,7 +755,7 @@ class ArrayTree:
         counts = (self.end - self.start)[leaves]
         full, cnt = leaves[counts > 0], counts[counts > 0]
         if full.size:
-            P = self.points[_ranges(self.start[full], cnt)]
+            P = self.points.take(_ranges(self.start[full], cnt), axis=0)
             seg = np.cumsum(cnt) - cnt
             lo[full] = np.minimum.reduceat(P, seg, axis=0)
             hi[full] = np.maximum.reduceat(P, seg, axis=0)

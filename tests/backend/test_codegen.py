@@ -51,6 +51,27 @@ class TestEmitExpr:
         with pytest.raises(CompileError, match="cannot emit IR function"):
             _value_lines(IRCall("mystery", ()))
 
+    @pytest.mark.parametrize("g, spelt", [
+        (IRCall("min", (SymRef("t"), Const(np.inf))),
+         "v = np.minimum(t, np.inf)"),
+        (IRCall("max", (SymRef("t"), Const(-np.inf))),
+         "v = np.maximum(t, -np.inf)"),
+        (BinOp("+", SymRef("t"), Const(np.nan)), "v = (t + np.nan)"),
+    ])
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_non_finite_constants_run(self, g, spelt, owned):
+        """A constant whose ``repr`` is not an expression (``inf``,
+        ``nan``) is spelt through ``np``, and the lines run bitwise
+        ``g.evaluate``."""
+        lines, name = _value_lines(g, owned=owned)
+        if not owned:
+            assert lines == [spelt]
+        t = np.array([-np.inf, -1.5, 0.0, 2.0, np.inf, np.nan])
+        env = {"np": np, "t": t.copy()}
+        exec("\n".join(lines), env)
+        want = np.asarray(g.evaluate({"t": t}))
+        assert env[name].tobytes() == want.tobytes()
+
 
 def _spec(**kw):
     defaults = dict(

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import importlib.util
+import pathlib
 import traceback
 
 import numpy as np
@@ -27,6 +29,18 @@ def _isolated_caches():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def spine_datagen():
+    """The benchmark spine's seeded input generators
+    (``benchmarks/spine/datagen.py``, which is not in a package)."""
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "benchmarks" / "spine" / "datagen.py")
+    spec = importlib.util.spec_from_file_location("spine_datagen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

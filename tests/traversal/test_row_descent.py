@@ -11,9 +11,6 @@ and the cache to snapshot isolation across mutations that rebuild
 subtrees.
 """
 
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -141,20 +138,11 @@ def test_executors_descend_alike(pools, options):
     _assert_matches("KARGMIN", out, serial, Q, R)
 
 
-def _spine_datagen():
-    path = (pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks" / "spine" / "datagen.py")
-    spec = importlib.util.spec_from_file_location("spine_datagen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_served_batch_reaches_its_leaves_in_few_epochs():
+def test_served_batch_reaches_its_leaves_in_few_epochs(spine_datagen):
     """The served-batch shape: 32 rows (pool rows 0-31 of seed 0)
     against the 10 000 × 9 reference set.  Descending one level per
     epoch took 18 epochs; the pinned count is 9."""
-    data = _spine_datagen().inputs("serve_fanin", 0)
+    data = spine_datagen.inputs("serve_fanin", 0)
     Q, R = data["pool"][:32], data["reference"]
     clear_caches()
     expr = _expr("KARGMIN", Q, R, k=5)
