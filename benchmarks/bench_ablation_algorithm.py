@@ -43,32 +43,6 @@ def test_ablation_tree_type(benchmark):
     ))
 
 
-def test_ablation_split_strategy(benchmark):
-    """kd splitting strategy: the paper's median split vs sliding
-    midpoint, on uniform and clustered data."""
-    rows = []
-    uniform = np.ascontiguousarray(dataset("IHEPC"))
-    rng = np.random.default_rng(0)
-    clustered = np.concatenate([
-        rng.normal(size=(2000, 3)) * 0.2 + c
-        for c in rng.uniform(-20, 20, size=(4, 3))
-    ])
-    benchmark.pedantic(
-        lambda: knn(*split_qr(uniform), k=3, split="median"),
-        rounds=2, iterations=1,
-    )
-    for label, X in (("IHEPC (smooth)", uniform),
-                     ("4-cluster synthetic", clustered)):
-        Q, R = split_qr(np.ascontiguousarray(X))
-        for split in ("median", "midpoint"):
-            t = wall(lambda s=split: knn(Q, R, k=3, split=s), 2)
-            rows.append([label, split, round(t, 4)])
-    _SECTIONS.append(format_table(
-        "Ablation — kd splitting strategy (k-NN)",
-        ["Data", "Split", "time (s)"], rows,
-    ))
-
-
 def test_ablation_tree_vs_brute(benchmark):
     """The asymptotic claim: tree-based k-NN scales better than brute
     force on low-dimensional data."""

@@ -12,8 +12,8 @@ Two bounded LRU caches, and nothing cached on top that pairs them:
   and dimensions) and the options that change the code, and no dataset
   fingerprint;
 * the **tree cache** memoises :class:`~repro.trees.node.ArrayTree`
-  builds keyed on (data fingerprint, tree kind, leaf size, split,
-  weights fingerprint), so *different problems* over the same dataset
+  builds keyed on (data fingerprint, tree kind, leaf size, weights
+  fingerprint), so *different problems* over the same dataset
   share one tree build — and, under derived keys
   (:func:`derived_entry`), per-shard subset trees and whitened points.
   A logged mutation or ``Storage.clear()`` retires every entry whose key
@@ -243,7 +243,6 @@ def cached_build_tree(
     points: np.ndarray,
     leaf_size: int,
     weights: np.ndarray | None,
-    split: str,
     enabled: bool = True,
     storage=None,
     fingerprint: tuple | None = None,
@@ -266,15 +265,15 @@ def cached_build_tree(
     """
     if not enabled:
         return build_tree(kind, points, leaf_size=leaf_size,
-                          weights=weights, split=split)
+                          weights=weights)
     own_data = storage is not None and points is storage.data
     pts_fp = fingerprint or (storage.fingerprint("data") if own_data
                              else array_fingerprint(points))
     w_fp = (storage.fingerprint("weights")
             if storage is not None and weights is storage.weights
             else array_fingerprint(weights))
-    key = ("tree", kind, int(leaf_size), split, pts_fp, w_fp)
-    live_key = (kind, int(leaf_size), split)
+    key = ("tree", kind, int(leaf_size), pts_fp, w_fp)
+    live_key = (kind, int(leaf_size))
     built_for = (w_fp, tree_cache.generation)
     tree = tree_cache.get(key, MISSING)
     if tree is MISSING and own_data:
@@ -294,7 +293,7 @@ def cached_build_tree(
         else:
             contribute({"cache.tree.miss": 1})
             tree = build_tree(kind, points, leaf_size=leaf_size,
-                              weights=weights, split=split)
+                              weights=weights)
         tree_cache.put(key, tree)
     if own_data:
         storage._live_trees[live_key] = (storage.version, tree, built_for)
@@ -333,7 +332,6 @@ def cached_build_subset_tree(
     idx: np.ndarray,
     leaf_size: int,
     weights: np.ndarray | None,
-    split: str,
     base_key: tuple,
     shard: tuple[int, int],
     enabled: bool = True,
@@ -353,12 +351,12 @@ def cached_build_subset_tree(
 
     if not enabled:
         return build_subset_tree(kind, points, idx, leaf_size=leaf_size,
-                                 weights=weights, split=split)
+                                 weights=weights)
     return derived_entry(
-        ("shard-tree", kind, int(leaf_size), split, base_key,
+        ("shard-tree", kind, int(leaf_size), base_key,
          (int(shard[0]), int(shard[1]))),
         lambda: build_subset_tree(kind, points, idx, leaf_size=leaf_size,
-                                  weights=weights, split=split))
+                                  weights=weights))
 
 
 def derived_entry(key: tuple, build, counter: str = "cache.tree"):

@@ -180,7 +180,7 @@ def _program_key(code_key: tuple, layers: list[Layer],
         tuple((layer.storage.fingerprint("data"),
                layer.storage.fingerprint("weights")) for layer in layers),
         freeze(layers[1].metric_kernel.covariance),
-        opts.tree, plan.leaf_size, opts.split, plan.shards,
+        opts.tree, plan.leaf_size, plan.shards,
     )
 
 
@@ -371,14 +371,13 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
         # incremental path: on a fingerprint miss after a logged
         # mutation, the cache refits the previous live tree instead
         # of rebuilding (cached_build_tree checks the identity).
-        qtree = cached_build_tree(kind, qpoints, leaf,
-                                  qstorage.weights, opts.split,
+        qtree = cached_build_tree(kind, qpoints, leaf, qstorage.weights,
                                   enabled=opts.cache, storage=qstorage,
                                   fingerprint=q_fp)
         if not sharded:
             rtree = qtree if same_data else cached_build_tree(
-                kind, rpoints, leaf, rstorage.weights, opts.split,
-                enabled=opts.cache, storage=rstorage, fingerprint=r_fp,
+                kind, rpoints, leaf, rstorage.weights, enabled=opts.cache,
+                storage=rstorage, fingerprint=r_fp,
             )
     timings["tree_build"] = time.perf_counter() - t0
     bindings = Bindings.query(qtree, code.scalars)
@@ -391,7 +390,7 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
         inv_qperm = qtree.inv_perm() if code.spec.self_map else None
         t0 = time.perf_counter()
         shard_pack = build_shard_pack(
-            kind, rpoints, rstorage.weights, leaf, opts.split, plan.shards,
+            kind, rpoints, rstorage.weights, leaf, plan.shards,
             (r_fp or rstorage.fingerprint("data"),
              rstorage.fingerprint("weights")),
             code.spec.rule, inv_qperm=inv_qperm, cache_enabled=opts.cache,

@@ -26,6 +26,8 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from ..dsl.errors import SpecificationError
 from ..dsl.ops import PortalOp
 from ..parallel.executor import default_workers
@@ -33,7 +35,7 @@ from ..rules import build_rules
 
 __all__ = [
     "CompileOptions", "ExecutionPlan", "OPTION_TABLE", "requested",
-    "program_rules", "requested_tau", "resolve_plan",
+    "program_rules", "requested_tau", "resolve_plan", "default_tasks",
     "AUTO_SHARD_MIN_POINTS", "TASKS_PER_WORKER", "DEFAULT_LEAF_SIZE",
 ]
 
@@ -46,7 +48,7 @@ __all__ = [
 #: than the parallelism returns.
 AUTO_SHARD_MIN_POINTS = 200_000
 
-#: Query-subtree tasks per pool worker: enough slack for load balancing
+#: Query-subtree tasks per host core: enough slack for load balancing
 #: without swamping scheduling overhead.
 TASKS_PER_WORKER = 4
 
@@ -59,6 +61,13 @@ TASKS_PER_WORKER = 4
 DEFAULT_LEAF_SIZE = 64
 
 
+def default_tasks() -> int:
+    """The parallel task count: ``TASKS_PER_WORKER`` per core of the
+    host (:func:`default_workers`), whatever ``workers`` asks, so one
+    host's parallel outputs are bitwise across worker counts."""
+    return TASKS_PER_WORKER * default_workers()
+
+
 def _static_executor(engine: str) -> str:
     """``executor='auto'``: processes for the scalar stack engine (one
     GIL-bound Python bytecode stream per task), threads for the batched
@@ -66,7 +75,7 @@ def _static_executor(engine: str) -> str:
     copies).  A rule, not a measurement: the spine's
     ``parallel.thread_w2_speedup`` / ``parallel.process_w2_speedup``
     rows (docs/performance.md, "Measured") are the open evidence on it
-    for ROADMAP item 5."""
+    for ROADMAP item 8."""
     return "process" if engine == "stack" else "thread"
 
 
@@ -102,9 +111,11 @@ def _nonnegative_real(name: str, value):
 
 
 def _flag(name: str, value) -> bool:
-    """A strict boolean — a bool, 0/1, or the words the CLI, the wire
-    and the environment spell one with; a truthy ``"false"`` must never
-    switch a feature on."""
+    """A strict boolean — a bool (NumPy's too), 0/1, or the words the
+    CLI, the wire and the environment spell one with; a truthy
+    ``"false"`` must never switch a feature on."""
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, str):
         word = value.strip().lower()
         if word in ("1", "true", "on", "yes"):
@@ -135,7 +146,7 @@ class CompileOptions:
 
     backend: str = _row("vectorized",
                         allowed=("vectorized", "brute", "interp"))
-    tree: str = _row("kd", allowed=("kd", "ball", "octree", "none"))
+    tree: str = _row("kd", allowed=("kd", "ball", "octree"))
     leaf_size: int | None = _row(allowed=_positive_int, policy=True,
                                  static=DEFAULT_LEAF_SIZE)
     #: approximation threshold (band criterion)
@@ -145,13 +156,8 @@ class CompileOptions:
     theta: float = _row(0.5, allowed=_nonnegative_real)
     parallel: bool | None = _row(allowed=_flag, static=False)
     workers: int | None = _row(allowed=_positive_int)
-    #: pin the parallel task decomposition independently of ``workers``
-    #: (same tasks → bit-identical outputs across worker counts)
-    min_tasks: int | None = _row(allowed=_positive_int)
     #: default: True when query is reference
     exclude_self: bool | None = _row(allowed=_flag)
-    #: kd-tree splitting strategy ('median' — the paper's — or 'midpoint')
-    split: str = _row("median", allowed=("median", "midpoint"))
     #: traversal engine: 'batched' classifies whole arrays of node pairs
     #: per kernel call in epochs (:mod:`repro.traversal.bounded_batched`:
     #: bound rules — k-NN, Hausdorff — best-first against a bound
@@ -280,13 +286,14 @@ class ExecutionPlan:
 
     def to_options(self) -> dict:
         """The ``execute()`` options that pin this plan: resolving them
-        again yields the same plan with every source ``explicit``."""
+        again yields the same plan with every source ``explicit`` but
+        ``min_tasks``, which no option sets."""
         parallel = self.executor != "serial"
         pinned = {
             "traversal": self.engine, "parallel": parallel,
             "executor": self.executor if parallel else None,
-            "workers": self.workers, "min_tasks": self.min_tasks,
-            "leaf_size": self.leaf_size, "shards": self.shards,
+            "workers": self.workers, "leaf_size": self.leaf_size,
+            "shards": self.shards,
         }
         return {k: v for k, v in pinned.items() if v is not None}
 
@@ -336,7 +343,7 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
     compiled = len(layers) == 2 and inner.metric_kernel is not None
     tree_mode = (
         compiled and opts.backend not in ("brute", "interp")
-        and opts.tree != "none" and classification.algorithm != "brute"
+        and classification.algorithm != "brute"
         and inner.op is not PortalOp.FORALL
     )
 
@@ -346,7 +353,7 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
         "executor": (pool if opts.parallel
                      else ("serial", requested(opts, env, "parallel")[1])),
         "workers": requested(opts, env, "workers"),
-        "min_tasks": requested(opts, env, "min_tasks"),
+        "min_tasks": (default_tasks(), "static"),
         "leaf_size": requested(opts, env, "leaf_size"),
         "shards": requested(opts, env, "shards"),
     }
@@ -370,7 +377,6 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
                    shards=_NOT_APPLICABLE, executor=("serial", "static"))
     plan = {name: value for name, (value, _) in ask.items()}
     plan["workers"] = workers = plan["workers"] or default_workers()
-    plan["min_tasks"] = plan["min_tasks"] or workers * TASKS_PER_WORKER
     if tree_mode:
         # Every rule kind runs the batched epoch engine, which reads the
         # kind off the kernels; 'stack' forces the scalar reference

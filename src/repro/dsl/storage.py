@@ -105,7 +105,7 @@ class Storage:
         #: Recent mutations (bounded), replayable onto live trees.
         self._mutation_log: list[StorageDelta] = []
         #: Live trees built over this Storage's data by the tree cache:
-        #: ``(kind, leaf_size, split) -> (built_version, tree,
+        #: ``(kind, leaf_size) -> (built_version, tree,
         #: (weights_fingerprint, tree_cache.generation))``.
         self._live_trees: dict[tuple, tuple] = {}
         #: Shared-memory tokens under which this Storage's columns are

@@ -163,7 +163,6 @@ def build_shard_pack(
     rpoints: np.ndarray,
     rweights: np.ndarray | None,
     leaf_size: int,
-    split: str,
     nshards: int,
     base_key: tuple,
     rule,
@@ -189,8 +188,8 @@ def build_shard_pack(
     with span("shard.tree_build", shards=nshards, tree=kind):
         trees = run_tasks([
             (lambda p=p, i=i: cached_build_subset_tree(
-                kind, rpoints, p, leaf_size, rweights, split,
-                base_key, (i, nshards), enabled=cache_enabled))
+                kind, rpoints, p, leaf_size, rweights, base_key,
+                (i, nshards), enabled=cache_enabled))
             for i, p in enumerate(parts)
         ])
     origs: list[np.ndarray] = []

@@ -24,7 +24,7 @@ import numpy as np
 from ..dsl import Const, MetricKernel, PortalExpr, PortalOp, Storage, sqrt
 from ..dsl.expr import BinOp, DistVar
 from ..backend.codegen import GeneratedKernels
-from ..backend.plan import TASKS_PER_WORKER
+from ..backend.plan import default_tasks
 from ..traversal import TraversalStats, dual_tree_traversal
 from ..parallel import default_workers, parallel_dual_tree
 from ..trees import build_octree
@@ -167,7 +167,7 @@ def barnes_hut_acceleration(
             source="", namespace={}, base_case=base_case,
             prune_or_approx=prune_or_approx, pair_min_dist=None)
         stats = parallel_dual_tree(tree, tree, kernels, workers=workers,
-                                   min_tasks=workers * TASKS_PER_WORKER)
+                                   min_tasks=default_tasks())
     else:
         stats = dual_tree_traversal(tree, tree, prune_or_approx, base_case)
 

@@ -32,28 +32,15 @@ def build_tree(
     points: np.ndarray,
     leaf_size: int = 32,
     weights: np.ndarray | None = None,
-    split: str = "median",
 ) -> ArrayTree:
-    """Build a tree of the requested kind ('kd', 'octree' or 'ball').
-
-    ``split`` selects the kd splitting strategy ('median' or 'midpoint');
-    other tree kinds define their own partitioning and ignore it.
-    """
+    """Build a tree of the requested kind ('kd', 'octree' or 'ball')."""
     try:
         builder = _BUILDERS[kind]
     except KeyError:
         raise ValueError(
             f"unknown tree kind {kind!r}; choose from {sorted(_BUILDERS)}"
         ) from None
-    if kind == "kd":
-        tree = builder(points, leaf_size=leaf_size, weights=weights,
-                       split=split)
-    else:
-        tree = builder(points, leaf_size=leaf_size, weights=weights)
-    # Remember the strategy so incremental mutations rebuild degraded
-    # subtrees the same way the original build partitioned them.
-    tree.split = split
-    return tree
+    return builder(points, leaf_size=leaf_size, weights=weights)
 
 
 def build_subset_tree(
@@ -62,7 +49,6 @@ def build_subset_tree(
     idx: np.ndarray,
     leaf_size: int = 32,
     weights: np.ndarray | None = None,
-    split: str = "median",
 ) -> ArrayTree:
     """Build a tree over ``points[idx]`` — the shard-local build of the
     sharded reference layout (:mod:`repro.parallel.shard`).
@@ -76,5 +62,4 @@ def build_subset_tree(
     idx = np.asarray(idx, dtype=np.int64)
     sub = np.ascontiguousarray(points[idx])
     wsub = None if weights is None else np.ascontiguousarray(weights[idx])
-    return build_tree(kind, sub, leaf_size=leaf_size, weights=wsub,
-                      split=split)
+    return build_tree(kind, sub, leaf_size=leaf_size, weights=wsub)

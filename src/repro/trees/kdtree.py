@@ -13,11 +13,6 @@ partitions each split node's contiguous slice.  Node ids are then
 renumbered to the depth-first order of the recursive formulation (a
 split node's two children get consecutive ids, left subtree first), so
 every tree array is the same as a node-by-node recursive build.
-
-A second splitting strategy, ``sliding-midpoint``, is provided for the
-plug-and-play ablation: split at the geometric center of the widest
-dimension (better-shaped cells on non-uniform data), sliding to the
-nearest point when one side would be empty.
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ import numpy as np
 
 from .node import ArrayTree, require_finite
 
-__all__ = ["KDTree", "build_kdtree", "SPLIT_STRATEGIES"]
-
-SPLIT_STRATEGIES = ("median", "midpoint")
+__all__ = ["KDTree", "build_kdtree"]
 
 
 class KDTree(ArrayTree):
@@ -63,12 +56,9 @@ def build_kdtree(
     points: np.ndarray,
     leaf_size: int = 32,
     weights: np.ndarray | None = None,
-    split: str = "median",
 ) -> KDTree:
     """Build a :class:`KDTree` over ``points`` of shape ``(n, d)``.
 
-    ``split`` selects the strategy: ``"median"`` (the paper's — balanced
-    sibling sizes) or ``"midpoint"`` (sliding midpoint — tighter cells).
     Points with identical coordinates along every dimension collapse into
     a single (possibly oversized) leaf rather than recursing forever.
     """
@@ -77,10 +67,6 @@ def build_kdtree(
         raise ValueError("points must be a non-empty (n, d) array")
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
-    if split not in SPLIT_STRATEGIES:
-        raise ValueError(
-            f"unknown split strategy {split!r}; choose from {SPLIT_STRATEGIES}"
-        )
     require_finite("build_kdtree", points, weights)
     n = points.shape[0]
     perm = np.arange(n)
@@ -115,28 +101,10 @@ def build_kdtree(
             break
         ss, es = s[sel], e[sel]
         loc = np.arange(n)  # this level's local permutation
-        if split == "median":
-            mid = (ss + es) // 2
-            for a, b, m, k in zip(ss.tolist(), es.tolist(), mid.tolist(),
-                                  dim[sel].tolist()):
-                np.add(col[k, a:b].argpartition(m - a), a, out=loc[a:b])
-        else:  # sliding midpoint
-            mid = np.empty(sel.size, dtype=np.int64)
-            ks = dim[sel]
-            cuts = 0.5 * (lo[sel, ks] + hi[sel, ks])
-            for j, (a, b, k, cut) in enumerate(zip(
-                    ss.tolist(), es.tolist(), ks.tolist(), cuts)):
-                coords = col[k, a:b]
-                left_mask = coords < cut
-                n_left = int(left_mask.sum())
-                if n_left == 0 or n_left == b - a:
-                    # Slide the cut to isolate at least one point per side.
-                    mid[j] = max(a + 1, min(b - 1, a + n_left))
-                    order = np.argsort(coords, kind="stable")
-                else:
-                    mid[j] = a + n_left
-                    order = np.argsort(~left_mask, kind="stable")
-                np.add(order, a, out=loc[a:b])
+        mid = (ss + es) // 2
+        for a, b, m, k in zip(ss.tolist(), es.tolist(), mid.tolist(),
+                              dim[sel].tolist()):
+            np.add(col[k, a:b].argpartition(m - a), a, out=loc[a:b])
         perm = np.take(perm, loc)
         col = np.take(col, loc, axis=1)  # frees the previous level's copy
         s = _interleave(ss, mid)

@@ -242,7 +242,6 @@ class ArrayTree:
         self._mass = None
         self._mass_stale = None
 
-        self.split = "median"  # kd split strategy; set by build_tree()
         self.version = 0
         self._pristine_diam = self.diameter
         self._mutation_lock = threading.RLock()
@@ -885,8 +884,7 @@ class ArrayTree:
             a, b = int(self.start[s]), int(self.end[s])
             w = None if self.weights is None else self.weights[a:b]
             sub = build_tree(self.kind, self.points[a:b],
-                             leaf_size=self.leaf_size, weights=w,
-                             split=self.split)
+                             leaf_size=self.leaf_size, weights=w)
             remap[s] = base
             subs.append((a, base, sub))
             base += sub.n_nodes
@@ -956,7 +954,7 @@ class ArrayTree:
             w = np.empty_like(self.weights)
             w[self.perm] = self.weights
         fresh = build_tree(self.kind, orig, leaf_size=self.leaf_size,
-                           weights=w, split=self.split)
+                           weights=w)
         attrs = ["points", "perm", "lo", "hi", "start", "end",
                  "child_offset", "child_list", "is_leaf_arr", "center",
                  "diameter", "n_nodes", "weights", "_mass", "_mass_stale",

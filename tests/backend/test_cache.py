@@ -115,8 +115,7 @@ class TestCompileCache:
         _kde_expr(Q, R).execute(tau=1e-3, traversal="batched")
         with collect() as counters:
             _kde_expr(Q, R).execute(tau=1e-3, traversal="stack")
-            _kde_expr(Q, R).execute(tau=1e-3, parallel=True, workers=2,
-                                    min_tasks=4)
+            _kde_expr(Q, R).execute(tau=1e-3, parallel=True, workers=2)
         c = _cache_counts(counters)
         assert c["cache.compile.hit"] == 2
         assert "cache.compile.miss" not in c

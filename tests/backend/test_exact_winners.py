@@ -91,10 +91,8 @@ def test_duplicates_give_exact_zero_and_unfilled_slots_stay_empty(dim,
 
 PLANS = {
     "stack": {"traversal": "stack"},
-    "thread": {"parallel": True, "workers": 2, "min_tasks": 4,
-               "executor": "thread"},
-    "process": {"parallel": True, "workers": 2, "min_tasks": 4,
-                "executor": "process"},
+    "thread": {"parallel": True, "workers": 2, "executor": "thread"},
+    "process": {"parallel": True, "workers": 2, "executor": "process"},
     "shards2": {"shards": 2},
     "leaf16": {"leaf_size": 16},
     "brute": {"backend": "brute"},

@@ -131,6 +131,6 @@ def test_folded_kernel_thread_process_bitwise():
     bits on threads and processes."""
     Q, R = _points(300, 6, 5) + 50.0, _points(360, 6, 6) + 50.0
     par = dict(bandwidth=1.0, tau=1e-3, leaf_size=8, parallel=True,
-               workers=2, min_tasks=8)
+               workers=2)
     assert_bitwise(kde(Q, R, executor="thread", **par),
                    kde(Q, R, executor="process", **par))

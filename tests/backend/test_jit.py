@@ -68,8 +68,13 @@ class TestModes:
         assert prog.mode == "brute"
 
     def test_tree_none_forces_brute(self, rng):
-        prog = nn_expr(rng).compile(tree="none")
-        assert prog.mode == "brute"
+        """Brute force has one spelling, ``backend='brute'``: ``tree``
+        names no 'none', and a brute program builds no tree whichever
+        tree it names."""
+        with pytest.raises(SpecificationError, match="unknown tree"):
+            nn_expr(rng).compile(tree="none")
+        prog = nn_expr(rng).compile(backend="brute", tree="ball")
+        assert prog.mode == "brute" and prog.qtree is None
 
     def test_external_kernel_forces_brute(self, rng):
         e = PortalExpr()
@@ -373,7 +378,7 @@ class TestCodeNeverReadsData:
 
 # -- the code cache: one compile per program shape ----------------------------
 
-PAR = {"parallel": True, "workers": 2, "min_tasks": 4}
+PAR = {"parallel": True, "workers": 2}
 CODE_HIT_CONFIGS = {
     "default": {},
     "tau": {"tau": 1e-3},

@@ -109,7 +109,7 @@ def test_tied_outputs_repeat_bitwise(grid, op, monkeypatch):
                 else np.asarray(out.indices).tobytes())
 
     assert run() == run()
-    parallel = dict(parallel=True, workers=2, min_tasks=4)
+    parallel = dict(parallel=True, workers=2)
     threads = run("thread", **parallel)
     assert run("thread", **parallel) == threads
     monkeypatch.setenv("REPRO_EXECUTOR", "process")

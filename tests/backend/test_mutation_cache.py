@@ -39,10 +39,8 @@ from repro.trees.node import ArrayTree
 
 pytestmark = pytest.mark.usefixtures("refit_never_fails")
 
-THREAD = {"parallel": True, "workers": 2, "min_tasks": 8,
-          "executor": "thread"}
-PROCESS = {"parallel": True, "workers": 2, "min_tasks": 8,
-           "executor": "process"}
+THREAD = {"parallel": True, "workers": 2, "executor": "thread"}
+PROCESS = {"parallel": True, "workers": 2, "executor": "process"}
 EXECUTORS = {"serial": {}, "thread": THREAD, "process": PROCESS}
 
 
@@ -388,7 +386,7 @@ def test_sharded_update_loop_keeps_no_predecessor_shard_trees(rng):
     _assert_same("exact", got, run_knn(Q, R, {"shards": 2, "cache": False}))
     shard_trees = _keys("shard-tree")
     assert len(shard_trees) == 2
-    assert all(key[4] == (R.fingerprint("data"), R.fingerprint("weights"))
+    assert all(key[-2] == (R.fingerprint("data"), R.fingerprint("weights"))
                for key in shard_trees)
 
 

@@ -38,23 +38,16 @@ class TestLayoutOverride:
 
 
 class TestSplitOption:
-    def test_midpoint_split_same_answers(self, rng):
-        rng2 = np.random.default_rng(1)
-        Q = rng2.normal(size=(60, 3))
-        R = rng2.normal(size=(70, 3))
-
-        def run(split):
-            e = PortalExpr()
-            e.addLayer(PortalOp.FORALL, Storage(Q))
-            e.addLayer(PortalOp.ARGMIN, Storage(R), PortalFunc.EUCLIDEAN)
-            out = e.execute(split=split)
-            return out.values
-
-        assert np.allclose(run("median"), run("midpoint"))
-
     def test_bad_split_rejected(self, rng):
-        with pytest.raises(SpecificationError, match="split"):
-            nn(rng).execute(split="golden-ratio")
+        """The kd split is the paper's median and the task decomposition
+        is the host's: ``split`` and ``min_tasks`` are unknown options,
+        whatever their value."""
+        for name, value in (("split", "median"), ("split", "midpoint"),
+                            ("min_tasks", 4)):
+            with pytest.raises(SpecificationError,
+                               match=rf"unknown execute\(\) options: "
+                                     rf"\['{name}'\]"):
+                nn(rng).execute(**{name: value})
 
 
 class TestValidateAgainstBrute:
@@ -137,8 +130,7 @@ class TestExecutorTraversalCodegenMatrix:
     def _run(cls, build, traversal, executor, stored=None):
         kwargs = dict(traversal=traversal, leaf_size=16)
         if executor != "serial":
-            kwargs.update(parallel=True, workers=2, min_tasks=4,
-                          executor=executor)
+            kwargs.update(parallel=True, workers=2, executor=executor)
         if stored is not None:
             kwargs = stored(build, kwargs)
         return build().execute(**kwargs)

@@ -5,7 +5,8 @@ is tested here once — the precedence matrix (explicit option >
 environment > policy entry > static rule, asserting value *and* source
 for every routing field), a property over random option dicts ×
 environments × policy entries (resolution is deterministic, and pinning
-a plan's own options is a fixed point with every source ``explicit``),
+a plan's own options is a fixed point with every source ``explicit``
+but the task count, which no option sets),
 typed errors for option values arriving from the wire, and the check
 that ``docs/compiler.md``'s "Execution plan" table and the option table
 list the same rows.  The resolver unit tests that stay beside their
@@ -121,11 +122,11 @@ MATRIX = [
     ("shards", {}, {"REPRO_SHARDS": "4"}, None, 1, "static"),
     ("shards", {}, {}, CONFIG, 2, "policy"),
     ("shards", {}, {}, None, 1, "static"),
-    # workers / min_tasks: not policy-fillable
+    # workers: not policy-fillable
     ("workers", {"workers": 3}, {}, CONFIG, 3, "explicit"),
     ("workers", {}, {}, CONFIG, 2, "static"),
-    ("min_tasks", {"min_tasks": 5}, {}, CONFIG, 5, "explicit"),
-    ("min_tasks", {"workers": 3}, {}, CONFIG, 3 * TASKS_PER_WORKER, "static"),
+    # min_tasks: the host's cores decide, not the pool size asked for
+    ("min_tasks", {"workers": 3}, {}, CONFIG, 2 * TASKS_PER_WORKER, "static"),
 ]
 
 
@@ -201,7 +202,7 @@ class TestStaticRules:
         brute = plan_for({"backend": "brute", "parallel": True, "shards": 4})
         assert (brute.engine, brute.leaf_size, brute.shards) == (None,) * 3
         assert brute.executor == "serial"
-        assert plan_for({"tree": "none"}).engine is None
+        assert plan_for({"backend": "brute"}).engine is None
 
     def test_shard_count(self, two_workers):
         assert plan_for({"shards": 64}, nr=10).shards == 10  # clamped to nr
@@ -229,8 +230,11 @@ class TestStaticRules:
 
 @pytest.mark.parametrize("options", [
     {"workers": "two", "parallel": True}, {"workers": -1}, {"workers": 0},
-    {"workers": True}, {"workers": 2.5}, {"min_tasks": -3},
-    {"min_tasks": "8"}, {"leaf_size": 0}, {"leaf_size": "big"},
+    {"workers": True}, {"workers": 2.5},
+    # the deleted task-count knob: no such option, whatever its value
+    {"min_tasks": 8},
+    # brute force is spelt backend='brute' only
+    {"tree": "none"}, {"leaf_size": 0}, {"leaf_size": "big"},
     # a misspelt backend used to run the tree algorithm, uncached
     {"backend": "brue"},
     {"parallel": "maybe"}, {"cache": 2}, {"fastmath": 1.0},
@@ -239,10 +243,12 @@ class TestStaticRules:
     {"verify_ir": True},
     {"tau": float("nan")}, {"tau": "x"}, {"tau": -1e-3}, {"tau": True},
     {"theta": "x"}, {"theta": float("inf")},
-    # the last rows to get an ``allowed``: tree/split used to escape as
+    # the last rows to get an ``allowed``: tree used to escape as
     # build_tree's bare ValueError, criterion only failed after the plan
     # was resolved
-    {"tree": "foo"}, {"split": "foo"}, {"criterion": "foo"},
+    {"tree": "foo"}, {"criterion": "foo"},
+    # the deleted kd split knob: the median split is the only one
+    {"split": "median"},
     # the deleted layout knob: no such option, whatever its value
     {"layout": "row"},
     # the deleted codegen surface: no such option, no such backend
@@ -257,9 +263,9 @@ def test_bad_counts_are_specification_errors(options):
 
 def test_none_and_numpy_ints_are_accepted():
     opts = CompileOptions.from_dict(
-        {"workers": None, "min_tasks": np.int64(4), "leaf_size": 32,
+        {"workers": None, "shards": np.int64(4), "leaf_size": 32,
          "tau": 0, "theta": np.float64(0.4), "parallel": None})
-    assert (opts.workers, opts.min_tasks, opts.leaf_size) == (None, 4, 32)
+    assert (opts.workers, opts.shards, opts.leaf_size) == (None, 4, 32)
     assert (opts.tau, opts.theta, opts.parallel) == (0, 0.4, None)
 
 
@@ -268,9 +274,9 @@ def test_none_and_numpy_ints_are_accepted():
 def test_a_flag_spelt_off_is_off(name):
     """``"false"`` from a serve client or ``--option cache=off`` from the
     CLI is a non-empty string: it must not switch the feature on."""
-    for off in ("false", "off", "no", "0", "FALSE", 0, False):
+    for off in ("false", "off", "no", "0", "FALSE", 0, False, np.False_):
         assert getattr(CompileOptions.from_dict({name: off}), name) is False
-    for on in ("true", "on", "yes", "1", " On ", 1, True):
+    for on in ("true", "on", "yes", "1", " On ", 1, True, np.True_):
         assert getattr(CompileOptions.from_dict({name: on}), name) is True
 
 
@@ -302,12 +308,11 @@ ROUTING = st.fixed_dictionaries({}, optional={
     "parallel": st.booleans(),
     "executor": st.sampled_from(["auto", "thread", "process"]),
     "workers": st.integers(1, 4),
-    "min_tasks": st.integers(1, 32),
     "leaf_size": st.sampled_from([8, 64, 200]),
     "shards": st.one_of(st.just("auto"), st.integers(1, 5)),
     "policy": st.sampled_from(["static", "auto", "search"]),
     "backend": st.sampled_from(["vectorized", "brute"]),
-    "tree": st.sampled_from(["kd", "ball", "none"]),
+    "tree": st.sampled_from(["kd", "ball"]),
 })
 ENV = st.fixed_dictionaries({}, optional={
     "REPRO_EXECUTOR": st.sampled_from(["thread", "process", " auto "]),
@@ -342,9 +347,11 @@ def test_resolution_is_deterministic_and_pinning_is_a_fixed_point(
     pinned = resolve({**options, **plan.to_options()})
     assert pinned == plan
     for name, source in pinned.sources:
-        # a field is pinned unless the program has no such layer
+        # a field is pinned unless the program has no such layer or no
+        # option sets it
         assert source == "explicit" or getattr(plan, name) is None or (
-            name == "executor" and plan.engine is None)
+            name == "executor" and plan.engine is None) or (
+            name == "min_tasks")
 
 
 # -- the documented table is the option table ---------------------------------

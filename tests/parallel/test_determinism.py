@@ -1,9 +1,10 @@
 """Parallel determinism: the output contract's determinism clause.
 
 The scheduler partitions work by query subtree, every task owns a
-disjoint query range, and ``min_tasks`` pins the task decomposition
-independently of the worker count — so running the same problem with 1
-worker or N workers, on threads or on processes, must produce
+disjoint query range, and the task decomposition is the host's
+(``default_tasks()``), independent of the worker count and set by no
+option — so running the same problem with 1 worker or N workers, on
+threads or on processes, must produce
 *bit-identical* outputs (not merely allclose: identical task-local
 summation order) and identical aggregate traversal counters.
 
@@ -24,7 +25,6 @@ from tests.contract import assert_bitwise, assert_sum_close
 
 pytestmark = pytest.mark.slow
 
-MIN_TASKS = 16
 WORKER_COUNTS = [2, 4]
 #: small leaves, so the KDE tasks approximate node pairs
 KDE = dict(bandwidth=0.7, leaf_size=8)
@@ -51,10 +51,8 @@ class TestKDEDeterminism:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_across_workers(self, data, workers):
         Q, R = data
-        base = kde(Q, R, **KDE, parallel=True, workers=1,
-                   min_tasks=MIN_TASKS)
-        par = kde(Q, R, **KDE, parallel=True, workers=workers,
-                  min_tasks=MIN_TASKS)
+        base = kde(Q, R, **KDE, parallel=True, workers=1)
+        par = kde(Q, R, **KDE, parallel=True, workers=workers)
         assert np.array_equal(base, par)  # bitwise, not allclose
 
     def test_aggregate_counters_identical(self, data):
@@ -63,8 +61,7 @@ class TestKDEDeterminism:
         for workers in (1, 4):
             clear_caches()  # both runs must be full compiles to compare
             with collect() as counters:
-                kde(Q, R, **KDE, parallel=True, workers=workers,
-                    min_tasks=MIN_TASKS)
+                kde(Q, R, **KDE, parallel=True, workers=workers)
             runs.append(_counts_only(counters))
         assert runs[0] == runs[1]
         assert runs[0]["traversal.visited"] > 0
@@ -74,10 +71,8 @@ class TestTwoPointDeterminism:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_exact_count_across_workers(self, data, workers):
         Q, _ = data
-        base = two_point_correlation(Q, 1.0, parallel=True, workers=1,
-                                     min_tasks=MIN_TASKS)
-        par = two_point_correlation(Q, 1.0, parallel=True, workers=workers,
-                                    min_tasks=MIN_TASKS)
+        base = two_point_correlation(Q, 1.0, parallel=True, workers=1)
+        par = two_point_correlation(Q, 1.0, parallel=True, workers=workers)
         assert base == par
 
     def test_aggregate_counters_identical(self, data):
@@ -86,8 +81,7 @@ class TestTwoPointDeterminism:
         for workers in (1, 4):
             clear_caches()  # both runs must be full compiles to compare
             with collect() as counters:
-                two_point_correlation(Q, 1.0, parallel=True, workers=workers,
-                                      min_tasks=MIN_TASKS)
+                two_point_correlation(Q, 1.0, parallel=True, workers=workers)
             runs.append(_counts_only(counters))
         assert runs[0] == runs[1]
 
@@ -98,8 +92,7 @@ class TestThreadProcessAgreement:
         runs = []
         for executor in ("thread", "process"):
             with collect() as counters:
-                runs.append(kde(Q, R, **KDE, parallel=True,
-                                workers=2, min_tasks=MIN_TASKS,
+                runs.append(kde(Q, R, **KDE, parallel=True, workers=2,
                                 executor=executor))
             assert counters.as_dict()["traversal.approximated"] > 0
         assert_bitwise(runs[1], runs[0])

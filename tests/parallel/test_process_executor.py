@@ -27,9 +27,9 @@ from repro.problems import (
     pair_count, range_count, range_search, two_point_correlation,
 )
 
-#: Fixed decomposition so thread and process runs schedule identical
-#: (query-subtree × reference-root) tasks.
-PAR = {"parallel": True, "workers": 2, "min_tasks": 8}
+#: Thread and process runs schedule identical (query-subtree ×
+#: reference-root) tasks: the decomposition is the host's.
+PAR = {"parallel": True, "workers": 2}
 
 
 @pytest.fixture(scope="module")

@@ -44,8 +44,7 @@ from repro.problems import (
 from tests.backend.test_plan import plan_for
 
 #: Process-pool options mirroring test_process_executor's PAR.
-PAR = {"parallel": True, "workers": 2, "min_tasks": 8,
-       "executor": "process"}
+PAR = {"parallel": True, "workers": 2, "executor": "process"}
 
 
 @pytest.fixture(scope="module")

@@ -323,8 +323,7 @@ def test_storage_mutation_between_requests_is_picked_up(executor):
 
     options = {}
     if executor == "process":
-        options = dict(parallel=True, workers=2, min_tasks=4,
-                       executor="process")
+        options = dict(parallel=True, workers=2, executor="process")
 
     Qp, _ = _data(SEED)
     tmpl = PortalExpr("knn")

@@ -213,15 +213,15 @@ class TestEngineSelection:
 
 class TestParallelBatched:
     def test_parallel_batched_matches_parallel_stack(self, data):
-        """Same pinned task decomposition → the same approximated node
+        """Same task decomposition → the same approximated node
         pairs and identical counters between the engines under
         parallel; the sums differ only in rounding."""
         Q, R = data
         maker = lambda: _kde_expr(Q, R)
-        stack, c_stack, _ = _run(maker, tau=1e-3, leaf_size=8, parallel=True, workers=2,
-                                 min_tasks=8, traversal="stack")
-        batch, c_batch, _ = _run(maker, tau=1e-3, leaf_size=8, parallel=True, workers=2,
-                                 min_tasks=8, traversal="batched")
+        stack, c_stack, _ = _run(maker, tau=1e-3, leaf_size=8, parallel=True,
+                                 workers=2, traversal="stack")
+        batch, c_batch, _ = _run(maker, tau=1e-3, leaf_size=8, parallel=True,
+                                 workers=2, traversal="batched")
         assert_sum_close(batch, stack, n=len(R))
         assert c_stack == c_batch
 
@@ -230,7 +230,7 @@ class TestParallelBatched:
         maker = lambda: _range_count_expr(Q, R, h=1.2)
         serial, _, _ = _run(maker, leaf_size=8, traversal="batched")
         par, _, _ = _run(maker, leaf_size=8, parallel=True, workers=2,
-                         min_tasks=8, traversal="batched")
+                         traversal="batched")
         # Counts are order-independent integers: exact equality.
         assert np.array_equal(np.asarray(serial.values),
                               np.asarray(par.values))

@@ -176,8 +176,8 @@ PROGRAMS = {"kde": False, "naive_bayes": False, "barnes_hut": True,
 EXECUTORS = {
     "serial": {},
     "stack": dict(traversal="stack"),
-    "thread": dict(parallel=True, workers=2, min_tasks=8, executor="thread"),
-    "process": dict(parallel=True, workers=2, min_tasks=8, executor="process"),
+    "thread": dict(parallel=True, workers=2, executor="thread"),
+    "process": dict(parallel=True, workers=2, executor="process"),
     "shards2": dict(shards=2),
 }
 

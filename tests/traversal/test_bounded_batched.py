@@ -27,7 +27,7 @@ from repro.traversal.bounded_batched import RAMP_START, DEFAULT_EPOCH_SIZE
 from tests.conftest import RETIRED_ENGINE
 
 TREES = ["kd", "ball", "octree"]
-PAR = {"parallel": True, "workers": 2, "min_tasks": 8}
+PAR = {"parallel": True, "workers": 2}
 MODES = {
     "serial": {},
     "thread": dict(PAR, executor="thread"),

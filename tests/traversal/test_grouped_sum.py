@@ -178,7 +178,7 @@ def test_stateless_kinds_against_stack(kind, tree, no_leaf_base_case):
 def test_thread_process_bitwise(kind):
     """One parallel plan gives the same bits on threads and processes."""
     Q, R = _points(300, 3, 13), _points(360, 3, 14)
-    par = dict(parallel=True, workers=2, min_tasks=8)
+    par = dict(parallel=True, workers=2)
     thread, _ = _run_kind(kind, Q, R, executor="thread", **par)
     process, _ = _run_kind(kind, Q, R, executor="process", **par)
     if KINDS[kind][0] is PortalOp.UNIONARG:

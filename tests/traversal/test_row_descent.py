@@ -124,8 +124,8 @@ def test_deeper_descent_matches_leaf_regime_and_brute(
 
 
 @pytest.mark.parametrize("options", [
-    {"parallel": True, "workers": 2, "min_tasks": 4, "executor": "thread"},
-    {"parallel": True, "workers": 2, "min_tasks": 4, "executor": "process"},
+    {"parallel": True, "workers": 2, "executor": "thread"},
+    {"parallel": True, "workers": 2, "executor": "process"},
     {"shards": 2},
 ], ids=["thread", "process", "shards2"])
 def test_executors_descend_alike(pools, options):

@@ -29,7 +29,7 @@ NR = 800
 THRESHOLD = NR // ROW_REGIME_RATIO
 N_QS = [1, 32, THRESHOLD, THRESHOLD + 1]
 TREES = ["kd", "ball", "octree"]
-PAR = {"parallel": True, "workers": 2, "min_tasks": 4}
+PAR = {"parallel": True, "workers": 2}
 EXECUTORS = {
     "serial": {},
     "thread": dict(PAR, executor="thread"),

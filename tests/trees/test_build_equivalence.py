@@ -17,7 +17,7 @@ from repro.trees.kdtree import KDTree
 from repro.trees.node import children_csr
 
 
-def _recursive_build(points, leaf_size, weights, split):
+def _recursive_build(points, leaf_size, weights):
     """Reference: depth-first, one ``new_node`` per node; a split node's
     children get the next two ids and the left subtree is split first."""
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -46,19 +46,8 @@ def _recursive_build(points, leaf_size, weights, split):
             continue
         seg = perm[s:e]
         coords = points[seg, split_dim]
-        if split == "median":
-            m = (s + e) // 2
-            order = np.argpartition(coords, m - s)
-        else:
-            cut = 0.5 * (lo_l[i][split_dim] + hi_l[i][split_dim])
-            left_mask = coords < cut
-            n_left = int(left_mask.sum())
-            if n_left == 0 or n_left == e - s:
-                m = max(s + 1, min(e - 1, s + n_left))
-                order = np.argsort(coords, kind="stable")
-            else:
-                m = s + n_left
-                order = np.argsort(~left_mask, kind="stable")
+        m = (s + e) // 2
+        order = np.argpartition(coords, m - s)
         perm[s:e] = seg[order]
         left, right = new_node(s, m), new_node(m, e)
         ch_l[i] = [left, right]
@@ -108,28 +97,28 @@ def build_inputs(draw):
     X[:, np.asarray(const)] = 2.5
     weights = rng.uniform(0.0, 2.0, size=n) if draw(st.booleans()) else None
     leaf_size = draw(st.integers(1, 70))
-    split = draw(st.sampled_from(["median", "midpoint"]))
-    return X, leaf_size, weights, split
+    return X, leaf_size, weights
 
 
 @settings(max_examples=150, deadline=None)
 @given(args=build_inputs())
 def test_builder_is_bitwise_the_recursive_build(args):
-    X, leaf_size, weights, split = args
-    got = build_kdtree(X, leaf_size=leaf_size, weights=weights, split=split)
-    assert_bitwise_same(got, _recursive_build(X, leaf_size, weights, split))
+    X, leaf_size, weights = args
+    got = build_kdtree(X, leaf_size=leaf_size, weights=weights)
+    assert_bitwise_same(got, _recursive_build(X, leaf_size, weights))
     got.validate()
 
 
-@pytest.mark.parametrize("split", ["median", "midpoint"])
 @pytest.mark.parametrize("n,d,leaf_size", [(1001, 4, 3), (5000, 9, 64),
-                                           (4097, 3, 1)])
-def test_builder_matches_on_larger_inputs(rng, n, d, leaf_size, split):
+                                           (4097, 3, 1)],
+                         ids=["1001-4-3-median", "5000-9-64-median",
+                              "4097-3-1-median"])
+def test_builder_matches_on_larger_inputs(rng, n, d, leaf_size):
     X = rng.normal(size=(n, d))
     X[: n // 5] = X[0]  # a block of coincident points
     w = rng.uniform(size=n)
-    got = build_kdtree(X, leaf_size=leaf_size, weights=w, split=split)
-    assert_bitwise_same(got, _recursive_build(X, leaf_size, w, split))
+    got = build_kdtree(X, leaf_size=leaf_size, weights=w)
+    assert_bitwise_same(got, _recursive_build(X, leaf_size, w))
 
 
 def test_root_split_keeps_argpartitions_order():
@@ -143,7 +132,7 @@ def test_root_split_keeps_argpartitions_order():
                               np.argpartition(x, 499))
     got = build_kdtree(X, leaf_size=500)
     assert got.n_nodes == 3
-    assert_bitwise_same(got, _recursive_build(X, 500, None, "median"))
+    assert_bitwise_same(got, _recursive_build(X, 500, None))
 
 
 class TestNonFiniteInputsRaise:
