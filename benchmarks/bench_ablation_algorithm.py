@@ -1,7 +1,6 @@
 """Ablations over the algorithmic choices: leaf size (the paper tunes it
-per problem/dataset), tree type (kd vs ball — PASCAL's plug-and-play
-claim), tree vs brute crossover, and the accuracy/time trade-offs of the
-approximation knobs (τ for KDE, θ for Barnes-Hut)."""
+per problem/dataset), tree vs brute crossover, and the accuracy/time
+trade-offs of the approximation knobs (τ for KDE, θ for Barnes-Hut)."""
 
 import numpy as np
 import pytest
@@ -25,21 +24,6 @@ def test_ablation_leaf_size(benchmark):
     _SECTIONS.append(format_table(
         "Ablation — leaf size (k-NN, Yahoo!)",
         ["leaf size", "time (s)"], rows,
-    ))
-
-
-def test_ablation_tree_type(benchmark):
-    X = np.ascontiguousarray(dataset("IHEPC"))
-    Q, R = split_qr(X)
-    benchmark.pedantic(lambda: knn(Q, R, k=5, tree="kd"),
-                       rounds=2, iterations=1)
-    rows = []
-    for kind in ("kd", "ball"):
-        t = wall(lambda kind=kind: knn(Q, R, k=5, tree=kind), 2)
-        rows.append([kind, round(t, 4)])
-    _SECTIONS.append(format_table(
-        "Ablation — tree type (k-NN, IHEPC; PASCAL plug-and-play)",
-        ["tree", "time (s)"], rows,
     ))
 
 

@@ -280,10 +280,6 @@ def _compile_code(pexpr, opts: CompileOptions,
     if mode == "tree":
         if opts.tree == "octree" and dim > 3:
             raise CompileError("octrees require d <= 3; use tree='kd'")
-        if opts.tree == "ball" and kernel.base != "sqeuclidean":
-            raise CompileError(
-                "ball trees support the Euclidean family only"
-            )
 
     # Strength-reduced kernel body for the code generator.
     g_ir = reduce_expr(kernel_to_ir(kernel.g))

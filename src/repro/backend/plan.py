@@ -146,7 +146,7 @@ class CompileOptions:
 
     backend: str = _row("vectorized",
                         allowed=("vectorized", "brute", "interp"))
-    tree: str = _row("kd", allowed=("kd", "ball", "octree"))
+    tree: str = _row("kd", allowed=("kd", "octree"))
     leaf_size: int | None = _row(allowed=_positive_int, policy=True,
                                  static=DEFAULT_LEAF_SIZE)
     #: approximation threshold (band criterion)

@@ -3,7 +3,7 @@
 Runs ``.portal`` programs (the Appendix-VIII grammar) from the shell::
 
     python -m repro run program.portal
-    python -m repro run program.portal --option tau=1e-3 --option tree=ball
+    python -m repro run program.portal --option tau=1e-3 --option tree=octree
     python -m repro ir program.portal --stage final
     python -m repro explain program.portal
 

@@ -124,7 +124,7 @@ class PortalExpr:
         """Compile (if needed) and run the problem; returns the output.
 
         Options (all keyword-only) include ``backend`` ('vectorized',
-        'interp' or 'brute'), ``tree`` ('kd', 'ball', 'octree'),
+        'interp' or 'brute'), ``tree`` ('kd', 'octree'),
         ``leaf_size``, ``tau`` (approximation threshold), ``parallel``,
         ``workers``, ``shards`` (``'auto'`` or a count — partition the
         reference set into spatial shards with one tree each and combine

@@ -304,7 +304,7 @@ def combine_shard_states(shard_exec: ShardExecution, final_state) -> None:
 def _root_key(kernels, q_root: int = 0) -> float:
     """Signed promise key of (``q_root`` × shard root) — the most
     optimistic value this shard could still contribute under that query
-    subtree.  Geometry only; state-independent."""
+    subtree.  Boxes only; state-independent."""
     q = np.array([q_root], dtype=np.int64)
     return float(np.asarray(kernels.bound_key_batch(q, _ROOT)).reshape(-1)[0])
 

@@ -9,7 +9,7 @@ therefore captures:
   kernel op mix with constants abstracted away, indicator/whitening
   flags, approximation on/off) — two KDE runs with different bandwidths
   share a class, a KDE run and a k-NN run never do;
-* the **tree kind** (kd / ball / octree — different traversal geometry);
+* the **tree kind** (kd / octree — different boxes, different traversals);
 * **bucketed problem sizes** — log₂ buckets of N_q and N_r plus the
   exact dimensionality and k.  Within a bucket the engine/executor
   trade-offs are stable; across buckets they are exactly what the

@@ -23,10 +23,7 @@ import numpy as np
 
 from ..dsl import Const, MetricKernel, PortalExpr, PortalOp, Storage, sqrt
 from ..dsl.expr import BinOp, DistVar
-from ..backend.codegen import GeneratedKernels
-from ..backend.plan import default_tasks
-from ..traversal import TraversalStats, dual_tree_traversal
-from ..parallel import default_workers, parallel_dual_tree
+from ..traversal import dual_tree_traversal
 from ..trees import build_octree
 
 __all__ = ["barnes_hut_potential", "barnes_hut_acceleration", "leapfrog_step"]
@@ -88,8 +85,6 @@ def barnes_hut_acceleration(
     G: float = 1.0,
     eps: float = 1e-3,
     leaf_size: int = 64,
-    parallel: bool = False,
-    workers: int | None = None,
     return_stats: bool = False,
     order: int = 1,
 ):
@@ -161,15 +156,7 @@ def barnes_hut_acceleration(
             np.fill_diagonal(w, 0.0)
         acc[qs:qe] += G * np.einsum("ijk,ij->ik", d, w)
 
-    if parallel:
-        workers = workers or default_workers()
-        kernels = GeneratedKernels(
-            source="", namespace={}, base_case=base_case,
-            prune_or_approx=prune_or_approx, pair_min_dist=None)
-        stats = parallel_dual_tree(tree, tree, kernels, workers=workers,
-                                   min_tasks=default_tasks())
-    else:
-        stats = dual_tree_traversal(tree, tree, prune_or_approx, base_case)
+    stats = dual_tree_traversal(tree, tree, prune_or_approx, base_case)
 
     inv = np.empty_like(tree.perm)
     inv[tree.perm] = np.arange(len(tree.perm))

@@ -61,7 +61,7 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    side expands, the ramp starts at ``max(RAMP_START, rows)`` and every
    leaf pair of an epoch goes to one ``base_case_rows`` call.  A
    surviving non-leaf pair descends :func:`descent_levels` reference
-   levels at once — three of a kd or ball tree, one of an octree
+   levels at once — three of a kd-tree, one of an octree
    (:data:`ROW_DESCENT_WIDTH`) — into the node's descendants that far
    down, a leaf met on the way standing for itself.  Skipping the
    levels between never changes an answer: every descendant is still
@@ -84,7 +84,7 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    traversal takes the same regime.
 
 5. **Stateless rules.**  Indicator and approximation rules decide from
-   node geometry and fixed thresholds alone, so narrowing an epoch buys
+   node boxes and fixed thresholds alone, so narrowing an epoch buys
    nothing: each epoch takes the whole pool, which is one level of the
    recursion.  ``classify_batch`` labels it (0: recurse, 1: prune,
    2: approximate) and one ``apply_action`` call applies every code-2
@@ -151,7 +151,7 @@ ROW_REGIME_RATIO = 16
 #: Row-regime descent budget: a surviving (row, reference node) pair
 #: expands into the node's descendants ``L`` levels down (a leaf met on
 #: the way stands for itself), ``L`` the most levels whose full fan-out
-#: stays within this many nodes — 3 levels of a kd or ball tree, 1 of an
+#: stays within this many nodes — 3 levels of a kd-tree, 1 of an
 #: octree.  Every epoch pays a fixed run of NumPy calls, and descending
 #: one level per epoch spent most of a served batch's epochs walking
 #: down; past the budget the pool outgrows the epoch width and the

@@ -1,29 +1,27 @@
-"""Space-partitioning trees: kd-tree, quadtree/octree, ball tree.
+"""Space-partitioning trees: kd-tree and quadtree/octree.
 
 The algorithmic substrate of paper section II-A.  All trees share the
-array-backed :class:`~repro.trees.node.ArrayTree` storage and the
-distance-bound API consumed by the multi-tree traversal.
+array-backed :class:`~repro.trees.node.ArrayTree` storage whose boxes
+the multi-tree traversal bounds distances with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .balltree import BallTree, build_balltree
 from .kdtree import KDTree, build_kdtree
 from .node import ArrayTree, TreeNode
 from .octree import Octree, build_octree
 
 __all__ = [
-    "ArrayTree", "TreeNode", "KDTree", "Octree", "BallTree",
-    "build_kdtree", "build_octree", "build_balltree", "build_tree",
+    "ArrayTree", "TreeNode", "KDTree", "Octree",
+    "build_kdtree", "build_octree", "build_tree",
     "build_subset_tree",
 ]
 
 _BUILDERS = {
     "kd": build_kdtree,
     "octree": build_octree,
-    "ball": build_balltree,
 }
 
 
@@ -33,7 +31,7 @@ def build_tree(
     leaf_size: int = 32,
     weights: np.ndarray | None = None,
 ) -> ArrayTree:
-    """Build a tree of the requested kind ('kd', 'octree' or 'ball')."""
+    """Build a tree of the requested kind ('kd' or 'octree')."""
     try:
         builder = _BUILDERS[kind]
     except KeyError:

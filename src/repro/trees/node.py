@@ -12,8 +12,8 @@ slices.  ``perm`` maps permuted positions back to the caller's original
 point indices.
 
 Per-node metadata maintained (paper sections II-A, II-C and Table III):
-bounding box ``lo``/``hi``, point count, box ``center``, widest-dimension
-``diameter`` and the *mass data*: centroid (mean point) and — when the
+bounding box ``lo``/``hi``, point count, widest-dimension ``diameter``
+and the *mass data*: centroid (mean point) and — when the
 dataset carries weights — total weight and weighted centroid (the center
 of mass used by Barnes-Hut's ComputeApprox).  Boxes are kept exact under
 every mutation; mass data is computed on its first read and repaired
@@ -29,7 +29,6 @@ import threading
 import numpy as np
 
 from ..observe import contribute
-from . import geometry
 
 __all__ = ["ArrayTree", "TreeNode", "tree_levels", "level_propagation",
            "children_csr", "expansion_csr", "descent_csr", "sorted_leaves",
@@ -173,7 +172,7 @@ def sorted_leaves(start: np.ndarray, is_leaf: np.ndarray) -> np.ndarray:
 
 
 class ArrayTree:
-    """Common storage and query API for kd-trees, octrees and ball trees.
+    """Common storage and query API for kd-trees and octrees.
 
     Trees are *live*: :meth:`insert_batch`, :meth:`delete_batch` and
     :meth:`update_batch` mutate the tree in place with a refit driven by
@@ -198,11 +197,6 @@ class ArrayTree:
     """
 
     kind = "array"
-
-    #: Names of subclass-specific per-node arrays that refit and the
-    #: partial-rebuild graft must carry along (e.g. the ball tree's
-    #: ``radius``).
-    _extra_node_arrays: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -233,7 +227,6 @@ class ArrayTree:
         self.child_list = child_list
         self.is_leaf_arr = child_offset[1:] == child_offset[:-1]
 
-        self.center = 0.5 * (self.lo + self.hi)
         self.diameter = (self.hi - self.lo).max(axis=1)  # widest-dim span
 
         # Mass data (centroid, wsum, wcentroid): computed on first read.
@@ -671,8 +664,8 @@ class ArrayTree:
         of its leaf's slice only if one of its coordinates equals that
         leaf's ``lo`` or ``hi`` — otherwise the box cannot shrink.  A
         parent is recomputed from its children only when a child's box
-        changed, so the walk stops where nothing changes, and ``center``
-        / ``diameter`` move only with their box.  Mass data is not
+        changed, so the walk stops where nothing changes, and ``diameter``
+        moves only with its box.  Mass data is not
         touched here: the moved leaves are marked stale and repaired on
         the next read (:meth:`_mass_data`).  Arrays are copied and
         rebound — snapshots keep the old view.
@@ -688,7 +681,6 @@ class ArrayTree:
         boxes = 0
         if arrivals is not None or departures is not None:
             changed, boxes = self._refit_boxes(arrivals, departures)
-        self._refit_extra(moved)
         return changed, boxes
 
     def _refit_boxes(self, arrivals, departures) -> tuple[np.ndarray, int]:
@@ -733,16 +725,13 @@ class ArrayTree:
             boxes += p.size
 
         ids = np.flatnonzero(changed)
-        center = self.center.copy()
         diam = self.diameter.copy()
         with np.errstate(invalid="ignore"):
-            lo_c, hi_c = lo.take(ids, axis=0), hi.take(ids, axis=0)
-            span = hi_c - lo_c
+            span = hi.take(ids, axis=0) - lo.take(ids, axis=0)
             finite = np.isfinite(span).all(axis=1)
-            center[ids] = np.where(finite[:, None], 0.5 * (lo_c + hi_c), 0.0)
             diam[ids] = np.where(finite, span.max(axis=1), 0.0)
         self.lo, self.hi = lo, hi
-        self.center, self.diameter = center, diam
+        self.diameter = diam
         return ids, boxes
 
     def _scan_boxes(self, leaves: np.ndarray, lo: np.ndarray,
@@ -787,11 +776,6 @@ class ArrayTree:
             up = up[up >= 0]
             cur = up[~mask[up]]
         return mask
-
-    def _refit_extra(self, moved_leaves: np.ndarray) -> None:
-        """Subclass hook: repair :attr:`_extra_node_arrays` after rows
-        entered or left ``moved_leaves`` (called once the boxes are
-        rebound)."""
 
     def _maybe_rebuild(self, changed: np.ndarray, filled=(),
                        forced=()) -> int:
@@ -919,7 +903,6 @@ class ArrayTree:
         self.end = merge("end", start_offsets)
         self.lo = merge("lo")
         self.hi = merge("hi")
-        self.center = merge("center")
         self.diameter = merge("diameter")
         if self._mass is not None:
             self._mass = tuple(
@@ -930,8 +913,6 @@ class ArrayTree:
             self._mass_stale = np.concatenate(
                 [self._mass_stale[keep],
                  np.zeros(base - keep.size, dtype=bool)])
-        for attr in self._extra_node_arrays:
-            setattr(self, attr, merge(attr))
         self._pristine_diam = np.concatenate(
             [self._pristine_diam[keep]] + [sub.diameter for _, _, sub in subs])
         self.n_nodes = int(self.child_offset.size - 1)
@@ -956,34 +937,13 @@ class ArrayTree:
         fresh = build_tree(self.kind, orig, leaf_size=self.leaf_size,
                            weights=w)
         attrs = ["points", "perm", "lo", "hi", "start", "end",
-                 "child_offset", "child_list", "is_leaf_arr", "center",
-                 "diameter", "n_nodes", "weights", "_mass", "_mass_stale",
-                 *self._extra_node_arrays]
+                 "child_offset", "child_list", "is_leaf_arr", "diameter",
+                 "n_nodes", "weights", "_mass", "_mass_stale"]
         for attr in attrs:
             setattr(self, attr, getattr(fresh, attr))
         self._pristine_diam = self.diameter
         self._topology, self._tiling = {}, {}
         contribute({"tree.rebuild.full": 1})
-
-    # -- distance bounds ----------------------------------------------------------
-    def min_dist(self, base: str, i: int, other: "ArrayTree", j: int) -> float:
-        """Lower bound on base-distance between points of node *i* and node
-        *j* of *other* (boxes; ball tree overrides with spheres)."""
-        return geometry.box_min_dist(
-            base, self.lo[i], self.hi[i], other.lo[j], other.hi[j]
-        )
-
-    def max_dist(self, base: str, i: int, other: "ArrayTree", j: int) -> float:
-        """Upper bound counterpart of :meth:`min_dist`."""
-        return geometry.box_max_dist(
-            base, self.lo[i], self.hi[i], other.lo[j], other.hi[j]
-        )
-
-    def point_min_dist(self, base: str, x: np.ndarray, i: int) -> float:
-        return geometry.point_box_min_dist(base, x, self.lo[i], self.hi[i])
-
-    def point_max_dist(self, base: str, x: np.ndarray, i: int) -> float:
-        return geometry.point_box_max_dist(base, x, self.lo[i], self.hi[i])
 
     # -- diagnostics -----------------------------------------------------------
     def depth(self) -> int:
@@ -1046,7 +1006,7 @@ class TreeNode:
 
     @property
     def center(self):
-        return self.tree.center[self.id]
+        return 0.5 * (self.lo + self.hi)
 
     @property
     def centroid(self):

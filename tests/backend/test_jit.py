@@ -30,6 +30,7 @@ from repro.dsl.parser import parse_program
 from repro.ir import lowering
 from repro.ir.passes import PassManager
 from repro.observe import collect
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 from tests.parallel.test_process_executor import _assert_bit_identical
 
 
@@ -73,7 +74,7 @@ class TestModes:
         tree it names."""
         with pytest.raises(SpecificationError, match="unknown tree"):
             nn_expr(rng).compile(tree="none")
-        prog = nn_expr(rng).compile(backend="brute", tree="ball")
+        prog = nn_expr(rng).compile(backend="brute", tree="octree")
         assert prog.mode == "brute" and prog.qtree is None
 
     def test_external_kernel_forces_brute(self, rng):
@@ -110,16 +111,21 @@ class TestModes:
             e.compile(tree="octree")
 
     def test_ball_tree_euclidean_only(self, rng):
+        """The deleted ball tree refused non-Euclidean metrics; now the
+        option table refuses ``tree='ball'`` before any metric is looked
+        at, and the kd-tree runs Manhattan."""
         e = PortalExpr()
         e.addLayer(PortalOp.FORALL, Storage(rng.normal(size=(20, 3))))
         e.addLayer(PortalOp.MIN, Storage(rng.normal(size=(20, 3))),
                    PortalFunc.MANHATTAN)
-        with pytest.raises(CompileError, match="ball trees"):
-            e.compile(tree="ball")
+        assert_tree_refused(e.compile, tree=REMOVED_TREE)
+        assert e.compile(tree="kd").mode == "tree"
 
     def test_ball_tree_works_for_euclidean(self, rng):
-        prog = nn_expr(rng).compile(tree="ball")
-        out = prog.run()
+        """Euclidean programs are refused the ball tree too; the kd-tree
+        it ran bit for bit answers them."""
+        assert_tree_refused(nn_expr(rng).compile, tree=REMOVED_TREE)
+        out = nn_expr(rng).compile(tree="kd").run()
         assert out.values.shape == (60,)
 
 

@@ -312,7 +312,7 @@ ROUTING = st.fixed_dictionaries({}, optional={
     "shards": st.one_of(st.just("auto"), st.integers(1, 5)),
     "policy": st.sampled_from(["static", "auto", "search"]),
     "backend": st.sampled_from(["vectorized", "brute"]),
-    "tree": st.sampled_from(["kd", "ball"]),
+    "tree": st.sampled_from(["kd", "octree"]),
 })
 ENV = st.fixed_dictionaries({}, optional={
     "REPRO_EXECUTOR": st.sampled_from(["thread", "process", " auto "]),

@@ -199,16 +199,13 @@ def _fancy_refit_boxes(self, arrivals, departures):
         lo[p], hi[p] = plo, phi
         boxes += p.size
     ids = np.flatnonzero(changed)
-    center = self.center.copy()
     diam = self.diameter.copy()
     with np.errstate(invalid="ignore"):
         span = hi[ids] - lo[ids]
         finite = np.isfinite(span).all(axis=1)
-        center[ids] = np.where(
-            finite[:, None], 0.5 * (lo[ids] + hi[ids]), 0.0)
         diam[ids] = np.where(finite, span.max(axis=1), 0.0)
     self.lo, self.hi = lo, hi
-    self.center, self.diameter = center, diam
+    self.diameter = diam
     return ids, boxes
 
 
@@ -244,7 +241,7 @@ def test_refit_by_take_matches_refit_by_fancy_indexing(spine_datagen):
         for tree in (take, fancy):
             tree.update_batch(rows, points)
         moved = idx
-        for name in ("lo", "hi", "center", "diameter", "points"):
+        for name in ("lo", "hi", "diameter", "points"):
             a, b = getattr(take, name), getattr(fancy, name)
             assert a.tobytes() == b.tobytes(), (cycle, name)
         assert logs[0] == logs[1], cycle

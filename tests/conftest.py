@@ -65,6 +65,25 @@ def clustered_2d(rng):
     return X, y
 
 
+#: the tree kind deleted because it ran the kd-tree's splits and boxes
+#: bit for bit; a tree-parametrised test keeps its ``ball`` column, which
+#: pins that the same call is refused (no alias brings the kind back)
+REMOVED_TREE = "ball"
+
+
+def assert_tree_refused(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` names :data:`REMOVED_TREE` and is refused
+    before any work: ``execute`` and ``compile`` raise the option table's
+    ``SpecificationError``, the tree dispatcher its ``ValueError``; both
+    name the two kinds that remain."""
+    from repro.dsl.errors import SpecificationError
+
+    with pytest.raises((SpecificationError, ValueError),
+                       match=rf"unknown tree (kind )?'{REMOVED_TREE}'"
+                             r".*'kd', 'octree'"):
+        call(*args, **kwargs)
+
+
 #: the engine value retired when the batched engine absorbed the bound
 #: form; only a policy entry stored before then can still name it
 RETIRED_ENGINE = "bounded-batched"

@@ -22,6 +22,7 @@ from repro.observe import collect
 from repro.parallel import default_workers, run_process_tasks
 from repro.parallel import shm
 from tests.backend.test_plan import plan_for
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 from repro.problems import (
     barnes_hut_potential, directed_hausdorff, kde, knn, knn_regress,
     pair_count, range_count, range_search, two_point_correlation,
@@ -118,9 +119,13 @@ class TestDifferentialProblems:
 
 
 class TestTreesAndEngines:
-    @pytest.mark.parametrize("tree", ["kd", "ball", "octree"])
+    @pytest.mark.parametrize("tree", ["kd", "octree", REMOVED_TREE])
     def test_tree_kinds(self, data, tree):
         Q, R = data
+        if tree == REMOVED_TREE:
+            assert_tree_refused(kde, Q, R, bandwidth=0.7, tree=tree,
+                                **dict(PAR, executor="process"))
+            return
         thread = kde(Q, R, bandwidth=0.7, tree=tree,
                      **dict(PAR, executor="thread"))
         process = kde(Q, R, bandwidth=0.7, tree=tree,

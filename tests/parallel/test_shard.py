@@ -42,6 +42,7 @@ from repro.problems import (
     pair_count, range_count, range_search, two_point_correlation,
 )
 from tests.backend.test_plan import plan_for
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 
 #: Process-pool options mirroring test_process_executor's PAR.
 PAR = {"parallel": True, "workers": 2, "executor": "process"}
@@ -142,9 +143,13 @@ class TestDifferentialProblems:
         sharded = fn(Q, R, dict(PAR, shards=2))
         _assert_matches(mode, base, sharded)
 
-    @pytest.mark.parametrize("tree", ["kd", "ball", "octree"])
+    @pytest.mark.parametrize("tree", ["kd", "octree", REMOVED_TREE])
     def test_tree_kinds(self, data, tree):
         Q, R = data
+        if tree == REMOVED_TREE:
+            assert_tree_refused(kde, Q, R, bandwidth=0.7, tau=0.0, tree=tree,
+                                shards=2)
+            return
         base = kde(Q, R, bandwidth=0.7, tau=0.0, tree=tree)
         sharded = kde(Q, R, bandwidth=0.7, tau=0.0, tree=tree, shards=2)
         np.testing.assert_allclose(base, sharded, rtol=1e-12, atol=0)

@@ -7,6 +7,7 @@ from repro.backend.jit import CompileOptions
 from repro.policy import PolicyKey, policy_key, size_bucket
 
 from tests.backend.test_differential import make_problem
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 
 SEED = 101
 
@@ -72,8 +73,12 @@ class TestProgramClass:
 
 
 class TestKeyDimensions:
-    @pytest.mark.parametrize("tree", ["kd", "ball", "octree"])
+    @pytest.mark.parametrize("tree", ["kd", "octree", REMOVED_TREE])
     def test_tree_kind_in_key(self, tree):
+        if tree == REMOVED_TREE:
+            # no options, hence no key, can name the deleted kind
+            assert_tree_refused(_layers, "knn", tree=tree)
+            return
         layers, opts = _layers("knn", tree=tree)
         assert policy_key(layers, opts).tree == tree
 

@@ -105,13 +105,6 @@ class TestAcceleration:
         with pytest.raises(ValueError, match="order"):
             barnes_hut_acceleration(pos, mass, order=3)
 
-    def test_parallel_matches_serial(self, system):
-        pos, mass = system
-        a1 = barnes_hut_acceleration(pos, mass, theta=0.5)
-        a2 = barnes_hut_acceleration(pos, mass, theta=0.5, parallel=True,
-                                     workers=3)
-        assert np.allclose(a1, a2)
-
 
 class TestPotentialDSL:
     def test_matches_brute(self, system):

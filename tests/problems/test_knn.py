@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as hnp
 from repro.baselines import brute
 from repro.problems import knn
 
+from tests.conftest import REMOVED_TREE, assert_tree_refused
+
 
 @pytest.fixture
 def rng():
@@ -54,8 +56,11 @@ class TestCorrectness:
         assert np.all(np.diff(d, axis=1) >= -1e-12)
 
     def test_ball_tree(self, small_qr):
+        """``tree='ball'`` is refused; the kd-tree it duplicated is
+        exact."""
         Q, R = small_qr
-        d, _ = knn(Q, R, k=2, tree="ball")
+        assert_tree_refused(knn, Q, R, k=2, tree=REMOVED_TREE)
+        d, _ = knn(Q, R, k=2, tree="kd")
         db, _ = brute.brute_knn(Q, R, k=2)
         assert np.allclose(d, db)
 

@@ -12,7 +12,7 @@ points reaching a query row, the per-pair arithmetic and the per-row
 accumulation order are all independent of which other rows share the
 traversal.
 
-The matrix covers kd/ball/octree trees and the thread/process parallel
+The matrix covers kd/octree trees and the thread/process parallel
 executors (CI runs this directory again under ``REPRO_EXECUTOR=process``
 — see ``.github/workflows/ci.yml``).  Mixed-``k`` k-NN requests
 interleaved on one handle must *not* share a batch key, and multi-row
@@ -28,6 +28,7 @@ from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.serve import AdmissionConfig, PortalService
 
 from tests.backend.test_differential import _data, make_problem
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 
 SEED = 101
 #: query rows submitted per combo (a prefix of the 28-row harness set;
@@ -41,7 +42,7 @@ _SHARED = ["knn", "nearest", "kde", "naive_bayes", "range_search",
 #: ... plus "furthest" (FORALL/MAX) for the nine serving problems
 SERVE_PROBLEMS = _SHARED + ["furthest"]
 
-TREES = ("kd", "ball", "octree")
+TREES = ("kd", "octree")
 
 
 def serve_problem(name, seed=SEED):
@@ -152,11 +153,31 @@ def _serve_vs_serial(name, tree, executor, nq=NQ, rounds=1):
     return added
 
 
-@pytest.mark.parametrize("tree", TREES)
+def _register_refused(name, executor):
+    """Registering the problem with the deleted tree kind is refused,
+    and the service closes cleanly."""
+    build, _, opts = serve_problem(name)
+    run = _run_opts(opts, REMOVED_TREE, executor)
+
+    async def register():
+        svc = PortalService()
+        try:
+            await svc.register(build(), options=run)
+        finally:
+            await svc.close()
+
+    assert_tree_refused(lambda: asyncio.run(register()))
+
+
+@pytest.mark.parametrize("tree", TREES + (REMOVED_TREE,))
 @pytest.mark.parametrize("name", SERVE_PROBLEMS)
 def test_coalesced_matches_serial(name, tree):
-    """Nine problems x three trees, thread executor (CI re-runs the
-    directory under REPRO_EXECUTOR=process for the process leg)."""
+    """Nine problems x two trees, thread executor (CI re-runs the
+    directory under REPRO_EXECUTOR=process for the process leg); the
+    deleted ``ball`` kind is refused at registration."""
+    if tree == REMOVED_TREE:
+        _register_refused(name, "thread")
+        return
     _serve_vs_serial(name, tree, "thread")
 
 
@@ -264,7 +285,7 @@ def test_per_request_options_split_batches():
                 admission=AdmissionConfig(batch_max=64, linger_us=250_000))
             a, b = await asyncio.gather(
                 svc.query(hid, Q[0:2]),
-                svc.query(hid, Q[0:2], options={"tree": "ball"}))
+                svc.query(hid, Q[0:2], options={"tree": "octree"}))
             return a, b, svc.counters.as_dict()
         finally:
             await svc.close()

@@ -30,9 +30,10 @@ from repro.observe import collect
 from repro.problems import knn, range_search
 from repro.traversal import bounded_batched, run_engine
 
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 from tests.contract import assert_sum_close
 
-TREES = ["kd", "ball", "octree"]
+TREES = ["kd", "octree"]
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +75,13 @@ def _run(expr_maker, **options):
 class TestPruneHeavyDifferential:
     """Range count: indicator rule with a count action (pruning problem)."""
 
-    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
     def test_bitwise_outputs_and_counters(self, data, tree):
         Q, R = data
         maker = lambda: _range_count_expr(Q, R, h=1.2)
+        if tree == REMOVED_TREE:
+            assert_tree_refused(_run, maker, tree=tree, leaf_size=8)
+            return
         stack, c_stack, e_stack = _run(maker, tree=tree, leaf_size=8, traversal="stack")
         batch, c_batch, e_batch = _run(maker, tree=tree, leaf_size=8, traversal="batched")
         assert e_stack == "stack" and e_batch == "batched"
@@ -86,9 +90,13 @@ class TestPruneHeavyDifferential:
         assert c_stack == c_batch
         assert c_stack["traversal.pruned"] > 0
 
-    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
     def test_range_search_lists_identical(self, data, tree):
         Q, R = data
+        if tree == REMOVED_TREE:
+            assert_tree_refused(range_search, Q, R, h=0.9, tree=tree,
+                                leaf_size=8)
+            return
         stack = range_search(Q, R, h=0.9, tree=tree, leaf_size=8, traversal="stack")
         batch = range_search(Q, R, h=0.9, tree=tree, leaf_size=8, traversal="batched")
         assert len(stack) == len(batch)
@@ -107,10 +115,14 @@ class TestPruneHeavyDifferential:
 class TestApproxHeavyDifferential:
     """KDE: approximation rule (band and multipole-acceptance criteria)."""
 
-    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
     def test_band_bitwise(self, data, tree):
         Q, R = data
         maker = lambda: _kde_expr(Q, R)
+        if tree == REMOVED_TREE:
+            assert_tree_refused(_run, maker, tree=tree, tau=1e-3,
+                                leaf_size=8)
+            return
         stack, c_stack, _ = _run(maker, tree=tree, tau=1e-3,
                                  leaf_size=8, traversal="stack")
         batch, c_batch, e_batch = _run(maker, tree=tree, tau=1e-3,

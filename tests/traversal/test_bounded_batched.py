@@ -24,9 +24,9 @@ from repro.observe import collect
 from repro.problems import directed_hausdorff, knn, knn_regress
 from repro.traversal.bounded_batched import RAMP_START, DEFAULT_EPOCH_SIZE
 
-from tests.conftest import RETIRED_ENGINE
+from tests.conftest import REMOVED_TREE, RETIRED_ENGINE, assert_tree_refused
 
-TREES = ["kd", "ball", "octree"]
+TREES = ["kd", "octree"]
 PAR = {"parallel": True, "workers": 2}
 MODES = {
     "serial": {},
@@ -55,9 +55,13 @@ def _run(fn, **options):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
     def test_knn_matches_stack(self, data, tree):
         Q, R = data
+        if tree == REMOVED_TREE:
+            assert_tree_refused(knn, query=Q, reference=R, k=5, tree=tree,
+                                leaf_size=16)
+            return
         (sd, si), c_stack = _run(knn, query=Q, reference=R, k=5,
                                  tree=tree, leaf_size=16, traversal="stack")
         (bd, bi), c_bound = _run(knn, query=Q, reference=R, k=5,
@@ -66,9 +70,13 @@ class TestDifferential:
         assert np.array_equal(si, bi)
         assert _pairs(c_bound) <= _pairs(c_stack)
 
-    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
     def test_hausdorff_matches_stack(self, data, tree):
         Q, R = data
+        if tree == REMOVED_TREE:
+            assert_tree_refused(directed_hausdorff, A=Q, B=R, tree=tree,
+                                leaf_size=16)
+            return
         s, c_stack = _run(directed_hausdorff, A=Q, B=R,
                           tree=tree, leaf_size=16, traversal="stack")
         b, c_bound = _run(directed_hausdorff, A=Q, B=R,

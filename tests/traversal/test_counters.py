@@ -15,7 +15,9 @@ from repro.dsl import (
 )
 from repro.observe import collect
 
-TREES = ["kd", "ball", "octree"]
+from tests.conftest import REMOVED_TREE, assert_tree_refused
+
+TREES = ["kd", "octree"]
 
 
 @pytest.fixture
@@ -60,11 +62,14 @@ def _check_identity(st):
     assert st.base_cases > 0
 
 
-@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
 @pytest.mark.parametrize("problem", sorted(BUILDERS))
 def test_identity_holds(problem, tree, qr):
     Q, R = qr
     expr, opts = BUILDERS[problem](Q, R)
+    if tree == REMOVED_TREE:
+        assert_tree_refused(expr.execute, tree=tree, **opts)
+        return
     with collect() as counters:
         expr.execute(tree=tree, **opts)
     st = expr.program.stats

@@ -28,11 +28,12 @@ from repro.observe import collect
 from repro.problems import knn, range_count, two_point_correlation
 from repro.traversal import engines
 
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 from tests.contract import (
     assert_bitwise, assert_lists_equal, assert_ranked_equal, assert_sum_close,
 )
 
-TREES = ["kd", "ball", "octree"]
+TREES = ["kd", "octree"]
 
 #: case → (dimension, weighted, one shared tree, shards)
 CASES = {
@@ -152,13 +153,16 @@ def _assert_kind_contract(kind, got, want, n):
         assert_ranked_equal(got.values, want.values, got.indices, want.indices)
 
 
-@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
 @pytest.mark.parametrize("kind", KINDS)
 def test_stateless_kinds_against_stack(kind, tree, no_leaf_base_case):
     """Every formerly replayed output kind, through the grouped base
     case, meets the contract against the stack engine, with identical
     traversal counters — and no per-leaf-pair ``base_case`` call."""
     Q, R = _points(300, 3, 11), _points(360, 3, 12)
+    if tree == REMOVED_TREE:
+        assert_tree_refused(_run_kind, kind, Q, R, tree=tree)
+        return
     stack, c_stack = _run_kind(kind, Q, R, tree=tree, traversal="stack")
     assert not no_leaf_base_case
     grouped, c_grouped = _run_kind(kind, Q, R, tree=tree)

@@ -5,7 +5,7 @@ descendants several levels down, read off the tree's descent CSR
 (``ArrayTree.descent_children``), and that CSR lives in the topology
 cache a tree shares with its snapshots.  These tests hold the descent to
 the one-level expansion it composes, the outputs to the leaf regime and
-brute force (values bitwise, ids tie-aware) over kd, ball and octree
+brute force (values bitwise, ids tie-aware) over kd and octree
 reference trees whose depths are not a multiple of the levels descended,
 and the cache to snapshot isolation across mutations that rebuild
 subtrees.
@@ -22,15 +22,16 @@ from repro.traversal.bounded_batched import ROW_REGIME_RATIO, descent_levels
 from repro.trees import build_tree
 from repro.trees.node import descent_csr, expansion_csr
 
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 from tests.traversal.test_row_regime import _assert_matches, _expr
 
 pytestmark = pytest.mark.usefixtures("refit_never_fails")
 
 NR = 1_600
-#: kd and ball trees over NR points are 8 levels deep at this leaf
+#: kd-trees over NR points are 8 levels deep at this leaf
 #: size, the octree 5
 LEAF = 8
-TREES = ["kd", "ball", "octree"]
+TREES = ["kd", "octree"]
 
 
 def _naive_descent(tree, node: int, levels: int) -> list[int]:
@@ -45,9 +46,12 @@ def _naive_descent(tree, node: int, levels: int) -> list[int]:
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", TREES)
+@pytest.mark.parametrize("kind", TREES + [REMOVED_TREE])
 def test_descent_csr_is_the_expansion_applied_levels_times(kind, levels):
     X = np.random.default_rng(3).normal(size=(700, 3))
+    if kind == REMOVED_TREE:
+        assert_tree_refused(build_tree, kind, X, leaf_size=8)
+        return
     tree = build_tree(kind, X, leaf_size=8)
     off, flat = tree.descent_children(levels)
     assert off.size == tree.n_nodes + 1
@@ -65,19 +69,23 @@ def test_single_leaf_tree_descends_to_itself():
 
 
 @pytest.mark.parametrize("kind, d, levels", [
-    ("kd", 3, 3), ("ball", 9, 3), ("octree", 3, 1), ("octree", 1, 3)])
+    ("kd", 3, 3), ("kd", 9, 3), (REMOVED_TREE, 9, 3), ("octree", 3, 1),
+    ("octree", 1, 3)])
 def test_descent_levels_follow_the_widest_fan_out(kind, d, levels):
     """Three levels of a binary tree, one of an octree over 3-D points
     (fan-out 8); a 1-D octree splits in two and descends like a kd
     tree."""
     X = np.random.default_rng(5).normal(size=(2_000, d))
+    if kind == REMOVED_TREE:
+        assert_tree_refused(build_tree, kind, X, leaf_size=16)
+        return
     assert descent_levels(build_tree(kind, X, leaf_size=16)) == levels
 
 
 # -- outputs -----------------------------------------------------------------
 
 def _cases():
-    for tree in TREES:
+    for tree in TREES + [REMOVED_TREE]:
         for d in (3, 9):
             if tree == "octree" and d != 3:
                 continue  # octrees split every dimension: d <= 3
@@ -110,6 +118,9 @@ def test_deeper_descent_matches_leaf_regime_and_brute(
     so some leaves are met part-way down."""
     monkeypatch.setattr(bounded_batched, "ROW_DESCENT_WIDTH", width)
     Q, R = pools[d][0][:nq], pools[d][1]
+    if tree == REMOVED_TREE:
+        assert_tree_refused(_run, problem, Q, R, tree=tree)
+        return
     rtree = build_tree(tree, R, leaf_size=LEAF)
     levels = descent_levels(rtree)
     assert levels == 1 or rtree.depth() % levels != 0
@@ -176,13 +187,16 @@ def _rebuilding(kind: str, tree, X, rng):
 
 
 @pytest.mark.parametrize("mutation", ["update", "insert", "delete"])
-@pytest.mark.parametrize("kind", TREES)
+@pytest.mark.parametrize("kind", TREES + [REMOVED_TREE])
 def test_rebuild_gives_the_tree_a_fresh_cache(kind, mutation):
     """A snapshot's descent CSR is the source's (built once, shared).
     A subtree rebuild of the source gives it a fresh cache built from
     the new shape, and the older snapshot keeps reading its own."""
     rng = np.random.default_rng(8)
     X = rng.normal(size=(600, 3))
+    if kind == REMOVED_TREE:
+        assert_tree_refused(build_tree, kind, X, leaf_size=8)
+        return
     tree = build_tree(kind, X, leaf_size=8)
     snap = tree.snapshot()
     old = snap.descent_children(3)

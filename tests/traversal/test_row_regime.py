@@ -24,11 +24,12 @@ from repro.traversal.bounded_batched import ROW_REGIME_RATIO
 from repro.trees import build_tree
 
 from tests.backend.test_k_merge import _assert_tie_aware, _distances
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 
 NR = 800
 THRESHOLD = NR // ROW_REGIME_RATIO
 N_QS = [1, 32, THRESHOLD, THRESHOLD + 1]
-TREES = ["kd", "ball", "octree"]
+TREES = ["kd", "octree"]
 PAR = {"parallel": True, "workers": 2}
 EXECUTORS = {
     "serial": {},
@@ -118,13 +119,16 @@ def _stack_ref(problem, tree, nq, Q, R):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("nq", N_QS)
-@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_matches_stack(data, problem, tree, nq, executor):
     """d = 3: the row regime's pair form and the stack engine's block
     GEMM select the same winners, whose values are bitwise equal."""
     Q, R = data[0][:nq], data[1]
     options = dict(EXECUTORS[executor], tree=tree)
+    if tree == REMOVED_TREE:
+        assert_tree_refused(_execute, problem, Q, R, **options)
+        return
     out, stats, _ = _execute(problem, Q, R, **options)
     assert stats["traversal_engine"] == "batched"
     assert stats["bounded"]["regime"] == _expected_regime(nq, NR, options)
@@ -132,7 +136,7 @@ def test_matches_stack(data, problem, tree, nq, executor):
     _assert_matches(problem, out, ref, Q, R)
 
 
-@pytest.mark.parametrize("tree", ["kd", "ball"])
+@pytest.mark.parametrize("tree", ["kd", REMOVED_TREE])
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_row_layout_matches_stack_and_brute(problem, tree):
     """d = 6 (octrees need d ≤ 3): the row regime takes the norm
@@ -141,6 +145,9 @@ def test_row_layout_matches_stack_and_brute(problem, tree):
     tie-aware."""
     rng = np.random.default_rng(6)
     Q, R = rng.normal(size=(32, 6)), rng.normal(size=(NR, 6))
+    if tree == REMOVED_TREE:
+        assert_tree_refused(_execute, problem, Q, R, tree=tree)
+        return
     out, stats, _ = _execute(problem, Q, R, tree=tree)
     assert stats["bounded"]["regime"] == "row"
     for ref_opts in ({"traversal": "stack"}, {"backend": "brute"}):
@@ -148,12 +155,15 @@ def test_row_layout_matches_stack_and_brute(problem, tree):
         _assert_matches(problem, out, ref, Q, R)
 
 
-@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("tree", TREES + [REMOVED_TREE])
 def test_knn_matches_single_tree_walk(data, tree):
     """The row regime is Algorithm 1 with point query nodes: one query row
     alone is the single-tree walk, and a batch answers every row exactly
     as that row's own walk does."""
     Q, R = data[0][:32], data[1]
+    if tree == REMOVED_TREE:
+        assert_tree_refused(_execute, "KARGMIN", Q, R, tree=tree)
+        return
     out, stats, _ = _execute("KARGMIN", Q, R, tree=tree)
     assert stats["bounded"]["regime"] == "row"
     walks = [_expr("KARGMIN", Q[i:i + 1], R).execute(leaf_size=16, tree=tree)

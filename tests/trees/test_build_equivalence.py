@@ -64,8 +64,8 @@ def _recursive_build(points, leaf_size, weights):
 
 #: Every array a tree carries after construction.
 _ARRAYS = ("points", "perm", "lo", "hi", "start", "end",
-           "child_offset", "child_list", "is_leaf_arr", "center",
-           "diameter", "centroid", "weights", "wsum", "wcentroid")
+           "child_offset", "child_list", "is_leaf_arr", "diameter",
+           "centroid", "weights", "wsum", "wcentroid")
 
 
 def assert_bitwise_same(got, want):

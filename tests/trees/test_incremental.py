@@ -5,8 +5,8 @@ tree (a) still satisfies every structural invariant ``validate()``
 checks, (b) stores exactly the mutated dataset (original-order
 reconstruction through ``perm`` matches), (c) has *exact* per-node
 metrics — tight boxes, centroids, weight sums — wherever it was refit,
-(d) keeps conservative (never under-estimating) ball radii, and (e)
-bumps the monotone version while snapshots keep the pre-mutation view.
+and (d) bumps the monotone version while snapshots keep the
+pre-mutation view.
 """
 
 import numpy as np
@@ -16,9 +16,11 @@ from repro.observe import collect
 from repro.trees import build_tree
 from repro.trees.node import REBUILD_LEAF_FACTOR
 
+from tests.conftest import REMOVED_TREE, assert_tree_refused
+
 pytestmark = pytest.mark.usefixtures("refit_never_fails")
 
-KINDS = ["kd", "octree", "ball"]
+KINDS = ["kd", "octree"]
 
 
 def reconstruct(tree):
@@ -40,7 +42,8 @@ def check_metrics(tree):
         assert np.allclose(tree.lo[i], pts.min(axis=0))
         assert np.allclose(tree.hi[i], pts.max(axis=0))
         assert np.allclose(tree.centroid[i], pts.mean(axis=0))
-        assert np.allclose(tree.center[i], 0.5 * (tree.lo[i] + tree.hi[i]))
+        assert np.allclose(tree.node(i).center,
+                           0.5 * (tree.lo[i] + tree.hi[i]))
         assert np.allclose(tree.diameter[i],
                            (tree.hi[i] - tree.lo[i]).max())
         if tree.weights is not None:
@@ -48,21 +51,25 @@ def check_metrics(tree):
             assert np.allclose(tree.wsum[i], w.sum())
             assert np.allclose(
                 tree.wcentroid[i], (w[:, None] * pts).sum(axis=0) / w.sum())
-        if tree.kind == "ball":
-            true_r = np.sqrt(((pts - tree.centroid[i]) ** 2).sum(1).max())
-            assert tree.radius[i] >= true_r - 1e-12
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 @pytest.mark.parametrize("weighted", [False, True])
 class TestMutations:
     def make(self, rng, kind, weighted, n=400):
+        """``(X, w, tree)``; for the deleted kind the build is refused
+        and ``tree`` is None."""
         X = rng.normal(size=(n, 3))
         w = rng.uniform(0.5, 2.0, n) if weighted else None
+        if kind == REMOVED_TREE:
+            assert_tree_refused(build_tree, kind, X, leaf_size=16, weights=w)
+            return X, w, None
         return X, w, build_tree(kind, X, leaf_size=16, weights=w)
 
     def test_update_refits_exactly(self, rng, kind, weighted):
         X, w, tree = self.make(rng, kind, weighted)
+        if tree is None:
+            return
         idx = rng.choice(400, 30, replace=False)
         pts = rng.normal(size=(30, 3)) * 0.5
         v = tree.update_batch(idx, pts)
@@ -77,6 +84,8 @@ class TestMutations:
 
     def test_update_weights_only(self, rng, kind, weighted):
         X, w, tree = self.make(rng, kind, weighted)
+        if tree is None:
+            return
         if not weighted:
             with pytest.raises(ValueError):
                 tree.update_batch([0], weights=[2.0])
@@ -91,6 +100,8 @@ class TestMutations:
 
     def test_insert_appends_ids(self, rng, kind, weighted):
         X, w, tree = self.make(rng, kind, weighted)
+        if tree is None:
+            return
         ins = rng.normal(size=(50, 3))
         ids = tree.insert_batch(
             ins, weights=np.full(50, 1.5) if weighted else None)
@@ -105,6 +116,8 @@ class TestMutations:
 
     def test_delete_compacts_ids(self, rng, kind, weighted):
         X, w, tree = self.make(rng, kind, weighted)
+        if tree is None:
+            return
         idx = rng.choice(400, 120, replace=False)
         tree.delete_batch(idx)
         assert tree.n == 280
@@ -119,6 +132,8 @@ class TestMutations:
 
     def test_mixed_chain(self, kind, weighted, rng):
         X, w, tree = self.make(rng, kind, weighted)
+        if tree is None:
+            return
         ref = X.copy()
         wref = None if w is None else w.copy()
         for step in range(4):
@@ -263,7 +278,7 @@ def test_refit_counters(rng):
     assert c.get("tree.refit.nodes") >= 1
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 def test_knn_equivalence_after_mutation(rng, kind):
     """The refit tree (reached through the cache's incremental path)
     answers nearest-neighbour queries identically to brute force over
@@ -274,6 +289,9 @@ def test_knn_equivalence_after_mutation(rng, kind):
     X = rng.normal(size=(500, 3))
     R = Storage(X)
     Q = Storage(rng.normal(size=(100, 3)))
+    if kind == REMOVED_TREE:
+        assert_tree_refused(knn, Q, R, k=3, tree=kind)
+        return
     knn(Q, R, k=3, tree=kind)  # build + register the live tree
     idx = rng.choice(500, 25, replace=False)
     R.update_batch(idx, rng.normal(size=(25, 3)) * 2)

@@ -4,7 +4,7 @@
 centroids with reduceat sweeps (leaf partition + bottom-up level plan)
 instead of a per-node Python loop.  These tests pin the vectorised
 results against the straightforward reference loop over node slices, on
-weighted and unweighted trees across all three tree kinds, and pin the
+weighted and unweighted trees of both tree kinds, and pin the
 ``levels()`` / ``depth()`` machinery against recursive references.
 """
 
@@ -12,14 +12,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from repro.trees import build_balltree, build_kdtree, build_octree
+from repro.trees import build_kdtree, build_octree, build_tree
 from repro.trees.node import level_propagation, tree_levels
+
+from tests.conftest import REMOVED_TREE, assert_tree_refused
 
 BUILDERS = {
     "kd": build_kdtree,
-    "ball": build_balltree,
     "octree": build_octree,
 }
+
+
+def _build(kind, pts, **kw):
+    """The tree of ``kind``; for the deleted kind the build is refused
+    and the result is None."""
+    if kind == REMOVED_TREE:
+        assert_tree_refused(build_tree, kind, pts, **kw)
+        return None
+    return BUILDERS[kind](pts, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +69,21 @@ def _reference_depth(tree, i=0):
     return 1 + max(_reference_depth(tree, int(c)) for c in kids)
 
 
-@pytest.mark.parametrize("kind", list(BUILDERS))
+@pytest.mark.parametrize("kind", [*BUILDERS, REMOVED_TREE])
 class TestVectorisedStats:
     def test_unweighted_centroids(self, data, kind):
         pts, _ = data
-        tree = BUILDERS[kind](pts, leaf_size=8)
+        tree = _build(kind, pts, leaf_size=8)
+        if tree is None:
+            return
         ref_centroid, _, _ = _reference_stats(tree)
         assert_allclose(tree.centroid, ref_centroid, rtol=1e-12, atol=1e-12)
 
     def test_weighted_stats(self, data, kind):
         pts, w = data
-        tree = BUILDERS[kind](pts, leaf_size=8, weights=w)
+        tree = _build(kind, pts, leaf_size=8, weights=w)
+        if tree is None:
+            return
         ref_centroid, ref_wsum, ref_wcentroid = _reference_stats(tree)
         assert_allclose(tree.centroid, ref_centroid, rtol=1e-12, atol=1e-12)
         assert_allclose(tree.wsum, ref_wsum, rtol=1e-12, atol=1e-12)
@@ -77,18 +91,24 @@ class TestVectorisedStats:
 
     def test_all_zero_weights_fall_back_to_centroid(self, data, kind):
         pts, _ = data
-        tree = BUILDERS[kind](pts, leaf_size=8, weights=np.zeros(len(pts)))
+        tree = _build(kind, pts, leaf_size=8, weights=np.zeros(len(pts)))
+        if tree is None:
+            return
         assert_allclose(tree.wcentroid, tree.centroid, rtol=1e-12)
         assert np.all(tree.wsum == 0.0)
 
     def test_depth_matches_recursive_reference(self, data, kind):
         pts, _ = data
-        tree = BUILDERS[kind](pts, leaf_size=8)
+        tree = _build(kind, pts, leaf_size=8)
+        if tree is None:
+            return
         assert tree.depth() == _reference_depth(tree)
 
     def test_levels_consistent_with_children(self, data, kind):
         pts, _ = data
-        tree = BUILDERS[kind](pts, leaf_size=8)
+        tree = _build(kind, pts, leaf_size=8)
+        if tree is None:
+            return
         level = tree.levels()
         assert level[0] == 0
         for i in range(tree.n_nodes):

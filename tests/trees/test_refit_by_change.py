@@ -10,8 +10,8 @@ as :meth:`_Eager._refit`: every dirty leaf rescanned, every dirty
 ancestor recomputed, mass data included, at every mutation.  Both trees
 take the same mutation sequence (shared routing, point and perm
 bookkeeping, rebuild graft); after every mutation the two must agree
-bitwise on ``lo``/``hi``/``center``/``diameter`` (and ``radius`` for
-ball trees), take the same ``tree.rebuild.*`` decisions, and
+bitwise on ``lo``/``hi``/``diameter``, take the same ``tree.rebuild.*``
+decisions, and
 ``validate()``.  Mass data must be bitwise the eager values whenever
 the tree's mass data was read before its first rebuild (a rebuild
 grafts fresh values over mass data never computed, which the eager
@@ -26,13 +26,15 @@ from repro.observe import collect
 from repro.trees import build_tree
 from repro.trees.node import _ranges
 
+from tests.conftest import REMOVED_TREE, assert_tree_refused
+
 pytestmark = pytest.mark.usefixtures("refit_never_fails")
 
 
 class _Eager:
     """Test-local copy of the eager refit: ``lo/hi/centroid/wsum/
-    wcentroid/center/diameter`` (and ball radii) for every dirty leaf
-    and ancestor, recomputed at the mutation."""
+    wcentroid/diameter`` for every dirty leaf and ancestor, recomputed
+    at the mutation."""
 
     def _refit(self, moved_leaves, arrivals=None, departures=None):
         dl = np.unique(np.asarray(moved_leaves, dtype=np.int64))
@@ -102,51 +104,20 @@ class _Eager:
             dirty_mask[ids2] = True
 
         dirty_ids = np.flatnonzero(dirty_mask)
-        center = self.center.copy()
         diam = self.diameter.copy()
         with np.errstate(invalid="ignore"):
             span = hi[dirty_ids] - lo[dirty_ids]
             finite = np.isfinite(span).all(axis=1)
-            center[dirty_ids] = np.where(
-                finite[:, None], 0.5 * (lo[dirty_ids] + hi[dirty_ids]), 0.0)
             diam[dirty_ids] = np.where(finite, span.max(axis=1), 0.0)
         self.lo, self.hi = lo, hi
-        self.center, self.diameter = center, diam
+        self.diameter = diam
         self._mass = (centroid, wsum, wcentroid)
-        if self.kind == "ball":
-            self._eager_radii(dirty_ids)
         # every dirty node is a rebuild candidate, as it was
         return dirty_ids, dirty_ids.size
 
     def _full_rebuild(self):
         super()._full_rebuild()
         self._mass_data()  # a fresh eager build computed mass data too
-
-    def _eager_radii(self, dirty_ids):
-        radius = self.radius.copy()
-        centroid = self.centroid
-        order = dirty_ids[np.argsort(self.levels()[dirty_ids],
-                                     kind="stable")][::-1]
-        for i in order:
-            i = int(i)
-            kids = self.children(i)
-            if len(kids) == 0:
-                s, e = self.slice(i)
-                if e > s:
-                    diff = self.points[s:e] - centroid[i]
-                    radius[i] = float(
-                        np.sqrt((diff * diff).sum(axis=1).max()))
-                else:
-                    radius[i] = 0.0
-            else:
-                r = 0.0
-                for c in kids:
-                    c = int(c)
-                    dc = float(np.sqrt(
-                        ((centroid[i] - centroid[c]) ** 2).sum()))
-                    r = max(r, dc + float(radius[c]))
-                radius[i] = r
-        self.radius = radius
 
 
 def _eager_twin(tree):
@@ -159,7 +130,7 @@ def _eager_twin(tree):
 
 
 _BOXES = ("points", "perm", "start", "end", "child_offset", "child_list",
-          "lo", "hi", "center", "diameter")
+          "lo", "hi", "diameter")
 
 
 def _same(a, b):
@@ -168,7 +139,7 @@ def _same(a, b):
 
 
 def assert_boxes_match(tree, twin):
-    for name in _BOXES + tuple(tree._extra_node_arrays):
+    for name in _BOXES:
         assert _same(getattr(tree, name), getattr(twin, name)), name
 
 
@@ -230,14 +201,15 @@ def _step(run, rng, op, update_only):
     if op == "inward":  # boundary rows to their leaf's centre
         ids = _boundary_rows(tree, rng, 1 + rng.integers(8))
         leaf = tree.leaf_of_position()[tree.inv_perm()[ids]]
-        run.apply("update_batch", ids, tree.center[leaf])
+        run.apply("update_batch", ids, 0.5 * (tree.lo[leaf] + tree.hi[leaf]))
     elif op == "outward":  # boundary rows pushed past their box
         ids = _boundary_rows(tree, rng, 1 + rng.integers(8))
         pts = tree.points[tree.inv_perm()[ids]]
         leaf = tree.leaf_of_position()[tree.inv_perm()[ids]]
         span = (tree.hi[leaf] - tree.lo[leaf]).max(axis=1, keepdims=True)
         run.apply("update_batch", ids,
-                  pts + (pts - tree.center[leaf]) * 0.3 + 0.01 * span)
+                  pts + (pts - 0.5 * (tree.lo[leaf] + tree.hi[leaf])) * 0.3
+                  + 0.01 * span)
     elif op == "far":
         ids = rng.choice(n, size=min(n, 1 + rng.integers(6)), replace=False)
         run.apply("update_batch", ids, rng.normal(size=(ids.size, d)) * 20)
@@ -280,7 +252,7 @@ OPS = ["inward", "outward", "far", "jitter", "weights", "drift", "insert",
 
 @st.composite
 def sequences(draw):
-    kind = draw(st.sampled_from(["kd", "octree", "ball"]))
+    kind = draw(st.sampled_from(["kd", "octree"]))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(20, 220))
     update_only = draw(st.booleans())
@@ -307,34 +279,43 @@ def test_refit_by_change_is_the_eager_refit(case):
     run.check_mass()
 
 
-KINDS = ["kd", "octree", "ball"]
+KINDS = ["kd", "octree"]
 
 
 def _run(kind, rng, weighted=False, n=300, leaf_size=8, read_mass_first=True):
+    """A :class:`Run`; for the deleted kind the build is refused and the
+    result is None."""
     X = rng.normal(size=(n, 3))
     w = rng.uniform(0.5, 2.0, n) if weighted else None
+    if kind == REMOVED_TREE:
+        assert_tree_refused(Run, kind, X, w, leaf_size, read_mass_first)
+        return None
     return Run(kind, X, w, leaf_size, read_mass_first)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 def test_boundary_row_moved_inward_shrinks_the_box(rng, kind):
     """A departure on the box boundary must rescan its leaf: growing
     boxes by arrivals alone would leave them loose."""
     run = _run(kind, rng)
+    if run is None:
+        return
     tree = run.tree
     ids = _boundary_rows(tree, rng, 10)
     leaf = tree.leaf_of_position()[tree.inv_perm()[ids]]
     before = tree.lo[leaf].copy(), tree.hi[leaf].copy()
-    run.apply("update_batch", ids, tree.center[leaf])
+    run.apply("update_batch", ids, 0.5 * (before[0] + before[1]))
     shrunk = ((tree.lo[leaf] > before[0]) | (tree.hi[leaf] < before[1]))
     assert shrunk.any()
     run.check_mass()
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_duplicate_ids_take_their_final_value(rng, kind, weighted):
     run = _run(kind, rng, weighted)
+    if run is None:
+        return
     ids = np.array([5, 17, 5, 5, 40, 17])
     pts = rng.normal(size=(ids.size, 3)) * 4
     w = rng.uniform(0.5, 2.0, ids.size) if weighted else None
@@ -345,10 +326,12 @@ def test_duplicate_ids_take_their_final_value(rng, kind, weighted):
     run.check_mass()
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 @pytest.mark.parametrize("read_mass_first", [False, True])
 def test_delete_emptying_a_leaf_rebuilds(rng, kind, read_mass_first):
     run = _run(kind, rng, weighted=True, read_mass_first=read_mass_first)
+    if run is None:
+        return
     tree = run.tree
     s, e = tree.slice(int(tree.leaves()[3]))
     run.apply("delete_batch", tree.perm[s:e].copy())
@@ -356,9 +339,11 @@ def test_delete_emptying_a_leaf_rebuilds(rng, kind, read_mass_first):
     run.check_mass()
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 def test_long_drift_rebuilds_a_subtree(rng, kind):
     run = _run(kind, rng, weighted=True)
+    if run is None:
+        return
     ids = np.arange(6)
     for _ in range(6):
         pts = run.tree.points[run.tree.inv_perm()[ids]]
@@ -367,11 +352,13 @@ def test_long_drift_rebuilds_a_subtree(rng, kind):
     run.check_mass()  # read first: bitwise across the rebuild
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 def test_mass_read_late_stays_within_the_sum_rule(rng, kind):
     """Mass data never read before a rebuild is computed over the
     grafted tree; it may differ from the eager values in the last bits."""
     run = _run(kind, rng, weighted=True, read_mass_first=False)
+    if run is None:
+        return
     for _ in range(5):
         ids = rng.choice(run.tree.n, 30, replace=False)
         run.apply("update_batch", ids, rng.normal(size=(30, 3)) * 6)

@@ -38,7 +38,7 @@ class TestCli:
 
     def test_run_with_options(self, setup, capsys):
         prog, binds = setup
-        assert main(["run", prog, *binds, "--option", "tree=ball",
+        assert main(["run", prog, *binds, "--option", "tree=octree",
                      "--option", "leaf_size=16"]) == 0
 
     def test_ir_stage(self, setup, capsys):
