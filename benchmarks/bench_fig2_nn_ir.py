@@ -115,4 +115,5 @@ def test_fig2_generated_backend_source(benchmark):
     # The backend artifact (our LLVM-IR stand-in) is also dumped.
     emit("fig2_generated", "Fig. 2 (backend) — generated NumPy source\n"
          + "=" * 50 + "\n" + src)
-    assert "def base_case" in src and "def prune_or_approx" in src
+    assert "def base_case" in src and "def bound_key_batch" in src
+    assert "prune_or_approx" not in src

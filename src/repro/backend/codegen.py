@@ -108,23 +108,20 @@ class GeneratedKernels:
     difference form of ``exact_values(Q, qidx, R, ridx)``, which also
     re-evaluates a comparative reduction's winners once after the
     traversal (:func:`repro.backend.state.exact_winners`).  A
-    comparative fold is one emitted ``_merge``.  The scalar
-    ``prune_or_approx`` / ``pair_min_dist`` drive the nearest-first
-    stack engine.  Stateless rules (indicator / approximation) get
-    ``classify_batch`` over whole arrays of node-id pairs, and
-    ``apply_action(qis, ris)`` for arrays of their approximated or
-    inside pairs.  Bound
-    rules (k-NN, Hausdorff) get ``bound_key_batch`` (node pairs) and
-    ``row_key_batch`` (row regime) promise keys, which the engine
-    classifies against a signed per-query bound array ``qbound``.  The
-    batched engine takes the bound form exactly when ``bound_key_batch``
-    is set.
+    comparative fold is one emitted ``_merge``.  Stateless rules
+    (indicator / approximation) get ``classify_batch`` over whole arrays
+    of node-id pairs, and ``apply_action(qis, ris)`` for arrays of their
+    approximated or inside pairs.  Bound rules (k-NN, Hausdorff) get
+    ``bound_key_batch`` (node pairs) and ``row_key_batch`` (row regime)
+    promise keys, which the engine classifies against a signed
+    per-query bound array ``qbound``.  The batched engine takes the
+    bound form exactly when ``bound_key_batch`` is set; the stack
+    reference engine calls them on one pair at a time.
     """
 
     source: str
     namespace: dict
     base_case: Callable
-    prune_or_approx: Callable | None = None
     pair_min_dist: Callable | None = None
     classify_batch: Callable | None = None
     apply_action: Callable | None = None
@@ -883,9 +880,8 @@ def _action_source(spec: CodegenSpec) -> str | None:
     """Emit ``apply_action(qis, ris)``: the ComputeApprox / inside-region
     side effect of the node pairs ``(qis[p], ris[p])``, applied in pair
     order.  The batched engine calls it once per epoch with every
-    code-2 pair of the epoch in pool order; the stack engine's scalar
-    ``prune_or_approx`` with its one pair, so each action has one
-    spelling.
+    code-2 pair of the epoch in pool order; the stack engine with its
+    one pair, so each action has one spelling.
 
     The arithmetic is done in bulk over slices of pairs whose gathered
     rows stay within :data:`CHUNK_CELLS` cells (:func:`_pair_chunks`),
@@ -931,59 +927,6 @@ def _indicator_edges(rule: RuleSpec) -> tuple[str, str, str, str]:
     if opn not in ("<", "<="):
         edges.reverse()
     return opn, neg, *edges
-
-
-def _prune_source(spec: CodegenSpec) -> str | None:
-    rule = spec.rule
-    if rule is None or rule.kind == "none":
-        return None
-    lines = ["def prune_or_approx(qi, ri):"]
-    b = lines.append
-
-    if rule.is_bound:
-        edge = _bound_edge(spec)
-        b(f"    t{edge} = pair_{edge}_base_dist(qi, ri)")
-        value, gband = _value_lines(spec.g_ir, f"t{edge}", f"gt{edge}")
-        lines += ("    " + line for line in value)
-        col = _kth_best(spec)
-        if rule.kind == "bound-min":
-            b(f"    B = best[qstart[qi]:qend[qi]{col}].max()")
-            b(f"    return 1 if {gband} > B else 0")
-        else:
-            b(f"    B = best[qstart[qi]:qend[qi]{col}].min()")
-            b(f"    return 1 if {gband} < B else 0")
-
-    elif rule.kind == "indicator":
-        opn, neg, first, second = _indicator_edges(rule)
-        b(f"    t1 = {first}(qi, ri)")
-        b(f"    if t1 {neg} H:")
-        b("        return 1")
-        if rule.inside_action is not None:
-            b(f"    t2 = {second}(qi, ri)")
-            b(f"    if t2 {opn} H:")
-            b("        apply_action(np.array([qi]), np.array([ri]))")
-            b("        return 2")
-        b("    return 0")
-
-    elif rule.kind == "approx":
-        if rule.criterion == "band":
-            b("    tmin = pair_min_base_dist(qi, ri)")
-            b("    tmax = pair_max_base_dist(qi, ri)")
-            lo, glo = _value_lines(spec.g_ir, "tmin", "gtmin")
-            hi, ghi = _value_lines(spec.g_ir, "tmax", "gtmax")
-            if spec.monotone == "decreasing":
-                glo, ghi = ghi, glo
-            lines += ("    " + line for line in (*lo, *hi))
-            b(f"    if {ghi} - {glo} <= TAU:")
-        else:  # mac
-            b("    tmin = pair_min_base_dist(qi, ri)")
-            b("    if tmin > 0.0 and rdiam2[ri] <= THETA2 * tmin:")
-        b("        apply_action(np.array([qi]), np.array([ri]))")
-        b("        return 2")
-        b("    return 0")
-    else:  # pragma: no cover
-        raise CompileError(f"unknown rule kind {rule.kind!r}")
-    return "\n".join(lines)
 
 
 def _pair_edges_lines(spec: CodegenSpec) -> list[str]:
@@ -1123,13 +1066,12 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
             *filter(None, [_merge_source(spec)]),
         ]
         rules = [src for src in (
-            _exact_values_source(spec),
-            _action_source(spec), _prune_source(spec),
+            _exact_values_source(spec), _action_source(spec),
             _classify_batch_source(spec), _bound_batch_source(spec),
             _base_case_group_source(spec), _base_case_blocks_source(spec),
             _base_case_rows_source(spec)) if src is not None]
         # the stack engine orders its pairs by the near edge; the far one
-        # is emitted where a rule reads it
+        # is emitted where a kernel reads it
         chunks += [_node_distance_source(spec, edge) for edge in ("min", "max")
                    if edge == "min" or any(f"pair_{edge}_base_dist(" in src
                                            for src in rules)]

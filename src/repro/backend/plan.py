@@ -69,8 +69,8 @@ def default_tasks() -> int:
 
 
 def _static_executor(engine: str) -> str:
-    """``executor='auto'``: processes for the scalar stack engine (one
-    GIL-bound Python bytecode stream per task), threads for the batched
+    """``executor='auto'``: processes for the pair-at-a-time stack engine
+    (one GIL-bound Python bytecode stream per task), threads for the batched
     engine (its NumPy kernels release the GIL; no pickling, no merge
     copies).  A rule, not a measurement: the spine's
     ``parallel.thread_w2_speedup`` / ``parallel.process_w2_speedup``
@@ -162,10 +162,10 @@ class CompileOptions:
     #: per kernel call in epochs (:mod:`repro.traversal.bounded_batched`:
     #: bound rules — k-NN, Hausdorff — best-first against a bound
     #: snapshot, stateless rules one level per epoch) and is the default
-    #: for every problem; 'stack' forces the scalar nearest-first
-    #: reference engine.
-    traversal: str | None = _row(
-        allowed=("batched", "stack"), policy=True, static="batched")
+    #: for every problem; 'stack' asks for the pair-at-a-time reference
+    #: engine, which no policy routes to.
+    traversal: str | None = _row(allowed=("batched", "stack"),
+                                 static="batched")
     #: reuse compiled code and built trees across ``execute()``
     #: calls (content-addressed; see :mod:`repro.backend.cache`)
     cache: bool = _row(True, allowed=_flag)
@@ -250,11 +250,10 @@ def program_rules(layers, opts: CompileOptions):
                        criterion=opts.criterion, theta=opts.theta)
 
 
-#: plan field → the policy store's on-disk ``config`` key, which is the
-#: name of the (policy-fillable) option that asks for it
-_CONFIG_KEYS = {"engine" if name == "traversal" else name: name
-                for name, row in OPTION_TABLE.items()
-                if row.metadata["policy"]}
+#: the policy store's ``config`` keys: the policy-fillable options, each
+#: named as the plan field it fills
+_CONFIG_KEYS = tuple(name for name, row in OPTION_TABLE.items()
+                     if row.metadata["policy"])
 
 
 @dataclass(frozen=True)
@@ -299,21 +298,20 @@ class ExecutionPlan:
 
     def to_config(self) -> dict:
         """The JSON-storable policy decision."""
-        return {key: getattr(self, name)
-                for name, key in _CONFIG_KEYS.items()}
+        return {name: getattr(self, name) for name in _CONFIG_KEYS}
 
     @staticmethod
     def from_config(config: dict) -> dict:
         """Plan-field requests of a stored policy ``config`` (absent or
         empty entries request nothing)."""
         casts = {"leaf_size": int, "shards": int}
-        return {name: casts.get(name, str)(config[key])
-                for name, key in _CONFIG_KEYS.items() if config.get(key)}
+        return {name: casts.get(name, str)(config[name])
+                for name in _CONFIG_KEYS if config.get(name)}
 
     def policy_applied(self) -> dict:
         """Stored ``config`` entries that actually routed this plan."""
         asked = self.from_config(self.decision.config)
-        return {_CONFIG_KEYS[name]: asked[name]
+        return {name: asked[name]
                 for name, source in self.sources if source == "policy"}
 
 
@@ -378,11 +376,6 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
     plan = {name: value for name, (value, _) in ask.items()}
     plan["workers"] = workers = plan["workers"] or default_workers()
     if tree_mode:
-        # Every rule kind runs the batched epoch engine, which reads the
-        # kind off the kernels; 'stack' forces the scalar reference
-        # engine.  A stored policy naming an older engine folds here too.
-        if plan["engine"] != "stack":
-            plan["engine"] = "batched"
         if plan["executor"] == "auto":
             plan["executor"] = _static_executor(plan["engine"])
         if plan["executor"] == "process" and workers == 1:

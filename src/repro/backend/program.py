@@ -328,10 +328,9 @@ class CompiledProgram:
                 source=self.kernels.source,
             )
             return stats
-        qbound = self.state.arrays.get("qbound")
         if plan.executor == "serial":
             return run_engine(plan.engine, self.qtree, self.rtree,
-                              self.kernels, qbound)
+                              self.kernels)
         if plan.executor == "process":
             from ..parallel.process_backend import parallel_dual_tree_process
 
@@ -342,7 +341,7 @@ class CompiledProgram:
             )
         return parallel_dual_tree(
             self.qtree, self.rtree, self.kernels, engine=plan.engine,
-            workers=plan.workers, min_tasks=plan.min_tasks, qbound=qbound,
+            workers=plan.workers, min_tasks=plan.min_tasks,
         )
 
     def _run_brute(self) -> TraversalStats:

@@ -10,9 +10,9 @@ batched engine's signed per-query ``qbound`` bound array — which the
 parent merges **in frontier order** into the program's state arrays —
 byte-for-byte the values the thread executor's shared-array updates
 would have produced, because every task writes a disjoint query range.
-Tree structure (children CSR, expansion CSR, per-node levels for the
-batched engine's bound propagation) is republished through
-:mod:`repro.parallel.shm` alongside the kernel operands.
+The child CSR of each tree is published through :mod:`repro.parallel.shm`
+alongside the kernel operands; a worker builds its
+:class:`~repro.trees.node.ArrayTree` over them.
 
 Per-task ``TraversalStats`` are merged exactly as the thread path merges
 them, and each worker's counter registry is shipped back and
@@ -56,19 +56,10 @@ def merge_result(state, res: dict) -> None:
 
 
 def tree_structure(tree, prefix: str) -> dict[str, np.ndarray]:
-    """The traversal-facing tree arrays a worker's ``TreeView`` needs
-    (``start``/``end`` ship with the kernel bindings already).  The
-    per-node level array feeds the batched engine's bottom-up node-bound
-    propagation worker-side."""
-    exp_off, exp_flat = tree.expansion_children()
-    return {
-        f"{prefix}_is_leaf": tree.is_leaf_arr,
-        f"{prefix}_child_offset": tree.child_offset,
-        f"{prefix}_child_list": tree.child_list,
-        f"{prefix}_exp_offsets": exp_off,
-        f"{prefix}_exp_flat": exp_flat,
-        f"{prefix}_level": tree.levels(),
-    }
+    """The child CSR, the one tree array a worker needs beside the kernel
+    bindings (points, boxes, slices)."""
+    return {f"{prefix}_child_offset": tree.child_offset,
+            f"{prefix}_child_list": tree.child_list}
 
 
 def parallel_dual_tree_process(
@@ -97,7 +88,7 @@ def parallel_dual_tree_process(
     arrays = {**bindings.arrays, **tree_structure(qtree, "q")}
     same_tree = rtree is qtree
     if not same_tree:
-        # For same_tree programs the worker's r-side TreeView aliases the
+        # For same_tree programs the worker's r-side tree aliases the
         # q-side one (the r-named *kernel* bindings still ship — shm
         # dedupes the underlying buffers).
         arrays.update(tree_structure(rtree, "r"))

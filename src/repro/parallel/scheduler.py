@@ -52,7 +52,6 @@ def parallel_dual_tree(
     workers: int,
     min_tasks: int,
     engine: str = "stack",
-    qbound=None,
 ) -> TraversalStats:
     """Parallel counterpart of :func:`repro.traversal.run_engine` over
     the :class:`~repro.backend.codegen.GeneratedKernels` ``kernels``.
@@ -68,7 +67,7 @@ def parallel_dual_tree(
     def make_task(q_root: int):
         def task() -> TraversalStats:
             with span("parallel.task", q_root=q_root, engine=engine):
-                return run_engine(engine, qtree, rtree, kernels, qbound,
+                return run_engine(engine, qtree, rtree, kernels,
                                   q_root=q_root)
         return task
 

@@ -403,8 +403,7 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
                 pauses[i].clear()
                 run_engine(
                     engine, qtree, pack.trees[i], kernels[i],
-                    states[i].arrays["qbound"], stats=stats_list[i],
-                    max_epochs=budget[i], resume=resume,
+                    stats=stats_list[i], max_epochs=budget[i], resume=resume,
                     extern_bound=extern, pause_out=pauses[i])
             return run
 

@@ -7,7 +7,8 @@ closures — only the shared-memory manifest, the generated kernel
 worker:
 
 1. attaches the published block (:func:`repro.parallel.shm.attach_arrays`)
-   and builds read-only views — zero copies of the dataset or trees;
+   and builds an :class:`~repro.trees.node.ArrayTree` per side over its
+   read-only views — zero copies of the dataset or trees;
 2. recompiles the generated source and binds it against **worker-local
    accumulator arrays** (full-size, identity-filled) — the per-task
    partial state;
@@ -39,56 +40,19 @@ from ..backend.codegen import Bindings, GeneratedKernels
 from ..backend.state import State, allocate_state
 from ..observe import collect
 from ..traversal import bound_epochs, run_engine
-from ..trees.node import descent_csr, level_propagation, sorted_leaves
+from ..trees.node import ArrayTree
 from . import shm
 
-__all__ = ["run_task", "TreeView"]
+__all__ = ["run_task"]
 
 
-class TreeView:
-    """The minimal tree facade the traversal engines touch, backed by
-    shared-memory views (``start``/``end``/``is_leaf_arr``/``children``/
-    ``expansion_children``/``levels``, and ``descent_children`` /
-    ``bound_plan`` derived from them once per view — everything else
-    about :class:`~repro.trees.node.ArrayTree` stays parent-side)."""
-
-    __slots__ = ("start", "end", "is_leaf_arr", "child_offset",
-                 "child_list", "_exp", "_level", "_derived")
-
-    def __init__(self, views: dict[str, np.ndarray], prefix: str):
-        self.start = views[f"{prefix}start"]
-        self.end = views[f"{prefix}end"]
-        self.is_leaf_arr = views[f"{prefix}_is_leaf"]
-        self.child_offset = views[f"{prefix}_child_offset"]
-        self.child_list = views[f"{prefix}_child_list"]
-        self._exp = (views[f"{prefix}_exp_offsets"],
-                     views[f"{prefix}_exp_flat"])
-        self._level = views[f"{prefix}_level"]
-        self._derived: dict = {}
-
-    def children(self, i: int) -> np.ndarray:
-        return self.child_list[self.child_offset[i]:self.child_offset[i + 1]]
-
-    def expansion_children(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._exp
-
-    def levels(self) -> np.ndarray:
-        return self._level
-
-    def descent_children(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        if depth == 1:
-            return self._exp
-        if depth not in self._derived:
-            self._derived[depth] = descent_csr(*self._exp, depth)
-        return self._derived[depth]
-
-    def bound_plan(self) -> tuple:
-        if "bound_plan" not in self._derived:
-            lsort = sorted_leaves(self.start, self.is_leaf_arr)
-            self._derived["bound_plan"] = (
-                lsort, self.start[lsort], level_propagation(
-                    self.child_offset, self.child_list, self._level))
-        return self._derived["bound_plan"]
+def _tree(views: dict[str, np.ndarray], side: str) -> ArrayTree:
+    """The ``side`` ("q" / "r") tree over the attached views; it derives
+    the rest of its topology once per worker program."""
+    return ArrayTree(
+        views[f"{side.upper()}ROW"], None, views[f"{side}lo"],
+        views[f"{side}hi"], views[f"{side}start"], views[f"{side}end"],
+        views[f"{side}_child_offset"], views[f"{side}_child_list"])
 
 
 @dataclass
@@ -97,15 +61,15 @@ class _WorkerProgram:
     views: dict[str, np.ndarray]
     state: State
     kernels: GeneratedKernels
-    qview: TreeView
-    rview: TreeView
+    qtree: ArrayTree
+    rtree: ArrayTree
     rhandle: object = None
 
     def close(self) -> None:
         # Drop the views before the mapping: ndarrays over shm.buf keep
         # the segment mapped and make close() raise BufferError.
         self.views = {}
-        self.qview = self.rview = None  # type: ignore[assignment]
+        self.qtree = self.rtree = None  # type: ignore[assignment]
         self.kernels = None  # type: ignore[assignment]
         for handle in (self.handle, self.rhandle):
             if handle is None:
@@ -121,6 +85,13 @@ _PROGRAMS: OrderedDict[str, _WorkerProgram] = OrderedDict()
 # program (token "{token}::s{i}"): a warm worker can hold all shards of
 # a couple of programs without evicting between epochs.
 _MAX_PROGRAMS = 16
+
+
+def forget_programs() -> None:
+    """Close the worker programs this process holds (a one-task process
+    run runs in the caller; ``clear_caches`` drops them with the blocks)."""
+    while _PROGRAMS:
+        _PROGRAMS.popitem()[1].close()
 
 
 def _program(payload: dict) -> _WorkerProgram:
@@ -145,11 +116,11 @@ def _program(payload: dict) -> _WorkerProgram:
     source = payload["source"]
     code = compile(source, "<portal-worker>", "exec")
     kernels = Bindings(views, payload["scalars"]).bind(source, code, state)
-    qview = TreeView(views, "q")
-    rview = qview if payload["same_tree"] else TreeView(views, "r")
+    qtree = _tree(views, "q")
+    rtree = qtree if payload["same_tree"] else _tree(views, "r")
 
     prog = _WorkerProgram(handle=handle, views=views, state=state,
-                          kernels=kernels, qview=qview, rview=rview,
+                          kernels=kernels, qtree=qtree, rtree=rtree,
                           rhandle=rhandle)
     _PROGRAMS[token] = prog
     while len(_PROGRAMS) > _MAX_PROGRAMS:
@@ -165,8 +136,8 @@ def run_task(payload: dict) -> dict:
         prog = _program(payload)
         state = prog.state
         q_root = int(payload["q_root"])
-        s = int(prog.qview.start[q_root])
-        e = int(prog.qview.end[q_root])
+        s = int(prog.qtree.start[q_root])
+        e = int(prog.qtree.end[q_root])
         resume = payload.get("resume")
         if resume is None:
             # A cached worker program runs each new task over its range
@@ -196,8 +167,8 @@ def run_task(payload: dict) -> dict:
                 extern_full[s:e] = extern
             hooks = dict(max_epochs=payload.get("max_epochs"), resume=resume,
                          extern_bound=extern_full, pause_out=pause)
-        stats = run_engine(engine, prog.qview, prog.rview, prog.kernels,
-                           state.arrays.get("qbound"), q_root=q_root, **hooks)
+        stats = run_engine(engine, prog.qtree, prog.rtree, prog.kernels,
+                           q_root=q_root, **hooks)
 
     return {
         "s": s,

@@ -1,7 +1,7 @@
 """``repro.policy`` — the self-tuning execution policy (ROADMAP item 5).
 
-Routing knobs have multiplied — traversal engine, executor, leaf size,
-shard count — and until this package the ``auto``
+Routing knobs have multiplied — executor, leaf size, shard count —
+and until this package the ``auto``
 choices were a handful of hard-coded rules spread across the compiler.
 This package replaces them with a *measured* policy:
 

@@ -3,20 +3,20 @@
 The generalisation of ``tune_leaf_size``'s subsample-timing approach
 (paper V-B) from one knob to the joint space
 
-    {engine × executor × leaf size × shards}.
+    {executor × leaf size × shards}.
 
-The full cross product is ~35 configurations — far too many to time per
-policy key — so the search is structured:
+The engine is no axis (plans run the batched one).  The cross product
+is ~18 configurations — too many to time per policy key — so the search
+is structured:
 
 * **pruned enumeration**: per-axis candidate lists drop everything the
   existing validity rules forbid (the process/thread executors on
-  single-core hosts, shard counts the reference set cannot feed, the
-  stack engine on large inputs);
+  single-core hosts, shard counts the reference set cannot feed);
 * **coordinate descent**: starting from the plan the static rules
   resolve (:func:`repro.backend.plan.resolve_plan` with no policy),
   one axis is swept at a time (executor first — the biggest lever —
-  then engine, leaf size, shards), keeping the incumbent for every
-  other axis.  ~11 timed configurations instead of ~35;
+  then leaf size, shards), keeping the incumbent for every other axis.
+  ~6 timed configurations instead of ~18;
 * **budgeted timing**: measurements run through
   :func:`repro.util.tune.measure_candidates` on *subsampled* inputs
   (stride subsample, spatially unbiased) under a total wall-clock
@@ -70,13 +70,8 @@ SEARCH_REPEATS = 2
 SEARCH_SHARD_MIN_POINTS = 4096
 
 
-def enumerate_axes(nq: int, nr: int, *, workers: int) -> dict[str, list]:
+def enumerate_axes(nr: int, *, workers: int) -> dict[str, list]:
     """Pruned per-axis candidate lists (validity rules applied here)."""
-    engines = ["batched", "stack"]
-    if nq * nr > 1 << 22:
-        # The scalar stack engine is hopeless at this scale; don't spend
-        # budget proving it again.
-        engines = engines[:1]
     executors = ["serial"]
     if workers > 1:
         executors += ["thread", "process"]
@@ -87,14 +82,13 @@ def enumerate_axes(nq: int, nr: int, *, workers: int) -> dict[str, list]:
                                  min_points=SEARCH_SHARD_MIN_POINTS)
     return {
         "executor": executors,
-        "engine": engines,
         "leaf_size": leafs,
         "shards": shards,
     }
 
 
 #: axis (plan field) sweep order: biggest lever first
-AXIS_ORDER = ("executor", "engine", "leaf_size", "shards")
+AXIS_ORDER = ("executor", "leaf_size", "shards")
 
 
 def _stride_subsample(data: np.ndarray, cap: int) -> np.ndarray:
@@ -192,7 +186,7 @@ def run_search(layers, opts, start: ExecutionPlan, *,
     def run(cand: ExecutionPlan) -> None:
         build().execute(**{**base, **cand.to_options()})
 
-    axes = enumerate_axes(sub_nq, sub_nr, workers=start.workers)
+    axes = enumerate_axes(sub_nr, workers=start.workers)
     t0 = time.perf_counter()
     with span("policy.search", nq=sub_nq, nr=sub_nr):
         # Warm once outside the timings: the first execution pays

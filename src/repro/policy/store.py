@@ -74,7 +74,7 @@ class PolicyEntry:
     """One tuned decision: the winning configuration plus the
     measurement context needed for online refinement."""
 
-    #: chosen knobs: traversal / executor / leaf_size / shards
+    #: chosen knobs: executor / leaf_size / shards
     config: dict
     #: candidate-label → best-of seconds from the tuning search
     timings: dict = field(default_factory=dict)
@@ -95,6 +95,28 @@ class PolicyEntry:
     def from_dict(cls, d: dict) -> "PolicyEntry":
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in d.items() if k in known})
+
+
+def _prune(entries: dict[str, PolicyEntry]) -> None:
+    """Drop, in place, what no execute reads any more — an entry whose
+    key names a tree kind the option table no longer allows, a config
+    key the plan no longer reads (``traversal``) — counting each entry
+    touched as ``policy.dropped_entries``."""
+    from ..backend.plan import _CONFIG_KEYS, OPTION_TABLE
+
+    trees = [[tree] for tree in OPTION_TABLE["tree"].metadata["allowed"]]
+    dropped = 0
+    for key, entry in list(entries.items()):
+        kept = {k: v for k, v in entry.config.items() if k in _CONFIG_KEYS}
+        if key.split(":")[1:2] not in trees:
+            del entries[key]
+        elif kept != entry.config:
+            entry.config = kept
+        else:
+            continue
+        dropped += 1
+    if dropped:
+        contribute({"policy.dropped_entries": dropped})
 
 
 class PolicyStore:
@@ -132,6 +154,7 @@ class PolicyStore:
                 else:
                     for key, raw in payload.get("entries", {}).items():
                         entries[key] = PolicyEntry.from_dict(raw)
+                    _prune(entries)
             except Exception:
                 # Corrupt/truncated/unreadable: the static auto rules
                 # still route everything — never raise from here.

@@ -1,9 +1,9 @@
 """Epoch-based batched dual-tree traversal: the one frontier loop.
 
-The stack engine (:mod:`repro.traversal.dualtree`) makes one scalar
-``prune_or_approx`` call per visited node pair, so for problems whose
-rules prune or approximate millions of pairs the Python call overhead —
-not the algorithm — dominates wall-clock.  This engine classifies whole
+The stack reference engine (:mod:`repro.traversal.engines`) decides one
+visited node pair per kernel call, so for problems whose rules prune or
+approximate millions of pairs the Python call overhead — not the
+algorithm — dominates wall-clock.  This engine classifies whole
 arrays of pending (query node, reference node) pairs per kernel call,
 for both kinds of rule the compiler emits.  It picks the form from the
 :class:`~repro.backend.codegen.GeneratedKernels` it is handed: a bound
@@ -204,7 +204,6 @@ def bounded_batched_dual_tree_traversal(
     qtree,
     rtree,
     kernels,
-    qbound: np.ndarray | None = None,
     epoch_size: int = DEFAULT_EPOCH_SIZE,
     q_root: int = 0,
     r_root: int = 0,
@@ -217,11 +216,11 @@ def bounded_batched_dual_tree_traversal(
     """Traverse the (query, reference) tree pair in epochs over the
     :class:`~repro.backend.codegen.GeneratedKernels` ``kernels``.
 
-    ``qbound`` is a bound program's signed per-query bound array
-    allocated with the program state (``+inf`` identity; ``None`` for a
-    stateless program); it is updated in place by the base-case kernels
-    and re-read here at every node-bound refresh (the row regime reads
-    it live at every epoch), so concurrent tasks over disjoint query
+    A bound program's signed per-query bound array ``qbound`` is the
+    state array ``kernels`` were bound against (``kernels.namespace``;
+    ``+inf`` identity); the base-case kernels update it in place and it
+    is re-read here at every node-bound refresh (the row regime reads it
+    live at every epoch), so concurrent tasks over disjoint query
     subtrees share one array.
 
     The epoch hooks serve the cross-shard bound broadcast of
@@ -247,6 +246,7 @@ def bounded_batched_dual_tree_traversal(
     rstart, rend = rtree.start, rtree.end
     r_leaf_arr = np.asarray(rtree.is_leaf_arr)
     bound = kernels.bound_key_batch is not None
+    qbound = kernels.namespace["qbound"] if bound else None
     row_regime = bound and takes_row_regime(qtree, rtree)
     refresh = None
 

@@ -6,10 +6,15 @@ in-process run, the thread scheduler's tasks, process workers, the
 sharded rounds — calls :func:`run_engine`; which kernels an engine
 takes from :class:`~repro.backend.codegen.GeneratedKernels` is decided
 here and nowhere else (the batched engine reads the rule kind off the
-kernels themselves).
+kernels themselves).  Both engines read a bound rule's ``qbound`` from
+``kernels.namespace``.  ``"stack"``, which only the option selects, is a
+reference recursion with no kernel of its own: each popped pair is
+decided by the batched engine's kernels on a one-pair array.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .bounded_batched import bounded_batched_dual_tree_traversal
 from .dualtree import dual_tree_traversal
@@ -18,10 +23,33 @@ from .multitree import TraversalStats
 __all__ = ["ENGINES", "bound_epochs", "run_engine"]
 
 
-def _stack(qtree, rtree, kk, qbound, **kw):
+def _pair_decision(qtree, kk):
+    """The stack engine's ``(qi, ri) -> code`` (0: recurse, 1: prune,
+    2: approximated / inside, action applied; ``None`` without a rule):
+    a bound rule's key against the max of ``qbound`` over the query
+    node's slice, else ``classify_batch`` then ``apply_action``."""
+    if kk.bound_key_batch is not None:
+        key, qbound, qs, qe = (kk.bound_key_batch, kk.namespace["qbound"],
+                               qtree.start, qtree.end)
+        return lambda qi, ri: int(key(np.array([qi]), np.array([ri]))[0]
+                                  > qbound[qs[qi]:qe[qi]].max())
+    if kk.classify_batch is None:
+        return None
+    classify, act = kk.classify_batch, kk.apply_action
+
+    def decide(qi, ri):
+        qis, ris = np.array([qi]), np.array([ri])
+        code = int(classify(qis, ris)[0])
+        if code == 2:
+            act(qis, ris)
+        return code
+    return decide
+
+
+def _stack(qtree, rtree, kk, *, q_root=0, stats=None):
     return dual_tree_traversal(
-        qtree, rtree, kk.prune_or_approx, kk.base_case,
-        pair_min_dist=kk.pair_min_dist, **kw)
+        qtree, rtree, _pair_decision(qtree, kk), kk.base_case,
+        pair_min_dist=kk.pair_min_dist, q_root=q_root, stats=stats)
 
 
 #: ``ExecutionPlan.engine`` → traversal
@@ -37,17 +65,15 @@ def bound_epochs(engine: str, kernels) -> bool:
     return engine == "batched" and kernels.bound_key_batch is not None
 
 
-def run_engine(engine: str, qtree, rtree, kernels, qbound=None, *,
-               q_root: int = 0, stats: TraversalStats | None = None,
+def run_engine(engine: str, qtree, rtree, kernels, *, q_root: int = 0,
+               stats: TraversalStats | None = None,
                **epoch_hooks) -> TraversalStats:
     """Traverse ``qtree`` × ``rtree`` from ``q_root`` with ``engine``.
 
-    ``qbound`` is the signed per-query bound array of bound-rule
-    programs (``state.arrays["qbound"]``; unused otherwise).
     ``epoch_hooks`` — ``epoch_size`` and, for bound-rule programs only,
     ``max_epochs`` / ``resume`` / ``extern_bound`` / ``pause_out`` —
     reach the batched engine's epoch loop (the latter four pause and
     resume it between cross-shard bound broadcasts).
     """
-    return ENGINES[engine](qtree, rtree, kernels, qbound, q_root=q_root,
+    return ENGINES[engine](qtree, rtree, kernels, q_root=q_root,
                            stats=stats, **epoch_hooks)

@@ -231,4 +231,7 @@ class TestCompiledClosures:
             ),
         )
         assert gk.pair_min_dist(0, 0) == 0.0
-        assert gk.prune_or_approx is not None
+        # the bound rule's one prune spelling is the batch key; the
+        # stack engine calls it on one pair
+        assert gk.bound_key_batch is not None
+        assert "prune_or_approx" not in gk.source

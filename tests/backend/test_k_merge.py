@@ -151,7 +151,7 @@ def blocks_spy(monkeypatch):
     widths = []
     batched = engines.ENGINES["batched"]
 
-    def guarded(qtree, rtree, kk, qbound, **kw):
+    def guarded(qtree, rtree, kk, **kw):
         blocks = kk.base_case_blocks
 
         def spy(qs, qe, ridx, redge):
@@ -159,8 +159,7 @@ def blocks_spy(monkeypatch):
             return blocks(qs, qe, ridx, redge)
 
         return batched(qtree, rtree,
-                       dataclasses.replace(kk, base_case_blocks=spy),
-                       qbound, **kw)
+                       dataclasses.replace(kk, base_case_blocks=spy), **kw)
 
     monkeypatch.setitem(engines.ENGINES, "batched", guarded)
     return widths

@@ -85,9 +85,10 @@ def two_workers(monkeypatch):
 
 POOL = {"parallel": True, "workers": 2}
 MATRIX = [
-    # engine: no environment knob
+    # engine: no environment knob, and no policy knob — a stored
+    # 'stack' routes nothing
     ("engine", {"traversal": "stack"}, {}, CONFIG, "stack", "explicit"),
-    ("engine", {}, {}, CONFIG, "stack", "policy"),
+    ("engine", {}, {}, CONFIG, "batched", "static"),
     ("engine", {}, {}, None, "batched", "static"),
     # executor: parallel/executor/workers are one choice
     ("executor", dict(POOL, executor="process"),
@@ -98,19 +99,20 @@ MATRIX = [
     ("executor", {}, {}, None, "serial", "static"),
     ("executor", {"parallel": False}, {}, CONFIG, "serial", "explicit"),
     # asked for a pool but not which: the by-engine rule picks, and the
-    # engine here is the policy's 'stack'
-    ("executor", POOL, {}, CONFIG, "process", "static"),
+    # engine here is an explicit 'stack'
+    ("executor", dict(POOL, traversal="stack"), {}, CONFIG, "process",
+     "static"),
     ("executor", {"workers": 2}, {}, CONFIG, "serial", "static"),
     ("executor", {}, {"REPRO_EXECUTOR": "process"}, CONFIG,
      "serial", "static"),
     # 'auto' and a degraded request are still asks: they outrank what is
     # below them, and the source says who asked
-    ("executor", dict(POOL, executor="auto"), {"REPRO_EXECUTOR": "thread"},
-     CONFIG, "process", "explicit"),
+    ("executor", dict(POOL, executor="auto", traversal="stack"),
+     {"REPRO_EXECUTOR": "thread"}, CONFIG, "process", "explicit"),
     ("shards", {"shards": "auto"}, {}, CONFIG, 1, "explicit"),
     # shards and policy read no environment: a stray variable asks nothing
     ("shards", {}, {"REPRO_SHARDS": "4"}, CONFIG, 2, "policy"),
-    # an explicit ask outranks the policy's 'stack'
+    # an explicit ask, beside a stored 'stack' that routes nothing
     ("engine", {"traversal": "batched"}, {}, CONFIG, "batched",
      "explicit"),
     # leaf_size: no environment knob
@@ -170,7 +172,7 @@ class TestPolicyMode:
                             policy_mod, layers)
         policy_mod.reset_policy_store()
         assert plan.decision.source == "policy-cache"
-        assert (plan.engine, plan.leaf_size) == ("stack", 16)
+        assert (plan.engine, plan.leaf_size) == ("batched", 16)
 
 
 class TestStaticRules:

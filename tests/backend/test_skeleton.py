@@ -3,10 +3,11 @@
 Every base case is one instance of gather → distance → value →
 self-exclusion/pads → fold, and every comparative one folds through the
 one emitted ``_merge``.  These tests pin that shape on the compiled
-programs: a k-NN program is at most ten functions, each comparative
-program defines exactly one merge that every base case calls, the
-node-distance far edge appears only where a rule reads it, and no
-program names a second norm-expansion spelling's operands.
+programs: a k-NN program is nine functions (no scalar prune twin of
+its bound key), each comparative program defines exactly one merge
+that every base case calls, the node-distance far edge appears only
+where a kernel calls it, and no program names a second norm-expansion
+spelling's operands.
 """
 
 import re
@@ -57,11 +58,11 @@ def _body(source, name):
     return source[source.index(f"def {name}("):].split("\n\n")[0]
 
 
-def test_knn_program_is_ten_functions():
+def test_knn_program_is_nine_functions():
     assert _defs(_program("knn")) == [
         "_gemm_operands", "base_case", "_merge", "pair_min_base_dist",
-        "exact_values", "prune_or_approx", "bound_key_batch",
-        "row_key_batch", "base_case_blocks", "base_case_rows"]
+        "exact_values", "bound_key_batch", "row_key_batch",
+        "base_case_blocks", "base_case_rows"]
 
 
 @pytest.mark.parametrize("options", [{}, {"shards": 2}])
@@ -82,7 +83,9 @@ def test_one_norm_expansion_spelling(name):
 
 
 def test_far_edge_only_where_read():
-    """k-NN reads the near edge only; a range count's indicator decides
-    all-inside from the far one."""
+    """k-NN reads the near edge only; a k-max's bound key reads the far
+    one; a range count's classifier takes both edges from one gather of
+    the boxes, so no kernel calls the far-edge function there."""
     assert "pair_max_base_dist" not in _program("knn")
-    assert "def pair_max_base_dist(" in _program("range_count")
+    assert "= pair_max_base_dist(qis, ris)" in _program("kmax")
+    assert "pair_max_base_dist" not in _program("range_count")

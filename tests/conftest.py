@@ -94,8 +94,9 @@ def stored_traversal(tmp_path, monkeypatch):
     """Rewrite run options that ask for :data:`RETIRED_ENGINE`.
 
     ``execute(traversal="bounded-batched")`` is a ``SpecificationError``;
-    the value reaches a run only from a stored policy entry, which
-    ``resolve_plan`` folds into ``"batched"``.  So such a request is
+    the value reaches a run only from a stored policy entry, whose
+    ``traversal`` key no plan reads (the engine is no policy knob), so
+    the run takes the static ``"batched"``.  So such a request is
     seeded into a per-test policy store under the program's key and the
     returned options ask ``policy="auto"`` instead; other options pass
     through unchanged."""

@@ -3,8 +3,10 @@ runtime closures on real tree metadata.
 
 The IR functions are documentation-grade artifacts (Figs 2–3), but they
 must also be *true*: interpreting the PruneApprox IR over a node pair's
-bounding-box metadata has to reach the same decision as the compiled
-``prune_or_approx`` closure the traversal actually runs.
+bounding-box metadata has to reach the same decision as the kernels the
+engines run on that pair — ``bound_key_batch`` against the max of the
+signed bound ``qbound`` over the query node's slice for a bound rule,
+``classify_batch``'s code for a stateless one.
 """
 
 import numpy as np
@@ -17,6 +19,10 @@ from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 @pytest.fixture
 def rng():
     return np.random.default_rng(32)
+
+
+def _pair(qi, ri):
+    return np.array([qi]), np.array([ri])
 
 
 def _metadata_env(prog, qi, ri, extra=None):
@@ -43,16 +49,17 @@ class TestPruneIRAgreement:
         prog.run()
 
         ns = prog.kernels.namespace
-        best = ns["best"]
+        qbound = ns["qbound"]
         qstart, qend = prog.qtree.start, prog.qtree.end
         prune_ir = prog.ir().stage("final")["PruneApprox"]
 
         def node_bound(n1):
-            return best[qstart[n1]:qend[n1]].max()
+            return qbound[qstart[n1]:qend[n1]].max()
 
         for qi in prog.qtree.leaves()[:8]:
             for ri in prog.rtree.leaves()[:8]:
-                runtime = ns["prune_or_approx"](int(qi), int(ri))
+                key = prog.kernels.bound_key_batch(*_pair(qi, ri))[0]
+                runtime = int(key > node_bound(qi))
                 # The deferral optimisation keeps runtime bounds in base
                 # (squared) units while the IR compares g(t) = sqrt(t)
                 # against B(N_q); supplying the bound in g units makes
@@ -76,20 +83,18 @@ class TestPruneIRAgreement:
         prog = e.compile(tau=1e-3, leaf_size=16, exclude_self=False)
         prog.run()
 
-        ns = prog.kernels.namespace
         prune_ir = prog.ir().stage("final")["PruneApprox"]
         leaves = prog.qtree.leaves()
         checked = both = 0
         for qi in leaves[:10]:
             for ri in leaves[:10]:
-                runtime = ns["prune_or_approx"](int(qi), int(ri))
+                runtime = prog.kernels.classify_batch(*_pair(qi, ri))[0]
                 env = _metadata_env(prog, int(qi), int(ri), extra={
                     "band_lo": lambda a, b: min(a, b),
                     "band_hi": lambda a, b: max(a, b),
                 })
-                # Interpreting the approx IR must not *execute* the
-                # contribution (the runtime closure mutates acc), so we
-                # only compare the condition value.
+                # Classifying applies no action (apply_action would
+                # mutate acc), so only the condition values meet.
                 ir_val = interpret_function(prune_ir, env)
                 checked += 1
                 if (float(ir_val) != 0.0) == (runtime == 2):

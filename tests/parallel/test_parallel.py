@@ -168,8 +168,7 @@ class TestParallelTraversal:
 
         dual_tree_traversal(t, t, None, make_base(acc_serial))
         kernels = GeneratedKernels(
-            source="", namespace={}, base_case=make_base(acc_par),
-            prune_or_approx=None, pair_min_dist=None)
+            source="", namespace={}, base_case=make_base(acc_par))
         stats = parallel_dual_tree(t, t, kernels, workers=4, min_tasks=16)
         assert np.allclose(acc_serial, acc_par)
         assert stats.base_case_pairs == 300 * 300

@@ -162,6 +162,23 @@ class TestDifferentialProblems:
                       shards=2)
         np.testing.assert_allclose(base, sharded, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_stack_bound_rule(self, data, executor):
+        """A bound rule under the stack engine and two shards: each
+        shard's traversal decides its pairs against the ``qbound`` its
+        own kernels were bound to, so k-NN equals the unsharded run on
+        either engine, and the shards still prune."""
+        Q, R = data
+        pool = ({} if executor == "serial"
+                else {"parallel": True, "workers": 2, "executor": executor})
+        base = knn(Q, R, k=5, traversal="stack", leaf_size=8)
+        with collect() as counters:
+            sharded = knn(Q, R, k=5, traversal="stack", shards=2,
+                          leaf_size=8, **pool)
+        _assert_matches("tie-aware", base, sharded)
+        _assert_matches("tie-aware", knn(Q, R, k=5, leaf_size=8), sharded)
+        assert counters.as_dict()["traversal.pruned"] > 0
+
     def test_shards_one_is_the_unsharded_program(self, data):
         """``shards=1`` resolves to the plain single-tree layout —
         bit-identical, no shard stats."""

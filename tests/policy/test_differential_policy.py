@@ -3,8 +3,8 @@ must compute exactly what the static default computes.
 
 Nine problems × two trees.  Each combo runs once under the static
 default, then again with a forged policy-cache entry forcing a
-*different* valid configuration (rotating through the traversal
-engines, leaf sizes and executors the search enumerates), and the
+*different* valid configuration (rotating through the leaf sizes and
+executors the search enumerates), and the
 outputs are compared with the repo's differential discipline: exact for
 indices/index lists/scalars, float tolerance for value arrays.  The
 ``ball`` column is the deleted tree kind, which every problem must
@@ -28,16 +28,13 @@ NINE = ["knn", "nearest", "kde", "naive_bayes", "range_search",
         "range_count", "hausdorff", "em", "barnes_hut"]
 TREES = ("kd", "octree")
 
-#: forced configurations, rotated per problem and tree so every engine /
+#: forced configurations, rotated per problem and tree so every
 #: executor / leaf size in the search space is exercised against the
 #: default
 FORCED = [
-    {"traversal": "stack", "executor": "serial", "leaf_size": 32,
-     "shards": 1},
-    {"traversal": "batched", "executor": "thread", "leaf_size": 128,
-     "shards": 1},
-    {"traversal": "batched", "executor": "process", "leaf_size": 16,
-     "shards": 1},
+    {"executor": "serial", "leaf_size": 32, "shards": 1},
+    {"executor": "thread", "leaf_size": 128, "shards": 1},
+    {"executor": "process", "leaf_size": 16, "shards": 1},
 ]
 
 

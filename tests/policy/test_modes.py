@@ -66,8 +66,10 @@ class TestAuto:
             expr.execute(**base, policy="auto")
         st = expr.stats()
         assert st["policy"]["source"] == "policy-cache"
-        assert st["policy"]["applied"]["traversal"] == "stack"
-        assert st["traversal_engine"] == "stack"
+        assert st["policy"]["applied"]["leaf_size"] == 32
+        # the engine is no policy knob: a stored 'stack' routes nothing
+        assert "traversal" not in st["policy"]["applied"]
+        assert st["traversal_engine"] == "batched"
         assert counters.as_dict()["policy.hit"] == 1
 
     def test_corrupt_file_degrades_to_static(self, policy_path):
@@ -90,8 +92,7 @@ class TestSearch:
             expr.execute(**base, policy="search")
         st = expr.stats()["policy"]
         assert st["source"] == "fresh-search"
-        assert set(st["config"]) == {"traversal", "executor", "leaf_size",
-                                     "shards"}
+        assert set(st["config"]) == {"executor", "leaf_size", "shards"}
         assert policy_path.exists()
         assert counters.as_dict()["policy.search"] == 1
 

@@ -7,7 +7,8 @@ import pytest
 from repro.backend.plan import ExecutionPlan
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.policy.search import (
-    _stride_subsample, enumerate_axes, search_policy, subsampled_layers,
+    AXIS_ORDER, _stride_subsample, enumerate_axes, search_policy,
+    subsampled_layers,
 )
 
 from tests.backend.test_plan import plan_for
@@ -29,24 +30,25 @@ class FakeClock:
 
 class TestEnumerateAxes:
     def test_single_worker_prunes_parallel_axes(self):
-        axes = enumerate_axes(1000, 2000, workers=1)
+        axes = enumerate_axes(2000, workers=1)
         assert axes["executor"] == ["serial"]
         assert axes["shards"] == [1]
-        assert axes["engine"] == ["batched", "stack"]
 
     def test_multi_worker_enables_executors_and_shards(self):
-        axes = enumerate_axes(4096, 16384, workers=4)
+        axes = enumerate_axes(16384, workers=4)
         assert axes["executor"] == ["serial", "thread", "process"]
-        assert axes["engine"][0] == "batched"
         assert axes["shards"] == [1, 4]
 
     def test_small_reference_never_sharded(self):
-        axes = enumerate_axes(1000, 2000, workers=8)
+        axes = enumerate_axes(2000, workers=8)
         assert axes["shards"] == [1]
 
     def test_stack_dropped_at_scale(self):
-        axes = enumerate_axes(1 << 12, 1 << 12, workers=1)
-        assert axes["engine"] == ["batched"]
+        """The stack reference engine is no axis at any scale: the
+        search sweeps executor, leaf size and shards only."""
+        for nr, workers in ((2000, 1), (1 << 12, 1), (1 << 16, 4)):
+            assert set(enumerate_axes(nr, workers=workers)) == set(AXIS_ORDER)
+        assert AXIS_ORDER == ("executor", "leaf_size", "shards")
 
 
 class TestCandidate:
@@ -56,12 +58,12 @@ class TestCandidate:
         opts = cand.to_options()
         assert opts["parallel"] is True and opts["executor"] == "process"
         assert opts["traversal"] == "stack" and opts["shards"] == 2
-        assert cand.to_config() == {
-            "traversal": "stack", "executor": "process", "leaf_size": 32,
-            "shards": 2}
-        assert ExecutionPlan.from_config(cand.to_config()) == {
-            "engine": "stack", "executor": "process", "leaf_size": 32,
-            "shards": 2}
+        # the engine is asked by option only: a stored config neither
+        # records nor routes it
+        config = {"executor": "process", "leaf_size": 32, "shards": 2}
+        assert cand.to_config() == config
+        assert ExecutionPlan.from_config(
+            dict(config, traversal="stack")) == config
 
     def test_serial_disables_parallel(self):
         opts = start_plan().to_options()
@@ -88,7 +90,6 @@ class TestSearchPolicy:
         clock = FakeClock()
         axes = {
             "executor": ["serial", "thread"],
-            "engine": ["batched"],
             "leaf_size": [32, 64],
             "shards": [1],
         }

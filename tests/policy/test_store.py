@@ -156,8 +156,9 @@ class TestStoredEngineNames:
     def test_stored_bounded_batched_resolves_to_batched(self, policy_path,
                                                          name):
         """A config stored while ``"bounded-batched"`` was an engine
-        value still routes, for either rule kind: ``resolve_plan`` folds
-        every non-``stack`` engine a policy names into ``"batched"``."""
+        value still routes, for either rule kind: no plan reads a stored
+        ``traversal``, so the engine is the static rule's ``"batched"``,
+        and the next load of the file drops the key."""
         from tests.policy.test_modes import _expr, seed_entry
 
         build, base = _expr(name)
@@ -169,4 +170,9 @@ class TestStoredEngineNames:
         assert stats["policy"]["source"] == "policy-cache"
         assert stats["traversal_engine"] == "batched"
         assert stats["plan"]["engine"] == {"value": "batched",
-                                           "source": "policy"}
+                                           "source": "static"}
+        with collect() as counters:
+            reloaded = PolicyStore()
+            assert all("traversal" not in e.config
+                       for e in reloaded._load().values())
+        assert counters.as_dict()["policy.dropped_entries"] == 1

@@ -38,14 +38,16 @@ def test_bound_min_prune_never_hides_a_winner(Q, R):
     ns = prog.kernels.namespace
     qtree, rtree = prog.qtree, prog.rtree
     # With monotone-map deferral the accumulators hold *base* (squared)
-    # distances.
-    best = ns["best"]
-    prune = ns["prune_or_approx"]
+    # distances.  A pair prunes as the engines decide it: its
+    # bound_key_batch key exceeds the max signed bound over the query
+    # node's slice.
+    best, qbound = ns["best"], ns["qbound"]
+    key = prog.kernels.bound_key_batch
 
     for qi in qtree.leaves()[:6]:
         for ri in rtree.leaves()[:6]:
-            if prune(int(qi), int(ri)) == 1:
-                qs, qe = qtree.slice(int(qi))
+            qs, qe = qtree.slice(int(qi))
+            if key(np.array([qi]), np.array([ri]))[0] > qbound[qs:qe].max():
                 rs, re = rtree.slice(int(ri))
                 d2 = (
                     (qtree.points[qs:qe, None, :] -

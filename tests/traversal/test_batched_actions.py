@@ -3,7 +3,7 @@
 The emitted ``apply_action(qis, ris)`` applies the approximation or
 inside-region action of many node pairs at once: the batched engine
 calls it once per epoch with every code-2 pair in pool order, the stack
-engine's ``prune_or_approx`` with its one pair.  It accumulates with
+engine with its one pair.  It accumulates with
 ``np.add.at`` / ``np.multiply.at`` in pair order, so every output here
 is held *bitwise* to a replay that applies the same pairs one at a
 time through a test-local copy of the per-pair action the emitter
@@ -107,7 +107,7 @@ def replay(monkeypatch, specs):
     originals = dict(engines.ENGINES)
 
     def wrap(name):
-        def run(qtree, rtree, kk, qbound, **kw):
+        def run(qtree, rtree, kk, **kw):
             if kk.apply_action is not None:
                 if calls["on"]:
                     spec = specs[kk.source]
@@ -124,10 +124,8 @@ def replay(monkeypatch, specs):
                     def action(qis, ris):
                         calls["sizes"].append(len(qis))
                         batched(qis, ris)
-                # the stack engine's prune_or_approx reads it by name
-                kk.namespace["apply_action"] = action
                 kk = dataclasses.replace(kk, apply_action=action)
-            return originals[name](qtree, rtree, kk, qbound, **kw)
+            return originals[name](qtree, rtree, kk, **kw)
         return run
 
     for name in originals:
@@ -325,23 +323,25 @@ def test_in_place_values_match_out_of_place(specs):
 
 def test_classify_edges_match_node_distances(monkeypatch):
     """Both bounds from one gather equal ``pair_min_base_dist`` /
-    ``pair_max_base_dist`` bitwise, for every pair of nodes."""
+    ``pair_max_base_dist`` bitwise, for every pair of nodes.  (The
+    programs call no far-edge function, so the test emits its own.)"""
     checked = []
     run = engines.ENGINES["batched"]
-    edges = "\n".join(_pair_edges_lines(codegen.CodegenSpec(
-        dim=3, base="sqeuclidean", g_ir=T, monotone=None)))
 
-    def check(qtree, rtree, kk, qbound, **kw):
+    def check(qtree, rtree, kk, **kw):
+        spec = codegen.CodegenSpec(dim=qtree.dim, base="sqeuclidean",
+                                   g_ir=T, monotone=None)
         qis, ris = np.meshgrid(np.arange(qtree.n_nodes),
                                np.arange(rtree.n_nodes), indexing="ij")
         ns = {**kk.namespace, "qis": qis.ravel(), "ris": ris.ravel()}
-        exec(edges, ns)
+        exec(codegen._node_distance_source(spec, "max"), ns)
+        exec("\n".join(_pair_edges_lines(spec)), ns)
         assert_bitwise(ns["tmin"], kk.pair_min_dist(ns["qis"], ns["ris"]))
         assert_bitwise(ns["tmax"],
                        ns["pair_max_base_dist"](ns["qis"], ns["ris"]))
         assert "pair_min_base_dist(qis" not in kk.source
         checked.append(kk.source)
-        return run(qtree, rtree, kk, qbound, **kw)
+        return run(qtree, rtree, kk, **kw)
 
     monkeypatch.setitem(engines.ENGINES, "batched", check)
     _run("kde", 9, "bichromatic", "serial")

@@ -12,6 +12,7 @@ regression, a bound-max furthest-point query) across tree kinds and all
 three execution modes, plus the form selection and counter surfaces.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
 from repro.observe import collect
 from repro.problems import directed_hausdorff, knn, knn_regress
+from repro.traversal import engines
 from repro.traversal.bounded_batched import RAMP_START, DEFAULT_EPOCH_SIZE
 
 from tests.conftest import REMOVED_TREE, RETIRED_ENGINE, assert_tree_refused
@@ -176,6 +178,36 @@ class TestBoundMax:
             assert np.array_equal(np.asarray(s.indices),
                                   np.asarray(b.indices))
 
+    def test_stack_prunes_through_the_bound_key(self, data, monkeypatch):
+        """The stack engine decides each popped pair of a bound-max rule
+        with the batched engine's ``bound_key_batch`` on that one pair
+        (the signed key against the max of ``qbound`` over the query
+        node's slice): one key per visited pair, far pairs prune, and
+        the answer is the batched engine's."""
+        Q, R = data
+        keys = []
+        stack = engines.ENGINES["stack"]
+
+        def spied(qtree, rtree, kk, **kw):
+            def key(qis, ris):
+                keys.append(len(qis))
+                return kk.bound_key_batch(qis, ris)
+            return stack(qtree, rtree,
+                         dataclasses.replace(kk, bound_key_batch=key), **kw)
+
+        monkeypatch.setitem(engines.ENGINES, "stack", spied)
+        clear_caches()
+        with collect() as counters:
+            s = _furthest_expr(Q, R, 4).execute(traversal="stack",
+                                                leaf_size=8)
+        snap = counters.as_dict()
+        assert snap["traversal.pruned"] > 0
+        assert keys == [1] * snap["traversal.visited"]
+        clear_caches()
+        b = _furthest_expr(Q, R, 4).execute(leaf_size=8)
+        assert np.array_equal(np.asarray(s.values), np.asarray(b.values))
+        assert np.array_equal(np.asarray(s.indices), np.asarray(b.indices))
+
     def test_furthest_routes_bounded(self, data):
         Q, R = data
         clear_caches()
@@ -219,9 +251,9 @@ class TestRoutingAndCounters:
 
     def test_bounded_request_on_stateless_degrades_to_batched(
             self, data, stored_traversal):
-        """The retired value can still arrive from a stored policy entry;
-        on a stateless program it runs the batched engine's stateless
-        form."""
+        """The retired value can still sit in a stored policy entry,
+        which routes no engine: a stateless program runs the batched
+        engine's stateless form by the static rule."""
         Q, R = data
 
         def build():
@@ -234,7 +266,7 @@ class TestRoutingAndCounters:
         expr = build()
         expr.execute(**stored_traversal(build, {"traversal": RETIRED_ENGINE}))
         assert expr.stats()["plan"]["engine"] == {"value": "batched",
-                                                  "source": "policy"}
+                                                  "source": "static"}
         assert expr.program.kernels.bound_key_batch is None
 
     def test_bounded_counters_observable(self, data):

@@ -65,10 +65,10 @@ def no_leaf_base_case(monkeypatch):
     def refuse(*args):
         raise AssertionError("the batched engine called base_case")
 
-    def guarded(qtree, rtree, kk, qbound, **kw):
+    def guarded(qtree, rtree, kk, **kw):
         runs.append(1)
         return batched(qtree, rtree, dataclasses.replace(kk, base_case=refuse),
-                       qbound, **kw)
+                       **kw)
 
     monkeypatch.setitem(engines.ENGINES, "batched", guarded)
     return runs

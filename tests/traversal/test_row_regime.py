@@ -269,16 +269,14 @@ def test_epoch_hooks_pause_and_resume_row_pairs(data):
 
     straight, kernels = fresh()
     with collect() as counters:
-        whole = run_engine("batched", qtree, rtree, kernels,
-                           straight.arrays["qbound"])
+        whole = run_engine("batched", qtree, rtree, kernels)
     assert counters.as_dict()["bounded.row_regime"] == 1
 
     stepped, kernels = fresh()
     pending, rounds = None, 0
     while True:
         pause: dict = {}
-        run_engine("batched", qtree, rtree, kernels,
-                   stepped.arrays["qbound"], stats=TraversalStats(),
+        run_engine("batched", qtree, rtree, kernels, stats=TraversalStats(),
                    max_epochs=1, resume=pending, pause_out=pause)
         pending = pause.get("pending")
         if pending is None:
@@ -292,7 +290,6 @@ def test_epoch_hooks_pause_and_resume_row_pairs(data):
 
     bounded, kernels = fresh()
     with_extern = run_engine("batched", qtree, rtree, kernels,
-                             bounded.arrays["qbound"],
                              extern_bound=straight.arrays["qbound"].copy())
     assert np.array_equal(bounded.arrays["best"], straight.arrays["best"])
     assert with_extern.base_case_pairs <= whole.base_case_pairs

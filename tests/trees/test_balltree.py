@@ -8,7 +8,8 @@ the kd-tree's boxes, the dispatcher's two kinds, and that every
 spelling which once picked a ball tree — ``execute``, the CLI's
 ``--option``, a served request's options — is a loud
 :class:`SpecificationError` naming the allowed kinds, while a policy
-store written when ``ball`` was a kind still loads.
+store written when ``ball`` was a kind still loads, without its ``ball``
+rows.
 """
 
 import importlib.util
@@ -120,23 +121,30 @@ class TestBallRejected:
         _with_frontend(scenario)
 
     def test_stored_policy_key_still_loads(self, tmp_path):
-        """A ``:ball:`` entry written before the kind went loads with
-        the rest of the table; no key an execute derives names it."""
+        """A store file holding a ``:ball:`` entry, written before the
+        kind went, loads without it: the rest of the table survives, the
+        dead row is counted, and the next save leaves it out of the
+        file.  No key an execute derives names the kind."""
         path = str(tmp_path / "policy.json")
-        config = {"traversal": "batched", "executor": "serial",
-                  "leaf_size": 64, "shards": 1}
+        config = {"executor": "serial", "leaf_size": 64, "shards": 1}
         keys = {kind: PolicyKey(program_class="cafe0123", tree=kind,
                                 nq_bucket=8, nr_bucket=9, dim=3, k=4)
-                for kind in ("kd", "ball")}
+                for kind in ("kd", "ball", "octree")}
         writer = PolicyStore(path)
-        for key in keys.values():
-            writer.put(key, PolicyEntry(config=dict(config)))
+        for kind in ("kd", "ball"):
+            writer.put(keys[kind], PolicyEntry(config=dict(config)))
 
         with collect() as counters:
             store = PolicyStore(path)
-            assert len(store) == 2
+            assert len(store) == 1
             assert store.get(keys["kd"]).config == config
-        assert "policy.load_failed" not in counters.as_dict()
+        snap = counters.as_dict()
+        assert "policy.load_failed" not in snap
+        assert snap["policy.dropped_entries"] == 1
+        assert ":ball:" in open(path).read()
+        store.put(keys["octree"], PolicyEntry(config=dict(config)))
+        text = open(path).read()
+        assert ":ball:" not in text and ":kd:" in text
         layers = layers_for("knn")
         for kind in KINDS:
             assert policy_key(layers, CompileOptions(tree=kind)).tree == kind

@@ -331,8 +331,7 @@ def test_bounded_knn_on_mutated_query_tree_matches_rebuild(rng, mutation):
         kernels = (Bindings.query(qtree, {"K": k})
                    | Bindings.reference(rtree, program.rule)
                    ).bind(source, code, state)
-        run_engine("batched", qtree, rtree, kernels,
-                   state.arrays["qbound"])
+        run_engine("batched", qtree, rtree, kernels)
         return state.finalize(qtree.perm, rtree.perm)
 
     qtree = build_tree("kd", Q, leaf_size=8)
