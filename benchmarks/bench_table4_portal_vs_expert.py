@@ -5,7 +5,9 @@ Reproduction target (paper section V-B): the compiler-generated
 implementations run within a few percent of the hand-optimised ones —
 both sides share the same kd-tree and traversal template, so the deltas
 isolate code quality.  EM shows the largest gap (paper: 8–9 %) because
-its component kernel is an external function call.
+its component kernel is an external function call.  MST's Portal side
+runs each Borůvka round as generated code on the batched engine, the
+expert its hand-written scalar traversal.
 
 LOC columns compare the Portal *specification* against the expert
 implementation, reproducing the productivity claim (k-NN in ≤13 lines).

@@ -393,10 +393,9 @@ def clear_caches() -> None:
     ``REPRO_POLICY_PATH`` between cases never see a stale table."""
     code_cache.clear()
     tree_cache.clear()
-    from ..parallel import shm, worker
+    from ..parallel import shm
 
     shm.release_shared_blocks()
-    worker.forget_programs()
     from ..policy import reset_policy_store
 
     reset_policy_store()

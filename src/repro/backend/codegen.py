@@ -77,15 +77,16 @@ class CodegenSpec:
     same_tree: bool = False
     exclude_self: bool = False
     is_indicator: bool = False
-    #: self-exclusion by *identity remap* instead of position: the
-    #: reference side is a shard of the query dataset with its own tree
-    #: permutation, so "same point" can no longer be detected as "same
-    #: position".  The bound array ``RSELF`` maps each reference-tree
-    #: position to the query-tree position of the same original point
-    #: (−1-free by construction; every shard point exists in the query
-    #: tree).  Set by the shard compiler (:mod:`repro.parallel.shard`);
-    #: mutually exclusive with the positional ``same_tree`` exclusion.
-    self_map: bool = False
+    #: exclusion by label, replacing the positional self-pair test: a
+    #: pair with ``QLABEL[q] == RLABEL[r]`` is excluded.  Sharded
+    #: (:mod:`repro.parallel.shard`), a query point's label is its
+    #: query-tree position and ``RLABEL`` maps shard positions to query
+    #: positions, which the count and append actions read as positions;
+    #: on one shared tree (:mod:`repro.problems.emst`) both name one
+    #: array of component labels, and the bound keys read each node's
+    #: label range ``[lmin, lmax]``.  Set by the compiler, never by an
+    #: option.
+    labels: bool = False
 
 
 @dataclass
@@ -405,20 +406,21 @@ def _exclusion_value(op: PortalOp) -> float:
 
 
 def _self_exclusion_lines(spec: CodegenSpec, g: _Gather) -> list[str]:
-    """Lines writing the exclusion value over the self pairs of ``v``: by
-    identity (``RSELF``) on a sharded reference, by position on one
-    shared tree (only where the gather can overlap itself)."""
+    """Lines writing the exclusion value over the excluded pairs of
+    ``v``: those whose two points carry one label (``spec.labels``),
+    else the self pairs by position on one shared tree (only where the
+    gather can overlap itself)."""
     guard = []
-    if spec.self_map:
-        rself = f"RSELF[{g.r}]"
+    qb, rb = _broadcast(g)
+    if spec.labels:
+        mask = f"QLABEL[{g.q}]{qb} == RLABEL[{g.r}]{rb}"
     elif spec.same_tree and spec.exclude_self:
-        rself, guard = g.rpos, [f"if {g.overlap}:"] if g.overlap else []
+        mask = f"{g.qpos}{qb} == {g.rpos}{rb}"
+        guard = [f"if {g.overlap}:"] if g.overlap else []
     else:
         return []
-    qb, rb = _broadcast(g)
     return [*guard, f"{'    ' if guard else ''}np.copyto(v, "
-            f"{_literal(_exclusion_value(spec.inner_op))}, "
-            f"where={g.qpos}{qb} == {rself}{rb})"]
+            f"{_literal(_exclusion_value(spec.inner_op))}, where={mask})"]
 
 
 def _comparative(spec: CodegenSpec) -> bool:
@@ -800,18 +802,18 @@ def mass_operands(rule: RuleSpec | None) -> frozenset[str]:
 def _count_action_lines(spec: CodegenSpec) -> list[str]:
     """The inside-region count over one chunk of pairs: each pair adds
     its node's count to its rows, then takes its self pairs out again —
-    by identity (``RSELF``) on a sharded reference, by position on one
-    shared tree.  The self pairs' entries follow their pair's own, so
-    every row sees each pair's add and subtract in the order one pair
-    at a time would apply them."""
+    at the query positions ``RLABEL`` names on a sharded reference, by
+    position on one shared tree.  The self pairs' entries follow their
+    pair's own, so every row sees each pair's add and subtract in the
+    order one pair at a time would apply them."""
     lines = ["s, n, ri = qs[a:b], nq[a:b], ris[a:b]",
              "rows = _ranges(s, n)",
              "vals = np.repeat(rweight[ri], n)"]
     b = lines.append
-    if spec.self_map:
+    if spec.labels:
         b("rn = rend[ri] - rstart[ri]")
         b("rpos = _ranges(rstart[ri], rn)")
-        b("sp = RSELF[rpos]")
+        b("sp = RLABEL[rpos]")
         b("xpair = np.repeat(np.arange(ri.size), rn)")
         b("hit = (sp >= s[xpair]) & (sp < (s + n)[xpair])")
         b("xrows, xpair = sp[hit], xpair[hit]")
@@ -842,8 +844,8 @@ def _append_action_lines(spec: CodegenSpec) -> list[str]:
              "    s = qstart[qi]; e = qend[qi]",
              "    idxs = np.arange(rstart[ri], rend[ri])"]
     b = lines.append
-    if spec.self_map:
-        b("    sp = RSELF[rstart[ri]:rend[ri]]")
+    if spec.labels:
+        b("    sp = RLABEL[rstart[ri]:rend[ri]]")
         b("    for i in range(s, e):")
         b("        out_lists[i].append(idxs[sp != i])")
     elif spec.same_tree and spec.exclude_self:
@@ -905,7 +907,7 @@ def _action_source(spec: CodegenSpec) -> str | None:
         return _function(head, _append_action_lines(spec))
     elif rule.inside_action in _COUNT_ACTIONS:
         body = _count_action_lines(spec)
-        cells = "nq + rend[ris] - rstart[ris]" if spec.self_map else "nq"
+        cells = "nq + rend[ris] - rstart[ris]" if spec.labels else "nq"
     else:  # pragma: no cover
         raise CompileError(f"unknown inside action {rule.inside_action!r}")
     return _function(head, [
@@ -1017,6 +1019,10 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
     key order is "most promising first".  Classification runs against a
     node-bound snapshot; bounds only tighten (the signed bound only
     decreases), so a stale snapshot can under-prune but never mis-prune.
+    Under ``spec.labels`` on one shared tree, a pair whose query node
+    (or row) and reference node hold one and the same label gets the key
+    ``+inf``, which the engine prunes against any bound: no candidate of
+    it survives the label mask.
     """
     rule = spec.rule
     if rule is None or not rule.is_bound:
@@ -1028,17 +1034,24 @@ def _bound_batch_source(spec: CodegenSpec) -> str | None:
     # more promising": identity for bound-min (a MIN-like operator),
     # negation for bound-max
     sign = "" if spec.inner_op in MIN_LIKE else "-"
+    key = f"np.asarray({sign}({gband}), dtype=np.float64)"
+
+    def tail(hi, lo):
+        if not (spec.labels and spec.same_tree):
+            return [f"return {key}"]
+        return [f"key = {key}", f"key[np.maximum({hi}, lmax[ris]) == "
+                f"np.minimum({lo}, lmin[ris])] = np.inf", "return key"]
     return "\n\n\n".join([
         _function("def bound_key_batch(qis, ris):", [
             f"{tvar} = pair_{edge}_base_dist(qis, ris)", *value,
-            f"return np.asarray({sign}({gband}), dtype=np.float64)"]),
+            *tail("lmax[qis]", "lmin[qis]")]),
         # the row regime's key: the same band edge with the query box
         # degenerated to the point QROW[qidx]
         _function("def row_key_batch(qidx, ris):", [
             f"x = {_rows('QROW', 'qidx')}",
             *_gap_lines("x", "x", "ris", (edge,)),
             f"{tvar} = {_METRICS[spec.base][2].format('gaps')}", *value,
-            f"return np.asarray({sign}({gband}), dtype=np.float64)"]),
+            *tail("QLABEL[qidx]", "QLABEL[qidx]")]),
     ])
 
 
@@ -1086,16 +1099,17 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
 class Bindings:
     """The static operands generated kernels close over, by kind.
 
-    ``arrays`` are read-only ndarrays — the process executor publishes
-    them to shared memory as they are: the points (``QROW``, ``RROW``),
-    tree metadata
+    ``arrays`` are ndarrays no run writes — the process executor
+    publishes them to shared memory as they are: the points (``QROW``,
+    ``RROW``), tree metadata
     (``qlo``/``qhi``/``qstart``/``qend``, ``rlo``/``rhi``/``rstart``/
     ``rend``/``rdiam2``, and the node mass ``rcentroid``/``rweight``
     where the emitted actions read it, :func:`mass_operands`), the
-    reference weights ``rw`` when there are any and — for sharded
-    programs emitted with ``spec.self_map`` — the reference→query
-    identity remap ``RSELF``.  ``scalars`` pickle as they are: the
-    program-shape constants ``K``/``H``/``TAU``/``THETA2``.  Per-run state (``best``/
+    reference weights ``rw`` when there are any and, under
+    ``spec.labels``, ``QLABEL`` / ``RLABEL`` (and ``lmin`` / ``lmax``,
+    which a caller may rewrite between runs).  ``scalars`` pickle as
+    they are: the program-shape constants ``K``/``H``/``TAU``/
+    ``THETA2``.  Per-run state (``best``/
     ``best_idx``/``acc``/``dense``/``qbound``/``out_lists``) is never in
     here; :meth:`bind` adds it.
     """
@@ -1114,10 +1128,10 @@ class Bindings:
 
     @classmethod
     def reference(cls, rtree, rule: RuleSpec | None,
-                  rself: np.ndarray | None = None) -> "Bindings":
+                  rlabel: np.ndarray | None = None) -> "Bindings":
         """The reference-tree operands the kernels emitted for ``rule``
         (``CodegenSpec.rule``) read — one set per shard tree under the
-        sharded layout, with that shard's ``RSELF``.  The node mass is
+        sharded layout, with that shard's ``RLABEL``.  The node mass is
         read, and so computed or repaired on the tree, only where the
         rule's action uses it."""
         weighted = rtree.weights is not None
@@ -1125,7 +1139,7 @@ class Bindings:
             RROW=rtree.points,
             rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
             rdiam2=rtree.diameter ** 2,
-            **_present(rw=rtree.weights, RSELF=rself),
+            **_present(rw=rtree.weights, RLABEL=rlabel),
         )
         mass = mass_operands(rule)
         if "rcentroid" in mass:
@@ -1161,7 +1175,7 @@ class Bindings:
 
 def _present(**named) -> dict:
     """The operands that exist: emitted code only names ``rw`` for a
-    weighted reference side, ``RSELF`` under ``spec.self_map``."""
+    weighted reference side, a shard's ``RLABEL`` under ``spec.labels``."""
     return {name: arr for name, arr in named.items() if arr is not None}
 
 

@@ -138,14 +138,15 @@ def _func_key(func) -> object:
     return None if func is None else repr(func)
 
 
-def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan) -> tuple:
+def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan,
+              labels: bool = False) -> tuple:
     """Every input of :func:`_compile_code` — the program's shape: per
     layer the operator/k/function/params and what the code half reads of
     the Storage (not its name: only the IR, built on read, embeds it),
-    the normalised kernel, the options that change the code and — for
-    what is resolved rather than asked (whether a tree engine runs,
-    whether the reference side is sharded) — the resolved value,
-    so asking for a default by name shares its entry."""
+    the normalised kernel, the options that change the code, the label
+    request and — for what is resolved rather than asked (whether a tree
+    engine runs, whether the reference side is sharded) — the resolved
+    value, so asking for a default by name shares its entry."""
     layers = pexpr.layers
     kern = layers[1].metric_kernel
     layer_parts = tuple(
@@ -164,7 +165,7 @@ def _code_key(pexpr, opts: CompileOptions, plan: ExecutionPlan) -> tuple:
         layer_parts, (kern.base, repr(kern.g), kern.whiten),
         opts.backend, plan.engine is not None, opts.tree,
         opts.tau, opts.criterion, opts.theta,
-        *self_pairs(layers, opts), (plan.shards or 1) > 1,
+        *self_pairs(layers, opts), (plan.shards or 1) > 1, labels,
     )
 
 
@@ -184,7 +185,8 @@ def _program_key(code_key: tuple, layers: list[Layer],
     )
 
 
-def compile_expr(pexpr, options: dict) -> CompiledProgram:
+def compile_expr(pexpr, options: dict, *,
+                 labels: bool = False) -> CompiledProgram:
     """Compile a validated :class:`~repro.dsl.portal_expr.PortalExpr`.
 
     Two-layer programs with a lowered kernel take their code half from
@@ -192,6 +194,11 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     (``cache.compile.hit``: no rule or code generation) and then bind
     the data half, whose trees and whitened points the tree cache serves
     for datasets it has seen.
+
+    ``labels`` (no option asks for it) compiles a bound-rule self-join
+    under component labels (``CodegenSpec.labels``): ``QLABEL`` and the
+    node ranges ``lmin`` / ``lmax`` in ``program.bindings.arrays``, for
+    :mod:`repro.problems.emst` to rewrite in place between runs.
     """
     opts = CompileOptions.from_dict(options)
     layers = pexpr.layers
@@ -218,7 +225,7 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
     key = None
     if cacheable:
         try:
-            key = (ARTIFACT_SCHEMA, _code_key(pexpr, opts, plan))
+            key = (ARTIFACT_SCHEMA, _code_key(pexpr, opts, plan, labels))
         except UncacheableParamError:
             # A parameter with no content identity: running uncached is
             # correct; keying on its repr() (a memory address) is not.
@@ -231,7 +238,7 @@ def compile_expr(pexpr, options: dict) -> CompiledProgram:
         cache_state = "miss" if code is MISSING else "hit"
         contribute({f"cache.compile.{cache_state}": 1})
     if code is MISSING:
-        code, timings = _compile_code(pexpr, opts, plan)
+        code, timings = _compile_code(pexpr, opts, plan, labels)
         if cacheable:
             code_cache.put(key, code)
     # Code first: nothing the emitter does waits on a tree.
@@ -262,8 +269,8 @@ def self_pairs(layers: list[Layer], opts: CompileOptions) -> tuple[bool, bool]:
         opts.exclude_self if opts.exclude_self is not None else same_data)
 
 
-def _compile_code(pexpr, opts: CompileOptions,
-                  plan: ExecutionPlan) -> tuple[_Code, dict]:
+def _compile_code(pexpr, opts: CompileOptions, plan: ExecutionPlan,
+                  labels: bool = False) -> tuple[_Code, dict]:
     """Rules → emit (paper Fig. 1) for a 2-layer program with a lowered
     kernel: the code half + its timings."""
     layers = pexpr.layers
@@ -308,9 +315,13 @@ def _compile_code(pexpr, opts: CompileOptions,
 
     # Sharded reference layout: the reference side becomes per-shard
     # trees (never the query tree, so same_tree kernels can't apply) and
-    # self-pair exclusion switches to the RSELF position remap.
+    # self-pair exclusion switches to labels: each shard's RLABEL names
+    # the query position of its points.
     sharded = (plan.shards or 1) > 1
     same_data, exclude_self = self_pairs(layers, opts)
+    if labels and (sharded or not same_data or mode != "tree"
+                   or not rule.is_bound):
+        raise CompileError("labels need an unsharded bound-rule self-join")
     spec = CodegenSpec(
         dim=dim, base=kernel.base,
         g_ir=g_ir, monotone=kernel.monotone(), outer_op=outer.op,
@@ -318,7 +329,7 @@ def _compile_code(pexpr, opts: CompileOptions,
         weighted=inner.storage.weights is not None,
         same_tree=same_data and not sharded, exclude_self=exclude_self,
         is_indicator=kernel.is_indicator,
-        self_map=sharded and same_data and exclude_self,
+        labels=labels or (sharded and same_data and exclude_self),
     )
     t0 = time.perf_counter()
     source, code = emit(spec)
@@ -377,13 +388,20 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
             )
     timings["tree_build"] = time.perf_counter() - t0
     bindings = Bindings.query(qtree, code.scalars)
+    if code.spec.labels:
+        # Each point starts as its own label (sharded, RLABEL is in the
+        # pack); on one tree, one writable array serves both sides.
+        pos = np.arange(qtree.n)
+        bindings |= Bindings({"QLABEL": pos} if sharded else dict(
+            QLABEL=pos, RLABEL=pos, lmin=qtree.start.copy(),
+            lmax=qtree.end - 1), {})
     if sharded:
         # Reference side: one tree per spatial shard, built in
         # parallel through the derived-key tree cache; the r-side
         # bindings live in the pack, one set per shard.
         from ..parallel.shard import build_shard_pack
 
-        inv_qperm = qtree.inv_perm() if code.spec.self_map else None
+        inv_qperm = qtree.inv_perm() if code.spec.labels else None
         t0 = time.perf_counter()
         shard_pack = build_shard_pack(
             kind, rpoints, rstorage.weights, leaf, plan.shards,

@@ -324,9 +324,7 @@ class CompiledProgram:
 
             stats, self.shard_info = run_sharded(
                 self.qtree, self.shard_exec, self.state, plan,
-                token=self.program_token, q_bindings=self.bindings,
-                source=self.kernels.source,
-            )
+                token=self.program_token, q_bindings=self.bindings)
             return stats
         if plan.executor == "serial":
             return run_engine(plan.engine, self.qtree, self.rtree,
@@ -335,7 +333,7 @@ class CompiledProgram:
             from ..parallel.process_backend import parallel_dual_tree_process
 
             return parallel_dual_tree_process(
-                self.qtree, self.rtree, self.kernels.source,
+                self.qtree, self.rtree, self.kernels,
                 self.bindings, self.state, self.nr,
                 self.program_token, plan,
             )

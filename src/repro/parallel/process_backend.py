@@ -28,7 +28,7 @@ import os
 import numpy as np
 
 from ..observe import contribute, span
-from ..traversal import TraversalStats
+from ..traversal import TraversalStats, run_engine
 from .executor import run_process_tasks
 from .scheduler import expand_frontier
 from .worker import run_task
@@ -65,7 +65,7 @@ def tree_structure(tree, prefix: str) -> dict[str, np.ndarray]:
 def parallel_dual_tree_process(
     qtree,
     rtree,
-    source: str,
+    kernels,
     bindings,
     state,
     nr: int,
@@ -74,6 +74,8 @@ def parallel_dual_tree_process(
 ) -> TraversalStats:
     """Run the parallel dual-tree traversal on the process pool,
     merging worker partials into ``state``; returns the merged stats.
+    One task runs serially over ``kernels`` (bound to ``state``),
+    publishing nothing and building no worker program in the caller.
 
     ``bindings`` (:class:`~repro.backend.codegen.Bindings`): the arrays
     are published to shared memory, the scalars ride in the payload.
@@ -84,6 +86,8 @@ def parallel_dual_tree_process(
     :class:`~repro.backend.plan.ExecutionPlan`; it heads every payload.
     """
     frontier = expand_frontier(qtree, plan.min_tasks)
+    if len(frontier) == 1:
+        return run_engine(plan.engine, qtree, rtree, kernels)
 
     arrays = {**bindings.arrays, **tree_structure(qtree, "q")}
     same_tree = rtree is qtree
@@ -104,7 +108,7 @@ def parallel_dual_tree_process(
             "token": token,
             "shm_name": shm_name,
             "manifest": manifest,
-            "source": source,
+            "source": kernels.source,
             "scalars": bindings.scalars,
             "state_spec": (state.outer_op, state.inner_op, state.k,
                            state.nq, nr),

@@ -25,9 +25,12 @@ is bounded by what one tree build can hold.  This module inverts that:
 Correctness rests on operator decomposability (paper section II-C): a
 decomposable reduction over the reference set equals the reduction of
 per-shard reductions over any partition, and the spatial partition is a
-partition.  Self-pair exclusion survives the layout change through the
-``RSELF`` remap emitted under ``CodegenSpec.self_map`` (the shard tree is
-*never* the query tree, so the unsharded diagonal test cannot apply).
+partition.  Self-pair exclusion survives the layout change as a label
+test (``CodegenSpec.labels``): the shard tree is *never* the query tree,
+so the unsharded diagonal test cannot apply; instead a query point's
+label is its query-tree position (``QLABEL``, bound once on the query
+side) and each shard binds ``RLABEL``, the query-tree position of each
+of its points, which the count and append actions read as a position.
 
 Cross-shard pruning — the perf centerpiece for bound rules (k-NN,
 Hausdorff): each shard only tightens its ``qbound`` from its *own*
@@ -62,7 +65,7 @@ from . import shm
 from .executor import run_process_tasks, run_tasks
 from .process_backend import ephemeral_token, merge_result, tree_structure
 from .scheduler import expand_frontier
-from .worker import run_task
+from .worker import run_payload, run_task
 
 __all__ = [
     "SEED_EPOCHS", "ROW_SEED_EPOCHS", "plan_shards", "ShardPack",
@@ -139,7 +142,7 @@ class ShardPack:
     """Cacheable per-shard products of one compile: trees, the
     shard-position → original-reference-id maps, and the reference-side
     static kernel :class:`~repro.backend.codegen.Bindings` (including
-    ``RSELF`` for self-map programs)."""
+    ``RLABEL`` for self-excluding programs)."""
 
     count: int
     trees: list
@@ -178,7 +181,7 @@ def build_shard_pack(
     program's ``CodegenSpec.rule``) picks the r-side operands each shard
     binds (:meth:`~repro.backend.codegen.Bindings.reference`).
     ``inv_qperm`` (original id → query-tree position) is supplied for
-    self-map programs and yields each shard's ``RSELF`` binding.
+    self-excluding programs and yields each shard's ``RLABEL`` binding.
     """
     from ..backend.cache import cached_build_subset_tree
     from ..backend.codegen import Bindings
@@ -317,7 +320,6 @@ def run_sharded(
     *,
     token: str | None = None,
     q_bindings=None,
-    source: str = "",
 ) -> tuple[TraversalStats, dict]:
     """Run one compiled program across its reference shards and combine,
     as its :class:`~repro.backend.plan.ExecutionPlan` ``plan`` says.
@@ -336,7 +338,7 @@ def run_sharded(
               executor="process" if use_process else "thread"):
         if use_process:
             per_shard = _run_process(qtree, shard_exec, plan, token,
-                                     q_bindings, source, info)
+                                     q_bindings, info)
         else:
             per_shard = _run_inline(
                 qtree, shard_exec, plan.engine,
@@ -429,7 +431,7 @@ def _run_inline(qtree, shard_exec, engine, pool_workers, info):
     return stats_list
 
 
-def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
+def _run_process(qtree, shard_exec, plan, token, q_bindings, info):
     """Process path: publish one query-side block plus one block per
     shard, fan (shard × query-subtree) tasks out, broadcast bounds
     between phases, merge partial slices back into per-shard states."""
@@ -457,57 +459,55 @@ def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
         frontier = [int(q) for q in
                     expand_frontier(qtree, max(1, -(-plan.min_tasks // P)))]
 
-        commons = []
-        for i in range(P):
-            commons.append({
-                "token": f"{base}::s{i}",
-                "shm_name": q_name,
-                "manifest": q_manifest,
-                "r_block": r_blocks[i],
-                "source": source,
-                "scalars": {**q_bindings.scalars,
-                            **pack.bindings[i].scalars},
-                "state_spec": (states[i].outer_op, states[i].inner_op,
-                               states[i].k, states[i].nq,
-                               int(pack.trees[i].n)),
-                "same_tree": False,
-                "plan": plan,
-            })
+        commons = [{
+            "token": f"{base}::s{i}",
+            "shm_name": q_name,
+            "manifest": q_manifest,
+            "r_block": r_blocks[i],
+            "source": kernels[0].source,
+            "scalars": {**q_bindings.scalars, **pack.bindings[i].scalars},
+            "state_spec": (states[i].outer_op, states[i].inner_op,
+                           states[i].k, states[i].nq, int(pack.trees[i].n)),
+            "same_tree": False,
+            "plan": plan,
+        } for i in range(P)]
 
-        bounded = bound_epochs(plan.engine, kernels[0])
-        phase1 = []
-        for i in range(P):
-            for q in frontier:
-                payload = dict(commons[i], q_root=q)
-                if bounded:
-                    payload["max_epochs"] = _seed_epochs(qtree,
-                                                         pack.trees[i])
-                phase1.append((i, q, payload))
-
-        with span("shard.phase", phase=1, tasks=len(phase1)):
-            results = run_process_tasks(
-                run_task, [p for _, _, p in phase1], workers=plan.workers)
+        # (a stateless program's worker reads no max_epochs, and never
+        # pauses)
+        phase1 = [(i, q, dict(commons[i], q_root=q, max_epochs=_seed_epochs(
+            qtree, pack.trees[i]))) for i in range(P) for q in frontier]
 
         per_shard_stats = [TraversalStats() for _ in range(P)]
-        task_results: dict[tuple[int, int], dict] = {}
-        for (i, q, _), res in zip(phase1, results):
-            task_results[(i, q)] = res
-            merge_result(states[i], res)
-            per_shard_stats[i].merge(res["stats"])
-            contribute(res["counters"])
+
+        def run_phase(phase, tasks):
+            payloads = [p for _, _, p in tasks]
+            with span("shard.phase", phase=phase, tasks=len(tasks)):
+                if len(tasks) == 1:  # here, over its shard's kernels
+                    i = tasks[0][0]
+                    results = [run_payload(payloads[0], kernels[i], qtree,
+                                           pack.trees[i], states[i])]
+                else:
+                    results = run_process_tasks(run_task, payloads,
+                                                workers=plan.workers)
+            for (i, _, _), res in zip(tasks, results):
+                merge_result(states[i], res)
+                per_shard_stats[i].merge(res["stats"])
+                contribute(res["counters"])
+            return results
+
+        task_results = {(i, q): res for (i, q, _), res
+                        in zip(phase1, run_phase(1, phase1))}
 
         pending = [key for key, res in task_results.items()
                    if res.get("pending") is not None]
-        if bounded and pending:
+        if pending:
             info["rounds"] = 2
             gbound = np.minimum.reduce(
                 [st.arrays["qbound"] for st in states])
             gmax = float(np.max(gbound))
-            killed_shards = set()
-            for i in {key[0] for key in pending}:
-                if _root_key(kernels[i]) > gmax:
-                    killed_shards.add(i)
-                    info["pruned"] += 1
+            killed_shards = {i for i, _ in pending
+                             if _root_key(kernels[i]) > gmax}
+            info["pruned"] += len(killed_shards)
             phase2 = []
             for (i, q) in pending:
                 if i in killed_shards:
@@ -523,14 +523,7 @@ def _run_process(qtree, shard_exec, plan, token, q_bindings, source, info):
                     state_arrays=res["arrays"], state_lists=res["lists"],
                     extern=np.ascontiguousarray(gbound[s:e]))))
             if phase2:
-                with span("shard.phase", phase=2, tasks=len(phase2)):
-                    results2 = run_process_tasks(
-                        run_task, [p for _, _, p in phase2],
-                        workers=plan.workers)
-                for (i, q, _), res in zip(phase2, results2):
-                    merge_result(states[i], res)
-                    per_shard_stats[i].merge(res["stats"])
-                    contribute(res["counters"])
+                run_phase(2, phase2)
     finally:
         if ephemeral:
             for t in published:

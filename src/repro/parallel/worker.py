@@ -43,7 +43,7 @@ from ..traversal import bound_epochs, run_engine
 from ..trees.node import ArrayTree
 from . import shm
 
-__all__ = ["run_task"]
+__all__ = ["run_task", "run_payload"]
 
 
 def _tree(views: dict[str, np.ndarray], side: str) -> ArrayTree:
@@ -87,13 +87,6 @@ _PROGRAMS: OrderedDict[str, _WorkerProgram] = OrderedDict()
 _MAX_PROGRAMS = 16
 
 
-def forget_programs() -> None:
-    """Close the worker programs this process holds (a one-task process
-    run runs in the caller; ``clear_caches`` drops them with the blocks)."""
-    while _PROGRAMS:
-        _PROGRAMS.popitem()[1].close()
-
-
 def _program(payload: dict) -> _WorkerProgram:
     token = payload["token"]
     prog = _PROGRAMS.get(token)
@@ -107,7 +100,7 @@ def _program(payload: dict) -> _WorkerProgram:
     r_block = payload.get("r_block")
     if r_block is not None:
         # Sharded layout: the reference side (shard tree + columns +
-        # RSELF) lives in its own per-shard block, published separately
+        # RLABEL) lives in its own per-shard block, published separately
         # from the query-side block every shard reuses.
         rhandle, rviews = shm.attach_arrays(r_block[0], r_block[1])
         views = {**views, **rviews}
@@ -138,8 +131,7 @@ def run_task(payload: dict) -> dict:
         q_root = int(payload["q_root"])
         s = int(prog.qtree.start[q_root])
         e = int(prog.qtree.end[q_root])
-        resume = payload.get("resume")
-        if resume is None:
+        if payload.get("resume") is None:
             # A cached worker program runs each new task over its range
             # as if the state were fresh.
             state.reset(s, e)
@@ -149,32 +141,42 @@ def run_task(payload: dict) -> dict:
             # accumulator slices back and we restore them verbatim.
             for name, arr in payload.get("state_arrays", {}).items():
                 state.arrays[name][s:e] = arr
-            if state.lists is not None:
-                restored = payload.get("state_lists")
-                if restored is not None:
-                    state.lists[s:e] = [list(x) for x in restored]
+            if payload.get("state_lists") is not None:
+                state.lists[s:e] = [list(x) for x in payload["state_lists"]]
 
-        engine = payload["plan"].engine
-        pause: dict = {}
-        hooks: dict = {}
-        if bound_epochs(engine, prog.kernels):
-            extern = payload.get("extern")
-            extern_full = None
-            if extern is not None:
-                # The engine indexes the extern bound by absolute query
-                # position; the payload only carries this task's slice.
-                extern_full = np.full(len(state.arrays["qbound"]), np.inf)
-                extern_full[s:e] = extern
-            hooks = dict(max_epochs=payload.get("max_epochs"), resume=resume,
-                         extern_bound=extern_full, pause_out=pause)
-        stats = run_engine(engine, prog.qtree, prog.rtree, prog.kernels,
-                           q_root=q_root, **hooks)
+        res = run_payload(payload, prog.kernels, prog.qtree, prog.rtree,
+                          state)
+    res["counters"] = counters.as_dict()
+    return res
 
+
+def run_payload(payload: dict, kernels, qtree, rtree, state) -> dict:
+    """Run the engine ``payload`` names over ``kernels`` (bound to
+    ``state``) from its ``q_root`` with its epoch hooks; returns the
+    task result.  Workers run it over the program they rebuilt; a caller
+    with one task over its own kernels, building no worker program."""
+    engine = payload["plan"].engine
+    q_root = int(payload["q_root"])
+    s, e = int(qtree.start[q_root]), int(qtree.end[q_root])
+    pause: dict = {}
+    hooks: dict = {}
+    if bound_epochs(engine, kernels):
+        extern = payload.get("extern")
+        extern_full = None
+        if extern is not None:
+            # The engine indexes the extern bound by absolute query
+            # position; the payload only carries this task's slice.
+            extern_full = np.full(len(state.arrays["qbound"]), np.inf)
+            extern_full[s:e] = extern
+        hooks = dict(max_epochs=payload.get("max_epochs"),
+                     resume=payload.get("resume"), extern_bound=extern_full,
+                     pause_out=pause)
+    stats = run_engine(engine, qtree, rtree, kernels, q_root=q_root, **hooks)
     return {
         "s": s,
         "e": e,
         "stats": stats,
-        "counters": counters.as_dict(),
+        "counters": {},
         "arrays": {name: np.ascontiguousarray(arr[s:e])
                    for name, arr in state.arrays.items()},
         "lists": None if state.lists is None else state.lists[s:e],

@@ -1,13 +1,16 @@
 """Euclidean minimum spanning tree (paper Table III row: MST*).
 
-Portal specification per Borůvka round: ``∀_components argmin`` over
-point pairs crossing the component boundary — the paper marks MST as an
-*iterative* algorithm whose inner N-body sub-problem is expressed in
-Portal while the iteration logic is native host code.  This module is
-that composition: a dual-tree Borůvka where each round runs a
-component-aware nearest-foreign-neighbor traversal over the kd-tree
-substrate with the same bound-based pruning as nearest neighbors, plus a
-second exact prune for node pairs entirely inside one component.
+Portal specification per Borůvka round: ``∀_q argmin_{r : c(r) ≠ c(q)}
+‖x_q − x_r‖``, every point's nearest neighbour in another component —
+the paper's *iterative* algorithm, whose inner N-body sub-problem is
+Portal and whose iteration logic is host code.  Each round runs one
+program, compiled once: ARGMIN over Euclidean distance on the batched
+engine's bound form under component labels (``CodegenSpec.labels``),
+which mask every pair of points with one label and prune every node
+pair holding one label, whatever its bound.  Between rounds the host
+code contracts the components and rewrites the per-point labels and
+each node's label range in place.  Pruning is per point (the engine's
+``qbound``), looser than a bound per component.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
+from ..backend.jit import compile_expr
+from ..dsl import PortalExpr, PortalFunc, PortalOp
 from ..dsl.storage import Storage
-from ..traversal import TraversalStats, dual_tree_traversal
-from ..trees import build_kdtree
+from ..traversal import TraversalStats
 
 __all__ = ["emst", "EMSTResult"]
 
@@ -34,29 +40,19 @@ class EMSTResult:
     stats: TraversalStats
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = np.arange(n)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def emst(points, leaf_size: int = 32) -> EMSTResult:
-    """Compute the Euclidean minimum spanning tree with dual-tree Borůvka."""
+    """Compute the Euclidean minimum spanning tree with dual-tree Borůvka.
+
+    Tie rule: each point's candidate is its nearest point of another
+    component (among equidistant ones, the one the traversal kept);
+    each component's edge is its lightest candidate, ties going to the
+    smaller query id (original ids); a round's edges join lightest
+    first in that order, and one that would close a cycle — only
+    possible among equal weights — is dropped.
+    The weights, and so the total, are those of every minimum spanning
+    tree; the edge set is the tree's own when no two pairwise distances
+    are equal, and otherwise one of the tied trees.
+    """
     if isinstance(points, Storage):
         points = points.data
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -64,89 +60,54 @@ def emst(points, leaf_size: int = 32) -> EMSTResult:
     if n < 2:
         raise ValueError("EMST needs at least two points")
 
-    tree = build_kdtree(points, leaf_size=leaf_size)
-    pts = tree.points                      # permuted order
-    pn2 = np.einsum("ij,ij->i", pts, pts)
-    perm = tree.perm
-    lo, hi = tree.lo, tree.hi
-    start, end = tree.start, tree.end
-    n_nodes = tree.n_nodes
-
-    uf = _UnionFind(n)
-    comp = np.arange(n)                    # component root per permuted point
-    edges: list[tuple[int, int]] = []
-    wts: list[float] = []
-    stats = TraversalStats()
-    rounds = 0
-
-    while len(edges) < n - 1:
+    data = Storage(points, name="points")
+    expr = PortalExpr("emst-round")
+    expr.addLayer(PortalOp.FORALL, data)
+    expr.addLayer(PortalOp.ARGMIN, data, PortalFunc.EUCLIDEAN)
+    expr.validate()
+    program = compile_expr(expr, {"leaf_size": leaf_size, "shards": 1,
+                                  "traversal": "batched", "parallel": False},
+                           labels=True)
+    ops, perm = program.bindings.arrays, program.qtree.perm
+    # every node's [start, end), interleaved for one reduceat pass
+    cuts = np.stack([program.qtree.start, program.qtree.end], axis=1).ravel()
+    comp = np.arange(n)                    # component per original point
+    ncomp, rounds, stats = n, 0, TraversalStats()
+    edges = []                             # (query, reference, weight)
+    while ncomp > 1:
         rounds += 1
-        # Per-component best candidate this round.
-        best_d = np.full(n, np.inf)        # indexed by component root
-        best_pair = np.full((n, 2), -1, dtype=np.int64)
-
-        # Per-node single-component markers (cheap per-round precompute).
-        cmin = np.empty(n_nodes, dtype=np.int64)
-        cmax = np.empty(n_nodes, dtype=np.int64)
-        for i in range(n_nodes):
-            seg = comp[start[i]:end[i]]
-            cmin[i] = seg.min()
-            cmax[i] = seg.max()
-
-        def prune_or_approx(qi, ri):
-            # Exact prune 1: both nodes entirely inside one component.
-            if (
-                cmin[qi] == cmax[qi]
-                and cmin[ri] == cmax[ri]
-                and cmin[qi] == cmin[ri]
-            ):
-                return 1
-            # Exact prune 2: bound-based — no point of the pair can beat
-            # the current best of any component present in the query node.
-            gaps = np.maximum(0.0, np.maximum(lo[ri] - hi[qi], lo[qi] - hi[ri]))
-            tmin = float(gaps @ gaps)
-            bound = best_d[comp[start[qi]:end[qi]]].max()
-            return 1 if tmin > bound else 0
-
-        def base_case(qs, qe, rs, re):
-            D = pn2[qs:qe, None] + pn2[None, rs:re] - 2.0 * (
-                pts[qs:qe] @ pts[rs:re].T
-            )
-            np.maximum(D, 0.0, out=D)
-            cq = comp[qs:qe]
-            cr = comp[rs:re]
-            D[cq[:, None] == cr[None, :]] = np.inf
-            j = D.argmin(axis=1)
-            vals = D[np.arange(D.shape[0]), j]
-            for i in np.flatnonzero(np.isfinite(vals)):
-                c = cq[i]
-                if vals[i] < best_d[c]:
-                    best_d[c] = vals[i]
-                    best_pair[c, 0] = qs + i
-                    best_pair[c, 1] = rs + j[i]
-
-        st = dual_tree_traversal(tree, tree, prune_or_approx, base_case)
-        stats.merge(st)
-
-        # Merge the winning edges (classic Borůvka contraction).
-        added = False
-        for c in np.unique(comp):
-            if np.isfinite(best_d[c]) and best_pair[c, 0] >= 0:
-                a, b = int(best_pair[c, 0]), int(best_pair[c, 1])
-                if uf.union(a, b):
-                    edges.append((int(perm[a]), int(perm[b])))
-                    wts.append(float(np.sqrt(best_d[c])))
-                    added = True
-        if not added:  # pragma: no cover — safety against degenerate input
+        out = program.run()
+        stats.merge(program.stats)
+        dist, nbr = out.values, out.indices
+        # each component's lightest candidate: one lexsort over
+        # (component, distance), stable, so a tie keeps the smaller id
+        order = np.lexsort((dist, comp))
+        q = order[np.flatnonzero(np.diff(comp[order], prepend=-1))]
+        # join them lightest first over the component graph, dropping
+        # any that closes a cycle: the spanning forest of their ranks
+        q = q[np.lexsort((q, dist[q]))]
+        forest = minimum_spanning_tree(csr_matrix(
+            (np.arange(1.0, q.size + 1), (comp[q], comp[nbr[q]])),
+            shape=(ncomp, ncomp))).data
+        q = q[forest.astype(np.int64) - 1]
+        if not q.size:  # pragma: no cover — no foreign neighbour found
             raise RuntimeError("Borůvka round added no edge")
-        comp = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64,
-                           count=n)
+        edges.append((q, nbr[q], dist[q]))
+        # relabel: components of the accumulated edges, with unit data
+        # (csgraph drops explicit zeros, which a zero-length edge is)
+        a, b, w = (np.concatenate(part) for part in zip(*edges))
+        ncomp, comp = connected_components(csr_matrix(
+            (np.ones(a.size), (a, b)), shape=(n, n)), directed=False)
+        ops["QLABEL"][:] = comp[perm]
+        labels = np.append(ops["QLABEL"], 0)   # the root's end indexes it
+        ops["lmin"][:] = np.minimum.reduceat(labels, cuts)[::2]
+        ops["lmax"][:] = np.maximum.reduceat(labels, cuts)[::2]
 
-    order = np.argsort(wts)
+    order = np.argsort(w, kind="stable")
     return EMSTResult(
-        edges=np.asarray(edges, dtype=np.int64)[order],
-        weights=np.asarray(wts)[order],
-        total_weight=float(np.sum(wts)),
+        edges=np.stack([a, b], axis=1)[order],
+        weights=w[order],
+        total_weight=float(w.sum()),
         rounds=rounds,
         stats=stats,
     )

@@ -43,8 +43,8 @@ slices are bitwise-identical to executing each request alone: stacking
 changes the query tree, but exact pruning never changes *which*
 reference points reach a query row, and each row's contributions arrive
 in reference-tree DFS order either way.  ``tests/serve/test_coalesce.py``
-pins this at d = 3 across the nine point-query problems, three tree
-kinds and both parallel executors.  A comparative reduction's values are
+pins this at d = 3 across the nine point-query problems, the kd and
+octree kinds and both parallel executors.  A comparative reduction's values are
 re-evaluated in one difference form after the traversal, so they hold in
 either engine regime; a sum's block GEMM may round by operand shape,
 which IEEE arithmetic alone does not rule out — the test pins that it

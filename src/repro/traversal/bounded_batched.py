@@ -19,7 +19,9 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    query point carries a signed bound ``qbound`` (``±`` its current
    k-th best value, ``+inf`` before any base case).  A pair is prunable
    iff its key exceeds the max-reduction of ``qbound`` over its query
-   node's slice, and a *smaller* key always means "more promising".
+   node's slice, or is ``+inf`` (:func:`prunes`: a labelled program's
+   same-label pairs, pruned even against an untouched ``+inf`` bound),
+   and a *smaller* key always means "more promising".
 
 2. **Epochs.**  A pending pool holds unclassified pairs.  Each epoch
    selects the most promising pairs (one ``argpartition``), classifies
@@ -161,6 +163,12 @@ ROW_DESCENT_WIDTH = 8
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
+
+
+def prunes(keys, bounds):
+    """The bound form's prune test, in both engines: a promise key
+    beyond its bound, or ``+inf`` (which no bound exceeds)."""
+    return (keys > bounds) | (keys == np.inf)
 
 
 def takes_row_regime(qtree, rtree) -> bool:
@@ -406,7 +414,7 @@ def bounded_batched_dual_tree_traversal(
 
             stats.visited += int(q.size)
             if bound:
-                pruned = keys > bounds_of(q)
+                pruned = prunes(keys, bounds_of(q))
                 live = ~pruned
                 # Pairs generated in an earlier epoch and pruned only now:
                 # the bound they were born under was too stale to kill

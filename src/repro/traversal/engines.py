@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounded_batched import bounded_batched_dual_tree_traversal
+from .bounded_batched import bounded_batched_dual_tree_traversal, prunes
 from .dualtree import dual_tree_traversal
 from .multitree import TraversalStats
 
@@ -31,8 +31,8 @@ def _pair_decision(qtree, kk):
     if kk.bound_key_batch is not None:
         key, qbound, qs, qe = (kk.bound_key_batch, kk.namespace["qbound"],
                                qtree.start, qtree.end)
-        return lambda qi, ri: int(key(np.array([qi]), np.array([ri]))[0]
-                                  > qbound[qs[qi]:qe[qi]].max())
+        return lambda qi, ri: int(prunes(key(np.array([qi]), np.array([ri])),
+                                         qbound[qs[qi]:qe[qi]].max())[0])
     if kk.classify_batch is None:
         return None
     classify, act = kk.classify_batch, kk.apply_action

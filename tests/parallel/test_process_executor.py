@@ -239,6 +239,31 @@ class TestDefaultWorkers:
         assert default_workers() == 1
 
 
+def _shm_blocks() -> set:
+    return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestOneTask:
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_one_leaf_query_runs_serially_and_publishes_nothing(
+            self, data, cache):
+        """A process run whose query tree is one leaf is one task: it
+        takes the serial path over the kernels the caller bound, so the
+        caller builds no worker program and publishes no block — and it
+        answers bitwise as the thread executor does."""
+        from repro.parallel import worker
+
+        Q, R = data
+        before = _shm_blocks()
+        got = knn(Q[:20], R, k=3, executor="process", cache=cache, **PAR)
+        assert not worker._PROGRAMS
+        assert shm.shared_block_stats()["blocks"] == 0
+        assert _shm_blocks() <= before
+        _assert_bit_identical(
+            got, knn(Q[:20], R, k=3, executor="thread", cache=cache, **PAR))
+
+
 class TestSharedMemory:
     def test_publish_attach_roundtrip(self):
         arrays = {

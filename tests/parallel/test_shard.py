@@ -193,9 +193,10 @@ class TestDifferentialProblems:
         assert np.array_equal(base, np.asarray(expr.getOutput().values))
 
     def test_self_exclusion_survives_sharding(self, data):
-        """knn on a single dataset excludes self-pairs through the RSELF
-        remap: the shard tree is never the query tree, so the unsharded
-        diagonal test can't apply."""
+        """knn on a single dataset excludes self-pairs through labels
+        (each shard's RLABEL names its points' query positions): the
+        shard tree is never the query tree, so the unsharded diagonal
+        test can't apply."""
         _, R = data
         base = knn(R, k=3)
         sharded = knn(R, k=3, shards=2)

@@ -10,7 +10,7 @@ time through a test-local copy of the per-pair action the emitter
 produced before (``_per_pair_source``): KDE at τ, the naive-Bayes
 density, a weighted Barnes–Hut potential (``mac``), a PROD
 approximation and range count (an inside-region count, weighted, with
-positional and ``RSELF`` self-exclusion), serial, on threads, on
+positional and label self-exclusion), serial, on threads, on
 processes and over two shards, self-join and bichromatic, d ∈ {3, 9}.
 
 The one expression emitter (``codegen._value_lines``) writes ``g`` one
@@ -68,8 +68,8 @@ def _per_pair_source(spec) -> str:
     else:
         assert rule.inside_action == "count_per_query"
         body = ["s = qstart[qi]; e = qend[qi]", "acc[s:e] += rweight[ri]"]
-        if spec.self_map:
-            body += ["sp = RSELF[rstart[ri]:rend[ri]]",
+        if spec.labels:
+            body += ["sp = RLABEL[rstart[ri]:rend[ri]]",
                      "m = (sp >= s) & (sp < e)",
                      "acc[sp[m]] -= rw[rstart[ri]:rend[ri]][m]"
                      if spec.weighted else "acc[sp[m]] -= 1.0"]

@@ -100,7 +100,7 @@ def test_kde_against_stack(case, no_leaf_base_case):
     group = source[source.index("def base_case_group"):]
     assert "_gemm_operands(" in group   # at every d
     assert ("rw[ridx]" in group) == weighted
-    assert ("RSELF[ridx]" in group) == (shards > 1)
+    assert ("RLABEL[ridx]" in group) == (shards > 1)
 
 
 # -- the formerly replayed kinds ----------------------------------------------

@@ -214,7 +214,8 @@ def _step(run, rng, op, update_only):
         ids = rng.choice(n, size=min(n, 1 + rng.integers(6)), replace=False)
         run.apply("update_batch", ids, rng.normal(size=(ids.size, d)) * 20)
     elif op == "jitter":  # ids repeat: the last value wins
-        ids = rng.integers(0, n, size=1 + rng.integers(2 * n // 3))
+        # Deletes can leave a single row, where 2 * n // 3 is 0.
+        ids = rng.integers(0, n, size=1 + rng.integers(max(1, 2 * n // 3)))
         pts = tree.points[tree.inv_perm()[ids]]
         run.apply("update_batch", ids,
                   pts + 0.05 * rng.normal(size=pts.shape),
