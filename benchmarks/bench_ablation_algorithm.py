@@ -1,13 +1,17 @@
 """Ablations over the algorithmic choices: leaf size (the paper tunes it
 per problem/dataset), tree vs brute crossover, and the accuracy/time
-trade-offs of the approximation knobs (τ for KDE, θ for Barnes-Hut)."""
+trade-offs of the approximation knobs (τ for KDE, θ for Barnes-Hut).
+The Barnes-Hut θ and expansion-order sections time the hand-written
+dual-tree force code (``baselines.expert.expert_barnes_hut``), not
+Portal."""
 
 import numpy as np
 import pytest
 
 from harness import dataset, emit, format_table, split_qr, wall
 from repro.baselines import brute
-from repro.problems import barnes_hut_acceleration, kde, knn
+from repro.baselines.expert import expert_barnes_hut
+from repro.problems import kde, knn
 
 _SECTIONS: list[str] = []
 
@@ -75,17 +79,18 @@ def test_ablation_bh_theta(benchmark):
     mass = np.ones(len(X))
     exact = brute.brute_forces(X, mass)
     benchmark.pedantic(
-        lambda: barnes_hut_acceleration(X, mass, theta=0.5),
+        lambda: expert_barnes_hut(X, mass, theta=0.5),
         rounds=2, iterations=1,
     )
     rows = []
     for theta in (0.2, 0.5, 0.8, 1.2):
-        t = wall(lambda th=theta: barnes_hut_acceleration(X, mass, theta=th), 2)
-        a = barnes_hut_acceleration(X, mass, theta=theta)
+        t = wall(lambda th=theta: expert_barnes_hut(X, mass, theta=th), 2)
+        a = expert_barnes_hut(X, mass, theta=theta)
         err = float(np.linalg.norm(a - exact) / np.linalg.norm(exact))
         rows.append([theta, round(t, 4), f"{err:.2e}"])
     _SECTIONS.append(format_table(
-        "Ablation — Barnes-Hut θ knob (Elliptical): time/accuracy",
+        "Ablation — Barnes-Hut θ knob (Elliptical, hand-written dual-tree "
+        "forces): time/accuracy",
         ["θ", "time (s)", "rel force err"], rows,
     ))
     errs = [float(r[2]) for r in rows]
@@ -100,19 +105,20 @@ def test_ablation_bh_multipole_order(benchmark):
     mass = np.ones(len(X))
     exact = brute.brute_forces(X, mass)
     benchmark.pedantic(
-        lambda: barnes_hut_acceleration(X, mass, theta=0.7, order=2),
+        lambda: expert_barnes_hut(X, mass, theta=0.7, order=2),
         rounds=2, iterations=1,
     )
     rows = []
     for order in (1, 2):
-        t = wall(lambda o=order: barnes_hut_acceleration(X, mass, theta=0.7,
-                                                         order=o), 2)
-        a = barnes_hut_acceleration(X, mass, theta=0.7, order=order)
+        t = wall(lambda o=order: expert_barnes_hut(X, mass, theta=0.7,
+                                                   order=o), 2)
+        a = expert_barnes_hut(X, mass, theta=0.7, order=order)
         err = float(np.linalg.norm(a - exact) / np.linalg.norm(exact))
         label = "monopole (paper)" if order == 1 else "+ quadrupole"
         rows.append([label, round(t, 4), f"{err:.2e}"])
     _SECTIONS.append(format_table(
-        "Ablation — Barnes-Hut multipole order (θ=0.7, Elliptical)",
+        "Ablation — Barnes-Hut multipole order (θ=0.7, Elliptical, "
+        "hand-written dual-tree forces)",
         ["Expansion", "time (s)", "rel force err"], rows,
     ))
     assert float(rows[1][2]) < float(rows[0][2])

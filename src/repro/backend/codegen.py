@@ -47,8 +47,8 @@ from ..rules.spec import RuleSpec
 from ..trees.node import _ranges
 
 __all__ = [
-    "CodegenSpec", "GeneratedKernels", "generate", "emit", "bind_kernels",
-    "Bindings",
+    "CodegenSpec", "GeneratedKernels", "generate", "emit", "emit_external",
+    "bind_kernels", "Bindings",
 ]
 
 _NUMPY_CALLS = {
@@ -68,7 +68,8 @@ class CodegenSpec:
 
     dim: int
     base: str
-    g_ir: Expr                      # strength-reduced kernel body over SymRef('t')
+    g_ir: Expr | None               # strength-reduced kernel body over
+                                    # SymRef('t'); None: external kernel
     monotone: str | None            # 'increasing' | 'decreasing' | None
     outer_op: PortalOp = PortalOp.FORALL
     inner_op: PortalOp = PortalOp.SUM
@@ -1095,6 +1096,25 @@ def emit(spec: CodegenSpec) -> tuple[str, object]:
     return source, code
 
 
+def emit_external(spec: CodegenSpec) -> tuple[str, object]:
+    """Emit brute force's ``base_case(qs, qe, rs, re)`` for an opaque
+    kernel (``spec.g_ir`` is None): the bound callable
+    ``EXTERNAL(Q, R, qs, rs)`` gives the block in place of gather →
+    distance → value, and the self-exclusion and fold are every base
+    case's (plus ``_merge`` for a comparative operator)."""
+    source = "\n\n".join([
+        "# Generated by the Portal backend — external kernel, brute force\n"
+        f"# inner={spec.inner_op.name} outer={spec.outer_op.name}",
+        _function("def base_case(qs, qe, rs, re):", [
+            "v = np.asarray(EXTERNAL(QROW[qs:qe], RROW[rs:re], qs, rs), "
+            "dtype=np.float64)",
+            *_self_exclusion_lines(spec, _SLICES),
+            *_fold_lines(spec, _SLICES)]),
+        *filter(None, [_merge_source(spec)]),
+    ]) + "\n"
+    return source, compile(source, f"<portal-external-{id(spec)}>", "exec")
+
+
 @dataclass(frozen=True)
 class Bindings:
     """The static operands generated kernels close over, by kind.
@@ -1188,7 +1208,7 @@ def bind_kernels(source: str, code, bindings: dict) -> GeneratedKernels:
     exec(code, namespace)
     emitted = {f.name: namespace.get(f.name) for f in fields(GeneratedKernels)
                if f.name not in ("source", "namespace")}
-    emitted["pair_min_dist"] = namespace["pair_min_base_dist"]
+    emitted["pair_min_dist"] = namespace.get("pair_min_base_dist")
     return GeneratedKernels(source=source, namespace=namespace, **emitted)
 
 

@@ -1,8 +1,8 @@
-"""Compile fallbacks for programs the generated-kernel pipeline does not
-cover: 2-layer programs whose inner function is an opaque external
-kernel (the paper's external C++ functions: linked, not optimised — a
-blocked brute force applies the operator in interpreted form), and
-m ≥ 3-layer programs (the dense multi-layer backend,
+"""Compile fallbacks for programs the tree pipeline does not cover:
+2-layer programs whose inner function is an opaque external kernel (the
+paper's external C++ functions: linked, not optimised — brute force over
+an emitted base case that calls the kernel on each block), and m ≥
+3-layer programs (the dense multi-layer backend,
 :mod:`repro.backend.multilayer`).  Neither is cached: an opaque callable
 has no content identity.  Both run the shared rules step; their IR, like
 every program's, is built when something reads it.
@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import inspect
 
-import numpy as np
-
 from ..dsl.errors import CompileError
-from ..dsl.ops import PortalOp
-from .codegen import GeneratedKernels, _exclusion_value
+from .codegen import Bindings, CodegenSpec, GeneratedKernels, emit_external
 from .jit import _resolve_modifier, front_end, self_pairs
 from .plan import CompileOptions, ExecutionPlan
 from .program import CompiledProgram
@@ -28,10 +25,15 @@ __all__ = ["compile_external", "compile_multilayer"]
 def compile_external(pexpr, opts: CompileOptions,
                      plan: ExecutionPlan) -> CompiledProgram:
     """Compile a 2-layer program whose inner function is an opaque
-    external kernel: always brute force."""
-    layers = pexpr.layers
-    outer, inner = layers
-    modifier = _resolve_modifier(outer.func)
+    external kernel: always brute force, over one emitted
+    ``base_case`` (:func:`repro.backend.codegen.emit_external`) that
+    calls the kernel on each block and folds it as every generated base
+    case does — reference weights and self-exclusion included, and a
+    ``MIN`` / ``MAX`` / ``ARG*`` / ``K*`` through ``_merge``, so a NaN
+    kernel value never enters the state (a single-value reduction's row
+    takes nothing from a block holding a NaN; a K-operator sorts it
+    last)."""
+    outer, inner = layers = pexpr.layers
     classification, rule, timings = front_end(pexpr, opts)
     if opts.backend == "interp":
         raise CompileError(
@@ -41,41 +43,35 @@ def compile_external(pexpr, opts: CompileOptions,
     external = inner.external
     if external is None:
         raise CompileError("external kernel missing")
-
-    qstorage, rstorage = outer.storage, inner.storage
-    same_data, exclude_self = self_pairs(layers, opts)
-    state = allocate_state(outer.op, inner.op, inner.k,
-                           qstorage.n, rstorage.n, modifier)
-    qpoints, rpoints = qstorage.data, rstorage.data
-    op = inner.op
     # External kernels may optionally accept the block offsets
     # (Q, R, qs, rs) — e.g. EM kernels that look up per-component
-    # parameters by reference index.
+    # parameters by reference index; the emitted code calls that form.
     try:
         takes_offsets = len(inspect.signature(external).parameters) >= 4
     except (TypeError, ValueError):
         takes_offsets = False
+    kernel = (external if takes_offsets
+              else lambda Q, R, qs, rs: external(Q, R))
 
-    def base_case(qs, qe, rs, re):
-        if takes_offsets:
-            v = np.asarray(
-                external(qpoints[qs:qe], rpoints[rs:re], qs, rs), dtype=float
-            )
-        else:
-            v = np.asarray(external(qpoints[qs:qe], rpoints[rs:re]), dtype=float)
-        if same_data and exclude_self and qs == rs:
-            np.fill_diagonal(v, _exclusion_value(op))
-        _apply_update(state, op, inner.k, v, qs, qe, rs, re)
-
+    qstorage, rstorage = outer.storage, inner.storage
+    same_data, exclude_self = self_pairs(layers, opts)
+    spec = CodegenSpec(
+        dim=qstorage.dim, base="external", g_ir=None, monotone=None,
+        outer_op=outer.op, inner_op=inner.op,
+        weighted=rstorage.weights is not None, same_tree=same_data,
+        exclude_self=exclude_self,
+    )
+    state = allocate_state(outer.op, inner.op, inner.k, qstorage.n,
+                           rstorage.n, _resolve_modifier(outer.func))
+    source, code = emit_external(spec)
+    bindings = Bindings.brute(qstorage.data, rstorage.data, rstorage.weights,
+                              {"K": inner.k or 1, "EXTERNAL": kernel})
     return CompiledProgram(
         name=pexpr.name, options=opts, plan=plan, layers=layers, kernel=None,
         classification=classification, rule=rule, mode="brute", state=state,
-        qdata=qpoints, rdata=rpoints, nr=rstorage.n, same_data=same_data,
-        timings=timings,
-        kernels=GeneratedKernels(
-            source="# external kernel: no generated source",
-            namespace={}, base_case=base_case,
-        ),
+        qdata=qstorage.data, rdata=rstorage.data, nr=rstorage.n,
+        same_data=same_data, timings=timings,
+        kernels=bindings.bind(source, code, state),
     )
 
 
@@ -105,54 +101,3 @@ def compile_multilayer(pexpr, opts: CompileOptions,
             namespace={}, base_case=None,
         ),
     )
-
-
-def _apply_update(state: State, op: PortalOp, k: int | None,
-                  v: np.ndarray, qs, qe, rs, re) -> None:
-    """Interpreted operator update used by the external-kernel path."""
-    if op is PortalOp.SUM:
-        state.arrays["acc"][qs:qe] += v.sum(axis=1)
-    elif op is PortalOp.PROD:
-        state.arrays["acc"][qs:qe] *= v.prod(axis=1)
-    elif op is PortalOp.MIN:
-        np.minimum(state.arrays["best"][qs:qe], v.min(axis=1),
-                   out=state.arrays["best"][qs:qe])
-    elif op is PortalOp.MAX:
-        np.maximum(state.arrays["best"][qs:qe], v.max(axis=1),
-                   out=state.arrays["best"][qs:qe])
-    elif op in (PortalOp.ARGMIN, PortalOp.ARGMAX):
-        red = np.argmin if op is PortalOp.ARGMIN else np.argmax
-        j = red(v, axis=1)
-        vals = v[np.arange(v.shape[0]), j]
-        best = state.arrays["best"][qs:qe]
-        m = vals < best if op is PortalOp.ARGMIN else vals > best
-        best[m] = vals[m]
-        state.arrays["best_idx"][qs:qe][m] = rs + j[m]
-    elif op in (PortalOp.KARGMIN, PortalOp.KARGMAX, PortalOp.KMIN, PortalOp.KMAX):
-        best = state.arrays["best"]
-        cand_v = np.concatenate([best[qs:qe], v], axis=1)
-        if op in (PortalOp.KARGMIN, PortalOp.KARGMAX):
-            idx = state.arrays["best_idx"]
-            cand_i = np.concatenate(
-                [idx[qs:qe], np.broadcast_to(np.arange(rs, re), v.shape)], axis=1
-            )
-            key = cand_v if op is PortalOp.KARGMIN else -cand_v
-            sel = np.argsort(key, axis=1, kind="stable")[:, :k]
-            best[qs:qe] = np.take_along_axis(cand_v, sel, axis=1)
-            idx[qs:qe] = np.take_along_axis(cand_i, sel, axis=1)
-        else:
-            cand_v.sort(axis=1)
-            best[qs:qe] = (
-                cand_v[:, :k] if op is PortalOp.KMIN else cand_v[:, ::-1][:, :k]
-            )
-    elif op in (PortalOp.UNION, PortalOp.UNIONARG):
-        for i in range(v.shape[0]):
-            nz = np.flatnonzero(v[i])
-            if nz.size:
-                state.lists[qs + i].append(
-                    rs + nz if op is PortalOp.UNIONARG else v[i][nz]
-                )
-    elif op is PortalOp.FORALL:
-        state.arrays["dense"][qs:qe, rs:re] = v
-    else:  # pragma: no cover
-        raise CompileError(f"unsupported inner operator {op.name}")

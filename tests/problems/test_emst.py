@@ -212,7 +212,18 @@ class TestAgainstReferences:
                                  np.arange(3.0)), axis=-1).reshape(-1, 3)
         res = emst(X)
         _, weights, _ = expert_emst(X)
-        assert np.allclose(res.weights, weights, rtol=0, atol=1e-7)
+        assert np.allclose(res.weights, weights, rtol=0, atol=1e-12)
+
+    def test_expert_duplicates_weigh_zero(self):
+        """The expert weighs each accepted edge in the difference form:
+        the zero-length edges of duplicates are exactly 0.0, not the
+        square root of the norm expansion's residue."""
+        base = np.random.default_rng(50).normal(size=(50, 2))
+        X = np.concatenate([base, base[:20]])
+        _, weights, total = expert_emst(X)
+        assert np.count_nonzero(weights == 0.0) == 20
+        assert np.allclose(weights, emst(X).weights, rtol=0, atol=1e-12)
+        assert total == pytest.approx(scipy_mst_weight(base), rel=1e-12)
 
 
 def _labelled(X, labels=None, **options):
