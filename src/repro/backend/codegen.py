@@ -457,9 +457,10 @@ def _merge_source(spec: CodegenSpec) -> str | None:
     order.  A stable sort over ``[old k-array | picks]`` merges the two,
     so a tie at the k-th value keeps the old entry, then the lowest
     block column, and a pick holding the exclusion value never displaces
-    an old entry.  NaN sorts last: ``argmin`` returns a row's NaN cell
-    first, so a block whose best cell is NaN takes NaN as the exclusion
-    value and selects again."""
+    an old entry.  NaN sorts last in both forms: ``argmin`` returns a
+    row's NaN cell first, so a block whose pick is NaN takes NaN as the
+    exclusion value and selects again, and a row of NaNs keeps its
+    best."""
     op = spec.inner_op
     if not _comparative(spec):
         return None
@@ -469,9 +470,14 @@ def _merge_source(spec: CodegenSpec) -> str | None:
     bound = spec.rule is not None and spec.rule.is_bound
     lines = ["def _merge(v, q, rid):"]
     b = lines.append
+    excl = _literal(_exclusion_value(op))
     if not op_info(op).requires_k:
         b(f"    j = v.{red}(axis=1)")
         b("    vals = v[np.arange(v.shape[0]), j]")
+        b("    if np.isnan(vals).any():   # NaN sorts last")
+        b(f"        v = np.where(np.isnan(v), {excl}, v)")
+        b(f"        j = v.{red}(axis=1)")
+        b("        vals = v[np.arange(v.shape[0]), j]")
         b(f"    rows = np.flatnonzero(vals {cmp} best[q])")
         b("    if rows.size:")
         b("        qr = q[rows]")
@@ -481,7 +487,6 @@ def _merge_source(spec: CodegenSpec) -> str | None:
         if bound:
             b(f"        qbound[qr] = {neg}vals[rows]")
         return "\n".join(lines)
-    excl = _literal(_exclusion_value(op))
     b("    # ordered k-array merge (sorted filter of section IV-F): each")
     b("    # row with a candidate inside its k-th best picks its K best")
     b("    # candidates, one arg-select pass each")

@@ -472,7 +472,7 @@ def _instantiate(code: _Code, data: _Data, pexpr, opts: CompileOptions,
             and plan.executor == "process"):
         # Only the process executor publishes under the token.  Let the
         # Storages evict exactly these shm publications (and their
-        # ::q/::r{i} shard derivatives) when they mutate — a warm
+        # ::r{i} shard derivatives) when they mutate — a warm
         # process pool must never be served stale columns.
         token = hashlib.blake2b(
             repr(_program_key(code_key, layers, opts, plan)).encode(),

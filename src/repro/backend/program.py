@@ -3,9 +3,10 @@
 Holds what :mod:`repro.backend.jit` produced — the options that were
 asked (``options``), the plan that runs (``plan``), trees, generated
 kernels, fresh state — and executes it: :meth:`~CompiledProgram.run`
-dispatches on the plan (sharded / process / thread / serial over
-:func:`repro.traversal.run_engine`, or the generated brute force, the IR
-interpreter, the dense multi-layer backend), and
+dispatches on the plan (one serial :func:`repro.traversal.run_engine`
+call, the fan-out of :mod:`repro.parallel.scheduler` for a pool or
+shards, or the generated brute force, the IR interpreter, the dense
+multi-layer backend), and
 :meth:`~CompiledProgram.stats_summary` reports what happened.
 """
 
@@ -25,7 +26,7 @@ from ..ir.lowering import lower
 from ..ir.passes import PassManager
 from ..ir.printer import render_program, render_stages
 from ..observe import collect, contribute, span
-from ..parallel import parallel_dual_tree
+from ..parallel.scheduler import Side, fan_out
 from ..traversal import TraversalStats, run_engine
 from .codegen import Bindings, GeneratedKernels
 from .plan import CompileOptions, ExecutionPlan
@@ -319,6 +320,11 @@ class CompiledProgram:
 
     def _dispatch_tree(self) -> TraversalStats:
         plan = self.plan
+        if plan.executor == "serial" and self.shard_exec is None:
+            return run_engine(plan.engine, self.qtree, self.rtree,
+                              self.kernels)
+        # Everything else is the fan-out: (side × query-subtree) tasks,
+        # one side per shard.
         if self.shard_exec is not None:
             from ..parallel.shard import run_sharded
 
@@ -326,21 +332,9 @@ class CompiledProgram:
                 self.qtree, self.shard_exec, self.state, plan,
                 token=self.program_token, q_bindings=self.bindings)
             return stats
-        if plan.executor == "serial":
-            return run_engine(plan.engine, self.qtree, self.rtree,
-                              self.kernels)
-        if plan.executor == "process":
-            from ..parallel.process_backend import parallel_dual_tree_process
-
-            return parallel_dual_tree_process(
-                self.qtree, self.rtree, self.kernels,
-                self.bindings, self.state, self.nr,
-                self.program_token, plan,
-            )
-        return parallel_dual_tree(
-            self.qtree, self.rtree, self.kernels, engine=plan.engine,
-            workers=plan.workers, min_tasks=plan.min_tasks,
-        )
+        side = Side(self.rtree, self.kernels, self.state, self.bindings)
+        return fan_out(self.qtree, [side], plan, self.bindings,
+                       self.program_token)[0][0]
 
     def _run_brute(self) -> TraversalStats:
         stats = TraversalStats()

@@ -3,10 +3,10 @@
 from .executor import (
     default_workers, run_process_tasks, run_tasks, shutdown_pools,
 )
-from .scheduler import expand_frontier, parallel_dual_tree
+from .scheduler import Side, expand_frontier, fan_out
 
 #: Sharded-reference-layout entry points re-exported lazily: shard.py
-#: pulls in the worker/process machinery (→ backend → DSL), which can
+#: pulls in the tree cache and codegen (→ backend → DSL), which can
 #: re-enter this package mid-import, so an eager import here would be
 #: circular.
 _LAZY = {
@@ -27,7 +27,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "default_workers", "run_tasks", "run_process_tasks", "shutdown_pools",
-    "expand_frontier", "parallel_dual_tree",
+    "Side", "expand_frontier", "fan_out",
     "plan_shards", "run_sharded",
     "build_shard_pack", "build_shard_execution", "combine_shard_states",
 ]

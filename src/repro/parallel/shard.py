@@ -1,11 +1,10 @@
 """Sharded reference layout: per-shard trees, replicated queries.
 
-The scale-out inversion of the process executor's data layout.  The
-scheduler path (:mod:`repro.parallel.scheduler` /
-:mod:`repro.parallel.process_backend`) keeps **one replicated reference
-tree** and partitions the *query* tree across tasks — which means every
-worker holds (a view of) the full reference set, and reference-set size
-is bounded by what one tree build can hold.  This module inverts that:
+The scale-out inversion of the unsharded layout, which keeps **one
+replicated reference tree** and partitions the *query* tree across
+tasks — so every worker holds (a view of) the full reference set, and
+reference-set size is bounded by what one tree build can hold.  This
+module inverts that:
 
 * :func:`plan_shards` partitions the reference set into ``P`` spatial
   shards by recursive median cuts (largest part first, widest-spread
@@ -32,23 +31,18 @@ label is its query-tree position (``QLABEL``, bound once on the query
 side) and each shard binds ``RLABEL``, the query-tree position of each
 of its points, which the count and append actions read as a position.
 
-Cross-shard pruning — the perf centerpiece for bound rules (k-NN,
-Hausdorff): each shard only tightens its ``qbound`` from its *own*
-points, so a shard holding distant points keeps traversing long after
-the combined answer is settled.  Between the batched engine's epochs the
-coordinator pauses every shard (``max_epochs``), min-reduces the signed
-per-query bounds into a **global bound**, and broadcasts it back as the
-engine's ``extern_bound``.  Shards whose root-level promise key cannot
-beat the worst global bound are killed wholesale (``shard.pruned``);
-in process mode individual paused tasks are killed against their query
-slice's bound (``shard.tasks_pruned``).  The broadcast only removes
-dominated work — any candidate it prunes is beaten by a candidate
-retained on another shard — so the combined output is exact.
+Each shard is one side of the fan-out
+(:func:`repro.parallel.scheduler.fan_out`): its (shard × query-subtree)
+tasks run on the plan's runner, and a bound rule (k-NN, Hausdorff)
+crosses one bound broadcast between a seed phase and the rest — each
+shard tightens its ``qbound`` only from its own points, so without it a
+shard holding distant points keeps traversing long after the combined
+answer is settled.
 
 Observability: ``shard.runs``, ``shard.builds``, ``shard.pruned``,
 ``shard.tasks_pruned``, ``shard.rounds`` counters plus ``shard.run`` /
-``shard.tree_build`` / ``shard.shm_publish`` / ``shard.phase`` spans,
-and ``PortalExpr.stats()["shard"]`` carries per-shard traversal stats.
+``shard.tree_build`` spans (the fan-out's own are ``parallel.*``), and
+``PortalExpr.stats()["shard"]`` carries per-shard traversal stats.
 """
 
 from __future__ import annotations
@@ -59,36 +53,14 @@ import numpy as np
 
 from ..dsl.ops import MAX_LIKE, MIN_LIKE, PortalOp, op_info
 from ..observe import contribute, span
-from ..traversal import TraversalStats, bound_epochs, run_engine
-from ..traversal.bounded_batched import takes_row_regime
-from . import shm
-from .executor import run_process_tasks, run_tasks
-from .process_backend import ephemeral_token, merge_result, tree_structure
-from .scheduler import expand_frontier
-from .worker import run_payload, run_task
+from ..traversal import TraversalStats
+from .executor import run_tasks
+from .scheduler import Side, fan_out
 
 __all__ = [
-    "SEED_EPOCHS", "ROW_SEED_EPOCHS", "plan_shards", "ShardPack",
-    "ShardExecution", "build_shard_pack", "build_shard_execution",
-    "combine_shard_states", "run_sharded",
+    "plan_shards", "ShardPack", "ShardExecution", "build_shard_pack",
+    "build_shard_execution", "combine_shard_states", "run_sharded",
 ]
-
-#: Epochs every shard runs before the first cross-shard bound broadcast.
-#: Enough for the engine's ramp (64 → 4096 doubling) to run real base
-#: cases and produce finite bounds, small enough that a dominated shard
-#: is killed before touching the bulk of its pool.
-SEED_EPOCHS = 12
-#: The seed round of a shard traversal that takes the row regime, whose
-#: epochs each descend several reference levels
-#: (:data:`~repro.traversal.bounded_batched.ROW_DESCENT_WIDTH`): in
-#: twelve of those a dominated shard finishes its walk before the first
-#: broadcast can stop it.  From a sweep over clustered, IHEPC-like and
-#: probe-shaped batches at shards=2 (docs/performance.md, "The row
-#: regime").
-ROW_SEED_EPOCHS = 5
-
-_ROOT = np.zeros(1, dtype=np.int64)
-
 
 def viable_shard_counts(nr: int, workers: int,
                         min_points: int) -> list[int]:
@@ -304,14 +276,6 @@ def combine_shard_states(shard_exec: ShardExecution, final_state) -> None:
 # execution
 # ---------------------------------------------------------------------------
 
-def _root_key(kernels, q_root: int = 0) -> float:
-    """Signed promise key of (``q_root`` × shard root) — the most
-    optimistic value this shard could still contribute under that query
-    subtree.  Boxes only; state-independent."""
-    q = np.array([q_root], dtype=np.int64)
-    return float(np.asarray(kernels.bound_key_batch(q, _ROOT)).reshape(-1)[0])
-
-
 def run_sharded(
     qtree,
     shard_exec: ShardExecution,
@@ -322,210 +286,30 @@ def run_sharded(
     q_bindings=None,
 ) -> tuple[TraversalStats, dict]:
     """Run one compiled program across its reference shards and combine,
-    as its :class:`~repro.backend.plan.ExecutionPlan` ``plan`` says.
+    as its :class:`~repro.backend.plan.ExecutionPlan` ``plan`` says: one
+    side per shard through :func:`~repro.parallel.scheduler.fan_out`,
+    each shard's tasks accumulating into its own state, then
+    :func:`combine_shard_states`.
 
     Returns ``(merged TraversalStats, shard_info)`` where ``shard_info``
     carries the broadcast counters and per-shard stats surfaced through
-    ``stats()["shard"]``.  Thread/serial execution runs one traversal
-    per shard in-process (accumulating into per-shard state directly);
-    process execution fans (shard × query-subtree) payloads to the
-    worker pool through per-shard shared-memory blocks.
+    ``stats()["shard"]``.
     """
-    P = shard_exec.pack.count
-    info: dict = {"count": P, "rounds": 1, "pruned": 0, "tasks_pruned": 0}
-    use_process = plan.executor == "process"
-    with span("shard.run", shards=P, engine=plan.engine,
-              executor="process" if use_process else "thread"):
-        if use_process:
-            per_shard = _run_process(qtree, shard_exec, plan, token,
-                                     q_bindings, info)
-        else:
-            per_shard = _run_inline(
-                qtree, shard_exec, plan.engine,
-                1 if plan.executor == "serial" else plan.workers, info)
-
+    pack = shard_exec.pack
+    sides = [Side(*side) for side in zip(
+        pack.trees, shard_exec.kernels, shard_exec.states, pack.bindings)]
+    with span("shard.run", shards=pack.count, engine=plan.engine,
+              executor=plan.executor):
+        per_shard, sched = fan_out(qtree, sides, plan, q_bindings, token)
     combine_shard_states(shard_exec, final_state)
     total = TraversalStats()
     for st in per_shard:
         total.merge(st)
-    if not use_process:
-        # Process workers contribute traversal counters via their
-        # shipped registries; in-process traversals ran with caller-owned
-        # stats objects, so contribute the merged totals once here.
-        total.contribute()
-    info["per_shard"] = [st.as_dict() for st in per_shard]
     contribute({
         "shard.runs": 1,
-        "shard.pruned": info["pruned"],
-        "shard.tasks_pruned": info["tasks_pruned"],
-        "shard.rounds": info["rounds"],
+        "shard.pruned": sched["pruned"],
+        "shard.tasks_pruned": sched["tasks_pruned"],
+        "shard.rounds": sched["rounds"],
     })
-    return total, info
-
-
-def _seed_epochs(qtree, rtree) -> int:
-    """Epochs of a shard traversal's seed round, by the regime the
-    engine takes over this tree pair."""
-    return ROW_SEED_EPOCHS if takes_row_regime(qtree, rtree) else SEED_EPOCHS
-
-
-def _run_inline(qtree, shard_exec, engine, pool_workers, info):
-    """Serial/thread path: one traversal per shard against its own state
-    (shards are the unit of thread parallelism — the layout inversion)."""
-    pack, states, kernels = (shard_exec.pack, shard_exec.states,
-                             shard_exec.kernels)
-    P = pack.count
-    stats_list = [TraversalStats() for _ in range(P)]
-
-    if not bound_epochs(engine, kernels[0]):
-        def make(i):
-            return lambda: run_engine(engine, qtree, pack.trees[i],
-                                      kernels[i], stats=stats_list[i])
-        run_tasks([make(i) for i in range(P)], workers=pool_workers)
-        return stats_list
-
-    # Bounded engine: epoch-bounded rounds with a cross-shard bound
-    # broadcast at each barrier.  Every round resumes the shards still
-    # pending under the latest global bound and a growing epoch budget
-    # (seed rounds are narrow so dominated shards are killed before
-    # touching the bulk of their pools; later rounds widen so the
-    # barrier overhead amortises).  A shard whose root promise key
-    # cannot beat the *worst* global bound over all queries is killed
-    # wholesale — a query whose bound is still ``+inf`` somewhere keeps
-    # every shard alive, since any shard might hold its neighbours.
-    pauses = [dict() for _ in range(P)]
-    pending: list = [None] * P
-    extern = None
-    budget = [_seed_epochs(qtree, tree) for tree in pack.trees]
-    alive = list(range(P))
-    while alive:
-        def make(i):
-            resume = pending[i]
-            def run():
-                pauses[i].clear()
-                run_engine(
-                    engine, qtree, pack.trees[i], kernels[i],
-                    stats=stats_list[i], max_epochs=budget[i], resume=resume,
-                    extern_bound=extern, pause_out=pauses[i])
-            return run
-
-        with span("shard.phase", phase=info["rounds"], tasks=len(alive)):
-            run_tasks([make(i) for i in alive], workers=pool_workers)
-
-        still = [i for i in alive
-                 if pauses[i].get("pending") is not None]
-        if not still:
-            break
-        for i in still:
-            pending[i] = pauses[i]["pending"]
-        info["rounds"] += 1
-        extern = np.minimum.reduce([st.arrays["qbound"] for st in states])
-        gmax = float(np.max(extern))
-        alive = []
-        for i in still:
-            if _root_key(kernels[i]) > gmax:
-                info["pruned"] += 1
-            else:
-                alive.append(i)
-        budget = [b * 4 for b in budget]
-    return stats_list
-
-
-def _run_process(qtree, shard_exec, plan, token, q_bindings, info):
-    """Process path: publish one query-side block plus one block per
-    shard, fan (shard × query-subtree) tasks out, broadcast bounds
-    between phases, merge partial slices back into per-shard states."""
-    pack, states, kernels = (shard_exec.pack, shard_exec.states,
-                             shard_exec.kernels)
-    P = pack.count
-    ephemeral = token is None
-    base = token or ephemeral_token()
-    published: list[str] = []
-
-    try:
-        with span("shard.shm_publish", shards=P):
-            q_token = f"{base}::q"
-            q_name, q_manifest = shm.publish_arrays(
-                q_token, {**q_bindings.arrays, **tree_structure(qtree, "q")})
-            published.append(q_token)
-            r_blocks = []
-            for i in range(P):
-                r_token = f"{base}::r{i}"
-                r_blocks.append(shm.publish_arrays(r_token, {
-                    **pack.bindings[i].arrays,
-                    **tree_structure(pack.trees[i], "r")}))
-                published.append(r_token)
-
-        frontier = [int(q) for q in
-                    expand_frontier(qtree, max(1, -(-plan.min_tasks // P)))]
-
-        commons = [{
-            "token": f"{base}::s{i}",
-            "shm_name": q_name,
-            "manifest": q_manifest,
-            "r_block": r_blocks[i],
-            "source": kernels[0].source,
-            "scalars": {**q_bindings.scalars, **pack.bindings[i].scalars},
-            "state_spec": (states[i].outer_op, states[i].inner_op,
-                           states[i].k, states[i].nq, int(pack.trees[i].n)),
-            "same_tree": False,
-            "plan": plan,
-        } for i in range(P)]
-
-        # (a stateless program's worker reads no max_epochs, and never
-        # pauses)
-        phase1 = [(i, q, dict(commons[i], q_root=q, max_epochs=_seed_epochs(
-            qtree, pack.trees[i]))) for i in range(P) for q in frontier]
-
-        per_shard_stats = [TraversalStats() for _ in range(P)]
-
-        def run_phase(phase, tasks):
-            payloads = [p for _, _, p in tasks]
-            with span("shard.phase", phase=phase, tasks=len(tasks)):
-                if len(tasks) == 1:  # here, over its shard's kernels
-                    i = tasks[0][0]
-                    results = [run_payload(payloads[0], kernels[i], qtree,
-                                           pack.trees[i], states[i])]
-                else:
-                    results = run_process_tasks(run_task, payloads,
-                                                workers=plan.workers)
-            for (i, _, _), res in zip(tasks, results):
-                merge_result(states[i], res)
-                per_shard_stats[i].merge(res["stats"])
-                contribute(res["counters"])
-            return results
-
-        task_results = {(i, q): res for (i, q, _), res
-                        in zip(phase1, run_phase(1, phase1))}
-
-        pending = [key for key, res in task_results.items()
-                   if res.get("pending") is not None]
-        if pending:
-            info["rounds"] = 2
-            gbound = np.minimum.reduce(
-                [st.arrays["qbound"] for st in states])
-            gmax = float(np.max(gbound))
-            killed_shards = {i for i, _ in pending
-                             if _root_key(kernels[i]) > gmax}
-            info["pruned"] += len(killed_shards)
-            phase2 = []
-            for (i, q) in pending:
-                if i in killed_shards:
-                    continue
-                res = task_results[(i, q)]
-                s, e = res["s"], res["e"]
-                if _root_key(kernels[i], q_root=q) > float(
-                        np.max(gbound[s:e])):
-                    info["tasks_pruned"] += 1
-                    continue
-                phase2.append((i, q, dict(
-                    commons[i], q_root=q, resume=res["pending"],
-                    state_arrays=res["arrays"], state_lists=res["lists"],
-                    extern=np.ascontiguousarray(gbound[s:e]))))
-            if phase2:
-                run_phase(2, phase2)
-    finally:
-        if ephemeral:
-            for t in published:
-                shm.release_block(t)
-    return per_shard_stats
+    return total, {"count": pack.count, **sched,
+                   "per_shard": [st.as_dict() for st in per_shard]}

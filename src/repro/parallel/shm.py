@@ -43,10 +43,10 @@ _ALIGN = 64
 #: Max blocks kept published.  Sized with ``tree_cache`` in mind: a block
 #: holds one program's dataset + trees, and the bench/test workloads
 #: cycle through a handful of datasets.  The sharded layout publishes one
-#: query block plus one block *per shard* under a single program (tokens
-#: ``{token}::q`` / ``{token}::r{i}``), so the bound accommodates a
-#: couple of concurrently-live sharded programs at the default shard
-#: counts without thrashing.
+#: block *per shard* under a single program (tokens ``{token}``, which
+#: also carries the query side, and ``{token}::r{i}``), so the bound
+#: accommodates a couple of concurrently-live sharded programs at the
+#: default shard counts without thrashing.
 MAX_BLOCKS = 24
 
 
@@ -179,7 +179,7 @@ def release_block(token: str) -> None:
 
 def evict_stale_blocks(tokens) -> int:
     """Unpublish every block keyed by one of ``tokens`` or by a derived
-    shard token (``{token}::q`` / ``{token}::r{i}``).
+    shard token (``{token}::r{i}``).
 
     The mutation-staleness hook: ``publish_arrays`` is idempotent per
     token and workers cache attachments per token, so after an in-place

@@ -2,21 +2,23 @@
 
 :func:`run_task` is the (picklable, module-level) function the parent
 submits to the process pool.  A task payload carries no arrays and no
-closures — only the shared-memory manifest, the generated kernel
-*source*, the state allocation spec and the query-subtree root id.  The
+closures — only the shared-memory manifests, the generated kernel
+*source*, the state allocation spec, the query-subtree root id and the
+task's engine hooks (:func:`repro.parallel.scheduler.fan_out`).  The
 worker:
 
-1. attaches the published block (:func:`repro.parallel.shm.attach_arrays`)
+1. attaches the published blocks (:func:`repro.parallel.shm.attach_arrays`)
    and builds an :class:`~repro.trees.node.ArrayTree` per side over its
    read-only views — zero copies of the dataset or trees;
 2. recompiles the generated source and binds it against **worker-local
    accumulator arrays** (full-size, identity-filled) — the per-task
    partial state;
 3. runs the engine the payload's plan names — the same
-   :func:`~repro.traversal.run_engine` call the thread executor makes —
+   :func:`~repro.traversal.run_engine` call an in-caller task makes —
    rooted at ``q_root``, under a local counters registry;
 4. returns only its query slice ``[qstart[q_root], qend[q_root])`` of
-   each accumulator plus the task's ``TraversalStats`` and counters.
+   each accumulator plus the task's ``TraversalStats``, counters and,
+   when its seed epochs paused it, its pending pool.
 
 Because every accumulator is indexed by query position and a task rooted
 at ``q_root`` touches exactly its own slice (the disjoint-query-range
@@ -39,11 +41,11 @@ import numpy as np
 from ..backend.codegen import Bindings, GeneratedKernels
 from ..backend.state import State, allocate_state
 from ..observe import collect
-from ..traversal import bound_epochs, run_engine
+from ..traversal import run_engine
 from ..trees.node import ArrayTree
 from . import shm
 
-__all__ = ["run_task", "run_payload"]
+__all__ = ["run_task"]
 
 
 def _tree(views: dict[str, np.ndarray], side: str) -> ArrayTree:
@@ -82,8 +84,8 @@ class _WorkerProgram:
 
 _PROGRAMS: OrderedDict[str, _WorkerProgram] = OrderedDict()
 # Sized for sharded programs, where every shard is its own worker
-# program (token "{token}::s{i}"): a warm worker can hold all shards of
-# a couple of programs without evicting between epochs.
+# program (token "{token}::r{i}"): a warm worker can hold all shards of
+# a couple of programs without evicting between phases.
 _MAX_PROGRAMS = 16
 
 
@@ -94,15 +96,14 @@ def _program(payload: dict) -> _WorkerProgram:
         _PROGRAMS.move_to_end(token)
         return prog
 
-    handle, views = shm.attach_arrays(payload["shm_name"],
-                                      payload["manifest"])
+    handle, views = shm.attach_arrays(*payload["block"])
     rhandle = None
-    r_block = payload.get("r_block")
+    r_block = payload["r_block"]
     if r_block is not None:
-        # Sharded layout: the reference side (shard tree + columns +
-        # RLABEL) lives in its own per-shard block, published separately
-        # from the query-side block every shard reuses.
-        rhandle, rviews = shm.attach_arrays(r_block[0], r_block[1])
+        # A later side of a sharded fan-out: its reference side (shard
+        # tree + columns + RLABEL) lives in its own block, beside the
+        # first block's query side, whose reference arrays it shadows.
+        rhandle, rviews = shm.attach_arrays(*r_block)
         views = {**views, **rviews}
     outer_op, inner_op, k, nq, nr = payload["state_spec"]
     state = allocate_state(outer_op, inner_op, k, nq, nr)
@@ -123,60 +124,45 @@ def _program(payload: dict) -> _WorkerProgram:
 
 
 def run_task(payload: dict) -> dict:
-    """Run one (query-subtree × reference-root) traversal task; returns
-    the partial accumulator slices, stats and counters for its range."""
+    """Run one (query-subtree × side) traversal task with the payload's
+    engine hooks; returns the partial accumulator slices, stats, counters
+    and — when ``max_epochs`` paused it — the pending pool, for its
+    query range."""
     with collect() as counters:
         prog = _program(payload)
         state = prog.state
         q_root = int(payload["q_root"])
         s = int(prog.qtree.start[q_root])
         e = int(prog.qtree.end[q_root])
-        if payload.get("resume") is None:
+        hooks = dict(payload["hooks"])
+        if "resume" not in hooks:
             # A cached worker program runs each new task over its range
             # as if the state were fresh.
             state.reset(s, e)
         else:
-            # Phase-2 resume of a paused bounded traversal: pool workers
-            # have no task affinity, so the parent ships the paused
-            # accumulator slices back and we restore them verbatim.
-            for name, arr in payload.get("state_arrays", {}).items():
+            # A resumed bounded traversal: pool workers have no task
+            # affinity, so the parent ships the paused accumulator
+            # slices back and we restore them verbatim.
+            for name, arr in payload["state_arrays"].items():
                 state.arrays[name][s:e] = arr
-            if payload.get("state_lists") is not None:
+            if payload["state_lists"] is not None:
                 state.lists[s:e] = [list(x) for x in payload["state_lists"]]
-
-        res = run_payload(payload, prog.kernels, prog.qtree, prog.rtree,
-                          state)
-    res["counters"] = counters.as_dict()
-    return res
-
-
-def run_payload(payload: dict, kernels, qtree, rtree, state) -> dict:
-    """Run the engine ``payload`` names over ``kernels`` (bound to
-    ``state``) from its ``q_root`` with its epoch hooks; returns the
-    task result.  Workers run it over the program they rebuilt; a caller
-    with one task over its own kernels, building no worker program."""
-    engine = payload["plan"].engine
-    q_root = int(payload["q_root"])
-    s, e = int(qtree.start[q_root]), int(qtree.end[q_root])
-    pause: dict = {}
-    hooks: dict = {}
-    if bound_epochs(engine, kernels):
-        extern = payload.get("extern")
-        extern_full = None
-        if extern is not None:
-            # The engine indexes the extern bound by absolute query
-            # position; the payload only carries this task's slice.
-            extern_full = np.full(len(state.arrays["qbound"]), np.inf)
-            extern_full[s:e] = extern
-        hooks = dict(max_epochs=payload.get("max_epochs"),
-                     resume=payload.get("resume"), extern_bound=extern_full,
-                     pause_out=pause)
-    stats = run_engine(engine, qtree, rtree, kernels, q_root=q_root, **hooks)
+        pause: dict = {}
+        if "extern_bound" in hooks:
+            # The engine indexes the bound by absolute query position;
+            # the payload only carries this task's slice.
+            full = np.full(len(state.arrays["qbound"]), np.inf)
+            full[s:e] = hooks["extern_bound"]
+            hooks["extern_bound"] = full
+        if hooks:
+            hooks["pause_out"] = pause
+        stats = run_engine(payload["plan"].engine, prog.qtree, prog.rtree,
+                           prog.kernels, q_root=q_root, **hooks)
     return {
         "s": s,
         "e": e,
         "stats": stats,
-        "counters": {},
+        "counters": counters.as_dict(),
         "arrays": {name: np.ascontiguousarray(arr[s:e])
                    for name, arr in state.arrays.items()},
         "lists": None if state.lists is None else state.lists[s:e],

@@ -180,9 +180,10 @@ def test_offsets_name_the_block():
 
 def test_nan_follows_the_merge_rule():
     """Comparative operators fold through ``_merge``, so a NaN kernel
-    value never enters the state: a single-value reduction's row whose
-    block holds a NaN (``argmin`` picks it first) takes nothing from that
-    block, and a K-operator sorts the NaN last."""
+    value never enters the state: NaN sorts last.  ``argmin`` picks a
+    row's NaN cell first, so a block whose pick is NaN selects again
+    with its NaNs written over by the exclusion value, in the
+    single-value and the K forms alike."""
     rng = np.random.default_rng(10)
     Q, R = rng.normal(size=(5, 2)), rng.normal(size=(8, 2))
 
@@ -193,10 +194,37 @@ def test_nan_follows_the_merge_rule():
 
     q, r = Storage(Q), Storage(R)
     out = _expr(PortalOp.MIN, q, r, (f,), {}).execute()
-    np.testing.assert_array_equal(out.values, np.inf)
+    np.testing.assert_array_equal(out.values, _sqdist(Q, R)[:, 1:].min(1))
     out = _expr(PortalOp.KMIN, q, r, (f,), {}).execute()
     np.testing.assert_array_equal(out.values,
                                   np.sort(_sqdist(Q, R)[:, 1:])[:, :3])
+
+
+@pytest.mark.parametrize("op", [PortalOp.MIN, PortalOp.ARGMIN,
+                                PortalOp.MAX])
+def test_nan_leaves_the_answer_to_the_block_cut(op):
+    """A NaN in the first block must not cost its row that block: an
+    external ``MIN`` over several brute-force blocks equals ``np.nanmin``
+    of each row (``ARGMIN`` its ``np.nanargmin``, ``MAX`` ``np.nanmax``),
+    not the minimum of the blocks after the NaN's."""
+    rng = np.random.default_rng(11)
+    Q, R = rng.normal(size=(40, 3)), rng.normal(size=(5000, 3))
+
+    def f(Qb, Rb, qs, rs):
+        v = _sqdist(Qb, Rb)
+        if rs == 0:
+            v[:, 0] = np.nan
+        return v
+
+    want = _sqdist(Q, R)
+    want[:, 0] = np.nan
+    out = _expr(op, Storage(Q), Storage(R), (f,), {}).execute()
+    if op is PortalOp.ARGMIN:
+        np.testing.assert_array_equal(out.indices, np.nanargmin(want, 1))
+    elif op is PortalOp.MIN:
+        np.testing.assert_array_equal(out.values, np.nanmin(want, 1))
+    else:
+        np.testing.assert_array_equal(out.values, np.nanmax(want, 1))
 
 
 def test_generated_source_is_the_emitted_base_case(data):

@@ -17,6 +17,28 @@ def pytest_addoption(parser):
     )
 
 
+def _shm_segments() -> set:
+    """The shared-memory segments this host lists (``/dev/shm``)."""
+    root = pathlib.Path("/dev/shm")
+    return {p.name for p in root.iterdir()} if root.is_dir() else set()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _shared_memory_audit():
+    """Every process-executor publication is released: once the caches
+    are cleared and the pools shut down at the end of the session, the
+    block registry is empty and no segment made during the session is
+    left behind."""
+    from repro.parallel import shm, shutdown_pools
+
+    before = _shm_segments()
+    yield
+    clear_caches()
+    shutdown_pools()
+    assert shm.shared_block_stats()["blocks"] == 0
+    assert not _shm_segments() - before, "leaked shared-memory segments"
+
+
 @pytest.fixture(autouse=True)
 def _isolated_caches():
     """Tests must be order-independent: the execution caches are

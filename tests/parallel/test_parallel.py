@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.backend.codegen import GeneratedKernels
+from repro.backend.plan import ExecutionPlan
 from repro.parallel import (
-    default_workers, expand_frontier, parallel_dual_tree, run_tasks,
+    Side, default_workers, expand_frontier, fan_out, run_tasks,
 )
 from repro.trees import build_kdtree
 
@@ -169,9 +170,12 @@ class TestParallelTraversal:
         dual_tree_traversal(t, t, None, make_base(acc_serial))
         kernels = GeneratedKernels(
             source="", namespace={}, base_case=make_base(acc_par))
-        stats = parallel_dual_tree(t, t, kernels, workers=4, min_tasks=16)
+        plan = ExecutionPlan(engine="stack", executor="thread", workers=4,
+                             min_tasks=16, leaf_size=16, shards=1)
+        (stats,), sched = fan_out(t, [Side(t, kernels, None)], plan)
         assert np.allclose(acc_serial, acc_par)
         assert stats.base_case_pairs == 300 * 300
+        assert sched == {"rounds": 1, "pruned": 0, "tasks_pruned": 0}
 
     def test_portal_parallel_option(self, rng):
         from repro.problems import knn

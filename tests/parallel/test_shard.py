@@ -98,6 +98,16 @@ PROBLEMS = {
 }
 
 
+def _assert_bytes_equal(a, b):
+    if isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_bytes_equal(x, y)
+    else:
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _assert_matches(mode, base, sharded):
     if mode == "tie-aware":
         vals_b, idx_b = base
@@ -125,23 +135,48 @@ def _assert_matches(mode, base, sharded):
             assert np.array_equal(np.asarray(base), np.asarray(sharded))
 
 
+#: the three runners of the fan-out, as run options
+RUNNERS = {"serial": {}, "thread": dict(PAR, executor="thread"),
+           "process": PAR}
+#: (shards, runner) cells; a serial cell's id is its shard count alone
+SHARD_RUNNERS = [pytest.param(shards, runner, id=f"{shards}" if runner ==
+                              "serial" else f"{shards}-{runner}")
+                 for runner in RUNNERS for shards in (2, 4)]
+
+
 class TestDifferentialProblems:
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_sharded_matches_unsharded(self, data, name, shards):
+    @pytest.mark.parametrize("shards,executor", SHARD_RUNNERS)
+    def test_sharded_matches_unsharded(self, data, name, shards, executor):
         Q, R = data
         mode, fn = PROBLEMS[name]
         base = fn(Q, R, {})
-        sharded = fn(Q, R, {"shards": shards})
+        sharded = fn(Q, R, dict(RUNNERS[executor], shards=shards))
         _assert_matches(mode, base, sharded)
 
-    @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    def test_sharded_matches_under_process_executor(self, data, name):
+    @pytest.mark.parametrize("name", ["knn", "kde_tau", "range_count",
+                                      "range_search", "hausdorff"])
+    def test_runners_agree(self, data, name):
+        """One schedule for every runner: under two shards, serial,
+        thread and process runs of a program give byte-equal outputs and
+        equal ``traversal.*`` and ``shard.*`` counters — the same
+        (shard × query-subtree) tasks, seeded, broadcast and killed
+        alike."""
         Q, R = data
-        mode, fn = PROBLEMS[name]
-        base = fn(Q, R, {})
-        sharded = fn(Q, R, dict(PAR, shards=2))
-        _assert_matches(mode, base, sharded)
+        fn = (PROBLEMS[name][1] if name != "kde_tau" else
+              lambda Q, R, o: kde(Q, R, bandwidth=0.7, tau=1e-3, **o))
+        runs = []
+        for opts in RUNNERS.values():
+            clear_caches()
+            with collect() as counters:
+                out = fn(Q, R, dict(opts, shards=2, leaf_size=8))
+            runs.append((out, {k: v for k, v in counters.as_dict().items()
+                               if k.startswith(("traversal.", "shard."))}))
+        (base, base_counts), *others = runs
+        assert base_counts["traversal.base_case_pairs"] > 0
+        for out, counts in others:
+            _assert_bytes_equal(base, out)
+            assert counts == base_counts
 
     @pytest.mark.parametrize("tree", ["kd", "octree", REMOVED_TREE])
     def test_tree_kinds(self, data, tree):
@@ -251,39 +286,27 @@ class TestApproximationEnvelope:
 
 
 class TestCrossShardBroadcast:
-    def test_inline_wholesale_kill(self):
-        """Balanced far/near clusters: after the first bounded round the
-        far shard's root promise key cannot beat the worst global bound
-        and the shard is killed wholesale — with the output still exact."""
+    @pytest.mark.parametrize("executor", sorted(RUNNERS))
+    def test_wholesale_kill(self, executor):
+        """Balanced far/near clusters: after the seed phase the far
+        shard cannot beat the broadcast bound — as a whole or task by
+        task — and is killed, with the output still exact, on every
+        runner alike."""
         Q, R = _clustered(15000, 15000, 256)
         base = knn(Q, R, k=5, cache=False)
-        expr = PortalExpr("shard-kill-inline")
+        expr = PortalExpr("shard-kill")
         expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
         expr.addLayer((PortalOp.KARGMIN, 5), Storage(R, name="reference"),
                       PortalFunc.EUCLIDEAN)
         with collect() as counters:
-            out = expr.execute(shards=2, cache=False)
+            out = expr.execute(shards=2, cache=False, **RUNNERS[executor])
         stats = expr.stats()
         assert stats["shard"]["count"] == 2
-        assert stats["shard"]["pruned"] >= 1
-        assert stats["shard"]["rounds"] >= 2
-        assert counters.get("shard.pruned") >= 1
-        _assert_matches("tie-aware", base,
-                        (np.asarray(out.values), np.asarray(out.indices)))
-
-    def test_process_wholesale_kill(self):
-        """Process path: paused phase-1 tasks on the dominated shard are
-        killed against the broadcast bound (wholesale and/or per-task)."""
-        Q, R = _clustered(8000, 30000, 3000)
-        base = knn(Q, R, k=5, cache=False)
-        expr = PortalExpr("shard-kill-process")
-        expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
-        expr.addLayer((PortalOp.KARGMIN, 5), Storage(R, name="reference"),
-                      PortalFunc.EUCLIDEAN)
-        out = expr.execute(shards=2, cache=False, **PAR)
-        stats = expr.stats()
-        assert stats["shard"]["count"] == 2
-        assert stats["shard"]["pruned"] + stats["shard"]["tasks_pruned"] >= 1
+        assert stats["shard"]["rounds"] == 2
+        killed = stats["shard"]["pruned"] + stats["shard"]["tasks_pruned"]
+        assert killed >= 1
+        assert (counters.get("shard.pruned")
+                + counters.get("shard.tasks_pruned")) == killed
         _assert_matches("tie-aware", base,
                         (np.asarray(out.values), np.asarray(out.indices)))
 
@@ -418,7 +441,7 @@ class TestWorkersEnv:
 
 
 class TestSharedMemoryConcurrency:
-    """The sharded layout multiplies blocks per program (``{token}::q``
+    """The sharded layout multiplies blocks per program (``{token}``
     plus ``{token}::r{i}``), so the registry's LRU and teardown now run
     under real concurrency: per-shard publishes come from the build
     pool's threads."""
