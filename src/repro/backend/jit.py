@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from ..dsl.errors import CompileError
 from ..dsl.expr import Const, Expr, Indicator
@@ -83,6 +82,8 @@ def _whiten_transform(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The numerical optimisation of section IV-D at runtime: points are
     transformed by L⁻¹ (forward substitution against the Cholesky factor)
     so Mahalanobis distance becomes plain squared Euclidean distance."""
+    from scipy.linalg import cholesky, solve_triangular
+
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise CompileError("covariance must be a square matrix")

@@ -15,20 +15,17 @@ Two pool backends behind one abstraction:
 
 Pools are **persistent**: created on first use and reused across
 ``execute()`` calls (keyed by worker count), so a service answering
-repeated queries pays process spawn and import cost once.
-:func:`shutdown_pools` tears them down (registered via ``atexit``).
+repeated queries pays process spawn and import cost once (and only a
+process run imports ``multiprocessing``).  :func:`shutdown_pools` tears
+them down (registered via ``atexit``).
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import threading
-from concurrent.futures import (
-    FIRST_EXCEPTION, ProcessPoolExecutor, ThreadPoolExecutor, wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 __all__ = [
@@ -70,13 +67,6 @@ _pools: dict[tuple[str, int], object] = {}
 _pools_lock = threading.Lock()
 
 
-def _start_method() -> str:
-    """Multiprocessing start method: ``fork`` where available (instant
-    worker start, inherited imports), else the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
-
-
 def _pool(kind: str, workers: int):
     key = (kind, workers)
     with _pools_lock:
@@ -87,7 +77,13 @@ def _pool(kind: str, workers: int):
                     max_workers=workers, thread_name_prefix="portal-task"
                 )
             else:
-                ctx = multiprocessing.get_context(_start_method())
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                # fork where available: instant start, inherited imports
+                methods = multiprocessing.get_all_start_methods()
+                ctx = multiprocessing.get_context(
+                    "fork" if "fork" in methods else methods[0])
                 pool = ProcessPoolExecutor(max_workers=workers,
                                            mp_context=ctx)
             _pools[key] = pool
@@ -103,12 +99,13 @@ def _discard_pool(kind: str, workers: int) -> None:
 
 def shutdown_pools() -> None:
     """Shut down every persistent pool (test isolation / interpreter
-    exit).  The next ``run_*`` call lazily recreates what it needs."""
+    exit), cancelling queued tasks and waiting for the rest: no worker
+    outlives the call.  The next ``run_*`` call recreates what it needs."""
     with _pools_lock:
         pools = list(_pools.values())
         _pools.clear()
     for pool in pools:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_pools)
@@ -170,6 +167,8 @@ def run_process_tasks(
     workers = workers or default_workers()
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = _pool("process", workers)
     try:
         return _drain([pool.submit(fn, p) for p in payloads])

@@ -25,7 +25,6 @@ from __future__ import annotations
 import atexit
 import threading
 from collections import OrderedDict
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -79,6 +78,8 @@ class SharedBlock:
                 slots[ident] = offset
                 order.append((offset, arr))
             manifest[name] = (offset, arr.dtype.str, arr.shape)
+
+        from multiprocessing import shared_memory
 
         self.shm = shared_memory.SharedMemory(create=True,
                                               size=max(total, 1))
@@ -253,6 +254,8 @@ def attach_arrays(
     # its cache is a set, so the duplicate registration is a no-op — and
     # unregistering here would strip the parent's own entry, making its
     # eventual unlink() complain.  So: attach, touch nothing.
+    from multiprocessing import shared_memory
+
     handle = shared_memory.SharedMemory(name=shm_name)
     views: dict[str, np.ndarray] = {}
     for name, (offset, dtype_str, shape) in manifest.items():

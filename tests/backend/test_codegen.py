@@ -4,7 +4,7 @@ compiled closure behaviour."""
 import numpy as np
 import pytest
 
-from repro.backend.codegen import CodegenSpec, _value_lines, generate
+from repro.backend.codegen import CodegenSpec, _value_lines, emit, generate
 from repro.dsl.errors import CompileError
 from repro.dsl.expr import BinOp, Const, Indicator
 from repro.dsl.ops import PortalOp
@@ -88,6 +88,11 @@ def _bindings(Q, R, state_arrays, **extra):
         QROW=Q, RROW=R,
         K=1, H=0.0, TAU=0.0, THETA2=0.25, rw=None,
     )
+    if "best" in state_arrays:
+        # a comparative state keeps ids and a signed bound beside its
+        # values, as allocate_state gives it
+        shape = state_arrays["best"].shape
+        b.update(best_idx=np.full(shape, -1), qbound=np.full(shape[0], np.inf))
     b.update(state_arrays)
     b.update(extra)
     return b
@@ -105,7 +110,7 @@ class TestSourceStructure:
         """The emitted source does not depend on the dimensionality: the
         GEMM for a squared-Euclidean kernel, the difference form folded
         in dimension order otherwise."""
-        sources = {generate(_spec(dim=dim, base=base), {}).source
+        sources = {emit(_spec(dim=dim, base=base))[0]
                    for dim in (1, 3, 4, 5, 9)}
         assert len(sources) == 1
         (source,) = sources

@@ -235,5 +235,5 @@ def test_generated_source_is_the_emitted_base_case(data):
     source = program.generated_source()
     assert "def base_case(qs, qe, rs, re):" in source
     assert "EXTERNAL(QROW[qs:qe], RROW[rs:re], qs, rs)" in source
-    assert "def _merge(v, q, rid):" in source
+    assert "_merge = _k_merge(best, best_idx, None, K, " in source
     assert program.cache_state is None  # an opaque callable is never cached

@@ -9,7 +9,8 @@ k-array in one stable sort, so a tie at the k-th value keeps the old
 entry, then the lowest block column.  ``base_case_blocks`` runs once per
 leaf-bearing epoch: it packs the epoch's query leaves into padded
 blocks, and a pad cell holds the operator's exclusion value.  All three
-merge through one emitted ``_merge``.
+merge through one ``_merge``, which each program binds from the fixed
+``codegen._k_merge``.
 These tests pin that merge where it is easiest to get wrong: coincident
 points whose tie spans the k-th slot, both bound signs, the k edges
 under self-exclusion, pads and blocks narrower than K that must never
@@ -22,9 +23,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend.cache import clear_caches
-from repro.backend.codegen import CodegenSpec, bind_kernels, emit
+from repro.backend.codegen import (
+    CodegenSpec, _k_merge, _single_merge, bind_kernels, emit,
+)
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
 from repro.dsl.ops import MIN_LIKE
@@ -374,3 +378,74 @@ def test_bound_kernel_breaks_ties_old_first_then_by_column(op, kernel):
     assert ((cand_v == kth).sum(axis=1) > 1).sum() >= 5
     assert np.array_equal(state["best"], cand_v[rows, order])
     assert np.array_equal(state["best_idx"], cand_i[rows, order])
+
+
+# -- the merge as a function -------------------------------------------------
+# ``_k_merge`` / ``_single_merge`` against a sort-based reference: each
+# row's candidates with NaN read as the exclusion value; a row whose best
+# candidate is not strictly better than its k-th best is untouched; any
+# other row's new k-array is a stable sort of [old k-array | its K best
+# candidates in (value, column) order].  Values come from a few small
+# integers, so ties inside and across the k-th slot are common.
+
+def _reference_merge(best, best_idx, qbound, v, q, rid, K, descending):
+    excl = -np.inf if descending else np.inf
+    s = v.shape[0] // rid.shape[0]
+    for i, row in enumerate(q.tolist()):
+        vals = np.where(np.isnan(v[i]), excl, v[i])
+        key = -vals if descending else vals
+        old = best[row] if K else best[row:row + 1]
+        old_key = -old if descending else old
+        if not key.min() < old_key[-1]:
+            continue
+        if not K:
+            j = int(np.argmin(key))
+            best[row], best_idx[row] = vals[j], rid[i // s, j]
+            if qbound is not None:
+                qbound[row] = -vals[j] if descending else vals[j]
+            continue
+        cols = np.argsort(key, kind="stable")[:min(K, vals.size)]
+        order = np.argsort(np.concatenate([old_key, key[cols]]),
+                           kind="stable")[:K]
+        best[row] = np.concatenate([old, vals[cols]])[order]
+        best_idx[row] = np.concatenate([best_idx[row],
+                                        rid[i // s, cols]])[order]
+        if qbound is not None:
+            qbound[row] = -best[row, -1] if descending else best[row, -1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), descending=st.booleans(),
+       form=st.sampled_from(["single", "1", "3", "W+2"]),
+       width=st.integers(1, 6), share=st.sampled_from([1, 2]),
+       bound=st.booleans())
+def test_merge_functions_match_a_sort(seed, descending, form, width, share,
+                                      bound):
+    rng = np.random.default_rng(seed)
+    K = {"single": 0, "1": 1, "3": 3, "W+2": width + 2}[form]
+    excl = -np.inf if descending else np.inf
+    n, nrow = 12, 2 * share * rng.integers(1, 4)
+    pool = np.array([0.0, 1.0, 2.0, 4.0, np.nan, excl])
+    # candidates: ties, NaN, and pad columns holding the exclusion value
+    v = rng.choice(pool, size=(nrow, width), p=[.25, .25, .2, .15, .05, .1])
+    q = rng.permutation(n)[:nrow].astype(np.int64)
+    rid = rng.permutation(50)[:nrow // share * width].reshape(-1, width)
+    # the old state: sorted rows, some slots unfilled (identity, id -1)
+    old = rng.choice([0.0, 1.0, 2.0, 4.0, 9.0, excl], size=(n, max(K, 1)))
+    old = np.sort(-old if descending else old, axis=1, kind="stable")
+    old = -old if descending else old
+    old_idx = np.where(np.isinf(old), -1, 100 + rng.permutation(
+        n * old.shape[1]).reshape(old.shape))
+    if not K:
+        old, old_idx = old[:, 0].copy(), old_idx[:, 0].copy()
+    qbound = np.full(n, np.inf) if bound else None
+    got = (old.copy(), old_idx.copy(), None if qbound is None
+           else qbound.copy())
+    want = (old.copy(), old_idx.copy(), None if qbound is None
+            else qbound.copy())
+    merge = (_single_merge(*got, descending=descending) if not K else
+             _k_merge(*got, K, descending=descending))
+    merge(v.copy(), q, rid)
+    _reference_merge(*want, v, q, rid, K, descending)
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or g.tobytes() == w.tobytes()

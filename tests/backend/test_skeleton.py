@@ -2,12 +2,14 @@
 
 Every base case is one instance of gather → distance → value →
 self-exclusion/pads → fold, and every comparative one folds through the
-one emitted ``_merge``.  These tests pin that shape on the compiled
-programs: a k-NN program is nine functions (no scalar prune twin of
-its bound key), each comparative program defines exactly one merge
-that every base case calls, the node-distance far edge appears only
-where a kernel calls it, and no program names a second norm-expansion
-spelling's operands.
+one ``_merge``.  The code no program changes (the GEMM operands, the
+merge, the row regime's base case) is not emitted: a program binds it
+from :mod:`repro.backend.codegen` in one line each.  These tests pin
+that shape on the compiled programs: a k-NN program is six functions
+(no scalar prune twin of its bound key) and three bindings, each
+comparative program binds exactly one merge that every base case
+calls, the node-distance far edge appears only where a kernel calls
+it, and no program names a second norm-expansion spelling's operands.
 """
 
 import re
@@ -54,25 +56,37 @@ def _defs(source):
     return re.findall(r"^def (\w+)\(", source, flags=re.M)
 
 
+def _bindings(source):
+    """The module-level names bound to a call of the fixed kernel code."""
+    return re.findall(r"^(\w+) = (_\w+)\(", source, flags=re.M)
+
+
 def _body(source, name):
     return source[source.index(f"def {name}("):].split("\n\n")[0]
 
 
-def test_knn_program_is_nine_functions():
-    assert _defs(_program("knn")) == [
-        "_gemm_operands", "base_case", "_merge", "pair_min_base_dist",
-        "exact_values", "bound_key_batch", "row_key_batch",
-        "base_case_blocks", "base_case_rows"]
+def test_knn_program_is_six_functions_and_three_bindings():
+    source = _program("knn")
+    assert _defs(source) == [
+        "base_case", "pair_min_base_dist", "exact_values", "bound_key_batch",
+        "row_key_batch", "base_case_blocks"]
+    assert _bindings(source) == [
+        ("_gemm_operands", "_augmented_operands"), ("_merge", "_k_merge"),
+        ("base_case_rows", "_row_base_case")]
 
 
 @pytest.mark.parametrize("options", [{}, {"shards": 2}])
 @pytest.mark.parametrize("name", ["knn", "nearest", "hausdorff", "kmax"])
 def test_comparative_programs_have_one_merge(name, options):
     source = _program(name, **options)
-    merges = [fn for fn in _defs(source) if "merge" in fn]
-    assert merges == ["_merge"]
-    for kernel in ("base_case", "base_case_blocks", "base_case_rows"):
+    assert not [fn for fn in _defs(source) if "merge" in fn]
+    merges = [b for b in _bindings(source) if "merge" in b[0]]
+    assert merges == [("_merge", "_k_merge" if name in ("knn", "kmax")
+                       else "_single_merge")]
+    for kernel in ("base_case", "base_case_blocks"):
         assert "    _merge(" in _body(source, kernel)
+    assert re.search(r"^base_case_rows = _row_base_case\(exact_values, "
+                     r"_merge, ", source, flags=re.M)
 
 
 @pytest.mark.parametrize("name", ["knn", "kde", "range_count", "hausdorff"])

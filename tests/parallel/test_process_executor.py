@@ -348,3 +348,17 @@ class TestRunProcessTasks:
     def test_exception_propagates(self):
         with pytest.raises(ValueError, match="kaboom"):
             run_process_tasks(_raise, ["kaboom"] * 4, workers=2)
+
+    def test_shutdown_joins_the_pool_s_workers(self):
+        """``shutdown_pools`` waits for a live process pool: no worker
+        outlives it, so the interpreter's exit hook never writes to a
+        pool whose wakeup pipe is already closed."""
+        import multiprocessing
+
+        from repro.parallel.executor import shutdown_pools
+
+        assert run_process_tasks(_square, [1, 2, 3, 4], workers=2) == [
+            1, 4, 9, 16]
+        assert multiprocessing.active_children()
+        shutdown_pools()
+        assert multiprocessing.active_children() == []
