@@ -115,8 +115,11 @@ class GeneratedKernels:
     traversal (:func:`repro.backend.state.exact_winners`).  A
     comparative fold is one bound ``_merge``.  Stateless rules
     (indicator / approximation) get ``classify_batch`` over whole arrays
-    of node-id pairs, and ``apply_action(qis, ris)`` for arrays of their
-    approximated or inside pairs.  Bound rules (k-NN, Hausdorff) get
+    of node-id pairs, and an inside-region action ``apply_action(qis,
+    ris)`` for arrays of its inside pairs.  An approximated pair needs no
+    action: it is its query node against the reference node's
+    pseudo-point, one more gathered column of ``base_case_group``
+    (:meth:`Bindings.reference`).  Bound rules (k-NN, Hausdorff) get
     ``bound_key_batch`` (node pairs) and ``row_key_batch`` (row regime)
     promise keys, which the engine classifies against a signed
     per-query bound array ``qbound``.  The batched engine takes the
@@ -315,7 +318,8 @@ class _Gather:
     block is every ``q`` row against every ``r`` row, ``stacked`` when
     ``q`` and ``r`` carry a leading axis of blocks.  ``overlap``, when
     set, is the condition under which the block can hold a self pair by
-    position."""
+    position; ``far``, whether ``r`` can reach an approximation rule's
+    pseudo-points, which weigh their node's mass."""
 
     q: str
     r: str
@@ -323,6 +327,7 @@ class _Gather:
     rpos: str
     stacked: bool = False
     overlap: str = ""
+    far: bool = False
 
 
 #: ``base_case``: two leaf slices (on one shared tree, and in brute
@@ -330,7 +335,8 @@ class _Gather:
 _SLICES = _Gather("qs:qe", "rs:re", "np.arange(qs, qe)", "np.arange(rs, re)",
                   overlap="qs < re and rs < qe")
 #: ``base_case_group``: a query slice against one chunk of gathered points
-_GROUP = _Gather("qs:qe", "ridx", "np.arange(qs, qe)", "ridx")
+#: (pseudo-points too)
+_GROUP = _Gather("qs:qe", "ridx", "np.arange(qs, qe)", "ridx", far=True)
 #: ``base_case_blocks``: a stack of padded (query leaf × gathered) blocks
 _BLOCKS = _Gather("qrow", "rid", "qrow", "rid", stacked=True)
 
@@ -431,17 +437,31 @@ def _fold_lines(spec: CodegenSpec, g: _Gather) -> list[str]:
     """Lines folding the block ``v`` of a query slice ``[qs, qe)`` into
     the operator's state: a comparative reduction calls :func:`_merge`, a
     SUM adds, a PROD multiplies, a list appends each row's hits and a
-    dense ``FORALL`` stores."""
+    dense ``FORALL`` stores.  Where the gather reaches pseudo-points
+    (rows from ``rend[0]`` on, gathered after the real rows), a column
+    weighs ``rw``, a pseudo-point its node's mass: a weighted SUM folds
+    every column by ``rw``; an unweighted one scales its pseudo-point
+    columns alone and a PROD raises them to that power, so a real row's
+    term and its fold keep their bits, one row's whatever other rows
+    share the block (a GEMV's do not)."""
     op = spec.inner_op
     if _comparative(spec):
         return [f"_merge(v, {g.qpos}, {g.rpos}[None])"]
+    far = []
+    if g.far and spec.rule is not None and spec.rule.approximates:
+        w = "v[:, far] * w" if op is PortalOp.SUM else "np.power(v[:, far], w)"
+        far = [f"if {g.r}[-1] >= rend[0]:",
+               f"    far = {g.r} >= rend[0]",
+               f"    w = rw[{g.r}[far]]",
+               f"    v[:, far] = {w}"]
     if op is PortalOp.SUM:
-        return [f"acc[qs:qe] += v @ rw[{g.r}]" if spec.weighted
-                else "acc[qs:qe] += v.sum(axis=1)"]
+        if spec.weighted:
+            return [f"acc[qs:qe] += v @ rw[{g.r}]"]
+        return [*far, "acc[qs:qe] += v.sum(axis=1)"]
     if op is PortalOp.PROD:
         if spec.weighted:
             raise CompileError("PROD does not support weighted references")
-        return ["acc[qs:qe] *= v.prod(axis=1)"]
+        return [*far, "acc[qs:qe] *= v.prod(axis=1)"]
     if op is PortalOp.UNIONARG or op is PortalOp.UNION:
         # one nonzero scan per block; the hits come row-major, so each
         # row with any is one run of them
@@ -490,9 +510,10 @@ CHUNK_CELLS = 64 * 1024
 
 def _base_case_group_source(spec: CodegenSpec) -> str | None:
     """Emit ``base_case_group(qs, qe, gathered)`` for a stateless
-    program: one base case for a query leaf against the concatenated
-    points of *several* reference leaves, walked in chunks of at most
-    :data:`CHUNK_CELLS` cells.  A bound program gets
+    program: one base case for a query node against the concatenated
+    points of *several* reference leaves, then any pseudo-points (an
+    approximation's far field, :meth:`Bindings.reference`), walked in
+    chunks of at most :data:`CHUNK_CELLS` cells.  A bound program gets
     :func:`_base_case_blocks_source` instead."""
     rule = spec.rule
     if rule is not None and rule.is_bound:
@@ -638,80 +659,19 @@ def _node_distance_source(spec: CodegenSpec, edge: str) -> str:
     ])
 
 
-def _approx_action_lines(spec: CodegenSpec) -> list[str]:
-    """ComputeApprox over one chunk of pairs: each query row of a pair
-    meets the reference node's centroid, and each of the node's W points
-    contributes about g(centroid): W·g to a sum, g**W to a product."""
-    tc = ("np.einsum('ij,ij->i', dqc, dqc)" if spec.base == "sqeuclidean"
-          else _METRICS[spec.base][2].format("np.abs(dqc)"))
-    if spec.inner_op is PortalOp.PROD:
-        # one exponent at a time: np.power takes other paths for a
-        # scalar exponent (w = 2 squares) than for an array of them
-        update = ["wr = rweight[rr]",
-                  "for w in np.unique(wr):",
-                  "    at = wr == w",
-                  "    tc[at] = np.power(tc[at], w)",
-                  "np.multiply.at(acc, rows, tc)"]
-    else:
-        update = ["tc *= rweight[rr]", "np.add.at(acc, rows, tc)"]
-    return [
-        "rows = _ranges(qs[a:b], nq[a:b])",
-        "rr = np.repeat(ris[a:b], nq[a:b])",
-        f"dqc = {_rows('QROW', 'rows')}",
-        f"dqc -= {_rows('rcentroid', 'rr')}",
-        f"tc = {tc}",
-        *_value_lines(spec.g_ir, "tc", "tc", owned=True)[0],
-        *update,
-    ]
-
-
 #: inside-region actions that add the reference node's count (``rweight``)
 _COUNT_ACTIONS = ("count_per_query", "count_product")
 
 
-def mass_operands(rule: RuleSpec | None) -> frozenset[str]:
-    """The reference-node mass operands the actions emitted for ``rule``
-    read: ComputeApprox reads ``rcentroid`` and ``rweight``, an
-    inside-region count ``rweight``; no other emitted code reads
-    either."""
-    if rule is None:
-        return frozenset()
-    if rule.kind == "approx":
-        return frozenset(("rcentroid", "rweight"))
-    if rule.kind == "indicator" and rule.inside_action in _COUNT_ACTIONS:
-        return frozenset(("rweight",))
-    return frozenset()
-
-
 def _action_source(spec: CodegenSpec) -> str | None:
-    """Emit ``apply_action(qis, ris)``: the ComputeApprox / inside-region
-    side effect of the node pairs ``(qis[p], ris[p])``, applied in pair
-    order.  The batched engine calls it once per epoch with every
-    code-2 pair of the epoch in pool order; the stack engine with its
-    one pair, so each action has one spelling.
-
-    The arithmetic is done in bulk over slices of pairs whose gathered
-    rows stay within :data:`CHUNK_CELLS` cells (:func:`_pair_chunks`),
-    taken in order: the pairs' query rows, reference centroids and
-    weights are gathered, g is evaluated once, and the terms are
-    accumulated with ``np.add.at`` (``np.multiply.at`` for a PROD), which
-    applies them one index at a time in array order.  So every row gets
-    the same operands, in the same order, as one pair at a time would
-    give it, and the outputs are bitwise those of a per-pair loop.  The
-    inside-region actions read no g, so they are bound lines
-    (:func:`_count_action`; :func:`_append_action`, which keeps its loop
-    over the pairs, as a row's list order is the output)."""
+    """The line binding ``apply_action(qis, ris)``, an inside-region
+    rule's side effect of the node pairs ``(qis[p], ris[p])`` in pair
+    order (:func:`_count_action`, :func:`_append_action`).  The batched
+    engine calls it once per epoch with every code-2 pair of the epoch
+    in pool order; the stack engine with its one pair, so each action
+    has one spelling."""
     rule = spec.rule
-    if rule is None:
-        return None
-    if rule.kind == "approx":
-        return _function("def apply_action(qis, ris):", [
-            "qs = qstart[qis]",
-            "nq = qend[qis] - qs",
-            "for a, b in _pair_chunks(nq * QROW.shape[1]):",
-            *("    " + line for line in _approx_action_lines(spec)),
-        ])
-    if rule.kind != "indicator" or rule.inside_action is None:
+    if rule is None or rule.kind != "indicator" or rule.inside_action is None:
         return None
     if rule.inside_action == "append_all":
         return ("apply_action = _append_action(out_lists, qstart, qend, "
@@ -1044,11 +1004,13 @@ def _row_base_case(exact_values, merge, Q, R, best, descending=False,
 
 def _count_action(acc, qstart, qend, rstart, rend, rweight, rw=None,
                   rlabel=None, self_pairs=False):
-    """The inside-region count's ``apply_action(qis, ris)``, in bulk as
-    :func:`_action_source` says: each pair adds its node's ``rweight``
-    to its rows of ``acc``, then takes its self pairs (query positions
-    ``rlabel`` names, or by position under ``self_pairs``) out again,
-    each weighing ``rw`` or 1, right after its own add."""
+    """The inside-region count's ``apply_action(qis, ris)``, in bulk
+    over slices of pairs of at most :data:`CHUNK_CELLS` cells
+    (:func:`_pair_chunks`), with ``np.add.at`` in pair order, so the
+    outputs are bitwise a per-pair loop's: each pair adds its node's
+    ``rweight`` to its rows of ``acc``, then takes its self pairs (query
+    positions ``rlabel`` names, or by position under ``self_pairs``) out
+    again, each weighing ``rw`` or 1, right after its own add."""
 
     def apply_action(qis, ris):
         qs = qstart[qis]
@@ -1183,9 +1145,9 @@ class Bindings:
     publishes them to shared memory as they are: the points (``QROW``,
     ``RROW``), tree metadata
     (``qlo``/``qhi``/``qstart``/``qend``, ``rlo``/``rhi``/``rstart``/
-    ``rend``/``rdiam2``, and the node mass ``rcentroid``/``rweight``
-    where the emitted actions read it, :func:`mass_operands`), the
-    reference weights ``rw`` when there are any and, under
+    ``rend``/``rdiam2``, and the node mass where the rule reads it,
+    :meth:`reference`), the reference weights ``rw`` when there are any
+    (or pseudo-points) and, under
     ``spec.labels``, ``QLABEL`` / ``RLABEL`` (and ``lmin`` / ``lmax``,
     which a caller may rewrite between runs).  ``scalars`` pickle as
     they are: the program-shape constants ``K``/``H``/``TAU``/
@@ -1211,24 +1173,31 @@ class Bindings:
                   rlabel: np.ndarray | None = None) -> "Bindings":
         """The reference-tree operands the kernels emitted for ``rule``
         (``CodegenSpec.rule``) read — one set per shard tree under the
-        sharded layout, with that shard's ``RLABEL``.  The node mass is
-        read, and so computed or repaired on the tree, only where the
-        rule's action uses it."""
-        weighted = rtree.weights is not None
+        sharded layout, with that shard's ``RLABEL``.  The node mass (its
+        total weight, or count, at its weighted centroid) is read, and so
+        computed on the tree, only where the rule uses it: an
+        inside-region count reads it as ``rweight``; an approximation's
+        far field is data, one pseudo-point per node after the real rows
+        of ``RROW``, ``rw`` (1 per real row unless weighted) and
+        ``RLABEL`` (−1, which no query label equals), node ``i``'s at
+        row ``n + i``, so the grouped base case evaluates an approximated
+        pair as one more gathered column."""
         arrays = dict(
             RROW=rtree.points,
             rlo=rtree.lo, rhi=rtree.hi, rstart=rtree.start, rend=rtree.end,
             rdiam2=rtree.diameter ** 2,
             **_present(rw=rtree.weights, RLABEL=rlabel),
         )
-        mass = mass_operands(rule)
-        if "rcentroid" in mass:
-            arrays["rcentroid"] = (rtree.wcentroid if weighted
-                                   else rtree.centroid)
-        if "rweight" in mass:
-            arrays["rweight"] = (
-                rtree.wsum if weighted
-                else (rtree.end - rtree.start).astype(np.float64))
+        if rule is not None and rule.inside_action in _COUNT_ACTIONS:
+            arrays["rweight"] = _node_mass(rtree)[1]
+        elif rule is not None and rule.approximates:
+            centroid, mass = _node_mass(rtree)
+            real = {**arrays, "rw": (np.ones(rtree.n) if rtree.weights is None
+                                     else rtree.weights)}
+            pseudo = dict(RROW=centroid, rw=mass,
+                          RLABEL=np.full(mass.size, -1))
+            arrays.update({name: np.concatenate([real[name], tail])
+                           for name, tail in pseudo.items() if name in real})
         return cls(arrays, {})
 
     @classmethod
@@ -1251,6 +1220,14 @@ class Bindings:
         if state.lists is not None:
             namespace["out_lists"] = state.lists
         return bind_kernels(source, code, namespace)
+
+
+def _node_mass(rtree) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's weighted centroid and total weight (its centroid and
+    point count, unweighted)."""
+    if rtree.weights is None:
+        return rtree.centroid, (rtree.end - rtree.start).astype(np.float64)
+    return rtree.wcentroid, rtree.wsum
 
 
 def _present(**named) -> dict:

@@ -49,11 +49,14 @@ __all__ = ["run_task"]
 
 
 def _tree(views: dict[str, np.ndarray], side: str) -> ArrayTree:
-    """The ``side`` ("q" / "r") tree over the attached views; it derives
-    the rest of its topology once per worker program."""
+    """The ``side`` ("q" / "r") tree over the attached views, its points
+    the real rows (the root's slice: an approximation's ``RROW`` goes on
+    with pseudo-points); it derives the rest of its topology once per
+    worker program."""
+    end = views[f"{side}end"]
     return ArrayTree(
-        views[f"{side.upper()}ROW"], None, views[f"{side}lo"],
-        views[f"{side}hi"], views[f"{side}start"], views[f"{side}end"],
+        views[f"{side.upper()}ROW"][:end[0]], None, views[f"{side}lo"],
+        views[f"{side}hi"], views[f"{side}start"], end,
         views[f"{side}_child_offset"], views[f"{side}_child_list"])
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from ..dsl import PortalExpr, PortalOp, Storage
 
@@ -28,6 +27,8 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """log N(x | mean, cov) for every row of X (Cholesky-based — the same
     numerical optimisation the compiler applies to Mahalanobis forms)."""
+    from scipy.linalg import cholesky
+
     d = X.shape[1]
     L = cholesky(cov + 1e-9 * np.eye(d), lower=True)
     return _log_gaussian_chol(X, mean, L)
@@ -35,6 +36,8 @@ def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarra
 
 def _log_gaussian_chol(X: np.ndarray, mean: np.ndarray, L: np.ndarray) -> np.ndarray:
     """log N(x | mean, LLᵀ) given the precomputed Cholesky factor."""
+    from scipy.linalg import solve_triangular
+
     d = X.shape[1]
     z = solve_triangular(L, (X - mean).T, lower=True)
     maha = np.einsum("ij,ij->j", z, z)
@@ -48,6 +51,8 @@ def _component_kernel(means, covs, weights):
     The per-component Cholesky factors are computed once per E-step call
     (loop-invariant — the same hoisting the compiler's numerical
     optimisation pass performs on internal Mahalanobis kernels)."""
+    from scipy.linalg import cholesky
+
     d = means.shape[1]
     chols = [cholesky(c + 1e-9 * np.eye(d), lower=True) for c in covs]
 

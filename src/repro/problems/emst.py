@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from ..backend.jit import compile_expr
 from ..dsl import PortalExpr, PortalFunc, PortalOp
@@ -53,6 +51,9 @@ def emst(points, leaf_size: int = 32) -> EMSTResult:
     tree; the edge set is the tree's own when no two pairwise distances
     are equal, and otherwise one of the tied trees.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+
     if isinstance(points, Storage):
         points = points.data
     points = np.ascontiguousarray(points, dtype=np.float64)

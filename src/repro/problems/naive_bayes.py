@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from ..dsl import PortalExpr, PortalFunc, PortalOp, Storage
 
@@ -38,6 +37,8 @@ class NaiveBayesClassifier:
     logdets_: np.ndarray | None = None
 
     def fit(self, X, y) -> "NaiveBayesClassifier":
+        from scipy.linalg import cholesky
+
         X = X.data if isinstance(X, Storage) else np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         if len(X) != len(y):

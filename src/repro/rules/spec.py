@@ -12,7 +12,7 @@ per problem.  It is consumed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["RuleSpec"]
 
@@ -61,7 +61,6 @@ class RuleSpec:
     #: bound reductions: which retained value bounds the node
     #: ('last' = k-th kept value; 'single' for plain min/max)
     k: int = 1
-    extra: dict = field(default_factory=dict)
 
     @property
     def is_bound(self) -> bool:

@@ -89,18 +89,18 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    node boxes and fixed thresholds alone, so narrowing an epoch buys
    nothing: each epoch takes the whole pool, which is one level of the
    recursion.  ``classify_batch`` labels it (0: recurse, 1: prune,
-   2: approximate) and one ``apply_action`` call applies every code-2
-   pair of the epoch, in pool order: the emitted action gathers the
-   pairs' rows and reference mass data in slices, evaluates g once per
-   slice and accumulates with ``np.add.at`` (``np.multiply.at``), so
-   each row's terms arrive in the order of a per-pair loop and the
-   outputs are its bits.  The promise key is the reference leaf's
-   ``rstart``, and every base case is deferred to one flush after the
-   loop: sorted by query leaf, then ``rstart``, and cut at query-leaf
-   boundaries into slices of at most ``epoch_size`` leaf pairs, each
-   one grouped call per query leaf (a cut bounds the gathered index
-   array; it never splits a query leaf, so it cannot move a bit).  The
-   row regime and the epoch hooks below are bound-only.
+   2: approximate / inside).  An inside-region action applies every
+   code-2 pair of the epoch in one ``apply_action`` call, in pool
+   order.  An approximated pair is data: its query node against the
+   reference node's pseudo-point (the node's mass at its centroid, one
+   row after the real ones), held like a leaf pair.  The promise key is
+   the gathered row's start (``rstart``, or the pseudo-point's row), and
+   every base case is deferred to one flush after the loop: sorted by
+   query node, then that key, and cut at query-node boundaries into
+   slices of at most ``epoch_size`` held pairs, each one grouped call
+   per query node (a cut bounds the gathered index array; it never
+   splits a query node, so it cannot move a bit).  The row regime and
+   the epoch hooks below are bound-only.
 
 Node bounds are refreshed from ``qbound`` in two reduceat sweeps: sorted
 leaves tile ``[0, n)`` contiguously, so one ``np.maximum.reduceat`` over
@@ -195,9 +195,9 @@ def descent_levels(tree) -> int:
 
 
 def _flush_cuts(bq, width: int) -> list[int]:
-    """Slice edges over the query-leaf-sorted pairs ``bq`` of a
-    stateless flush: a cut falls only where the query leaf changes, and
-    a slice holds at most ``width`` pairs unless one leaf alone holds
+    """Slice edges over the query-node-sorted pairs ``bq`` of a
+    stateless flush: a cut falls only where the query node changes, and
+    a slice holds at most ``width`` pairs unless one node alone holds
     more."""
     edges = [0, *(np.flatnonzero(np.diff(bq)) + 1).tolist(), int(bq.size)]
     cuts = [0]
@@ -320,19 +320,27 @@ def bounded_batched_dual_tree_traversal(
             def bounds_of(q):
                 return node_bound[q]
         else:
+            # Node ids past the last name pseudo-points: node i's far
+            # field is row n + i (codegen.Bindings.reference), so an
+            # approximated pair is held as one more leaf pair.
+            nodes = rtree.n_nodes
+            rstart = np.concatenate([rstart, rtree.n + np.arange(nodes)])
+            rend = np.concatenate([rend, rstart[nodes:] + 1])
+
             def key_batch(q, r):
-                # No promise to order by: a query leaf gathers its
-                # reference leaves in point order.
+                # No promise to order by: a query node gathers its
+                # reference leaves in point order, then its pseudo-points.
                 return rstart[r]
 
         def leaf_mask(q, r):
             return q_leaf_arr[q] & r_leaf_arr[r]
 
         def run_base_cases(bq, br, bkey):
-            # Group by query leaf, most promising reference leaf first,
+            # Group by query node, most promising reference leaf first,
             # and gather every reference slice into one flat index
             # array: a bound program makes one blocked call for the
-            # batch, a stateless one one call per query leaf.
+            # batch, a stateless one one call per query node (a query
+            # leaf, or any node with pseudo-points).
             order = np.lexsort((bkey, bq))
             bq, br = bq[order], br[order]
             rlen = rend[br] - rstart[br]
@@ -350,7 +358,8 @@ def bounded_batched_dual_tree_traversal(
                     qi = int(uq[g])
                     kernels.base_case_group(int(qstart[qi]), int(qend[qi]),
                                             ridx[redge[g]:redge[g + 1]])
-            return int(((qend[bq] - qstart[bq]) * rlen).sum())
+            exact = br < rtree.n_nodes
+            return int(((qend[bq] - qstart[bq]) * rlen)[exact].sum())
 
         def expand(eq, er):
             qn = qoff[eq + 1] - qoff[eq]
@@ -429,8 +438,11 @@ def bounded_batched_dual_tree_traversal(
                 live = codes == 0
                 act = np.flatnonzero(codes == 2)
                 stats.approximated += int(act.size)
-                if act.size:
+                if act.size and kernels.apply_action is not None:
                     kernels.apply_action(q[act], r[act])
+                elif act.size:
+                    far = r[act] + rtree.n_nodes
+                    held.append((q[act], far, rstart[far]))
             stats.pruned += int(np.count_nonzero(pruned))
             if not live.all():
                 q, r, keys = q[live], r[live], keys[live]
@@ -464,8 +476,8 @@ def bounded_batched_dual_tree_traversal(
                 )
 
         if held:
-            # The stateless flush: every leaf pair sorted by query leaf,
-            # then rstart, and run in cache-sized slices.
+            # The stateless flush: every held pair sorted by query node,
+            # then gathered row, and run in cache-sized slices.
             bq, br, bkey = (np.concatenate(part) for part in zip(*held))
             order = np.lexsort((bkey, bq))
             bq, br, bkey = bq[order], br[order], bkey[order]

@@ -23,19 +23,25 @@ from .multitree import TraversalStats
 __all__ = ["ENGINES", "bound_epochs", "run_engine"]
 
 
-def _pair_decision(qtree, kk):
+def _pair_decision(qtree, rtree, kk):
     """The stack engine's ``(qi, ri) -> code`` (0: recurse, 1: prune,
     2: approximated / inside, action applied; ``None`` without a rule):
     a bound rule's key against the max of ``qbound`` over the query
-    node's slice, else ``classify_batch`` then ``apply_action``."""
+    node's slice, else ``classify_batch`` then ``apply_action`` — or,
+    for an approximation, ``base_case_group`` over the query node and
+    the one pseudo-point of the reference node (row ``n + ri``)."""
+    qs, qe = qtree.start, qtree.end
     if kk.bound_key_batch is not None:
-        key, qbound, qs, qe = (kk.bound_key_batch, kk.namespace["qbound"],
-                               qtree.start, qtree.end)
+        key, qbound = kk.bound_key_batch, kk.namespace["qbound"]
         return lambda qi, ri: int(prunes(key(np.array([qi]), np.array([ri])),
                                          qbound[qs[qi]:qe[qi]].max())[0])
     if kk.classify_batch is None:
         return None
     classify, act = kk.classify_batch, kk.apply_action
+    if act is None:
+        def act(qis, ris):
+            kk.base_case_group(int(qs[qis[0]]), int(qe[qis[0]]),
+                               rtree.n + ris)
 
     def decide(qi, ri):
         qis, ris = np.array([qi]), np.array([ri])
@@ -48,7 +54,7 @@ def _pair_decision(qtree, kk):
 
 def _stack(qtree, rtree, kk, *, q_root=0, stats=None):
     return dual_tree_traversal(
-        qtree, rtree, _pair_decision(qtree, kk), kk.base_case,
+        qtree, rtree, _pair_decision(qtree, rtree, kk), kk.base_case,
         pair_min_dist=kk.pair_min_dist, q_root=q_root, stats=stats)
 
 

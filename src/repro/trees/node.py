@@ -16,9 +16,9 @@ bounding box ``lo``/``hi``, point count, widest-dimension ``diameter``
 and the *mass data*: centroid (mean point) and — when the
 dataset carries weights — total weight and weighted centroid (the center
 of mass used by Barnes-Hut's ComputeApprox).  Boxes are kept exact under
-every mutation; mass data is computed on its first read and repaired
-there (:meth:`ArrayTree._mass_data`), so a program that never reads it
-(k-NN, range search) never pays for it.
+every mutation; mass data is computed on its first read after the build
+or a mutation (:meth:`ArrayTree._mass_data`), so a program that never
+reads it (k-NN, range search) never pays for it.
 """
 
 from __future__ import annotations
@@ -176,9 +176,9 @@ class ArrayTree:
 
     Trees are *live*: :meth:`insert_batch`, :meth:`delete_batch` and
     :meth:`update_batch` mutate the tree in place with a refit driven by
-    what changed (:meth:`_refit`: boxes exactly, mass data on its next
-    read) plus an amortized partial rebuild of any subtree whose leaf
-    occupancy or bound volume degrades past a threshold.  Every mutation
+    what changed (:meth:`_refit`: boxes exactly, mass data rebuilt on
+    its next read) plus an amortized partial rebuild of any subtree
+    whose leaf occupancy or bound volume degrades past a threshold.  Every mutation
     bumps the monotone :attr:`version` and rebinds — never writes into —
     the node/point arrays, so a :meth:`snapshot` taken before the
     mutation keeps a consistent view for in-flight traversals (including
@@ -229,11 +229,9 @@ class ArrayTree:
 
         self.diameter = (self.hi - self.lo).max(axis=1)  # widest-dim span
 
-        # Mass data (centroid, wsum, wcentroid): computed on first read.
-        # ``_mass_stale`` marks the leaves mutations left to repair; their
-        # ancestors are repaired with them.
+        # Mass data (centroid, wsum, wcentroid): computed on first read,
+        # dropped by every mutation.
         self._mass = None
-        self._mass_stale = None
 
         self.version = 0
         self._pristine_diam = self.diameter
@@ -241,7 +239,7 @@ class ArrayTree:
         self._topology: dict = {}
         self._tiling: dict = {}
 
-    # -- mass data: computed and repaired when read ------------------------------
+    # -- mass data: computed when read ------------------------------------------
     @property
     def centroid(self) -> np.ndarray:
         return self._mass_data()[0]
@@ -257,28 +255,24 @@ class ArrayTree:
         return self._mass_data()[2]
 
     def _mass_data(self) -> tuple:
-        """``(centroid, wsum, wcentroid)``, up to date.
-
-        The first read computes every node's values bottom-up
-        (:meth:`_built_mass`); a read after mutations repairs the stale
-        leaves and their ancestors first (:meth:`_repaired_mass`).  Both
-        run under the tree's lock and rebind the arrays, so a snapshot
-        never sees another view's repair."""
+        """``(centroid, wsum, wcentroid)``, up to date: the first read
+        after the build or a mutation computes every node's values
+        bottom-up (:meth:`_built_mass`), under the tree's lock."""
         with self._mutation_lock:
             if self._mass is None:
                 self._mass = self._built_mass()
-            if self._mass_stale is not None:
-                self._mass = self._repaired_mass(self._mass_stale)
-                self._mass_stale = None
             return self._mass
 
     def _built_mass(self) -> tuple:
         """Every node's mass data from the point slices.  Vectorised:
         leaf sums come from one ``np.add.reduceat`` over the contiguous
         ``[start, end)`` partition, internal sums from a per-level
-        bottom-up children reduction — O(levels) NumPy calls."""
-        counts_pts = (self.end - self.start).astype(np.float64)
-        centroid = self._node_sums(self.points) / counts_pts[:, None]
+        bottom-up children reduction — O(levels) NumPy calls.  A node a
+        mutation emptied gets zero sentinels (its count or weight zero)."""
+        counts = (self.end - self.start).astype(np.float64)[:, None]
+        sums = self._node_sums(self.points)
+        centroid = np.divide(sums, counts, out=np.zeros_like(sums),
+                             where=counts > 0)
         if self.weights is None:
             return centroid, None, None
         wsum = self._node_sums(self.weights)
@@ -291,70 +285,6 @@ class ArrayTree:
         )
         return centroid, wsum, wcentroid
 
-    def _repaired_mass(self, stale: np.ndarray) -> tuple:
-        """The mass data with the ``stale`` leaves and all their
-        ancestors recomputed: the leaves exactly from their point slices
-        (an emptied leaf gets zero sentinels), the ancestors bottom-up
-        through the level plan from their children's values."""
-        centroid, wsum, wcentroid = (
-            None if a is None else a.copy() for a in self._mass)
-        weighted = wsum is not None
-        counts_all = self.end - self.start
-        leaves = np.flatnonzero(stale)
-        nonempty = leaves[counts_all[leaves] > 0]
-        empty = leaves[counts_all[leaves] == 0]
-        if nonempty.size:
-            cnt = counts_all[nonempty]
-            seg = np.cumsum(cnt) - cnt
-            flat = _ranges(self.start[nonempty], cnt)
-            P = self.points.take(flat, axis=0)
-            centroid[nonempty] = (
-                np.add.reduceat(P, seg, axis=0) / cnt[:, None])
-            if weighted:
-                wf = self.weights[flat]
-                ws = np.add.reduceat(wf, seg)
-                wps = np.add.reduceat(wf[:, None] * P, seg, axis=0)
-                wsum[nonempty] = ws
-                wcentroid[nonempty] = np.where(
-                    ws[:, None] > 0,
-                    np.divide(wps, ws[:, None], out=np.zeros_like(wps),
-                              where=ws[:, None] != 0),
-                    centroid.take(nonempty, axis=0))
-        # Zero centroids weighted by zero counts vanish under sums.  An
-        # empty leaf only survives until its forced rebuild.
-        centroid[empty] = 0.0
-        if weighted:
-            wsum[empty] = 0.0
-            wcentroid[empty] = 0.0
-
-        repair = self._with_ancestors(leaves)
-        counts_f = counts_all.astype(np.float64)
-        for ids, kids, seg in self._level_plan():
-            sel = np.flatnonzero(repair[ids])
-            if sel.size == 0:
-                continue
-            cnt = np.diff(np.append(seg, kids.size))[sel]
-            kk = kids[_ranges(seg[sel], cnt)]
-            sseg = np.cumsum(cnt) - cnt
-            ids2 = ids[sel]
-            csum = np.add.reduceat(
-                centroid.take(kk, axis=0) * counts_f[kk, None], sseg, axis=0)
-            pcnt = counts_f[ids2]
-            centroid[ids2] = np.divide(
-                csum, pcnt[:, None], out=np.zeros_like(csum),
-                where=pcnt[:, None] > 0)
-            if weighted:
-                ws = np.add.reduceat(wsum[kk], sseg)
-                wps = np.add.reduceat(
-                    wcentroid.take(kk, axis=0) * wsum[kk, None], sseg, axis=0)
-                wsum[ids2] = ws
-                wcentroid[ids2] = np.where(
-                    ws[:, None] > 0,
-                    np.divide(wps, ws[:, None], out=np.zeros_like(wps),
-                              where=ws[:, None] != 0),
-                    centroid.take(ids2, axis=0))
-        return centroid, wsum, wcentroid
-
     def _node_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-node sums of a per-point array over each ``[start, end)``
         slice, computed bottom-up: leaves via ``np.add.reduceat`` on the
@@ -363,11 +293,13 @@ class ArrayTree:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[:, None]
-        out = np.empty((self.n_nodes, x.shape[1]))
+        out = np.zeros((self.n_nodes, x.shape[1]))
         lsort = self.sorted_leaves()
-        # Sorted leaves tile [0, n) contiguously, so reduceat over just
-        # the starts segments exactly on leaf boundaries.
-        out[lsort] = np.add.reduceat(x, self.start[lsort], axis=0)
+        # Sorted leaves tile [0, n) contiguously, so reduceat over the
+        # starts of the non-empty ones segments exactly on leaf
+        # boundaries (an empty segment would read its next row).
+        full = lsort[self.end[lsort] > self.start[lsort]]
+        out[full] = np.add.reduceat(x, self.start[full], axis=0)
         for ids, kids, seg in self._level_plan():
             out[ids] = np.add.reduceat(out.take(kids, axis=0), seg, axis=0)
         return out[:, 0] if squeeze else out
@@ -495,8 +427,8 @@ class ArrayTree:
         """Move existing points (original ids ``idx``) to new coordinates
         and/or weights; returns the new tree :attr:`version`.
 
-        Boxes are refit by what changed (:meth:`_refit`) and the moved
-        leaves' mass data is repaired on its next read.  Any node whose
+        Boxes are refit by what changed (:meth:`_refit`) and the mass
+        data is built again on its next read.  Any node whose
         refit span degraded past :data:`REBUILD_DIAMETER_FACTOR` is
         re-partitioned via a subtree rebuild (``tree.rebuild.*``
         counters).  With an id repeated in ``idx`` the last value wins.
@@ -665,18 +597,14 @@ class ArrayTree:
         leaf's ``lo`` or ``hi`` — otherwise the box cannot shrink.  A
         parent is recomputed from its children only when a child's box
         changed, so the walk stops where nothing changes, and ``diameter``
-        moves only with its box.  Mass data is not
-        touched here: the moved leaves are marked stale and repaired on
-        the next read (:meth:`_mass_data`).  Arrays are copied and
-        rebound — snapshots keep the old view.
+        moves only with its box.  Mass data is dropped whole, to be
+        built again on its next read (:meth:`_mass_data`), so no step
+        reads ``moved_leaves`` itself (an eager refit would).  Arrays are
+        copied and rebound — snapshots keep the old view.
 
         Returns ``(changed, boxes)``: the ids of the nodes whose box
         changed and the number of boxes recomputed."""
-        moved = np.asarray(moved_leaves, dtype=np.int64)
-        stale = (np.zeros(self.n_nodes, dtype=bool)
-                 if self._mass_stale is None else self._mass_stale.copy())
-        stale[moved] = True
-        self._mass_stale = stale
+        self._mass = None
         changed = np.empty(0, dtype=np.int64)
         boxes = 0
         if arrivals is not None or departures is not None:
@@ -765,18 +693,6 @@ class ArrayTree:
                                    self.child_offset[:-1, None] + col, -1)]
         return _memo(self._topology, "child_matrix", build)
 
-    def _with_ancestors(self, nodes: np.ndarray) -> np.ndarray:
-        """Node mask of ``nodes`` and every ancestor of them."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        par = self.parents()
-        cur = np.asarray(nodes, dtype=np.int64)
-        while cur.size:
-            mask[cur] = True
-            up = par[cur]
-            up = up[up >= 0]
-            cur = up[~mask[up]]
-        return mask
-
     def _maybe_rebuild(self, changed: np.ndarray, filled=(),
                        forced=()) -> int:
         """Amortized partial rebuild of degraded subtrees.
@@ -841,11 +757,6 @@ class ArrayTree:
         from . import build_tree
 
         roots = [int(s) for s in roots]
-        if self._mass is not None:
-            # Mass data already computed is repaired before the graft, so
-            # the roots' ancestors keep values from the children they
-            # were measured over; mass data never read stays unread.
-            self._mass_data()
         dead = np.zeros(self.n_nodes, dtype=bool)
         for s in roots:
             frontier = np.array([s], dtype=np.int64)
@@ -904,15 +815,7 @@ class ArrayTree:
         self.lo = merge("lo")
         self.hi = merge("hi")
         self.diameter = merge("diameter")
-        if self._mass is not None:
-            self._mass = tuple(
-                None if own is None else np.concatenate(
-                    [own[keep]] + [sub._mass_data()[j] for _, _, sub in subs])
-                for j, own in enumerate(self._mass))
-        if self._mass_stale is not None:
-            self._mass_stale = np.concatenate(
-                [self._mass_stale[keep],
-                 np.zeros(base - keep.size, dtype=bool)])
+        self._mass = None
         self._pristine_diam = np.concatenate(
             [self._pristine_diam[keep]] + [sub.diameter for _, _, sub in subs])
         self.n_nodes = int(self.child_offset.size - 1)
@@ -938,7 +841,7 @@ class ArrayTree:
                            weights=w)
         attrs = ["points", "perm", "lo", "hi", "start", "end",
                  "child_offset", "child_list", "is_leaf_arr", "diameter",
-                 "n_nodes", "weights", "_mass", "_mass_stale"]
+                 "n_nodes", "weights", "_mass"]
         for attr in attrs:
             setattr(self, attr, getattr(fresh, attr))
         self._pristine_diam = self.diameter

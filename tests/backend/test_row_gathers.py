@@ -5,8 +5,9 @@ every integer-index gather of narrow rows ``X.take(i, axis=0)``
 (``codegen._rows``), which copies exactly the bytes ``X[i]`` copies.
 These tests hold that equality where it could break:
 
-* no emitted source gathers a point, GEMM-operand, box or centroid
-  array by an index array (slices stay subscripts);
+* no emitted source gathers a point (pseudo-points included),
+  GEMM-operand or box array by an index array (slices stay
+  subscripts);
 * the suite programs of the benchmark spine, run with their emitted
   source as it is and with every ``.take(i, axis=0)`` rewritten back to
   ``[i]``, give byte-equal values, ids and ``traversal.*`` counters in
@@ -41,8 +42,7 @@ TAU = {"kde": 1e-3, "naive_bayes": 1e-3, "barnes_hut": 1e-3}
 FORMS = {"batched": {}, "stack": {"traversal": "stack"},
          "brute": {"backend": "brute"}}
 #: the arrays whose rows the kernels gather
-GATHERED = ("QA", "RA", "QROW", "RROW", "rlo", "rhi", "qlo", "qhi",
-            "rcentroid")
+GATHERED = ("QA", "RA", "QROW", "RROW", "rlo", "rhi", "qlo", "qhi")
 
 
 @pytest.fixture(scope="module")

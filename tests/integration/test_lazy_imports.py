@@ -2,7 +2,9 @@
 
 SciPy serves the Mahalanobis whitening, and ``multiprocessing`` with
 the process pool serve the process executor.  So a serial Euclidean
-k-NN in a fresh interpreter loads none of them, while a Mahalanobis run
+k-NN in a fresh interpreter loads none of them, through the DSL or
+through ``repro.problems`` (whose EM, EMST and naive Bayes import SciPy
+where they call it), while a Mahalanobis run
 and a process-executor run load what they use and give the serial
 Euclidean answer.
 """
@@ -34,13 +36,17 @@ def knn(func, kernel_options=None, **options):
 
 want = knn(PortalFunc.EUCLIDEAN)
 seen = {"serial": loaded()}
+from repro.problems import knn as knn_problem
+_, via_problems = knn_problem(Q, R, k=5)
+seen["problems"] = loaded()
 maha = knn(PortalFunc.MAHALANOBIS, {"covariance": np.eye(3)})
 seen["mahalanobis"] = loaded()
 pooled = knn(PortalFunc.EUCLIDEAN, parallel=True, workers=2,
              executor="process")
 seen["process"] = loaded()
 seen["same"] = [bool(np.array_equal(maha, want)),
-                bool(np.array_equal(pooled, want))]
+                bool(np.array_equal(pooled, want)),
+                bool(np.array_equal(via_problems, want))]
 print(json.dumps(seen))
 """
 
@@ -54,9 +60,10 @@ def test_a_serial_knn_loads_no_scipy_and_no_process_pool():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["serial"] == []
+    assert seen["problems"] == []
     assert "scipy.linalg" in seen["mahalanobis"]
     assert not any(m.startswith("multiprocessing")
                    for m in seen["mahalanobis"])
     assert {"multiprocessing", "concurrent.futures.process"} <= set(
         seen["process"])
-    assert seen["same"] == [True, True]
+    assert seen["same"] == [True, True, True]

@@ -258,9 +258,10 @@ def _range_search_expr(Q, R, h):
 
 
 class TestFlushCut:
-    """A stateless traversal defers every base case to one flush, cut
-    at query-leaf boundaries into slices of at most ``epoch_size`` leaf
-    pairs.  A cut never splits a query leaf, so it moves no bit."""
+    """A stateless traversal defers every base case (approximated pairs
+    too) to one flush, cut at query-node boundaries into slices of at
+    most ``epoch_size`` held pairs.  A cut never splits a query node, so
+    it moves no bit."""
 
     @staticmethod
     def _run(prog, **hooks):
@@ -312,7 +313,10 @@ class TestFlushCut:
         assert all(e != s for e, s in zip(ends, starts))  # whole leaves
         for s in slices:
             assert s.size <= 8 or np.unique(s).size == 1
-        assert sum(s.size for s in slices) == c_whole["traversal.base_cases"]
+        # the held pairs: every leaf pair and every approximated pair
+        assert sum(s.size for s in slices) == (
+            c_whole["traversal.base_cases"]
+            + c_whole["traversal.approximated"])
 
     def test_cuts_fall_between_query_leaves(self):
         bq = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 2, 3])

@@ -1,16 +1,22 @@
 """Stateless actions over arrays of pairs, and block values in place.
 
-The emitted ``apply_action(qis, ris)`` applies the approximation or
-inside-region action of many node pairs at once: the batched engine
-calls it once per epoch with every code-2 pair in pool order, the stack
-engine with its one pair.  It accumulates with
-``np.add.at`` / ``np.multiply.at`` in pair order, so every output here
-is held *bitwise* to a replay that applies the same pairs one at a
-time through a test-local copy of the per-pair action the emitter
-produced before (``_per_pair_source``): KDE at τ, the naive-Bayes
-density, a weighted Barnes–Hut potential (``mac``), a PROD
-approximation and range count (an inside-region count, weighted, with
-positional and label self-exclusion), serial, on threads, on
+An inside-region action's ``apply_action(qis, ris)`` applies many node
+pairs at once: the batched engine calls it once per epoch with every
+code-2 pair in pool order, the stack engine with its one pair.  It
+accumulates with ``np.add.at`` in pair order, so range count (weighted,
+with positional and label self-exclusion) is held *bitwise* to a replay
+that applies the same pairs one at a time through a test-local copy of
+the per-pair action the emitter produced before (``_per_pair_source``).
+
+An approximated pair has no action: it is its query node against the
+reference node's pseudo-point, a column of ``base_case_group``.  The
+replay takes those columns out of each grouped call and applies them
+one pair at a time through the old per-pair approximation (the node's
+mass times g at its centroid, in the difference form, with the mass
+read off the tree), so KDE at τ, the naive-Bayes density, a weighted
+Barnes–Hut potential (``mac``) and a PROD approximation are held to it
+by the output contract's sum and product rules, with equal
+``traversal.*`` counters.  Every program runs serial, on threads, on
 processes and over two shards, self-join and bichromatic, d ∈ {3, 9}.
 
 The one expression emitter (``codegen._value_lines``) writes ``g`` one
@@ -46,7 +52,7 @@ from repro.problems import (
 from repro.problems.barnes_hut import gravity_kernel
 from repro.traversal import engines
 
-from tests.contract import assert_bitwise
+from tests.contract import assert_bitwise, assert_sum_close
 
 q, r = Var("q"), Var("r")
 
@@ -54,12 +60,13 @@ q, r = Var("q"), Var("r")
 def _per_pair_source(spec) -> str:
     """``_pair_action(qi, ri)``: the per-pair action as the emitter
     spelt it before actions took arrays of pairs (a test-local copy,
-    with g evaluated by the DSL, ``G``), for the replay."""
+    with g evaluated by the DSL, ``G``), for the replay; an
+    approximation's takes the query slice ``(s, e)`` for ``qi``."""
     rule = spec.rule
     if rule.kind == "approx":
         assert spec.base == "sqeuclidean"
         g = "G.evaluate({'t': tc})"
-        body = ["s = qstart[qi]; e = qend[qi]", "c = rcentroid[ri]",
+        body = ["s, e = qi", "c = rcentroid[ri]",
                 "dqc = QROW[s:e] - c",
                 "tc = np.einsum('ij,ij->i', dqc, dqc)",
                 f"acc[s:e] *= np.power({g}, rweight[ri])"
@@ -98,33 +105,67 @@ def specs(monkeypatch):
     return seen
 
 
+def _replayed(kk, spec, rtree):
+    """``kk`` with its actions, or its pseudo-point columns, applied one
+    pair at a time through :func:`_per_pair_source`."""
+    weighted = rtree.weights is not None
+    ns = {**kk.namespace, "G": spec.g_ir,
+          "rcentroid": rtree.wcentroid if weighted else rtree.centroid,
+          "rweight": rtree.wsum if weighted
+          else (rtree.end - rtree.start).astype(np.float64)}
+    exec(_per_pair_source(spec), ns)
+    one = ns["_pair_action"]
+    if kk.apply_action is not None:
+        def action(qis, ris):
+            for qi, ri in zip(qis.tolist(), ris.tolist()):
+                one(qi, ri)
+        return dataclasses.replace(kk, apply_action=action)
+    group = kk.base_case_group
+
+    def grouped(qs, qe, ridx):
+        far = ridx >= rtree.n
+        if not far.all():
+            group(qs, qe, ridx[~far])
+        for ri in (ridx[far] - rtree.n).tolist():
+            one((qs, qe), ri)
+    return dataclasses.replace(kk, base_case_group=grouped)
+
+
+def _counted(kk, rtree, sizes):
+    """``kk`` recording the pairs of each action call, or the
+    pseudo-point columns of each grouped call that has any."""
+    if kk.apply_action is not None:
+        batched = kk.apply_action
+
+        def action(qis, ris):
+            sizes.append(len(qis))
+            batched(qis, ris)
+        return dataclasses.replace(kk, apply_action=action)
+    group = kk.base_case_group
+
+    def grouped(qs, qe, ridx):
+        far = int(np.count_nonzero(ridx >= rtree.n))
+        if far:
+            sizes.append(far)
+        group(qs, qe, ridx)
+    return dataclasses.replace(kk, base_case_group=grouped)
+
+
 @pytest.fixture
 def replay(monkeypatch, specs):
-    """Route every traversal's actions (both engines) through the
-    per-pair replay.  After ``calls["on"] = False`` the emitted actions
-    run instead, and ``calls["sizes"]`` records the pairs of each call."""
+    """Route every traversal's actions and far field (both engines)
+    through the per-pair replay.  After ``calls["on"] = False`` the
+    emitted kernels run instead, and ``calls["sizes"]`` records the
+    pairs of each action call (the pseudo-points of each grouped
+    call)."""
     calls = {"on": True, "sizes": []}
     originals = dict(engines.ENGINES)
 
     def wrap(name):
         def run(qtree, rtree, kk, **kw):
-            if kk.apply_action is not None:
-                if calls["on"]:
-                    spec = specs[kk.source]
-                    ns = {**kk.namespace, "G": spec.g_ir}
-                    exec(_per_pair_source(spec), ns)
-                    one = ns["_pair_action"]
-
-                    def action(qis, ris):
-                        for qi, ri in zip(qis.tolist(), ris.tolist()):
-                            one(qi, ri)
-                else:
-                    batched = kk.apply_action
-
-                    def action(qis, ris):
-                        calls["sizes"].append(len(qis))
-                        batched(qis, ris)
-                kk = dataclasses.replace(kk, apply_action=action)
+            if kk.apply_action is not None or " rule=approx" in kk.source:
+                kk = (_replayed(kk, specs[kk.source], rtree) if calls["on"]
+                      else _counted(kk, rtree, calls["sizes"]))
             return originals[name](qtree, rtree, kk, **kw)
         return run
 
@@ -192,6 +233,16 @@ def _run(program, d, join, executor, **extra):
                  if k.startswith("traversal.")}
 
 
+def _assert_replayed(program, got, want):
+    """Range count bitwise; an approximation within the sum (or product)
+    rule over the 900 reference points, τ = 0: both sides approximate
+    the same pairs."""
+    if program == "range_count":
+        assert_bitwise(got, want)
+    else:
+        assert_sum_close(got, want, n=900)
+
+
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("join", ["self", "bichromatic"])
 @pytest.mark.parametrize("d", [3, 9])
@@ -204,7 +255,7 @@ def test_actions_bitwise_against_per_pair_replay(program, d, join, executor,
                         "thread" if executor == "process" else executor)
     replay["on"] = False
     got, c_got = _run(program, d, join, executor)
-    assert_bitwise(got, want)
+    _assert_replayed(program, got, want)
     assert c_got == c_want
     assert c_want["traversal.approximated"] > 0
     if executor != "process":
@@ -214,23 +265,23 @@ def test_actions_bitwise_against_per_pair_replay(program, d, join, executor,
 
 
 def test_prod_of_two_point_nodes(replay):
-    """A node of two points raises its value to the power 2.0, where
-    ``np.power`` squares a scalar exponent but not an array of them: the
-    product takes one distinct weight at a time and keeps the per-pair
-    bits."""
+    """A node of two points raises its pseudo-point's value to the power
+    2.0 (``np.power`` over an array of exponents, where the replay
+    squares a scalar): within the product rule of the per-pair bits."""
     want, c_want = _run("prod", 9, "bichromatic", "serial", leaf_size=2)
     replay["on"] = False
     got, _ = _run("prod", 9, "bichromatic", "serial", leaf_size=2)
-    assert_bitwise(got, want)
+    assert_sum_close(got, want, n=900)
     assert c_want["traversal.approximated"] > 0
 
 
 def test_chunked_actions_move_no_bit(monkeypatch):
-    """Cutting an epoch's pairs into slices of a few cells changes no
-    output: the slices run in order."""
-    want, _ = _run("barnes_hut", 3, "self", "serial")
-    monkeypatch.setattr(codegen, "CHUNK_CELLS", 40)
-    got, _ = _run("barnes_hut", 3, "self", "serial")
+    """Cutting an epoch's pairs into slices, down to one pair each,
+    changes no output: the slices run in order."""
+    want, _ = _run("range_count", 3, "self", "serial")
+    monkeypatch.setattr(codegen, "_pair_chunks",
+                        lambda cells: ((a, a + 1) for a in range(len(cells))))
+    got, _ = _run("range_count", 3, "self", "serial")
     assert_bitwise(got, want)
 
 

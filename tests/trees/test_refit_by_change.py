@@ -3,7 +3,8 @@
 ``ArrayTree._refit`` repairs boxes by what a mutation changed: arrivals
 grow their leaf's box, a departure rescans its leaf only when it sat on
 the box boundary, parents are recomputed only under a changed child.
-Mass data (centroid, wsum, wcentroid) is repaired when it is read.
+Mass data (centroid, wsum, wcentroid) is dropped by a mutation and built
+again when it is read.
 
 The reference is the eager algorithm the tree used before, kept here
 as :meth:`_Eager._refit`: every dirty leaf rescanned, every dirty
@@ -12,10 +13,9 @@ take the same mutation sequence (shared routing, point and perm
 bookkeeping, rebuild graft); after every mutation the two must agree
 bitwise on ``lo``/``hi``/``diameter``, take the same ``tree.rebuild.*``
 decisions, and
-``validate()``.  Mass data must be bitwise the eager values whenever
-the tree's mass data was read before its first rebuild (a rebuild
-grafts fresh values over mass data never computed, which the eager
-refit had computed); otherwise it stays within 1e-12.
+``validate()``.  Mass data read after a mutation must be bitwise
+``_built_mass()`` of the mutated arrays, and within 1e-12 of the eager
+values (which sum children's means where the build sums points).
 """
 
 import numpy as np
@@ -143,14 +143,16 @@ def assert_boxes_match(tree, twin):
         assert _same(getattr(tree, name), getattr(twin, name)), name
 
 
-def assert_mass_match(tree, twin, exact: bool):
-    for got, want in zip(tree._mass_data(), twin._mass_data()):
-        if want is None:
-            assert got is None
-        elif exact:
-            assert _same(got, want)
+def assert_mass_match(tree, twin):
+    """The tree's mass data is bitwise a fresh build over the arrays it
+    shares with the twin, and within 1e-12 of the twin's eager values."""
+    for got, built, eager in zip(tree._mass_data(), twin._built_mass(),
+                                 twin._mass_data()):
+        if eager is None:
+            assert got is None and built is None
         else:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert _same(got, built)
+            np.testing.assert_allclose(got, eager, rtol=1e-12, atol=1e-12)
 
 
 class Run:
@@ -161,11 +163,9 @@ class Run:
         self.twin = _eager_twin(self.tree)
         if read_mass_first:
             self.tree._mass_data()
-        self.exact_mass = True  # until a rebuild grafts over unread mass
         self.rebuilds = self.subtree_rebuilds = 0
 
     def apply(self, op: str, *args, **kw):
-        mass_read = self.tree._mass is not None
         counts = []
         for t in (self.tree, self.twin):
             with collect() as c:
@@ -176,12 +176,11 @@ class Run:
         if counts[0]:
             self.rebuilds += 1
             self.subtree_rebuilds += counts[0].get("tree.rebuild.subtree", 0)
-            self.exact_mass &= mass_read
         self.tree.validate()
         assert_boxes_match(self.tree, self.twin)
 
     def check_mass(self):
-        assert_mass_match(self.tree, self.twin, self.exact_mass)
+        assert_mass_match(self.tree, self.twin)
 
 
 def _boundary_rows(tree, rng, m):
@@ -350,13 +349,14 @@ def test_long_drift_rebuilds_a_subtree(rng, kind):
         pts = run.tree.points[run.tree.inv_perm()[ids]]
         run.apply("update_batch", ids, pts + 0.5)
     assert run.subtree_rebuilds
-    run.check_mass()  # read first: bitwise across the rebuild
+    run.check_mass()
 
 
 @pytest.mark.parametrize("kind", KINDS + [REMOVED_TREE])
 def test_mass_read_late_stays_within_the_sum_rule(rng, kind):
     """Mass data never read before a rebuild is computed over the
-    grafted tree; it may differ from the eager values in the last bits."""
+    grafted tree; it may differ from the eager values in the last bits,
+    as mass data read at every step may."""
     run = _run(kind, rng, weighted=True, read_mass_first=False)
     if run is None:
         return
@@ -388,9 +388,9 @@ def test_refit_counts_the_boxes_it_recomputes(rng):
 
 
 def test_only_programs_whose_actions_read_mass_data_compute_it(rng):
-    """k-NN binds no node mass, so its live tree never computes or
-    repairs any; a KDE program over the same tree binds both, repairing
-    the cached tree before the program snapshots it."""
+    """k-NN binds no node mass, so its live tree never computes any; a
+    KDE program over the same tree binds one pseudo-point per node after
+    the real rows, its centroid built over the mutated arrays."""
     from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 
     R = Storage(rng.normal(size=(400, 3)))
@@ -406,8 +406,13 @@ def test_only_programs_whose_actions_read_mass_data_compute_it(rng):
     knn.run()
     R.update_batch(np.arange(20), rng.normal(size=(20, 3)))
     knn = compiled((PortalOp.KARGMIN, 3), PortalFunc.EUCLIDEAN)
-    assert not {"rcentroid", "rweight"} & set(knn.bindings.arrays)
-    assert knn.rtree._mass is None and knn.rtree._mass_stale is not None
+    assert knn.bindings.arrays["RROW"] is knn.rtree.points
+    assert "rweight" not in knn.bindings.arrays
+    assert knn.rtree._mass is None
     kde = compiled(PortalOp.SUM, PortalFunc.GAUSSIAN, bandwidth=0.5)
-    assert {"rcentroid", "rweight"} <= set(kde.bindings.arrays)
-    assert kde.rtree._mass is not None and kde.rtree._mass_stale is None
+    tree, arrays = kde.rtree, kde.bindings.arrays
+    assert _same(arrays["RROW"], np.concatenate(
+        [tree.points, tree._built_mass()[0]]))
+    assert _same(arrays["rw"], np.concatenate(
+        [np.ones(tree.n), (tree.end - tree.start).astype(np.float64)]))
+    assert _same(tree._mass[0], tree._built_mass()[0])
