@@ -37,10 +37,11 @@ test-mutation:
 test-mutation-slow:
 	$(PYTHON) -m pytest $(MUTATION_TESTS)
 
-# Self-tuning execution policy: key extraction, persistent store
-# versioning/corruption handling, mode semantics, online refinement,
-# the policy-routing differential battery and cross-process
-# persistence (plus the hardened measured-tuning core).
+# Measured execution policy: key extraction, persistent store
+# versioning/corruption handling (old files with retired fields too),
+# mode semantics (auto is a read-only lookup), the policy-routing
+# differential battery and cross-process persistence (plus the
+# hardened measured-tuning core).
 test-policy:
 	$(PYTHON) -m pytest -p no:cacheprovider -q tests/policy tests/util/test_tune.py
 

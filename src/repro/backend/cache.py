@@ -36,8 +36,7 @@ path never re-hashes the dataset and a logged 1 % update never hashes
 the other 99 %.  Probes are counted as ``cache.compile.*`` (the code
 probe: did anything compile), ``cache.tree.*`` and ``cache.whiten.*``
 (see docs/performance.md), the digests behind them as
-``cache.fingerprint.*``; ``CompileOptions(cache=False)`` bypasses both
-caches.
+``cache.fingerprint.*``.  ``clear_caches()`` empties both.
 
 Cached objects are safe to share: traversals never mutate tree arrays,
 nothing writes to a cached code half or whitened array, and every
@@ -243,7 +242,6 @@ def cached_build_tree(
     points: np.ndarray,
     leaf_size: int,
     weights: np.ndarray | None,
-    enabled: bool = True,
     storage=None,
     fingerprint: tuple | None = None,
 ):
@@ -263,9 +261,6 @@ def cached_build_tree(
     clone is cached under the *new* content key; the mutation already
     retired the old one (the snapshot leaves the live tree intact).
     """
-    if not enabled:
-        return build_tree(kind, points, leaf_size=leaf_size,
-                          weights=weights)
     own_data = storage is not None and points is storage.data
     pts_fp = fingerprint or (storage.fingerprint("data") if own_data
                              else array_fingerprint(points))
@@ -334,7 +329,6 @@ def cached_build_subset_tree(
     weights: np.ndarray | None,
     base_key: tuple,
     shard: tuple[int, int],
-    enabled: bool = True,
 ):
     """:func:`repro.trees.build_subset_tree` behind the cache.
 
@@ -349,9 +343,6 @@ def cached_build_subset_tree(
     """
     from ..trees import build_subset_tree
 
-    if not enabled:
-        return build_subset_tree(kind, points, idx, leaf_size=leaf_size,
-                                 weights=weights)
     return derived_entry(
         ("shard-tree", kind, int(leaf_size), base_key,
          (int(shard[0]), int(shard[1]))),

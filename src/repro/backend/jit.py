@@ -216,8 +216,7 @@ def compile_expr(pexpr, options: dict, *,
         return fallback(pexpr, opts, plan)
 
     cacheable = (
-        opts.cache
-        and opts.backend in ("vectorized", "brute")
+        opts.backend in ("vectorized", "brute")
         # Opaque Python callables have no content identity to key on.
         and not any(
             callable(l.func) and not isinstance(l.func, Expr) for l in layers
@@ -232,8 +231,7 @@ def compile_expr(pexpr, options: dict, *,
             # correct; keying on its repr() (a memory address) is not.
             contribute({"cache.compile.uncacheable": 1})
             cacheable = False
-    code, timings = MISSING, {}
-    cache_state = None if opts.cache else "off"
+    code, timings, cache_state = MISSING, {}, None
     if cacheable:
         code = code_cache.get(key, MISSING)
         cache_state = "miss" if code is MISSING else "hit"
@@ -363,7 +361,7 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
     q_fp = r_fp = None  # None: the Storages' own fingerprints
     if kernel.whiten:
         (qpoints, q_fp), (rpoints, r_fp) = _whitened(
-            kernel.covariance, qstorage, rstorage, same_data, opts.cache)
+            kernel.covariance, qstorage, rstorage, same_data)
 
     if code.mode != "tree":
         return _Data(Bindings.brute(qpoints, rpoints, rstorage.weights,
@@ -380,12 +378,11 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
         # mutation, the cache refits the previous live tree instead
         # of rebuilding (cached_build_tree checks the identity).
         qtree = cached_build_tree(kind, qpoints, leaf, qstorage.weights,
-                                  enabled=opts.cache, storage=qstorage,
-                                  fingerprint=q_fp)
+                                  storage=qstorage, fingerprint=q_fp)
         if not sharded:
             rtree = qtree if same_data else cached_build_tree(
-                kind, rpoints, leaf, rstorage.weights, enabled=opts.cache,
-                storage=rstorage, fingerprint=r_fp,
+                kind, rpoints, leaf, rstorage.weights, storage=rstorage,
+                fingerprint=r_fp,
             )
     timings["tree_build"] = time.perf_counter() - t0
     bindings = Bindings.query(qtree, code.scalars)
@@ -408,7 +405,7 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
             kind, rpoints, rstorage.weights, leaf, plan.shards,
             (r_fp or rstorage.fingerprint("data"),
              rstorage.fingerprint("weights")),
-            code.spec.rule, inv_qperm=inv_qperm, cache_enabled=opts.cache,
+            code.spec.rule, inv_qperm=inv_qperm,
         )
         timings["shard_build"] = time.perf_counter() - t0
     else:
@@ -417,25 +414,22 @@ def _bind_data(code: _Code, layers: list[Layer], opts: CompileOptions,
                  rdata=rpoints if sharded else None)
 
 
-def _whitened(cov, qstorage, rstorage, same_data: bool,
-              enabled: bool) -> tuple[tuple, tuple]:
+def _whitened(cov, qstorage, rstorage,
+              same_data: bool) -> tuple[tuple, tuple]:
     """Both sides' points under the whitening transform of section IV-D,
-    each with its fingerprint (``None`` when ``enabled`` is off), in one
-    derived-key tree-cache entry per side: keyed by the side's data and
-    the covariance — its content, or the reference data it is estimated
-    from — so a repeat execute neither whitens nor hashes."""
+    each with its fingerprint, in one derived-key tree-cache entry per
+    side: keyed by the side's data and the covariance — its content, or
+    the reference data it is estimated from — so a repeat execute neither
+    whitens nor hashes."""
     transform = functools.cache(lambda: _whiten_transform(
         np.cov(rstorage.data.T) if cov is None else cov))
-    if enabled:
-        cov_id = (("estimated", rstorage.fingerprint("data")) if cov is None
-                  else freeze(cov))
+    cov_id = (("estimated", rstorage.fingerprint("data")) if cov is None
+              else freeze(cov))
 
     def side(storage):
         def whiten():
             points = transform()(storage.data)
-            return points, array_fingerprint(points) if enabled else None
-        if not enabled:
-            return whiten()
+            return points, array_fingerprint(points)
         return derived_entry(("whiten", storage.fingerprint("data"), cov_id),
                              whiten, "cache.whiten")
 

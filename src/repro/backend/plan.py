@@ -36,17 +36,12 @@ from ..rules import build_rules
 __all__ = [
     "CompileOptions", "ExecutionPlan", "OPTION_TABLE", "requested",
     "program_rules", "requested_tau", "resolve_plan", "default_tasks",
-    "AUTO_SHARD_MIN_POINTS", "TASKS_PER_WORKER", "DEFAULT_LEAF_SIZE",
+    "TASKS_PER_WORKER", "DEFAULT_LEAF_SIZE",
 ]
 
 # -- the static row ----------------------------------------------------------
 # What every plan field resolves to when nothing asked for anything else.
 # The executor-by-engine rule lives in :func:`_static_executor`.
-
-#: ``shards='auto'`` targets at least this many reference points per
-#: shard: below it, per-shard tree builds and the combine step cost more
-#: than the parallelism returns.
-AUTO_SHARD_MIN_POINTS = 200_000
 
 #: Query-subtree tasks per host core: enough slack for load balancing
 #: without swamping scheduling overhead.
@@ -74,8 +69,8 @@ def _static_executor(engine: str) -> str:
     engine (its NumPy kernels release the GIL; no pickling, no merge
     copies).  A rule, not a measurement: the spine's
     ``parallel.thread_w2_speedup`` / ``parallel.process_w2_speedup``
-    rows (docs/performance.md, "Measured") are the open evidence on it
-    for ROADMAP item 8."""
+    rows (docs/performance.md, "Measured") are the evidence on it so
+    far, taken on one 2-vCPU host."""
     return "process" if engine == "stack" else "thread"
 
 
@@ -87,19 +82,6 @@ def _positive_int(name: str, value):
         return int(value)
     raise SpecificationError(
         f"{name} must be a positive integer, got {value!r}")
-
-
-def _shard_request(name: str, value):
-    if value == "auto":
-        return value
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            raise SpecificationError(
-                f"shards must be an integer or 'auto', got {value!r}"
-            ) from None
-    return _positive_int(name, value)
 
 
 def _nonnegative_real(name: str, value):
@@ -166,9 +148,6 @@ class CompileOptions:
     #: engine, which no policy routes to.
     traversal: str | None = _row(allowed=("batched", "stack"),
                                  static="batched")
-    #: reuse compiled code and built trees across ``execute()``
-    #: calls (content-addressed; see :mod:`repro.backend.cache`)
-    cache: bool = _row(True, allowed=_flag)
     #: parallel pool backend: 'thread' | 'process' | 'auto' (by engine,
     #: see :func:`_static_executor`).  Only consulted when
     #: ``parallel=True``.
@@ -179,14 +158,14 @@ class CompileOptions:
     #: the reference set into this many spatial shards, build one tree
     #: per shard, replicate the query tree, and combine per-shard
     #: partial results through the operator's reduction algebra.
-    #: ``'auto'`` shards large reference sets one-per-worker; tree mode
+    #: Explicit only (no static rule or policy entry shards); tree mode
     #: only.
-    shards: int | str | None = _row(allowed=_shard_request, policy=True,
-                                    static=1)
-    #: self-tuning execution policy (:mod:`repro.policy`): 'static'
+    shards: int | None = _row(allowed=_positive_int, static=1)
+    #: measured execution policy (:mod:`repro.policy`): 'static'
     #: keeps the hard-coded rules, 'auto' consults the persistent policy
-    #: cache and falls back to the static rules on a miss, 'search' runs
-    #: the budgeted measured search on a miss and persists the winner.
+    #: cache (a read-only lookup) and falls back to the static rules on a
+    #: miss, 'search' runs the budgeted measured search on a miss and
+    #: persists the winner.
     #: The policy only fills knobs neither an option nor the environment
     #: asked for.
     policy: str | None = _row(allowed=("static", "auto", "search"),
@@ -304,7 +283,7 @@ class ExecutionPlan:
     def from_config(config: dict) -> dict:
         """Plan-field requests of a stored policy ``config`` (absent or
         empty entries request nothing)."""
-        casts = {"leaf_size": int, "shards": int}
+        casts = {"leaf_size": int}
         return {name: casts.get(name, str)(config[name])
                 for name in _CONFIG_KEYS if config.get(name)}
 
@@ -317,15 +296,6 @@ class ExecutionPlan:
 
 #: a field whose layer does not exist for the program (see ExecutionPlan)
 _NOT_APPLICABLE = (None, "static")
-
-
-def _concrete_shards(asked, nr: int, workers: int) -> int:
-    """``'auto'`` picks one shard per worker but never shards small
-    reference sets where the per-shard overhead dominates; explicit
-    counts are clamped to the reference-set size."""
-    if asked == "auto":
-        asked = min(workers, nr // AUTO_SHARD_MIN_POINTS)
-    return max(1, min(asked, nr))
 
 
 def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
@@ -380,9 +350,7 @@ def resolve_plan(opts: CompileOptions, env, policy, layers) -> ExecutionPlan:
             plan["executor"] = _static_executor(plan["engine"])
         if plan["executor"] == "process" and workers == 1:
             plan["executor"] = "thread"  # one worker runs tasks in-process
-        # Sharded code and shard trees must never collide with unsharded
-        # ones, so 'auto' becomes a count here, before the cache keys.
-        plan["shards"] = _concrete_shards(plan["shards"], nr, workers)
+        plan["shards"] = max(1, min(plan["shards"], nr))  # clamp to n_ref
     return ExecutionPlan(
         **plan, decision=decision,
         sources=tuple((name, source) for name, (_, source) in ask.items()),

@@ -142,16 +142,6 @@ class CompiledProgram:
             out = self._run()
         with self._stats_lock:
             self.timings["run"] = time.perf_counter() - t0
-            stats = self.stats
-        decision = self.plan.decision
-        if (decision is not None and decision.source == "policy-cache"
-                and self.mode == "tree"):
-            # Online refinement: feed the observed counters back so a
-            # decision whose live profile deviates from its tuning
-            # measurement is retired (marked stale → re-searched).
-            from ..policy import observe_run
-
-            observe_run(decision.key, stats, self.state.nq, self.nr)
         return out
 
     def _run(self) -> Output:

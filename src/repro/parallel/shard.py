@@ -62,23 +62,6 @@ __all__ = [
     "build_shard_execution", "combine_shard_states", "run_sharded",
 ]
 
-def viable_shard_counts(nr: int, workers: int,
-                        min_points: int) -> list[int]:
-    """Shard counts worth measuring for an ``nr``-point reference set.
-
-    Always ``[1]``; adds one-per-worker sharding only when every shard
-    would hold at least ``min_points`` points and there is more than one
-    worker to feed — below that the per-shard build + combine overhead
-    always loses, so the policy search never spends budget on it.
-    """
-    counts = [1]
-    if workers and workers > 1:
-        cap = max(1, int(nr) // int(min_points))
-        candidate = min(int(workers), cap)
-        if candidate > 1:
-            counts.append(candidate)
-    return counts
-
 
 def plan_shards(points: np.ndarray, nshards: int) -> list[np.ndarray]:
     """Partition ``points`` into ``nshards`` spatially compact index sets.
@@ -142,7 +125,6 @@ def build_shard_pack(
     base_key: tuple,
     rule,
     inv_qperm: np.ndarray | None = None,
-    cache_enabled: bool = True,
 ) -> ShardPack:
     """Plan the shards and build one tree per shard, in parallel.
 
@@ -164,7 +146,7 @@ def build_shard_pack(
         trees = run_tasks([
             (lambda p=p, i=i: cached_build_subset_tree(
                 kind, rpoints, p, leaf_size, rweights, base_key,
-                (i, nshards), enabled=cache_enabled))
+                (i, nshards)))
             for i, p in enumerate(parts)
         ])
     origs: list[np.ndarray] = []

@@ -1,9 +1,8 @@
-"""``repro.policy`` — the self-tuning execution policy (ROADMAP item 5).
+"""``repro.policy`` — the measured execution policy.
 
-Routing knobs have multiplied — executor, leaf size, shard count —
-and until this package the ``auto``
-choices were a handful of hard-coded rules spread across the compiler.
-This package replaces them with a *measured* policy:
+The ``auto`` choices of the plan — executor and leaf size — are static
+rules by default (:func:`repro.backend.plan.resolve_plan`).  This
+package layers a *measured* policy on top:
 
 * :mod:`~repro.policy.features` maps an execution to a
   :class:`~repro.policy.features.PolicyKey` (program fingerprint class ×
@@ -18,10 +17,10 @@ This package replaces them with a *measured* policy:
   ``"static"`` (hard-coded rules, the default), ``"auto"`` (use a
   cached decision when one exists, fall back to the static rules on a
   miss) or ``"search"`` (measure on a miss, then use and persist the
-  result).  Live runs feed *observed* counters back: a run whose
-  prune/base-case profile deviates badly from the tuning measurement
-  marks the entry stale (``policy.stale_marked``), after which ``auto``
-  and ``search`` both re-search instead of trusting it.
+  result).  At execute time the policy is a read-only lookup: no run
+  writes the store, and ``auto`` never searches.  A search runs only
+  under ``"search"``, :func:`ensure_policy` (``repro tune``) or a
+  served registration in search mode.
 
 A decision is one input of the execution plan
 (:func:`repro.backend.plan.resolve_plan`, which holds the precedence:
@@ -51,21 +50,10 @@ from .store import (
 __all__ = [
     "PolicyDecision", "PolicyEntry", "PolicyKey", "PolicyStore",
     "default_policy_path", "ensure_policy", "host_fingerprint",
-    "observe_run", "policy_key", "policy_store",
+    "policy_key", "policy_store",
     "resolve_execution_policy", "reset_policy_store", "run_search",
     "warm_policy",
 ]
-
-#: Online-refinement thresholds: a live run deviating this much from
-#: the tuning measurement marks the entry stale.  Generous on purpose —
-#: prune rates drift with data distribution; only *badly* wrong entries
-#: (the tree changed character) should be retired.
-DEVIATION_PRUNE_DELTA = 0.4
-DEVIATION_PAIR_FACTOR = 8.0
-#: exact-pair fractions are scale-dependent, so they are only compared
-#: when the live problem size is within this factor of the measured one
-DEVIATION_SIZE_WINDOW = 4.0
-
 
 @dataclass
 class PolicyDecision:
@@ -89,7 +77,7 @@ def _search_and_store(layers, opts: CompileOptions, key: PolicyKey, *,
     # The search starts from what the static rules alone resolve: no
     # searched knob asked, no environment, no policy.
     unasked = dict.fromkeys(
-        ("traversal", "parallel", "executor", "shards", "policy"))
+        ("traversal", "parallel", "executor", "policy"))
     start = resolve_plan(replace(opts, **unasked), {}, None, layers)
     max_q = SEARCH_SUBSAMPLE_Q if nq is None else min(int(nq),
                                                       SEARCH_SUBSAMPLE_Q)
@@ -111,15 +99,9 @@ def resolve_execution_policy(layers, opts: CompileOptions,
     key = policy_key(layers, opts)
     store = policy_store()
     entry = store.get(key)
-    if entry is not None and not entry.stale:
+    if entry is not None:
         contribute({"policy.hit": 1})
         return PolicyDecision("policy-cache", key, dict(entry.config))
-    if entry is not None and entry.stale:
-        # A previously-tuned entry was retired by the staleness rule:
-        # both modes re-measure rather than fall back blind.
-        contribute({"policy.stale_research": 1})
-        entry = _search_and_store(layers, opts, key)
-        return PolicyDecision("fresh-search", key, dict(entry.config))
     if mode == "search":
         entry = _search_and_store(layers, opts, key)
         return PolicyDecision("fresh-search", key, dict(entry.config))
@@ -127,47 +109,12 @@ def resolve_execution_policy(layers, opts: CompileOptions,
     return None
 
 
-def observe_run(key: PolicyKey, stats, nq: int, nr: int) -> None:
-    """Online refinement: compare a live run's counters against the
-    entry's tuning measurement; mark the entry stale on bad deviation.
-
-    Called from ``CompiledProgram.run()`` only when the execution was
-    routed by a cached policy decision.  Never raises.
-    """
-    try:
-        store = policy_store()
-        entry = store.get(key)
-        if entry is None or entry.stale or stats is None:
-            return
-        visited = getattr(stats, "visited", 0)
-        pairs = getattr(stats, "base_case_pairs", 0)
-        prune_rate = (stats.pruned / visited) if visited else 0.0
-        deviated = abs(prune_rate - entry.ref.get("prune_rate", prune_rate)) \
-            > DEVIATION_PRUNE_DELTA
-        ref_epf = entry.ref.get("exact_pair_fraction", 0.0)
-        measured = entry.measured_nq * entry.measured_nr
-        live = nq * nr
-        if (not deviated and ref_epf > 0.0 and measured > 0 and live > 0
-                and max(live, measured) / min(live, measured)
-                <= DEVIATION_SIZE_WINDOW):
-            epf = pairs / live
-            ratio = max(epf, 1e-12) / max(ref_epf, 1e-12)
-            deviated = ratio > DEVIATION_PAIR_FACTOR or \
-                ratio < 1.0 / DEVIATION_PAIR_FACTOR
-        if deviated:
-            store.mark_stale(key)
-        else:
-            contribute({"policy.observe_ok": 1})
-    except Exception:  # pragma: no cover - observability must never fail a run
-        contribute({"policy.observe_failed": 1})
-
-
 def ensure_policy(layers, options: dict | None = None, *,
                   nq: int | None = None, force: bool = False,
                   repeats: int = SEARCH_REPEATS,
                   budget_s: float | None = SEARCH_BUDGET_S):
     """Make sure a usable policy entry exists for this program shape;
-    search (and persist) when missing, stale, or ``force`` is set.
+    search (and persist) when missing or ``force`` is set.
 
     Returns ``(key, entry, source)`` where source is ``"policy-cache"``
     or ``"fresh-search"``.  The front door for ``python -m repro tune``
@@ -178,7 +125,7 @@ def ensure_policy(layers, options: dict | None = None, *,
     key = policy_key(layers, opts, nq=nq)
     if not force:
         entry = policy_store().get(key)
-        if entry is not None and not entry.stale:
+        if entry is not None:
             contribute({"policy.hit": 1})
             return key, entry, "policy-cache"
     entry = _search_and_store(layers, opts, key, nq=nq,
@@ -207,7 +154,7 @@ def warm_policy(make_layers, options: dict | None = None, *,
     layers = resolve_kernels(make_layers())
     key = policy_key(layers, opts, nq=nq)
     entry = policy_store().get(key)
-    if entry is not None and not entry.stale:
+    if entry is not None:
         contribute({"policy.hit": 1})
         return key, entry, "policy-cache"
     contribute({"policy.miss": 1})

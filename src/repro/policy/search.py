@@ -3,20 +3,21 @@
 The generalisation of ``tune_leaf_size``'s subsample-timing approach
 (paper V-B) from one knob to the joint space
 
-    {executor × leaf size × shards}.
+    {executor × leaf size}.
 
-The engine is no axis (plans run the batched one).  The cross product
-is ~18 configurations — too many to time per policy key — so the search
-is structured:
+The engine and the shard count are no axes (plans run the batched
+engine, and only an explicit option shards).  The cross product is
+3 executors × 3 leaf sizes = 9 configurations, so the search is
+structured:
 
 * **pruned enumeration**: per-axis candidate lists drop everything the
   existing validity rules forbid (the process/thread executors on
-  single-core hosts, shard counts the reference set cannot feed);
+  single-core hosts);
 * **coordinate descent**: starting from the plan the static rules
   resolve (:func:`repro.backend.plan.resolve_plan` with no policy),
   one axis is swept at a time (executor first — the biggest lever —
-  then leaf size, shards), keeping the incumbent for every other axis.
-  ~6 timed configurations instead of ~18;
+  then leaf size), keeping the incumbent for every other axis.
+  ~5 timed configurations instead of 9;
 * **budgeted timing**: measurements run through
   :func:`repro.util.tune.measure_candidates` on *subsampled* inputs
   (stride subsample, spatially unbiased) under a total wall-clock
@@ -25,10 +26,7 @@ is structured:
 A candidate *is* an :class:`~repro.backend.plan.ExecutionPlan`: each
 one is timed by executing the program under ``plan.to_options()``
 through the real compiler (with ``policy="static"`` pinned so it can
-never recurse into itself).  The search
-finishes with one counter-collected run of the winner, recording the
-reference metrics (prune rate, exact-pair fraction) that the online
-staleness rule compares live runs against.
+never recurse into itself).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from ..backend.plan import ExecutionPlan
-from ..observe import collect, contribute, span
+from ..observe import contribute, span
 from ..util.tune import measure_candidates
 from .store import PolicyEntry
 
@@ -64,31 +62,20 @@ SEARCH_BUDGET_S = 5.0
 #: timed repeats per candidate (best-of, after one warm run)
 SEARCH_REPEATS = 2
 
-#: shard counts only enter the search when the (subsampled) reference
-#: set has at least this many points per candidate shard — below it the
-#: per-shard build + combine overhead always loses
-SEARCH_SHARD_MIN_POINTS = 4096
 
-
-def enumerate_axes(nr: int, *, workers: int) -> dict[str, list]:
+def enumerate_axes(*, workers: int) -> dict[str, list]:
     """Pruned per-axis candidate lists (validity rules applied here)."""
     executors = ["serial"]
     if workers > 1:
         executors += ["thread", "process"]
-    leafs = sorted({int(l) for l in SEARCH_LEAF_CANDIDATES})
-    from ..parallel.shard import viable_shard_counts
-
-    shards = viable_shard_counts(nr, workers,
-                                 min_points=SEARCH_SHARD_MIN_POINTS)
     return {
         "executor": executors,
-        "leaf_size": leafs,
-        "shards": shards,
+        "leaf_size": sorted({int(l) for l in SEARCH_LEAF_CANDIDATES}),
     }
 
 
 #: axis (plan field) sweep order: biggest lever first
-AXIS_ORDER = ("executor", "leaf_size", "shards")
+AXIS_ORDER = ("executor", "leaf_size")
 
 
 def _stride_subsample(data: np.ndarray, cap: int) -> np.ndarray:
@@ -172,7 +159,7 @@ def run_search(layers, opts, start: ExecutionPlan, *,
                max_q: int = SEARCH_SUBSAMPLE_Q,
                max_r: int = SEARCH_SUBSAMPLE_R) -> PolicyEntry:
     """End-to-end measured search for one program: subsample, sweep,
-    reference-run the winner, return the storable entry.
+    return the storable entry.
 
     ``opts`` are the caller's :class:`~repro.backend.plan.CompileOptions`;
     each candidate's own options override them, and ``policy`` is
@@ -186,7 +173,7 @@ def run_search(layers, opts, start: ExecutionPlan, *,
     def run(cand: ExecutionPlan) -> None:
         build().execute(**{**base, **cand.to_options()})
 
-    axes = enumerate_axes(sub_nr, workers=start.workers)
+    axes = enumerate_axes(workers=start.workers)
     t0 = time.perf_counter()
     with span("policy.search", nq=sub_nq, nr=sub_nr):
         # Warm once outside the timings: the first execution pays
@@ -202,20 +189,8 @@ def run_search(layers, opts, start: ExecutionPlan, *,
             run, axes, start, repeats=repeats, budget_s=budget_s)
     contribute({"policy.search": 1})
     contribute({"policy.search_s": time.perf_counter() - t0})
-
-    # Reference metrics of the winner for the online staleness rule.
-    ref: dict[str, float] = {}
-    with collect() as counters:
-        run(best)
-    snap = counters.as_dict()
-    visited = snap.get("traversal.visited", 0)
-    pairs = snap.get("traversal.base_case_pairs", 0)
-    ref["prune_rate"] = (snap.get("traversal.pruned", 0) / visited
-                         if visited else 0.0)
-    ref["exact_pair_fraction"] = (pairs / (sub_nq * sub_nr)
-                                  if sub_nq and sub_nr else 0.0)
     return PolicyEntry(
         config=best.to_config(),
         timings={plan.label(): round(t, 6) for plan, t in timings.items()},
-        ref=ref, measured_nq=sub_nq, measured_nr=sub_nr,
+        measured_nq=sub_nq, measured_nr=sub_nr,
     )

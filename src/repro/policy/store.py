@@ -56,7 +56,7 @@ def host_fingerprint() -> str:
 
     Anything that changes the relative ranking of candidate
     configurations invalidates the table: core count and usable
-    affinity (executor/shard choices), the numpy version and machine
+    affinity (executor choices), the numpy version and machine
     architecture (kernel throughput).
     """
     try:
@@ -72,22 +72,16 @@ def host_fingerprint() -> str:
 @dataclass
 class PolicyEntry:
     """One tuned decision: the winning configuration plus the
-    measurement context needed for online refinement."""
+    measurement it was chosen from."""
 
-    #: chosen knobs: executor / leaf_size / shards
+    #: chosen knobs: executor / leaf_size
     config: dict
     #: candidate-label → best-of seconds from the tuning search
     timings: dict = field(default_factory=dict)
-    #: reference run metrics of the winning config (prune_rate,
-    #: exact_pair_fraction, ...) — the baseline the staleness rule
-    #: compares live runs against
-    ref: dict = field(default_factory=dict)
     #: problem size the measurement actually ran at (subsampled searches
-    #: record the subsample, so scale-dependent metrics are only
-    #: compared against runs of comparable size)
+    #: record the subsample)
     measured_nq: int = 0
     measured_nr: int = 0
-    stale: bool = False
     created: float = 0.0
     hits: int = 0
 
@@ -100,8 +94,8 @@ class PolicyEntry:
 def _prune(entries: dict[str, PolicyEntry]) -> None:
     """Drop, in place, what no execute reads any more — an entry whose
     key names a tree kind the option table no longer allows, a config
-    key the plan no longer reads (``traversal``) — counting each entry
-    touched as ``policy.dropped_entries``."""
+    key the plan no longer reads (``traversal``, ``shards``) — counting
+    each entry touched as ``policy.dropped_entries``."""
     from ..backend.plan import _CONFIG_KEYS, OPTION_TABLE
 
     trees = [[tree] for tree in OPTION_TABLE["tree"].metadata["allowed"]]
@@ -198,18 +192,6 @@ class PolicyStore:
                 entry.created = time.time()
             self._load()[key.as_str()] = entry
             self._save()
-
-    def mark_stale(self, key) -> bool:
-        """Flag an entry whose live counters deviated from its tuning
-        measurement; returns whether an entry was present."""
-        with self._lock:
-            entry = self._load().get(key.as_str())
-            if entry is None or entry.stale:
-                return entry is not None
-            entry.stale = True
-            self._save()
-            contribute({"policy.stale_marked": 1})
-            return True
 
     def forget(self) -> None:
         """Drop the in-memory view (the next access re-reads the file) —

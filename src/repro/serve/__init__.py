@@ -1,4 +1,4 @@
-"""``repro.serve`` — the long-lived query-serving layer (ROADMAP item 1).
+"""``repro.serve`` — the long-lived query-serving layer.
 
 Register a Portal problem once (warming the compile and reference-tree
 caches), then submit point queries against the handle; concurrent

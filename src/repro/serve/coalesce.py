@@ -1,4 +1,4 @@
-"""Cross-request query coalescing (ROADMAP item 1's compiler tie-in).
+"""Cross-request query coalescing: many point queries, one traversal.
 
 The traversal engines are query-vectorized, so *1 request x 1000
 queries* pays the per-execute fixed cost (option resolution, cache
@@ -36,21 +36,22 @@ A pending batch flushes on the first of:
   of that handle is kicked immediately (back-to-back pipelining: while
   a batch runs, the next one accumulates).
 
-Determinism
------------
-For exact programs (no ``tau``/``theta`` approximation) the scattered
-slices are bitwise-identical to executing each request alone: stacking
-changes the query tree, but exact pruning never changes *which*
-reference points reach a query row, and each row's contributions arrive
-in reference-tree DFS order either way.  ``tests/serve/test_coalesce.py``
-pins this at d = 3 across the nine point-query problems, the kd and
-octree kinds and both parallel executors.  A comparative reduction's values are
-re-evaluated in one difference form after the traversal, so they hold in
-either engine regime; a sum's block GEMM may round by operand shape,
-which IEEE arithmetic alone does not rule out — the test pins that it
-does not on the BLAS it runs against.  Approximate programs remain
-batch-*dependent* (the approximation decisions see coarser query boxes);
-see docs/serving.md.
+Coalescing rule
+---------------
+A row answered in a batch is held to the same row answered alone:
+comparative, count and list outputs are bitwise equal; a float sum of an
+exact program holds DESIGN.md §8's sum rule
+(``tests/contract.py::assert_sum_close``); an approximate program holds
+the τ / θ rule.  Stacking changes the query tree, but exact pruning
+never changes *which* reference points reach a query row; comparative
+values are re-evaluated in one difference form after the traversal,
+counts are sums of small integers and lists are sorted per row.  A float
+sum's block GEMM rounds a row by the shape of the block it runs in, so
+its last bits may move with the batch.  Approximate programs see coarser
+query boxes when batched and approximate other node pairs.
+``tests/serve/test_coalesce.py`` holds the nine point-query problems,
+the kd and octree kinds and both parallel executors to the rule; see
+docs/serving.md.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The asyncio query-serving layer (ROADMAP item 1).
+"""The asyncio query-serving layer.
 
 Clients :meth:`~PortalService.register` a Portal problem *once* — which
 warms the reference-tree cache — and then submit point queries against

@@ -8,7 +8,7 @@ an injectable monotonic clock (deterministic tests) and an optional
 wall-clock budget (the policy search bounds its total measurement time).
 :func:`tune_leaf_size` keeps the original leaf-size-specific interface
 on top of it; :mod:`repro.policy.search` drives the same core over the
-joint {engine × executor × leaf size × shards} space.
+joint {executor × leaf size} space.
 """
 
 from __future__ import annotations

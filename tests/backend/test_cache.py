@@ -15,6 +15,7 @@ from repro.backend.cache import (
     cache_stats, clear_caches, freeze,
 )
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
+from repro.dsl.errors import SpecificationError
 from repro.observe import collect
 from repro.problems import kde, knn, range_count
 
@@ -136,12 +137,15 @@ class TestCompileCache:
                               np.asarray(second.values))
 
     def test_cache_false_bypasses(self, data):
+        """No option bypasses the caches: ``cache=`` of any value is the
+        option table's refusal, before anything compiles."""
         Q, R = data
         with collect() as counters:
-            _kde_expr(Q, R).execute(tau=1e-3, cache=False)
-            _kde_expr(Q, R).execute(tau=1e-3, cache=False)
+            for value in (False, True, "off"):
+                with pytest.raises(SpecificationError, match="cache"):
+                    _kde_expr(Q, R).execute(tau=1e-3, cache=value)
         assert not _cache_counts(counters)
-        assert counters.as_dict()["compile.count"] == 2
+        assert "compile.count" not in counters.as_dict()
 
     def test_hit_outputs_bitwise_identical(self, data):
         Q, R = data
@@ -433,7 +437,8 @@ class TestChainedIdentity:
         assert c.get("cache.compile.hit") == 1  # same shape: same code
         assert c.get("cache.tree.refit") == 1
         assert c.get("cache.tree.hit") == 1     # the query side only
-        fresh = knn(Q, Storage(X.copy()), k=4, cache=False)
+        clear_caches()
+        fresh = knn(Q, Storage(X.copy()), k=4)
         for a, b in zip(got, fresh):
             assert np.array_equal(np.asarray(a), np.asarray(b))
 

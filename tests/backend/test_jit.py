@@ -428,8 +428,8 @@ def test_same_shape_other_data_reuses_the_code_half(path, config):
     assert set(stats["compile_timings_ms"]) <= {"tree_build", "shard_build"}
     assert (second.program.generated_source()
             == first.program.generated_source())
-    _assert_bitwise(out, _spine_expr(path, seed=2).execute(
-        cache=False, **options))
+    clear_caches()
+    _assert_bitwise(out, _spine_expr(path, seed=2).execute(**options))
 
 
 REPEAT_CONFIGS = {name: CODE_HIT_CONFIGS[name]
@@ -455,8 +455,8 @@ def test_repeat_execute_compiles_nothing_and_hashes_nothing(path, config):
     assert counters.get("cache.fingerprint.full") == 0
     assert counters.get("cache.compile.hit") == 1
     _assert_bitwise(second, first)
-    _assert_bitwise(second, _spine_expr(path, seed=4).execute(
-        cache=False, **options))
+    clear_caches()
+    _assert_bitwise(second, _spine_expr(path, seed=4).execute(**options))
 
 
 def _kde_over(Q, R, *, weights=False, bandwidth=0.8, k=None):
@@ -526,11 +526,10 @@ class TestCodeCache:
         unkeyable = _kde_over(Q + 1.0, R)
         unkeyable.layers[1].params["opaque"] = object()
         with collect() as counters:
-            _kde_over(Q + 1.0, R).execute(cache=False)
             opaque.execute()
             unkeyable.execute()
         counts = _compile_counts(counters)
-        assert counts["compile.count"] == 3
+        assert counts["compile.count"] == 2
         assert counts["cache.compile.uncacheable"] == 1
         assert not any(k.startswith(("cache.compile.hit",
                                      "cache.compile.miss")) for k in counts)
@@ -591,7 +590,8 @@ class TestCodeCache:
         assert counts.get("cache.compile.hit", 0) == int(as_kernel)
         assert counts.get("cache.compile.miss", 0) == int(not as_kernel)
         assert not np.array_equal(first.values, second.values)
-        assert np.array_equal(second.values, run(other, cache=False)[0].values)
+        clear_caches()
+        assert np.array_equal(second.values, run(other)[0].values)
 
     def test_eight_threads_one_shape_other_data(self):
         """Concurrent first compiles of one shape: a double miss compiles
@@ -599,8 +599,10 @@ class TestCodeCache:
         data's answer and is counted exactly once."""
         path = next(p for p in SPINE_PROGRAMS if p.stem == "kde")
         exprs = [_spine_expr(path, seed) for seed in range(8)]
-        want = [_spine_expr(path, seed).execute(cache=False, tau=1e-3)
-                for seed in range(8)]
+        want = []
+        for seed in range(8):
+            clear_caches()
+            want.append(_spine_expr(path, seed).execute(tau=1e-3))
         clear_caches()
         got, errors = [None] * 8, []
         barrier = threading.Barrier(8)
@@ -650,18 +652,19 @@ class TestKernelRelease:
                              ids=["unsharded", "shards2"])
     def test_dead_program_frees_its_operands(self, rng, options):
         e = nn_expr(rng, n=200)
-        program = e.compile(cache=False, **options)
+        program = e.compile(**options)
         program.run()
         bound = (program.shard_exec.kernels if options else [program.kernels])
         operands = [weakref.ref(k.namespace["RROW"]) for k in bound]
         assert all(ref() is not None for ref in operands)
         del bound, program, e
+        clear_caches()  # the cached trees are the caches', not the program's
         assert all(ref() is None for ref in operands)
 
     def test_kernels_nobody_owns_are_left_alone(self, rng):
         e = nn_expr(rng, n=200)
-        program = e.compile(cache=False)
-        code, _ = jit._compile_code(*_code_half_args(e, {"cache": False}))
+        program = e.compile()
+        code, _ = jit._compile_code(*_code_half_args(e, {}))
         loose = generate(code.spec, dict(program.kernels.namespace))
         del program, e
         assert loose.namespace["base_case"] is loose.base_case

@@ -57,6 +57,13 @@ def _fresh(R):
                    weights=None if R.weights is None else R.weights.copy())
 
 
+def _rebuilt(run, Q, R):
+    """``run`` over a from-scratch Storage with ``R``'s content, on
+    emptied caches: the reference nothing refit or cached can reach."""
+    clear_caches()
+    return run(Q, _fresh(R), {})
+
+
 def _mutate(rng, R, kind):
     n, d = R.n, R.dim
     if kind == "update":
@@ -138,13 +145,13 @@ def test_refit_hits_and_matches_rebuild(rng, problem, mutation):
     assert c.get("cache.compile.miss") == 0
     assert c.get("cache.tree.refit") == 1, c.as_dict()
     assert c.get("cache.tree.hit") >= 1  # query side unchanged
-    _assert_same(mode, got, run(Q, _fresh(R), {"cache": False}))
     # steady state: everything hits again, no further refit
     with collect() as c:
         run(Q, R, {})
     assert c.get("cache.compile.hit") == 1
     assert c.get("cache.tree.refit") == 0
     assert c.get("cache.tree.hit") == 2
+    _assert_same(mode, got, _rebuilt(run, Q, R))
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -161,7 +168,7 @@ def test_refit_row_layout_matches_rebuild(rng, problem, mutation):
     with collect() as c:
         got = run(Q, R, {})
     assert c.get("cache.tree.refit") == 1, c.as_dict()
-    _assert_same(mode, got, run(Q, _fresh(R), {"cache": False}))
+    _assert_same(mode, got, _rebuilt(run, Q, R))
 
 
 @pytest.mark.parametrize("mutation", ["update-weights"])
@@ -173,7 +180,7 @@ def test_weighted_refit(rng, mutation):
     with collect() as c:
         got = run(Q, R, {})
     assert c.get("cache.tree.refit") == 1, c.as_dict()
-    _assert_same(mode, got, run(Q, _fresh(R), {"cache": False}))
+    _assert_same(mode, got, _rebuilt(run, Q, R))
 
 
 @pytest.mark.slow
@@ -190,7 +197,7 @@ def test_executor_matrix(rng, problem, executor):
     with collect() as c:
         got = run(Q, R, opts)
     assert c.get("cache.tree.refit") == 1, c.as_dict()
-    _assert_same(mode, got, run(Q, _fresh(R), {"cache": False}))
+    _assert_same(mode, got, _rebuilt(run, Q, R))
 
 
 def test_shard_pack_rekeys(rng):
@@ -205,7 +212,7 @@ def test_shard_pack_rekeys(rng):
     # misses (rebuild per shard); the unsharded q-side tree still hits.
     assert c.get("cache.compile.hit") == 1
     assert c.get("cache.tree.miss") >= 2
-    _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
+    _assert_same("exact", got, _rebuilt(run_knn, Q, R))
 
 
 def test_shm_stale_eviction(rng):
@@ -225,7 +232,7 @@ def test_shm_stale_eviction(rng):
     with collect() as c:
         got = run_knn(Q, R, PROCESS)
     assert c.get("shm.publish.miss") >= 1
-    _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
+    _assert_same("exact", got, _rebuilt(run_knn, Q, R))
 
 
 @pytest.mark.slow
@@ -239,7 +246,7 @@ def test_shm_sharded_stale_eviction(rng):
         R.delete_batch(np.arange(25))
     assert c.get("shm.stale_evicted") == 2, c.as_dict()
     got = run_knn(Q, R, {**PROCESS, "shards": 2})
-    _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
+    _assert_same("exact", got, _rebuilt(run_knn, Q, R))
 
 
 def test_only_the_process_executor_notes_shm_tokens(rng):
@@ -288,7 +295,7 @@ def test_live_tree_survives_lru_eviction(rng):
     assert c.get("cache.tree.miss") == 1  # the query tree; A's is a hit
     assert c.get("cache.tree.hit") == 1
     assert c.get("cache.tree.refit") == 0
-    assert np.array_equal(got, run_kde(q, _fresh(A), {"cache": False}))
+    got_before, before = got, _fresh(A)
 
     for _ in range(20):
         run_knn(query(), B, {})
@@ -297,12 +304,13 @@ def test_live_tree_survives_lru_eviction(rng):
         got = run_kde(q, A, {})
     # q's (evicted too) comes back from its Storage; A's is rebuilt
     assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (1, 1)
-    assert np.array_equal(got, run_kde(q, _fresh(A), {"cache": False}))
 
     clear_caches()  # cleared is not evicted: the next compile is cold
     with collect() as c:
         run_kde(q, A, {})
     assert (c.get("cache.tree.hit"), c.get("cache.tree.miss")) == (0, 2)
+    assert np.array_equal(got, _rebuilt(run_kde, q, A))
+    assert np.array_equal(got_before, _rebuilt(run_kde, q, before))
 
 
 def test_mark_mutated_breaks_refit_chain(rng):
@@ -316,7 +324,7 @@ def test_mark_mutated_breaks_refit_chain(rng):
         got = run_knn(Q, R, {})
     assert c.get("cache.tree.refit") == 0
     assert c.get("cache.tree.miss") >= 1
-    _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
+    _assert_same("exact", got, _rebuilt(run_knn, Q, R))
 
 
 def test_log_overflow_falls_back(rng):
@@ -331,7 +339,7 @@ def test_log_overflow_falls_back(rng):
         got = run_knn(Q, R, {})
     assert c.get("cache.tree.refit") == 0
     assert c.get("cache.tree.miss") >= 1
-    _assert_same("exact", got, run_knn(Q, _fresh(R), {"cache": False}))
+    _assert_same("exact", got, _rebuilt(run_knn, Q, R))
 
 
 def test_superseded_content_is_rebuilt_with_the_same_answer(rng):
@@ -377,12 +385,13 @@ def _maha(Q, R, weighted=False, **options):
 
 def test_sharded_update_loop_keeps_no_predecessor_shard_trees(rng):
     Q, R = _data(rng, nr=2000)
+    # the reference is the unsharded layout, which builds no shard tree
     for _ in range(3):
         got = run_knn(Q, R, {"shards": 2})
-        _assert_same("exact", got, run_knn(Q, R, {"shards": 2, "cache": False}))
+        _assert_same("exact", got, run_knn(Q, R, {}))
         _mutate(rng, R, "update")
     got = run_knn(Q, R, {"shards": 2})
-    _assert_same("exact", got, run_knn(Q, R, {"shards": 2, "cache": False}))
+    _assert_same("exact", got, run_knn(Q, R, {}))
     shard_trees = _keys("shard-tree")
     assert len(shard_trees) == 2
     assert all(key[-2] == (R.fingerprint("data"), R.fingerprint("weights"))
@@ -403,7 +412,8 @@ def test_mutated_reference_retires_both_sides_whiten_entries(rng):
     with collect() as c:
         got = _maha(Q, R)
     assert c.get("cache.whiten.miss") == 2
-    assert np.array_equal(got, _maha(Q, R, cache=False))
+    clear_caches()
+    assert np.array_equal(got, _maha(Q, R))
 
 
 def test_weights_only_update_keeps_the_whiten_entry(rng):
@@ -417,7 +427,8 @@ def test_weights_only_update_keeps_the_whiten_entry(rng):
     with collect() as c:
         got = _maha(Q, R, weighted=True)
     assert (c.get("cache.whiten.hit"), c.get("cache.whiten.miss")) == (2, 0)
-    assert np.array_equal(got, _maha(Q, R, weighted=True, cache=False))
+    clear_caches()
+    assert np.array_equal(got, _maha(Q, R, weighted=True))
 
 
 def test_executed_sibling_of_the_old_content_still_hits(rng):
@@ -434,7 +445,7 @@ def test_executed_sibling_of_the_old_content_still_hits(rng):
         got = run_knn(Q, sibling, {})
     assert (c.get("cache.tree.hit"), c.get("cache.tree.miss"),
             c.get("cache.tree.refit")) == (2, 0, 0)
-    _assert_same("exact", got, run_knn(Q, sibling, {"cache": False}))
+    _assert_same("exact", got, _rebuilt(run_knn, Q, sibling))
 
 
 def test_mark_mutated_supersedes_nothing(rng):
@@ -447,14 +458,15 @@ def test_mark_mutated_supersedes_nothing(rng):
         R.mark_mutated()
     assert c.get("cache.tree.superseded") == 0
     assert len(tree_cache) == entries
-    _assert_same("exact", run_knn(Q, R, {}), run_knn(Q, R, {"cache": False}))
+    _assert_same("exact", run_knn(Q, R, {}), _rebuilt(run_knn, Q, R))
 
 
 def test_clear_releases_its_trees(rng):
     """``Storage.clear()`` releases the arrays — and the trees the cache
     built over them."""
     Q, R = _data(rng, nq=32, nr=20_000)
-    want = run_knn(Q, R, {"cache": False})
+    want = _rebuilt(run_knn, Q, R)
+    clear_caches()
     assert np.array_equal(run_knn(Q, R, {}), want)
     assert len(tree_cache) == 2
     with collect() as c:
@@ -506,17 +518,17 @@ def test_deltas_since_chain(rng):
 
 class TestShardEnvResolution:
     def test_repro_workers_drives_auto_resolution(self, rng, monkeypatch):
-        """shards='auto' resolves against the worker count *at execute
-        time*; an env change between calls recompiles for the new
-        count."""
-        from repro.backend.plan import AUTO_SHARD_MIN_POINTS
+        """No worker count shards on its own: ``shards='auto'`` is the
+        option table's refusal under any ``REPRO_WORKERS``, and an
+        unasked count stays one shard."""
+        from repro.dsl.errors import SpecificationError
         from tests.backend.test_plan import plan_for
 
-        nr = AUTO_SHARD_MIN_POINTS * 4
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert plan_for({"shards": "auto"}, nq=1, nr=nr).shards == 2
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert plan_for({"shards": "auto"}, nq=1, nr=nr).shards == 4
+        for workers in ("2", "4"):
+            monkeypatch.setenv("REPRO_WORKERS", workers)
+            with pytest.raises(SpecificationError, match="shards"):
+                plan_for({"shards": "auto"}, nq=1, nr=1 << 20)
+            assert plan_for({}, nq=1, nr=1 << 20).shards == 1
 
     def test_resolved_count_is_cache_keyed(self, rng):
         """Same program, different resolved shard count → the per-shard

@@ -24,8 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.policy as policy_mod
 from repro.backend.plan import (
-    AUTO_SHARD_MIN_POINTS, OPTION_TABLE, TASKS_PER_WORKER, CompileOptions,
-    resolve_plan,
+    OPTION_TABLE, TASKS_PER_WORKER, CompileOptions, resolve_plan,
 )
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
@@ -109,9 +108,13 @@ MATRIX = [
     # below them, and the source says who asked
     ("executor", dict(POOL, executor="auto", traversal="stack"),
      {"REPRO_EXECUTOR": "thread"}, CONFIG, "process", "explicit"),
-    ("shards", {"shards": "auto"}, {}, CONFIG, 1, "explicit"),
-    # shards and policy read no environment: a stray variable asks nothing
-    ("shards", {}, {"REPRO_SHARDS": "4"}, CONFIG, 2, "policy"),
+    # 'auto' is no shard count: the option table refuses it
+    pytest.param("shards", {"shards": "auto"}, {}, CONFIG,
+                 SpecificationError, "explicit",
+                 id="shards-options12-env12-config12-1-explicit"),
+    # shards and policy read no environment: a stray variable asks
+    # nothing, and a stored 'shards' routes nothing
+    ("shards", {}, {"REPRO_SHARDS": "4"}, CONFIG, 1, "static"),
     # an explicit ask, beside a stored 'stack' that routes nothing
     ("engine", {"traversal": "batched"}, {}, CONFIG, "batched",
      "explicit"),
@@ -119,10 +122,10 @@ MATRIX = [
     ("leaf_size", {"leaf_size": 32}, {}, CONFIG, 32, "explicit"),
     ("leaf_size", {}, {}, CONFIG, 16, "policy"),
     ("leaf_size", {}, {}, None, 64, "static"),
-    # shards
+    # shards: explicit only
     ("shards", {"shards": 3}, {}, CONFIG, 3, "explicit"),
     ("shards", {}, {"REPRO_SHARDS": "4"}, None, 1, "static"),
-    ("shards", {}, {}, CONFIG, 2, "policy"),
+    ("shards", {}, {}, CONFIG, 1, "static"),
     ("shards", {}, {}, None, 1, "static"),
     # workers: not policy-fillable
     ("workers", {"workers": 3}, {}, CONFIG, 3, "explicit"),
@@ -134,6 +137,11 @@ MATRIX = [
 
 @pytest.mark.parametrize("field,options,env,config,value,source", MATRIX)
 def test_precedence(field, options, env, config, value, source, two_workers):
+    if value is SpecificationError:
+        with pytest.raises(SpecificationError, match=field):
+            plan_for(dict(options, policy="auto"), env,
+                     policy=stub_policy(config))
+        return
     plan = plan_for(dict(options, policy="auto"), env,
                     policy=stub_policy(config))
     assert getattr(plan, field) == value
@@ -160,7 +168,9 @@ class TestPolicyMode:
     def test_applied_is_what_the_policy_decided(self):
         plan = plan_for({"policy": "auto", "traversal": "batched",
                          "leaf_size": 128}, policy=stub_policy(CONFIG))
-        assert plan.policy_applied() == {"executor": "thread", "shards": 2}
+        # a stored 'shards' is no policy knob: it routes nothing
+        assert plan.policy_applied() == {"executor": "thread"}
+        assert plan.shards == 1
 
     def test_real_store_entry(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_POLICY_PATH", str(tmp_path / "p.json"))
@@ -184,7 +194,7 @@ class TestStaticRules:
             assert plan_for(problem=problem).engine == "batched"
             assert plan_for({"traversal": "stack"},
                             problem=problem).engine == "stack"
-            kernels = expr_for(problem).compile(cache=False).kernels
+            kernels = expr_for(problem).compile().kernels
             assert (kernels.bound_key_batch is not None) is bound
 
     def test_executor_by_engine(self):
@@ -207,13 +217,12 @@ class TestStaticRules:
         assert plan_for({"backend": "brute"}).engine is None
 
     def test_shard_count(self, two_workers):
+        """Only an explicit count shards, clamped to the reference set;
+        no static rule shards at any size, and ``'auto'`` is refused."""
         assert plan_for({"shards": 64}, nr=10).shards == 10  # clamped to nr
-        auto = {"shards": "auto"}
-        nr = 4 * AUTO_SHARD_MIN_POINTS
-        assert plan_for(dict(auto, workers=8), nr=nr, nq=1).shards == 4
-        assert plan_for(auto, nr=nr, nq=1).shards == 2  # one per worker
-        assert plan_for(dict(auto, workers=8),
-                        nr=AUTO_SHARD_MIN_POINTS - 1, nq=1).shards == 1
+        assert plan_for({"workers": 8}, nr=1 << 20, nq=1).shards == 1
+        with pytest.raises(SpecificationError, match="shards"):
+            plan_for({"shards": "auto", "workers": 8}, nr=1 << 20, nq=1)
 
     def test_codegen_auto_threshold(self):
         """No pair-count threshold picks an emitter any more: plans either
@@ -274,8 +283,14 @@ def test_none_and_numpy_ints_are_accepted():
 @pytest.mark.parametrize("name", [
     "parallel", "cache", "exclude_self"])
 def test_a_flag_spelt_off_is_off(name):
-    """``"false"`` from a serve client or ``--option cache=off`` from the
-    CLI is a non-empty string: it must not switch the feature on."""
+    """``"false"`` from a serve client or ``--option parallel=off`` from
+    the CLI is a non-empty string: it must not switch the feature on.
+    ``cache`` is no option at all: every spelling is refused."""
+    if name not in OPTION_TABLE:
+        for value in ("false", "off", 0, False, "true", 1, True):
+            with pytest.raises(SpecificationError, match=name):
+                CompileOptions.from_dict({name: value})
+        return
     for off in ("false", "off", "no", "0", "FALSE", 0, False, np.False_):
         assert getattr(CompileOptions.from_dict({name: off}), name) is False
     for on in ("true", "on", "yes", "1", " On ", 1, True, np.True_):
@@ -297,7 +312,7 @@ def test_bad_environment_values_are_specification_errors(env):
 
 
 def test_options_are_immutable():
-    opts = CompileOptions.from_dict({"shards": "4"})
+    opts = CompileOptions.from_dict({"shards": 4})
     assert opts.shards == 4
     with pytest.raises(AttributeError):
         opts.shards = 2
@@ -311,7 +326,7 @@ ROUTING = st.fixed_dictionaries({}, optional={
     "executor": st.sampled_from(["auto", "thread", "process"]),
     "workers": st.integers(1, 4),
     "leaf_size": st.sampled_from([8, 64, 200]),
-    "shards": st.one_of(st.just("auto"), st.integers(1, 5)),
+    "shards": st.integers(1, 5),
     "policy": st.sampled_from(["static", "auto", "search"]),
     "backend": st.sampled_from(["vectorized", "brute"]),
     "tree": st.sampled_from(["kd", "octree"]),

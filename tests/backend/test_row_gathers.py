@@ -102,8 +102,7 @@ def _run(case, form, data, leaf_size=8):
     make, options = CASES[case]
     clear_caches()
     expr = make(data)
-    out = expr.execute(cache=False, leaf_size=leaf_size, **options,
-                       **FORMS[form])
+    out = expr.execute(leaf_size=leaf_size, **options, **FORMS[form])
     stats = expr.stats()
     return out, stats["traversal"], expr.generated_source()
 

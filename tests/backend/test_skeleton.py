@@ -48,7 +48,7 @@ def _program(name, **options):
         expr.addLayer(outer, Storage(Q, name="query"))
         expr.addLayer(inner, Storage(R, name="reference"),
                       PortalFunc.EUCLIDEAN)
-    expr.compile(cache=False, **options)
+    expr.compile(**options)
     return expr.generated_source()
 
 

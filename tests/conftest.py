@@ -106,6 +106,20 @@ def assert_tree_refused(call, *args, **kwargs):
         call(*args, **kwargs)
 
 
+def uncacheable(op, query, reference, func, **params):
+    """A two-layer program over ``query`` × ``reference`` whose reference
+    layer carries a parameter with no content identity: it is never
+    cached (``stats()["cache"]`` is ``None``), so it has no program token
+    and a process run publishes its blocks for that run alone."""
+    from repro.dsl import PortalExpr, PortalOp, Storage
+
+    expr = PortalExpr("uncacheable")
+    expr.addLayer(PortalOp.FORALL, Storage(query, name="query"))
+    expr.addLayer(op, Storage(reference, name="reference"), func, **params)
+    expr.layers[-1].params["opaque"] = object()
+    return expr
+
+
 #: the engine value retired when the batched engine absorbed the bound
 #: form; only a policy entry stored before then can still name it
 RETIRED_ENGINE = "bounded-batched"

@@ -30,6 +30,7 @@ from repro.dsl import (
     Const, Expr, PortalExpr, PortalFunc, PortalOp, Storage, Var, exp,
     indicator, pow, sqrt,
 )
+from repro.backend.cache import clear_caches
 from repro.ir.passes import TOGGLEABLE_PASSES
 
 from tests.backend.test_differential import (
@@ -144,7 +145,7 @@ def _sweep(seed):
     """One fuzz case-family: a seeded program's IR interpreted under all
     64 pass subsets against the vectorized backend."""
     build, kind, opts = make_fuzz_problem(seed)
-    ref = _extract(build().execute(backend="vectorized", cache=False, **opts),
+    ref = _extract(build().execute(backend="vectorized", **opts),
                    kind)
     for subset in ALL_SUBSETS:
         got = _extract(interpreted(build, opts, subset), kind)
@@ -163,12 +164,9 @@ def _sweep_paths(seed):
     problems' shapes).  The test names date from when this leg ran a
     second, native emitter."""
     build, kind, opts = make_fuzz_problem(seed)
-    ref = _extract(
-        build().execute(cache=False, **opts), kind)
+    ref = _extract(build().execute(**opts), kind)
     for path in ({"traversal": "stack"}, {"backend": "brute"}):
-        got = _extract(
-            build().execute(cache=False, **path, **opts),
-            kind)
+        got = _extract(build().execute(**path, **opts), kind)
         _assert_same(got, ref, kind)
 
 
@@ -199,8 +197,9 @@ def test_generator_is_deterministic():
     b1, k1, o1 = make_fuzz_problem(1234)
     b2, k2, o2 = make_fuzz_problem(1234)
     assert (k1, o1) == (k2, o2)
-    r1 = _extract(b1().execute(cache=False, **o1), k1)
-    r2 = _extract(b2().execute(cache=False, **o2), k2)
+    r1 = _extract(b1().execute(**o1), k1)
+    clear_caches()
+    r2 = _extract(b2().execute(**o2), k2)
     _assert_same(r1, r2, k1)
 
 

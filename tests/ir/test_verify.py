@@ -281,7 +281,7 @@ class TestBrokenPassDrill:
 
         monkeypatch.setattr(passes_mod, "constant_fold", broken_fold)
         expr = _kde_expr()
-        expr.execute(cache=False)
+        expr.execute()
         for read in (expr.ir_dump,
                      lambda: _kde_expr().execute(backend="interp")):
             with pytest.raises(IRVerificationError) as exc:

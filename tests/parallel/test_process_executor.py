@@ -22,7 +22,7 @@ from repro.observe import collect
 from repro.parallel import default_workers, run_process_tasks
 from repro.parallel import shm
 from tests.backend.test_plan import plan_for
-from tests.conftest import REMOVED_TREE, assert_tree_refused
+from tests.conftest import REMOVED_TREE, assert_tree_refused, uncacheable
 from repro.problems import (
     barnes_hut_potential, directed_hausdorff, kde, knn, knn_regress,
     pair_count, range_count, range_search, two_point_correlation,
@@ -106,14 +106,20 @@ class TestDifferentialProblems:
         assert runs[0]["traversal.base_case_pairs"] > 0
 
     def test_uncached_program_runs_process(self, data):
-        """cache=False has no program token: the publication is
-        ephemeral, released after the run, and still bit-identical."""
+        """An uncacheable program has no program token: the publication
+        is ephemeral, released after the run, and still bit-identical."""
         Q, R = data
-        thread = kde(Q, R, bandwidth=0.7, cache=False,
-                     **dict(PAR, executor="thread"))
+
+        def run(executor):
+            expr = uncacheable(PortalOp.SUM, Q, R, PortalFunc.GAUSSIAN,
+                               bandwidth=0.7)
+            out = expr.execute(tau=1e-3, **dict(PAR, executor=executor))
+            assert expr.stats()["cache"] is None
+            return np.asarray(out.values)
+
+        thread = run("thread")
         before = shm.shared_block_stats()["blocks"]
-        process = kde(Q, R, bandwidth=0.7, cache=False,
-                      **dict(PAR, executor="process"))
+        process = run("process")
         assert np.array_equal(thread, process)
         assert shm.shared_block_stats()["blocks"] == before  # released
 
@@ -251,17 +257,26 @@ class TestOneTask:
         """A process run whose query tree is one leaf is one task: it
         takes the serial path over the kernels the caller bound, so the
         caller builds no worker program and publishes no block — and it
-        answers bitwise as the thread executor does."""
+        answers bitwise as the thread executor does.  ``cache`` False
+        runs a program that is never cached (no program token)."""
         from repro.parallel import worker
 
         Q, R = data
+
+        def run(executor):
+            if cache:
+                return knn(Q[:20], R, k=3, executor=executor, **PAR)
+            out = uncacheable((PortalOp.KARGMIN, 3), Q[:20], R,
+                              PortalFunc.EUCLIDEAN).execute(
+                executor=executor, **PAR)
+            return np.asarray(out.values), np.asarray(out.indices)
+
         before = _shm_blocks()
-        got = knn(Q[:20], R, k=3, executor="process", cache=cache, **PAR)
+        got = run("process")
         assert not worker._PROGRAMS
         assert shm.shared_block_stats()["blocks"] == 0
         assert _shm_blocks() <= before
-        _assert_bit_identical(
-            got, knn(Q[:20], R, k=3, executor="thread", cache=cache, **PAR))
+        _assert_bit_identical(got, run("thread"))
 
 
 class TestSharedMemory:

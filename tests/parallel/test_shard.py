@@ -34,7 +34,6 @@ from repro.backend.jit import CompileOptions
 from repro.dsl import PortalExpr, PortalFunc, PortalOp, Storage
 from repro.dsl.errors import SpecificationError
 from repro.observe import collect
-from repro.backend.plan import AUTO_SHARD_MIN_POINTS
 from repro.parallel import plan_shards, shm
 from repro.parallel.executor import default_workers
 from repro.problems import (
@@ -42,7 +41,7 @@ from repro.problems import (
     pair_count, range_count, range_search, two_point_correlation,
 )
 from tests.backend.test_plan import plan_for
-from tests.conftest import REMOVED_TREE, assert_tree_refused
+from tests.conftest import REMOVED_TREE, assert_tree_refused, uncacheable
 
 #: Process-pool options mirroring test_process_executor's PAR.
 PAR = {"parallel": True, "workers": 2, "executor": "process"}
@@ -251,13 +250,16 @@ class TestDifferentialProblems:
         np.testing.assert_allclose(base, sharded, rtol=1e-12, atol=0)
 
     def test_uncached_sharded_process_releases_blocks(self, data):
-        """cache=False has no program token: the q + per-shard blocks
-        are ephemeral and released after the run."""
+        """An uncacheable program has no program token: the q +
+        per-shard blocks are ephemeral and released after the run."""
         Q, R = data
         base = kde(Q, R, bandwidth=0.7, tau=0.0)
         before = shm.shared_block_stats()["blocks"]
-        sharded = kde(Q, R, bandwidth=0.7, tau=0.0, cache=False,
-                      **dict(PAR, shards=2))
+        expr = uncacheable(PortalOp.SUM, Q, R, PortalFunc.GAUSSIAN,
+                           bandwidth=0.7)
+        sharded = np.asarray(
+            expr.execute(tau=0.0, **dict(PAR, shards=2)).values)
+        assert expr.stats()["cache"] is None
         np.testing.assert_allclose(base, sharded, rtol=1e-12, atol=0)
         assert shm.shared_block_stats()["blocks"] == before
 
@@ -293,13 +295,13 @@ class TestCrossShardBroadcast:
         task — and is killed, with the output still exact, on every
         runner alike."""
         Q, R = _clustered(15000, 15000, 256)
-        base = knn(Q, R, k=5, cache=False)
+        base = knn(Q, R, k=5)
         expr = PortalExpr("shard-kill")
         expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
         expr.addLayer((PortalOp.KARGMIN, 5), Storage(R, name="reference"),
                       PortalFunc.EUCLIDEAN)
         with collect() as counters:
-            out = expr.execute(shards=2, cache=False, **RUNNERS[executor])
+            out = expr.execute(shards=2, **RUNNERS[executor])
         stats = expr.stats()
         assert stats["shard"]["count"] == 2
         assert stats["shard"]["rounds"] == 2
@@ -398,23 +400,42 @@ class TestResolution:
         assert shard_count(64, 10) == 10  # clamped to nr
 
     def test_auto_small_reference_stays_unsharded(self):
-        assert shard_count("auto", AUTO_SHARD_MIN_POINTS - 1,
-                                   workers=8) == 1
+        """``'auto'`` is no count: the option table refuses it, and an
+        unasked count stays one shard at any size."""
+        with pytest.raises(SpecificationError, match="shards"):
+            shard_count("auto", 1000, workers=8)
+        assert shard_count(None, 1000, workers=8) == 1
 
     def test_auto_scales_with_workers_and_size(self):
-        nr = 4 * AUTO_SHARD_MIN_POINTS
-        assert shard_count("auto", nr, workers=8) == 4
-        assert shard_count("auto", nr, workers=2) == 2
+        """Neither worker count nor reference size shards unasked."""
+        for workers in (2, 8):
+            with pytest.raises(SpecificationError, match="shards"):
+                shard_count("auto", 1 << 22, workers=workers)
+            assert shard_count(None, 1 << 22, workers=workers) == 1
+
+    def test_auto_refused_from_execute(self, data):
+        """``execute`` refuses ``shards='auto'`` before any work, and an
+        explicit count still shards."""
+        Q, R = data
+        with pytest.raises(SpecificationError, match="shards"):
+            knn(Q, R, k=3, shards="auto", workers=2)
+        expr = PortalExpr("explicit-shards")
+        expr.addLayer(PortalOp.FORALL, Storage(Q, name="query"))
+        expr.addLayer((PortalOp.KARGMIN, 3), Storage(R, name="reference"),
+                      PortalFunc.EUCLIDEAN)
+        expr.execute(shards=2)
+        assert expr.stats()["shard"]["count"] == 2
 
     def test_invalid_count_rejected(self):
         with pytest.raises(SpecificationError, match="shards"):
             shard_count(0, 100)
 
     def test_option_validation(self):
-        assert CompileOptions.from_dict({"shards": "auto"}).shards == "auto"
-        assert CompileOptions.from_dict({"shards": "4"}).shards == 4
-        with pytest.raises(SpecificationError, match="shards"):
-            CompileOptions.from_dict({"shards": "many"})
+        assert CompileOptions.from_dict({"shards": 4}).shards == 4
+        # a shard count is an integer: no string is parsed into one
+        for asked in ("auto", "4", "many"):
+            with pytest.raises(SpecificationError, match="shards"):
+                CompileOptions.from_dict({"shards": asked})
         with pytest.raises(SpecificationError, match="shards"):
             CompileOptions.from_dict({"shards": 0})
 
@@ -553,11 +574,11 @@ def test_broadcast_pair_count(spine_datagen, monkeypatch):
     rng = np.random.default_rng(0)
     Q, R = spine_datagen.ihepc(10_000, rng), spine_datagen.ihepc(10_000, rng)
     clear_caches()
-    want_d, want_i = knn(Q, R, k=5, cache=False)
+    want_d, want_i = knn(Q, R, k=5)
     for runner in ({}, {"parallel": True, "workers": 2}, PAR):
         clear_caches()
         with collect() as counters:
-            d, i = knn(Q, R, k=5, shards=2, cache=False, **runner)
+            d, i = knn(Q, R, k=5, shards=2, **runner)
         assert counters.get("traversal.base_case_pairs") == 13_549_330
         assert counters.get("shard.rounds") == 2
         assert d.tobytes() == want_d.tobytes()

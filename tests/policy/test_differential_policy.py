@@ -32,9 +32,9 @@ TREES = ("kd", "octree")
 #: executor / leaf size in the search space is exercised against the
 #: default
 FORCED = [
-    {"executor": "serial", "leaf_size": 32, "shards": 1},
-    {"executor": "thread", "leaf_size": 128, "shards": 1},
-    {"executor": "process", "leaf_size": 16, "shards": 1},
+    {"executor": "serial", "leaf_size": 32},
+    {"executor": "thread", "leaf_size": 128},
+    {"executor": "process", "leaf_size": 16},
 ]
 
 

@@ -11,8 +11,7 @@ from repro.policy import PolicyEntry, policy_key, policy_store
 from tests.backend.test_differential import make_problem
 
 SEED = 101
-CONFIG = {"traversal": "stack", "executor": "serial", "leaf_size": 32,
-          "shards": 1}
+CONFIG = {"traversal": "stack", "executor": "serial", "leaf_size": 32}
 
 
 def _expr(name="knn"):
@@ -92,7 +91,7 @@ class TestSearch:
             expr.execute(**base, policy="search")
         st = expr.stats()["policy"]
         assert st["source"] == "fresh-search"
-        assert set(st["config"]) == {"executor", "leaf_size", "shards"}
+        assert set(st["config"]) == {"executor", "leaf_size"}
         assert policy_path.exists()
         assert counters.as_dict()["policy.search"] == 1
 

@@ -30,25 +30,26 @@ class FakeClock:
 
 class TestEnumerateAxes:
     def test_single_worker_prunes_parallel_axes(self):
-        axes = enumerate_axes(2000, workers=1)
+        axes = enumerate_axes(workers=1)
         assert axes["executor"] == ["serial"]
-        assert axes["shards"] == [1]
 
-    def test_multi_worker_enables_executors_and_shards(self):
-        axes = enumerate_axes(16384, workers=4)
+    def test_multi_worker_enables_executors(self):
+        axes = enumerate_axes(workers=4)
         assert axes["executor"] == ["serial", "thread", "process"]
-        assert axes["shards"] == [1, 4]
+        assert axes["leaf_size"] == [32, 64, 128]
 
     def test_small_reference_never_sharded(self):
-        axes = enumerate_axes(2000, workers=8)
-        assert axes["shards"] == [1]
+        """No reference set, small or large, makes the shard count an
+        axis: only an explicit option shards."""
+        for workers in (1, 8):
+            assert "shards" not in enumerate_axes(workers=workers)
 
     def test_stack_dropped_at_scale(self):
         """The stack reference engine is no axis at any scale: the
-        search sweeps executor, leaf size and shards only."""
-        for nr, workers in ((2000, 1), (1 << 12, 1), (1 << 16, 4)):
-            assert set(enumerate_axes(nr, workers=workers)) == set(AXIS_ORDER)
-        assert AXIS_ORDER == ("executor", "leaf_size", "shards")
+        search sweeps executor and leaf size only."""
+        for workers in (1, 4):
+            assert set(enumerate_axes(workers=workers)) == set(AXIS_ORDER)
+        assert AXIS_ORDER == ("executor", "leaf_size")
 
 
 class TestCandidate:
@@ -58,12 +59,12 @@ class TestCandidate:
         opts = cand.to_options()
         assert opts["parallel"] is True and opts["executor"] == "process"
         assert opts["traversal"] == "stack" and opts["shards"] == 2
-        # the engine is asked by option only: a stored config neither
-        # records nor routes it
-        config = {"executor": "process", "leaf_size": 32, "shards": 2}
+        # the engine and the shard count are asked by option only: a
+        # stored config neither records nor routes them
+        config = {"executor": "process", "leaf_size": 32}
         assert cand.to_config() == config
         assert ExecutionPlan.from_config(
-            dict(config, traversal="stack")) == config
+            dict(config, traversal="stack", shards=2)) == config
 
     def test_serial_disables_parallel(self):
         opts = start_plan().to_options()
@@ -88,11 +89,7 @@ class TestSearchPolicy:
 
     def test_descends_to_scripted_optimum(self):
         clock = FakeClock()
-        axes = {
-            "executor": ["serial", "thread"],
-            "leaf_size": [32, 64],
-            "shards": [1],
-        }
+        axes = {"executor": ["serial", "thread"], "leaf_size": [32, 64]}
         best, timings = search_policy(
             self._cost(clock), axes, start_plan(),
             repeats=1, budget_s=None, clock=clock)

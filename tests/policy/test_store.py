@@ -32,10 +32,10 @@ class TestRoundtrip:
         assert policy_path.exists()
 
     def test_fresh_store_reads_back(self, policy_path):
-        PolicyStore().put(KEY, _entry(ref={"prune_rate": 0.5}))
+        PolicyStore().put(KEY, _entry(timings={"serial/leaf64": 0.5}))
         got = PolicyStore().get(KEY)
         assert got is not None
-        assert got.ref == {"prune_rate": 0.5}
+        assert got.timings == {"serial/leaf64": 0.5}
         assert got.created > 0
 
     def test_hits_counted(self, policy_path):
@@ -44,13 +44,6 @@ class TestRoundtrip:
         store.get(KEY)
         store.get(KEY)
         assert store.get(KEY).hits == 3
-
-    def test_mark_stale_persists(self, policy_path):
-        PolicyStore().put(KEY, _entry())
-        with collect() as counters:
-            assert PolicyStore().mark_stale(KEY)
-        assert counters.as_dict()["policy.stale_marked"] == 1
-        assert PolicyStore().get(KEY).stale
 
     def test_payload_is_wellformed_json(self, policy_path):
         PolicyStore().put(KEY, _entry())
@@ -138,11 +131,10 @@ class TestLifecycle:
         store = PolicyStore()
         store.put(KEY, _entry())
         # another writer updates the file behind this store's back
-        other = PolicyStore()
-        other.mark_stale(KEY)
-        assert not store.get(KEY).stale  # cached in-memory view
+        PolicyStore().put(KEY, _entry(measured_nq=7))
+        assert store.get(KEY).measured_nq == 0  # cached in-memory view
         store.forget()
-        assert store.get(KEY).stale
+        assert store.get(KEY).measured_nq == 7
 
     def test_clear_empties_table_and_file(self, policy_path):
         store = PolicyStore()
@@ -176,3 +168,54 @@ class TestStoredEngineNames:
             assert all("traversal" not in e.config
                        for e in reloaded._load().values())
         assert counters.as_dict()["policy.dropped_entries"] == 1
+
+
+class TestRefinementFields:
+    def test_parent_file_routes_without_search(self, policy_path):
+        """A file written while live runs could retire an entry — one
+        entry flagged ``stale``, with the ``ref`` counters that flag was
+        judged by and a ``shards`` config key — loads; ``policy="auto"``
+        routes from that entry and never searches; the load strips
+        ``shards`` (``policy.dropped_entries``); and the next ``put``
+        writes none of the three back."""
+        from repro.backend.jit import CompileOptions
+        from repro.policy import policy_key
+
+        from tests.policy.test_modes import _expr
+
+        build, base = _expr("knn")
+        keyed = build()
+        keyed.validate()
+        key = policy_key(keyed.layers, CompileOptions.from_dict(dict(base)))
+        config = {"executor": "serial", "leaf_size": 32, "shards": 2}
+        policy_path.write_text(json.dumps({
+            "policy_schema": POLICY_SCHEMA,
+            "artifact_schema": cache_mod.ARTIFACT_SCHEMA,
+            "host": host_fingerprint(),
+            "entries": {key.as_str(): {
+                "config": config, "timings": {},
+                "ref": {"prune_rate": 0.99, "exact_pair_fraction": 1e-6},
+                "measured_nq": 4096, "measured_nr": 16384,
+                "stale": True, "created": 1.0, "hits": 3,
+            }},
+        }))
+
+        expr = build()
+        with collect() as counters:
+            expr.execute(**base, policy="auto")
+        snap = counters.as_dict()
+        assert snap["policy.hit"] == 1
+        assert "policy.search" not in snap
+        assert snap["policy.dropped_entries"] == 1
+        stats = expr.stats()
+        assert stats["policy"]["source"] == "policy-cache"
+        assert stats["policy"]["applied"]["leaf_size"] == 32
+        assert "shards" not in stats["policy"]["applied"]
+        assert stats["plan"]["shards"] == {"value": 1, "source": "static"}
+
+        PolicyStore().put(KEY, PolicyEntry(config={"executor": "thread"}))
+        stored = json.loads(policy_path.read_text())["entries"]
+        assert set(stored) == {key.as_str(), KEY.as_str()}
+        for entry in stored.values():
+            assert not {"ref", "stale"} & set(entry)
+            assert "shards" not in entry["config"]

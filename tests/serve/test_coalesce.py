@@ -1,16 +1,22 @@
-"""Serving differential battery: coalesced == per-request serial, bitwise.
+"""Serving differential battery: coalesced rows against rows served alone.
+
+Coalescing rule: a row answered in a batch is held to the same row
+answered alone: comparative, count and list outputs are bitwise equal; a
+float sum of an exact program holds DESIGN.md §8's sum rule
+(``tests/contract.py::assert_sum_close``); an approximate program holds
+the τ / θ rule.
 
 Each of the nine point-query problems (FORALL outer layer) is registered
 with a :class:`PortalService`; its query rows are then submitted as
 concurrent single-row requests in a *scrambled* order with a small
 ``batch_max``, so the coalescer stacks them into batches that never
-equal the reference execution's query array.  Every scattered slice must
-be **bitwise** identical to the corresponding row of one plain
-``execute()`` over the full query set: for exact configurations (these
-all are — ``tau=0`` where approximation exists) the set of reference
-points reaching a query row, the per-pair arithmetic and the per-row
-accumulation order are all independent of which other rows share the
-traversal.
+equal the reference execution's query array.  Every scattered slice is
+compared with the corresponding row of one plain ``execute()`` over the
+full query set.  These configurations are all exact (``tau=0`` where
+approximation exists), and at their 28 × 33 inputs every output —
+float sums included — is bitwise, which this battery asserts; the sum
+rule's own case is the 40 × 300 Gaussian KDE at the end, whose rows do
+change bits with the batch.
 
 The matrix covers kd/octree trees and the thread/process parallel
 executors (CI runs this directory again under ``REPRO_EXECUTOR=process``
@@ -313,3 +319,63 @@ def test_monochromatic_template_serves_against_its_dataset():
     assert expr.layers[0].storage is not data
     assert expr.execute().indices[:, 0].tolist() == [10, 11, 12, 13, 14]
     assert template.layers[0].storage is data
+
+
+# -- the rule's sum case: rows whose bits move with the batch -----------------
+
+#: Gaussian KDE, τ = 0, 40 × 300 standard-normal points at d = 3: at
+#: these sizes the block GEMM rounds a row by the shape of the block it
+#: runs in, so a row answered in a 1- or 5-row slice need not be
+#: bitwise the row of the 40-row run
+KDE_NQ, KDE_NR, KDE_SEED = 40, 300, 0
+
+
+def _kde_rows(weighted):
+    rng = np.random.default_rng(KDE_SEED)
+    Q = rng.standard_normal((KDE_NQ, 3))
+    R = rng.standard_normal((KDE_NR, 3))
+    w = rng.uniform(0.5, 2.0, KDE_NR) if weighted else None
+
+    def build(query=Q):
+        e = PortalExpr("kde-coalesce")
+        e.addLayer(PortalOp.FORALL, Storage(query, name="query"))
+        e.addLayer(PortalOp.SUM, Storage(R, weights=w, name="reference"),
+                   PortalFunc.GAUSSIAN, bandwidth=0.5)
+        return e
+    return Q, build
+
+
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("path", ["executed", "served"])
+def test_batched_kde_sum_holds_the_sum_rule(path, rows, weighted):
+    """The coalescing rule's sum case: each row of a ``rows``-row slice,
+    executed on its own or served in a batch of ``rows``, holds the sum
+    rule against the same row of one 40-row execute."""
+    from tests.contract import assert_sum_close
+
+    Q, build = _kde_rows(weighted)
+    want = np.asarray(build().execute(tau=0.0).values)
+    if path == "executed":
+        got = np.concatenate([
+            np.asarray(build(Q[i:i + rows]).execute(tau=0.0).values)
+            for i in range(0, KDE_NQ, rows)])
+    else:
+        async def served():
+            svc = PortalService()
+            try:
+                hid = await svc.register(
+                    build(), options={"tau": 0.0},
+                    admission=AdmissionConfig(batch_max=rows,
+                                              linger_us=250_000))
+                out = await asyncio.gather(
+                    *[svc.query(hid, Q[i:i + 1]) for i in range(KDE_NQ)])
+                return out, svc.counters.as_dict()
+            finally:
+                await svc.close()
+
+        results, counters = asyncio.run(served())
+        assert counters["serve.batches"] >= KDE_NQ // rows
+        got = np.concatenate([np.asarray(r.values) for r in results])
+    assert_sum_close(got, want, n=KDE_NR)

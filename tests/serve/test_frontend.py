@@ -187,6 +187,13 @@ def test_error_payloads():
                          "data": data, "options": {"fastmath": True}})
         assert not r["ok"] and r["error"]["type"] == "SpecificationError"
         assert r["error"]["portal"] and "fastmath" in r["error"]["message"]
+        # nothing shards unasked, and no option turns the caches off
+        for rid, options in ((11, {"shards": "auto"}), (12, {"cache": False})):
+            r = await c.rpc({"op": "register", "id": rid, "program": PROGRAM,
+                             "data": data, "options": options})
+            assert not r["ok"] and r["error"]["type"] == "SpecificationError"
+            assert r["error"]["portal"]
+            assert next(iter(options)) in r["error"]["message"]
 
         # shed errors are marked retryable
         reg = await c.rpc({"op": "register", "program": PROGRAM,

@@ -284,7 +284,7 @@ class TestFlushCut:
             expr, options = _kde_expr(Q, R, bandwidth=0.2), {"tau": 1e-2}
         else:
             expr, options = _range_search_expr(Q, R, h=0.3), {}
-        prog = expr.compile(leaf_size=8, cache=False, **options)
+        prog = expr.compile(leaf_size=8, **options)
         whole, c_whole = self._run(prog)
 
         slices = []

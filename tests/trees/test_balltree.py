@@ -126,7 +126,7 @@ class TestBallRejected:
         dead row is counted, and the next save leaves it out of the
         file.  No key an execute derives names the kind."""
         path = str(tmp_path / "policy.json")
-        config = {"executor": "serial", "leaf_size": 64, "shards": 1}
+        config = {"executor": "serial", "leaf_size": 64}
         keys = {kind: PolicyKey(program_class="cafe0123", tree=kind,
                                 nq_bucket=8, nr_bucket=9, dim=3, k=4)
                 for kind in ("kd", "ball", "octree")}

@@ -105,6 +105,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", prog, *binds, "--option", "nokey"])
 
+    @pytest.mark.parametrize("option", ["shards=auto", "cache=false"])
+    def test_refused_option_exits_1(self, setup, capsys, option):
+        """``shards=auto`` and ``cache=`` are the option table's
+        refusal, printed as an error; an explicit shard count runs."""
+        prog, binds = setup
+        assert main(["run", prog, *binds, "--option", option]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and option.split("=")[0] in err
+        assert main(["run", prog, *binds, "--option", "shards=2"]) == 0
+
     def test_bad_bind_format(self, setup):
         prog, _ = setup
         with pytest.raises(SystemExit):
