@@ -76,7 +76,7 @@ class CompiledProgram:
     output: Output | None = None
     #: the batched engine's epoch-loop counters of the last run
     bounded: dict | None = None
-    #: broadcast counters and per-shard stats of the last sharded run
+    #: shard count and per-shard stats of the last sharded run
     shard_info: dict | None = None
     #: wall-clock seconds per compile stage that ran ('rules', 'codegen'
     #: — absent on a cache hit — 'tree_build', 'shard_build') plus 'run'
@@ -324,7 +324,7 @@ class CompiledProgram:
             return stats
         side = Side(self.rtree, self.kernels, self.state, self.bindings)
         return fan_out(self.qtree, [side], plan, self.bindings,
-                       self.program_token)[0][0]
+                       self.program_token)[0]
 
     def _run_brute(self) -> TraversalStats:
         stats = TraversalStats()

@@ -161,13 +161,7 @@ def _cmd_stats(args) -> int:
                 f"pending-peak={bb.get('pending_peak', 0)}"
             )
         if s.get("shard"):
-            sh = s["shard"]
-            print(
-                f"  shard:     count={sh.get('count', 0)} "
-                f"rounds={sh.get('rounds', 0)} "
-                f"pruned={sh.get('pruned', 0)} "
-                f"tasks-pruned={sh.get('tasks_pruned', 0)}"
-            )
+            print(f"  shard:     count={s['shard'].get('count', 0)}")
         passes = _fmt_timings(s["pass_timings_ms"]) or "IR not built"
         print(f"  IR passes: {passes}")
         print(f"  compile:   {_fmt_timings(s['compile_timings_ms'])}")

@@ -161,8 +161,7 @@ class PortalExpr:
         ``docs/observability.md``): traversal counters with prune and
         approximation rates, per-IR-pass timings (once something read
         the IR), per-compile-stage timings, and the run wall-clock.
-        Sharded runs add a ``"shard"`` block — shard count, broadcast
-        rounds, ``pruned`` / ``tasks_pruned`` kill counts and per-shard
+        Sharded runs add a ``"shard"`` block — shard count and per-shard
         traversal stats.
         Requires :meth:`compile` (the traversal counters are zero until
         :meth:`execute`)."""

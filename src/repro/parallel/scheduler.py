@@ -15,7 +15,7 @@ over ``expand_frontier(qtree, ceil(min_tasks / P))``; the plan's
 executor decides only where a task runs — in order in the caller
 (``serial``), on the thread pool (``thread``), or as a payload on the
 process pool (``process``, :func:`repro.parallel.worker.run_task`).  A
-phase of one task always runs in the caller, over the caller's kernels.
+fan-out of one task always runs in the caller, over the caller's kernels.
 
 Partitioning by **query subtree only** is what makes shared-state
 updates safe: every accumulator is indexed by query position, so two
@@ -24,15 +24,10 @@ slice merges back verbatim.  Problems whose output is a single scalar
 reduce per-query partials at finalisation, so they are covered by the
 same invariant.
 
-With several sides a bound rule runs one schedule, whatever the
-runner: every task runs :func:`_seed_epochs` epochs and pauses; one
-broadcast min-reduces the sides' signed ``qbound`` arrays into a global
-bound; a side whose root key cannot beat the worst global bound is
-killed wholesale (``pruned``), a paused task whose key cannot beat its
-query slice's bound alone (``tasks_pruned``); the survivors resume
-under the global bound and run to completion.  The broadcast only
-removes dominated work — any candidate it prunes is beaten by a
-candidate held on another side — so the combined output is exact.
+Every task runs once, to completion.  Sides never trade bounds: a
+side's bound rule tightens its ``qbound`` from its own points alone,
+and the sides' partial states meet only in the combine step
+(:func:`repro.parallel.shard.combine_shard_states`).
 """
 
 from __future__ import annotations
@@ -44,30 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..observe import contribute, span
-from ..traversal import TraversalStats, bound_epochs, run_engine
-from ..traversal.bounded_batched import takes_row_regime
+from ..traversal import TraversalStats, run_engine
 from ..trees.node import ArrayTree
 from . import shm
 from .executor import run_process_tasks, run_tasks
 
-__all__ = ["Side", "fan_out", "expand_frontier",
-           "SEED_EPOCHS", "ROW_SEED_EPOCHS"]
+__all__ = ["Side", "fan_out", "expand_frontier"]
 
-#: Epochs every task runs before the cross-side bound broadcast.
-#: Enough for the engine's ramp (64 → 4096 doubling) to run real base
-#: cases and produce finite bounds, small enough that a dominated side
-#: is killed before touching the bulk of its pool.
-SEED_EPOCHS = 12
-#: The seed of a task that takes the row regime, whose epochs each
-#: descend several reference levels
-#: (:data:`~repro.traversal.bounded_batched.ROW_DESCENT_WIDTH`): in
-#: twelve of those a dominated shard finishes its walk before the
-#: broadcast can stop it.  From a sweep over clustered, IHEPC-like and
-#: probe-shaped batches at shards=2 (docs/performance.md, "The row
-#: regime").
-ROW_SEED_EPOCHS = 5
-
-_ROOT = np.zeros(1, dtype=np.int64)
 _ephemeral_seq = itertools.count()
 
 
@@ -103,28 +81,14 @@ def expand_frontier(tree: ArrayTree, min_nodes: int) -> list[int]:
     return frontier
 
 
-def _seed_epochs(qtree, rtree) -> int:
-    """Epochs of a task's seed phase, by the regime the engine takes
-    over this tree pair."""
-    return ROW_SEED_EPOCHS if takes_row_regime(qtree, rtree) else SEED_EPOCHS
-
-
-def _root_key(kernels, q_root: int = 0) -> float:
-    """Signed promise key of (``q_root`` × side root): the most
-    optimistic value the side could still contribute under that query
-    subtree.  Boxes only; state-independent."""
-    q = np.array([q_root], dtype=np.int64)
-    return float(np.asarray(kernels.bound_key_batch(q, _ROOT)).reshape(-1)[0])
-
-
 def fan_out(qtree, sides: list[Side], plan, q_bindings=None,
-            token: str | None = None) -> tuple[list[TraversalStats], dict]:
-    """Run every (side × query-subtree) task of ``sides`` as ``plan``
-    (an :class:`~repro.backend.plan.ExecutionPlan`) says, each side's
+            token: str | None = None) -> list[TraversalStats]:
+    """Run every (side × query-subtree) task of ``sides`` once, to
+    completion, as ``plan`` (an
+    :class:`~repro.backend.plan.ExecutionPlan`) says, each side's
     results written into its own ``state``.
 
-    Returns the per-side merged :class:`TraversalStats` and the
-    schedule's ``{"rounds", "pruned", "tasks_pruned"}``.  Each task's
+    Returns the per-side merged :class:`TraversalStats`.  Each task's
     traversal counters reach the active registry once (an in-caller
     engine contributes its own; a process worker's registry is shipped
     back).  ``q_bindings`` and ``token`` serve the process runner only:
@@ -135,46 +99,22 @@ def fan_out(qtree, sides: list[Side], plan, q_bindings=None,
     P = len(sides)
     frontier = [int(q) for q in
                 expand_frontier(qtree, -(-plan.min_tasks // P))]
-    sched = {"rounds": 1, "pruned": 0, "tasks_pruned": 0}
+    tasks = [(i, q) for i in range(P) for q in frontier]
     per_side = [TraversalStats() for _ in sides]
-    broadcast = P > 1 and bound_epochs(plan.engine, sides[0].kernels)
-    seed = [{"max_epochs": _seed_epochs(qtree, s.rtree)} if broadcast
-            else {} for s in sides]
     runner = _Runner(qtree, sides, plan, q_bindings, token)
-    with span("parallel.fan_out", sides=P, tasks=P * len(frontier),
+    with span("parallel.fan_out", sides=P, tasks=len(tasks),
               executor=plan.executor, workers=plan.workers):
         try:
-            pending = runner.phase(1, [(i, q, seed[i]) for i in range(P)
-                                       for q in frontier], per_side)
-            if pending:
-                sched["rounds"] = 2
-                gbound = np.minimum.reduce(
-                    [s.state.arrays["qbound"] for s in sides])
-                gmax = float(np.max(gbound))
-                killed = {i for i, _ in pending
-                          if _root_key(sides[i].kernels) > gmax}
-                sched["pruned"] = len(killed)
-                survivors = []
-                for (i, q), resume in pending.items():
-                    if i in killed:
-                        continue
-                    s, e = qtree.start[q], qtree.end[q]
-                    if _root_key(sides[i].kernels, q) > float(
-                            np.max(gbound[s:e])):
-                        sched["tasks_pruned"] += 1
-                        continue
-                    survivors.append((i, q, {"resume": resume,
-                                             "extern_bound": gbound}))
-                if survivors:
-                    runner.phase(2, survivors, per_side)
+            for (i, _), stats in zip(tasks, runner.run(tasks)):
+                per_side[i].merge(stats)
         finally:
             runner.release()
-    return per_side, sched
+    return per_side
 
 
 class _Runner:
-    """Where a phase's tasks run: the process pool for a process plan's
-    phase of several tasks, the caller's kernels otherwise."""
+    """Where a fan-out's tasks run: the process pool for a process
+    plan's fan-out of several tasks, the caller's kernels otherwise."""
 
     def __init__(self, qtree, sides, plan, q_bindings, token):
         self.qtree, self.sides, self.plan = qtree, sides, plan
@@ -184,43 +124,28 @@ class _Runner:
                       if token is None else token)
         self.blocks: list | None = None
 
-    def phase(self, phase: int, tasks: list, per_side) -> dict:
-        """Run ``tasks`` — ``(side, q_root, engine hooks)`` — merging
-        their stats into ``per_side``; returns ``{(side, q_root):
-        resume}`` for the tasks that paused, in task order."""
-        with span("parallel.phase", phase=phase, tasks=len(tasks)):
-            if self.plan.executor == "process" and len(tasks) > 1:
-                outcomes = self._process(tasks)
-            else:
-                workers = 1 if self.plan.executor == "serial" else \
-                    self.plan.workers
-                outcomes = run_tasks(
-                    [lambda t=t: self._local(*t) for t in tasks],
-                    workers=workers)
-        pending = {}
-        for (i, q, _), (stats, resume) in zip(tasks, outcomes):
-            per_side[i].merge(stats)
-            if resume is not None:
-                pending[(i, q)] = resume
-        return pending
+    def run(self, tasks: list) -> list[TraversalStats]:
+        """Run ``tasks`` — ``(side, q_root)`` pairs — and return their
+        stats in task order."""
+        if self.plan.executor == "process" and len(tasks) > 1:
+            return self._process(tasks)
+        workers = 1 if self.plan.executor == "serial" else self.plan.workers
+        return run_tasks([lambda t=t: self._local(*t) for t in tasks],
+                         workers=workers)
 
-    def _local(self, i: int, q_root: int, hooks: dict):
+    def _local(self, i: int, q_root: int) -> TraversalStats:
         side = self.sides[i]
-        pause: dict = {}
-        if hooks:
-            hooks = dict(hooks, pause_out=pause)
         with span("parallel.task", side=i, q_root=q_root):
-            stats = run_engine(self.plan.engine, self.qtree, side.rtree,
-                               side.kernels, q_root=q_root, **hooks)
-        return stats, pause.get("pending")
+            return run_engine(self.plan.engine, self.qtree, side.rtree,
+                              side.kernels, q_root=q_root)
 
-    def _process(self, tasks: list) -> list:
+    def _process(self, tasks: list) -> list[TraversalStats]:
         from .worker import run_task
 
         results = run_process_tasks(
             run_task, [self._payload(*t) for t in tasks],
             workers=self.plan.workers)
-        for (i, _, _), res in zip(tasks, results):
+        for (i, _), res in zip(tasks, results):
             state = self.sides[i].state
             s, e = res["s"], res["e"]
             for name, chunk in res["arrays"].items():
@@ -228,19 +153,15 @@ class _Runner:
             if res["lists"] is not None:
                 state.lists[s:e] = res["lists"]
             contribute(res["counters"])
-        return [(res["stats"], res["pending"]) for res in results]
+        return [res["stats"] for res in results]
 
-    def _payload(self, i: int, q_root: int, hooks: dict) -> dict:
+    def _payload(self, i: int, q_root: int) -> dict:
         """What a worker needs for one task: the blocks' manifests, the
-        generated source, the state spec and the task's hooks — the
-        global bound as the task's slice, and a resumed task's state
-        slice (pool workers have no task affinity)."""
+        generated source and the state spec."""
         blocks = self._publish()
-        side, qtree = self.sides[i], self.qtree
+        side = self.sides[i]
         state = side.state
-        s, e = int(qtree.start[q_root]), int(qtree.end[q_root])
-        hooks = dict(hooks)
-        payload = {
+        return {
             "token": blocks[i][0],
             "block": blocks[0][1],
             "r_block": None if i == 0 else blocks[i][1],
@@ -248,20 +169,10 @@ class _Runner:
             "scalars": {**self.q_bindings.scalars, **side.bindings.scalars},
             "state_spec": (state.outer_op, state.inner_op, state.k,
                            state.nq, int(side.rtree.n)),
-            "same_tree": side.rtree is qtree,
+            "same_tree": side.rtree is self.qtree,
             "plan": self.plan,
             "q_root": q_root,
-            "hooks": hooks,
         }
-        if "resume" in hooks:
-            hooks["extern_bound"] = np.ascontiguousarray(
-                hooks["extern_bound"][s:e])
-            payload["state_arrays"] = {
-                name: np.ascontiguousarray(arr[s:e])
-                for name, arr in state.arrays.items()}
-            payload["state_lists"] = (None if state.lists is None
-                                      else state.lists[s:e])
-        return payload
 
     def _publish(self) -> list:
         """One shared-memory block per side, published once per fan-out:

@@ -33,16 +33,15 @@ of its points, which the count and append actions read as a position.
 
 Each shard is one side of the fan-out
 (:func:`repro.parallel.scheduler.fan_out`): its (shard × query-subtree)
-tasks run on the plan's runner, and a bound rule (k-NN, Hausdorff)
-crosses one bound broadcast between a seed phase and the rest — each
-shard tightens its ``qbound`` only from its own points, so without it a
-shard holding distant points keeps traversing long after the combined
-answer is settled.
+tasks run once, to completion, on the plan's runner.  A bound rule
+(k-NN, Hausdorff) tightens each shard's ``qbound`` from that shard's
+points alone, so a shard holding only distant points still runs its
+whole traversal; the combine step discards what it found.
 
-Observability: ``shard.runs``, ``shard.builds``, ``shard.pruned``,
-``shard.tasks_pruned``, ``shard.rounds`` counters plus ``shard.run`` /
-``shard.tree_build`` spans (the fan-out's own are ``parallel.*``), and
-``PortalExpr.stats()["shard"]`` carries per-shard traversal stats.
+Observability: ``shard.runs`` and ``shard.builds`` counters plus
+``shard.run`` / ``shard.tree_build`` spans (the fan-out's own are
+``parallel.*``), and ``PortalExpr.stats()["shard"]`` carries the shard
+count and per-shard traversal stats.
 """
 
 from __future__ import annotations
@@ -274,7 +273,7 @@ def run_sharded(
     :func:`combine_shard_states`.
 
     Returns ``(merged TraversalStats, shard_info)`` where ``shard_info``
-    carries the broadcast counters and per-shard stats surfaced through
+    carries the shard count and per-shard stats surfaced through
     ``stats()["shard"]``.
     """
     pack = shard_exec.pack
@@ -282,16 +281,11 @@ def run_sharded(
         pack.trees, shard_exec.kernels, shard_exec.states, pack.bindings)]
     with span("shard.run", shards=pack.count, engine=plan.engine,
               executor=plan.executor):
-        per_shard, sched = fan_out(qtree, sides, plan, q_bindings, token)
+        per_shard = fan_out(qtree, sides, plan, q_bindings, token)
     combine_shard_states(shard_exec, final_state)
     total = TraversalStats()
     for st in per_shard:
         total.merge(st)
-    contribute({
-        "shard.runs": 1,
-        "shard.pruned": sched["pruned"],
-        "shard.tasks_pruned": sched["tasks_pruned"],
-        "shard.rounds": sched["rounds"],
-    })
-    return total, {"count": pack.count, **sched,
+    contribute({"shard.runs": 1})
+    return total, {"count": pack.count,
                    "per_shard": [st.as_dict() for st in per_shard]}

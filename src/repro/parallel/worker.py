@@ -3,9 +3,8 @@
 :func:`run_task` is the (picklable, module-level) function the parent
 submits to the process pool.  A task payload carries no arrays and no
 closures — only the shared-memory manifests, the generated kernel
-*source*, the state allocation spec, the query-subtree root id and the
-task's engine hooks (:func:`repro.parallel.scheduler.fan_out`).  The
-worker:
+*source*, the state allocation spec, the plan and the query-subtree
+root id (:func:`repro.parallel.scheduler.fan_out`).  The worker:
 
 1. attaches the published blocks (:func:`repro.parallel.shm.attach_arrays`)
    and builds an :class:`~repro.trees.node.ArrayTree` per side over its
@@ -17,8 +16,7 @@ worker:
    :func:`~repro.traversal.run_engine` call an in-caller task makes —
    rooted at ``q_root``, under a local counters registry;
 4. returns only its query slice ``[qstart[q_root], qend[q_root])`` of
-   each accumulator plus the task's ``TraversalStats``, counters and,
-   when its seed epochs paused it, its pending pool.
+   each accumulator plus the task's ``TraversalStats`` and counters.
 
 Because every accumulator is indexed by query position and a task rooted
 at ``q_root`` touches exactly its own slice (the disjoint-query-range
@@ -88,7 +86,7 @@ class _WorkerProgram:
 _PROGRAMS: OrderedDict[str, _WorkerProgram] = OrderedDict()
 # Sized for sharded programs, where every shard is its own worker
 # program (token "{token}::r{i}"): a warm worker can hold all shards of
-# a couple of programs without evicting between phases.
+# a couple of programs without evicting between runs.
 _MAX_PROGRAMS = 16
 
 
@@ -127,40 +125,20 @@ def _program(payload: dict) -> _WorkerProgram:
 
 
 def run_task(payload: dict) -> dict:
-    """Run one (query-subtree × side) traversal task with the payload's
-    engine hooks; returns the partial accumulator slices, stats, counters
-    and — when ``max_epochs`` paused it — the pending pool, for its
-    query range."""
+    """Run one (query-subtree × side) traversal task; returns the
+    partial accumulator slices, stats and counters for its query
+    range."""
     with collect() as counters:
         prog = _program(payload)
         state = prog.state
         q_root = int(payload["q_root"])
         s = int(prog.qtree.start[q_root])
         e = int(prog.qtree.end[q_root])
-        hooks = dict(payload["hooks"])
-        if "resume" not in hooks:
-            # A cached worker program runs each new task over its range
-            # as if the state were fresh.
-            state.reset(s, e)
-        else:
-            # A resumed bounded traversal: pool workers have no task
-            # affinity, so the parent ships the paused accumulator
-            # slices back and we restore them verbatim.
-            for name, arr in payload["state_arrays"].items():
-                state.arrays[name][s:e] = arr
-            if payload["state_lists"] is not None:
-                state.lists[s:e] = [list(x) for x in payload["state_lists"]]
-        pause: dict = {}
-        if "extern_bound" in hooks:
-            # The engine indexes the bound by absolute query position;
-            # the payload only carries this task's slice.
-            full = np.full(len(state.arrays["qbound"]), np.inf)
-            full[s:e] = hooks["extern_bound"]
-            hooks["extern_bound"] = full
-        if hooks:
-            hooks["pause_out"] = pause
+        # A cached worker program runs each new task over its range as
+        # if the state were fresh.
+        state.reset(s, e)
         stats = run_engine(payload["plan"].engine, prog.qtree, prog.rtree,
-                           prog.kernels, q_root=q_root, **hooks)
+                           prog.kernels, q_root=q_root)
     return {
         "s": s,
         "e": e,
@@ -169,5 +147,4 @@ def run_task(payload: dict) -> dict:
         "arrays": {name: np.ascontiguousarray(arr[s:e])
                    for name, arr in state.arrays.items()},
         "lists": None if state.lists is None else state.lists[s:e],
-        "pending": pause.get("pending"),
     }

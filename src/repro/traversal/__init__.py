@@ -2,10 +2,10 @@
 
 from .bounded_batched import bounded_batched_dual_tree_traversal
 from .dualtree import dual_tree_traversal
-from .engines import bound_epochs, run_engine
+from .engines import run_engine
 from .multitree import TraversalStats, multi_tree_traversal
 
 __all__ = [
     "TraversalStats", "multi_tree_traversal", "dual_tree_traversal",
-    "bounded_batched_dual_tree_traversal", "bound_epochs", "run_engine",
+    "bounded_batched_dual_tree_traversal", "run_engine",
 ]

@@ -99,8 +99,8 @@ rule when ``bound_key_batch`` exists, a stateless one otherwise.
    query node, then that key, and cut at query-node boundaries into
    slices of at most ``epoch_size`` held pairs, each one grouped call
    per query node (a cut bounds the gathered index array; it never
-   splits a query node, so it cannot move a bit).  The row regime and
-   the epoch hooks below are bound-only.
+   splits a query node, so it cannot move a bit).  The row regime is
+   bound-only.
 
 Node bounds are refreshed from ``qbound`` in two reduceat sweeps: sorted
 leaves tile ``[0, n)`` contiguously, so one ``np.maximum.reduceat`` over
@@ -216,10 +216,6 @@ def bounded_batched_dual_tree_traversal(
     q_root: int = 0,
     r_root: int = 0,
     stats: TraversalStats | None = None,
-    max_epochs: int | None = None,
-    resume: tuple | None = None,
-    extern_bound: np.ndarray | None = None,
-    pause_out: dict | None = None,
 ) -> TraversalStats:
     """Traverse the (query, reference) tree pair in epochs over the
     :class:`~repro.backend.codegen.GeneratedKernels` ``kernels``.
@@ -230,23 +226,6 @@ def bounded_batched_dual_tree_traversal(
     is re-read here at every node-bound refresh (the row regime reads it
     live at every epoch), so concurrent tasks over disjoint query
     subtrees share one array.
-
-    The epoch hooks serve the cross-shard bound broadcast of
-    :mod:`repro.parallel.shard`, for bound programs only:
-
-    * ``max_epochs`` caps the number of epochs this call runs.  A
-      traversal stopped with pairs still pending stores its pending pool
-      in ``pause_out["pending"]`` (an opaque tuple; its query side holds
-      node ids, or row positions in the row regime) and can be continued
-      later by passing that tuple back as ``resume``.
-    * ``extern_bound`` is an externally supplied signed per-query bound
-      array (e.g. the global bound min-reduced across shards).  It is
-      combined with ``qbound`` as ``min(qbound, extern_bound)`` wherever
-      a bound is read — never written into ``qbound`` itself, because
-      the base cases overwrite ``qbound`` from the local best arrays
-      after each merge.  An external bound only ever *removes* dominated
-      work: any candidate it prunes is beaten by a candidate retained
-      elsewhere, so the combined cross-shard result is exact.
     """
     owns_stats = stats is None
     stats = stats or TraversalStats()
@@ -258,17 +237,12 @@ def bounded_batched_dual_tree_traversal(
     row_regime = bound and takes_row_regime(qtree, rtree)
     refresh = None
 
-    def _effective_bound():
-        if extern_bound is None:
-            return qbound
-        return np.minimum(qbound, extern_bound)
-
     if row_regime:
         key_batch = kernels.row_key_batch
 
         def bounds_of(q):
             # Each row's live bound: no snapshot, nothing to refresh.
-            return _effective_bound()[q]
+            return qbound[q]
 
         def leaf_mask(q, r):
             return r_leaf_arr[r]
@@ -311,8 +285,7 @@ def bounded_batched_dual_tree_traversal(
             def refresh():
                 # Leaf bounds in one reduceat over the contiguous leaf
                 # partition, internal bounds bottom-up per level.
-                eff = _effective_bound()
-                node_bound[lsort] = np.maximum.reduceat(eff, lstarts)
+                node_bound[lsort] = np.maximum.reduceat(qbound, lstarts)
                 for ids, kids, segs in plan:
                     node_bound[ids] = np.maximum.reduceat(node_bound[kids],
                                                           segs)
@@ -373,14 +346,7 @@ def bounded_batched_dual_tree_traversal(
             return (qflat[qoff[eq][parent] + within // rrep],
                     rflat[roff[er][parent] + within % rrep])
 
-    if resume is not None:
-        pq, pr, pkey, pborn, cur_size = resume
-        pq = np.asarray(pq, dtype=np.int64)
-        pr = np.asarray(pr, dtype=np.int64)
-        pkey = np.asarray(pkey, dtype=np.float64)
-        pborn = np.asarray(pborn, dtype=np.int64)
-        cur_size = int(cur_size)
-    elif row_regime:
+    if row_regime:
         pq = np.arange(qstart[q_root], qend[q_root], dtype=np.int64)
         pr = np.full(pq.size, r_root, dtype=np.int64)
         pkey = np.asarray(key_batch(pq, pr), dtype=np.float64)
@@ -395,11 +361,6 @@ def bounded_batched_dual_tree_traversal(
     # The row regime's first epoch already holds one pair per row.
     width_cap = max(epoch_size, cur_size) if row_regime else epoch_size
     cur_size = min(cur_size, width_cap)
-    if refresh is not None and (resume is not None
-                                or extern_bound is not None):
-        # Resumed/externally-bounded calls start from real bounds, not
-        # the +inf snapshot: the pool may be classifiable immediately.
-        refresh()
 
     epochs = 0
     deferred = 0
@@ -408,7 +369,7 @@ def bounded_batched_dual_tree_traversal(
     held: list[tuple] = []  # a stateless traversal's leaf pairs
     with span("traversal.bounded", epoch_size=epoch_size,
               regime="row" if row_regime else "leaf") as sp:
-        while pq.size and (max_epochs is None or epochs < max_epochs):
+        while pq.size:
             pending_peak = max(pending_peak, int(pq.size))
             epochs += 1
             if bound and pq.size > cur_size:
@@ -487,22 +448,12 @@ def bounded_batched_dual_tree_traversal(
                                                         bkey[a:b])
         sp.note(epochs=epochs, pending_peak=pending_peak)
 
-    if pq.size:
-        # max_epochs stopped us with work pending: hand the pool back so
-        # the caller can continue via ``resume`` after the barrier.
-        if pause_out is None:  # pragma: no cover - caller contract
-            raise ValueError(
-                "bounded traversal hit max_epochs with pairs pending but "
-                "no pause_out was supplied"
-            )
-        pause_out["pending"] = (pq, pr, pkey, pborn, cur_size)
-
     contribute({
         "bounded.epochs": epochs,
         "bounded.deferred_prunes": deferred,
         "bounded.bound_refreshes": refreshes,
         "bounded.pending_peak": pending_peak,
-        "bounded.row_regime": int(row_regime and resume is None),
+        "bounded.row_regime": int(row_regime),
     })
     if owns_stats:
         stats.contribute()

@@ -2,11 +2,11 @@
 engine name to the traversal that runs it.
 
 Every layer that executes generated kernels over a tree pair — the
-in-process run, the thread scheduler's tasks, process workers, the
-sharded rounds — calls :func:`run_engine`; which kernels an engine
-takes from :class:`~repro.backend.codegen.GeneratedKernels` is decided
-here and nowhere else (the batched engine reads the rule kind off the
-kernels themselves).  Both engines read a bound rule's ``qbound`` from
+in-process run, the fan-out's tasks and process workers — calls
+:func:`run_engine`; which kernels an engine takes from
+:class:`~repro.backend.codegen.GeneratedKernels` is decided here and
+nowhere else (the batched engine reads the rule kind off the kernels
+themselves).  Both engines read a bound rule's ``qbound`` from
 ``kernels.namespace``.  ``"stack"``, which only the option selects, is a
 reference recursion with no kernel of its own: each popped pair is
 decided by the batched engine's kernels on a one-pair array.
@@ -20,7 +20,7 @@ from .bounded_batched import bounded_batched_dual_tree_traversal, prunes
 from .dualtree import dual_tree_traversal
 from .multitree import TraversalStats
 
-__all__ = ["ENGINES", "bound_epochs", "run_engine"]
+__all__ = ["ENGINES", "run_engine"]
 
 
 def _pair_decision(qtree, rtree, kk):
@@ -65,21 +65,11 @@ ENGINES = {
 }
 
 
-def bound_epochs(engine: str, kernels) -> bool:
-    """Whether ``engine`` runs ``kernels`` in bound-rule epochs, the one
-    form that takes the pause/resume hooks of :func:`run_engine`."""
-    return engine == "batched" and kernels.bound_key_batch is not None
-
-
 def run_engine(engine: str, qtree, rtree, kernels, *, q_root: int = 0,
                stats: TraversalStats | None = None,
-               **epoch_hooks) -> TraversalStats:
-    """Traverse ``qtree`` × ``rtree`` from ``q_root`` with ``engine``.
-
-    ``epoch_hooks`` — ``epoch_size`` and, for bound-rule programs only,
-    ``max_epochs`` / ``resume`` / ``extern_bound`` / ``pause_out`` —
-    reach the batched engine's epoch loop (the latter four pause and
-    resume it between cross-shard bound broadcasts).
-    """
+               epoch_size: int | None = None) -> TraversalStats:
+    """Traverse ``qtree`` × ``rtree`` from ``q_root`` with ``engine``;
+    ``epoch_size``, the batched engine's alone, overrides its default."""
+    extra = {} if epoch_size is None else {"epoch_size": epoch_size}
     return ENGINES[engine](qtree, rtree, kernels, q_root=q_root,
-                           stats=stats, **epoch_hooks)
+                           stats=stats, **extra)

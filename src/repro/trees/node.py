@@ -182,8 +182,7 @@ class ArrayTree:
     bumps the monotone :attr:`version` and rebinds — never writes into —
     the node/point arrays, so a :meth:`snapshot` taken before the
     mutation keeps a consistent view for in-flight traversals (including
-    paused bound-rule epochs and process workers attached to published
-    shm columns).
+    process workers attached to published shm columns).
 
     What is derived from the tree's shape is built on first read and
     kept in two dicts: ``_topology`` (levels, level plan, expansion and
@@ -412,8 +411,8 @@ class ArrayTree:
 
         Mutations rebind arrays instead of writing into them, so the
         snapshot's arrays never change under it: in-flight traversals
-        (paused bound-rule epochs, process workers attached to shm
-        views of these arrays) read the version they started with.  The
+        (process workers attached to shm views of these arrays, too)
+        read the version they started with.  The
         snapshot itself is independently mutable — mutating it leaves
         the source tree untouched, which is how the cache refit path
         derives a new cache entry without corrupting the old one.

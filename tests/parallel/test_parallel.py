@@ -172,10 +172,9 @@ class TestParallelTraversal:
             source="", namespace={}, base_case=make_base(acc_par))
         plan = ExecutionPlan(engine="stack", executor="thread", workers=4,
                              min_tasks=16, leaf_size=16, shards=1)
-        (stats,), sched = fan_out(t, [Side(t, kernels, None)], plan)
+        (stats,) = fan_out(t, [Side(t, kernels, None)], plan)
         assert np.allclose(acc_serial, acc_par)
         assert stats.base_case_pairs == 300 * 300
-        assert sched == {"rounds": 1, "pruned": 0, "tasks_pruned": 0}
 
     def test_portal_parallel_option(self, rng):
         from repro.problems import knn

@@ -21,7 +21,6 @@ from repro.dsl.ops import MIN_LIKE, op_info
 from repro.observe import collect
 from repro.traversal import bounded_batched
 from repro.traversal.bounded_batched import ROW_REGIME_RATIO
-from repro.trees import build_tree
 
 from tests.backend.test_k_merge import _assert_tie_aware, _distances
 from tests.conftest import REMOVED_TREE, assert_tree_refused
@@ -242,54 +241,3 @@ def test_one_dimension(problem):
     assert stats["bounded"]["regime"] == "row"
     ref = _execute(problem, Q, R, traversal="stack")[0]
     _assert_matches(problem, out, ref, Q, R)
-
-
-def test_epoch_hooks_pause_and_resume_row_pairs(data):
-    """``max_epochs`` / ``pause_out`` / ``resume`` / ``extern_bound`` keep
-    their meaning in the row regime: the pending pool holds row
-    positions, a traversal resumed one epoch at a time ends where the
-    straight one does, and a final external bound only removes work."""
-    from repro.backend.codegen import Bindings
-    from repro.backend.state import allocate_state
-    from repro.traversal import TraversalStats, run_engine
-
-    Q, R = data[0][:8], data[1]
-    program = _expr("KARGMIN", Q, R).compile()
-    source = program.kernels.source
-    code = compile(source, "<knn>", "exec")
-    qtree, rtree = build_tree("kd", Q, leaf_size=4), build_tree("kd", R, 16)
-
-    def fresh():
-        state = allocate_state(PortalOp.FORALL, PortalOp.KARGMIN, K,
-                               len(Q), len(R))
-        kernels = (Bindings.query(qtree, {"K": K})
-                   | Bindings.reference(rtree, program.rule)
-                   ).bind(source, code, state)
-        return state, kernels
-
-    straight, kernels = fresh()
-    with collect() as counters:
-        whole = run_engine("batched", qtree, rtree, kernels)
-    assert counters.as_dict()["bounded.row_regime"] == 1
-
-    stepped, kernels = fresh()
-    pending, rounds = None, 0
-    while True:
-        pause: dict = {}
-        run_engine("batched", qtree, rtree, kernels, stats=TraversalStats(),
-                   max_epochs=1, resume=pending, pause_out=pause)
-        pending = pause.get("pending")
-        if pending is None:
-            break
-        rounds += 1
-        assert np.all((pending[0] >= 0) & (pending[0] < len(Q)))
-    assert rounds > 1
-    for name in ("best", "best_idx"):
-        assert (stepped.arrays[name].tobytes()
-                == straight.arrays[name].tobytes())
-
-    bounded, kernels = fresh()
-    with_extern = run_engine("batched", qtree, rtree, kernels,
-                             extern_bound=straight.arrays["qbound"].copy())
-    assert np.array_equal(bounded.arrays["best"], straight.arrays["best"])
-    assert with_extern.base_case_pairs <= whole.base_case_pairs
